@@ -1,0 +1,164 @@
+"""Exact-parity goldens: simulated outcomes pinned bit for bit.
+
+The other suites check byte parity between substrates and tolerances on
+simulated time; none pins *bit-equal* simulated time, dollars and
+request counts.  This one does, at one small scale and seed, for every
+exchange substrate in both execution modes through its stage kind, the
+adaptive sorts, the in-VM sort and both Table 1 pipelines — public
+surfaces only (stage kinds via ``parse_spec``, ``run_pipeline``).
+
+It is the seconds-fast oracle for refactors of the exchange layer and
+the standing guard on the *wire format*: the executor pickles every
+``(func, task)`` it ships and the object store charges the pickled
+size, so renaming a worker entry point or adding a task-dict key moves
+``makespan_s`` in its last digits and fails here.
+
+Regenerate (only for an intended model change, never for a refactor)::
+
+    PYTHONPATH=src python tests/shuffle/test_sim_golden.py --write
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
+import sys
+import typing as t
+
+import pytest
+
+from repro.cloud import Cloud
+from repro.core import PURE_SERVERLESS, VM_SUPPORTED, ExperimentConfig, run_pipeline
+from repro.core.experiment import stage_input
+from repro.sim import Simulator
+from repro.workflows import WorkflowEngine, parse_spec
+
+GOLDEN_PATH = pathlib.Path(__file__).with_name("sim_golden.json")
+BUCKET = "pipeline"
+INPUT_KEY = "input/methylome.bed"
+CONFIG = ExperimentConfig(logical_scale=4096.0, seed=2021)
+
+SUBSTRATES = ("objectstore", "cache", "relay", "sharded-relay")
+
+#: Cell name → (sort stage kind, params).  Workers are pinned at 8
+#: except where the cell exists to pin the planner's choice too.
+SORT_CELLS: dict[str, tuple[str, dict]] = {
+    "staged-objectstore": ("shuffle_sort", {"workers": 8}),
+    "staged-cache": ("cache_sort", {"workers": 8}),
+    "staged-relay": ("relay_sort", {"workers": 8}),
+    "staged-sharded-relay": ("sharded_relay_sort", {"workers": 8}),
+    **{
+        f"streaming-{substrate}": (
+            "streaming_sort", {"substrate": substrate, "workers": 8}
+        )
+        for substrate in SUBSTRATES
+    },
+    "staged-objectstore-planned": ("shuffle_sort", {}),
+    "streaming-relay-planned": ("streaming_sort", {"substrate": "relay"}),
+    "staged-cache-cold-cleanup": (
+        "cache_sort", {"workers": 8, "provisioning": "cold", "cleanup": True}
+    ),
+    "staged-sharded-relay-cold-autosized": (
+        "sharded_relay_sort",
+        {"workers": 8, "provisioning": "cold", "shards": 0, "consume": True},
+    ),
+    "auto": ("auto_sort", {"workers": 8}),
+    # Pinned: with the count left to the planner this picks a wide
+    # object-store streaming sort, which livelocked in TokenBucket at
+    # the commit these goldens were generated from.
+    "auto-modes": ("auto_sort", {"workers": 8, "modes": ["staged", "streaming"]}),
+    "online": ("online_sort", {"workers": 8}),
+    "vm": ("vm_sort", {"partitions": 8}),
+}
+
+PIPELINE_CELLS = {"table1-serverless": PURE_SERVERLESS, "table1-vm": VM_SUPPORTED}
+
+
+def _digest(cloud: Cloud, runs: t.Iterable[dict]) -> str:
+    digest = hashlib.sha256()
+    for run in runs:
+        digest.update(cloud.store.peek(run["bucket"], run["key"]))
+    return digest.hexdigest()[:16]
+
+
+def _observe(cloud: Cloud, runs: t.Iterable[dict], makespan_s: float, cost: float) -> dict:
+    return {
+        "digest": _digest(cloud, runs),
+        "makespan_s": repr(makespan_s),
+        "cost_usd": repr(cost),
+        "store_requests": cloud.store.stats.total_requests,
+        "faas_invocations": cloud.faas.stats.invocations,
+    }
+
+
+def run_sort_cell(kind: str, params: dict) -> dict:
+    cloud = Cloud(Simulator(seed=CONFIG.seed), CONFIG.make_profile())
+    stage_input(cloud, CONFIG, BUCKET, INPUT_KEY)
+    dag = parse_spec(
+        {
+            "name": "golden",
+            "bucket": BUCKET,
+            "stages": [
+                {"name": "ingest", "kind": "dataset_ref", "params": {"key": INPUT_KEY}},
+                {"name": "sort", "kind": kind, "after": ["ingest"],
+                 "params": {"memory_mb": 2048, "max_workers": 256, **params}},
+            ],
+        }
+    )
+    engine = WorkflowEngine(cloud, dag)
+    engine.workload = CONFIG.workload
+    marker = cloud.meter.snapshot()
+    result = engine.execute()
+    cloud.finalize()
+    return _observe(
+        cloud,
+        result.artifacts["sort"]["runs"],
+        result.makespan_s,
+        cloud.meter.since(marker).total_usd,
+    )
+
+
+def run_pipeline_cell(variant: str) -> dict:
+    run = run_pipeline(CONFIG, variant)
+    return _observe(
+        run.cloud, run.workflow.artifacts["sort"]["runs"], run.latency_s, run.cost_usd
+    )
+
+
+def run_cell(name: str) -> dict:
+    if name in PIPELINE_CELLS:
+        return run_pipeline_cell(PIPELINE_CELLS[name])
+    return run_sort_cell(*SORT_CELLS[name])
+
+
+ALL_CELLS = (*SORT_CELLS, *PIPELINE_CELLS)
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_exactly_the_cells(golden):
+    assert sorted(golden) == sorted(ALL_CELLS)
+
+
+@pytest.mark.parametrize("name", ALL_CELLS)
+def test_simulated_outcome_is_bit_equal(golden, name):
+    assert run_cell(name) == golden[name]
+
+
+def test_every_sort_cell_has_the_same_digest(golden):
+    digests = {name: golden[name]["digest"] for name in ALL_CELLS}
+    assert len(set(digests.values())) == 1, digests
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit(__doc__)
+    GOLDEN_PATH.write_text(
+        json.dumps({name: run_cell(name) for name in ALL_CELLS}, indent=2) + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {GOLDEN_PATH}")

@@ -29,14 +29,7 @@ from repro.core.pipelines import (
     STREAMING_SUPPORTED,
     VERIFY_STAGE,
     VM_SUPPORTED,
-    auto_supported_pipeline,
-    cache_supported_pipeline,
     pipeline_for,
-    pure_serverless_pipeline,
-    relay_supported_pipeline,
-    sharded_relay_supported_pipeline,
-    streaming_supported_pipeline,
-    vm_supported_pipeline,
 )
 from repro.core.stages import register_builtin_stage_kinds
 
@@ -57,17 +50,10 @@ __all__ = [
     "VERIFY_STAGE",
     "VM_SUPPORTED",
     "WorkloadParams",
-    "auto_supported_pipeline",
-    "cache_supported_pipeline",
     "pipeline_for",
-    "pure_serverless_pipeline",
     "register_builtin_stage_kinds",
-    "relay_supported_pipeline",
-    "sharded_relay_supported_pipeline",
-    "streaming_supported_pipeline",
     "run_exchange_comparison",
     "run_pipeline",
     "run_table1",
     "stage_input",
-    "vm_supported_pipeline",
 ]

@@ -25,10 +25,15 @@
 
 All take their input from a pre-staged object (``dataset_ref``), as in
 the paper's demo where ENCFF988BSW already sits in COS, and all write
-their sorted runs and compressed blocks to object storage.
+their sorted runs and compressed blocks to object storage.  They
+differ *only* in the sort stage, so the module is one builder,
+:func:`pipeline_for`, over a ``variant → (sort kind, params(config))``
+table.
 """
 
 from __future__ import annotations
+
+import typing as t
 
 from repro.core.calibration import ExperimentConfig
 from repro.workflows.dag import StageSpec, WorkflowDag
@@ -48,300 +53,108 @@ STREAMING_SUPPORTED = "streaming-supported"
 AUTO_SUPPORTED = "auto-supported"
 
 
-def pure_serverless_pipeline(
-    config: ExperimentConfig,
-    input_key: str = "input/methylome.bed",
-    bucket: str = "pipeline",
-    verify: bool = False,
-) -> WorkflowDag:
-    """Configuration B: shuffle-sort with functions, then encode."""
-    workers = None if config.auto_workers else config.parallelism
-    stages = [
-        StageSpec(INGEST_STAGE, "dataset_ref", params={"key": input_key}),
-        StageSpec(
-            SORT_STAGE,
-            "shuffle_sort",
-            after=(INGEST_STAGE,),
-            params={
-                "workers": workers,
-                "memory_mb": config.function_memory_mb,
-                "max_workers": 256,
-            },
-        ),
-        StageSpec(
-            ENCODE_STAGE,
-            "methcomp_encode",
-            after=(SORT_STAGE,),
-            params={"memory_mb": config.function_memory_mb},
-        ),
-    ]
-    if verify:
-        stages.append(
-            StageSpec(
-                VERIFY_STAGE,
-                "methcomp_verify",
-                after=(ENCODE_STAGE,),
-                params={"memory_mb": config.function_memory_mb},
-            )
-        )
-    return WorkflowDag(PURE_SERVERLESS, stages, bucket=bucket)
-
-
-def vm_supported_pipeline(
-    config: ExperimentConfig,
-    input_key: str = "input/methylome.bed",
-    bucket: str = "pipeline",
-    verify: bool = False,
-) -> WorkflowDag:
-    """Configuration A: sort in a VM, encode with functions."""
-    stages = [
-        StageSpec(INGEST_STAGE, "dataset_ref", params={"key": input_key}),
-        StageSpec(
-            SORT_STAGE,
-            "vm_sort",
-            after=(INGEST_STAGE,),
-            params={
-                "instance_type": config.resolved_vm_instance_type,
-                "partitions": config.parallelism,
-            },
-        ),
-        StageSpec(
-            ENCODE_STAGE,
-            "methcomp_encode",
-            after=(SORT_STAGE,),
-            params={"memory_mb": config.function_memory_mb},
-        ),
-    ]
-    if verify:
-        stages.append(
-            StageSpec(
-                VERIFY_STAGE,
-                "methcomp_verify",
-                after=(ENCODE_STAGE,),
-                params={"memory_mb": config.function_memory_mb},
-            )
-        )
-    return WorkflowDag(VM_SUPPORTED, stages, bucket=bucket)
-
-
-def cache_supported_pipeline(
-    config: ExperimentConfig,
-    input_key: str = "input/methylome.bed",
-    bucket: str = "pipeline",
-    verify: bool = False,
-) -> WorkflowDag:
-    """Configuration C: cache-mediated sort, then encode with functions."""
-    workers = None if config.auto_workers else config.parallelism
-    stages = [
-        StageSpec(INGEST_STAGE, "dataset_ref", params={"key": input_key}),
-        StageSpec(
-            SORT_STAGE,
-            "cache_sort",
-            after=(INGEST_STAGE,),
-            params={
-                "workers": workers,
-                "memory_mb": config.function_memory_mb,
-                "max_workers": 256,
-                "node_type": config.cache_node_type,
-                "nodes": config.cache_nodes,
-                "provisioning": config.cache_provisioning,
-            },
-        ),
-        StageSpec(
-            ENCODE_STAGE,
-            "methcomp_encode",
-            after=(SORT_STAGE,),
-            params={"memory_mb": config.function_memory_mb},
-        ),
-    ]
-    if verify:
-        stages.append(
-            StageSpec(
-                VERIFY_STAGE,
-                "methcomp_verify",
-                after=(ENCODE_STAGE,),
-                params={"memory_mb": config.function_memory_mb},
-            )
-        )
-    return WorkflowDag(CACHE_SUPPORTED, stages, bucket=bucket)
-
-
-def relay_supported_pipeline(
-    config: ExperimentConfig,
-    input_key: str = "input/methylome.bed",
-    bucket: str = "pipeline",
-    verify: bool = False,
-) -> WorkflowDag:
-    """Configuration D: VM-relay-mediated sort, then encode with functions."""
-    workers = None if config.auto_workers else config.parallelism
-    stages = [
-        StageSpec(INGEST_STAGE, "dataset_ref", params={"key": input_key}),
-        StageSpec(
-            SORT_STAGE,
-            "relay_sort",
-            after=(INGEST_STAGE,),
-            params={
-                "workers": workers,
-                "memory_mb": config.function_memory_mb,
-                "max_workers": 256,
-                "instance_type": config.resolved_relay_instance_type,
-                "provisioning": config.relay_provisioning,
-            },
-        ),
-        StageSpec(
-            ENCODE_STAGE,
-            "methcomp_encode",
-            after=(SORT_STAGE,),
-            params={"memory_mb": config.function_memory_mb},
-        ),
-    ]
-    if verify:
-        stages.append(
-            StageSpec(
-                VERIFY_STAGE,
-                "methcomp_verify",
-                after=(ENCODE_STAGE,),
-                params={"memory_mb": config.function_memory_mb},
-            )
-        )
-    return WorkflowDag(RELAY_SUPPORTED, stages, bucket=bucket)
-
-
-def sharded_relay_supported_pipeline(
-    config: ExperimentConfig,
-    input_key: str = "input/methylome.bed",
-    bucket: str = "pipeline",
-    verify: bool = False,
-) -> WorkflowDag:
-    """Configuration E: sharded-fleet-mediated sort, then encode."""
-    workers = None if config.auto_workers else config.parallelism
-    stages = [
-        StageSpec(INGEST_STAGE, "dataset_ref", params={"key": input_key}),
-        StageSpec(
-            SORT_STAGE,
-            "sharded_relay_sort",
-            after=(INGEST_STAGE,),
-            params={
-                "workers": workers,
-                "memory_mb": config.function_memory_mb,
-                "max_workers": 256,
-                "instance_type": config.resolved_relay_instance_type,
-                "shards": config.relay_shards,
-                "provisioning": config.relay_provisioning,
-            },
-        ),
-        StageSpec(
-            ENCODE_STAGE,
-            "methcomp_encode",
-            after=(SORT_STAGE,),
-            params={"memory_mb": config.function_memory_mb},
-        ),
-    ]
-    if verify:
-        stages.append(
-            StageSpec(
-                VERIFY_STAGE,
-                "methcomp_verify",
-                after=(ENCODE_STAGE,),
-                params={"memory_mb": config.function_memory_mb},
-            )
-        )
-    return WorkflowDag(SHARDED_RELAY_SUPPORTED, stages, bucket=bucket)
-
-
-def streaming_supported_pipeline(
-    config: ExperimentConfig,
-    input_key: str = "input/methylome.bed",
-    bucket: str = "pipeline",
-    verify: bool = False,
-) -> WorkflowDag:
-    """Streaming incarnation: pipelined map→reduce sort, then encode.
-
-    The sort runs on ``config.stream_substrate`` with the reduce wave
-    overlapping the map wave; chunk grain and reducer buffer bound come
-    from ``config.stream_chunk_mb`` / ``config.stream_buffer_mb``.
-    """
-    workers = None if config.auto_workers else config.parallelism
-    substrate = config.stream_substrate
-    sort_params: dict = {
-        "substrate": substrate,
-        "workers": workers,
+def _function_sort_params(config: ExperimentConfig) -> dict:
+    """Sort params every function-driven incarnation shares."""
+    return {
+        "workers": None if config.auto_workers else config.parallelism,
         "memory_mb": config.function_memory_mb,
         "max_workers": 256,
-        "chunk_mb": config.stream_chunk_mb,
-        "buffer_mb": config.stream_buffer_mb,
     }
-    if substrate == "cache":
-        sort_params.update(
-            node_type=config.cache_node_type,
-            nodes=config.cache_nodes,
-            provisioning=config.cache_provisioning,
-        )
-    elif substrate == "relay":
-        sort_params.update(
-            instance_type=config.resolved_relay_instance_type,
-            provisioning=config.relay_provisioning,
-        )
-    elif substrate == "sharded-relay":
-        sort_params.update(
-            instance_type=config.resolved_relay_instance_type,
-            shards=config.relay_shards,
-            provisioning=config.relay_provisioning,
-        )
-    stages = [
-        StageSpec(INGEST_STAGE, "dataset_ref", params={"key": input_key}),
-        StageSpec(
-            SORT_STAGE,
-            "streaming_sort",
-            after=(INGEST_STAGE,),
-            params=sort_params,
-        ),
-        StageSpec(
-            ENCODE_STAGE,
-            "methcomp_encode",
-            after=(SORT_STAGE,),
-            params={"memory_mb": config.function_memory_mb},
-        ),
-    ]
-    if verify:
-        stages.append(
-            StageSpec(
-                VERIFY_STAGE,
-                "methcomp_verify",
-                after=(ENCODE_STAGE,),
-                params={"memory_mb": config.function_memory_mb},
-            )
-        )
-    return WorkflowDag(STREAMING_SUPPORTED, stages, bucket=bucket)
 
 
-def auto_supported_pipeline(
+#: Provisioned exchange substrate → the sizing and provisioning params
+#: ``ExperimentConfig`` supplies for its sort stage.
+_SUBSTRATE_PARAMS: dict[str, t.Callable[[ExperimentConfig], dict]] = {
+    "cache": lambda config: {
+        "node_type": config.cache_node_type,
+        "nodes": config.cache_nodes,
+        "provisioning": config.cache_provisioning,
+    },
+    "relay": lambda config: {
+        "instance_type": config.resolved_relay_instance_type,
+        "provisioning": config.relay_provisioning,
+    },
+    "sharded-relay": lambda config: {
+        "instance_type": config.resolved_relay_instance_type,
+        "shards": config.relay_shards,
+        "provisioning": config.relay_provisioning,
+    },
+}
+
+
+def _substrate_params(config: ExperimentConfig, substrate: str) -> dict:
+    """Substrate-specific sort params: none for pay-as-you-go object
+    storage (and an unknown name is the sort stage's error to raise)."""
+    params = _SUBSTRATE_PARAMS.get(substrate)
+    return params(config) if params is not None else {}
+
+
+def _staged(kind: str, substrate: str) -> tuple[str, t.Callable]:
+    return kind, lambda config: {
+        **_function_sort_params(config),
+        **_substrate_params(config, substrate),
+    }
+
+
+#: Variant → (sort stage kind, params(config)).  Everything else about
+#: an incarnation — ingest, encode, optional verify — is shared.
+_VARIANTS: dict[str, tuple[str, t.Callable[[ExperimentConfig], dict]]] = {
+    PURE_SERVERLESS: _staged("shuffle_sort", "objectstore"),
+    VM_SUPPORTED: (
+        "vm_sort",
+        lambda config: {
+            "instance_type": config.resolved_vm_instance_type,
+            "partitions": config.parallelism,
+        },
+    ),
+    CACHE_SUPPORTED: _staged("cache_sort", "cache"),
+    RELAY_SUPPORTED: _staged("relay_sort", "relay"),
+    SHARDED_RELAY_SUPPORTED: _staged("sharded_relay_sort", "sharded-relay"),
+    # The sort runs on ``config.stream_substrate`` with the reduce wave
+    # overlapping the map wave.
+    STREAMING_SUPPORTED: (
+        "streaming_sort",
+        lambda config: {
+            "substrate": config.stream_substrate,
+            **_function_sort_params(config),
+            "chunk_mb": config.stream_chunk_mb,
+            "buffer_mb": config.stream_buffer_mb,
+            **_substrate_params(config, config.stream_substrate),
+        },
+    ),
+    AUTO_SUPPORTED: (
+        "auto_sort",
+        lambda config: {
+            **_function_sort_params(config),
+            "time_value_usd_per_hour": config.time_value_usd_per_hour,
+            "cache_node_type": config.cache_node_type,
+        },
+    ),
+}
+
+
+def pipeline_for(
+    variant: str,
     config: ExperimentConfig,
     input_key: str = "input/methylome.bed",
     bucket: str = "pipeline",
     verify: bool = False,
 ) -> WorkflowDag:
-    """Adaptive incarnation: the sort picks its substrate at run time."""
-    workers = None if config.auto_workers else config.parallelism
+    """Build any incarnation by name: ingest → sort → encode (→ verify)."""
+    try:
+        sort_kind, sort_params = _VARIANTS[variant]
+    except KeyError:
+        raise ValueError(
+            f"unknown variant {variant!r}; expected one of {sorted(_VARIANTS)}"
+        ) from None
+    encode_params = {"memory_mb": config.function_memory_mb}
     stages = [
         StageSpec(INGEST_STAGE, "dataset_ref", params={"key": input_key}),
         StageSpec(
-            SORT_STAGE,
-            "auto_sort",
-            after=(INGEST_STAGE,),
-            params={
-                "workers": workers,
-                "memory_mb": config.function_memory_mb,
-                "max_workers": 256,
-                "time_value_usd_per_hour": config.time_value_usd_per_hour,
-                "cache_node_type": config.cache_node_type,
-            },
+            SORT_STAGE, sort_kind, after=(INGEST_STAGE,), params=sort_params(config)
         ),
         StageSpec(
-            ENCODE_STAGE,
-            "methcomp_encode",
-            after=(SORT_STAGE,),
-            params={"memory_mb": config.function_memory_mb},
+            ENCODE_STAGE, "methcomp_encode", after=(SORT_STAGE,), params=encode_params
         ),
     ]
     if verify:
@@ -350,27 +163,7 @@ def auto_supported_pipeline(
                 VERIFY_STAGE,
                 "methcomp_verify",
                 after=(ENCODE_STAGE,),
-                params={"memory_mb": config.function_memory_mb},
+                params=dict(encode_params),
             )
         )
-    return WorkflowDag(AUTO_SUPPORTED, stages, bucket=bucket)
-
-
-def pipeline_for(variant: str, config: ExperimentConfig, **kwargs) -> WorkflowDag:
-    """Build any incarnation by name."""
-    builders = {
-        PURE_SERVERLESS: pure_serverless_pipeline,
-        VM_SUPPORTED: vm_supported_pipeline,
-        CACHE_SUPPORTED: cache_supported_pipeline,
-        RELAY_SUPPORTED: relay_supported_pipeline,
-        SHARDED_RELAY_SUPPORTED: sharded_relay_supported_pipeline,
-        STREAMING_SUPPORTED: streaming_supported_pipeline,
-        AUTO_SUPPORTED: auto_supported_pipeline,
-    }
-    try:
-        builder = builders[variant]
-    except KeyError:
-        raise ValueError(
-            f"unknown variant {variant!r}; expected one of {sorted(builders)}"
-        ) from None
-    return builder(config, **kwargs)
+    return WorkflowDag(variant, stages, bucket=bucket)

@@ -7,44 +7,36 @@ Table 1 experiment) compose:
 ``methylome_dataset``  generate a synthetic ENCFF988BSW-like bedMethyl
                        payload and upload it to object storage
 ``dataset_ref``        point at an existing object (pre-staged input)
-``shuffle_sort``       sort through object storage with serverless
-                       functions (Primula) — configuration **B**
-``vm_sort``            sort inside a provisioned VM — configuration **A**
-``cache_sort``         sort with serverless functions exchanging via an
-                       in-memory cache cluster — configuration **C**
-                       (the ElastiCache alternative, experiment S8)
-``relay_sort``         sort with serverless functions exchanging via an
-                       in-memory relay on a provisioned VM —
-                       configuration **D** (experiment S8's third
-                       substrate)
-``sharded_relay_sort`` sort with serverless functions exchanging via a
-                       sharded multi-relay fleet — configuration **E**
-                       (experiment S8b: lifts the single relay's NIC
-                       ceiling with N instances)
-``auto_sort``          adaptive sort: picks the exchange substrate at
+``shuffle_sort``       sort with serverless functions exchanging through
+``cache_sort``         object storage (Primula — configuration **B**),
+``relay_sort``         an in-memory cache cluster (**C**), a relay on a
+``sharded_relay_sort`` provisioned VM (**D**) or a sharded relay fleet
+                       (**E**): four names for one body,
+                       :func:`_exchange_sort`, over one row each of the
+                       substrate table (experiments S8/S8b)
+``streaming_sort``     the same body in the *streaming* execution mode
+                       on the substrate its ``substrate`` param names:
+                       the reduce wave launches concurrently with the
+                       map wave (experiment S10)
+``auto_sort``          adaptive sort: picks substrate (and, with
+                       ``modes=("staged", "streaming")``, the mode) at
                        DAG-execution time with
-                       ``choose_exchange_substrate`` and dispatches to
-                       the chosen substrate's sort stage, recording the
-                       decision in the stage report; with
-                       ``modes=("staged", "streaming")`` the execution
-                       mode is a decision variable too, and with
-                       ``online=True`` the decision keeps being re-made
-                       *between chunks* of the running exchange
+                       ``choose_exchange_substrate`` and runs the same
+                       body on the winner, recording the decision in
+                       the stage report; with ``online=True`` the
+                       decision keeps being re-made *between chunks*
 ``online_sort``        mid-stream adaptive sort: runs
                        ``OnlineShuffleSort``, which re-fits calibration
                        from observed chunk rates after every wave and
                        may switch substrate/mode/workers mid-run,
                        recording a decision timeline (experiment S12)
-``streaming_sort``     pipelined sort on any substrate: the reduce wave
-                       launches concurrently with the map wave and
-                       reducers consume partitions while mappers are
-                       still producing (experiment S10)
+``vm_sort``            sort inside a provisioned VM — configuration **A**
 ``methcomp_encode``    embarrassingly parallel METHCOMP compression of
                        the sorted runs with cloud functions
 ``methcomp_verify``    decompress and check record conservation
 ==================  ====================================================
 
-Both sort kinds produce the same artifact shape (a list of sorted runs
+Every sort kind produces the same artifact shape (a list of sorted runs
 in partition order), so the encode stage is substrate-agnostic —
 exactly the property the paper's comparison relies on.
 """
@@ -60,30 +52,18 @@ from repro.executor.executor import FunctionExecutor
 from repro.methcomp.bed import bed_sort_key
 from repro.methcomp.datagen import MethylomeGenerator, generate_skewed_bed_bytes
 from repro.methcomp.pipeline import bed_record_codec, decode_worker, encode_worker
-from repro.cloud.vm.fleet import fleet_ready, provision_fleet
-from repro.cloud.vm.relay import provision_relay, relay_ready
 from repro.shuffle.adaptive import choose_exchange_substrate
-from repro.shuffle.cacheoperator import CacheShuffleSort
 from repro.shuffle.content import (
     LineageCache,
     lineage_cache_for,
     lineage_outputs_present,
 )
-from repro.shuffle.cacheplanner import required_cache_nodes
 from repro.shuffle.online import OnlineShuffleSort
-from repro.shuffle.operator import ShuffleSort
-from repro.shuffle.relay import RelayShuffleSort, ShardedRelayShuffleSort
-from repro.shuffle.relayplanner import (
-    required_relay_fleet,
-    required_relay_instance,
-)
-from repro.shuffle.streaming import (
-    STREAMING_BACKENDS,
-    StreamConfig,
-    StreamingShuffleSort,
-)
+from repro.shuffle.operator import ShuffleResult, ShuffleSort
+from repro.shuffle.streaming import StreamConfig
+from repro.shuffle.substrates import SUBSTRATES
 from repro.storage import paths
-from repro.workflows.engine import StageContext, register_stage_kind, stage_kind
+from repro.workflows.engine import StageContext, register_stage_kind
 
 #: Engine-level cache of function executors, one per memory size, so
 #: consecutive stages share warm containers (Lithops runtime reuse).
@@ -117,84 +97,6 @@ def _single_input(inputs: dict[str, t.Any], stage: str) -> t.Any:
             f"got {sorted(inputs)}"
         )
     return next(iter(inputs.values()))
-
-
-# ----------------------------------------------------------------------
-# provisioned-substrate lifecycle (shared by staged and streaming sorts)
-# ----------------------------------------------------------------------
-def _validated_provisioning(context: StageContext) -> str:
-    provisioning = context.param("provisioning", "warm")
-    if provisioning not in ("warm", "cold"):
-        raise WorkflowError(
-            f"stage {context.spec.name!r}: provisioning must be 'warm' or "
-            f"'cold', got {provisioning!r}"
-        )
-    return provisioning
-
-
-def _provision_cache_cluster(context: StageContext, logical_bytes) -> t.Generator:
-    """Size and provision the stage's cache cluster (params:
-    ``node_type``, ``nodes`` — 0 sizes to fit — and ``provisioning``)."""
-    node_type = context.param("node_type", "cache.r5.large")
-    nodes = int(context.param("nodes", 0))
-    if nodes < 1:
-        nodes = required_cache_nodes(
-            logical_bytes, context.cloud.profile, node_type
-        )
-    if _validated_provisioning(context) == "cold":
-        cluster = yield context.cloud.cache.provision(node_type, nodes)
-    else:
-        cluster = context.cloud.cache.provision_ready(node_type, nodes)
-    return cluster
-
-
-def _provision_relay_vm(context: StageContext, logical_bytes) -> t.Generator:
-    """Size and provision the stage's relay VM (params:
-    ``instance_type`` — omit to auto-size — and ``provisioning``)."""
-    instance_type = context.param("instance_type")
-    if not instance_type:
-        instance_type = required_relay_instance(
-            logical_bytes, context.cloud.profile
-        )
-    if _validated_provisioning(context) == "cold":
-        relay = yield provision_relay(context.cloud.vms, instance_type)
-    else:
-        relay = relay_ready(context.cloud.vms, instance_type)
-    return relay
-
-
-def _provision_relay_shards(context: StageContext, logical_bytes) -> t.Generator:
-    """Size and provision the stage's relay fleet (params:
-    ``instance_type``, ``shards`` — 0 auto-sizes — and ``provisioning``)."""
-    instance_type = context.param("instance_type")
-    shards = int(context.param("shards", 2))
-    if shards < 1 or not instance_type:
-        auto_type, min_shards = required_relay_fleet(
-            logical_bytes, context.cloud.profile,
-            instance_type_name=instance_type or None,
-        )
-        instance_type = instance_type or auto_type
-        shards = max(shards, min_shards) if shards >= 1 else min_shards
-    if _validated_provisioning(context) == "cold":
-        fleet = yield provision_fleet(context.cloud.vms, instance_type, shards)
-    else:
-        fleet = fleet_ready(context.cloud.vms, instance_type, shards)
-    return fleet
-
-
-def _release_substrate(provisioned, fleet: bool = False) -> None:
-    """Stop a stage-scoped substrate's billing clocks (idempotent).
-
-    Fleets terminate unconditionally: per-shard termination is
-    idempotent, and a partially-down fleet must still stop the
-    surviving shards' clocks.
-    """
-    if provisioned is None:
-        return
-    if fleet:
-        provisioned.terminate()
-    elif provisioned.state == "running":
-        provisioned.terminate()
 
 
 # ----------------------------------------------------------------------
@@ -259,326 +161,170 @@ def dataset_ref(context: StageContext, inputs: dict) -> t.Generator:
 
 
 # ----------------------------------------------------------------------
-# sort stages (the paper's two configurations)
+# sort stages: one body over the substrate table
 # ----------------------------------------------------------------------
-def shuffle_sort(context: StageContext, inputs: dict) -> t.Generator:
-    """Configuration B: pure serverless sort through object storage.
+def _stream_config(
+    param: t.Callable[..., t.Any], chunk_key: str, buffer_key: str
+) -> StreamConfig:
+    """The streaming knobs of a stage (logical MB; buffer 0 = unbounded)."""
+    buffer_mb = float(param(buffer_key, 256.0))
+    return StreamConfig(
+        chunk_bytes=float(param(chunk_key, 32.0)) * (1 << 20),
+        buffer_bytes=buffer_mb * (1 << 20) if buffer_mb > 0 else None,
+        poll_interval_s=float(param("poll_interval", 0.2)),
+    )
 
-    Params: ``workers`` (pin the count; omit to let the Primula planner
-    choose), ``max_workers``, ``memory_mb``, ``samplers``.
+
+def _sort_fields(result: ShuffleResult) -> dict:
+    """The artifact fields every function-driven sort starts with."""
+    return {
+        "runs": [
+            {
+                "bucket": run.bucket,
+                "key": run.key,
+                "records": run.records,
+                "bytes": run.size_bytes,
+            }
+            for run in result.runs
+        ],
+        "workers": result.workers,
+        "records": result.total_records,
+        "duration_s": result.duration_s,
+        "planned_workers": result.planned.workers if result.planned else None,
+    }
+
+
+def _exchange_sort(
+    context: StageContext,
+    inputs: dict,
+    substrate: str,
+    mode: str,
+    overrides: dict | None = None,
+) -> t.Generator:
+    """Sort with serverless functions over one exchange substrate.
+
+    The single body behind ``shuffle_sort`` / ``cache_sort`` /
+    ``relay_sort`` / ``sharded_relay_sort`` (``mode="staged"`` on their
+    row of :data:`~repro.shuffle.substrates.SUBSTRATES`) and
+    ``streaming_sort`` (``mode="streaming"`` on the row its
+    ``substrate`` param names): provision the row's resource, build its
+    backend, run :class:`~repro.shuffle.operator.ShuffleSort`, release.
+    A provisioned substrate lives exactly as long as the stage; its
+    node/instance-seconds are billed into the stage's cost either way.
+
+    Params, all kinds: ``workers`` (pin the count; omit to let the
+    substrate's planner choose), ``memory_mb``, ``samplers``,
+    ``max_workers``.  Provisioned substrates: ``provisioning``
+    (``"warm"`` pre-provisioned, or ``"cold"`` — creation/boot on the
+    clock) and the row's sizing params — cache ``node_type`` (default
+    cache.r5.large) and ``nodes`` (0 = size the cluster to fit); relay
+    ``instance_type`` (omit to auto-size the smallest flavour that holds
+    the data); sharded relay ``instance_type`` and ``shards`` (default
+    2; 0 auto-sizes the fleet).  Staged only: the row's reducer-side
+    deletion flag — cache ``cleanup``, relays ``consume`` (default
+    False; the resource is terminated at stage end either way).
+    Streaming only: ``chunk_mb`` (logical chunk grain, default 32),
+    ``buffer_mb`` (reducer buffer bound, default 256; 0 disables
+    backpressure), ``poll_interval`` (COS manifest polls, default
+    0.2 s).
+
+    ``overrides`` shadow stage params — ``auto_sort`` injects the
+    configuration its decision priced without touching the stage's own.
+
+    The artifact carries the run list and the uniform report fields,
+    then the row's ``artifact_extras`` (staged) or the streaming
+    observables (measured map/reduce ``overlap_s``, the reducer
+    buffers' high watermark, summed backpressure waits, chunk count).
     """
     upstream = _single_input(inputs, context.spec.name)
-    memory_mb = int(context.param("memory_mb", 2048))
-    executor = _function_executor(context, memory_mb)
-    workload = _workload(context)
+    if substrate not in SUBSTRATES:
+        raise WorkflowError(
+            f"stage {context.spec.name!r}: unknown substrate {substrate!r}; "
+            f"expected one of {sorted(SUBSTRATES)}"
+        )
+    row = SUBSTRATES[substrate]
+    overrides = overrides or {}
+
+    def param(name: str, default: t.Any = None) -> t.Any:
+        return overrides.get(name, context.param(name, default))
+
+    executor = _function_executor(context, int(param("memory_mb", 2048)))
+    cost = getattr(_workload(context), row.cost_model)()
+    stream = None
+    if mode == "streaming":
+        stream = _stream_config(param, "chunk_mb", "buffer_mb")
+    elif row.stage_flag is not None:
+        setattr(cost, row.stage_flag, bool(param(row.stage_flag, False)))
+    provisioning = param("provisioning", "warm")
+    if provisioning not in ("warm", "cold"):
+        raise WorkflowError(
+            f"stage {context.spec.name!r}: provisioning must be 'warm' or "
+            f"'cold', got {provisioning!r}"
+        )
+    cold = provisioning == "cold"
+    provisioned = row.provision(
+        context.cloud,
+        upstream["logical_bytes"],
+        param(*row.flavour_param) if row.flavour_param else None,
+        int(param(*row.count_param)) if row.count_param else 0,
+        cold=cold,
+    )
+    if cold and provisioned is not None:
+        provisioned = yield provisioned
     operator = ShuffleSort(
-        executor, bed_record_codec(), cost=workload.shuffle_cost_model()
+        executor,
+        bed_record_codec(),
+        backend=row.make_backend(provisioned, cost, stream),
     )
-    result = yield operator.sort(
-        upstream["bucket"],
-        upstream["key"],
-        out_bucket=context.bucket,
-        out_prefix=f"{context.spec.name}",
-        workers=context.param("workers"),
-        samplers=int(context.param("samplers", 8)),
-        max_workers=int(context.param("max_workers", 256)),
-    )
-    return {
-        "runs": [
-            {
-                "bucket": run.bucket,
-                "key": run.key,
-                "records": run.records,
-                "bytes": run.size_bytes,
-            }
-            for run in result.runs
-        ],
-        "workers": result.workers,
-        "records": result.total_records,
-        "duration_s": result.duration_s,
-        "planned_workers": result.planned.workers if result.planned else None,
-        "substrate": operator.report.substrate,
-        "predicted_s": operator.report.predicted_s,
-        "actual_s": operator.report.actual_s,
-    }
-
-
-def cache_sort(context: StageContext, inputs: dict) -> t.Generator:
-    """Configuration C: serverless sort exchanging via a cache cluster.
-
-    Params: ``workers`` (pin the count; omit to let the cache planner
-    choose), ``memory_mb``, ``samplers``, ``max_workers``,
-    ``node_type`` (default cache.r5.large), ``nodes`` (0 = size the
-    cluster to fit the data), ``provisioning`` (``"warm"`` pre-provisioned
-    or ``"cold"`` on the clock), ``cleanup``.
-
-    The cluster lives exactly as long as the stage; its node-seconds are
-    billed into the stage's cost either way.
-    """
-    upstream = _single_input(inputs, context.spec.name)
-    memory_mb = int(context.param("memory_mb", 2048))
-    executor = _function_executor(context, memory_mb)
-    workload = _workload(context)
-    cluster = yield from _provision_cache_cluster(
-        context, upstream["logical_bytes"]
-    )
-    cost = workload.cache_shuffle_cost_model()
-    cost.cleanup = bool(context.param("cleanup", False))
-    operator = CacheShuffleSort(executor, bed_record_codec(), cluster, cost=cost)
     try:
         result = yield operator.sort(
             upstream["bucket"],
             upstream["key"],
             out_bucket=context.bucket,
             out_prefix=f"{context.spec.name}",
-            workers=context.param("workers"),
-            samplers=int(context.param("samplers", 8)),
-            max_workers=int(context.param("max_workers", 256)),
+            workers=param("workers"),
+            samplers=int(param("samplers", 8)),
+            max_workers=int(param("max_workers", 256)),
         )
     finally:
-        _release_substrate(cluster)
-    return {
-        "runs": [
-            {
-                "bucket": run.bucket,
-                "key": run.key,
-                "records": run.records,
-                "bytes": run.size_bytes,
-            }
-            for run in result.runs
-        ],
-        "workers": result.workers,
-        "records": result.total_records,
-        "duration_s": result.duration_s,
-        "planned_workers": result.planned.workers if result.planned else None,
-        "substrate": operator.report.substrate,
-        "predicted_s": operator.report.predicted_s,
-        "actual_s": operator.report.actual_s,
-        "cache_nodes": operator.report.nodes,
-        "cache_node_type": operator.report.node_type,
-        "cache_peak_fill": operator.report.peak_fill_fraction,
-    }
+        row.release(provisioned)
+    report = operator.report
+    artifact = _sort_fields(result)
+    artifact["substrate"] = report.substrate
+    if stream is not None:
+        artifact["mode"] = report.mode
+    artifact["predicted_s"] = report.predicted_s
+    artifact["actual_s"] = report.actual_s
+    if stream is not None:
+        for field in (
+            "overlap_s",
+            "buffer_high_watermark_bytes",
+            "buffer_backpressure_waits",
+            "stream_chunks",
+        ):
+            artifact[field] = getattr(report, field)
+    else:
+        for key, field in row.artifact_extras:
+            artifact[key] = getattr(report, field)
+    return artifact
 
 
-def relay_sort(context: StageContext, inputs: dict) -> t.Generator:
-    """Configuration D: serverless sort exchanging via a VM relay.
+def _staged_sort_kind(substrate: str) -> t.Callable:
+    """The staged sort stage kind of one substrate-table row."""
 
-    Params: ``workers`` (pin the count; omit to let the relay planner
-    choose), ``memory_mb``, ``samplers``, ``max_workers``,
-    ``instance_type`` (omit to auto-size the smallest flavour that
-    holds the data), ``provisioning`` (``"warm"`` pre-provisioned or
-    ``"cold"`` pays VM boot on the clock), ``consume`` (default False —
-    opt-in reducer-side deletion for crash-free runs; the relay VM is
-    terminated at stage end either way, reclaiming everything).
+    def kind(context: StageContext, inputs: dict) -> t.Generator:
+        return _exchange_sort(context, inputs, substrate, "staged")
 
-    The relay VM lives exactly as long as the stage; its instance-
-    seconds are billed into the stage's cost either way.
-    """
-    upstream = _single_input(inputs, context.spec.name)
-    memory_mb = int(context.param("memory_mb", 2048))
-    executor = _function_executor(context, memory_mb)
-    workload = _workload(context)
-    relay = yield from _provision_relay_vm(context, upstream["logical_bytes"])
-    cost = workload.relay_shuffle_cost_model()
-    cost.consume = bool(context.param("consume", False))
-    operator = RelayShuffleSort(executor, bed_record_codec(), relay, cost=cost)
-    try:
-        result = yield operator.sort(
-            upstream["bucket"],
-            upstream["key"],
-            out_bucket=context.bucket,
-            out_prefix=f"{context.spec.name}",
-            workers=context.param("workers"),
-            samplers=int(context.param("samplers", 8)),
-            max_workers=int(context.param("max_workers", 256)),
-        )
-    finally:
-        _release_substrate(relay)
-    return {
-        "runs": [
-            {
-                "bucket": run.bucket,
-                "key": run.key,
-                "records": run.records,
-                "bytes": run.size_bytes,
-            }
-            for run in result.runs
-        ],
-        "workers": result.workers,
-        "records": result.total_records,
-        "duration_s": result.duration_s,
-        "planned_workers": result.planned.workers if result.planned else None,
-        "substrate": operator.report.substrate,
-        "predicted_s": operator.report.predicted_s,
-        "actual_s": operator.report.actual_s,
-        "relay_instance_type": operator.report.instance_type,
-        "relay_peak_fill": operator.report.peak_fill_fraction,
-        "relay_backpressure_waits": operator.report.backpressure_waits,
-    }
-
-
-def sharded_relay_sort(context: StageContext, inputs: dict) -> t.Generator:
-    """Configuration E: serverless sort via a sharded VM-relay fleet.
-
-    Params: ``workers`` (pin the count; omit to let the relay planner
-    choose), ``memory_mb``, ``samplers``, ``max_workers``, ``shards``
-    (default 2; ``0`` auto-sizes the fleet), ``instance_type`` (omit to
-    auto-size the cheapest flavour whose fleet holds the data),
-    ``provisioning`` (``"warm"`` pre-provisioned or ``"cold"`` pays the
-    parallel VM boots on the clock), ``consume``.
-
-    The fleet lives exactly as long as the stage; all N instances'
-    instance-seconds are billed into the stage's cost either way.
-    """
-    upstream = _single_input(inputs, context.spec.name)
-    memory_mb = int(context.param("memory_mb", 2048))
-    executor = _function_executor(context, memory_mb)
-    workload = _workload(context)
-    fleet = yield from _provision_relay_shards(
-        context, upstream["logical_bytes"]
-    )
-    cost = workload.relay_shuffle_cost_model()
-    cost.consume = bool(context.param("consume", False))
-    operator = ShardedRelayShuffleSort(executor, bed_record_codec(), fleet, cost=cost)
-    try:
-        result = yield operator.sort(
-            upstream["bucket"],
-            upstream["key"],
-            out_bucket=context.bucket,
-            out_prefix=f"{context.spec.name}",
-            workers=context.param("workers"),
-            samplers=int(context.param("samplers", 8)),
-            max_workers=int(context.param("max_workers", 256)),
-        )
-    finally:
-        _release_substrate(fleet, fleet=True)
-    return {
-        "runs": [
-            {
-                "bucket": run.bucket,
-                "key": run.key,
-                "records": run.records,
-                "bytes": run.size_bytes,
-            }
-            for run in result.runs
-        ],
-        "workers": result.workers,
-        "records": result.total_records,
-        "duration_s": result.duration_s,
-        "planned_workers": result.planned.workers if result.planned else None,
-        "substrate": operator.report.substrate,
-        "predicted_s": operator.report.predicted_s,
-        "actual_s": operator.report.actual_s,
-        "relay_instance_type": operator.report.instance_type,
-        "relay_shards": operator.report.shards,
-        "relay_peak_fill": operator.report.peak_fill_fraction,
-        "relay_backpressure_waits": operator.report.backpressure_waits,
-    }
+    kind.__doc__ = f"Staged :func:`_exchange_sort` on the {substrate!r} substrate."
+    return kind
 
 
 def streaming_sort(context: StageContext, inputs: dict) -> t.Generator:
-    """Pipelined sort: the reduce wave overlaps the map wave.
-
-    Runs :class:`~repro.shuffle.streaming.StreamingShuffleSort` on any
-    of the four exchange substrates — reducers subscribe to their
-    partition through the substrate's readiness protocol (manifest
-    polling on COS, set notification on the cache, rendezvous pulls on
-    the relays) and consume chunks while mappers are still producing,
-    behind bounded buffers that exert backpressure.
-
-    Params: ``substrate`` (``objectstore`` default, or ``cache`` /
-    ``relay`` / ``sharded-relay``), ``chunk_mb`` (logical chunk grain,
-    default 32), ``buffer_mb`` (reducer buffer bound, default 256; 0
-    disables backpressure), ``poll_interval`` (COS manifest polls,
-    default 0.2 s), plus the chosen substrate's usual provisioning
-    params (``node_type``/``nodes``, ``instance_type``, ``shards``,
-    ``provisioning``) and the generic
-    ``workers``/``memory_mb``/``samplers``/``max_workers``.
-
-    The artifact carries the streaming observables next to the usual
-    sort fields: measured map/reduce ``overlap_s``, the reducer
-    buffers' high watermark, and the summed backpressure waits.
-    """
-    upstream = _single_input(inputs, context.spec.name)
-    substrate = context.param("substrate", "objectstore")
-    if substrate not in STREAMING_BACKENDS:
-        raise WorkflowError(
-            f"stage {context.spec.name!r}: unknown substrate {substrate!r}; "
-            f"expected one of {sorted(STREAMING_BACKENDS)}"
-        )
-    memory_mb = int(context.param("memory_mb", 2048))
-    executor = _function_executor(context, memory_mb)
-    workload = _workload(context)
-    buffer_mb = float(context.param("buffer_mb", 256.0))
-    stream = StreamConfig(
-        chunk_bytes=float(context.param("chunk_mb", 32.0)) * (1 << 20),
-        buffer_bytes=buffer_mb * (1 << 20) if buffer_mb > 0 else None,
-        poll_interval_s=float(context.param("poll_interval", 0.2)),
+    """Streaming :func:`_exchange_sort` on the ``substrate`` param's
+    substrate (``objectstore`` default)."""
+    return _exchange_sort(
+        context, inputs, context.param("substrate", "objectstore"), "streaming"
     )
-    _validated_provisioning(context)  # fail fast before provisioning
-
-    provisioned = None
-    if substrate == "objectstore":
-        backend = STREAMING_BACKENDS[substrate](
-            cost=workload.shuffle_cost_model(), stream=stream
-        )
-    elif substrate == "cache":
-        provisioned = yield from _provision_cache_cluster(
-            context, upstream["logical_bytes"]
-        )
-        backend = STREAMING_BACKENDS[substrate](
-            provisioned, cost=workload.cache_shuffle_cost_model(), stream=stream
-        )
-    else:
-        if substrate == "relay":
-            provisioned = yield from _provision_relay_vm(
-                context, upstream["logical_bytes"]
-            )
-        else:  # sharded-relay
-            provisioned = yield from _provision_relay_shards(
-                context, upstream["logical_bytes"]
-            )
-        backend = STREAMING_BACKENDS[substrate](
-            provisioned, cost=workload.relay_shuffle_cost_model(), stream=stream
-        )
-
-    operator = StreamingShuffleSort(executor, bed_record_codec(), backend=backend)
-    try:
-        result = yield operator.sort(
-            upstream["bucket"],
-            upstream["key"],
-            out_bucket=context.bucket,
-            out_prefix=f"{context.spec.name}",
-            workers=context.param("workers"),
-            samplers=int(context.param("samplers", 8)),
-            max_workers=int(context.param("max_workers", 256)),
-        )
-    finally:
-        _release_substrate(provisioned, fleet=substrate == "sharded-relay")
-    report = operator.report
-    return {
-        "runs": [
-            {
-                "bucket": run.bucket,
-                "key": run.key,
-                "records": run.records,
-                "bytes": run.size_bytes,
-            }
-            for run in result.runs
-        ],
-        "workers": result.workers,
-        "records": result.total_records,
-        "duration_s": result.duration_s,
-        "planned_workers": result.planned.workers if result.planned else None,
-        "substrate": substrate,
-        "mode": report.mode,
-        "predicted_s": report.predicted_s,
-        "actual_s": report.actual_s,
-        "overlap_s": report.overlap_s,
-        "buffer_high_watermark_bytes": report.buffer_high_watermark_bytes,
-        "buffer_backpressure_waits": report.buffer_backpressure_waits,
-        "stream_chunks": report.stream_chunks,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -641,23 +387,14 @@ def _lineage_store(
     lineage_cache_for(context.cloud.store).put(fingerprint, artifact)
 
 
-#: Substrate name → stage kind executing that substrate's sort.
-_AUTO_SORT_DISPATCH: dict[str, str] = {
-    "objectstore": "shuffle_sort",
-    "cache": "cache_sort",
-    "relay": "relay_sort",
-    "sharded-relay": "sharded_relay_sort",
-}
-
-
 def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
     """Adaptive sort: choose the exchange substrate at execution time.
 
     Calls :func:`~repro.shuffle.adaptive.choose_exchange_substrate` on
-    the upstream dataset's logical size, then dispatches to the chosen
-    substrate's sort stage with the decision's configuration (worker
-    count, relay flavour, shard count) injected, so the stage executes
-    exactly what was priced.  The decision — every substrate's priced
+    the upstream dataset's logical size, then runs :func:`_exchange_sort`
+    on the chosen substrate and mode with the decision's configuration
+    (worker count, flavour, node/shard count) injected, so the stage
+    executes exactly what was priced.  The decision — every substrate's priced
     estimate and the winner — is recorded in the stage artifact (and
     thereby the tracker report and Gantt label).
 
@@ -666,8 +403,7 @@ def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
     (pin the count across all substrates; omit to let each plan its
     own), ``substrates`` (restrict the candidates), ``modes``
     (``("staged",)`` by default; add ``"streaming"`` to price the
-    pipelined execution mode as a second decision variable — a
-    streaming winner dispatches to ``streaming_sort``),
+    pipelined execution mode as a second decision variable),
     ``stream_chunk_mb``/``stream_buffer_mb`` (the streaming grain and
     reducer buffer bound, used both for pricing and execution),
     ``max_relay_shards`` (default 8), ``cache_node_type``,
@@ -677,11 +413,10 @@ def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
     may pick a different substrate/mode/configuration than a uniform
     one of the same size), plus the usual
     ``memory_mb``/``samplers``/``max_workers`` passed through to the
-    dispatched stage.
+    sort.
     """
     if bool(context.param("online", False)):
-        impl = stage_kind("online_sort")
-        return (yield from impl(context, inputs))
+        return (yield from online_sort(context, inputs))
     upstream = _single_input(inputs, context.spec.name)
     lineage_key = None
     if cas_enabled():
@@ -716,25 +451,18 @@ def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
     )
     chosen = decision.chosen
     # Execute exactly the configuration the estimate priced.
-    context.params["workers"] = chosen.workers
+    row = SUBSTRATES[chosen.substrate]
+    overrides = {"workers": chosen.workers}
     if chosen.mode == "streaming":
-        impl = stage_kind("streaming_sort")
-        context.params["substrate"] = chosen.substrate
-        context.params["chunk_mb"] = stream_chunk_mb
-        context.params["buffer_mb"] = float(
-            context.param("stream_buffer_mb", 256.0)
-        )
-    else:
-        impl = stage_kind(_AUTO_SORT_DISPATCH[chosen.substrate])
-    if chosen.substrate == "cache":
-        context.params["node_type"] = chosen.instance_type
-        context.params["nodes"] = chosen.shards
-    elif chosen.substrate == "relay":
-        context.params["instance_type"] = chosen.instance_type
-    elif chosen.substrate == "sharded-relay":
-        context.params["instance_type"] = chosen.instance_type
-        context.params["shards"] = chosen.shards
-    artifact = yield from impl(context, inputs)
+        overrides["chunk_mb"] = stream_chunk_mb
+        overrides["buffer_mb"] = float(context.param("stream_buffer_mb", 256.0))
+    if row.flavour_param:
+        overrides[row.flavour_param[0]] = chosen.instance_type
+    if row.count_param:
+        overrides[row.count_param[0]] = chosen.shards
+    artifact = yield from _exchange_sort(
+        context, inputs, chosen.substrate, chosen.mode, overrides
+    )
     artifact.update(
         substrate=chosen.substrate,
         substrate_mode=chosen.mode,
@@ -786,16 +514,10 @@ def online_sort(context: StageContext, inputs: dict) -> t.Generator:
     workload = _workload(context)
     substrates = context.param("substrates")
     modes = context.param("modes")
-    buffer_mb = float(context.param("stream_buffer_mb", 256.0))
-    stream = StreamConfig(
-        chunk_bytes=float(context.param("stream_chunk_mb", 32.0)) * (1 << 20),
-        buffer_bytes=buffer_mb * (1 << 20) if buffer_mb > 0 else None,
-        poll_interval_s=float(context.param("poll_interval", 0.2)),
-    )
     operator = OnlineShuffleSort(
         executor,
         bed_record_codec(),
-        stream=stream,
+        stream=_stream_config(context.param, "stream_chunk_mb", "stream_buffer_mb"),
         shuffle_cost=workload.shuffle_cost_model(),
         cache_cost=workload.cache_shuffle_cost_model(),
         relay_cost=workload.relay_shuffle_cost_model(),
@@ -823,19 +545,7 @@ def online_sort(context: StageContext, inputs: dict) -> t.Generator:
     timeline = operator.timeline
     final = timeline.final.decision.chosen
     artifact = {
-        "runs": [
-            {
-                "bucket": run.bucket,
-                "key": run.key,
-                "records": run.records,
-                "bytes": run.size_bytes,
-            }
-            for run in result.runs
-        ],
-        "workers": result.workers,
-        "records": result.total_records,
-        "duration_s": result.duration_s,
-        "planned_workers": None,
+        **_sort_fields(result),
         "substrate": final.substrate,
         "substrate_mode": "online",
         "substrate_workers": final.workers,
@@ -1034,10 +744,10 @@ def register_builtin_stage_kinds() -> None:
     builtin = {
         "methylome_dataset": methylome_dataset,
         "dataset_ref": dataset_ref,
-        "shuffle_sort": shuffle_sort,
-        "cache_sort": cache_sort,
-        "relay_sort": relay_sort,
-        "sharded_relay_sort": sharded_relay_sort,
+        "shuffle_sort": _staged_sort_kind("objectstore"),
+        "cache_sort": _staged_sort_kind("cache"),
+        "relay_sort": _staged_sort_kind("relay"),
+        "sharded_relay_sort": _staged_sort_kind("sharded-relay"),
         "streaming_sort": streaming_sort,
         "auto_sort": auto_sort,
         "online_sort": online_sort,

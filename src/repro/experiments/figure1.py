@@ -9,7 +9,7 @@ content, headless medium.
 from __future__ import annotations
 
 from repro.core.calibration import ExperimentConfig
-from repro.core.pipelines import pure_serverless_pipeline, vm_supported_pipeline
+from repro.core.pipelines import PURE_SERVERLESS, VM_SUPPORTED, pipeline_for
 from repro.workflows.render import render_dag, render_side_by_side
 
 
@@ -17,11 +17,11 @@ def render_figure1(config: ExperimentConfig | None = None) -> str:
     """The Figure 1 reproduction as a printable string."""
     config = config if config is not None else ExperimentConfig()
     serverless = render_dag(
-        pure_serverless_pipeline(config),
+        pipeline_for(PURE_SERVERLESS, config),
         title="(B) Purely serverless",
     )
     hybrid = render_dag(
-        vm_supported_pipeline(config),
+        pipeline_for(VM_SUPPORTED, config),
         title="(A) VM-supported (hybrid)",
     )
     header = (

@@ -18,7 +18,6 @@ from repro.cloud.environment import Cloud
 from repro.core.calibration import ExperimentConfig
 from repro.core.experiment import run_pipeline, stage_input
 from repro.cloud.vm.fleet import fleet_ready
-from repro.cloud.vm.relay import relay_ready
 from repro.core.pipelines import (
     CACHE_SUPPORTED,
     PURE_SERVERLESS,
@@ -30,19 +29,14 @@ from repro.executor.speculation import SpeculationPolicy
 from repro.methcomp.codec import compression_ratio, gzip_ratio
 from repro.methcomp.datagen import MethylomeGenerator
 from repro.methcomp.pipeline import bed_record_codec
-from repro.shuffle.cacheoperator import CacheShuffleSort
-from repro.shuffle.cacheplanner import required_cache_nodes
 from repro.shuffle.operator import ShuffleSort
 from repro.shuffle.planner import plan_shuffle
 from repro.shuffle.adaptive import EXCHANGE_SUBSTRATES
 from repro.errors import ShuffleError
-from repro.shuffle.relay import RelayShuffleSort, ShardedRelayShuffleSort
+from repro.shuffle.relay import ShardedRelayExchange
 from repro.shuffle.relayplanner import required_relay_fleet
-from repro.shuffle.streaming import (
-    STREAMING_BACKENDS,
-    StreamConfig,
-    StreamingShuffleSort,
-)
+from repro.shuffle.streaming import StreamConfig
+from repro.shuffle.substrates import SUBSTRATES
 from repro.sim import Simulator
 
 
@@ -226,55 +220,30 @@ def _make_exchange_operator(
 
     The single construction point for every substrate the sweeps
     compare — in either execution mode: pass a
-    :class:`~repro.shuffle.streaming.StreamConfig` to get the
-    substrate's streaming twin over the same provisioned resource.
-    The returned operator's uniform
-    :class:`~repro.shuffle.exchange.ExchangeReport` replaces the
-    per-substrate metadata the sweeps used to special-case.
+    :class:`~repro.shuffle.streaming.StreamConfig` to run the same
+    substrate streaming.  The substrate comes off the
+    :data:`~repro.shuffle.substrates.SUBSTRATES` table, provisioned
+    warm at the size ``config`` asks for; the returned operator's
+    uniform :class:`~repro.shuffle.exchange.ExchangeReport` replaces
+    the per-substrate metadata the sweeps used to special-case.
     """
-    codec = bed_record_codec()
-
-    def wrap(staged_class, cost, provisioned):
-        if stream is None:
-            if provisioned is None:
-                return staged_class(executor, codec, cost=cost), None
-            return staged_class(executor, codec, provisioned, cost=cost), provisioned
-        if provisioned is None:
-            backend = STREAMING_BACKENDS[strategy](cost=cost, stream=stream)
-        else:
-            backend = STREAMING_BACKENDS[strategy](
-                provisioned, cost=cost, stream=stream
-            )
-        return StreamingShuffleSort(executor, codec, backend=backend), provisioned
-
-    if strategy == "objectstore":
-        return wrap(ShuffleSort, config.workload.shuffle_cost_model(), None)
-    if strategy == "cache":
-        nodes = required_cache_nodes(
-            config.logical_bytes, cloud.profile, config.cache_node_type
+    if strategy not in SUBSTRATES:
+        raise ValueError(
+            f"unknown exchange strategy {strategy!r}; expected a subset of "
+            f"{EXCHANGE_SUBSTRATES}"
         )
-        cluster = cloud.cache.provision_ready(config.cache_node_type, nodes=nodes)
-        return wrap(
-            CacheShuffleSort, config.workload.cache_shuffle_cost_model(), cluster
-        )
-    if strategy == "relay":
-        relay = relay_ready(cloud.vms, config.resolved_relay_instance_type)
-        return wrap(
-            RelayShuffleSort, config.workload.relay_shuffle_cost_model(), relay
-        )
-    if strategy == "sharded-relay":
-        fleet = fleet_ready(
-            cloud.vms, config.resolved_relay_instance_type,
-            shards=config.relay_shards,
-        )
-        return wrap(
-            ShardedRelayShuffleSort, config.workload.relay_shuffle_cost_model(),
-            fleet,
-        )
-    raise ValueError(
-        f"unknown exchange strategy {strategy!r}; expected a subset of "
-        f"{EXCHANGE_SUBSTRATES}"
+    row = SUBSTRATES[strategy]
+    # (flavour, count) per substrate; the cache cluster is sized to fit.
+    flavour, count = {
+        "cache": (config.cache_node_type, 0),
+        "relay": (config.resolved_relay_instance_type, 1),
+        "sharded-relay": (config.resolved_relay_instance_type, config.relay_shards),
+    }.get(strategy, (None, 0))
+    provisioned = row.provision(cloud, config.logical_bytes, flavour, count)
+    backend = row.make_backend(
+        provisioned, getattr(config.workload, row.cost_model)(), stream
     )
+    return ShuffleSort(executor, bed_record_codec(), backend=backend), provisioned
 
 
 def sweep_exchange(
@@ -599,8 +568,9 @@ def sweep_skew(
                 )
                 cost = cfg.workload.relay_shuffle_cost_model()
                 cost.rebalance = routing == "rebalanced"
-                operator = ShardedRelayShuffleSort(
-                    executor, bed_record_codec(), fleet, cost=cost
+                operator = ShuffleSort(
+                    executor, bed_record_codec(),
+                    backend=ShardedRelayExchange(fleet, cost),
                 )
 
             def driver():
@@ -1520,8 +1490,8 @@ def sweep_service(
         cost = dataclasses.replace(
             base.workload.relay_shuffle_cost_model(), consume=True
         )
-        operator = ShardedRelayShuffleSort(
-            executor, bed_record_codec(), fleet, cost=cost
+        operator = ShuffleSort(
+            executor, bed_record_codec(), backend=ShardedRelayExchange(fleet, cost)
         )
         result = yield operator.sort(
             "pipeline", job["key"], out_prefix=job["job"], workers=workers

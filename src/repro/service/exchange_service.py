@@ -60,7 +60,8 @@ from repro.obs.metrics import registry as metrics_registry
 from repro.executor.executor import FunctionExecutor
 from repro.shuffle.adaptive import FleetScaleDecision, plan_fleet_scale
 from repro.shuffle.records import RecordCodec
-from repro.shuffle.relay import ShardedRelayShuffleSort
+from repro.shuffle.operator import ShuffleSort
+from repro.shuffle.relay import ShardedRelayExchange
 from repro.shuffle.relayplanner import (
     RelayShuffleCostModel,
     SHARD_IMBALANCE_HEADROOM,
@@ -563,8 +564,8 @@ class ExchangeService:
             billing_tags={"tenant": job.tenant, "job": job.job_id},
         )
         cost = dataclasses.replace(self.relay_cost, consume=self.consume)
-        operator = ShardedRelayShuffleSort(
-            executor, self.codec, generation.fleet, cost=cost
+        operator = ShuffleSort(
+            executor, self.codec, backend=ShardedRelayExchange(generation.fleet, cost)
         )
         operator.backend.tenant = job.scope
         try:

@@ -1,15 +1,16 @@
 """Primula-like shuffle/sort (and GroupBy) over pluggable substrates.
 
-The generic :class:`ShuffleSort` drives one
-:class:`~repro.shuffle.exchange.ExchangeBackend`; four substrates ship:
-object storage (the paper's serverless default), an in-memory cache
-cluster (:class:`CacheShuffleSort`), a VM-hosted partition relay
-(:class:`RelayShuffleSort`) and a sharded multi-relay fleet
-(:class:`ShardedRelayShuffleSort`).  Each substrate also runs in a
-pipelined *streaming* mode (:class:`StreamingShuffleSort` over the
-:mod:`repro.shuffle.streaming` backends), where the reduce wave
-overlaps the map wave.  :func:`choose_exchange_substrate` picks
-substrate — and execution mode — analytically.
+One operator, :class:`ShuffleSort`, drives one
+:class:`~repro.shuffle.exchange.ExchangeBackend`.  Four substrates
+ship, one backend class each — object storage
+(:class:`ObjectStoreExchange`, the paper's serverless default), an
+in-memory cache cluster (:class:`CacheExchange`), a VM-hosted partition
+relay (:class:`RelayExchange`) and a sharded multi-relay fleet
+(:class:`ShardedRelayExchange`) — tabulated by name in
+:data:`SUBSTRATES`.  The execution mode is a field: build any backend
+with ``stream=StreamConfig(...)`` and the reduce wave overlaps the map
+wave.  :func:`choose_exchange_substrate` picks substrate — and mode —
+analytically; :class:`OnlineShuffleSort` keeps re-picking mid-stream.
 """
 
 from repro.shuffle.adaptive import (
@@ -28,21 +29,13 @@ from repro.shuffle.adaptive import (
     streaming_chunk_count,
     streaming_chunk_overhead_s,
 )
-from repro.shuffle.cacheoperator import (
-    CacheExchange,
-    CacheShuffleSort,
-)
 from repro.shuffle.cacheplanner import (
     CacheShuffleCostModel,
     plan_cache_shuffle,
     predict_cache_shuffle_time,
     required_cache_nodes,
 )
-from repro.shuffle.cachestages import (
-    cache_partition_key,
-    cache_shuffle_mapper,
-    cache_shuffle_reducer,
-)
+from repro.shuffle.cachestages import cache_shuffle_mapper, cache_shuffle_reducer
 from repro.shuffle.kernels import (
     DecimalFieldKeySpec,
     KernelFallback,
@@ -67,6 +60,7 @@ from repro.shuffle.groupby import (
     shuffle_group_reducer,
 )
 from repro.shuffle.exchange import (
+    CacheExchange,
     ExchangeBackend,
     ExchangeReport,
     ObjectStoreExchange,
@@ -90,11 +84,8 @@ from repro.shuffle.records import FixedWidthCodec, LineRecordCodec, RecordCodec
 from repro.shuffle.relay import (
     PartitionLoadRouter,
     RelayExchange,
-    RelayShuffleSort,
     ShardedRelayExchange,
-    ShardedRelayShuffleSort,
     build_rebalance_assignments,
-    relay_partition_key,
     relay_shuffle_mapper,
     relay_shuffle_reducer,
 )
@@ -124,34 +115,29 @@ from repro.shuffle.skew import (
     zipf_weights,
 )
 from repro.shuffle.streaming import (
-    STREAMING_BACKENDS,
     StreamConfig,
-    StreamingCacheExchange,
-    StreamingObjectStoreExchange,
-    StreamingRelayExchange,
-    StreamingShardedRelayExchange,
-    StreamingShuffleSort,
     streaming_shuffle_mapper,
     streaming_shuffle_reducer,
 )
-from repro.shuffle.stages import shuffle_mapper, shuffle_reducer, shuffle_sampler
+from repro.shuffle.stages import (
+    kv_partition_key,
+    shuffle_mapper,
+    shuffle_reducer,
+    shuffle_sampler,
+)
+from repro.shuffle.substrates import SUBSTRATES, Substrate
 
 __all__ = [
     "AggregateFn",
     "CacheExchange",
     "CacheShuffleCostModel",
-    "CacheShuffleSort",
     "EXCHANGE_MODES",
     "EXCHANGE_SUBSTRATES",
     "KEY_DISTRIBUTIONS",
-    "STREAMING_BACKENDS",
+    "SUBSTRATES",
     "SkewSpec",
+    "Substrate",
     "StreamConfig",
-    "StreamingCacheExchange",
-    "StreamingObjectStoreExchange",
-    "StreamingRelayExchange",
-    "StreamingShardedRelayExchange",
-    "StreamingShuffleSort",
     "ExchangeBackend",
     "ExchangeReport",
     "ObjectStoreExchange",
@@ -165,9 +151,7 @@ __all__ = [
     "RelayExchange",
     "RelayShuffleCostModel",
     "RelayShufflePlan",
-    "RelayShuffleSort",
     "ShardedRelayExchange",
-    "ShardedRelayShuffleSort",
     "SubstrateDecision",
     "SubstrateEstimate",
     "build_rebalance_assignments",
@@ -176,14 +160,13 @@ __all__ = [
     "fit_stream_profiles",
     "plan_relay_shuffle",
     "predict_relay_shuffle_time",
-    "relay_partition_key",
     "relay_shuffle_mapper",
     "relay_shuffle_reducer",
     "relay_usable_bytes",
     "required_relay_fleet",
     "required_relay_instance",
     "resolve_relay_instance",
-    "cache_partition_key",
+    "kv_partition_key",
     "cache_shuffle_mapper",
     "cache_shuffle_reducer",
     "plan_cache_shuffle",

@@ -19,13 +19,7 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.shuffle import kernels
-from repro.shuffle.records import RecordCodec
-
-
-def cache_partition_key(prefix: str, mapper_id: int, reducer_id: int) -> str:
-    """Cache key of mapper ``mapper_id``'s segment for reducer ``reducer_id``."""
-    return f"{prefix}/m{mapper_id:05d}.r{reducer_id:05d}"
+from repro.shuffle.stages import kv_shuffle_mapper, kv_shuffle_reducer
 
 
 def cache_shuffle_mapper(ctx, task: dict) -> t.Generator:
@@ -35,41 +29,11 @@ def cache_shuffle_mapper(ctx, task: dict) -> t.Generator:
     boundaries, codec, cluster_id, cache_prefix, mapper_id,
     partition_throughput``.
     """
-    codec: RecordCodec = task["codec"]
-    start, end = task["start"], task["end"]
-    object_size = task["object_size"]
-    window_end = min(object_size, end + task["peek_bytes"])
-    raw = yield ctx.storage.get_range(task["bucket"], task["key"], start, window_end)
-    base, tail = raw[: end - start], raw[end - start :]
-    owned = codec.extract_split(
-        base,
-        tail,
-        is_first=(start == 0),
-        at_end=(end >= object_size),
-        global_start=start,
-    )
-
-    outcome = kernels.partition_buffer(codec, owned, task["boundaries"])
-    yield ctx.compute_bytes(len(owned), task["partition_throughput"])
-
-    client = ctx.kv(task["cluster_id"])
-    mapper_id = task["mapper_id"]
-    items = [
-        (
-            cache_partition_key(task["cache_prefix"], mapper_id, reducer_id),
-            segment,
+    return (
+        yield from kv_shuffle_mapper(
+            ctx, task, task["cache_prefix"], lambda: ctx.kv(task["cluster_id"]).mset
         )
-        for reducer_id, segment in enumerate(outcome.segments())
-    ]
-    yield client.mset(items)
-    return {
-        "records": outcome.records,
-        "bytes": len(outcome.combined),
-        "partition_sizes": outcome.partition_sizes,
-        "kernel": outcome.kernel,
-        "kernel_records": outcome.records,
-        "kernel_s": outcome.elapsed_s,
-    }
+    )
 
 
 def cache_shuffle_reducer(ctx, task: dict) -> t.Generator:
@@ -78,29 +42,13 @@ def cache_shuffle_reducer(ctx, task: dict) -> t.Generator:
     Task fields: ``cluster_id, cache_prefix, reducer_id, mappers,
     out_bucket, output_key, codec, sort_throughput, cleanup``.
     """
-    codec: RecordCodec = task["codec"]
     client = ctx.kv(task["cluster_id"])
-    reducer_id = task["reducer_id"]
-    keys = [
-        cache_partition_key(task["cache_prefix"], mapper_id, reducer_id)
-        for mapper_id in range(task["mappers"])
-    ]
-    segments = yield client.mget(keys)
-    if task.get("cleanup", False):
-        for key in keys:
-            yield client.delete(key)
 
-    buffer = b"".join(segments)
-    yield ctx.compute_bytes(len(buffer), task["sort_throughput"])
-    outcome = kernels.sort_buffer(codec, buffer)
-    yield ctx.storage.put(
-        task["out_bucket"], task["output_key"], outcome.output, dedup=True
-    )
-    return {
-        "records": outcome.records,
-        "bytes": len(outcome.output),
-        "output_key": task["output_key"],
-        "kernel": outcome.kernel,
-        "kernel_records": outcome.records,
-        "kernel_s": outcome.elapsed_s,
-    }
+    def fetch(keys: list[str]) -> t.Generator:
+        segments = yield client.mget(keys)
+        if task.get("cleanup", False):
+            for key in keys:
+                yield client.delete(key)
+        return segments
+
+    return (yield from kv_shuffle_reducer(ctx, task, task["cache_prefix"], fetch))

@@ -31,13 +31,15 @@ attempt-scoped cancellation above.  All three therefore support
 executor retries *and* speculative backup tasks
 (:attr:`ExchangeBackend.supports_speculation`).
 
-Backends: :class:`ObjectStoreExchange` (here),
-:class:`~repro.shuffle.cacheoperator.CacheExchange`,
-:class:`~repro.shuffle.relay.RelayExchange` and
-:class:`~repro.shuffle.relay.ShardedRelayExchange` — each with a
-pipelined *streaming* twin in :mod:`repro.shuffle.streaming`, where the
-reduce wave overlaps the map wave behind the substrate's per-partition
-readiness protocol.
+Backends: :class:`ObjectStoreExchange` and :class:`CacheExchange`
+(here), :class:`~repro.shuffle.relay.RelayExchange` and
+:class:`~repro.shuffle.relay.ShardedRelayExchange`.  The execution mode
+is a *field*, not a class: construct any backend with
+``stream=StreamConfig(...)`` and the same substrate runs pipelined —
+the reduce wave overlaps the map wave behind the substrate's
+per-partition readiness protocol (:mod:`repro.shuffle.streaming`).
+:mod:`repro.shuffle.substrates` tabulates the four for callers that
+provision by name.
 """
 
 from __future__ import annotations
@@ -46,11 +48,26 @@ import abc
 import dataclasses
 import typing as t
 
+from repro.cloud.memstore.service import MemStoreCluster
 from repro.cloud.profiles import CloudProfile
+from repro.errors import ShuffleError
 from repro.obs.metrics import publish_exchange_report
-from repro.shuffle.planner import ShuffleCostModel, ShufflePlan, plan_shuffle
+from repro.shuffle.adaptive import streaming_chunk_count, streaming_chunk_overhead_s
+from repro.shuffle.cacheplanner import CacheShuffleCostModel, plan_cache_shuffle
+from repro.shuffle.cachestages import cache_shuffle_mapper, cache_shuffle_reducer
+from repro.shuffle.planner import (
+    ShuffleCostModel,
+    ShufflePlan,
+    plan_shuffle,
+    predict_streaming_shuffle_time,
+)
 from repro.shuffle.records import RecordCodec
-from repro.shuffle.stages import shuffle_mapper, shuffle_reducer
+from repro.shuffle.stages import cos_segments, shuffle_mapper, shuffle_reducer
+from repro.shuffle.streaming import (
+    StreamConfig,
+    streaming_shuffle_mapper,
+    streaming_shuffle_reducer,
+)
 from repro.storage import paths
 
 #: Field names an ``extra`` entry may never shadow.
@@ -180,23 +197,49 @@ class ExchangeBackend(abc.ABC):
     ``validate``.  The ``cost`` attribute must expose the shared
     workload constants (``peek_bytes``, ``sample_bytes``,
     ``sample_keys``, ``partition_throughput``, ``sort_throughput``).
+
+    **Execution mode.**  ``stream`` is ``None`` for a *staged* sort (map
+    barrier before the reduce wave) or a
+    :class:`~repro.shuffle.streaming.StreamConfig` for a *streaming*
+    one (pipelined waves).  Planning, validation, feasibility, billing
+    and the uniform report are the same object either way; a stream
+    config only swaps the worker stages and task payloads, and plans
+    with the pipelined completion-time model.  A subclass supplies the
+    staged half (``_plan_staged``, ``staged_stages``,
+    ``_staged_mapper_task``, ``_staged_reducer_task``) and its stream
+    routing (``stream_kind``, ``stream_route``).
     """
 
     #: Substrate name as it appears in sweeps and reports.
     name: t.ClassVar[str]
-    #: Execution mode: "staged" (map barrier before the reduce wave) or
-    #: "streaming" (pipelined waves, see :mod:`repro.shuffle.streaming`).
-    mode: t.ClassVar[str] = "staged"
-    #: Prefix of the operator's simulation process names.
-    process_label: t.ClassVar[str]
-    #: Default output prefix of :meth:`ShuffleSort.sort`.
-    default_out_prefix: t.ClassVar[str]
+    #: mode → (prefix of the operator's simulation process names,
+    #: default output prefix of :meth:`ShuffleSort.sort`).  Data, not
+    #: derived: both feed object keys and process names.
+    labels: t.ClassVar[dict[str, tuple[str, str]]]
+    #: The staged (mapper, reducer) sim-aware generator functions.
+    staged_stages: t.ClassVar[tuple[t.Callable, t.Callable]]
+    #: Worker-side stream port kind (see :mod:`repro.shuffle.streaming`).
+    stream_kind: t.ClassVar[str]
     #: Whether speculative backup tasks are safe on this substrate.
     #: True for all built-ins since attempt-scoped cancellation fences
     #: losing attempts out of stateful substrates.
     supports_speculation: t.ClassVar[bool] = True
 
     cost: t.Any
+    stream: StreamConfig | None = None
+
+    @property
+    def mode(self) -> str:
+        """``"staged"`` or ``"streaming"``."""
+        return "staged" if self.stream is None else "streaming"
+
+    @property
+    def process_label(self) -> str:
+        return self.labels[self.mode][0]
+
+    @property
+    def default_out_prefix(self) -> str:
+        return self.labels[self.mode][1]
 
     def bind_executor(self, executor: t.Any) -> None:
         """Hook at operator construction, giving the backend a handle on
@@ -224,27 +267,103 @@ class ExchangeBackend(abc.ABC):
         """Raise :class:`~repro.errors.ShuffleError` when the shuffle
         cannot fit this substrate; no-op by default."""
 
+    # -- planning ------------------------------------------------------
     @abc.abstractmethod
+    def _plan_staged(
+        self, logical_size: float, profile: CloudProfile, max_workers: int
+    ) -> ShufflePlan:
+        """Pick the worker count with this substrate's staged cost model."""
+
     def plan(
         self, logical_size: float, profile: CloudProfile, max_workers: int
     ) -> ShufflePlan:
-        """Pick the worker count with this substrate's cost model."""
+        """Pick the worker count for the mode this backend runs in.
 
-    @abc.abstractmethod
+        Streaming transforms the staged curve point by point through
+        :func:`~repro.shuffle.planner.predict_streaming_shuffle_time`
+        (this configuration's chunk grain, the substrate's per-chunk
+        readiness overhead) and picks the minimizing worker count from
+        the transformed curve — so an auto-planned streaming sort sizes
+        its wave for the mode it actually runs, and the report's
+        ``predicted_s`` is comparable to its streaming ``actual_s``.
+        """
+        staged = self._plan_staged(logical_size, profile, max_workers)
+        if self.stream is None:
+            return staged
+        overhead = streaming_chunk_overhead_s(profile, self.name)
+        curve = tuple(
+            predict_streaming_shuffle_time(
+                point,
+                streaming_chunk_count(
+                    logical_size, point.workers, self.stream.chunk_bytes
+                ),
+                overhead,
+            )
+            for point in staged.curve
+        )
+        best = min(curve, key=lambda point: (point.total_s, point.workers))
+        # replace() keeps subclass plans (RelayShufflePlan's shard count
+        # and instance type) intact.
+        return dataclasses.replace(
+            staged, workers=best.workers, predicted_s=best.total_s, curve=curve
+        )
+
+    # -- worker stages and task payloads -------------------------------
     def mapper_stage(self) -> t.Callable:
         """The sim-aware generator function run by every mapper."""
+        return self.staged_stages[0] if self.stream is None else streaming_shuffle_mapper
 
-    @abc.abstractmethod
     def reducer_stage(self) -> t.Callable:
         """The sim-aware generator function run by every reducer."""
+        return self.staged_stages[1] if self.stream is None else streaming_shuffle_reducer
 
     @abc.abstractmethod
+    def _staged_mapper_task(
+        self, base: dict, mapper_id: int, out_bucket: str, out_prefix: str
+    ) -> dict:
+        """Complete one staged mapper payload from the neutral base."""
+
+    @abc.abstractmethod
+    def _staged_reducer_task(
+        self,
+        reducer_id: int,
+        workers: int,
+        map_tasks: list[dict],
+        map_results: list[dict],
+        out_bucket: str,
+        out_prefix: str,
+        codec: RecordCodec,
+    ) -> dict:
+        """Build one staged reducer payload from the map results."""
+
+    @abc.abstractmethod
+    def stream_route(self, out_bucket: str) -> dict:
+        """Substrate routing fields of the stream descriptor."""
+
+    def stream_descriptor(self, out_bucket: str, out_prefix: str) -> dict:
+        """What a streaming worker needs to open its stream port."""
+        stream = t.cast(StreamConfig, self.stream)
+        return {
+            "kind": self.stream_kind,
+            "prefix": f"{out_prefix}/stream",
+            "chunk_bytes": stream.chunk_bytes,
+            "buffer_bytes": stream.buffer_bytes,
+            "poll_interval": stream.poll_interval_s,
+            **self.stream_route(out_bucket),
+        }
+
     def mapper_task(
         self, base: dict, mapper_id: int, out_bucket: str, out_prefix: str
     ) -> dict:
         """Complete one mapper payload from the substrate-neutral base."""
+        if self.stream is None:
+            return self._staged_mapper_task(base, mapper_id, out_bucket, out_prefix)
+        base.update(
+            mapper_id=mapper_id,
+            stream=self.stream_descriptor(out_bucket, out_prefix),
+        )
+        return base
 
-    @abc.abstractmethod
     def reducer_task(
         self,
         reducer_id: int,
@@ -255,7 +374,22 @@ class ExchangeBackend(abc.ABC):
         out_prefix: str,
         codec: RecordCodec,
     ) -> dict:
-        """Build one reducer payload (may consult the map results)."""
+        """Build one reducer payload.  A streaming reducer launches
+        before any map result exists and ignores ``map_results``."""
+        if self.stream is None:
+            return self._staged_reducer_task(
+                reducer_id, workers, map_tasks, map_results,
+                out_bucket, out_prefix, codec,
+            )
+        return {
+            "reducer_id": reducer_id,
+            "mappers": workers,
+            "out_bucket": out_bucket,
+            "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
+            "codec": codec,
+            "sort_throughput": self.cost.sort_throughput,
+            "stream": self.stream_descriptor(out_bucket, out_prefix),
+        }
 
     def on_boundaries(
         self, boundaries: t.Sequence[t.Any], predicted_partition_bytes: t.Sequence[float]
@@ -320,18 +454,27 @@ class ExchangeBackend(abc.ABC):
 class ObjectStoreExchange(ExchangeBackend):
     """The paper's serverless default: all-to-all through object storage.
 
-    Mappers write (write-combined) partition objects, reducers range-GET
-    their segments — pay-as-you-go requests, no provisioned capacity,
-    but per-request latency and the account ops/s ceiling at high worker
-    counts.
+    Staged, mappers write (write-combined) partition objects and
+    reducers range-GET their segments — pay-as-you-go requests, no
+    provisioned capacity, but per-request latency and the account ops/s
+    ceiling at high worker counts.  Streaming, mappers PUT per-chunk
+    combined objects plus immutable manifests and reducers poll for
+    them (with backoff).
     """
 
     name = "objectstore"
-    process_label = "shuffle"
-    default_out_prefix = "shuffle-out"
+    labels = {
+        "staged": ("shuffle", "shuffle-out"),
+        "streaming": ("streamshuffle", "streaming-shuffle"),
+    }
+    staged_stages = (shuffle_mapper, shuffle_reducer)
+    stream_kind = "objectstore"
 
-    def __init__(self, cost: ShuffleCostModel | None = None):
+    def __init__(
+        self, cost: ShuffleCostModel | None = None, stream: StreamConfig | None = None
+    ):
         self.cost = cost if cost is not None else ShuffleCostModel()
+        self.stream = stream
         self._store = None
         self._dedup_baseline = (0, 0.0)
 
@@ -361,18 +504,12 @@ class ObjectStoreExchange(ExchangeBackend):
             "dedup_bytes": self._store.stats.dedup_bytes - base_bytes,
         }
 
-    def plan(
+    def _plan_staged(
         self, logical_size: float, profile: CloudProfile, max_workers: int
     ) -> ShufflePlan:
         return plan_shuffle(logical_size, profile, self.cost, max_workers=max_workers)
 
-    def mapper_stage(self) -> t.Callable:
-        return shuffle_mapper
-
-    def reducer_stage(self) -> t.Callable:
-        return shuffle_reducer
-
-    def mapper_task(
+    def _staged_mapper_task(
         self, base: dict, mapper_id: int, out_bucket: str, out_prefix: str
     ) -> dict:
         base.update(
@@ -382,7 +519,7 @@ class ObjectStoreExchange(ExchangeBackend):
         )
         return base
 
-    def reducer_task(
+    def _staged_reducer_task(
         self,
         reducer_id: int,
         workers: int,
@@ -392,24 +529,136 @@ class ObjectStoreExchange(ExchangeBackend):
         out_prefix: str,
         codec: RecordCodec,
     ) -> dict:
-        if self.cost.write_combining:
-            segments = [
-                (
-                    map_tasks[mapper_id]["out_key"],
-                    *map_results[mapper_id]["offsets"][reducer_id],
-                )
-                for mapper_id in range(workers)
-            ]
-        else:
-            segments = [
-                (map_results[mapper_id]["partition_keys"][reducer_id], None, None)
-                for mapper_id in range(workers)
-            ]
         return {
             "out_bucket": out_bucket,
-            "segments": segments,
+            "segments": cos_segments(
+                self.cost.write_combining, map_tasks, map_results, reducer_id
+            ),
             "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
             "codec": codec,
             "sort_throughput": self.cost.sort_throughput,
             "fetch_parallelism": self.cost.fetch_parallelism,
         }
+
+    def stream_route(self, out_bucket: str) -> dict:
+        return {"bucket": out_bucket}
+
+
+class CacheExchange(ExchangeBackend):
+    """Exchange partitions through a provisioned in-memory cache cluster.
+
+    ``cluster`` must be *running*; its lifecycle (provision/terminate)
+    belongs to the caller — whether it is billed per run or amortized
+    always-on is an experiment decision, not an operator one.  Staged,
+    mappers MSET one value per reducer and reducers MGET their range;
+    streaming, reducers park on the owning node's set notification.
+    """
+
+    name = "cache"
+    labels = {
+        "staged": ("cacheshuffle", "cache-shuffle"),
+        "streaming": ("streamcacheshuffle", "streaming-cache-shuffle"),
+    }
+    staged_stages = (cache_shuffle_mapper, cache_shuffle_reducer)
+    stream_kind = "cache"
+
+    def __init__(
+        self,
+        cluster: MemStoreCluster,
+        cost: CacheShuffleCostModel | None = None,
+        stream: StreamConfig | None = None,
+    ):
+        self.cluster = cluster
+        self.cost = cost if cost is not None else CacheShuffleCostModel()
+        self.stream = stream
+        self._peak_fill = 0.0
+        self._stats_baseline: dict[str, float] = {}
+
+    def validate(self, logical_size: float) -> None:
+        self.cluster.ensure_running()
+        if logical_size > self.cluster.capacity_bytes:
+            raise ShuffleError(
+                f"shuffle data ({logical_size:.0f} logical bytes) exceeds "
+                f"cluster capacity ({self.cluster.capacity_bytes:.0f}); "
+                "provision more or larger cache nodes"
+            )
+        # The cluster may be reused across sorts (its lifecycle belongs
+        # to the caller); report per-sort deltas, not lifetime totals.
+        self._stats_baseline = self.cluster.stats_totals()
+
+    def _plan_staged(
+        self, logical_size: float, profile: CloudProfile, max_workers: int
+    ) -> ShufflePlan:
+        return plan_cache_shuffle(
+            logical_size,
+            profile,
+            self.cluster.node_type.name,
+            len(self.cluster.nodes),
+            self.cost,
+            max_workers=max_workers,
+        )
+
+    def _staged_mapper_task(
+        self, base: dict, mapper_id: int, out_bucket: str, out_prefix: str
+    ) -> dict:
+        base.update(
+            cluster_id=self.cluster.cluster_id,
+            cache_prefix=out_prefix,
+            mapper_id=mapper_id,
+        )
+        return base
+
+    def _staged_reducer_task(
+        self,
+        reducer_id: int,
+        workers: int,
+        map_tasks: list[dict],
+        map_results: list[dict],
+        out_bucket: str,
+        out_prefix: str,
+        codec: RecordCodec,
+    ) -> dict:
+        return {
+            "cluster_id": self.cluster.cluster_id,
+            "cache_prefix": out_prefix,
+            "reducer_id": reducer_id,
+            "mappers": workers,
+            "out_bucket": out_bucket,
+            "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
+            "codec": codec,
+            "sort_throughput": self.cost.sort_throughput,
+            "cleanup": self.cost.cleanup,
+        }
+
+    def stream_route(self, out_bucket: str) -> dict:
+        return {"cluster_id": self.cluster.cluster_id}
+
+    def on_map_done(self, map_results: list[dict]) -> None:
+        self._peak_fill = max(node.fill_fraction for node in self.cluster.nodes)
+
+    def provisioned_rate_usd_per_s(self) -> float:
+        return len(self.cluster.nodes) * self.cluster.node_type.per_second_usd
+
+    def minimum_billed_s(self) -> float:
+        return self.cluster.service.profile.minimum_billed_s
+
+    def extra_report(self) -> dict:
+        totals = self.cluster.stats_totals()
+        baseline = self._stats_baseline
+        return {
+            "cluster_id": self.cluster.cluster_id,
+            "nodes": len(self.cluster.nodes),
+            "node_type": self.cluster.node_type.name,
+            "peak_fill_fraction": self._peak_fill,
+            "cache_sets": int(totals["sets"] - baseline.get("sets", 0)),
+            "cache_gets": int(totals["gets"] - baseline.get("gets", 0)),
+            "evictions": int(totals["evictions"] - baseline.get("evictions", 0)),
+            "dedup_hits": int(totals["dedup_hits"] - baseline.get("dedup_hits", 0)),
+            "dedup_restores": int(
+                totals["dedup_restores"] - baseline.get("dedup_restores", 0)
+            ),
+            "dedup_bytes": totals["dedup_bytes"] - baseline.get("dedup_bytes", 0.0),
+        }
+
+    def cas_entries(self, prefix: str) -> list[tuple[str, str, float]]:
+        return self.cluster.cas_entries(prefix)

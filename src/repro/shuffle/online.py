@@ -49,9 +49,6 @@ import math
 import typing as t
 
 from repro.cas import cas_enabled, sha256_hex
-from repro.cloud.objectstore.errors import NoSuchKey
-from repro.cloud.vm.fleet import fleet_ready
-from repro.cloud.vm.relay import relay_ready
 from repro.errors import ShuffleError
 from repro.shuffle.adaptive import (
     DecisionPoint,
@@ -64,7 +61,7 @@ from repro.shuffle.adaptive import (
 )
 from repro.shuffle.cacheplanner import CacheShuffleCostModel
 from repro.shuffle.content import build_run_manifest
-from repro.shuffle.exchange import ExchangeReport, ObjectStoreExchange
+from repro.shuffle.exchange import ExchangeBackend, ExchangeReport, ObjectStoreExchange
 from repro.shuffle.operator import ShuffleResult, ShuffleSort, _jsonable, _split
 from repro.shuffle.planner import ShuffleCostModel
 from repro.shuffle.records import RecordCodec
@@ -76,7 +73,14 @@ from repro.shuffle.relay import (
 from repro.shuffle.relayplanner import RelayShuffleCostModel
 from repro.shuffle import kernels
 from repro.shuffle.sampler import partition_skew_of
-from repro.shuffle.streaming import StreamConfig, _make_port
+from repro.shuffle.stages import read_split
+from repro.shuffle.streaming import (
+    StreamConfig,
+    _make_port,
+    poll_object,
+    subscribe_and_sort,
+)
+from repro.shuffle.substrates import SUBSTRATES, Substrate
 from repro.sim import SimEvent
 from repro.storage import paths
 from repro.storage.serializer import deserialize, serialize
@@ -93,19 +97,6 @@ def online_grid_key(ctl_prefix: str) -> str:
 def online_route_key(ctl_prefix: str, wave: int) -> str:
     """COS object routing wave ``wave``'s chunks to their substrate."""
     return f"{ctl_prefix}/w{wave:05d}"
-
-
-def _poll_object(ctx, bucket: str, key: str, interval: float) -> t.Generator:
-    """GET ``bucket/key``, polling with gentle backoff until it exists."""
-    delay = interval
-    while True:
-        try:
-            raw = yield ctx.storage.get(bucket, key)
-        except NoSuchKey:
-            yield ctx.sleep(delay)
-            delay = min(delay * 1.5, interval * 4)
-        else:
-            return raw
 
 
 class _RouteTable:
@@ -128,7 +119,7 @@ class _RouteTable:
     def port(self, wave: int) -> t.Generator:
         descriptor = self._descriptors.get(wave)
         if descriptor is None:
-            raw = yield from _poll_object(
+            raw = yield from poll_object(
                 self.ctx, self.bucket,
                 online_route_key(self.ctl_prefix, wave), self.poll_interval,
             )
@@ -163,7 +154,6 @@ def online_wave_mapper(ctx, task: dict) -> t.Generator:
     """
     started_at = ctx.sim.now
     codec: RecordCodec = task["codec"]
-    object_size = task["object_size"]
     boundaries = task["boundaries"]
     parts = len(boundaries) + 1
     port = _make_port(ctx, task["stream"])
@@ -177,21 +167,9 @@ def online_wave_mapper(ctx, task: dict) -> t.Generator:
     kernel_kinds: set[str] = set()
     kernel_s = 0.0
     for unit in task["units"]:
-        start, end = unit["start"], unit["end"]
-        window_end = min(object_size, end + task["peek_bytes"])
         before = ctx.sim.now
-        raw = yield ctx.storage.get_range(
-            task["bucket"], task["key"], start, window_end
-        )
+        owned = yield from read_split(ctx, task, unit["start"], unit["end"])
         read_s += ctx.sim.now - before
-        base, tail = raw[: end - start], raw[end - start :]
-        owned = codec.extract_split(
-            base,
-            tail,
-            is_first=(start == 0),
-            at_end=(end >= object_size),
-            global_start=start,
-        )
         outcome = kernels.partition_buffer(codec, owned, boundaries)
         segments = outcome.segments()
         records_total += outcome.records
@@ -237,85 +215,36 @@ def online_stream_reducer(ctx, task: dict) -> t.Generator:
     substrate comes from that wave's route record, so the reducer keeps
     fetching seamlessly across mid-stream substrate switches (chunks
     published before a switch keep their old route).  Buffering,
-    backpressure and the incremental sorter mirror the streaming
-    reducer; the reassembly order (mapper-major, then chunk) is the
-    staged record order, so the sorted run is byte-identical.
+    backpressure and the incremental sorter are the streaming
+    reducer's (:func:`~repro.shuffle.streaming.subscribe_and_sort`);
+    the reassembly order (mapper-major, then chunk) is the staged
+    record order, so the sorted run is byte-identical.
     """
-    # Imported here (not at module top) to avoid a circular import:
-    # streaming imports operator which this module extends.
-    from repro.shuffle.streaming import _StreamBuffer
-
     started_at = ctx.sim.now
-    codec: RecordCodec = task["codec"]
     reducer_id = task["reducer_id"]
     poll_interval = task["poll_interval"]
-    raw = yield from _poll_object(
+    raw = yield from poll_object(
         ctx, task["bucket"], online_grid_key(task["ctl_prefix"]), poll_interval
     )
     grid = deserialize(raw)
-    mappers: int = grid["mappers"]
-    chunk_counts: list[int] = grid["chunks"]
     routes = _RouteTable(ctx, task["bucket"], task["ctl_prefix"], poll_interval)
-    buffer = _StreamBuffer(ctx.sim, task["buffer_bytes"])
-    chunks: dict[int, dict[int, bytes]] = {m: {} for m in range(mappers)}
-    finished = {"fetchers": 0}
 
-    def consume_stream(mapper_id: int) -> t.Generator:
-        for chunk_index in range(chunk_counts[mapper_id]):
-            yield from buffer.wait_for_space()
-            port = yield from routes.port(chunk_index)
-            data = yield from port.fetch_chunk(mapper_id, reducer_id, chunk_index)
-            chunks[mapper_id][chunk_index] = data
-            buffer.arrived(len(data), len(data) * ctx.logical_scale)
-        finished["fetchers"] += 1
-        buffer.notify_work()
+    def next_chunk(mapper_id: int, chunk_index: int) -> t.Generator:
+        port = yield from routes.port(chunk_index)
+        return (yield from port.fetch_chunk(mapper_id, reducer_id, chunk_index))
 
-    def sorter() -> t.Generator:
-        while True:
-            if buffer.queue:
-                real_len, logical = buffer.queue.popleft()
-                if real_len > 0:
-                    yield ctx.compute_bytes(real_len, task["sort_throughput"])
-                buffer.drained(logical)
-                continue
-            if finished["fetchers"] == mappers:
-                return
-            yield buffer.work_event()
-
-    fetchers = [
-        ctx.track(
-            ctx.sim.process(
-                consume_stream(mapper_id), name=f"onlinefetch-m{mapper_id}"
-            )
+    return (
+        yield from subscribe_and_sort(
+            ctx,
+            task,
+            started_at=started_at,
+            mappers=grid["mappers"],
+            buffer_bytes=task["buffer_bytes"],
+            next_chunk=next_chunk,
+            chunk_counts=grid["chunks"],
+            label="online",
         )
-        for mapper_id in range(mappers)
-    ]
-    sort_process = ctx.track(ctx.sim.process(sorter(), name="onlinesort"))
-    yield ctx.sim.all_of(
-        [process.completion for process in fetchers] + [sort_process.completion]
     )
-
-    payload = b"".join(
-        chunks[mapper_id][chunk_index]
-        for mapper_id in range(mappers)
-        for chunk_index in range(chunk_counts[mapper_id])
-    )
-    outcome = kernels.sort_buffer(codec, payload)
-    yield ctx.storage.put(
-        task["out_bucket"], task["output_key"], outcome.output, dedup=True
-    )
-    return {
-        "records": outcome.records,
-        "bytes": len(outcome.output),
-        "output_key": task["output_key"],
-        "buffer_waits": buffer.waits,
-        "buffer_wait_s": buffer.wait_s,
-        "buffer_high_watermark_bytes": buffer.high_watermark,
-        "started_at": started_at,
-        "kernel": outcome.kernel,
-        "kernel_records": outcome.records,
-        "kernel_s": outcome.elapsed_s,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -325,10 +254,12 @@ def online_stream_reducer(ctx, task: dict) -> t.Generator:
 class _Stint:
     """One provisioned substrate serving a contiguous run of waves."""
 
-    substrate: str
+    row: Substrate
+    #: The substrate's streaming backend over ``provisioned`` — the
+    #: stint's source of routing fields, billing rate and content log.
+    backend: ExchangeBackend
     descriptor: dict
     provisioned: t.Any = None
-    fleet: bool = False
     router: PartitionLoadRouter | None = None
     rate_usd_per_s: float = 0.0
     minimum_billed_s: float = 0.0
@@ -357,24 +288,11 @@ class _Stint:
         self.ended_at = now
         if self.provisioned is None:
             return
-        if hasattr(self.provisioned, "peak_fill_fraction"):
-            self.peak_fill = self.provisioned.peak_fill_fraction
-        if hasattr(self.provisioned, "cas_entries"):
-            self.cas_entries = self.provisioned.cas_entries(
-                self.descriptor["prefix"]
-            )
-        if hasattr(self.provisioned, "stats_totals"):
-            self.dedup_bytes = self.provisioned.stats_totals().get(
-                "dedup_bytes", 0.0
-            )
-        elif hasattr(self.provisioned, "stats"):
-            self.dedup_bytes = self.provisioned.stats.as_dict().get(
-                "dedup_bytes", 0.0
-            )
-        if self.fleet:
-            self.provisioned.terminate()
-        elif self.provisioned.state == "running":
-            self.provisioned.terminate()
+        extras = self.backend.extra_report()
+        self.peak_fill = extras["peak_fill_fraction"]
+        self.dedup_bytes = extras["dedup_bytes"]
+        self.cas_entries = self.backend.cas_entries(self.descriptor["prefix"])
+        self.row.release(self.provisioned)
         self.provisioned = None
 
 
@@ -455,6 +373,13 @@ class OnlineShuffleSort(ShuffleSort):
         self.relay_cost = (
             relay_cost if relay_cost is not None else RelayShuffleCostModel()
         )
+        #: Substrate name → the cost model its stints' backends carry.
+        self._costs = {
+            "objectstore": self.shuffle_cost,
+            "cache": self.cache_cost,
+            "relay": self.relay_cost,
+            "sharded-relay": self.relay_cost,
+        }
         self.time_value_usd_per_hour = time_value_usd_per_hour
         self.substrates = tuple(substrates) if substrates is not None else None
         self.modes = tuple(modes)
@@ -536,54 +461,49 @@ class OnlineShuffleSort(ShuffleSort):
         reducers drain them, so reusing the instance could overflow a
         fleet sized only for the remaining bytes.  The stint's
         ``route_id`` names the instance in the reducers' port cache.
+        ``base_router_table`` (fleets of two or more shards only)
+        pre-installs load-aware routing.
         """
-        cloud = self.executor.cloud
-        profile = cloud.profile
-        descriptor = {
-            "prefix": f"{out_prefix}/stream",
-            "chunk_bytes": self.stream.chunk_bytes,
-            "buffer_bytes": self.stream.buffer_bytes,
-            "poll_interval": self.stream.poll_interval_s,
-            "route_id": f"{estimate.substrate}#{epoch}",
-        }
+        row = SUBSTRATES[estimate.substrate]
+        provisioned = row.provision(
+            self.executor.cloud,
+            0.0,  # the estimate carries explicit sizes; nothing to auto-size
+            estimate.instance_type,
+            max(1, estimate.shards),
+        )
+        backend = row.make_backend(
+            provisioned, self._costs[estimate.substrate], self.stream
+        )
         stint = _Stint(
-            substrate=estimate.substrate,
-            descriptor=descriptor,
+            row=row,
+            backend=backend,
+            descriptor={
+                "prefix": f"{out_prefix}/stream",
+                "chunk_bytes": self.stream.chunk_bytes,
+                "buffer_bytes": self.stream.buffer_bytes,
+                "poll_interval": self.stream.poll_interval_s,
+                "route_id": f"{estimate.substrate}#{epoch}",
+                "kind": backend.stream_kind,
+                **backend.stream_route(out_bucket),
+            },
+            provisioned=provisioned,
+            rate_usd_per_s=backend.provisioned_rate_usd_per_s(),
+            minimum_billed_s=backend.minimum_billed_s(),
             started_at=self.sim.now,
         )
-        if estimate.substrate == "objectstore":
-            descriptor.update(kind="objectstore", bucket=out_bucket)
-        elif estimate.substrate == "cache":
-            nodes = max(1, estimate.shards)
-            cluster = cloud.cache.provision_ready(estimate.instance_type, nodes)
-            descriptor.update(kind="cache", cluster_id=cluster.cluster_id)
-            node_type = profile.memstore.catalog[estimate.instance_type]
-            stint.provisioned = cluster
-            stint.rate_usd_per_s = nodes * node_type.per_second_usd
-            stint.minimum_billed_s = profile.memstore.minimum_billed_s
-        else:
-            volume_per_s = (
-                profile.vm.boot_volume_gb * profile.vm.volume_gb_hour_usd
-                / 3600.0
-            )
-            if estimate.substrate == "relay":
-                relay = relay_ready(cloud.vms, estimate.instance_type)
-                shards = 1
-            else:  # sharded-relay
-                shards = max(1, estimate.shards)
-                relay = fleet_ready(cloud.vms, estimate.instance_type, shards)
-                stint.fleet = True
-                if base_router_table is not None and shards >= 2:
-                    stint.router = PartitionLoadRouter(base_router_table)
-                    relay.set_router(stint.router)
-            descriptor.update(kind="relay", relay_id=relay.relay_id)
-            instance = relay.instance_type
-            stint.provisioned = relay
-            stint.rate_usd_per_s = shards * (
-                instance.per_second_usd + volume_per_s
-            )
-            stint.minimum_billed_s = profile.vm.minimum_billed_s
+        if base_router_table is not None:
+            stint.router = PartitionLoadRouter(base_router_table)
+            provisioned.set_router(stint.router)
         return stint
+
+    def _load_routed(self, estimate: SubstrateEstimate) -> bool:
+        """Whether a stint for ``estimate`` starts with a load-aware
+        router (a rebalancing fleet of two or more shards)."""
+        return (
+            estimate.substrate == "sharded-relay"
+            and self.relay_cost.rebalance
+            and estimate.shards >= 2
+        )
 
     @staticmethod
     def _config_of(estimate: SubstrateEstimate) -> tuple:
@@ -730,11 +650,7 @@ class OnlineShuffleSort(ShuffleSort):
         # --- first stint + control plane -------------------------------
         epoch = 0
         base_table = None
-        if (
-            current.substrate == "sharded-relay"
-            and self.relay_cost.rebalance
-            and current.shards >= 2
-        ):
+        if self._load_routed(current):
             base_table = build_rebalance_assignments(
                 self.predicted_partition_bytes, reducers, current.shards
             )
@@ -930,11 +846,7 @@ class OnlineShuffleSort(ShuffleSort):
                     if new_substrate:
                         epoch += 1
                         base_table = None
-                        if (
-                            current.substrate == "sharded-relay"
-                            and self.relay_cost.rebalance
-                            and current.shards >= 2
-                        ):
+                        if self._load_routed(current):
                             base_table = build_chunk_rebalance_assignments(
                                 observed_cells, current.shards
                             )
@@ -943,11 +855,7 @@ class OnlineShuffleSort(ShuffleSort):
                         )
                         stints.append(stint)
                         last_reroute_table = None
-                elif (
-                    stint.router is not None
-                    and stint.fleet
-                    and stint.provisioned is not None
-                ):
+                elif stint.router is not None and stint.provisioned is not None:
                     # Same fleet, but a hot (mapper, reducer) cell may
                     # have emerged: project the wave's observed cells
                     # through the routing that will govern the next

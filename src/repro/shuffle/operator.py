@@ -6,8 +6,8 @@ is globally sorted.  Where the intermediate data flows is delegated to
 an :class:`~repro.shuffle.exchange.ExchangeBackend` — by default the
 paper's object-storage substrate (no function-to-function
 communication); the cache and VM-relay substrates plug into the same
-orchestration (see :mod:`repro.shuffle.cacheoperator` and
-:mod:`repro.shuffle.relay`).
+orchestration (``ShuffleSort(executor, codec, backend=...)``, see
+:mod:`repro.shuffle.exchange` and :mod:`repro.shuffle.relay`).
 
 Phases (each an executor map job, sharing warm containers):
 
@@ -17,6 +17,12 @@ Phases (each an executor map job, sharing warm containers):
    range, and publish their partitions through the exchange substrate;
 3. **reduce** — ``W`` reducers collect their range from every mapper,
    sort, and write one run each to object storage.
+
+A *staged* backend runs the waves behind a barrier; a backend built
+with ``stream=StreamConfig(...)`` runs them pipelined — the reduce wave
+is submitted before the map results are awaited, and reducers consume
+partitions through the substrate's readiness protocol while mappers are
+still producing.  Everything else is one code path.
 
 The worker count is chosen by the substrate's analytic planner unless
 pinned by the caller — this is Primula's "optimal number of functions
@@ -146,7 +152,7 @@ class ShuffleSort:
         ).completion
 
     # ------------------------------------------------------------------
-    # shared phases (the staged and streaming operators both use these)
+    # phases (OnlineShuffleSort reuses these around its own wave loop)
     # ------------------------------------------------------------------
     def _preflight(self, bucket: str, key: str) -> t.Generator:
         """HEAD the input, check speculation support and substrate fit."""
@@ -376,44 +382,64 @@ class ShuffleSort:
                 span=sort_span,
             )
             job = f"{self.backend.process_label}:{out_prefix}@{started_at:.3f}"
-
-            # --- map -------------------------------------------------------
+            streaming = self.backend.stream is not None
             map_tasks = self._map_tasks(
                 bucket, key, real_size, boundaries, workers, out_bucket, out_prefix
             )
+
+            def submit_reduce_wave(map_results: list[dict]) -> t.Generator:
+                tasks = [
+                    self.backend.reducer_task(
+                        reducer_id, workers, map_tasks, map_results,
+                        out_bucket, out_prefix, self.codec,
+                    )
+                    for reducer_id in range(workers)
+                ]
+                self._record_wave(job, "reduce", "start")
+                span = self.sim.tracer.span(
+                    "wave:reduce", category="wave", parent=sort_span, workers=workers
+                )
+                try:
+                    futures = yield self.executor.map(
+                        self.backend.reducer_stage(), tasks, span=span
+                    )
+                except BaseException:
+                    span.end("error")
+                    raise
+                return futures, span
+
+            # Staged: map wave, barrier, reduce wave.  Streaming: both
+            # waves in flight at once — the map job is submitted first so
+            # its invocations enqueue ahead of the reducers on the account
+            # concurrency limit (reducers idle at their rendezvous; mappers
+            # must never starve behind them), and the wave spans overlap
+            # on the trace exactly like the waves do.
             self._record_wave(job, "map", "start")
             map_span = self.sim.tracer.span(
                 "wave:map", category="wave", parent=sort_span, workers=workers
             )
-            with map_span:
+            reduce_span = None
+            try:
                 map_futures = yield self.executor.map(
                     self.backend.mapper_stage(), map_tasks, span=map_span
                 )
+                if streaming:
+                    reduce_futures, reduce_span = yield from submit_reduce_wave([])
                 map_results = yield self.executor.get_result(map_futures)
+            except BaseException:
+                map_span.end("error")
+                if reduce_span is not None:
+                    reduce_span.end("error")
+                raise
+            map_ended_at = self.sim.now
             self._record_wave(job, "map", "end")
+            map_span.end()
             self.backend.on_map_done(map_results)
-
-            # --- reduce ------------------------------------------------------
-            reduce_tasks = [
-                self.backend.reducer_task(
-                    reducer_id,
-                    workers,
-                    map_tasks,
-                    map_results,
-                    out_bucket,
-                    out_prefix,
-                    self.codec,
+            if not streaming:
+                reduce_futures, reduce_span = yield from submit_reduce_wave(
+                    map_results
                 )
-                for reducer_id in range(workers)
-            ]
-            self._record_wave(job, "reduce", "start")
-            reduce_span = self.sim.tracer.span(
-                "wave:reduce", category="wave", parent=sort_span, workers=workers
-            )
             with reduce_span:
-                reduce_futures = yield self.executor.map(
-                    self.backend.reducer_stage(), reduce_tasks, span=reduce_span
-                )
                 reduce_results = yield self.executor.get_result(reduce_futures)
             self._record_wave(job, "reduce", "end")
 
@@ -423,17 +449,48 @@ class ShuffleSort:
             self.run_manifest = self._build_manifest(
                 bucket, key, meta, workers, boundaries, runs, out_prefix
             )
+            overlap_s = buffer_high_watermark = 0.0
+            extra = {
+                "predicted_partition_skew": partition_skew_of(
+                    self.predicted_partition_bytes
+                )
+            }
+            if streaming:
+                # Measured wave overlap from the workers' own execution
+                # windows (each stage stamps its body start) — not from
+                # submission time, which would claim overlap even when
+                # reducers queued behind the mappers on the account
+                # concurrency limit and never actually ran alongside them.
+                overlap_s = max(
+                    0.0,
+                    min(map_ended_at, self.sim.now)
+                    - max(
+                        min(result["started_at"] for result in map_results),
+                        min(result["started_at"] for result in reduce_results),
+                    ),
+                )
+                buffer_high_watermark = max(
+                    (r["buffer_high_watermark_bytes"] for r in reduce_results),
+                    default=0.0,
+                )
+                extra.update(
+                    buffer_backpressure_waits=sum(
+                        result["buffer_waits"] for result in reduce_results
+                    ),
+                    buffer_wait_s=sum(
+                        result["buffer_wait_s"] for result in reduce_results
+                    ),
+                    stream_chunks=sum(result["chunks"] for result in map_results),
+                )
+            extra.update(kernels.kernel_report_extras(map_results, reduce_results))
             self.report = self.backend.report(
                 workers,
                 plan,
                 self.sim.now - started_at,
+                overlap_s=overlap_s,
+                buffer_high_watermark_bytes=buffer_high_watermark,
                 partition_skew=partition_skew_of([run.size_bytes for run in runs]),
-                extra={
-                    "predicted_partition_skew": partition_skew_of(
-                        self.predicted_partition_bytes
-                    ),
-                    **kernels.kernel_report_extras(map_results, reduce_results),
-                },
+                extra=extra,
             )
             return ShuffleResult(
                 runs=runs,

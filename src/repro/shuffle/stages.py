@@ -87,27 +87,23 @@ def shuffle_sampler(ctx, task: dict) -> t.Generator:
     return {"keys": sample, "records_seen": records_seen}
 
 
-def shuffle_mapper(ctx, task: dict) -> t.Generator:
-    """Partition one record-aligned split into range buckets.
-
-    Task fields: ``bucket, key, start, end, object_size, peek_bytes,
-    boundaries, codec, out_bucket, out_key, partition_throughput,
-    write_combining``.
-
-    With write-combining (Primula's optimization) the mapper PUTs one
-    combined object and returns the offset table ``offsets[r] =
-    (seg_start, seg_end)`` of reducer ``r``'s segment inside it.
-    Without it (the naive all-to-all the paper warns about) the mapper
-    PUTs one object per partition — ``W²`` PUTs per map phase overall —
-    and returns the per-partition key list instead.
-    """
-    codec: RecordCodec = task["codec"]
-    start, end = task["start"], task["end"]
+# ----------------------------------------------------------------------
+# shared worker bodies
+#
+# Every worker entry point (here and in cachestages / relay / streaming
+# / online / groupby) keeps its own module path and name — the executor
+# pickles functions by reference and charges the pickled bytes, and the
+# function name seeds the activation's RNG streams — so the substrates
+# share these *bodies* behind thin named entry points.
+# ----------------------------------------------------------------------
+def read_split(ctx, task: dict, start: int, end: int) -> t.Generator:
+    """Range-GET ``[start, end)`` plus the peek window; return the
+    record-aligned bytes this split owns."""
     object_size = task["object_size"]
     window_end = min(object_size, end + task["peek_bytes"])
     raw = yield ctx.storage.get_range(task["bucket"], task["key"], start, window_end)
     base, tail = raw[: end - start], raw[end - start :]
-    owned = codec.extract_split(
+    return task["codec"].extract_split(
         base,
         tail,
         is_first=(start == 0),
@@ -115,57 +111,105 @@ def shuffle_mapper(ctx, task: dict) -> t.Generator:
         global_start=start,
     )
 
-    outcome = kernels.partition_buffer(codec, owned, task["boundaries"])
+
+def partition_split(ctx, task: dict, start: int, end: int) -> t.Generator:
+    """Read one split, range-partition it and charge the partitioning
+    CPU; returns the :class:`~repro.shuffle.kernels.PartitionOutcome`."""
+    owned = yield from read_split(ctx, task, start, end)
+    outcome = kernels.partition_buffer(task["codec"], owned, task["boundaries"])
     yield ctx.compute_bytes(len(owned), task["partition_throughput"])
+    return outcome
 
-    if task.get("write_combining", True):
-        # One object holding every partition segment — the vectorized
-        # kernel's gathered buffer *is* this object (zero extra joins).
-        yield ctx.storage.put(
-            task["out_bucket"], task["out_key"], outcome.combined, dedup=True
-        )
-        return {
-            "offsets": outcome.offsets,
-            "records": outcome.records,
-            "partition_records": outcome.partition_records,
-            "bytes": len(outcome.combined),
-            "out_key": task["out_key"],
-            "kernel": outcome.kernel,
-            "kernel_records": outcome.records,
-            "kernel_s": outcome.elapsed_s,
-        }
 
-    # Naive mode: one object per (mapper, partition) pair.
-    partition_keys = []
-    for reducer_id in range(len(outcome.offsets)):
-        partition_key = f"{task['out_key']}.p{reducer_id:05d}"
-        partition_keys.append(partition_key)
-        yield ctx.storage.put(
-            task["out_bucket"], partition_key, outcome.segment(reducer_id), dedup=True
-        )
+def kernel_fields(outcome) -> dict:
+    """The kernel-attribution tail every worker result ends with."""
     return {
-        "partition_keys": partition_keys,
-        "records": outcome.records,
-        "partition_records": outcome.partition_records,
-        "bytes": len(outcome.combined),
-        "out_key": task["out_key"],
         "kernel": outcome.kernel,
         "kernel_records": outcome.records,
         "kernel_s": outcome.elapsed_s,
     }
 
 
-def shuffle_reducer(ctx, task: dict) -> t.Generator:
-    """Fetch, sort and write one output partition.
+def write_run(ctx, task: dict, outcome, extra: dict | None = None) -> t.Generator:
+    """PUT one sorted run and build the reducer result (``extra`` —
+    the streaming reducers' buffer observables — sits before the
+    kernel tail)."""
+    yield ctx.storage.put(
+        task["out_bucket"], task["output_key"], outcome.output, dedup=True
+    )
+    return {
+        "records": outcome.records,
+        "bytes": len(outcome.output),
+        "output_key": task["output_key"],
+        **(extra or {}),
+        **kernel_fields(outcome),
+    }
 
-    Task fields: ``out_bucket, segments`` (list of ``(key, start, end)``
-    into mapper outputs; ``start``/``end`` of ``None`` means a whole
-    object, as produced by naive non-write-combined mappers),
-    ``output_key, codec, sort_throughput, fetch_parallelism``, and an
-    optional ``record_limit`` keeping only the first N sorted records
-    (top-k queries truncate their final partition this way).
+
+def sort_and_write_run(ctx, task: dict, segments: t.Iterable[bytes]) -> t.Generator:
+    """The staged reducers' tail: join, charge the sort, sort, write."""
+    buffer = b"".join(segments)
+    yield ctx.compute_bytes(len(buffer), task["sort_throughput"])
+    outcome = kernels.sort_buffer(task["codec"], buffer, task.get("record_limit"))
+    return (yield from write_run(ctx, task, outcome))
+
+
+def kv_partition_key(prefix: str, mapper_id: int, reducer_id: int) -> str:
+    """Cache/relay key of mapper ``mapper_id``'s segment for reducer
+    ``reducer_id`` (one layout for both key-value substrates)."""
+    return f"{prefix}/m{mapper_id:05d}.r{reducer_id:05d}"
+
+
+def kv_shuffle_mapper(
+    ctx, task: dict, prefix: str, open_publisher: t.Callable[[], t.Callable]
+) -> t.Generator:
+    """Staged mapper over a key-value substrate (cache or relay).
+
+    ``open_publisher()`` binds the attempt-scoped client *after* the
+    partitioning pass and returns its batched-write verb (``mset`` /
+    ``mpush``): one value per reducer, published in one batch.
     """
-    codec: RecordCodec = task["codec"]
+    outcome = yield from partition_split(ctx, task, task["start"], task["end"])
+    publish = open_publisher()
+    mapper_id = task["mapper_id"]
+    yield publish(
+        [
+            (kv_partition_key(prefix, mapper_id, reducer_id), segment)
+            for reducer_id, segment in enumerate(outcome.segments())
+        ]
+    )
+    return {
+        "records": outcome.records,
+        "bytes": len(outcome.combined),
+        "partition_sizes": outcome.partition_sizes,
+        **kernel_fields(outcome),
+    }
+
+
+def kv_shuffle_reducer(
+    ctx, task: dict, prefix: str, fetch: t.Callable[[list[str]], t.Generator]
+) -> t.Generator:
+    """Staged reducer over a key-value substrate: ``fetch(keys)`` is the
+    substrate's batched read (``mget`` + cleanup / ``mpull(consume=)``)
+    of this reducer's segment from every mapper."""
+    reducer_id = task["reducer_id"]
+    keys = [
+        kv_partition_key(prefix, mapper_id, reducer_id)
+        for mapper_id in range(task["mappers"])
+    ]
+    segments = yield from fetch(keys)
+    return (yield from sort_and_write_run(ctx, task, segments))
+
+
+def fetch_segments(ctx, task: dict, process_label: str) -> t.Generator:
+    """COS segment fan-in: range-GET ``task["segments"]`` in batches of
+    ``fetch_parallelism`` and return them joined in segment order.
+
+    ``segments`` entries are ``(key, start, end)`` into mapper outputs;
+    ``start``/``end`` of ``None`` means a whole object, as produced by
+    naive non-write-combined mappers.  ``process_label`` prefixes the
+    fetch sub-process names (observable in traces).
+    """
     segments = [
         (key, start, end)
         for key, start, end in task["segments"]
@@ -195,24 +239,84 @@ def shuffle_reducer(ctx, task: dict) -> t.Generator:
         processes = [
             ctx.sim.process(
                 fetch_one(batch_start + offset, key, seg_start, seg_end),
-                name=f"reducer-fetch-{batch_start + offset}",
+                name=f"{process_label}-{batch_start + offset}",
             )
             for offset, (key, seg_start, seg_end) in enumerate(batch)
         ]
         if processes:
             yield ctx.sim.all_of([process.completion for process in processes])
+    return b"".join(chunks[index] for index in sorted(chunks))
 
-    buffer = b"".join(chunks[index] for index in sorted(chunks))
-    yield ctx.compute_bytes(len(buffer), task["sort_throughput"])
-    outcome = kernels.sort_buffer(codec, buffer, task.get("record_limit"))
-    yield ctx.storage.put(
-        task["out_bucket"], task["output_key"], outcome.output, dedup=True
-    )
+
+def cos_segments(
+    write_combining: bool,
+    map_tasks: list[dict],
+    map_results: list[dict],
+    reducer_id: int,
+) -> list[tuple]:
+    """Driver side of :func:`fetch_segments`: reducer ``reducer_id``'s
+    ``(key, start, end)`` segment in every mapper output."""
+    if write_combining:
+        return [
+            (task["out_key"], *result["offsets"][reducer_id])
+            for task, result in zip(map_tasks, map_results)
+        ]
+    return [(result["partition_keys"][reducer_id], None, None) for result in map_results]
+
+
+# ----------------------------------------------------------------------
+# object-storage mapper / reducer
+# ----------------------------------------------------------------------
+def shuffle_mapper(ctx, task: dict) -> t.Generator:
+    """Partition one record-aligned split into range buckets.
+
+    Task fields: ``bucket, key, start, end, object_size, peek_bytes,
+    boundaries, codec, out_bucket, out_key, partition_throughput,
+    write_combining``.
+
+    With write-combining (Primula's optimization) the mapper PUTs one
+    combined object and returns the offset table ``offsets[r] =
+    (seg_start, seg_end)`` of reducer ``r``'s segment inside it.
+    Without it (the naive all-to-all the paper warns about) the mapper
+    PUTs one object per partition — ``W²`` PUTs per map phase overall —
+    and returns the per-partition key list instead.
+    """
+    outcome = yield from partition_split(ctx, task, task["start"], task["end"])
+    if task.get("write_combining", True):
+        # One object holding every partition segment — the vectorized
+        # kernel's gathered buffer *is* this object (zero extra joins).
+        yield ctx.storage.put(
+            task["out_bucket"], task["out_key"], outcome.combined, dedup=True
+        )
+        layout = {"offsets": outcome.offsets}
+    else:
+        # Naive mode: one object per (mapper, partition) pair.
+        partition_keys = []
+        for reducer_id in range(len(outcome.offsets)):
+            partition_key = f"{task['out_key']}.p{reducer_id:05d}"
+            partition_keys.append(partition_key)
+            yield ctx.storage.put(
+                task["out_bucket"], partition_key, outcome.segment(reducer_id),
+                dedup=True,
+            )
+        layout = {"partition_keys": partition_keys}
     return {
+        **layout,
         "records": outcome.records,
-        "bytes": len(outcome.output),
-        "output_key": task["output_key"],
-        "kernel": outcome.kernel,
-        "kernel_records": outcome.records,
-        "kernel_s": outcome.elapsed_s,
+        "partition_records": outcome.partition_records,
+        "bytes": len(outcome.combined),
+        "out_key": task["out_key"],
+        **kernel_fields(outcome),
     }
+
+
+def shuffle_reducer(ctx, task: dict) -> t.Generator:
+    """Fetch, sort and write one output partition.
+
+    Task fields: ``out_bucket, segments`` (see :func:`fetch_segments`),
+    ``output_key, codec, sort_throughput, fetch_parallelism``, and an
+    optional ``record_limit`` keeping only the first N sorted records
+    (top-k queries truncate their final partition this way).
+    """
+    buffer = yield from fetch_segments(ctx, task, "reducer-fetch")
+    return (yield from sort_and_write_run(ctx, task, [buffer]))

@@ -3,7 +3,8 @@
 Every substrate in :mod:`repro.shuffle` historically ran *staged*: the
 full map wave had to finish before any reducer launched, so even the
 fastest substrate paid a hard wave barrier.  This module removes the
-barrier.  A :class:`StreamingShuffleSort` launches the reduce wave
+barrier.  A :class:`~repro.shuffle.operator.ShuffleSort` whose backend
+was built with ``stream=StreamConfig(...)`` launches the reduce wave
 concurrently with the map wave; mappers cut their split into chunks and
 publish each chunk's partition segments as soon as they are produced,
 and reducers *subscribe* to their partition across every mapper,
@@ -58,18 +59,12 @@ import time
 import typing as t
 
 from repro.cloud.objectstore.errors import NoSuchKey
-from repro.cloud.profiles import CloudProfile
 from repro.errors import ShuffleError
-from repro.shuffle.cacheoperator import CacheExchange
-from repro.shuffle.exchange import ExchangeBackend, ObjectStoreExchange
-from repro.shuffle.operator import ShuffleResult, ShuffleSort
-from repro.shuffle.planner import ShufflePlan, predict_streaming_shuffle_time
-from repro.shuffle.relay import RelayExchange, ShardedRelayExchange
 from repro.shuffle import kernels
-from repro.shuffle.sampler import partition_index, partition_skew_of
+from repro.shuffle.sampler import partition_index
 from repro.shuffle.records import RecordCodec
+from repro.shuffle.stages import read_split, write_run
 from repro.sim import SimEvent
-from repro.storage import paths
 from repro.storage.serializer import deserialize, serialize
 
 
@@ -118,6 +113,19 @@ def stream_segment_key(
 ) -> str:
     """Relay/cache key of one (mapper, reducer, chunk) segment."""
     return f"{prefix}/m{mapper_id:05d}.r{reducer_id:05d}.c{chunk:05d}"
+
+
+def poll_object(ctx, bucket: str, key: str, interval: float) -> t.Generator:
+    """GET ``bucket/key``, polling with gentle backoff until it exists."""
+    delay = interval
+    while True:
+        try:
+            raw = yield ctx.storage.get(bucket, key)
+        except NoSuchKey:
+            yield ctx.sleep(delay)
+            delay = min(delay * 1.5, interval * 4)
+        else:
+            return raw
 
 
 # ----------------------------------------------------------------------
@@ -170,6 +178,22 @@ class _ObjectStorePort:
         )
 
     # -- reducer side --------------------------------------------------
+    def _segment(
+        self, manifest: bytes, mapper_id: int, reducer_id: int, chunk: int
+    ) -> t.Generator:
+        """Range-GET the reducer's slice of a chunk whose manifest was read."""
+        start, end = deserialize(manifest)[reducer_id]
+        if end <= start:
+            return b""
+        return (
+            yield self.ctx.storage.get_range(
+                self.bucket,
+                stream_chunk_object_key(self.prefix, mapper_id, chunk),
+                start,
+                end,
+            )
+        )
+
     def next_chunk(
         self, mapper_id: int, reducer_id: int, chunk: int
     ) -> t.Generator:
@@ -183,17 +207,7 @@ class _ObjectStorePort:
             except NoSuchKey:
                 pass
             else:
-                start, end = deserialize(raw)[reducer_id]
-                if end <= start:
-                    return b""
-                return (
-                    yield self.ctx.storage.get_range(
-                        self.bucket,
-                        stream_chunk_object_key(self.prefix, mapper_id, chunk),
-                        start,
-                        end,
-                    )
-                )
+                return (yield from self._segment(raw, mapper_id, reducer_id, chunk))
             if mapper_id not in self._eos:
                 try:
                     raw = yield self.ctx.storage.get(
@@ -225,27 +239,13 @@ class _ObjectStorePort:
         the chunk is published (possibly by a mapper running waves
         later) and range-GETs the segment.
         """
-        delay = self.poll_interval
-        while True:
-            try:
-                raw = yield self.ctx.storage.get(
-                    self.bucket, stream_manifest_key(self.prefix, mapper_id, chunk)
-                )
-            except NoSuchKey:
-                yield self.ctx.sleep(delay)
-                delay = min(delay * 1.5, self.poll_interval * 4)
-                continue
-            start, end = deserialize(raw)[reducer_id]
-            if end <= start:
-                return b""
-            return (
-                yield self.ctx.storage.get_range(
-                    self.bucket,
-                    stream_chunk_object_key(self.prefix, mapper_id, chunk),
-                    start,
-                    end,
-                )
-            )
+        raw = yield from poll_object(
+            self.ctx,
+            self.bucket,
+            stream_manifest_key(self.prefix, mapper_id, chunk),
+            self.poll_interval,
+        )
+        return (yield from self._segment(raw, mapper_id, reducer_id, chunk))
 
 
 class _NotifyPort:
@@ -397,18 +397,7 @@ def streaming_shuffle_mapper(ctx, task: dict) -> t.Generator:
     """
     started_at = ctx.sim.now
     codec: RecordCodec = task["codec"]
-    start, end = task["start"], task["end"]
-    object_size = task["object_size"]
-    window_end = min(object_size, end + task["peek_bytes"])
-    raw = yield ctx.storage.get_range(task["bucket"], task["key"], start, window_end)
-    base, tail = raw[: end - start], raw[end - start :]
-    owned = codec.extract_split(
-        base,
-        tail,
-        is_first=(start == 0),
-        at_end=(end >= object_size),
-        global_start=start,
-    )
+    owned = yield from read_split(ctx, task, task["start"], task["end"])
     stream = task["stream"]
     chunk_real = max(1, int(stream["chunk_bytes"] / ctx.logical_scale))
     boundaries = task["boundaries"]
@@ -419,35 +408,28 @@ def streaming_shuffle_mapper(ctx, task: dict) -> t.Generator:
     published_bytes = 0
     kernel_s = time.perf_counter()
 
-    # Vectorized path: decode the split once, then partition each chunk
+    # Cut the split into chunks, then partition chunk by chunk.  The
+    # vectorized path decodes the split once and partitions each chunk
     # span through the same RecordView — identical chunk cuts and
-    # per-chunk segments to the scalar greedy loop below.
+    # per-chunk segments to the scalar greedy loop.  ``partition_chunk``
+    # returns (segments, records per partition, chunk bytes).
     view = kernels.record_view(codec, owned)
     if view is not None and not view.can_partition(boundaries):
         view = None
     if view is not None:
         kernel = kernels.KERNEL_VECTORIZED
-        spans = view.chunk_spans(chunk_real)
-        kernel_s = time.perf_counter() - kernel_s
+        chunks: list = view.chunk_spans(chunk_real)
         total_records = view.count
-        total_chunks = len(spans)
-        yield from port.announce(mapper_id, total_chunks)
-        for chunk_index, (span_lo, span_hi) in enumerate(spans):
-            chunk_started = time.perf_counter()
-            outcome = view.partition(boundaries, span_lo, span_hi)
-            segments = outcome.segments()
-            kernel_s += time.perf_counter() - chunk_started
-            yield ctx.compute_bytes(
-                view.span_bytes(span_lo, span_hi), task["partition_throughput"]
+
+        def partition_chunk(span: tuple[int, int]) -> tuple:
+            outcome = view.partition(boundaries, *span)
+            return (
+                outcome.segments(), outcome.partition_records, view.span_bytes(*span)
             )
-            for reducer_id, count in enumerate(outcome.partition_records):
-                partition_records[reducer_id] += count
-            published_bytes += len(outcome.combined)
-            yield from port.publish(mapper_id, chunk_index, segments)
     else:
         kernel = kernels.KERNEL_SCALAR
         records = codec.split(owned)
-        chunks: list[list[bytes]] = []
+        chunks = []
         current: list[bytes] = []
         current_bytes = 0
         for record in records:
@@ -458,33 +440,37 @@ def streaming_shuffle_mapper(ctx, task: dict) -> t.Generator:
                 current, current_bytes = [], 0
         if current:
             chunks.append(current)
-        kernel_s = time.perf_counter() - kernel_s
         total_records = len(records)
-        total_chunks = len(chunks)
-        yield from port.announce(mapper_id, total_chunks)
-        for chunk_index, chunk_records in enumerate(chunks):
-            chunk_started = time.perf_counter()
+
+        def partition_chunk(chunk_records: list[bytes]) -> tuple:
             partitions: list[list[bytes]] = [[] for _ in range(parts)]
             for record in chunk_records:
                 partitions[
                     partition_index(codec.key(record), boundaries)
                 ].append(record)
-            segments = [codec.join(bucket_records) for bucket_records in partitions]
-            kernel_s += time.perf_counter() - chunk_started
-            yield ctx.compute_bytes(
+            return (
+                [codec.join(bucket_records) for bucket_records in partitions],
+                [len(bucket_records) for bucket_records in partitions],
                 sum(len(record) for record in chunk_records),
-                task["partition_throughput"],
             )
-            for reducer_id, bucket_records in enumerate(partitions):
-                partition_records[reducer_id] += len(bucket_records)
-            published_bytes += sum(len(segment) for segment in segments)
-            yield from port.publish(mapper_id, chunk_index, segments)
 
-    yield from port.finish(mapper_id, total_chunks)
+    kernel_s = time.perf_counter() - kernel_s
+    yield from port.announce(mapper_id, len(chunks))
+    for chunk_index, chunk in enumerate(chunks):
+        chunk_started = time.perf_counter()
+        segments, counts, chunk_bytes = partition_chunk(chunk)
+        kernel_s += time.perf_counter() - chunk_started
+        yield ctx.compute_bytes(chunk_bytes, task["partition_throughput"])
+        for reducer_id, count in enumerate(counts):
+            partition_records[reducer_id] += count
+        published_bytes += sum(len(segment) for segment in segments)
+        yield from port.publish(mapper_id, chunk_index, segments)
+
+    yield from port.finish(mapper_id, len(chunks))
     return {
         "records": total_records,
         "bytes": published_bytes,
-        "chunks": total_chunks,
+        "chunks": len(chunks),
         "partition_records": partition_records,
         "started_at": started_at,
         "kernel": kernel,
@@ -553,38 +539,43 @@ class _StreamBuffer:
         return self._arm("_work")
 
 
-def streaming_shuffle_reducer(ctx, task: dict) -> t.Generator:
-    """Subscribe to one partition across all mappers; sort as chunks land.
+def subscribe_and_sort(
+    ctx,
+    task: dict,
+    started_at: float,
+    mappers: int,
+    buffer_bytes: float | None,
+    next_chunk: t.Callable[[int, int], t.Generator],
+    chunk_counts: t.Sequence[int] | None,
+    label: str,
+) -> t.Generator:
+    """Chunk-subscribe → bounded buffer → incremental sort → one run.
 
-    Task fields: ``reducer_id, mappers, out_bucket, output_key, codec,
-    sort_throughput`` and the ``stream`` port descriptor.  One fetcher
-    sub-process per mapper consumes that mapper's stream through the
-    bounded buffer; one sorter sub-process drains it, charging the sort
-    CPU incrementally (total identical to the staged reducer's single
-    pass — the final merge of pre-sorted chunk runs is folded in).  All
+    The body of the streaming and online reducers.  One fetcher
+    sub-process per mapper pulls that mapper's chunks through
+    ``next_chunk(mapper_id, chunk_index)`` behind the bounded buffer —
+    until it returns ``None`` (end of stream), or for exactly
+    ``chunk_counts[mapper_id]`` chunks when the grid is known up front;
+    one sorter sub-process drains the buffer, charging the sort CPU
+    incrementally (total identical to the staged reducer's single pass
+    — the final merge of pre-sorted chunk runs is folded in).  All
     sub-processes register with the activation's cancel scope, so a
-    killed attempt tears the whole pipeline down.
+    killed attempt tears the whole pipeline down.  ``label`` prefixes
+    the sub-process names (observable in traces).
     """
-    started_at = ctx.sim.now
-    codec: RecordCodec = task["codec"]
-    stream = task["stream"]
-    port = _make_port(ctx, stream)
-    reducer_id = task["reducer_id"]
-    mappers = task["mappers"]
-    buffer = _StreamBuffer(ctx.sim, stream["buffer_bytes"])
-    chunks: dict[int, list[bytes]] = {m: [] for m in range(mappers)}
+    buffer = _StreamBuffer(ctx.sim, buffer_bytes)
+    chunks: list[list[bytes]] = [[] for _ in range(mappers)]
     finished = {"fetchers": 0}
 
     def consume_stream(mapper_id: int) -> t.Generator:
-        chunk_index = 0
-        while True:
+        received = chunks[mapper_id]
+        while chunk_counts is None or len(received) < chunk_counts[mapper_id]:
             yield from buffer.wait_for_space()
-            data = yield from port.next_chunk(mapper_id, reducer_id, chunk_index)
+            data = yield from next_chunk(mapper_id, len(received))
             if data is None:
                 break
-            chunks[mapper_id].append(data)
+            received.append(data)
             buffer.arrived(len(data), len(data) * ctx.logical_scale)
-            chunk_index += 1
         finished["fetchers"] += 1
         buffer.notify_work()
 
@@ -603,383 +594,56 @@ def streaming_shuffle_reducer(ctx, task: dict) -> t.Generator:
     fetchers = [
         ctx.track(
             ctx.sim.process(
-                consume_stream(mapper_id), name=f"streamfetch-m{mapper_id}"
+                consume_stream(mapper_id), name=f"{label}fetch-m{mapper_id}"
             )
         )
         for mapper_id in range(mappers)
     ]
-    sort_process = ctx.track(ctx.sim.process(sorter(), name="streamsort"))
+    sort_process = ctx.track(ctx.sim.process(sorter(), name=f"{label}sort"))
     yield ctx.sim.all_of(
         [process.completion for process in fetchers] + [sort_process.completion]
     )
 
     # Reassemble in (mapper, chunk) order — exactly the record order the
     # staged reducer sees — then the same stable sort: byte parity.
-    payload = b"".join(
-        segment for mapper_id in range(mappers) for segment in chunks[mapper_id]
+    payload = b"".join(segment for received in chunks for segment in received)
+    outcome = kernels.sort_buffer(task["codec"], payload)
+    return (
+        yield from write_run(
+            ctx,
+            task,
+            outcome,
+            extra={
+                "buffer_waits": buffer.waits,
+                "buffer_wait_s": buffer.wait_s,
+                "buffer_high_watermark_bytes": buffer.high_watermark,
+                "started_at": started_at,
+            },
+        )
     )
-    outcome = kernels.sort_buffer(codec, payload)
-    yield ctx.storage.put(
-        task["out_bucket"], task["output_key"], outcome.output, dedup=True
+
+
+def streaming_shuffle_reducer(ctx, task: dict) -> t.Generator:
+    """Subscribe to one partition across all mappers; sort as chunks land.
+
+    Task fields: ``reducer_id, mappers, out_bucket, output_key, codec,
+    sort_throughput`` and the ``stream`` port descriptor; the pipeline
+    itself is :func:`subscribe_and_sort`.
+    """
+    stream = task["stream"]
+    port = _make_port(ctx, stream)
+    reducer_id = task["reducer_id"]
+    return (
+        yield from subscribe_and_sort(
+            ctx,
+            task,
+            started_at=ctx.sim.now,
+            mappers=task["mappers"],
+            buffer_bytes=stream["buffer_bytes"],
+            next_chunk=lambda mapper_id, chunk: port.next_chunk(
+                mapper_id, reducer_id, chunk
+            ),
+            chunk_counts=None,
+            label="stream",
+        )
     )
-    return {
-        "records": outcome.records,
-        "bytes": len(outcome.output),
-        "output_key": task["output_key"],
-        "buffer_waits": buffer.waits,
-        "buffer_wait_s": buffer.wait_s,
-        "buffer_high_watermark_bytes": buffer.high_watermark,
-        "started_at": started_at,
-        "kernel": outcome.kernel,
-        "kernel_records": outcome.records,
-        "kernel_s": outcome.elapsed_s,
-    }
-
-
-# ----------------------------------------------------------------------
-# streaming exchange backends (one per substrate)
-# ----------------------------------------------------------------------
-class StreamingExchangeMixin:
-    """Turns a staged backend into its streaming twin.
-
-    Planning, validation, feasibility, billing and the uniform report
-    are inherited from the staged backend; only the worker stages and
-    task payloads change.  ``reducer_task`` deliberately ignores the map
-    results — streaming reducers launch before any exist.
-    """
-
-    mode = "streaming"
-    stream_kind: t.ClassVar[str]
-    stream: StreamConfig
-
-    def _stream_route(self, out_bucket: str) -> dict:
-        """Substrate routing fields of the stream descriptor."""
-        raise NotImplementedError
-
-    def plan(
-        self, logical_size: float, profile: CloudProfile, max_workers: int
-    ) -> ShufflePlan:
-        """Plan with the *streaming* completion-time model.
-
-        The staged backend's curve is transformed point by point through
-        :func:`~repro.shuffle.planner.predict_streaming_shuffle_time`
-        (this configuration's chunk grain, the substrate's per-chunk
-        readiness overhead), and the minimizing worker count is picked
-        from the transformed curve — so an auto-planned streaming sort
-        sizes its wave for the mode it actually runs, and the report's
-        ``predicted_s`` is comparable to its streaming ``actual_s``.
-        """
-        from repro.shuffle.adaptive import (
-            streaming_chunk_count,
-            streaming_chunk_overhead_s,
-        )
-
-        staged = super().plan(logical_size, profile, max_workers)
-        overhead = streaming_chunk_overhead_s(profile, self.name)
-        curve = tuple(
-            predict_streaming_shuffle_time(
-                point,
-                streaming_chunk_count(
-                    logical_size, point.workers, self.stream.chunk_bytes
-                ),
-                overhead,
-            )
-            for point in staged.curve
-        )
-        best = min(curve, key=lambda point: (point.total_s, point.workers))
-        # replace() keeps subclass plans (RelayShufflePlan's shard count
-        # and instance type) intact.
-        return dataclasses.replace(
-            staged, workers=best.workers, predicted_s=best.total_s, curve=curve
-        )
-
-    def _stream_payload(self, out_bucket: str, out_prefix: str) -> dict:
-        payload = {
-            "kind": self.stream_kind,
-            "prefix": f"{out_prefix}/stream",
-            "chunk_bytes": self.stream.chunk_bytes,
-            "buffer_bytes": self.stream.buffer_bytes,
-            "poll_interval": self.stream.poll_interval_s,
-        }
-        payload.update(self._stream_route(out_bucket))
-        return payload
-
-    def mapper_stage(self):
-        return streaming_shuffle_mapper
-
-    def reducer_stage(self):
-        return streaming_shuffle_reducer
-
-    def mapper_task(
-        self, base: dict, mapper_id: int, out_bucket: str, out_prefix: str
-    ) -> dict:
-        base.update(
-            mapper_id=mapper_id,
-            stream=self._stream_payload(out_bucket, out_prefix),
-        )
-        return base
-
-    def reducer_task(
-        self,
-        reducer_id: int,
-        workers: int,
-        map_tasks: list[dict],
-        map_results: list[dict],
-        out_bucket: str,
-        out_prefix: str,
-        codec: RecordCodec,
-    ) -> dict:
-        return {
-            "reducer_id": reducer_id,
-            "mappers": workers,
-            "out_bucket": out_bucket,
-            "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
-            "codec": codec,
-            "sort_throughput": self.cost.sort_throughput,
-            "stream": self._stream_payload(out_bucket, out_prefix),
-        }
-
-
-class StreamingObjectStoreExchange(StreamingExchangeMixin, ObjectStoreExchange):
-    """Streaming twin of the COS substrate: manifest-polled chunk objects."""
-
-    stream_kind = "objectstore"
-    process_label = "streamshuffle"
-    default_out_prefix = "streaming-shuffle"
-
-    def __init__(self, cost=None, stream: StreamConfig | None = None):
-        super().__init__(cost)
-        self.stream = stream if stream is not None else StreamConfig()
-
-    def _stream_route(self, out_bucket: str) -> dict:
-        return {"bucket": out_bucket}
-
-
-class StreamingCacheExchange(StreamingExchangeMixin, CacheExchange):
-    """Streaming twin of the cache substrate: set-notification reads."""
-
-    stream_kind = "cache"
-    process_label = "streamcacheshuffle"
-    default_out_prefix = "streaming-cache-shuffle"
-
-    def __init__(self, cluster, cost=None, stream: StreamConfig | None = None):
-        super().__init__(cluster, cost)
-        self.stream = stream if stream is not None else StreamConfig()
-
-    def _stream_route(self, out_bucket: str) -> dict:
-        return {"cluster_id": self.cluster.cluster_id}
-
-
-class StreamingRelayExchange(StreamingExchangeMixin, RelayExchange):
-    """Streaming twin of the VM-relay substrate: rendezvous pulls."""
-
-    stream_kind = "relay"
-    process_label = "streamrelayshuffle"
-    default_out_prefix = "streaming-relay-shuffle"
-
-    def __init__(self, relay, cost=None, stream: StreamConfig | None = None):
-        super().__init__(relay, cost)
-        self.stream = stream if stream is not None else StreamConfig()
-
-    def _stream_route(self, out_bucket: str) -> dict:
-        route = {"relay_id": self.relay.relay_id}
-        if self.tenant is not None:
-            route["relay_scope"] = self.tenant
-        return route
-
-
-class StreamingShardedRelayExchange(StreamingExchangeMixin, ShardedRelayExchange):
-    """Streaming twin of the sharded fleet: rendezvous pulls, CRC-routed."""
-
-    stream_kind = "relay"
-    process_label = "streamfleetshuffle"
-    default_out_prefix = "streaming-fleet-shuffle"
-
-    def __init__(self, fleet, cost=None, stream: StreamConfig | None = None):
-        super().__init__(fleet, cost)
-        self.stream = stream if stream is not None else StreamConfig()
-
-    def _stream_route(self, out_bucket: str) -> dict:
-        route = {"relay_id": self.relay.relay_id}
-        if self.tenant is not None:
-            route["relay_scope"] = self.tenant
-        return route
-
-
-#: Substrate name → streaming backend class (driver-side construction).
-STREAMING_BACKENDS = {
-    "objectstore": StreamingObjectStoreExchange,
-    "cache": StreamingCacheExchange,
-    "relay": StreamingRelayExchange,
-    "sharded-relay": StreamingShardedRelayExchange,
-}
-
-
-# ----------------------------------------------------------------------
-# the streaming operator
-# ----------------------------------------------------------------------
-class StreamingShuffleSort(ShuffleSort):
-    """Sort with the reduce wave launched concurrently with the map wave.
-
-    Sampling, planning and the sorted-run artifact are exactly the
-    staged operator's; what changes is the orchestration: both waves are
-    submitted back to back and the reducers consume partitions through
-    the substrate's readiness protocol while mappers are still
-    producing.  The resulting :class:`~repro.shuffle.exchange.ExchangeReport`
-    carries the measured map/reduce wall-clock ``overlap_s``, the
-    reducer buffers' ``buffer_high_watermark_bytes``, and the summed
-    backpressure waits.
-
-    Parameters mirror :class:`~repro.shuffle.operator.ShuffleSort`;
-    ``backend`` must be one of the streaming backends (default: the
-    object-storage one).
-    """
-
-    def __init__(
-        self,
-        executor,
-        codec: RecordCodec,
-        cost=None,
-        backend: ExchangeBackend | None = None,
-    ):
-        if backend is None:
-            backend = StreamingObjectStoreExchange(cost)
-            cost = None
-        if not isinstance(backend, StreamingExchangeMixin):
-            raise ShuffleError(
-                f"StreamingShuffleSort needs a streaming backend, got "
-                f"{type(backend).__name__}; wrap the substrate in its "
-                "Streaming*Exchange twin"
-            )
-        super().__init__(executor, codec, cost=cost, backend=backend)
-
-    def _sort(
-        self,
-        bucket: str,
-        key: str,
-        out_bucket: str,
-        out_prefix: str,
-        pinned_workers: int | None,
-        samplers: int,
-        max_workers: int,
-    ) -> t.Generator:
-        started_at = self.sim.now
-        sort_span = self.sim.tracer.span(
-            f"sort:{out_prefix}",
-            category="sort",
-            substrate=self.backend.name,
-            mode=self.backend.mode,
-        )
-        with sort_span:
-            self.backend.begin_sort(out_bucket, out_prefix)
-            meta = yield from self._preflight(bucket, key)
-            real_size = meta.size
-            plan, workers = self._plan_workers(
-                meta.logical_size, pinned_workers, max_workers
-            )
-            boundaries = yield from self._sample(
-                bucket, key, real_size, meta.logical_size, workers, samplers,
-                span=sort_span,
-            )
-            job = f"{self.backend.process_label}:{out_prefix}@{started_at:.3f}"
-
-            map_tasks = self._map_tasks(
-                bucket, key, real_size, boundaries, workers, out_bucket, out_prefix
-            )
-            reduce_tasks = [
-                self.backend.reducer_task(
-                    reducer_id, workers, map_tasks, [], out_bucket, out_prefix,
-                    self.codec,
-                )
-                for reducer_id in range(workers)
-            ]
-
-            # Both waves in flight at once — this is the whole point.  The
-            # map job is submitted first so its invocations enqueue ahead of
-            # the reducers on the account concurrency limit (reducers idle
-            # at their rendezvous; mappers must never starve behind them).
-            # The wave spans overlap on the trace exactly like the waves do.
-            self._record_wave(job, "map", "start")
-            map_span = self.sim.tracer.span(
-                "wave:map", category="wave", parent=sort_span, workers=workers
-            )
-            reduce_span = None
-            try:
-                map_futures = yield self.executor.map(
-                    self.backend.mapper_stage(), map_tasks, span=map_span
-                )
-                self._record_wave(job, "reduce", "start")
-                reduce_span = self.sim.tracer.span(
-                    "wave:reduce", category="wave", parent=sort_span, workers=workers
-                )
-                reduce_futures = yield self.executor.map(
-                    self.backend.reducer_stage(), reduce_tasks, span=reduce_span
-                )
-                map_results = yield self.executor.get_result(map_futures)
-            except BaseException:
-                map_span.end("error")
-                if reduce_span is not None:
-                    reduce_span.end("error")
-                raise
-            map_ended_at = self.sim.now
-            self._record_wave(job, "map", "end")
-            map_span.end()
-            self.backend.on_map_done(map_results)
-            with reduce_span:
-                reduce_results = yield self.executor.get_result(reduce_futures)
-            self._record_wave(job, "reduce", "end")
-
-            runs, total_records = self._collect_runs(
-                map_results, reduce_results, out_bucket
-            )
-            self.run_manifest = self._build_manifest(
-                bucket, key, meta, workers, boundaries, runs, out_prefix
-            )
-            # Measured wave overlap from the workers' own execution windows
-            # (each stage stamps its body start) — not from submission time,
-            # which would claim overlap even when reducers queued behind the
-            # mappers on the account concurrency limit and never actually
-            # ran alongside them.
-            map_exec_start = min(result["started_at"] for result in map_results)
-            reduce_exec_start = min(
-                result["started_at"] for result in reduce_results
-            )
-            overlap_s = max(
-                0.0,
-                min(map_ended_at, self.sim.now)
-                - max(map_exec_start, reduce_exec_start),
-            )
-            self.report = self.backend.report(
-                workers,
-                plan,
-                self.sim.now - started_at,
-                overlap_s=overlap_s,
-                buffer_high_watermark_bytes=max(
-                    (result["buffer_high_watermark_bytes"] for result in reduce_results),
-                    default=0.0,
-                ),
-                partition_skew=partition_skew_of([run.size_bytes for run in runs]),
-                extra={
-                    "predicted_partition_skew": partition_skew_of(
-                        self.predicted_partition_bytes
-                    ),
-                    "buffer_backpressure_waits": sum(
-                        result["buffer_waits"] for result in reduce_results
-                    ),
-                    "buffer_wait_s": sum(
-                        result["buffer_wait_s"] for result in reduce_results
-                    ),
-                    "stream_chunks": sum(
-                        result["chunks"] for result in map_results
-                    ),
-                    **kernels.kernel_report_extras(map_results, reduce_results),
-                },
-            )
-            return ShuffleResult(
-                runs=runs,
-                workers=workers,
-                planned=plan,
-                boundaries=tuple(boundaries),
-                total_records=total_records,
-                duration_s=self.sim.now - started_at,
-            )

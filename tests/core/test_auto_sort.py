@@ -13,10 +13,8 @@ from repro.core import (
     AUTO_SUPPORTED,
     SHARDED_RELAY_SUPPORTED,
     ExperimentConfig,
-    auto_supported_pipeline,
     pipeline_for,
     run_pipeline,
-    sharded_relay_supported_pipeline,
     stage_input,
 )
 from repro.shuffle.adaptive import EXCHANGE_SUBSTRATES
@@ -52,13 +50,13 @@ def run_auto_dag(config, sort_params):
 
 class TestBuilders:
     def test_auto_pipeline_shape(self, config):
-        dag = auto_supported_pipeline(config)
+        dag = pipeline_for(AUTO_SUPPORTED, config)
         assert dag.stage("sort").kind == "auto_sort"
         assert dag.name == AUTO_SUPPORTED
         assert pipeline_for(AUTO_SUPPORTED, config).name == AUTO_SUPPORTED
 
     def test_sharded_pipeline_shape(self, config):
-        dag = sharded_relay_supported_pipeline(config)
+        dag = pipeline_for(SHARDED_RELAY_SUPPORTED, config)
         assert dag.stage("sort").kind == "sharded_relay_sort"
         assert dag.stage("sort").params["shards"] == config.relay_shards
         assert pipeline_for(SHARDED_RELAY_SUPPORTED, config).name == (

@@ -9,7 +9,6 @@ from repro.core import (
     ENCODE_STAGE,
     SORT_STAGE,
     ExperimentConfig,
-    cache_supported_pipeline,
     pipeline_for,
     run_exchange_comparison,
     run_pipeline,
@@ -33,8 +32,8 @@ class TestCachePipeline:
         assert kinds[ENCODE_STAGE] == "methcomp_encode"
 
     def test_verify_stage_optional(self):
-        with_verify = cache_supported_pipeline(SMALL, verify=True)
-        without = cache_supported_pipeline(SMALL, verify=False)
+        with_verify = pipeline_for(CACHE_SUPPORTED, SMALL, verify=True)
+        without = pipeline_for(CACHE_SUPPORTED, SMALL, verify=False)
         assert len(list(with_verify.topological_order())) == 4
         assert len(list(without.topological_order())) == 3
 

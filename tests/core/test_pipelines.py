@@ -6,10 +6,10 @@ import pytest
 
 from repro.cloud.environment import Cloud
 from repro.core import (
+    PURE_SERVERLESS,
+    VM_SUPPORTED,
     ExperimentConfig,
     pipeline_for,
-    pure_serverless_pipeline,
-    vm_supported_pipeline,
 )
 from repro.core.experiment import stage_input
 from repro.sim import Simulator
@@ -23,29 +23,29 @@ def config():
 
 class TestBuilders:
     def test_pure_serverless_shape(self, config):
-        dag = pure_serverless_pipeline(config)
+        dag = pipeline_for(PURE_SERVERLESS, config)
         names = [s.name for s in dag.topological_order()]
         assert names == ["ingest", "sort", "encode"]
         assert dag.stage("sort").kind == "shuffle_sort"
 
     def test_vm_supported_shape(self, config):
-        dag = vm_supported_pipeline(config)
+        dag = pipeline_for(VM_SUPPORTED, config)
         assert dag.stage("sort").kind == "vm_sort"
         assert dag.stage("sort").params["instance_type"] == "bx2-8x32"
 
     def test_verify_stage_optional(self, config):
-        dag = pure_serverless_pipeline(config, verify=True)
+        dag = pipeline_for(PURE_SERVERLESS, config, verify=True)
         assert [s.name for s in dag.topological_order()][-1] == "verify"
 
     def test_parallelism_respected_in_params(self, config):
-        dag = pure_serverless_pipeline(config)
+        dag = pipeline_for(PURE_SERVERLESS, config)
         assert dag.stage("sort").params["workers"] == config.parallelism
 
     def test_auto_workers_unpins_count(self, config):
         import dataclasses
 
         auto = dataclasses.replace(config, auto_workers=True)
-        dag = pure_serverless_pipeline(auto)
+        dag = pipeline_for(PURE_SERVERLESS, auto)
         assert dag.stage("sort").params["workers"] is None
 
     def test_pipeline_for_dispatch(self, config):
@@ -58,8 +58,8 @@ class TestBuilders:
 class TestDeclarativeRoundtrip:
     def test_pipelines_survive_json_roundtrip(self, config):
         for dag in (
-            pure_serverless_pipeline(config),
-            vm_supported_pipeline(config),
+            pipeline_for(PURE_SERVERLESS, config),
+            pipeline_for(VM_SUPPORTED, config),
         ):
             restored = parse_spec(dump_spec(dag))
             assert [s.name for s in restored.stages] == [s.name for s in dag.stages]
@@ -88,7 +88,7 @@ class TestDeclarativeRoundtrip:
         assert result.artifacts["encode"]["ratio"] > 5.0
 
     def test_render_figure_contains_both_substrates(self, config):
-        serverless_art = render_dag(pure_serverless_pipeline(config))
-        hybrid_art = render_dag(vm_supported_pipeline(config))
+        serverless_art = render_dag(pipeline_for(PURE_SERVERLESS, config))
+        hybrid_art = render_dag(pipeline_for(VM_SUPPORTED, config))
         assert "cloud functions" in serverless_art
         assert "virtual machine" in hybrid_art

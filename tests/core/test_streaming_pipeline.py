@@ -15,10 +15,9 @@ from repro.core import (
     STREAMING_SUPPORTED,
     ExperimentConfig,
     run_pipeline,
-    streaming_supported_pipeline,
 )
 from repro.core.experiment import stage_input
-from repro.core.pipelines import auto_supported_pipeline
+from repro.core.pipelines import AUTO_SUPPORTED, pipeline_for
 from repro.errors import WorkflowError
 from repro.sim import Simulator
 from repro.workflows.dag import StageSpec, WorkflowDag
@@ -32,7 +31,7 @@ def run_streaming(config=None, substrate=None, trace=False, **sort_params):
     config = config if config is not None else CONFIG
     cloud = Cloud(Simulator(seed=config.seed, trace=trace), config.make_profile())
     stage_input(cloud, config, "pipeline", "input/methylome.bed")
-    dag = streaming_supported_pipeline(config)
+    dag = pipeline_for(STREAMING_SUPPORTED, config)
     for stage in dag.topological_order():
         if stage.kind == "streaming_sort":
             if substrate is not None:
@@ -150,7 +149,7 @@ class TestAutoSortStreamingDispatch:
         )
         cloud = Cloud(Simulator(seed=config.seed), config.make_profile())
         stage_input(cloud, config, "pipeline", "input/methylome.bed")
-        dag = auto_supported_pipeline(config)
+        dag = pipeline_for(AUTO_SUPPORTED, config)
         for stage in dag.topological_order():
             if stage.kind == "auto_sort":
                 stage.params["modes"] = ("staged", "streaming")
@@ -169,7 +168,7 @@ class TestAutoSortStreamingDispatch:
         config = ExperimentConfig(size_gb=0.5, logical_scale=8192.0)
         cloud = Cloud(Simulator(seed=config.seed), config.make_profile())
         stage_input(cloud, config, "pipeline", "input/methylome.bed")
-        engine = WorkflowEngine(cloud, auto_supported_pipeline(config))
+        engine = WorkflowEngine(cloud, pipeline_for(AUTO_SUPPORTED, config))
         engine.workload = config.workload
         result = engine.execute()
         assert result.artifacts["sort"]["substrate_mode"] == "staged"

@@ -24,17 +24,13 @@ from repro.cloud.vm.fleet import fleet_ready
 from repro.cloud.vm.relay import relay_ready
 from repro.executor import FunctionExecutor, SpeculationPolicy
 from repro.shuffle import (
-    CacheShuffleSort,
+    CacheExchange,
     FixedWidthCodec,
-    RelayShuffleSort,
-    ShardedRelayShuffleSort,
+    ObjectStoreExchange,
+    RelayExchange,
+    ShardedRelayExchange,
     ShuffleSort,
     StreamConfig,
-    StreamingCacheExchange,
-    StreamingObjectStoreExchange,
-    StreamingRelayExchange,
-    StreamingShardedRelayExchange,
-    StreamingShuffleSort,
 )
 
 CODEC = FixedWidthCodec(record_size=16, key_bytes=8)
@@ -70,28 +66,30 @@ def make_operator(cloud, substrate, mode, executor):
             return ShuffleSort(executor, CODEC)
         if substrate == "cache":
             cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-            return CacheShuffleSort(executor, CODEC, cluster)
+            return ShuffleSort(executor, CODEC, backend=CacheExchange(cluster))
         if substrate == "relay":
-            return RelayShuffleSort(
-                executor, CODEC, relay_ready(cloud.vms, "bx2-8x32")
+            return ShuffleSort(
+                executor, CODEC,
+                backend=RelayExchange(relay_ready(cloud.vms, "bx2-8x32")),
             )
-        return ShardedRelayShuffleSort(
-            executor, CODEC, fleet_ready(cloud.vms, "bx2-8x32", shards=2)
+        return ShuffleSort(
+            executor, CODEC,
+            backend=ShardedRelayExchange(fleet_ready(cloud.vms, "bx2-8x32", shards=2)),
         )
     backends = {
-        "objectstore": lambda: StreamingObjectStoreExchange(stream=STREAM),
-        "cache": lambda: StreamingCacheExchange(
+        "objectstore": lambda: ObjectStoreExchange(stream=STREAM),
+        "cache": lambda: CacheExchange(
             cloud.cache.provision_ready("cache.r5.large", nodes=2),
             stream=STREAM,
         ),
-        "relay": lambda: StreamingRelayExchange(
+        "relay": lambda: RelayExchange(
             relay_ready(cloud.vms, "bx2-8x32"), stream=STREAM
         ),
-        "sharded-relay": lambda: StreamingShardedRelayExchange(
+        "sharded-relay": lambda: ShardedRelayExchange(
             fleet_ready(cloud.vms, "bx2-8x32", shards=2), stream=STREAM
         ),
     }
-    return StreamingShuffleSort(executor, CODEC, backend=backends[substrate]())
+    return ShuffleSort(executor, CODEC, backend=backends[substrate]())
 
 
 def run_sort(
@@ -205,8 +203,9 @@ class TestSpeculationLifecycle:
         cloud = Cloud.fresh(seed=SEED, profile=self.heavy_tailed(), spans=spans)
         cloud.store.ensure_bucket("data")
         executor = FunctionExecutor(cloud, retries=6, speculation=self.POLICY)
-        operator = ShardedRelayShuffleSort(
-            executor, CODEC, fleet_ready(cloud.vms, "bx2-8x32", shards=2)
+        operator = ShuffleSort(
+            executor, CODEC,
+            backend=ShardedRelayExchange(fleet_ready(cloud.vms, "bx2-8x32", shards=2)),
         )
 
         def driver():

@@ -9,10 +9,11 @@ from repro.cloud.profiles import ibm_us_east
 from repro.errors import ShuffleError
 from repro.executor import FunctionExecutor
 from repro.shuffle import (
+    CacheExchange,
     CacheShuffleCostModel,
-    CacheShuffleSort,
     FixedWidthCodec,
-    cache_partition_key,
+    ShuffleSort,
+    kv_partition_key,
     plan_cache_shuffle,
     predict_cache_shuffle_time,
     required_cache_nodes,
@@ -45,7 +46,7 @@ def make_fixed_payload(count, seed=7, record_size=16):
 
 
 def sort_and_collect(cloud, executor, cluster, codec, payload, **kwargs):
-    op = CacheShuffleSort(executor, codec, cluster)
+    op = ShuffleSort(executor, codec, backend=CacheExchange(cluster))
 
     def driver():
         yield cloud.store.put("data", "input.bin", payload)
@@ -115,7 +116,7 @@ class TestCacheSort:
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
         payload = make_fixed_payload(1000)
         cost = CacheShuffleCostModel(cleanup=True)
-        op = CacheShuffleSort(executor, codec, cluster, cost=cost)
+        op = ShuffleSort(executor, codec, backend=CacheExchange(cluster, cost))
 
         def driver():
             yield cloud.store.put("data", "input.bin", payload)
@@ -132,7 +133,7 @@ class TestCacheSort:
 
     def test_empty_object_rejected(self, cloud, executor, cluster):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        op = CacheShuffleSort(executor, codec, cluster)
+        op = ShuffleSort(executor, codec, backend=CacheExchange(cluster))
 
         def driver():
             yield cloud.store.put("data", "empty.bin", b"")
@@ -148,7 +149,7 @@ class TestCacheSort:
         executor = FunctionExecutor(cloud)
         cluster = cloud.cache.provision_ready("cache.r5.large", nodes=1)
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        op = CacheShuffleSort(executor, codec, cluster)
+        op = ShuffleSort(executor, codec, backend=CacheExchange(cluster))
         payload = make_fixed_payload(2000)  # 32 KB real = 32 TB logical
 
         def driver():
@@ -161,7 +162,7 @@ class TestCacheSort:
     def test_terminated_cluster_rejected(self, cloud, executor, cluster):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
         cluster.terminate()
-        op = CacheShuffleSort(executor, codec, cluster)
+        op = ShuffleSort(executor, codec, backend=CacheExchange(cluster))
         payload = make_fixed_payload(100)
 
         def driver():
@@ -178,7 +179,7 @@ class TestCacheSort:
         must cover only its own sort, not cluster-lifetime totals."""
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
         payload = make_fixed_payload(1000)
-        op = CacheShuffleSort(executor, codec, cluster)
+        op = ShuffleSort(executor, codec, backend=CacheExchange(cluster))
 
         def run_once(key, prefix):
             def driver():
@@ -283,7 +284,7 @@ class TestCachePlanner:
 class TestPartitionKeys:
     def test_key_layout_is_unique_and_prefixed(self):
         keys = {
-            cache_partition_key("sort", m, r)
+            kv_partition_key("sort", m, r)
             for m in range(8)
             for r in range(8)
         }

@@ -32,19 +32,15 @@ from repro.cloud.vm.fleet import fleet_ready
 from repro.cloud.vm.relay import relay_ready
 from repro.executor import FunctionExecutor
 from repro.shuffle import (
-    CacheShuffleSort,
+    CacheExchange,
     FixedWidthCodec,
+    ObjectStoreExchange,
     OnlineShuffleSort,
-    RelayShuffleSort,
-    ShardedRelayShuffleSort,
+    RelayExchange,
+    ShardedRelayExchange,
     ShuffleSort,
     SkewSpec,
     StreamConfig,
-    StreamingCacheExchange,
-    StreamingObjectStoreExchange,
-    StreamingRelayExchange,
-    StreamingShardedRelayExchange,
-    StreamingShuffleSort,
     skewed_fixed_payload,
 )
 
@@ -91,30 +87,34 @@ def run_static(substrate, mode, payload, seed):
             operator = ShuffleSort(executor, CODEC)
         elif substrate == "cache":
             cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-            operator = CacheShuffleSort(executor, CODEC, cluster)
+            operator = ShuffleSort(executor, CODEC, backend=CacheExchange(cluster))
         elif substrate == "relay":
-            operator = RelayShuffleSort(
-                executor, CODEC, relay_ready(cloud.vms, "bx2-8x32")
+            operator = ShuffleSort(
+                executor, CODEC,
+                backend=RelayExchange(relay_ready(cloud.vms, "bx2-8x32")),
             )
         else:
-            operator = ShardedRelayShuffleSort(
-                executor, CODEC, fleet_ready(cloud.vms, "bx2-8x32", shards=2)
+            operator = ShuffleSort(
+                executor, CODEC,
+                backend=ShardedRelayExchange(
+                    fleet_ready(cloud.vms, "bx2-8x32", shards=2)
+                ),
             )
     else:
         if substrate == "objectstore":
-            backend = StreamingObjectStoreExchange(stream=STREAM)
+            backend = ObjectStoreExchange(stream=STREAM)
         elif substrate == "cache":
             cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-            backend = StreamingCacheExchange(cluster, stream=STREAM)
+            backend = CacheExchange(cluster, stream=STREAM)
         elif substrate == "relay":
-            backend = StreamingRelayExchange(
+            backend = RelayExchange(
                 relay_ready(cloud.vms, "bx2-8x32"), stream=STREAM
             )
         else:
-            backend = StreamingShardedRelayExchange(
+            backend = ShardedRelayExchange(
                 fleet_ready(cloud.vms, "bx2-8x32", shards=2), stream=STREAM
             )
-        operator = StreamingShuffleSort(executor, CODEC, backend=backend)
+        operator = ShuffleSort(executor, CODEC, backend=backend)
     return run_sort(cloud, operator, payload)[0]
 
 

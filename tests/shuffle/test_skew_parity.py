@@ -17,21 +17,17 @@ from repro.cloud.vm.fleet import fleet_ready
 from repro.cloud.vm.relay import relay_ready
 from repro.executor import FunctionExecutor
 from repro.shuffle import (
-    CacheShuffleSort,
+    CacheExchange,
     FixedWidthCodec,
+    ObjectStoreExchange,
     PartitionLoadRouter,
-    RelayShuffleSort,
-    ShardedRelayShuffleSort,
+    RelayExchange,
+    RelayShuffleCostModel,
+    ShardedRelayExchange,
     ShuffleSort,
     SkewSpec,
     StreamConfig,
-    StreamingCacheExchange,
-    StreamingObjectStoreExchange,
-    StreamingRelayExchange,
-    StreamingShardedRelayExchange,
-    StreamingShuffleSort,
     build_rebalance_assignments,
-    RelayShuffleCostModel,
     skewed_fixed_payload,
 )
 
@@ -67,32 +63,32 @@ def run_substrate(substrate, payload, rebalance=True):
         operator = ShuffleSort(executor, codec)
     elif substrate == "cache":
         cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-        operator = CacheShuffleSort(executor, codec, cluster)
+        operator = ShuffleSort(executor, codec, backend=CacheExchange(cluster))
     elif substrate == "relay":
         relay = relay_ready(cloud.vms, "bx2-8x32")
-        operator = RelayShuffleSort(executor, codec, relay)
+        operator = ShuffleSort(executor, codec, backend=RelayExchange(relay))
     elif substrate == "sharded-relay":
         relay = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-        operator = ShardedRelayShuffleSort(executor, codec, relay, cost=cost)
+        operator = ShuffleSort(executor, codec, backend=ShardedRelayExchange(relay, cost))
     elif substrate == "streaming-objectstore":
-        operator = StreamingShuffleSort(
-            executor, codec, backend=StreamingObjectStoreExchange(stream=TINY_STREAM)
+        operator = ShuffleSort(
+            executor, codec, backend=ObjectStoreExchange(stream=TINY_STREAM)
         )
     elif substrate == "streaming-cache":
         cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-        operator = StreamingShuffleSort(
-            executor, codec, backend=StreamingCacheExchange(cluster, stream=TINY_STREAM)
+        operator = ShuffleSort(
+            executor, codec, backend=CacheExchange(cluster, stream=TINY_STREAM)
         )
     elif substrate == "streaming-relay":
         relay = relay_ready(cloud.vms, "bx2-8x32")
-        operator = StreamingShuffleSort(
-            executor, codec, backend=StreamingRelayExchange(relay, stream=TINY_STREAM)
+        operator = ShuffleSort(
+            executor, codec, backend=RelayExchange(relay, stream=TINY_STREAM)
         )
     else:  # streaming-sharded-relay
         relay = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-        operator = StreamingShuffleSort(
+        operator = ShuffleSort(
             executor, codec,
-            backend=StreamingShardedRelayExchange(
+            backend=ShardedRelayExchange(
                 relay, cost=cost, stream=TINY_STREAM
             ),
         )
@@ -244,7 +240,7 @@ class TestLoadAwareRouting:
         executor = FunctionExecutor(cloud)
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
         fleet = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-        operator = ShardedRelayShuffleSort(executor, codec, fleet)
+        operator = ShuffleSort(executor, codec, backend=ShardedRelayExchange(fleet))
 
         def run_once(key, payload, prefix):
             def driver():

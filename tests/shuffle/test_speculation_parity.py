@@ -21,17 +21,14 @@ from repro.cloud.vm.fleet import fleet_ready
 from repro.cloud.vm.relay import relay_ready
 from repro.executor import FunctionExecutor, SpeculationPolicy
 from repro.shuffle import (
-    CacheShuffleSort,
+    CacheExchange,
     FixedWidthCodec,
-    RelayShuffleSort,
-    ShardedRelayShuffleSort,
+    ObjectStoreExchange,
+    RelayExchange,
+    ShardedRelayExchange,
     ShuffleSort,
     SkewSpec,
     StreamConfig,
-    StreamingCacheExchange,
-    StreamingObjectStoreExchange,
-    StreamingRelayExchange,
-    StreamingShuffleSort,
     skewed_fixed_payload,
 )
 
@@ -81,27 +78,27 @@ def run_speculative_sort(substrate, payload, crash_rate=0.0):
         operator = ShuffleSort(executor, codec)
     elif substrate == "cache":
         cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-        operator = CacheShuffleSort(executor, codec, cluster)
+        operator = ShuffleSort(executor, codec, backend=CacheExchange(cluster))
     elif substrate == "sharded-relay":
         relay = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-        operator = ShardedRelayShuffleSort(executor, codec, relay)
+        operator = ShuffleSort(executor, codec, backend=ShardedRelayExchange(relay))
     elif substrate == "streaming-objectstore":
-        operator = StreamingShuffleSort(
-            executor, codec, backend=StreamingObjectStoreExchange(stream=stream)
+        operator = ShuffleSort(
+            executor, codec, backend=ObjectStoreExchange(stream=stream)
         )
     elif substrate == "streaming-cache":
         cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-        operator = StreamingShuffleSort(
-            executor, codec, backend=StreamingCacheExchange(cluster, stream=stream)
+        operator = ShuffleSort(
+            executor, codec, backend=CacheExchange(cluster, stream=stream)
         )
     elif substrate == "streaming-relay":
         relay = relay_ready(cloud.vms, "bx2-8x32")
-        operator = StreamingShuffleSort(
-            executor, codec, backend=StreamingRelayExchange(relay, stream=stream)
+        operator = ShuffleSort(
+            executor, codec, backend=RelayExchange(relay, stream=stream)
         )
     else:
         relay = relay_ready(cloud.vms, "bx2-8x32")
-        operator = RelayShuffleSort(executor, codec, relay)
+        operator = ShuffleSort(executor, codec, backend=RelayExchange(relay))
 
     def driver():
         yield cloud.store.put("data", "input.bin", payload)

@@ -20,17 +20,13 @@ from repro.errors import ShuffleError
 from repro.executor import FunctionExecutor
 from repro.shuffle import (
     EXCHANGE_MODES,
-    CacheShuffleSort,
+    CacheExchange,
     FixedWidthCodec,
     ObjectStoreExchange,
-    RelayShuffleSort,
+    RelayExchange,
+    ShardedRelayExchange,
     ShuffleSort,
     StreamConfig,
-    StreamingCacheExchange,
-    StreamingObjectStoreExchange,
-    StreamingRelayExchange,
-    StreamingShardedRelayExchange,
-    StreamingShuffleSort,
     choose_exchange_substrate,
     predict_shuffle_time,
     predict_streaming_shuffle_time,
@@ -64,8 +60,8 @@ def run_sort(substrate, payload, streaming, buffer_bytes=None, chunk_bytes=4096.
     relay = None
     if substrate == "objectstore":
         operator = (
-            StreamingShuffleSort(
-                executor, codec, backend=StreamingObjectStoreExchange(stream=stream)
+            ShuffleSort(
+                executor, codec, backend=ObjectStoreExchange(stream=stream)
             )
             if streaming
             else ShuffleSort(executor, codec)
@@ -73,27 +69,27 @@ def run_sort(substrate, payload, streaming, buffer_bytes=None, chunk_bytes=4096.
     elif substrate == "cache":
         cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
         operator = (
-            StreamingShuffleSort(
+            ShuffleSort(
                 executor, codec,
-                backend=StreamingCacheExchange(cluster, stream=stream),
+                backend=CacheExchange(cluster, stream=stream),
             )
             if streaming
-            else CacheShuffleSort(executor, codec, cluster)
+            else ShuffleSort(executor, codec, backend=CacheExchange(cluster))
         )
     elif substrate == "sharded-relay":
         relay = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-        operator = StreamingShuffleSort(
+        operator = ShuffleSort(
             executor, codec,
-            backend=StreamingShardedRelayExchange(relay, stream=stream),
+            backend=ShardedRelayExchange(relay, stream=stream),
         )
     else:
         relay = relay_ready(cloud.vms, "bx2-8x32")
         operator = (
-            StreamingShuffleSort(
-                executor, codec, backend=StreamingRelayExchange(relay, stream=stream)
+            ShuffleSort(
+                executor, codec, backend=RelayExchange(relay, stream=stream)
             )
             if streaming
-            else RelayShuffleSort(executor, codec, relay)
+            else ShuffleSort(executor, codec, backend=RelayExchange(relay))
         )
 
     def driver():
@@ -200,15 +196,21 @@ class TestBackpressure:
         assert relay.stats.pulls == 1
 
 
-class TestStreamingOperatorGuards:
-    def test_rejects_staged_backend(self):
-        cloud = Cloud.fresh(seed=SEED, profile=ibm_us_east(deterministic=True))
-        executor = FunctionExecutor(cloud)
-        with pytest.raises(ShuffleError, match="streaming backend"):
-            StreamingShuffleSort(
-                executor, FixedWidthCodec(record_size=16, key_bytes=8),
-                backend=ObjectStoreExchange(),
-            )
+class TestStreamingMode:
+    def test_mode_is_a_field_of_the_backend(self):
+        """One backend class per substrate: ``stream=`` alone selects the
+        mode, the worker stages and the (mode-specific) name strings."""
+        staged = ObjectStoreExchange()
+        streaming = ObjectStoreExchange(stream=StreamConfig())
+        assert type(staged) is type(streaming)
+        assert (staged.mode, streaming.mode) == ("staged", "streaming")
+        assert staged.mapper_stage() is not streaming.mapper_stage()
+        assert (staged.process_label, staged.default_out_prefix) == (
+            "shuffle", "shuffle-out"
+        )
+        assert (streaming.process_label, streaming.default_out_prefix) == (
+            "streamshuffle", "streaming-shuffle"
+        )
 
     def test_report_as_dict_carries_streaming_fields(self, staged_baseline):
         payload, _baseline, _ = staged_baseline
@@ -262,7 +264,7 @@ class TestExchangeReportFields:
             backend.report(4, None, 2.5, extra={"overlap_s": 99.0})
 
     def test_streaming_backend_reports_streaming_mode(self):
-        backend = StreamingObjectStoreExchange()
+        backend = ObjectStoreExchange(stream=StreamConfig())
         assert backend.report(4, None, 1.0).mode == "streaming"
 
     def test_streaming_backend_plans_with_the_streaming_model(self):
@@ -272,7 +274,9 @@ class TestExchangeReportFields:
         profile = ibm_us_east()
         size = 3.5 * (1 << 30)
         staged_plan = ObjectStoreExchange().plan(size, profile, 64)
-        streaming_plan = StreamingObjectStoreExchange().plan(size, profile, 64)
+        streaming_plan = ObjectStoreExchange(stream=StreamConfig()).plan(
+            size, profile, 64
+        )
         assert streaming_plan.predicted_s < staged_plan.predicted_s
         chosen = streaming_plan.point(streaming_plan.workers)
         assert "pipelined_exchange" in chosen.breakdown

@@ -9,10 +9,11 @@ the substrate distinction the figure exists to show (this happened to
 import repro.core.stages  # noqa: F401 - registers the built-in kinds
 from repro.core import ExperimentConfig
 from repro.core.pipelines import (
-    auto_supported_pipeline,
-    relay_supported_pipeline,
-    sharded_relay_supported_pipeline,
-    streaming_supported_pipeline,
+    AUTO_SUPPORTED,
+    RELAY_SUPPORTED,
+    SHARDED_RELAY_SUPPORTED,
+    STREAMING_SUPPORTED,
+    pipeline_for,
 )
 from repro.workflows.engine import registered_kinds
 from repro.workflows.render import render_dag, substrate_label
@@ -42,14 +43,14 @@ class TestSubstrateLabels:
 
     def test_relay_sort_renders_vm_relay(self):
         assert substrate_label("relay_sort") == "cloud functions + VM relay"
-        art = render_dag(relay_supported_pipeline(ExperimentConfig()))
+        art = render_dag(pipeline_for(RELAY_SUPPORTED, ExperimentConfig()))
         assert "cloud functions + VM relay" in art
 
     def test_new_sort_kinds_render_their_substrates(self):
         config = ExperimentConfig()
-        sharded_art = render_dag(sharded_relay_supported_pipeline(config))
+        sharded_art = render_dag(pipeline_for(SHARDED_RELAY_SUPPORTED, config))
         assert "VM relay fleet" in sharded_art
-        auto_art = render_dag(auto_supported_pipeline(config))
+        auto_art = render_dag(pipeline_for(AUTO_SUPPORTED, config))
         assert "adaptive exchange substrate" in auto_art
 
     def test_streaming_sort_renders_pipelined_waves(self):
@@ -57,7 +58,7 @@ class TestSubstrateLabels:
             substrate_label("streaming_sort")
             == "cloud functions + streaming exchange (pipelined waves)"
         )
-        art = render_dag(streaming_supported_pipeline(ExperimentConfig()))
+        art = render_dag(pipeline_for(STREAMING_SUPPORTED, ExperimentConfig()))
         assert "streaming exchange" in art
         # The substrate the stream rides is visible in the stage params.
         assert "substrate=relay" in art

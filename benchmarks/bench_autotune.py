@@ -11,7 +11,7 @@ probe invocation.
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.experiments import format_rows
+from repro.experiments import format_table
 from repro.experiments.sweeps import sweep_tuner
 
 
@@ -23,11 +23,9 @@ def tuner_rows(bench_scale):
 
 def test_autotune_sweep(benchmark, record_result, tuner_rows):
     rows = benchmark.pedantic(lambda: tuner_rows, rounds=1, iterations=1)
-    headers = list(rows[0].keys())
     record_result(
         "s10a_autotune",
-        format_rows(headers, [[row[h] for h in headers] for row in rows],
-                    title="S10a: planner regret by region scenario (3.5 GB)"),
+        format_table(rows, title="S10a: planner regret by region scenario (3.5 GB)"),
     )
 
     by_scenario = {row["scenario"]: row for row in rows}

@@ -9,7 +9,7 @@ simulation artifact).
 
 import pytest
 
-from repro.experiments import format_rows, sweep_codec
+from repro.experiments import format_table, sweep_codec
 from repro.methcomp import MethylomeGenerator, serialize_records
 from repro.methcomp.codec import compress, decompress, gzip_compress
 
@@ -25,11 +25,9 @@ def test_codec_ratio_table(benchmark, record_result):
         rounds=1,
         iterations=1,
     )
-    headers = list(rows[0].keys())
     record_result(
         "s5_codec_ratio",
-        format_rows(headers, [[row[h] for h in headers] for row in rows],
-                    title="S5: METHCOMP-style codec vs gzip"),
+        format_table(rows, title="S5: METHCOMP-style codec vs gzip"),
     )
     for row in rows:
         # Several-fold better than gzip at every size (paper: ~10x on

@@ -9,7 +9,7 @@ nuisance, VM provisioning is the hybrid pipeline's defining penalty.
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.experiments import format_rows, sweep_startup
+from repro.experiments import format_table, sweep_startup
 
 COLD_MULTIPLIERS = (0.5, 1.0, 2.0, 4.0)
 BOOT_TIMES = (30.0, 60.0, 99.0, 180.0)
@@ -24,11 +24,9 @@ def test_startup_sensitivity(benchmark, record_result, bench_scale):
         rounds=1,
         iterations=1,
     )
-    headers = list(rows[0].keys())
     record_result(
         "s4_startup_sensitivity",
-        format_rows(headers, [[row[h] for h in headers] for row in rows],
-                    title="S4: latency vs startup knobs"),
+        format_table(rows, title="S4: latency vs startup knobs"),
     )
 
     cold = {

@@ -26,7 +26,7 @@ provisioned cost.
 import pytest
 
 from repro.core import ExperimentConfig, run_exchange_comparison
-from repro.experiments import format_rows
+from repro.experiments import format_table
 from repro.experiments.sweeps import sweep_exchange, sweep_relay_shards
 
 WORKER_COUNTS = (4, 8, 16, 32, 64)
@@ -55,11 +55,9 @@ def test_exchange_worker_sweep(benchmark, record_result, bench_scale):
         rounds=1,
         iterations=1,
     )
-    headers = list(rows[0].keys())
     record_result(
         "s8_exchange_worker_sweep",
-        format_rows(headers, [[row[h] for h in headers] for row in rows],
-                    title="S8: sort latency by exchange substrate (3.5 GB)"),
+        format_table(rows, title="S8: sort latency by exchange substrate (3.5 GB)"),
     )
 
     latency = {
@@ -109,11 +107,10 @@ def test_relay_shard_sweep(benchmark, record_result, bench_scale):
         rounds=1,
         iterations=1,
     )
-    headers = list(rows[0].keys())
     record_result(
         "s8b_relay_shards",
-        format_rows(
-            headers, [[row[h] for h in headers] for row in rows],
+        format_table(
+            rows,
             title="S8b: relay fleet shard-count sweep "
                   f"({SHARD_SWEEP_SIZE_GB:g} GB, W={SHARD_SWEEP_WORKERS})",
         ),

@@ -15,7 +15,7 @@ byte parity with the crash-free object-storage artifact.
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.experiments import format_rows
+from repro.experiments import format_table
 from repro.experiments.sweeps import (
     sweep_exchange_faults,
     sweep_exchange_speculation,
@@ -31,11 +31,9 @@ def test_fault_rate_overhead(benchmark, record_result, bench_scale):
         rounds=1,
         iterations=1,
     )
-    headers = list(rows[0].keys())
     record_result(
         "s9_fault_rate",
-        format_rows(headers, [[row[h] for h in headers] for row in rows],
-                    title="S9a: map-job overhead vs injected crash rate"),
+        format_table(rows, title="S9a: map-job overhead vs injected crash rate"),
     )
 
     by_rate = {row["crash_probability"]: row for row in rows}
@@ -58,12 +56,13 @@ def test_speculation_ablation(benchmark, record_result, bench_scale):
         rounds=1,
         iterations=1,
     )
-    headers = list(rows[0].keys())
     record_result(
         "s9_speculation",
-        format_rows(headers, [[row[h] for h in headers] for row in rows],
-                    title="S9b: straggler mitigation under heavy-tailed "
-                          "cold starts"),
+        format_table(
+            rows,
+            title="S9b: straggler mitigation under heavy-tailed "
+            "cold starts",
+        ),
     )
 
     by_label = {row["speculation"]: row for row in rows}
@@ -82,12 +81,13 @@ def test_exchange_fault_sweep(benchmark, record_result, bench_scale):
         rounds=1,
         iterations=1,
     )
-    headers = list(rows[0].keys())
     record_result(
         "s9c_exchange_faults",
-        format_rows(headers, [[row[h] for h in headers] for row in rows],
-                    title="S9c: crash injection by exchange substrate "
-                          "(byte parity asserted in-sweep)"),
+        format_table(
+            rows,
+            title="S9c: crash injection by exchange substrate "
+            "(byte parity asserted in-sweep)",
+        ),
     )
 
     # The injection bit on every substrate at the top rate...
@@ -113,12 +113,13 @@ def test_exchange_speculation_sweep(benchmark, record_result, bench_scale):
         rounds=1,
         iterations=1,
     )
-    headers = list(rows[0].keys())
     record_result(
         "s9d_exchange_speculation",
-        format_rows(headers, [[row[h] for h in headers] for row in rows],
-                    title="S9d: speculation by exchange substrate "
-                          "(identical digests asserted in-sweep)"),
+        format_table(
+            rows,
+            title="S9d: speculation by exchange substrate "
+            "(identical digests asserted in-sweep)",
+        ),
     )
 
     by_key = {(row["strategy"], row["speculation"]): row for row in rows}

@@ -13,7 +13,7 @@ This ablation runs the same shuffle with and without write-combining:
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.experiments import format_rows, sweep_io_ablation
+from repro.experiments import format_table, sweep_io_ablation
 
 WORKER_COUNTS = (8, 16, 32, 64)
 
@@ -25,11 +25,9 @@ def test_write_combining_ablation(benchmark, record_result, bench_scale):
         rounds=1,
         iterations=1,
     )
-    headers = list(rows[0].keys())
     record_result(
         "s7_io_ablation",
-        format_rows(headers, [[row[h] for h in headers] for row in rows],
-                    title="S7: Primula write-combining vs naive all-to-all"),
+        format_table(rows, title="S7: Primula write-combining vs naive all-to-all"),
     )
 
     by_key = {

@@ -8,7 +8,7 @@ sweep shows why that is the sweet spot for this CPU-bound workload.
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.experiments import format_rows, sweep_memory
+from repro.experiments import format_table, sweep_memory
 
 MEMORY_SIZES = (512, 1024, 2048, 4096)
 
@@ -20,11 +20,9 @@ def test_memory_sweep(benchmark, record_result, bench_scale):
         rounds=1,
         iterations=1,
     )
-    headers = list(rows[0].keys())
     record_result(
         "s6_memory_sweep",
-        format_rows(headers, [[row[h] for h in headers] for row in rows],
-                    title="S6: serverless pipeline vs function memory"),
+        format_table(rows, title="S6: serverless pipeline vs function memory"),
     )
 
     latency = {row["memory_mb"]: row["latency_s"] for row in rows}

@@ -11,7 +11,7 @@ comparable cost on both providers.
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.experiments import format_rows
+from repro.experiments import format_table
 from repro.experiments.sweeps import sweep_multicloud
 
 
@@ -22,11 +22,9 @@ def test_multicloud_comparison(benchmark, record_result, bench_scale):
         rounds=1,
         iterations=1,
     )
-    headers = list(rows[0].keys())
     record_result(
         "s11_multicloud",
-        format_rows(headers, [[row[h] for h in headers] for row in rows],
-                    title="S11: Table 1 comparison across providers (3.5 GB)"),
+        format_table(rows, title="S11: Table 1 comparison across providers (3.5 GB)"),
     )
 
     by_provider = {row["provider"]: row for row in rows}

@@ -14,7 +14,7 @@ change them.
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.experiments import format_rows
+from repro.experiments import format_table
 from repro.experiments.sweeps import sweep_online
 
 
@@ -26,19 +26,9 @@ def online_rows(bench_scale):
 
 def test_online_sweep(benchmark, record_result, online_rows):
     rows = benchmark.pedantic(lambda: online_rows, rounds=1, iterations=1)
-    timeline: list[str] = []
-    table_rows = []
-    for row in rows:
-        row = dict(row)
-        lines = row.pop("_timeline", None)
-        if lines and not timeline:
-            timeline = lines
-        table_rows.append(row)
-    headers = list(table_rows[0].keys())
-    text = format_rows(
-        headers,
-        [[row[h] for h in headers] for row in table_rows],
-        title="S12: online mid-stream re-selection vs static decisions (3.5 GB)",
+    timeline = next((row["_timeline"] for row in rows if row.get("_timeline")), [])
+    text = format_table(
+        rows, title="S12: online mid-stream re-selection vs static decisions (3.5 GB)"
     )
     text += "\n\nonline decision timeline:\n" + "\n".join(
         f"  {line}" for line in timeline

@@ -15,7 +15,7 @@ bill tenants dollars that sum to the fleet total.
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.experiments import format_rows
+from repro.experiments import format_table
 from repro.experiments.sweeps import sweep_service
 from repro.obs.slo import SloGate
 
@@ -37,10 +37,8 @@ def _only(rows, strategy, kind):
 
 def test_service_sweep(benchmark, record_result, service_rows):
     rows = benchmark.pedantic(lambda: service_rows, rounds=1, iterations=1)
-    headers = list(rows[0].keys())
-    text = format_rows(
-        headers,
-        [[row[h] for h in headers] for row in rows],
+    text = format_table(
+        rows,
         title="S13: shared exchange service vs provision-per-job (3.5 GB)",
     )
     record_result("s13_service", text)

@@ -9,7 +9,7 @@ hopeless.  This sweep documents where the crossover would sit (if any).
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.experiments import format_rows, sweep_size
+from repro.experiments import format_table, sweep_size
 
 SIZES_GB = (0.5, 1.0, 2.0, 3.5, 7.0)
 
@@ -19,11 +19,9 @@ def test_size_sweep(benchmark, record_result, bench_scale):
     rows = benchmark.pedantic(
         lambda: sweep_size(config, sizes_gb=SIZES_GB), rounds=1, iterations=1
     )
-    headers = list(rows[0].keys())
     record_result(
         "s2_size_sweep",
-        format_rows(headers, [[row[h] for h in headers] for row in rows],
-                    title="S2: latency vs input size (parallelism 8)"),
+        format_table(rows, title="S2: latency vs input size (parallelism 8)"),
     )
 
     # Serverless wins at every size in this range.

@@ -34,7 +34,7 @@ import math
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.experiments import format_rows
+from repro.experiments import format_table
 from repro.experiments.sweeps import sweep_skew
 
 DISTRIBUTIONS = ("uniform", "zipf")
@@ -59,11 +59,10 @@ def skew_rows(bench_scale):
 
 def test_skew_sweep(benchmark, record_result, skew_rows):
     rows = benchmark.pedantic(lambda: skew_rows, rounds=1, iterations=1)
-    headers = list(rows[0].keys())
     record_result(
         "s11_skew",
-        format_rows(
-            headers, [[row[h] for h in headers] for row in rows],
+        format_table(
+            rows,
             title="S11: skew-aware shuffle "
                   f"(3.5 GB, W={WORKERS}, {SHARDS} shards, "
                   f"Zipf s={ZIPF_S:g} over {DISTINCT_KEYS} keys)",

@@ -13,7 +13,7 @@ shows how Primula's write-combining removes this sensitivity.
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.experiments import format_rows, sweep_storage_ops
+from repro.experiments import format_table, sweep_storage_ops
 
 OPS_RATES = (100, 250, 500, 1000, 3000, 8000)
 
@@ -27,11 +27,9 @@ def test_storage_ops_sensitivity(benchmark, record_result, bench_scale):
         rounds=1,
         iterations=1,
     )
-    headers = list(rows[0].keys())
     record_result(
         "s3_storage_sensitivity",
-        format_rows(headers, [[row[h] for h in headers] for row in rows],
-                    title="S3: naive 32-worker all-to-all vs store ops/s"),
+        format_table(rows, title="S3: naive 32-worker all-to-all vs store ops/s"),
     )
 
     latency = {row["ops_per_second"]: row["sort_latency_s"] for row in rows}

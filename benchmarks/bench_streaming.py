@@ -27,7 +27,7 @@ substrates and asserts the subsystem's contract:
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.experiments import format_rows
+from repro.experiments import format_table
 from repro.experiments.sweeps import sweep_streaming
 
 STRATEGIES = ("objectstore", "cache", "relay")
@@ -54,11 +54,10 @@ def streaming_rows(bench_scale):
 
 def test_streaming_sweep(benchmark, record_result, streaming_rows):
     rows = benchmark.pedantic(lambda: streaming_rows, rounds=1, iterations=1)
-    headers = list(rows[0].keys())
     record_result(
         "s10_streaming",
-        format_rows(
-            headers, [[row[h] for h in headers] for row in rows],
+        format_table(
+            rows,
             title="S10: streaming vs staged exchange "
                   f"(3.5 GB, W={WORKERS}, {CHUNK_MB:g} MB chunks)",
         ),

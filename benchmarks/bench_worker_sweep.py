@@ -10,7 +10,7 @@ with the best measured count.
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.experiments import format_rows, sweep_workers
+from repro.experiments import format_table, sweep_workers
 
 WORKER_COUNTS = (2, 4, 8, 16, 32, 64)
 
@@ -28,11 +28,9 @@ def test_worker_sweep(benchmark, record_result, bench_scale):
         rounds=1,
         iterations=1,
     )
-    headers = list(rows[0].keys())
     record_result(
         "s1_worker_sweep",
-        format_rows(headers, [[row[h] for h in headers] for row in rows],
-                    title="S1: sort latency vs worker count (3.5 GB)"),
+        format_table(rows, title="S1: sort latency vs worker count (3.5 GB)"),
     )
 
     latency = {row["workers"]: row["sort_latency_s"] for row in rows}

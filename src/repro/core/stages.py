@@ -387,6 +387,32 @@ def _lineage_store(
     lineage_cache_for(context.cloud.store).put(fingerprint, artifact)
 
 
+def _selector_params(context: StageContext, default_modes: tuple) -> dict:
+    """The substrate-selection knobs ``auto_sort`` and ``online_sort``
+    share, as the keyword arguments ``choose_exchange_substrate`` and
+    ``OnlineShuffleSort`` both take.  Prices with the same calibrated
+    workload constants the sort will execute with — a decision made for
+    a faster imaginary workload could pick the wrong substrate outright.
+    """
+    substrates = context.param("substrates")
+    modes = context.param("modes")
+    workload = _workload(context)
+    return {
+        "cache_node_type": context.param("cache_node_type", "cache.r5.large"),
+        "relay_instance_type": context.param("instance_type") or None,
+        "time_value_usd_per_hour": float(
+            context.param("time_value_usd_per_hour", 1.0)
+        ),
+        "max_relay_shards": int(context.param("max_relay_shards", 8)),
+        "substrates": tuple(substrates) if substrates is not None else None,
+        "modes": tuple(modes) if modes is not None else default_modes,
+        "partition_skew": float(context.param("partition_skew", 1.0)),
+        "shuffle_cost": workload.shuffle_cost_model(),
+        "cache_cost": workload.cache_shuffle_cost_model(),
+        "relay_cost": workload.relay_shuffle_cost_model(),
+    }
+
+
 def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
     """Adaptive sort: choose the exchange substrate at execution time.
 
@@ -423,31 +449,14 @@ def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
         lineage_key, cached = yield from _lineage_lookup(context, upstream)
         if cached is not None:
             return cached
-    substrates = context.param("substrates")
-    modes = context.param("modes")
     stream_chunk_mb = float(context.param("stream_chunk_mb", 32.0))
-    workload = _workload(context)
-    # Price with the same calibrated workload constants the dispatched
-    # stage will execute with — a decision made for a faster imaginary
-    # workload could pick the wrong substrate outright.
     decision = choose_exchange_substrate(
         upstream["logical_bytes"],
         context.cloud.profile,
         workers=context.param("workers"),
-        cache_node_type=context.param("cache_node_type", "cache.r5.large"),
-        relay_instance_type=context.param("instance_type") or None,
-        time_value_usd_per_hour=float(
-            context.param("time_value_usd_per_hour", 1.0)
-        ),
         max_workers=int(context.param("max_workers", 256)),
-        max_relay_shards=int(context.param("max_relay_shards", 8)),
-        substrates=tuple(substrates) if substrates is not None else None,
-        modes=tuple(modes) if modes is not None else ("staged",),
         stream_chunk_bytes=stream_chunk_mb * (1 << 20),
-        partition_skew=float(context.param("partition_skew", 1.0)),
-        shuffle_cost=workload.shuffle_cost_model(),
-        cache_cost=workload.cache_shuffle_cost_model(),
-        relay_cost=workload.relay_shuffle_cost_model(),
+        **_selector_params(context, ("staged",)),
     )
     chosen = decision.chosen
     # Execute exactly the configuration the estimate priced.
@@ -509,28 +518,12 @@ def online_sort(context: StageContext, inputs: dict) -> t.Generator:
         lineage_key, cached = yield from _lineage_lookup(context, upstream)
         if cached is not None:
             return cached
-    memory_mb = int(context.param("memory_mb", 2048))
-    executor = _function_executor(context, memory_mb)
-    workload = _workload(context)
-    substrates = context.param("substrates")
-    modes = context.param("modes")
     operator = OnlineShuffleSort(
-        executor,
+        _function_executor(context, int(context.param("memory_mb", 2048))),
         bed_record_codec(),
         stream=_stream_config(context.param, "stream_chunk_mb", "stream_buffer_mb"),
-        shuffle_cost=workload.shuffle_cost_model(),
-        cache_cost=workload.cache_shuffle_cost_model(),
-        relay_cost=workload.relay_shuffle_cost_model(),
-        time_value_usd_per_hour=float(
-            context.param("time_value_usd_per_hour", 1.0)
-        ),
-        substrates=tuple(substrates) if substrates is not None else None,
-        modes=tuple(modes) if modes is not None else ("staged", "streaming"),
-        cache_node_type=context.param("cache_node_type", "cache.r5.large"),
-        relay_instance_type=context.param("instance_type") or None,
-        max_relay_shards=int(context.param("max_relay_shards", 8)),
-        partition_skew=float(context.param("partition_skew", 1.0)),
         switch_margin=float(context.param("switch_margin", 0.05)),
+        **_selector_params(context, ("staged", "streaming")),
     )
     result = yield operator.sort(
         upstream["bucket"],

@@ -7,7 +7,7 @@
 """
 
 from repro.experiments.figure1 import render_figure1
-from repro.experiments.format import format_rows
+from repro.experiments.format import format_rows, format_table
 from repro.experiments.sweeps import (
     sweep_codec,
     sweep_exchange,
@@ -32,6 +32,7 @@ from repro.experiments.table1 import regenerate_table1
 
 __all__ = [
     "format_rows",
+    "format_table",
     "regenerate_table1",
     "render_figure1",
     "sweep_codec",

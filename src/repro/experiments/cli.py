@@ -41,7 +41,7 @@ import sys
 from repro.core.calibration import ExperimentConfig
 from repro.experiments import sweeps
 from repro.experiments.figure1 import render_figure1
-from repro.experiments.format import format_rows
+from repro.experiments.format import format_table
 from repro.experiments.table1 import regenerate_table1
 
 
@@ -53,8 +53,7 @@ def _print_rows(title: str, rows: list[dict]) -> None:
     if not rows:
         print(f"{title}: no rows")
         return
-    headers = list(rows[0].keys())
-    print(format_rows(headers, [[row[h] for h in headers] for row in rows], title))
+    print(format_table(rows, title))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -138,9 +137,10 @@ def main(argv: list[str] | None = None) -> int:
         )
     elif args.command == "sweep-exchange":
         rows = sweeps.sweep_exchange(_config(args))
-        reports = [row.pop("_report", None) for row in rows]
         _print_rows("S8: exchange-substrate worker sweep", rows)
-        last_report = next((r for r in reversed(reports) if r), None)
+        last_report = next(
+            (row["_report"] for row in reversed(rows) if row.get("_report")), None
+        )
         if last_report:
             print()
             print(last_report)
@@ -161,11 +161,9 @@ def main(argv: list[str] | None = None) -> int:
         )
     elif args.command == "sweep-online":
         rows = sweeps.sweep_online(_config(args))
-        timeline: list[str] = []
-        for row in rows:
-            lines = row.pop("_timeline", None)
-            if lines and not timeline:
-                timeline = lines
+        timeline = next(
+            (row["_timeline"] for row in rows if row.get("_timeline")), []
+        )
         _print_rows(
             "S12: online mid-stream re-selection vs static decisions", rows
         )

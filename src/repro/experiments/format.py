@@ -36,3 +36,12 @@ def format_rows(
     out.append("  ".join("-" * width for width in widths))
     out.extend(fmt(row) for row in rendered)
     return "\n".join(out)
+
+
+def format_table(rows: t.Sequence[dict[str, t.Any]], title: str | None = None) -> str:
+    """:func:`format_rows` over dict rows: one column per key of the
+    first row, in its order.  Keys starting with ``_`` are private to
+    the sweep that produced them (rendered reports, gate inputs) and
+    never become columns."""
+    headers = [key for key in rows[0] if not key.startswith("_")]
+    return format_rows(headers, [[row[h] for h in headers] for row in rows], title)

@@ -264,7 +264,7 @@ def sweep_exchange(
     substrates produced identical artifacts, plus the substrate's
     uniform report fields (provisioned infrastructure dollars) and the
     rendered :meth:`~repro.shuffle.exchange.ExchangeReport.describe`
-    table (``_report`` — popped by table formatters).
+    table (``_report`` — private: ``format_table`` drops ``_`` keys).
 
     The sweep gates itself before returning
     (:class:`~repro.obs.slo.SloGate`): per worker count, every

@@ -70,20 +70,6 @@ from repro.shuffle.streaming import (
 )
 from repro.storage import paths
 
-#: Field names an ``extra`` entry may never shadow.
-_COMMON_FIELDS = (
-    "substrate",
-    "workers",
-    "predicted_s",
-    "actual_s",
-    "provisioned_usd",
-    "overlap_s",
-    "buffer_high_watermark_bytes",
-    "partition_skew",
-    "extra",
-)
-
-
 @dataclasses.dataclass(frozen=True)
 class ExchangeReport:
     """Uniform per-sort execution report, identical across substrates.
@@ -135,7 +121,7 @@ class ExchangeReport:
     extra: dict[str, t.Any] = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        shadowed = [key for key in self.extra if key in _COMMON_FIELDS]
+        shadowed = [key for key in self.extra if key in self.__dataclass_fields__]
         if shadowed:
             raise ValueError(
                 f"exchange report extra keys shadow common fields: {shadowed}"
@@ -155,15 +141,10 @@ class ExchangeReport:
 
     def as_dict(self) -> dict[str, t.Any]:
         """Common fields + extras, flattened (extras never shadow)."""
-        out: dict[str, t.Any] = {
-            "substrate": self.substrate,
-            "workers": self.workers,
-            "predicted_s": self.predicted_s,
-            "actual_s": self.actual_s,
-            "provisioned_usd": self.provisioned_usd,
-            "overlap_s": self.overlap_s,
-            "buffer_high_watermark_bytes": self.buffer_high_watermark_bytes,
-            "partition_skew": self.partition_skew,
+        out = {
+            name: getattr(self, name)
+            for name in self.__dataclass_fields__
+            if name != "extra"
         }
         for key, value in self.extra.items():
             out.setdefault(key, value)
@@ -645,19 +626,21 @@ class CacheExchange(ExchangeBackend):
     def extra_report(self) -> dict:
         totals = self.cluster.stats_totals()
         baseline = self._stats_baseline
+
+        def since(name: str) -> float:
+            return totals[name] - baseline.get(name, 0)
+
         return {
             "cluster_id": self.cluster.cluster_id,
             "nodes": len(self.cluster.nodes),
             "node_type": self.cluster.node_type.name,
             "peak_fill_fraction": self._peak_fill,
-            "cache_sets": int(totals["sets"] - baseline.get("sets", 0)),
-            "cache_gets": int(totals["gets"] - baseline.get("gets", 0)),
-            "evictions": int(totals["evictions"] - baseline.get("evictions", 0)),
-            "dedup_hits": int(totals["dedup_hits"] - baseline.get("dedup_hits", 0)),
-            "dedup_restores": int(
-                totals["dedup_restores"] - baseline.get("dedup_restores", 0)
-            ),
-            "dedup_bytes": totals["dedup_bytes"] - baseline.get("dedup_bytes", 0.0),
+            "cache_sets": int(since("sets")),
+            "cache_gets": int(since("gets")),
+            "evictions": int(since("evictions")),
+            "dedup_hits": int(since("dedup_hits")),
+            "dedup_restores": int(since("dedup_restores")),
+            "dedup_bytes": since("dedup_bytes"),
         }
 
     def cas_entries(self, prefix: str) -> list[tuple[str, str, float]]:

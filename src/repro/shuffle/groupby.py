@@ -20,11 +20,10 @@ import typing as t
 
 from repro.errors import ShuffleError
 from repro.shuffle import kernels
-from repro.shuffle.operator import _split
+from repro.shuffle.operator import sample_and_map
 from repro.shuffle.planner import ShuffleCostModel, plan_shuffle
 from repro.shuffle.records import RecordCodec
-from repro.shuffle.sampler import choose_weighted_boundaries
-from repro.shuffle.stages import shuffle_mapper, shuffle_sampler
+from repro.shuffle.stages import cos_segments, fetch_segments
 from repro.sim import SimEvent
 from repro.storage import paths
 
@@ -84,41 +83,7 @@ def shuffle_group_reducer(ctx, task: dict) -> t.Generator:
     """
     codec: RecordCodec = task["codec"]
     aggregate_fn: AggregateFn = task["aggregate_fn"]
-    segments = [
-        (key, start, end)
-        for key, start, end in task["segments"]
-        if start is None or end > start
-    ]
-    parallelism = max(1, task["fetch_parallelism"])
-    fetch_storage = ctx.storage
-    if parallelism > 1 and ctx.storage.connection_bandwidth is not None:
-        fetch_storage = ctx.storage.bounded(
-            ctx.storage.connection_bandwidth / parallelism
-        )
-
-    chunks: dict[int, bytes] = {}
-
-    def fetch_one(index: int, key: str, seg_start, seg_end) -> t.Generator:
-        if seg_start is None:
-            chunks[index] = yield fetch_storage.get(task["out_bucket"], key)
-        else:
-            chunks[index] = yield fetch_storage.get_range(
-                task["out_bucket"], key, seg_start, seg_end
-            )
-
-    for batch_start in range(0, len(segments), parallelism):
-        batch = segments[batch_start : batch_start + parallelism]
-        processes = [
-            ctx.sim.process(
-                fetch_one(batch_start + offset, key, seg_start, seg_end),
-                name=f"group-fetch-{batch_start + offset}",
-            )
-            for offset, (key, seg_start, seg_end) in enumerate(batch)
-        ]
-        if processes:
-            yield ctx.sim.all_of([process.completion for process in processes])
-
-    buffer = b"".join(chunks[index] for index in sorted(chunks))
+    buffer = yield from fetch_segments(ctx, task, "group-fetch")
     yield ctx.compute_bytes(len(buffer), task["sort_throughput"])
 
     kernel_started = time.perf_counter()
@@ -226,80 +191,27 @@ class ShuffleGroupBy:
             )
             workers = plan.workers
 
-        # --- sample (by group key) -------------------------------------
-        sampler_count = max(1, min(samplers, workers))
-        from repro.shuffle.operator import _sample_window_bytes
-
-        window = _sample_window_bytes(meta.size, sampler_count, self.cost.sample_bytes)
-        sample_tasks = [
-            {
-                "bucket": bucket,
-                "key": key,
-                "start": start,
-                "end": end,
-                "object_size": meta.size,
-                "sample_bytes": window,
-                "sample_keys": self.cost.sample_keys,
-                "codec": self.codec,
-                "sampler_id": index,
-            }
-            for index, (start, end) in enumerate(_split(meta.size, sampler_count))
-        ]
-        sample_futures = yield self.executor.map(shuffle_sampler, sample_tasks)
-        sample_results = yield self.executor.get_result(sample_futures)
-        pooled = [k for result in sample_results for k in result["keys"]]
-        if not pooled:
-            raise ShuffleError(f"sampling found no records in {bucket}/{key}")
-        boundaries = choose_weighted_boundaries(pooled, workers)
-
-        # --- map ---------------------------------------------------------
-        map_tasks = [
-            {
-                "bucket": bucket,
-                "key": key,
-                "start": start,
-                "end": end,
-                "object_size": meta.size,
-                "peek_bytes": self.cost.peek_bytes,
-                "boundaries": boundaries,
-                "codec": self.codec,
-                "out_bucket": out_bucket,
-                "out_key": paths.shuffle_map_output_key(out_prefix, mapper_id),
-                "partition_throughput": self.cost.partition_throughput,
-                "write_combining": self.cost.write_combining,
-            }
-            for mapper_id, (start, end) in enumerate(_split(meta.size, workers))
-        ]
-        map_futures = yield self.executor.map(shuffle_mapper, map_tasks)
-        map_results = yield self.executor.get_result(map_futures)
+        # --- sample (by group key) and map -----------------------------
+        map_tasks, map_results = yield from sample_and_map(
+            self.executor, self.codec, self.cost, bucket, key, meta.size,
+            workers, samplers, out_bucket, out_prefix, self.cost.write_combining,
+        )
 
         # --- group-reduce ---------------------------------------------------
-        reduce_tasks = []
-        for reducer_id in range(workers):
-            if self.cost.write_combining:
-                segments = [
-                    (
-                        map_tasks[mapper_id]["out_key"],
-                        *map_results[mapper_id]["offsets"][reducer_id],
-                    )
-                    for mapper_id in range(workers)
-                ]
-            else:
-                segments = [
-                    (map_results[mapper_id]["partition_keys"][reducer_id], None, None)
-                    for mapper_id in range(workers)
-                ]
-            reduce_tasks.append(
-                {
-                    "out_bucket": out_bucket,
-                    "segments": segments,
-                    "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
-                    "codec": self.codec,
-                    "aggregate_fn": aggregate_fn,
-                    "sort_throughput": self.cost.sort_throughput,
-                    "fetch_parallelism": self.cost.fetch_parallelism,
-                }
-            )
+        reduce_tasks = [
+            {
+                "out_bucket": out_bucket,
+                "segments": cos_segments(
+                    self.cost.write_combining, map_tasks, map_results, reducer_id
+                ),
+                "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
+                "codec": self.codec,
+                "aggregate_fn": aggregate_fn,
+                "sort_throughput": self.cost.sort_throughput,
+                "fetch_parallelism": self.cost.fetch_parallelism,
+            }
+            for reducer_id in range(workers)
+        ]
         reduce_futures = yield self.executor.map(shuffle_group_reducer, reduce_tasks)
         reduce_results = yield self.executor.get_result(reduce_futures)
 

@@ -48,7 +48,6 @@ import dataclasses
 import math
 import typing as t
 
-from repro.cas import cas_enabled, sha256_hex
 from repro.errors import ShuffleError
 from repro.shuffle.adaptive import (
     DecisionPoint,
@@ -60,9 +59,8 @@ from repro.shuffle.adaptive import (
     fit_stream_profiles,
 )
 from repro.shuffle.cacheplanner import CacheShuffleCostModel
-from repro.shuffle.content import build_run_manifest
 from repro.shuffle.exchange import ExchangeBackend, ExchangeReport, ObjectStoreExchange
-from repro.shuffle.operator import ShuffleResult, ShuffleSort, _jsonable, _split
+from repro.shuffle.operator import ShuffleResult, ShuffleSort, _split
 from repro.shuffle.planner import ShuffleCostModel
 from repro.shuffle.records import RecordCodec
 from repro.shuffle.relay import (
@@ -394,30 +392,11 @@ class OnlineShuffleSort(ShuffleSort):
         #: Chunk-grain hot-partition reroutes of the last sort.
         self.chunk_reroutes = 0
 
-    # ------------------------------------------------------------------
-    def sort(
-        self,
-        bucket: str,
-        key: str,
-        out_bucket: str | None = None,
-        out_prefix: str | None = None,
-        workers: int | None = None,
-        samplers: int = 8,
-        max_workers: int = 256,
-    ) -> SimEvent:
-        """Sort ``bucket/key``; event → :class:`ShuffleResult`."""
-        return self.sim.process(
-            self._sort(
-                bucket,
-                key,
-                out_bucket if out_bucket is not None else bucket,
-                out_prefix if out_prefix is not None else "online-shuffle",
-                workers,
-                samplers,
-                max_workers,
-            ),
-            name=f"onlineshuffle.sort:{key}",
-        ).completion
+    def _process_label(self) -> str:
+        return "onlineshuffle"
+
+    def _default_out_prefix(self) -> str:
+        return "online-shuffle"
 
     # ------------------------------------------------------------------
     def _decide(
@@ -674,7 +653,7 @@ class OnlineShuffleSort(ShuffleSort):
                 logical_size=len(payload),
             )
 
-        job = f"onlineshuffle:{out_prefix}@{started_at:.3f}"
+        job = f"{self._process_label()}:{out_prefix}@{started_at:.3f}"
         self._record_wave(job, "map", "start")
         # One span covers the whole chunked map phase: online waves are
         # slices of a single logical stage, not separate stages.
@@ -733,24 +712,30 @@ class OnlineShuffleSort(ShuffleSort):
         samples: dict[str, StreamRateSample] = {}
         observed_cells = [[0.0] * reducers for _ in range(reducers)]
         last_reroute_table = None
-        mapped_records = 0
-        map_exec_start = float("inf")
-        published_logical = 0.0
-        stream_chunks = 0
         map_kernel_results: list[dict] = []
+        totals = {
+            "records": 0, "chunks": 0, "published_logical": 0.0,
+            "exec_start": float("inf"),
+        }
+
+        def absorb(map_results: list[dict]) -> float:
+            """Fold one map job's results into the run totals; returns
+            the logical bytes it published."""
+            map_kernel_results.extend(map_results)
+            totals["records"] += sum(r["records"] for r in map_results)
+            totals["chunks"] += sum(r["chunks"] for r in map_results)
+            totals["exec_start"] = min(
+                totals["exec_start"], min(r["started_at"] for r in map_results)
+            )
+            published = sum(r["published_logical"] for r in map_results)
+            totals["published_logical"] += published
+            return published
+
         wave = 0
         try:
             while True:
                 map_results = yield self.executor.get_result(map_futures)
-                map_kernel_results.extend(map_results)
-                mapped_records += sum(r["records"] for r in map_results)
-                stream_chunks += sum(r["chunks"] for r in map_results)
-                map_exec_start = min(
-                    map_exec_start,
-                    min(r["started_at"] for r in map_results),
-                )
-                wave_logical = sum(r["published_logical"] for r in map_results)
-                published_logical += wave_logical
+                wave_logical = absorb(map_results)
                 wave_cells = [[0.0] * reducers for _ in range(reducers)]
                 for result in map_results:
                     for cell in result["cells"]:
@@ -786,21 +771,11 @@ class OnlineShuffleSort(ShuffleSort):
                         span=map_span,
                     )
                     wave = total_waves
-                    map_results = yield self.executor.get_result(map_futures)
-                    map_kernel_results.extend(map_results)
-                    mapped_records += sum(r["records"] for r in map_results)
-                    stream_chunks += sum(r["chunks"] for r in map_results)
-                    map_exec_start = min(
-                        map_exec_start,
-                        min(r["started_at"] for r in map_results),
-                    )
-                    published_logical += sum(
-                        r["published_logical"] for r in map_results
-                    )
+                    absorb((yield self.executor.get_result(map_futures)))
                     break
 
                 # Refit from observed rates; re-select on what is left.
-                remaining = max(1.0, total_logical - published_logical)
+                remaining = max(1.0, total_logical - totals["published_logical"])
                 fitted = fit_stream_profiles(profile, samples.values())
                 decision = self._decide(
                     remaining, fitted, pinned_workers, max_workers
@@ -934,13 +909,13 @@ class OnlineShuffleSort(ShuffleSort):
                 s.release(self.sim.now)
 
         runs, total_records = self._collect_runs(
-            [{"records": mapped_records}], reduce_results, out_bucket
+            [{"records": totals["records"]}], reduce_results, out_bucket
         )
         reduce_exec_start = min(r["started_at"] for r in reduce_results)
         overlap_s = max(
             0.0,
             min(map_ended_at, self.sim.now)
-            - max(map_exec_start, reduce_exec_start),
+            - max(totals["exec_start"], reduce_exec_start),
         )
         provisioned_usd = sum(s.billed_usd(self.sim.now) for s in stints)
         final = self.timeline.final.decision.chosen
@@ -949,39 +924,18 @@ class OnlineShuffleSort(ShuffleSort):
             store.stats.dedup_bytes - cos_dedup_baseline
             + sum(s.dedup_bytes for s in stints)
         )
-        if cas_enabled():
-            # Stints own their substrate instances (terminated above, so
-            # their content logs were captured at release); the COS
-            # stints' chunk objects live in the shared store's log.
-            chunk_entries = list(store.cas_entries(f"{out_prefix}/stream"))
-            for s in stints:
-                chunk_entries.extend(s.cas_entries)
-            self.run_manifest = build_run_manifest(
-                inputs={
-                    "bucket": bucket,
-                    "key": key,
-                    "etag": meta.etag,
-                    "logical_size": meta.logical_size,
-                },
-                decision={
-                    "substrate": final.substrate,
-                    "mode": "online",
-                    "workers": reducers,
-                    "boundaries": [_jsonable(b) for b in boundaries],
-                },
-                chunks=chunk_entries,
-                outputs=[
-                    {
-                        "bucket": run.bucket,
-                        "key": run.key,
-                        "sha256": sha256_hex(store.peek(run.bucket, run.key)),
-                        "logical": float(run.size_bytes),
-                    }
-                    for run in runs
-                ],
-            )
-        else:
-            self.run_manifest = None
+        # Stints own their substrate instances (terminated above, so their
+        # content logs were captured at release); the COS stints' chunk
+        # objects live in the shared store's log.
+        self.run_manifest = self._build_manifest(
+            bucket, key, meta, reducers, boundaries, runs,
+            chunks=[
+                *store.cas_entries(f"{out_prefix}/stream"),
+                *(entry for s in stints for entry in s.cas_entries),
+            ],
+            substrate=final.substrate,
+            mode="online",
+        )
         self.report = ExchangeReport(
             substrate=final.substrate,
             workers=reducers,
@@ -1000,7 +954,7 @@ class OnlineShuffleSort(ShuffleSort):
                 "substrate_switches": self.timeline.switches,
                 "chunk_reroutes": self.chunk_reroutes,
                 "decision_points": len(self.timeline),
-                "stream_chunks": stream_chunks,
+                "stream_chunks": totals["chunks"],
                 "stints": len(stints),
                 "dedup_bytes": dedup_bytes,
                 "buffer_backpressure_waits": sum(

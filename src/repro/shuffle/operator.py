@@ -46,8 +46,9 @@ from repro.shuffle.sampler import (
     estimate_partition_weights,
     partition_skew_of,
 )
-from repro.shuffle.stages import shuffle_sampler
+from repro.shuffle.stages import shuffle_mapper, shuffle_sampler
 from repro.sim import SimEvent
+from repro.storage import paths
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -143,13 +144,20 @@ class ShuffleSort:
                 bucket,
                 key,
                 out_bucket if out_bucket is not None else bucket,
-                out_prefix if out_prefix is not None else self.backend.default_out_prefix,
+                out_prefix if out_prefix is not None else self._default_out_prefix(),
                 workers,
                 samplers,
                 max_workers,
             ),
-            name=f"{self.backend.process_label}.sort:{key}",
+            name=f"{self._process_label()}.sort:{key}",
         ).completion
+
+    def _process_label(self) -> str:
+        """Prefix of this operator's simulation process and job names."""
+        return self.backend.process_label
+
+    def _default_out_prefix(self) -> str:
+        return self.backend.default_out_prefix
 
     # ------------------------------------------------------------------
     # phases (OnlineShuffleSort reuses these around its own wave loop)
@@ -311,15 +319,17 @@ class ShuffleSort:
         workers: int,
         boundaries: t.Sequence[t.Any],
         runs: t.Sequence[SortedRun],
-        out_prefix: str,
+        chunks: t.Sequence[tuple[str, str, float]],
+        substrate: str,
+        mode: str,
     ) -> RunManifest | None:
         """Hash-chain this sort into a verifiable :class:`RunManifest`.
 
         Inputs (what was sorted) → decision (substrate/mode/workers/
-        boundaries) → chunks (the backend's content log of exchange
-        traffic under this sort's prefix) → outputs (the sorted runs,
-        re-hashed from the bytes actually at rest).  ``None`` when
-        content addressing is disabled (``REPRO_CAS=off``).
+        boundaries) → chunks (the content log of the exchange traffic
+        under this sort's prefix) → outputs (the sorted runs, re-hashed
+        from the bytes actually at rest).  ``None`` when content
+        addressing is disabled (``REPRO_CAS=off``).
         """
         if not cas_enabled():
             return None
@@ -331,8 +341,8 @@ class ShuffleSort:
             "logical_size": meta.logical_size,
         }
         decision = {
-            "substrate": self.backend.name,
-            "mode": self.backend.mode,
+            "substrate": substrate,
+            "mode": mode,
             "workers": workers,
             "boundaries": [_jsonable(boundary) for boundary in boundaries],
         }
@@ -346,10 +356,7 @@ class ShuffleSort:
             for run in runs
         ]
         return build_run_manifest(
-            inputs=inputs,
-            decision=decision,
-            chunks=self.backend.cas_entries(out_prefix),
-            outputs=outputs,
+            inputs=inputs, decision=decision, chunks=chunks, outputs=outputs
         )
 
     # ------------------------------------------------------------------
@@ -381,7 +388,7 @@ class ShuffleSort:
                 bucket, key, real_size, meta.logical_size, workers, samplers,
                 span=sort_span,
             )
-            job = f"{self.backend.process_label}:{out_prefix}@{started_at:.3f}"
+            job = f"{self._process_label()}:{out_prefix}@{started_at:.3f}"
             streaming = self.backend.stream is not None
             map_tasks = self._map_tasks(
                 bucket, key, real_size, boundaries, workers, out_bucket, out_prefix
@@ -447,7 +454,10 @@ class ShuffleSort:
                 map_results, reduce_results, out_bucket
             )
             self.run_manifest = self._build_manifest(
-                bucket, key, meta, workers, boundaries, runs, out_prefix
+                bucket, key, meta, workers, boundaries, runs,
+                chunks=self.backend.cas_entries(out_prefix),
+                substrate=self.backend.name,
+                mode=self.backend.mode,
             )
             overlap_s = buffer_high_watermark = 0.0
             extra = {
@@ -500,6 +510,71 @@ class ShuffleSort:
                 total_records=total_records,
                 duration_s=self.sim.now - started_at,
             )
+
+
+def sample_and_map(
+    executor,
+    codec: RecordCodec,
+    cost: ShuffleCostModel,
+    bucket: str,
+    key: str,
+    real_size: int,
+    workers: int,
+    samplers: int,
+    out_bucket: str,
+    out_prefix: str,
+    write_combining: bool,
+) -> t.Generator:
+    """The sample and map waves of a plain object-storage shuffle.
+
+    What :class:`~repro.shuffle.groupby.ShuffleGroupBy` and
+    :class:`~repro.shuffle.orderby.ShuffleOrderBy` run before their own
+    reduce wave: pool a key sample, pick weighted range boundaries, and
+    partition ``bucket/key`` into ``workers`` mapper outputs.  Returns
+    ``(map_tasks, map_results)``.
+    """
+    sampler_count = max(1, min(samplers, workers))
+    window = _sample_window_bytes(real_size, sampler_count, cost.sample_bytes)
+    sample_tasks = [
+        {
+            "bucket": bucket,
+            "key": key,
+            "start": start,
+            "end": end,
+            "object_size": real_size,
+            "sample_bytes": window,
+            "sample_keys": cost.sample_keys,
+            "codec": codec,
+            "sampler_id": index,
+        }
+        for index, (start, end) in enumerate(_split(real_size, sampler_count))
+    ]
+    sample_futures = yield executor.map(shuffle_sampler, sample_tasks)
+    sample_results = yield executor.get_result(sample_futures)
+    pooled_keys = [k for result in sample_results for k in result["keys"]]
+    if not pooled_keys:
+        raise ShuffleError(f"sampling found no records in {bucket}/{key}")
+    boundaries = choose_weighted_boundaries(pooled_keys, workers)
+    map_tasks = [
+        {
+            "bucket": bucket,
+            "key": key,
+            "start": start,
+            "end": end,
+            "object_size": real_size,
+            "peek_bytes": cost.peek_bytes,
+            "boundaries": boundaries,
+            "codec": codec,
+            "out_bucket": out_bucket,
+            "out_key": paths.shuffle_map_output_key(out_prefix, mapper_id),
+            "partition_throughput": cost.partition_throughput,
+            "write_combining": write_combining,
+        }
+        for mapper_id, (start, end) in enumerate(_split(real_size, workers))
+    ]
+    map_futures = yield executor.map(shuffle_mapper, map_tasks)
+    map_results = yield executor.get_result(map_futures)
+    return map_tasks, map_results
 
 
 def _jsonable(value: t.Any) -> t.Any:

@@ -23,11 +23,10 @@ import typing as t
 
 from repro.errors import ShuffleError
 from repro.shuffle import kernels
-from repro.shuffle.operator import SortedRun, _sample_window_bytes, _split
+from repro.shuffle.operator import SortedRun, sample_and_map
 from repro.shuffle.planner import ShuffleCostModel
 from repro.shuffle.records import RecordCodec
-from repro.shuffle.sampler import choose_weighted_boundaries
-from repro.shuffle.stages import shuffle_mapper, shuffle_reducer, shuffle_sampler
+from repro.shuffle.stages import cos_segments, shuffle_reducer
 from repro.sim import SimEvent
 from repro.storage import paths
 
@@ -217,52 +216,11 @@ class ShuffleOrderBy:
         if real_size == 0:
             raise ShuffleError(f"cannot order empty object {bucket}/{key}")
 
-        # --- sample ------------------------------------------------------
-        sampler_count = max(1, min(samplers, workers))
-        sample_splits = _split(real_size, sampler_count)
-        window = _sample_window_bytes(real_size, sampler_count, self.cost.sample_bytes)
-        sample_tasks = [
-            {
-                "bucket": bucket,
-                "key": key,
-                "start": start,
-                "end": end,
-                "object_size": real_size,
-                "sample_bytes": window,
-                "sample_keys": self.cost.sample_keys,
-                "codec": self.codec,
-                "sampler_id": index,
-            }
-            for index, (start, end) in enumerate(sample_splits)
-        ]
-        sample_futures = yield self.executor.map(shuffle_sampler, sample_tasks)
-        sample_results = yield self.executor.get_result(sample_futures)
-        pooled_keys = [k for result in sample_results for k in result["keys"]]
-        if not pooled_keys:
-            raise ShuffleError(f"sampling found no records in {bucket}/{key}")
-        boundaries = choose_weighted_boundaries(pooled_keys, workers)
-
-        # --- map ---------------------------------------------------------
-        map_splits = _split(real_size, workers)
-        map_tasks = [
-            {
-                "bucket": bucket,
-                "key": key,
-                "start": start,
-                "end": end,
-                "object_size": real_size,
-                "peek_bytes": self.cost.peek_bytes,
-                "boundaries": boundaries,
-                "codec": self.codec,
-                "out_bucket": out_bucket,
-                "out_key": paths.shuffle_map_output_key(out_prefix, mapper_id),
-                "partition_throughput": self.cost.partition_throughput,
-                "write_combining": True,
-            }
-            for mapper_id, (start, end) in enumerate(map_splits)
-        ]
-        map_futures = yield self.executor.map(shuffle_mapper, map_tasks)
-        map_results = yield self.executor.get_result(map_futures)
+        # --- sample and map ------------------------------------------------
+        map_tasks, map_results = yield from sample_and_map(
+            self.executor, self.codec, self.cost, bucket, key, real_size,
+            workers, samplers, out_bucket, out_prefix, write_combining=True,
+        )
         input_records = sum(result["records"] for result in map_results)
 
         # --- limit pushdown ------------------------------------------------
@@ -287,26 +245,18 @@ class ShuffleOrderBy:
         pruned = workers - len(reduce_plan)
 
         # --- reduce --------------------------------------------------------
-        reduce_tasks = []
-        for partition, record_limit in reduce_plan:
-            segments = [
-                (
-                    map_tasks[mapper_id]["out_key"],
-                    *map_results[mapper_id]["offsets"][partition],
-                )
-                for mapper_id in range(workers)
-            ]
-            reduce_tasks.append(
-                {
-                    "out_bucket": out_bucket,
-                    "segments": segments,
-                    "output_key": paths.shuffle_output_key(out_prefix, partition),
-                    "codec": self.codec,
-                    "sort_throughput": self.cost.sort_throughput,
-                    "fetch_parallelism": self.cost.fetch_parallelism,
-                    "record_limit": record_limit,
-                }
-            )
+        reduce_tasks = [
+            {
+                "out_bucket": out_bucket,
+                "segments": cos_segments(True, map_tasks, map_results, partition),
+                "output_key": paths.shuffle_output_key(out_prefix, partition),
+                "codec": self.codec,
+                "sort_throughput": self.cost.sort_throughput,
+                "fetch_parallelism": self.cost.fetch_parallelism,
+                "record_limit": record_limit,
+            }
+            for partition, record_limit in reduce_plan
+        ]
         reduce_futures = yield self.executor.map(shuffle_reducer, reduce_tasks)
         reduce_results = yield self.executor.get_result(reduce_futures)
 

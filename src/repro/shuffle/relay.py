@@ -500,21 +500,20 @@ class RelayExchange(ExchangeBackend):
             self._peak_token = None
         else:
             peak_fill = self.relay.peak_fill_fraction
+
+        def since(name: str) -> float:
+            return totals[name] - baseline.get(name, 0)
+
         return {
             "relay_id": self.relay.relay_id,
             "instance_type": self.relay.instance_type_name,
             "shards": self.shards,
             "peak_fill_fraction": peak_fill,
-            "pushes": int(totals["pushes"] - baseline.get("pushes", 0)),
-            "pulls": int(totals["pulls"] - baseline.get("pulls", 0)),
-            "backpressure_waits": int(
-                totals["backpressure_waits"]
-                - baseline.get("backpressure_waits", 0)
-            ),
-            "dedup_hits": int(
-                totals["dedup_hits"] - baseline.get("dedup_hits", 0)
-            ),
-            "dedup_bytes": totals["dedup_bytes"] - baseline.get("dedup_bytes", 0.0),
+            "pushes": int(since("pushes")),
+            "pulls": int(since("pulls")),
+            "backpressure_waits": int(since("backpressure_waits")),
+            "dedup_hits": int(since("dedup_hits")),
+            "dedup_bytes": since("dedup_bytes"),
         }
 
     def cas_entries(self, prefix: str) -> list[tuple[str, str, float]]:

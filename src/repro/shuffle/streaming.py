@@ -249,34 +249,22 @@ class _ObjectStorePort:
 
 
 class _NotifyPort:
-    """Shared stream port over a notifying key-value rendezvous.
+    """Stream port over a notifying key-value rendezvous.
 
     The cache and the relay speak the same streaming protocol — a
     header key announcing the chunk count, one value per
     (mapper, reducer, chunk), blocking reads parked on the server's
-    publish notification — and differ only in the client verbs.
-    Subclasses bind :meth:`_put` / :meth:`_mput` / :meth:`_get_blocking`
-    to their service's client; everything else lives here once.
+    publish notification — and differ only in the client verbs, which
+    :func:`_cache_port` / :func:`_relay_port` bind: ``put(key, data)``,
+    ``mput(items)`` and ``get_blocking(key)``, each returning an event.
     """
 
-    def __init__(self, ctx, stream: dict):
-        self.ctx = ctx
-        self.prefix = stream["prefix"]
-        self.client = self._make_client(ctx, stream)
+    def __init__(self, prefix: str, put, mput, get_blocking):
+        self.prefix = prefix
+        self._put = put
+        self._mput = mput
+        self._get_blocking = get_blocking
         self._headers: dict[int, int] = {}
-
-    # -- service verbs (subclass responsibility) -----------------------
-    def _make_client(self, ctx, stream: dict):
-        raise NotImplementedError
-
-    def _put(self, key: str, data: bytes) -> SimEvent:
-        raise NotImplementedError
-
-    def _mput(self, items: list[tuple[str, bytes]]) -> SimEvent:
-        raise NotImplementedError
-
-    def _get_blocking(self, key: str) -> SimEvent:
-        raise NotImplementedError
 
     # -- mapper side ---------------------------------------------------
     def announce(self, mapper_id: int, chunk_count: int) -> t.Generator:
@@ -313,11 +301,7 @@ class _NotifyPort:
             self._headers[mapper_id] = count
         if chunk >= count:
             return None
-        return (
-            yield self._get_blocking(
-                stream_segment_key(self.prefix, mapper_id, reducer_id, chunk)
-            )
-        )
+        return (yield from self.fetch_chunk(mapper_id, reducer_id, chunk))
 
     def fetch_chunk(
         self, mapper_id: int, reducer_id: int, chunk: int
@@ -335,51 +319,41 @@ class _NotifyPort:
         )
 
 
-class _CachePort(_NotifyPort):
+def _cache_port(ctx, stream: dict) -> _NotifyPort:
     """Set-notification stream port over the in-memory cache cluster."""
-
-    def _make_client(self, ctx, stream: dict):
-        return ctx.kv(stream["cluster_id"])
-
-    def _put(self, key: str, data: bytes) -> SimEvent:
-        return self.client.set(key, data, logical_size=len(data))
-
-    def _mput(self, items: list[tuple[str, bytes]]) -> SimEvent:
-        return self.client.mset(items)
-
-    def _get_blocking(self, key: str) -> SimEvent:
-        return self.client.get_wait(key)
+    client = ctx.kv(stream["cluster_id"])
+    return _NotifyPort(
+        stream["prefix"],
+        put=lambda key, data: client.set(key, data, logical_size=len(data)),
+        mput=client.mset,
+        get_blocking=client.get_wait,
+    )
 
 
-class _RelayPort(_NotifyPort):
+def _relay_port(ctx, stream: dict) -> _NotifyPort:
     """Rendezvous stream port over the VM relay (or sharded fleet)."""
-
-    def _make_client(self, ctx, stream: dict):
-        return ctx.relay(stream["relay_id"], scope=stream.get("relay_scope"))
-
-    def _put(self, key: str, data: bytes) -> SimEvent:
-        return self.client.push(key, data, logical_size=len(data))
-
-    def _mput(self, items: list[tuple[str, bytes]]) -> SimEvent:
-        return self.client.mpush(items)
-
-    def _get_blocking(self, key: str) -> SimEvent:
-        return self.client.pull_wait(key)
+    client = ctx.relay(stream["relay_id"], scope=stream.get("relay_scope"))
+    return _NotifyPort(
+        stream["prefix"],
+        put=lambda key, data: client.push(key, data, logical_size=len(data)),
+        mput=client.mpush,
+        get_blocking=client.pull_wait,
+    )
 
 
 _PORTS = {
     "objectstore": _ObjectStorePort,
-    "cache": _CachePort,
-    "relay": _RelayPort,
+    "cache": _cache_port,
+    "relay": _relay_port,
 }
 
 
 def _make_port(ctx, stream: dict):
     try:
-        port_class = _PORTS[stream["kind"]]
+        open_port = _PORTS[stream["kind"]]
     except KeyError:
         raise ShuffleError(f"unknown stream port kind {stream['kind']!r}") from None
-    return port_class(ctx, stream)
+    return open_port(ctx, stream)
 
 
 # ----------------------------------------------------------------------

@@ -155,8 +155,16 @@ class TokenBucket:
                 event.succeed()
                 continue
             if not self._wake_pending:
-                shortfall = amount - self._tokens
-                delay = shortfall / self.rate
+                delay = (amount - self._tokens) / self.rate
+                if self.sim.now + delay <= self.sim.now:
+                    # The shortfall refills in less than the float
+                    # resolution of the clock: a wake-up would fire at
+                    # this same instant, refill nothing and re-arm
+                    # forever.  The waiter is owed its tokens *now*.
+                    self._tokens = 0.0
+                    self._waiters.popleft()
+                    event.succeed()
+                    continue
                 self._wake_pending = True
                 self.sim.timeout(delay).add_callback(self._on_wake)
             return

@@ -17,6 +17,8 @@ from repro.cloud.faas.errors import (
 )
 from repro.cloud.profiles import ibm_us_east
 
+pytestmark = pytest.mark.chaos
+
 
 @pytest.fixture
 def cloud():

@@ -14,6 +14,8 @@ from repro.cloud import Cloud
 from repro.cloud.profiles import ibm_us_east
 from repro.cloud.vm import RelayAttemptFenced, relay_ready
 
+pytestmark = pytest.mark.chaos
+
 
 @pytest.fixture
 def cloud():

@@ -18,6 +18,8 @@ from repro.cloud.vm import (
     provision_fleet,
 )
 
+pytestmark = pytest.mark.chaos
+
 
 @pytest.fixture
 def cloud():

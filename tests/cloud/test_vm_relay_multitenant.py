@@ -21,6 +21,8 @@ from repro.cloud.vm import RelayAttemptFenced, relay_ready
 from repro.cloud.vm.fleet import fleet_ready
 from repro.errors import SimulationError
 
+pytestmark = pytest.mark.service
+
 
 @pytest.fixture
 def cloud():

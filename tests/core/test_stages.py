@@ -6,6 +6,9 @@ from repro.cloud.environment import Cloud
 from repro.core import ExperimentConfig
 from repro.core.experiment import stage_input
 from repro.errors import WorkflowError
+from repro.executor import FunctionExecutor
+from repro.methcomp.pipeline import bed_record_codec
+from repro.shuffle import SUBSTRATES, ShuffleSort, StreamConfig
 from repro.sim import Simulator
 from repro.workflows import StageSpec, WorkflowDag, WorkflowEngine, registered_kinds
 
@@ -30,6 +33,12 @@ class TestRegistry:
             "methylome_dataset",
             "dataset_ref",
             "shuffle_sort",
+            "cache_sort",
+            "relay_sort",
+            "sharded_relay_sort",
+            "streaming_sort",
+            "auto_sort",
+            "online_sort",
             "vm_sort",
             "methcomp_encode",
             "methcomp_verify",
@@ -92,6 +101,133 @@ class TestDatasetStages:
         assert artifact["logical_bytes"] == pytest.approx(
             artifact["real_bytes"] * CONFIG.logical_scale
         )
+
+
+#: Substrate → its staged sort stage kind (the workflow vocabulary).
+STAGED_KINDS = {
+    "objectstore": "shuffle_sort",
+    "cache": "cache_sort",
+    "relay": "relay_sort",
+    "sharded-relay": "sharded_relay_sort",
+}
+
+SORT_FIELDS = ["runs", "workers", "records", "duration_s", "planned_workers"]
+
+#: Stage kind → artifact keys, in order (the order is part of the
+#: contract: artifacts are rendered and hashed as ordered mappings).
+ARTIFACT_KEYS = {
+    "shuffle_sort": [*SORT_FIELDS, "substrate", "predicted_s", "actual_s"],
+    "cache_sort": [
+        *SORT_FIELDS, "substrate", "predicted_s", "actual_s",
+        "cache_nodes", "cache_node_type", "cache_peak_fill",
+    ],
+    "relay_sort": [
+        *SORT_FIELDS, "substrate", "predicted_s", "actual_s",
+        "relay_instance_type", "relay_peak_fill", "relay_backpressure_waits",
+    ],
+    "sharded_relay_sort": [
+        *SORT_FIELDS, "substrate", "predicted_s", "actual_s",
+        "relay_instance_type", "relay_shards", "relay_peak_fill",
+        "relay_backpressure_waits",
+    ],
+    "streaming_sort": [
+        *SORT_FIELDS, "substrate", "mode", "predicted_s", "actual_s",
+        "overlap_s", "buffer_high_watermark_bytes", "buffer_backpressure_waits",
+        "stream_chunks",
+    ],
+}
+
+
+@pytest.mark.parametrize("provisioning", ["warm", "cold"])
+@pytest.mark.parametrize("mode", ["staged", "streaming"])
+@pytest.mark.parametrize("substrate", list(SUBSTRATES))
+class TestSubstrateTable:
+    """Totality of the substrate table: every row × mode × provisioning
+    provisions, runs, releases, and yields its stage kind's artifact."""
+
+    def test_row_provisions_runs_and_releases(self, substrate, mode, provisioning):
+        row = SUBSTRATES[substrate]
+        cloud = fresh_cloud()
+        stage_input(cloud, CONFIG, "pipeline", "input/methylome.bed")
+        cold = provisioning == "cold"
+        held = {"asked_at": cloud.sim.now}
+
+        def driver():
+            provisioned = row.provision(
+                cloud,
+                CONFIG.logical_bytes,
+                row.flavour_param[1] if row.flavour_param else None,
+                row.count_param[1] if row.count_param else 0,
+                cold=cold,
+            )
+            if cold and provisioned is not None:
+                provisioned = yield provisioned
+            held["provisioned"], held["ready_at"] = provisioned, cloud.sim.now
+            backend = row.make_backend(
+                provisioned,
+                getattr(CONFIG.workload, row.cost_model)(),
+                StreamConfig() if mode == "streaming" else None,
+            )
+            operator = ShuffleSort(
+                FunctionExecutor(cloud, bucket="pipeline"),
+                bed_record_codec(),
+                backend=backend,
+            )
+            assert (backend.name, backend.mode) == (substrate, mode)
+            try:
+                result = yield operator.sort(
+                    "pipeline", "input/methylome.bed", workers=4
+                )
+                if hasattr(provisioned, "residual_reservation_bytes"):
+                    assert provisioned.residual_reservation_bytes() == 0
+            finally:
+                row.release(provisioned)
+            return result, operator.report
+
+        result, report = cloud.sim.run_process(driver())
+        assert result.workers == 4 and result.total_records > 0
+        assert (report.substrate, report.mode) == (substrate, mode)
+        provisioned = held["provisioned"]
+        assert (provisioned is not None) == row.provisioned
+        if row.provisioned:
+            # Cold pays creation/boot on the simulated clock; warm does not.
+            assert (held["ready_at"] > held["asked_at"]) == cold
+            assert report.provisioned_usd > 0
+            # Billing clocks stopped: released, idempotently, and the
+            # end-of-run sweep finds no VM or cache node left to bill.
+            assert provisioned.state == "terminated"
+            row.release(provisioned)
+            billed = cloud.meter.snapshot()
+            cloud.finalize()
+            late = cloud.meter.since(billed).total_by_service()
+            assert not {"vm", "memstore"} & set(late)
+        else:
+            assert report.provisioned_usd == 0
+
+    def test_stage_kind_artifact_keys(self, substrate, mode, provisioning):
+        kind, params = STAGED_KINDS[substrate], {}
+        if mode == "streaming":
+            kind, params = "streaming_sort", {"substrate": substrate}
+        cloud = fresh_cloud()
+        stage_input(cloud, CONFIG, "pipeline", "input/methylome.bed")
+        result = run_dag(
+            cloud,
+            [
+                StageSpec("in", "dataset_ref", params={"key": "input/methylome.bed"}),
+                StageSpec(
+                    "sort", kind, after=("in",),
+                    params={"workers": 4, "provisioning": provisioning, **params},
+                ),
+            ],
+        )
+        artifact = result.artifacts["sort"]
+        assert list(artifact) == ARTIFACT_KEYS[kind]
+        assert artifact["substrate"] == substrate
+        assert all(
+            cluster.state == "terminated" for cluster in cloud.cache.clusters.values()
+        )
+        assert all(vm.state == "terminated" for vm in cloud.vms.instances)
+        assert not cloud.vms.relays
 
 
 class TestSortStages:

@@ -10,11 +10,15 @@ report identical digests.
 
 import hashlib
 
+import pytest
+
 from repro.cas import output_digest
 from repro.cloud import Cloud
 from repro.cloud.profiles import ibm_us_east
 from repro.executor import FunctionExecutor
 from repro.shuffle import FixedWidthCodec, ShuffleSort
+
+pytestmark = pytest.mark.cas
 
 
 def sorted_result(seed=7, *, count=400):

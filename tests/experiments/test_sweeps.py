@@ -9,6 +9,7 @@ import pytest
 from repro.core import ExperimentConfig
 from repro.experiments import (
     format_rows,
+    format_table,
     render_figure1,
     sweep_codec,
     sweep_io_ablation,
@@ -102,3 +103,17 @@ class TestFormatRows:
     def test_empty_rows(self):
         out = format_rows(["col"], [])
         assert "col" in out
+
+    def test_table_from_dict_rows_drops_private_columns(self):
+        """Regression: bench_exchange used to write sweep_exchange's
+        private ``_report`` column (a rendered multi-line report, host
+        timings included) into the S8 results file."""
+        rows = [
+            {"workers": 4, "latency_s": 1.5, "_report": "x\n" * 40},
+            {"workers": 8, "latency_s": 0.75, "_report": "y\n" * 40},
+        ]
+        out = format_table(rows, title="T")
+        assert out == format_rows(
+            ["workers", "latency_s"], [[4, 1.5], [8, 0.75]], title="T"
+        )
+        assert "_report" not in out

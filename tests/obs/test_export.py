@@ -10,6 +10,8 @@ exposition with cumulative buckets.
 
 import json
 
+import pytest
+
 from repro.obs.export import (
     chrome_trace_events,
     chrome_trace_json,
@@ -19,6 +21,8 @@ from repro.obs.export import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.sim.timeline import Timeline
+
+pytestmark = pytest.mark.obs
 
 
 class FakeClock:

@@ -10,6 +10,8 @@ from repro.obs.metrics import (
     sanitize_name,
 )
 
+pytestmark = pytest.mark.obs
+
 
 class TestSanitize:
     def test_passthrough_and_replacement(self):

@@ -5,6 +5,8 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloGate, SloViolation
 
+pytestmark = pytest.mark.obs
+
 
 class TestPredictionEnvelope:
     def test_within_factor_passes(self):

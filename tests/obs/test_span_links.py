@@ -12,11 +12,15 @@ Two observability follow-ups ride the content-addressed exchange PR:
   cumulative switch count as step series.
 """
 
+import pytest
+
 from repro.cloud import Cloud
 from repro.cloud.profiles import ibm_us_east
 from repro.executor import FunctionExecutor, SpeculationPolicy
 from repro.obs.export import chrome_trace_events
 from repro.obs.trace import NOOP_SPAN, Tracer
+
+pytestmark = pytest.mark.obs
 
 
 class FakeClock:

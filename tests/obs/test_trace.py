@@ -20,6 +20,8 @@ from repro.obs.trace import (
     trace_enabled_from_env,
 )
 
+pytestmark = pytest.mark.obs
+
 
 class FakeClock:
     def __init__(self):

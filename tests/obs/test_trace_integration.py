@@ -33,6 +33,8 @@ from repro.shuffle import (
     StreamConfig,
 )
 
+pytestmark = pytest.mark.obs
+
 CODEC = FixedWidthCodec(record_size=16, key_bytes=8)
 RECORDS = 2000
 WORKERS = 4

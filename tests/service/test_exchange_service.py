@@ -30,6 +30,8 @@ from repro.shuffle.relayplanner import (
     resolve_relay_instance,
 )
 
+pytestmark = pytest.mark.service
+
 RECORDS = 2000
 WORKERS = 4
 INSTANCE = "bx2-2x8"

@@ -38,6 +38,8 @@ from repro.shuffle.content import (
     verify_manifest_file,
 )
 
+pytestmark = pytest.mark.cas
+
 RECORD_A = (1).to_bytes(8, "big") + bytes(8)
 RECORD_B = (2).to_bytes(8, "big") + bytes(8)
 

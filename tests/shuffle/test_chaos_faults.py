@@ -40,6 +40,8 @@ from repro.shuffle import (
     skewed_fixed_payload,
 )
 
+pytestmark = pytest.mark.chaos
+
 SUBSTRATES = (
     "objectstore", "cache", "relay", "sharded-relay",
     "streaming-objectstore", "streaming-cache", "streaming-relay",

@@ -25,6 +25,8 @@ from repro.shuffle import (
 )
 from repro.shuffle.relayplanner import RelayShuffleCostModel
 
+pytestmark = pytest.mark.service
+
 RECORDS = 2000
 WORKERS = 4
 SPEC = SkewSpec(distribution="zipf", zipf_s=1.3, distinct_keys=16)

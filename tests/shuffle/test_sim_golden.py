@@ -92,9 +92,9 @@ def _observe(cloud: Cloud, runs: t.Iterable[dict], makespan_s: float, cost: floa
     }
 
 
-def run_sort_cell(kind: str, params: dict) -> dict:
-    cloud = Cloud(Simulator(seed=CONFIG.seed), CONFIG.make_profile())
-    stage_input(cloud, CONFIG, BUCKET, INPUT_KEY)
+def run_sort_cell(kind: str, params: dict, config: ExperimentConfig = CONFIG) -> dict:
+    cloud = Cloud(Simulator(seed=config.seed), config.make_profile())
+    stage_input(cloud, config, BUCKET, INPUT_KEY)
     dag = parse_spec(
         {
             "name": "golden",
@@ -107,7 +107,7 @@ def run_sort_cell(kind: str, params: dict) -> dict:
         }
     )
     engine = WorkflowEngine(cloud, dag)
-    engine.workload = CONFIG.workload
+    engine.workload = config.workload
     marker = cloud.meter.snapshot()
     result = engine.execute()
     cloud.finalize()
@@ -152,6 +152,19 @@ def test_simulated_outcome_is_bit_equal(golden, name):
 def test_every_sort_cell_has_the_same_digest(golden):
     digests = {name: golden[name]["digest"] for name in ALL_CELLS}
     assert len(set(digests.values())) == 1, digests
+
+
+@pytest.mark.parametrize("workers", [28, 32])
+def test_wide_objectstore_streaming_sort_terminates(workers):
+    """Regression (TokenBucket livelock): above W=24 the manifest
+    pollers used to park ``cos.ops`` on a shortfall below the clock's
+    float resolution and the sort never finished."""
+    config = ExperimentConfig(logical_scale=1024.0, seed=2021)
+    staged = run_sort_cell("shuffle_sort", {"workers": 8}, config)
+    streaming = run_sort_cell(
+        "streaming_sort", {"substrate": "objectstore", "workers": workers}, config
+    )
+    assert streaming["digest"] == staged["digest"]
 
 
 if __name__ == "__main__":

@@ -31,6 +31,8 @@ from repro.shuffle import (
     skewed_fixed_payload,
 )
 
+pytestmark = pytest.mark.skew
+
 SEED = 29
 WORKERS = 6
 RECORDS = 2500

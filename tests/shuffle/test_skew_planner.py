@@ -41,6 +41,8 @@ from repro.shuffle.relayplanner import (
     resolve_relay_instance,
 )
 
+pytestmark = pytest.mark.skew
+
 PROFILE = ibm_us_east(deterministic=True)
 SIZE = 3.5 * GB
 

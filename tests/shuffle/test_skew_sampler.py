@@ -33,6 +33,8 @@ from repro.shuffle import (
     zipf_weights,
 )
 
+pytestmark = pytest.mark.skew
+
 #: Duplicate-heavy key pools: few distinct values, many samples.
 dup_heavy_samples = st.lists(
     st.integers(0, 7), min_size=1, max_size=400

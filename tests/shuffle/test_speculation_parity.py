@@ -32,6 +32,8 @@ from repro.shuffle import (
     skewed_fixed_payload,
 )
 
+pytestmark = pytest.mark.chaos
+
 #: Both execution modes: a losing speculative attempt must be fenced
 #: out of a *stream* it was mid-publish into just as cleanly as out of
 #: a staged batch.

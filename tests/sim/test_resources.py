@@ -96,6 +96,32 @@ class TestTokenBucket:
         # First token is free (full bucket), then one every 0.5 s.
         assert times == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
 
+    def test_shortfall_below_clock_resolution_is_granted_not_spun_on(self, sim):
+        """Regression: at ``now = 42.845`` a 8.2e-12-token shortfall at
+        rate 3000 refills in 2.7e-15 s — less than half an ulp of the
+        clock, so ``now + delay == now``.  The wake-up used to fire at
+        the same instant, refill nothing and re-arm forever (the
+        object-store streaming sort livelocked on ``cos.ops`` at W>24).
+        """
+        bucket = TokenBucket(sim, rate=3000.0, capacity=1.0)
+        served = []
+
+        def worker():
+            yield sim.timeout(42.845)
+            yield bucket.consume(8.2e-12)  # leaves 1 - 8.2e-12 tokens
+            assert sim.now + 8.2e-12 / bucket.rate == sim.now
+            yield bucket.consume(1.0)
+            served.append(sim.now)
+            yield bucket.consume(1.0)  # and the bucket keeps metering after
+            served.append(sim.now)
+
+        sim.process(worker())
+        for _ in range(100):  # bounded: the livelock never goes idle
+            if not sim.step():
+                break
+        assert served == [42.845, pytest.approx(42.845 + 1.0 / 3000.0)]
+        assert not sim.step()
+
     def test_fifo_no_starvation_of_large_request(self, sim):
         bucket = TokenBucket(sim, rate=1.0, capacity=10.0)
         order = []

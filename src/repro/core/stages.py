@@ -43,6 +43,7 @@ exactly the property the paper's comparison relies on.
 
 from __future__ import annotations
 
+import functools
 import typing as t
 
 from repro.cas import cas_enabled
@@ -163,6 +164,19 @@ def dataset_ref(context: StageContext, inputs: dict) -> t.Generator:
 # ----------------------------------------------------------------------
 # sort stages: one body over the substrate table
 # ----------------------------------------------------------------------
+#: ``(artifact key, report field)`` pairs a streaming sort's artifact
+#: carries after the uniform ones (a staged one: the row's extras).
+_STREAM_ARTIFACT = tuple(
+    (name, name)
+    for name in (
+        "overlap_s",
+        "buffer_high_watermark_bytes",
+        "buffer_backpressure_waits",
+        "stream_chunks",
+    )
+)
+
+
 def _stream_config(
     param: t.Callable[..., t.Any], chunk_key: str, buffer_key: str
 ) -> StreamConfig:
@@ -295,28 +309,9 @@ def _exchange_sort(
         artifact["mode"] = report.mode
     artifact["predicted_s"] = report.predicted_s
     artifact["actual_s"] = report.actual_s
-    if stream is not None:
-        for field in (
-            "overlap_s",
-            "buffer_high_watermark_bytes",
-            "buffer_backpressure_waits",
-            "stream_chunks",
-        ):
-            artifact[field] = getattr(report, field)
-    else:
-        for key, field in row.artifact_extras:
-            artifact[key] = getattr(report, field)
+    for key, field in row.artifact_extras if stream is None else _STREAM_ARTIFACT:
+        artifact[key] = getattr(report, field)
     return artifact
-
-
-def _staged_sort_kind(substrate: str) -> t.Callable:
-    """The staged sort stage kind of one substrate-table row."""
-
-    def kind(context: StageContext, inputs: dict) -> t.Generator:
-        return _exchange_sort(context, inputs, substrate, "staged")
-
-    kind.__doc__ = f"Staged :func:`_exchange_sort` on the {substrate!r} substrate."
-    return kind
 
 
 def streaming_sort(context: StageContext, inputs: dict) -> t.Generator:
@@ -734,13 +729,16 @@ def register_builtin_stage_kinds() -> None:
     """Idempotently register the METHCOMP stage kinds."""
     from repro.workflows.engine import registered_kinds
 
+    def staged(substrate: str) -> t.Callable:
+        return functools.partial(_exchange_sort, substrate=substrate, mode="staged")
+
     builtin = {
         "methylome_dataset": methylome_dataset,
         "dataset_ref": dataset_ref,
-        "shuffle_sort": _staged_sort_kind("objectstore"),
-        "cache_sort": _staged_sort_kind("cache"),
-        "relay_sort": _staged_sort_kind("relay"),
-        "sharded_relay_sort": _staged_sort_kind("sharded-relay"),
+        "shuffle_sort": staged("objectstore"),
+        "cache_sort": staged("cache"),
+        "relay_sort": staged("relay"),
+        "sharded_relay_sort": staged("sharded-relay"),
         "streaming_sort": streaming_sort,
         "auto_sort": auto_sort,
         "online_sort": online_sort,

@@ -44,6 +44,36 @@ def _fresh_cloud(config: ExperimentConfig) -> Cloud:
     return Cloud(Simulator(seed=config.seed), config.make_profile())
 
 
+def _staged_region(
+    config: ExperimentConfig, profile=None, **executor_kwargs
+) -> tuple[Cloud, FunctionExecutor]:
+    """A fresh region (on ``profile``, default the config's own) with
+    the dataset staged, and a function executor on it."""
+    cloud = Cloud(
+        Simulator(seed=config.seed),
+        profile if profile is not None else config.make_profile(),
+    )
+    stage_input(cloud, config, "pipeline", "input/methylome.bed")
+    executor = FunctionExecutor(
+        cloud,
+        runtime_memory_mb=config.function_memory_mb,
+        bucket="pipeline",
+        **executor_kwargs,
+    )
+    return cloud, executor
+
+
+def _run_sort(cloud: Cloud, operator, **sort_kwargs):
+    """Drive ``operator.sort`` on the staged dataset to completion."""
+
+    def driver():
+        return (
+            yield operator.sort("pipeline", "input/methylome.bed", **sort_kwargs)
+        )
+
+    return cloud.sim.run_process(driver())
+
+
 # ----------------------------------------------------------------------
 # S1: shuffle worker-count sweep (the "appropriate number of functions")
 # ----------------------------------------------------------------------
@@ -61,23 +91,11 @@ def sweep_workers(
     )
     rows = []
     for workers in worker_counts:
-        cloud = _fresh_cloud(config)
-        stage_input(cloud, config, "pipeline", "input/methylome.bed")
-        executor = FunctionExecutor(
-            cloud, runtime_memory_mb=config.function_memory_mb, bucket="pipeline"
-        )
+        cloud, executor = _staged_region(config)
         operator = ShuffleSort(
             executor, bed_record_codec(), cost=config.workload.shuffle_cost_model()
         )
-
-        def driver():
-            return (
-                yield operator.sort(
-                    "pipeline", "input/methylome.bed", workers=workers
-                )
-            )
-
-        result = cloud.sim.run_process(driver())
+        result = _run_sort(cloud, operator, workers=workers)
         rows.append(
             {
                 "workers": workers,
@@ -140,21 +158,11 @@ def sweep_storage_ops(
         profile = cfg.make_profile()
         profile.objectstore.ops_per_second = float(ops)
         profile.objectstore.ops_burst = float(ops)
-        cloud = Cloud(Simulator(seed=cfg.seed), profile)
-        stage_input(cloud, cfg, "pipeline", "input/methylome.bed")
-        executor = FunctionExecutor(
-            cloud, runtime_memory_mb=cfg.function_memory_mb, bucket="pipeline"
-        )
+        cloud, executor = _staged_region(cfg, profile)
         cost = cfg.workload.shuffle_cost_model()
         cost.write_combining = write_combining
         operator = ShuffleSort(executor, bed_record_codec(), cost=cost)
-
-        def driver():
-            return (
-                yield operator.sort("pipeline", "input/methylome.bed", workers=workers)
-            )
-
-        result = cloud.sim.run_process(driver())
+        result = _run_sort(cloud, operator, workers=workers)
         rows.append(
             {
                 "ops_per_second": ops,
@@ -180,23 +188,11 @@ def sweep_io_ablation(
     rows = []
     for workers in worker_counts:
         for write_combining in (True, False):
-            cloud = _fresh_cloud(base)
-            stage_input(cloud, base, "pipeline", "input/methylome.bed")
-            executor = FunctionExecutor(
-                cloud, runtime_memory_mb=base.function_memory_mb, bucket="pipeline"
-            )
+            cloud, executor = _staged_region(base)
             cost = base.workload.shuffle_cost_model()
             cost.write_combining = write_combining
             operator = ShuffleSort(executor, bed_record_codec(), cost=cost)
-
-            def driver():
-                return (
-                    yield operator.sort(
-                        "pipeline", "input/methylome.bed", workers=workers
-                    )
-                )
-
-            result = cloud.sim.run_process(driver())
+            result = _run_sort(cloud, operator, workers=workers)
             rows.append(
                 {
                     "workers": workers,
@@ -212,6 +208,26 @@ def sweep_io_ablation(
 # ----------------------------------------------------------------------
 # S8: data-exchange strategy comparison (COS vs cache vs relay vs fleet)
 # ----------------------------------------------------------------------
+def _release(provisioned) -> float:
+    """Terminate a sweep's substrate (``None`` for object storage);
+    returns the reservation bytes it still held, where it tracks them."""
+    if provisioned is None:
+        return 0.0
+    residual = getattr(provisioned, "residual_reservation_bytes", lambda: 0.0)()
+    provisioned.terminate()
+    return residual
+
+
+def _check_strategies(strategies: t.Iterable[str]) -> None:
+    """Fail fast (before any region is built) on an unknown substrate."""
+    for strategy in strategies:
+        if strategy not in SUBSTRATES:
+            raise ValueError(
+                f"unknown exchange strategy {strategy!r}; expected a "
+                f"subset of {EXCHANGE_SUBSTRATES}"
+            )
+
+
 def _make_exchange_operator(
     cloud: Cloud, config: ExperimentConfig, strategy: str,
     executor: FunctionExecutor, stream: StreamConfig | None = None,
@@ -227,11 +243,7 @@ def _make_exchange_operator(
     uniform :class:`~repro.shuffle.exchange.ExchangeReport` replaces
     the per-substrate metadata the sweeps used to special-case.
     """
-    if strategy not in SUBSTRATES:
-        raise ValueError(
-            f"unknown exchange strategy {strategy!r}; expected a subset of "
-            f"{EXCHANGE_SUBSTRATES}"
-        )
+    _check_strategies([strategy])
     row = SUBSTRATES[strategy]
     # (flavour, count) per substrate; the cache cluster is sized to fit.
     flavour, count = {
@@ -273,35 +285,17 @@ def sweep_exchange(
     """
     from repro.obs.slo import SloGate
     base = config if config is not None else ExperimentConfig()
-    for strategy in strategies:
-        if strategy not in EXCHANGE_SUBSTRATES:
-            raise ValueError(
-                f"unknown exchange strategy {strategy!r}; expected a "
-                f"subset of {EXCHANGE_SUBSTRATES}"
-            )
+    _check_strategies(strategies)
     rows = []
     for workers in worker_counts:
         for strategy in strategies:
-            cloud = _fresh_cloud(base)
-            stage_input(cloud, base, "pipeline", "input/methylome.bed")
-            executor = FunctionExecutor(
-                cloud, runtime_memory_mb=base.function_memory_mb, bucket="pipeline"
-            )
+            cloud, executor = _staged_region(base)
             marker = cloud.meter.snapshot()
             operator, provisioned = _make_exchange_operator(
                 cloud, base, strategy, executor
             )
-
-            def driver():
-                return (
-                    yield operator.sort(
-                        "pipeline", "input/methylome.bed", workers=workers
-                    )
-                )
-
-            result = cloud.sim.run_process(driver())
-            if provisioned is not None:
-                provisioned.terminate()
+            result = _run_sort(cloud, operator, workers=workers)
+            _release(provisioned)
             rows.append(
                 {
                     "workers": workers,
@@ -355,30 +349,14 @@ def sweep_relay_shards(
 
     def run_one(strategy: str, shards: int) -> dict:
         cfg = dataclasses.replace(base, relay_shards=max(1, shards))
-        cloud = _fresh_cloud(cfg)
-        stage_input(cloud, cfg, "pipeline", "input/methylome.bed")
-        executor = FunctionExecutor(
-            cloud, runtime_memory_mb=cfg.function_memory_mb, bucket="pipeline"
-        )
+        cloud, executor = _staged_region(cfg)
         marker = cloud.meter.snapshot()
         operator, provisioned = _make_exchange_operator(
             cloud, cfg, strategy, executor
         )
-
-        def driver():
-            return (
-                yield operator.sort(
-                    "pipeline", "input/methylome.bed", workers=workers
-                )
-            )
-
-        result = cloud.sim.run_process(driver())
-        residual = 0.0
+        result = _run_sort(cloud, operator, workers=workers)
+        residual = _release(provisioned)
         backpressure = 0
-        if provisioned is not None:
-            if hasattr(provisioned, "residual_reservation_bytes"):
-                residual = provisioned.residual_reservation_bytes()
-            provisioned.terminate()
         report = operator.report
         if strategy == "sharded-relay":
             backpressure = report.backpressure_waits
@@ -422,20 +400,11 @@ def sweep_streaming(
     base = config if config is not None else ExperimentConfig()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    for strategy in strategies:
-        if strategy not in EXCHANGE_SUBSTRATES:
-            raise ValueError(
-                f"unknown exchange strategy {strategy!r}; expected a "
-                f"subset of {EXCHANGE_SUBSTRATES}"
-            )
+    _check_strategies(strategies)
     rows = []
 
     def run_one(strategy: str, mode: str, buffer_cap_mb: float) -> dict:
-        cloud = _fresh_cloud(base)
-        stage_input(cloud, base, "pipeline", "input/methylome.bed")
-        executor = FunctionExecutor(
-            cloud, runtime_memory_mb=base.function_memory_mb, bucket="pipeline"
-        )
+        cloud, executor = _staged_region(base)
         marker = cloud.meter.snapshot()
         stream = None
         if mode != "staged":
@@ -447,20 +416,8 @@ def sweep_streaming(
         operator, provisioned = _make_exchange_operator(
             cloud, base, strategy, executor, stream=stream
         )
-
-        def driver():
-            return (
-                yield operator.sort(
-                    "pipeline", "input/methylome.bed", workers=workers
-                )
-            )
-
-        result = cloud.sim.run_process(driver())
-        residual = 0.0
-        if provisioned is not None:
-            if hasattr(provisioned, "residual_reservation_bytes"):
-                residual = provisioned.residual_reservation_bytes()
-            provisioned.terminate()
+        result = _run_sort(cloud, operator, workers=workers)
+        residual = _release(provisioned)
         report = operator.report
         return {
             "strategy": strategy,
@@ -549,12 +506,7 @@ def sweep_skew(
         )
 
         def run_one(strategy: str, routing: str) -> dict:
-            cloud = _fresh_cloud(cfg)
-            stage_input(cloud, cfg, "pipeline", "input/methylome.bed")
-            executor = FunctionExecutor(
-                cloud, runtime_memory_mb=cfg.function_memory_mb,
-                bucket="pipeline",
-            )
+            cloud, executor = _staged_region(cfg)
             marker = cloud.meter.snapshot()
             fleet = None
             if strategy == "objectstore":
@@ -572,15 +524,7 @@ def sweep_skew(
                     executor, bed_record_codec(),
                     backend=ShardedRelayExchange(fleet, cost),
                 )
-
-            def driver():
-                return (
-                    yield operator.sort(
-                        "pipeline", "input/methylome.bed", workers=workers
-                    )
-                )
-
-            result = cloud.sim.run_process(driver())
+            result = _run_sort(cloud, operator, workers=workers)
             report = operator.report
             residual = 0.0
             predicted_s = float("nan")
@@ -672,25 +616,12 @@ def sweep_exchange_faults(
     baseline_digest: str | None = None
     for rate in crash_rates:
         for strategy in strategies:
-            cloud = _fresh_cloud(base)
-            stage_input(cloud, base, "pipeline", "input/methylome.bed")
+            cloud, executor = _staged_region(base, retries=retries)
             cloud.faas.crash_probability = rate
-            executor = FunctionExecutor(
-                cloud, runtime_memory_mb=base.function_memory_mb,
-                bucket="pipeline", retries=retries,
-            )
             operator, provisioned = _make_exchange_operator(
                 cloud, base, strategy, executor
             )
-
-            def driver():
-                return (
-                    yield operator.sort(
-                        "pipeline", "input/methylome.bed", workers=workers
-                    )
-                )
-
-            result = cloud.sim.run_process(driver())
+            result = _run_sort(cloud, operator, workers=workers)
             digest = output_digest(cloud, result)
             if baseline_digest is None:
                 baseline_digest = digest
@@ -717,8 +648,7 @@ def sweep_exchange_faults(
                     "output_digest": digest,
                 }
             )
-            if provisioned is not None:
-                provisioned.terminate()
+            _release(provisioned)
     return rows
 
 
@@ -744,24 +674,11 @@ def sweep_exchange_speculation(
             profile = base.make_profile()
             profile.faas.cold_start.mean = 1.5
             profile.faas.cold_start.sigma = cold_start_sigma
-            cloud = Cloud(Simulator(seed=base.seed), profile)
-            stage_input(cloud, base, "pipeline", "input/methylome.bed")
-            executor = FunctionExecutor(
-                cloud, runtime_memory_mb=base.function_memory_mb,
-                bucket="pipeline", speculation=speculation,
-            )
+            cloud, executor = _staged_region(base, profile, speculation=speculation)
             operator, provisioned = _make_exchange_operator(
                 cloud, base, strategy, executor
             )
-
-            def driver():
-                return (
-                    yield operator.sort(
-                        "pipeline", "input/methylome.bed", workers=workers
-                    )
-                )
-
-            result = cloud.sim.run_process(driver())
+            result = _run_sort(cloud, operator, workers=workers)
             digests.add(output_digest(cloud, result, full=True))
             rows.append(
                 {
@@ -778,8 +695,7 @@ def sweep_exchange_speculation(
                     "invocations": cloud.faas.stats.invocations,
                 }
             )
-            if provisioned is not None:
-                provisioned.terminate()
+            _release(provisioned)
     # Speculation must never change the artifact, on any substrate.
     assert len(digests) == 1, "speculation changed the sorted artifact"
     return rows
@@ -914,21 +830,10 @@ def sweep_tuner(
         cfg = dataclasses.replace(base, profile_mutator=mutate)
 
         def measure(workers: int) -> float:
-            cloud = _fresh_cloud(cfg)
-            stage_input(cloud, cfg, "pipeline", "input/methylome.bed")
-            executor = FunctionExecutor(
-                cloud, runtime_memory_mb=cfg.function_memory_mb, bucket="pipeline"
-            )
+            cloud, executor = _staged_region(cfg)
             operator = ShuffleSort(executor, bed_record_codec(), cost=cost)
 
-            def driver():
-                return (
-                    yield operator.sort(
-                        "pipeline", "input/methylome.bed", workers=workers
-                    )
-                )
-
-            return cloud.sim.run_process(driver()).duration_s
+            return _run_sort(cloud, operator, workers=workers).duration_s
 
         measured = {workers: measure(workers) for workers in worker_candidates}
         oracle_pick = min(measured, key=measured.get)
@@ -1083,11 +988,7 @@ def sweep_online(
 
     def run_row(scenario: str, strategy: str, mode: str) -> dict:
         row_cfg = reroute_cfg if scenario == "reroute" else cfg
-        cloud = _fresh_cloud(row_cfg)
-        stage_input(cloud, row_cfg, "pipeline", "input/methylome.bed")
-        executor = FunctionExecutor(
-            cloud, runtime_memory_mb=row_cfg.function_memory_mb, bucket="pipeline"
-        )
+        cloud, executor = _staged_region(row_cfg)
         provisioned = None
         if strategy == "online":
             operator = OnlineShuffleSort(
@@ -1122,8 +1023,7 @@ def sweep_online(
             )
 
         result = cloud.sim.run_process(driver())
-        if provisioned is not None:
-            provisioned.terminate()
+        _release(provisioned)
         report = operator.report
         score = (
             result.duration_s * time_value / 3600.0 + report.provisioned_usd

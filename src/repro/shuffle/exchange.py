@@ -171,11 +171,11 @@ class ExchangeReport:
 class ExchangeBackend(abc.ABC):
     """One intermediate-data substrate, as seen by the shuffle operator.
 
-    The operator calls ``validate`` → ``plan`` → ``mapper_task``\\* →
-    ``on_map_done`` → ``reducer_task``\\* → ``report`` over each sort; a
-    backend may serve several sequential sorts (a reused operator), so
-    per-sort bookkeeping (stat baselines, peaks) belongs in
-    ``validate``.  The ``cost`` attribute must expose the shared
+    The operator calls ``begin_sort`` → ``validate`` → ``plan`` →
+    ``mapper_task``\\* → ``on_map_done`` → ``reducer_task``\\* →
+    ``report`` over each sort; a backend may serve several sequential
+    sorts (a reused operator), so per-sort bookkeeping (stat baselines,
+    peaks) belongs in ``validate``.  The ``cost`` attribute must expose the shared
     workload constants (``peek_bytes``, ``sample_bytes``,
     ``sample_keys``, ``partition_throughput``, ``sort_throughput``).
 
@@ -208,19 +208,16 @@ class ExchangeBackend(abc.ABC):
 
     cost: t.Any
     stream: StreamConfig | None = None
+    #: Output namespace and record format of the sort in progress,
+    #: bound by :meth:`begin_sort` (``None`` before the first sort).
+    out_bucket: str | None = None
+    out_prefix: str | None = None
+    codec: RecordCodec | None = None
 
     @property
     def mode(self) -> str:
         """``"staged"`` or ``"streaming"``."""
         return "staged" if self.stream is None else "streaming"
-
-    @property
-    def process_label(self) -> str:
-        return self.labels[self.mode][0]
-
-    @property
-    def default_out_prefix(self) -> str:
-        return self.labels[self.mode][1]
 
     def bind_executor(self, executor: t.Any) -> None:
         """Hook at operator construction, giving the backend a handle on
@@ -237,12 +234,13 @@ class ExchangeBackend(abc.ABC):
         chain still covers inputs, decisions and outputs)."""
         return []
 
-    def begin_sort(self, out_bucket: str, out_prefix: str) -> None:
-        """Hook at sort start, before ``validate``, once the operator has
-        resolved the output namespace.  Backends that scope shared-
-        substrate state per exchange (the sharded fleet's router table is
-        keyed by the sort's key-prefix namespace) capture the prefix
-        here; the default is a no-op."""
+    def begin_sort(self, out_bucket: str, out_prefix: str, codec: RecordCodec) -> None:
+        """Bind the backend to one sort — called first, before
+        ``validate``, once the operator has resolved the output
+        namespace.  The payload builders below read it, and backends
+        that scope shared-substrate state per exchange (the sharded
+        fleet's router table) key it by ``out_prefix``."""
+        self.out_bucket, self.out_prefix, self.codec = out_bucket, out_prefix, codec
 
     def validate(self, logical_size: float) -> None:
         """Raise :class:`~repro.errors.ShuffleError` when the shuffle
@@ -299,77 +297,57 @@ class ExchangeBackend(abc.ABC):
         return self.staged_stages[1] if self.stream is None else streaming_shuffle_reducer
 
     @abc.abstractmethod
-    def _staged_mapper_task(
-        self, base: dict, mapper_id: int, out_bucket: str, out_prefix: str
-    ) -> dict:
+    def _staged_mapper_task(self, base: dict, mapper_id: int) -> dict:
         """Complete one staged mapper payload from the neutral base."""
 
     @abc.abstractmethod
     def _staged_reducer_task(
-        self,
-        reducer_id: int,
-        workers: int,
-        map_tasks: list[dict],
-        map_results: list[dict],
-        out_bucket: str,
-        out_prefix: str,
-        codec: RecordCodec,
+        self, reducer_id: int, map_tasks: list[dict], map_results: list[dict]
     ) -> dict:
         """Build one staged reducer payload from the map results."""
 
     @abc.abstractmethod
-    def stream_route(self, out_bucket: str) -> dict:
+    def stream_route(self) -> dict:
         """Substrate routing fields of the stream descriptor."""
 
-    def stream_descriptor(self, out_bucket: str, out_prefix: str) -> dict:
+    def stream_descriptor(self) -> dict:
         """What a streaming worker needs to open its stream port."""
         stream = t.cast(StreamConfig, self.stream)
         return {
             "kind": self.stream_kind,
-            "prefix": f"{out_prefix}/stream",
+            "prefix": f"{self.out_prefix}/stream",
             "chunk_bytes": stream.chunk_bytes,
             "buffer_bytes": stream.buffer_bytes,
             "poll_interval": stream.poll_interval_s,
-            **self.stream_route(out_bucket),
+            **self.stream_route(),
         }
 
-    def mapper_task(
-        self, base: dict, mapper_id: int, out_bucket: str, out_prefix: str
-    ) -> dict:
+    def _output_key(self, reducer_id: int) -> str:
+        return paths.shuffle_output_key(self.out_prefix, reducer_id)
+
+    def mapper_task(self, base: dict, mapper_id: int) -> dict:
         """Complete one mapper payload from the substrate-neutral base."""
         if self.stream is None:
-            return self._staged_mapper_task(base, mapper_id, out_bucket, out_prefix)
-        base.update(
-            mapper_id=mapper_id,
-            stream=self.stream_descriptor(out_bucket, out_prefix),
-        )
+            return self._staged_mapper_task(base, mapper_id)
+        base.update(mapper_id=mapper_id, stream=self.stream_descriptor())
         return base
 
     def reducer_task(
-        self,
-        reducer_id: int,
-        workers: int,
-        map_tasks: list[dict],
-        map_results: list[dict],
-        out_bucket: str,
-        out_prefix: str,
-        codec: RecordCodec,
+        self, reducer_id: int, map_tasks: list[dict], map_results: list[dict]
     ) -> dict:
-        """Build one reducer payload.  A streaming reducer launches
-        before any map result exists and ignores ``map_results``."""
+        """Build one reducer payload (one per mapper in ``map_tasks``).
+        A streaming reducer launches before any map result exists and
+        ignores ``map_results``."""
         if self.stream is None:
-            return self._staged_reducer_task(
-                reducer_id, workers, map_tasks, map_results,
-                out_bucket, out_prefix, codec,
-            )
+            return self._staged_reducer_task(reducer_id, map_tasks, map_results)
         return {
             "reducer_id": reducer_id,
-            "mappers": workers,
-            "out_bucket": out_bucket,
-            "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
-            "codec": codec,
+            "mappers": len(map_tasks),
+            "out_bucket": self.out_bucket,
+            "output_key": self._output_key(reducer_id),
+            "codec": self.codec,
             "sort_throughput": self.cost.sort_throughput,
-            "stream": self.stream_descriptor(out_bucket, out_prefix),
+            "stream": self.stream_descriptor(),
         }
 
     def on_boundaries(
@@ -490,39 +468,30 @@ class ObjectStoreExchange(ExchangeBackend):
     ) -> ShufflePlan:
         return plan_shuffle(logical_size, profile, self.cost, max_workers=max_workers)
 
-    def _staged_mapper_task(
-        self, base: dict, mapper_id: int, out_bucket: str, out_prefix: str
-    ) -> dict:
+    def _staged_mapper_task(self, base: dict, mapper_id: int) -> dict:
         base.update(
-            out_bucket=out_bucket,
-            out_key=paths.shuffle_map_output_key(out_prefix, mapper_id),
+            out_bucket=self.out_bucket,
+            out_key=paths.shuffle_map_output_key(self.out_prefix, mapper_id),
             write_combining=self.cost.write_combining,
         )
         return base
 
     def _staged_reducer_task(
-        self,
-        reducer_id: int,
-        workers: int,
-        map_tasks: list[dict],
-        map_results: list[dict],
-        out_bucket: str,
-        out_prefix: str,
-        codec: RecordCodec,
+        self, reducer_id: int, map_tasks: list[dict], map_results: list[dict]
     ) -> dict:
         return {
-            "out_bucket": out_bucket,
+            "out_bucket": self.out_bucket,
             "segments": cos_segments(
                 self.cost.write_combining, map_tasks, map_results, reducer_id
             ),
-            "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
-            "codec": codec,
+            "output_key": self._output_key(reducer_id),
+            "codec": self.codec,
             "sort_throughput": self.cost.sort_throughput,
             "fetch_parallelism": self.cost.fetch_parallelism,
         }
 
-    def stream_route(self, out_bucket: str) -> dict:
-        return {"bucket": out_bucket}
+    def stream_route(self) -> dict:
+        return {"bucket": self.out_bucket}
 
 
 class CacheExchange(ExchangeBackend):
@@ -579,39 +548,30 @@ class CacheExchange(ExchangeBackend):
             max_workers=max_workers,
         )
 
-    def _staged_mapper_task(
-        self, base: dict, mapper_id: int, out_bucket: str, out_prefix: str
-    ) -> dict:
+    def _staged_mapper_task(self, base: dict, mapper_id: int) -> dict:
         base.update(
             cluster_id=self.cluster.cluster_id,
-            cache_prefix=out_prefix,
+            cache_prefix=self.out_prefix,
             mapper_id=mapper_id,
         )
         return base
 
     def _staged_reducer_task(
-        self,
-        reducer_id: int,
-        workers: int,
-        map_tasks: list[dict],
-        map_results: list[dict],
-        out_bucket: str,
-        out_prefix: str,
-        codec: RecordCodec,
+        self, reducer_id: int, map_tasks: list[dict], map_results: list[dict]
     ) -> dict:
         return {
             "cluster_id": self.cluster.cluster_id,
-            "cache_prefix": out_prefix,
+            "cache_prefix": self.out_prefix,
             "reducer_id": reducer_id,
-            "mappers": workers,
-            "out_bucket": out_bucket,
-            "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
-            "codec": codec,
+            "mappers": len(map_tasks),
+            "out_bucket": self.out_bucket,
+            "output_key": self._output_key(reducer_id),
+            "codec": self.codec,
             "sort_throughput": self.cost.sort_throughput,
             "cleanup": self.cost.cleanup,
         }
 
-    def stream_route(self, out_bucket: str) -> dict:
+    def stream_route(self) -> dict:
         return {"cluster_id": self.cluster.cluster_id}
 
     def on_map_done(self, map_results: list[dict]) -> None:

@@ -364,27 +364,31 @@ class OnlineShuffleSort(ShuffleSort):
                 f"reroute_threshold must be >= 0, got {reroute_threshold}"
             )
         self.stream = stream if stream is not None else StreamConfig()
-        self.shuffle_cost = self.cost  # backend-carried ShuffleCostModel
-        self.cache_cost = (
-            cache_cost if cache_cost is not None else CacheShuffleCostModel()
-        )
         self.relay_cost = (
             relay_cost if relay_cost is not None else RelayShuffleCostModel()
         )
-        #: Substrate name → the cost model its stints' backends carry.
-        self._costs = {
-            "objectstore": self.shuffle_cost,
-            "cache": self.cache_cost,
-            "relay": self.relay_cost,
-            "sharded-relay": self.relay_cost,
+        #: What every (re-)selection passes ``choose_exchange_substrate``.
+        self._selector = {
+            "cache_node_type": cache_node_type,
+            "relay_instance_type": relay_instance_type,
+            "time_value_usd_per_hour": time_value_usd_per_hour,
+            "max_relay_shards": max_relay_shards,
+            "substrates": tuple(substrates) if substrates is not None else None,
+            "modes": tuple(modes),
+            "partition_skew": partition_skew,
+            "shuffle_cost": self.cost,  # backend-carried ShuffleCostModel
+            "cache_cost": (
+                cache_cost if cache_cost is not None else CacheShuffleCostModel()
+            ),
+            "relay_cost": self.relay_cost,
         }
-        self.time_value_usd_per_hour = time_value_usd_per_hour
-        self.substrates = tuple(substrates) if substrates is not None else None
-        self.modes = tuple(modes)
-        self.cache_node_type = cache_node_type
-        self.relay_instance_type = relay_instance_type
-        self.max_relay_shards = max_relay_shards
-        self.partition_skew = partition_skew
+        #: Substrate-table ``cost_model`` accessor → the cost model a
+        #: stint's backend carries (the ones every re-selection prices).
+        self._costs = {
+            "shuffle_cost_model": self._selector["shuffle_cost"],
+            "cache_shuffle_cost_model": self._selector["cache_cost"],
+            "relay_shuffle_cost_model": self.relay_cost,
+        }
         self.switch_margin = switch_margin
         self.reroute_threshold = reroute_threshold
         #: Decision history of the last sort.
@@ -392,11 +396,8 @@ class OnlineShuffleSort(ShuffleSort):
         #: Chunk-grain hot-partition reroutes of the last sort.
         self.chunk_reroutes = 0
 
-    def _process_label(self) -> str:
-        return "onlineshuffle"
-
-    def _default_out_prefix(self) -> str:
-        return "online-shuffle"
+    def _labels(self) -> tuple[str, str]:
+        return "onlineshuffle", "online-shuffle"
 
     # ------------------------------------------------------------------
     def _decide(
@@ -410,19 +411,10 @@ class OnlineShuffleSort(ShuffleSort):
             max(1.0, logical_bytes),
             profile,
             workers,
-            cache_node_type=self.cache_node_type,
-            relay_instance_type=self.relay_instance_type,
-            time_value_usd_per_hour=self.time_value_usd_per_hour,
             max_workers=max_workers,
-            max_relay_shards=self.max_relay_shards,
-            substrates=self.substrates,
-            modes=self.modes,
             stream_chunk_bytes=self.stream.chunk_bytes,
             stream_chunked_input=True,
-            partition_skew=self.partition_skew,
-            shuffle_cost=self.shuffle_cost,
-            cache_cost=self.cache_cost,
-            relay_cost=self.relay_cost,
+            **self._selector,
         )
 
     def _provision_stint(
@@ -451,8 +443,9 @@ class OnlineShuffleSort(ShuffleSort):
             max(1, estimate.shards),
         )
         backend = row.make_backend(
-            provisioned, self._costs[estimate.substrate], self.stream
+            provisioned, self._costs[row.cost_model], self.stream
         )
+        backend.begin_sort(out_bucket, out_prefix, self.codec)
         stint = _Stint(
             row=row,
             backend=backend,
@@ -463,7 +456,7 @@ class OnlineShuffleSort(ShuffleSort):
                 "poll_interval": self.stream.poll_interval_s,
                 "route_id": f"{estimate.substrate}#{epoch}",
                 "kind": backend.stream_kind,
-                **backend.stream_route(out_bucket),
+                **backend.stream_route(),
             },
             provisioned=provisioned,
             rate_usd_per_s=backend.provisioned_rate_usd_per_s(),
@@ -653,7 +646,7 @@ class OnlineShuffleSort(ShuffleSort):
                 logical_size=len(payload),
             )
 
-        job = f"{self._process_label()}:{out_prefix}@{started_at:.3f}"
+        job = f"{self._labels()[0]}:{out_prefix}@{started_at:.3f}"
         self._record_wave(job, "map", "start")
         # One span covers the whole chunked map phase: online waves are
         # slices of a single logical stage, not separate stages.
@@ -911,11 +904,8 @@ class OnlineShuffleSort(ShuffleSort):
         runs, total_records = self._collect_runs(
             [{"records": totals["records"]}], reduce_results, out_bucket
         )
-        reduce_exec_start = min(r["started_at"] for r in reduce_results)
-        overlap_s = max(
-            0.0,
-            min(map_ended_at, self.sim.now)
-            - max(totals["exec_start"], reduce_exec_start),
+        overlap_s, buffer_high_watermark, buffers = self._stream_observations(
+            map_ended_at, totals["exec_start"], reduce_results
         )
         provisioned_usd = sum(s.billed_usd(self.sim.now) for s in stints)
         final = self.timeline.final.decision.chosen
@@ -943,10 +933,7 @@ class OnlineShuffleSort(ShuffleSort):
             actual_s=self.sim.now - started_at,
             provisioned_usd=provisioned_usd,
             overlap_s=overlap_s,
-            buffer_high_watermark_bytes=max(
-                (r["buffer_high_watermark_bytes"] for r in reduce_results),
-                default=0.0,
-            ),
+            buffer_high_watermark_bytes=buffer_high_watermark,
             partition_skew=partition_skew_of([run.size_bytes for run in runs]),
             extra={
                 "mode": "online",
@@ -957,12 +944,7 @@ class OnlineShuffleSort(ShuffleSort):
                 "stream_chunks": totals["chunks"],
                 "stints": len(stints),
                 "dedup_bytes": dedup_bytes,
-                "buffer_backpressure_waits": sum(
-                    r["buffer_waits"] for r in reduce_results
-                ),
-                "buffer_wait_s": sum(
-                    r["buffer_wait_s"] for r in reduce_results
-                ),
+                **buffers,
                 "predicted_partition_skew": partition_skew_of(
                     self.predicted_partition_bytes
                 ),

@@ -144,20 +144,18 @@ class ShuffleSort:
                 bucket,
                 key,
                 out_bucket if out_bucket is not None else bucket,
-                out_prefix if out_prefix is not None else self._default_out_prefix(),
+                out_prefix if out_prefix is not None else self._labels()[1],
                 workers,
                 samplers,
                 max_workers,
             ),
-            name=f"{self._process_label()}.sort:{key}",
+            name=f"{self._labels()[0]}.sort:{key}",
         ).completion
 
-    def _process_label(self) -> str:
-        """Prefix of this operator's simulation process and job names."""
-        return self.backend.process_label
-
-    def _default_out_prefix(self) -> str:
-        return self.backend.default_out_prefix
+    def _labels(self) -> tuple[str, str]:
+        """(prefix of this operator's simulation process and job names,
+        default output prefix of :meth:`sort`)."""
+        return self.backend.labels[self.backend.mode]
 
     # ------------------------------------------------------------------
     # phases (OnlineShuffleSort reuses these around its own wave loop)
@@ -254,14 +252,8 @@ class ShuffleSort:
         return boundaries
 
     def _map_tasks(
-        self,
-        bucket: str,
-        key: str,
-        real_size: int,
-        boundaries: t.Sequence[t.Any],
+        self, bucket: str, key: str, real_size: int, boundaries: t.Sequence[t.Any],
         workers: int,
-        out_bucket: str,
-        out_prefix: str,
     ) -> list[dict]:
         return [
             self.backend.mapper_task(
@@ -277,8 +269,6 @@ class ShuffleSort:
                     "partition_throughput": self.cost.partition_throughput,
                 },
                 mapper_id,
-                out_bucket,
-                out_prefix,
             )
             for mapper_id, (start, end) in enumerate(_split(real_size, workers))
         ]
@@ -304,6 +294,33 @@ class ShuffleSort:
                 f"reduced {total_records}"
             )
         return runs, total_records
+
+    def _stream_observations(
+        self, map_ended_at: float, map_exec_start: float, reduce_results: list[dict]
+    ) -> tuple[float, float, dict]:
+        """What pipelined waves add to the report: ``(overlap_s, reducer
+        buffer high watermark, summed backpressure extras)``.
+
+        The overlap is measured from the workers' own execution windows
+        (each stage stamps its body start) — not from submission time,
+        which would claim overlap even when reducers queued behind the
+        mappers on the account concurrency limit and never actually ran
+        alongside them.
+        """
+        reduce_exec_start = min(result["started_at"] for result in reduce_results)
+        overlap_s = max(
+            0.0,
+            min(map_ended_at, self.sim.now) - max(map_exec_start, reduce_exec_start),
+        )
+        high_watermark = max(
+            (r["buffer_high_watermark_bytes"] for r in reduce_results), default=0.0
+        )
+        return overlap_s, high_watermark, {
+            "buffer_backpressure_waits": sum(
+                result["buffer_waits"] for result in reduce_results
+            ),
+            "buffer_wait_s": sum(result["buffer_wait_s"] for result in reduce_results),
+        }
 
     def _record_wave(self, job: str, wave: str, edge: str) -> None:
         """Timeline marker pairing into a Gantt wave span (traced runs)."""
@@ -378,7 +395,7 @@ class ShuffleSort:
             mode=self.backend.mode,
         )
         with sort_span:
-            self.backend.begin_sort(out_bucket, out_prefix)
+            self.backend.begin_sort(out_bucket, out_prefix, self.codec)
             meta = yield from self._preflight(bucket, key)
             real_size = meta.size
             plan, workers = self._plan_workers(
@@ -388,18 +405,13 @@ class ShuffleSort:
                 bucket, key, real_size, meta.logical_size, workers, samplers,
                 span=sort_span,
             )
-            job = f"{self._process_label()}:{out_prefix}@{started_at:.3f}"
+            job = f"{self._labels()[0]}:{out_prefix}@{started_at:.3f}"
             streaming = self.backend.stream is not None
-            map_tasks = self._map_tasks(
-                bucket, key, real_size, boundaries, workers, out_bucket, out_prefix
-            )
+            map_tasks = self._map_tasks(bucket, key, real_size, boundaries, workers)
 
             def submit_reduce_wave(map_results: list[dict]) -> t.Generator:
                 tasks = [
-                    self.backend.reducer_task(
-                        reducer_id, workers, map_tasks, map_results,
-                        out_bucket, out_prefix, self.codec,
-                    )
+                    self.backend.reducer_task(reducer_id, map_tasks, map_results)
                     for reducer_id in range(workers)
                 ]
                 self._record_wave(job, "reduce", "start")
@@ -466,30 +478,13 @@ class ShuffleSort:
                 )
             }
             if streaming:
-                # Measured wave overlap from the workers' own execution
-                # windows (each stage stamps its body start) — not from
-                # submission time, which would claim overlap even when
-                # reducers queued behind the mappers on the account
-                # concurrency limit and never actually ran alongside them.
-                overlap_s = max(
-                    0.0,
-                    min(map_ended_at, self.sim.now)
-                    - max(
-                        min(result["started_at"] for result in map_results),
-                        min(result["started_at"] for result in reduce_results),
-                    ),
-                )
-                buffer_high_watermark = max(
-                    (r["buffer_high_watermark_bytes"] for r in reduce_results),
-                    default=0.0,
+                overlap_s, buffer_high_watermark, buffers = self._stream_observations(
+                    map_ended_at,
+                    min(result["started_at"] for result in map_results),
+                    reduce_results,
                 )
                 extra.update(
-                    buffer_backpressure_waits=sum(
-                        result["buffer_waits"] for result in reduce_results
-                    ),
-                    buffer_wait_s=sum(
-                        result["buffer_wait_s"] for result in reduce_results
-                    ),
+                    buffers,
                     stream_chunks=sum(result["chunks"] for result in map_results),
                 )
             extra.update(kernels.kernel_report_extras(map_results, reduce_results))

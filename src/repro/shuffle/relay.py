@@ -340,9 +340,6 @@ class RelayExchange(ExchangeBackend):
         #: (``None`` outside a multi-tenant service): the lever behind
         #: :meth:`~repro.cloud.vm.relay.PartitionRelay.cancel_scope`.
         self.tenant: str | None = None
-        #: This sort's key-prefix namespace (set by :meth:`begin_sort`);
-        #: scopes router installs and clears on a *shared* fleet.
-        self._namespace: str | None = None
         #: Open peak-tracking epoch of the current sort (``None`` between
         #: sorts); epoch-scoped so concurrent jobs on a shared relay
         #: never reset each other's high watermark.
@@ -351,9 +348,6 @@ class RelayExchange(ExchangeBackend):
     @property
     def shards(self) -> int:
         return self.relay.shard_count
-
-    def begin_sort(self, out_bucket: str, out_prefix: str) -> None:
-        self._namespace = out_prefix
 
     def validate(self, logical_size: float) -> None:
         self.relay.ensure_running()
@@ -367,7 +361,7 @@ class RelayExchange(ExchangeBackend):
             # exchanges running concurrently on a shared fleet keep
             # theirs; without one (legacy single-job callers) the global
             # router is cleared as before.
-            self.relay.set_router(None, namespace=self._namespace)
+            self.relay.set_router(None, namespace=self.out_prefix)
         if logical_size > self.relay.capacity_bytes:
             raise ShuffleError(
                 f"shuffle data ({logical_size:.0f} logical bytes) exceeds "
@@ -444,38 +438,29 @@ class RelayExchange(ExchangeBackend):
             payload["relay_scope"] = self.tenant
         return payload
 
-    def stream_route(self, out_bucket: str) -> dict:
+    def stream_route(self) -> dict:
         return self._scoped({"relay_id": self.relay.relay_id})
 
-    def _staged_mapper_task(
-        self, base: dict, mapper_id: int, out_bucket: str, out_prefix: str
-    ) -> dict:
+    def _staged_mapper_task(self, base: dict, mapper_id: int) -> dict:
         base.update(
             relay_id=self.relay.relay_id,
-            relay_prefix=out_prefix,
+            relay_prefix=self.out_prefix,
             mapper_id=mapper_id,
         )
         return self._scoped(base)
 
     def _staged_reducer_task(
-        self,
-        reducer_id: int,
-        workers: int,
-        map_tasks: list[dict],
-        map_results: list[dict],
-        out_bucket: str,
-        out_prefix: str,
-        codec: RecordCodec,
+        self, reducer_id: int, map_tasks: list[dict], map_results: list[dict]
     ) -> dict:
         return self._scoped(
             {
                 "relay_id": self.relay.relay_id,
-                "relay_prefix": out_prefix,
+                "relay_prefix": self.out_prefix,
                 "reducer_id": reducer_id,
-                "mappers": workers,
-                "out_bucket": out_bucket,
-                "output_key": paths.shuffle_output_key(out_prefix, reducer_id),
-                "codec": codec,
+                "mappers": len(map_tasks),
+                "out_bucket": self.out_bucket,
+                "output_key": self._output_key(reducer_id),
+                "codec": self.codec,
                 "sort_throughput": self.cost.sort_throughput,
                 "consume": self.cost.consume,
             }
@@ -597,7 +582,7 @@ class ShardedRelayExchange(RelayExchange):
         # legacy single-job callers (no begin_sort) install globally.
         self.fleet.set_router(
             PartitionLoadRouter(self.rebalance_assignments),
-            namespace=self._namespace,
+            namespace=self.out_prefix,
         )
 
     def on_map_done(self, map_results: list[dict]) -> None:
@@ -619,9 +604,9 @@ class ShardedRelayExchange(RelayExchange):
             max(self._post_map_shard_bytes) / total if total > 0 else 0.0
         )
         out["shard_bytes"] = self._post_map_shard_bytes
-        if self._namespace is not None and self.rebalance_assignments is not None:
+        if self.out_prefix is not None and self.rebalance_assignments is not None:
             # The sort is over: retire its namespaced router so a
             # long-running shared fleet's router table stays bounded.
             # (Global routers are left for validate's legacy clear.)
-            self.fleet.set_router(None, namespace=self._namespace)
+            self.fleet.set_router(None, namespace=self.out_prefix)
         return out

@@ -146,9 +146,8 @@ def write_run(ctx, task: dict, outcome, extra: dict | None = None) -> t.Generato
     }
 
 
-def sort_and_write_run(ctx, task: dict, segments: t.Iterable[bytes]) -> t.Generator:
-    """The staged reducers' tail: join, charge the sort, sort, write."""
-    buffer = b"".join(segments)
+def sort_and_write_run(ctx, task: dict, buffer: bytes) -> t.Generator:
+    """The staged reducers' tail: charge the sort, sort, write."""
     yield ctx.compute_bytes(len(buffer), task["sort_throughput"])
     outcome = kernels.sort_buffer(task["codec"], buffer, task.get("record_limit"))
     return (yield from write_run(ctx, task, outcome))
@@ -198,7 +197,7 @@ def kv_shuffle_reducer(
         for mapper_id in range(task["mappers"])
     ]
     segments = yield from fetch(keys)
-    return (yield from sort_and_write_run(ctx, task, segments))
+    return (yield from sort_and_write_run(ctx, task, b"".join(segments)))
 
 
 def fetch_segments(ctx, task: dict, process_label: str) -> t.Generator:
@@ -319,4 +318,4 @@ def shuffle_reducer(ctx, task: dict) -> t.Generator:
     (top-k queries truncate their final partition this way).
     """
     buffer = yield from fetch_segments(ctx, task, "reducer-fetch")
-    return (yield from sort_and_write_run(ctx, task, [buffer]))
+    return (yield from sort_and_write_run(ctx, task, buffer))

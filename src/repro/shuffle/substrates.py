@@ -24,7 +24,6 @@ import typing as t
 
 from repro.cloud.vm.fleet import fleet_ready, provision_fleet
 from repro.cloud.vm.relay import provision_relay, relay_ready
-from repro.errors import ShuffleError
 from repro.shuffle.cacheplanner import required_cache_nodes
 from repro.shuffle.exchange import CacheExchange, ExchangeBackend, ObjectStoreExchange
 from repro.shuffle.relay import RelayExchange, ShardedRelayExchange
@@ -102,9 +101,9 @@ class Substrate:
         yields for it, paying creation/boot on the simulated clock.
         Billing starts now either way; pair with :meth:`release`.
         """
-        if self.size is None:
+        if not self.provisioned:
             return None
-        flavour, count = self.size(logical_bytes, cloud.profile, flavour, count)
+        flavour, count = t.cast(Sizer, self.size)(logical_bytes, cloud.profile, flavour, count)
         bring_up = t.cast(t.Callable, self.cold if cold else self.warm)
         return bring_up(cloud, flavour, count)
 
@@ -120,7 +119,7 @@ class Substrate:
     ) -> ExchangeBackend:
         """This substrate's backend over ``provisioned`` (``None`` for
         object storage); ``stream`` selects the streaming mode."""
-        if self.size is None:
+        if not self.provisioned:
             return self.backend(cost=cost, stream=stream)
         return self.backend(provisioned, cost=cost, stream=stream)
 
@@ -193,13 +192,3 @@ SUBSTRATES: dict[str, Substrate] = {
     )
 }
 
-
-def substrate_named(name: str) -> Substrate:
-    """The table row for ``name``; unknown names raise ``ShuffleError``."""
-    try:
-        return SUBSTRATES[name]
-    except KeyError:
-        raise ShuffleError(
-            f"unknown exchange substrate {name!r}; expected one of "
-            f"{sorted(SUBSTRATES)}"
-        ) from None

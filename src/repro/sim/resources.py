@@ -156,7 +156,8 @@ class TokenBucket:
                 continue
             if not self._wake_pending:
                 delay = (amount - self._tokens) / self.rate
-                if self.sim.now + delay <= self.sim.now:
+                now = self.sim.now
+                if now + delay <= now:
                     # The shortfall refills in less than the float
                     # resolution of the clock: a wake-up would fire at
                     # this same instant, refill nothing and re-arm

@@ -136,7 +136,9 @@ class TestExchangeParity:
         relay = relay_ready(cloud.vms, "bx2-8x32")
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
         payload = make_fixed_payload(4000, seed=7)
-        operator = ShuffleSort(FunctionExecutor(cloud, retries=4), codec, backend=RelayExchange(relay))
+        operator = ShuffleSort(
+            FunctionExecutor(cloud, retries=4), codec, backend=RelayExchange(relay)
+        )
 
         def driver():
             yield cloud.store.put("data", "input.bin", payload)

@@ -71,8 +71,12 @@ def test_two_concurrent_sorts_keep_router_and_byte_parity(consume):
     fleet = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
     cost_a = RelayShuffleCostModel(consume=consume)
     cost_b = RelayShuffleCostModel(consume=consume)
-    op_a = ShuffleSort(FunctionExecutor(cloud), codec(), backend=ShardedRelayExchange(fleet, cost_a))
-    op_b = ShuffleSort(FunctionExecutor(cloud), codec(), backend=ShardedRelayExchange(fleet, cost_b))
+    op_a = ShuffleSort(
+        FunctionExecutor(cloud), codec(), backend=ShardedRelayExchange(fleet, cost_a)
+    )
+    op_b = ShuffleSort(
+        FunctionExecutor(cloud), codec(), backend=ShardedRelayExchange(fleet, cost_b)
+    )
 
     def driver():
         yield cloud.store.put("data", "a.bin", payload_a)

@@ -196,7 +196,7 @@ class TestBackpressure:
         assert relay.stats.pulls == 1
 
 
-class TestStreamingMode:
+class TestStreamingOperatorGuards:
     def test_mode_is_a_field_of_the_backend(self):
         """One backend class per substrate: ``stream=`` alone selects the
         mode, the worker stages and the (mode-specific) name strings."""
@@ -205,10 +205,8 @@ class TestStreamingMode:
         assert type(staged) is type(streaming)
         assert (staged.mode, streaming.mode) == ("staged", "streaming")
         assert staged.mapper_stage() is not streaming.mapper_stage()
-        assert (staged.process_label, staged.default_out_prefix) == (
-            "shuffle", "shuffle-out"
-        )
-        assert (streaming.process_label, streaming.default_out_prefix) == (
+        assert staged.labels[staged.mode] == ("shuffle", "shuffle-out")
+        assert streaming.labels[streaming.mode] == (
             "streamshuffle", "streaming-shuffle"
         )
 

@@ -13,6 +13,11 @@ the standing guard on the *wire format*: the executor pickles every
 size, so renaming a worker entry point or adding a task-dict key moves
 ``makespan_s`` in its last digits and fails here.
 
+Each cell also pins the *event schedule*: how many events the kernel
+fired (``sim_events``) and a hash over the popped ``(time, seq)``
+sequence (``sim_schedule``), so a change meant only to make the
+simulator faster shows here that no event moved.
+
 Regenerate (only for an intended model change, never for a refactor)::
 
     PYTHONPATH=src python tests/shuffle/test_sim_golden.py --write
@@ -20,6 +25,7 @@ Regenerate (only for an intended model change, never for a refactor)::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import pathlib
@@ -92,6 +98,34 @@ def _observe(cloud: Cloud, runs: t.Iterable[dict], makespan_s: float, cost: floa
     }
 
 
+@contextlib.contextmanager
+def recorded_schedule() -> t.Iterator[dict]:
+    """Count fired events and hash the popped ``(time, seq)`` sequence.
+
+    Wraps ``Simulator.step`` on the class for the duration, so every
+    simulator a cell creates is seen and the kernel needs no counter of
+    its own.  On exit the dict holds ``sim_events`` and ``sim_schedule``.
+    """
+    original = Simulator.step
+    schedule = hashlib.sha256()
+    observed = {"sim_events": 0}
+
+    def step(sim: Simulator) -> bool:
+        head = sim._heap[0] if sim._heap else None
+        fired = original(sim)
+        if fired:
+            observed["sim_events"] += 1
+            schedule.update(f"{head[0]!r},{head[1]};".encode())
+        return fired
+
+    Simulator.step = step
+    try:
+        yield observed
+    finally:
+        Simulator.step = original
+        observed["sim_schedule"] = schedule.hexdigest()[:16]
+
+
 def run_sort_cell(kind: str, params: dict, config: ExperimentConfig = CONFIG) -> dict:
     cloud = Cloud(Simulator(seed=config.seed), config.make_profile())
     stage_input(cloud, config, BUCKET, INPUT_KEY)
@@ -127,9 +161,12 @@ def run_pipeline_cell(variant: str) -> dict:
 
 
 def run_cell(name: str) -> dict:
-    if name in PIPELINE_CELLS:
-        return run_pipeline_cell(PIPELINE_CELLS[name])
-    return run_sort_cell(*SORT_CELLS[name])
+    with recorded_schedule() as schedule:
+        if name in PIPELINE_CELLS:
+            observed = run_pipeline_cell(PIPELINE_CELLS[name])
+        else:
+            observed = run_sort_cell(*SORT_CELLS[name])
+    return {**observed, **schedule}
 
 
 ALL_CELLS = (*SORT_CELLS, *PIPELINE_CELLS)

@@ -8,7 +8,7 @@ PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 #: `make test-faults CHAOS_SEEDS=1,2,3,4`.
 CHAOS_SEEDS ?= 13,2021,77
 
-.PHONY: test test-faults test-skew test-service test-obs test-cas collect bench bench-exchange bench-streaming bench-skew bench-online bench-service bench-kernels bench-obs bench-cas bench-ledger ledger-selfcheck verify
+.PHONY: test test-faults test-skew test-service test-obs test-cas collect bench bench-exchange bench-streaming bench-skew bench-online bench-service bench-kernels bench-sim bench-obs bench-cas bench-ledger ledger-selfcheck verify
 
 # Tier-1 suite (must stay green): everything under tests/, once, with
 # the chaos suite under the pinned seed matrix.  The `test-*` targets
@@ -108,6 +108,15 @@ bench-service:
 # benchmarks/conftest.py) against the committed baseline.
 bench-kernels:
 	$(PYTEST) benchmarks/bench_kernels.py -q
+	python benchmarks/check_wallclock.py
+
+# Simulator-core bench only: events/s, process switches, resource churn,
+# link re-rating, and the two wide-sort cases (a 96-flow fan-in on one
+# link, thousands of range-GETs through a worker's storage view) — then
+# the same wall-clock guard.  Holds the event-core speed-up: the guard
+# fails if the module runs >20% over the committed baseline.
+bench-sim:
+	$(PYTEST) benchmarks/bench_sim_kernel.py -q
 	python benchmarks/check_wallclock.py
 
 # Observability bench only: regenerates the S15 result

@@ -3,8 +3,18 @@
 Not a paper artifact — these quantify the substrate's own performance
 (events/second, resource churn, link re-rating), which bounds how big an
 experiment the harness can regenerate in reasonable wall-clock time.
+
+The last two cases are the regime of a wide object-store sort (the
+ledger benchmark's ``fanout`` workload): one aggregate link shared by
+many more flows than fit at their caps, and thousands of range-GETs
+each spawning its request processes.  They run a fixed number of rounds,
+so the module's wall-clock — which ``check_wallclock.py`` holds against
+the committed baseline (``make bench-sim``) — follows their cost.
 """
 
+from repro.cloud import Cloud
+from repro.cloud.retry import RetryPolicy
+from repro.cloud.storageview import BoundStorage
 from repro.sim import FairShareLink, Resource, Simulator, TokenBucket
 
 
@@ -86,3 +96,73 @@ def test_fair_link_rerating_throughput(benchmark):
 
     delivered = benchmark(run_link)
     assert abs(delivered - 200 * 1e6) < 1.0  # fluid model: float tolerance
+
+
+def test_fair_link_fanin_throughput(benchmark):
+    flows, transfers_each = 96, 100
+    sizes = [2e5, 3e5, 5e5]
+
+    def run_fanin():
+        sim = Simulator(seed=1)
+        # Eight default-cap flows fill the link; 96 share it, so every
+        # re-rating water-fills below the caps.  Two cap classes.
+        link = FairShareLink(sim, capacity=8e8, default_flow_cap=1e8)
+        peak = 0
+
+        def reducer(index):
+            nonlocal peak
+            yield sim.timeout(index * 1e-4)  # staggered starts
+            cap = None if index % 2 else 6e7
+            for segment in range(transfers_each):
+                yield link.transfer(sizes[(index + segment) % 3], flow_cap=cap)
+                peak = max(peak, link.active_flows)
+
+        for index in range(flows):
+            sim.process(reducer(index))
+        sim.run()
+        return link.bytes_delivered, peak
+
+    delivered, peak = benchmark.pedantic(run_fanin, rounds=5, iterations=1, warmup_rounds=1)
+    expected = sum(
+        sizes[(index + segment) % 3]
+        for index in range(flows)
+        for segment in range(transfers_each)
+    )
+    assert abs(delivered - expected) < 1.0  # fluid model: float tolerance
+    assert peak >= 64
+
+
+def test_storage_request_throughput(benchmark):
+    workers, requests_each, chunk = 32, 200, 64
+
+    def run_requests():
+        cloud = Cloud(Simulator(seed=1))
+        cloud.store.ensure_bucket("bench")
+        payload = bytes(range(256)) * (workers * chunk // 256 + 1)
+        fetched = 0
+
+        def worker(index):
+            nonlocal fetched
+            # A worker-side view: bounded by a NIC, retrying like the SDK.
+            view = BoundStorage(
+                cloud.store, 1e8, retry=RetryPolicy(), name=f"worker-{index}"
+            )
+            for _ in range(requests_each):
+                start = index * chunk
+                data = yield view.get_range("bench", "runs/0", start, start + chunk)
+                fetched += len(data)
+
+        def driver():
+            yield cloud.store.put("bench", "runs/0", payload)
+            yield cloud.sim.all_of(
+                [cloud.sim.process(worker(index)).completion for index in range(workers)]
+            )
+
+        cloud.sim.run_process(driver())
+        return fetched, cloud.store.stats.total_requests
+
+    fetched, requests = benchmark.pedantic(
+        run_requests, rounds=5, iterations=1, warmup_rounds=1
+    )
+    assert fetched == workers * requests_each * chunk
+    assert requests == workers * requests_each + 1

@@ -48,7 +48,7 @@ from repro.cloud.objectstore.errors import (
 )
 from repro.cloud.profiles import GB, ObjectStoreProfile
 from repro.obs.metrics import registry
-from repro.sim import FairShareLink, SimEvent, Simulator, TokenBucket
+from repro.sim import FairShareLink, LazyName, SimEvent, Simulator, TokenBucket
 
 
 class OpStats:
@@ -181,7 +181,7 @@ class ObjectStore:
             self._put_op(
                 bucket, key, data, logical_size, connection_bandwidth, dedup
             ),
-            f"put:{key}",
+            ("put:{}", key),
         )
 
     def get(
@@ -189,7 +189,7 @@ class ObjectStore:
     ) -> SimEvent:
         """Fetch a whole object; event → ``bytes``."""
         return self._spawn(
-            self._get_op(bucket, key, None, connection_bandwidth), f"get:{key}"
+            self._get_op(bucket, key, None, connection_bandwidth), ("get:{}", key)
         )
 
     def get_range(
@@ -203,23 +203,25 @@ class ObjectStore:
         """Fetch bytes ``[start, end)`` of an object; event → ``bytes``."""
         return self._spawn(
             self._get_op(bucket, key, (start, end), connection_bandwidth),
-            f"get_range:{key}",
+            ("get_range:{}", key),
         )
 
     def head(self, bucket: str, key: str) -> SimEvent:
         """Metadata lookup; event → :class:`ObjectMetadata`."""
-        return self._spawn(self._head_op(bucket, key), f"head:{key}")
+        return self._spawn(self._head_op(bucket, key), ("head:{}", key))
 
     def list_keys(self, bucket: str, prefix: str = "") -> SimEvent:
         """List keys with ``prefix``; event → ``list[str]`` (sorted)."""
-        return self._spawn(self._list_op(bucket, prefix), f"list:{prefix}")
+        return self._spawn(self._list_op(bucket, prefix), ("list:{}", prefix))
 
     def delete(self, bucket: str, key: str) -> SimEvent:
         """Delete an object (idempotent); event → ``None``."""
-        return self._spawn(self._delete_op(bucket, key), f"delete:{key}")
+        return self._spawn(self._delete_op(bucket, key), ("delete:{}", key))
 
-    def _spawn(self, generator: t.Generator, name: str) -> SimEvent:
-        return self.sim.process(generator, name=f"{self.name}.{name}").completion
+    def _spawn(self, generator: t.Generator, label: LazyName) -> SimEvent:
+        # One process per request: the name stays a recipe (see
+        # ``repro.sim.events``) and is only rendered if somebody reads it.
+        return self.sim.process(generator, ("{}.{}", self.name, label)).completion
 
     # ------------------------------------------------------------------
     # operation bodies
@@ -405,7 +407,7 @@ class ObjectStore:
     # ------------------------------------------------------------------
     def create_multipart_upload(self, bucket: str, key: str) -> SimEvent:
         """Begin a multipart upload; event → ``upload_id`` string."""
-        return self._spawn(self._create_multipart_op(bucket, key), f"mpu:{key}")
+        return self._spawn(self._create_multipart_op(bucket, key), ("mpu:{}", key))
 
     def upload_part(
         self,
@@ -420,12 +422,12 @@ class ObjectStore:
             self._upload_part_op(
                 upload_id, part_number, data, logical_size, connection_bandwidth
             ),
-            f"part:{upload_id}:{part_number}",
+            ("part:{}:{}", upload_id, part_number),
         )
 
     def complete_multipart_upload(self, upload_id: str) -> SimEvent:
         """Concatenate parts in part-number order; event → metadata."""
-        return self._spawn(self._complete_multipart_op(upload_id), f"mpuc:{upload_id}")
+        return self._spawn(self._complete_multipart_op(upload_id), ("mpuc:{}", upload_id))
 
     def _create_multipart_op(self, bucket: str, key: str) -> t.Generator:
         self._bucket(bucket)  # existence check

@@ -21,7 +21,7 @@ from repro.cloud.objectstore.service import ObjectStore
 from repro.cloud.retry import RETRYABLE_ERRORS, RetryPolicy
 from repro.errors import StorageError
 from repro.obs.trace import NOOP_SPAN
-from repro.sim import SimEvent
+from repro.sim import LazyName, SimEvent, render_name
 
 
 class BoundStorage:
@@ -50,15 +50,15 @@ class BoundStorage:
         self.span = NOOP_SPAN
 
     # -- retry plumbing --------------------------------------------------
-    def _call(self, make_event: t.Callable[[], SimEvent], label: str) -> SimEvent:
+    def _call(self, make_event: t.Callable[[], SimEvent], label: LazyName) -> SimEvent:
         if self.retry is None:
             return make_event()
         return self._store.sim.process(
-            self._retry_loop(make_event, label), name=f"{self.name}.{label}"
+            self._retry_loop(make_event, label), ("{}.{}", self.name, label)
         ).completion
 
     def _retry_loop(
-        self, make_event: t.Callable[[], SimEvent], label: str
+        self, make_event: t.Callable[[], SimEvent], label: LazyName
     ) -> t.Generator:
         attempt = 1
         while True:
@@ -68,7 +68,7 @@ class BoundStorage:
             except RETRYABLE_ERRORS as exc:
                 if attempt >= self.retry.max_attempts:
                     raise StorageError(
-                        f"{label}: still failing after "
+                        f"{render_name(label)}: still failing after "
                         f"{self.retry.max_attempts} attempts ({exc})"
                     )
                 self.retries += 1
@@ -100,7 +100,7 @@ class BoundStorage:
                 connection_bandwidth=self.connection_bandwidth,
                 dedup=dedup,
             ),
-            f"put:{key}",
+            ("put:{}", key),
         )
 
     def get(self, bucket: str, key: str) -> SimEvent:
@@ -110,7 +110,7 @@ class BoundStorage:
             lambda: self._store.get(
                 bucket, key, connection_bandwidth=self.connection_bandwidth
             ),
-            f"get:{key}",
+            ("get:{}", key),
         )
 
     def get_range(self, bucket: str, key: str, start: int, end: int) -> SimEvent:
@@ -123,26 +123,26 @@ class BoundStorage:
                 bucket, key, start, end,
                 connection_bandwidth=self.connection_bandwidth,
             ),
-            f"get_range:{key}",
+            ("get_range:{}", key),
         )
 
     def head(self, bucket: str, key: str) -> SimEvent:
-        return self._call(lambda: self._store.head(bucket, key), f"head:{key}")
+        return self._call(lambda: self._store.head(bucket, key), ("head:{}", key))
 
     def list_keys(self, bucket: str, prefix: str = "") -> SimEvent:
         return self._call(
-            lambda: self._store.list_keys(bucket, prefix), f"list:{prefix}"
+            lambda: self._store.list_keys(bucket, prefix), ("list:{}", prefix)
         )
 
     def delete(self, bucket: str, key: str) -> SimEvent:
         return self._call(
-            lambda: self._store.delete(bucket, key), f"delete:{key}"
+            lambda: self._store.delete(bucket, key), ("delete:{}", key)
         )
 
     def create_multipart_upload(self, bucket: str, key: str) -> SimEvent:
         return self._call(
             lambda: self._store.create_multipart_upload(bucket, key),
-            f"mpu:{key}",
+            ("mpu:{}", key),
         )
 
     def upload_part(
@@ -160,13 +160,13 @@ class BoundStorage:
                 logical_size=logical_size,
                 connection_bandwidth=self.connection_bandwidth,
             ),
-            f"part:{upload_id}:{part_number}",
+            ("part:{}:{}", upload_id, part_number),
         )
 
     def complete_multipart_upload(self, upload_id: str) -> SimEvent:
         return self._call(
             lambda: self._store.complete_multipart_upload(upload_id),
-            f"mpuc:{upload_id}",
+            ("mpuc:{}", upload_id),
         )
 
     # -- derived views -------------------------------------------------

@@ -8,12 +8,13 @@ Public surface::
 
     from repro.sim import Simulator, FOREVER
     from repro.sim import SimEvent, Timeout, AllOf, AnyOf
+    from repro.sim import LazyName, render_name
     from repro.sim import Process
     from repro.sim import Resource, TokenBucket, Store
     from repro.sim import FairShareLink
 """
 
-from repro.sim.events import AllOf, AnyOf, SimEvent, Timeout
+from repro.sim.events import AllOf, AnyOf, LazyName, SimEvent, Timeout, render_name
 from repro.sim.kernel import FOREVER, Simulator
 from repro.sim.links import FairShareLink
 from repro.sim.notify import KeyedWatch
@@ -28,6 +29,7 @@ __all__ = [
     "FOREVER",
     "FairShareLink",
     "KeyedWatch",
+    "LazyName",
     "Process",
     "Resource",
     "RngRegistry",
@@ -39,4 +41,5 @@ __all__ = [
     "TokenBucket",
     "TraceRecord",
     "derive_seed",
+    "render_name",
 ]

@@ -7,6 +7,26 @@ resumes the process when the event triggers, delivering the event's value
 
 Events are intentionally tiny: the kernel is on the hot path of every
 simulated storage request, so we keep allocation and indirection low.
+
+Simulator hot path
+------------------
+A wide object-store sort creates several hundred thousand events whose
+names nobody reads unless something goes wrong, so:
+
+* Names are *lazy*.  An event (or process) is named either by a ``str``
+  or by a ``(format, *args)`` tuple that :func:`render_name` turns into
+  ``format.format(*args)`` whenever ``.name`` is read — by ``repr``, an
+  error message or a test.  Args may be lazy names
+  themselves.  Pass the tuple, never an f-string, from code that runs
+  per request.
+* Inside ``repro.sim`` the dispatch path reads ``_value`` / ``_exc`` /
+  ``_callbacks`` directly: an event is pending iff ``_value is _PENDING
+  and _exc is None``, and ``_callbacks is None`` once it has dispatched.
+  The public properties say the same thing for everyone else.
+* ``Simulator.step`` fires exactly one heap entry per call and is called
+  once per event — the ledger benchmark counts ``sim.events`` that way.
+  It delivers ``event._scheduled_value``: ``None`` on the class, the
+  ``Timeout``'s own value on a timeout.
 """
 
 from __future__ import annotations
@@ -21,6 +41,17 @@ if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Sentinel distinguishing "not yet triggered" from "triggered with None".
 _PENDING = object()
 
+#: A name, or a ``(format, *args)`` recipe for one (see the module docstring).
+LazyName = t.Union[str, tuple]
+
+
+def render_name(name: LazyName) -> str:
+    """The string a lazy name stands for."""
+    if type(name) is tuple:
+        template, *args = name
+        return template.format(*map(render_name, args))
+    return name
+
 
 class SimEvent:
     """A one-shot event that callbacks and processes can wait on.
@@ -31,11 +62,14 @@ class SimEvent:
     immediately, which makes ``yield event`` race-free for processes.
     """
 
-    __slots__ = ("sim", "name", "_value", "_exc", "_callbacks")
+    __slots__ = ("sim", "_name", "_value", "_exc", "_callbacks")
 
-    def __init__(self, sim: "Simulator", name: str = ""):
+    #: What ``Simulator.step`` delivers when this event comes due on the heap.
+    _scheduled_value: object = None
+
+    def __init__(self, sim: "Simulator", name: LazyName = ""):
         self.sim = sim
-        self.name = name
+        self._name = name
         self._value: object = _PENDING
         self._exc: BaseException | None = None
         self._callbacks: list[t.Callable[[SimEvent], None]] | None = []
@@ -44,6 +78,11 @@ class SimEvent:
     # state inspection
     # ------------------------------------------------------------------
     @property
+    def name(self) -> str:
+        """Debug name (rendered when read; see :func:`render_name`)."""
+        return render_name(self._name)
+
+    @property
     def triggered(self) -> bool:
         """Whether the event has already succeeded or failed."""
         return self._value is not _PENDING or self._exc is not None
@@ -51,7 +90,7 @@ class SimEvent:
     @property
     def ok(self) -> bool:
         """Whether the event succeeded.  Only meaningful once triggered."""
-        return self.triggered and self._exc is None
+        return self._value is not _PENDING and self._exc is None
 
     @property
     def value(self) -> object:
@@ -72,10 +111,12 @@ class SimEvent:
     # ------------------------------------------------------------------
     def succeed(self, value: object = None) -> "SimEvent":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING or self._exc is not None:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self._value = value
-        self._dispatch()
+        callbacks, self._callbacks = self._callbacks, None
+        for callback in callbacks:
+            callback(self)
         return self
 
     def fail(self, exc: BaseException) -> "SimEvent":
@@ -83,19 +124,15 @@ class SimEvent:
 
         Waiting processes will see ``exc`` raised at their ``yield``.
         """
-        if self.triggered:
+        if self._value is not _PENDING or self._exc is not None:
             raise SimulationError(f"event {self.name!r} triggered twice")
         if not isinstance(exc, BaseException):
             raise SimulationError("SimEvent.fail() requires an exception instance")
         self._exc = exc
-        self._dispatch()
-        return self
-
-    def _dispatch(self) -> None:
         callbacks, self._callbacks = self._callbacks, None
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
+        for callback in callbacks:
+            callback(self)
+        return self
 
     # ------------------------------------------------------------------
     # waiting
@@ -122,15 +159,14 @@ class Timeout(SimEvent):
     """An event that triggers after a fixed simulated delay.
 
     Created through :meth:`repro.sim.kernel.Simulator.timeout`; scheduling
+    — and with it the one check that the delay is a non-negative number —
     happens there so this class stays a plain value container.
     """
 
     __slots__ = ("delay", "_scheduled_value")
 
     def __init__(self, sim: "Simulator", delay: float, value: object = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        super().__init__(sim, name=f"timeout({delay:g})")
+        SimEvent.__init__(self, sim, ("timeout({:g})", delay))
         self.delay = delay
         # Delivered by the kernel when the timeout comes due.
         self._scheduled_value = value
@@ -150,7 +186,7 @@ class AllOf(SimEvent):
     __slots__ = ("events", "_remaining", "_done")
 
     def __init__(self, sim: "Simulator", events: t.Sequence[SimEvent]):
-        super().__init__(sim, name=f"all_of({len(events)})")
+        super().__init__(sim, ("all_of({})", len(events)))
         self.events = list(events)
         for event in self.events:
             if not isinstance(event, SimEvent):
@@ -187,7 +223,7 @@ class AnyOf(SimEvent):
     __slots__ = ("events", "_done")
 
     def __init__(self, sim: "Simulator", events: t.Sequence[SimEvent]):
-        super().__init__(sim, name=f"any_of({len(events)})")
+        super().__init__(sim, ("any_of({})", len(events)))
         self.events = list(events)
         if not self.events:
             raise ConditionError("AnyOf requires at least one event")

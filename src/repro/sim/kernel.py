@@ -24,7 +24,7 @@ import typing as t
 
 from repro.errors import DeadlockError, SimulationError
 from repro.obs.trace import Tracer, trace_enabled_from_env
-from repro.sim.events import AllOf, AnyOf, SimEvent, Timeout
+from repro.sim.events import _PENDING, AllOf, AnyOf, LazyName, SimEvent, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 from repro.sim.timeline import Timeline
@@ -74,7 +74,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # event construction
     # ------------------------------------------------------------------
-    def event(self, name: str = "") -> SimEvent:
+    def event(self, name: LazyName = "") -> SimEvent:
         """Create a fresh pending event owned by this simulator."""
         return SimEvent(self, name)
 
@@ -93,29 +93,32 @@ class Simulator:
         return AnyOf(self, events)
 
     def _schedule(self, delay: float, event: SimEvent) -> None:
-        """Arrange for ``event`` to succeed ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
+        """Arrange for ``event`` to succeed ``delay`` seconds from now.
+
+        Everything that reaches the heap comes through here, so this is
+        the one place a delay is validated.  ``not delay >= 0`` rather
+        than ``delay < 0``: a NaN compares false both ways and would
+        otherwise be pushed and silently break the heap's ordering.
+        """
+        if not delay >= 0:
+            raise SimulationError(
+                f"cannot schedule {delay!r} seconds from now: a delay must be "
+                "a non-negative number"
+            )
         self._seq += 1
         heapq.heappush(self._heap, (self._now + delay, self._seq, event))
 
     # ------------------------------------------------------------------
     # processes
     # ------------------------------------------------------------------
-    def process(self, generator: t.Generator, name: str = "") -> Process:
+    def process(self, generator: t.Generator, name: LazyName = "") -> Process:
         """Start a new process driving ``generator``.
 
         The generator may yield :class:`SimEvent` objects (including other
         processes' completion events).  The value sent back into the
         generator is the event's value; failed events raise inside it.
         """
-        return Process(self, generator, name=name)
-
-    def _process_started(self) -> None:
-        self._active_processes += 1
-
-    def _process_finished(self) -> None:
-        self._active_processes -= 1
+        return Process(self, generator, name)
 
     @property
     def active_process_count(self) -> int:
@@ -126,18 +129,21 @@ class Simulator:
     # execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Trigger the next scheduled event.  Returns False when idle."""
-        if not self._heap:
+        """Trigger the next scheduled event.  Returns False when idle.
+
+        Called exactly once per event by every run loop (see the "hot
+        path" note in :mod:`repro.sim.events`).
+        """
+        heap = self._heap
+        if not heap:
             return False
-        time, _seq, event = heapq.heappop(self._heap)
+        time, _seq, event = heapq.heappop(heap)
         if time < self._now:  # pragma: no cover - defensive
             raise SimulationError("event heap went backwards in time")
         self._now = time
-        if not event.triggered:
-            if isinstance(event, Timeout):
-                event.succeed(event._scheduled_value)
-            else:
-                event.succeed(None)
+        # Skip an entry somebody triggered by hand before it came due.
+        if event._value is _PENDING and event._exc is None:
+            event.succeed(event._scheduled_value)
         return True
 
     def run(self, until: float | SimEvent = FOREVER) -> object:
@@ -153,14 +159,12 @@ class Simulator:
         if isinstance(until, SimEvent):
             return self._run_until_event(until)
         deadline = float(until)
-        while self._heap:
-            next_time = self._heap[0][0]
-            if next_time > deadline:
-                self._now = min(deadline, next_time) if deadline != FOREVER else self._now
-                if deadline != FOREVER:
-                    self._now = deadline
+        heap, step = self._heap, self.step
+        while heap:
+            if heap[0][0] > deadline:
+                self._now = deadline
                 return None
-            self.step()
+            step()
         if self._active_processes > 0:
             raise DeadlockError(
                 f"simulation ran out of events with {self._active_processes} "
@@ -171,8 +175,9 @@ class Simulator:
         return None
 
     def _run_until_event(self, event: SimEvent) -> object:
-        while not event.triggered:
-            if not self.step():
+        step = self.step
+        while event._value is _PENDING and event._exc is None:
+            if not step():
                 raise DeadlockError(
                     f"simulation ran out of events before {event.name!r} triggered"
                 )

@@ -33,7 +33,7 @@ class KeyedWatch:
 
     def watch(self, key: str) -> SimEvent:
         """An event that succeeds the next time ``key`` is signalled."""
-        event = SimEvent(self.sim, name=f"{self.name}:{key}")
+        event = SimEvent(self.sim, ("{}:{}", self.name, key))
         self._watchers.setdefault(key, []).append(event)
         return event
 

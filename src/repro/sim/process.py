@@ -29,7 +29,7 @@ from __future__ import annotations
 import typing as t
 
 from repro.errors import Interrupted, SimulationError
-from repro.sim.events import SimEvent
+from repro.sim.events import _PENDING, LazyName, SimEvent, render_name
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
@@ -46,36 +46,45 @@ class Process:
         exception).  Waiting on a process means waiting on this event.
     """
 
-    __slots__ = ("sim", "name", "generator", "completion", "_waiting_on")
+    __slots__ = ("sim", "_name", "generator", "completion", "_waiting_on", "_resume")
 
-    def __init__(self, sim: "Simulator", generator: t.Generator, name: str = ""):
+    def __init__(self, sim: "Simulator", generator: t.Generator, name: LazyName = ""):
         if not hasattr(generator, "send"):
             raise SimulationError(
                 f"Process requires a generator, got {type(generator).__name__}; "
                 "did you forget to call the generator function?"
             )
         self.sim = sim
-        self.name = name or getattr(generator, "__name__", "process")
+        name = self._name = name or getattr(generator, "__name__", "process")
         self.generator = generator
-        self.completion = SimEvent(sim, name=f"{self.name}.completion")
-        self._waiting_on: SimEvent | None = None
-        sim._process_started()
+        self.completion = SimEvent(sim, ("{}.completion", name))
+        # The one callback this process ever registers: cached so a wait
+        # allocates no bound method, dropped at the end so a finished
+        # process is not kept alive by a cycle through it.
+        self._resume: t.Callable[[SimEvent], None] | None = self._on_event
+        sim._active_processes += 1
         # Start the process at the current instant, but via the event heap
         # so that creation order == start order and the creator finishes
         # its own current step first.  The kickoff event succeeds with
         # ``None``, which primes the generator (first ``send(None)``).
-        kickoff = SimEvent(sim, name=f"{self.name}.start")
-        kickoff.add_callback(self._on_event)
-        self._waiting_on = kickoff
+        kickoff = SimEvent(sim, ("{}.start", name))
+        kickoff._callbacks.append(self._resume)
+        self._waiting_on: SimEvent | None = kickoff
         sim._schedule(0.0, kickoff)
 
     # ------------------------------------------------------------------
     # state
     # ------------------------------------------------------------------
     @property
+    def name(self) -> str:
+        """Debug name (rendered when read; see :func:`render_name`)."""
+        return render_name(self._name)
+
+    @property
     def alive(self) -> bool:
         """Whether the process has not yet finished."""
-        return not self.completion.triggered
+        completion = self.completion
+        return completion._value is _PENDING and completion._exc is None
 
     @property
     def interruptible(self) -> bool:
@@ -98,10 +107,11 @@ class Process:
         """Resume the generator with the outcome of ``event``."""
         self._waiting_on = None
         try:
-            if event.ok:
-                target = self.generator.send(event.value)
+            # Only ever called with a triggered event.
+            if event._exc is None:
+                target = self.generator.send(event._value)
             else:
-                target = self.generator.throw(event.exception)
+                target = self.generator.throw(event._exc)
         except StopIteration as stop:
             self._finish_ok(stop.value)
             return
@@ -122,16 +132,24 @@ class Process:
             )
             return
         self._waiting_on = target
-        target.add_callback(self._on_event)
+        callbacks = target._callbacks
+        if callbacks is None:
+            # Already triggered: resume at once, which keeps waiting
+            # race-free regardless of trigger ordering.
+            self._on_event(target)
+        else:
+            callbacks.append(self._resume)
 
     def _finish_ok(self, value: object) -> None:
-        self.sim._process_finished()
+        self._resume = None
+        self.sim._active_processes -= 1
         self.completion.succeed(value)
 
     def _finish_fail(self, exc: BaseException) -> None:
         # Failing the completion event preserves the exception: it reaches
         # waiters immediately and later waiters via add_callback.
-        self.sim._process_finished()
+        self._resume = None
+        self.sim._active_processes -= 1
         self.completion.fail(exc)
 
     # ------------------------------------------------------------------
@@ -153,8 +171,8 @@ class Process:
         # callback with a no-op marker, then resume with the interrupt.
         waited = self._waiting_on
         self._waiting_on = None
-        if waited._callbacks is not None and self._on_event in waited._callbacks:
-            waited._callbacks.remove(self._on_event)
+        if waited._callbacks is not None and self._resume in waited._callbacks:
+            waited._callbacks.remove(self._resume)
         try:
             target = self.generator.throw(Interrupted(cause))
         except StopIteration as stop:

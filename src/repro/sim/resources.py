@@ -58,7 +58,7 @@ class Resource:
 
     def acquire(self) -> SimEvent:
         """Request one unit; the returned event triggers when granted."""
-        event = SimEvent(self.sim, name=f"{self.name}.acquire")
+        event = SimEvent(self.sim, ("{}.acquire", self.name))
         if self.in_use < self.capacity and not self._waiters:
             self.in_use += 1
             event.succeed()
@@ -140,7 +140,7 @@ class TokenBucket:
                 f"{self.name}: cannot consume {amount} tokens; bucket capacity "
                 f"is {self.capacity}"
             )
-        event = SimEvent(self.sim, name=f"{self.name}.consume({amount:g})")
+        event = SimEvent(self.sim, ("{}.consume({:g})", self.name, amount))
         self._waiters.append((amount, event))
         self._pump()
         return event
@@ -211,7 +211,7 @@ class Store:
 
     def get(self) -> SimEvent:
         """Request one item; the event succeeds with the item when available."""
-        event = SimEvent(self.sim, name=f"{self.name}.get")
+        event = SimEvent(self.sim, ("{}.get", self.name))
         if self._items:
             event.succeed(self._items.popleft())
         else:

@@ -89,6 +89,19 @@ class TestTimeout:
         with pytest.raises(SimulationError):
             sim.timeout(-0.1)
 
+    def test_nan_delay_rejected(self, sim):
+        # ``nan < 0`` is False: a NaN delay used to be pushed and broke
+        # the heap's ordering without an error.
+        with pytest.raises(SimulationError, match="nan"):
+            sim.timeout(float("nan"))
+        assert not sim.step()  # nothing reached the heap
+
+    def test_negative_zero_delay_allowed(self, sim):
+        timeout = sim.timeout(-0.0)
+        sim.run()
+        assert timeout.triggered
+        assert sim.now == 0.0
+
     def test_zero_delay_allowed(self, sim):
         timeout = sim.timeout(0.0)
         sim.run()

@@ -7,15 +7,23 @@ experiment the harness can regenerate in reasonable wall-clock time.
 The last two cases are the regime of a wide object-store sort (the
 ledger benchmark's ``fanout`` workload): one aggregate link shared by
 many more flows than fit at their caps, and thousands of range-GETs
-each spawning its request processes.  They run a fixed number of rounds,
-so the module's wall-clock — which ``check_wallclock.py`` holds against
-the committed baseline (``make bench-sim``) — follows their cost.
+each spawning its request processes.
+
+``check_wallclock.py`` holds this module's wall-clock against the
+committed baseline (``make bench-sim``), so the time has to follow the
+code's cost: the two wide-sort cases run a fixed number of rounds, and
+the small cases get a 0.1 s budget instead of pytest-benchmark's
+default of a full second each whatever their speed.
 """
+
+import pytest
 
 from repro.cloud import Cloud
 from repro.cloud.retry import RetryPolicy
 from repro.cloud.storageview import BoundStorage
 from repro.sim import FairShareLink, Resource, Simulator, TokenBucket
+
+pytestmark = pytest.mark.benchmark(max_time=0.1, min_rounds=5)
 
 
 def test_event_throughput(benchmark):

@@ -25,7 +25,7 @@ from repro.core.pipelines import (
     VM_SUPPORTED,
     pipeline_for,
 )
-from repro.methcomp.datagen import MethylomeGenerator, generate_skewed_bed_bytes
+from repro.methcomp.datagen import methylome_payload
 from repro.sim import Simulator
 from repro.workflows.engine import WorkflowEngine, WorkflowResult
 
@@ -60,15 +60,13 @@ def dataset_payload(config: ExperimentConfig) -> bytes:
     therefore every exchange substrate — see hot ranges (experiments
     S11 and S12).
     """
-    if config.key_distribution == "uniform":
-        generator = MethylomeGenerator(seed=config.seed)
-        return generator.generate_bed_bytes(config.real_bytes, sorted_output=False)
-    return generate_skewed_bed_bytes(
+    return methylome_payload(
         config.real_bytes,
-        seed=config.seed,
-        distribution=config.key_distribution,
-        zipf_s=config.zipf_s,
-        distinct_keys=config.skew_distinct_keys,
+        config.seed,
+        config.key_distribution,
+        config.zipf_s,
+        config.skew_distinct_keys,
+        False,
     )
 
 

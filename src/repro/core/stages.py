@@ -51,7 +51,7 @@ from repro.core.calibration import WorkloadParams
 from repro.errors import WorkflowError
 from repro.executor.executor import FunctionExecutor
 from repro.methcomp.bed import bed_sort_key
-from repro.methcomp.datagen import MethylomeGenerator, generate_skewed_bed_bytes
+from repro.methcomp.datagen import methylome_payload
 from repro.methcomp.pipeline import bed_record_codec, decode_worker, encode_worker
 from repro.shuffle.adaptive import choose_exchange_substrate
 from repro.shuffle.content import (
@@ -119,20 +119,14 @@ def methylome_dataset(context: StageContext, inputs: dict) -> t.Generator:
     key = context.param("key", "input/methylome.bed")
     scale = context.cloud.logical_scale
     real_bytes = max(1, int(size_gb * (1 << 30) / scale))
-    distribution = context.param("distribution", "uniform")
-    if distribution == "uniform":
-        generator = MethylomeGenerator(seed=seed)
-        payload = generator.generate_bed_bytes(
-            real_bytes, sorted_output=bool(context.param("sorted", False))
-        )
-    else:
-        payload = generate_skewed_bed_bytes(
-            real_bytes,
-            seed=seed,
-            distribution=distribution,
-            zipf_s=float(context.param("zipf_s", 1.2)),
-            distinct_keys=int(context.param("distinct_keys", 64)),
-        )
+    payload = methylome_payload(
+        real_bytes,
+        seed,
+        context.param("distribution", "uniform"),
+        float(context.param("zipf_s", 1.2)),
+        int(context.param("distinct_keys", 64)),
+        bool(context.param("sorted", False)),
+    )
     meta = yield context.cloud.store.put(context.bucket, key, payload)
     return {
         "bucket": context.bucket,

@@ -3,11 +3,16 @@
 from repro.methcomp.bed import (
     CHROM_RANK,
     CHROMOSOMES,
+    BedColumns,
     MethylationRecord,
     bed_sort_key,
+    columns_of,
     is_sorted,
     parse_buffer,
+    parse_columns,
     parse_line,
+    records_of,
+    serialize_columns,
     serialize_record,
     serialize_records,
 )
@@ -22,6 +27,7 @@ from repro.methcomp.pipeline import bed_record_codec, decode_worker, encode_work
 
 __all__ = [
     "APPROX_LINE_BYTES",
+    "BedColumns",
     "CHROMOSOMES",
     "CHROM_RANK",
     "MethylationRecord",
@@ -29,12 +35,16 @@ __all__ = [
     "MethylomeProfile",
     "bed_record_codec",
     "bed_sort_key",
+    "columns_of",
     "decode_worker",
     "encode_worker",
     "estimate_record_count",
     "is_sorted",
     "parse_buffer",
+    "parse_columns",
     "parse_line",
+    "records_of",
+    "serialize_columns",
     "serialize_record",
     "serialize_records",
     "upload_dataset",

@@ -19,12 +19,16 @@ from repro.methcomp.codec.methcodec import (
     DEFAULT_BLOCK_RECORDS,
     ENCODE_THROUGHPUT_BPS,
     compress,
+    compress_columns,
     compress_records,
     compression_ratio,
     decode_block,
+    decode_columns,
     decompress,
+    decompress_columns,
     decompress_records,
     encode_block,
+    encode_columns,
 )
 from repro.methcomp.codec.rice import (
     RiceContext,
@@ -45,12 +49,16 @@ __all__ = [
     "arithmetic_decode",
     "arithmetic_encode",
     "compress",
+    "compress_columns",
     "compress_records",
     "compression_ratio",
     "decode_block",
+    "decode_columns",
     "decompress",
+    "decompress_columns",
     "decompress_records",
     "encode_block",
+    "encode_columns",
     "gzip_compress",
     "gzip_decompress",
     "gzip_ratio",

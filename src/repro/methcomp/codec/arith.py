@@ -8,8 +8,10 @@ encoder and decoder trivially consistent.
 
 from __future__ import annotations
 
+import bisect
+
 from repro.errors import CodecError
-from repro.methcomp.codec.bitio import BitReader, BitWriter, read_varint, write_varint
+from repro.methcomp.codec.bitio import BitWriter, read_varint, write_varint
 
 _PRECISION = 32
 _FULL = (1 << _PRECISION) - 1
@@ -18,6 +20,10 @@ _QUARTER = 1 << (_PRECISION - 2)
 _THREE_QUARTERS = _HALF + _QUARTER
 #: Total frequency must stay well below the quarter range.
 _MAX_TOTAL = 1 << (_PRECISION - 4)
+#: Bytes that fill the decoder's code register.
+_CODE_BYTES = _PRECISION // 8
+#: Bytes the decoder loads per refill of its bit window.
+_REFILL_BYTES = 8
 
 
 class FrequencyTable:
@@ -53,15 +59,8 @@ class FrequencyTable:
         return low, high
 
     def symbol_at(self, scaled: int) -> int:
-        """Binary search: which symbol owns cumulative position ``scaled``."""
-        low, high = 0, len(self.counts)
-        while low + 1 < high:
-            mid = (low + high) // 2
-            if self.cumulative[mid] <= scaled:
-                low = mid
-            else:
-                high = mid
-        return low
+        """Which symbol owns cumulative position ``scaled`` (clamped to the alphabet)."""
+        return bisect.bisect_right(self.cumulative, scaled, 1, len(self.counts)) - 1
 
     def serialize(self) -> bytes:
         out = bytearray()
@@ -83,70 +82,64 @@ class FrequencyTable:
 def arithmetic_encode(symbols: list[int], table: FrequencyTable) -> bytes:
     """Encode ``symbols`` under the static ``table``."""
     writer = BitWriter()
+    total = table.total
     low, high = 0, _FULL
-    pending = 0
-
-    def emit(bit: int) -> None:
-        nonlocal pending
-        writer.write_bit(bit)
-        for _ in range(pending):
-            writer.write_bit(1 - bit)
-        pending = 0
+    pending = 0  # underflow bits owed: complements of the next settled bit
 
     for symbol in symbols:
         cum_low, cum_high = table.range_of(symbol)
         span = high - low + 1
-        high = low + (span * cum_high) // table.total - 1
-        low = low + (span * cum_low) // table.total
-        while True:
-            if high < _HALF:
-                emit(0)
-            elif low >= _HALF:
-                emit(1)
-                low -= _HALF
-                high -= _HALF
-            elif low >= _QUARTER and high < _THREE_QUARTERS:
-                pending += 1
-                low -= _QUARTER
-                high -= _QUARTER
-            else:
-                break
-            low = low * 2
-            high = high * 2 + 1
+        high = low + (span * cum_high) // total - 1
+        low = low + (span * cum_low) // total
+        # The leading bits ``low`` and ``high`` share are settled.  All of
+        # them leave in one write; the pending bits follow the first.
+        settled = _PRECISION - (low ^ high).bit_length()
+        if settled:
+            bits = low >> (_PRECISION - settled)
+            if pending:
+                first = bits >> (settled - 1)
+                bits ^= first << (settled - 1)  # the rest
+                first = (first << pending) | (0 if first else (1 << pending) - 1)
+                bits |= first << (settled - 1)
+            writer.write_bits(bits, settled + pending)
+            pending = 0
+            low = (low << settled) & _FULL
+            high = ((high << settled) & _FULL) | ((1 << settled) - 1)
+        # Underflow: ``low`` = 01…, ``high`` = 10….  While they stay so, the
+        # second bit of both goes and one more pending bit is owed.
+        underflow = _PRECISION - 1 - ((~low | high) & (_HALF - 1)).bit_length()
+        if underflow:
+            pending += underflow
+            low = (low << underflow) & (_HALF - 1)
+            high = ((high << underflow) & _FULL) | _HALF | ((1 << underflow) - 1)
     # Flush: disambiguate the final interval.
     pending += 1
-    emit(0 if low < _QUARTER else 1)
+    if low < _QUARTER:
+        writer.write_bits((1 << pending) - 1, pending + 1)  # 0, then ones
+    else:
+        writer.write_bits(1 << pending, pending + 1)  # 1, then zeros
     return writer.getvalue()
 
 
 def arithmetic_decode(data: bytes, count: int, table: FrequencyTable) -> list[int]:
     """Decode ``count`` symbols (mirror of :func:`arithmetic_encode`)."""
-    reader = BitReader(data)
-    total_bits = len(data) * 8
-
-    bits_consumed = 0
-
-    def next_bit() -> int:
-        nonlocal bits_consumed
-        bits_consumed += 1
-        if bits_consumed <= total_bits:
-            return reader.read_bit()
-        return 0  # zero-padding past the stream end
+    total = table.total
+    # The code register reads ``_PRECISION`` bits ahead of the encoder,
+    # so the stream is read as if followed by zeros without end.
+    code = int.from_bytes(data[:_CODE_BYTES].ljust(_CODE_BYTES, b"\0"), "big")
+    next_byte = _CODE_BYTES
+    window = nbits = 0  # the bits loaded but not yet shifted into ``code``
 
     low, high = 0, _FULL
-    code = 0
-    for _ in range(_PRECISION):
-        code = (code << 1) | next_bit()
-
     symbols = []
     for _ in range(count):
         span = high - low + 1
-        scaled = ((code - low + 1) * table.total - 1) // span
+        scaled = ((code - low + 1) * total - 1) // span
         symbol = table.symbol_at(scaled)
         symbols.append(symbol)
         cum_low, cum_high = table.range_of(symbol)
-        high = low + (span * cum_high) // table.total - 1
-        low = low + (span * cum_low) // table.total
+        high = low + (span * cum_high) // total - 1
+        low = low + (span * cum_low) // total
         while True:
             if high < _HALF:
                 pass
@@ -160,7 +153,13 @@ def arithmetic_decode(data: bytes, count: int, table: FrequencyTable) -> list[in
                 code -= _QUARTER
             else:
                 break
+            if not nbits:
+                chunk = data[next_byte : next_byte + _REFILL_BYTES]
+                next_byte += _REFILL_BYTES
+                window = int.from_bytes(chunk.ljust(_REFILL_BYTES, b"\0"), "big")
+                nbits = _REFILL_BYTES * 8
+            nbits -= 1
             low = low * 2
             high = high * 2 + 1
-            code = (code << 1) | next_bit()
+            code = (code << 1) | ((window >> nbits) & 1)
     return symbols

@@ -5,41 +5,50 @@ from __future__ import annotations
 from repro.errors import CodecError
 
 
+#: Flush the writer's accumulator once it holds this many bits: large
+#: enough that most writes only shift and or, small enough that the
+#: accumulator stays a few machine words.
+_FLUSH_BITS = 64
+#: Bytes the reader moves into its window per refill.
+_REFILL_BYTES = 8
+
+
 class BitWriter:
-    """MSB-first bit accumulator."""
+    """MSB-first bit writer over an integer accumulator.
+
+    Bits collect in one integer and leave it a whole number of bytes at
+    a time, so a write costs the same whatever its width.
+    """
 
     def __init__(self) -> None:
         self._out = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def write_bit(self, bit: int) -> None:
-        self._acc = (self._acc << 1) | (bit & 1)
-        self._nbits += 1
-        if self._nbits == 8:
-            self._out.append(self._acc)
-            self._acc = 0
-            self._nbits = 0
+        self._acc = 0  # the bits not yet in ``_out``
+        self._nbits = 0  # how many of them there are
 
     def write_bits(self, value: int, count: int) -> None:
-        """Write ``count`` bits of ``value``, most significant first."""
+        """Write the low ``count`` bits of ``value``, most significant first."""
         if count < 0:
             raise CodecError(f"negative bit count: {count}")
-        for shift in range(count - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
+        self._acc = (self._acc << count) | (value & ((1 << count) - 1))
+        self._nbits += count
+        if self._nbits >= _FLUSH_BITS:
+            spare = self._nbits & 7
+            self._out += (self._acc >> spare).to_bytes(self._nbits >> 3, "big")
+            self._acc &= (1 << spare) - 1
+            self._nbits = spare
+
+    def write_bit(self, bit: int) -> None:
+        self.write_bits(bit, 1)
 
     def write_unary(self, quotient: int) -> None:
         """``quotient`` one-bits followed by a terminating zero."""
-        for _ in range(quotient):
-            self.write_bit(1)
-        self.write_bit(0)
+        self.write_bits(((1 << quotient) - 1) << 1, quotient + 1)
 
     def getvalue(self) -> bytes:
-        """Flush (zero-padded to a byte boundary) and return the bytes."""
-        out = bytearray(self._out)
-        if self._nbits:
-            out.append(self._acc << (8 - self._nbits))
-        return bytes(out)
+        """The bytes written so far, zero-padded to a byte boundary."""
+        pad = -self._nbits & 7
+        tail = (self._acc << pad).to_bytes((self._nbits + pad) >> 3, "big")
+        return bytes(self._out) + tail
 
     @property
     def bit_length(self) -> int:
@@ -47,33 +56,56 @@ class BitWriter:
 
 
 class BitReader:
-    """MSB-first bit reader over a bytes object."""
+    """MSB-first bit reader over a bytes object.
+
+    Unread bits sit in an integer window refilled a few bytes at a
+    time; a read is a shift and a mask whatever its width.
+    """
 
     def __init__(self, data: bytes):
         self._data = data
-        self._pos = 0  # bit position
+        self._next = 0  # index of the first byte not yet in the window
+        self._window = 0  # the bits loaded but not yet read
+        self._nbits = 0  # how many of them there are
 
-    def read_bit(self) -> int:
-        byte_index, bit_index = divmod(self._pos, 8)
-        if byte_index >= len(self._data):
-            raise CodecError("bit stream exhausted")
-        self._pos += 1
-        return (self._data[byte_index] >> (7 - bit_index)) & 1
+    def _refill(self, need: int) -> None:
+        """Load bytes until the window holds ``need`` bits."""
+        while self._nbits < need:
+            chunk = self._data[self._next : self._next + _REFILL_BYTES]
+            if not chunk:
+                raise CodecError("bit stream exhausted")
+            self._next += len(chunk)
+            self._window = (self._window << (len(chunk) * 8)) | int.from_bytes(chunk, "big")
+            self._nbits += len(chunk) * 8
 
     def read_bits(self, count: int) -> int:
-        value = 0
-        for _ in range(count):
-            value = (value << 1) | self.read_bit()
+        if count > self._nbits:
+            self._refill(count)
+        self._nbits -= count
+        value = self._window >> self._nbits
+        self._window &= (1 << self._nbits) - 1
         return value
+
+    def read_bit(self) -> int:
+        return self.read_bits(1)
 
     def read_unary(self, limit: int = 1 << 20) -> int:
         """Count one-bits until the terminating zero."""
         count = 0
-        while self.read_bit():
-            count += 1
-            if count > limit:
+        while True:
+            if not self._nbits:
+                self._refill(1)
+            # Leading ones of the window = its width minus the width
+            # of its complement.
+            ones = self._nbits - (self._window ^ ((1 << self._nbits) - 1)).bit_length()
+            if count + ones > limit:
                 raise CodecError("runaway unary code (corrupt stream?)")
-        return count
+            if ones < self._nbits:
+                self._nbits -= ones + 1
+                self._window &= (1 << self._nbits) - 1
+                return count + ones
+            count += ones
+            self._window = self._nbits = 0
 
 
 def write_varint(out: bytearray, value: int) -> None:

@@ -31,18 +31,30 @@ color        pct_meth) — zero bits, exactly as a format-aware coder can
 The sort-first requirement is structural: deltas must be non-negative,
 which is precisely why the pipeline's first stage is the all-to-all
 sort this paper studies.
+
+The codec works on :class:`~repro.methcomp.bed.BedColumns` — text →
+columns → bitstream and back, with no object per record: differences,
+run lengths and masks are taken over whole columns, and only the
+adaptive coders walk value by value.  ``encode_block`` /
+``compress_records`` and their inverses are the same functions for
+callers that hold :class:`MethylationRecord` lists.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import typing as t
 
 from repro.errors import CodecError
 from repro.methcomp.bed import (
-    MethylationRecord,
     CHROMOSOMES,
-    parse_buffer,
-    serialize_records,
+    BedColumns,
+    MethylationRecord,
+    columns_of,
+    parse_columns,
+    records_of,
+    serialize_columns,
 )
 from repro.methcomp.codec.arith import (
     FrequencyTable,
@@ -70,183 +82,177 @@ _BASELINE_COVERAGE = 16
 _BASELINE_PCT = 50
 #: Alphabet of zig-zagged pct differences: |diff| <= 100 → 0..200.
 _PCT_DIFF_ALPHABET = 201
+#: Sections of a non-empty block, in order: chromosome runs, run
+#: starts, start deltas, width runs, strand exceptions, coverage, pct
+#: frequency table, pct arithmetic stream, paired-pct Rice stream.
+_SECTIONS = 9
 
 
-def _delta_context(
-    previous_delta: int | None, after_pair: RiceContext, island: RiceContext,
-    open_sea: RiceContext,
+def _next_delta_context(
+    delta: int, after_pair: RiceContext, island: RiceContext, open_sea: RiceContext
 ) -> RiceContext:
-    """Start-delta coding context from the previous delta (or run start)."""
-    if previous_delta is None:
-        return open_sea
-    if previous_delta == 1:
+    """Coding context of the start delta that follows ``delta``."""
+    if delta == 1:
         return after_pair
-    if previous_delta <= _ISLAND_GAP:
+    if delta <= _ISLAND_GAP:
         return island
     return open_sea
+
+
+def _run_lengths(values: list[int]) -> list[tuple[int, int]]:
+    """``(value, length)`` of each run of equal neighbours."""
+    return [(value, len(list(group))) for value, group in itertools.groupby(values)]
+
+
+def _run_offsets(runs: list[tuple[int, int]]) -> list[int]:
+    """Index of the first record of each run."""
+    return [0, *itertools.accumulate(length for _value, length in runs)][:-1]
+
+
+def _varints(values: t.Iterable[int]) -> bytes:
+    """``values`` as consecutive varints."""
+    out = bytearray()
+    for value in values:
+        write_varint(out, value)
+    return bytes(out)
+
+
+def _read_runs(section: bytes, count: int, what: str) -> list[tuple[int, int]]:
+    """A run-length section: ``(value, length)`` runs covering ``count`` records."""
+    run_count, pos = read_varint(section, 0)
+    runs = []
+    for _ in range(run_count):
+        value, pos = read_varint(section, pos)
+        length, pos = read_varint(section, pos)
+        runs.append((value, length))
+    if sum(length for _value, length in runs) != count:
+        raise CodecError(f"{what} runs do not cover the record count")
+    return runs
+
+
+def _chained_differences(
+    values: list[int], run_offsets: list[int], baseline: int
+) -> list[int]:
+    """Each value minus the one before it (``baseline`` at run starts), zig-zagged."""
+    predicted = [baseline] + values[:-1]
+    for offset in run_offsets:
+        predicted[offset] = baseline
+    return list(map(zigzag_encode, map(operator.sub, values, predicted)))
 
 
 # ----------------------------------------------------------------------
 # block encoding
 # ----------------------------------------------------------------------
-def encode_block(records: list[MethylationRecord]) -> bytes:
+def encode_columns(columns: BedColumns) -> bytes:
     """Encode one block of genomic-sorted records."""
+    chroms, starts, ends, strands, coverages, pcts = columns
+    count = len(starts)
     out = bytearray(_MAGIC)
-    write_varint(out, len(records))
-    if not records:
+    write_varint(out, count)
+    if not count:
         return bytes(out)
 
     # -- chromosome runs + per-record deltas -------------------------------
-    runs: list[tuple[int, int]] = []  # (chrom_rank, count)
-    run_starts: list[int] = []  # absolute start per run
-    deltas: list[int | None] = []  # None at run starts
-    previous: MethylationRecord | None = None
-    for record in records:
-        rank = record.sort_key()[0]
-        if runs and runs[-1][0] == rank:
-            delta = record.start - previous.start  # type: ignore[union-attr]
-            if delta < 0:
-                raise CodecError(
-                    "records are not genomic-sorted (negative start delta); "
-                    "run the sort stage first"
-                )
-            runs[-1] = (rank, runs[-1][1] + 1)
-            deltas.append(delta)
-        else:
-            if runs and rank < runs[-1][0]:
-                raise CodecError(
-                    "records are not genomic-sorted (chromosome order)"
-                )
-            runs.append((rank, 1))
-            run_starts.append(record.start)
-            deltas.append(None)
-        previous = record
-
-    chrom_section = bytearray()
-    write_varint(chrom_section, len(runs))
-    for rank, count in runs:
-        write_varint(chrom_section, rank)
-        write_varint(chrom_section, count)
-
-    first_section = bytearray()
-    for start in run_starts:
-        write_varint(first_section, start)
+    runs = _run_lengths(chroms)
+    run_offsets = _run_offsets(runs)
+    #: Start minus the previous start; zero (and never coded) at run starts.
+    deltas = list(map(operator.sub, starts, [0] + starts[:-1]))
+    for offset in run_offsets:
+        deltas[offset] = 0
+    if min(deltas) < 0 or any(
+        rank > following for (rank, _), (following, _) in zip(runs, runs[1:])
+    ):
+        # Name the first out-of-order neighbour, as a record-by-record walk would.
+        disorder = next(
+            index
+            for index in range(1, count)
+            if chroms[index] < chroms[index - 1] or deltas[index] < 0
+        )
+        if chroms[disorder] < chroms[disorder - 1]:
+            raise CodecError("records are not genomic-sorted (chromosome order)")
+        raise CodecError(
+            "records are not genomic-sorted (negative start delta); "
+            "run the sort stage first"
+        )
 
     # -- start deltas (three-context adaptive Rice) --------------------------
     delta_writer = BitWriter()
     ctx_after_pair = RiceContext(initial_mean=64.0)
     ctx_island = RiceContext(initial_mean=8.0)
     ctx_open = RiceContext(initial_mean=64.0)
-    previous_delta: int | None = None
-    for delta in deltas:
-        if delta is None:
-            previous_delta = None
-            continue
-        context = _delta_context(previous_delta, ctx_after_pair, ctx_island, ctx_open)
-        rice_encode(delta_writer, delta, context)
-        previous_delta = delta
+    for offset, (_rank, length) in zip(run_offsets, runs):
+        context = ctx_open
+        for delta in deltas[offset + 1 : offset + length]:
+            rice_encode(delta_writer, delta, context)
+            context = _next_delta_context(delta, ctx_after_pair, ctx_island, ctx_open)
 
-    # -- paired-site mask shared by coverage and pct -----------------------
-    paired = [delta == 1 for delta in deltas]
+    # -- paired-site mask shared by strand, coverage and pct ------------------
+    paired = list(map((1).__eq__, deltas))
 
     # -- widths (RLE) -------------------------------------------------------
-    width_section = bytearray()
-    width_runs: list[tuple[int, int]] = []
-    for record in records:
-        width = record.end - record.start
-        if width_runs and width_runs[-1][0] == width:
-            width_runs[-1] = (width, width_runs[-1][1] + 1)
-        else:
-            width_runs.append((width, 1))
-    write_varint(width_section, len(width_runs))
-    for width, count in width_runs:
-        write_varint(width_section, width)
-        write_varint(width_section, count)
+    width_runs = _run_lengths(list(map(operator.sub, ends, starts)))
 
     # -- strands (prediction + exception list) --------------------------------
     # Predicted strand: "-" at paired sites (the complementary-strand
     # record of a CpG), "+" everywhere else.  Only mismatches are stored,
     # as delta-coded indices — near zero bits on WGBS-shaped data.
-    strand_section = bytearray()
     exceptions = [
         index
-        for index, record in enumerate(records)
-        if (record.strand == "-") != paired[index]
+        for index, mismatch in enumerate(map(operator.ne, strands, paired))
+        if mismatch
     ]
-    write_varint(strand_section, len(exceptions))
-    previous_index = 0
-    for index in exceptions:
-        write_varint(strand_section, index - previous_index)
-        previous_index = index
 
-    # -- coverage (chained differences, two contexts) --------------------------
+    # -- coverage and methylation percentage, in one pass ----------------------
+    # Coverage: chained differences under two contexts (paired vs not).
+    # Pct: chained differences, Rice-coded at paired sites; the unpaired
+    # ones are collected for the arithmetic coder.
     coverage_writer = BitWriter()
+    pct_writer = BitWriter()
     ctx_cov_pair = RiceContext(initial_mean=4.0)
     ctx_cov_chain = RiceContext(initial_mean=6.0)
-    previous_coverage = _BASELINE_COVERAGE
-    run_lengths = iter(length for _rank, length in runs)
-    remaining_in_run = 0
-    for index, record in enumerate(records):
-        if remaining_in_run == 0:
-            remaining_in_run = next(run_lengths)
-            previous_coverage = _BASELINE_COVERAGE
-        diff = record.coverage - previous_coverage
-        context = ctx_cov_pair if paired[index] else ctx_cov_chain
-        rice_encode(coverage_writer, zigzag_encode(diff), context)
-        previous_coverage = record.coverage
-        remaining_in_run -= 1
-
-    # -- methylation percentage -------------------------------------------------
-    pct_diff_writer = BitWriter()
     ctx_pct_pair = RiceContext(initial_mean=4.0)
     arith_symbols: list[int] = []
-    previous_pct = _BASELINE_PCT
-    run_lengths = iter(length for _rank, length in runs)
-    remaining_in_run = 0
-    for index, record in enumerate(records):
-        if remaining_in_run == 0:
-            remaining_in_run = next(run_lengths)
-            previous_pct = _BASELINE_PCT
-        diff = record.pct_meth - previous_pct
-        if paired[index]:
-            rice_encode(pct_diff_writer, zigzag_encode(diff), ctx_pct_pair)
+    for coverage_diff, pct_diff, is_paired in zip(
+        _chained_differences(coverages, run_offsets, _BASELINE_COVERAGE),
+        _chained_differences(pcts, run_offsets, _BASELINE_PCT),
+        paired,
+    ):
+        if is_paired:
+            rice_encode(coverage_writer, coverage_diff, ctx_cov_pair)
+            rice_encode(pct_writer, pct_diff, ctx_pct_pair)
         else:
-            arith_symbols.append(zigzag_encode(diff))
-        previous_pct = record.pct_meth
-        remaining_in_run -= 1
-    if arith_symbols:
-        table = FrequencyTable.from_symbols(arith_symbols, _PCT_DIFF_ALPHABET)
-        table_section = table.serialize()
-        arith_section = arithmetic_encode(arith_symbols, table)
-    else:
-        table_section = b""
-        arith_section = b""
+            rice_encode(coverage_writer, coverage_diff, ctx_cov_chain)
+            arith_symbols.append(pct_diff)
+    # Never empty: the block's first record starts a run, so it is unpaired.
+    table = FrequencyTable.from_symbols(arith_symbols, _PCT_DIFF_ALPHABET)
 
     for section in (
-        bytes(chrom_section),
-        bytes(first_section),
+        _varints([len(runs), *itertools.chain.from_iterable(runs)]),
+        _varints(starts[offset] for offset in run_offsets),
         delta_writer.getvalue(),
-        bytes(width_section),
-        bytes(strand_section),
+        _varints([len(width_runs), *itertools.chain.from_iterable(width_runs)]),
+        _varints(
+            [len(exceptions), *map(operator.sub, exceptions, [0] + exceptions[:-1])]
+        ),
         coverage_writer.getvalue(),
-        table_section,
-        arith_section,
-        pct_diff_writer.getvalue(),
+        table.serialize(),
+        arithmetic_encode(arith_symbols, table),
+        pct_writer.getvalue(),
     ):
         write_varint(out, len(section))
         out.extend(section)
     return bytes(out)
 
 
-def decode_block(data: bytes) -> list[MethylationRecord]:
-    """Decode one block (exact inverse of :func:`encode_block`)."""
+def decode_columns(data: bytes) -> BedColumns:
+    """Decode one block (exact inverse of :func:`encode_columns`)."""
     if data[:4] != _MAGIC:
         raise CodecError("bad magic: not a METHCOMP block")
     count, offset = read_varint(data, 4)
     if count == 0:
-        return []
+        return BedColumns.empty()
     sections = []
-    for _ in range(9):
+    for _ in range(_SECTIONS):
         length, offset = read_varint(data, offset)
         sections.append(data[offset : offset + length])
         if offset + length > len(data):
@@ -265,22 +271,14 @@ def decode_block(data: bytes) -> list[MethylationRecord]:
     ) = sections
 
     # -- chromosome runs -----------------------------------------------------
-    run_count, pos = read_varint(chrom_section, 0)
-    runs: list[tuple[int, int]] = []
-    for _ in range(run_count):
-        rank, pos = read_varint(chrom_section, pos)
-        length, pos = read_varint(chrom_section, pos)
+    runs = _read_runs(chrom_section, count, "chromosome")
+    for rank, length in runs:
         if rank >= len(CHROMOSOMES):
             raise CodecError(f"bad chromosome rank {rank}")
-        runs.append((rank, length))
-    if sum(length for _rank, length in runs) != count:
-        raise CodecError("chromosome runs do not cover the record count")
-
-    run_starts = []
-    pos = 0
-    for _ in range(run_count):
-        start, pos = read_varint(first_section, pos)
-        run_starts.append(start)
+        if not length:
+            # It would claim a run start and shift every later record.
+            raise CodecError("empty chromosome run")
+    chroms = [rank for rank, length in runs for _ in range(length)]
 
     # -- starts --------------------------------------------------------------
     delta_reader = BitReader(delta_section)
@@ -289,30 +287,23 @@ def decode_block(data: bytes) -> list[MethylationRecord]:
     ctx_open = RiceContext(initial_mean=64.0)
     starts: list[int] = []
     paired: list[bool] = []
-    for run_index, (_rank, length) in enumerate(runs):
-        position = run_starts[run_index]
+    pos = 0
+    for _rank, length in runs:
+        position, pos = read_varint(first_section, pos)
         starts.append(position)
         paired.append(False)
-        previous_delta: int | None = None
+        context = ctx_open
         for _ in range(length - 1):
-            context = _delta_context(
-                previous_delta, ctx_after_pair, ctx_island, ctx_open
-            )
             delta = rice_decode(delta_reader, context)
             position += delta
             starts.append(position)
             paired.append(delta == 1)
-            previous_delta = delta
+            context = _next_delta_context(delta, ctx_after_pair, ctx_island, ctx_open)
 
     # -- widths ----------------------------------------------------------------
-    width_run_count, pos = read_varint(width_section, 0)
-    widths: list[int] = []
-    for _ in range(width_run_count):
-        width, pos = read_varint(width_section, pos)
-        length, pos = read_varint(width_section, pos)
-        widths.extend([width] * length)
-    if len(widths) != count:
-        raise CodecError("width runs do not cover the record count")
+    width_runs = _read_runs(width_section, count, "width")
+    widths = [width for width, length in width_runs for _ in range(length)]
+    ends = list(map(operator.add, starts, widths))
 
     # -- strands ----------------------------------------------------------------
     exception_count, pos = read_varint(strand_section, 0)
@@ -323,87 +314,54 @@ def decode_block(data: bytes) -> list[MethylationRecord]:
         cursor_index += gap
         exception_indices.add(cursor_index)
     strands = [
-        ("-" if (paired[index] != (index in exception_indices)) else "+")
-        for index in range(count)
+        flag != (index in exception_indices) for index, flag in enumerate(paired)
     ]
 
-    # -- run-boundary bookkeeping shared by coverage and pct -------------------
-    run_boundaries = set()
-    cursor = 0
-    for _rank, length in runs:
-        run_boundaries.add(cursor)
-        cursor += length
-
-    # -- coverage ----------------------------------------------------------------
+    # -- coverage and pct, in one pass ---------------------------------------------
+    table, _pos = FrequencyTable.deserialize(table_section, 0)
+    arith_values = iter(arithmetic_decode(arith_section, paired.count(False), table))
     coverage_reader = BitReader(coverage_section)
+    pct_reader = BitReader(pct_diff_section)
     ctx_cov_pair = RiceContext(initial_mean=4.0)
     ctx_cov_chain = RiceContext(initial_mean=6.0)
-    coverages: list[int] = []
-    previous_coverage = _BASELINE_COVERAGE
-    for index in range(count):
-        if index in run_boundaries:
-            previous_coverage = _BASELINE_COVERAGE
-        context = ctx_cov_pair if paired[index] else ctx_cov_chain
-        diff = zigzag_decode(rice_decode(coverage_reader, context))
-        previous_coverage += diff
-        coverages.append(previous_coverage)
-
-    # -- pct ------------------------------------------------------------------------
-    unpaired_count = sum(1 for flag in paired if not flag)
-    if unpaired_count:
-        table, _pos = FrequencyTable.deserialize(table_section, 0)
-        arith_values = arithmetic_decode(arith_section, unpaired_count, table)
-    else:
-        arith_values = []
-    pct_reader = BitReader(pct_diff_section)
     ctx_pct_pair = RiceContext(initial_mean=4.0)
+    coverages: list[int] = []
     pcts: list[int] = []
-    previous_pct = _BASELINE_PCT
-    arith_cursor = 0
-    for index in range(count):
-        if index in run_boundaries:
-            previous_pct = _BASELINE_PCT
-        if paired[index]:
-            diff = zigzag_decode(rice_decode(pct_reader, ctx_pct_pair))
-        else:
-            diff = zigzag_decode(arith_values[arith_cursor])
-            arith_cursor += 1
-        previous_pct += diff
-        pcts.append(previous_pct)
+    for offset, (_rank, length) in zip(_run_offsets(runs), runs):
+        coverage = _BASELINE_COVERAGE
+        pct = _BASELINE_PCT
+        for is_paired in paired[offset : offset + length]:
+            if is_paired:
+                coverage_diff = rice_decode(coverage_reader, ctx_cov_pair)
+                pct_diff = rice_decode(pct_reader, ctx_pct_pair)
+            else:
+                coverage_diff = rice_decode(coverage_reader, ctx_cov_chain)
+                pct_diff = next(arith_values)
+            coverage += zigzag_decode(coverage_diff)
+            pct += zigzag_decode(pct_diff)
+            coverages.append(coverage)
+            pcts.append(pct)
 
-    # -- assemble ----------------------------------------------------------------------
-    records: list[MethylationRecord] = []
-    cursor = 0
-    for rank, length in runs:
-        chrom = CHROMOSOMES[rank]
-        for _ in range(length):
-            records.append(
-                MethylationRecord(
-                    chrom=chrom,
-                    start=starts[cursor],
-                    end=starts[cursor] + widths[cursor],
-                    strand=strands[cursor],
-                    coverage=coverages[cursor],
-                    pct_meth=pcts[cursor],
-                )
-            )
-            cursor += 1
-    return records
+    columns = BedColumns(chroms, starts, ends, strands, coverages, pcts)
+    if not columns.in_range():
+        raise CodecError("decoded values out of range (corrupt block?)")
+    return columns
 
 
 # ----------------------------------------------------------------------
 # container (multi-block) API
 # ----------------------------------------------------------------------
-def compress_records(
-    records: list[MethylationRecord],
-    block_records: int = DEFAULT_BLOCK_RECORDS,
+def compress_columns(
+    columns: BedColumns, block_records: int = DEFAULT_BLOCK_RECORDS
 ) -> bytes:
-    """Compress sorted records into a multi-block container."""
+    """Compress sorted records, given as columns, into a multi-block container."""
     if block_records < 1:
         raise CodecError(f"block_records must be >= 1, got {block_records}")
     blocks = [
-        encode_block(records[start : start + block_records])
-        for start in range(0, max(1, len(records)), block_records)
+        encode_columns(
+            BedColumns(*(column[start : start + block_records] for column in columns))
+        )
+        for start in range(0, max(1, len(columns.starts)), block_records)
     ]
     out = bytearray()
     write_varint(out, len(blocks))
@@ -413,25 +371,53 @@ def compress_records(
     return bytes(out)
 
 
-def decompress_records(data: bytes) -> list[MethylationRecord]:
-    """Inverse of :func:`compress_records`."""
+def decompress_columns(data: bytes) -> BedColumns:
+    """Inverse of :func:`compress_columns`."""
     block_count, offset = read_varint(data, 0)
-    records: list[MethylationRecord] = []
+    columns = BedColumns.empty()
     for _ in range(block_count):
         length, offset = read_varint(data, offset)
-        records.extend(decode_block(data[offset : offset + length]))
+        block = decode_columns(data[offset : offset + length])
+        for column, part in zip(columns, block):
+            column.extend(part)
         offset += length
-    return records
+    if offset != len(data):
+        raise CodecError("trailing bytes after the last block")
+    return columns
+
+
+# -- the same, record by record and on text ------------------------------------
+def encode_block(records: list[MethylationRecord]) -> bytes:
+    """Encode one block of genomic-sorted records."""
+    return encode_columns(columns_of(records))
+
+
+def decode_block(data: bytes) -> list[MethylationRecord]:
+    """Decode one block (exact inverse of :func:`encode_block`)."""
+    return records_of(decode_columns(data))
+
+
+def compress_records(
+    records: list[MethylationRecord],
+    block_records: int = DEFAULT_BLOCK_RECORDS,
+) -> bytes:
+    """Compress sorted records into a multi-block container."""
+    return compress_columns(columns_of(records), block_records)
+
+
+def decompress_records(data: bytes) -> list[MethylationRecord]:
+    """Inverse of :func:`compress_records`."""
+    return records_of(decompress_columns(data))
 
 
 def compress(buffer: bytes, block_records: int = DEFAULT_BLOCK_RECORDS) -> bytes:
     """Compress a sorted bedMethyl text buffer."""
-    return compress_records(parse_buffer(buffer), block_records)
+    return compress_columns(parse_columns(buffer), block_records)
 
 
 def decompress(data: bytes) -> bytes:
     """Decompress back to the canonical bedMethyl text form."""
-    return serialize_records(decompress_records(data))
+    return serialize_columns(decompress_columns(data))
 
 
 def compression_ratio(buffer: bytes, block_records: int = DEFAULT_BLOCK_RECORDS) -> float:
@@ -447,5 +433,3 @@ def compression_ratio(buffer: bytes, block_records: int = DEFAULT_BLOCK_RECORDS)
 #: and scaled to the paper's C++-grade tooling.
 ENCODE_THROUGHPUT_BPS = 35e6
 DECODE_THROUGHPUT_BPS = 50e6
-
-T = t.TypeVar("T")

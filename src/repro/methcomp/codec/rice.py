@@ -31,10 +31,11 @@ class RiceContext:
 
     def parameter(self) -> int:
         """Current Rice parameter: smallest k with count·2^k ≥ accumulated."""
-        k = 0
-        while (self.count << k) < self.accumulated and k < 32:
-            k += 1
-        return k
+        if self.accumulated <= self.count:
+            return 0
+        # 2^k ≥ ⌈accumulated / count⌉, and ⌈a/c⌉ − 1 = (a − 1) // c.
+        k = ((self.accumulated - 1) // self.count).bit_length()
+        return k if k < 32 else 32
 
     def update(self, value: int) -> None:
         self.accumulated += value
@@ -44,21 +45,45 @@ class RiceContext:
             self.count >>= 1
 
 
+#: The escape marker: a full-length unary run and its terminating zero.
+_ESCAPE_PREFIX = ((1 << _ESCAPE_QUOTIENT) - 1) << 1
+_ESCAPE_PREFIX_BITS = _ESCAPE_QUOTIENT + 1
+
+
 def rice_encode(writer: BitWriter, value: int, context: RiceContext) -> None:
     """Encode one non-negative integer under ``context``."""
     if value < 0:
         raise CodecError(f"Rice coder requires non-negative values, got {value}")
-    k = context.parameter()
+    # ``context.parameter()`` and, below, ``context.update(value)``, spelled
+    # out: this runs once per coded value, and two calls would double its cost.
+    accumulated, count = context.accumulated, context.count
+    if accumulated <= count:
+        k = 0
+    else:
+        k = ((accumulated - 1) // count).bit_length()
+        if k > 32:
+            k = 32
     quotient = value >> k
     if quotient < _ESCAPE_QUOTIENT:
-        writer.write_unary(quotient)
-        writer.write_bits(value & ((1 << k) - 1), k)
+        # One code word: ``quotient`` ones, a zero, the k-bit remainder.
+        writer.write_bits(
+            (((1 << quotient) - 1) << (k + 1)) | (value & ((1 << k) - 1)),
+            quotient + 1 + k,
+        )
     else:
         if value >= (1 << _ESCAPE_BITS):
             raise CodecError(f"value {value} exceeds escape width")
-        writer.write_unary(_ESCAPE_QUOTIENT)
-        writer.write_bits(value, _ESCAPE_BITS)
-    context.update(value)
+        writer.write_bits(
+            (_ESCAPE_PREFIX << _ESCAPE_BITS) | value,
+            _ESCAPE_PREFIX_BITS + _ESCAPE_BITS,
+        )
+    accumulated += value
+    count += 1
+    if count >= _RESET_THRESHOLD:
+        accumulated >>= 1
+        count >>= 1
+    context.accumulated = accumulated
+    context.count = count
 
 
 def rice_decode(reader: BitReader, context: RiceContext) -> int:

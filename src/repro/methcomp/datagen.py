@@ -20,6 +20,7 @@ a sort.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 import typing as t
 
@@ -275,6 +276,40 @@ def generate_skewed_bed_bytes(
     if distribution not in ("sorted-runs", "late-hot"):
         rng.shuffle(records)
     return serialize_records(records)
+
+
+@functools.lru_cache(maxsize=8)
+def methylome_payload(
+    real_bytes: int,
+    seed: int,
+    distribution: str,
+    zipf_s: float,
+    distinct_keys: int,
+    sorted_output: bool,
+    /,
+) -> bytes:
+    """The pipeline's input payload under a key law, generated once per argument set.
+
+    ``distribution="uniform"`` is the chromosome-weighted methylome of
+    :class:`MethylomeGenerator` (``sorted_output`` keeps it in genomic
+    order); any other law goes to :func:`generate_skewed_bed_bytes` with
+    its ``zipf_s`` / ``distinct_keys`` knobs.  Experiments stage the same
+    input again for every configuration and sweep row they compare, and
+    a payload is a pure function of these six values, so the few most
+    recent ones are kept: the bytes are immutable, and the bound keeps a
+    long sweep over sizes from holding every payload it ever made.
+    """
+    if distribution == "uniform":
+        return MethylomeGenerator(seed=seed).generate_bed_bytes(
+            real_bytes, sorted_output=sorted_output
+        )
+    return generate_skewed_bed_bytes(
+        real_bytes,
+        seed=seed,
+        distribution=distribution,
+        zipf_s=zipf_s,
+        distinct_keys=distinct_keys,
+    )
 
 
 def upload_dataset(

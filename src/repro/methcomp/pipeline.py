@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.methcomp.bed import CHROM_RANK, bed_sort_key, parse_buffer, serialize_records
+from repro.methcomp.bed import CHROM_RANK, bed_sort_key, parse_columns, serialize_columns
 from repro.methcomp.codec.methcodec import (
     DECODE_THROUGHPUT_BPS,
     ENCODE_THROUGHPUT_BPS,
-    compress_records,
-    decompress_records,
+    compress_columns,
+    decompress_columns,
 )
 from repro.shuffle import kernels
 from repro.shuffle.records import LineRecordCodec
@@ -148,17 +148,17 @@ def encode_worker(ctx, task: dict) -> t.Generator:
 
     Task fields: ``bucket, key`` (sorted input run), ``out_bucket,
     out_key`` (compressed output).  Returns size metadata used for the
-    stage report.  Real records are parsed and really compressed; the
+    stage report.  Real lines are parsed and really compressed; the
     CPU charge models a native-speed encoder over the logical bytes.
     """
     raw = yield ctx.storage.get(task["bucket"], task["key"])
-    records = parse_buffer(raw)
-    compressed = compress_records(records)
+    columns = parse_columns(raw)
+    compressed = compress_columns(columns)
     throughput = task.get("throughput_bps", ENCODE_THROUGHPUT_BPS)
     yield ctx.compute_bytes(len(raw), throughput)
     yield ctx.storage.put(task["out_bucket"], task["out_key"], compressed)
     return {
-        "records": len(records),
+        "records": len(columns.starts),
         "raw_bytes": len(raw),
         "compressed_bytes": len(compressed),
         "out_key": task["out_key"],
@@ -172,13 +172,13 @@ def decode_worker(ctx, task: dict) -> t.Generator:
     out_key`` (restored text).
     """
     compressed = yield ctx.storage.get(task["bucket"], task["key"])
-    records = decompress_records(compressed)
-    restored = serialize_records(records)
+    columns = decompress_columns(compressed)
+    restored = serialize_columns(columns)
     throughput = task.get("throughput_bps", DECODE_THROUGHPUT_BPS)
     yield ctx.compute_bytes(len(restored), throughput)
     yield ctx.storage.put(task["out_bucket"], task["out_key"], restored)
     return {
-        "records": len(records),
+        "records": len(columns.starts),
         "restored_bytes": len(restored),
         "out_key": task["out_key"],
     }

@@ -7,11 +7,16 @@ from hypothesis import strategies as st
 from repro.errors import CodecError
 from repro.methcomp import (
     CHROMOSOMES,
+    BedColumns,
     MethylationRecord,
     bed_sort_key,
+    columns_of,
     is_sorted,
     parse_buffer,
+    parse_columns,
     parse_line,
+    records_of,
+    serialize_columns,
     serialize_record,
     serialize_records,
 )
@@ -99,6 +104,20 @@ class TestSerialization:
         with pytest.raises(CodecError):
             parse_line(b"\t".join(fields))
 
+    @pytest.mark.parametrize(
+        "column,value",
+        [(4, b"abc"), (6, b""), (7, b"1.5"), (8, b"0,255,\xff")],
+        ids=["score", "thickStart", "thickEnd", "itemRgb"],
+    )
+    def test_unparsable_derived_column_is_a_codec_error(self, column, value):
+        """Not a raw ValueError / UnicodeDecodeError from outside the ``try``."""
+        fields = b"chr1\t100\t102\t.\t18\t+\t100\t102\t0,255,0\t18\t90".split(b"\t")
+        fields[column] = value
+        with pytest.raises(CodecError):
+            parse_line(b"\t".join(fields))
+        with pytest.raises(CodecError):
+            parse_columns(b"\t".join(fields) + b"\n")
+
     def test_buffer_roundtrip(self):
         records = [
             MethylationRecord("chr1", 10, 12, "+", 5, 90),
@@ -109,6 +128,53 @@ class TestSerialization:
     @given(record=record_strategy())
     def test_property_line_roundtrip(self, record):
         assert parse_line(serialize_record(record)) == record
+
+
+class TestColumns:
+    RECORDS = [
+        MethylationRecord("chr1", 10, 12, "+", 5, 90),
+        MethylationRecord("chr1", 11, 13, "-", 1200, 49),
+        MethylationRecord("chrM", 0, 0, "-", 0, 50),
+    ]
+
+    def test_columns_are_the_records_transposed(self):
+        columns = columns_of(self.RECORDS)
+        assert columns == BedColumns(
+            [0, 0, 24], [10, 11, 0], [12, 13, 0], [False, True, True],
+            [5, 1200, 0], [90, 49, 50],
+        )
+        assert records_of(columns) == self.RECORDS
+
+    def test_parse_and_serialize_match_the_per_line_functions(self):
+        buffer = b"".join(serialize_record(record) + b"\n" for record in self.RECORDS)
+        assert serialize_columns(columns_of(self.RECORDS)) == buffer
+        assert parse_columns(buffer) == columns_of(self.RECORDS)
+        assert records_of(parse_columns(buffer)) == [
+            parse_line(line) for line in buffer.splitlines()
+        ]
+
+    def test_empty_buffer(self):
+        assert parse_columns(b"") == BedColumns.empty()
+        assert serialize_columns(BedColumns.empty()) == b""
+
+    def test_valid_but_uncanonical_lines_take_the_per_line_path(self):
+        """``thickStart`` "007" equals start 7: accepted, and normalised on the way out."""
+        line = b"chr2\t7\t9\t.\t+3\t+\t007\t9\t255,0,0\t3\t 10"
+        assert records_of(parse_columns(line)) == [parse_line(line)]
+        assert serialize_columns(parse_columns(line)) == (
+            b"chr2\t7\t9\t.\t3\t+\t7\t9\t255,0,0\t3\t10\n"
+        )
+
+    def test_records_of_validates(self):
+        with pytest.raises(CodecError):
+            records_of(BedColumns([0], [5], [7], [False], [1], [101]))
+
+    @given(records=st.lists(record_strategy(), max_size=40))
+    def test_property_column_roundtrip(self, records):
+        buffer = b"".join(serialize_record(record) + b"\n" for record in records)
+        columns = parse_columns(buffer)
+        assert columns == columns_of(records)
+        assert serialize_columns(columns) == buffer
 
 
 class TestSortKey:

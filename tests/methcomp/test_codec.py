@@ -22,6 +22,8 @@ from repro.methcomp.codec import (
     gzip_compress,
     gzip_decompress,
     gzip_ratio,
+    read_varint,
+    write_varint,
 )
 
 
@@ -117,6 +119,86 @@ class TestBlockRoundtrip:
     @settings(max_examples=60, deadline=None)
     def test_property_roundtrip(self, records):
         assert decode_block(encode_block(records)) == records
+
+
+def split_block(block: bytes) -> tuple[int, list[bytes]]:
+    """A real block's record count and its nine sections."""
+    assert block[:4] == b"MC01"
+    count, offset = read_varint(block, 4)
+    sections = []
+    while offset < len(block):
+        length, offset = read_varint(block, offset)
+        sections.append(block[offset : offset + length])
+        offset += length
+    assert len(sections) == 9
+    return count, sections
+
+
+def join_block(count: int, sections: list[bytes]) -> bytes:
+    out = bytearray(b"MC01")
+    write_varint(out, count)
+    for section in sections:
+        write_varint(out, len(section))
+        out += section
+    return bytes(out)
+
+
+class TestCorruptBlocks:
+    RECORDS = [
+        MethylationRecord("chr1", 100, 102, "+", 20, 90),
+        MethylationRecord("chr1", 101, 103, "-", 21, 88),
+        MethylationRecord("chr2", 7000, 7002, "+", 8, 10),
+        MethylationRecord("chr2", 7040, 7042, "+", 9, 12),
+    ]
+
+    def test_split_and_join_are_inverse(self):
+        block = encode_block(self.RECORDS)
+        assert join_block(*split_block(block)) == block
+
+    def test_zero_length_chromosome_run_rejected(self):
+        """It used to pass the cover check, claim a phantom start and shift chr2."""
+        count, sections = split_block(encode_block(self.RECORDS))
+        assert sections[0] == bytes([2, 0, 2, 1, 2])  # two runs: chr1 x2, chr2 x2
+        assert sections[1] == bytes([100, 0xD8, 0x36])  # run starts 100 and 7000
+        sections[0] = bytes([3, 0, 2, 4, 0, 1, 2])  # ... with an empty chr5 run between
+        sections[1] = bytes([100, 55, 0xD8, 0x36])  # ... that has a start of its own
+        with pytest.raises(CodecError, match="empty chromosome run"):
+            decode_block(join_block(count, sections))
+
+    def test_run_lengths_must_cover_the_count(self):
+        count, sections = split_block(encode_block(self.RECORDS))
+        sections[0] = bytes([2, 0, 2, 1, 3])
+        with pytest.raises(CodecError, match="chromosome runs"):
+            decode_block(join_block(count, sections))
+        count, sections = split_block(encode_block(self.RECORDS))
+        sections[3] = bytes([1, 2, 100])  # one width run, far too long
+        with pytest.raises(CodecError, match="width runs"):
+            decode_block(join_block(count, sections))
+
+    def test_trailing_bytes_after_the_last_block_rejected(self):
+        data = compress_records(self.RECORDS)
+        assert decompress_records(data) == self.RECORDS
+        for tail in (b"\x00", encode_block(self.RECORDS)):
+            with pytest.raises(CodecError, match="trailing bytes"):
+                decompress_records(data + tail)
+            with pytest.raises(CodecError, match="trailing bytes"):
+                decompress(data + tail)
+
+    def test_out_of_range_values_rejected(self):
+        """A pct pushed past 100 by an edited difference is not served as text."""
+        count, sections = split_block(encode_block([self.RECORDS[0]]))
+        table = bytearray(sections[6])
+        # A two-byte varint (201 symbols), then one count byte per symbol.
+        assert len(table) == 2 + 201 and table[2 + 80] == 1  # zig-zag(90 - 50) = 80
+        table[2 + 80], table[2 + 120] = 0, 1  # the one symbol now means +60
+        sections[6] = bytes(table)
+        with pytest.raises(CodecError):
+            decode_block(join_block(count, sections))
+        container = bytearray()
+        write_varint(container, 1)
+        write_varint(container, len(join_block(count, sections)))
+        with pytest.raises(CodecError):
+            decompress(bytes(container) + join_block(count, sections))
 
 
 class TestContainer:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.errors import CodecError
@@ -332,6 +332,13 @@ LINE_EDITS = {
     "bad integer coverage": (lambda line: _with_field(line, 9, b"1.5"), True),
     "bad integer pct": (lambda line: _with_field(line, 10, b"abc"), True),
     "wrong score": (lambda line: _with_field(line, 4, b"999"), True),
+    "bad integer score": (lambda line: _with_field(line, 4, b"abc"), True),
+    "bad integer thickStart": (lambda line: _with_field(line, 6, b""), True),
+    "bad integer thickEnd": (lambda line: _with_field(line, 7, b"1.5"), True),
+    "non-ascii colour": (lambda line: _with_field(line, 8, b"0,255,\xff"), True),
+    "uncanonical thickStart": (
+        lambda line: _with_field(line, 6, b"0" + line.split(b"\t")[6]), False
+    ),
     "wrong colour": (lambda line: _with_field(line, 8, b"0,0,255"), True),
     "wrong thickStart": (lambda line: _with_field(line, 6, b"1"), True),
     "wrong thickEnd": (lambda line: _with_field(line, 7, b"1"), True),
@@ -433,15 +440,6 @@ class TestIdenticalErrors:
         )
     )
     def test_random_field_replacements(self, edits):
-        # parse_line leaks a raw ValueError / UnicodeDecodeError for these
-        # (the derived columns are converted outside its ``try``).
-        assume(
-            not any(
-                (column in (4, 6, 7) and not value.strip(b" +-").isdigit())
-                or (column == 8 and not value.isascii())
-                for _where, column, value in edits
-            )
-        )
         lines = _lines()
         for where, column, value in edits:
             lines[where] = _with_field(lines[where], column, value)

@@ -1,0 +1,134 @@
+"""The memoized input payload: one generation per argument set, same bytes as ever."""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from repro.cloud.environment import Cloud
+from repro.core import ExperimentConfig
+from repro.core.experiment import dataset_payload
+from repro.methcomp.datagen import (
+    MethylomeGenerator,
+    generate_skewed_bed_bytes,
+    methylome_payload,
+)
+from repro.sim import Simulator
+from repro.workflows import StageSpec, WorkflowDag, WorkflowEngine
+
+#: (real_bytes, seed, distribution, zipf_s, distinct_keys, sorted_output)
+BASE = (20_000, 3, "zipf", 1.2, 64, False)
+
+#: sha256 of ``dataset_payload(ExperimentConfig(logical_scale=1024, seed=...))``
+#: (``real_bytes=3670016``, the ledger's ``table1`` input) at commit ace419a,
+#: before the memo and the column serializer.
+PARENT_SHA256 = {
+    2021: "9bcca243fc2188d7cf4d0900982b92dd53598685bd8f094a6356dee0a807bf9d",
+    7: "7e1509fc4cf03cc5c55036773dfa67779de07e51e67c3b0879fcdab8cbdd4c01",
+    47: "4886a6cd1096f0c794ba6ddcb42dc4d0baf6899156e9beeae5d11ed8e3c0c90d",
+}
+
+
+@pytest.fixture(autouse=True)
+def cold_cache():
+    methylome_payload.cache_clear()
+    yield
+    methylome_payload.cache_clear()
+
+
+class TestMemo:
+    def test_equal_arguments_return_the_same_object(self):
+        first = methylome_payload(*BASE)
+        assert isinstance(first, bytes)
+        assert methylome_payload(*BASE) is first
+        assert methylome_payload.cache_info().misses == 1
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [(0, 20_062), (1, 4), (2, "heavy-dup"), (3, 1.5), (4, 8), (5, True)],
+        ids=["real_bytes", "seed", "distribution", "zipf_s", "distinct_keys", "sorted"],
+    )
+    def test_every_key_field_is_part_of_the_key(self, field, value):
+        first = methylome_payload(*BASE)
+        changed = list(BASE)
+        changed[field] = value
+        other = methylome_payload(*changed)
+        assert other is not first
+        assert methylome_payload.cache_info().misses == 2
+        assert methylome_payload(*BASE) is first
+
+    def test_the_cache_is_bounded(self):
+        bound = methylome_payload.cache_info().maxsize
+        assert bound is not None and bound <= 16
+        first = methylome_payload(2_000, 0, "uniform", 1.2, 64, False)
+        for seed in range(1, bound + 1):
+            methylome_payload(2_000, seed, "uniform", 1.2, 64, False)
+        assert methylome_payload.cache_info().currsize == bound
+        again = methylome_payload(2_000, 0, "uniform", 1.2, 64, False)
+        assert again == first and again is not first  # evicted, generated afresh
+
+    def test_it_is_the_generators_output(self):
+        assert methylome_payload(9_000, 5, "uniform", 1.2, 64, False) == (
+            MethylomeGenerator(seed=5).generate_bed_bytes(9_000)
+        )
+        assert methylome_payload(9_000, 5, "uniform", 1.2, 64, True) == (
+            MethylomeGenerator(seed=5).generate_bed_bytes(9_000, sorted_output=True)
+        )
+        assert methylome_payload(9_000, 5, "late-hot", 1.4, 32, False) == (
+            generate_skewed_bed_bytes(
+                9_000, seed=5, distribution="late-hot", zipf_s=1.4, distinct_keys=32
+            )
+        )
+
+    @pytest.mark.parametrize("seed", sorted(PARENT_SHA256))
+    def test_table1_payload_is_bit_identical_to_the_parents(self, seed):
+        config = ExperimentConfig(logical_scale=1024.0, seed=seed)
+        assert config.real_bytes == 3_670_016
+        payload = dataset_payload(config)
+        assert hashlib.sha256(payload).hexdigest() == PARENT_SHA256[seed]
+
+
+class TestCallers:
+    """``dataset_payload`` and the ``methylome_dataset`` stage share the one function."""
+
+    def stage_payload(self, config: ExperimentConfig, **params) -> bytes:
+        cloud = Cloud(Simulator(seed=1), config.make_profile())
+        dag = WorkflowDag(
+            "t",
+            [
+                StageSpec(
+                    "gen",
+                    "methylome_dataset",
+                    params={"size_gb": config.size_gb, "seed": config.seed,
+                            "key": "gen.bed", **params},
+                )
+            ],
+            bucket="pipeline",
+        )
+        WorkflowEngine(cloud, dag).execute()
+        return cloud.store.peek("pipeline", "gen.bed")
+
+    def test_stage_then_experiment_generate_once(self):
+        config = ExperimentConfig(size_gb=0.05, logical_scale=4096.0, seed=11)
+        staged = self.stage_payload(config)
+        assert methylome_payload.cache_info().misses == 1
+        assert dataset_payload(config) == staged
+        info = methylome_payload.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_skewed_stage_and_experiment_agree(self):
+        config = dataclasses.replace(
+            ExperimentConfig(size_gb=0.05, logical_scale=4096.0, seed=11),
+            key_distribution="zipf",
+            zipf_s=1.3,
+            skew_distinct_keys=16,
+        )
+        staged = self.stage_payload(
+            config, distribution="zipf", zipf_s=1.3, distinct_keys=16
+        )
+        assert dataset_payload(config) == staged
+        assert methylome_payload.cache_info().misses == 1
+
+    def test_repeated_pipeline_inputs_are_one_object(self):
+        config = ExperimentConfig(size_gb=0.05, logical_scale=4096.0, seed=12)
+        assert dataset_payload(config) is dataset_payload(dataclasses.replace(config))

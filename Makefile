@@ -8,7 +8,7 @@ PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 #: `make test-faults CHAOS_SEEDS=1,2,3,4`.
 CHAOS_SEEDS ?= 13,2021,77
 
-.PHONY: test test-faults test-skew test-service test-obs test-cas collect bench bench-exchange bench-streaming bench-skew bench-online bench-service bench-kernels bench-sim bench-obs bench-cas bench-ledger ledger-selfcheck verify
+.PHONY: test test-faults test-skew test-service test-obs test-cas collect bench bench-exchange bench-streaming bench-skew bench-online bench-service bench-kernels bench-sim bench-codec bench-obs bench-cas bench-ledger ledger-selfcheck verify
 
 # Tier-1 suite (must stay green): everything under tests/, once, with
 # the chaos suite under the pinned seed matrix.  The `test-*` targets
@@ -117,6 +117,16 @@ bench-kernels:
 # fails if the module runs >20% over the committed baseline.
 bench-sim:
 	$(PYTEST) benchmarks/bench_sim_kernel.py -q
+	python benchmarks/check_wallclock.py
+
+# Codec bench only: regenerates the S5 result
+# (benchmarks/results/s5_codec_ratio.txt, byte-identical), encode /
+# decode / gzip throughput, and the encode stage's shape — 16
+# partition-sized buffers compressed and restored, a fixed number of
+# rounds — then the same wall-clock guard.  Holds the columnar-parse and
+# word-at-a-time-coder speed-up.
+bench-codec:
+	$(PYTEST) benchmarks/bench_codec.py -q
 	python benchmarks/check_wallclock.py
 
 # Observability bench only: regenerates the S15 result

@@ -10,18 +10,18 @@ holds the vectorized-kernel speedups (and every other bench's budget)
 across future PRs.
 
 Only modules present in *both* files are compared, so running a single
-module (``make bench-kernels``, ``make bench-sim``) guards that module
-without penalizing the baseline's wider coverage, and a brand-new
-bench module does not fail CI before its baseline lands.  The tolerance
-is scaled by the calibration ratio so a slower runner is not mistaken
-for a slower repo.
+module (``make bench-kernels``, ``make bench-sim``, ``make bench-codec``)
+guards that module without penalizing the baseline's wider coverage,
+and a brand-new bench module does not fail CI before its baseline
+lands.  The tolerance is scaled by the calibration ratio so a slower
+runner is not mistaken for a slower repo.
 
 Refresh the baseline deliberately after an accepted slowdown or a
 machine change — run every guarded module in one session so they share
 one calibration::
 
-    PYTHONPATH=src python -m pytest -q \
-        benchmarks/bench_kernels.py benchmarks/bench_sim_kernel.py
+    PYTHONPATH=src python -m pytest -q benchmarks/bench_kernels.py \
+        benchmarks/bench_sim_kernel.py benchmarks/bench_codec.py
     cp benchmarks/results/bench_wallclock.json \
        benchmarks/results/bench_wallclock_baseline.json
 """

@@ -85,15 +85,6 @@ class MethylationRecord:
         return (CHROM_RANK[self.chrom], self.start)
 
 
-def serialize_record(record: MethylationRecord) -> bytes:
-    """Canonical 11-column bedMethyl line (without trailing newline)."""
-    return (
-        f"{record.chrom}\t{record.start}\t{record.end}\t.\t{record.score}\t"
-        f"{record.strand}\t{record.start}\t{record.end}\t{record.color}\t"
-        f"{record.coverage}\t{record.pct_meth}"
-    ).encode("ascii")
-
-
 def parse_line(line: bytes) -> MethylationRecord:
     """Parse one bedMethyl line, validating the derived columns."""
     fields = line.rstrip(b"\n").split(b"\t")
@@ -252,6 +243,11 @@ def serialize_columns(columns: BedColumns) -> bytes:
             for chrom, start, end, minus, coverage, pct in zip(*columns)
         ]
     ).encode("ascii")
+
+
+def serialize_record(record: MethylationRecord) -> bytes:
+    """Canonical 11-column bedMethyl line (without trailing newline)."""
+    return serialize_columns(columns_of([record]))[:-1]
 
 
 def parse_buffer(buffer: bytes) -> list[MethylationRecord]:

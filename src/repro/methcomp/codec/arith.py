@@ -20,10 +20,8 @@ _QUARTER = 1 << (_PRECISION - 2)
 _THREE_QUARTERS = _HALF + _QUARTER
 #: Total frequency must stay well below the quarter range.
 _MAX_TOTAL = 1 << (_PRECISION - 4)
-#: Bytes that fill the decoder's code register.
+#: Bytes that fill the decoder's code register, and each refill of its window.
 _CODE_BYTES = _PRECISION // 8
-#: Bytes the decoder loads per refill of its bit window.
-_REFILL_BYTES = 8
 
 
 class FrequencyTable:
@@ -97,10 +95,10 @@ def arithmetic_encode(symbols: list[int], table: FrequencyTable) -> bytes:
         if settled:
             bits = low >> (_PRECISION - settled)
             if pending:
-                first = bits >> (settled - 1)
-                bits ^= first << (settled - 1)  # the rest
-                first = (first << pending) | (0 if first else (1 << pending) - 1)
-                bits |= first << (settled - 1)
+                head = bits >> (settled - 1)
+                tail = bits ^ (head << (settled - 1))
+                head = (head << pending) | (0 if head else (1 << pending) - 1)
+                bits = (head << (settled - 1)) | tail
             writer.write_bits(bits, settled + pending)
             pending = 0
             low = (low << settled) & _FULL
@@ -154,10 +152,10 @@ def arithmetic_decode(data: bytes, count: int, table: FrequencyTable) -> list[in
             else:
                 break
             if not nbits:
-                chunk = data[next_byte : next_byte + _REFILL_BYTES]
-                next_byte += _REFILL_BYTES
-                window = int.from_bytes(chunk.ljust(_REFILL_BYTES, b"\0"), "big")
-                nbits = _REFILL_BYTES * 8
+                chunk = data[next_byte : next_byte + _CODE_BYTES]
+                next_byte += _CODE_BYTES
+                window = int.from_bytes(chunk.ljust(_CODE_BYTES, b"\0"), "big")
+                nbits = _PRECISION
             nbits -= 1
             low = low * 2
             high = high * 2 + 1

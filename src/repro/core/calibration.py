@@ -24,9 +24,7 @@ import dataclasses
 import typing as t
 
 from repro.cloud.profiles import GB, CloudProfile, ibm_us_east, profile_named
-from repro.shuffle.cacheplanner import CacheShuffleCostModel
 from repro.shuffle.planner import ShuffleCostModel
-from repro.shuffle.relayplanner import RelayShuffleCostModel
 
 
 @dataclasses.dataclass(slots=True)
@@ -55,18 +53,6 @@ class WorkloadParams:
             partition_throughput=self.partition_throughput,
             sort_throughput=self.sort_throughput,
             fetch_parallelism=self.fetch_parallelism,
-        )
-
-    def cache_shuffle_cost_model(self) -> CacheShuffleCostModel:
-        return CacheShuffleCostModel(
-            partition_throughput=self.partition_throughput,
-            sort_throughput=self.sort_throughput,
-        )
-
-    def relay_shuffle_cost_model(self) -> RelayShuffleCostModel:
-        return RelayShuffleCostModel(
-            partition_throughput=self.partition_throughput,
-            sort_throughput=self.sort_throughput,
         )
 
 

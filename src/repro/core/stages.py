@@ -257,7 +257,7 @@ def _exchange_sort(
         return overrides.get(name, context.param(name, default))
 
     executor = _function_executor(context, int(param("memory_mb", 2048)))
-    cost = getattr(_workload(context), row.cost_model)()
+    cost = _workload(context).shuffle_cost_model()
     stream = None
     if mode == "streaming":
         stream = _stream_config(param, "chunk_mb", "buffer_mb")
@@ -385,7 +385,6 @@ def _selector_params(context: StageContext, default_modes: tuple) -> dict:
     """
     substrates = context.param("substrates")
     modes = context.param("modes")
-    workload = _workload(context)
     return {
         "cache_node_type": context.param("cache_node_type", "cache.r5.large"),
         "relay_instance_type": context.param("instance_type") or None,
@@ -396,9 +395,7 @@ def _selector_params(context: StageContext, default_modes: tuple) -> dict:
         "substrates": tuple(substrates) if substrates is not None else None,
         "modes": tuple(modes) if modes is not None else default_modes,
         "partition_skew": float(context.param("partition_skew", 1.0)),
-        "shuffle_cost": workload.shuffle_cost_model(),
-        "cache_cost": workload.cache_shuffle_cost_model(),
-        "relay_cost": workload.relay_shuffle_cost_model(),
+        "cost": _workload(context).shuffle_cost_model(),
     }
 
 

@@ -30,7 +30,7 @@ from repro.methcomp.codec import compression_ratio, gzip_ratio
 from repro.methcomp.datagen import MethylomeGenerator
 from repro.methcomp.pipeline import bed_record_codec
 from repro.shuffle.operator import ShuffleSort
-from repro.shuffle.planner import plan_shuffle
+from repro.shuffle.planner import exchange_terms, plan_shuffle, predict_shuffle_time
 from repro.shuffle.adaptive import EXCHANGE_SUBSTRATES
 from repro.errors import ShuffleError
 from repro.shuffle.relay import ShardedRelayExchange
@@ -253,7 +253,7 @@ def _make_exchange_operator(
     }.get(strategy, (None, 0))
     provisioned = row.provision(cloud, config.logical_bytes, flavour, count)
     backend = row.make_backend(
-        provisioned, getattr(config.workload, row.cost_model)(), stream
+        provisioned, config.workload.shuffle_cost_model(), stream
     )
     return ShuffleSort(executor, bed_record_codec(), backend=backend), provisioned
 
@@ -474,10 +474,6 @@ def sweep_skew(
     the bench) and the skew-aware planner's prediction at the measured
     skew, so the bench can check predicted-vs-actual tracking.
     """
-    from repro.shuffle.relayplanner import (
-        predict_relay_shuffle_time,
-        resolve_relay_instance,
-    )
     from repro.shuffle.skew import KEY_DISTRIBUTIONS
 
     base = config if config is not None else ExperimentConfig()
@@ -518,7 +514,7 @@ def sweep_skew(
                 fleet = fleet_ready(
                     cloud.vms, relay_instance_type, shards=shards
                 )
-                cost = cfg.workload.relay_shuffle_cost_model()
+                cost = cfg.workload.shuffle_cost_model()
                 cost.rebalance = routing == "rebalanced"
                 operator = ShuffleSort(
                     executor, bed_record_codec(),
@@ -535,14 +531,17 @@ def sweep_skew(
                 # The skew-aware model, evaluated at the *measured*
                 # partition skew — what a planner that trusts its
                 # sampling pass would have predicted for this run.
-                predicted_s = predict_relay_shuffle_time(
+                cost = cfg.workload.shuffle_cost_model()
+                predicted_s = predict_shuffle_time(
                     cfg.logical_bytes,
                     workers,
                     cloud.profile,
-                    resolve_relay_instance(cloud.profile, relay_instance_type),
-                    cfg.workload.relay_shuffle_cost_model(),
-                    shards=shards,
+                    cost,
                     skew=report.partition_skew,
+                    terms=exchange_terms(
+                        "sharded-relay", cloud.profile, cost,
+                        relay_instance_type, shards,
+                    ),
                 ).total_s
                 fleet.terminate()
             return {
@@ -995,9 +994,7 @@ def sweep_online(
                 executor,
                 bed_record_codec(),
                 stream=stream,
-                shuffle_cost=row_cfg.workload.shuffle_cost_model(),
-                cache_cost=row_cfg.workload.cache_shuffle_cost_model(),
-                relay_cost=row_cfg.workload.relay_shuffle_cost_model(),
+                cost=row_cfg.workload.shuffle_cost_model(),
                 time_value_usd_per_hour=time_value,
                 substrates=(
                     ("sharded-relay",) if scenario == "reroute" else None
@@ -1302,7 +1299,7 @@ def sweep_service(
         tenant_rate_per_s=tenant_rate_per_s,
         tenant_burst=tenant_burst,
         memory_mb=base.function_memory_mb,
-        relay_cost=base.workload.relay_shuffle_cost_model(),
+        cost=base.workload.shuffle_cost_model(),
     )
 
     def service_driver():
@@ -1388,7 +1385,7 @@ def sweep_service(
             billing_tags={"tenant": job["tenant"], "job": job["job"]},
         )
         cost = dataclasses.replace(
-            base.workload.relay_shuffle_cost_model(), consume=True
+            base.workload.shuffle_cost_model(), consume=True
         )
         operator = ShuffleSort(
             executor, bed_record_codec(), backend=ShardedRelayExchange(fleet, cost)

@@ -61,12 +61,9 @@ from repro.executor.executor import FunctionExecutor
 from repro.shuffle.adaptive import FleetScaleDecision, plan_fleet_scale
 from repro.shuffle.records import RecordCodec
 from repro.shuffle.operator import ShuffleSort
+from repro.shuffle.planner import ShuffleCostModel
 from repro.shuffle.relay import ShardedRelayExchange
-from repro.shuffle.relayplanner import (
-    RelayShuffleCostModel,
-    SHARD_IMBALANCE_HEADROOM,
-    required_relay_fleet,
-)
+from repro.shuffle.relayplanner import SHARD_IMBALANCE_HEADROOM, required_relay_fleet
 from repro.sim import SimEvent, TokenBucket
 
 
@@ -168,7 +165,7 @@ class ExchangeService:
     consume:
         Run jobs in consume mode (crash-safe read-leases) so the shared
         fleet's memory self-reclaims; on by default.
-    relay_cost:
+    cost:
         Base cost model copied per job (``consume`` is overridden from
         the flag above); also carries ``expected_skew``/``rebalance``.
     partition_skew:
@@ -192,7 +189,7 @@ class ExchangeService:
         memory_mb: int = 2048,
         staging_bucket: str = "svc-staging",
         consume: bool = True,
-        relay_cost: RelayShuffleCostModel | None = None,
+        cost: ShuffleCostModel | None = None,
         partition_skew: float = 1.0,
         scale_down_margin: float = 0.5,
         samplers: int = 8,
@@ -216,9 +213,7 @@ class ExchangeService:
         self.memory_mb = memory_mb
         self.staging_bucket = staging_bucket
         self.consume = consume
-        self.relay_cost = (
-            relay_cost if relay_cost is not None else RelayShuffleCostModel()
-        )
+        self.cost = cost if cost is not None else ShuffleCostModel()
         self.partition_skew = partition_skew
         self.scale_down_margin = scale_down_margin
         self.samplers = samplers
@@ -563,7 +558,7 @@ class ExchangeService:
             bucket=self.staging_bucket,
             billing_tags={"tenant": job.tenant, "job": job.job_id},
         )
-        cost = dataclasses.replace(self.relay_cost, consume=self.consume)
+        cost = dataclasses.replace(self.cost, consume=self.consume)
         operator = ShuffleSort(
             executor, self.codec, backend=ShardedRelayExchange(generation.fleet, cost)
         )

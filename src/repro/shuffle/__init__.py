@@ -9,8 +9,12 @@ relay (:class:`RelayExchange`) and a sharded multi-relay fleet
 (:class:`ShardedRelayExchange`) — tabulated by name in
 :data:`SUBSTRATES`.  The execution mode is a field: build any backend
 with ``stream=StreamConfig(...)`` and the reduce wave overlaps the map
-wave.  :func:`choose_exchange_substrate` picks substrate — and mode —
-analytically; :class:`OnlineShuffleSort` keeps re-picking mid-stream.
+wave.  One analytic cost model (:func:`predict_shuffle_time`,
+:func:`plan_shuffle`) prices all of them through one
+:class:`ExchangeTerms` row per substrate (:data:`EXCHANGE_TERMS`);
+:func:`choose_exchange_substrate` enumerates that table to pick
+substrate — and mode — analytically, and :class:`OnlineShuffleSort`
+keeps re-picking mid-stream.
 """
 
 from repro.shuffle.adaptive import (
@@ -26,15 +30,9 @@ from repro.shuffle.adaptive import (
     choose_exchange_substrate,
     fit_profile,
     fit_stream_profiles,
-    streaming_chunk_count,
     streaming_chunk_overhead_s,
 )
-from repro.shuffle.cacheplanner import (
-    CacheShuffleCostModel,
-    plan_cache_shuffle,
-    predict_cache_shuffle_time,
-    required_cache_nodes,
-)
+from repro.shuffle.cacheplanner import required_cache_nodes
 from repro.shuffle.cachestages import cache_shuffle_mapper, cache_shuffle_reducer
 from repro.shuffle.kernels import (
     DecimalFieldKeySpec,
@@ -73,12 +71,17 @@ from repro.shuffle.orderby import (
     ShuffleOrderBy,
 )
 from repro.shuffle.planner import (
+    EXCHANGE_TERMS,
+    ExchangeTerms,
     PlanPoint,
     ShuffleCostModel,
     ShufflePlan,
+    TermRow,
+    exchange_terms,
     plan_shuffle,
     predict_shuffle_time,
     predict_streaming_shuffle_time,
+    streaming_chunk_count,
 )
 from repro.shuffle.records import FixedWidthCodec, LineRecordCodec, RecordCodec
 from repro.shuffle.relay import (
@@ -90,10 +93,6 @@ from repro.shuffle.relay import (
     relay_shuffle_reducer,
 )
 from repro.shuffle.relayplanner import (
-    RelayShuffleCostModel,
-    RelayShufflePlan,
-    plan_relay_shuffle,
-    predict_relay_shuffle_time,
     relay_usable_bytes,
     required_relay_fleet,
     required_relay_instance,
@@ -130,9 +129,12 @@ from repro.shuffle.substrates import SUBSTRATES, Substrate
 __all__ = [
     "AggregateFn",
     "CacheExchange",
-    "CacheShuffleCostModel",
     "EXCHANGE_MODES",
     "EXCHANGE_SUBSTRATES",
+    "EXCHANGE_TERMS",
+    "ExchangeTerms",
+    "TermRow",
+    "exchange_terms",
     "KEY_DISTRIBUTIONS",
     "SUBSTRATES",
     "SkewSpec",
@@ -149,8 +151,6 @@ __all__ = [
     "PartitionLoadRouter",
     "ProbeReport",
     "RelayExchange",
-    "RelayShuffleCostModel",
-    "RelayShufflePlan",
     "ShardedRelayExchange",
     "SubstrateDecision",
     "SubstrateEstimate",
@@ -158,8 +158,6 @@ __all__ = [
     "choose_exchange_substrate",
     "fit_profile",
     "fit_stream_profiles",
-    "plan_relay_shuffle",
-    "predict_relay_shuffle_time",
     "relay_shuffle_mapper",
     "relay_shuffle_reducer",
     "relay_usable_bytes",
@@ -169,8 +167,6 @@ __all__ = [
     "kv_partition_key",
     "cache_shuffle_mapper",
     "cache_shuffle_reducer",
-    "plan_cache_shuffle",
-    "predict_cache_shuffle_time",
     "required_cache_nodes",
     "DecimalFieldKeySpec",
     "FixedWidthCodec",

@@ -36,34 +36,25 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import math
 import statistics
 import typing as t
 
 from repro.cloud.profiles import CloudProfile, LatencyModel
 from repro.errors import ShuffleError
-from repro.shuffle.cacheplanner import (
-    CacheShuffleCostModel,
-    plan_cache_shuffle,
-    predict_cache_shuffle_time,
-    required_cache_nodes,
-)
 from repro.shuffle.planner import (
-    PlanPoint,
+    EXCHANGE_TERMS,
     ShuffleCostModel,
     ShufflePlan,
+    best_point,
+    exchange_terms,
     plan_shuffle,
-    predict_shuffle_time,
-    predict_streaming_shuffle_time,
+    streaming_curve,
+    term_row,
 )
 from repro.shuffle.relayplanner import (
-    RelayShuffleCostModel,
     SHARD_IMBALANCE_HEADROOM,
-    plan_relay_shuffle,
-    predict_relay_shuffle_time,
+    fleet_shards_for,
     relay_usable_bytes,
-    required_relay_fleet,
-    required_relay_instance,
     resolve_relay_instance,
 )
 from repro.sim import SimEvent
@@ -272,34 +263,18 @@ EXCHANGE_SUBSTRATES = ("objectstore", "cache", "relay", "sharded-relay")
 EXCHANGE_MODES = ("staged", "streaming")
 
 
-def streaming_chunk_count(
-    logical_bytes: float, workers: int, chunk_bytes: float
-) -> int:
-    """Chunks per mapper at one worker count (the pipelining grain)."""
-    if chunk_bytes <= 0:
-        raise ShuffleError(f"chunk_bytes must be positive, got {chunk_bytes}")
-    return max(1, math.ceil((logical_bytes / max(1, workers)) / chunk_bytes))
-
-
 def streaming_chunk_overhead_s(profile: CloudProfile, substrate: str) -> float:
     """Per-chunk request overhead of the readiness protocol.
 
-    What the streaming mode pays per chunk that staging never does: one
+    What the streaming mode pays per chunk that staging never does — a
+    round trip on each of the substrate row's ``readiness`` knobs: one
     manifest PUT + one discovery GET on object storage, one notification
     read + one extra write round trip on the cache, two relay round
     trips on the relay family.  Multiplied by the chunk count in
     :func:`~repro.shuffle.planner.predict_streaming_shuffle_time`, this
     is the term that keeps infinitely fine chunking from winning.
     """
-    if substrate == "objectstore":
-        store = profile.objectstore
-        return store.write_latency.mean + store.read_latency.mean
-    if substrate == "cache":
-        memstore = profile.memstore
-        return memstore.write_latency.mean + memstore.read_latency.mean
-    if substrate in ("relay", "sharded-relay"):
-        return 2.0 * profile.vm.relay_request_latency.mean
-    raise ShuffleError(f"unknown exchange substrate {substrate!r}")
+    return exchange_terms(substrate, profile).chunk_overhead_s
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -415,46 +390,19 @@ def fit_stream_profiles(
     for sample in samples:
         if sample.chunks < 1 or sample.logical_bytes <= 0:
             continue
-        faas_bw = fitted.faas.instance_bandwidth
-        if sample.substrate == "objectstore":
-            store = fitted.objectstore
-            conn_bw = min(faas_bw, store.per_connection_bandwidth)
-            transfer = sample.chunk_logical_bytes / conn_bw
-            # One data PUT + one manifest PUT per chunk.
-            residual = max(0.0, sample.per_chunk_s - transfer) / 2.0
-            store.write_latency = LatencyModel(
-                max(store.write_latency.mean, residual), 0.0
-            )
-            store.read_latency = LatencyModel(
-                max(store.read_latency.mean, residual), 0.0
-            )
-        elif sample.substrate == "cache":
-            memstore = fitted.memstore
-            conn_bw = min(faas_bw, memstore.per_connection_bandwidth)
-            transfer = sample.chunk_logical_bytes / conn_bw
-            residual = max(0.0, sample.per_chunk_s - transfer) / 2.0
-            memstore.write_latency = LatencyModel(
-                max(memstore.write_latency.mean, residual), 0.0
-            )
-            memstore.read_latency = LatencyModel(
-                max(memstore.read_latency.mean, residual), 0.0
-            )
-        elif sample.substrate in ("relay", "sharded-relay"):
-            conn_bw = faas_bw
-            if sample.instance_type:
-                instance = fitted.vm.catalog.get(sample.instance_type)
-                if instance is not None:
-                    conn_bw = min(faas_bw, instance.nic_bandwidth)
-            transfer = sample.chunk_logical_bytes / conn_bw
-            # The streaming overhead model charges two relay round trips
-            # per chunk.
-            residual = max(0.0, sample.per_chunk_s - transfer) / 2.0
-            fitted.vm.relay_request_latency = LatencyModel(
-                max(fitted.vm.relay_request_latency.mean, residual), 0.0
-            )
-        else:
-            raise ShuffleError(
-                f"unknown exchange substrate {sample.substrate!r}"
+        row = term_row(sample.substrate)
+        # A flavour the catalog does not know bounds nothing: the
+        # function's own NIC is then the connection.
+        flavour = row.catalog(fitted).get(sample.instance_type) if row.catalog else None
+        terms = row.terms(fitted, ShuffleCostModel(), flavour, 1)
+        transfer = sample.chunk_logical_bytes / terms.conn_bw
+        # Two round trips per chunk, one on each readiness knob.
+        residual = max(0.0, sample.per_chunk_s - transfer) / 2.0
+        for section, knob in terms.readiness:
+            setattr(
+                section,
+                knob,
+                LatencyModel(max(getattr(section, knob).mean, residual), 0.0),
             )
     return fitted
 
@@ -538,9 +486,7 @@ def choose_exchange_substrate(
     stream_chunk_bytes: float = 32 * (1 << 20),
     stream_chunked_input: bool = False,
     partition_skew: float = 1.0,
-    shuffle_cost: ShuffleCostModel | None = None,
-    cache_cost: CacheShuffleCostModel | None = None,
-    relay_cost: RelayShuffleCostModel | None = None,
+    cost: ShuffleCostModel | None = None,
 ) -> SubstrateDecision:
     """Pick the exchange substrate for one shuffle, analytically.
 
@@ -605,12 +551,12 @@ def choose_exchange_substrate(
     *different* substrate, mode, worker count or shard count than the
     uniform workload of the same total bytes.
 
-    ``shuffle_cost``/``cache_cost``/``relay_cost`` supply the
-    workload-side throughput constants per substrate (defaults:
-    library-default cost models).  Callers that will *execute* the
-    chosen sort with calibrated workload parameters — the ``auto_sort``
-    stage does — must pass the same models here, or the decision is
-    priced for a different workload than the one that runs.
+    ``cost`` supplies the workload-side constants every candidate is
+    priced with (default: the library-default cost model).  Callers
+    that will *execute* the chosen sort with calibrated workload
+    parameters — the ``auto_sort`` stage does — must pass the same
+    model here, or the decision is priced for a different workload than
+    the one that runs.
     """
     if logical_bytes <= 0:
         raise ShuffleError(f"logical_bytes must be positive, got {logical_bytes}")
@@ -648,246 +594,72 @@ def choose_exchange_substrate(
         profile = fit_profile(profile, report)
     time_value_per_s = time_value_usd_per_hour / 3600.0
 
+    cost = cost if cost is not None else ShuffleCostModel()
+    candidates = None if workers is None else [workers]
+
+    # substrate -> configurations (or why none) -> staged curve each ->
+    # per mode, the best-scoring configuration's best point.  Only the
+    # sharded fleet has more than one configuration (its shard counts);
+    # walking both tables in order keeps the estimates in the canonical
+    # tie-breaking order.
     estimates: list[SubstrateEstimate] = []
-
-    def add_infeasible(substrate: str, detail: str) -> None:
-        estimates.append(
-            SubstrateEstimate(
-                substrate=substrate, workers=0, predicted_s=float("inf"),
-                provisioned_usd=float("inf"), score_usd=float("inf"),
-                feasible=False, detail=detail,
+    for substrate in EXCHANGE_SUBSTRATES:
+        if substrate not in wanted:
+            continue
+        row = EXCHANGE_TERMS[substrate]
+        configurations = row.configurations(
+            logical_bytes, profile, cost, partition_skew,
+            cache_node_type=cache_node_type,
+            relay_instance_type=relay_instance_type,
+            max_relay_shards=max_relay_shards,
+        )
+        if isinstance(configurations, str):
+            estimates.append(
+                SubstrateEstimate(
+                    substrate=substrate, workers=0, predicted_s=float("inf"),
+                    provisioned_usd=float("inf"), score_usd=float("inf"),
+                    feasible=False, detail=configurations,
+                )
             )
-        )
-
-    def mode_points(
-        substrate: str, staged_points: t.Sequence[PlanPoint], mode: str
-    ) -> list[PlanPoint]:
-        """The candidate curve of one execution mode (staged = as-is)."""
-        if mode == "staged":
-            return list(staged_points)
-        overhead = streaming_chunk_overhead_s(profile, substrate)
-        return [
-            predict_streaming_shuffle_time(
-                point,
-                streaming_chunk_count(
-                    logical_bytes, point.workers, stream_chunk_bytes
-                ),
-                overhead,
-                chunked_input=stream_chunked_input,
-            )
-            for point in staged_points
-        ]
-
-    def best_estimate(
-        substrate: str,
-        staged_points: t.Sequence[PlanPoint],
-        infra_usd_of: t.Callable[[float], float],
-        mode: str,
-        shards: int = 1,
-        instance_type: str = "",
-    ) -> SubstrateEstimate:
-        """The mode's best-scoring point of one substrate configuration."""
-        point = min(
-            mode_points(substrate, staged_points, mode),
-            key=lambda point: (point.total_s, point.workers),
-        )
-        infra = infra_usd_of(point.total_s)
-        return SubstrateEstimate(
-            substrate=substrate,
-            workers=point.workers,
-            predicted_s=point.total_s,
-            provisioned_usd=infra,
-            score_usd=point.total_s * time_value_per_s + infra,
-            feasible=True,
-            shards=shards,
-            instance_type=instance_type,
-            mode=mode,
-        )
-
-    def add_modes(
-        substrate: str,
-        staged_points: t.Sequence[PlanPoint],
-        infra_usd_of: t.Callable[[float], float],
-        shards: int = 1,
-        instance_type: str = "",
-    ) -> None:
+            continue
+        priced = []
+        for flavour, count in configurations:
+            terms = exchange_terms(substrate, profile, cost, flavour, count)
+            staged = plan_shuffle(
+                logical_bytes, profile, cost, max_workers=max_workers,
+                candidates=candidates, skew=partition_skew, terms=terms,
+            ).curve
+            priced.append((flavour, count, terms, staged))
         for mode in EXCHANGE_MODES:
-            if mode in wanted_modes:
-                estimates.append(
-                    best_estimate(
-                        substrate, staged_points, infra_usd_of, mode,
-                        shards=shards, instance_type=instance_type,
+            if mode not in wanted_modes:
+                continue
+            options = []
+            for flavour, count, terms, staged in priced:
+                point = best_point(
+                    staged
+                    if mode == "staged"
+                    else streaming_curve(
+                        staged, logical_bytes, stream_chunk_bytes, terms,
+                        chunked_input=stream_chunked_input,
                     )
                 )
-
-    def relay_infra_usd(predicted_s: float, instance_type, shards: int) -> float:
-        billed = max(predicted_s, profile.vm.minimum_billed_s)
-        per_instance = billed * instance_type.per_second_usd + (
-            profile.vm.boot_volume_gb
-            * (billed / 3600.0)
-            * profile.vm.volume_gb_hour_usd
-        )
-        return shards * per_instance
-
-    relay_cost = relay_cost if relay_cost is not None else RelayShuffleCostModel()
-
-    def relay_points(instance_type, shards: int) -> list[PlanPoint]:
-        if workers is None:
-            return list(
-                plan_relay_shuffle(
-                    logical_bytes, profile, instance_type.name, relay_cost,
-                    max_workers=max_workers, shards=shards,
-                    skew=partition_skew,
-                ).curve
-            )
-        return [
-            predict_relay_shuffle_time(
-                logical_bytes, workers, profile, instance_type, relay_cost,
-                shards=shards, skew=partition_skew,
-            )
-        ]
-
-    # --- object storage: pay-as-you-go, no provisioned term -----------
-    if "objectstore" in wanted:
-        cos_cost = shuffle_cost if shuffle_cost is not None else ShuffleCostModel()
-        if workers is None:
-            cos_points = list(
-                plan_shuffle(
-                    logical_bytes, profile, cos_cost, max_workers=max_workers,
-                    skew=partition_skew,
-                ).curve
-            )
-        else:
-            cos_points = [
-                predict_shuffle_time(
-                    logical_bytes, workers, profile, cos_cost,
-                    skew=partition_skew,
-                )
-            ]
-        add_modes("objectstore", cos_points, lambda _s: 0.0)
-
-    # --- cache cluster: node-seconds over the predicted duration ------
-    if "cache" in wanted:
-        nodes = required_cache_nodes(
-            logical_bytes, profile, cache_node_type,
-            partition_skew=partition_skew,
-        )
-        node_type = profile.memstore.catalog[cache_node_type]
-        cache_cost = cache_cost if cache_cost is not None else CacheShuffleCostModel()
-        if workers is None:
-            cache_points = list(
-                plan_cache_shuffle(
-                    logical_bytes, profile, cache_node_type, nodes, cache_cost,
-                    max_workers=max_workers, skew=partition_skew,
-                ).curve
-            )
-        else:
-            cache_points = [
-                predict_cache_shuffle_time(
-                    logical_bytes, workers, profile, node_type, nodes,
-                    cache_cost, skew=partition_skew,
-                )
-            ]
-
-        def cache_infra(predicted_s: float) -> float:
-            billed = max(predicted_s, profile.memstore.minimum_billed_s)
-            return nodes * node_type.per_second_usd * billed
-
-        add_modes(
-            "cache", cache_points, cache_infra,
-            shards=nodes, instance_type=cache_node_type,
-        )
-
-    # --- VM relay: instance-seconds + volume, scale-up feasibility ----
-    if "relay" in wanted:
-        if relay_instance_type is not None:
-            # An explicitly pinned flavour that does not exist is a caller
-            # configuration error, not infeasibility — surface it.
-            instance_type = resolve_relay_instance(profile, relay_instance_type)
-            relay_type_name: str | None = relay_instance_type
-            usable = relay_usable_bytes(profile, instance_type)
-            if logical_bytes > usable:
-                # A real flavour that cannot hold the shuffle is genuine
-                # infeasibility (RelayExchange.validate would reject it).
-                relay_type_name = None
-                add_infeasible(
-                    "relay",
-                    f"{logical_bytes:.0f} logical bytes exceed "
-                    f"{instance_type.name}'s usable relay memory "
-                    f"({usable:.0f} bytes) — the relay substrate is "
-                    "scale-up only",
-                )
-        else:
-            try:
-                relay_type_name = required_relay_instance(logical_bytes, profile)
-                instance_type = resolve_relay_instance(profile, relay_type_name)
-            except ShuffleError as exc:
-                relay_type_name = None
-                add_infeasible("relay", str(exc))
-        if relay_type_name is not None:
-            add_modes(
-                "relay",
-                relay_points(instance_type, shards=1),
-                lambda s: relay_infra_usd(s, instance_type, shards=1),
-                shards=1, instance_type=instance_type.name,
-            )
-
-    # --- sharded relay fleet: best-scoring shard count per mode -------
-    if "sharded-relay" in wanted:
-        if relay_instance_type is not None:
-            # Typoed pins are caller errors here too, not infeasibility.
-            resolve_relay_instance(profile, relay_instance_type)
-        try:
-            # Feasibility sizing prices the *hot shard* of the skewed
-            # workload; the default load-aware rebalancing of
-            # ``ShardedRelayExchange`` spreads it back out, so this is
-            # the safe (CRC-routed) lower bound on the fleet.
-            fleet_skew = 1.0 if relay_cost.rebalance else partition_skew
-            fleet_type_name, min_shards = required_relay_fleet(
-                logical_bytes, profile,
-                instance_type_name=relay_instance_type,
-                max_shards=max_relay_shards,
-                partition_skew=fleet_skew,
-            )
-        except ShuffleError as exc:
-            add_infeasible("sharded-relay", str(exc))
-        else:
-            fleet_instance = resolve_relay_instance(profile, fleet_type_name)
-            # One staged curve per shard count, shared across modes
-            # (mode_points derives the streaming curve from it).
-            shard_curves = {
-                shards: relay_points(fleet_instance, shards)
-                for shards in range(min_shards, max_relay_shards + 1)
-            }
-            for mode in EXCHANGE_MODES:
-                if mode not in wanted_modes:
-                    continue
-                best: SubstrateEstimate | None = None
-                for shards, points in shard_curves.items():
-                    candidate = best_estimate(
-                        "sharded-relay",
-                        points,
-                        lambda s, n=shards: relay_infra_usd(
-                            s, fleet_instance, n
-                        ),
-                        mode,
-                        shards=shards,
-                        instance_type=fleet_instance.name,
+                infra = terms.infra_usd(point.total_s)
+                options.append(
+                    SubstrateEstimate(
+                        substrate=substrate,
+                        workers=point.workers,
+                        predicted_s=point.total_s,
+                        provisioned_usd=infra,
+                        score_usd=point.total_s * time_value_per_s + infra,
+                        feasible=True,
+                        shards=count,
+                        instance_type=flavour,
+                        mode=mode,
                     )
-                    if best is None or (candidate.score_usd, candidate.shards) < (
-                        best.score_usd, best.shards
-                    ):
-                        best = candidate
-                estimates.append(t.cast(SubstrateEstimate, best))
-
-    # Keep the estimates in the canonical tie-breaking order.
-    order = {name: index for index, name in enumerate(EXCHANGE_SUBSTRATES)}
-    mode_order = {name: index for index, name in enumerate(EXCHANGE_MODES)}
-    estimates.sort(
-        key=lambda estimate: (
-            order[estimate.substrate], mode_order.get(estimate.mode, 0)
-        )
-    )
+                )
+            estimates.append(
+                min(options, key=lambda estimate: (estimate.score_usd, estimate.shards))
+            )
 
     feasible = [estimate for estimate in estimates if estimate.feasible]
     if not feasible:
@@ -898,14 +670,9 @@ def choose_exchange_substrate(
             f"no feasible exchange substrate among {wanted} for "
             f"{logical_bytes:.0f} logical bytes — {details}"
         )
-    chosen = min(
-        feasible,
-        key=lambda estimate: (
-            estimate.score_usd,
-            order[estimate.substrate],
-            mode_order.get(estimate.mode, 0),
-        ),
-    )
+    # min() keeps the first of equals: exact score ties break toward the
+    # earlier substrate, then the earlier mode.
+    chosen = min(feasible, key=lambda estimate: estimate.score_usd)
     return SubstrateDecision(
         chosen=chosen, estimates=tuple(estimates), partition_skew=partition_skew
     )
@@ -954,7 +721,7 @@ def plan_fleet_scale(
     ``demand_bytes`` is the observed load — the sum of logical exchange
     bytes of every running *and queued* job (the service's queue depth
     expressed in the unit the sizing model understands).  The target is
-    whatever :func:`~repro.shuffle.relayplanner.required_relay_fleet`
+    the shard count :func:`~repro.shuffle.relayplanner.fleet_shards_for`
     sizes for that demand with the given ``partition_skew``, clamped to
     ``[min_shards, max_shards]``.
 
@@ -980,18 +747,17 @@ def plan_fleet_scale(
             f"scale_down_margin must be >= 0, got {scale_down_margin}"
         )
 
+    usable = relay_usable_bytes(
+        profile, resolve_relay_instance(profile, instance_type_name)
+    )
+
     def shards_for(load: float) -> int:
         if load <= 0:
             return min_shards
-        _name, shards = required_relay_fleet(
-            load,
-            profile,
-            instance_type_name=instance_type_name,
-            max_shards=max_shards,
-            headroom=headroom,
-            partition_skew=partition_skew,
-        )
-        return max(min_shards, shards)
+        # Clamped, not refused: a backlog beyond the largest fleet
+        # targets max_shards and the queue absorbs the rest.
+        shards = fleet_shards_for(load, usable, headroom, partition_skew)
+        return max(min_shards, min(max_shards, shards))
 
     target = shards_for(demand_bytes)
     if target > current_shards:

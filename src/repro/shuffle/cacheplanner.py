@@ -1,168 +1,19 @@
-"""Analytic model of the cache-mediated shuffle.
+"""Capacity sizing of the cache-mediated shuffle.
 
-Counterpart of :mod:`repro.shuffle.planner` for the third data-exchange
-strategy: intermediate partitions flow through the in-memory key-value
-store instead of object storage.  The input split read and the final
-sorted-run write still go through object storage (the cache only holds
-the all-to-all traffic), so those terms are shared with the COS model.
-
-What changes is the all-to-all itself:
-
-* request latency is sub-millisecond and *batched* — a mapper's MSET and
-  a reducer's MGET pay one latency per cache node touched, not per key;
-* the ops/s ceiling is per node and ~30x higher than the object-storage
-  account's, and grows with the cluster size;
-* bandwidth is bounded by the cluster's aggregate NIC (nodes x per-node
-  line rate), typically far below the object store's aggregate pipe.
-
-The model therefore predicts a much flatter penalty for large worker
-counts (the W² request floor almost vanishes) but an earlier bandwidth
-ceiling — the shape benchmark S8 checks.
+The cache cluster holds the whole dataset between the map and reduce
+waves, so its memory is a hard feasibility constraint — unlike object
+storage, which is effectively unbounded (a qualitative difference the
+comparison reports).  This module sizes the cluster
+(:func:`required_cache_nodes`) and names the configuration the
+substrate selector prices (:func:`cache_configurations`).  What the
+exchange *costs in time* on a cluster is the ``"cache"`` row of
+:data:`repro.shuffle.planner.EXCHANGE_TERMS`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import typing as t
-
-from repro.cloud.profiles import CacheNodeType, CloudProfile
+from repro.cloud.profiles import CloudProfile
 from repro.errors import ShuffleError
-from repro.shuffle.planner import PlanPoint, ShufflePlan
-
-
-@dataclasses.dataclass(slots=True)
-class CacheShuffleCostModel:
-    """Workload-side constants of the cache-shuffle cost model."""
-
-    #: Full-core throughput of the partitioning pass (bytes/s).
-    partition_throughput: float = 180e6
-    #: Full-core throughput of the reduce-side sort (bytes/s).
-    sort_throughput: float = 90e6
-    #: Peek window appended to splits for record alignment (bytes).
-    peek_bytes: int = 64 * 1024
-    #: Bytes each sampler reads for boundary estimation.
-    sample_bytes: int = 256 * 1024
-    #: Number of key samples kept per sampler.
-    sample_keys: int = 512
-    #: Sampling windows per sampler, strided across its split (see
-    #: :class:`~repro.shuffle.planner.ShuffleCostModel.sample_strides`).
-    sample_strides: int = 4
-    #: Delete partitions from the cache after the reduce reads them.
-    cleanup: bool = False
-    #: Expected max-over-mean partition bytes (straggler-reducer term;
-    #: 1.0 = balanced key distribution).
-    expected_skew: float = 1.0
-
-
-def predict_cache_shuffle_time(
-    logical_bytes: float,
-    workers: int,
-    profile: CloudProfile,
-    node_type: CacheNodeType,
-    nodes: int,
-    cost: CacheShuffleCostModel,
-    skew: float | None = None,
-) -> PlanPoint:
-    """Evaluate the cache-shuffle analytic model at one worker count.
-
-    ``skew`` is the expected max-over-mean partition bytes (default:
-    ``cost.expected_skew``); the straggler reducer's fetch transfer,
-    sort CPU and output write scale by it (the map side reads byte-even
-    splits and is unaffected).
-    """
-    if workers < 1:
-        raise ShuffleError(f"workers must be >= 1, got {workers}")
-    if nodes < 1:
-        raise ShuffleError(f"nodes must be >= 1, got {nodes}")
-    skew = cost.expected_skew if skew is None else skew
-    if skew < 1.0:
-        raise ShuffleError(f"skew must be >= 1 (max/mean), got {skew}")
-    size = float(logical_bytes)
-    store = profile.objectstore
-    faas = profile.faas
-    cache = profile.memstore
-    per_worker = size / workers
-    instance_bw = min(faas.instance_bandwidth, store.per_connection_bandwidth)
-    cache_bw = min(faas.instance_bandwidth, cache.per_connection_bandwidth)
-    cluster_bw = nodes * node_type.nic_bandwidth
-
-    startup = faas.invoke_overhead.mean + faas.cold_start.mean
-
-    # Input split still comes from object storage.
-    map_read = (
-        max(per_worker / instance_bw, size / store.aggregate_bandwidth)
-        + store.read_latency.mean
-    )
-    partition_cpu = per_worker / cost.partition_throughput
-
-    # All-to-all through the cache: one MSET batch per mapper (one write
-    # latency per node touched), one MGET batch per reducer; the W²
-    # request floor divides across nodes at their much higher rate.
-    cache_transfer = max(per_worker / cache_bw, size / cluster_bw)
-    batch_latency_w = min(workers, nodes) * cache.write_latency.mean
-    batch_latency_r = min(workers, nodes) * cache.read_latency.mean
-    ops_floor = (workers * workers) / (nodes * cache.ops_per_node)
-    map_write = max(batch_latency_w + cache_transfer, ops_floor)
-    straggler = per_worker * skew
-    reduce_fetch = max(
-        batch_latency_r + max(straggler / cache_bw, size / cluster_bw), ops_floor
-    )
-
-    sort_cpu = straggler / cost.sort_throughput
-    # Sorted runs land back in object storage for the encode stage.
-    reduce_write = (
-        max(straggler / instance_bw, size / store.aggregate_bandwidth)
-        + store.write_latency.mean
-    )
-    driver = 3.0 * workers * (store.write_latency.mean + store.read_latency.mean)
-
-    breakdown = {
-        "startup": startup,
-        "map_read": map_read,
-        "partition_cpu": partition_cpu,
-        "map_write": map_write,
-        "reduce_fetch": reduce_fetch,
-        "sort_cpu": sort_cpu,
-        "reduce_write": reduce_write,
-        "driver": driver,
-    }
-    return PlanPoint(workers, sum(breakdown.values()), dict(breakdown))
-
-
-def plan_cache_shuffle(
-    logical_bytes: float,
-    profile: CloudProfile,
-    node_type_name: str,
-    nodes: int,
-    cost: CacheShuffleCostModel | None = None,
-    max_workers: int = 256,
-    candidates: t.Sequence[int] | None = None,
-    skew: float | None = None,
-) -> ShufflePlan:
-    """Pick the worker count minimizing predicted cache-shuffle time."""
-    if logical_bytes <= 0:
-        raise ShuffleError(f"logical_bytes must be positive, got {logical_bytes}")
-    cost = cost if cost is not None else CacheShuffleCostModel()
-    try:
-        node_type = profile.memstore.catalog[node_type_name]
-    except KeyError:
-        raise ShuffleError(
-            f"unknown cache node type {node_type_name!r}; available: "
-            f"{sorted(profile.memstore.catalog)}"
-        ) from None
-    pool = (
-        list(candidates) if candidates is not None else list(range(1, max_workers + 1))
-    )
-    if not pool:
-        raise ShuffleError("empty candidate worker set")
-    curve = tuple(
-        predict_cache_shuffle_time(
-            logical_bytes, workers, profile, node_type, nodes, cost, skew=skew
-        )
-        for workers in sorted(set(pool))
-    )
-    best = min(curve, key=lambda point: (point.total_s, point.workers))
-    return ShufflePlan(workers=best.workers, predicted_s=best.total_s, curve=curve)
 
 
 def required_cache_nodes(
@@ -210,3 +61,20 @@ def required_cache_nodes(
         return 1
     needed = logical_bytes * headroom * partition_skew
     return max(1, -(-int(needed) // int(per_node)))
+
+
+def cache_configurations(
+    logical_bytes: float,
+    profile: CloudProfile,
+    _cost,
+    partition_skew: float,
+    *,
+    cache_node_type: str,
+    **_sizing,
+) -> list[tuple[str, int]]:
+    """The one cluster the selector prices: the pinned node type, as
+    many nodes as hold the data (a cache scales out, so it always can)."""
+    nodes = required_cache_nodes(
+        logical_bytes, profile, cache_node_type, partition_skew=partition_skew
+    )
+    return [(cache_node_type, nodes)]

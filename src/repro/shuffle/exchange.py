@@ -9,8 +9,9 @@ the generic :class:`~repro.shuffle.operator.ShuffleSort` drives one
 
 * **feasibility** (:meth:`ExchangeBackend.validate`) — provisioned
   substrates have finite memory; object storage does not;
-* **planning** (:meth:`ExchangeBackend.plan`) — each substrate has its
-  own analytic cost model picking the worker count;
+* **planning** (:meth:`ExchangeBackend.plan`) — the one analytic cost
+  model picks the worker count over each substrate's own
+  :class:`~repro.shuffle.planner.ExchangeTerms` row;
 * **worker stages and task payloads** — how a mapper publishes its
   partitions and how a reducer collects its range;
 * **reporting** (:meth:`ExchangeBackend.report`) — every backend emits
@@ -52,14 +53,14 @@ from repro.cloud.memstore.service import MemStoreCluster
 from repro.cloud.profiles import CloudProfile
 from repro.errors import ShuffleError
 from repro.obs.metrics import publish_exchange_report
-from repro.shuffle.adaptive import streaming_chunk_count, streaming_chunk_overhead_s
-from repro.shuffle.cacheplanner import CacheShuffleCostModel, plan_cache_shuffle
 from repro.shuffle.cachestages import cache_shuffle_mapper, cache_shuffle_reducer
 from repro.shuffle.planner import (
     ShuffleCostModel,
     ShufflePlan,
+    best_point,
+    exchange_terms,
     plan_shuffle,
-    predict_streaming_shuffle_time,
+    streaming_curve,
 )
 from repro.shuffle.records import RecordCodec
 from repro.shuffle.stages import cos_segments, shuffle_mapper, shuffle_reducer
@@ -186,9 +187,9 @@ class ExchangeBackend(abc.ABC):
     and the uniform report are the same object either way; a stream
     config only swaps the worker stages and task payloads, and plans
     with the pipelined completion-time model.  A subclass supplies the
-    staged half (``_plan_staged``, ``staged_stages``,
-    ``_staged_mapper_task``, ``_staged_reducer_task``) and its stream
-    routing (``stream_kind``, ``stream_route``).
+    staged half (``staged_stages``, ``_staged_mapper_task``,
+    ``_staged_reducer_task``), its stream routing (``stream_kind``,
+    ``stream_route``) and, when provisioned, its ``configuration``.
     """
 
     #: Substrate name as it appears in sweeps and reports.
@@ -247,45 +248,38 @@ class ExchangeBackend(abc.ABC):
         cannot fit this substrate; no-op by default."""
 
     # -- planning ------------------------------------------------------
-    @abc.abstractmethod
-    def _plan_staged(
-        self, logical_size: float, profile: CloudProfile, max_workers: int
-    ) -> ShufflePlan:
-        """Pick the worker count with this substrate's staged cost model."""
+    @property
+    def configuration(self) -> tuple[str | None, int]:
+        """``(flavour name, count)`` of the provisioned resource behind
+        this backend — what resolves its row of the cost model."""
+        return None, 1
 
     def plan(
         self, logical_size: float, profile: CloudProfile, max_workers: int
     ) -> ShufflePlan:
         """Pick the worker count for the mode this backend runs in.
 
-        Streaming transforms the staged curve point by point through
+        The one analytic model over this backend's own
+        :class:`~repro.shuffle.planner.ExchangeTerms` row.  Streaming
+        transforms the staged curve point by point through
         :func:`~repro.shuffle.planner.predict_streaming_shuffle_time`
-        (this configuration's chunk grain, the substrate's per-chunk
+        (this configuration's chunk grain, the row's per-chunk
         readiness overhead) and picks the minimizing worker count from
         the transformed curve — so an auto-planned streaming sort sizes
         its wave for the mode it actually runs, and the report's
         ``predicted_s`` is comparable to its streaming ``actual_s``.
         """
-        staged = self._plan_staged(logical_size, profile, max_workers)
+        terms = exchange_terms(self.name, profile, self.cost, *self.configuration)
+        staged = plan_shuffle(
+            logical_size, profile, self.cost, max_workers=max_workers, terms=terms
+        )
         if self.stream is None:
             return staged
-        overhead = streaming_chunk_overhead_s(profile, self.name)
-        curve = tuple(
-            predict_streaming_shuffle_time(
-                point,
-                streaming_chunk_count(
-                    logical_size, point.workers, self.stream.chunk_bytes
-                ),
-                overhead,
-            )
-            for point in staged.curve
+        curve = streaming_curve(
+            staged.curve, logical_size, self.stream.chunk_bytes, terms
         )
-        best = min(curve, key=lambda point: (point.total_s, point.workers))
-        # replace() keeps subclass plans (RelayShufflePlan's shard count
-        # and instance type) intact.
-        return dataclasses.replace(
-            staged, workers=best.workers, predicted_s=best.total_s, curve=curve
-        )
+        best = best_point(curve)
+        return ShufflePlan(workers=best.workers, predicted_s=best.total_s, curve=curve)
 
     # -- worker stages and task payloads -------------------------------
     def mapper_stage(self) -> t.Callable:
@@ -463,11 +457,6 @@ class ObjectStoreExchange(ExchangeBackend):
             "dedup_bytes": self._store.stats.dedup_bytes - base_bytes,
         }
 
-    def _plan_staged(
-        self, logical_size: float, profile: CloudProfile, max_workers: int
-    ) -> ShufflePlan:
-        return plan_shuffle(logical_size, profile, self.cost, max_workers=max_workers)
-
     def _staged_mapper_task(self, base: dict, mapper_id: int) -> dict:
         base.update(
             out_bucket=self.out_bucket,
@@ -515,11 +504,11 @@ class CacheExchange(ExchangeBackend):
     def __init__(
         self,
         cluster: MemStoreCluster,
-        cost: CacheShuffleCostModel | None = None,
+        cost: ShuffleCostModel | None = None,
         stream: StreamConfig | None = None,
     ):
         self.cluster = cluster
-        self.cost = cost if cost is not None else CacheShuffleCostModel()
+        self.cost = cost if cost is not None else ShuffleCostModel()
         self.stream = stream
         self._peak_fill = 0.0
         self._stats_baseline: dict[str, float] = {}
@@ -536,17 +525,9 @@ class CacheExchange(ExchangeBackend):
         # to the caller); report per-sort deltas, not lifetime totals.
         self._stats_baseline = self.cluster.stats_totals()
 
-    def _plan_staged(
-        self, logical_size: float, profile: CloudProfile, max_workers: int
-    ) -> ShufflePlan:
-        return plan_cache_shuffle(
-            logical_size,
-            profile,
-            self.cluster.node_type.name,
-            len(self.cluster.nodes),
-            self.cost,
-            max_workers=max_workers,
-        )
+    @property
+    def configuration(self) -> tuple[str, int]:
+        return self.cluster.node_type.name, len(self.cluster.nodes)
 
     def _staged_mapper_task(self, base: dict, mapper_id: int) -> dict:
         base.update(

@@ -58,7 +58,6 @@ from repro.shuffle.adaptive import (
     choose_exchange_substrate,
     fit_stream_profiles,
 )
-from repro.shuffle.cacheplanner import CacheShuffleCostModel
 from repro.shuffle.exchange import ExchangeBackend, ExchangeReport, ObjectStoreExchange
 from repro.shuffle.operator import ShuffleResult, ShuffleSort, _split
 from repro.shuffle.planner import ShuffleCostModel
@@ -68,7 +67,6 @@ from repro.shuffle.relay import (
     build_chunk_rebalance_assignments,
     build_rebalance_assignments,
 )
-from repro.shuffle.relayplanner import RelayShuffleCostModel
 from repro.shuffle import kernels
 from repro.shuffle.sampler import partition_skew_of
 from repro.shuffle.stages import read_split
@@ -304,9 +302,9 @@ class OnlineShuffleSort(ShuffleSort):
     stream:
         The chunk grain / reducer buffer / poll cadence
         (:class:`~repro.shuffle.streaming.StreamConfig`).
-    shuffle_cost, cache_cost, relay_cost:
-        Per-substrate workload constants, passed to every
-        (re-)selection and to the worker stages.
+    cost:
+        The workload constants, passed to every (re-)selection and to
+        the worker stages of whichever substrate a stint runs on.
     time_value_usd_per_hour, substrates, modes, cache_node_type,
     relay_instance_type, max_relay_shards, partition_skew:
         Forwarded to :func:`~repro.shuffle.adaptive.choose_exchange_substrate`
@@ -333,9 +331,7 @@ class OnlineShuffleSort(ShuffleSort):
         executor,
         codec: RecordCodec,
         stream: StreamConfig | None = None,
-        shuffle_cost: ShuffleCostModel | None = None,
-        cache_cost: CacheShuffleCostModel | None = None,
-        relay_cost: RelayShuffleCostModel | None = None,
+        cost: ShuffleCostModel | None = None,
         time_value_usd_per_hour: float = 1.0,
         substrates: t.Sequence[str] | None = None,
         modes: t.Sequence[str] = ("staged", "streaming"),
@@ -346,9 +342,7 @@ class OnlineShuffleSort(ShuffleSort):
         switch_margin: float = 0.05,
         reroute_threshold: float = 0.2,
     ):
-        super().__init__(
-            executor, codec, backend=ObjectStoreExchange(shuffle_cost)
-        )
+        super().__init__(executor, codec, backend=ObjectStoreExchange(cost))
         if getattr(executor, "speculation", None) is not None:
             raise ShuffleError(
                 "OnlineShuffleSort drives its own wave control loop and "
@@ -364,9 +358,6 @@ class OnlineShuffleSort(ShuffleSort):
                 f"reroute_threshold must be >= 0, got {reroute_threshold}"
             )
         self.stream = stream if stream is not None else StreamConfig()
-        self.relay_cost = (
-            relay_cost if relay_cost is not None else RelayShuffleCostModel()
-        )
         #: What every (re-)selection passes ``choose_exchange_substrate``.
         self._selector = {
             "cache_node_type": cache_node_type,
@@ -376,18 +367,7 @@ class OnlineShuffleSort(ShuffleSort):
             "substrates": tuple(substrates) if substrates is not None else None,
             "modes": tuple(modes),
             "partition_skew": partition_skew,
-            "shuffle_cost": self.cost,  # backend-carried ShuffleCostModel
-            "cache_cost": (
-                cache_cost if cache_cost is not None else CacheShuffleCostModel()
-            ),
-            "relay_cost": self.relay_cost,
-        }
-        #: Substrate-table ``cost_model`` accessor → the cost model a
-        #: stint's backend carries (the ones every re-selection prices).
-        self._costs = {
-            "shuffle_cost_model": self._selector["shuffle_cost"],
-            "cache_shuffle_cost_model": self._selector["cache_cost"],
-            "relay_shuffle_cost_model": self.relay_cost,
+            "cost": self.cost,
         }
         self.switch_margin = switch_margin
         self.reroute_threshold = reroute_threshold
@@ -442,9 +422,7 @@ class OnlineShuffleSort(ShuffleSort):
             estimate.instance_type,
             max(1, estimate.shards),
         )
-        backend = row.make_backend(
-            provisioned, self._costs[row.cost_model], self.stream
-        )
+        backend = row.make_backend(provisioned, self.cost, self.stream)
         backend.begin_sort(out_bucket, out_prefix, self.codec)
         stint = _Stint(
             row=row,
@@ -473,7 +451,7 @@ class OnlineShuffleSort(ShuffleSort):
         router (a rebalancing fleet of two or more shards)."""
         return (
             estimate.substrate == "sharded-relay"
-            and self.relay_cost.rebalance
+            and self.cost.rebalance
             and estimate.shards >= 2
         )
 

@@ -226,7 +226,7 @@ class ShuffleSort:
                 "object_size": real_size,
                 "sample_bytes": window,
                 "sample_keys": self.cost.sample_keys,
-                "sample_strides": getattr(self.cost, "sample_strides", 1),
+                "sample_strides": self.cost.sample_strides,
                 "codec": self.codec,
                 "sampler_id": index,
             }

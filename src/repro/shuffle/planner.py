@@ -11,20 +11,31 @@ square layout) and picks the minimizing ``W``:
 * **too few functions** — each worker moves ``S/W`` bytes through its
   own NIC: bandwidth-starved, compute-starved;
 * **too many functions** — the all-to-all phase issues ``W²`` requests:
-  per-request latency and the object store's ops/s ceiling dominate,
-  plus every extra worker pays a cold start.
+  per-request latency and the substrate's ops/s ceiling dominate, plus
+  every extra worker pays a cold start.
 
-The model's terms (per phase, seconds):
+There is **one model**.  The paper's comparison varies one thing —
+where the all-to-all happens — and so does this module: the input
+split read, both CPU passes, the sorted-run write and the driver are
+the same arithmetic whatever carries the exchange, and the exchange
+itself (``map write``, ``reduce fetch``) is the same two formulas over
+an :class:`ExchangeTerms` row.  :data:`EXCHANGE_TERMS` holds one row
+builder per substrate; :func:`exchange_terms` resolves one for a
+configuration (flavour × count) on a profile.
+
+The model's terms (per phase, seconds; ``b`` = a function's connection
+to object storage, ``A`` = its aggregate pipe, and ``c``, ``G``,
+``L_w(W)``, ``L_f(W)``, ``Q_w``, ``Q_f`` the row's connection and
+aggregate bandwidth, batched write/fetch latency and request ceilings):
 
 ==============  =====================================================
 startup         invoke overhead + cold start (parallel across workers)
-map read        ``max(S / (W·b), S / A)`` — instance NIC vs aggregate
+map read        ``max(S / (W·b), S / A)`` + one GET latency
 partition CPU   ``(S/W) / partition_throughput``
-map write       same bandwidth law as read, + one PUT latency
-reduce fetch    ``max(ceil(W/K)·L_r + (S/W)/b, W²/Q)`` — K-way batched
-                range-GETs per reducer, floored by the ops/s ceiling Q
-sort CPU        ``(S/W) / sort_throughput``
-reduce write    bandwidth law + one PUT latency
+map write       ``max(L_w(W) + max(S/(W·c), S/G), W²/Q_w)``
+reduce fetch    ``max(L_f(W) + max(skew·S/(W·c), S/G), W²/Q_f)``
+sort CPU        ``skew · (S/W) / sort_throughput``
+reduce write    ``max(skew·S/(W·b), S/A)`` + one PUT latency
 driver          ``3·W·(L_w + L_r)`` — the orchestrator uploads one
                 payload and fetches one result per call, serially, for
                 each of the three phases (Lithops driver behaviour)
@@ -38,26 +49,30 @@ U-shape with a compatible minimizer.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing as t
 
 from repro.cloud.profiles import CloudProfile
 from repro.errors import ShuffleError
+from repro.shuffle.cacheplanner import cache_configurations
+from repro.shuffle.relayplanner import fleet_configurations, relay_configurations
 
 
 @dataclasses.dataclass(slots=True)
 class ShuffleCostModel:
-    """Workload-side constants of the shuffle cost model."""
+    """Workload-side constants of the shuffle, whatever substrate runs it."""
 
     #: Full-core throughput of the partitioning pass (bytes/s).
     partition_throughput: float = 180e6
     #: Full-core throughput of the reduce-side sort (bytes/s).
     sort_throughput: float = 90e6
-    #: Concurrent range-GETs per reducer (latency hiding).
+    #: Concurrent range-GETs per reducer (latency hiding; object storage
+    #: only — cache and relay reducers fetch their range in one batch).
     fetch_parallelism: int = 4
     #: Primula's write-combining I/O optimization: each mapper writes one
     #: combined object (W PUTs per map phase) instead of one object per
     #: partition (W² PUTs).  Disable to measure the naive all-to-all the
-    #: paper warns about.
+    #: paper warns about.  Object storage only.
     write_combining: bool = True
     #: Peek window appended to splits for record alignment (bytes).
     peek_bytes: int = 64 * 1024
@@ -74,6 +89,226 @@ class ShuffleCostModel:
     #: Expected max-over-mean partition bytes (straggler-reducer term;
     #: 1.0 = balanced key distribution).
     expected_skew: float = 1.0
+    #: Cache only: delete partitions from the cache after the reduce
+    #: reads them.
+    cleanup: bool = False
+    #: Relays only: reducers delete their partitions after writing their
+    #: sorted run, freeing relay memory as the reduce wave drains.
+    #: Crash-safe: worker-attempt consuming pulls take *read-leases* that
+    #: only remove entries when the activation commits — a reducer that
+    #: dies mid-consume has its leases reinstated, so the retry finds
+    #: every partition intact (see
+    #: :meth:`~repro.cloud.vm.relay.PartitionRelay.commit_attempt`).
+    #: Off by default (mirroring ``cleanup``); long-lived shared fleets
+    #: opt in so memory self-reclaims between jobs instead of waiting
+    #: for terminate.
+    consume: bool = False
+    #: Relay fleets only: route shards by planned partition bytes
+    #: instead of raw CRC (``ShardedRelayExchange``): the sampling
+    #: pass's load profile is balanced across shard NICs/memory with a
+    #: deterministic LPT assignment.  Disable to measure the naive hash
+    #: routing S11 contrasts it with.
+    rebalance: bool = True
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class ExchangeTerms:
+    """Where the all-to-all happens, as the numbers the model reads.
+
+    One resolved row of :data:`EXCHANGE_TERMS`: a substrate at one
+    configuration (flavour × count) on one profile.
+    """
+
+    #: Bytes/s one worker's connection to the substrate sustains.
+    conn_bw: float
+    #: Bytes/s the substrate moves in total (every byte crosses it once
+    #: per wave).
+    aggregate_bw: float
+    #: Request latency of one mapper publishing its ``W`` partitions.
+    write_latency: t.Callable[[int], float]
+    #: Request latency of one reducer collecting its ``W`` segments.
+    fetch_latency: t.Callable[[int], float]
+    #: Requests/s ceiling under the map wave's ``W²`` writes
+    #: (``math.inf``: none — the wave issues ``W`` requests).
+    write_ops_per_s: float
+    #: Requests/s ceiling under the reduce wave's ``W²`` reads.
+    fetch_ops_per_s: float
+    #: ``(profile section, latency knob)`` pairs one streamed chunk's
+    #: readiness protocol pays a round trip on — what the streaming
+    #: mode pays per chunk that staging never does
+    #: (:attr:`chunk_overhead_s`), and the knobs a mid-stream refit
+    #: attributes observed slowness to.
+    readiness: tuple[tuple[t.Any, str], ...]
+    #: Provisioned-infrastructure dollars over a predicted duration,
+    #: with the provider's minimum billed window (0 for pay-as-you-go).
+    infra_usd: t.Callable[[float], float]
+
+    @property
+    def chunk_overhead_s(self) -> float:
+        """Per-chunk request overhead of the readiness protocol."""
+        return sum(getattr(section, knob).mean for section, knob in self.readiness)
+
+
+def _objectstore_terms(profile, cost, _flavour, _count) -> ExchangeTerms:
+    """Pay-as-you-go: one combined PUT per mapper, K-way batched
+    range-GETs per reducer under the account's ops/s ceiling, one
+    manifest PUT + one discovery GET per streamed chunk."""
+    store = profile.objectstore
+    return ExchangeTerms(
+        conn_bw=min(profile.faas.instance_bandwidth, store.per_connection_bandwidth),
+        aggregate_bw=store.aggregate_bandwidth,
+        write_latency=lambda workers: store.write_latency.mean,
+        fetch_latency=lambda workers: (
+            -(-workers // max(1, cost.fetch_parallelism)) * store.read_latency.mean
+        ),
+        write_ops_per_s=math.inf,
+        fetch_ops_per_s=store.ops_per_second,
+        readiness=((store, "write_latency"), (store, "read_latency")),
+        infra_usd=lambda predicted_s: 0.0,
+    )
+
+
+def _cache_terms(profile, _cost, node_type, nodes) -> ExchangeTerms:
+    """Sub-millisecond *batched* requests — a mapper's MSET and a
+    reducer's MGET pay one latency per node touched, not per key — a
+    per-node ops/s ceiling ~30x the object-storage account's, and the
+    cluster's aggregate NIC as the (early) bandwidth ceiling.  One
+    notification read + one extra write round trip per streamed chunk;
+    node-seconds over the duration."""
+    cache = profile.memstore
+    nic = math.inf if node_type is None else node_type.nic_bandwidth
+
+    def infra_usd(predicted_s: float) -> float:
+        billed = max(predicted_s, cache.minimum_billed_s)
+        return nodes * node_type.per_second_usd * billed
+
+    return ExchangeTerms(
+        conn_bw=min(profile.faas.instance_bandwidth, cache.per_connection_bandwidth),
+        aggregate_bw=nodes * nic,
+        write_latency=lambda workers: min(workers, nodes) * cache.write_latency.mean,
+        fetch_latency=lambda workers: min(workers, nodes) * cache.read_latency.mean,
+        write_ops_per_s=nodes * cache.ops_per_node,
+        fetch_ops_per_s=nodes * cache.ops_per_node,
+        readiness=((cache, "write_latency"), (cache, "read_latency")),
+        infra_usd=infra_usd,
+    )
+
+
+def _relay_terms(profile, _cost, instance_type, shards) -> ExchangeTerms:
+    """One in-VPC round trip per batch whatever the shard count (a
+    mapper's MPUSH and a reducer's MPULL fan their per-shard sub-batches
+    out in parallel), ``shards`` independent request loops, and the
+    fleet's aggregate NIC crossed once per wave — the scale-up ceiling
+    of one instance line rate at ``shards=1``, which is the whole point
+    of sharding.  Two relay round trips per streamed chunk;
+    instance-seconds + boot volume, times the fleet."""
+    vm = profile.vm
+    nic = math.inf if instance_type is None else instance_type.nic_bandwidth
+    request = vm.relay_request_latency.mean
+
+    def infra_usd(predicted_s: float) -> float:
+        billed = max(predicted_s, vm.minimum_billed_s)
+        per_instance = billed * instance_type.per_second_usd + (
+            vm.boot_volume_gb * (billed / 3600.0) * vm.volume_gb_hour_usd
+        )
+        return shards * per_instance
+
+    return ExchangeTerms(
+        conn_bw=min(profile.faas.instance_bandwidth, nic),
+        aggregate_bw=nic * shards,
+        write_latency=lambda workers: request,
+        fetch_latency=lambda workers: request,
+        write_ops_per_s=shards * vm.relay_ops_per_second,
+        fetch_ops_per_s=shards * vm.relay_ops_per_second,
+        readiness=((vm, "relay_request_latency"), (vm, "relay_request_latency")),
+        infra_usd=infra_usd,
+    )
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class TermRow:
+    """One substrate of the cost model: how its :class:`ExchangeTerms`
+    are built and which configurations of it can hold a dataset."""
+
+    #: ``(profile, cost, flavour, count) -> ExchangeTerms``.  ``flavour``
+    #: is the catalog entry, or ``None`` when there is none to name (its
+    #: NIC then does not bind, and the row cannot be priced).
+    terms: t.Callable[[CloudProfile, ShuffleCostModel, t.Any, int], ExchangeTerms]
+    #: ``(logical_bytes, profile, cost, partition_skew, **sizing)`` → the
+    #: candidate ``(flavour name, count)`` configurations the selector
+    #: prices, or a string saying why none holds the data.  ``sizing``
+    #: are ``choose_exchange_substrate``'s flavour pins and fleet limit.
+    configurations: t.Callable[..., list[tuple[str, int]] | str]
+    #: Profile → the catalog the substrate's flavours are named in
+    #: (``None``: pay-as-you-go, nothing provisioned).
+    catalog: t.Callable[[CloudProfile], dict] | None = None
+    #: What error messages call a flavour and a count of this substrate.
+    flavour_kind: str = ""
+    count_kind: str = "count"
+
+
+_RELAY_ROW = dict(
+    terms=_relay_terms,
+    catalog=lambda profile: profile.vm.catalog,
+    flavour_kind="relay instance type",
+    count_kind="shards",
+)
+
+#: Substrate name → its row of the cost model.  A single relay is the
+#: fleet row at one shard; the two differ only in what the selector may
+#: configure.
+EXCHANGE_TERMS: dict[str, TermRow] = {
+    "objectstore": TermRow(
+        terms=_objectstore_terms,
+        configurations=lambda *_args, **_sizing: [("", 1)],
+    ),
+    "cache": TermRow(
+        terms=_cache_terms,
+        configurations=cache_configurations,
+        catalog=lambda profile: profile.memstore.catalog,
+        flavour_kind="cache node type",
+        count_kind="nodes",
+    ),
+    "relay": TermRow(configurations=relay_configurations, **_RELAY_ROW),
+    "sharded-relay": TermRow(configurations=fleet_configurations, **_RELAY_ROW),
+}
+
+
+def term_row(substrate: str) -> TermRow:
+    """The substrate's row of :data:`EXCHANGE_TERMS`."""
+    try:
+        return EXCHANGE_TERMS[substrate]
+    except KeyError:
+        raise ShuffleError(f"unknown exchange substrate {substrate!r}") from None
+
+
+def exchange_terms(
+    substrate: str,
+    profile: CloudProfile,
+    cost: ShuffleCostModel | None = None,
+    flavour: str | None = None,
+    count: int = 1,
+) -> ExchangeTerms:
+    """Resolve one substrate configuration's :class:`ExchangeTerms`.
+
+    ``flavour`` names a cache node type / relay instance type of the
+    profile's catalog and ``count`` is the node / shard count: a
+    :class:`~repro.cloud.vm.fleet.RelayFleet` of N identical instances
+    aggregates N NICs and N request loops while each worker stays
+    bounded by its own connection.
+    """
+    row = term_row(substrate)
+    if count < 1:
+        raise ShuffleError(f"{row.count_kind} must be >= 1, got {count}")
+    entry = None
+    if flavour and row.catalog is not None:
+        catalog = row.catalog(profile)
+        if flavour not in catalog:
+            raise ShuffleError(
+                f"unknown {row.flavour_kind} {flavour!r}; available: {sorted(catalog)}"
+            )
+        entry = catalog[flavour]
+    return row.terms(profile, cost if cost is not None else ShuffleCostModel(), entry, count)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -106,48 +341,66 @@ def predict_shuffle_time(
     profile: CloudProfile,
     cost: ShuffleCostModel,
     skew: float | None = None,
+    terms: ExchangeTerms | None = None,
 ) -> PlanPoint:
     """Evaluate the analytic model at one worker count.
+
+    ``terms`` says where the all-to-all happens (default: object
+    storage, the paper's serverless configuration).  The input split
+    read and the final sorted-run write go through object storage on
+    every substrate — a cache or relay only holds the all-to-all
+    traffic.
 
     ``skew`` is the expected max-over-mean partition bytes (default:
     ``cost.expected_skew``).  Input splits stay byte-even under any key
     distribution, so the map side is unaffected; the reduce side is
     paced by the straggler owning the hottest partition, whose fetch
-    transfer, sort CPU and output write scale by ``skew``.
+    transfer, sort CPU and output write scale by ``skew``.  The
+    substrate's aggregate term stays aggregate: load-aware rebalancing
+    (the ``ShardedRelayExchange`` default) spreads the hot partition's
+    segments across shard NICs.
     """
     if workers < 1:
         raise ShuffleError(f"workers must be >= 1, got {workers}")
     skew = cost.expected_skew if skew is None else skew
     if skew < 1.0:
         raise ShuffleError(f"skew must be >= 1 (max/mean), got {skew}")
+    if terms is None:
+        terms = exchange_terms("objectstore", profile, cost)
     size = float(logical_bytes)
     store = profile.objectstore
     faas = profile.faas
     instance_bw = min(faas.instance_bandwidth, store.per_connection_bandwidth)
-    aggregate_bw = store.aggregate_bandwidth
     per_worker = size / workers
+    straggler = per_worker * skew
 
     startup = faas.invoke_overhead.mean + faas.cold_start.mean
-    bandwidth_bound = max(per_worker / instance_bw, size / aggregate_bw)
-
-    map_read = bandwidth_bound + store.read_latency.mean
+    map_read = (
+        max(per_worker / instance_bw, size / store.aggregate_bandwidth)
+        + store.read_latency.mean
+    )
     partition_cpu = per_worker / cost.partition_throughput
-    map_write = bandwidth_bound + store.write_latency.mean
 
-    batches = -(-workers // max(1, cost.fetch_parallelism))  # ceil division
-    fetch_latency = batches * store.read_latency.mean
-    straggler = per_worker * skew
-    fetch_transfer = max(straggler / instance_bw, size / aggregate_bw)
-    ops_floor = (workers * workers) / store.ops_per_second
-    reduce_fetch = max(fetch_latency + fetch_transfer, ops_floor)
+    requests = workers * workers
+    map_write = max(
+        terms.write_latency(workers)
+        + max(per_worker / terms.conn_bw, size / terms.aggregate_bw),
+        requests / terms.write_ops_per_s,
+    )
+    reduce_fetch = max(
+        terms.fetch_latency(workers)
+        + max(straggler / terms.conn_bw, size / terms.aggregate_bw),
+        requests / terms.fetch_ops_per_s,
+    )
 
     sort_cpu = straggler / cost.sort_throughput
     reduce_write = (
-        max(straggler / instance_bw, size / aggregate_bw)
+        max(straggler / instance_bw, size / store.aggregate_bandwidth)
         + store.write_latency.mean
     )
     driver = 3.0 * workers * (store.write_latency.mean + store.read_latency.mean)
 
+    # Key order is summation order: it pins total_s to the last bit.
     breakdown = {
         "startup": startup,
         "map_read": map_read,
@@ -158,7 +411,7 @@ def predict_shuffle_time(
         "reduce_write": reduce_write,
         "driver": driver,
     }
-    return PlanPoint(workers, sum(breakdown.values()), dict(breakdown))
+    return PlanPoint(workers, sum(breakdown.values()), breakdown)
 
 
 def predict_streaming_shuffle_time(
@@ -169,8 +422,7 @@ def predict_streaming_shuffle_time(
 ) -> PlanPoint:
     """Overlap-aware completion time of the pipelined map→reduce exchange.
 
-    Transforms a *staged* prediction (any substrate's — all three
-    analytic models emit the same canonical breakdown keys) into the
+    Transforms a *staged* prediction (any substrate's) into the
     streaming execution mode's: the producer side of the exchange
     (partitioning + publishing) and the consumer side (fetching +
     sorting) run as a two-stage pipeline over ``chunks`` chunks per
@@ -222,6 +474,42 @@ def predict_streaming_shuffle_time(
     return PlanPoint(staged.workers, sum(breakdown.values()), breakdown)
 
 
+def streaming_chunk_count(
+    logical_bytes: float, workers: int, chunk_bytes: float
+) -> int:
+    """Chunks per mapper at one worker count (the pipelining grain)."""
+    if chunk_bytes <= 0:
+        raise ShuffleError(f"chunk_bytes must be positive, got {chunk_bytes}")
+    return max(1, math.ceil((logical_bytes / max(1, workers)) / chunk_bytes))
+
+
+def streaming_curve(
+    staged: t.Iterable[PlanPoint],
+    logical_bytes: float,
+    chunk_bytes: float,
+    terms: ExchangeTerms,
+    chunked_input: bool = False,
+) -> tuple[PlanPoint, ...]:
+    """A staged curve, point by point, in the streaming execution mode:
+    ``chunk_bytes``-sized chunks, charged the substrate's per-chunk
+    readiness overhead."""
+    overhead = terms.chunk_overhead_s
+    return tuple(
+        predict_streaming_shuffle_time(
+            point,
+            streaming_chunk_count(logical_bytes, point.workers, chunk_bytes),
+            overhead,
+            chunked_input=chunked_input,
+        )
+        for point in staged
+    )
+
+
+def best_point(curve: t.Iterable[PlanPoint]) -> PlanPoint:
+    """The fastest point of a curve (fewest workers on an exact tie)."""
+    return min(curve, key=lambda point: (point.total_s, point.workers))
+
+
 def plan_shuffle(
     logical_bytes: float,
     profile: CloudProfile,
@@ -229,13 +517,15 @@ def plan_shuffle(
     max_workers: int = 256,
     candidates: t.Sequence[int] | None = None,
     skew: float | None = None,
+    terms: ExchangeTerms | None = None,
 ) -> ShufflePlan:
     """Pick the worker count minimizing predicted shuffle time.
 
     ``candidates`` defaults to every integer in ``[1, max_workers]``;
     pass an explicit sequence (e.g. powers of two) to restrict the
     search the way Primula's on-the-fly heuristic does.  ``skew``
-    prices the straggler reducer (see :func:`predict_shuffle_time`).
+    prices the straggler reducer and ``terms`` names the substrate
+    configuration (see :func:`predict_shuffle_time`).
     """
     if logical_bytes <= 0:
         raise ShuffleError(f"logical_bytes must be positive, got {logical_bytes}")
@@ -243,9 +533,11 @@ def plan_shuffle(
     pool = list(candidates) if candidates is not None else list(range(1, max_workers + 1))
     if not pool:
         raise ShuffleError("empty candidate worker set")
+    if terms is None:
+        terms = exchange_terms("objectstore", profile, cost)
     curve = tuple(
-        predict_shuffle_time(logical_bytes, workers, profile, cost, skew=skew)
+        predict_shuffle_time(logical_bytes, workers, profile, cost, skew, terms)
         for workers in sorted(set(pool))
     )
-    best = min(curve, key=lambda point: (point.total_s, point.workers))
+    best = best_point(curve)
     return ShufflePlan(workers=best.workers, predicted_s=best.total_s, curve=curve)

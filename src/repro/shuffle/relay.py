@@ -30,19 +30,14 @@ from __future__ import annotations
 import re
 import typing as t
 
-from repro.cloud.profiles import CloudProfile
 from repro.cloud.vm.fleet import RelayFleet
 from repro.cloud.vm.relay import PartitionRelay
 from repro.errors import ShuffleError
 from repro.executor.partitioner import assign_balanced
 from repro.shuffle.exchange import ExchangeBackend
-from repro.shuffle.planner import ShufflePlan
+from repro.shuffle.planner import ShuffleCostModel
 from repro.shuffle.records import RecordCodec
-from repro.shuffle.relayplanner import (
-    SHARD_IMBALANCE_HEADROOM,
-    RelayShuffleCostModel,
-    plan_relay_shuffle,
-)
+from repro.shuffle.relayplanner import SHARD_IMBALANCE_HEADROOM
 from repro.shuffle.stages import kv_shuffle_mapper, kv_shuffle_reducer
 from repro.shuffle.streaming import StreamConfig
 from repro.storage import paths
@@ -329,11 +324,11 @@ class RelayExchange(ExchangeBackend):
     def __init__(
         self,
         relay: PartitionRelay | RelayFleet,
-        cost: RelayShuffleCostModel | None = None,
+        cost: ShuffleCostModel | None = None,
         stream: StreamConfig | None = None,
     ):
         self.relay = relay
-        self.cost = cost if cost is not None else RelayShuffleCostModel()
+        self.cost = cost if cost is not None else ShuffleCostModel()
         self.stream = stream
         self._stats_baseline: dict[str, float] = {}
         #: Tenant/job scope label stamped on every worker's relay client
@@ -420,17 +415,9 @@ class RelayExchange(ExchangeBackend):
         """
         return max(1.0, self.cost.expected_skew)
 
-    def _plan_staged(
-        self, logical_size: float, profile: CloudProfile, max_workers: int
-    ) -> ShufflePlan:
-        return plan_relay_shuffle(
-            logical_size,
-            profile,
-            self.relay.instance_type_name,
-            self.cost,
-            max_workers=max_workers,
-            shards=self.shards,
-        )
+    @property
+    def configuration(self) -> tuple[str, int]:
+        return self.relay.instance_type_name, self.shards
 
     def _scoped(self, payload: dict) -> dict:
         """Stamp the tenant scope (if any) on a worker payload."""
@@ -535,7 +522,7 @@ class ShardedRelayExchange(RelayExchange):
     def __init__(
         self,
         fleet: RelayFleet,
-        cost: RelayShuffleCostModel | None = None,
+        cost: ShuffleCostModel | None = None,
         stream: StreamConfig | None = None,
     ):
         if not isinstance(fleet, RelayFleet):

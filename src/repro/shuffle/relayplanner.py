@@ -1,53 +1,25 @@
-"""Analytic model of the VM-relay shuffle.
+"""Capacity sizing of the VM-relay shuffles.
 
-Counterpart of :mod:`repro.shuffle.planner` (object storage) and
-:mod:`repro.shuffle.cacheplanner` (cache cluster) for the third
-data-exchange strategy: intermediate partitions rendezvous in the
-memory of one provisioned VM.  The input split read and the final
-sorted-run write still go through object storage, so those terms are
-shared with the other models.
-
-What changes is the all-to-all itself:
-
-* request latency is a single in-VPC round trip, *batched* — a mapper's
-  MPUSH and a reducer's MPULL pay one latency for their whole batch
-  (one server, one connection), even cheaper than the cache's
-  one-per-node-touched;
-* the ops/s ceiling of a single-purpose in-memory server is far above
-  the object-storage account's, so the W² request floor nearly
-  vanishes;
-* bandwidth is bounded by **the fleet's aggregate NIC** crossed twice
-  (every byte goes in on the map wave and out on the reduce wave).  A
-  single relay (``shards=1``) has the scale-up ceiling of one instance
-  line rate; a sharded fleet multiplies it by N, which is the whole
-  point of sharding — at the price of N instances' billing clocks;
-* capacity is the fleet's total memory: a hard feasibility constraint
-  (:func:`required_relay_instance` picks the smallest single flavour
-  that fits; :func:`required_relay_fleet` additionally sizes a shard
-  count when no single flavour does).
-
-The model therefore predicts the flattest right flank of the three at
-high worker counts, a bandwidth ceiling that moves with the shard
-count, and — in cold mode — the Table 1 provisioning penalty up front.
-
-The shard count is a genuine decision variable:
-:func:`plan_relay_shuffle` with ``shards=None`` searches worker count
-and shard count jointly, preferring the *smallest* fleet within a small
-tolerance of the best predicted time (more shards past the point where
-worker NICs dominate buy nothing but instance-hours; the monetized
-trade-off lives in
-:func:`~repro.shuffle.adaptive.choose_exchange_substrate`).
+Intermediate partitions rendezvous in the memory of provisioned VMs, so
+capacity is the fleet's total memory: a hard feasibility constraint.
+:func:`required_relay_instance` picks the smallest single flavour that
+fits — the single relay is scale-up only, and past the fattest flavour
+it is infeasible; :func:`required_relay_fleet` additionally sizes a
+shard count when no single flavour does, budgeting the *hot shard*
+(:func:`hot_shard_bytes`) and the :data:`SHARD_IMBALANCE_HEADROOM` the
+runtime admission check shares.  :func:`relay_configurations` and
+:func:`fleet_configurations` name the configurations the substrate
+selector prices.  What the exchange *costs in time* on a relay or a
+fleet is the ``"relay"`` / ``"sharded-relay"`` row of
+:data:`repro.shuffle.planner.EXCHANGE_TERMS`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import typing as t
 
 from repro.cloud.profiles import CloudProfile, InstanceType
 from repro.errors import ShuffleError
-from repro.shuffle.planner import PlanPoint, ShufflePlan
 
 #: Slack multiplier between a fleet's mean per-shard load and what each
 #: shard must be able to hold: hash routing never splits perfectly, so
@@ -55,139 +27,6 @@ from repro.shuffle.planner import PlanPoint, ShufflePlan
 #: (``RelayExchange.validate``) both budget this margin — they must
 #: agree, or a planner-sized fleet would be rejected at execution time.
 SHARD_IMBALANCE_HEADROOM = 1.3
-
-
-@dataclasses.dataclass(slots=True)
-class RelayShuffleCostModel:
-    """Workload-side constants of the relay-shuffle cost model."""
-
-    #: Full-core throughput of the partitioning pass (bytes/s).
-    partition_throughput: float = 180e6
-    #: Full-core throughput of the reduce-side sort (bytes/s).
-    sort_throughput: float = 90e6
-    #: Peek window appended to splits for record alignment (bytes).
-    peek_bytes: int = 64 * 1024
-    #: Bytes each sampler reads for boundary estimation.
-    sample_bytes: int = 256 * 1024
-    #: Number of key samples kept per sampler.
-    sample_keys: int = 512
-    #: Sampling windows per sampler, strided across its split (see
-    #: :class:`~repro.shuffle.planner.ShuffleCostModel.sample_strides`).
-    sample_strides: int = 4
-    #: Reducers delete their partitions after writing their sorted run,
-    #: freeing relay memory as the reduce wave drains.  Crash-safe:
-    #: worker-attempt consuming pulls take *read-leases* that only
-    #: remove entries when the activation commits — a reducer that dies
-    #: mid-consume has its leases reinstated, so the retry finds every
-    #: partition intact (see
-    #: :meth:`~repro.cloud.vm.relay.PartitionRelay.commit_attempt`).
-    #: Off by default (mirroring the cache substrate's ``cleanup``);
-    #: long-lived shared fleets opt in so memory self-reclaims between
-    #: jobs instead of waiting for terminate.
-    consume: bool = False
-    #: Charge the VM boot latency into the plan (cold relay).  Warm
-    #: (pre-provisioned) relays leave it out, like the cache planner.
-    include_boot: bool = False
-    #: Shard counts within this fraction of the best predicted time
-    #: collapse to the smallest such fleet (diminishing-returns cutoff
-    #: of the ``shards=None`` search).
-    shard_convergence: float = 0.02
-    #: Expected max-over-mean partition bytes (the straggler term's
-    #: default when the caller has no better estimate; 1.0 = balanced).
-    expected_skew: float = 1.0
-    #: Route fleet shards by planned partition bytes instead of raw
-    #: CRC (``ShardedRelayExchange``): the sampling pass's load profile
-    #: is balanced across shard NICs/memory with a deterministic LPT
-    #: assignment.  Disable to measure the naive hash routing S11
-    #: contrasts it with.
-    rebalance: bool = True
-
-
-def predict_relay_shuffle_time(
-    logical_bytes: float,
-    workers: int,
-    profile: CloudProfile,
-    instance_type: InstanceType,
-    cost: RelayShuffleCostModel,
-    shards: int = 1,
-    skew: float | None = None,
-) -> PlanPoint:
-    """Evaluate the relay-shuffle analytic model at one worker count.
-
-    ``shards`` models a :class:`~repro.cloud.vm.fleet.RelayFleet` of N
-    identical instances: the all-to-all aggregates N instance NICs and
-    N request loops, while each worker stays bounded by its own NIC
-    (its fan-out sub-flows share the function's line rate).
-
-    ``skew`` is the expected max-over-mean partition bytes (default:
-    ``cost.expected_skew``).  Input splits are byte-even whatever the
-    key distribution, so the map side is unaffected; the *reduce* side
-    is paced by the straggler that owns the hottest partition — its
-    fetch transfer, sort CPU and output write all scale by ``skew``.
-    The fleet NIC term stays aggregate: load-aware rebalancing (the
-    ``ShardedRelayExchange`` default) spreads the hot partition's
-    segments across shard NICs.
-    """
-    if workers < 1:
-        raise ShuffleError(f"workers must be >= 1, got {workers}")
-    if shards < 1:
-        raise ShuffleError(f"shards must be >= 1, got {shards}")
-    skew = cost.expected_skew if skew is None else skew
-    if skew < 1.0:
-        raise ShuffleError(f"skew must be >= 1 (max/mean), got {skew}")
-    size = float(logical_bytes)
-    store = profile.objectstore
-    faas = profile.faas
-    vm = profile.vm
-    per_worker = size / workers
-    instance_bw = min(faas.instance_bandwidth, store.per_connection_bandwidth)
-    relay_conn_bw = min(faas.instance_bandwidth, instance_type.nic_bandwidth)
-    relay_nic = instance_type.nic_bandwidth * shards
-
-    startup = faas.invoke_overhead.mean + faas.cold_start.mean
-    if cost.include_boot:
-        startup += vm.boot.mean
-
-    # Input split still comes from object storage.
-    map_read = (
-        max(per_worker / instance_bw, size / store.aggregate_bandwidth)
-        + store.read_latency.mean
-    )
-    partition_cpu = per_worker / cost.partition_throughput
-
-    # All-to-all through the relay: one MPUSH per mapper, one MPULL per
-    # reducer (the per-shard sub-batches fan out in parallel, so a batch
-    # costs one request latency regardless of shard count); every byte
-    # crosses the fleet's aggregate NIC once per wave, and the request
-    # load spreads over N independent token buckets.
-    relay_transfer = max(per_worker / relay_conn_bw, size / relay_nic)
-    request = vm.relay_request_latency.mean
-    ops_floor = (workers * workers) / (shards * vm.relay_ops_per_second)
-    map_write = max(request + relay_transfer, ops_floor)
-    straggler = per_worker * skew
-    reduce_fetch = max(
-        request + max(straggler / relay_conn_bw, size / relay_nic), ops_floor
-    )
-
-    sort_cpu = straggler / cost.sort_throughput
-    # Sorted runs land back in object storage for the encode stage.
-    reduce_write = (
-        max(straggler / instance_bw, size / store.aggregate_bandwidth)
-        + store.write_latency.mean
-    )
-    driver = 3.0 * workers * (store.write_latency.mean + store.read_latency.mean)
-
-    breakdown = {
-        "startup": startup,
-        "map_read": map_read,
-        "partition_cpu": partition_cpu,
-        "map_write": map_write,
-        "reduce_fetch": reduce_fetch,
-        "sort_cpu": sort_cpu,
-        "reduce_write": reduce_write,
-        "driver": driver,
-    }
-    return PlanPoint(workers, sum(breakdown.values()), dict(breakdown))
 
 
 def resolve_relay_instance(profile: CloudProfile, type_name: str) -> InstanceType:
@@ -208,85 +47,6 @@ def relay_usable_bytes(profile: CloudProfile, instance_type: InstanceType) -> fl
     so planner feasibility and runtime capacity share one formula.
     """
     return profile.vm.relay_usable_bytes(instance_type)
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class RelayShufflePlan(ShufflePlan):
-    """A :class:`ShufflePlan` that also fixes the fleet configuration."""
-
-    shards: int = 1
-    instance_type: str = ""
-
-
-def plan_relay_shuffle(
-    logical_bytes: float,
-    profile: CloudProfile,
-    instance_type_name: str,
-    cost: RelayShuffleCostModel | None = None,
-    max_workers: int = 256,
-    candidates: t.Sequence[int] | None = None,
-    shards: int | None = 1,
-    min_shards: int = 1,
-    max_shards: int = 8,
-    skew: float | None = None,
-) -> RelayShufflePlan:
-    """Pick ``(workers, shards)`` minimizing predicted relay-shuffle time.
-
-    ``shards`` pins the fleet size (1 = the classic single relay);
-    ``shards=None`` searches ``min_shards..max_shards`` jointly with the
-    worker count and returns the *smallest* fleet whose best time is
-    within ``cost.shard_convergence`` of the global optimum — once the
-    worker NICs (not the fleet NIC) bound the exchange, extra shards
-    only cost money.  ``skew`` prices the straggler reducer (see
-    :func:`predict_relay_shuffle_time`).
-    """
-    if logical_bytes <= 0:
-        raise ShuffleError(f"logical_bytes must be positive, got {logical_bytes}")
-    cost = cost if cost is not None else RelayShuffleCostModel()
-    instance_type = resolve_relay_instance(profile, instance_type_name)
-    pool = (
-        list(candidates) if candidates is not None else list(range(1, max_workers + 1))
-    )
-    if not pool:
-        raise ShuffleError("empty candidate worker set")
-    if shards is not None:
-        shard_pool = [shards]
-    else:
-        if not 1 <= min_shards <= max_shards:
-            raise ShuffleError(
-                f"need 1 <= min_shards <= max_shards, got "
-                f"{min_shards}..{max_shards}"
-            )
-        shard_pool = list(range(min_shards, max_shards + 1))
-
-    curves: dict[int, tuple[PlanPoint, ...]] = {
-        n: tuple(
-            predict_relay_shuffle_time(
-                logical_bytes, workers, profile, instance_type, cost,
-                shards=n, skew=skew,
-            )
-            for workers in sorted(set(pool))
-        )
-        for n in shard_pool
-    }
-    best_points = {
-        n: min(curve, key=lambda point: (point.total_s, point.workers))
-        for n, curve in curves.items()
-    }
-    optimum = min(point.total_s for point in best_points.values())
-    chosen_shards = min(
-        n
-        for n, point in best_points.items()
-        if point.total_s <= optimum * (1.0 + cost.shard_convergence)
-    )
-    best = best_points[chosen_shards]
-    return RelayShufflePlan(
-        workers=best.workers,
-        predicted_s=best.total_s,
-        curve=curves[chosen_shards],
-        shards=chosen_shards,
-        instance_type=instance_type.name,
-    )
 
 
 def required_relay_instance(
@@ -340,7 +100,7 @@ def hot_shard_bytes(
     return min(float(logical_bytes), partition_skew * logical_bytes / shards)
 
 
-def _fleet_shards_for(
+def fleet_shards_for(
     logical_bytes: float, usable: float, headroom: float, partition_skew: float
 ) -> int:
     """Smallest shard count whose hottest shard fits in ``usable``.
@@ -396,7 +156,7 @@ def required_relay_fleet(
     if instance_type_name is not None:
         instance = resolve_relay_instance(profile, instance_type_name)
         usable = relay_usable_bytes(profile, instance)
-        shards = _fleet_shards_for(logical_bytes, usable, headroom, partition_skew)
+        shards = fleet_shards_for(logical_bytes, usable, headroom, partition_skew)
         if shards > max_shards:
             raise ShuffleError(
                 f"{logical_bytes:.0f} logical bytes (x{headroom:.2f} headroom, "
@@ -407,7 +167,7 @@ def required_relay_fleet(
     options: list[tuple[float, int, str]] = []
     for instance in profile.vm.catalog.values():
         usable = relay_usable_bytes(profile, instance)
-        shards = _fleet_shards_for(logical_bytes, usable, headroom, partition_skew)
+        shards = fleet_shards_for(logical_bytes, usable, headroom, partition_skew)
         if shards <= max_shards:
             options.append((shards * instance.hourly_usd, shards, instance.name))
     if not options:
@@ -421,3 +181,71 @@ def required_relay_fleet(
         )
     _cost, shards, name = min(options)
     return name, shards
+
+
+def relay_configurations(
+    logical_bytes: float,
+    profile: CloudProfile,
+    _cost,
+    _partition_skew: float,
+    *,
+    relay_instance_type: str | None,
+    **_sizing,
+) -> list[tuple[str, int]] | str:
+    """The one relay the selector prices: the pinned flavour, or the
+    smallest that holds the data — or why none does."""
+    if relay_instance_type is None:
+        try:
+            return [(required_relay_instance(logical_bytes, profile), 1)]
+        except ShuffleError as exc:
+            return str(exc)
+    # An explicitly pinned flavour that does not exist is a caller
+    # configuration error, not infeasibility — surface it.
+    instance_type = resolve_relay_instance(profile, relay_instance_type)
+    usable = relay_usable_bytes(profile, instance_type)
+    if logical_bytes > usable:
+        # A real flavour that cannot hold the shuffle is genuine
+        # infeasibility (RelayExchange.validate would reject it).
+        return (
+            f"{logical_bytes:.0f} logical bytes exceed "
+            f"{instance_type.name}'s usable relay memory "
+            f"({usable:.0f} bytes) — the relay substrate is "
+            "scale-up only"
+        )
+    return [(instance_type.name, 1)]
+
+
+def fleet_configurations(
+    logical_bytes: float,
+    profile: CloudProfile,
+    cost,
+    partition_skew: float,
+    *,
+    relay_instance_type: str | None,
+    max_relay_shards: int,
+    **_sizing,
+) -> list[tuple[str, int]] | str:
+    """Every shard count from the smallest fleet that holds the data up
+    to ``max_relay_shards`` — the selector keeps the best-scoring one,
+    which is how aggregate NIC bandwidth is traded against N×
+    provisioned cost — or why no fleet holds it."""
+    if relay_instance_type is not None:
+        # Typoed pins are caller errors here too, not infeasibility.
+        resolve_relay_instance(profile, relay_instance_type)
+    try:
+        # Feasibility sizing prices the *hot shard* of the skewed
+        # workload; the default load-aware rebalancing of
+        # ``ShardedRelayExchange`` spreads it back out, so this is
+        # the safe (CRC-routed) lower bound on the fleet.
+        instance_type, min_shards = required_relay_fleet(
+            logical_bytes, profile,
+            instance_type_name=relay_instance_type,
+            max_shards=max_relay_shards,
+            partition_skew=1.0 if cost.rebalance else partition_skew,
+        )
+    except ShuffleError as exc:
+        return str(exc)
+    return [
+        (instance_type, shards)
+        for shards in range(min_shards, max_relay_shards + 1)
+    ]

@@ -3,9 +3,9 @@
 The paper's argument is that *where the exchange happens* is the only
 thing that differs between its pipelines.  This module says so in
 code: everything a driver needs to run a sort on a substrate by name —
-which backend class carries it, which cost model prices it, how a
-provisioned resource is sized, brought up (warm or cold) and released,
-and what the sort's stage artifact reports about it — is one
+which backend class carries it, how a provisioned resource is sized,
+brought up (warm or cold) and released, and what the sort's stage
+artifact reports about it — is one
 :class:`Substrate` row in :data:`SUBSTRATES`.  The workflow stage
 kinds, the sweeps and the online selector enumerate the table instead
 of each re-deriving provision → build → run → release; the execution
@@ -14,7 +14,9 @@ mode is orthogonal (``stream=`` on the backend).
 A provisioned resource is described by a *flavour* (cache node type /
 VM instance type) and a *count* (cache nodes / relay shards); a falsy
 flavour or a count below 1 asks the row to size that dimension to the
-data with the substrate's planner.
+data with the substrate's capacity sizer.  What the exchange costs in
+*time* on a substrate is the other table, the cost model's
+:data:`repro.shuffle.planner.EXCHANGE_TERMS`.
 """
 
 from __future__ import annotations
@@ -60,8 +62,6 @@ class Substrate:
 
     name: str
     backend: type[ExchangeBackend]
-    #: ``WorkloadParams`` accessor returning this substrate's cost model.
-    cost_model: str
     #: Boolean cost-model field a staged sort stage exposes as a stage
     #: param of the same name (reducer-side deletion), if any.
     stage_flag: str | None = None
@@ -137,12 +137,10 @@ SUBSTRATES: dict[str, Substrate] = {
         Substrate(
             name="objectstore",
             backend=ObjectStoreExchange,
-            cost_model="shuffle_cost_model",
         ),
         Substrate(
             name="cache",
             backend=CacheExchange,
-            cost_model="cache_shuffle_cost_model",
             stage_flag="cleanup",
             flavour_param=("node_type", "cache.r5.large"),
             count_param=("nodes", 0),
@@ -160,7 +158,6 @@ SUBSTRATES: dict[str, Substrate] = {
         Substrate(
             name="relay",
             backend=RelayExchange,
-            cost_model="relay_shuffle_cost_model",
             stage_flag="consume",
             flavour_param=("instance_type", None),
             size=_size_relay,
@@ -171,7 +168,6 @@ SUBSTRATES: dict[str, Substrate] = {
         Substrate(
             name="sharded-relay",
             backend=ShardedRelayExchange,
-            cost_model="relay_shuffle_cost_model",
             stage_flag="consume",
             flavour_param=("instance_type", None),
             count_param=("shards", 2),

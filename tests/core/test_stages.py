@@ -165,7 +165,7 @@ class TestSubstrateTable:
             held["provisioned"], held["ready_at"] = provisioned, cloud.sim.now
             backend = row.make_backend(
                 provisioned,
-                getattr(CONFIG.workload, row.cost_model)(),
+                CONFIG.workload.shuffle_cost_model(),
                 StreamConfig() if mode == "streaming" else None,
             )
             operator = ShuffleSort(

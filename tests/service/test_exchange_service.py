@@ -23,12 +23,13 @@ from repro.cloud.profiles import ibm_us_east
 from repro.cloud.vm.fleet import fleet_ready
 from repro.executor import FunctionExecutor
 from repro.service import ExchangeService, ServiceSaturated
-from repro.shuffle import FixedWidthCodec, ShardedRelayExchange, ShuffleSort
-from repro.shuffle.relayplanner import (
-    RelayShuffleCostModel,
-    relay_usable_bytes,
-    resolve_relay_instance,
+from repro.shuffle import (
+    FixedWidthCodec,
+    ShardedRelayExchange,
+    ShuffleCostModel,
+    ShuffleSort,
 )
+from repro.shuffle.relayplanner import relay_usable_bytes, resolve_relay_instance
 
 pytestmark = pytest.mark.service
 
@@ -74,7 +75,7 @@ def solo_digest(payload, cloud_seed, workers=WORKERS):
     fleet = fleet_ready(cloud.vms, INSTANCE, shards=1)
     operator = ShuffleSort(
         FunctionExecutor(cloud), codec(),
-        backend=ShardedRelayExchange(fleet, RelayShuffleCostModel(consume=True)),
+        backend=ShardedRelayExchange(fleet, ShuffleCostModel(consume=True)),
     )
 
     def driver():

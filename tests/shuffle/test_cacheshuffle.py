@@ -10,12 +10,12 @@ from repro.errors import ShuffleError
 from repro.executor import FunctionExecutor
 from repro.shuffle import (
     CacheExchange,
-    CacheShuffleCostModel,
     FixedWidthCodec,
+    ShuffleCostModel,
     ShuffleSort,
+    exchange_terms,
     kv_partition_key,
-    plan_cache_shuffle,
-    predict_cache_shuffle_time,
+    predict_shuffle_time,
     required_cache_nodes,
 )
 
@@ -115,7 +115,7 @@ class TestCacheSort:
     def test_cleanup_deletes_partitions(self, cloud, executor, cluster):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
         payload = make_fixed_payload(1000)
-        cost = CacheShuffleCostModel(cleanup=True)
+        cost = ShuffleCostModel(cleanup=True)
         op = ShuffleSort(executor, codec, backend=CacheExchange(cluster, cost))
 
         def driver():
@@ -207,57 +207,45 @@ class TestCacheSort:
         assert keys == sorted(keys)
 
 
+def predict_cache(size, workers, nodes):
+    """The one model over a ``nodes``-node cache cluster's term row."""
+    profile = ibm_us_east()
+    cost = ShuffleCostModel()
+    terms = exchange_terms("cache", profile, cost, "cache.r5.large", nodes)
+    return predict_shuffle_time(size, workers, profile, cost, terms=terms)
+
+
 class TestCachePlanner:
     def test_predict_rejects_bad_inputs(self):
-        profile = ibm_us_east()
-        node_type = profile.memstore.catalog["cache.r5.large"]
-        cost = CacheShuffleCostModel()
-        with pytest.raises(ShuffleError):
-            predict_cache_shuffle_time(1e9, 0, profile, node_type, 1, cost)
-        with pytest.raises(ShuffleError):
-            predict_cache_shuffle_time(1e9, 4, profile, node_type, 0, cost)
+        with pytest.raises(ShuffleError, match="workers"):
+            predict_cache(1e9, 0, 1)
+        with pytest.raises(ShuffleError, match="nodes"):
+            predict_cache(1e9, 4, 0)
 
-    def test_plan_rejects_unknown_node_type(self):
+    def test_terms_reject_unknown_node_type(self):
         with pytest.raises(ShuffleError, match="unknown cache node type"):
-            plan_cache_shuffle(1e9, ibm_us_east(), "cache.r9.mega", 1)
+            exchange_terms("cache", ibm_us_east(), None, "cache.r9.mega", 1)
 
     def test_breakdown_sums_to_total(self):
-        profile = ibm_us_east()
-        node_type = profile.memstore.catalog["cache.r5.large"]
-        point = predict_cache_shuffle_time(
-            3.5e9, 16, profile, node_type, 2, CacheShuffleCostModel()
-        )
+        point = predict_cache(3.5e9, 16, 2)
         assert point.total_s == pytest.approx(sum(point.breakdown.values()))
 
     def test_cache_flatter_than_cos_at_high_worker_counts(self):
         """The substrate difference the model must capture: the cache's
         W² request floor is ~30x lower than object storage's."""
-        from repro.shuffle import ShuffleCostModel, predict_shuffle_time
-
         profile = ibm_us_east()
-        node_type = profile.memstore.catalog["cache.r5.large"]
         size = 3.5e9
         cos_lo = predict_shuffle_time(size, 16, profile, ShuffleCostModel())
         cos_hi = predict_shuffle_time(size, 128, profile, ShuffleCostModel())
-        cache_lo = predict_cache_shuffle_time(
-            size, 16, profile, node_type, 2, CacheShuffleCostModel()
-        )
-        cache_hi = predict_cache_shuffle_time(
-            size, 128, profile, node_type, 2, CacheShuffleCostModel()
-        )
+        cache_lo = predict_cache(size, 16, 2)
+        cache_hi = predict_cache(size, 128, 2)
         cos_penalty = cos_hi.total_s / cos_lo.total_s
         cache_penalty = cache_hi.total_s / cache_lo.total_s
         assert cache_penalty < cos_penalty
 
     def test_more_nodes_raise_ops_floor_capacity(self):
-        profile = ibm_us_east()
-        node_type = profile.memstore.catalog["cache.r5.large"]
-        one = predict_cache_shuffle_time(
-            3.5e9, 256, profile, node_type, 1, CacheShuffleCostModel()
-        )
-        four = predict_cache_shuffle_time(
-            3.5e9, 256, profile, node_type, 4, CacheShuffleCostModel()
-        )
+        one = predict_cache(3.5e9, 256, 1)
+        four = predict_cache(3.5e9, 256, 4)
         assert four.total_s <= one.total_s
 
     def test_required_cache_nodes_scales_with_data(self):

@@ -32,8 +32,8 @@ from repro.shuffle import (
     FixedWidthCodec,
     ObjectStoreExchange,
     RelayExchange,
-    RelayShuffleCostModel,
     ShardedRelayExchange,
+    ShuffleCostModel,
     ShuffleSort,
     SkewSpec,
     StreamConfig,
@@ -104,13 +104,13 @@ def run_chaos_sort(substrate, payload, seed, crash_rate, retries=6):
         relay = relay_ready(cloud.vms, "bx2-8x32")
         operator = ShuffleSort(
             executor, codec,
-            backend=RelayExchange(relay, RelayShuffleCostModel(consume=True)),
+            backend=RelayExchange(relay, ShuffleCostModel(consume=True)),
         )
     elif substrate == "sharded-relay-consume":
         relay = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
         operator = ShuffleSort(
             executor, codec,
-            backend=ShardedRelayExchange(relay, RelayShuffleCostModel(consume=True)),
+            backend=ShardedRelayExchange(relay, ShuffleCostModel(consume=True)),
         )
     elif substrate == "streaming-objectstore":
         operator = ShuffleSort(

@@ -19,11 +19,11 @@ from repro.executor import FunctionExecutor
 from repro.shuffle import (
     FixedWidthCodec,
     ShardedRelayExchange,
+    ShuffleCostModel,
     ShuffleSort,
     SkewSpec,
     skewed_fixed_payload,
 )
-from repro.shuffle.relayplanner import RelayShuffleCostModel
 
 pytestmark = pytest.mark.service
 
@@ -46,7 +46,7 @@ def solo_runs(payload, seed, consume=False):
     cloud.store.ensure_bucket("data")
     fleet = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
     executor = FunctionExecutor(cloud)
-    cost = RelayShuffleCostModel(consume=consume)
+    cost = ShuffleCostModel(consume=consume)
     operator = ShuffleSort(executor, codec(), backend=ShardedRelayExchange(fleet, cost))
 
     def driver():
@@ -69,8 +69,8 @@ def test_two_concurrent_sorts_keep_router_and_byte_parity(consume):
     cloud = Cloud.fresh(seed=9, profile=ibm_us_east(deterministic=True))
     cloud.store.ensure_bucket("data")
     fleet = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-    cost_a = RelayShuffleCostModel(consume=consume)
-    cost_b = RelayShuffleCostModel(consume=consume)
+    cost_a = ShuffleCostModel(consume=consume)
+    cost_b = ShuffleCostModel(consume=consume)
     op_a = ShuffleSort(
         FunctionExecutor(cloud), codec(), backend=ShardedRelayExchange(fleet, cost_a)
     )

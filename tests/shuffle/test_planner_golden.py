@@ -4,8 +4,8 @@ The shuffle cost model is arithmetic over profile constants, so a
 refactor of it must not move one bit of one prediction — the worker
 counts the backends plan, the substrate the selector picks and every
 ``predicted_s`` column in ``benchmarks/results`` all hang off it.  This
-suite pins, as generated at the commit *before* the predictors were
-collapsed into one:
+suite pins, as generated at the commit *before* the three per-substrate
+predictors were collapsed into one (the JSON is that commit's):
 
 * ``predict`` — per substrate configuration (flavour × count ×
   ``fetch_parallelism``) a digest over ``repr(total_s)`` and ``repr`` of
@@ -47,25 +47,16 @@ from repro.shuffle.adaptive import (
     StreamRateSample,
     choose_exchange_substrate,
     fit_stream_profiles,
-    streaming_chunk_count,
     streaming_chunk_overhead_s,
-)
-from repro.shuffle.cacheplanner import (
-    CacheShuffleCostModel,
-    plan_cache_shuffle,
-    predict_cache_shuffle_time,
 )
 from repro.shuffle.planner import (
     PlanPoint,
     ShuffleCostModel,
+    exchange_terms,
     plan_shuffle,
     predict_shuffle_time,
     predict_streaming_shuffle_time,
-)
-from repro.shuffle.relayplanner import (
-    RelayShuffleCostModel,
-    plan_relay_shuffle,
-    predict_relay_shuffle_time,
+    streaming_chunk_count,
 )
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("planner_golden.json")
@@ -87,42 +78,22 @@ def staged_point(
     fetch_parallelism: int, skew: float,
 ) -> PlanPoint:
     """One substrate configuration's staged prediction."""
-    if substrate == "objectstore":
-        cost = ShuffleCostModel(fetch_parallelism=fetch_parallelism)
-        return predict_shuffle_time(size, workers, PROFILE, cost, skew=skew)
-    if substrate == "cache":
-        return predict_cache_shuffle_time(
-            size, workers, PROFILE, PROFILE.memstore.catalog[flavour], count,
-            CacheShuffleCostModel(), skew=skew,
-        )
-    return predict_relay_shuffle_time(
-        size, workers, PROFILE, PROFILE.vm.catalog[flavour],
-        RelayShuffleCostModel(), shards=count, skew=skew,
-    )
+    cost = ShuffleCostModel(fetch_parallelism=fetch_parallelism)
+    terms = exchange_terms(substrate, PROFILE, cost, flavour, count)
+    return predict_shuffle_time(size, workers, PROFILE, cost, skew=skew, terms=terms)
 
 
 def staged_plan(substrate: str, size: float, flavour: str, count: int, skew: float):
     """The worker count one substrate configuration's planner picks."""
-    if substrate == "objectstore":
-        return plan_shuffle(size, PROFILE, skew=skew)
-    if substrate == "cache":
-        return plan_cache_shuffle(size, PROFILE, flavour, count, skew=skew)
-    return plan_relay_shuffle(size, PROFILE, flavour, shards=count, skew=skew)
+    terms = exchange_terms(substrate, PROFILE, None, flavour, count)
+    return plan_shuffle(size, PROFILE, skew=skew, terms=terms)
 
 
 def selector_costs(workload: WorkloadParams | None, rebalance: bool = True) -> dict:
-    """The cost keyword arguments of ``choose_exchange_substrate``."""
-    if workload is None:
-        relay = RelayShuffleCostModel()
-        relay.rebalance = rebalance
-        return {"relay_cost": relay}
-    relay = workload.relay_shuffle_cost_model()
-    relay.rebalance = rebalance
-    return {
-        "shuffle_cost": workload.shuffle_cost_model(),
-        "cache_cost": workload.cache_shuffle_cost_model(),
-        "relay_cost": relay,
-    }
+    """The cost keyword argument of ``choose_exchange_substrate``."""
+    cost = ShuffleCostModel() if workload is None else workload.shuffle_cost_model()
+    cost.rebalance = rebalance
+    return {"cost": cost}
 
 
 # ----------------------------------------------------------------------

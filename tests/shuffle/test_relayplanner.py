@@ -1,81 +1,43 @@
-"""Tests for the relay planner's shard dimension and fleet sizing."""
+"""Tests for the relay rows' shard dimension and fleet sizing."""
 
 import pytest
 
 from repro.cloud.profiles import GB, ibm_us_east
 from repro.errors import ShuffleError
-from repro.shuffle.relayplanner import (
-    RelayShuffleCostModel,
-    RelayShufflePlan,
-    plan_relay_shuffle,
-    predict_relay_shuffle_time,
-    required_relay_fleet,
-)
+from repro.shuffle import ShuffleCostModel, exchange_terms, predict_shuffle_time
+from repro.shuffle.relayplanner import required_relay_fleet
 
 PROFILE = ibm_us_east(deterministic=True)
 SIZE = 3.5 * GB
 
 
+def predict_fleet(workers, shards):
+    """The one model over a ``shards``-instance bx2-8x32 fleet's row."""
+    cost = ShuffleCostModel()
+    terms = exchange_terms("sharded-relay", PROFILE, cost, "bx2-8x32", shards)
+    return predict_shuffle_time(SIZE, workers, PROFILE, cost, terms=terms)
+
+
 class TestShardPrediction:
     def test_more_shards_never_predict_slower(self):
         for workers in (16, 64, 256):
-            times = [
-                predict_relay_shuffle_time(
-                    SIZE, workers, PROFILE,
-                    PROFILE.vm.catalog["bx2-8x32"],
-                    RelayShuffleCostModel(),
-                    shards=n,
-                ).total_s
-                for n in (1, 2, 4)
-            ]
+            times = [predict_fleet(workers, n).total_s for n in (1, 2, 4)]
             assert times[0] >= times[1] >= times[2]
 
     def test_bad_shard_count_rejected(self):
         with pytest.raises(ShuffleError, match="shards"):
-            predict_relay_shuffle_time(
-                SIZE, 8, PROFILE, PROFILE.vm.catalog["bx2-8x32"],
-                RelayShuffleCostModel(), shards=0,
-            )
+            predict_fleet(8, 0)
 
+    def test_unknown_flavour_rejected(self):
+        with pytest.raises(ShuffleError, match="unknown relay instance type"):
+            exchange_terms("relay", PROFILE, None, "bx2-1x1")
 
-class TestJointShardSearch:
-    def test_pinned_shards_round_trip_in_the_plan(self):
-        plan = plan_relay_shuffle(SIZE, PROFILE, "bx2-8x32", shards=3)
-        assert isinstance(plan, RelayShufflePlan)
-        assert plan.shards == 3
-        assert plan.instance_type == "bx2-8x32"
-
-    def test_auto_search_buys_shards_only_when_the_nic_binds(self):
-        """shards=None searches jointly with the worker count and keeps
-        the smallest fleet within the convergence tolerance of the
-        optimum — at NIC-saturating worker counts that is >1 shard,
-        and it must never be slower than the single relay's plan."""
-        auto = plan_relay_shuffle(
-            SIZE, PROFILE, "bx2-8x32", shards=None, max_shards=4,
-            candidates=(256,),
+    def test_single_relay_is_the_fleet_row_at_one_shard(self):
+        terms = exchange_terms("relay", PROFILE, None, "bx2-8x32")
+        single = predict_shuffle_time(
+            SIZE, 64, PROFILE, ShuffleCostModel(), terms=terms
         )
-        single = plan_relay_shuffle(
-            SIZE, PROFILE, "bx2-8x32", shards=1, candidates=(256,),
-        )
-        assert auto.shards > 1
-        assert auto.predicted_s < single.predicted_s
-
-    def test_auto_search_stays_at_one_shard_when_workers_bind(self):
-        """At low worker counts the workers' own NICs are the bottleneck
-        and extra shards are within tolerance of useless — the search
-        must collapse to the single relay."""
-        plan = plan_relay_shuffle(
-            SIZE, PROFILE, "bx2-8x32", shards=None, max_shards=4,
-            candidates=(4,),
-        )
-        assert plan.shards == 1
-
-    def test_bad_shard_bounds_rejected(self):
-        with pytest.raises(ShuffleError, match="min_shards"):
-            plan_relay_shuffle(
-                SIZE, PROFILE, "bx2-8x32", shards=None,
-                min_shards=5, max_shards=4,
-            )
+        assert single == predict_fleet(64, 1)
 
 
 class TestRequiredRelayFleet:

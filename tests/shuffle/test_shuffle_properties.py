@@ -6,18 +6,24 @@ from hypothesis import strategies as st
 
 from repro.cloud.profiles import ibm_us_east
 from repro.shuffle import (
-    CacheShuffleCostModel,
     ReversedKey,
     ShuffleCostModel,
-    plan_cache_shuffle,
+    exchange_terms,
     plan_shuffle,
-    predict_cache_shuffle_time,
     predict_shuffle_time,
     required_cache_nodes,
 )
 
 PROFILE = ibm_us_east()
 NODE_TYPE = PROFILE.memstore.catalog["cache.r5.large"]
+
+
+def predict_cache(size, workers, nodes):
+    """The one model over a ``nodes``-node cache cluster's term row."""
+    terms = exchange_terms("cache", PROFILE, None, NODE_TYPE.name, nodes)
+    return predict_shuffle_time(
+        size, workers, PROFILE, ShuffleCostModel(), terms=terms
+    )
 
 
 class TestPlannerProperties:
@@ -38,9 +44,7 @@ class TestPlannerProperties:
     )
     @settings(max_examples=80, deadline=None)
     def test_cache_breakdown_sums_to_total(self, size, workers, nodes):
-        point = predict_cache_shuffle_time(
-            size, workers, PROFILE, NODE_TYPE, nodes, CacheShuffleCostModel()
-        )
+        point = predict_cache(size, workers, nodes)
         assert point.total_s == pytest.approx(sum(point.breakdown.values()))
         assert point.total_s > 0
 
@@ -54,12 +58,8 @@ class TestPlannerProperties:
         cos_small = predict_shuffle_time(small, workers, PROFILE, ShuffleCostModel())
         cos_large = predict_shuffle_time(large, workers, PROFILE, ShuffleCostModel())
         assert cos_small.total_s <= cos_large.total_s * (1 + 1e-9)
-        cache_small = predict_cache_shuffle_time(
-            small, workers, PROFILE, NODE_TYPE, 2, CacheShuffleCostModel()
-        )
-        cache_large = predict_cache_shuffle_time(
-            large, workers, PROFILE, NODE_TYPE, 2, CacheShuffleCostModel()
-        )
+        cache_small = predict_cache(small, workers, 2)
+        cache_large = predict_cache(large, workers, 2)
         assert cache_small.total_s <= cache_large.total_s * (1 + 1e-9)
 
     @given(
@@ -71,8 +71,9 @@ class TestPlannerProperties:
         plan = plan_shuffle(size, PROFILE, candidates=candidates)
         assert plan.workers in set(candidates)
         assert plan.predicted_s == min(point.total_s for point in plan.curve)
-        plan_cache = plan_cache_shuffle(
-            size, PROFILE, "cache.r5.large", 2, candidates=candidates
+        plan_cache = plan_shuffle(
+            size, PROFILE, candidates=candidates,
+            terms=exchange_terms("cache", PROFILE, None, "cache.r5.large", 2),
         )
         assert plan_cache.predicted_s == min(
             point.total_s for point in plan_cache.curve

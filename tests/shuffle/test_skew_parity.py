@@ -22,8 +22,8 @@ from repro.shuffle import (
     ObjectStoreExchange,
     PartitionLoadRouter,
     RelayExchange,
-    RelayShuffleCostModel,
     ShardedRelayExchange,
+    ShuffleCostModel,
     ShuffleSort,
     SkewSpec,
     StreamConfig,
@@ -59,7 +59,7 @@ def run_substrate(substrate, payload, rebalance=True):
     executor = FunctionExecutor(cloud)
     codec = FixedWidthCodec(record_size=16, key_bytes=8)
     relay = None
-    cost = RelayShuffleCostModel()
+    cost = ShuffleCostModel()
     cost.rebalance = rebalance
     if substrate == "objectstore":
         operator = ShuffleSort(executor, codec)

@@ -17,25 +17,21 @@ from hypothesis import strategies as st
 from repro.cloud.profiles import GB, ibm_us_east
 from repro.errors import ShuffleError
 from repro.shuffle import (
-    CacheShuffleCostModel,
-    RelayShuffleCostModel,
     ShuffleCostModel,
     SkewSpec,
     choose_exchange_substrate,
     choose_weighted_boundaries,
     estimate_partition_weights,
+    exchange_terms,
     partition_skew_of,
     plan_shuffle,
     predict_shuffle_time,
     predict_streaming_shuffle_time,
     skewed_keys,
 )
-from repro.shuffle.cacheplanner import predict_cache_shuffle_time
 from repro.shuffle.relayplanner import (
     SHARD_IMBALANCE_HEADROOM,
     hot_shard_bytes,
-    plan_relay_shuffle,
-    predict_relay_shuffle_time,
     relay_usable_bytes,
     required_relay_fleet,
     resolve_relay_instance,
@@ -47,22 +43,23 @@ PROFILE = ibm_us_east(deterministic=True)
 SIZE = 3.5 * GB
 
 
+#: One configuration per substrate row of the cost model.
+CONFIGURATIONS = {
+    "objectstore": (None, 1),
+    "cache": ("cache.r5.large", 2),
+    "relay": ("bx2-8x32", 1),
+}
+
+
 def predict_all(workers, skew):
-    """One PlanPoint per substrate model at the given skew."""
-    node_type = PROFILE.memstore.catalog["cache.r5.large"]
-    instance = resolve_relay_instance(PROFILE, "bx2-8x32")
+    """One PlanPoint per substrate row at the given skew."""
+    cost = ShuffleCostModel()
     return {
-        "objectstore": predict_shuffle_time(
-            SIZE, workers, PROFILE, ShuffleCostModel(), skew=skew
-        ),
-        "cache": predict_cache_shuffle_time(
-            SIZE, workers, PROFILE, node_type, 2, CacheShuffleCostModel(),
-            skew=skew,
-        ),
-        "relay": predict_relay_shuffle_time(
-            SIZE, workers, PROFILE, instance, RelayShuffleCostModel(),
-            skew=skew,
-        ),
+        substrate: predict_shuffle_time(
+            SIZE, workers, PROFILE, cost, skew=skew,
+            terms=exchange_terms(substrate, PROFILE, cost, flavour, count),
+        )
+        for substrate, (flavour, count) in CONFIGURATIONS.items()
     }
 
 
@@ -104,11 +101,7 @@ class TestStragglerTerm:
         with pytest.raises(ShuffleError, match="skew"):
             predict_shuffle_time(SIZE, 8, PROFILE, ShuffleCostModel(), skew=0.5)
         with pytest.raises(ShuffleError, match="skew"):
-            predict_relay_shuffle_time(
-                SIZE, 8, PROFILE,
-                resolve_relay_instance(PROFILE, "bx2-8x32"),
-                RelayShuffleCostModel(), skew=0.0,
-            )
+            predict_all(8, 0.0)
 
     def test_streaming_transform_composes_with_skew(self):
         """The pipelined transform consumes the skewed staged point: a
@@ -129,11 +122,10 @@ class TestStragglerTerm:
         hot = plan_shuffle(SIZE, PROFILE, max_workers=128, skew=6.0)
         assert hot.workers > flat.workers
 
-    def test_plan_relay_shuffle_threads_skew(self):
-        flat = plan_relay_shuffle(SIZE, PROFILE, "bx2-8x32", max_workers=64)
-        hot = plan_relay_shuffle(
-            SIZE, PROFILE, "bx2-8x32", max_workers=64, skew=6.0
-        )
+    def test_plan_shuffle_threads_skew_through_a_relay_row(self):
+        terms = exchange_terms("relay", PROFILE, None, "bx2-8x32")
+        flat = plan_shuffle(SIZE, PROFILE, max_workers=64, terms=terms)
+        hot = plan_shuffle(SIZE, PROFILE, max_workers=64, skew=6.0, terms=terms)
         assert hot.predicted_s > flat.predicted_s
 
 

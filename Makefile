@@ -8,7 +8,19 @@ PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 #: `make test-faults CHAOS_SEEDS=1,2,3,4`.
 CHAOS_SEEDS ?= 13,2021,77
 
-.PHONY: test test-faults test-skew test-service test-obs test-cas collect bench bench-exchange bench-streaming bench-skew bench-online bench-service bench-kernels bench-sim bench-codec bench-obs bench-cas bench-ledger ledger-selfcheck verify
+#: `bench-<name>` runs benchmarks/bench_<name>.py alone; `bench-sim` is
+#: the one name that is not its file's (bench_sim_kernel.py).
+BENCH_TARGETS := $(addprefix bench-,$(subst sim_kernel,sim,$(patsubst benchmarks/bench_%.py,%,$(wildcard benchmarks/bench_*.py))))
+#: Benches that then hold the harness wall-clock
+#: (results/bench_wallclock.json, written by benchmarks/conftest.py)
+#: against the committed baseline; the guard fails a module that runs
+#: >20% over it.
+WALLCLOCK_GUARDED := bench-kernels bench-sim bench-codec
+#: Result files that carry host timings — the only ones `make bench`
+#: may change (bench_wallclock.json is untracked).
+HOST_TIMING_RESULTS := s14_kernels.txt s15_obs.txt bench_wallclock.json
+
+.PHONY: test test-faults test-skew test-service test-obs test-cas collect bench $(BENCH_TARGETS) bench-ledger ledger-selfcheck parity verify
 
 # Tier-1 suite (must stay green): everything under tests/, once, with
 # the chaos suite under the pinned seed matrix.  The `test-*` targets
@@ -63,89 +75,40 @@ collect:
 bench:
 	$(PYTEST) benchmarks/ -q
 
-# Exchange benches only: regenerates just the S8/S8b results
-# (benchmarks/results/s8_*.txt and s8b_*.txt) — the four-way substrate
-# sweep, the shard-count sweep, and the pipeline comparison.  The
-# streaming-vs-staged companion (S10, s10_streaming.txt) is its own
-# target below: `make bench-streaming`.
-bench-exchange:
-	$(PYTEST) benchmarks/bench_exchange.py -q
-
-# Streaming bench only: regenerates just the S10 result
-# (benchmarks/results/s10_streaming.txt) — staged vs streaming
-# execution on three substrates, with byte-parity, strict-win and
-# backpressure assertions.
-bench-streaming:
-	$(PYTEST) benchmarks/bench_streaming.py -q
-
-# Skew bench only: regenerates just the S11 result
-# (benchmarks/results/s11_skew.txt) — CRC vs load-aware fleet routing
-# on a Zipf workload, with byte-parity, hot-shard, strict-win and
-# planner-tracking assertions.
-bench-skew:
-	$(PYTEST) benchmarks/bench_skew.py -q
-
-# Online bench only: regenerates just the S12 result
-# (benchmarks/results/s12_online.txt) — mid-stream re-selection vs all
-# eight static decisions under a recovering storage brownout, with
-# strict-win, mid-stream-switch, byte-parity, chunk-reroute and
-# relay-fill assertions.
-bench-online:
-	$(PYTEST) benchmarks/bench_online.py -q
-
-# Service bench only: regenerates just the S13 result
-# (benchmarks/results/s13_service.txt) — one shared autoscaled
-# ExchangeService vs provision-per-job on an open-loop arrival
-# schedule, with strict cost win, p95, scale-up/down, byte-parity,
-# fairness and cost-attribution assertions.
-bench-service:
-	$(PYTEST) benchmarks/bench_service.py -q
-
-# Kernel bench only: regenerates the S14 result
-# (benchmarks/results/s14_kernels.txt) — scalar vs vectorized record
-# kernels at byte parity, with per-shape speedup floors — then holds
-# the harness wall-clock (results/bench_wallclock.json, written by
-# benchmarks/conftest.py) against the committed baseline.
-bench-kernels:
-	$(PYTEST) benchmarks/bench_kernels.py -q
-	python benchmarks/check_wallclock.py
-
-# Simulator-core bench only: events/s, process switches, resource churn,
-# link re-rating, and the two wide-sort cases (a 96-flow fan-in on one
-# link, thousands of range-GETs through a worker's storage view) — then
-# the same wall-clock guard.  Holds the event-core speed-up: the guard
-# fails if the module runs >20% over the committed baseline.
-bench-sim:
-	$(PYTEST) benchmarks/bench_sim_kernel.py -q
-	python benchmarks/check_wallclock.py
-
-# Codec bench only: regenerates the S5 result
-# (benchmarks/results/s5_codec_ratio.txt, byte-identical), encode /
-# decode / gzip throughput, and the encode stage's shape — 16
-# partition-sized buffers compressed and restored, a fixed number of
-# rounds — then the same wall-clock guard.  Holds the columnar-parse and
-# word-at-a-time-coder speed-up.
-bench-codec:
-	$(PYTEST) benchmarks/bench_codec.py -q
-	python benchmarks/check_wallclock.py
-
-# Observability bench only: regenerates the S15 result
-# (benchmarks/results/s15_obs.txt) — tracing-on vs tracing-off
-# wall-clock on the auto_sort pipeline, gated at <=5% overhead with
-# identical simulated outcomes — plus the CI observability artifacts
-# (results/s8_trace.json Perfetto trace, results/s8_metrics.txt
-# Prometheus snapshot).
-bench-obs:
-	$(PYTEST) benchmarks/bench_obs.py -q
-
-# Content-addressing bench only: regenerates the S16 results
-# (benchmarks/results/s16_cas.txt dedup matrix, s16_lineage.txt and the
-# s16_run_manifest.json replay artifact) — cold vs warm sorts on every
-# substrate x mode with dedup-at-byte-parity assertions, the >=10x
-# lineage-cache win in dollars and latency, and replay-verify
-# PASS/tamper-FAIL gates.
-bench-cas:
-	$(PYTEST) benchmarks/bench_cas.py -q
+# One bench file only, regenerating just its results — one static
+# pattern rule over benchmarks/bench_*.py.  The ones with a story:
+#   bench-exchange   S8/S8b (results/s8_*.txt, s8b_*.txt): the four-way
+#                    substrate sweep, the shard-count sweep, the
+#                    pipeline comparison.
+#   bench-streaming  S10: staged vs streaming on three substrates —
+#                    byte parity, strict win, backpressure.
+#   bench-skew       S11 (s11_skew.txt): CRC vs load-aware fleet routing
+#                    on a Zipf workload — byte parity, hot shard, strict
+#                    win, planner tracking.
+#   bench-online     S12: mid-stream re-selection vs all eight static
+#                    decisions under a recovering storage brownout.
+#   bench-service    S13: one shared autoscaled ExchangeService vs
+#                    provision-per-job on an open-loop arrival schedule.
+#   bench-kernels    S14: scalar vs vectorized record kernels at byte
+#                    parity, per-shape speedup floors (+ wall-clock guard).
+#   bench-sim        events/s, process switches, resource churn, link
+#                    re-rating and the two wide-sort cases (+ guard:
+#                    holds the event-core speed-up).
+#   bench-codec      S5 (s5_codec_ratio.txt, byte-identical), encode /
+#                    decode / gzip throughput and the encode stage's
+#                    shape (+ guard: holds the columnar-parse and
+#                    word-at-a-time-coder speed-up).
+#   bench-obs        S15: tracing-on vs tracing-off wall-clock on the
+#                    auto_sort pipeline, gated at <=5% overhead with
+#                    identical simulated outcomes, plus the CI artifacts
+#                    (results/s8_trace.json, results/s8_metrics.txt).
+#   bench-cas        S16 (s16_cas.txt, s16_lineage.txt and the
+#                    s16_run_manifest.json replay artifact): dedup at
+#                    byte parity, the >=10x lineage-cache win, replay
+#                    verify PASS / tamper FAIL.
+$(BENCH_TARGETS): bench-%:
+	$(PYTEST) benchmarks/bench_$(if $(filter sim,$*),sim_kernel,$*).py -q
+	$(if $(filter $@,$(WALLCLOCK_GUARDED)),python benchmarks/check_wallclock.py)
 
 # The repo's benchmark (BENCHMARK.json): four workloads, two clocks,
 # per-layer host-time attribution; writes benchmarks/ledger/out/.
@@ -156,6 +119,18 @@ bench-ledger:
 # still matches a file, every call counter resolves (0.2 s).
 ledger-selfcheck:
 	python3 benchmarks/ledger/selfcheck.py --static
+
+# The refactor gate: not one simulated float moved.  The seed-2021
+# traced ledger run must print no DRIFT line, then the full harness
+# must regenerate every results table byte-identically apart from the
+# host-timing files (~6 min).
+parity:
+	mkdir -p benchmarks/ledger/out
+	python3 benchmarks/ledger/run.py --seed 2021 --trace 1 > benchmarks/ledger/out/parity.log
+	cat benchmarks/ledger/out/parity.log
+	! grep DRIFT benchmarks/ledger/out/parity.log
+	$(MAKE) bench
+	git diff --stat --exit-code -- benchmarks/results $(addprefix ':!benchmarks/results/',$(HOST_TIMING_RESULTS))
 
 # CI gate: collection + result lint, the ledger self-check, tier-1.
 verify: collect ledger-selfcheck test

@@ -30,7 +30,6 @@ from repro.shuffle.adaptive import (
     choose_exchange_substrate,
     fit_profile,
     fit_stream_profiles,
-    streaming_chunk_overhead_s,
 )
 from repro.shuffle.cacheplanner import required_cache_nodes
 from repro.shuffle.cachestages import cache_shuffle_mapper, cache_shuffle_reducer
@@ -214,7 +213,6 @@ __all__ = [
     "shuffle_reducer",
     "shuffle_sampler",
     "streaming_chunk_count",
-    "streaming_chunk_overhead_s",
     "streaming_shuffle_mapper",
     "streaming_shuffle_reducer",
 ]

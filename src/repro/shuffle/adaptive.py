@@ -30,6 +30,14 @@ every streaming wave and re-runs :func:`choose_exchange_substrate` on
 the remaining bytes, producing a :class:`DecisionTimeline` instead of a
 single up-front decision.  Benchmark S12 measures that payoff against
 every static decision under a mid-run rate shift.
+
+What this module owns is the *decisions* made on top of the one cost
+model: the probe and the two profile refits, the substrate selector —
+which enumerates :data:`~repro.shuffle.planner.EXCHANGE_TERMS` and
+knows no substrate by name — and the fleet autoscaling policy.  The
+timing model and its per-substrate term rows live in
+:mod:`repro.shuffle.planner`; capacity sizing in
+:mod:`repro.shuffle.cacheplanner` and :mod:`repro.shuffle.relayplanner`.
 """
 
 from __future__ import annotations
@@ -263,20 +271,6 @@ EXCHANGE_SUBSTRATES = ("objectstore", "cache", "relay", "sharded-relay")
 EXCHANGE_MODES = ("staged", "streaming")
 
 
-def streaming_chunk_overhead_s(profile: CloudProfile, substrate: str) -> float:
-    """Per-chunk request overhead of the readiness protocol.
-
-    What the streaming mode pays per chunk that staging never does — a
-    round trip on each of the substrate row's ``readiness`` knobs: one
-    manifest PUT + one discovery GET on object storage, one notification
-    read + one extra write round trip on the cache, two relay round
-    trips on the relay family.  Multiplied by the chunk count in
-    :func:`~repro.shuffle.planner.predict_streaming_shuffle_time`, this
-    is the term that keeps infinitely fine chunking from winning.
-    """
-    return exchange_terms(substrate, profile).chunk_overhead_s
-
-
 @dataclasses.dataclass(frozen=True, slots=True)
 class SubstrateEstimate:
     """One substrate's predicted execution, priced."""
@@ -380,8 +374,8 @@ def fit_stream_profiles(
     observed per-chunk, per-connection seconds are split into the
     expected transfer time at the calibrated bandwidth and a residual;
     the residual is attributed to the substrate's readiness-protocol
-    latency knobs (the same two round trips
-    :func:`streaming_chunk_overhead_s` charges), **never revising a
+    latency knobs (the row's ``readiness`` — the same two round trips
+    its ``chunk_overhead_s`` charges), **never revising a
     knob below its calibrated prior** — the refit reacts to observed
     degradation monotonically and deterministically, so the decision
     timeline of a seeded run is reproducible.
@@ -490,7 +484,8 @@ def choose_exchange_substrate(
 ) -> SubstrateDecision:
     """Pick the exchange substrate for one shuffle, analytically.
 
-    Evaluates every candidate substrate's cost model — on the *probed*
+    Prices every candidate substrate's row of the cost model
+    (:data:`~repro.shuffle.planner.EXCHANGE_TERMS`) — on the *probed*
     profile when an :class:`OnlineTuner` ``report`` is given, mirroring
     Primula's plan-on-what-you-measured loop — and minimizes a single
     monetized score::
@@ -508,9 +503,8 @@ def choose_exchange_substrate(
     the substrate: with ``("staged", "streaming")`` every substrate is
     additionally priced in the pipelined streaming mode
     (:func:`~repro.shuffle.planner.predict_streaming_shuffle_time` over
-    ``stream_chunk_bytes``-sized chunks, charged the substrate's
-    per-chunk readiness overhead via
-    :func:`streaming_chunk_overhead_s`), and the winner may be e.g.
+    ``stream_chunk_bytes``-sized chunks, charged the row's per-chunk
+    readiness overhead), and the winner may be e.g.
     "relay, streaming".  With ``workers=None`` each mode picks its own
     optimal worker count from the same curve.  Exact ties break staged
     before streaming (the simpler machine).  ``stream_chunked_input``

@@ -145,7 +145,12 @@ class ExchangeTerms:
 
     @property
     def chunk_overhead_s(self) -> float:
-        """Per-chunk request overhead of the readiness protocol."""
+        """Per-chunk request overhead of the readiness protocol: one
+        manifest PUT + one discovery GET on object storage, one
+        notification read + one extra write round trip on the cache, two
+        relay round trips on the relay family.  Multiplied by the chunk
+        count in :func:`predict_streaming_shuffle_time`, this is the
+        term that keeps infinitely fine chunking from winning."""
         return sum(getattr(section, knob).mean for section, knob in self.readiness)
 
 

@@ -291,6 +291,35 @@ class TestAutoscaling:
             assert job.state == "done", job.error
             assert job.output_digest == solo_digest(payloads[seed], seed)
 
+    def test_backlog_beyond_the_largest_fleet_queues_instead_of_raising(self):
+        """Five jobs that each fit one shard, on a fleet capped at four:
+        the autoscaler targets ``max_shards`` and the queue absorbs the
+        rest — ``submit`` must not refuse the fifth job over a backlog
+        nobody submitted as one job."""
+        cloud = fresh_cloud(seed=23)
+        cloud.store.ensure_bucket("data")
+        usable = relay_usable_bytes(
+            cloud.profile, resolve_relay_instance(cloud.profile, INSTANCE)
+        )
+        payload = make_payload(RECORDS, 41)
+        svc = make_service(cloud, tenant_burst=5.0, tenant_rate_per_s=0.5)
+
+        def driver():
+            yield cloud.store.put("data", "in.bin", payload)
+            svc.start()
+            jobs = [
+                svc.submit("t", "data", "in.bin", usable * 0.7, workers=WORKERS)
+                for _ in range(5)
+            ]
+            yield svc.drain()
+            return jobs
+
+        jobs = cloud.sim.run_process(driver())
+        svc.shutdown()
+        assert len(jobs) == 5
+        assert [job.state for job in jobs] == ["done"] * 5
+        assert max(event["to_shards"] for event in svc.scale_events) == 4
+
     def test_running_jobs_finish_on_their_generation(self):
         """A scale-up mid-job must not move the running job's shards:
         its generation drains and terminates only after it finishes."""

@@ -3,16 +3,27 @@ exchange-substrate selector."""
 
 import pytest
 
+import types
+
 from repro.cloud import Cloud, MB
-from repro.cloud.profiles import GB, ibm_us_east
+from repro.cloud.profiles import GB, LatencyModel, ibm_us_east
 from repro.errors import ShuffleError
 from repro.executor import FunctionExecutor
+from repro.shuffle import adaptive, planner
 from repro.shuffle.adaptive import (
     OnlineTuner,
     ProbeReport,
     choose_exchange_substrate,
+    plan_fleet_scale,
 )
-from repro.shuffle.planner import plan_shuffle
+from repro.shuffle.planner import (
+    ExchangeTerms,
+    ShuffleCostModel,
+    TermRow,
+    plan_shuffle,
+    predict_shuffle_time,
+)
+from repro.shuffle.relayplanner import relay_usable_bytes, resolve_relay_instance
 from repro.sim import Simulator
 
 CANDIDATES = (4, 8, 16, 32, 64, 128)
@@ -389,3 +400,121 @@ class TestSubstrateSelector:
                 self.SIZE, self.PROFILE, workers=8,
                 relay_instance_type="bx2_48x192",  # typo: _ for -
             )
+
+
+class TestFifthSubstrate:
+    """The table is the extension point: a fifth substrate is one term
+    row plus its name in the tie-breaking order — the selector prices,
+    orders and can choose it without knowing it exists."""
+
+    PROFILE = ibm_us_east(deterministic=True)
+    SIZE = 3.5 * GB
+    FLAT_USD = 0.0005
+
+    @staticmethod
+    def burst_buffer_terms(profile, _cost, _flavour, _count):
+        # Its own latencies (no profile section knows this substrate)
+        # and a flat price whatever the duration.
+        link = types.SimpleNamespace(round_trip=LatencyModel(0.002, 0.0))
+        return ExchangeTerms(
+            conn_bw=profile.faas.instance_bandwidth,
+            aggregate_bw=40.0 * GB,
+            write_latency=lambda workers: 0.002,
+            fetch_latency=lambda workers: 0.004,
+            write_ops_per_s=1e6,
+            fetch_ops_per_s=1e6,
+            readiness=((link, "round_trip"), (link, "round_trip")),
+            infra_usd=lambda predicted_s: TestFifthSubstrate.FLAT_USD,
+        )
+
+    @pytest.fixture
+    def burst_buffer(self, monkeypatch):
+        row = TermRow(
+            terms=self.burst_buffer_terms,
+            configurations=lambda *_args, **_sizing: [("bb.small", 1)],
+        )
+        monkeypatch.setitem(planner.EXCHANGE_TERMS, "burst-buffer", row)
+        monkeypatch.setattr(
+            adaptive, "EXCHANGE_SUBSTRATES",
+            adaptive.EXCHANGE_SUBSTRATES + ("burst-buffer",),
+        )
+        return row
+
+    def test_priced_in_canonical_order_in_both_modes(self, burst_buffer):
+        decision = choose_exchange_substrate(
+            self.SIZE, self.PROFILE, workers=64, modes=("staged", "streaming"),
+        )
+        assert [(e.substrate, e.mode) for e in decision.estimates] == [
+            (substrate, mode)
+            for substrate in (
+                "objectstore", "cache", "relay", "sharded-relay", "burst-buffer"
+            )
+            for mode in ("staged", "streaming")
+        ]
+        staged, streaming = decision.estimates[-2:]
+        cost = ShuffleCostModel()
+        expected = predict_shuffle_time(
+            self.SIZE, 64, self.PROFILE, cost,
+            terms=self.burst_buffer_terms(self.PROFILE, cost, None, 1),
+        )
+        assert staged.predicted_s == expected.total_s
+        assert staged.provisioned_usd == self.FLAT_USD
+        assert staged.score_usd == expected.total_s / 3600.0 + self.FLAT_USD
+        assert (staged.instance_type, staged.shards) == ("bb.small", 1)
+        # Streaming paid its own readiness round trips per chunk.
+        assert streaming.predicted_s != staged.predicted_s
+        assert "burst-buffer" in decision.describe()
+
+    def test_can_be_chosen_planned_and_restricted_to(self, burst_buffer):
+        wide = choose_exchange_substrate(
+            self.SIZE, self.PROFILE, workers=256, time_value_usd_per_hour=50.0,
+        )
+        assert wide.substrate == "burst-buffer"
+        alone = choose_exchange_substrate(
+            self.SIZE, self.PROFILE, substrates=("burst-buffer",),
+        )
+        assert [e.substrate for e in alone.estimates] == ["burst-buffer"]
+        assert alone.chosen.workers > 1  # planned its own count
+
+    def test_reports_its_own_infeasibility(self, monkeypatch, burst_buffer):
+        monkeypatch.setitem(
+            planner.EXCHANGE_TERMS, "burst-buffer",
+            TermRow(
+                terms=self.burst_buffer_terms,
+                configurations=lambda *_args, **_sizing: "the buffer is 1 GB",
+            ),
+        )
+        decision = choose_exchange_substrate(self.SIZE, self.PROFILE, workers=8)
+        last = decision.estimates[-1]
+        assert (last.substrate, last.feasible) == ("burst-buffer", False)
+        assert last.detail == "the buffer is 1 GB"
+        assert decision.substrate != "burst-buffer"
+
+
+class TestFleetScale:
+    PROFILE = ibm_us_east(deterministic=True)
+    INSTANCE = "bx2-2x8"
+    USABLE = relay_usable_bytes(PROFILE, resolve_relay_instance(PROFILE, INSTANCE))
+
+    @pytest.mark.parametrize("multiple", [5, 8, 12])
+    def test_demand_beyond_the_largest_fleet_clamps_to_max_shards(self, multiple):
+        """The target is clamped, not refused: a backlog no fleet holds
+        at once scales to ``max_shards`` and the queue absorbs the rest."""
+        demand = multiple * self.USABLE
+        up = plan_fleet_scale(
+            demand, self.PROFILE, 1, self.INSTANCE, max_shards=4,
+        )
+        assert (up.shards, up.direction) == (4, "up")
+        assert plan_fleet_scale(
+            demand, self.PROFILE, 4, self.INSTANCE, max_shards=4,
+        ) is None
+
+    def test_within_the_limit_sizes_like_the_fleet_sizer(self):
+        decision = plan_fleet_scale(
+            2.0 * self.USABLE, self.PROFILE, 1, self.INSTANCE, max_shards=4,
+        )
+        assert (decision.shards, decision.direction) == (3, "up")  # x1.3 headroom
+
+    def test_unknown_flavour_rejected(self):
+        with pytest.raises(ShuffleError, match="unknown relay instance type"):
+            plan_fleet_scale(1.0, self.PROFILE, 1, "bx2-1x1")

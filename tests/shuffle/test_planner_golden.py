@@ -47,7 +47,6 @@ from repro.shuffle.adaptive import (
     StreamRateSample,
     choose_exchange_substrate,
     fit_stream_profiles,
-    streaming_chunk_overhead_s,
 )
 from repro.shuffle.planner import (
     PlanPoint,
@@ -89,6 +88,11 @@ def staged_plan(substrate: str, size: float, flavour: str, count: int, skew: flo
     return plan_shuffle(size, PROFILE, skew=skew, terms=terms)
 
 
+def chunk_overhead_s(substrate: str) -> float:
+    """The per-chunk readiness overhead streaming pays on a substrate."""
+    return exchange_terms(substrate, PROFILE).chunk_overhead_s
+
+
 def selector_costs(workload: WorkloadParams | None, rebalance: bool = True) -> dict:
     """The cost keyword argument of ``choose_exchange_substrate``."""
     cost = ShuffleCostModel() if workload is None else workload.shuffle_cost_model()
@@ -111,7 +115,7 @@ def render_point(point: PlanPoint) -> list:
 def render_modes(substrate: str, size: float, staged: PlanPoint) -> list:
     """A staged point plus its streaming transforms, both input shapes."""
     chunks = streaming_chunk_count(size, staged.workers, CHUNK_BYTES)
-    overhead = streaming_chunk_overhead_s(PROFILE, substrate)
+    overhead = chunk_overhead_s(substrate)
     return [
         render_point(staged),
         *(
@@ -369,11 +373,11 @@ def refit_cells() -> dict:
     except ShuffleError as exc:
         cells["unknown"] = {"raises": str(exc)}
     cells["chunk_overhead"] = {
-        substrate: repr(streaming_chunk_overhead_s(PROFILE, substrate))
+        substrate: repr(chunk_overhead_s(substrate))
         for substrate in ("objectstore", "cache", "relay", "sharded-relay")
     }
     try:
-        streaming_chunk_overhead_s(PROFILE, "tape")
+        chunk_overhead_s("tape")
     except ShuffleError as exc:
         cells["chunk_overhead"]["tape"] = {"raises": str(exc)}
     return cells

@@ -531,15 +531,14 @@ def sweep_skew(
                 # The skew-aware model, evaluated at the *measured*
                 # partition skew — what a planner that trusts its
                 # sampling pass would have predicted for this run.
-                cost = cfg.workload.shuffle_cost_model()
                 predicted_s = predict_shuffle_time(
                     cfg.logical_bytes,
                     workers,
                     cloud.profile,
-                    cost,
+                    operator.cost,
                     skew=report.partition_skew,
                     terms=exchange_terms(
-                        "sharded-relay", cloud.profile, cost,
+                        "sharded-relay", cloud.profile, operator.cost,
                         relay_instance_type, shards,
                     ),
                 ).total_s

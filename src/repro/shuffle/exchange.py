@@ -176,9 +176,9 @@ class ExchangeBackend(abc.ABC):
     ``mapper_task``\\* → ``on_map_done`` → ``reducer_task``\\* →
     ``report`` over each sort; a backend may serve several sequential
     sorts (a reused operator), so per-sort bookkeeping (stat baselines,
-    peaks) belongs in ``validate``.  The ``cost`` attribute must expose the shared
-    workload constants (``peek_bytes``, ``sample_bytes``,
-    ``sample_keys``, ``partition_throughput``, ``sort_throughput``).
+    peaks) belongs in ``validate``.  ``cost`` is the workload's
+    :class:`~repro.shuffle.planner.ShuffleCostModel`, the same type on
+    every substrate.
 
     **Execution mode.**  ``stream`` is ``None`` for a *staged* sort (map
     barrier before the reduce wave) or a
@@ -207,7 +207,7 @@ class ExchangeBackend(abc.ABC):
     #: losing attempts out of stateful substrates.
     supports_speculation: t.ClassVar[bool] = True
 
-    cost: t.Any
+    cost: ShuffleCostModel
     stream: StreamConfig | None = None
     #: Output namespace and record format of the sort in progress,
     #: bound by :meth:`begin_sort` (``None`` before the first sort).

@@ -28,6 +28,7 @@ from repro.cloud.vm.fleet import fleet_ready, provision_fleet
 from repro.cloud.vm.relay import provision_relay, relay_ready
 from repro.shuffle.cacheplanner import required_cache_nodes
 from repro.shuffle.exchange import CacheExchange, ExchangeBackend, ObjectStoreExchange
+from repro.shuffle.planner import ShuffleCostModel
 from repro.shuffle.relay import RelayExchange, ShardedRelayExchange
 from repro.shuffle.relayplanner import required_relay_fleet, required_relay_instance
 from repro.shuffle.streaming import StreamConfig
@@ -115,7 +116,10 @@ class Substrate:
             provisioned.terminate()
 
     def make_backend(
-        self, provisioned: t.Any, cost: t.Any, stream: StreamConfig | None = None
+        self,
+        provisioned: t.Any,
+        cost: ShuffleCostModel,
+        stream: StreamConfig | None = None,
     ) -> ExchangeBackend:
         """This substrate's backend over ``provisioned`` (``None`` for
         object storage); ``stream`` selects the streaming mode."""

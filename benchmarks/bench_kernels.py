@@ -25,12 +25,17 @@ Asserted contract:
 * **>= 5x records/sec** on the partition and merge kernels of the
   fixed-width workloads, where key extraction is a strided slice and
   the record gather is one reshape — the shape the kernels were built
-  for.  The BED text workload is gated at a strict win (>= 1.3x,
-  measured ~2.1-2.7x): its scalar baseline parses only two fields per
-  line, while the vectorized path must still pay a byte-level gather
-  for the variable-length records, so the margin is structurally
-  smaller.  The sampling kernel is reported but not gated: its window
-  decode is already a small fraction of a shuffle.
+  for.  The BED text workload is gated at **>= 3x** (measured
+  ~3.7-4.3x partition, ~4.7-5.3x merge): its records are gathered
+  row by row off a sliding-window view of the buffer, one block per
+  line length, and its keys decoded from a 20-byte window per line
+  (``kernels.row_windows``) — no index is built per byte any more,
+  which is what had held this row at ~2x.  What still separates it
+  from the fixed-width rows is per-record, not per-byte: a row copy
+  of ~50 bytes costs a dispatch a 16-byte ``take`` does not, the line
+  layout is a newline scan, and the scalar baseline parses only two
+  fields per line.  The sampling kernel is reported but not gated: its
+  window decode is already a small fraction of a shuffle.
 
 The harness-level wall-clock of this module also lands in
 ``results/bench_wallclock.json`` (see ``conftest.py``), which
@@ -69,9 +74,9 @@ PARTITIONS = 32
 SAMPLE_CAPACITY = 4096
 ROUNDS = 3
 #: Per-shape floors on the gated stages: fixed-width records must hit
-#: the headline 5x, variable-length text must strictly win (see module
-#: docstring for why its margin is structurally smaller).
-SPEEDUP_FLOORS = {"fixed-16B": 5.0, "bed-line": 1.3}
+#: the headline 5x, variable-length text 3x (see the module docstring
+#: for what the record-granular gather left of the gap).
+SPEEDUP_FLOORS = {"fixed-16B": 5.0, "bed-line": 3.0}
 GATED_STAGES = ("partition", "merge")
 
 

@@ -35,7 +35,6 @@ from repro.cloud.objectstore.blobs import (
     MultipartUpload,
     ObjectMetadata,
     StoredObject,
-    compute_etag,
 )
 from repro.cloud.objectstore.errors import (
     BucketAlreadyExists,
@@ -293,19 +292,20 @@ class ObjectStore:
                 yield self._aggregate.transfer(
                     logical, self._flow_cap(connection_bandwidth)
                 )
+        data = bytes(data)
         meta = ObjectMetadata(
             bucket=bucket,
             key=key,
             size=len(data),
             logical_size=logical,
-            etag=compute_etag(data),
             created_at=self.sim.now,
+            payload=data,
         )
         self._accrue_volume()
         previous = objects.get(key)
         if previous is not None:
             self._stored_logical -= previous.meta.logical_size
-        objects[key] = StoredObject(bytes(data), meta)
+        objects[key] = StoredObject(data, meta)
         self._stored_logical += logical
         self.stats.puts += 1
         if hit:
@@ -478,8 +478,8 @@ class ObjectStore:
             key=upload.key,
             size=len(data),
             logical_size=logical,
-            etag=compute_etag(data),
             created_at=self.sim.now,
+            payload=data,
         )
         objects = self._bucket(upload.bucket)
         self._accrue_volume()

@@ -50,9 +50,9 @@ from repro.cas import cas_enabled
 from repro.core.calibration import WorkloadParams
 from repro.errors import WorkflowError
 from repro.executor.executor import FunctionExecutor
-from repro.methcomp.bed import bed_sort_key
 from repro.methcomp.datagen import methylome_payload
 from repro.methcomp.pipeline import bed_record_codec, decode_worker, encode_worker
+from repro.shuffle import kernels
 from repro.shuffle.adaptive import choose_exchange_substrate
 from repro.shuffle.content import (
     LineageCache,
@@ -596,9 +596,12 @@ def vm_sort(context: StageContext, inputs: dict) -> t.Generator:
         yield vm_context.sim.all_of([process.completion for process in fetchers])
         payload = b"".join(chunks[index] for index in sorted(chunks))
 
-        # Parse + sort on all vCPUs (modeled CPU; real sort on real data).
-        lines = payload.split(b"\n")[:-1]
-        lines.sort(key=bed_sort_key)
+        # Parse + sort on all vCPUs (modeled CPU; real sort on real
+        # data).  A torn last line is dropped, as it always was.
+        ordered = kernels.sort_buffer(
+            bed_record_codec(), payload[: payload.rfind(b"\n") + 1]
+        ).output
+        lengths = [len(line) + 1 for line in ordered.split(b"\n")[:-1]]
         vcpus = vm.instance_type.vcpus
         total_cpu = (
             len(payload) * vm_context.logical_scale / workload.vm_sort_throughput
@@ -607,17 +610,17 @@ def vm_sort(context: StageContext, inputs: dict) -> t.Generator:
         yield vm_context.sim.all_of(workers)
 
         # Range partitioning = equal-count contiguous slices of the
-        # sorted list; upload the runs in parallel.
+        # sorted buffer, cut by record length; upload the runs in parallel.
         run_puts = []
         run_infos = []
-        base, remainder = divmod(len(lines), partitions)
-        cursor = 0
+        base, remainder = divmod(len(lengths), partitions)
+        cursor = offset = 0
         for reducer_id in range(partitions):
             count = base + (1 if reducer_id < remainder else 0)
-            body = b"".join(
-                line + b"\n" for line in lines[cursor : cursor + count]
-            )
+            size = sum(lengths[cursor : cursor + count])
+            body = ordered[offset : offset + size]
             cursor += count
+            offset += size
             key = paths.shuffle_output_key(stage_name, reducer_id)
             run_puts.append((bucket, key, body))
             run_infos.append(

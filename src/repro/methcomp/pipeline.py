@@ -15,6 +15,7 @@ record codec used by the shuffle.
 
 from __future__ import annotations
 
+import itertools
 import typing as t
 
 from repro.methcomp.bed import CHROM_RANK, bed_sort_key, parse_columns, serialize_columns
@@ -27,19 +28,30 @@ from repro.methcomp.codec.methcodec import (
 from repro.shuffle import kernels
 from repro.shuffle.records import LineRecordCodec
 
-#: Chromosome-code lookup tables for the vectorized BED key, built on
-#: first use (kept out of pickled codec payloads).
+#: Lookup tables for the vectorized BED key, built on first use (kept
+#: out of pickled codec payloads, and numpy stays optional at import).
 _BED_TABLES: dict[str, t.Any] = {}
 
 
 def _bed_tables():
     np = kernels.np
-    codes = sorted(
-        (int.from_bytes(name.encode("ascii"), "big"), rank)
+    codes = {
+        int.from_bytes(name.encode("ascii"), "big"): rank
         for name, rank in CHROM_RANK.items()
+    }
+    # A perfect hash — the smallest modulus no two known names collide
+    # under — makes the per-line lookup one ``%`` and one take.  Slot
+    # ``s`` starts at ``s + 1``, which no code hashing to ``s`` equals.
+    modulus = next(
+        m for m in itertools.count(2) if len({c % m for c in codes}) == len(codes)
     )
-    _BED_TABLES["codes"] = np.asarray([code for code, _ in codes], dtype=np.uint64)
-    _BED_TABLES["ranks"] = np.asarray([rank for _, rank in codes], dtype=np.uint64)
+    slot_codes = np.arange(1, modulus + 1, dtype=np.uint64)
+    slot_ranks = np.zeros(modulus, dtype=np.uint64)
+    for code, rank in codes.items():
+        slot_codes[code % modulus], slot_ranks[code % modulus] = code, rank
+    # ``shifts[w]``: right shift leaving the first ``w`` of eight big-endian bytes.
+    shifts = (8 * (8 - np.arange(9))).astype(np.uint64)
+    _BED_TABLES.update(codes=slot_codes, ranks=slot_ranks, shifts=shifts)
     return _BED_TABLES
 
 
@@ -57,72 +69,43 @@ class BedKeySpec(kernels.KeySpec):
     identity = False
 
     #: Window covering ``chrom\tstart\t`` at every line head: 8 name
-    #: bytes + tab + 10 start digits (anything past 10 digits is over
+    #: bytes + tab + 10 start digits (a value past 10 digits is over
     #: 2**32 and falls back anyway) + tab.
     _WINDOW = 20
 
     def decode(self, data, starts, ends):
         np = kernels.np
-        count = len(starts)
-        if count == 0:
+        if len(starts) == 0:
             return np.empty(0, dtype=np.uint64)
-        # One windowed gather of each line's head instead of scanning
-        # the whole buffer for separators: both key fields must sit in
-        # the first ``_WINDOW`` bytes of a decodable line.
-        dtype = np.int32 if len(data) < 1 << 31 else np.int64
-        columns = np.arange(self._WINDOW, dtype=dtype)
-        positions = starts.astype(dtype)[:, None] + columns[None, :]
-        window = data[np.minimum(positions, dtype(len(data) - 1))]
-        in_line = positions < ends.astype(dtype)[:, None]
-        tabs = (window == ord("\t")) & in_line
-        rows = np.arange(count)
-        first_tab = np.argmax(tabs, axis=1)
-        remaining = tabs.copy()
-        remaining[rows, first_tab] = False
-        second_tab = np.argmax(remaining, axis=1)
-        if not bool(tabs[rows, first_tab].all()) or not bool(
-            remaining[rows, second_tab].all()
-        ):
-            return None  # a key field leaks past the window: scalar path
-        widths = first_tab
-        if bool((widths < 1).any()) or int(widths.max()) > 8:
+        # One row copy of each line's head instead of scanning the
+        # whole buffer for separators: both key fields must sit in the
+        # first ``_WINDOW`` bytes of a decodable line.
+        head = kernels.row_windows(data, starts, self._WINDOW)
+        flat = head.reshape(-1)
+        row_starts = np.arange(0, flat.size, self._WINDOW)
+        tabs = head == ord("\t")
+        first_tab = tabs.argmax(axis=1)
+        tabs.reshape(-1)[row_starts + first_tab] = False
+        second_tab = tabs.argmax(axis=1)
+        # No tab reads as column 0 (an empty name, or below an empty
+        # start field); a tab past the line's end is the next line's.
+        if int(first_tab.min()) < 1 or int(first_tab.max()) > 8:
+            return None  # a key field leaks past the window, or no name
+        if bool((second_tab >= ends - starts).any()):
             return None
-        # Pack each chromosome name into a big-endian uint64 (Horner on
-        # the window columns) and look it up against the known names.
-        codes = np.zeros(count, dtype=np.uint64)
-        for column in range(int(widths.max())):
-            live = column < widths
-            codes = np.where(
-                live,
-                (codes << np.uint64(8)) | window[:, column].astype(np.uint64),
-                codes,
-            )
+        # The name is the top ``first_tab`` bytes of the head's first
+        # big-endian word; look it up against the known names.
         tables = _BED_TABLES or _bed_tables()
-        slots = np.searchsorted(tables["codes"], codes)
-        slots_clamped = np.minimum(slots, len(tables["codes"]) - 1)
-        if bool((tables["codes"][slots_clamped] != codes).any()):
+        codes = head[:, :8].copy().view(">u8").ravel() >> tables["shifts"][first_tab]
+        slots = (codes % np.uint64(len(tables["codes"]))).astype(np.intp)
+        if bool((tables["codes"][slots] != codes).any()):
             return None  # unknown chromosome: scalar path raises CodecError
-        ranks = tables["ranks"][slots_clamped]
-        # Decimal start field between the tabs, again by Horner.
-        digit_widths = second_tab - first_tab - 1
-        if bool((digit_widths < 1).any()):
+        start_values = kernels.decimal_field_values(
+            flat, row_starts + first_tab + 1, row_starts + second_tab
+        )
+        if start_values is None or int(start_values.max()) >= 2**32:
             return None
-        start_values = np.zeros(count, dtype=np.uint64)
-        digits_ok = True
-        for offset in range(int(digit_widths.max())):
-            live = offset < digit_widths
-            digit = window[rows, first_tab + 1 + offset].astype(np.int64) - ord("0")
-            digits_ok = digits_ok and bool(
-                (~live | ((digit >= 0) & (digit <= 9))).all()
-            )
-            start_values = np.where(
-                live,
-                start_values * np.uint64(10) + digit.astype(np.uint64),
-                start_values,
-            )
-        if not digits_ok or bool((start_values >= 2**32).any()):
-            return None
-        return (ranks << np.uint64(32)) | start_values
+        return (tables["ranks"][slots] << np.uint64(32)) | start_values
 
     def to_u64(self, key) -> int | None:
         if not isinstance(key, tuple) or len(key) != 2:

@@ -1,6 +1,9 @@
 """Unit tests for the simulated object store."""
 
+import copy
 import dataclasses
+import hashlib
+import pickle
 
 import pytest
 
@@ -14,6 +17,8 @@ from repro.cloud.objectstore import (
     SlowDown,
 )
 from repro.cloud.profiles import ibm_us_east
+from repro.executor import FunctionExecutor
+from repro.shuffle import FixedWidthCodec, ShuffleSort
 
 
 @pytest.fixture
@@ -220,6 +225,109 @@ class TestMultipart:
 
         with pytest.raises(MultipartError):
             run(cloud, scenario())
+
+
+class TestEtag:
+    """``ObjectMetadata.etag`` is the md5 of the stored bytes, hashed on
+    first read and not before."""
+
+    def test_put_dedup_hit_and_multipart_report_the_md5(self, cloud):
+        data = bytes(range(256)) * 40
+
+        def scenario():
+            plain = yield cloud.store.put("bucket", "plain", data)
+            first = yield cloud.store.put("bucket", "cas-1", data, dedup=True)
+            hit = yield cloud.store.put("bucket", "cas-2", data, dedup=True)
+            upload_id = yield cloud.store.create_multipart_upload("bucket", "parts")
+            yield cloud.store.upload_part(upload_id, 2, data[1000:])
+            yield cloud.store.upload_part(upload_id, 1, data[:1000])
+            multipart = yield cloud.store.complete_multipart_upload(upload_id)
+            head = yield cloud.store.head("bucket", "parts")
+            return plain, first, hit, multipart, head
+
+        metas = run(cloud, scenario())
+        assert cloud.store.stats.dedup_ops == 1
+        for meta in metas:
+            assert meta.etag == hashlib.md5(data).hexdigest()
+            assert meta.size == len(data)
+
+    def test_mutable_input_is_hashed_as_stored(self, cloud):
+        data = bytearray(b"as it was when the PUT landed")
+
+        def scenario():
+            return (yield cloud.store.put("bucket", "k", data))
+
+        meta = run(cloud, scenario())
+        expected = hashlib.md5(bytes(data)).hexdigest()
+        data[:2] = b"XX"
+        assert meta.etag == expected
+
+    def test_head_before_overwrite_keeps_the_old_etag(self, cloud):
+        def scenario():
+            yield cloud.store.put("bucket", "k", b"old bytes")
+            before = yield cloud.store.head("bucket", "k")
+            yield cloud.store.put("bucket", "k", b"new bytes, longer")
+            yield cloud.store.delete("bucket", "k")
+            return before
+
+        before = run(cloud, scenario())
+        assert before.etag == hashlib.md5(b"old bytes").hexdigest()
+        assert before.size == len(b"old bytes")
+
+    def test_value_semantics_unchanged(self, cloud):
+        def scenario():
+            first = yield cloud.store.put("bucket", "k", b"payload")
+            same = yield cloud.store.head("bucket", "k")
+            other = yield cloud.store.put("bucket", "k", b"PAYLOAD")
+            return first, same, other
+
+        first, same, other = run(cloud, scenario())
+        etag = hashlib.md5(b"payload").hexdigest()
+        assert first == same and hash(first) == hash(same)
+        # Same bucket / key / size; only content (and write time) differ.
+        assert first != other
+        assert [field.name for field in dataclasses.fields(first)] == [
+            "bucket", "key", "size", "logical_size", "etag", "created_at",
+        ]
+        assert dataclasses.asdict(first)["etag"] == etag
+        assert f"etag={etag!r}" in repr(first)
+        for clone in (pickle.loads(pickle.dumps(first)), copy.copy(first)):
+            assert clone == first and hash(clone) == hash(first)
+            assert clone.etag == etag
+        # An unread ETag pickles as the string too, never as the payload.
+        assert pickle.loads(pickle.dumps(other)).etag == other.etag
+        assert b"PAYLOAD" not in pickle.dumps(other)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.etag = "tampered"
+        with pytest.raises(AttributeError):
+            first.no_such_attribute
+
+    def test_shuffle_sort_hashes_only_the_etags_it_reads(self, cloud, monkeypatch):
+        """The regression guard for the laziness: a W=8 sort PUTs ~80
+        objects and reads one ETag — its input's, for the run manifest."""
+        hashed = []
+        real_md5 = hashlib.md5
+
+        def counting_md5(data=b"", **kwargs):
+            hashed.append(bytes(data))
+            return real_md5(data, **kwargs)
+
+        monkeypatch.setattr(hashlib, "md5", counting_md5)
+        codec = FixedWidthCodec(record_size=16, key_bytes=8)
+        payload = b"".join(
+            (index * 2654435761 % 2**64).to_bytes(8, "big") + bytes(8)
+            for index in range(4000)
+        )
+        op = ShuffleSort(FunctionExecutor(cloud), codec)
+
+        def driver():
+            yield cloud.store.put("bucket", "input.bin", payload)
+            return (yield op.sort("bucket", "input.bin", workers=8))
+
+        result = run(cloud, driver())
+        assert result.total_records == 4000
+        assert cloud.store.stats.puts > 16
+        assert hashed == [payload]
 
 
 class TestRateLimiting:

@@ -293,3 +293,65 @@ class TestSortStages:
         assert keys == sorted(keys)
         original = cloud.store.peek("pipeline", "input/methylome.bed")
         assert len(merged) == len(original)
+
+
+class TestVmSortBytes:
+    """``vm_sort`` sorts through the record kernels; its runs are those of
+    a stable ``sorted(lines, key=bed_sort_key)`` cut into equal counts."""
+
+    @staticmethod
+    def vm_sort_runs(payload, partitions):
+        cloud = fresh_cloud()
+        cloud.store.ensure_bucket("pipeline")
+
+        def upload():
+            yield cloud.store.put("pipeline", "in.bed", payload)
+
+        cloud.sim.run_process(upload())
+        result = run_dag(
+            cloud,
+            [
+                StageSpec("ref", "dataset_ref", params={"key": "in.bed"}),
+                StageSpec(
+                    "sort", "vm_sort", after=("ref",), params={"partitions": partitions}
+                ),
+            ],
+        )
+        artifact = result.artifacts["sort"]
+        return artifact, [
+            cloud.store.peek(run["bucket"], run["key"]) for run in artifact["runs"]
+        ]
+
+    @pytest.mark.parametrize("torn_tail", [b"", b"chr1\t5"])
+    def test_runs_match_the_scalar_sort_cut_by_count(self, torn_tail):
+        from repro.core.experiment import dataset_payload
+        from repro.methcomp.bed import bed_sort_key
+
+        # Duplicate keys (both strands of one locus) pin stability; 11
+        # records over 3 runs pin the remainder rule; a torn last line
+        # is dropped, as the line split always dropped it.
+        whole = dataset_payload(CONFIG)
+        lines = whole.split(b"\n")[:8]
+        lines += [lines[2] + b"x", lines[2], lines[5][:-1] + b"9"]
+        artifact, bodies = self.vm_sort_runs(
+            b"".join(line + b"\n" for line in lines) + torn_tail, partitions=3
+        )
+        ordered = sorted(lines, key=bed_sort_key)
+        expected = [ordered[0:4], ordered[4:8], ordered[8:11]]
+        assert bodies == [b"".join(line + b"\n" for line in run) for run in expected]
+        assert [run["records"] for run in artifact["runs"]] == [4, 4, 3]
+        assert [run["bytes"] for run in artifact["runs"]] == [len(b) for b in bodies]
+        assert artifact["records"] == 11
+
+    def test_fewer_records_than_partitions_and_an_empty_input(self):
+        artifact, bodies = self.vm_sort_runs(b"chr2\t7\t8\t.\nchr1\t9\t10\t.\n", 4)
+        assert bodies == [b"chr1\t9\t10\t.\n", b"chr2\t7\t8\t.\n", b"", b""]
+        assert [run["records"] for run in artifact["runs"]] == [1, 1, 0, 0]
+        artifact, bodies = self.vm_sort_runs(b"", 2)
+        assert bodies == [b"", b""] and artifact["records"] == 0
+
+    def test_unknown_chromosome_raises_the_scalar_codec_error(self):
+        from repro.errors import CodecError
+
+        with pytest.raises(CodecError, match=r"unknown chromosome in line: b'chrZ\\t5"):
+            self.vm_sort_runs(b"chr1\t9\t10\t.\nchrZ\t5\t6\t.\n", 2)

@@ -227,6 +227,192 @@ class TestLineRecordParity:
             assert_partition_parity(codec, payload, [boundary])
 
 
+# ----------------------------------------------------------------------
+# record-granular byte path: row windows, variable-length gather
+# ----------------------------------------------------------------------
+class LineLengthKeySpec(kernels.KeySpec):
+    """Key = the line's length without its newline (``key_fn=len``):
+    decodes any line buffer, empty lines included."""
+
+    identity = True
+
+    def decode(self, data, starts, ends):
+        return (ends - starts - 1).astype(kernels.np.uint64)
+
+    def to_u64(self, key):
+        return key if type(key) is int and key >= 0 else None
+
+    def from_u64(self, value):
+        return value
+
+
+def length_keyed_codec() -> LineRecordCodec:
+    return LineRecordCodec(key_fn=len, key_spec=LineLengthKeySpec())
+
+
+def ragged_line_buffer(draw):
+    """Lines of wildly mixed lengths: empty ones, one far longer than
+    the rest, optionally more distinct lengths than the gather keeps
+    row blocks for — and the longest may come last, ending the buffer."""
+    lengths = draw(st.lists(st.integers(0, 40), max_size=60))
+    if draw(st.booleans()):
+        lengths += list(range(kernels.MAX_LENGTH_CLASSES + draw(st.integers(1, 8))))
+    if draw(st.booleans()):
+        lengths.append(draw(st.integers(500, 4000)))
+    lengths = draw(st.permutations(lengths))
+    filler = draw(st.binary(min_size=1, max_size=7)).replace(b"\n", b"x")
+    return b"".join(
+        (filler * (length // len(filler) + 1))[:length] + b"\n" for length in lengths
+    )
+
+
+class TestRowWindows:
+    @settings(max_examples=80, deadline=None)
+    @given(st.binary(max_size=64), st.integers(1, 12), st.data())
+    def test_rows_are_slices_zero_filled_past_the_end(self, buffer, width, data):
+        offsets = data.draw(st.lists(st.integers(0, len(buffer)), max_size=20))
+        rows = kernels.row_windows(
+            kernels.np.frombuffer(buffer, "u1"),
+            kernels.np.asarray(offsets, dtype=kernels.np.int64),
+            width,
+        )
+        assert rows.shape == (len(offsets), width)
+        assert [bytes(row) for row in rows] == [
+            buffer[offset : offset + width].ljust(width, b"\0") for offset in offsets
+        ]
+
+
+class TestVariableLengthGather:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_gather_of_arbitrary_orders(self, data):
+        """Subsets, duplicates, any order, ``lo`` offsets: the gather is
+        the join of the scalar codec's records in that order."""
+        codec = length_keyed_codec()
+        payload = ragged_line_buffer(data.draw)
+        records = codec.split(payload)
+        view = record_view(codec, payload)
+        assert view is not None and view.count == len(records)
+        lo = data.draw(st.integers(0, len(records)))
+        order = data.draw(
+            st.lists(st.integers(0, max(0, len(records) - lo - 1)), max_size=80)
+            if lo < len(records)
+            else st.just([])
+        )
+        gathered = view._gather(kernels.np.asarray(order, dtype=kernels.np.int64), lo)
+        assert gathered == b"".join(records[index + lo] for index in order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sort_and_partition_parity_on_ragged_lines(self, data):
+        codec = length_keyed_codec()
+        payload = ragged_line_buffer(data.draw)
+        limit = data.draw(st.one_of(st.none(), st.integers(0, 40)))
+        assert_sort_parity(codec, payload, limit)
+        keys = [codec.key(r) for r in codec.split(payload)]
+        vec = assert_partition_parity(codec, payload, boundaries_from(keys, data.draw))
+        if payload:
+            assert vec.kernel == "vectorized"
+
+    def test_length_class_limit_is_a_constant_with_both_sides_covered(self, monkeypatch):
+        """At most ``MAX_LENGTH_CLASSES`` row blocks; one more distinct
+        length takes the per-byte fallback — same bytes either way."""
+        assert kernels.MAX_LENGTH_CLASSES == 64
+        codec = length_keyed_codec()
+        repeats = []
+        real_repeat = kernels.np.repeat
+        monkeypatch.setattr(
+            kernels.np, "repeat", lambda *a, **k: repeats.append(1) or real_repeat(*a, **k)
+        )
+        for distinct, fallback in ((64, False), (65, True)):
+            lengths = list(range(distinct)) * 2
+            random.Random(distinct).shuffle(lengths)
+            payload = b"".join(b"r" * length + b"\n" for length in lengths)
+            del repeats[:]
+            vec = assert_sort_parity(codec, payload)
+            assert vec.kernel == "vectorized"
+            assert bool(repeats) is fallback
+
+    def test_record_ending_on_the_last_byte_of_the_buffer(self):
+        codec = length_keyed_codec()
+        payload = b"bb\n\n" + b"a" * 300 + b"\n"  # the longest line ends the buffer
+        assert assert_sort_parity(codec, payload).output == b"\nbb\n" + b"a" * 300 + b"\n"
+
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_bytearray_and_memoryview_buffers(self, kind):
+        """``_gather`` and ``segments()`` take any buffer, as they always did."""
+        codec = length_keyed_codec()
+        payload = b"ccc\na\n\nbb\nccc\n"
+        reference = partition_buffer(codec, payload, [1, 3])
+        data = kernels.np.frombuffer(kind(payload), "u1")
+        starts, ends = kernels.line_layout(data)
+        view = kernels.RecordView(
+            kind(payload), data, starts, ends,
+            LineLengthKeySpec().decode(data, starts, ends), LineLengthKeySpec(),
+        )
+        outcome = view.partition([1, 3])
+        assert outcome.combined == reference.combined
+        assert outcome.segments() == reference.segments()
+        assert view.sorted_output().output == sort_buffer(codec, payload).output
+        rewrapped = kernels.PartitionOutcome(
+            kind(reference.combined), reference.offsets,
+            reference.partition_records, reference.records, reference.kernel,
+        )
+        assert rewrapped.segments() == reference.segments()
+        assert all(type(segment) is bytes for segment in rewrapped.segments())
+        if kind is bytearray:  # the line codec's own layout check needs endswith
+            assert partition_buffer(codec, kind(payload), [1, 3]).combined == reference.combined
+
+
+class TestKeyDecodeWindows:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 10**18 - 1), st.integers(0, 6), st.binary(max_size=5)),
+            max_size=60,
+        )
+    )
+    def test_decimal_fields_of_every_width_with_leading_zeros(self, fields):
+        codec = decimal_line_codec()
+        payload = b"".join(
+            (b"%d" % value).rjust(len(b"%d" % value) + zeros, b"0")[-18:]
+            + b"\t" + extra.replace(b"\n", b"x").replace(b"\t", b"y") + b"\n"
+            for value, zeros, extra in fields
+        )
+        view = record_view(codec, payload)
+        assert view is not None
+        assert view.key_objects() == [codec.key(r) for r in codec.split(payload)]
+
+    @pytest.mark.parametrize(
+        "field", [b"+5", b" 5", b"5 ", b"1_0", b"5a", b"", b"/", b":", b"1" * 19]
+    )
+    def test_malformed_decimal_fields_fall_back(self, field):
+        payload = b"12\tok\n" + field + b"\tx\n" + b"7\tok\n"
+        assert record_view(decimal_line_codec(), payload) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_prefix_keys_of_records_that_do_not_tile(self, key_bytes, data):
+        """Records with gaps between them (no reshape shortcut): the
+        prefix decode is ``int.from_bytes`` of each record's head."""
+        np = kernels.np
+        buffer = data.draw(st.binary(min_size=key_bytes, max_size=120))
+        starts = sorted(
+            data.draw(st.lists(st.integers(0, len(buffer) - key_bytes), max_size=20))
+        )
+        ends = [
+            data.draw(st.integers(start + key_bytes, len(buffer))) for start in starts
+        ]
+        keys = PrefixKeySpec(key_bytes).decode(
+            np.frombuffer(buffer, "u1"),
+            np.asarray(starts, dtype=np.int64),
+            np.asarray(ends, dtype=np.int64),
+        )
+        assert keys.tolist() == [
+            int.from_bytes(buffer[start : start + key_bytes], "big") for start in starts
+        ]
+
+
 class TestBedParity:
     def test_bed_partition_and_merge_byte_identical(self):
         codec = bed_record_codec()

@@ -4,10 +4,13 @@ Not a paper artifact — these quantify the substrate's own performance
 (events/second, resource churn, link re-rating), which bounds how big an
 experiment the harness can regenerate in reasonable wall-clock time.
 
-The last two cases are the regime of a wide object-store sort (the
+The last three cases are the regime of a wide object-store sort (the
 ledger benchmark's ``fanout`` workload): one aggregate link shared by
-many more flows than fit at their caps, and thousands of range-GETs
-each spawning its request processes.
+many more flows than fit at their caps, thousands of range-GETs each
+spawning its request processes, and — the streaming mode's manifest
+polling, most of ``control`` — GETs of keys that are not there yet,
+which must cost no more than served ones and leave the cycle collector
+nothing.
 
 ``check_wallclock.py`` holds this module's wall-clock against the
 committed baseline (``make bench-sim``), so the time has to follow the
@@ -15,6 +18,9 @@ code's cost: the two wide-sort cases run a fixed number of rounds, and
 the small cases get a 0.1 s budget instead of pytest-benchmark's
 default of a full second each whatever their speed.
 """
+
+import gc
+import time
 
 import pytest
 
@@ -174,3 +180,57 @@ def test_storage_request_throughput(benchmark):
     )
     assert fetched == workers * requests_each * chunk
     assert requests == workers * requests_each + 1
+
+
+def test_storage_poll_miss_throughput(benchmark):
+    workers, polls_each = 32, 200
+
+    def run_polls():
+        cloud = Cloud(Simulator(seed=1))
+        cloud.store.ensure_bucket("bench")
+        missed = 0
+
+        def worker(index):
+            nonlocal missed
+            view = BoundStorage(
+                cloud.store, 1e8, retry=RetryPolicy(), name=f"worker-{index}"
+            )
+            for _ in range(polls_each):
+                raw = yield view.get("bench", "manifests/0", missing_ok=True)
+                missed += raw is None
+
+        def driver():
+            yield cloud.sim.all_of(
+                [cloud.sim.process(worker(index)).completion for index in range(workers)]
+            )
+
+        cloud.sim.run_process(driver())
+        return missed, cloud.store.stats.total_requests
+
+    missed, served = benchmark.pedantic(
+        run_polls, rounds=5, iterations=1, warmup_rounds=1
+    )
+    assert missed == workers * polls_each
+    assert served == 0  # a miss is not a served (billed, counted) request
+
+    # One more round with the collector off: what a miss leaves behind.
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        run_polls()
+        elapsed = time.perf_counter() - start
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    us_per_request = elapsed * 1e6 / missed
+    per_thousand = unreachable * 1000.0 / missed
+    benchmark.extra_info["us_per_request"] = round(us_per_request, 2)
+    benchmark.extra_info["unreachable_per_1000_requests"] = round(per_thousand, 1)
+    print(
+        f"\npoll miss: {us_per_request:.2f} us/request, "
+        f"{per_thousand:.1f} unreachable objects per 1,000 requests"
+    )
+    # Only the finished region's own cycles (a constant): a miss that
+    # travelled as an exception left ~40 objects each, 40,000 per 1,000.
+    assert per_thousand < 100.0

@@ -228,12 +228,13 @@ class FunctionContext:
 
             raise FaasError("this region has no VM service attached")
         relay = self._platform.vms.relay(relay_id)
-        self.on_cancel(
-            lambda cause, relay=relay: relay.cancel_attempt(self.attempt_id)
-        )
-        self.on_commit(
-            lambda relay=relay: relay.commit_attempt(self.attempt_id)
-        )
+        # The hooks close over the attempt id, not over this context: a
+        # context reachable from its own callback lists is a cycle that
+        # keeps its storage view — and through it the whole region's
+        # payloads — alive until a full collection.
+        attempt_id = self.attempt_id
+        self.on_cancel(lambda cause: relay.cancel_attempt(attempt_id))
+        self.on_commit(lambda: relay.commit_attempt(attempt_id))
         return relay.client(
             connection_bandwidth=self._platform.profile.instance_bandwidth,
             attempt_id=self.attempt_id,

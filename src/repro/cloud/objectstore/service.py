@@ -184,11 +184,22 @@ class ObjectStore:
         )
 
     def get(
-        self, bucket: str, key: str, connection_bandwidth: float | None = None
+        self,
+        bucket: str,
+        key: str,
+        connection_bandwidth: float | None = None,
+        missing_ok: bool = False,
     ) -> SimEvent:
-        """Fetch a whole object; event → ``bytes``."""
+        """Fetch a whole object; event → ``bytes``.
+
+        With ``missing_ok`` an absent key is a value, not a failure: the
+        event succeeds with ``None`` after the same rate token and
+        first-byte latency a :class:`NoSuchKey` costs (pollers expect
+        the miss; see "Simulator hot path" in :mod:`repro.sim.events`).
+        """
         return self._spawn(
-            self._get_op(bucket, key, None, connection_bandwidth), ("get:{}", key)
+            self._get_op(bucket, key, None, connection_bandwidth, missing_ok),
+            ("get:{}", key),
         )
 
     def get_range(
@@ -225,19 +236,23 @@ class ObjectStore:
     # ------------------------------------------------------------------
     # operation bodies
     # ------------------------------------------------------------------
-    def _admit(self, operation: str = "request") -> t.Generator:
-        """Pass the request-rate limiter, or fail fast with SlowDown.
-
-        Admitted requests may still fail transiently when failure
-        injection is enabled — a failed request *has* consumed a rate
-        token and a round trip, like a real 500.
-        """
+    def _admit(self) -> SimEvent:
+        """The rate limiter's event for one request, or fail fast with SlowDown."""
         limit = self.profile.slowdown_after_s
-        if limit is not None and self._ops.estimated_wait(1.0) > limit:
-            self.stats.slowdowns += 1
-            self.sim.timeline.record(self.sim.now, "storage", "slowdown")
-            raise SlowDown(self._ops.estimated_wait(1.0))
-        yield self._ops.consume(1.0)
+        if limit is not None:
+            wait = self._ops.estimated_wait(1.0)
+            if wait > limit:
+                self.stats.slowdowns += 1
+                self.sim.timeline.record(self.sim.now, "storage", "slowdown")
+                raise SlowDown(wait)
+        return self._ops.consume(1.0)
+
+    def _inject_fault(self, operation: str = "request") -> None:
+        """Fail an admitted request transiently when failure injection is on.
+
+        Called right after the admission event: a failed request *has*
+        consumed a rate token and a round trip, like a real 500.
+        """
         if (
             self.fault_probability > 0.0
             and self._rng_faults.random() < self.fault_probability
@@ -280,7 +295,8 @@ class ObjectStore:
                 # a hash collision degrades to a normal PUT, never an
                 # alias to different content.
                 hit = existing is not None and existing.data == data
-        yield from self._admit("put")
+        yield self._admit()
+        self._inject_fault("put")
         logical = self._logical(len(data), logical_size)
         if hit:
             # Content already resident: the request is a metadata round
@@ -344,12 +360,16 @@ class ObjectStore:
         key: str,
         byte_range: tuple[int, int] | None,
         connection_bandwidth: float | None,
+        missing_ok: bool = False,
     ) -> t.Generator:
         objects = self._bucket(bucket)
-        yield from self._admit("get")
+        yield self._admit()
+        self._inject_fault("get")
         yield self.sim.timeout(self.profile.read_latency.sample(self._rng_read))
         stored = objects.get(key)
         if stored is None:
+            if missing_ok:
+                return None
             raise NoSuchKey(bucket, key)
         if byte_range is None:
             payload = stored.data
@@ -373,7 +393,8 @@ class ObjectStore:
 
     def _head_op(self, bucket: str, key: str) -> t.Generator:
         objects = self._bucket(bucket)
-        yield from self._admit()
+        yield self._admit()
+        self._inject_fault()
         yield self.sim.timeout(self.profile.read_latency.sample(self._rng_read))
         stored = objects.get(key)
         if stored is None:
@@ -384,7 +405,8 @@ class ObjectStore:
 
     def _list_op(self, bucket: str, prefix: str) -> t.Generator:
         objects = self._bucket(bucket)
-        yield from self._admit()
+        yield self._admit()
+        self._inject_fault()
         yield self.sim.timeout(self.profile.read_latency.sample(self._rng_read))
         self.stats.lists += 1
         self._charge_request("class_a_request", self.profile.class_a_price_usd)
@@ -392,7 +414,8 @@ class ObjectStore:
 
     def _delete_op(self, bucket: str, key: str) -> t.Generator:
         objects = self._bucket(bucket)
-        yield from self._admit()
+        yield self._admit()
+        self._inject_fault()
         yield self.sim.timeout(self.profile.write_latency.sample(self._rng_write))
         stored = objects.pop(key, None)
         if stored is not None:
@@ -431,7 +454,8 @@ class ObjectStore:
 
     def _create_multipart_op(self, bucket: str, key: str) -> t.Generator:
         self._bucket(bucket)  # existence check
-        yield from self._admit()
+        yield self._admit()
+        self._inject_fault()
         yield self.sim.timeout(self.profile.write_latency.sample(self._rng_write))
         upload_id = f"mpu-{next(self._upload_ids)}"
         self._uploads[upload_id] = MultipartUpload(bucket, key, upload_id)
@@ -451,7 +475,8 @@ class ObjectStore:
             raise MultipartError(f"unknown or completed upload: {upload_id!r}")
         if part_number < 1:
             raise MultipartError(f"part numbers start at 1, got {part_number}")
-        yield from self._admit()
+        yield self._admit()
+        self._inject_fault()
         yield self.sim.timeout(self.profile.write_latency.sample(self._rng_write))
         logical = self._logical(len(data), logical_size)
         if logical > 0:
@@ -469,7 +494,8 @@ class ObjectStore:
             raise MultipartError(f"unknown or completed upload: {upload_id!r}")
         if not upload.parts:
             raise MultipartError(f"upload {upload_id!r} has no parts")
-        yield from self._admit()
+        yield self._admit()
+        self._inject_fault()
         yield self.sim.timeout(self.profile.write_latency.sample(self._rng_write))
         data = b"".join(upload.parts[number] for number in sorted(upload.parts))
         logical = sum(upload.part_logical.values())

@@ -13,6 +13,7 @@ with :func:`dataclasses.replace`.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing as t
 
 from repro.errors import ConfigError
@@ -42,8 +43,6 @@ class LatencyModel:
             return self.mean
         # Parameterize so the arithmetic mean equals ``mean``:
         # mean = exp(mu + sigma^2/2)  =>  mu = ln(mean) - sigma^2/2.
-        import math
-
         mu = math.log(self.mean) - (self.sigma**2) / 2.0
         return rng.lognormvariate(mu, self.sigma)
 

@@ -103,12 +103,16 @@ class BoundStorage:
             ("put:{}", key),
         )
 
-    def get(self, bucket: str, key: str) -> SimEvent:
+    def get(self, bucket: str, key: str, missing_ok: bool = False) -> SimEvent:
+        """Whole-object GET; ``missing_ok`` as on :meth:`ObjectStore.get`."""
         if self.span.recording:
             self.span.event("storage.get", key=key)
         return self._call(
             lambda: self._store.get(
-                bucket, key, connection_bandwidth=self.connection_bandwidth
+                bucket,
+                key,
+                connection_bandwidth=self.connection_bandwidth,
+                missing_ok=missing_ok,
             ),
             ("get:{}", key),
         )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import typing as t
+import weakref
 
 from repro.cloud.billing import CostMeter
 from repro.cloud.objectstore.service import ObjectStore
@@ -161,7 +162,10 @@ class VirtualMachine:
         vm_id: str,
         instance_type: InstanceType,
     ):
-        self.service = service
+        # The service owns its instances; the way back is weak, so a
+        # dropped region (its store holds every payload) is freed by
+        # reference count instead of waiting for a full collection.
+        self.service: "VmService" = weakref.proxy(service)
         self.sim = service.sim
         self.store = service.store
         self.logical_scale = service.logical_scale

@@ -58,7 +58,6 @@ import dataclasses
 import time
 import typing as t
 
-from repro.cloud.objectstore.errors import NoSuchKey
 from repro.errors import ShuffleError
 from repro.shuffle import kernels
 from repro.shuffle.sampler import partition_index
@@ -119,13 +118,11 @@ def poll_object(ctx, bucket: str, key: str, interval: float) -> t.Generator:
     """GET ``bucket/key``, polling with gentle backoff until it exists."""
     delay = interval
     while True:
-        try:
-            raw = yield ctx.storage.get(bucket, key)
-        except NoSuchKey:
-            yield ctx.sleep(delay)
-            delay = min(delay * 1.5, interval * 4)
-        else:
+        raw = yield ctx.storage.get(bucket, key, missing_ok=True)
+        if raw is not None:
             return raw
+        yield ctx.sleep(delay)
+        delay = min(delay * 1.5, interval * 4)
 
 
 # ----------------------------------------------------------------------
@@ -200,22 +197,18 @@ class _ObjectStorePort:
         """The reducer's segment of chunk ``chunk``, or ``None`` at EOS."""
         delay = self.poll_interval
         while True:
-            try:
-                raw = yield self.ctx.storage.get(
-                    self.bucket, stream_manifest_key(self.prefix, mapper_id, chunk)
-                )
-            except NoSuchKey:
-                pass
-            else:
+            raw = yield self.ctx.storage.get(
+                self.bucket,
+                stream_manifest_key(self.prefix, mapper_id, chunk),
+                missing_ok=True,
+            )
+            if raw is not None:
                 return (yield from self._segment(raw, mapper_id, reducer_id, chunk))
             if mapper_id not in self._eos:
-                try:
-                    raw = yield self.ctx.storage.get(
-                        self.bucket, stream_eos_key(self.prefix, mapper_id)
-                    )
-                except NoSuchKey:
-                    pass
-                else:
+                raw = yield self.ctx.storage.get(
+                    self.bucket, stream_eos_key(self.prefix, mapper_id), missing_ok=True
+                )
+                if raw is not None:
                     self._eos[mapper_id] = deserialize(raw)
             count = self._eos.get(mapper_id)
             if count is not None:

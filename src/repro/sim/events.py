@@ -22,11 +22,34 @@ names nobody reads unless something goes wrong, so:
 * Inside ``repro.sim`` the dispatch path reads ``_value`` / ``_exc`` /
   ``_callbacks`` directly: an event is pending iff ``_value is _PENDING
   and _exc is None``, and ``_callbacks is None`` once it has dispatched.
+  Until then ``_callbacks`` is ``_NO_WAITERS``, the one waiter's
+  callback itself (what nearly every event ever has: no list is built
+  for it), or a list of two or more in registration order.
   The public properties say the same thing for everyone else.
 * ``Simulator.step`` fires exactly one heap entry per call and is called
   once per event — the ledger benchmark counts ``sim.events`` that way.
   It delivers ``event._scheduled_value``: ``None`` on the class, the
   ``Timeout``'s own value on a timeout.
+* The kernel's frame is not part of a failure's traceback.
+  ``Process._on_event`` (and ``interrupt``) catch a body's exception in
+  a frame that holds the ``Process`` and store it on that process's
+  completion event; left in the traceback, that frame closes the loop
+  exception → traceback → frame → process → completion → exception, and
+  every failed request — each boundary it crosses — becomes some forty
+  objects only the cycle collector can free.  So the kernel drops its
+  own head frame (``tb_next``) before failing the completion: a failed
+  process is freed by reference count the moment its waiter lets go,
+  and the traceback that remains is the generator frames, i.e. the
+  simulated call stack.  (A waiter that keeps the failed process or
+  event in a local of a frame the exception passed through still makes
+  a cycle of its own; request-path code yields without naming.)
+* An expected miss on a hot path is a value, not an exception.  A
+  poller that looks for a key thousands of times before it appears
+  asks with ``get(..., missing_ok=True)`` and tests for ``None``; the
+  store answers at the point where it would have raised — same rate
+  token, same latency draw, nothing billed or counted — without
+  building an exception, a traceback and two failed processes per
+  look.  Everything unexpected still raises.
 """
 
 from __future__ import annotations
@@ -40,6 +63,9 @@ if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Sentinel distinguishing "not yet triggered" from "triggered with None".
 _PENDING = object()
+
+#: ``_callbacks`` of a pending event nobody waits on yet (see the module docstring).
+_NO_WAITERS = ()
 
 #: A name, or a ``(format, *args)`` recipe for one (see the module docstring).
 LazyName = t.Union[str, tuple]
@@ -72,7 +98,9 @@ class SimEvent:
         self._name = name
         self._value: object = _PENDING
         self._exc: BaseException | None = None
-        self._callbacks: list[t.Callable[[SimEvent], None]] | None = []
+        #: ``_NO_WAITERS``, the one waiter's callback, a list of two or
+        #: more in registration order, or ``None`` once dispatched.
+        self._callbacks: object = _NO_WAITERS
 
     # ------------------------------------------------------------------
     # state inspection
@@ -115,8 +143,11 @@ class SimEvent:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self._value = value
         callbacks, self._callbacks = self._callbacks, None
-        for callback in callbacks:
-            callback(self)
+        if type(callbacks) is list:
+            for callback in callbacks:
+                callback(self)
+        elif callbacks is not _NO_WAITERS:
+            callbacks(self)
         return self
 
     def fail(self, exc: BaseException) -> "SimEvent":
@@ -130,8 +161,11 @@ class SimEvent:
             raise SimulationError("SimEvent.fail() requires an exception instance")
         self._exc = exc
         callbacks, self._callbacks = self._callbacks, None
-        for callback in callbacks:
-            callback(self)
+        if type(callbacks) is list:
+            for callback in callbacks:
+                callback(self)
+        elif callbacks is not _NO_WAITERS:
+            callbacks(self)
         return self
 
     # ------------------------------------------------------------------
@@ -143,10 +177,24 @@ class SimEvent:
         If the event already triggered, the callback runs immediately;
         this keeps waiting race-free regardless of trigger ordering.
         """
-        if self._callbacks is None:
+        callbacks = self._callbacks
+        if callbacks is None:
             callback(self)
+        elif callbacks is _NO_WAITERS:
+            self._callbacks = callback
+        elif type(callbacks) is list:
+            callbacks.append(callback)
         else:
-            self._callbacks.append(callback)
+            self._callbacks = [callbacks, callback]
+
+    def remove_callback(self, callback: t.Callable[["SimEvent"], None]) -> None:
+        """Forget ``callback`` if it is still waiting (interrupt's detach)."""
+        callbacks = self._callbacks
+        if type(callbacks) is list:
+            if callback in callbacks:
+                callbacks.remove(callback)
+        elif callbacks == callback:
+            self._callbacks = _NO_WAITERS
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "pending"
@@ -166,7 +214,12 @@ class Timeout(SimEvent):
     __slots__ = ("delay", "_scheduled_value")
 
     def __init__(self, sim: "Simulator", delay: float, value: object = None):
-        SimEvent.__init__(self, sim, ("timeout({:g})", delay))
+        # SimEvent.__init__ spelled out: one call less per timeout.
+        self.sim = sim
+        self._name = ("timeout({:g})", delay)
+        self._value = _PENDING
+        self._exc = None
+        self._callbacks = _NO_WAITERS
         self.delay = delay
         # Delivered by the kernel when the timeout comes due.
         self._scheduled_value = value

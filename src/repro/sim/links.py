@@ -230,7 +230,7 @@ class FairShareLink:
         now = self.sim._now
         min_tick = max(1e-9, abs(now) * 1e-12)
         timer = self.sim.timeout(max(eta, min_tick), self._timer_token)
-        timer._callbacks.append(self._timer_callback)
+        timer._callbacks = self._timer_callback  # a fresh timeout's one waiter
 
     def _on_timer(self, timer: SimEvent) -> None:
         if timer._value != self._timer_token:

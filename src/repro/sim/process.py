@@ -29,7 +29,7 @@ from __future__ import annotations
 import typing as t
 
 from repro.errors import Interrupted, SimulationError
-from repro.sim.events import _PENDING, LazyName, SimEvent, render_name
+from repro.sim.events import _NO_WAITERS, _PENDING, LazyName, SimEvent, render_name
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
@@ -68,7 +68,7 @@ class Process:
         # its own current step first.  The kickoff event succeeds with
         # ``None``, which primes the generator (first ``send(None)``).
         kickoff = SimEvent(sim, ("{}.start", name))
-        kickoff._callbacks.append(self._resume)
+        kickoff._callbacks = self._resume  # its one waiter
         self._waiting_on: SimEvent | None = kickoff
         sim._schedule(0.0, kickoff)
 
@@ -105,20 +105,39 @@ class Process:
     # ------------------------------------------------------------------
     def _on_event(self, event: SimEvent) -> None:
         """Resume the generator with the outcome of ``event``."""
-        self._waiting_on = None
-        try:
-            # Only ever called with a triggered event.
-            if event._exc is None:
-                target = self.generator.send(event._value)
-            else:
-                target = self.generator.throw(event._exc)
-        except StopIteration as stop:
-            self._finish_ok(stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - process bodies may raise anything
-            self._finish_fail(exc)
-            return
-        self._wait_on(target)
+        generator = self.generator
+        while True:
+            self._waiting_on = None
+            try:
+                # Only ever called with a triggered event.
+                if event._exc is None:
+                    target = generator.send(event._value)
+                else:
+                    target = generator.throw(event._exc)
+            except StopIteration as stop:
+                self._finish_ok(stop.value)
+                return
+            except BaseException as exc:  # noqa: BLE001 - process bodies may raise anything
+                # Drop this frame from the traceback: it holds ``self``,
+                # whose completion is about to hold ``exc`` — a cycle per
+                # failure ("Simulator hot path" in repro.sim.events).
+                exc.__traceback__ = exc.__traceback__.tb_next
+                self._finish_fail(exc)
+                return
+            if not isinstance(target, SimEvent):
+                self._wait_on(target)  # a Process, or a kernel-usage error
+                return
+            callbacks = target._callbacks
+            if callbacks is not None:
+                self._waiting_on = target
+                if callbacks is _NO_WAITERS:
+                    target._callbacks = self._resume
+                else:
+                    target.add_callback(self._resume)
+                return
+            # Already triggered: resume at once, which keeps waiting
+            # race-free regardless of trigger ordering.
+            event = target
 
     def _wait_on(self, target: object) -> None:
         if isinstance(target, Process):
@@ -132,13 +151,9 @@ class Process:
             )
             return
         self._waiting_on = target
-        callbacks = target._callbacks
-        if callbacks is None:
-            # Already triggered: resume at once, which keeps waiting
-            # race-free regardless of trigger ordering.
-            self._on_event(target)
-        else:
-            callbacks.append(self._resume)
+        # Already triggered: add_callback resumes at once, which keeps
+        # waiting race-free regardless of trigger ordering.
+        target.add_callback(self._resume)
 
     def _finish_ok(self, value: object) -> None:
         self._resume = None
@@ -167,18 +182,18 @@ class Process:
             raise SimulationError(
                 f"cannot interrupt process {self.name!r}: it is not waiting"
             )
-        # Detach from the event we were waiting on by replacing our resume
-        # callback with a no-op marker, then resume with the interrupt.
+        # Detach from the event we were waiting on, then resume with the
+        # interrupt.
         waited = self._waiting_on
         self._waiting_on = None
-        if waited._callbacks is not None and self._resume in waited._callbacks:
-            waited._callbacks.remove(self._resume)
+        waited.remove_callback(self._resume)
         try:
             target = self.generator.throw(Interrupted(cause))
         except StopIteration as stop:
             self._finish_ok(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001
+            exc.__traceback__ = exc.__traceback__.tb_next  # as in _on_event
             self._finish_fail(exc)
             return
         self._wait_on(target)

@@ -120,7 +120,9 @@ class TokenBucket:
     def estimated_wait(self, amount: float) -> float:
         """Seconds a new ``consume(amount)`` would wait, given FIFO order."""
         self._refill()
-        backlog = self.pending_demand + amount - self._tokens
+        # Nobody queued (the usual case): skip the O(waiters) sum.
+        demand = self.pending_demand if self._waiters else 0
+        backlog = demand + amount - self._tokens
         if backlog <= 0:
             return 0.0
         return backlog / self.rate

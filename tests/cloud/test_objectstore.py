@@ -16,7 +16,10 @@ from repro.cloud.objectstore import (
     NoSuchKey,
     SlowDown,
 )
+from repro.cloud.objectstore.errors import InternalError
 from repro.cloud.profiles import ibm_us_east
+from repro.cloud.retry import RetryPolicy
+from repro.cloud.storageview import BoundStorage
 from repro.executor import FunctionExecutor
 from repro.shuffle import FixedWidthCodec, ShuffleSort
 
@@ -328,6 +331,160 @@ class TestEtag:
         assert result.total_records == 4000
         assert cloud.store.stats.puts > 16
         assert hashed == [payload]
+
+
+class TestMissingOk:
+    """``get(..., missing_ok=True)``: an expected miss is a value.
+
+    It must cost exactly what the :class:`NoSuchKey` it replaces costs —
+    one rate token, one ``read_latency`` draw, no charge, no ``gets`` —
+    and change nothing for any other outcome.
+    """
+
+    @staticmethod
+    def jittered_cloud():
+        profile = ibm_us_east()  # lognormal latencies: a draw shows in sim.now
+        profile.objectstore.ops_per_second = 10.0
+        profile.objectstore.ops_burst = 1.0
+        cloud = Cloud.fresh(seed=5, profile=profile)
+        cloud.store.ensure_bucket("bucket")
+        return cloud
+
+    def test_missing_key_is_none_and_a_present_one_its_bytes(self, cloud):
+        def scenario():
+            missed = yield cloud.store.get("bucket", "k", missing_ok=True)
+            yield cloud.store.put("bucket", "k", b"data")
+            yield cloud.store.put("bucket", "empty", b"")
+            found = yield cloud.store.get("bucket", "k", missing_ok=True)
+            empty = yield cloud.store.get("bucket", "empty", missing_ok=True)
+            return missed, found, empty
+
+        assert run(cloud, scenario()) == (None, b"data", b"")
+
+    def test_without_the_keyword_a_miss_still_raises(self, cloud):
+        view = BoundStorage(cloud.store, None, retry=RetryPolicy(), name="fn")
+
+        def scenario(storage):
+            yield storage.get("bucket", "missing")
+
+        for storage in (cloud.store, view):
+            with pytest.raises(NoSuchKey):
+                run(cloud, scenario(storage))
+
+    def test_costs_what_the_nosuchkey_path_costs(self):
+        def poll(cloud, missing_ok):
+            view = BoundStorage(cloud.store, None, retry=RetryPolicy(), name="fn")
+            outcomes = []
+            for _ in range(3):
+                try:
+                    outcomes.append(
+                        (yield view.get("bucket", "k", missing_ok=missing_ok))
+                    )
+                except NoSuchKey:
+                    outcomes.append(None)
+            yield view.put("bucket", "k", b"data")
+            outcomes.append((yield view.get("bucket", "k", missing_ok=missing_ok)))
+            return outcomes
+
+        raising, valued = self.jittered_cloud(), self.jittered_cloud()
+        assert run(raising, poll(raising, False)) == [None, None, None, b"data"]
+        assert run(valued, poll(valued, True)) == [None, None, None, b"data"]
+        assert valued.sim.now == raising.sim.now
+        assert valued.store.stats.as_dict() == raising.store.stats.as_dict()
+        assert valued.meter.lines == raising.meter.lines
+        for stream in ("cos.read_latency", "cos.write_latency", "cos.faults"):
+            assert (
+                valued.sim.rng.stream(stream).getstate()
+                == raising.sim.rng.stream(stream).getstate()
+            )
+
+    def test_takes_a_rate_token_and_a_latency_draw_but_no_charge(self):
+        cloud = self.jittered_cloud()
+        reads = cloud.sim.rng.stream("cos.read_latency")
+        before = reads.getstate()
+
+        def scenario():
+            first = yield cloud.store.get("bucket", "k", missing_ok=True)
+            after_first = cloud.sim.now
+            second = yield cloud.store.get("bucket", "k", missing_ok=True)
+            return first, second, after_first
+
+        first, second, after_first = run(cloud, scenario())
+        assert first is None and second is None
+        replay = type(reads)()
+        replay.setstate(before)
+        draws = [
+            cloud.profile.objectstore.read_latency.sample(replay) for _ in range(2)
+        ]
+        assert replay.getstate() == reads.getstate()  # one draw per miss
+        assert after_first == draws[0] < 0.1
+        # Burst of one at 10 ops/s: the second request waited until 0.1 s
+        # for the token the first one took.
+        assert cloud.sim.now == pytest.approx(0.1 + draws[1])
+        assert cloud.store.stats.gets == 0
+        assert cloud.store.stats.total_requests == 0
+        assert cloud.store.stats.bytes_out == 0.0
+        assert cloud.meter.lines == []
+
+    def test_other_failures_are_unaffected(self, cloud):
+        def get(bucket, key):
+            yield cloud.store.get(bucket, key, missing_ok=True)
+
+        with pytest.raises(NoSuchBucket):
+            run(cloud, get("nope", "k"))
+        cloud.store.fault_probability = 1.0
+        with pytest.raises(InternalError):
+            run(cloud, get("bucket", "k"))
+        assert cloud.store.stats.internal_errors == 1
+        cloud.store.fault_probability = 0.0
+
+        def ranges():
+            yield cloud.store.put("bucket", "k", b"0123456789")
+            with pytest.raises(InvalidRange):
+                yield cloud.store.get_range("bucket", "k", 5, 2)
+            with pytest.raises(NoSuchKey):
+                yield cloud.store.get_range("bucket", "missing", 0, 2)
+
+        run(cloud, ranges())
+
+    def test_slowdown_still_raised_with_the_keyword(self):
+        profile = ibm_us_east(deterministic=True)
+        profile.objectstore.ops_per_second = 10.0
+        profile.objectstore.ops_burst = 1.0
+        profile.objectstore.slowdown_after_s = 1.0
+        cloud = Cloud.fresh(seed=3, profile=profile)
+        cloud.store.ensure_bucket("bucket")
+        outcomes = []
+
+        def worker():
+            try:
+                outcomes.append((yield cloud.store.get("bucket", "k", missing_ok=True)))
+            except SlowDown as exc:
+                outcomes.append(exc)
+
+        for _ in range(100):
+            cloud.sim.process(worker())
+        cloud.sim.run()
+        slow = [outcome for outcome in outcomes if outcome is not None]
+        assert slow and all(isinstance(outcome, SlowDown) for outcome in slow)
+        assert len(slow) == cloud.store.stats.slowdowns
+        assert outcomes.count(None) >= 10  # the burst plus the first waiters
+        # The estimate the request was refused on is the one it reports.
+        assert all(outcome.estimated_wait_s > 1.0 for outcome in slow)
+
+    def test_a_retried_internal_error_before_a_miss_still_retries(self, cloud):
+        cloud.store.fault_probability = 0.3
+        view = BoundStorage(cloud.store, None, retry=RetryPolicy(), name="fn")
+
+        def scenario():
+            outcomes = []
+            for _ in range(20):
+                outcomes.append((yield view.get("bucket", "k", missing_ok=True)))
+            return outcomes
+
+        assert run(cloud, scenario()) == [None] * 20
+        assert view.retries == cloud.store.stats.internal_errors > 0
+        assert cloud.store.stats.gets == 0
 
 
 class TestRateLimiting:

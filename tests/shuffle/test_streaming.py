@@ -8,7 +8,10 @@ report carries the streaming observables, and the planner/selector
 price the mode as a decision variable.
 """
 
+import contextlib
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -101,11 +104,112 @@ def run_sort(substrate, payload, streaming, buffer_bytes=None, chunk_bytes=4096.
     return runs, result, operator, relay
 
 
+@contextlib.contextmanager
+def collector_off():
+    """Cycle collector off for the block: what is freed is freed by refcount."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 @pytest.fixture(scope="module")
 def staged_baseline():
     payload = make_payload(RECORDS, SEED)
     runs, result, operator, _relay = run_sort("objectstore", payload, streaming=False)
     return payload, runs, result
+
+
+class TestPollMissesAreNotGarbage:
+    """A manifest poll that finds nothing is a value, not a failure.
+
+    At a logical scale where the map wave is slow, the object-store
+    reducers poll manifests that are not there yet; a shorter interval
+    means proportionally more misses.  What the cycle collector is left
+    with after the sort must not depend on how many there were (when a
+    miss was a ``NoSuchKey`` crossing two process boundaries, each one
+    stranded some forty objects).
+    """
+
+    @staticmethod
+    def sort_counting_misses(poll_interval_s):
+        profile = ibm_us_east(deterministic=True)
+        profile.logical_scale = 4096.0
+        cloud = Cloud.fresh(seed=SEED, profile=profile)
+        cloud.store.ensure_bucket("data")
+        misses = []
+        store_get = cloud.store.get
+
+        def counting_get(bucket, key, **options):
+            event = store_get(bucket, key, **options)
+            event.add_callback(
+                lambda done: done.ok and done.value is None and misses.append(key)
+            )
+            return event
+
+        cloud.store.get = counting_get
+        operator = ShuffleSort(
+            FunctionExecutor(cloud),
+            FixedWidthCodec(record_size=16, key_bytes=8),
+            backend=ObjectStoreExchange(
+                stream=StreamConfig(
+                    chunk_bytes=4096.0 * 4096,
+                    buffer_bytes=None,
+                    poll_interval_s=poll_interval_s,
+                )
+            ),
+        )
+        payload = make_payload(RECORDS, SEED)
+
+        def driver():
+            yield cloud.store.put("data", "input.bin", payload)
+            return (yield operator.sort("data", "input.bin", workers=WORKERS))
+
+        result = cloud.sim.run_process(driver())
+        assert result.total_records == RECORDS
+        return len(misses)
+
+    def test_cyclic_garbage_does_not_grow_with_the_miss_count(self):
+        counts = {}
+        with collector_off():
+            for interval in (0.4, 0.025):
+                gc.collect()
+                misses = self.sort_counting_misses(interval)
+                counts[interval] = (misses, gc.collect())
+        (few, garbage_few), (many, garbage_many) = counts[0.4], counts[0.025]
+        assert few > 0 and many >= 3 * few  # ≈ N and ≈ 4N
+        # The region itself is cyclic (simulator, services, link), so
+        # neither count is zero; it is the same region both times.
+        assert garbage_many <= garbage_few + (many - few) // 10
+
+
+@pytest.mark.parametrize(
+    "substrate, streaming",
+    # run_sort builds the fleet sort in streaming mode only.
+    [(name, mode) for name in SUBSTRATES for mode in (False, True)
+     if mode or name != "sharded-relay"],
+)
+def test_a_finalized_region_is_freed_without_the_collector(substrate, streaming):
+    """Dropping a finished region frees its stored payloads at once.
+
+    Nothing cyclic may hold the object store: not an activation's
+    context through its own relay hooks, not a VM through its service.
+    (The simulator itself stays cyclic — pending timers point back at
+    it — but holds no payload.)
+    """
+    payload = make_payload(RECORDS, SEED)
+    with collector_off():
+        _runs, result, operator, relay = run_sort(substrate, payload, streaming)
+        cloud = operator.executor.cloud
+        if relay is not None:
+            relay.terminate()  # what a substrate's release does
+        cloud.finalize()
+        store = weakref.ref(cloud.store)
+        del result, operator, relay, cloud
+        assert store() is None
 
 
 class TestStreamingParity:

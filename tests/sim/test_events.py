@@ -65,6 +65,36 @@ class TestSimEvent:
         event.succeed()
         assert order == ["a", "b"]
 
+    @pytest.mark.parametrize("waiters", [0, 1, 2, 3])
+    @pytest.mark.parametrize("outcome", ["succeed", "fail"])
+    def test_every_waiter_count_dispatches_once_in_order(self, sim, waiters, outcome):
+        # One waiter is held as the callback itself, more as a list.
+        event = sim.timeout(1.0) if outcome == "succeed" else sim.event("e")
+        order = []
+        for tag in range(waiters):
+            event.add_callback(lambda _e, tag=tag: order.append(tag))
+        if outcome == "succeed":
+            sim.run()
+        else:
+            event.fail(ValueError("x"))
+        assert order == list(range(waiters))
+        event.add_callback(lambda _e: order.append("late"))
+        assert order == list(range(waiters)) + ["late"]
+
+    @pytest.mark.parametrize("waiters", [1, 2, 3])
+    def test_remove_callback_forgets_only_that_waiter(self, sim, waiters):
+        event = sim.event("e")
+        order = []
+        callbacks = [lambda _e, tag=tag: order.append(tag) for tag in range(waiters)]
+        for callback in callbacks:
+            event.add_callback(callback)
+        event.remove_callback(callbacks[0])
+        event.remove_callback(callbacks[0])  # already gone: a no-op
+        event.add_callback(lambda _e: order.append("new"))
+        event.succeed()
+        assert order == list(range(1, waiters)) + ["new"]
+        event.remove_callback(callbacks[-1])  # dispatched: a no-op
+
     def test_late_callback_runs_immediately(self, sim):
         event = sim.event("e")
         event.succeed("v")

@@ -183,12 +183,36 @@ class TestInterruptDetaches:
 
         process = sim.process(body())
         assert sim.step()  # the kickoff: the process now waits on the gate
-        assert gate._callbacks == [process._resume]
         process.interrupt()
-        assert gate._callbacks == []
-        gate.succeed()
+        assert resumed == ["interrupted"]
+        gate.succeed()  # fires with the process parked on its timeout
+        assert resumed == ["interrupted"]
         sim.run()
         assert resumed == ["interrupted", "slept"]
+        assert sim.now == 5.0
+
+    @pytest.mark.parametrize("interrupted", ["first", "second", "third"])
+    def test_the_other_waiters_on_that_event_are_still_resumed(self, sim, interrupted):
+        gate = sim.event("gate")
+        log = []
+
+        def body(tag):
+            try:
+                value = yield gate
+            except Exception:  # noqa: BLE001 - Interrupted
+                log.append((tag, "interrupted"))
+                return
+            log.append((tag, value))
+
+        waiters = {tag: sim.process(body(tag)) for tag in ("first", "second", "third")}
+        for _ in waiters:
+            assert sim.step()  # each kickoff: all three now wait on the gate
+        waiters[interrupted].interrupt()
+        gate.succeed("open")
+        sim.run()
+        others = [tag for tag in waiters if tag != interrupted]
+        # Registration order survives the detach.
+        assert log == [(interrupted, "interrupted")] + [(tag, "open") for tag in others]
 
     def test_a_finished_process_drops_its_resume_callback(self, sim):
         process = sim.process(waits(sim.timeout(1.0)))

@@ -7,7 +7,10 @@ compares that fresh measurement against the committed baseline
 ``results/bench_wallclock_baseline.json`` and exits non-zero when the
 shared modules' total regresses more than 20% — the CI tripwire that
 holds the vectorized-kernel speedups (and every other bench's budget)
-across future PRs.
+across future PRs.  The other direction is reported, not failed: a
+module that runs 20% or more *under* its adjusted baseline prints a
+``STALE BASELINE`` line, so a gain nobody locked in shows in CI output
+before a later regression can hide inside it.
 
 Only modules present in *both* files are compared, so running a single
 module (``make bench-kernels``, ``make bench-sim``, ``make bench-codec``)
@@ -67,6 +70,10 @@ def main() -> int:
         budget = baseline["modules"][name] * scale
         print(f"  {name:<28} {current['modules'][name]:8.2f}s "
               f"(baseline {budget:8.2f}s adj)")
+        if current["modules"][name] <= budget * (1.0 - TOLERANCE):
+            print(f"  STALE BASELINE: {name} runs "
+                  f"{1.0 - current['modules'][name] / budget:.0%} under its baseline — "
+                  f"refresh it to hold the gain")
     print(f"  {'total':<28} {current_total:8.2f}s "
           f"(limit {limit:8.2f}s = baseline +{TOLERANCE:.0%})")
 

@@ -9,6 +9,7 @@ encoder and decoder trivially consistent.
 from __future__ import annotations
 
 import bisect
+import collections
 
 from repro.errors import CodecError
 from repro.methcomp.codec.bitio import BitWriter, read_varint, write_varint
@@ -45,10 +46,13 @@ class FrequencyTable:
 
     @classmethod
     def from_symbols(cls, symbols: list[int], alphabet_size: int) -> "FrequencyTable":
-        counts = [0] * alphabet_size
-        for symbol in symbols:
-            counts[symbol] += 1
-        return cls(counts)
+        tally = collections.Counter(symbols)
+        for symbol in tally:  # distinct symbols, in order of first appearance
+            if not 0 <= symbol < alphabet_size:
+                raise CodecError(
+                    f"symbol {symbol} outside the alphabet 0..{alphabet_size - 1}"
+                )
+        return cls([tally[symbol] for symbol in range(alphabet_size)])
 
     def range_of(self, symbol: int) -> tuple[int, int]:
         low, high = self.cumulative[symbol], self.cumulative[symbol + 1]

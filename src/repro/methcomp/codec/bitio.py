@@ -1,6 +1,31 @@
-"""Bit-level and varint I/O used by the METHCOMP codec."""
+"""Bit-level and varint I/O used by the METHCOMP codec.
+
+Two writers produce the same MSB-first bit stream.  :class:`BitWriter`
+takes one word at a time (the arithmetic coder, whose words depend on
+each other); :func:`pack_words` takes a whole column of words at once
+(the Rice stream coder) and must return exactly the bytes a
+``BitWriter`` fed the same words would.  What an edit to
+``pack_words`` has to keep:
+
+* **MSB-first cells.**  Word *i* starts at bit ``sum(widths[:i])`` of
+  the stream and its most significant bit comes first.  The stream is
+  cut into 64-bit cells written big-endian, so bit 0 of the stream is
+  the top bit of byte 0; the last byte is zero-padded.
+* **Widths are 1 to 64 bits and a word has no bit set above its
+  width.**  Then every cell up to the last has a word starting in it
+  (the cell index is non-decreasing and dense, which ``reduceat``
+  needs), a word touches at most two cells, and at most one word
+  straddles any cell boundary (so the spill pass writes each cell at
+  most once).  Words inside one cell never overlap, so or-ing them is
+  exact.
+* **Shifts stay in 0..63** and both operands are ``uint64``: numpy
+  promotes ``uint64 << int64`` to float, and a 64-bit shift is
+  undefined.
+"""
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.errors import CodecError
 
@@ -53,6 +78,33 @@ class BitWriter:
     @property
     def bit_length(self) -> int:
         return len(self._out) * 8 + self._nbits
+
+
+def pack_words(words: np.ndarray, widths: np.ndarray) -> bytes:
+    """The low ``widths[i]`` bits of each ``words[i]``, concatenated MSB-first.
+
+    ``words`` is ``uint64``, ``widths`` ``int64`` with every width in
+    1..64; equal to ``write_bits(word, width)`` for each pair on one
+    :class:`BitWriter`, then ``getvalue()``.
+    """
+    if not len(words):
+        return b""
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    cell = starts >> 6
+    #: Bits of the cell left after the word; negative when it straddles.
+    room = 64 - (starts & 63) - widths
+    spill = np.flatnonzero(room < 0)
+    head = words << np.maximum(room, 0).astype(np.uint64)
+    over = (-room[spill]).astype(np.uint64)
+    head[spill] = words[spill] >> over
+
+    total_bits = int(ends[-1])
+    cells = np.zeros((total_bits + 63) >> 6, dtype=np.uint64)
+    first_in_cell = np.flatnonzero(np.diff(cell, prepend=-1))
+    cells[: len(first_in_cell)] = np.bitwise_or.reduceat(head, first_in_cell)
+    cells[cell[spill] + 1] |= words[spill] << (np.uint64(64) - over)
+    return cells.astype(">u8").tobytes()[: (total_bits + 7) >> 3]
 
 
 class BitReader:

@@ -33,11 +33,15 @@ which is precisely why the pipeline's first stage is the all-to-all
 sort this paper studies.
 
 The codec works on :class:`~repro.methcomp.bed.BedColumns` — text →
-columns → bitstream and back, with no object per record: differences,
-run lengths and masks are taken over whole columns, and only the
-adaptive coders walk value by value.  ``encode_block`` /
-``compress_records`` and their inverses are the same functions for
-callers that hold :class:`MethylationRecord` lists.
+columns → bitstream and back, with no object per record.  The encoder
+turns the six columns into arrays and works on those alone: run starts,
+deltas and their contexts, masks and differences are array expressions,
+and each Rice stream is one
+:func:`~repro.methcomp.codec.rice.rice_encode_stream` call; only the
+arithmetic coder walks symbol by symbol.  The decoder walks value by
+value, as it must.  ``encode_block`` / ``compress_records`` and their
+inverses are the same functions for callers that hold
+:class:`MethylationRecord` lists.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ from __future__ import annotations
 import itertools
 import operator
 import typing as t
+
+import numpy as np
 
 from repro.errors import CodecError
 from repro.methcomp.bed import (
@@ -63,13 +69,11 @@ from repro.methcomp.codec.arith import (
 )
 from repro.methcomp.codec.bitio import (
     BitReader,
-    BitWriter,
     read_varint,
     write_varint,
     zigzag_decode,
-    zigzag_encode,
 )
-from repro.methcomp.codec.rice import RiceContext, rice_decode, rice_encode
+from repro.methcomp.codec.rice import RiceContext, rice_decode, rice_encode_stream
 
 _MAGIC = b"MC01"
 #: Records per block; bounds arithmetic-table totals and memory.
@@ -86,6 +90,13 @@ _PCT_DIFF_ALPHABET = 201
 #: starts, start deltas, width runs, strand exceptions, coverage, pct
 #: frequency table, pct arithmetic stream, paired-pct Rice stream.
 _SECTIONS = 9
+#: Start-delta coding contexts, as indices into their initial means.
+_AFTER_PAIR, _ISLAND, _OPEN_SEA = range(3)
+_DELTA_MEANS = (64.0, 8.0, 64.0)
+#: Initial means of the coverage contexts, indexed by the paired mask:
+#: chained, then paired.
+_COVERAGE_MEANS = (6.0, 4.0)
+_PAIRED_PCT_MEAN = 4.0
 
 
 def _next_delta_context(
@@ -97,11 +108,6 @@ def _next_delta_context(
     if delta <= _ISLAND_GAP:
         return island
     return open_sea
-
-
-def _run_lengths(values: list[int]) -> list[tuple[int, int]]:
-    """``(value, length)`` of each run of equal neighbours."""
-    return [(value, len(list(group))) for value, group in itertools.groupby(values)]
 
 
 def _run_offsets(runs: list[tuple[int, int]]) -> list[int]:
@@ -130,22 +136,66 @@ def _read_runs(section: bytes, count: int, what: str) -> list[tuple[int, int]]:
     return runs
 
 
-def _chained_differences(
-    values: list[int], run_offsets: list[int], baseline: int
-) -> list[int]:
-    """Each value minus the one before it (``baseline`` at run starts), zig-zagged."""
-    predicted = [baseline] + values[:-1]
-    for offset in run_offsets:
-        predicted[offset] = baseline
-    return list(map(zigzag_encode, map(operator.sub, values, predicted)))
-
-
 # ----------------------------------------------------------------------
 # block encoding
 # ----------------------------------------------------------------------
+def _checked_arrays(columns: BedColumns) -> tuple[np.ndarray, ...]:
+    """The columns as arrays, or the error for what ``decode_columns`` would refuse."""
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
+        sizes = ", ".join(f"{name} {length}" for name, length in zip(columns._fields, lengths))
+        raise CodecError(f"columns differ in length: {sizes}")
+    arrays = {}
+    for name, column in zip(columns._fields, columns):
+        try:
+            arrays[name] = np.array(column, dtype=bool if name == "strands" else np.int64)
+        except OverflowError:
+            raise CodecError(f"{name} column holds a value beyond 64 bits") from None
+    for name, refused in (
+        ("chroms", (arrays["chroms"] < 0) | (arrays["chroms"] >= len(CHROMOSOMES))),
+        ("starts", arrays["starts"] < 0),
+        ("ends", arrays["ends"] < arrays["starts"]),
+        ("coverages", arrays["coverages"] < 0),
+        ("pcts", (arrays["pcts"] < 0) | (arrays["pcts"] > 100)),
+    ):
+        if refused.any():
+            index = int(refused.argmax())
+            raise CodecError(
+                f"{name} column out of range at record {index}: {arrays[name][index]}"
+            )
+    return tuple(arrays.values())
+
+
+def _run_starts(column: np.ndarray) -> np.ndarray:
+    """Index of the first record of each run of equal neighbours."""
+    return np.concatenate(([0], np.flatnonzero(column[1:] != column[:-1]) + 1))
+
+
+def _run_section(column: np.ndarray, run_starts: np.ndarray) -> bytes:
+    """A run-length section: the run count, then each run's value and length."""
+    lengths = np.diff(run_starts, append=len(column))
+    pairs = np.stack([column[run_starts], lengths], axis=1)
+    return _varints([len(run_starts), *pairs.reshape(-1).tolist()])
+
+
+def _zigzag_differences(
+    column: np.ndarray, run_starts: np.ndarray, baseline: int
+) -> np.ndarray:
+    """Each value minus the one before it (``baseline`` at run starts), zig-zagged.
+
+    :func:`~repro.methcomp.codec.bitio.zigzag_encode` over the column,
+    as ``uint64``: the zig-zag of an int64 difference needs all 64 bits.
+    """
+    previous = np.empty_like(column)
+    previous[1:] = column[:-1]
+    previous[run_starts] = baseline
+    difference = column - previous
+    return ((difference << 1) ^ (difference >> 63)).view(np.uint64)
+
+
 def encode_columns(columns: BedColumns) -> bytes:
     """Encode one block of genomic-sorted records."""
-    chroms, starts, ends, strands, coverages, pcts = columns
+    chroms, starts, ends, strands, coverages, pcts = _checked_arrays(columns)
     count = len(starts)
     out = bytearray(_MAGIC)
     write_varint(out, count)
@@ -153,91 +203,62 @@ def encode_columns(columns: BedColumns) -> bytes:
         return bytes(out)
 
     # -- chromosome runs + per-record deltas -------------------------------
-    runs = _run_lengths(chroms)
-    run_offsets = _run_offsets(runs)
+    run_starts = _run_starts(chroms)
     #: Start minus the previous start; zero (and never coded) at run starts.
-    deltas = list(map(operator.sub, starts, [0] + starts[:-1]))
-    for offset in run_offsets:
-        deltas[offset] = 0
-    if min(deltas) < 0 or any(
-        rank > following for (rank, _), (following, _) in zip(runs, runs[1:])
-    ):
+    deltas = np.diff(starts, prepend=0)
+    deltas[run_starts] = 0
+    disorder = np.flatnonzero((chroms[1:] < chroms[:-1]) | (deltas[1:] < 0))
+    if len(disorder):
         # Name the first out-of-order neighbour, as a record-by-record walk would.
-        disorder = next(
-            index
-            for index in range(1, count)
-            if chroms[index] < chroms[index - 1] or deltas[index] < 0
-        )
-        if chroms[disorder] < chroms[disorder - 1]:
-            raise CodecError("records are not genomic-sorted (chromosome order)")
-        raise CodecError(
-            "records are not genomic-sorted (negative start delta); "
-            "run the sort stage first"
-        )
+        if deltas[disorder[0] + 1] < 0:
+            raise CodecError(
+                "records are not genomic-sorted (negative start delta); "
+                "run the sort stage first"
+            )
+        raise CodecError("records are not genomic-sorted (chromosome order)")
 
     # -- start deltas (three-context adaptive Rice) --------------------------
-    delta_writer = BitWriter()
-    ctx_after_pair = RiceContext(initial_mean=64.0)
-    ctx_island = RiceContext(initial_mean=8.0)
-    ctx_open = RiceContext(initial_mean=64.0)
-    for offset, (_rank, length) in zip(run_offsets, runs):
-        context = ctx_open
-        for delta in deltas[offset + 1 : offset + length]:
-            rice_encode(delta_writer, delta, context)
-            context = _next_delta_context(delta, ctx_after_pair, ctx_island, ctx_open)
+    # A delta's context comes from the delta before it; the first one of
+    # a run has none and is coded as open sea.
+    following = np.where(
+        deltas == 1, _AFTER_PAIR, np.where(deltas <= _ISLAND_GAP, _ISLAND, _OPEN_SEA)
+    )
+    following[run_starts] = _OPEN_SEA
+    coded = chroms[1:] == chroms[:-1]  # every record but the run starts
+    delta_section = rice_encode_stream(
+        deltas[1:][coded], following[:-1][coded], _DELTA_MEANS
+    )
 
     # -- paired-site mask shared by strand, coverage and pct ------------------
-    paired = list(map((1).__eq__, deltas))
-
-    # -- widths (RLE) -------------------------------------------------------
-    width_runs = _run_lengths(list(map(operator.sub, ends, starts)))
+    paired = deltas == 1
 
     # -- strands (prediction + exception list) --------------------------------
     # Predicted strand: "-" at paired sites (the complementary-strand
     # record of a CpG), "+" everywhere else.  Only mismatches are stored,
     # as delta-coded indices — near zero bits on WGBS-shaped data.
-    exceptions = [
-        index
-        for index, mismatch in enumerate(map(operator.ne, strands, paired))
-        if mismatch
-    ]
+    exceptions = np.flatnonzero(strands != paired)
 
-    # -- coverage and methylation percentage, in one pass ----------------------
+    # -- coverage and methylation percentage ----------------------------------
     # Coverage: chained differences under two contexts (paired vs not).
-    # Pct: chained differences, Rice-coded at paired sites; the unpaired
-    # ones are collected for the arithmetic coder.
-    coverage_writer = BitWriter()
-    pct_writer = BitWriter()
-    ctx_cov_pair = RiceContext(initial_mean=4.0)
-    ctx_cov_chain = RiceContext(initial_mean=6.0)
-    ctx_pct_pair = RiceContext(initial_mean=4.0)
-    arith_symbols: list[int] = []
-    for coverage_diff, pct_diff, is_paired in zip(
-        _chained_differences(coverages, run_offsets, _BASELINE_COVERAGE),
-        _chained_differences(pcts, run_offsets, _BASELINE_PCT),
-        paired,
-    ):
-        if is_paired:
-            rice_encode(coverage_writer, coverage_diff, ctx_cov_pair)
-            rice_encode(pct_writer, pct_diff, ctx_pct_pair)
-        else:
-            rice_encode(coverage_writer, coverage_diff, ctx_cov_chain)
-            arith_symbols.append(pct_diff)
-    # Never empty: the block's first record starts a run, so it is unpaired.
+    # Pct: chained differences, Rice-coded at paired sites and
+    # arithmetic-coded at the others — never none: the block's first
+    # record starts a run, so it is unpaired.
+    coverage_diffs = _zigzag_differences(coverages, run_starts, _BASELINE_COVERAGE)
+    pct_diffs = _zigzag_differences(pcts, run_starts, _BASELINE_PCT)
+    arith_symbols = pct_diffs[~paired].tolist()
     table = FrequencyTable.from_symbols(arith_symbols, _PCT_DIFF_ALPHABET)
 
+    widths = ends - starts
     for section in (
-        _varints([len(runs), *itertools.chain.from_iterable(runs)]),
-        _varints(starts[offset] for offset in run_offsets),
-        delta_writer.getvalue(),
-        _varints([len(width_runs), *itertools.chain.from_iterable(width_runs)]),
-        _varints(
-            [len(exceptions), *map(operator.sub, exceptions, [0] + exceptions[:-1])]
-        ),
-        coverage_writer.getvalue(),
+        _run_section(chroms, run_starts),
+        _varints(starts[run_starts].tolist()),
+        delta_section,
+        _run_section(widths, _run_starts(widths)),
+        _varints([len(exceptions), *np.diff(exceptions, prepend=0).tolist()]),
+        rice_encode_stream(coverage_diffs, paired, _COVERAGE_MEANS),
         table.serialize(),
         arithmetic_encode(arith_symbols, table),
-        pct_writer.getvalue(),
+        rice_encode_stream(pct_diffs[paired], None, (_PAIRED_PCT_MEAN,)),
     ):
         write_varint(out, len(section))
         out.extend(section)
@@ -282,9 +303,7 @@ def decode_columns(data: bytes) -> BedColumns:
 
     # -- starts --------------------------------------------------------------
     delta_reader = BitReader(delta_section)
-    ctx_after_pair = RiceContext(initial_mean=64.0)
-    ctx_island = RiceContext(initial_mean=8.0)
-    ctx_open = RiceContext(initial_mean=64.0)
+    ctx_after_pair, ctx_island, ctx_open = map(RiceContext, _DELTA_MEANS)
     starts: list[int] = []
     paired: list[bool] = []
     pos = 0
@@ -322,9 +341,8 @@ def decode_columns(data: bytes) -> BedColumns:
     arith_values = iter(arithmetic_decode(arith_section, paired.count(False), table))
     coverage_reader = BitReader(coverage_section)
     pct_reader = BitReader(pct_diff_section)
-    ctx_cov_pair = RiceContext(initial_mean=4.0)
-    ctx_cov_chain = RiceContext(initial_mean=6.0)
-    ctx_pct_pair = RiceContext(initial_mean=4.0)
+    ctx_cov_chain, ctx_cov_pair = map(RiceContext, _COVERAGE_MEANS)
+    ctx_pct_pair = RiceContext(_PAIRED_PCT_MEAN)
     coverages: list[int] = []
     pcts: list[int] = []
     for offset, (_rank, length) in zip(_run_offsets(runs), runs):

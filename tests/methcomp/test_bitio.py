@@ -1,5 +1,6 @@
 """Tests for bit-level I/O, varints and zigzag."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from repro.errors import CodecError
 from repro.methcomp.codec import (
     BitReader,
     BitWriter,
+    pack_words,
     read_varint,
     write_varint,
     zigzag_decode,
@@ -55,6 +57,61 @@ class TestBitIO:
             writer.write_bit(bit)
         reader = BitReader(writer.getvalue())
         assert [reader.read_bit() for _ in range(len(bits))] == bits
+
+
+def written_one_by_one(pairs: list[tuple[int, int]]) -> bytes:
+    writer = BitWriter()
+    for word, width in pairs:
+        writer.write_bits(word, width)
+    return writer.getvalue()
+
+
+def packed(pairs: list[tuple[int, int]]) -> bytes:
+    return pack_words(
+        np.array([word for word, _ in pairs], dtype=np.uint64),
+        np.array([width for _, width in pairs], dtype=np.int64),
+    )
+
+
+class TestPackWords:
+    """``pack_words`` is ``BitWriter.write_bits`` over a whole column."""
+
+    def test_msb_first(self):
+        assert packed([(0b1011, 4), (0b0001, 4)]) == bytes([0b10110001])
+        assert packed([(0b101, 3)]) == bytes([0b10100000])  # zero-padded
+
+    def test_no_words(self):
+        assert packed([]) == b"" == BitWriter().getvalue()
+
+    @pytest.mark.parametrize(
+        "widths",
+        [
+            [64],
+            [64, 64, 64],
+            [1] * 130,
+            [63, 1, 64, 1, 63],  # a cell filled exactly, then straddled
+            [1, 64, 64, 64],  # every word after the first straddles
+            [56, 56, 56, 56, 56, 56, 56, 56],  # ends on a cell boundary
+            [25, 40] * 9,  # escapes back to back
+        ],
+    )
+    def test_cell_boundaries(self, widths):
+        pairs = [((0x9E3779B97F4A7C15 * (index + 1)) % (1 << width), width)
+                 for index, width in enumerate(widths)]
+        assert packed(pairs) == written_one_by_one(pairs)
+        ones = [((1 << width) - 1, width) for width in widths]
+        assert packed(ones) == written_one_by_one(ones)
+
+    @given(
+        st.lists(
+            st.integers(1, 64).flatmap(
+                lambda width: st.tuples(st.integers(0, (1 << width) - 1), st.just(width))
+            ),
+            max_size=300,
+        )
+    )
+    def test_property_same_bytes_as_the_writer(self, pairs):
+        assert packed(pairs) == written_one_by_one(pairs)
 
 
 class TestVarint:

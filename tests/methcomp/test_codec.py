@@ -11,14 +11,17 @@ from repro.methcomp import (
     MethylomeGenerator,
     serialize_records,
 )
+from repro.methcomp.bed import BedColumns
 from repro.methcomp.codec import (
     compress,
     compress_records,
     compression_ratio,
     decode_block,
+    decode_columns,
     decompress,
     decompress_records,
     encode_block,
+    encode_columns,
     gzip_compress,
     gzip_decompress,
     gzip_ratio,
@@ -199,6 +202,51 @@ class TestCorruptBlocks:
         write_varint(container, len(join_block(count, sections)))
         with pytest.raises(CodecError):
             decompress(bytes(container) + join_block(count, sections))
+
+
+class TestRefusedColumns:
+    """``encode_columns`` writes no block that ``decode_columns`` then refuses."""
+
+    GOOD = dict(
+        chroms=[0, 0, 3], starts=[5, 6, 2], ends=[7, 8, 4],
+        strands=[False, True, False], coverages=[12, 13, 9], pcts=[10, 15, 100],
+    )
+
+    def test_the_good_columns_round_trip(self):
+        columns = BedColumns(**self.GOOD)
+        assert decode_columns(encode_columns(columns)) == columns
+
+    @pytest.mark.parametrize(
+        "column,values,message",
+        [
+            ("pcts", [10, -5, 100], "pcts column out of range at record 1: -5"),
+            ("pcts", [10, 15, 500], "pcts column out of range at record 2: 500"),
+            ("chroms", [0, 0, 99], "chroms column out of range at record 2: 99"),
+            ("chroms", [-1, 0, 3], "chroms column out of range at record 0: -1"),
+            ("starts", [-5, 6, 2], "starts column out of range at record 0: -5"),
+            ("ends", [7, 5, 4], "ends column out of range at record 1: 5"),
+            ("coverages", [12, 13, -9], "coverages column out of range at record 2: -9"),
+            ("coverages", [12, 1 << 63, 9], "coverages column holds a value beyond 64 bits"),
+            ("starts", [5, 6, -(1 << 70)], "starts column holds a value beyond 64 bits"),
+            ("ends", [7, 8], "columns differ in length: chroms 3, starts 3, ends 2"),
+            ("strands", [False] * 4, "columns differ in length: .*strands 4"),
+        ],
+    )
+    def test_one_bad_column(self, column, values, message):
+        """Each of these was encoded (or escaped as an IndexError) at PR 17."""
+        columns = BedColumns(**{**self.GOOD, column: values})
+        with pytest.raises(CodecError, match=message):
+            encode_columns(columns)
+
+    def test_the_first_bad_column_names_the_error(self):
+        columns = BedColumns(**{**self.GOOD, "pcts": [101, 15, 100], "starts": [5, -6, 2]})
+        with pytest.raises(CodecError, match="starts column"):
+            encode_columns(columns)
+
+    def test_an_empty_block_still_needs_equal_columns(self):
+        assert encode_columns(BedColumns.empty()) == encode_block([])
+        with pytest.raises(CodecError, match="columns differ in length"):
+            encode_columns(BedColumns([], [], [], [], [], [1]))
 
 
 class TestContainer:

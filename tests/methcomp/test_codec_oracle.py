@@ -2,10 +2,11 @@
 
 The compressed bytes are part of the model: the object store charges
 them, so one moved bit moves simulated seconds and dollars.  Everything
-here is therefore byte-for-byte — ``compress``, ``encode_block`` and
-``rice_encode_block`` output, what decodes back, and for bad input the
-``CodecError`` and its message — between ``repro.methcomp.codec`` and
-the bit-at-a-time, record-at-a-time code it replaced.
+here is therefore byte-for-byte — ``compress``, ``encode_block``,
+``rice_encode_block`` and ``rice_encode_stream`` output, what decodes
+back, and for bad input the ``CodecError`` and its message — between
+``repro.methcomp.codec`` and the bit-at-a-time, value-at-a-time,
+record-at-a-time code it replaced.
 
 The hypothesis tests are derandomized and explicitly seeded: the same
 examples run on every machine, and nothing is read from ``.hypothesis``.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -39,7 +41,9 @@ from repro.methcomp.codec import (
     encode_block,
     rice_decode_block,
     rice_encode_block,
+    rice_encode_stream,
 )
+from repro.methcomp.codec.rice import _parameters
 
 from . import reference_codec as ref
 
@@ -216,6 +220,234 @@ class TestRiceEscape:
         expected = outcome(ref.encode_block, records)
         assert expected[0] == "CodecError"
         assert outcome(encode_block, records) == expected
+
+
+# ----------------------------------------------------------------------
+# the Rice stream coder, value by value against the reference
+# ----------------------------------------------------------------------
+#: Lengths on both sides of a context's halvings: after 255 values, then every 128.
+BOUNDARY_LENGTHS = (1, 2, 254, 255, 256, 257, 382, 383, 384, 5000)
+MEANS = (1.0, 4.0, 64.0, 1e6, float(1 << 39))
+WIDEST = (1 << 40) - 1
+
+
+def ref_stream(values, contexts, initial_means) -> bytes:
+    """The reference coder walked over a multi-context stream."""
+    writer = ref.BitWriter()
+    states = [ref.RiceContext(mean) for mean in initial_means]
+    for value, context in zip(values, contexts):
+        ref.rice_encode(writer, value, states[context])
+    return writer.getvalue()
+
+
+def ref_stream_decode(data, contexts, initial_means) -> list[int]:
+    reader = ref.BitReader(data)
+    states = [ref.RiceContext(mean) for mean in initial_means]
+    return [ref.rice_decode(reader, states[context]) for context in contexts]
+
+
+def drawn_values(rng: random.Random, count: int, shape: str) -> list[int]:
+    draw = {
+        "zeros": lambda: 0,
+        "small": lambda: rng.randrange(4),
+        "geometric": lambda: int(rng.expovariate(1 / 40)),
+        "mixed": lambda: rng.choice(
+            (0, 1, rng.randrange(100), rng.randrange(100_000), rng.randrange(1 << 40))
+        ),
+        "wide": lambda: rng.randrange(1 << 36, 1 << 40),
+    }[shape]
+    return [draw() for _ in range(count)]
+
+
+class TestStreamCoder:
+    @pytest.mark.parametrize("initial_mean", MEANS)
+    @pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
+    def test_one_context_around_the_reset_boundaries(self, length, initial_mean):
+        rng = random.Random(length)
+        for shape in ("zeros", "small", "geometric", "mixed", "wide"):
+            values = drawn_values(rng, length, shape)
+            data = rice_encode_block(values, initial_mean)
+            assert data == ref.rice_encode_block(values, initial_mean), shape
+            assert ref.rice_decode_block(data, length, initial_mean) == values
+            assert rice_encode_stream(np.array(values), None, (initial_mean,)) == data
+            assert rice_encode_stream(np.array(values, dtype=np.uint64), None, (initial_mean,)) == data
+
+    @pytest.mark.parametrize("seed_", SEEDS)
+    @pytest.mark.parametrize("lengths", [
+        (255, 256, 257), (1, 384, 0), (383, 2, 254), (382, 5000, 255), (0, 0, 384),
+    ])
+    def test_three_contexts_each_at_its_own_boundary(self, lengths, seed_):
+        """Each context halves on its own count, wherever its values sit in the stream."""
+        rng = random.Random(seed_)
+        contexts = [index for index, length in enumerate(lengths) for _ in range(length)]
+        rng.shuffle(contexts)
+        initial_means = rng.sample(MEANS, 3)
+        for shape in ("small", "geometric", "mixed"):
+            values = drawn_values(rng, len(contexts), shape)
+            data = rice_encode_stream(values, np.array(contexts), initial_means)
+            assert data == ref_stream(values, contexts, initial_means), shape
+            assert ref_stream_decode(data, contexts, initial_means) == values
+
+    def test_a_context_is_picked_by_a_boolean_mask_too(self):
+        rng = random.Random(12)
+        mask = [rng.random() < 0.4 for _ in range(900)]
+        values = drawn_values(rng, 900, "geometric")
+        data = rice_encode_stream(np.array(values), np.array(mask), (6.0, 4.0))
+        assert data == ref_stream(values, mask, (6.0, 4.0))
+
+    def test_empty_streams(self):
+        assert rice_encode_block([]) == ref.rice_encode_block([]) == b""
+        assert rice_encode_stream(np.array([], dtype=np.int64), None, (4.0,)) == b""
+        nobody = np.array([], dtype=np.int64)
+        assert rice_encode_stream(nobody, nobody, (64.0, 8.0, 64.0)) == b""
+
+    @pytest.mark.parametrize("initial_mean", MEANS)
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [WIDEST],
+            [WIDEST] * 9,  # escapes side by side, across cell boundaries
+            [WIDEST, 0, 0, WIDEST],  # at both ends
+            [0, 1, WIDEST, WIDEST, 2, 10**9, 10**9, 0],
+            [3] * 254 + [WIDEST, WIDEST] + [3] * 127 + [10**11, 5],  # across both halvings
+        ],
+    )
+    def test_escapes_next_to_each_other_and_at_the_ends(self, values, initial_mean):
+        data = rice_encode_block(values, initial_mean)
+        assert data == ref.rice_encode_block(values, initial_mean)
+        assert rice_decode_block(data, len(values), initial_mean) == values
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [5, -1, 1 << 40],  # the negative one first
+            [5, 1 << 40, -1],  # the wide one first
+            [-3, -1, 1 << 41],
+            [(1 << 40) + 2, 1 << 40, -9],
+            [0, 1 << 63],  # beyond int64
+            [7, 1 << 64, -2, 1 << 40],
+            [7, 1 << 40, 1 << 64],  # an int64 offender before the one that does not fit
+            [7, -2, 1 << 200],
+            [-(1 << 63) - 1, 1 << 40],  # beyond int64 and negative
+            [1, 1 << 70, -(1 << 70)],
+        ],
+    )
+    def test_the_first_offending_value_names_the_error(self, values):
+        expected = outcome(ref.rice_encode_block, values)
+        assert expected[0] == "CodecError" and str(next(
+            value for value in values if not 0 <= value <= WIDEST
+        )) in expected[1]
+        assert outcome(rice_encode_block, values) == expected
+        contexts = np.arange(len(values)) % 3
+        assert outcome(rice_encode_stream, values, contexts, (64.0, 8.0, 64.0)) == expected
+        if all(-(1 << 63) <= value < 1 << 63 for value in values):
+            assert outcome(rice_encode_stream, np.array(values), None, (4.0,)) == expected
+
+    def test_an_unsigned_column_is_read_as_unsigned(self):
+        """2^64 - 1 as uint64 is too wide, not the -1 its bits spell as int64."""
+        values = np.array([4, (1 << 64) - 1], dtype=np.uint64)
+        assert outcome(rice_encode_stream, values, None, (4.0,)) == outcome(
+            ref.rice_encode_block, [4, (1 << 64) - 1]
+        )
+
+    @pytest.mark.parametrize("initial_mean", (1e19, 1e30, float(1 << 62)))
+    def test_an_initial_mean_beyond_int64(self, initial_mean):
+        """``accumulated`` is a Python int on both sides, so neither wraps."""
+        rng = random.Random(3)
+        values = drawn_values(rng, 9000, "small")  # 68 halvings: 2^62 comes all the way down
+        assert rice_encode_block(values, initial_mean) == ref.rice_encode_block(values, initial_mean)
+
+    def test_a_column_whose_running_sum_leaves_int64(self):
+        """2^23 + 304 values of 2^40 - 1 sum past 2^63; a segment's never pass 2^48.
+
+        Every one of them escapes whatever the parameter is (the bytes
+        say nothing), so this reads the parameters themselves: 32 all
+        the way through, then, over a tail of small values, exactly the
+        reference context's.  That context is brought to the state the
+        long run leaves by a short run: a run of equal values reaches a
+        fixed point at the segment starts, checked here, and a segment
+        is 128 values wherever it is.
+        """
+        long_run = (1 << 23) + 304
+        short_run = 255 + 128 * 80 + (long_run - 255) % 128
+        context = ref.RiceContext(float(1 << 39))
+        at_segment_starts = []
+        for index in range(short_run):
+            if (index - 255) % 128 == 0:
+                at_segment_starts.append(context.accumulated)
+            context.update(WIDEST)
+        assert at_segment_starts[-1] == at_segment_starts[-2] == at_segment_starts[-3]
+
+        tail = drawn_values(random.Random(8), 6000, "small")
+        expected = []
+        for value in tail:
+            expected.append(context.parameter())
+            context.update(value)
+        assert expected[0] == 32 and expected[-1] < 3 and len(set(expected)) > 20
+
+        column = np.full(long_run + len(tail), WIDEST, dtype=np.int64)
+        column[long_run:] = tail
+        assert WIDEST * long_run > (1 << 63)
+        parameters = _parameters(column, 1 << 39)
+        assert parameters[:long_run].min() == parameters[:long_run].max() == 32
+        assert parameters[long_run:].tolist() == expected
+
+    def test_a_long_wide_column_byte_for_byte(self):
+        rng = random.Random(19)
+        values = drawn_values(rng, 20_000, "wide") + drawn_values(rng, 4000, "geometric")
+        data = rice_encode_block(values, 64.0)
+        assert data == ref.rice_encode_block(values, 64.0)
+
+
+# ----------------------------------------------------------------------
+# a chromosome run starting at every kind of position
+# ----------------------------------------------------------------------
+class TestRunStartPositions:
+    """The context a run start resets, wherever the run before it stopped."""
+
+    def test_run_start_right_after_a_pair(self):
+        same_block([
+            site("chr1", 10), site("chr1", 11, "-"),  # a pair ends chr1
+            site("chr2", 5), site("chr2", 6, "-"), site("chr2", 7, "-"),
+            site("chr4", 1),
+        ])
+
+    def test_single_record_runs_between_longer_ones(self):
+        same_block([
+            site("chr1", 3), site("chr1", 4, "-"), site("chr1", 30),
+            site("chr2", 900),  # alone
+            site("chr3", 0),  # alone
+            site("chr5", 10), site("chr5", 11, "-"), site("chr5", 12), site("chr5", 4000),
+            site("chrM", 1),  # alone, last
+        ])
+
+    def test_second_record_is_a_run_start(self):
+        same_block([site("chr1", 7), site("chr2", 7), site("chr2", 8, "-")])
+
+    def test_a_run_start_one_past_the_previous_start(self):
+        """Start 11 after start 10, but on the next chromosome: not a pair, not a delta."""
+        same_block([
+            site("chr1", 9), site("chr1", 10, "-"), site("chr2", 11, "-"),
+            site("chr2", 12, "-", coverage=400, pct=0), site("chr3", 13),
+        ])
+
+    @pytest.mark.parametrize("seed_", SEEDS)
+    def test_run_starts_everywhere(self, seed_):
+        """Runs of 1 to 4 records — singles, pairs, islands, open sea — 600 of them."""
+        rng = random.Random(seed_)
+        records = []
+        for index in range(600):
+            chrom = CHROMOSOMES[index * len(CHROMOSOMES) // 600]
+            # Same chromosome as the run before: this "run" continues it.
+            position = records[-1].start if records and records[-1].chrom == chrom else 0
+            for _ in range(rng.randrange(1, 5)):
+                position += rng.choice((0, 1, 1, 1, 5, 16, 17, 300, 1 << 21))
+                records.append(
+                    site(chrom, position, rng.choice("+-"), rng.randrange(0, 80),
+                         rng.randrange(0, 101), width=rng.choice((2, 2, 2, 0, 9)))
+                )
+        same_block(records)
+        same_bytes(serialize_records(records), block_records=97)
 
 
 # ----------------------------------------------------------------------

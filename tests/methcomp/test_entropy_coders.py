@@ -77,6 +77,18 @@ class TestFrequencyTable:
         with pytest.raises(CodecError):
             FrequencyTable([1, -1])
 
+    def test_from_symbols_counts(self):
+        assert FrequencyTable.from_symbols([3, 0, 3, 1], 4).counts == [1, 1, 0, 2]
+
+    @pytest.mark.parametrize(
+        "symbols,stray",
+        [([-1, 0], -1), ([0, 4], 4), ([1, 9, -3], 9), ([2, -4, 1, 7], -4)],
+    )
+    def test_from_symbols_rejects_a_symbol_outside_the_alphabet(self, symbols, stray):
+        """A negative one used to be counted into the last slot; a large one was an IndexError."""
+        with pytest.raises(CodecError, match=f"symbol {stray} outside the alphabet 0..3"):
+            FrequencyTable.from_symbols(symbols, 4)
+
     def test_cumulative_structure(self):
         table = FrequencyTable([2, 0, 3])
         assert table.total == 5

@@ -8,6 +8,7 @@ import pytest
 from repro.cloud.environment import Cloud
 from repro.core import ExperimentConfig
 from repro.core.experiment import dataset_payload
+from repro.methcomp.bed import MethylationRecord, is_sorted, parse_buffer, serialize_records
 from repro.methcomp.datagen import (
     MethylomeGenerator,
     generate_skewed_bed_bytes,
@@ -26,6 +27,28 @@ PARENT_SHA256 = {
     2021: "9bcca243fc2188d7cf4d0900982b92dd53598685bd8f094a6356dee0a807bf9d",
     7: "7e1509fc4cf03cc5c55036773dfa67779de07e51e67c3b0879fcdab8cbdd4c01",
     47: "4886a6cd1096f0c794ba6ddcb42dc4d0baf6899156e9beeae5d11ed8e3c0c90d",
+}
+
+#: Pinned at commit fab3573, when the generators still built a
+#: ``MethylationRecord`` per line and serialized the list afterwards.
+#: The ledger's ``dataplane`` input (``logical_scale=256``, seed 2021):
+DATAPLANE_SHA256 = "4338dbdaf640eb605613efc26ef988c0f83dc1db2079c46a9fbd79ffd86523ec"
+#: ``methylome_payload(3_670_016, 2021, "uniform", 1.2, 64, True)``:
+SORTED_SHA256 = "566c1f1525c2b475524b082f776bd0857e9f3781977bd910c1eb30952dabdbd9"
+#: ``methylome_payload(400_000, 2021, law, 1.2, 64, False)``:
+SKEWED_SHA256 = {
+    "zipf": "cb005ff4f060ebe557d49788a0a311fe07929a766f26386c3bf606edb4deab2e",
+    "heavy-dup": "72b79b725a830da7dda778032d226ec3f18c9dcf616bc487282feb24173e2ba4",
+    "sorted-runs": "8e019e0f582ab6dc1eb0d961b0de7fa6a0f4967cf4d91a05ad3626afdd081a84",
+    "late-hot": "0eb59a200f4bec599cd3208f121d78124bfba01a8f80250559469c4ed7360f48",
+}
+#: ``sorted_output`` → (sha256 of ``generate_bed_bytes(400_000)`` at seed
+#: 2021, the generator's next ``random()`` afterwards).
+NEXT_DRAW = {
+    False: ("782feda89fdfd6ba9bf230ff95a350ce302e2e6ec5b5afc33b2e59cd38fa605d",
+            0.8591795027342626),
+    True: ("ff37ffca62862630e94efb9dd84e45e8180bea4171c35685cb2ca4c2d029daa1",
+           0.9783668096770559),
 }
 
 
@@ -86,6 +109,39 @@ class TestMemo:
         assert config.real_bytes == 3_670_016
         payload = dataset_payload(config)
         assert hashlib.sha256(payload).hexdigest() == PARENT_SHA256[seed]
+
+    def test_dataplane_payload(self):
+        config = ExperimentConfig(logical_scale=256.0, seed=2021)
+        assert config.real_bytes == 14_680_064
+        assert hashlib.sha256(dataset_payload(config)).hexdigest() == DATAPLANE_SHA256
+
+    def test_sorted_payload(self):
+        payload = methylome_payload(3_670_016, 2021, "uniform", 1.2, 64, True)
+        assert hashlib.sha256(payload).hexdigest() == SORTED_SHA256
+
+    @pytest.mark.parametrize("law", sorted(SKEWED_SHA256))
+    def test_skewed_payloads(self, law):
+        payload = methylome_payload(400_000, 2021, law, 1.2, 64, False)
+        assert hashlib.sha256(payload).hexdigest() == SKEWED_SHA256[law]
+
+    @pytest.mark.parametrize("sorted_output", sorted(NEXT_DRAW))
+    def test_the_generator_is_left_in_the_same_state(self, sorted_output):
+        """Same draws in the same order: the next one is the same too."""
+        generator = MethylomeGenerator(seed=2021)
+        payload = generator.generate_bed_bytes(400_000, sorted_output=sorted_output)
+        digest, next_draw = NEXT_DRAW[sorted_output]
+        assert hashlib.sha256(payload).hexdigest() == digest
+        assert generator._rng.random() == next_draw
+
+    @pytest.mark.parametrize("seed", (2021, 7))
+    def test_records_are_the_parse_of_the_sorted_payload(self, seed):
+        records = MethylomeGenerator(seed=seed).records(4_000)
+        payload = MethylomeGenerator(seed=seed).generate_bed(4_000, sorted_output=True)
+        assert parse_buffer(payload) == records
+        assert is_sorted(records)
+        shuffled = MethylomeGenerator(seed=seed).shuffled_records(4_000)
+        assert serialize_records(shuffled) == MethylomeGenerator(seed=seed).generate_bed(4_000)
+        assert sorted(shuffled, key=MethylationRecord.sort_key) == records
 
 
 class TestCallers:

@@ -16,8 +16,9 @@ default of a full second each whatever their speed.
 import pytest
 
 from repro.experiments import format_table, sweep_codec
-from repro.methcomp import MethylomeGenerator, serialize_records
+from repro.methcomp import MethylomeGenerator, parse_columns, serialize_records
 from repro.methcomp.codec import compress, decompress, gzip_compress
+from repro.methcomp.datagen import methylome_payload
 
 pytestmark = pytest.mark.benchmark(max_time=0.1, min_rounds=5)
 
@@ -65,6 +66,29 @@ def test_codec_decode_throughput(benchmark, corpus):
     compressed = compress(corpus)
     restored = benchmark(decompress, compressed)
     assert restored == corpus
+
+
+def test_partition_parse(benchmark, partitions):
+    """Text to columns alone: what the encode stage does before the coder sees a value."""
+
+    def parse():
+        return [parse_columns(partition) for partition in partitions]
+
+    columns = benchmark.pedantic(parse, rounds=5, iterations=1, warmup_rounds=1)
+    assert sum(len(part.starts) for part in columns) == 59_193
+    assert all(part.starts.dtype == "int64" for part in columns)  # the bulk tier took them
+
+
+def test_cold_payload(benchmark):
+    """One ``table1`` input generated from nothing: what every cache miss of a sweep pays."""
+
+    def generate():
+        methylome_payload.cache_clear()
+        return methylome_payload(3_670_016, 2021, "uniform", 1.2, 64, False)
+
+    payload = benchmark.pedantic(generate, rounds=3, iterations=1, warmup_rounds=1)
+    methylome_payload.cache_clear()
+    assert payload.count(b"\n") == 59_193
 
 
 def test_codec_partition_encode(benchmark, partitions):

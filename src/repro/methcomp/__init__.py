@@ -21,7 +21,6 @@ from repro.methcomp.datagen import (
     MethylomeGenerator,
     MethylomeProfile,
     estimate_record_count,
-    upload_dataset,
 )
 from repro.methcomp.pipeline import bed_record_codec, decode_worker, encode_worker
 
@@ -47,5 +46,4 @@ __all__ = [
     "serialize_columns",
     "serialize_record",
     "serialize_records",
-    "upload_dataset",
 ]

@@ -140,7 +140,11 @@ def _read_runs(section: bytes, count: int, what: str) -> list[tuple[int, int]]:
 # block encoding
 # ----------------------------------------------------------------------
 def _checked_arrays(columns: BedColumns) -> tuple[np.ndarray, ...]:
-    """The columns as arrays, or the error for what ``decode_columns`` would refuse."""
+    """The columns as arrays, or the error for what ``decode_columns`` would refuse.
+
+    The parser's ``int64`` / ``bool`` arrays pass through as they are;
+    lists (the decoder's, ``columns_of``'s) are converted here.
+    """
     lengths = [len(column) for column in columns]
     if len(set(lengths)) > 1:
         sizes = ", ".join(f"{name} {length}" for name, length in zip(columns._fields, lengths))
@@ -148,7 +152,7 @@ def _checked_arrays(columns: BedColumns) -> tuple[np.ndarray, ...]:
     arrays = {}
     for name, column in zip(columns._fields, columns):
         try:
-            arrays[name] = np.array(column, dtype=bool if name == "strands" else np.int64)
+            arrays[name] = np.asarray(column, dtype=bool if name == "strands" else np.int64)
         except OverflowError:
             raise CodecError(f"{name} column holds a value beyond 64 bits") from None
     for name, refused in (

@@ -15,6 +15,25 @@ compression gain comes from:
 Records are emitted *shuffled* (deterministically): a raw pipeline input
 is not in genomic order, which is exactly why the paper's first stage is
 a sort.
+
+**The draw order is the payload.**  A payload is a pure function of
+``(seed, count)`` only because each generator makes the same
+``random.Random`` calls in the same order every time: per chromosome
+``randrange``, ``random``, ``betavariate``; per site the island draws,
+the domain draw (and at a switch ``random`` then ``betavariate``), the
+methylation ``gauss``, the coverage ``gauss``, the pairing ``random``
+and for a pair two more ``gauss`` — ``gauss`` keeps its second value for
+the next call, so even a skipped one shifts everything after it — and
+last one ``shuffle`` of a list as long as the record count.  Every
+staged input, its sha256 in a run manifest, and so every simulated byte
+downstream hangs off that sequence (pinned in
+``tests/methcomp/test_payload_memo.py``): an edit here may change how a
+draw is *stored*, never which draw is made or when.
+
+No object is built per record: the generators fill six column lists,
+the lines are formatted from those in one pass, and what
+:class:`~repro.methcomp.bed.MethylationRecord` would have checked per
+record the array parser checks on the finished payload.
 """
 
 from __future__ import annotations
@@ -24,7 +43,14 @@ import functools
 import random
 import typing as t
 
-from repro.methcomp.bed import CHROMOSOMES, MethylationRecord, serialize_records
+from repro.methcomp.bed import (
+    CHROMOSOMES,
+    BedColumns,
+    MethylationRecord,
+    column_lines,
+    parse_columns,
+    records_of,
+)
 from repro.shuffle.skew import SkewSpec, skewed_keys
 
 #: Relative chromosome lengths (hg38-proportioned, arbitrary units).
@@ -93,6 +119,37 @@ def estimate_record_count(target_bytes: int) -> int:
     return max(1, target_bytes // APPROX_LINE_BYTES)
 
 
+#: Most payload bytes validated in one parse.  The parser's working set
+#: is a dozen times its input: 1 MB blocks raised the ledger's
+#: ``control`` peak RSS by 7 MB and whole-payload validation
+#: ``dataplane``'s by 20 MB; at 256 kB neither moves, for 10 % more
+#: time in a step that is a tenth of a generation.
+_VALIDATION_BLOCK_BYTES = 1 << 18
+
+
+def _validated(generate: t.Callable[..., bytes]) -> t.Callable[..., bytes]:
+    """Check every line of the payload ``generate`` returns before handing it on.
+
+    What :class:`~repro.methcomp.bed.MethylationRecord` would refuse
+    record by record, the array parser refuses here, in blocks of whole
+    lines and after ``generate``'s own lists are gone: the
+    :class:`~repro.errors.CodecError` is the first bad line's (a profile
+    with a negative gap can walk a position below zero, say).
+    """
+
+    @functools.wraps(generate)
+    def checked(*args, **kwargs) -> bytes:
+        payload = generate(*args, **kwargs)
+        begin = 0
+        while begin < len(payload):
+            end = payload.rfind(b"\n", begin, begin + _VALIDATION_BLOCK_BYTES) + 1
+            parse_columns(payload[begin:end])
+            begin = end
+        return payload
+
+    return checked
+
+
 class MethylomeGenerator:
     """Deterministic generator of synthetic bedMethyl records."""
 
@@ -101,8 +158,8 @@ class MethylomeGenerator:
         self._rng = random.Random(seed)
 
     # ------------------------------------------------------------------
-    def records(self, count: int) -> list[MethylationRecord]:
-        """Generate ``count`` records in genomic order."""
+    def columns(self, count: int) -> BedColumns:
+        """Generate ``count`` records in genomic order, as columns."""
         profile = self.profile
         rng = self._rng
         weights = [_CHROM_WEIGHTS[chrom] for chrom in CHROMOSOMES]
@@ -114,8 +171,12 @@ class MethylomeGenerator:
         drift = count - sum(allocations)
         allocations[0] += drift
 
-        out: list[MethylationRecord] = []
-        for chrom, allocation in zip(CHROMOSOMES, allocations):
+        chroms: list[int] = []
+        starts: list[int] = []
+        strands: list[bool] = []
+        coverages: list[int] = []
+        pcts: list[int] = []
+        for rank, allocation in enumerate(allocations):
             position = rng.randrange(10_000, 50_000)
             island_remaining = 0
             emitted = 0
@@ -151,39 +212,35 @@ class MethylomeGenerator:
                 )
                 coverage = max(1, round(coverage_level))
 
-                out.append(
-                    MethylationRecord(
-                        chrom=chrom,
-                        start=position,
-                        end=position + 2,  # CpG dinucleotide
-                        strand="+",
-                        coverage=coverage,
-                        pct_meth=pct,
-                    )
-                )
+                starts.append(position)
+                strands.append(False)
+                coverages.append(coverage)
+                pcts.append(pct)
                 emitted += 1
                 if emitted < allocation and rng.random() < profile.pair_fraction:
-                    # Complementary-strand observation of the same CpG.
-                    paired_coverage = max(
-                        1,
-                        coverage
-                        + round(rng.gauss(0.0, profile.pair_coverage_jitter)),
-                    )
-                    paired_pct = _clamp_pct(
-                        pct + rng.gauss(0.0, profile.pair_meth_jitter)
-                    )
-                    out.append(
-                        MethylationRecord(
-                            chrom=chrom,
-                            start=position + 1,
-                            end=position + 3,
-                            strand="-",
-                            coverage=paired_coverage,
-                            pct_meth=paired_pct,
+                    # Complementary-strand observation of the same CpG,
+                    # one base over.
+                    starts.append(position + 1)
+                    strands.append(True)
+                    coverages.append(
+                        max(
+                            1,
+                            coverage
+                            + round(rng.gauss(0.0, profile.pair_coverage_jitter)),
                         )
                     )
+                    pcts.append(
+                        _clamp_pct(pct + rng.gauss(0.0, profile.pair_meth_jitter))
+                    )
                     emitted += 1
-        return out
+            chroms.extend([rank] * allocation)
+        # A CpG dinucleotide: every interval is two bases wide.
+        ends = [start + 2 for start in starts]
+        return BedColumns(chroms, starts, ends, strands, coverages, pcts)
+
+    def records(self, count: int) -> list[MethylationRecord]:
+        """Generate ``count`` records in genomic order."""
+        return records_of(self.columns(count))
 
     def _domain_level(self, rng: random.Random, methylated: bool) -> float:
         profile = self.profile
@@ -199,10 +256,15 @@ class MethylomeGenerator:
         self._rng.shuffle(records)
         return records
 
+    @_validated
     def generate_bed(self, count: int, sorted_output: bool = False) -> bytes:
         """Serialized bedMethyl payload of ``count`` records."""
-        records = self.records(count) if sorted_output else self.shuffled_records(count)
-        return serialize_records(records)
+        lines = column_lines(self.columns(count))
+        if not sorted_output:
+            # The permutation depends on the list's length alone, so the
+            # lines land where the records they spell used to.
+            self._rng.shuffle(lines)
+        return "".join(lines).encode("ascii")
 
     def generate_bed_bytes(
         self, target_bytes: int, sorted_output: bool = False
@@ -213,6 +275,7 @@ class MethylomeGenerator:
         )
 
 
+@_validated
 def generate_skewed_bed_bytes(
     target_bytes: int,
     seed: int = 0,
@@ -258,24 +321,22 @@ def generate_skewed_bed_bytes(
     # realistic coordinate range), so integer-key order equals
     # bed_sort_key order and the skew survives the mapping.
     per_chrom = max(1, spec.key_space // len(CHROMOSOMES))
-    records = []
+    chroms, starts, coverages, pcts = [], [], [], []
     for key in keys:
         chrom_rank = min(len(CHROMOSOMES) - 1, key // per_chrom)
         offset = key - chrom_rank * per_chrom
-        position = 10_000 + (offset * 200_000_000) // per_chrom
-        records.append(
-            MethylationRecord(
-                chrom=CHROMOSOMES[chrom_rank],
-                start=position,
-                end=position + 2,
-                strand="+",
-                coverage=max(1, round(rng.gauss(18.0, 4.0))),
-                pct_meth=_clamp_pct(rng.gauss(72.0, 20.0)),
-            )
+        chroms.append(chrom_rank)
+        starts.append(10_000 + (offset * 200_000_000) // per_chrom)
+        coverages.append(max(1, round(rng.gauss(18.0, 4.0))))
+        pcts.append(_clamp_pct(rng.gauss(72.0, 20.0)))
+    lines = column_lines(
+        BedColumns(
+            chroms, starts, [start + 2 for start in starts], [False] * len(keys), coverages, pcts
         )
+    )
     if distribution not in ("sorted-runs", "late-hot"):
-        rng.shuffle(records)
-    return serialize_records(records)
+        rng.shuffle(lines)
+    return "".join(lines).encode("ascii")
 
 
 @functools.lru_cache(maxsize=8)
@@ -310,25 +371,3 @@ def methylome_payload(
         zipf_s=zipf_s,
         distinct_keys=distinct_keys,
     )
-
-
-def upload_dataset(
-    cloud,
-    bucket: str,
-    key: str,
-    real_bytes: int,
-    seed: int = 0,
-    profile: MethylomeProfile | None = None,
-    sorted_output: bool = False,
-) -> t.Generator:
-    """Simulation process: generate and PUT a dataset; returns metadata.
-
-    ``real_bytes`` is the *real* payload size; with a scaled cloud
-    profile the logical size seen by the performance model is
-    ``real_bytes * logical_scale``.
-    """
-    generator = MethylomeGenerator(seed=seed, profile=profile)
-    payload = generator.generate_bed_bytes(real_bytes, sorted_output=sorted_output)
-    cloud.store.ensure_bucket(bucket)
-    meta = yield cloud.store.put(bucket, key, payload)
-    return meta

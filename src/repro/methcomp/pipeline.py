@@ -15,10 +15,14 @@ record codec used by the shuffle.
 
 from __future__ import annotations
 
-import itertools
 import typing as t
 
-from repro.methcomp.bed import CHROM_RANK, bed_sort_key, parse_columns, serialize_columns
+from repro.methcomp.bed import (
+    bed_sort_key,
+    chromosome_ranks,
+    parse_columns,
+    serialize_columns,
+)
 from repro.methcomp.codec.methcodec import (
     DECODE_THROUGHPUT_BPS,
     ENCODE_THROUGHPUT_BPS,
@@ -27,33 +31,6 @@ from repro.methcomp.codec.methcodec import (
 )
 from repro.shuffle import kernels
 from repro.shuffle.records import LineRecordCodec
-
-#: Lookup tables for the vectorized BED key, built on first use (kept
-#: out of pickled codec payloads, and numpy stays optional at import).
-_BED_TABLES: dict[str, t.Any] = {}
-
-
-def _bed_tables():
-    np = kernels.np
-    codes = {
-        int.from_bytes(name.encode("ascii"), "big"): rank
-        for name, rank in CHROM_RANK.items()
-    }
-    # A perfect hash — the smallest modulus no two known names collide
-    # under — makes the per-line lookup one ``%`` and one take.  Slot
-    # ``s`` starts at ``s + 1``, which no code hashing to ``s`` equals.
-    modulus = next(
-        m for m in itertools.count(2) if len({c % m for c in codes}) == len(codes)
-    )
-    slot_codes = np.arange(1, modulus + 1, dtype=np.uint64)
-    slot_ranks = np.zeros(modulus, dtype=np.uint64)
-    for code, rank in codes.items():
-        slot_codes[code % modulus], slot_ranks[code % modulus] = code, rank
-    # ``shifts[w]``: right shift leaving the first ``w`` of eight big-endian bytes.
-    shifts = (8 * (8 - np.arange(9))).astype(np.uint64)
-    _BED_TABLES.update(codes=slot_codes, ranks=slot_ranks, shifts=shifts)
-    return _BED_TABLES
-
 
 class BedKeySpec(kernels.KeySpec):
     """Vectorized genomic sort key for bedMethyl lines.
@@ -93,19 +70,15 @@ class BedKeySpec(kernels.KeySpec):
             return None  # a key field leaks past the window, or no name
         if bool((second_tab >= ends - starts).any()):
             return None
-        # The name is the top ``first_tab`` bytes of the head's first
-        # big-endian word; look it up against the known names.
-        tables = _BED_TABLES or _bed_tables()
-        codes = head[:, :8].copy().view(">u8").ravel() >> tables["shifts"][first_tab]
-        slots = (codes % np.uint64(len(tables["codes"]))).astype(np.intp)
-        if bool((tables["codes"][slots] != codes).any()):
+        ranks = chromosome_ranks(head, first_tab)
+        if ranks is None:
             return None  # unknown chromosome: scalar path raises CodecError
         start_values = kernels.decimal_field_values(
             flat, row_starts + first_tab + 1, row_starts + second_tab
         )
         if start_values is None or int(start_values.max()) >= 2**32:
             return None
-        return (tables["ranks"][slots] << np.uint64(32)) | start_values
+        return (ranks << np.uint64(32)) | start_values
 
     def to_u64(self, key) -> int | None:
         if not isinstance(key, tuple) or len(key) != 2:

@@ -1,5 +1,6 @@
 """Tests for the bedMethyl record format."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -148,7 +149,7 @@ class TestColumns:
     def test_parse_and_serialize_match_the_per_line_functions(self):
         buffer = b"".join(serialize_record(record) + b"\n" for record in self.RECORDS)
         assert serialize_columns(columns_of(self.RECORDS)) == buffer
-        assert parse_columns(buffer) == columns_of(self.RECORDS)
+        assert parse_columns(buffer).lists() == columns_of(self.RECORDS)
         assert records_of(parse_columns(buffer)) == [
             parse_line(line) for line in buffer.splitlines()
         ]
@@ -165,6 +166,43 @@ class TestColumns:
             b"chr2\t7\t9\t.\t3\t+\t7\t9\t255,0,0\t3\t10\n"
         )
 
+    def test_the_parser_hands_arrays_and_every_consumer_takes_them(self):
+        buffer = serialize_records(self.RECORDS)
+        columns = parse_columns(buffer)
+        assert [column.dtype for column in columns] == [
+            np.int64, np.int64, np.int64, np.bool_, np.int64, np.int64
+        ]
+        assert columns.lists() == columns_of(self.RECORDS)
+        assert all(type(column) is list for column in columns.lists())
+        assert {type(value) for value in columns.lists().starts} == {int}
+        assert columns.in_range()
+        assert records_of(columns) == self.RECORDS
+        assert serialize_columns(columns) == buffer
+        lists = columns_of(self.RECORDS)
+        assert all(mine is theirs for mine, theirs in zip(lists.lists(), lists))
+
+    def test_in_range_on_arrays(self):
+        good = BedColumns([0], [5], [7], [False], [1], [100])
+        assert BedColumns(*map(np.array, good)).in_range()
+        for field, value in (("starts", -1), ("ends", 4), ("coverages", -1),
+                             ("pcts", 101), ("pcts", -1)):
+            bad = good._replace(**{field: [value]})
+            assert not bad.in_range()
+            assert not BedColumns(*map(np.array, bad)).in_range()
+        assert BedColumns(*(np.array([], dtype=np.int64) for _ in range(6))).in_range()
+
+    def test_the_per_line_walk_hands_lists(self):
+        """A buffer the bulk tier hands over comes back as ``columns_of`` makes it."""
+        line = b"chr2\t7\t9\t.\t+3\t+\t7\t9\t255,0,0\t3\t10"
+        assert all(type(column) is list for column in parse_columns(line))
+
+    def test_leading_zeros_are_digits(self):
+        """``int`` and the array parser read "007" alike, so no walk is needed."""
+        line = b"chr2\t07\t9\t.\t003\t+\t007\t09\t255,0,0\t3\t010\n"
+        columns = parse_columns(line)
+        assert type(columns.starts) is np.ndarray
+        assert records_of(columns) == [parse_line(line)]
+
     def test_records_of_validates(self):
         with pytest.raises(CodecError):
             records_of(BedColumns([0], [5], [7], [False], [1], [101]))
@@ -173,7 +211,7 @@ class TestColumns:
     def test_property_column_roundtrip(self, records):
         buffer = b"".join(serialize_record(record) + b"\n" for record in records)
         columns = parse_columns(buffer)
-        assert columns == columns_of(records)
+        assert columns.lists() == columns_of(records)
         assert serialize_columns(columns) == buffer
 
 
@@ -190,6 +228,29 @@ class TestSortKey:
     def test_unknown_chrom_in_line_rejected(self):
         with pytest.raises(CodecError):
             bed_sort_key(b"chrZZ\t1\t3\t.\t1\t+\t1\t3\t255,0,0\t1\t0")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"chr1\t123",  # one tab: the slice used to drop the last digit, (0, 12)
+            b"chr1",
+            b"",
+            b"chr1\t-5\t7\t.\t1\t+\t-5\t7\t255,0,0\t1\t0",  # used to sort first, (0, -5)
+            b"chr1\tabc\t5",  # used to leak ValueError
+            b"chr1\t\t5",
+            b"chr1\t1.5\t5",
+            b"chr\xff\t1\t5",  # used to leak UnicodeDecodeError
+        ],
+    )
+    def test_torn_or_malformed_line_is_a_codec_error(self, line):
+        with pytest.raises(CodecError) as raised:
+            bed_sort_key(line)
+        assert repr(line) in str(raised.value)
+
+    @pytest.mark.parametrize("field", [b" 12", b"12 ", b"+12", b"012", b"1_2"])
+    def test_spellings_parse_line_accepts_stay_accepted(self, field):
+        line = b"chr3\t" + field + b"\t14\t.\t1\t+\t12\t14\t255,0,0\t1\t0"
+        assert bed_sort_key(line) == parse_line(line).sort_key() == (2, 12)
 
     def test_is_sorted(self):
         sorted_records = [

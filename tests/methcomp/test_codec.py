@@ -1,5 +1,6 @@
 """Tests for the METHCOMP codec: losslessness, ratios, edge cases."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +12,10 @@ from repro.methcomp import (
     MethylomeGenerator,
     serialize_records,
 )
-from repro.methcomp.bed import BedColumns
+from repro.methcomp.bed import BedColumns, parse_columns
 from repro.methcomp.codec import (
     compress,
+    compress_columns,
     compress_records,
     compression_ratio,
     decode_block,
@@ -28,6 +30,7 @@ from repro.methcomp.codec import (
     read_varint,
     write_varint,
 )
+from repro.methcomp.codec.methcodec import _checked_arrays
 
 
 def sorted_records_strategy():
@@ -237,6 +240,29 @@ class TestRefusedColumns:
         columns = BedColumns(**{**self.GOOD, column: values})
         with pytest.raises(CodecError, match=message):
             encode_columns(columns)
+
+    def test_arrays_get_the_same_checks_and_the_same_messages(self):
+        """The parser's arrays are taken as they are: same bytes, same refusals."""
+        arrays = {name: np.array(values) for name, values in self.GOOD.items()}
+        assert encode_columns(BedColumns(**arrays)) == encode_columns(BedColumns(**self.GOOD))
+        for converted, given in zip(_checked_arrays(BedColumns(**arrays)), arrays.values()):
+            assert converted is given
+        bad = BedColumns(**{**arrays, "pcts": np.array([10, -5, 100])})
+        with pytest.raises(CodecError, match="pcts column out of range at record 1: -5"):
+            encode_columns(bad)
+        short = BedColumns(**{**arrays, "ends": np.array([7, 8])})
+        with pytest.raises(CodecError, match="columns differ in length: .*ends 2"):
+            encode_columns(short)
+
+    def test_blocks_are_slices_of_the_arrays(self):
+        records = MethylomeGenerator(seed=4).records(700)
+        columns = parse_columns(serialize_records(records))
+        assert type(columns.starts) is np.ndarray
+        for block_records in (1, 64, 699, 700, 701):
+            assert compress_columns(columns, block_records) == compress_records(
+                records, block_records
+            )
+        assert parse_columns(serialize_records(records)).lists() == columns.lists()  # untouched
 
     def test_the_first_bad_column_names_the_error(self):
         columns = BedColumns(**{**self.GOOD, "pcts": [101, 15, 100], "starts": [5, -6, 2]})

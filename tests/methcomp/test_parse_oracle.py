@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.errors import CodecError
 from repro.methcomp import (
     CHROMOSOMES,
+    BedColumns,
     MethylationRecord,
     MethylomeGenerator,
     columns_of,
@@ -30,8 +31,6 @@ from repro.methcomp import (
     serialize_records,
 )
 from repro.methcomp.codec import compress, compress_records
-
-from . import column_lists
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -48,7 +47,7 @@ def walk(buffer: bytes):
 def outcome(function, buffer: bytes):
     """The columns as plain lists, or the ``CodecError`` raised (nothing else may be)."""
     try:
-        return ("ok", column_lists(function(buffer)))
+        return ("ok", function(buffer).lists())
     except CodecError as exc:
         return ("CodecError", str(exc))
 
@@ -108,7 +107,7 @@ class TestGeneratedPartitions:
         for begin in range(0, len(records), step):
             part = records[begin : begin + step]
             buffer = serialize_records(part)
-            assert column_lists(parse_columns(buffer)) == column_lists(columns_of(part))
+            assert parse_columns(buffer).lists() == columns_of(part)
             assert compress(buffer) == compress_records(part)
 
     @pytest.mark.parametrize("seed_", (7, 47))
@@ -122,11 +121,11 @@ class TestGeneratedPartitions:
 # ----------------------------------------------------------------------
 class TestLayout:
     def test_empty_buffer(self):
-        assert same_outcome(b"") == ("ok", ([], [], [], [], [], []))
+        assert same_outcome(b"") == ("ok", BedColumns.empty())
 
     @pytest.mark.parametrize("buffer", [b"\n", b"\n\n\n"])
     def test_only_blank_lines(self, buffer):
-        assert same_outcome(buffer) == ("ok", ([], [], [], [], [], []))
+        assert same_outcome(buffer) == ("ok", BedColumns.empty())
 
     def test_no_final_newline(self):
         assert same_outcome(b"\n".join(GOOD))[0] == "ok"
@@ -219,11 +218,8 @@ class TestFields:
     def test_long_numbers(self, column, digits):
         """18 digits fit the bulk parser; longer ones are Python ints on the walk."""
         value = b"1" + b"0" * (digits - 1)
-        line = site("chr3", 41, "-", 37, 88)
-        for column_, field in ((column, value),):
-            line = edit(line, column_, field)
-        same_outcome(buffer_of(GOOD, 1, line))
-        # ... and consistently, so the line is valid but for its width.
+        same_outcome(buffer_of(GOOD, 1, edit(site("chr3", 41, "-", 37, 88), column, value)))
+        # ... and consistently, so the line is valid whatever its width.
         start = int(value)
         fields = site("chr3", 41, "-", 37, 88).split(b"\t")
         for index in (START, THICK_START):

@@ -8,9 +8,11 @@ import pytest
 from repro.cloud.environment import Cloud
 from repro.core import ExperimentConfig
 from repro.core.experiment import dataset_payload
+from repro.errors import CodecError
 from repro.methcomp.bed import MethylationRecord, is_sorted, parse_buffer, serialize_records
 from repro.methcomp.datagen import (
     MethylomeGenerator,
+    MethylomeProfile,
     generate_skewed_bed_bytes,
     methylome_payload,
 )
@@ -142,6 +144,43 @@ class TestMemo:
         shuffled = MethylomeGenerator(seed=seed).shuffled_records(4_000)
         assert serialize_records(shuffled) == MethylomeGenerator(seed=seed).generate_bed(4_000)
         assert sorted(shuffled, key=MethylationRecord.sort_key) == records
+
+
+class TestValidation:
+    """No record object is built, so the finished payload is what gets checked."""
+
+    def test_a_profile_that_walks_below_zero_is_refused(self):
+        """As ``MethylationRecord`` refused it, with the same words."""
+        backwards = MethylomeProfile(mean_gap=-4000.0)
+        with pytest.raises(CodecError, match=r"bad interval: \[-\d+, -\d+\)"):
+            MethylomeGenerator(seed=1, profile=backwards).generate_bed(500)
+        with pytest.raises(CodecError, match=r"bad interval: \[-\d+, -\d+\)"):
+            MethylomeGenerator(seed=1, profile=backwards).records(500)
+
+    def test_every_block_is_checked(self, monkeypatch):
+        """Blocks are whole lines, cover the payload, and stay under the bound."""
+        from repro.methcomp import datagen
+
+        seen = []
+        monkeypatch.setattr(datagen, "_VALIDATION_BLOCK_BYTES", 10_000)
+        monkeypatch.setattr(datagen, "parse_columns", seen.append)
+        payload = MethylomeGenerator(seed=3).generate_bed(2_000)
+        assert b"".join(seen) == payload
+        assert len(seen) > 10
+        assert all(block.endswith(b"\n") and len(block) <= 10_000 for block in seen)
+        seen.clear()
+        skewed = generate_skewed_bed_bytes(40_000, seed=3)
+        assert b"".join(seen) == skewed and len(seen) > 3
+
+    def test_no_record_object_is_built(self, monkeypatch):
+        from repro.methcomp import bed
+
+        def refuse(self):
+            raise AssertionError("a MethylationRecord was constructed")
+
+        monkeypatch.setattr(bed.MethylationRecord, "__post_init__", refuse)
+        assert MethylomeGenerator(seed=3).generate_bed(300).count(b"\n") == 300
+        assert generate_skewed_bed_bytes(20_000, seed=3).count(b"\n") == 322
 
 
 class TestCallers:

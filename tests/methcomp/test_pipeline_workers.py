@@ -113,7 +113,8 @@ KNOWN_NAMES = [name.encode("ascii") for name in CHROMOSOMES]
 chrom_names = st.one_of(
     st.sampled_from(KNOWN_NAMES),
     st.sampled_from(
-        [b"", b"chr23", b"chrZ", b"chr1_rand", b"chrUn_gl", b"CHR1", b"chr1 ", b"\0"]
+        [b"", b"chr23", b"chrZ", b"chr1_rand", b"chrUn_gl", b"CHR1", b"chr1 ", b"\0",
+         b"\0chr1", b"\0\0chrX", b"chr\xff"]
     ),
 )
 
@@ -149,7 +150,7 @@ def scalar_keys(lines):
     """The scalar codec's keys, or ``None`` where ``bed_sort_key`` raises."""
     try:
         return [bed_sort_key(line) for line in lines]
-    except (CodecError, ValueError):
+    except CodecError:
         return None
 
 
@@ -203,6 +204,8 @@ class TestBedKeyDecode:
             b"chr1_rand\t5\t6",  # 9-byte name
             b"chrUn_gl\t5\t6",  # 8-byte unknown name
             b"chr23\t5\t6",  # unknown chromosome
+            b"\x00chr1\t5\t6",  # as a big-endian word, the same number as "chr1"
+            b"chr1\t-5\t6",  # a sign: the scalar key refuses it too
             b"chr1\t\t6",  # empty start
             b"chr1\t5a\t6",  # non-digit
             b"chr1\t+5\t6",
@@ -238,6 +241,23 @@ class TestBedKeyDecode:
         assert decode_lines([b"chr1\t5", b"chr2\t7\t8"])[1] is None
         assert decode_lines([b"chr1", b"\t7\t8"])[1] is None
 
+    @pytest.mark.parametrize(
+        "torn",
+        [b"chr1\t123", b"chr1\t-5\t7\t.", b"chr1\tabc\t5", b"chr1\t\t5", b"\x00chr1\t5\t7"],
+    )
+    def test_a_torn_line_mid_buffer_is_a_codec_error_on_every_path(self, torn):
+        """Not a wrong key sorted into place, nor a ValueError from ``int``."""
+        good = serialize_records(MethylomeGenerator(seed=9).records(40)).split(b"\n")[:-1]
+        payload = b"".join(line + b"\n" for line in [*good[:20], torn, *good[20:]])
+        codec = bed_record_codec()
+        for force_scalar in (False, True):
+            with pytest.raises(CodecError):
+                kernels.sort_buffer(codec, payload, force_scalar=force_scalar)
+            with pytest.raises(CodecError):
+                kernels.partition_buffer(
+                    codec, payload, [(3, 0), (9, 500)], force_scalar=force_scalar
+                )
+
     def test_real_payload_stays_vectorized(self):
         payload = serialize_records(MethylomeGenerator(seed=9).records(5000))
         view = kernels.record_view(bed_record_codec(), payload)
@@ -254,5 +274,5 @@ def record_view_keys(payload):
         return view.key_objects()
     try:
         return [codec.key(record) for record in codec.split(payload)]
-    except (CodecError, ValueError):
+    except CodecError:
         return None

@@ -66,10 +66,11 @@ test-cas:
 
 # Collection-regression smoke: fails fast when test modules collide, an
 # import breaks or a marker is misspelt, without running anything; then
-# lints the committed result tables (line width, no private columns).
+# lints the committed result tables (line width, no private columns,
+# a file for every EXPERIMENTS row).
 collect:
 	$(PYTEST) --collect-only --strict-markers -q tests benchmarks > /dev/null && echo "collection OK"
-	python benchmarks/check_results.py
+	PYTHONPATH=$(PYTHONPATH) python benchmarks/check_results.py
 
 # Full benchmark harness (regenerates benchmarks/results/*.txt).
 bench:

@@ -8,25 +8,9 @@ tuner, which stays near the measured oracle even after paying for its
 probe invocation.
 """
 
-import pytest
 
-from repro.core import ExperimentConfig
-from repro.experiments import format_table
-from repro.experiments.sweeps import sweep_tuner
-
-
-@pytest.fixture(scope="module")
-def tuner_rows(bench_scale):
-    config = ExperimentConfig(logical_scale=bench_scale)
-    return sweep_tuner(config)
-
-
-def test_autotune_sweep(benchmark, record_result, tuner_rows):
-    rows = benchmark.pedantic(lambda: tuner_rows, rounds=1, iterations=1)
-    record_result(
-        "s10a_autotune",
-        format_table(rows, title="S10a: planner regret by region scenario (3.5 GB)"),
-    )
+def test_autotune_sweep(regenerate):
+    rows = regenerate("sweep-tuner")
 
     by_scenario = {row["scenario"]: row for row in rows}
 
@@ -47,7 +31,7 @@ def test_autotune_sweep(benchmark, record_result, tuner_rows):
     assert calibrated["static_regret"] < 1.1
 
 
-def test_probe_overhead_is_small(tuner_rows):
-    for row in tuner_rows:
+def test_probe_overhead_is_small(regenerate):
+    for row in regenerate("sweep-tuner"):
         # The probe must cost a fraction of the shuffle it optimizes.
         assert row["probe_s"] < 0.25 * row["oracle_latency_s"], row["scenario"]

@@ -24,7 +24,7 @@ import pytest
 
 from repro.core import ExperimentConfig, stage_input
 from repro.experiments import format_rows
-from repro.experiments.sweeps import _fresh_cloud, _make_exchange_operator
+from repro.experiments.sweeps import _fresh_cloud, exchange_operator
 from repro.executor import FunctionExecutor
 from repro.shuffle.content import verify_manifest, verify_manifest_file
 from repro.shuffle.streaming import StreamConfig
@@ -43,8 +43,8 @@ def _run_cell(config, substrate, mode):
         cloud, runtime_memory_mb=config.function_memory_mb, bucket="pipeline"
     )
     stream = StreamConfig() if mode == "streaming" else None
-    operator, provisioned = _make_exchange_operator(
-        cloud, config, substrate, executor, stream=stream
+    operator, provisioned = exchange_operator(
+        executor, config, substrate, stream=stream
     )
 
     def one(prefix):

@@ -15,7 +15,6 @@ default of a full second each whatever their speed.
 
 import pytest
 
-from repro.experiments import format_table, sweep_codec
 from repro.methcomp import MethylomeGenerator, parse_columns, serialize_records
 from repro.methcomp.codec import compress, decompress, gzip_compress
 from repro.methcomp.datagen import methylome_payload
@@ -39,17 +38,8 @@ def partitions():
     ]
 
 
-def test_codec_ratio_table(benchmark, record_result):
-    rows = benchmark.pedantic(
-        lambda: sweep_codec(record_counts=(10_000, 50_000, 150_000)),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(
-        "s5_codec_ratio",
-        format_table(rows, title="S5: METHCOMP-style codec vs gzip"),
-    )
-    for row in rows:
+def test_codec_ratio_table(regenerate):
+    for row in regenerate("sweep-codec"):
         # Several-fold better than gzip at every size (paper: ~10x on
         # real ENCODE data; synthetic data has a higher entropy floor —
         # see EXPERIMENTS.md).

@@ -8,26 +8,9 @@ nuisance, VM provisioning is the hybrid pipeline's defining penalty.
 
 import pytest
 
-from repro.core import ExperimentConfig
-from repro.experiments import format_table, sweep_startup
 
-COLD_MULTIPLIERS = (0.5, 1.0, 2.0, 4.0)
-BOOT_TIMES = (30.0, 60.0, 99.0, 180.0)
-
-
-def test_startup_sensitivity(benchmark, record_result, bench_scale):
-    config = ExperimentConfig(logical_scale=bench_scale)
-    rows = benchmark.pedantic(
-        lambda: sweep_startup(
-            config, cold_multipliers=COLD_MULTIPLIERS, boot_times=BOOT_TIMES
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(
-        "s4_startup_sensitivity",
-        format_table(rows, title="S4: latency vs startup knobs"),
-    )
+def test_startup_sensitivity(regenerate):
+    rows = regenerate("sweep-startup")
 
     cold = {
         row["value"]: row["latency_s"] for row in rows if row["knob"] == "cold_start_x"

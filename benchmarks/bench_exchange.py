@@ -23,56 +23,31 @@ instance's line rate), a ≥2-shard fleet strictly reduces exchange time
 provisioned cost.
 """
 
-import pytest
-
 from repro.core import ExperimentConfig, run_exchange_comparison
-from repro.experiments import format_table
-from repro.experiments.sweeps import sweep_exchange, sweep_relay_shards
-
-WORKER_COUNTS = (4, 8, 16, 32, 64)
-
-#: S8b configuration: the sharding win needs the exchange waves to
-#: genuinely saturate one instance NIC, which takes both a high worker
-#: count AND a large dataset (at 3.5 GB the per-worker transfers are
-#: short enough that dispatch stagger keeps concurrency — and thus
-#: aggregate demand — below one line rate).  14 GB at W=64 holds
-#: ~60 concurrent 44 MB/s flows against a 16 Gb/s NIC.
-SHARD_SWEEP_WORKERS = 64
-SHARD_SWEEP_SIZE_GB = 14.0
-SHARD_COUNTS = (1, 2, 4)
+from repro.experiments import EXPERIMENTS
 
 
-@pytest.fixture(scope="module")
-def exchange_rows(bench_scale):
-    config = ExperimentConfig(logical_scale=bench_scale)
-    return sweep_exchange(config, worker_counts=WORKER_COUNTS)
+def _worker_counts(rows):
+    return sorted({row["workers"] for row in rows})
 
 
-def test_exchange_worker_sweep(benchmark, record_result, bench_scale):
-    config = ExperimentConfig(logical_scale=bench_scale)
-    rows = benchmark.pedantic(
-        lambda: sweep_exchange(config, worker_counts=WORKER_COUNTS),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(
-        "s8_exchange_worker_sweep",
-        format_table(rows, title="S8: sort latency by exchange substrate (3.5 GB)"),
-    )
+def test_exchange_worker_sweep(regenerate):
+    rows = regenerate("sweep-exchange")
 
     latency = {
         (r["strategy"], r["workers"]): r["sort_latency_s"] for r in rows
     }
     # At the largest worker count, the provisioned substrates' batched
     # sub-ms requests beat object storage's per-request latencies.
-    top = WORKER_COUNTS[-1]
+    counts = _worker_counts(rows)
+    top = counts[-1]
     assert latency[("cache", top)] < latency[("objectstore", top)]
     assert latency[("relay", top)] < latency[("objectstore", top)]
     assert latency[("sharded-relay", top)] < latency[("objectstore", top)]
     # The provisioned substrates degrade more slowly from their best
     # point than the object-storage one does (flatter right flank).
     def degradation(strategy):
-        curve = [latency[(strategy, w)] for w in WORKER_COUNTS]
+        curve = [latency[(strategy, w)] for w in counts]
         return latency[(strategy, top)] / min(curve)
 
     assert degradation("cache") < degradation("objectstore")
@@ -84,9 +59,10 @@ def test_exchange_worker_sweep(benchmark, record_result, bench_scale):
     assert latency[("sharded-relay", top)] <= latency[("relay", top)] * 1.02
 
 
-def test_exchange_substrates_emit_identical_artifacts(exchange_rows):
+def test_exchange_substrates_emit_identical_artifacts(regenerate):
     """The substrate moves the bytes; it must never change them."""
-    for workers in WORKER_COUNTS:
+    exchange_rows = regenerate("sweep-exchange")
+    for workers in _worker_counts(exchange_rows):
         digests = {
             row["output_digest"]
             for row in exchange_rows
@@ -95,38 +71,25 @@ def test_exchange_substrates_emit_identical_artifacts(exchange_rows):
         assert len(digests) == 1, f"artifacts diverged at W={workers}"
 
 
-def test_relay_shard_sweep(benchmark, record_result, bench_scale):
-    """S8b: shard count lifts the single relay's NIC ceiling."""
-    config = ExperimentConfig(
-        logical_scale=bench_scale, size_gb=SHARD_SWEEP_SIZE_GB
-    )
-    rows = benchmark.pedantic(
-        lambda: sweep_relay_shards(
-            config, shard_counts=SHARD_COUNTS, workers=SHARD_SWEEP_WORKERS
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(
-        "s8b_relay_shards",
-        format_table(
-            rows,
-            title="S8b: relay fleet shard-count sweep "
-                  f"({SHARD_SWEEP_SIZE_GB:g} GB, W={SHARD_SWEEP_WORKERS})",
-        ),
-    )
+def test_relay_shard_sweep(regenerate, bench_scale):
+    """S8b: shard count lifts the single relay's NIC ceiling (the
+    dataset size that takes is the table row's ``overrides``)."""
+    rows = regenerate("sweep-relay-shards")
 
     # Precondition: the single relay NIC is genuinely saturated at this
     # worker count — aggregate worker demand exceeds one line rate.
+    config = ExperimentConfig(
+        logical_scale=bench_scale, **EXPERIMENTS["sweep-relay-shards"].overrides
+    )
     profile = config.make_profile()
     relay_nic = profile.vm.catalog[
         config.resolved_relay_instance_type
     ].nic_bandwidth
-    worker_demand = SHARD_SWEEP_WORKERS * min(
+    worker_demand = rows[0]["workers"] * min(
         profile.faas.instance_bandwidth, relay_nic
     )
     assert worker_demand > relay_nic, (
-        "raise SHARD_SWEEP_WORKERS: the single relay NIC is not saturated"
+        "raise sweep_relay_shards' workers: the single relay NIC is not saturated"
     )
 
     by_shards = {
@@ -178,9 +141,10 @@ def test_exchange_pipeline_comparison(benchmark, record_result, bench_scale):
     assert result.relay.stage_costs["sort"] > result.serverless.stage_costs["sort"]
 
 
-def test_provisioned_substrates_cost_infrastructure(exchange_rows):
+def test_provisioned_substrates_cost_infrastructure(regenerate):
+    exchange_rows = regenerate("sweep-exchange")
     by_key = {(r["strategy"], r["workers"]): r for r in exchange_rows}
-    for workers in WORKER_COUNTS:
+    for workers in _worker_counts(exchange_rows):
         cos_row = by_key[("objectstore", workers)]
         assert cos_row["provisioned_usd"] == 0.0
         for strategy in ("cache", "relay", "sharded-relay"):

@@ -12,35 +12,15 @@ crash-retry and speculation safe on the stateful substrates too, at
 byte parity with the crash-free object-storage artifact.
 """
 
-import pytest
 
-from repro.core import ExperimentConfig
-from repro.experiments import format_table
-from repro.experiments.sweeps import (
-    sweep_exchange_faults,
-    sweep_exchange_speculation,
-    sweep_fault_rate,
-    sweep_speculation,
-)
-
-
-def test_fault_rate_overhead(benchmark, record_result, bench_scale):
-    config = ExperimentConfig(logical_scale=bench_scale)
-    rows = benchmark.pedantic(
-        lambda: sweep_fault_rate(config),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(
-        "s9_fault_rate",
-        format_table(rows, title="S9a: map-job overhead vs injected crash rate"),
-    )
+def test_fault_rate_overhead(regenerate):
+    rows = regenerate("sweep-faults")
 
     by_rate = {row["crash_probability"]: row for row in rows}
     baseline = by_rate[0.0]
     worst = by_rate[max(by_rate)]
     # Failures must cost something, and healing must stay lossless
-    # (asserted inside the sweep itself).
+    # (gated inside the sweep itself).
     assert worst["latency_s"] > baseline["latency_s"]
     assert worst["cost_usd"] > baseline["cost_usd"]
     assert worst["crashes"] > 0
@@ -49,21 +29,8 @@ def test_fault_rate_overhead(benchmark, record_result, bench_scale):
     assert worst["invocations"] == 32 + worst["crashes"]
 
 
-def test_speculation_ablation(benchmark, record_result, bench_scale):
-    config = ExperimentConfig(logical_scale=bench_scale)
-    rows = benchmark.pedantic(
-        lambda: sweep_speculation(config),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(
-        "s9_speculation",
-        format_table(
-            rows,
-            title="S9b: straggler mitigation under heavy-tailed "
-            "cold starts",
-        ),
-    )
+def test_speculation_ablation(regenerate):
+    rows = regenerate("sweep-speculation")
 
     by_label = {row["speculation"]: row for row in rows}
     # Backups fire, and the job does not get slower for having them.
@@ -73,22 +40,9 @@ def test_speculation_ablation(benchmark, record_result, bench_scale):
     assert by_label["on"]["invocations"] > by_label["off"]["invocations"]
 
 
-def test_exchange_fault_sweep(benchmark, record_result, bench_scale):
+def test_exchange_fault_sweep(regenerate):
     """S9c: crash injection on all four substrates, relays included."""
-    config = ExperimentConfig(logical_scale=bench_scale)
-    rows = benchmark.pedantic(
-        lambda: sweep_exchange_faults(config),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(
-        "s9c_exchange_faults",
-        format_table(
-            rows,
-            title="S9c: crash injection by exchange substrate "
-            "(byte parity asserted in-sweep)",
-        ),
-    )
+    rows = regenerate("sweep-exchange-faults")
 
     # The injection bit on every substrate at the top rate...
     top = max(row["crash_probability"] for row in rows)
@@ -96,7 +50,7 @@ def test_exchange_fault_sweep(benchmark, record_result, bench_scale):
         if row["crash_probability"] == top:
             assert row["crashes"] > 0
             assert row["invocations"] > 40  # retries actually happened
-    # ...every artifact digest is identical (the sweep asserts parity
+    # ...every artifact digest is identical (the sweep gates parity
     # internally too)...
     assert len({row["output_digest"] for row in rows}) == 1
     # ...and neither relay flavour leaks a byte of a dead attempt.
@@ -105,22 +59,9 @@ def test_exchange_fault_sweep(benchmark, record_result, bench_scale):
             assert row["residual_bytes"] == 0.0
 
 
-def test_exchange_speculation_sweep(benchmark, record_result, bench_scale):
+def test_exchange_speculation_sweep(regenerate):
     """S9d: straggler mitigation is safe on every substrate."""
-    config = ExperimentConfig(logical_scale=bench_scale)
-    rows = benchmark.pedantic(
-        lambda: sweep_exchange_speculation(config),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(
-        "s9d_exchange_speculation",
-        format_table(
-            rows,
-            title="S9d: speculation by exchange substrate "
-            "(identical digests asserted in-sweep)",
-        ),
-    )
+    rows = regenerate("sweep-exchange-speculation")
 
     by_key = {(row["strategy"], row["speculation"]): row for row in rows}
     for strategy in ("objectstore", "cache", "relay", "sharded-relay"):

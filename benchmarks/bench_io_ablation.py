@@ -10,30 +10,14 @@ This ablation runs the same shuffle with and without write-combining:
   GETs, plus per-request latency paid ``W`` times per mapper.
 """
 
-import pytest
 
-from repro.core import ExperimentConfig
-from repro.experiments import format_table, sweep_io_ablation
-
-WORKER_COUNTS = (8, 16, 32, 64)
-
-
-def test_write_combining_ablation(benchmark, record_result, bench_scale):
-    config = ExperimentConfig(logical_scale=bench_scale)
-    rows = benchmark.pedantic(
-        lambda: sweep_io_ablation(config, worker_counts=WORKER_COUNTS),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(
-        "s7_io_ablation",
-        format_table(rows, title="S7: Primula write-combining vs naive all-to-all"),
-    )
+def test_write_combining_ablation(regenerate):
+    rows = regenerate("sweep-io")
 
     by_key = {
         (row["workers"], row["write_combining"]): row for row in rows
     }
-    for workers in WORKER_COUNTS:
+    for workers in sorted({row["workers"] for row in rows}):
         combined = by_key[(workers, True)]
         naive = by_key[(workers, False)]
         # The naive layout issues far more PUTs (~W x more map outputs).

@@ -7,23 +7,9 @@ sweep shows why that is the sweet spot for this CPU-bound workload.
 
 import pytest
 
-from repro.core import ExperimentConfig
-from repro.experiments import format_table, sweep_memory
 
-MEMORY_SIZES = (512, 1024, 2048, 4096)
-
-
-def test_memory_sweep(benchmark, record_result, bench_scale):
-    config = ExperimentConfig(logical_scale=bench_scale)
-    rows = benchmark.pedantic(
-        lambda: sweep_memory(config, memory_sizes=MEMORY_SIZES),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(
-        "s6_memory_sweep",
-        format_table(rows, title="S6: serverless pipeline vs function memory"),
-    )
+def test_memory_sweep(regenerate):
+    rows = regenerate("sweep-memory")
 
     latency = {row["memory_mb"]: row["latency_s"] for row in rows}
     cost = {row["memory_mb"]: row["cost_usd"] for row in rows}

@@ -10,22 +10,9 @@ comparable cost on both providers.
 
 import pytest
 
-from repro.core import ExperimentConfig
-from repro.experiments import format_table
-from repro.experiments.sweeps import sweep_multicloud
 
-
-def test_multicloud_comparison(benchmark, record_result, bench_scale):
-    config = ExperimentConfig(logical_scale=bench_scale)
-    rows = benchmark.pedantic(
-        lambda: sweep_multicloud(config),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(
-        "s11_multicloud",
-        format_table(rows, title="S11: Table 1 comparison across providers (3.5 GB)"),
-    )
+def test_multicloud_comparison(regenerate):
+    rows = regenerate("sweep-multicloud")
 
     by_provider = {row["provider"]: row for row in rows}
     for provider, row in by_provider.items():

@@ -11,29 +11,9 @@ substrate switch, at byte parity — moving bytes differently must never
 change them.
 """
 
-import pytest
 
-from repro.core import ExperimentConfig
-from repro.experiments import format_table
-from repro.experiments.sweeps import sweep_online
-
-
-@pytest.fixture(scope="module")
-def online_rows(bench_scale):
-    config = ExperimentConfig(logical_scale=bench_scale)
-    return sweep_online(config)
-
-
-def test_online_sweep(benchmark, record_result, online_rows):
-    rows = benchmark.pedantic(lambda: online_rows, rounds=1, iterations=1)
-    timeline = next((row["_timeline"] for row in rows if row.get("_timeline")), [])
-    text = format_table(
-        rows, title="S12: online mid-stream re-selection vs static decisions (3.5 GB)"
-    )
-    text += "\n\nonline decision timeline:\n" + "\n".join(
-        f"  {line}" for line in timeline
-    )
-    record_result("s12_online", text)
+def test_online_sweep(regenerate):
+    rows = regenerate("sweep-online")
 
     online = next(
         row for row in rows
@@ -55,7 +35,8 @@ def test_online_sweep(benchmark, record_result, online_rows):
     assert len(digests) == 1, digests
 
 
-def test_online_reroute_row(online_rows):
+def test_online_reroute_row(regenerate):
+    online_rows = regenerate("sweep-online")
     reroute = next(
         row for row in online_rows if row["scenario"] == "reroute"
     )
@@ -69,8 +50,8 @@ def test_online_reroute_row(online_rows):
     assert reroute["output_digest"] == shift_online["output_digest"]
 
 
-def test_online_timeline_is_a_timeline(online_rows):
-    online = online_rows[0]
+def test_online_timeline_is_a_timeline(regenerate):
+    online = regenerate("sweep-online")[0]
     lines = online["_timeline"]
     # One decision point per wave boundary, plus the initial decision.
     assert len(lines) >= 3

@@ -14,34 +14,28 @@ bill tenants dollars that sum to the fleet total.
 
 import pytest
 
-from repro.core import ExperimentConfig
-from repro.experiments import format_table
-from repro.experiments.sweeps import sweep_service
+from repro.obs.metrics import reset_registry
 from repro.obs.slo import SloGate
 
 
-@pytest.fixture(scope="module")
-def service_rows(bench_scale):
-    from repro.obs.metrics import reset_registry
-
+@pytest.fixture(scope="module", autouse=True)
+def clean_registry():
     # Start from a clean registry so the latency histogram the SLO gate
     # reads describes this sweep alone, not earlier runs in the session.
     reset_registry()
-    config = ExperimentConfig(logical_scale=bench_scale)
-    return sweep_service(config)
+
+
+@pytest.fixture
+def service_rows(regenerate):
+    return regenerate("sweep-service")
 
 
 def _only(rows, strategy, kind):
     return [r for r in rows if r["strategy"] == strategy and r["kind"] == kind]
 
 
-def test_service_sweep(benchmark, record_result, service_rows):
-    rows = benchmark.pedantic(lambda: service_rows, rounds=1, iterations=1)
-    text = format_table(
-        rows,
-        title="S13: shared exchange service vs provision-per-job (3.5 GB)",
-    )
-    record_result("s13_service", text)
+def test_service_sweep(service_rows):
+    rows = service_rows
 
     service = _only(rows, "service", "total")[0]
     perjob = _only(rows, "per-job", "total")[0]

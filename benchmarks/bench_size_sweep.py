@@ -6,23 +6,9 @@ data grows at fixed parallelism — and at small sizes the VM variant is
 hopeless.  This sweep documents where the crossover would sit (if any).
 """
 
-import pytest
 
-from repro.core import ExperimentConfig
-from repro.experiments import format_table, sweep_size
-
-SIZES_GB = (0.5, 1.0, 2.0, 3.5, 7.0)
-
-
-def test_size_sweep(benchmark, record_result, bench_scale):
-    config = ExperimentConfig(logical_scale=bench_scale)
-    rows = benchmark.pedantic(
-        lambda: sweep_size(config, sizes_gb=SIZES_GB), rounds=1, iterations=1
-    )
-    record_result(
-        "s2_size_sweep",
-        format_table(rows, title="S2: latency vs input size (parallelism 8)"),
-    )
+def test_size_sweep(regenerate):
+    rows = regenerate("sweep-size")
 
     # Serverless wins at every size in this range.
     assert all(row["speedup"] > 1.0 for row in rows)

@@ -33,45 +33,14 @@ import math
 
 import pytest
 
-from repro.core import ExperimentConfig
-from repro.experiments import format_table
-from repro.experiments.sweeps import sweep_skew
 
-DISTRIBUTIONS = ("uniform", "zipf")
-WORKERS = 12
-SHARDS = 2
-ZIPF_S = 2.0
-DISTINCT_KEYS = 4
-
-
-@pytest.fixture(scope="module")
-def skew_rows(bench_scale):
-    config = ExperimentConfig(logical_scale=bench_scale)
-    return sweep_skew(
-        config,
-        distributions=DISTRIBUTIONS,
-        workers=WORKERS,
-        shards=SHARDS,
-        zipf_s=ZIPF_S,
-        distinct_keys=DISTINCT_KEYS,
-    )
-
-
-def test_skew_sweep(benchmark, record_result, skew_rows):
-    rows = benchmark.pedantic(lambda: skew_rows, rounds=1, iterations=1)
-    record_result(
-        "s11_skew",
-        format_table(
-            rows,
-            title="S11: skew-aware shuffle "
-                  f"(3.5 GB, W={WORKERS}, {SHARDS} shards, "
-                  f"Zipf s={ZIPF_S:g} over {DISTINCT_KEYS} keys)",
-        ),
-    )
+def test_skew_sweep(regenerate):
+    rows = regenerate("sweep-skew")
 
     by_key = {(row["distribution"], row["routing"]): row for row in rows}
+    shards = max(row["shards"] for row in rows)
 
-    for distribution in DISTRIBUTIONS:
+    for distribution in ("uniform", "zipf"):
         base = by_key[(distribution, "-")]
         crc = by_key[(distribution, "crc")]
         rebalanced = by_key[(distribution, "rebalanced")]
@@ -88,7 +57,7 @@ def test_skew_sweep(benchmark, record_result, skew_rows):
         assert rebalanced["residual_bytes"] == 0.0
         # The rebalanced fleet always holds ~its fair share per shard.
         assert rebalanced["hot_shard_share"] == pytest.approx(
-            1.0 / SHARDS, abs=0.05
+            1.0 / shards, abs=0.05
         )
 
     uniform_crc = by_key[("uniform", "crc")]
@@ -115,15 +84,15 @@ def test_skew_sweep(benchmark, record_result, skew_rows):
         uniform_crc["sort_latency_s"], rel=0.05
     )
     assert uniform_crc["hot_shard_share"] == pytest.approx(
-        1.0 / SHARDS, abs=0.05
+        1.0 / shards, abs=0.05
     )
 
 
-def test_skew_aware_planner_tracks_measurement(skew_rows):
+def test_skew_aware_planner_tracks_measurement(regenerate):
     """The skew-priced relay model stays within the 2x envelope the
     worker-sweep bench holds the uniform model to — on both the uniform
     control and the 8x-skewed Zipf workload."""
-    for row in skew_rows:
+    for row in regenerate("sweep-skew"):
         if row["strategy"] != "sharded-relay":
             continue
         assert not math.isnan(row["predicted_s"])

@@ -24,46 +24,17 @@ substrates and asserts the subsystem's contract:
   every streaming run.
 """
 
-import pytest
-
-from repro.core import ExperimentConfig
-from repro.experiments import format_table
-from repro.experiments.sweeps import sweep_streaming
-
-STRATEGIES = ("objectstore", "cache", "relay")
-WORKERS = 16
+#: ``sweep_streaming``'s chunk size: the title of its table names it,
+#: its rows do not.
 CHUNK_MB = 32.0
-BUFFER_MB = 256.0
-#: Bounded well below one map wave's delivery (W fetchers x 2 MB
-#: segments arrive concurrently), so reducers *must* push back.
-BOUNDED_BUFFER_MB = 4.0
 
 
-@pytest.fixture(scope="module")
-def streaming_rows(bench_scale):
-    config = ExperimentConfig(logical_scale=bench_scale)
-    return sweep_streaming(
-        config,
-        strategies=STRATEGIES,
-        workers=WORKERS,
-        chunk_mb=CHUNK_MB,
-        buffer_mb=BUFFER_MB,
-        bounded_buffer_mb=BOUNDED_BUFFER_MB,
-    )
-
-
-def test_streaming_sweep(benchmark, record_result, streaming_rows):
-    rows = benchmark.pedantic(lambda: streaming_rows, rounds=1, iterations=1)
-    record_result(
-        "s10_streaming",
-        format_table(
-            rows,
-            title="S10: streaming vs staged exchange "
-                  f"(3.5 GB, W={WORKERS}, {CHUNK_MB:g} MB chunks)",
-        ),
-    )
+def test_streaming_sweep(regenerate):
+    rows = regenerate("sweep-streaming")
 
     by_key = {(row["strategy"], row["mode"]): row for row in rows}
+    strategies = sorted({row["strategy"] for row in rows})
+    workers = rows[0]["workers"]
 
     # Byte parity across every (substrate, mode, buffer) combination.
     assert len({row["output_digest"] for row in rows}) == 1
@@ -72,13 +43,13 @@ def test_streaming_sweep(benchmark, record_result, streaming_rows):
     # the relay's rendezvous pulls make it the guaranteed one.
     wins = [
         strategy
-        for strategy in STRATEGIES
+        for strategy in strategies
         if by_key[(strategy, "streaming")]["sort_latency_s"]
         < by_key[(strategy, "staged")]["sort_latency_s"]
     ]
     assert "relay" in wins and wins, "streaming never beat staged"
 
-    for strategy in STRATEGIES:
+    for strategy in strategies:
         staged = by_key[(strategy, "staged")]
         streaming = by_key[(strategy, "streaming")]
         bounded = by_key[(strategy, "streaming-bounded")]
@@ -95,11 +66,11 @@ def test_streaming_sweep(benchmark, record_result, streaming_rows):
         # concurrent fetchers that each add at most one ~chunk/W
         # segment before re-checking).  Throttling realigns arrivals,
         # so it may sit slightly above or below the free-running peak.
-        per_mapper_segment_mb = CHUNK_MB / WORKERS
+        per_mapper_segment_mb = CHUNK_MB / workers
         assert (
             0.0
             < bounded["buffer_hwm_mb"]
-            <= BOUNDED_BUFFER_MB + WORKERS * per_mapper_segment_mb
+            <= bounded["buffer_mb"] + workers * per_mapper_segment_mb
         )
         # Zero residual relay reservations once the job settled.
         assert staged["residual_bytes"] == 0.0
@@ -107,11 +78,13 @@ def test_streaming_sweep(benchmark, record_result, streaming_rows):
         assert bounded["residual_bytes"] == 0.0
 
 
-def test_streaming_pays_for_overlap_with_requests(streaming_rows):
+def test_streaming_pays_for_overlap_with_requests(regenerate):
     """Streaming is not free: the readiness protocol costs requests
     (manifests + polls on COS), which is why the planner charges a
     per-chunk overhead instead of assuming perfect pipelining."""
-    by_key = {(row["strategy"], row["mode"]): row for row in streaming_rows}
+    by_key = {
+        (row["strategy"], row["mode"]): row for row in regenerate("sweep-streaming")
+    }
     cos_staged = by_key[("objectstore", "staged")]
     cos_streaming = by_key[("objectstore", "streaming")]
     assert cos_streaming["sort_cost_usd"] > cos_staged["sort_cost_usd"]

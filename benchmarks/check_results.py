@@ -12,6 +12,10 @@ Two properties every ``*.txt`` there must keep, checked by
 
 Both happened at once when ``bench_exchange`` wrote ``sweep_exchange``'s
 ``_report`` column into ``s8_exchange_worker_sweep.txt``.
+
+And one the directory as a whole must keep: every row of
+``repro.experiments.EXPERIMENTS`` names a result stem that has a file
+here, so a renamed artifact cannot silently orphan its table.
 """
 
 from __future__ import annotations
@@ -40,10 +44,21 @@ def lint(path: pathlib.Path) -> list[str]:
     return problems
 
 
+def orphaned() -> list[str]:
+    """``EXPERIMENTS`` rows whose result file is missing."""
+    from repro.experiments import EXPERIMENTS
+
+    return [
+        f"{experiment.name}: no {experiment.result}.txt for its table row"
+        for experiment in EXPERIMENTS.values()
+        if not (RESULTS_DIR / f"{experiment.result}.txt").is_file()
+    ]
+
+
 def main() -> int:
     problems = [
         problem for path in sorted(RESULTS_DIR.glob("*.txt")) for problem in lint(path)
-    ]
+    ] + orphaned()
     for problem in problems:
         print(f"results lint: {problem}")
     if not problems:

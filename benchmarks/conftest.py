@@ -15,6 +15,9 @@ import time
 
 import pytest
 
+from repro.core import ExperimentConfig
+from repro.experiments import EXPERIMENTS, render_experiment, run_experiment
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BENCH_DIR = pathlib.Path(__file__).parent
 
@@ -78,6 +81,38 @@ def record_result():
         print(text)
 
     return _record
+
+
+@pytest.fixture(scope="session")
+def _regenerated() -> dict[str, list[dict]]:
+    """Rows of the experiments this session has regenerated, by name."""
+    return {}
+
+
+@pytest.fixture
+def regenerate(request, record_result, bench_scale, _regenerated):
+    """``regenerate(name)`` — the rows of one ``EXPERIMENTS`` row.
+
+    The first call for a name runs the experiment at ``bench_scale``
+    under ``benchmark.pedantic`` (one round) and records its table under
+    the row's result stem; later calls — the other tests of the module
+    asserting on the same rows — get those rows back without a re-run.
+    """
+
+    def _regenerate(name: str) -> list[dict]:
+        if name not in _regenerated:
+            experiment = EXPERIMENTS[name]
+            config = ExperimentConfig(logical_scale=bench_scale)
+            rows = request.getfixturevalue("benchmark").pedantic(
+                lambda: run_experiment(experiment, config), rounds=1, iterations=1
+            )
+            record_result(
+                experiment.result, render_experiment(experiment, rows, result=True)
+            )
+            _regenerated[name] = rows
+        return _regenerated[name]
+
+    return _regenerate
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,8 @@
 """Simulated cloud substrate: object storage, FaaS, VMs, billing.
 
-The substitution for the paper's IBM Cloud account (see DESIGN.md §2):
-calibrated performance/pricing models over the deterministic simulation
-kernel in :mod:`repro.sim`.
+The substitution for the paper's IBM Cloud account: calibrated
+performance/pricing models over the deterministic simulation kernel in
+:mod:`repro.sim`.
 """
 
 from repro.cloud.billing import CostLine, CostMeter

@@ -1,36 +1,16 @@
 """Command-line entry point for the experiment regenerators.
 
-Usage::
+Every row of :data:`repro.experiments.EXPERIMENTS` is a sub-command
+that prints its table as ``benchmarks/results`` holds it (at the
+harness's ``--scale 1024``); the rest are below it in the usage block,
+which is generated from the table and appended to this docstring.
 
-    repro-experiments table1 [--scale 256] [--seed 2021]
-    repro-experiments figure1
-    repro-experiments sweep-workers
-    repro-experiments sweep-size
-    repro-experiments sweep-storage
-    repro-experiments sweep-startup
-    repro-experiments sweep-codec
-    repro-experiments sweep-memory
-    repro-experiments sweep-exchange
-    repro-experiments sweep-relay-shards
-    repro-experiments sweep-streaming
-    repro-experiments sweep-skew
-    repro-experiments sweep-online
-    repro-experiments sweep-faults
-    repro-experiments sweep-speculation
-    repro-experiments sweep-exchange-faults
-    repro-experiments sweep-exchange-speculation
-    repro-experiments sweep-tuner
-    repro-experiments sweep-multicloud
-    repro-experiments sweep-service
-    repro-experiments exchange
-    repro-experiments trace [--out s8_trace.json]
-    repro-experiments metrics [--out s8_metrics.txt]
-
-The last two run one adaptive (``auto_sort``) pipeline with the
-unified observability plane enabled and export it: ``trace`` writes
+``trace`` and ``metrics`` run one adaptive (``auto_sort``) pipeline with
+the unified observability plane enabled and export it: ``trace`` writes
 Perfetto-loadable Chrome trace-event JSON (open at ui.perfetto.dev),
 ``metrics`` writes a Prometheus text-format snapshot of the substrate
-metrics registry plus the run's SLO verdicts.
+metrics registry plus the run's SLO verdicts.  ``replay-verify``
+re-derives a RunManifest's hash chain offline.
 """
 
 from __future__ import annotations
@@ -39,24 +19,35 @@ import argparse
 import sys
 
 from repro.core.calibration import ExperimentConfig
-from repro.experiments import sweeps
-from repro.experiments.figure1 import render_figure1
-from repro.experiments.format import format_table
-from repro.experiments.table1 import regenerate_table1
+from repro.experiments import (
+    EXPERIMENTS,
+    render_experiment,
+    render_figure1,
+    run_experiment,
+)
+
+#: The sub-commands that are not table rows: (name, flags, help).
+OTHER_COMMANDS = (
+    ("table1", "", "Table 1 and both per-stage breakdowns"),
+    ("figure1", "", "Figure 1: the two pipeline DAGs, side by side"),
+    ("exchange", "", "S8: the four-way end-to-end pipeline comparison"),
+    ("trace", "[--out s8_trace.json]",
+     "export one traced auto_sort run as Chrome trace JSON"),
+    ("metrics", "[--out s8_metrics.txt]",
+     "export one run's metrics registry as Prometheus text"),
+    ("replay-verify", "--manifest PATH",
+     "re-derive a RunManifest's hash chain offline and PASS/FAIL it"),
+)
+
+USAGE = "\n".join(
+    ["    repro-experiments [--scale 256] [--seed 2021] <command>", ""]
+    + [f"    repro-experiments {name}" for name in EXPERIMENTS]
+    + [f"    repro-experiments {name} {flags}".rstrip() for name, flags, _ in OTHER_COMMANDS]
+)
+__doc__ = (__doc__ or "") + "\nUsage::\n\n" + USAGE + "\n"
 
 
-def _config(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(logical_scale=args.scale, seed=args.seed)
-
-
-def _print_rows(title: str, rows: list[dict]) -> None:
-    if not rows:
-        print(f"{title}: no rows")
-        return
-    print(format_table(rows, title))
-
-
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the paper's tables/figures and the ablation sweeps.",
@@ -65,51 +56,29 @@ def main(argv: list[str] | None = None) -> int:
                         help="logical-to-real byte scale (default 256)")
     parser.add_argument("--seed", type=int, default=2021)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "table1",
-        "figure1",
-        "sweep-workers",
-        "sweep-size",
-        "sweep-storage",
-        "sweep-startup",
-        "sweep-codec",
-        "sweep-memory",
-        "sweep-io",
-        "sweep-exchange",
-        "sweep-relay-shards",
-        "sweep-streaming",
-        "sweep-skew",
-        "sweep-online",
-        "sweep-faults",
-        "sweep-speculation",
-        "sweep-exchange-faults",
-        "sweep-exchange-speculation",
-        "sweep-tuner",
-        "sweep-multicloud",
-        "sweep-service",
-        "exchange",
-    ):
-        sub.add_parser(name)
-    trace_parser = sub.add_parser(
-        "trace", help="export one traced auto_sort run as Chrome trace JSON"
-    )
-    trace_parser.add_argument("--out", default="s8_trace.json")
-    metrics_parser = sub.add_parser(
-        "metrics", help="export one run's metrics registry as Prometheus text"
-    )
-    metrics_parser.add_argument("--out", default="s8_metrics.txt")
-    replay_parser = sub.add_parser(
-        "replay-verify",
-        help="re-derive a RunManifest's hash chain offline and PASS/FAIL it",
-    )
-    replay_parser.add_argument(
+    for experiment in EXPERIMENTS.values():
+        sub.add_parser(experiment.name, help=experiment.title)
+    others = {name: sub.add_parser(name, help=text) for name, _, text in OTHER_COMMANDS}
+    others["trace"].add_argument("--out", default="s8_trace.json")
+    others["metrics"].add_argument("--out", default="s8_metrics.txt")
+    others["replay-verify"].add_argument(
         "--manifest", required=True,
         help="path to a RunManifest JSON file (e.g. the S16 artifact)",
     )
-    args = parser.parse_args(argv)
+    return parser
 
-    if args.command == "table1":
-        result = regenerate_table1(logical_scale=args.scale, seed=args.seed)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    config = ExperimentConfig(logical_scale=args.scale, seed=args.seed)
+
+    if args.command in EXPERIMENTS:
+        experiment = EXPERIMENTS[args.command]
+        print(render_experiment(experiment, run_experiment(experiment, config)))
+    elif args.command == "table1":
+        from repro.core.experiment import run_table1
+
+        result = run_table1(config)
         print(result.to_table())
         print()
         print(result.serverless.workflow.tracker.render())
@@ -117,96 +86,10 @@ def main(argv: list[str] | None = None) -> int:
         print(result.vm.workflow.tracker.render())
     elif args.command == "figure1":
         print(render_figure1())
-    elif args.command == "sweep-workers":
-        _print_rows("S1: shuffle worker-count sweep", sweeps.sweep_workers(_config(args)))
-    elif args.command == "sweep-size":
-        _print_rows("S2: data-size scaling", sweeps.sweep_size(_config(args)))
-    elif args.command == "sweep-storage":
-        _print_rows(
-            "S3: object-store ops/s sensitivity", sweeps.sweep_storage_ops(_config(args))
-        )
-    elif args.command == "sweep-startup":
-        _print_rows("S4: startup-time sensitivity", sweeps.sweep_startup(_config(args)))
-    elif args.command == "sweep-codec":
-        _print_rows("S5: codec ratio vs gzip", sweeps.sweep_codec(seed=args.seed))
-    elif args.command == "sweep-memory":
-        _print_rows("S6: function-memory sweep", sweeps.sweep_memory(_config(args)))
-    elif args.command == "sweep-io":
-        _print_rows(
-            "S7: write-combining ablation", sweeps.sweep_io_ablation(_config(args))
-        )
-    elif args.command == "sweep-exchange":
-        rows = sweeps.sweep_exchange(_config(args))
-        _print_rows("S8: exchange-substrate worker sweep", rows)
-        last_report = next(
-            (row["_report"] for row in reversed(rows) if row.get("_report")), None
-        )
-        if last_report:
-            print()
-            print(last_report)
-    elif args.command == "sweep-relay-shards":
-        _print_rows(
-            "S8b: relay shard-count sweep",
-            sweeps.sweep_relay_shards(_config(args)),
-        )
-    elif args.command == "sweep-streaming":
-        _print_rows(
-            "S10: streaming vs staged exchange",
-            sweeps.sweep_streaming(_config(args)),
-        )
-    elif args.command == "sweep-skew":
-        _print_rows(
-            "S11: skew-aware shuffle (CRC vs rebalanced fleet routing)",
-            sweeps.sweep_skew(_config(args)),
-        )
-    elif args.command == "sweep-online":
-        rows = sweeps.sweep_online(_config(args))
-        timeline = next(
-            (row["_timeline"] for row in rows if row.get("_timeline")), []
-        )
-        _print_rows(
-            "S12: online mid-stream re-selection vs static decisions", rows
-        )
-        print()
-        print("online decision timeline:")
-        for line in timeline:
-            print(f"  {line}")
-    elif args.command == "sweep-faults":
-        _print_rows(
-            "S9a: crash-rate overhead", sweeps.sweep_fault_rate(_config(args))
-        )
-    elif args.command == "sweep-speculation":
-        _print_rows(
-            "S9b: straggler mitigation", sweeps.sweep_speculation(_config(args))
-        )
-    elif args.command == "sweep-exchange-faults":
-        _print_rows(
-            "S9c: crash injection by exchange substrate",
-            sweeps.sweep_exchange_faults(_config(args)),
-        )
-    elif args.command == "sweep-exchange-speculation":
-        _print_rows(
-            "S9d: speculation by exchange substrate",
-            sweeps.sweep_exchange_speculation(_config(args)),
-        )
-    elif args.command == "sweep-tuner":
-        _print_rows(
-            "S10a: on-the-fly tuning vs static calibration",
-            sweeps.sweep_tuner(_config(args)),
-        )
-    elif args.command == "sweep-multicloud":
-        _print_rows(
-            "S11: multi-cloud portability", sweeps.sweep_multicloud(_config(args))
-        )
-    elif args.command == "sweep-service":
-        _print_rows(
-            "S13: shared exchange service vs provision-per-job",
-            sweeps.sweep_service(_config(args)),
-        )
     elif args.command == "exchange":
         from repro.core.experiment import run_exchange_comparison
 
-        print(run_exchange_comparison(_config(args)).to_table())
+        print(run_exchange_comparison(config).to_table())
     elif args.command == "trace":
         from repro.obs.cli import export_trace
 

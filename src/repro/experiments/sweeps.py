@@ -1,4 +1,4 @@
-"""Supplementary experiment sweeps (S1-S8 in DESIGN.md).
+"""The experiment sweeps (S1-S13; indexed in the README's "Experiments").
 
 These are the ablations the paper's argument rests on but does not plot
 in the two-page demo: the worker-count U-curve behind "the appropriate
@@ -6,6 +6,12 @@ number of functions", data-size scaling, storage-throughput and
 cold-start sensitivity, the codec-vs-gzip ratio, the function-memory
 trade-off, the write-combining I/O ablation, and the three-way
 data-exchange comparison against the in-memory cache alternative.
+
+Every sweep is ``sweep_x(config, ...) -> rows`` and is one row of
+:data:`repro.experiments.EXPERIMENTS`; its parameter defaults are the
+axes of its committed ``benchmarks/results`` table, and what no caller
+varies is a module constant beside the sweep.  Every sort a sweep runs
+goes through :func:`sort_run`.
 """
 
 from __future__ import annotations
@@ -17,61 +23,173 @@ from repro.cas import output_digest
 from repro.cloud.environment import Cloud
 from repro.core.calibration import ExperimentConfig
 from repro.core.experiment import run_pipeline, stage_input
-from repro.cloud.vm.fleet import fleet_ready
-from repro.core.pipelines import (
-    CACHE_SUPPORTED,
-    PURE_SERVERLESS,
-    RELAY_SUPPORTED,
-    VM_SUPPORTED,
-)
+from repro.core.pipelines import PURE_SERVERLESS, VM_SUPPORTED
 from repro.executor.executor import FunctionExecutor
 from repro.executor.speculation import SpeculationPolicy
 from repro.methcomp.codec import compression_ratio, gzip_ratio
 from repro.methcomp.datagen import MethylomeGenerator
 from repro.methcomp.pipeline import bed_record_codec
+from repro.obs.slo import SloGate
 from repro.shuffle.operator import ShuffleSort
 from repro.shuffle.planner import exchange_terms, plan_shuffle, predict_shuffle_time
 from repro.shuffle.adaptive import EXCHANGE_SUBSTRATES
 from repro.errors import ShuffleError
-from repro.shuffle.relay import ShardedRelayExchange
 from repro.shuffle.relayplanner import required_relay_fleet
 from repro.shuffle.streaming import StreamConfig
 from repro.shuffle.substrates import SUBSTRATES
 from repro.sim import Simulator
 
+#: Where every sweep stages its dataset.
+BUCKET = "pipeline"
+INPUT_KEY = "input/methylome.bed"
 
-def _fresh_cloud(config: ExperimentConfig) -> Cloud:
-    return Cloud(Simulator(seed=config.seed), config.make_profile())
 
-
-def _staged_region(
-    config: ExperimentConfig, profile=None, **executor_kwargs
-) -> tuple[Cloud, FunctionExecutor]:
-    """A fresh region (on ``profile``, default the config's own) with
-    the dataset staged, and a function executor on it."""
-    cloud = Cloud(
+def _fresh_cloud(config: ExperimentConfig, profile=None) -> Cloud:
+    """A fresh region on ``profile`` (default the config's own)."""
+    return Cloud(
         Simulator(seed=config.seed),
         profile if profile is not None else config.make_profile(),
     )
-    stage_input(cloud, config, "pipeline", "input/methylome.bed")
+
+
+def _check_strategies(strategies: t.Iterable[str]) -> None:
+    """Fail fast (before any region is built) on an unknown substrate."""
+    for strategy in strategies:
+        if strategy not in SUBSTRATES:
+            raise ValueError(
+                f"unknown exchange strategy {strategy!r}; expected a "
+                f"subset of {EXCHANGE_SUBSTRATES}"
+            )
+
+
+@dataclasses.dataclass(frozen=True)
+class SortRun:
+    """What one :func:`sort_run` left behind, its substrate released."""
+
+    cloud: Cloud
+    executor: FunctionExecutor
+    #: The operator that ran; ``operator.report`` is its uniform
+    #: :class:`~repro.shuffle.exchange.ExchangeReport`.
+    operator: t.Any
+    #: The released resource (``None`` on object storage); its counters
+    #: outlive termination.
+    provisioned: t.Any
+    duration_s: float
+    #: Metered dollars from before provisioning to after release.
+    cost_usd: float
+    #: Reservation bytes the substrate still held once the sort had
+    #: settled (0 where it tracks none).
+    residual_bytes: float
+    #: Full sha256 of the sorted runs (:func:`~repro.cas.output_digest`);
+    #: the tables print its first 16 characters.
+    digest: str
+
+    @property
+    def report(self):
+        return self.operator.report
+
+
+def exchange_operator(
+    executor: FunctionExecutor,
+    config: ExperimentConfig,
+    strategy: str,
+    cost=None,
+    stream: StreamConfig | None = None,
+) -> tuple[ShuffleSort, t.Any]:
+    """A shuffle operator over one substrate, and the provisioned
+    resource under it (``None`` on object storage; the caller releases
+    it through the substrate's row).
+
+    The substrate comes off the :data:`~repro.shuffle.substrates.SUBSTRATES`
+    table by name, provisioned warm at the size ``config`` asks for, in
+    either execution mode (``stream``); ``cost`` defaults to the
+    workload's cost model.  :func:`sort_run` is this plus the region
+    around it and the single sort on it; S16 (``bench_cas``) takes the
+    operator alone to sort twice on one region.
+    """
+    _check_strategies([strategy])
+    row = SUBSTRATES[strategy]
+    # (flavour, count) per substrate; the cache cluster is sized to fit.
+    flavour, count = {
+        "cache": (config.cache_node_type, 0),
+        "relay": (config.resolved_relay_instance_type, 1),
+        "sharded-relay": (config.resolved_relay_instance_type, config.relay_shards),
+    }.get(strategy, (None, 0))
+    provisioned = row.provision(
+        executor.cloud, config.logical_bytes, flavour, count
+    )
+    cost = cost if cost is not None else config.workload.shuffle_cost_model()
+    backend = row.make_backend(provisioned, cost, stream)
+    return ShuffleSort(executor, bed_record_codec(), backend=backend), provisioned
+
+
+def sort_run(
+    config: ExperimentConfig,
+    strategy: str | t.Callable,
+    workers: int,
+    *,
+    stream: StreamConfig | None = None,
+    cost=None,
+    profile=None,
+    before: t.Callable[[Cloud], t.Any] | None = None,
+    **executor_kwargs,
+) -> SortRun:
+    """Sort ``config``'s dataset once, on a fresh region, over one substrate.
+
+    The one way a sweep runs a sort: a fresh region (on ``profile``,
+    default the config's own) with the dataset staged and a function
+    executor on it (``executor_kwargs``: retries, speculation); the
+    :func:`exchange_operator` of the named substrate (``cost``,
+    ``stream``); the sort driven to completion at ``workers``; the
+    substrate released; and what the run left behind.
+    ``before(cloud)`` runs inside the driver process ahead of the sort
+    (fault injection, a mid-run profile shift).  An operator that is
+    not a table row (the online selector) is passed as a factory
+    ``strategy(executor, cost)`` in place of the name, and provisions
+    for itself.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    cloud = _fresh_cloud(config, profile)
+    stage_input(cloud, config, BUCKET, INPUT_KEY)
     executor = FunctionExecutor(
         cloud,
         runtime_memory_mb=config.function_memory_mb,
-        bucket="pipeline",
+        bucket=BUCKET,
         **executor_kwargs,
     )
-    return cloud, executor
-
-
-def _run_sort(cloud: Cloud, operator, **sort_kwargs):
-    """Drive ``operator.sort`` on the staged dataset to completion."""
-
-    def driver():
-        return (
-            yield operator.sort("pipeline", "input/methylome.bed", **sort_kwargs)
+    marker = cloud.meter.snapshot()
+    cost = cost if cost is not None else config.workload.shuffle_cost_model()
+    provisioned = None
+    if callable(strategy):
+        operator = strategy(executor, cost)
+    else:
+        operator, provisioned = exchange_operator(
+            executor, config, strategy, cost, stream
         )
 
-    return cloud.sim.run_process(driver())
+    def driver():
+        if before is not None:
+            before(cloud)
+        return (yield operator.sort(BUCKET, INPUT_KEY, workers=workers))
+
+    result = cloud.sim.run_process(driver())
+    residual = 0.0
+    if hasattr(provisioned, "residual_reservation_bytes"):  # the relays
+        residual = provisioned.residual_reservation_bytes()
+        provisioned.check_memory_accounting()
+    if provisioned is not None:
+        SUBSTRATES[strategy].release(provisioned)
+    return SortRun(
+        cloud=cloud,
+        executor=executor,
+        operator=operator,
+        provisioned=provisioned,
+        duration_s=result.duration_s,
+        cost_usd=cloud.meter.since(marker).total_usd,
+        residual_bytes=residual,
+        digest=output_digest(cloud, result, full=True),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -91,15 +209,11 @@ def sweep_workers(
     )
     rows = []
     for workers in worker_counts:
-        cloud, executor = _staged_region(config)
-        operator = ShuffleSort(
-            executor, bed_record_codec(), cost=config.workload.shuffle_cost_model()
-        )
-        result = _run_sort(cloud, operator, workers=workers)
+        run = sort_run(config, "objectstore", workers)
         rows.append(
             {
                 "workers": workers,
-                "sort_latency_s": result.duration_s,
+                "sort_latency_s": run.duration_s,
                 "planner_predicted_s": plan.point(workers).total_s,
                 "planner_optimum": plan.workers,
             }
@@ -141,11 +255,10 @@ def sweep_storage_ops(
     config: ExperimentConfig | None = None,
     ops_rates: t.Sequence[float] = (100, 250, 500, 1000, 3000, 8000),
     workers: int = 32,
-    write_combining: bool = False,
 ) -> list[dict]:
     """Sort latency vs the store's request-rate ceiling.
 
-    Defaults to the *naive* all-to-all layout (no write-combining: W²
+    Runs the *naive* all-to-all layout (no write-combining: W²
     PUTs + W² GETs), which is the configuration the paper's warning
     about "a few thousand operations/s" applies to.  With Primula's
     write-combining the same shuffle is nearly insensitive to the
@@ -154,23 +267,20 @@ def sweep_storage_ops(
     base = config if config is not None else ExperimentConfig()
     rows = []
     for ops in ops_rates:
-        cfg = dataclasses.replace(base)
-        profile = cfg.make_profile()
+        profile = base.make_profile()
         profile.objectstore.ops_per_second = float(ops)
         profile.objectstore.ops_burst = float(ops)
-        cloud, executor = _staged_region(cfg, profile)
-        cost = cfg.workload.shuffle_cost_model()
-        cost.write_combining = write_combining
-        operator = ShuffleSort(executor, bed_record_codec(), cost=cost)
-        result = _run_sort(cloud, operator, workers=workers)
+        cost = base.workload.shuffle_cost_model()
+        cost.write_combining = False
+        run = sort_run(base, "objectstore", workers, cost=cost, profile=profile)
         rows.append(
             {
                 "ops_per_second": ops,
                 "workers": workers,
-                "write_combining": write_combining,
-                "sort_latency_s": result.duration_s,
-                "slowdowns": cloud.store.stats.slowdowns,
-                "requests": cloud.store.stats.total_requests,
+                "write_combining": cost.write_combining,
+                "sort_latency_s": run.duration_s,
+                "slowdowns": run.cloud.store.stats.slowdowns,
+                "requests": run.cloud.store.stats.total_requests,
             }
         )
     return rows
@@ -181,25 +291,23 @@ def sweep_storage_ops(
 # ----------------------------------------------------------------------
 def sweep_io_ablation(
     config: ExperimentConfig | None = None,
-    worker_counts: t.Sequence[int] = (8, 16, 32),
+    worker_counts: t.Sequence[int] = (8, 16, 32, 64),
 ) -> list[dict]:
     """Shuffle latency and request counts with and without write-combining."""
     base = config if config is not None else ExperimentConfig()
     rows = []
     for workers in worker_counts:
         for write_combining in (True, False):
-            cloud, executor = _staged_region(base)
             cost = base.workload.shuffle_cost_model()
             cost.write_combining = write_combining
-            operator = ShuffleSort(executor, bed_record_codec(), cost=cost)
-            result = _run_sort(cloud, operator, workers=workers)
+            run = sort_run(base, "objectstore", workers, cost=cost)
             rows.append(
                 {
                     "workers": workers,
                     "write_combining": write_combining,
-                    "sort_latency_s": result.duration_s,
-                    "storage_puts": cloud.store.stats.puts,
-                    "storage_gets": cloud.store.stats.gets,
+                    "sort_latency_s": run.duration_s,
+                    "storage_puts": run.cloud.store.stats.puts,
+                    "storage_gets": run.cloud.store.stats.gets,
                 }
             )
     return rows
@@ -208,56 +316,6 @@ def sweep_io_ablation(
 # ----------------------------------------------------------------------
 # S8: data-exchange strategy comparison (COS vs cache vs relay vs fleet)
 # ----------------------------------------------------------------------
-def _release(provisioned) -> float:
-    """Terminate a sweep's substrate (``None`` for object storage);
-    returns the reservation bytes it still held, where it tracks them."""
-    if provisioned is None:
-        return 0.0
-    residual = getattr(provisioned, "residual_reservation_bytes", lambda: 0.0)()
-    provisioned.terminate()
-    return residual
-
-
-def _check_strategies(strategies: t.Iterable[str]) -> None:
-    """Fail fast (before any region is built) on an unknown substrate."""
-    for strategy in strategies:
-        if strategy not in SUBSTRATES:
-            raise ValueError(
-                f"unknown exchange strategy {strategy!r}; expected a "
-                f"subset of {EXCHANGE_SUBSTRATES}"
-            )
-
-
-def _make_exchange_operator(
-    cloud: Cloud, config: ExperimentConfig, strategy: str,
-    executor: FunctionExecutor, stream: StreamConfig | None = None,
-):
-    """One shuffle operator + its provisioned substrate (or ``None``).
-
-    The single construction point for every substrate the sweeps
-    compare — in either execution mode: pass a
-    :class:`~repro.shuffle.streaming.StreamConfig` to run the same
-    substrate streaming.  The substrate comes off the
-    :data:`~repro.shuffle.substrates.SUBSTRATES` table, provisioned
-    warm at the size ``config`` asks for; the returned operator's
-    uniform :class:`~repro.shuffle.exchange.ExchangeReport` replaces
-    the per-substrate metadata the sweeps used to special-case.
-    """
-    _check_strategies([strategy])
-    row = SUBSTRATES[strategy]
-    # (flavour, count) per substrate; the cache cluster is sized to fit.
-    flavour, count = {
-        "cache": (config.cache_node_type, 0),
-        "relay": (config.resolved_relay_instance_type, 1),
-        "sharded-relay": (config.resolved_relay_instance_type, config.relay_shards),
-    }.get(strategy, (None, 0))
-    provisioned = row.provision(cloud, config.logical_bytes, flavour, count)
-    backend = row.make_backend(
-        provisioned, config.workload.shuffle_cost_model(), stream
-    )
-    return ShuffleSort(executor, bed_record_codec(), backend=backend), provisioned
-
-
 def sweep_exchange(
     config: ExperimentConfig | None = None,
     worker_counts: t.Sequence[int] = (4, 8, 16, 32, 64),
@@ -283,45 +341,34 @@ def sweep_exchange(
     substrate's output digest must match (byte parity), and any planner
     prediction must land within a 2x envelope of the measured sort.
     """
-    from repro.obs.slo import SloGate
     base = config if config is not None else ExperimentConfig()
     _check_strategies(strategies)
+    gate = SloGate("s8-exchange")
     rows = []
     for workers in worker_counts:
+        group = []
         for strategy in strategies:
-            cloud, executor = _staged_region(base)
-            marker = cloud.meter.snapshot()
-            operator, provisioned = _make_exchange_operator(
-                cloud, base, strategy, executor
+            run = sort_run(base, strategy, workers)
+            gate.prediction_envelope(
+                f"{strategy}@{workers}w", run.report.predicted_s, run.duration_s
             )
-            result = _run_sort(cloud, operator, workers=workers)
-            _release(provisioned)
-            rows.append(
+            group.append(
                 {
                     "workers": workers,
                     "strategy": strategy,
-                    "sort_latency_s": result.duration_s,
-                    "sort_cost_usd": cloud.meter.since(marker).total_usd,
-                    "provisioned_usd": operator.report.provisioned_usd,
-                    "storage_requests": cloud.store.stats.total_requests,
-                    "output_digest": output_digest(cloud, result),
-                    "_report": operator.report.describe(),
-                    "_predicted_s": operator.report.predicted_s,
+                    "sort_latency_s": run.duration_s,
+                    "sort_cost_usd": run.cost_usd,
+                    "provisioned_usd": run.report.provisioned_usd,
+                    "storage_requests": run.cloud.store.stats.total_requests,
+                    "output_digest": run.digest[:16],
+                    "_report": run.report.describe(),
                 }
             )
-    gate = SloGate("s8-exchange")
-    for workers in worker_counts:
-        group = [row for row in rows if row["workers"] == workers]
         gate.equal(
             f"byte-parity@{workers}w",
             *[row["output_digest"] for row in group],
         )
-        for row in group:
-            gate.prediction_envelope(
-                f"{row['strategy']}@{workers}w",
-                row.pop("_predicted_s"),
-                row["sort_latency_s"],
-            )
+        rows += group
     gate.assert_ok()
     return rows
 
@@ -340,41 +387,31 @@ def sweep_relay_shards(
     assert byte parity across every fleet size.
     """
     base = config if config is not None else ExperimentConfig()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     for shards in shard_counts:
         if shards < 1:
             raise ValueError(f"shard counts must be >= 1, got {shards}")
     rows = []
-
-    def run_one(strategy: str, shards: int) -> dict:
-        cfg = dataclasses.replace(base, relay_shards=max(1, shards))
-        cloud, executor = _staged_region(cfg)
-        marker = cloud.meter.snapshot()
-        operator, provisioned = _make_exchange_operator(
-            cloud, cfg, strategy, executor
+    for strategy, shards in [("objectstore", 0)] + [
+        ("sharded-relay", shards) for shards in shard_counts
+    ]:
+        run = sort_run(
+            dataclasses.replace(base, relay_shards=max(1, shards)), strategy, workers
         )
-        result = _run_sort(cloud, operator, workers=workers)
-        residual = _release(provisioned)
-        backpressure = 0
-        report = operator.report
-        if strategy == "sharded-relay":
-            backpressure = report.backpressure_waits
-        return {
-            "strategy": strategy,
-            "shards": shards,
-            "workers": workers,
-            "sort_latency_s": result.duration_s,
-            "sort_cost_usd": cloud.meter.since(marker).total_usd,
-            "provisioned_usd": report.provisioned_usd,
-            "backpressure_waits": backpressure,
-            "residual_bytes": residual,
-            "output_digest": output_digest(cloud, result),
-        }
-
-    rows.append(run_one("objectstore", 0))
-    for shards in shard_counts:
-        rows.append(run_one("sharded-relay", shards))
+        rows.append(
+            {
+                "strategy": strategy,
+                "shards": shards,
+                "workers": workers,
+                "sort_latency_s": run.duration_s,
+                "sort_cost_usd": run.cost_usd,
+                "provisioned_usd": run.report.provisioned_usd,
+                "backpressure_waits": (
+                    run.report.backpressure_waits if strategy == "sharded-relay" else 0
+                ),
+                "residual_bytes": run.residual_bytes,
+                "output_digest": run.digest[:16],
+            }
+        )
     return rows
 
 
@@ -398,14 +435,10 @@ def sweep_streaming(
     reducer-buffer high watermark and the summed backpressure waits.
     """
     base = config if config is not None else ExperimentConfig()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     _check_strategies(strategies)
     rows = []
 
     def run_one(strategy: str, mode: str, buffer_cap_mb: float) -> dict:
-        cloud, executor = _staged_region(base)
-        marker = cloud.meter.snapshot()
         stream = None
         if mode != "staged":
             stream = StreamConfig(
@@ -413,27 +446,23 @@ def sweep_streaming(
                 buffer_bytes=buffer_cap_mb * (1 << 20)
                 if buffer_cap_mb > 0 else None,
             )
-        operator, provisioned = _make_exchange_operator(
-            cloud, base, strategy, executor, stream=stream
-        )
-        result = _run_sort(cloud, operator, workers=workers)
-        residual = _release(provisioned)
-        report = operator.report
+        run = sort_run(base, strategy, workers, stream=stream)
+        report = run.report
         return {
             "strategy": strategy,
             "mode": mode,
             "buffer_mb": buffer_cap_mb if mode != "staged" else 0.0,
             "workers": workers,
-            "sort_latency_s": result.duration_s,
+            "sort_latency_s": run.duration_s,
             "overlap_s": report.overlap_s,
             "backpressure_waits": report.extra.get(
                 "buffer_backpressure_waits", 0
             ),
             "buffer_hwm_mb": report.buffer_high_watermark_bytes / (1 << 20),
-            "sort_cost_usd": cloud.meter.since(marker).total_usd,
+            "sort_cost_usd": run.cost_usd,
             "provisioned_usd": report.provisioned_usd,
-            "residual_bytes": residual,
-            "output_digest": output_digest(cloud, result),
+            "residual_bytes": run.residual_bytes,
+            "output_digest": run.digest[:16],
         }
 
     for strategy in strategies:
@@ -443,6 +472,12 @@ def sweep_streaming(
     return rows
 
 
+#: S11's regime — the *fleet side* is the exchange bottleneck — takes
+#: small-NIC shards under workers whose NICs are raised to this.
+SKEW_RELAY_INSTANCE_TYPE = "bx2-2x8"
+SKEW_WORKER_NIC_BPS = 150e6
+
+
 def sweep_skew(
     config: ExperimentConfig | None = None,
     distributions: t.Sequence[str] = ("uniform", "zipf"),
@@ -450,8 +485,6 @@ def sweep_skew(
     shards: int = 2,
     zipf_s: float = 2.0,
     distinct_keys: int = 4,
-    relay_instance_type: str = "bx2-2x8",
-    worker_nic_bps: float = 150e6,
 ) -> list[dict]:
     """S11: skew-aware shuffle — CRC vs load-aware fleet routing.
 
@@ -477,8 +510,6 @@ def sweep_skew(
     from repro.shuffle.skew import KEY_DISTRIBUTIONS
 
     base = config if config is not None else ExperimentConfig()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     for distribution in distributions:
@@ -489,7 +520,7 @@ def sweep_skew(
             )
 
     def fat_workers(profile) -> None:
-        profile.faas.instance_bandwidth = worker_nic_bps
+        profile.faas.instance_bandwidth = SKEW_WORKER_NIC_BPS
 
     rows = []
     for distribution in distributions:
@@ -499,64 +530,46 @@ def sweep_skew(
             zipf_s=zipf_s,
             skew_distinct_keys=distinct_keys,
             profile_mutator=fat_workers,
+            relay_instance_type=SKEW_RELAY_INSTANCE_TYPE,
+            relay_shards=shards,
         )
 
         def run_one(strategy: str, routing: str) -> dict:
-            cloud, executor = _staged_region(cfg)
-            marker = cloud.meter.snapshot()
-            fleet = None
-            if strategy == "objectstore":
-                operator = ShuffleSort(
-                    executor, bed_record_codec(),
-                    cost=cfg.workload.shuffle_cost_model(),
-                )
-            else:
-                fleet = fleet_ready(
-                    cloud.vms, relay_instance_type, shards=shards
-                )
-                cost = cfg.workload.shuffle_cost_model()
-                cost.rebalance = routing == "rebalanced"
-                operator = ShuffleSort(
-                    executor, bed_record_codec(),
-                    backend=ShardedRelayExchange(fleet, cost),
-                )
-            result = _run_sort(cloud, operator, workers=workers)
-            report = operator.report
-            residual = 0.0
+            cost = cfg.workload.shuffle_cost_model()
+            cost.rebalance = routing != "crc"
+            run = sort_run(cfg, strategy, workers, cost=cost)
+            report = run.report
+            on_fleet = strategy == "sharded-relay"
             predicted_s = float("nan")
-            hot_share = 0.0
-            if fleet is not None:
-                residual = fleet.residual_reservation_bytes()
-                hot_share = report.hot_shard_share
+            if on_fleet:
                 # The skew-aware model, evaluated at the *measured*
                 # partition skew — what a planner that trusts its
                 # sampling pass would have predicted for this run.
                 predicted_s = predict_shuffle_time(
                     cfg.logical_bytes,
                     workers,
-                    cloud.profile,
-                    operator.cost,
+                    run.cloud.profile,
+                    cost,
                     skew=report.partition_skew,
                     terms=exchange_terms(
-                        "sharded-relay", cloud.profile, operator.cost,
-                        relay_instance_type, shards,
+                        "sharded-relay", run.cloud.profile, cost,
+                        SKEW_RELAY_INSTANCE_TYPE, shards,
                     ),
                 ).total_s
-                fleet.terminate()
             return {
                 "distribution": distribution,
                 "strategy": strategy,
                 "routing": routing,
                 "workers": workers,
-                "shards": shards if fleet is not None else 0,
-                "sort_latency_s": result.duration_s,
+                "shards": shards if on_fleet else 0,
+                "sort_latency_s": run.duration_s,
                 "predicted_s": predicted_s,
                 "partition_skew": report.partition_skew,
                 "predicted_skew": report.predicted_partition_skew,
-                "hot_shard_share": hot_share,
-                "sort_cost_usd": cloud.meter.since(marker).total_usd,
-                "residual_bytes": residual,
-                "output_digest": output_digest(cloud, result),
+                "hot_shard_share": report.hot_shard_share if on_fleet else 0.0,
+                "sort_cost_usd": run.cost_usd,
+                "residual_bytes": run.residual_bytes,
+                "output_digest": run.digest[:16],
             }
 
         rows.append(run_one("objectstore", "-"))
@@ -565,97 +578,73 @@ def sweep_skew(
     return rows
 
 
-def sweep_exchange_pipelines(
-    config: ExperimentConfig | None = None,
-    sizes_gb: t.Sequence[float] = (1.0, 3.5, 7.0),
-) -> list[dict]:
-    """End-to-end four-way pipeline comparison across input sizes."""
-    base = config if config is not None else ExperimentConfig()
-    rows = []
-    for size_gb in sizes_gb:
-        cfg = dataclasses.replace(base, size_gb=size_gb)
-        for variant in (PURE_SERVERLESS, VM_SUPPORTED, CACHE_SUPPORTED,
-                        RELAY_SUPPORTED):
-            run = run_pipeline(cfg, variant)
-            rows.append(
-                {
-                    "size_gb": size_gb,
-                    "variant": variant,
-                    "latency_s": run.latency_s,
-                    "cost_usd": run.cost_usd,
-                    "sort_s": run.stage_durations.get("sort"),
-                }
-            )
-    return rows
-
-
 # ----------------------------------------------------------------------
 # S9: fault injection and straggler mitigation
 # ----------------------------------------------------------------------
-def sweep_exchange_faults(
-    config: ExperimentConfig | None = None,
-    crash_rates: t.Sequence[float] = (0.0, 0.1, 0.25),
-    strategies: t.Sequence[str] = EXCHANGE_SUBSTRATES,
-    workers: int = 16,
-    retries: int = 6,
-) -> list[dict]:
+#: S9c/S9d sort on every substrate at this worker count.
+FAULT_WORKERS = 16
+FAULT_CRASH_RATES = (0.0, 0.1, 0.25)
+FAULT_RETRIES = 6
+#: S9b/S9d: the backup policy, and the heavy-tailed cold starts
+#: (lognormal) that give it stragglers to chase.
+SPECULATION = SpeculationPolicy(quantile=0.7, latency_multiplier=1.3)
+HEAVY_TAIL_COLD_START_MEAN_S = 1.5
+HEAVY_TAIL_COLD_START_SIGMA = 1.4
+
+
+def _heavy_tailed_profile(config: ExperimentConfig):
+    profile = config.make_profile()
+    profile.faas.cold_start.mean = HEAVY_TAIL_COLD_START_MEAN_S
+    profile.faas.cold_start.sigma = HEAVY_TAIL_COLD_START_SIGMA
+    return profile
+
+
+def sweep_exchange_faults(config: ExperimentConfig | None = None) -> list[dict]:
     """S9c: crash-injected shuffle on every exchange substrate.
 
     Attempt-scoped cancellation makes crash-retry safe on the stateful
     substrates too: a killed mapper's in-flight transfers are aborted
     and its reservations reclaimed, so the retried attempt never races
     an orphaned predecessor.  Every row carries the artifact digest —
-    the sweep itself asserts byte parity with the crash-free run — and
-    the relay rows additionally report residual reservations, asserted
+    the sweep itself gates byte parity with the crash-free run — and
+    the relay rows additionally report residual reservations, gated
     zero.
     """
     base = config if config is not None else ExperimentConfig()
+    gate = SloGate("s9c-exchange-faults")
     rows = []
-    baseline_digest: str | None = None
-    for rate in crash_rates:
-        for strategy in strategies:
-            cloud, executor = _staged_region(base, retries=retries)
+    for rate in FAULT_CRASH_RATES:
+
+        def inject(cloud: Cloud, rate=rate) -> None:
             cloud.faas.crash_probability = rate
-            operator, provisioned = _make_exchange_operator(
-                cloud, base, strategy, executor
+
+        for strategy in EXCHANGE_SUBSTRATES:
+            run = sort_run(
+                base, strategy, FAULT_WORKERS, before=inject, retries=FAULT_RETRIES
             )
-            result = _run_sort(cloud, operator, workers=workers)
-            digest = output_digest(cloud, result)
-            if baseline_digest is None:
-                baseline_digest = digest
-            # Self-healing must be lossless on every substrate.
-            assert digest == baseline_digest, (
-                f"{strategy} diverged at crash rate {rate}"
-            )
-            residual = 0.0
             reclaimed = 0.0
             if strategy in ("relay", "sharded-relay"):
-                residual = provisioned.residual_reservation_bytes()
-                assert residual == 0.0, f"{strategy} leaked reservations"
-                provisioned.check_memory_accounting()
-                reclaimed = provisioned.stats.reclaimed_bytes
+                gate.zero(f"residual:{strategy}@{rate}", run.residual_bytes)
+                reclaimed = run.provisioned.stats.reclaimed_bytes
             rows.append(
                 {
                     "strategy": strategy,
                     "crash_probability": rate,
-                    "sort_latency_s": result.duration_s,
-                    "crashes": cloud.faas.stats.crashes,
-                    "invocations": cloud.faas.stats.invocations,
+                    "sort_latency_s": run.duration_s,
+                    "crashes": run.cloud.faas.stats.crashes,
+                    "invocations": run.cloud.faas.stats.invocations,
                     "reclaimed_bytes": reclaimed,
-                    "residual_bytes": residual,
-                    "output_digest": digest,
+                    "residual_bytes": run.residual_bytes,
+                    "output_digest": run.digest[:16],
                 }
             )
-            _release(provisioned)
+    # Self-healing must be lossless on every substrate.
+    gate.equal("byte-parity", *[row["output_digest"] for row in rows])
+    gate.assert_ok()
     return rows
 
 
-def sweep_exchange_speculation(
-    config: ExperimentConfig | None = None,
-    strategies: t.Sequence[str] = EXCHANGE_SUBSTRATES,
-    workers: int = 16,
-    cold_start_sigma: float = 1.4,
-) -> list[dict]:
+def sweep_exchange_speculation(config: ExperimentConfig | None = None) -> list[dict]:
     """S9d: straggler mitigation per exchange substrate.
 
     The speculator cancels losing attempts through the platform, so
@@ -664,38 +653,37 @@ def sweep_exchange_speculation(
     kill (``cancelled_gb_s`` is the leftover cost of losing attempts).
     """
     base = config if config is not None else ExperimentConfig()
-    policy = SpeculationPolicy(quantile=0.7, latency_multiplier=1.3)
     rows = []
-    digests: set[str] = set()
-    for strategy in strategies:
-        for label, speculation in (("off", None), ("on", policy)):
-            profile = base.make_profile()
-            profile.faas.cold_start.mean = 1.5
-            profile.faas.cold_start.sigma = cold_start_sigma
-            cloud, executor = _staged_region(base, profile, speculation=speculation)
-            operator, provisioned = _make_exchange_operator(
-                cloud, base, strategy, executor
+    digests = []
+    for strategy in EXCHANGE_SUBSTRATES:
+        for label, speculation in (("off", None), ("on", SPECULATION)):
+            run = sort_run(
+                base,
+                strategy,
+                FAULT_WORKERS,
+                profile=_heavy_tailed_profile(base),
+                speculation=speculation,
             )
-            result = _run_sort(cloud, operator, workers=workers)
-            digests.add(output_digest(cloud, result, full=True))
+            digests.append(run.digest)
             rows.append(
                 {
                     "strategy": strategy,
                     "speculation": label,
-                    "sort_latency_s": result.duration_s,
-                    "backup_tasks": executor.speculative_launches,
-                    "cancelled_attempts": cloud.faas.stats.cancellations,
+                    "sort_latency_s": run.duration_s,
+                    "backup_tasks": run.executor.speculative_launches,
+                    "cancelled_attempts": run.cloud.faas.stats.cancellations,
                     "cancelled_gb_s": sum(
                         line.gb_seconds
-                        for line in cloud.faas.billing_log
+                        for line in run.cloud.faas.billing_log
                         if line.outcome == "cancelled"
                     ),
-                    "invocations": cloud.faas.stats.invocations,
+                    "invocations": run.cloud.faas.stats.invocations,
                 }
             )
-            _release(provisioned)
     # Speculation must never change the artifact, on any substrate.
-    assert len(digests) == 1, "speculation changed the sorted artifact"
+    gate = SloGate("s9d-exchange-speculation")
+    gate.equal("byte-parity", *digests)
+    gate.assert_ok()
     return rows
 
 
@@ -710,9 +698,8 @@ def sweep_fault_rate(
     The executor re-invokes crashed calls (Lithops-style); the rows show
     what that self-healing costs in wall clock and dollars.
     """
-    from repro.executor import FunctionExecutor
-
     base = config if config is not None else ExperimentConfig()
+    gate = SloGate("s9a-fault-rate")
     rows = []
     for rate in crash_rates:
         cloud = _fresh_cloud(base)
@@ -722,6 +709,10 @@ def sweep_fault_rate(
             cloud, runtime_memory_mb=base.function_memory_mb
         )
 
+        # Written out here and in sweep_speculation, not shared: the
+        # executor ships ``cpu_model`` by value (cloudpickle), qualified
+        # name included, and the store charges the bytes — hoisting the
+        # lambda into a helper moves simulated time.
         def driver():
             futures = yield executor.map(
                 _identity, list(range(calls)), cpu_model=lambda _x: call_cpu_s
@@ -729,7 +720,8 @@ def sweep_fault_rate(
             return (yield executor.get_result(futures))
 
         results = cloud.sim.run_process(driver())
-        assert results == list(range(calls))  # self-healing must be lossless
+        # Self-healing must be lossless.
+        gate.equal(f"lossless@{rate}", results, list(range(calls)))
         rows.append(
             {
                 "crash_probability": rate,
@@ -739,6 +731,7 @@ def sweep_fault_rate(
                 "invocations": cloud.faas.stats.invocations,
             }
         )
+    gate.assert_ok()
     return rows
 
 
@@ -746,21 +739,12 @@ def sweep_speculation(
     config: ExperimentConfig | None = None,
     calls: int = 48,
     call_cpu_s: float = 5.0,
-    cold_start_sigma: float = 1.4,
 ) -> list[dict]:
     """Straggler-mitigation ablation under heavy-tailed cold starts."""
-    from repro.executor import FunctionExecutor, SpeculationPolicy
-
     base = config if config is not None else ExperimentConfig()
     rows = []
-    for label, policy in (
-        ("off", None),
-        ("on", SpeculationPolicy(quantile=0.7, latency_multiplier=1.3)),
-    ):
-        profile = base.make_profile()
-        profile.faas.cold_start.mean = 1.5
-        profile.faas.cold_start.sigma = cold_start_sigma
-        cloud = Cloud(Simulator(seed=base.seed), profile)
+    for label, policy in (("off", None), ("on", SPECULATION)):
+        cloud = _fresh_cloud(base, _heavy_tailed_profile(base))
         executor = FunctionExecutor(
             cloud, runtime_memory_mb=base.function_memory_mb, speculation=policy
         )
@@ -827,13 +811,10 @@ def sweep_tuner(
     for name, mutate in scenarios.items():
         cfg = dataclasses.replace(base, profile_mutator=mutate)
 
-        def measure(workers: int) -> float:
-            cloud, executor = _staged_region(cfg)
-            operator = ShuffleSort(executor, bed_record_codec(), cost=cost)
-
-            return _run_sort(cloud, operator, workers=workers).duration_s
-
-        measured = {workers: measure(workers) for workers in worker_candidates}
+        measured = {
+            workers: sort_run(cfg, "objectstore", workers, cost=cost).duration_s
+            for workers in worker_candidates
+        }
         oracle_pick = min(measured, key=measured.get)
 
         static_pick = plan_shuffle(
@@ -844,18 +825,18 @@ def sweep_tuner(
         ).workers
 
         probe_cloud = _fresh_cloud(cfg)
-        stage_input(probe_cloud, cfg, "pipeline", "input/methylome.bed")
+        stage_input(probe_cloud, cfg, BUCKET, INPUT_KEY)
         tuner = OnlineTuner(
             FunctionExecutor(
                 probe_cloud, runtime_memory_mb=cfg.function_memory_mb,
-                bucket="pipeline",
+                bucket=BUCKET,
             )
         )
 
         def tune_driver():
             return (
                 yield tuner.tune(
-                    "pipeline", base.logical_bytes, cost,
+                    BUCKET, base.logical_bytes, cost,
                     candidates=worker_candidates,
                 )
             )
@@ -884,17 +865,21 @@ def sweep_tuner(
 # ----------------------------------------------------------------------
 # S12: online mid-stream re-selection vs every static decision
 # ----------------------------------------------------------------------
-def sweep_online(
-    config: ExperimentConfig | None = None,
-    workers: int = 8,
-    chunk_mb: float = 32.0,
-    time_value_usd_per_hour: float = 1.0,
-    shift_at_s: float = 60.0,
-    brownout_read_latency_s: float = 0.45,
-    brownout_write_latency_s: float = 0.45,
-    brownout_connection_bps: float = 2e6,
-    switch_margin: float = 0.05,
-) -> list[dict]:
+#: S12: every run pinned at this worker count, streaming in chunks of
+#: this many logical MB, scored at this many dollars per latency-hour.
+ONLINE_WORKERS = 8
+ONLINE_CHUNK_MB = 32.0
+ONLINE_TIME_VALUE_USD_PER_HOUR = 1.0
+#: The launch-time COS brownout (request latencies, per-connection
+#: bandwidth) and the simulated second it clears at.
+BROWNOUT_LATENCY_S = 0.45
+BROWNOUT_CONNECTION_BPS = 2e6
+BROWNOUT_CLEARS_AT_S = 60.0
+#: Score improvement the online operator asks for before it switches.
+ONLINE_SWITCH_MARGIN = 0.05
+
+
+def sweep_online(config: ExperimentConfig | None = None) -> list[dict]:
     """S12: mid-stream re-selection against the static decision grid.
 
     The adversarial scenario no pre-flight decision can win: a
@@ -927,22 +912,16 @@ def sweep_online(
     from repro.shuffle.online import OnlineShuffleSort
 
     base = config if config is not None else ExperimentConfig()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    healthy_profile = base.make_profile()
-    healthy = {
-        "read_latency_s": healthy_profile.objectstore.read_latency.mean,
-        "write_latency_s": healthy_profile.objectstore.write_latency.mean,
-        "connection_bps": healthy_profile.objectstore.per_connection_bandwidth,
-    }
+    workers = ONLINE_WORKERS
+    healthy = base.make_profile().objectstore
 
     def brownout(profile) -> None:
         """Launch-time COS brownout: throttled connections, fat latency."""
         if base.profile_mutator is not None:
             base.profile_mutator(profile)
-        profile.objectstore.read_latency.mean = brownout_read_latency_s
-        profile.objectstore.write_latency.mean = brownout_write_latency_s
-        profile.objectstore.per_connection_bandwidth = brownout_connection_bps
+        profile.objectstore.read_latency.mean = BROWNOUT_LATENCY_S
+        profile.objectstore.write_latency.mean = BROWNOUT_LATENCY_S
+        profile.objectstore.per_connection_bandwidth = BROWNOUT_CONNECTION_BPS
 
     def small_relays(profile) -> None:
         """Brownout plus relay VMs shrunk so the fleet must shard.
@@ -962,38 +941,32 @@ def sweep_online(
     cfg = dataclasses.replace(
         base, key_distribution="late-hot", profile_mutator=brownout
     )
-    time_value = time_value_usd_per_hour
+    time_value = ONLINE_TIME_VALUE_USD_PER_HOUR
     reroute_cfg = dataclasses.replace(cfg, profile_mutator=small_relays)
 
-    def shifted(cloud: Cloud):
-        """Mid-run recovery: the COS brownout clears at ``shift_at_s``."""
+    def shift(cloud: Cloud) -> None:
+        """Mid-run recovery: the COS brownout clears at ``BROWNOUT_CLEARS_AT_S``."""
 
         def proc():
-            yield cloud.sim.timeout(shift_at_s)
-            cloud.profile.objectstore.read_latency.mean = healthy[
-                "read_latency_s"
-            ]
-            cloud.profile.objectstore.write_latency.mean = healthy[
-                "write_latency_s"
-            ]
-            cloud.profile.objectstore.per_connection_bandwidth = healthy[
-                "connection_bps"
-            ]
+            yield cloud.sim.timeout(BROWNOUT_CLEARS_AT_S)
+            store = cloud.profile.objectstore
+            store.read_latency.mean = healthy.read_latency.mean
+            store.write_latency.mean = healthy.write_latency.mean
+            store.per_connection_bandwidth = healthy.per_connection_bandwidth
 
-        return proc()
+        cloud.sim.process(proc(), name="s12.shift")
 
-    stream = StreamConfig(chunk_bytes=chunk_mb * (1 << 20))
+    stream = StreamConfig(chunk_bytes=ONLINE_CHUNK_MB * (1 << 20))
 
     def run_row(scenario: str, strategy: str, mode: str) -> dict:
         row_cfg = reroute_cfg if scenario == "reroute" else cfg
-        cloud, executor = _staged_region(row_cfg)
-        provisioned = None
-        if strategy == "online":
-            operator = OnlineShuffleSort(
+
+        def online_operator(executor, cost):
+            return OnlineShuffleSort(
                 executor,
                 bed_record_codec(),
                 stream=stream,
-                cost=row_cfg.workload.shuffle_cost_model(),
+                cost=cost,
                 time_value_usd_per_hour=time_value,
                 substrates=(
                     ("sharded-relay",) if scenario == "reroute" else None
@@ -1002,47 +975,39 @@ def sweep_online(
                     ("streaming",) if scenario == "reroute"
                     else ("staged", "streaming")
                 ),
-                switch_margin=switch_margin,
-            )
-        else:
-            operator, provisioned = _make_exchange_operator(
-                cloud, row_cfg, strategy, executor,
-                stream=stream if mode == "streaming" else None,
+                switch_margin=ONLINE_SWITCH_MARGIN,
             )
 
-        def driver():
-            cloud.sim.process(shifted(cloud), name="s12.shift")
-            return (
-                yield operator.sort(
-                    "pipeline", "input/methylome.bed", workers=workers
-                )
-            )
-
-        result = cloud.sim.run_process(driver())
-        _release(provisioned)
-        report = operator.report
+        run = sort_run(
+            row_cfg,
+            online_operator if strategy == "online" else strategy,
+            workers,
+            stream=stream if mode == "streaming" else None,
+            before=shift,
+        )
+        report = run.report
         score = (
-            result.duration_s * time_value / 3600.0 + report.provisioned_usd
+            run.duration_s * time_value / 3600.0 + report.provisioned_usd
         )
         row = {
             "scenario": scenario,
             "strategy": strategy,
             "mode": mode,
             "workers": workers,
-            "sort_latency_s": result.duration_s,
+            "sort_latency_s": run.duration_s,
             "provisioned_usd": report.provisioned_usd,
             "score_usd": score,
             "switches": 0,
             "reroutes": 0,
             "peak_fill": 0.0,
-            "output_digest": output_digest(cloud, result),
+            "output_digest": run.digest[:16],
         }
         if strategy == "online":
-            row["switches"] = operator.timeline.switches
-            row["reroutes"] = operator.chunk_reroutes
+            row["switches"] = run.operator.timeline.switches
+            row["reroutes"] = run.operator.chunk_reroutes
             row["peak_fill"] = report.extra.get("relay_peak_fill", 0.0)
             row["_timeline"] = [
-                point.describe() for point in operator.timeline
+                point.describe() for point in run.operator.timeline
             ]
         return row
 
@@ -1057,10 +1022,11 @@ def sweep_online(
 # ----------------------------------------------------------------------
 # S11: multi-cloud portability (Lithops' multi-cloud story, ref [3])
 # ----------------------------------------------------------------------
-def sweep_multicloud(
-    config: ExperimentConfig | None = None,
-    providers: t.Sequence[str] = ("ibm-us-east", "aws-us-east"),
-) -> list[dict]:
+#: The paper's IBM setting, and the provider S11 ports it to.
+PROVIDERS = ("ibm-us-east", "aws-us-east")
+
+
+def sweep_multicloud(config: ExperimentConfig | None = None) -> list[dict]:
     """Re-run the Table 1 comparison on every provider profile.
 
     Absolute latencies and costs shift with each provider's constants;
@@ -1069,7 +1035,7 @@ def sweep_multicloud(
     """
     base = config if config is not None else ExperimentConfig()
     rows = []
-    for provider in providers:
+    for provider in PROVIDERS:
         cfg = dataclasses.replace(base, provider=provider)
         serverless = run_pipeline(cfg, PURE_SERVERLESS)
         vm = run_pipeline(cfg, VM_SUPPORTED)
@@ -1093,37 +1059,36 @@ def sweep_multicloud(
 def sweep_startup(
     config: ExperimentConfig | None = None,
     cold_multipliers: t.Sequence[float] = (0.5, 1.0, 2.0, 4.0),
-    boot_times: t.Sequence[float] = (30.0, 60.0, 105.0, 180.0),
+    boot_times: t.Sequence[float] = (30.0, 60.0, 99.0, 180.0),
 ) -> list[dict]:
     """Latency sensitivity to function cold starts and VM boot time."""
     base = config if config is not None else ExperimentConfig()
+
+    def scale_cold(multiplier: float):
+        def mutate(profile) -> None:
+            profile.faas.cold_start.mean *= multiplier
+
+        return mutate
+
+    def set_boot(boot: float):
+        def mutate(profile) -> None:
+            profile.vm.boot.mean = boot
+
+        return mutate
+
+    knobs = [
+        ("cold_start_x", value, scale_cold(value), PURE_SERVERLESS)
+        for value in cold_multipliers
+    ] + [("vm_boot_s", value, set_boot(value), VM_SUPPORTED) for value in boot_times]
     rows = []
-    for multiplier in cold_multipliers:
-        def scale_cold(profile, m=multiplier):
-            profile.faas.cold_start.mean *= m
-
-        cfg = dataclasses.replace(base, profile_mutator=scale_cold)
-        run = run_pipeline(cfg, PURE_SERVERLESS)
+    for knob, value, mutate, variant in knobs:
+        run = run_pipeline(dataclasses.replace(base, profile_mutator=mutate), variant)
         rows.append(
             {
-                "knob": "cold_start_x",
-                "value": multiplier,
+                "knob": knob,
+                "value": value,
                 "latency_s": run.latency_s,
-                "variant": PURE_SERVERLESS,
-            }
-        )
-    for boot in boot_times:
-        def set_boot(profile, b=boot):
-            profile.vm.boot.mean = b
-
-        cfg = dataclasses.replace(base, profile_mutator=set_boot)
-        run = run_pipeline(cfg, VM_SUPPORTED)
-        rows.append(
-            {
-                "knob": "vm_boot_s",
-                "value": boot,
-                "latency_s": run.latency_s,
-                "variant": VM_SUPPORTED,
+                "variant": variant,
             }
         )
     return rows
@@ -1133,12 +1098,14 @@ def sweep_startup(
 # S5: codec ratio vs gzip
 # ----------------------------------------------------------------------
 def sweep_codec(
+    config: ExperimentConfig | None = None,
     record_counts: t.Sequence[int] = (10_000, 50_000, 150_000),
-    seed: int = 2021,
 ) -> list[dict]:
-    """METHCOMP-vs-gzip compression ratios on synthetic methylomes."""
+    """METHCOMP-vs-gzip compression ratios on synthetic methylomes
+    (of ``config`` only the seed matters: nothing is simulated)."""
     from repro.methcomp.bed import serialize_records
 
+    seed = (config if config is not None else ExperimentConfig()).seed
     rows = []
     for count in record_counts:
         corpus = serialize_records(MethylomeGenerator(seed=seed).records(count))
@@ -1206,14 +1173,16 @@ def _p95(values: t.Sequence[float]) -> float:
     return ordered[rank]
 
 
-def sweep_service(
-    config: ExperimentConfig | None = None,
-    arrivals: t.Sequence[tuple[float, str, float]] = SERVICE_ARRIVALS,
-    workers: int = 8,
-    max_shards: int = 4,
-    tenant_rate_per_s: float = 0.05,
-    tenant_burst: float = 2.0,
-) -> list[dict]:
+#: Every S13 job sorts at this worker count; the service may grow its
+#: fleet to this many shards, and so may a per-job fleet.
+SERVICE_WORKERS = 8
+SERVICE_MAX_SHARDS = 4
+#: Per-tenant admission token bucket: refill rate and depth.
+TENANT_RATE_PER_S = 0.05
+TENANT_BURST = 2.0
+
+
+def sweep_service(config: ExperimentConfig | None = None) -> list[dict]:
     """S13: one shared autoscaled exchange service vs a fleet per job.
 
     The same open-loop arrival schedule — several tenants submitting
@@ -1257,12 +1226,12 @@ def sweep_service(
                 seed=base.seed + index + 1,
             ),
         }
-        for index, (arrival_s, tenant, fraction) in enumerate(arrivals)
+        for index, (arrival_s, tenant, fraction) in enumerate(SERVICE_ARRIVALS)
     ]
 
     def stage_all(cloud: Cloud) -> None:
         for job in jobs:
-            stage_input(cloud, job["config"], "pipeline", job["key"])
+            stage_input(cloud, job["config"], BUCKET, job["key"])
 
     rows: list[dict] = []
 
@@ -1294,9 +1263,9 @@ def sweep_service(
         bed_record_codec(),
         instance_type=instance_type,
         min_shards=1,
-        max_shards=max_shards,
-        tenant_rate_per_s=tenant_rate_per_s,
-        tenant_burst=tenant_burst,
+        max_shards=SERVICE_MAX_SHARDS,
+        tenant_rate_per_s=TENANT_RATE_PER_S,
+        tenant_burst=TENANT_BURST,
         memory_mb=base.function_memory_mb,
         cost=base.workload.shuffle_cost_model(),
     )
@@ -1312,10 +1281,10 @@ def sweep_service(
             handles.append(
                 service.submit(
                     job["tenant"],
-                    "pipeline",
+                    BUCKET,
                     job["key"],
                     job["config"].logical_bytes,
-                    workers=workers,
+                    workers=SERVICE_WORKERS,
                 )
             )
         yield service.drain()
@@ -1361,8 +1330,9 @@ def sweep_service(
     ))
 
     # -- provision-per-job baseline ------------------------------------
-    from repro.cloud.vm.fleet import provision_fleet
-
+    # Jobs overlap on one region and boot their fleets on the clock, so
+    # they take the substrate row directly, not a sort_run each.
+    substrate = SUBSTRATES["sharded-relay"]
     cloud = _fresh_cloud(base)
     stage_all(cloud)
     outcomes: dict[str, dict] = {}
@@ -1373,28 +1343,30 @@ def sweep_service(
             job["config"].logical_bytes,
             cloud.profile,
             instance_type_name=instance_type,
-            max_shards=max_shards,
+            max_shards=SERVICE_MAX_SHARDS,
         )
-        fleet = yield provision_fleet(cloud.vms, fleet_type, shards)
+        fleet = yield substrate.provision(
+            cloud, job["config"].logical_bytes, fleet_type, shards, cold=True
+        )
         boot_done = cloud.sim.now
         executor = FunctionExecutor(
             cloud,
             runtime_memory_mb=base.function_memory_mb,
-            bucket="pipeline",
+            bucket=BUCKET,
             billing_tags={"tenant": job["tenant"], "job": job["job"]},
         )
         cost = dataclasses.replace(
             base.workload.shuffle_cost_model(), consume=True
         )
         operator = ShuffleSort(
-            executor, bed_record_codec(), backend=ShardedRelayExchange(fleet, cost)
+            executor, bed_record_codec(), backend=substrate.make_backend(fleet, cost)
         )
         result = yield operator.sort(
-            "pipeline", job["key"], out_prefix=job["job"], workers=workers
+            BUCKET, job["key"], out_prefix=job["job"], workers=SERVICE_WORKERS
         )
         cloud.meter.push_tag("fleet", f"perjob-{job['job']}")
         try:
-            fleet.terminate()
+            substrate.release(fleet)
         finally:
             cloud.meter.pop_tag("fleet")
         outcomes[job["job"]] = {

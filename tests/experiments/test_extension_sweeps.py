@@ -9,7 +9,6 @@ import pytest
 from repro.core import ExperimentConfig
 from repro.experiments import (
     sweep_exchange,
-    sweep_exchange_pipelines,
     sweep_fault_rate,
     sweep_multicloud,
     sweep_skew,
@@ -65,15 +64,6 @@ class TestSweepExchange:
             by_strategy["sharded-relay"]["provisioned_usd"]
             > by_strategy["relay"]["provisioned_usd"]
         )
-
-    def test_pipeline_variant_rows(self):
-        rows = sweep_exchange_pipelines(TINY, sizes_gb=(0.5,))
-        assert len(rows) == 4
-        assert {row["variant"] for row in rows} == {
-            "purely-serverless", "vm-supported", "cache-supported",
-            "relay-supported",
-        }
-        assert all(row["latency_s"] > 0 for row in rows)
 
 
 class TestSweepRelayShards:

@@ -47,16 +47,12 @@ class TestSweepSize:
 
 class TestSweepStorage:
     def test_throttled_store_slower(self):
-        rows = sweep_storage_ops(
-            TINY, ops_rates=(10, 5000), workers=8, write_combining=False
-        )
+        rows = sweep_storage_ops(TINY, ops_rates=(10, 5000), workers=8)
         latency = {row["ops_per_second"]: row["sort_latency_s"] for row in rows}
         assert latency[10] > latency[5000]
 
     def test_request_counts_reported(self):
-        rows = sweep_storage_ops(
-            TINY, ops_rates=(5000,), workers=4, write_combining=False
-        )
+        rows = sweep_storage_ops(TINY, ops_rates=(5000,), workers=4)
         assert rows[0]["requests"] > 4 * 4
 
 

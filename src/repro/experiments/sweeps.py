@@ -17,6 +17,7 @@ goes through :func:`sort_run`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing as t
 
 from repro.cas import output_digest
@@ -709,13 +710,16 @@ def sweep_fault_rate(
             cloud, runtime_memory_mb=base.function_memory_mb
         )
 
-        # Written out here and in sweep_speculation, not shared: the
-        # executor ships ``cpu_model`` by value (cloudpickle), qualified
-        # name included, and the store charges the bytes — hoisting the
-        # lambda into a helper moves simulated time.
+        # The executor pickles ``cpu_model`` and the store charges the
+        # bytes.  cloudpickle ships a lambda by value, its absolute
+        # ``co_filename`` included, so a lambda here made simulated time
+        # depend on where the repository is checked out; a partial of a
+        # module-level function pickles by reference (as in
+        # sweep_speculation).
         def driver():
             futures = yield executor.map(
-                _identity, list(range(calls)), cpu_model=lambda _x: call_cpu_s
+                _identity, list(range(calls)),
+                cpu_model=functools.partial(_fixed_cpu_s, call_cpu_s),
             )
             return (yield executor.get_result(futures))
 
@@ -751,7 +755,8 @@ def sweep_speculation(
 
         def driver():
             futures = yield executor.map(
-                _identity, list(range(calls)), cpu_model=lambda _x: call_cpu_s
+                _identity, list(range(calls)),
+                cpu_model=functools.partial(_fixed_cpu_s, call_cpu_s),
             )
             return (yield executor.get_result(futures))
 
@@ -771,6 +776,12 @@ def sweep_speculation(
 def _identity(x):
     """Module-level map payload (needs to be picklable by name)."""
     return x
+
+
+def _fixed_cpu_s(cpu_s: float, _data) -> float:
+    """``cpu_model`` billing every call ``cpu_s``; bound with
+    ``functools.partial`` so it, too, pickles by name."""
+    return cpu_s
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ paths at tiny scale so failures localize quickly.
 import pytest
 
 from repro.core import ExperimentConfig
+from repro.executor import FunctionExecutor
 from repro.experiments import (
     sweep_exchange,
     sweep_fault_rate,
@@ -15,6 +16,7 @@ from repro.experiments import (
     sweep_speculation,
     sweep_tuner,
 )
+from repro.storage import serialize
 
 TINY = ExperimentConfig(size_gb=0.5, logical_scale=8192.0)
 
@@ -105,6 +107,28 @@ class TestSweepSpeculation:
         off, on = rows
         assert off["backup_tasks"] == 0
         assert on["invocations"] >= off["invocations"]
+
+
+@pytest.mark.parametrize(
+    "sweep, axes",
+    [(sweep_fault_rate, {"crash_rates": (0.0,)}), (sweep_speculation, {})],
+)
+def test_shipped_cpu_model_names_no_source_path(monkeypatch, sweep, axes):
+    """The store bills the pickled ``(func, cpu_model)``, so a source
+    path inside it would make simulated time depend on the checkout
+    directory (a lambda ships its ``co_filename``)."""
+    shipped = []
+    original_map = FunctionExecutor.map
+
+    def recording_map(self, func, iterdata, cpu_model=None, **options):
+        shipped.append(serialize((func, cpu_model)))
+        return original_map(self, func, iterdata, cpu_model=cpu_model, **options)
+
+    monkeypatch.setattr(FunctionExecutor, "map", recording_map)
+    sweep(TINY, calls=2, call_cpu_s=1.0, **axes)
+    assert shipped
+    for blob in shipped:
+        assert b".py" not in blob
 
 
 class TestSweepTuner:

@@ -7,7 +7,7 @@ experiment the harness can regenerate in reasonable wall-clock time.
 The last three cases are the regime of a wide object-store sort (the
 ledger benchmark's ``fanout`` workload): one aggregate link shared by
 many more flows than fit at their caps, thousands of range-GETs each
-spawning its request processes, and — the streaming mode's manifest
+one request process, and — the streaming mode's manifest
 polling, most of ``control`` — GETs of keys that are not there yet,
 which must cost no more than served ones and leave the cycle collector
 nothing.

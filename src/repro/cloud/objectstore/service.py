@@ -234,7 +234,8 @@ class ObjectStore:
         return self.sim.process(generator, ("{}.{}", self.name, label)).completion
 
     # ------------------------------------------------------------------
-    # operation bodies
+    # operation bodies (a BoundStorage view runs them inside its own
+    # request process, so every request stays one process)
     # ------------------------------------------------------------------
     def _admit(self) -> SimEvent:
         """The rate limiter's event for one request, or fail fast with SlowDown."""

@@ -28,7 +28,8 @@ class BoundStorage:
     """Object-store facade with a fixed per-connection bandwidth bound.
 
     All data-plane methods mirror :class:`ObjectStore` and return
-    :class:`~repro.sim.events.SimEvent`s for processes to yield.
+    :class:`~repro.sim.events.SimEvent`s for processes to yield; the
+    ``*_request`` methods return the same request as a generator.
     """
 
     def __init__(
@@ -49,22 +50,30 @@ class BoundStorage:
         #: noop when tracing is off.
         self.span = NOOP_SPAN
 
-    # -- retry plumbing --------------------------------------------------
-    def _call(self, make_event: t.Callable[[], SimEvent], label: LazyName) -> SimEvent:
+    # -- requests --------------------------------------------------------
+    # A request is the store's op body run in exactly one process: the
+    # verbs spawn it, and the retry loop runs each attempt inline with
+    # ``yield from`` (see "Simulator hot path" in repro.sim.events).  The
+    # ``*_request`` forms are the same generator for a caller that already
+    # runs in a process of its own (``Storage``'s retry loop).
+    def _spawn(self, request: t.Generator, label: LazyName) -> SimEvent:
         if self.retry is None:
-            return make_event()
-        return self._store.sim.process(
-            self._retry_loop(make_event, label), ("{}.{}", self.name, label)
-        ).completion
+            return self._store._spawn(request, label)
+        return self._store.sim.process(request, ("{}.{}", self.name, label)).completion
 
-    def _retry_loop(
-        self, make_event: t.Callable[[], SimEvent], label: LazyName
-    ) -> t.Generator:
+    def _call(self, label: LazyName, body: t.Callable, *args) -> SimEvent:
+        return self._spawn(self._request(label, body, *args), label)
+
+    def _request(self, label: LazyName, body: t.Callable, *args) -> t.Generator:
+        if self.retry is None:
+            return body(*args)
+        return self._retry_loop(label, body, args)
+
+    def _retry_loop(self, label: LazyName, body: t.Callable, args: tuple) -> t.Generator:
         attempt = 1
         while True:
             try:
-                result = yield make_event()
-                return result
+                return (yield from body(*args))
             except RETRYABLE_ERRORS as exc:
                 if attempt >= self.retry.max_attempts:
                     raise StorageError(
@@ -86,67 +95,76 @@ class BoundStorage:
         logical_size: float | None = None,
         dedup: bool = False,
     ) -> SimEvent:
+        return self._spawn(
+            self.put_request(bucket, key, data, logical_size, dedup), ("put:{}", key)
+        )
+
+    def put_request(
+        self,
+        bucket: str,
+        key: str,
+        data: bytes,
+        logical_size: float | None = None,
+        dedup: bool = False,
+    ) -> t.Generator:
         if self.span.recording:
             self.span.event(
                 "storage.put", key=key, bytes=len(data),
                 logical=logical_size if logical_size is not None else len(data),
             )
-        return self._call(
-            lambda: self._store.put(
-                bucket,
-                key,
-                data,
-                logical_size=logical_size,
-                connection_bandwidth=self.connection_bandwidth,
-                dedup=dedup,
-            ),
-            ("put:{}", key),
+        return self._request(
+            ("put:{}", key), self._store._put_op,
+            bucket, key, data, logical_size, self.connection_bandwidth, dedup,
         )
 
     def get(self, bucket: str, key: str, missing_ok: bool = False) -> SimEvent:
         """Whole-object GET; ``missing_ok`` as on :meth:`ObjectStore.get`."""
+        return self._spawn(self.get_request(bucket, key, missing_ok), ("get:{}", key))
+
+    def get_request(self, bucket: str, key: str, missing_ok: bool = False) -> t.Generator:
         if self.span.recording:
             self.span.event("storage.get", key=key)
-        return self._call(
-            lambda: self._store.get(
-                bucket,
-                key,
-                connection_bandwidth=self.connection_bandwidth,
-                missing_ok=missing_ok,
-            ),
-            ("get:{}", key),
+        return self._request(
+            ("get:{}", key), self._store._get_op,
+            bucket, key, None, self.connection_bandwidth, missing_ok,
         )
 
     def get_range(self, bucket: str, key: str, start: int, end: int) -> SimEvent:
+        return self._spawn(
+            self.get_range_request(bucket, key, start, end), ("get_range:{}", key)
+        )
+
+    def get_range_request(self, bucket: str, key: str, start: int, end: int) -> t.Generator:
         if self.span.recording:
             self.span.event(
                 "storage.get_range", key=key, start=start, end=end
             )
-        return self._call(
-            lambda: self._store.get_range(
-                bucket, key, start, end,
-                connection_bandwidth=self.connection_bandwidth,
-            ),
-            ("get_range:{}", key),
+        return self._request(
+            ("get_range:{}", key), self._store._get_op,
+            bucket, key, (start, end), self.connection_bandwidth,
         )
 
     def head(self, bucket: str, key: str) -> SimEvent:
-        return self._call(lambda: self._store.head(bucket, key), ("head:{}", key))
+        return self._spawn(self.head_request(bucket, key), ("head:{}", key))
+
+    def head_request(self, bucket: str, key: str) -> t.Generator:
+        return self._request(("head:{}", key), self._store._head_op, bucket, key)
 
     def list_keys(self, bucket: str, prefix: str = "") -> SimEvent:
-        return self._call(
-            lambda: self._store.list_keys(bucket, prefix), ("list:{}", prefix)
-        )
+        return self._spawn(self.list_keys_request(bucket, prefix), ("list:{}", prefix))
+
+    def list_keys_request(self, bucket: str, prefix: str = "") -> t.Generator:
+        return self._request(("list:{}", prefix), self._store._list_op, bucket, prefix)
 
     def delete(self, bucket: str, key: str) -> SimEvent:
-        return self._call(
-            lambda: self._store.delete(bucket, key), ("delete:{}", key)
-        )
+        return self._spawn(self.delete_request(bucket, key), ("delete:{}", key))
+
+    def delete_request(self, bucket: str, key: str) -> t.Generator:
+        return self._request(("delete:{}", key), self._store._delete_op, bucket, key)
 
     def create_multipart_upload(self, bucket: str, key: str) -> SimEvent:
         return self._call(
-            lambda: self._store.create_multipart_upload(bucket, key),
-            ("mpu:{}", key),
+            ("mpu:{}", key), self._store._create_multipart_op, bucket, key
         )
 
     def upload_part(
@@ -157,20 +175,13 @@ class BoundStorage:
         logical_size: float | None = None,
     ) -> SimEvent:
         return self._call(
-            lambda: self._store.upload_part(
-                upload_id,
-                part_number,
-                data,
-                logical_size=logical_size,
-                connection_bandwidth=self.connection_bandwidth,
-            ),
-            ("part:{}:{}", upload_id, part_number),
+            ("part:{}:{}", upload_id, part_number), self._store._upload_part_op,
+            upload_id, part_number, data, logical_size, self.connection_bandwidth,
         )
 
     def complete_multipart_upload(self, upload_id: str) -> SimEvent:
         return self._call(
-            lambda: self._store.complete_multipart_upload(upload_id),
-            ("mpuc:{}", upload_id),
+            ("mpuc:{}", upload_id), self._store._complete_multipart_op, upload_id
         )
 
     # -- derived views -------------------------------------------------

@@ -83,7 +83,7 @@ def shuffle_group_reducer(ctx, task: dict) -> t.Generator:
     """
     codec: RecordCodec = task["codec"]
     aggregate_fn: AggregateFn = task["aggregate_fn"]
-    buffer = yield from fetch_segments(ctx, task, "group-fetch")
+    buffer = yield from fetch_segments(ctx, task)
     yield ctx.compute_bytes(len(buffer), task["sort_throughput"])
 
     kernel_started = time.perf_counter()

@@ -200,14 +200,13 @@ def kv_shuffle_reducer(
     return (yield from sort_and_write_run(ctx, task, b"".join(segments)))
 
 
-def fetch_segments(ctx, task: dict, process_label: str) -> t.Generator:
+def fetch_segments(ctx, task: dict) -> t.Generator:
     """COS segment fan-in: range-GET ``task["segments"]`` in batches of
     ``fetch_parallelism`` and return them joined in segment order.
 
     ``segments`` entries are ``(key, start, end)`` into mapper outputs;
     ``start``/``end`` of ``None`` means a whole object, as produced by
-    naive non-write-combined mappers.  ``process_label`` prefixes the
-    fetch sub-process names (observable in traces).
+    naive non-write-combined mappers.
     """
     segments = [
         (key, start, end)
@@ -222,29 +221,20 @@ def fetch_segments(ctx, task: dict, process_label: str) -> t.Generator:
         fetch_storage = ctx.storage.bounded(
             ctx.storage.connection_bandwidth / parallelism
         )
+    bucket = task["out_bucket"]
 
-    chunks: dict[int, bytes] = {}
-
-    def fetch_one(index: int, key: str, seg_start, seg_end) -> t.Generator:
+    def request(key: str, seg_start, seg_end):
         if seg_start is None:
-            chunks[index] = yield fetch_storage.get(task["out_bucket"], key)
-        else:
-            chunks[index] = yield fetch_storage.get_range(
-                task["out_bucket"], key, seg_start, seg_end
-            )
+            return fetch_storage.get(bucket, key)
+        return fetch_storage.get_range(bucket, key, seg_start, seg_end)
 
+    chunks: list[bytes] = []
     for batch_start in range(0, len(segments), parallelism):
         batch = segments[batch_start : batch_start + parallelism]
-        processes = [
-            ctx.sim.process(
-                fetch_one(batch_start + offset, key, seg_start, seg_end),
-                name=f"{process_label}-{batch_start + offset}",
-            )
-            for offset, (key, seg_start, seg_end) in enumerate(batch)
-        ]
-        if processes:
-            yield ctx.sim.all_of([process.completion for process in processes])
-    return b"".join(chunks[index] for index in sorted(chunks))
+        # Each GET is one request process already: wait on the batch
+        # directly, with no process of our own per GET.
+        chunks.extend((yield ctx.sim.all_of([request(*segment) for segment in batch])))
+    return b"".join(chunks)
 
 
 def cos_segments(
@@ -317,5 +307,5 @@ def shuffle_reducer(ctx, task: dict) -> t.Generator:
     optional ``record_limit`` keeping only the first N sorted records
     (top-k queries truncate their final partition this way).
     """
-    buffer = yield from fetch_segments(ctx, task, "reducer-fetch")
+    buffer = yield from fetch_segments(ctx, task)
     return (yield from sort_and_write_run(ctx, task, buffer))

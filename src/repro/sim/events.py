@@ -50,6 +50,14 @@ names nobody reads unless something goes wrong, so:
   token, same latency draw, nothing billed or counted — without
   building an exception, a traceback and two failed processes per
   look.  Everything unexpected still raises.
+* One process per storage request.  A request stays a generator until
+  the outermost caller needs an event: a retry loop runs each attempt's
+  op body inline (``return (yield from body(...))``), and a fan-in
+  yields ``all_of`` over the requests themselves.  A process wrapped
+  around another adds only a kick-off, and kick-offs at one instant
+  fire FIFO, so folding one away moves every request's body by the
+  same hop: no store sees its RNG draws or rate tokens in another
+  order, and no simulated outcome moves — only the event count.
 """
 
 from __future__ import annotations

@@ -44,18 +44,19 @@ class Storage:
     # ------------------------------------------------------------------
     # retry plumbing
     # ------------------------------------------------------------------
-    def _with_retry(self, make_event: t.Callable[[], SimEvent], label: str) -> SimEvent:
-        """Run ``make_event`` with backoff-and-retry on SlowDown."""
+    def _with_retry(self, make_request: t.Callable[[], t.Generator], label: str) -> SimEvent:
+        """Run ``make_request`` with backoff-and-retry on SlowDown, in one process."""
         return self.sim.process(
-            self._retry_loop(make_event, label), name=f"{self.name}.{label}"
+            self._retry_loop(make_request, label), name=f"{self.name}.{label}"
         ).completion
 
-    def _retry_loop(self, make_event: t.Callable[[], SimEvent], label: str) -> t.Generator:
+    def _retry_loop(self, make_request: t.Callable[[], t.Generator], label: str) -> t.Generator:
+        # Each attempt is the backend's request run inline (see
+        # "Simulator hot path" in repro.sim.events: one process per request).
         attempt = 1
         while True:
             try:
-                result = yield make_event()
-                return result
+                return (yield from make_request())
             except RETRYABLE_ERRORS as exc:
                 if attempt >= self.retry.max_attempts:
                     raise StorageError(
@@ -73,29 +74,34 @@ class Storage:
         self, bucket: str, key: str, data: bytes, logical_size: float | None = None
     ) -> SimEvent:
         return self._with_retry(
-            lambda: self.backend.put(bucket, key, data, logical_size), f"put:{key}"
+            lambda: self.backend.put_request(bucket, key, data, logical_size),
+            f"put:{key}",
         )
 
     def get_object(self, bucket: str, key: str) -> SimEvent:
-        return self._with_retry(lambda: self.backend.get(bucket, key), f"get:{key}")
+        return self._with_retry(
+            lambda: self.backend.get_request(bucket, key), f"get:{key}"
+        )
 
     def get_object_range(self, bucket: str, key: str, start: int, end: int) -> SimEvent:
         return self._with_retry(
-            lambda: self.backend.get_range(bucket, key, start, end),
+            lambda: self.backend.get_range_request(bucket, key, start, end),
             f"get_range:{key}",
         )
 
     def head_object(self, bucket: str, key: str) -> SimEvent:
-        return self._with_retry(lambda: self.backend.head(bucket, key), f"head:{key}")
+        return self._with_retry(
+            lambda: self.backend.head_request(bucket, key), f"head:{key}"
+        )
 
     def list_keys(self, bucket: str, prefix: str = "") -> SimEvent:
         return self._with_retry(
-            lambda: self.backend.list_keys(bucket, prefix), f"list:{prefix}"
+            lambda: self.backend.list_keys_request(bucket, prefix), f"list:{prefix}"
         )
 
     def delete_object(self, bucket: str, key: str) -> SimEvent:
         return self._with_retry(
-            lambda: self.backend.delete(bucket, key), f"delete:{key}"
+            lambda: self.backend.delete_request(bucket, key), f"delete:{key}"
         )
 
     # ------------------------------------------------------------------

@@ -1,10 +1,17 @@
 """Tests for bandwidth-bounded storage views."""
 
+import contextlib
+import gc
+
 import pytest
 
 from repro.cloud import Cloud, MB
+from repro.cloud.objectstore import NoSuchBucket, NoSuchKey, SlowDown
 from repro.cloud.profiles import ibm_us_east
+from repro.cloud.retry import RetryPolicy
 from repro.cloud.storageview import BoundStorage
+from repro.errors import StorageError
+from repro.sim import render_name
 
 
 @pytest.fixture
@@ -73,3 +80,128 @@ class TestBoundStorage:
             return (yield view.get("b", "big"))
 
         assert cloud.sim.run_process(scenario()) == b"part1-part2"
+
+
+@contextlib.contextmanager
+def counted_processes(sim):
+    """Processes ``sim`` creates, and kick-offs it schedules, inside the block."""
+    counts = {"processes": 0, "kickoffs": 0}
+    process, schedule = sim.process, sim._schedule
+
+    def counting_process(*args, **kwargs):
+        counts["processes"] += 1
+        return process(*args, **kwargs)
+
+    def counting_schedule(delay, event):
+        counts["kickoffs"] += render_name(event._name).endswith(".start")
+        schedule(delay, event)
+
+    sim.process, sim._schedule = counting_process, counting_schedule
+    try:
+        yield counts
+    finally:
+        del sim.process, sim._schedule
+
+
+def throttle(store, times):
+    """Refuse the store's next ``times`` admissions with ``SlowDown``."""
+    admit = store._admit
+    refusals = iter(range(times))
+
+    def refusing_admit():
+        if next(refusals, None) is not None:
+            raise SlowDown(1.0)
+        return admit()
+
+    store._admit = refusing_admit
+
+
+class TestOneProcessPerRequest:
+    """A view's request is the store's op body in exactly one process:
+    the retry loop runs every attempt inline."""
+
+    VERBS = {
+        "get": lambda view: view.get("b", "k"),
+        "get_range": lambda view: view.get_range("b", "k", 1, 3),
+        "put": lambda view: view.put("b", "k2", b"data"),
+    }
+
+    def request(self, cloud, view, verb, slowdowns=0):
+        def scenario():
+            yield cloud.store.put("b", "k", b"0123")
+            throttle(cloud.store, slowdowns)
+            with counted_processes(cloud.sim) as counts:
+                value = yield self.VERBS[verb](view)
+            return value, counts
+
+        return cloud.sim.run_process(scenario())
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_a_retrying_view_spawns_one_process(self, cloud, verb):
+        view = BoundStorage(cloud.store, None, retry=RetryPolicy(), name="fn")
+        _value, counts = self.request(cloud, view, verb)
+        assert counts == {"processes": 1, "kickoffs": 1}
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_a_view_without_a_policy_spawns_the_body_once(self, cloud, verb):
+        _value, counts = self.request(cloud, BoundStorage(cloud.store, None), verb)
+        assert counts == {"processes": 1, "kickoffs": 1}
+
+    def test_two_slowdowns_then_success_is_still_one_process(self, cloud):
+        view = BoundStorage(cloud.store, None, retry=RetryPolicy(), name="fn")
+        value, counts = self.request(cloud, view, "get", slowdowns=2)
+        assert value == b"0123"
+        assert counts["processes"] == 1
+        assert view.retries == 2
+
+    def test_an_exhausted_request_raises_the_same_storage_error(self, cloud):
+        view = BoundStorage(cloud.store, None, retry=RetryPolicy(max_attempts=3), name="fn")
+        throttle(cloud.store, 3)
+
+        def scenario():
+            yield view.get("b", "k")
+
+        with pytest.raises(StorageError) as error:
+            cloud.sim.run_process(scenario())
+        assert str(error.value) == (
+            "get:k: still failing after 3 attempts "
+            "(request rate exceeded; estimated backlog 1.0s)"
+        )
+        assert view.retries == 2
+
+    def test_not_found_errors_surface_unchanged(self, cloud):
+        view = BoundStorage(cloud.store, None, retry=RetryPolicy(), name="fn")
+
+        def scenario(bucket):
+            yield view.get_range(bucket, "missing", 0, 1)
+
+        with pytest.raises(NoSuchKey, match="object does not exist: 'b'/'missing'"):
+            cloud.sim.run_process(scenario("b"))
+        with pytest.raises(NoSuchBucket, match="bucket does not exist: 'nope'"):
+            cloud.sim.run_process(scenario("nope"))
+        assert view.retries == 0
+
+    def test_failed_requests_leave_nothing_for_the_collector(self, cloud):
+        view = BoundStorage(cloud.store, None, retry=RetryPolicy(max_attempts=2), name="fn")
+        throttle(cloud.store, 20)
+        failures = []
+
+        def worker(bucket):
+            try:
+                yield view.get(bucket, "missing")
+            except StorageError as exc:  # exhausted, NoSuchKey, NoSuchBucket
+                failures.append(type(exc).__name__)
+
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for bucket in ("b", "nope") * 15:
+                cloud.sim.process(worker(bucket))
+            cloud.sim.run()
+            assert sorted(set(failures)) == ["NoSuchBucket", "NoSuchKey", "StorageError"]
+            failures.clear()
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()

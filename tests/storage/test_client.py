@@ -1,15 +1,19 @@
 """Tests for the retrying storage client and serializer."""
 
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cloud import Cloud
+from repro.cloud.objectstore import NoSuchBucket, NoSuchKey
 from repro.cloud.profiles import ibm_us_east
 from repro.cloud.storageview import BoundStorage
 from repro.errors import StorageError
 from repro.storage import Storage, chunk_bytes, concat_chunks, deserialize, serialize
 from repro.storage.api import RetryPolicy
+from tests.cloud.test_storageview import counted_processes, throttle
 
 
 @pytest.fixture
@@ -128,11 +132,99 @@ class TestRetry:
         assert policy.delay(5, FakeRng()) == 5.0
 
 
+class TestOneProcessPerRequest:
+    """The client's retry loop runs the backend's request inline: one
+    process per request, however many attempts it takes."""
+
+    VERBS = {
+        "get_object": lambda client: client.get_object("bucket", "k"),
+        "get_object_range": lambda client: client.get_object_range("bucket", "k", 1, 3),
+        "put_object": lambda client: client.put_object("bucket", "k2", b"data"),
+    }
+
+    def request(self, cloud, client, verb, slowdowns=0):
+        def scenario():
+            yield cloud.store.put("bucket", "k", b"0123")
+            throttle(cloud.store, slowdowns)
+            with counted_processes(cloud.sim) as counts:
+                value = yield self.VERBS[verb](client)
+            return value, counts
+
+        return cloud.sim.run_process(scenario())
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_one_process_and_one_kickoff(self, cloud, client, verb):
+        _value, counts = self.request(cloud, client, verb)
+        assert counts == {"processes": 1, "kickoffs": 1}
+
+    def test_two_slowdowns_then_success_is_still_one_process(self, cloud, client):
+        value, counts = self.request(cloud, client, "get_object", slowdowns=2)
+        assert value == b"0123"
+        assert counts["processes"] == 1
+        assert client.retries == 2
+
+    def test_an_exhausted_request_raises_the_same_storage_error(self, cloud):
+        client = Storage(
+            cloud.sim, BoundStorage(cloud.store, None), retry=RetryPolicy(max_attempts=3)
+        )
+        throttle(cloud.store, 3)
+
+        def scenario():
+            yield client.put_object("bucket", "k", b"x")
+
+        with pytest.raises(StorageError) as error:
+            cloud.sim.run_process(scenario())
+        assert str(error.value) == (
+            "put:k: still failing after 3 attempts "
+            "(request rate exceeded; estimated backlog 1.0s)"
+        )
+        assert client.retries == 2
+
+    def test_not_found_errors_surface_unchanged(self, cloud, client):
+        def scenario(bucket):
+            yield client.get_object(bucket, "missing")
+
+        with pytest.raises(NoSuchKey, match="object does not exist: 'bucket'/'missing'"):
+            cloud.sim.run_process(scenario("bucket"))
+        with pytest.raises(NoSuchBucket, match="bucket does not exist: 'nope'"):
+            cloud.sim.run_process(scenario("nope"))
+        assert client.retries == 0
+
+    def test_failed_requests_leave_nothing_for_the_collector(self, cloud):
+        client = Storage(
+            cloud.sim, BoundStorage(cloud.store, None), retry=RetryPolicy(max_attempts=2)
+        )
+        throttle(cloud.store, 20)
+        failures = []
+
+        def worker(bucket):
+            try:
+                yield client.get_object(bucket, "missing")
+            except StorageError as exc:  # exhausted, NoSuchKey, NoSuchBucket
+                failures.append(type(exc).__name__)
+
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for bucket in ("bucket", "nope") * 15:
+                cloud.sim.process(worker(bucket))
+            cloud.sim.run()
+            assert sorted(set(failures)) == ["NoSuchBucket", "NoSuchKey", "StorageError"]
+            failures.clear()
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
+
 class _FlakyBackend:
     """Backend whose GETs fail with SlowDown a fixed number of times.
 
     Stands in for a BoundStorage so ``Storage._retry_loop`` can be
     exercised deterministically, without tuning a throttled store.
+    Like ``BoundStorage.get_request`` it hands out a request generator,
+    which the client runs inline.
     """
 
     def __init__(self, sim, failures: int, payload: bytes = b"payload"):
@@ -141,7 +233,7 @@ class _FlakyBackend:
         self.payload = payload
         self.calls = 0
 
-    def get(self, bucket, key):
+    def get_request(self, bucket, key):
         from repro.cloud.objectstore.errors import SlowDown
         from repro.sim import SimEvent
 
@@ -151,7 +243,7 @@ class _FlakyBackend:
             event.fail(SlowDown(1.0))
         else:
             event.succeed(self.payload)
-        return event
+        return (yield event)
 
 
 class TestRetryLoopExhaustion:

@@ -134,7 +134,9 @@ class BoundStorage:
             self.get_range_request(bucket, key, start, end), ("get_range:{}", key)
         )
 
-    def get_range_request(self, bucket: str, key: str, start: int, end: int) -> t.Generator:
+    def get_range_request(
+        self, bucket: str, key: str, start: int, end: int
+    ) -> t.Generator:
         if self.span.recording:
             self.span.event(
                 "storage.get_range", key=key, start=start, end=end

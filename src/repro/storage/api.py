@@ -44,13 +44,17 @@ class Storage:
     # ------------------------------------------------------------------
     # retry plumbing
     # ------------------------------------------------------------------
-    def _with_retry(self, make_request: t.Callable[[], t.Generator], label: str) -> SimEvent:
+    def _with_retry(
+        self, make_request: t.Callable[[], t.Generator], label: str
+    ) -> SimEvent:
         """Run ``make_request`` with backoff-and-retry on SlowDown, in one process."""
         return self.sim.process(
             self._retry_loop(make_request, label), name=f"{self.name}.{label}"
         ).completion
 
-    def _retry_loop(self, make_request: t.Callable[[], t.Generator], label: str) -> t.Generator:
+    def _retry_loop(
+        self, make_request: t.Callable[[], t.Generator], label: str
+    ) -> t.Generator:
         # Each attempt is the backend's request run inline (see
         # "Simulator hot path" in repro.sim.events: one process per request).
         attempt = 1

@@ -155,7 +155,9 @@ class TestOneProcessPerRequest:
         assert view.retries == 2
 
     def test_an_exhausted_request_raises_the_same_storage_error(self, cloud):
-        view = BoundStorage(cloud.store, None, retry=RetryPolicy(max_attempts=3), name="fn")
+        view = BoundStorage(
+            cloud.store, None, retry=RetryPolicy(max_attempts=3), name="fn"
+        )
         throttle(cloud.store, 3)
 
         def scenario():
@@ -182,7 +184,9 @@ class TestOneProcessPerRequest:
         assert view.retries == 0
 
     def test_failed_requests_leave_nothing_for_the_collector(self, cloud):
-        view = BoundStorage(cloud.store, None, retry=RetryPolicy(max_attempts=2), name="fn")
+        view = BoundStorage(
+            cloud.store, None, retry=RetryPolicy(max_attempts=2), name="fn"
+        )
         throttle(cloud.store, 20)
         failures = []
 

@@ -1,4 +1,4 @@
-"""Retry policy for transient object-storage failures.
+"""Retry policy and retry loop for transient object-storage failures.
 
 Lives in the cloud layer (below :mod:`repro.storage`) so that both the
 driver-side :class:`~repro.storage.api.Storage` client and the
@@ -10,8 +10,11 @@ InternalError with exponential backoff and full jitter; so do we.
 from __future__ import annotations
 
 import dataclasses
+import typing as t
 
 from repro.cloud.objectstore.errors import InternalError, SlowDown
+from repro.errors import StorageError
+from repro.sim import LazyName, Simulator, render_name
 
 #: Failures a client is expected to back off and retry (5xx-style).
 RETRYABLE_ERRORS = (SlowDown, InternalError)
@@ -32,3 +35,36 @@ class RetryPolicy:
             self.max_delay_s, self.base_delay_s * (self.multiplier ** (attempt - 1))
         )
         return rng.uniform(0.0, ceiling)
+
+
+def retry_loop(
+    client: t.Any,
+    sim: Simulator,
+    label: LazyName,
+    body: t.Callable[..., t.Generator],
+    *args: t.Any,
+) -> t.Generator:
+    """Run the request ``body(*args)`` inline, retrying transient failures.
+
+    Each attempt is a fresh ``body(*args)`` run with ``yield from``, so a
+    retried request stays one process (see "Simulator hot path" in
+    :mod:`repro.sim.events`).  ``client`` is the retrying client: the
+    loop reads its ``retry`` policy, draws each backoff from its own
+    ``backoff_rng`` (the ``"<name>.backoff"`` stream) and counts each
+    retry in its ``retries``.  When the last attempt fails too, the error
+    is wrapped in a :class:`~repro.errors.StorageError` naming ``label``.
+    """
+    policy = client.retry
+    attempt = 1
+    while True:
+        try:
+            return (yield from body(*args))
+        except RETRYABLE_ERRORS as exc:
+            if attempt >= policy.max_attempts:
+                raise StorageError(
+                    f"{render_name(label)}: still failing after "
+                    f"{policy.max_attempts} attempts ({exc})"
+                )
+            client.retries += 1
+            yield sim.timeout(policy.delay(attempt, client.backoff_rng))
+            attempt += 1

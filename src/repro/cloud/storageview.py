@@ -18,10 +18,9 @@ from __future__ import annotations
 import typing as t
 
 from repro.cloud.objectstore.service import ObjectStore
-from repro.cloud.retry import RETRYABLE_ERRORS, RetryPolicy
-from repro.errors import StorageError
+from repro.cloud.retry import RetryPolicy, retry_loop
 from repro.obs.trace import NOOP_SPAN
-from repro.sim import LazyName, SimEvent, render_name
+from repro.sim import LazyName, SimEvent
 
 
 class BoundStorage:
@@ -43,7 +42,7 @@ class BoundStorage:
         self.connection_bandwidth = connection_bandwidth
         self.retry = retry
         self.name = name
-        self._rng = store.sim.rng.stream(f"{name}.backoff") if retry else None
+        self.backoff_rng = store.sim.rng.stream(f"{name}.backoff") if retry else None
         #: Transient-error retries performed (visible to tests/reports).
         self.retries = 0
         #: The owning attempt's trace span (the FaaS context binds it);
@@ -67,24 +66,7 @@ class BoundStorage:
     def _request(self, label: LazyName, body: t.Callable, *args) -> t.Generator:
         if self.retry is None:
             return body(*args)
-        return self._retry_loop(label, body, args)
-
-    def _retry_loop(self, label: LazyName, body: t.Callable, args: tuple) -> t.Generator:
-        attempt = 1
-        while True:
-            try:
-                return (yield from body(*args))
-            except RETRYABLE_ERRORS as exc:
-                if attempt >= self.retry.max_attempts:
-                    raise StorageError(
-                        f"{render_name(label)}: still failing after "
-                        f"{self.retry.max_attempts} attempts ({exc})"
-                    )
-                self.retries += 1
-                yield self._store.sim.timeout(
-                    self.retry.delay(attempt, self._rng)
-                )
-                attempt += 1
+        return retry_loop(self, self._store.sim, label, body, *args)
 
     # -- data plane ----------------------------------------------------
     def put(

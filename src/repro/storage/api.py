@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.cloud.retry import RETRYABLE_ERRORS, RetryPolicy
+from repro.cloud.retry import RETRYABLE_ERRORS, RetryPolicy, retry_loop
 from repro.cloud.storageview import BoundStorage
-from repro.errors import StorageError
 from repro.sim import SimEvent, Simulator
 from repro.storage.serializer import deserialize, serialize
 
@@ -37,7 +36,7 @@ class Storage:
         self.backend = backend
         self.retry = retry if retry is not None else RetryPolicy()
         self.name = name
-        self._rng = sim.rng.stream(f"{name}.backoff")
+        self.backoff_rng = sim.rng.stream(f"{name}.backoff")
         #: Number of SlowDown retries performed (visible to tests/reports).
         self.retries = 0
 
@@ -47,29 +46,15 @@ class Storage:
     def _with_retry(
         self, make_request: t.Callable[[], t.Generator], label: str
     ) -> SimEvent:
-        """Run ``make_request`` with backoff-and-retry on SlowDown, in one process."""
-        return self.sim.process(
-            self._retry_loop(make_request, label), name=f"{self.name}.{label}"
-        ).completion
+        """Run ``make_request`` with backoff-and-retry on SlowDown, in one process.
 
-    def _retry_loop(
-        self, make_request: t.Callable[[], t.Generator], label: str
-    ) -> t.Generator:
-        # Each attempt is the backend's request run inline (see
-        # "Simulator hot path" in repro.sim.events: one process per request).
-        attempt = 1
-        while True:
-            try:
-                return (yield from make_request())
-            except RETRYABLE_ERRORS as exc:
-                if attempt >= self.retry.max_attempts:
-                    raise StorageError(
-                        f"{label}: still failing after "
-                        f"{self.retry.max_attempts} attempts ({exc})"
-                    )
-                self.retries += 1
-                yield self.sim.timeout(self.retry.delay(attempt, self._rng))
-                attempt += 1
+        Each attempt is the backend's request run inline by
+        :func:`~repro.cloud.retry.retry_loop`.
+        """
+        return self.sim.process(
+            retry_loop(self, self.sim, label, make_request),
+            name=f"{self.name}.{label}",
+        ).completion
 
     # ------------------------------------------------------------------
     # byte-level API

@@ -221,7 +221,7 @@ class TestOneProcessPerRequest:
 class _FlakyBackend:
     """Backend whose GETs fail with SlowDown a fixed number of times.
 
-    Stands in for a BoundStorage so ``Storage._retry_loop`` can be
+    Stands in for a BoundStorage so ``Storage``'s retry loop can be
     exercised deterministically, without tuning a throttled store.
     Like ``BoundStorage.get_request`` it hands out a request generator,
     which the client runs inline.
@@ -247,7 +247,7 @@ class _FlakyBackend:
 
 
 class TestRetryLoopExhaustion:
-    """Direct coverage of Storage._retry_loop bookkeeping."""
+    """Direct coverage of the Storage retry loop's bookkeeping."""
 
     def _sim(self, seed=17):
         from repro.sim import Simulator

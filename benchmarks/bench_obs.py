@@ -4,8 +4,7 @@ The tracing plane claims *zero-cost-off* structurally (a disabled
 tracer hands out one shared no-op span and records nothing) — the
 tier-1 parity suites pin that byte-for-byte.  This bench quantifies
 the *on* cost instead: the same S8-style ``auto_sort`` pipeline runs
-with the full observability plane enabled (spans + timeline) and
-disabled, min-of-``ROUNDS`` wall-clock each, and the traced run must
+with span tracing enabled and disabled, min-of-``ROUNDS`` wall-clock each, and the traced run must
 stay within ``OVERHEAD_GATE`` of the plain one while producing the
 identical simulated outcome.
 
@@ -38,7 +37,7 @@ def _run_once(observed):
 
     config = ExperimentConfig(logical_scale=SCALE, seed=SEED)
     cloud = Cloud(
-        Simulator(seed=config.seed, trace=observed, spans=observed),
+        Simulator(seed=config.seed, spans=observed),
         config.make_profile(),
     )
     start = time.perf_counter()
@@ -63,13 +62,13 @@ def test_tracing_overhead_is_bounded(record_result):
     overhead = traced_s / plain_s
 
     tracer = traced_cloud.sim.tracer
+    events = sum(len(span.events) for span in tracer.spans)
     lines = [
         "S15: observability overhead (auto_sort pipeline, min of "
         f"{ROUNDS} rounds)",
-        f"{'mode':<12} {'wall_s':>8} {'spans':>7} {'timeline':>9}",
+        f"{'mode':<12} {'wall_s':>8} {'spans':>7} {'events':>9}",
         "-" * 40,
-        f"{'traced':<12} {traced_s:>8.3f} {len(tracer.spans):>7} "
-        f"{len(traced_cloud.sim.timeline.records):>9}",
+        f"{'traced':<12} {traced_s:>8.3f} {len(tracer.spans):>7} {events:>9}",
         f"{'plain':<12} {plain_s:>8.3f} {0:>7} {0:>9}",
         "-" * 40,
         f"overhead: {overhead:.3f}x (gate <= {OVERHEAD_GATE:.2f}x)",
@@ -114,7 +113,7 @@ def test_trace_and_metrics_artifacts(record_result):
                 "S15: exported observability artifacts",
                 f"chrome trace:  {trace_path.name} "
                 f"({trace_summary['spans']} spans, "
-                f"{trace_summary['timeline_records']} timeline records, "
+                f"{trace_summary['events']} span events, "
                 f"{len(payload['traceEvents'])} events)",
                 f"prometheus:    {metrics_path.name} "
                 f"({metrics_summary['metrics']} metrics)",

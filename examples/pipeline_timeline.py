@@ -2,13 +2,14 @@
 """Draw where the time goes: Gantt charts of both pipeline incarnations.
 
 The paper's demo shows a live job-tracking UI; this example renders the
-equivalent offline picture from the simulation trace.  Side by side, the
-two charts make the paper's Table 1 visually obvious:
+equivalent offline picture from the run's span tracer.  Side by side,
+the two charts make the paper's Table 1 visually obvious:
 
 * the purely serverless pipeline is a wall of short, parallel function
   bars (cold starts marked with ``*``);
-* the hybrid pipeline is dominated by one long VM bar whose first ~100
-  seconds are provisioning, before any byte is sorted.
+* the hybrid pipeline is dominated by one long VM bar — the instance's
+  billed lifetime span — whose first ~100 seconds are provisioning,
+  before any byte is sorted.
 
 Run: ``python examples/pipeline_timeline.py [logical_scale]``
 """
@@ -32,10 +33,10 @@ def main() -> None:
 
     for variant in (PURE_SERVERLESS, VM_SUPPORTED):
         cloud = Cloud(
-            Simulator(seed=config.seed, trace=True), config.make_profile()
+            Simulator(seed=config.seed, spans=True), config.make_profile()
         )
         run = run_pipeline(config, variant, cloud=cloud)
-        print(workflow_gantt(run.workflow.tracker, cloud.sim.timeline,
+        print(workflow_gantt(run.workflow.tracker, cloud.sim.tracer,
                              max_rows=28))
         print(f"end-to-end: {run.latency_s:.2f} s, ${run.cost_usd:.4f}")
         print()

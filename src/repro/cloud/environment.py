@@ -61,8 +61,9 @@ class Cloud:
         return self.profile.logical_scale
 
     def finalize(self) -> None:
-        """End-of-run housekeeping: terminate VMs and cache clusters,
-        settle storage-volume billing."""
+        """End-of-run housekeeping: terminate VMs and cache clusters
+        (which also ends their lifetime spans), settle storage-volume
+        billing."""
         self.vms.terminate_all()
         self.cache.terminate_all()
         self.store.finalize_billing()
@@ -72,12 +73,11 @@ class Cloud:
         cls,
         seed: int = 0,
         profile: CloudProfile | None = None,
-        trace: bool = False,
         spans: bool | None = None,
     ) -> "Cloud":
         """Convenience: a new simulator plus a new region.
 
-        ``spans`` enables attempt-scoped span tracing (see
-        :mod:`repro.obs.trace`); None defers to ``REPRO_TRACE``.
+        ``spans`` enables span tracing (see :mod:`repro.obs.trace`);
+        None defers to ``REPRO_TRACE``.
         """
-        return cls(Simulator(seed=seed, trace=trace, spans=spans), profile)
+        return cls(Simulator(seed=seed, spans=spans), profile)

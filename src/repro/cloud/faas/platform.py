@@ -297,24 +297,9 @@ class FaasPlatform:
             else:
                 self.stats.warm_starts += 1
                 startup = self.profile.warm_start.sample(self._rng)
-            self.sim.timeline.record(
-                self.sim.now,
-                "faas",
-                "cold_start" if started_cold else "warm_start",
-                function=definition.name,
-                activation=activation_id,
-            )
             yield self.sim.timeout(startup)
 
             execution_start = self.sim.now
-            self.sim.timeline.record(
-                self.sim.now,
-                "faas",
-                "activation_start",
-                function=definition.name,
-                activation=activation_id,
-                cold=started_cold,
-            )
             context = FunctionContext(
                 self, definition.name, definition.memory_mb, activation_id
             )
@@ -367,14 +352,6 @@ class FaasPlatform:
                 self._release_container(definition.name)
                 if span is not None:
                     span.set(outcome=outcome)
-                self.sim.timeline.record(
-                    self.sim.now,
-                    "faas",
-                    "activation_end",
-                    function=definition.name,
-                    activation=activation_id,
-                    started=execution_start,
-                )
             # The handler returned and won its race: finalize deferred
             # effects (e.g. relay consume leases become real deletions).
             context.commit_resources()

@@ -16,7 +16,10 @@ two:
   least-recently-used keys (``allkeys-lru``);
 * **node-hour billing** — cost accrues per node from provision to
   terminate, whether or not requests flow (the "always-on" cost the
-  paper credits object storage for avoiding).
+  paper credits object storage for avoiding).  That billed lifetime is
+  also a ``cache`` span on the simulator's tracer
+  (:attr:`MemStoreCluster.span`), with a ``ready`` event where creation
+  ends.
 
 Keys shard across nodes by CRC32 (stable across runs and processes, so
 simulations stay deterministic).  Batched MSET/MGET pay one request
@@ -97,8 +100,7 @@ class MemStoreService:
         this call until :meth:`MemStoreCluster.terminate`.
         """
         cluster = self._make_cluster(type_name, nodes)
-        cluster.state = "running"
-        cluster.ready_at = self.sim.now
+        cluster._ready()
         return cluster
 
     def _make_cluster(self, type_name: str, nodes: int) -> "MemStoreCluster":
@@ -110,19 +112,8 @@ class MemStoreService:
         return cluster
 
     def _boot(self, cluster: "MemStoreCluster") -> t.Generator:
-        delay = self.profile.provision.sample(self._rng)
-        self.sim.timeline.record(
-            self.sim.now,
-            "memstore",
-            "provision",
-            cluster=cluster.cluster_id,
-            type=cluster.node_type.name,
-            nodes=len(cluster.nodes),
-            delay=delay,
-        )
-        yield self.sim.timeout(delay)
-        cluster.state = "running"
-        cluster.ready_at = self.sim.now
+        yield self.sim.timeout(self.profile.provision.sample(self._rng))
+        cluster._ready()
         return cluster
 
     def cluster(self, cluster_id: str) -> "MemStoreCluster":
@@ -175,6 +166,11 @@ class MemStoreCluster:
         self.provisioned_at = self.sim.now
         self.ready_at: float | None = None
         self.terminated_at: float | None = None
+        #: Lifetime span: what is billed, from provision to terminate.
+        self.span = self.sim.tracer.span(
+            cluster_id, category="cache", track=cluster_id, cluster=cluster_id,
+            type=node_type.name, nodes=nodes,
+        )
         self.nodes = [
             CacheNode(
                 self.sim,
@@ -192,6 +188,12 @@ class MemStoreCluster:
     def ensure_running(self) -> None:
         if self.state != "running":
             raise ClusterNotRunning(self.cluster_id, self.state)
+
+    def _ready(self) -> None:
+        """Created: the cluster serves requests from now on."""
+        self.state = "running"
+        self.ready_at = self.sim.now
+        self.span.event("ready")
 
     def node_for(self, key: str) -> CacheNode:
         """The shard node owning ``key`` (stable CRC32 placement)."""
@@ -221,14 +223,7 @@ class MemStoreCluster:
         for node in self.nodes:
             node.fail_watchers(ClusterNotRunning(self.cluster_id, "terminated"))
         self.service._bill_cluster(self)
-        self.sim.timeline.record(
-            self.sim.now,
-            "memstore",
-            "terminate",
-            cluster=self.cluster_id,
-            type=self.node_type.name,
-            nodes=len(self.nodes),
-        )
+        self.span.end()
 
     # ------------------------------------------------------------------
     # aggregate views
@@ -419,10 +414,6 @@ class CacheClient:
         if logical > 0:
             yield node.link.transfer(logical, self._flow_cap())
         node.store(key, data, logical)
-        self.sim.timeline.record(
-            self.sim.now, "memstore", "set",
-            cluster=self.cluster.cluster_id, key=key, logical=logical,
-        )
         return None
 
     def _get_op(self, key: str) -> t.Generator:
@@ -437,10 +428,6 @@ class CacheClient:
             raise CacheKeyMissing(key)
         if entry.logical > 0:
             yield node.link.transfer(entry.logical, self._flow_cap())
-        self.sim.timeline.record(
-            self.sim.now, "memstore", "get",
-            cluster=self.cluster.cluster_id, key=key, logical=entry.logical,
-        )
         return entry.data
 
     def _get_wait_op(self, key: str) -> t.Generator:
@@ -476,10 +463,6 @@ class CacheClient:
                 raise
         if entry.logical > 0:
             yield node.link.transfer(entry.logical, self._flow_cap())
-        self.sim.timeline.record(
-            self.sim.now, "memstore", "get_wait",
-            cluster=self.cluster.cluster_id, key=key, logical=entry.logical,
-        )
         return entry.data
 
     def _delete_op(self, key: str) -> t.Generator:
@@ -587,10 +570,6 @@ class CacheClient:
             for process in writers:
                 self.owner.track(process)
         yield self.sim.all_of([process.completion for process in writers])
-        self.sim.timeline.record(
-            self.sim.now, "memstore", "mset",
-            cluster=self.cluster.cluster_id, keys=len(items), nodes=streams,
-        )
         return None
 
     def _mget_op(self, keys: list[str]) -> t.Generator:
@@ -630,8 +609,4 @@ class CacheClient:
             for process in readers:
                 self.owner.track(process)
         yield self.sim.all_of([process.completion for process in readers])
-        self.sim.timeline.record(
-            self.sim.now, "memstore", "mget",
-            cluster=self.cluster.cluster_id, keys=len(keys), nodes=streams,
-        )
         return t.cast(list, results)

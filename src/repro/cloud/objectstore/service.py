@@ -244,7 +244,6 @@ class ObjectStore:
             wait = self._ops.estimated_wait(1.0)
             if wait > limit:
                 self.stats.slowdowns += 1
-                self.sim.timeline.record(self.sim.now, "storage", "slowdown")
                 raise SlowDown(wait)
         return self._ops.consume(1.0)
 
@@ -259,9 +258,6 @@ class ObjectStore:
             and self._rng_faults.random() < self.fault_probability
         ):
             self.stats.internal_errors += 1
-            self.sim.timeline.record(
-                self.sim.now, "storage", "internal_error", operation=operation
-            )
             raise InternalError(operation)
 
     def _logical(self, real_bytes: float, logical_size: float | None) -> float:
@@ -339,20 +335,6 @@ class ObjectStore:
         if sha is not None:
             self._cas_index[(bucket, sha)] = key
             self.cas_log.append((key, sha, logical))
-        if hit:
-            self.sim.timeline.record(
-                self.sim.now,
-                "storage",
-                "put",
-                bucket=bucket,
-                key=key,
-                logical=logical,
-                dedup=True,
-            )
-        else:
-            self.sim.timeline.record(
-                self.sim.now, "storage", "put", bucket=bucket, key=key, logical=logical
-            )
         return meta
 
     def _get_op(
@@ -387,9 +369,6 @@ class ObjectStore:
         self.stats.gets += 1
         self.stats.bytes_out += logical
         self._charge_request("class_b_request", self.profile.class_b_price_usd)
-        self.sim.timeline.record(
-            self.sim.now, "storage", "get", bucket=bucket, key=key, logical=logical
-        )
         return payload
 
     def _head_op(self, bucket: str, key: str) -> t.Generator:

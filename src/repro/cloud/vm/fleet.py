@@ -104,11 +104,10 @@ class RelayFleet:
                 self._routers[namespace] = router
         else:
             self.router = router
-        self.sim.timeline.record(
-            self.sim.now, "relay",
-            "fleet_rebalance" if router is not None else "fleet_rebalance_clear",
-            fleet=self.relay_id, shards=len(self.shards),
-            namespace=namespace or "(global)",
+        self.event(
+            "relay.fleet_rebalance" if router is not None
+            else "relay.fleet_rebalance_clear",
+            fleet=self.relay_id, namespace=namespace or "(global)",
         )
 
     def shard_index_for_key(self, key: str) -> int:
@@ -245,10 +244,11 @@ class RelayFleet:
             if shard.state != "terminated":
                 shard.terminate()
         self.service.relays.pop(self.relay_id, None)
-        self.sim.timeline.record(
-            self.sim.now, "relay", "fleet_terminate",
-            fleet=self.relay_id, shards=len(self.shards),
-        )
+
+    def event(self, name: str, **attrs) -> None:
+        """Point event on every open shard VM's lifetime span."""
+        for shard in self.shards:
+            shard.event(name, **attrs)
 
     # ------------------------------------------------------------------
     # attempt-scoped cancellation (fleet-wide)
@@ -521,13 +521,7 @@ def _provision(vms: VmService, type_name: str, shards: int) -> t.Generator:
     from repro.cloud.vm.relay import provision_relay
 
     events = [provision_relay(vms, type_name) for _ in range(shards)]
-    relays = yield vms.sim.all_of(events)
-    fleet = RelayFleet(vms, relays)
-    vms.sim.timeline.record(
-        vms.sim.now, "relay", "fleet_provision",
-        fleet=fleet.relay_id, type=type_name, shards=shards,
-    )
-    return fleet
+    return RelayFleet(vms, (yield vms.sim.all_of(events)))
 
 
 def fleet_ready(vms: VmService, type_name: str, shards: int) -> RelayFleet:
@@ -540,9 +534,4 @@ def fleet_ready(vms: VmService, type_name: str, shards: int) -> RelayFleet:
         raise SimulationError(f"shards must be >= 1, got {shards}")
     from repro.cloud.vm.relay import relay_ready
 
-    fleet = RelayFleet(vms, [relay_ready(vms, type_name) for _ in range(shards)])
-    vms.sim.timeline.record(
-        vms.sim.now, "relay", "fleet_provision",
-        fleet=fleet.relay_id, type=type_name, shards=shards, warm=True,
-    )
-    return fleet
+    return RelayFleet(vms, [relay_ready(vms, type_name) for _ in range(shards)])

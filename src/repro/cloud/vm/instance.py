@@ -10,6 +10,11 @@ The VM model captures what the paper's hybrid pipeline pays for:
 * **per-second billing** — instance + boot volume, from provision call
   to terminate, with a minimum billed duration.
 
+Each instance's billed lifetime is also a ``vm`` span on the simulator's
+tracer (:attr:`VirtualMachine.span`), opened at the provision call and
+ended by :meth:`VirtualMachine.terminate`; its ``ready`` event closes
+the provisioning window.
+
 Tasks are generator functions receiving a :class:`VmContext`.
 """
 
@@ -175,6 +180,10 @@ class VirtualMachine:
         self.provisioned_at = self.sim.now
         self.ready_at: float | None = None
         self.terminated_at: float | None = None
+        #: Lifetime span: what is billed, from provision to terminate.
+        self.span = self.sim.tracer.span(
+            vm_id, category="vm", track=vm_id, vm=vm_id, type=instance_type.name
+        )
         self.cpu = Resource(
             self.sim, capacity=instance_type.vcpus, name=f"{vm_id}.cpu"
         )
@@ -191,6 +200,12 @@ class VirtualMachine:
         if self.state != "running":
             raise VmNotRunning(self.vm_id, self.state)
 
+    def _ready(self) -> None:
+        """Booted: the instance accepts work from now on."""
+        self.state = "running"
+        self.ready_at = self.sim.now
+        self.span.event("ready")
+
     def run(self, task: VmTask, name: str = "task") -> SimEvent:
         """Execute ``task(ctx)`` on this VM; event carries its result."""
         self.ensure_running()
@@ -206,10 +221,7 @@ class VirtualMachine:
         self.state = "terminated"
         self.terminated_at = self.sim.now
         self.service._bill_instance(self)
-        self.sim.timeline.record(
-            self.sim.now, "vm", "terminate", vm=self.vm_id,
-            type=self.instance_type.name,
-        )
+        self.span.end()
 
 
 class VmService:
@@ -265,8 +277,7 @@ class VmService:
         """
         instance_type = self.instance_type(type_name)
         vm = VirtualMachine(self, f"vm-{next(self._ids)}", instance_type)
-        vm.state = "running"
-        vm.ready_at = self.sim.now
+        vm._ready()
         self.instances.append(vm)
         return vm
 
@@ -278,14 +289,8 @@ class VmService:
             raise UnknownRelay(relay_id) from None
 
     def _boot(self, vm: VirtualMachine) -> t.Generator:
-        boot_time = self.profile.boot.sample(self._rng)
-        self.sim.timeline.record(
-            self.sim.now, "vm", "provision", vm=vm.vm_id,
-            type=vm.instance_type.name, boot_time=boot_time,
-        )
-        yield self.sim.timeout(boot_time)
-        vm.state = "running"
-        vm.ready_at = self.sim.now
+        yield self.sim.timeout(self.profile.boot.sample(self._rng))
+        vm._ready()
         return vm
 
     def _bill_instance(self, vm: VirtualMachine) -> None:

@@ -178,6 +178,7 @@ class PartitionRelay:
         self.sim = service.sim
         self.vm = vm
         self.relay_id = f"relay-{vm.vm_id}"
+        vm.span.set(relay=self.relay_id)
         profile = service.profile
         #: Logical bytes of partitions the relay may hold at once.
         self.capacity_bytes = profile.relay_usable_bytes(vm.instance_type)
@@ -295,7 +296,7 @@ class PartitionRelay:
         :class:`~repro.cloud.vm.errors.UnknownRelay` instead of a dead
         relay and long-lived regions don't accumulate dead payloads.
         """
-        resident = len(self._entries)
+        self.vm.span.set(resident_keys=len(self._entries))
         self._publish_metrics()
         self.vm.terminate()
         for reservation in list(self._reservations):
@@ -316,10 +317,12 @@ class PartitionRelay:
         self._peak_epochs.clear()
         self.used_logical = 0.0
         self.service.relays.pop(self.relay_id, None)
-        self.sim.timeline.record(
-            self.sim.now, "relay", "terminate", relay=self.relay_id,
-            type=self.vm.instance_type.name, resident_keys=resident,
-        )
+
+    def event(self, name: str, **attrs) -> None:
+        """Point event on the relay VM's lifetime span, while it is open."""
+        span = self.vm.span
+        if span.recording and not span.ended:
+            span.event(name, **attrs)
 
     def _publish_metrics(self) -> None:
         """Fold this relay's lifetime counters into the metrics registry.
@@ -385,10 +388,9 @@ class PartitionRelay:
             relay=self.relay_id, reclaimed=reclaimed,
             leases_reinstated=reinstated,
         )
-        self.sim.timeline.record(
-            self.sim.now, "relay", "cancel_attempt",
-            relay=self.relay_id, attempt=attempt_id, reclaimed=reclaimed,
-            leases_reinstated=reinstated,
+        self.event(
+            "relay.cancel_attempt", attempt=attempt_id, fence=fence,
+            reclaimed=reclaimed, leases_reinstated=reinstated,
         )
         return reclaimed
 
@@ -414,10 +416,6 @@ class PartitionRelay:
         self.sim.tracer.attempt_event(
             attempt_id, "relay.lease_commit",
             relay=self.relay_id, consumed=removed,
-        )
-        self.sim.timeline.record(
-            self.sim.now, "relay", "commit_attempt",
-            relay=self.relay_id, attempt=attempt_id, consumed=removed,
         )
         return removed
 
@@ -446,9 +444,8 @@ class PartitionRelay:
         reclaimed = 0.0
         for attempt_id in sorted(self._scope_attempts.get(scope, ())):
             reclaimed += self.cancel_attempt(attempt_id, fence=fence)
-        self.sim.timeline.record(
-            self.sim.now, "relay", "cancel_scope",
-            relay=self.relay_id, scope=scope, reclaimed=reclaimed,
+        self.event(
+            "relay.cancel_scope", scope=scope, fence=fence, reclaimed=reclaimed
         )
         return reclaimed
 
@@ -1102,11 +1099,6 @@ class RelayClient:
                     ).inc(saved, substrate="relay")
             self.relay._commit_push(reservation, items, logicals, shas)
             reservation = None
-            if batched:
-                self.sim.timeline.record(
-                    self.sim.now, "relay", "mpush",
-                    relay=self.relay.relay_id, keys=len(items), logical=total,
-                )
             return None
         except BaseException:
             if transfer is not None:
@@ -1214,10 +1206,6 @@ class RelayClient:
             if consume:
                 for key in keys:  # duplicates in the batch lease/pop once
                     self.relay._consume_or_lease(key, self.attempt_id)
-            self.sim.timeline.record(
-                self.sim.now, "relay", "mpull",
-                relay=self.relay.relay_id, keys=len(keys), logical=total,
-            )
             return [entry.data for entry in entries]
         except BaseException:
             if transfer is not None:
@@ -1232,12 +1220,7 @@ class RelayClient:
         yield from self._consume_ops(float(len(keys)))
         yield self.sim.timeout(self._latency())
         self.relay._check_fence(self.attempt_id)  # zombies must not delete
-        removed = sum(1 for key in keys if self.relay._remove(key))
-        self.sim.timeline.record(
-            self.sim.now, "relay", "mdelete",
-            relay=self.relay.relay_id, keys=len(keys), removed=removed,
-        )
-        return removed
+        return sum(1 for key in keys if self.relay._remove(key))
 
 
 # ----------------------------------------------------------------------
@@ -1256,11 +1239,7 @@ def provision_relay(vms: VmService, type_name: str) -> SimEvent:
 
 def _provision(vms: VmService, type_name: str) -> t.Generator:
     vm = yield vms.provision(type_name)
-    relay = PartitionRelay(vms, vm)
-    vms.sim.timeline.record(
-        vms.sim.now, "relay", "provision", relay=relay.relay_id, type=type_name,
-    )
-    return relay
+    return PartitionRelay(vms, vm)
 
 
 def relay_ready(vms: VmService, type_name: str) -> PartitionRelay:
@@ -1269,10 +1248,4 @@ def relay_ready(vms: VmService, type_name: str) -> PartitionRelay:
     Billing still starts now: the VM accrues instance-seconds from this
     call until :meth:`PartitionRelay.terminate`.
     """
-    vm = vms.provision_ready(type_name)
-    relay = PartitionRelay(vms, vm)
-    vms.sim.timeline.record(
-        vms.sim.now, "relay", "provision", relay=relay.relay_id, type=type_name,
-        warm=True,
-    )
-    return relay
+    return PartitionRelay(vms, vms.provision_ready(type_name))

@@ -16,7 +16,6 @@ from repro.executor.partitioner import (
     extend_end_to_record,
     split_range,
 )
-from repro.executor.standalone import StandaloneExecutor, VmWorkerContext
 
 __all__ = [
     "ALL_COMPLETED",
@@ -31,8 +30,6 @@ __all__ = [
     "JobSpeculator",
     "SpeculationPolicy",
     "ResponseFuture",
-    "StandaloneExecutor",
-    "VmWorkerContext",
     "align_start_to_record",
     "chunk_ranges",
     "extend_end_to_record",

@@ -210,13 +210,6 @@ class JobSpeculator:
         for handle in list(self._attempts[call_id]):
             handle.cancel()
             self.cancelled_losers += 1
-            self.sim.timeline.record(
-                self.sim.now,
-                "executor",
-                "speculative_cancel",
-                call_id=call_id,
-                activation=handle.activation_id or "",
-            )
 
     # ------------------------------------------------------------------
     # straggler detection
@@ -247,13 +240,6 @@ class JobSpeculator:
             return  # finished while the backup timer was pending
         self.speculative_launches += 1
         self.executor.speculative_launches += 1
-        self.sim.timeline.record(
-            self.sim.now,
-            "executor",
-            "speculative_launch",
-            call_id=call_id,
-            job=self._payloads[call_id].get("status_key", ""),
-        )
         # Hand the backup its live siblings' attempt spans so the trace
         # carries bidirectional links between the racing attempts (a
         # sibling still queueing has no span yet — links are best-effort).

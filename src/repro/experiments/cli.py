@@ -101,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(
             f"wrote {summary['path']}: {summary['spans']} spans, "
-            f"{summary['timeline_records']} timeline records "
+            f"{summary['events']} span events "
             f"(latency {summary['latency_s']:.2f}s, "
             f"${summary['cost_usd']:.6f}); open at ui.perfetto.dev"
         )

@@ -1,14 +1,15 @@
 """Unified observability plane: tracing, metrics, exporters, SLO gates.
 
-One coherent surface over what used to be five ad-hoc ones (the sim
-:class:`~repro.sim.timeline.Timeline`, the workflow
+One coherent surface over what used to be ad-hoc ones (the workflow
 :class:`~repro.workflows.tracker.JobTracker`, ``ExchangeReport.extra``,
 the online sort's :class:`~repro.shuffle.adaptive.DecisionTimeline`,
 and :class:`~repro.cloud.billing.CostMeter` tags):
 
-* :mod:`repro.obs.trace` — an attempt-scoped span tracer carried on the
-  simulator (``sim.tracer``) and through every
-  :class:`~repro.cloud.faas.context.FunctionContext`;
+* :mod:`repro.obs.trace` — the run's one trace: a span tracer carried on
+  the simulator (``sim.tracer``) and through every
+  :class:`~repro.cloud.faas.context.FunctionContext`, whose tree holds
+  sorts, waves and attempts, and whose roots include one lifetime span
+  per billed VM and cache cluster (what the Gantt chart draws);
 * :mod:`repro.obs.metrics` — the process-wide registry of
   counters/gauges/histograms that backends and the
   :class:`~repro.service.exchange_service.ExchangeService` publish into;

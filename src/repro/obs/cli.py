@@ -2,8 +2,8 @@
 
 Back the ``repro-experiments trace`` and ``repro-experiments metrics``
 subcommands: run one S8-style ``auto_sort`` pipeline with span tracing
-and the legacy timeline both enabled, then export the run as a
-Perfetto-loadable Chrome trace or a Prometheus text snapshot.  The same
+enabled, then export the run as a Perfetto-loadable Chrome trace or a
+Prometheus text snapshot.  The same
 helpers produce the CI trace artifact and the S15 bench inputs.
 
 Kept separate from :mod:`repro.experiments.cli` so the exporters are
@@ -25,7 +25,7 @@ def run_traced_pipeline(
     seed: int = 2021,
     variant: str | None = None,
 ):
-    """Run one pipeline with spans + timeline recording; return (run, cloud).
+    """Run one pipeline with span tracing on; return (run, cloud).
 
     The metrics registry is reset first so the snapshot describes this
     run alone.  Defaults to the adaptive (``auto_sort``) incarnation —
@@ -41,7 +41,7 @@ def run_traced_pipeline(
         variant = AUTO_SUPPORTED
     config = ExperimentConfig(logical_scale=logical_scale, seed=seed)
     cloud = Cloud(
-        Simulator(seed=config.seed, trace=True, spans=True),
+        Simulator(seed=config.seed, spans=True),
         config.make_profile(),
     )
     reset_registry()
@@ -54,12 +54,13 @@ def export_trace(
 ) -> dict[str, t.Any]:
     """Export one traced pipeline run as Chrome trace-event JSON."""
     run, cloud = run_traced_pipeline(logical_scale, seed)
-    write_chrome_trace(path, cloud.sim.tracer, timeline=cloud.sim.timeline)
+    tracer = cloud.sim.tracer
+    write_chrome_trace(path, tracer)
     return {
         "path": path,
-        "spans": len(cloud.sim.tracer.spans),
-        "timeline_records": len(cloud.sim.timeline.records),
-        "problems": cloud.sim.tracer.validate(),
+        "spans": len(tracer.spans),
+        "events": sum(len(span.events) for span in tracer.spans),
+        "problems": tracer.validate(),
         "latency_s": run.latency_s,
         "cost_usd": run.cost_usd,
     }

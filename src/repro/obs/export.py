@@ -6,14 +6,10 @@ directly: one complete event (``ph: "X"``) per span, instant events
 (``ph: "i"``) for span events, and thread-name metadata so each
 worker/shard/tenant renders on its own track.  Timestamps are the
 simulation clock in microseconds, so the Perfetto timeline reads in
-simulated seconds.
-
-The exporter also folds in the legacy surfaces (satellite 1): pass the
-sim :class:`~repro.sim.timeline.Timeline` and its records — waves,
-substrate switches, service scale events — appear as instants on
-``timeline:<category>`` tracks in the same file.  Sweeps should read
-spans/metrics rather than the raw ``Timeline``; direct ``Timeline``
-reads are deprecated in favour of this exporter.
+simulated seconds.  The tracer is the run's only trace: waves, substrate
+decisions, VM and cache-cluster lifetimes, relay fences and service
+scale events are all spans or span events, so they land on their own
+tracks here.
 
 Output is deterministic: ids are counter-based, tracks are numbered in
 order of first appearance, and span wall-clock self-measurements are
@@ -44,10 +40,9 @@ def _clean(attrs: dict[str, t.Any]) -> dict[str, t.Any]:
 
 def chrome_trace_events(
     tracer: Tracer,
-    timeline: t.Any | None = None,
     decision_timeline: t.Any | None = None,
 ) -> list[dict[str, t.Any]]:
-    """Chrome trace-event list for a tracer (and optional sim Timeline).
+    """Chrome trace-event list for a tracer.
 
     ``decision_timeline`` accepts a
     :class:`~repro.shuffle.adaptive.DecisionTimeline`; each decision
@@ -118,22 +113,6 @@ def chrome_trace_events(
                 }
             )
 
-    if timeline is not None:
-        for record in getattr(timeline, "records", ()):  # TraceRecord
-            track = f"timeline:{record.category}"
-            events.append(
-                {
-                    "ph": "i",
-                    "pid": 1,
-                    "tid": tid(track),
-                    "name": record.name,
-                    "cat": record.category,
-                    "ts": round(record.time * _US, 3),
-                    "s": "p",
-                    "args": _clean(dict(record.fields)),
-                }
-            )
-
     if decision_timeline is not None:
         thread = tid("decisions")
         switches = 0
@@ -163,12 +142,11 @@ def chrome_trace_events(
 
 def chrome_trace_json(
     tracer: Tracer,
-    timeline: t.Any | None = None,
     decision_timeline: t.Any | None = None,
 ) -> str:
     """Serialized Chrome trace (the string Perfetto opens)."""
     payload = {
-        "traceEvents": chrome_trace_events(tracer, timeline, decision_timeline),
+        "traceEvents": chrome_trace_events(tracer, decision_timeline),
         "displayTimeUnit": "ms",
         "otherData": {"clock": "sim-seconds", "source": "repro.obs"},
     }
@@ -178,11 +156,10 @@ def chrome_trace_json(
 def write_chrome_trace(
     path: str,
     tracer: Tracer,
-    timeline: t.Any | None = None,
     decision_timeline: t.Any | None = None,
 ) -> str:
     """Write the Perfetto-loadable trace file; returns the path."""
-    text = chrome_trace_json(tracer, timeline, decision_timeline)
+    text = chrome_trace_json(tracer, decision_timeline)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return path

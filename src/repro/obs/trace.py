@@ -1,19 +1,26 @@
 """Attempt-scoped span tracing for the simulated cloud.
 
 A :class:`Tracer` lives on each :class:`~repro.sim.kernel.Simulator`
-(``sim.tracer``) the way the legacy :class:`~repro.sim.timeline.Timeline`
-does, and is enabled per simulator (``Simulator(spans=True)``) or
-globally via ``REPRO_TRACE=1``.  Spans form the run's causal tree:
+(``sim.tracer``), the simulator's only trace, and is enabled per
+simulator (``Simulator(spans=True)``) or globally via
+``REPRO_TRACE=1``.  Spans form the run's causal tree:
 
 * the shuffle drivers open one **sort** span per sort with **wave**
-  children (sample/map/reduce);
+  children (sample/map/reduce; map and reduce carry the sort's ``job``
+  label);
 * the FaaS platform opens one **attempt** span per executed activation,
   parented under the wave that submitted it, and ends it *exactly once*
   — in the same ``finally`` that bills the attempt — whatever the
   outcome (ok / timeout / crash / cancelled / error);
 * exchange operations (storage PUT/GET, relay PUSH/PULL/MPUSH/MPULL,
   cache SET/GET, rendezvous waits, backpressure stalls, lease commits)
-  land as **span events** on the owning attempt's span.
+  land as **span events** on the owning attempt's span;
+* every VM and cache cluster is one root **lifetime span** (category
+  ``vm`` / ``cache``) from the provision call, where billing starts, to
+  ``terminate`` (``Cloud.finalize`` terminates what is still running);
+  its ``ready`` event ends the provisioning window, and relay fences /
+  cancels and service scale events land on it.  A VM nobody terminates
+  is an open span, which :meth:`Tracer.validate` reports.
 
 Determinism contract (the reason chaos/speculation/parity matrices are
 byte-identical with tracing on and off): tracer calls are pure

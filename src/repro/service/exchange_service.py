@@ -335,11 +335,6 @@ class ExchangeService:
         )
         self.jobs.append(job)
         self._queue.append(job)
-        self.sim.timeline.record(
-            self.sim.now, "service", "submit",
-            job=job.job_id, tenant=tenant, bytes=logical_bytes,
-            queue_depth=len(self._queue),
-        )
         reg = metrics_registry()
         reg.counter(
             "repro_service_jobs_submitted_total",
@@ -386,11 +381,6 @@ class ExchangeService:
             generation = self._generation_by_id(job.generation_id)
             reclaimed += generation.fleet.cancel_scope(job.scope)
             fenced.append(job.job_id)
-        self.sim.timeline.record(
-            self.sim.now, "service", "cancel_tenant",
-            tenant=tenant, queued=len(cancelled_queued),
-            running=len(fenced), reclaimed_bytes=reclaimed,
-        )
         self._maybe_scale("cancel")
         self._wake()
         return {
@@ -615,11 +605,6 @@ class ExchangeService:
     def _finish(self, job: JobHandle, state: str) -> None:
         job.state = state
         job.finished_at = self.sim.now
-        self.sim.timeline.record(
-            self.sim.now, "service", "job_" + state,
-            job=job.job_id, tenant=job.tenant,
-            latency_s=job.latency_s, queue_wait_s=job.queue_wait_s,
-        )
         reg = metrics_registry()
         reg.counter(
             "repro_service_jobs_total",
@@ -714,8 +699,8 @@ class ExchangeService:
                 "reason": decision.reason,
             }
         )
-        self.sim.timeline.record(
-            self.sim.now, "service", "scale_" + decision.direction,
+        generation.fleet.event(
+            "service.scale_" + decision.direction,
             from_shards=old.shards, to_shards=decision.shards,
             generation=generation.gen_id, trigger=trigger,
         )

@@ -625,11 +625,11 @@ class OnlineShuffleSort(ShuffleSort):
             )
 
         job = f"{self._labels()[0]}:{out_prefix}@{started_at:.3f}"
-        self._record_wave(job, "map", "start")
         # One span covers the whole chunked map phase: online waves are
         # slices of a single logical stage, not separate stages.
         map_span = self.sim.tracer.span(
-            "wave:map", category="wave", parent=sort_span, waves=total_waves
+            "wave:map", category="wave", parent=sort_span, waves=total_waves,
+            job=job,
         )
         yield publish_route(0)
 
@@ -671,9 +671,9 @@ class OnlineShuffleSort(ShuffleSort):
             }
             for reducer_id in range(reducers)
         ]
-        self._record_wave(job, "reduce", "start")
         reduce_span = self.sim.tracer.span(
-            "wave:reduce", category="wave", parent=sort_span, workers=reducers
+            "wave:reduce", category="wave", parent=sort_span, workers=reducers,
+            job=job,
         )
         reduce_futures = yield self.executor.map(
             online_stream_reducer, reduce_tasks, span=reduce_span
@@ -870,10 +870,8 @@ class OnlineShuffleSort(ShuffleSort):
                 )
 
             map_ended_at = self.sim.now
-            self._record_wave(job, "map", "end")
             map_span.end()
             reduce_results = yield self.executor.get_result(reduce_futures)
-            self._record_wave(job, "reduce", "end")
             reduce_span.end()
         finally:
             for s in stints:

@@ -83,8 +83,7 @@ class ShuffleSort:
     Parameters
     ----------
     executor:
-        A :class:`~repro.executor.FunctionExecutor` (or the VM-backed
-        standalone executor — the stages are substrate-portable).
+        A :class:`~repro.executor.FunctionExecutor`.
     codec:
         Record format of the input object.
     cost:
@@ -322,12 +321,6 @@ class ShuffleSort:
             "buffer_wait_s": sum(result["buffer_wait_s"] for result in reduce_results),
         }
 
-    def _record_wave(self, job: str, wave: str, edge: str) -> None:
-        """Timeline marker pairing into a Gantt wave span (traced runs)."""
-        self.sim.timeline.record(
-            self.sim.now, "shuffle", f"wave_{edge}", job=job, wave=wave
-        )
-
     def _build_manifest(
         self,
         bucket: str,
@@ -414,9 +407,9 @@ class ShuffleSort:
                     self.backend.reducer_task(reducer_id, map_tasks, map_results)
                     for reducer_id in range(workers)
                 ]
-                self._record_wave(job, "reduce", "start")
                 span = self.sim.tracer.span(
-                    "wave:reduce", category="wave", parent=sort_span, workers=workers
+                    "wave:reduce", category="wave", parent=sort_span,
+                    workers=workers, job=job,
                 )
                 try:
                     futures = yield self.executor.map(
@@ -433,9 +426,9 @@ class ShuffleSort:
             # concurrency limit (reducers idle at their rendezvous; mappers
             # must never starve behind them), and the wave spans overlap
             # on the trace exactly like the waves do.
-            self._record_wave(job, "map", "start")
             map_span = self.sim.tracer.span(
-                "wave:map", category="wave", parent=sort_span, workers=workers
+                "wave:map", category="wave", parent=sort_span,
+                workers=workers, job=job,
             )
             reduce_span = None
             try:
@@ -451,7 +444,6 @@ class ShuffleSort:
                     reduce_span.end("error")
                 raise
             map_ended_at = self.sim.now
-            self._record_wave(job, "map", "end")
             map_span.end()
             self.backend.on_map_done(map_results)
             if not streaming:
@@ -460,7 +452,6 @@ class ShuffleSort:
                 )
             with reduce_span:
                 reduce_results = yield self.executor.get_result(reduce_futures)
-            self._record_wave(job, "reduce", "end")
 
             runs, total_records = self._collect_runs(
                 map_results, reduce_results, out_bucket

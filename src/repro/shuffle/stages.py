@@ -1,8 +1,7 @@
 """Worker-side stages of the object-storage shuffle.
 
 Three sim-aware functions executed through a
-:class:`~repro.executor.FunctionExecutor` (or the VM-backed standalone
-executor — they are substrate-portable):
+:class:`~repro.executor.FunctionExecutor`:
 
 * :func:`shuffle_sampler` — reads a window of its split and returns a
   key sample for boundary selection;

@@ -21,7 +21,6 @@ from repro.sim.notify import KeyedWatch
 from repro.sim.process import Process
 from repro.sim.resources import Resource, Store, TokenBucket
 from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim.timeline import Timeline, TraceRecord
 
 __all__ = [
     "AllOf",
@@ -36,10 +35,8 @@ __all__ = [
     "SimEvent",
     "Simulator",
     "Store",
-    "Timeline",
     "Timeout",
     "TokenBucket",
-    "TraceRecord",
     "derive_seed",
     "render_name",
 ]

@@ -27,7 +27,6 @@ from repro.obs.trace import Tracer, trace_enabled_from_env
 from repro.sim.events import _PENDING, AllOf, AnyOf, LazyName, SimEvent, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
-from repro.sim.timeline import Timeline
 
 #: Value used for ``run(until=...)`` meaning "run until no events remain".
 FOREVER = float("inf")
@@ -40,24 +39,22 @@ class Simulator:
     ----------
     seed:
         Root seed for all named RNG streams (see :class:`RngRegistry`).
-    trace:
-        When true, components record :class:`~repro.sim.timeline.TraceRecord`
-        entries on :attr:`timeline` (at a modest performance cost).
     spans:
-        When true, :attr:`tracer` records attempt-scoped spans (see
-        :mod:`repro.obs.trace`).  Defaults to the ``REPRO_TRACE``
-        environment variable so any existing run can be traced without
-        code changes.  Span recording is pure interpreter-side
-        bookkeeping and never perturbs simulation outcomes.
+        When true, :attr:`tracer` records the run's span tree (see
+        :mod:`repro.obs.trace`): attempts, waves, sorts, and one
+        lifetime span per billed VM and cache cluster.  Defaults to the
+        ``REPRO_TRACE`` environment variable so any existing run can be
+        traced without code changes.  It is the simulator's only trace:
+        span recording is pure interpreter-side bookkeeping and never
+        perturbs simulation outcomes.
     """
 
-    def __init__(self, seed: int = 0, trace: bool = False, spans: bool | None = None):
+    def __init__(self, seed: int = 0, spans: bool | None = None):
         self._now = 0.0
         self._heap: list[tuple[float, int, SimEvent]] = []
         self._seq = 0
         self._active_processes = 0
         self.rng = RngRegistry(seed)
-        self.timeline = Timeline(enabled=trace)
         if spans is None:
             spans = trace_enabled_from_env()
         self.tracer = Tracer(clock=lambda: self._now, enabled=spans)

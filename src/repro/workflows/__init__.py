@@ -13,7 +13,7 @@ from repro.workflows.engine import (
 from repro.workflows.gantt import (
     GanttSpan,
     render_gantt,
-    spans_from_timeline,
+    spans_from_tracer,
     spans_from_tracker,
     workflow_gantt,
 )
@@ -44,7 +44,7 @@ __all__ = [
     "registered_kinds",
     "render_dag",
     "render_gantt",
-    "spans_from_timeline",
+    "spans_from_tracer",
     "spans_from_tracker",
     "workflow_gantt",
     "render_side_by_side",

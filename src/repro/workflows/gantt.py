@@ -3,12 +3,13 @@
 The paper demos an IPython job-tracking interface showing workflow
 progress in real time.  :mod:`repro.workflows.tracker` covers the
 numbers; this module covers the *picture*: where the time went, drawn
-from the simulation timeline —
+from the run's span tracer (:mod:`repro.obs.trace`) —
 
 * one bar per function activation (cold starts marked), so a stage's
   fan-out, stragglers and speculation duplicates are visible at a
   glance;
-* one bar per VM and per cache cluster, making the hybrid pipeline's
+* one bar per VM and per cache cluster, spanning its billed lifetime
+  (provision call to terminate), making the hybrid pipeline's
   provisioning penalty impossible to miss;
 * one bar per shuffle *wave* (map / reduce), so the streaming mode's
   wave overlap — and the staged mode's hard barrier — are visible
@@ -16,8 +17,8 @@ from the simulation timeline —
 * one bar per workflow stage (from the tracker), giving the chart its
   coarse structure.
 
-Requires the simulator to run with ``trace=True`` (timeline recording is
-off by default for speed).
+Requires the simulator to record spans (``Simulator(spans=True)`` or
+``REPRO_TRACE=1``); with tracing off only the stage bars remain.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
-from repro.sim.timeline import Timeline
-
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.trace import Tracer
     from repro.workflows.tracker import JobTracker
 
 
@@ -56,77 +56,33 @@ _GLYPHS = {
 }
 
 
-def spans_from_timeline(timeline: Timeline) -> list[GanttSpan]:
-    """Extract activation/VM/cache spans from a traced simulation."""
+#: Wave spans drawn as bars (the sample wave is not one), by span name.
+_WAVES = {"wave:map": "map", "wave:reduce": "reduce"}
+
+
+def spans_from_tracer(tracer: Tracer) -> list[GanttSpan]:
+    """Function, VM, cache and wave bars from a run's ended spans.
+
+    An ``attempt`` span is one activation's execution (cold starts
+    flagged); a ``vm`` or ``cache`` span is one instance's or cluster's
+    billed lifetime; ``wave:map`` / ``wave:reduce`` are one sort's waves.
+    A span still open when the chart is drawn has no end to draw.
+    """
     spans: list[GanttSpan] = []
-
-    starts: dict[str, tuple[float, bool]] = {}
-    for record in timeline.filter("faas", "activation_start"):
-        starts[record.fields["activation"]] = (record.time, record.fields["cold"])
-    for record in timeline.filter("faas", "activation_end"):
-        activation = record.fields["activation"]
-        if activation not in starts:
-            continue  # end without a start: started before tracing began
-        start, cold = starts.pop(activation)
-        spans.append(
-            GanttSpan(
-                label=f"{record.fields['function']}.{activation}",
-                start=start,
-                end=record.time,
-                kind="function-cold" if cold else "function",
-            )
-        )
-
-    vm_starts = {
-        record.fields["vm"]: record.time
-        for record in timeline.filter("vm", "provision")
-    }
-    for record in timeline.filter("vm", "terminate"):
-        vm_id = record.fields["vm"]
-        if vm_id in vm_starts:
-            spans.append(
-                GanttSpan(
-                    label=f"{vm_id} ({record.fields.get('type', '?')})",
-                    start=vm_starts.pop(vm_id),
-                    end=record.time,
-                    kind="vm",
-                )
-            )
-
-    wave_starts = {
-        (record.fields["job"], record.fields["wave"]): record.time
-        for record in timeline.filter("shuffle", "wave_start")
-    }
-    for record in timeline.filter("shuffle", "wave_end"):
-        wave_key = (record.fields["job"], record.fields["wave"])
-        start = wave_starts.pop(wave_key, None)
-        if start is not None:
-            spans.append(
-                GanttSpan(
-                    label=f"{wave_key[1]} wave [{wave_key[0]}]",
-                    start=start,
-                    end=record.time,
-                    kind="wave",
-                )
-            )
-
-    cache_starts = {
-        record.fields["cluster"]: record.time
-        for record in timeline.filter("memstore", "provision")
-    }
-    for record in timeline.filter("memstore", "terminate"):
-        cluster = record.fields["cluster"]
-        start = cache_starts.pop(cluster, None)
-        if start is not None:
-            spans.append(
-                GanttSpan(
-                    label=f"{cluster} ({record.fields.get('type', '?')})",
-                    start=start,
-                    end=record.time,
-                    kind="cache",
-                )
-            )
-
+    for span in tracer.spans:
+        if span.end_s is None:
+            continue
+        attrs = span.attributes
+        if span.category == "attempt":
+            label = f"{span.name}.{attrs['activation']}"
+            kind = "function-cold" if attrs["cold"] else "function"
+        elif span.category in ("vm", "cache"):
+            label, kind = f"{span.name} ({attrs['type']})", span.category
+        elif span.name in _WAVES:
+            label, kind = f"{_WAVES[span.name]} wave [{attrs['job']}]", "wave"
+        else:
+            continue
+        spans.append(GanttSpan(label, span.start_s, span.end_s, kind))
     spans.sort(key=lambda span: (span.start, span.end, span.label))
     return spans
 
@@ -227,13 +183,13 @@ def render_gantt(
 
 def workflow_gantt(
     tracker: "JobTracker",
-    timeline: Timeline,
+    tracer: "Tracer",
     width: int = 64,
     max_rows: int = 48,
 ) -> str:
     """Stage bars interleaved with the activations/VMs/caches they ran."""
     spans = sorted(
-        spans_from_tracker(tracker) + spans_from_timeline(timeline),
+        spans_from_tracker(tracker) + spans_from_tracer(tracer),
         key=lambda span: (span.start, span.kind != "stage", span.end),
     )
     return render_gantt(

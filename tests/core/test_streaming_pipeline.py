@@ -22,14 +22,14 @@ from repro.errors import WorkflowError
 from repro.sim import Simulator
 from repro.workflows.dag import StageSpec, WorkflowDag
 from repro.workflows.engine import WorkflowEngine
-from repro.workflows.gantt import spans_from_timeline, workflow_gantt
+from repro.workflows.gantt import spans_from_tracer, workflow_gantt
 
 CONFIG = ExperimentConfig(size_gb=0.5, logical_scale=8192.0)
 
 
-def run_streaming(config=None, substrate=None, trace=False, **sort_params):
+def run_streaming(config=None, substrate=None, spans=False, **sort_params):
     config = config if config is not None else CONFIG
-    cloud = Cloud(Simulator(seed=config.seed, trace=trace), config.make_profile())
+    cloud = Cloud(Simulator(seed=config.seed, spans=spans), config.make_profile())
     stage_input(cloud, config, "pipeline", "input/methylome.bed")
     dag = pipeline_for(STREAMING_SUPPORTED, config)
     for stage in dag.topological_order():
@@ -91,9 +91,9 @@ class TestStreamingPipeline:
 
 class TestWaveOverlapInGantt:
     def test_streaming_run_draws_overlapping_wave_spans(self):
-        cloud, result = run_streaming(trace=True)
+        cloud, result = run_streaming(spans=True)
         waves = [
-            span for span in spans_from_timeline(cloud.sim.timeline)
+            span for span in spans_from_tracer(cloud.sim.tracer)
             if span.kind == "wave"
         ]
         assert len(waves) == 2
@@ -104,7 +104,7 @@ class TestWaveOverlapInGantt:
         # The reduce wave started before the map wave ended: the overlap
         # is visible directly on the chart.
         assert reduce_wave.start < map_wave.end
-        chart = workflow_gantt(result.tracker, cloud.sim.timeline)
+        chart = workflow_gantt(result.tracker, cloud.sim.tracer)
         assert "+ wave" in chart
         # The stage bar names substrate *and* mode.
         assert "[sort→relay streaming]" in chart
@@ -112,7 +112,7 @@ class TestWaveOverlapInGantt:
     def test_staged_run_draws_disjoint_wave_spans(self):
         config = CONFIG
         cloud = Cloud(
-            Simulator(seed=config.seed, trace=True), config.make_profile()
+            Simulator(seed=config.seed, spans=True), config.make_profile()
         )
         stage_input(cloud, config, "pipeline", "input/methylome.bed")
         engine = WorkflowEngine(
@@ -131,7 +131,7 @@ class TestWaveOverlapInGantt:
         engine.workload = config.workload
         engine.execute()
         waves = [
-            span for span in spans_from_timeline(cloud.sim.timeline)
+            span for span in spans_from_tracer(cloud.sim.tracer)
             if span.kind == "wave"
         ]
         assert len(waves) == 2

@@ -2,9 +2,7 @@
 
 The Chrome exporter must emit Perfetto-loadable JSON (``ph:"X"``
 complete events in microseconds, metadata thread names, instant
-events), fold the legacy :class:`~repro.sim.timeline.Timeline` in as
-instants on ``timeline:*`` tracks, and be byte-deterministic for the
-same run.  The Prometheus exporter must produce parseable text
+events) and be byte-deterministic for the same run.  The Prometheus exporter must produce parseable text
 exposition with cumulative buckets.
 """
 
@@ -20,7 +18,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.sim.timeline import Timeline
 
 pytestmark = pytest.mark.obs
 
@@ -87,24 +84,6 @@ class TestChromeTrace:
             e["tid"] for e in events if e.get("args", {}).get("track") == "worker-000"
         }
         assert len(tids) <= 1
-
-    def test_timeline_records_fold_in_as_instants(self):
-        tracer, _clock = traced_run()
-        timeline = Timeline(enabled=True)
-        timeline.record(2.25, "service", "scale_up", from_shards=1, to_shards=2)
-        events = chrome_trace_events(tracer, timeline=timeline)
-        folded = [e for e in events if e.get("cat") == "service"]
-        assert len(folded) == 1
-        assert folded[0]["name"] == "scale_up"
-        assert folded[0]["ts"] == 2.25e6
-        assert folded[0]["args"]["to_shards"] == 2
-        # ... on their own timeline:* track.
-        meta = {
-            e["args"]["name"]
-            for e in events
-            if e["ph"] == "M" and e["name"] == "thread_name"
-        }
-        assert "timeline:service" in meta
 
     def test_json_is_valid_and_deterministic(self, tmp_path):
         first = chrome_trace_json(traced_run()[0])

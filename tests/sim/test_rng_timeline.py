@@ -1,8 +1,8 @@
-"""Tests for RNG streams, the timeline trace and simulator determinism."""
+"""Tests for RNG streams and simulator determinism."""
 
 import pytest
 
-from repro.sim import RngRegistry, Simulator, Timeline, derive_seed
+from repro.sim import RngRegistry, derive_seed
 
 
 class TestRngRegistry:
@@ -40,51 +40,6 @@ class TestRngRegistry:
         assert "x" not in registry
         registry.stream("x")
         assert "x" in registry
-
-
-class TestTimeline:
-    def test_disabled_by_default(self):
-        sim = Simulator(seed=1)
-        sim.timeline.record(0.0, "storage", "get", key="k")
-        assert len(sim.timeline) == 0
-
-    def test_enabled_records(self):
-        sim = Simulator(seed=1, trace=True)
-        sim.timeline.record(1.5, "storage", "get", key="k", size=10)
-        assert len(sim.timeline) == 1
-        record = sim.timeline.records[0]
-        assert record.time == 1.5
-        assert record.fields["size"] == 10
-
-    def test_filter_by_category_and_name(self):
-        timeline = Timeline(enabled=True)
-        timeline.record(0.0, "storage", "get")
-        timeline.record(1.0, "storage", "put")
-        timeline.record(2.0, "faas", "cold_start")
-        assert len(timeline.filter(category="storage")) == 2
-        assert len(timeline.filter(category="storage", name="put")) == 1
-        assert len(timeline.filter(name="cold_start")) == 1
-
-    def test_clear(self):
-        timeline = Timeline(enabled=True)
-        timeline.record(0.0, "a", "b")
-        timeline.clear()
-        assert len(timeline) == 0
-
-    def test_cloud_traces_when_enabled(self):
-        from repro.cloud import Cloud
-        from repro.cloud.profiles import ibm_us_east
-
-        cloud = Cloud.fresh(seed=1, profile=ibm_us_east(deterministic=True), trace=True)
-        cloud.store.ensure_bucket("b")
-
-        def scenario():
-            yield cloud.store.put("b", "k", b"x")
-            yield cloud.store.get("b", "k")
-
-        cloud.sim.run_process(scenario())
-        assert cloud.sim.timeline.filter(category="storage", name="put")
-        assert cloud.sim.timeline.filter(category="storage", name="get")
 
 
 class TestSimulatorDeterminism:

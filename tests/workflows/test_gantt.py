@@ -9,7 +9,7 @@ from repro.sim import Simulator
 from repro.workflows.gantt import (
     GanttSpan,
     render_gantt,
-    spans_from_timeline,
+    spans_from_tracer,
     spans_from_tracker,
     workflow_gantt,
 )
@@ -18,7 +18,7 @@ from repro.workflows.tracker import JobTracker
 
 def traced_cloud(seed=4):
     return Cloud(
-        Simulator(seed=seed, trace=True), ibm_us_east(deterministic=True)
+        Simulator(seed=seed, spans=True), ibm_us_east(deterministic=True)
     )
 
 
@@ -40,7 +40,7 @@ class TestSpanExtraction:
     def test_one_span_per_activation(self):
         cloud = traced_cloud()
         run_small_map(cloud, calls=5)
-        spans = spans_from_timeline(cloud.sim.timeline)
+        spans = spans_from_tracer(cloud.sim.tracer)
         function_spans = [s for s in spans if s.kind.startswith("function")]
         assert len(function_spans) == 5
 
@@ -60,7 +60,7 @@ class TestSpanExtraction:
                 yield executor.get_result(futures)
 
         cloud.sim.run_process(driver())
-        spans = spans_from_timeline(cloud.sim.timeline)
+        spans = spans_from_tracer(cloud.sim.tracer)
         cold = [s for s in spans if s.kind == "function-cold"]
         warm = [s for s in spans if s.kind == "function"]
         assert len(cold) == 3
@@ -69,7 +69,7 @@ class TestSpanExtraction:
     def test_spans_ordered_by_start(self):
         cloud = traced_cloud()
         run_small_map(cloud, calls=6)
-        spans = spans_from_timeline(cloud.sim.timeline)
+        spans = spans_from_tracer(cloud.sim.tracer)
         starts = [span.start for span in spans]
         assert starts == sorted(starts)
 
@@ -86,7 +86,7 @@ class TestSpanExtraction:
             vm.terminate()
 
         cloud.sim.run_process(scenario())
-        spans = spans_from_timeline(cloud.sim.timeline)
+        spans = spans_from_tracer(cloud.sim.tracer)
         vm_spans = [s for s in spans if s.kind == "vm"]
         assert len(vm_spans) == 1
         assert "bx2-8x32" in vm_spans[0].label
@@ -101,17 +101,58 @@ class TestSpanExtraction:
             cluster.terminate()
 
         cloud.sim.run_process(scenario())
-        spans = spans_from_timeline(cloud.sim.timeline)
+        spans = spans_from_tracer(cloud.sim.tracer)
         cache_spans = [s for s in spans if s.kind == "cache"]
         assert len(cache_spans) == 1
         # The span covers what is billed: creation delay plus usage.
         expected = cloud.profile.memstore.provision.mean + 10.0
         assert cache_spans[0].duration == pytest.approx(expected)
 
+    def test_warm_vm_and_cluster_draw_their_billed_lifetime(self):
+        """A ``provision_ready`` VM and cache cluster bill from the call
+        to terminate, so each is one bar over exactly that window."""
+        cloud = traced_cloud()
+
+        def scenario():
+            yield cloud.sim.timeout(3.0)
+            vm = cloud.vms.provision_ready("bx2-8x32")
+            cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
+            yield cloud.sim.timeout(10.0)
+            vm.terminate()
+            yield cloud.sim.timeout(1.0)
+            cluster.terminate()
+            return vm, cluster
+
+        vm, cluster = cloud.sim.run_process(scenario())
+        spans = spans_from_tracer(cloud.sim.tracer)
+        [vm_bar] = [s for s in spans if s.kind == "vm"]
+        [cache_bar] = [s for s in spans if s.kind == "cache"]
+        assert vm_bar == GanttSpan(
+            f"{vm.vm_id} (bx2-8x32)", vm.provisioned_at, vm.terminated_at, "vm"
+        )
+        assert cache_bar == GanttSpan(
+            f"{cluster.cluster_id} (cache.r5.large)",
+            cluster.provisioned_at, cluster.terminated_at, "cache",
+        )
+        assert (vm_bar.start, vm_bar.end) == (3.0, 13.0)
+        assert (cache_bar.start, cache_bar.end) == (3.0, 14.0)
+
+    def test_sample_wave_is_not_a_bar(self):
+        cloud = traced_cloud()
+        tracer = cloud.sim.tracer
+        sort = tracer.span("sort:out", category="sort")
+        for name in ("wave:sample", "wave:map", "wave:reduce"):
+            tracer.span(name, category="wave", parent=sort, job="j").end()
+        sort.end()
+        labels = [span.label for span in spans_from_tracer(tracer)]
+        assert labels == ["map wave [j]", "reduce wave [j]"]
+
     def test_tracing_disabled_yields_no_spans(self):
-        cloud = Cloud.fresh(seed=4, profile=ibm_us_east(deterministic=True))
+        cloud = Cloud.fresh(
+            seed=4, profile=ibm_us_east(deterministic=True), spans=False
+        )
         run_small_map(cloud)
-        assert spans_from_timeline(cloud.sim.timeline) == []
+        assert spans_from_tracer(cloud.sim.tracer) == []
 
     def test_tracker_spans(self):
         tracker = JobTracker("wf")
@@ -183,10 +224,10 @@ class TestWorkflowGantt:
 
         config = ExperimentConfig(logical_scale=8192.0, parallelism=2)
         cloud = Cloud(
-            Simulator(seed=config.seed, trace=True), config.make_profile()
+            Simulator(seed=config.seed, spans=True), config.make_profile()
         )
         run = run_pipeline(config, PURE_SERVERLESS, cloud=cloud)
-        text = workflow_gantt(run.workflow.tracker, cloud.sim.timeline)
+        text = workflow_gantt(run.workflow.tracker, cloud.sim.tracer)
         # Every sort stage now reports its substrate (PR 9), so even the
         # pinned pure-serverless sort names where the exchange ran.
         assert "[sort→objectstore]" in text

@@ -35,7 +35,7 @@ from repro.core import (
     run_pipeline,
 )
 from repro.sim import Simulator
-from repro.workflows.gantt import spans_from_timeline, workflow_gantt
+from repro.workflows.gantt import spans_from_tracer, workflow_gantt
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("gantt_golden.json")
 CONFIG = ExperimentConfig(logical_scale=2048.0)
@@ -53,15 +53,13 @@ VARIANTS = (
 @functools.cache
 def run_cell(variant: str) -> dict:
     """One traced run of ``variant``: its chart lines and its bars."""
-    cloud = Cloud(Simulator(seed=CONFIG.seed, trace=True), CONFIG.make_profile())
+    cloud = Cloud(Simulator(seed=CONFIG.seed, spans=True), CONFIG.make_profile())
     run = run_pipeline(CONFIG, variant, cloud=cloud)
     return {
-        "chart": workflow_gantt(
-            run.workflow.tracker, cloud.sim.timeline
-        ).splitlines(),
+        "chart": workflow_gantt(run.workflow.tracker, cloud.sim.tracer).splitlines(),
         "spans": [
             [span.label, span.start, span.end, span.kind]
-            for span in spans_from_timeline(cloud.sim.timeline)
+            for span in spans_from_tracer(cloud.sim.tracer)
         ],
     }
 

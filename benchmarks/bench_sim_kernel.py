@@ -4,13 +4,16 @@ Not a paper artifact — these quantify the substrate's own performance
 (events/second, resource churn, link re-rating), which bounds how big an
 experiment the harness can regenerate in reasonable wall-clock time.
 
-The last three cases are the regime of a wide object-store sort (the
-ledger benchmark's ``fanout`` workload): one aggregate link shared by
-many more flows than fit at their caps, thousands of range-GETs each
-one request process, and — the streaming mode's manifest
-polling, most of ``control`` — GETs of keys that are not there yet,
-which must cost no more than served ones and leave the cycle collector
-nothing.
+The link cases cover both re-rating branches: the fan-in, many more
+flows than fit at their caps (a relay NIC: every re-rating
+water-fills), and the headroom case, dozens of capped flows on an
+aggregate far wider than their caps — the regime of a wide object-store
+sort (the ledger benchmark's ``fanout`` workload), where a link event
+is one pass over the flows.  The last two cases are the rest of that
+sort: thousands of range-GETs each one request process, and — the
+streaming mode's manifest polling, most of ``control`` — GETs of keys
+that are not there yet, which must cost no more than served ones and
+leave the cycle collector nothing.
 
 ``check_wallclock.py`` holds this module's wall-clock against the
 committed baseline (``make bench-sim``), so the time has to follow the
@@ -144,6 +147,41 @@ def test_fair_link_fanin_throughput(benchmark):
     )
     assert abs(delivered - expected) < 1.0  # fluid model: float tolerance
     assert peak >= 64
+
+
+def test_fair_link_headroom_throughput(benchmark):
+    flows, transfers_each = 90, 60
+    sizes = [2e5, 3e5, 5e5]
+
+    def run_headroom():
+        sim = Simulator(seed=1)
+        # The object store's shape: per-connection caps, an aggregate a
+        # hundred caps wide, so no re-rating ever water-fills.
+        link = FairShareLink(sim, capacity=1e10, default_flow_cap=1e8)
+        live = []
+
+        def reader(index):
+            yield sim.timeout(index * 2e-4)  # staggered starts and ends
+            for segment in range(transfers_each - index // 3):
+                yield link.transfer(sizes[(index + segment) % 3])
+                live.append(link.active_flows)
+
+        for index in range(flows):
+            sim.process(reader(index))
+        sim.run()
+        return link.bytes_delivered, live
+
+    delivered, live = benchmark.pedantic(run_headroom, rounds=5, iterations=1, warmup_rounds=1)
+    expected = sum(
+        sizes[(index + segment) % 3]
+        for index in range(flows)
+        for segment in range(transfers_each - index // 3)
+    )
+    # A completion overshoots by at most its cap times the 1 ns minimum tick.
+    assert abs(delivered - expected) < len(live) * 1e8 * 1e-9
+    # Sampled as each transfer ends: nine samples in ten see 30..89 others.
+    assert max(live) == flows - 1
+    assert sorted(live)[len(live) // 10] >= 30
 
 
 def test_storage_request_throughput(benchmark):

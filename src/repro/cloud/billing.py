@@ -53,6 +53,9 @@ class CostMeter:
         #: same key restores the outer value on ``pop_tag`` instead of
         #: dropping it (``None`` marks "key was unset before the push").
         self._tag_stack: dict[str, list[str | None]] = {}
+        #: ``_context_tags`` as a line's sorted tag tuple, rebuilt only
+        #: when ``push_tag`` / ``pop_tag`` change them.
+        self._line_tags: tuple[tuple[str, str], ...] = ()
 
     # ------------------------------------------------------------------
     # recording
@@ -67,11 +70,12 @@ class CostMeter:
         **tags: str,
     ) -> None:
         """Record one billable line, merged with any ambient context tags."""
-        merged = dict(self._context_tags)
-        merged.update(tags)
-        self.lines.append(
-            CostLine(time, service, item, quantity, usd, tuple(sorted(merged.items())))
-        )
+        line_tags = self._line_tags
+        if tags:
+            merged = dict(self._context_tags)
+            merged.update(tags)
+            line_tags = tuple(sorted(merged.items()))
+        self.lines.append(CostLine(time, service, item, quantity, usd, line_tags))
 
     def push_tag(self, key: str, value: str) -> None:
         """Attach ``key=value`` to every subsequent charge (until popped).
@@ -86,6 +90,7 @@ class CostMeter:
         """
         self._tag_stack.setdefault(key, []).append(self._context_tags.get(key))
         self._context_tags[key] = value
+        self._line_tags = tuple(sorted(self._context_tags.items()))
 
     def pop_tag(self, key: str) -> None:
         """Undo the most recent :meth:`push_tag` of ``key``.
@@ -94,16 +99,16 @@ class CostMeter:
         if it was unset).  Popping a key that was never pushed is a no-op.
         """
         stack = self._tag_stack.get(key)
-        if not stack:
-            self._context_tags.pop(key, None)
-            return
-        previous = stack.pop()
-        if not stack:
-            del self._tag_stack[key]
+        previous = None
+        if stack:
+            previous = stack.pop()
+            if not stack:
+                del self._tag_stack[key]
         if previous is None:
             self._context_tags.pop(key, None)
         else:
             self._context_tags[key] = previous
+        self._line_tags = tuple(sorted(self._context_tags.items()))
 
     # ------------------------------------------------------------------
     # aggregation

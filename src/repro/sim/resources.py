@@ -143,6 +143,14 @@ class TokenBucket:
                 f"is {self.capacity}"
             )
         event = SimEvent(self.sim, ("{}.consume({:g})", self.name, amount))
+        if not self._waiters:
+            # Nobody queued (the usual case): ``_pump``'s grant without
+            # the round trip through the queue.
+            self._refill()
+            if amount <= self._tokens + 1e-12:
+                self._tokens -= amount
+                event.succeed()
+                return event
         self._waiters.append((amount, event))
         self._pump()
         return event

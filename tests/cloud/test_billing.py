@@ -112,3 +112,36 @@ class TestCostMeter:
         assert by_stage["b"] == pytest.approx(0.1)
         assert by_stage["a"] == pytest.approx(0.2)
         assert by_stage["(untagged)"] == pytest.approx(0.4)
+
+    def test_charges_carry_the_tags_current_at_each_charge(self):
+        """The sorted context-tag tuple is cached between ``push_tag`` /
+        ``pop_tag``; every charge must still see the tags of its moment,
+        each line's tuple sorted by key, call-site tags merged in."""
+        meter = CostMeter()
+        meter.charge(0.0, "faas", "gb_second", 1.0, 0.1)
+        meter.push_tag("tenant", "alice")
+        meter.charge(0.0, "faas", "gb_second", 1.0, 0.1)
+        meter.push_tag("stage", "sort")
+        meter.charge(0.0, "faas", "gb_second", 1.0, 0.1)
+        meter.charge(0.0, "faas", "gb_second", 1.0, 0.1, function="map")
+        meter.pop_tag("tenant")
+        meter.charge(0.0, "faas", "gb_second", 1.0, 0.1)
+        meter.pop_tag("stage")
+        meter.charge(0.0, "faas", "gb_second", 1.0, 0.1)
+        assert [line.tags for line in meter.lines] == [
+            (),
+            (("tenant", "alice"),),
+            (("stage", "sort"), ("tenant", "alice")),
+            (("function", "map"), ("stage", "sort"), ("tenant", "alice")),
+            (("stage", "sort"),),
+            (),
+        ]
+
+    def test_charges_between_tag_changes_share_one_tag_tuple(self):
+        meter = CostMeter()
+        meter.push_tag("stage", "sort")
+        meter.charge(0.0, "objectstore", "class_b_request", 1.0, 0.001)
+        meter.charge(1.0, "objectstore", "class_b_request", 1.0, 0.001)
+        first, second = meter.lines
+        assert first.tags == (("stage", "sort"),)
+        assert second.tags is first.tags

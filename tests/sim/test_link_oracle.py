@@ -4,9 +4,12 @@ Both links are driven through the same schedule of transfers, aborts,
 zero-byte transfers and mid-run samples; everything observable must be
 ``repr``-equal: each completion's time and value, ``bytes_delivered``,
 ``utilization()`` and ``active_flows`` at every sample, the outcome of
-every abort, and how many timers were put on the heap.  The last one is
-what keeps ``sim.events`` — and with it the whole simulated schedule —
-unchanged by a faster link.
+every abort, and how many timers the link put on the heap.  The reference
+re-arms a fresh timer at every re-rating; ``FairShareLink`` keeps its
+pending timer when the new deadline is bit-equal to it, so its count
+must be the reference's minus exactly those re-arms — and it must never
+re-arm at its own pending deadline.  That is what bounds how far a
+faster link may move ``sim.events``: only no-op timers go.
 """
 
 from __future__ import annotations
@@ -32,13 +35,21 @@ Step = tuple[float, tuple]
 def play(link_class: type, capacity: float, default_cap: float, steps: list[Step]) -> list:
     """Run ``steps`` against a fresh link; return everything observable."""
     sim = Simulator(seed=0)
-    timers = 0
+    timers = same_deadline = 0
+    #: The link's last timer and its deadline.
+    armed: tuple[float, t.Any] | None = None
     schedule_timeout = sim.timeout
 
     def counting_timeout(delay: float, value: object = None):
-        nonlocal timers
+        """The link's timers: how many, and how many re-arm the pending one."""
+        nonlocal timers, same_deadline, armed
+        deadline = sim.now + delay
+        if armed is not None and not armed[1].triggered and armed[0] == deadline:
+            same_deadline += 1
+        timer = schedule_timeout(delay, value)
         timers += 1
-        return schedule_timeout(delay, value)
+        armed = (deadline, timer)
+        return timer
 
     sim.timeout = counting_timeout
     link = link_class(sim, capacity, default_flow_cap=default_cap, name="cos")
@@ -54,7 +65,7 @@ def play(link_class: type, capacity: float, default_cap: float, steps: list[Step
     def driver() -> t.Generator:
         for delay, step in steps:
             if delay > 0:
-                yield sim.timeout(delay)
+                yield schedule_timeout(delay)
             if step[0] == "transfer":
                 index = len(events)
                 event = link.transfer(step[1], step[2])
@@ -74,7 +85,9 @@ def play(link_class: type, capacity: float, default_cap: float, steps: list[Step
     sim.process(driver())
     sim.run()
     sample("end")
-    log.append(("timers", timers))
+    if link_class is FairShareLink:
+        assert same_deadline == 0, "re-armed a timer at its own pending deadline"
+    log.append(("timers", timers - same_deadline))
     return log
 
 
@@ -97,6 +110,12 @@ REGIMES: dict[str, tuple[float, float, tuple]] = {
     # capacity / cap = 3.5 flows: anything wider is fair-share bound.
     "fair-share-bound": (7e5, 2e5, (None, 2.5e5, math.inf)),
     "uncapped": (1e6, math.inf, (None,)),
+    # The headroom edge: five default caps fill the capacity exactly (so
+    # five flows water-fill, four run at their caps), fall just short of
+    # it, or overfill it by a hair (five flows then share it below cap).
+    "five-caps-exactly": (1e6, 2e5, (None, 1e5)),
+    "five-caps-plus-1e-12": (5 * 2e5 * (1 + 1e-12), 2e5, (None, 1e5)),
+    "five-caps-minus-1e-12": (5 * 2e5 * (1 - 1e-12), 2e5, (None, 1e5)),
 }
 
 #: 0.0 keeps several arrivals on one instant (the elapsed == 0 path);
@@ -158,3 +177,40 @@ def test_fanin_regime_matches_the_reference(seed):
     assert max(entry[2] for entry in samples) > 32
     assert max(float(entry[3]) for entry in samples) > 0.999
 
+
+
+# ----------------------------------------------------------------------
+# the headroom edge, seeded: both re-rating branches on one link
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("regime", [name for name in REGIMES if name.startswith("five-caps")])
+@pytest.mark.parametrize("seed", range(5))
+def test_headroom_edge_matches_the_reference(monkeypatch, regime, seed):
+    """Around five live flows the caps stop fitting: the one-pass
+    headroom re-rating and the water-fill must hand over bit-exactly."""
+    branches = {"water-fill": 0, "rated": 0}
+    water_fill, arm = FairShareLink._water_fill, FairShareLink._arm
+
+    def counted_water_fill(link):
+        branches["water-fill"] += 1
+        return water_fill(link)
+
+    def counted_arm(link, eta):
+        branches["rated"] += 1
+        arm(link, eta)
+
+    monkeypatch.setattr(FairShareLink, "_water_fill", counted_water_fill)
+    monkeypatch.setattr(FairShareLink, "_arm", counted_arm)
+    capacity, default_cap, caps = REGIMES[regime]
+    rng = random.Random(seed)
+    steps: list[Step] = []
+    for _ in range(40):
+        delay = rng.choice([0.0, rng.uniform(0.0, 0.5)])
+        steps.append((delay, ("transfer", rng.uniform(1e4, 4e5), rng.choice(caps))))
+        if rng.random() < 0.1:
+            steps.append((0.0, ("abort", rng.randrange(40))))
+    steps.append((0.0, ("sample",)))
+    assert_same(capacity, default_cap, steps)
+    # Every re-rating with flows left arms the timer; only a contended
+    # one water-fills first.
+    assert branches["water-fill"] > 0
+    assert branches["rated"] > branches["water-fill"]

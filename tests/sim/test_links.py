@@ -180,3 +180,93 @@ class TestStaggeredArrivals:
         # after b: a alone at 120 B/s with 1200-500-100=600 left
         expected_a = done["b"] + (1200.0 - 500.0 - 100.0) / 120.0
         assert done["a"] == pytest.approx(expected_a)
+
+
+class TestRejectedInputs:
+    """NaN and infinite sizes, NaN caps and capacities never enter a link.
+
+    They used to: ``transfer(nan)`` was accepted and the run died later,
+    inside a timer, with "no flow can make progress"; a NaN cap passed
+    ``cap <= 0`` and the flow ran uncapped.
+    """
+
+    @pytest.mark.parametrize("nbytes", [math.nan, math.inf])
+    def test_non_finite_size_is_rejected_and_leaves_no_flow(self, sim, nbytes):
+        link = FairShareLink(sim, capacity=100.0)
+        with pytest.raises(SimulationError, match="cannot transfer"):
+            link.transfer(nbytes)
+        assert link.active_flows == 0
+        assert not sim.step()
+
+    def test_nan_flow_cap_is_rejected(self, sim):
+        link = FairShareLink(sim, capacity=1e6, default_flow_cap=1e4)
+        with pytest.raises(SimulationError, match="per-flow cap"):
+            link.transfer(100.0, flow_cap=math.nan)
+        assert link.active_flows == 0
+
+    @pytest.mark.parametrize(
+        "capacity, default_cap", [(math.nan, 1.0), (1.0, math.nan), (-math.inf, 1.0)]
+    )
+    def test_nan_capacity_or_default_cap_is_rejected(self, sim, capacity, default_cap):
+        with pytest.raises(SimulationError, match="must be positive"):
+            FairShareLink(sim, capacity=capacity, default_flow_cap=default_cap)
+
+    def test_infinite_capacity_and_caps_stay_legal(self, sim):
+        capped = FairShareLink(sim, capacity=100.0, default_flow_cap=math.inf)
+        uncontended = FairShareLink(sim, capacity=math.inf, default_flow_cap=50.0)
+        events = [
+            capped.transfer(100.0),
+            capped.transfer(100.0, flow_cap=math.inf),
+            uncontended.transfer(100.0),
+        ]
+        sim.run(until=sim.all_of(events))
+        assert [event.value for event in events] == [2.0, 2.0, 2.0]
+
+
+class TestOneTimerPerDeadline:
+    """The link keeps its pending timer when a re-rating lands on the
+    same deadline, and a superseded timer never calls back."""
+
+    def test_headroom_transfer_finishing_later_pushes_no_timer(self, sim):
+        # Caps sum to half the capacity: every flow runs at its cap.
+        link = FairShareLink(sim, capacity=400.0, default_flow_cap=100.0)
+        first = link.transfer(1000.0)  # due at t=10
+        seq = sim._seq
+        second = link.transfer(2000.0)  # due at t=20: the deadline stays 10
+        assert sim._seq == seq
+        sim.run(until=2.5)
+        link.transfer(1500.0)  # due at t=17.5: still 10
+        assert sim._seq == seq
+        assert sim.run(until=first) == 10.0
+        assert sim.run(until=second) == 20.0
+
+    def test_superseded_timer_never_reaches_on_timer(self, sim):
+        link = FairShareLink(sim, capacity=400.0, default_flow_cap=100.0)
+        fired = []
+        on_timer = link._timer_callback
+
+        def spy(timer):
+            fired.append(timer)
+            on_timer(timer)
+
+        link._timer_callback = spy
+        long = link.transfer(1000.0)  # due at t=10
+        superseded = link._timer
+        short = link.transfer(100.0)  # due at t=1: an earlier deadline
+        assert link._timer is not superseded and superseded.triggered
+        sim.run()
+        assert superseded not in fired
+        assert (short.value, long.value) == (1.0, 10.0)
+        # t=1 (short), t=10 (long); the retired timer was popped unseen.
+        assert len(fired) == 2
+
+    def test_a_moved_deadline_pushes_one_timer(self, sim):
+        # Contended: the second flow halves the first one's rate, so its
+        # completion moves from t=1 to t=2.
+        link = FairShareLink(sim, capacity=100.0)
+        link.transfer(100.0)
+        seq = sim._seq
+        link.transfer(1000.0)
+        assert sim._seq == seq + 1
+        sim.run()
+        assert link.bytes_delivered == 1100.0

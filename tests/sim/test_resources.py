@@ -1,5 +1,7 @@
 """Unit tests for Resource, TokenBucket and Store."""
 
+import collections
+
 import pytest
 
 from repro.errors import SimulationError
@@ -144,6 +146,40 @@ class TestTokenBucket:
         sim.process(scenario())
         sim.run()
         assert [tag for tag, _t in order] == ["big", "s1", "s2"]
+
+    def test_immediate_grant_never_queues(self, sim):
+        """Nobody queued and the tokens there: granted on the spot, with
+        no round trip through the waiter queue."""
+        bucket = TokenBucket(sim, rate=1.0, capacity=2.0)
+        appended = []
+
+        class Queue(collections.deque):
+            def append(self, item):
+                appended.append(item)
+                super().append(item)
+
+        bucket._waiters = Queue()
+        event = bucket.consume(1.5)
+        assert event.triggered
+        assert not bucket._waiters and appended == []
+        assert bucket.tokens == pytest.approx(0.5)
+        assert not sim.step()  # no wake-up was scheduled
+
+    def test_queued_requests_wait_in_fifo_order(self, sim):
+        """Short of tokens, or behind a waiter, a request queues."""
+        bucket = TokenBucket(sim, rate=2.0, capacity=2.0)
+        first = bucket.consume(2.0)
+        second = bucket.consume(1.0)  # short of tokens: queued
+        assert first.triggered and not second.triggered
+        assert bucket.pending_demand == 1.0
+        sim.run(until=0.25)
+        third = bucket.consume(0.5)  # the tokens are there, but behind a waiter
+        assert not third.triggered
+        granted = []
+        second.add_callback(lambda _event: granted.append(("second", sim.now)))
+        third.add_callback(lambda _event: granted.append(("third", sim.now)))
+        sim.run()
+        assert granted == [("second", 0.5), ("third", 0.75)]
 
     def test_consume_more_than_capacity_rejected(self, sim):
         bucket = TokenBucket(sim, rate=1.0, capacity=2.0)

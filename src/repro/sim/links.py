@@ -225,13 +225,16 @@ class FairShareLink:
                     flow_eta = remaining / cap
                     if flow_eta < eta:
                         eta = flow_eta
-        elif elapsed > 0 or finishing or leaving is not None:
-            for flow in self._flows.values():
-                drained = flow.rate * elapsed
-                remaining = flow.remaining = flow.remaining - drained
-                delivered += drained
-                if remaining <= limit or flow is leaving:
-                    gone.append(flow)
+        else:
+            if elapsed > 0 or finishing:
+                for flow in self._flows.values():
+                    drained = flow.rate * elapsed
+                    remaining = flow.remaining = flow.remaining - drained
+                    delivered += drained
+                    if remaining <= limit:
+                        gone.append(flow)
+            if leaving is not None:
+                gone.append(leaving)
         self.bytes_delivered = delivered
         for flow in gone:
             self._remove(flow)

@@ -149,7 +149,7 @@ class FairShareLink:
             raise SimulationError(
                 f"{self.name}: transfer needs a finite capacity or flow cap"
             )
-        # A new flow has rate 0, so the drain leaves it (and the sum) as is.
+        # A new flow has rate 0: the drain leaves it, and ``bytes_delivered``, as is.
         flow = self._flows[event] = _Flow(nbytes, cap, event, self.sim._now)
         index = bisect.bisect_right(self._caps, cap)
         self._caps.insert(index, cap)
@@ -183,7 +183,9 @@ class FairShareLink:
     # ------------------------------------------------------------------
     # fluid-model mechanics
     # ------------------------------------------------------------------
-    def _reflow(self, finishing: bool = False, leaving: _Flow | None = None) -> list[_Flow]:
+    def _reflow(
+        self, finishing: bool = False, leaving: _Flow | None = None
+    ) -> list[_Flow]:
         """Drain every flow to ``sim.now``, re-rate, arm the timer.
 
         Every flow drains at its old rate, in arrival order; the flow

@@ -178,11 +178,13 @@ def test_fanin_regime_matches_the_reference(seed):
     assert max(float(entry[3]) for entry in samples) > 0.999
 
 
-
 # ----------------------------------------------------------------------
 # the headroom edge, seeded: both re-rating branches on one link
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("regime", [name for name in REGIMES if name.startswith("five-caps")])
+EDGE_REGIMES = [name for name in REGIMES if name.startswith("five-caps")]
+
+
+@pytest.mark.parametrize("regime", EDGE_REGIMES)
 @pytest.mark.parametrize("seed", range(5))
 def test_headroom_edge_matches_the_reference(monkeypatch, regime, seed):
     """Around five live flows the caps stop fitting: the one-pass

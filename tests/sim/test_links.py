@@ -259,14 +259,3 @@ class TestOneTimerPerDeadline:
         assert (short.value, long.value) == (1.0, 10.0)
         # t=1 (short), t=10 (long); the retired timer was popped unseen.
         assert len(fired) == 2
-
-    def test_a_moved_deadline_pushes_one_timer(self, sim):
-        # Contended: the second flow halves the first one's rate, so its
-        # completion moves from t=1 to t=2.
-        link = FairShareLink(sim, capacity=100.0)
-        link.transfer(100.0)
-        seq = sim._seq
-        link.transfer(1000.0)
-        assert sim._seq == seq + 1
-        sim.run()
-        assert link.bytes_delivered == 1100.0

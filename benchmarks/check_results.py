@@ -13,17 +13,21 @@ Two properties every ``*.txt`` there must keep, checked by
 Both happened at once when ``bench_exchange`` wrote ``sweep_exchange``'s
 ``_report`` column into ``s8_exchange_worker_sweep.txt``.
 
-And one the directory as a whole must keep: every row of
-``repro.experiments.EXPERIMENTS`` names a result stem that has a file
-here, so a renamed artifact cannot silently orphan its table.
+And one the directory as a whole must keep, both ways round: every row
+of ``repro.experiments.EXPERIMENTS`` names a result stem that has a
+file here, and every ``*.txt`` here has a stem that an ``EXPERIMENTS``
+row or a ``benchmarks/bench_*.py`` names, so neither a renamed artifact
+nor a deleted producer can leave a table behind silently.
 """
 
 from __future__ import annotations
 
 import pathlib
+import re
 import sys
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+BENCH_DIR = pathlib.Path(__file__).parent
+RESULTS_DIR = BENCH_DIR / "results"
 MAX_WIDTH = 200
 
 
@@ -45,13 +49,23 @@ def lint(path: pathlib.Path) -> list[str]:
 
 
 def orphaned() -> list[str]:
-    """``EXPERIMENTS`` rows whose result file is missing."""
+    """``EXPERIMENTS`` rows whose result file is missing, and result
+    files that no ``EXPERIMENTS`` row and no bench module produces."""
     from repro.experiments import EXPERIMENTS
 
+    stems = {experiment.result for experiment in EXPERIMENTS.values()}
+    benches = "\n".join(
+        path.read_text(encoding="utf-8") for path in sorted(BENCH_DIR.glob("bench_*.py"))
+    )
     return [
         f"{experiment.name}: no {experiment.result}.txt for its table row"
         for experiment in EXPERIMENTS.values()
         if not (RESULTS_DIR / f"{experiment.result}.txt").is_file()
+    ] + [
+        f"{path.name}: no EXPERIMENTS row or bench_*.py produces it"
+        for path in sorted(RESULTS_DIR.glob("*.txt"))
+        if path.stem not in stems
+        and not re.search(rf"[\"']{re.escape(path.stem)}(\.txt)?[\"']", benches)
     ]
 
 

@@ -4,20 +4,20 @@ A simulation-backed reimplementation of the paper's full stack:
 
 * :mod:`repro.sim` — deterministic discrete-event simulation kernel;
 * :mod:`repro.cloud` — object storage, FaaS platform, VM service,
-  in-memory cache service, billing, per-provider profiles (IBM + AWS);
+  in-memory cache service, billing, the calibrated IBM profile;
 * :mod:`repro.storage` — Lithops-like storage client API;
 * :mod:`repro.executor` — Lithops-like ``FunctionExecutor`` (+ VM mode,
   crash retries, speculative execution);
 * :mod:`repro.shuffle` — Primula-like shuffle/sort through object
-  storage or a cache cluster, GroupBy/OrderBy operators, analytic
-  planners and the probe-based on-the-fly tuner;
+  storage, a cache cluster or VM relays, analytic planners and the
+  probe-based on-the-fly tuner;
 * :mod:`repro.methcomp` — METHCOMP genomics workload (data + codec);
 * :mod:`repro.workflows` — declarative DAG pipelines with cost tracking
   and Gantt timelines;
 * :mod:`repro.core` — the paper's comparison: object-storage- vs VM- vs
   cache-driven data exchange for the METHCOMP pipeline;
 * :mod:`repro.experiments` — regenerators for Table 1, Figure 1 and the
-  supplementary sweeps S1-S11.
+  supplementary sweeps S1-S13.
 
 Quickstart::
 

@@ -4,8 +4,8 @@ Every exchange artifact in this repo is byte-deterministic across all
 four substrates and both execution modes — an invariant the parity
 matrices assert on every PR.  This module turns that invariant into a
 primitive the rest of the stack can *spend*: a stable content hash for
-raw chunk bytes and for structured metadata, plus the process-wide
-``REPRO_CAS`` gate the dedup/lineage/replay features hang off.
+raw chunk bytes and for structured metadata, which the dedup, lineage
+and replay features hang off.
 
 It deliberately has **zero** intra-repo imports so the storage, cache
 and relay services can all use it without cycles.  The object store's
@@ -22,23 +22,7 @@ call from inside client ops without perturbing timelines.
 from __future__ import annotations
 
 import hashlib
-import os
 import typing as t
-
-
-def cas_enabled() -> bool:
-    """Whether content addressing is on (default **on**).
-
-    ``REPRO_CAS=0/false/no/off`` falls back to the legacy path — no
-    dedup, no lineage cache, no run manifests — at byte parity (the
-    gate only ever changes *timing and billing*, never artifact bytes).
-    """
-    return os.environ.get("REPRO_CAS", "").strip().lower() not in (
-        "0",
-        "false",
-        "no",
-        "off",
-    )
 
 
 def sha256_hex(data: bytes) -> str:

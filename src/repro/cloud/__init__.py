@@ -11,8 +11,6 @@ from repro.cloud.profiles import (
     ALLKEYS_LRU,
     BX2_CATALOG,
     CACHE_R5_CATALOG,
-    M5_CATALOG,
-    PROVIDER_PROFILES,
     GB,
     KB,
     MB,
@@ -25,9 +23,7 @@ from repro.cloud.profiles import (
     MemStoreProfile,
     ObjectStoreProfile,
     VmProfile,
-    aws_us_east,
     ibm_us_east,
-    profile_named,
 )
 from repro.cloud.retry import RETRYABLE_ERRORS, RetryPolicy
 from repro.cloud.storageview import BoundStorage
@@ -47,16 +43,12 @@ __all__ = [
     "InstanceType",
     "KB",
     "LatencyModel",
-    "M5_CATALOG",
     "MB",
     "MemStoreProfile",
     "NOEVICTION",
     "ObjectStoreProfile",
-    "PROVIDER_PROFILES",
     "RETRYABLE_ERRORS",
     "RetryPolicy",
     "VmProfile",
-    "aws_us_east",
     "ibm_us_east",
-    "profile_named",
 ]

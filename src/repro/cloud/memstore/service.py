@@ -33,7 +33,7 @@ import itertools
 import typing as t
 import zlib
 
-from repro.cas import cas_enabled, sha256_hex
+from repro.cas import sha256_hex
 from repro.cloud.billing import CostMeter
 from repro.cloud.memstore.errors import (
     CacheKeyMissing,
@@ -514,7 +514,6 @@ class CacheClient:
             yield self.sim.timeout(
                 self._profile.write_latency.sample(self._service._rng_write)
             )
-            cas = cas_enabled()
             logicals: list[float] = []
             shas: list[str | None] = []
             for position, _key in members:
@@ -524,7 +523,7 @@ class CacheClient:
                     if logical_sizes is not None
                     else self._logical(data, None)
                 )
-                shas.append(sha256_hex(data) if cas and data else None)
+                shas.append(sha256_hex(data) if data else None)
             # Content dedup: values already resident on this shard ride
             # as references — only novel bytes cross the wire.
             deduped = [

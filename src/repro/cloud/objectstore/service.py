@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import typing as t
 
-from repro.cas import cas_enabled, sha256_hex
+from repro.cas import sha256_hex
 from repro.cloud.billing import CostMeter
 from repro.cloud.objectstore.blobs import (
     MultipartUpload,
@@ -283,7 +283,7 @@ class ObjectStore:
         objects = self._bucket(bucket)
         sha: str | None = None
         hit = False
-        if dedup and data and cas_enabled():
+        if dedup and data:
             sha = sha256_hex(data)
             existing_key = self._cas_index.get((bucket, sha))
             if existing_key is not None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import typing as t
 
 from repro.errors import ConfigError
 
@@ -347,94 +346,6 @@ def ibm_us_east(logical_scale: float = 1.0, deterministic: bool = False) -> Clou
         _zero_jitter(profile)
     profile.validate()
     return profile
-
-
-def _m5(name: str, vcpus: int, memory_gb: int, nic_gbps: float,
-        hourly_usd: float) -> InstanceType:
-    return InstanceType(name, vcpus, memory_gb, nic_gbps * GB / 8, hourly_usd)
-
-
-#: AWS EC2 m5 (general purpose) family, us-east-1 on-demand pricing
-#: (2021).  NIC figures are sustained baselines, not "up to" bursts.
-M5_CATALOG: dict[str, InstanceType] = {
-    instance.name: instance
-    for instance in (
-        _m5("m5.large", 2, 8, 0.75, 0.096),
-        _m5("m5.xlarge", 4, 16, 1.25, 0.192),
-        _m5("m5.2xlarge", 8, 32, 2.5, 0.384),
-        _m5("m5.4xlarge", 16, 64, 5.0, 0.768),
-        _m5("m5.8xlarge", 32, 128, 10.0, 1.536),
-    )
-}
-
-
-def aws_us_east(logical_scale: float = 1.0, deterministic: bool = False) -> CloudProfile:
-    """An AWS-flavoured region profile (Lambda + S3 + EC2 m5 + ElastiCache).
-
-    Lithops is multi-cloud (the paper's reference [3]); this profile lets
-    every experiment re-run against public AWS characteristics circa
-    2021: faster function cold starts and 1 ms billing granularity, a
-    higher request ceiling on the object store, and quicker-booting but
-    otherwise comparable VMs.  Absolute numbers shift; the paper's
-    qualitative story should not — benchmark S11 checks exactly that.
-    """
-    profile = CloudProfile(region="aws-us-east-1", logical_scale=logical_scale)
-
-    store = profile.objectstore
-    store.read_latency = LatencyModel(0.020)
-    store.write_latency = LatencyModel(0.030)
-    store.per_connection_bandwidth = 90.0 * MB
-    store.aggregate_bandwidth = 25.0 * GB
-    store.ops_per_second = 5500.0  # S3 per-prefix GET ceiling
-    store.ops_burst = 5500.0
-    store.class_a_price_usd = 0.005 / 1000.0
-    store.class_b_price_usd = 0.0004 / 1000.0
-    store.storage_gb_hour_usd = 0.023 / (30 * 24)
-
-    faas = profile.faas
-    faas.cold_start = LatencyModel(0.30, 0.30)
-    faas.warm_start = LatencyModel(0.010, 0.2)
-    faas.invoke_overhead = LatencyModel(0.05, 0.3)
-    faas.keep_alive_s = 420.0
-    faas.cpu_full_share_mb = 1769  # Lambda grants one full vCPU here
-    faas.instance_bandwidth = 70.0 * MB
-    faas.gb_second_usd = 0.0000166667
-    faas.billing_granularity_s = 0.001
-    faas.default_timeout_s = 900.0
-
-    vm = profile.vm
-    vm.boot = LatencyModel(40.0, 0.10)
-    vm.volume_gb_hour_usd = 0.10 / (30 * 24)  # gp2
-    vm.catalog = dict(M5_CATALOG)
-
-    if deterministic:
-        _zero_jitter(profile)
-    profile.validate()
-    return profile
-
-
-#: Region profiles by name (the Lithops multi-cloud story).
-PROVIDER_PROFILES: dict[str, t.Callable[..., CloudProfile]] = {
-    "ibm-us-east": ibm_us_east,
-    "aws-us-east": aws_us_east,
-}
-
-
-def profile_named(
-    provider: str, logical_scale: float = 1.0, deterministic: bool = False
-) -> CloudProfile:
-    """Build a provider profile by name.
-
-    Raises :class:`ConfigError` for unknown providers.
-    """
-    try:
-        factory = PROVIDER_PROFILES[provider]
-    except KeyError:
-        raise ConfigError(
-            f"unknown provider {provider!r}; available: "
-            f"{sorted(PROVIDER_PROFILES)}"
-        ) from None
-    return factory(logical_scale=logical_scale, deterministic=deterministic)
 
 
 def _zero_jitter(profile: CloudProfile) -> None:

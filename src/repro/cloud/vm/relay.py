@@ -56,7 +56,7 @@ import collections
 import dataclasses
 import typing as t
 
-from repro.cas import cas_enabled, sha256_hex
+from repro.cas import sha256_hex
 from repro.cloud.vm.errors import (
     RelayAttemptFenced,
     RelayCapacityExceeded,
@@ -1055,9 +1055,8 @@ class RelayClient:
             # Content dedup (wire only): items whose bytes the rendezvous
             # already holds ride as content-key references; reservation
             # and commit byte math stay exact either way.
-            cas = cas_enabled()
             shas: list[str | None] = [
-                sha256_hex(data) if cas and data else None for _key, data in items
+                sha256_hex(data) if data else None for _key, data in items
             ]
             referenced = [
                 index

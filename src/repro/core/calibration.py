@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
-from repro.cloud.profiles import GB, CloudProfile, ibm_us_east, profile_named
+from repro.cloud.profiles import GB, CloudProfile, ibm_us_east
 from repro.shuffle.planner import ShuffleCostModel
 
 
@@ -66,11 +66,8 @@ class ExperimentConfig:
     parallelism: int = 8
     #: Function memory (the paper allocates 2 GB).
     function_memory_mb: int = 2048
-    #: Cloud provider profile (Lithops is multi-cloud; the paper runs on
-    #: IBM Cloud, experiment S11 re-runs everything on ``aws-us-east``).
-    provider: str = "ibm-us-east"
-    #: VM flavour for the hybrid variant; ``None`` picks the provider's
-    #: equivalent of the paper's bx2-8x32 (8 vCPUs, 32 GB).
+    #: VM flavour for the hybrid variant; ``None`` picks the paper's
+    #: bx2-8x32 (8 vCPUs, 32 GB).
     vm_instance_type: str | None = None
     #: Real bytes = logical / scale; request counts are scale-invariant.
     logical_scale: float = 256.0
@@ -138,19 +135,12 @@ class ExperimentConfig:
     def real_bytes(self) -> int:
         return int(self.logical_bytes / self.logical_scale)
 
-    #: Per-provider equivalent of the paper's bx2-8x32 (8 vCPU, 32 GB,
-    #: $0.384/h — m5.2xlarge matches all three).
-    _DEFAULT_VM_TYPES: t.ClassVar[dict[str, str]] = {
-        "ibm-us-east": "bx2-8x32",
-        "aws-us-east": "m5.2xlarge",
-    }
-
     @property
     def resolved_vm_instance_type(self) -> str:
-        """The configured VM flavour, or the provider's default."""
+        """The configured VM flavour, or the paper's bx2-8x32."""
         if self.vm_instance_type is not None:
             return self.vm_instance_type
-        return self._DEFAULT_VM_TYPES[self.provider]
+        return "bx2-8x32"
 
     @property
     def resolved_relay_instance_type(self) -> str:
@@ -162,8 +152,8 @@ class ExperimentConfig:
     def make_profile(self) -> CloudProfile:
         """The calibrated cloud profile for this experiment.
 
-        Deviations from the generic provider defaults, with rationale
-        (IBM, the paper's setting):
+        Deviations from the generic :func:`ibm_us_east` defaults, with
+        rationale:
 
         * ``faas.instance_bandwidth`` 44 MB/s — measured IBM CF function
           -to-COS throughput is well below the COS per-connection cap;
@@ -173,24 +163,13 @@ class ExperimentConfig:
         * ``vm.boot`` 99 s — Lithops standalone mode pays VM create +
           boot + agent/runtime bootstrap before the first task runs
           (the dominant penalty of the hybrid configuration).
-
-        On AWS the same Lithops layers apply over different bases:
-        Lambda-to-S3 throughput is higher, and EC2 boots faster but the
-        standalone bootstrap still costs tens of seconds.
         """
-        profile = profile_named(
-            self.provider,
-            logical_scale=self.logical_scale,
-            deterministic=self.deterministic,
+        profile = ibm_us_east(
+            logical_scale=self.logical_scale, deterministic=self.deterministic
         )
-        if self.provider == "ibm-us-east":
-            profile.faas.instance_bandwidth = 44e6
-            profile.faas.invoke_overhead.mean = 0.30
-            profile.vm.boot.mean = 99.0
-        elif self.provider == "aws-us-east":
-            profile.faas.instance_bandwidth = 60e6
-            profile.faas.invoke_overhead.mean = 0.20
-            profile.vm.boot.mean = 65.0
+        profile.faas.instance_bandwidth = 44e6
+        profile.faas.invoke_overhead.mean = 0.30
+        profile.vm.boot.mean = 99.0
         if self.profile_mutator is not None:
             self.profile_mutator(profile)
         return profile

@@ -46,7 +46,6 @@ from __future__ import annotations
 import functools
 import typing as t
 
-from repro.cas import cas_enabled
 from repro.core.calibration import WorkloadParams
 from repro.errors import WorkflowError
 from repro.executor.executor import FunctionExecutor
@@ -365,12 +364,8 @@ def _lineage_lookup(context: StageContext, upstream: dict) -> t.Generator:
     return fingerprint, None
 
 
-def _lineage_store(
-    context: StageContext, fingerprint: str | None, artifact: dict
-) -> None:
+def _lineage_store(context: StageContext, fingerprint: str, artifact: dict) -> None:
     """Record a cold sort's artifact under its lineage fingerprint."""
-    if fingerprint is None:
-        return
     artifact["lineage"] = "miss"
     artifact["lineage_key"] = fingerprint[:16]
     lineage_cache_for(context.cloud.store).put(fingerprint, artifact)
@@ -430,11 +425,9 @@ def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
     if bool(context.param("online", False)):
         return (yield from online_sort(context, inputs))
     upstream = _single_input(inputs, context.spec.name)
-    lineage_key = None
-    if cas_enabled():
-        lineage_key, cached = yield from _lineage_lookup(context, upstream)
-        if cached is not None:
-            return cached
+    lineage_key, cached = yield from _lineage_lookup(context, upstream)
+    if cached is not None:
+        return cached
     stream_chunk_mb = float(context.param("stream_chunk_mb", 32.0))
     decision = choose_exchange_substrate(
         upstream["logical_bytes"],
@@ -499,11 +492,9 @@ def online_sort(context: StageContext, inputs: dict) -> t.Generator:
     ``substrate_switches`` and ``chunk_reroutes``.
     """
     upstream = _single_input(inputs, context.spec.name)
-    lineage_key = None
-    if cas_enabled():
-        lineage_key, cached = yield from _lineage_lookup(context, upstream)
-        if cached is not None:
-            return cached
+    lineage_key, cached = yield from _lineage_lookup(context, upstream)
+    if cached is not None:
+        return cached
     operator = OnlineShuffleSort(
         _function_executor(context, int(context.param("memory_mb", 2048))),
         bed_record_codec(),

@@ -100,8 +100,6 @@ EXPERIMENTS: dict[str, Experiment] = {
                    "S10: streaming vs staged exchange (3.5 GB, W=16, 32 MB chunks)"),
         Experiment("sweep-tuner", sweeps.sweep_tuner, "s10a_autotune",
                    "S10a: planner regret by region scenario (3.5 GB)"),
-        Experiment("sweep-multicloud", sweeps.sweep_multicloud, "s11_multicloud",
-                   "S11: Table 1 comparison across providers (3.5 GB)"),
         Experiment("sweep-skew", sweeps.sweep_skew, "s11_skew",
                    "S11: skew-aware shuffle "
                    "(3.5 GB, W=12, 2 shards, Zipf s=2 over 4 keys)"),

@@ -1031,40 +1031,6 @@ def sweep_online(config: ExperimentConfig | None = None) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# S11: multi-cloud portability (Lithops' multi-cloud story, ref [3])
-# ----------------------------------------------------------------------
-#: The paper's IBM setting, and the provider S11 ports it to.
-PROVIDERS = ("ibm-us-east", "aws-us-east")
-
-
-def sweep_multicloud(config: ExperimentConfig | None = None) -> list[dict]:
-    """Re-run the Table 1 comparison on every provider profile.
-
-    Absolute latencies and costs shift with each provider's constants;
-    what must *not* shift is the paper's conclusion — the purely
-    serverless pipeline beats the VM-supported one at comparable cost.
-    """
-    base = config if config is not None else ExperimentConfig()
-    rows = []
-    for provider in PROVIDERS:
-        cfg = dataclasses.replace(base, provider=provider)
-        serverless = run_pipeline(cfg, PURE_SERVERLESS)
-        vm = run_pipeline(cfg, VM_SUPPORTED)
-        rows.append(
-            {
-                "provider": provider,
-                "vm_type": cfg.resolved_vm_instance_type,
-                "serverless_latency_s": serverless.latency_s,
-                "vm_latency_s": vm.latency_s,
-                "speedup": vm.latency_s / serverless.latency_s,
-                "serverless_cost_usd": serverless.cost_usd,
-                "vm_cost_usd": vm.cost_usd,
-            }
-        )
-    return rows
-
-
-# ----------------------------------------------------------------------
 # S4: startup-time sensitivity
 # ----------------------------------------------------------------------
 def sweep_startup(

@@ -281,16 +281,3 @@ def publish_exchange_report(report: t.Any) -> None:
             f"repro_exchange_{sanitize_name(str(key))}",
             "Exchange report extra field",
         ).set(float(value), **labels)
-
-
-def publish_kernel_rates(extras: dict[str, t.Any]) -> None:
-    """Publish kernel throughput extras (``*_records_per_s``) as gauges."""
-    reg = _REGISTRY
-    for key, value in extras.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            continue
-        if key.endswith("_records_per_s"):
-            reg.gauge(
-                f"repro_kernel_{sanitize_name(key)}",
-                "Record-kernel throughput",
-            ).set(float(value))

@@ -1,4 +1,4 @@
-"""Primula-like shuffle/sort (and GroupBy) over pluggable substrates.
+"""Primula-like shuffle/sort over pluggable substrates.
 
 One operator, :class:`ShuffleSort`, drives one
 :class:`~repro.shuffle.exchange.ExchangeBackend`.  Four substrates
@@ -39,22 +39,13 @@ from repro.shuffle.kernels import (
     KeySpec,
     PartitionOutcome,
     PrefixKeySpec,
-    ReversedKeySpec,
     SortOutcome,
-    grouped_records,
     kernel_report_extras,
     kernels_enabled,
     partition_buffer,
     record_view,
     sort_buffer,
     window_keys,
-)
-from repro.shuffle.groupby import (
-    AggregateFn,
-    GroupByResult,
-    GroupKeyCodec,
-    ShuffleGroupBy,
-    shuffle_group_reducer,
 )
 from repro.shuffle.exchange import (
     CacheExchange,
@@ -64,11 +55,6 @@ from repro.shuffle.exchange import (
 )
 from repro.shuffle.online import OnlineShuffleSort
 from repro.shuffle.operator import ShuffleResult, ShuffleSort, SortedRun
-from repro.shuffle.orderby import (
-    OrderByResult,
-    ReversedKey,
-    ShuffleOrderBy,
-)
 from repro.shuffle.planner import (
     EXCHANGE_TERMS,
     ExchangeTerms,
@@ -126,7 +112,6 @@ from repro.shuffle.stages import (
 from repro.shuffle.substrates import SUBSTRATES, Substrate
 
 __all__ = [
-    "AggregateFn",
     "CacheExchange",
     "EXCHANGE_MODES",
     "EXCHANGE_SUBSTRATES",
@@ -169,34 +154,25 @@ __all__ = [
     "required_cache_nodes",
     "DecimalFieldKeySpec",
     "FixedWidthCodec",
-    "GroupByResult",
-    "GroupKeyCodec",
     "KernelFallback",
     "KeySpec",
     "LineRecordCodec",
     "PartitionOutcome",
     "PrefixKeySpec",
-    "ReversedKeySpec",
     "SortOutcome",
-    "grouped_records",
     "kernel_report_extras",
     "kernels_enabled",
     "partition_buffer",
     "record_view",
     "sort_buffer",
     "window_keys",
-    "OrderByResult",
     "PlanPoint",
     "RecordCodec",
-    "ReversedKey",
     "ShuffleCostModel",
-    "ShuffleGroupBy",
-    "ShuffleOrderBy",
     "ShufflePlan",
     "ShuffleResult",
     "ShuffleSort",
     "SortedRun",
-    "shuffle_group_reducer",
     "choose_boundaries",
     "choose_weighted_boundaries",
     "estimate_partition_weights",

@@ -98,7 +98,7 @@ class KeySpec:
 
     ``decode`` bulk-extracts the encoded key of every record in a
     buffer; ``to_u64``/``from_u64`` map individual key values (range
-    boundaries, group keys) in and out of the encoded space.  Specs are
+    boundaries, sampled keys) in and out of the encoded space.  Specs are
     picklable: they travel to workers inside codec objects.
     """
 
@@ -199,38 +199,6 @@ class DecimalFieldKeySpec(KeySpec):
 
     def from_u64(self, value: int) -> int:
         return value
-
-
-class ReversedKeySpec(KeySpec):
-    """Order-reversing wrapper: encodes ``ReversedKey`` values so that
-    descending sorts ride the same ascending integer kernels
-    (``enc(k) = 2**64 - 1 - inner_enc(k.inner)``)."""
-
-    identity = False
-
-    def __init__(self, inner: KeySpec):
-        self.inner = inner
-
-    def decode(self, data, starts, ends):
-        values = self.inner.decode(data, starts, ends)
-        if values is None:
-            return None
-        return np.invert(values)  # uint64 bitwise-not == U64_MAX - v
-
-    def to_u64(self, key) -> int | None:
-        inner_key = getattr(key, "inner", None)
-        if inner_key is None:
-            return None
-        encoded = self.inner.to_u64(inner_key)
-        if encoded is None:
-            return None
-        return _U64_MAX - encoded
-
-    def from_u64(self, value: int):
-        # Imported here: orderby imports records which imports kernels.
-        from repro.shuffle.orderby import ReversedKey
-
-        return ReversedKey(self.inner.from_u64(_U64_MAX - value))
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +325,7 @@ class PartitionOutcome:
 
 @dataclasses.dataclass
 class SortOutcome:
-    """One buffer's records in key order (optionally truncated)."""
+    """One buffer's records in key order."""
 
     output: bytes
     records: int
@@ -523,16 +491,11 @@ class RecordView:
             kernel=KERNEL_VECTORIZED,
         )
 
-    def sorted_output(
-        self, record_limit: int | None = None, lo: int = 0, hi: int | None = None
-    ) -> SortOutcome:
-        """Records ``[lo, hi)`` in key order (stable), optionally top-N."""
-        hi = self.count if hi is None else hi
-        order = self._stable_key_order(self.keys[lo:hi])
-        if record_limit is not None:
-            order = order[:record_limit]
+    def sorted_output(self) -> SortOutcome:
+        """Every record in key order (stable)."""
+        order = self._stable_key_order(self.keys)
         return SortOutcome(
-            output=self._gather(order, lo),
+            output=self._gather(order),
             records=len(order),
             kernel=KERNEL_VECTORIZED,
         )
@@ -566,36 +529,6 @@ class RecordView:
             return values
         from_u64 = self.spec.from_u64
         return [from_u64(value) for value in values]
-
-    def group_runs(self) -> list[tuple[t.Any, list[bytes]]]:
-        """Records grouped by key, groups in ascending key order.
-
-        Record order inside a group is scan order (stable sort), and
-        group keys are decoded back to scalar values — exactly what the
-        scalar dict-grouping reducer iterates.
-        """
-        if self.count == 0:
-            return []
-        order = self._stable_key_order(self.keys)
-        sorted_keys = self.keys[order]
-        breaks = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-        run_edges = np.concatenate([[0], breaks, [self.count]]).tolist()
-        starts = self.starts[order].tolist()
-        ends = self.ends[order].tolist()
-        view = memoryview(self.buffer)
-        runs: list[tuple[t.Any, list[bytes]]] = []
-        for run_start, run_end in zip(run_edges, run_edges[1:]):
-            key = self.spec.from_u64(int(sorted_keys[run_start]))
-            runs.append(
-                (
-                    key,
-                    [
-                        bytes(view[starts[i] : ends[i]])
-                        for i in range(run_start, run_end)
-                    ],
-                )
-            )
-        return runs
 
 
 def record_view(codec, buffer) -> RecordView | None:
@@ -669,9 +602,7 @@ def partition_buffer(
     )
 
 
-def sort_buffer(
-    codec, buffer, record_limit: int | None = None, *, force_scalar: bool = False
-) -> SortOutcome:
+def sort_buffer(codec, buffer, *, force_scalar: bool = False) -> SortOutcome:
     """Sort every record of ``buffer`` by key (the reducer-side merge).
 
     Stable in both paths, so equal-key records keep arrival order and
@@ -680,13 +611,11 @@ def sort_buffer(
     if not force_scalar:
         view = record_view(codec, buffer)
         if view is not None:
-            outcome = view.sorted_output(record_limit)
+            outcome = view.sorted_output()
             outcome.elapsed_s = time.perf_counter() - started
             return outcome
     records = codec.split(buffer)
     records.sort(key=codec.key)
-    if record_limit is not None:
-        records = records[:record_limit]
     return SortOutcome(
         output=codec.join(records),
         records=len(records),
@@ -714,36 +643,13 @@ def window_keys(
     return [codec.key(record) for record in records], len(records), KERNEL_SCALAR
 
 
-def grouped_records(
-    codec, buffer, *, force_scalar: bool = False
-) -> tuple[list[tuple[t.Any, list[bytes]]], int, str]:
-    """Records of ``buffer`` grouped by key, ascending key order.
-
-    Returns ``(groups, total_records, kernel)``.  The grouped view the
-    GroupBy reducer iterates: identical to building a dict keyed by
-    ``codec.key`` and walking ``sorted(groups)``."""
-    if not force_scalar:
-        view = record_view(codec, buffer)
-        if view is not None:
-            return view.group_runs(), view.count, KERNEL_VECTORIZED
-    records = codec.split(buffer)
-    groups: dict[t.Any, list[bytes]] = {}
-    for record in records:
-        groups.setdefault(codec.key(record), []).append(record)
-    return (
-        [(key, groups[key]) for key in sorted(groups)],
-        len(records),
-        KERNEL_SCALAR,
-    )
-
-
 def partition_counts(keys: t.Sequence[t.Any], boundaries: t.Sequence[t.Any]):
     """Vectorized per-partition sample counts, or ``None`` to fall back.
 
     Only plain non-negative ``int`` keys/boundaries (the fixed-width
     and decimal-line key domains) take the numpy path; anything else —
-    tuples, ``ReversedKey``, negative or >64-bit values — returns
-    ``None`` and the caller counts with ``bisect``."""
+    tuples, negative or >64-bit values — returns ``None`` and the
+    caller counts with ``bisect``."""
     if not kernels_enabled():
         return None
     if not all(type(key) is int for key in keys):

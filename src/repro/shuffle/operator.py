@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
-from repro.cas import cas_enabled, sha256_hex
+from repro.cas import sha256_hex
 from repro.errors import ShuffleError
 from repro.shuffle import kernels
 from repro.shuffle.content import RunManifest, build_run_manifest
@@ -46,9 +46,8 @@ from repro.shuffle.sampler import (
     estimate_partition_weights,
     partition_skew_of,
 )
-from repro.shuffle.stages import shuffle_mapper, shuffle_sampler
+from repro.shuffle.stages import shuffle_sampler
 from repro.sim import SimEvent
-from repro.storage import paths
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -118,8 +117,7 @@ class ShuffleSort:
         #: last sort (``None`` until a sort completed).
         self.report = None
         #: Hash-chained :class:`~repro.shuffle.content.RunManifest` of
-        #: the last sort (``None`` until a sort completed, or when
-        #: content addressing is disabled via ``REPRO_CAS=off``).
+        #: the last sort (``None`` until a sort completed).
         self.run_manifest: RunManifest | None = None
         #: Sample-based per-partition logical-byte estimate of the last
         #: sort's load profile (set by the sampling pass; the skew
@@ -332,17 +330,14 @@ class ShuffleSort:
         chunks: t.Sequence[tuple[str, str, float]],
         substrate: str,
         mode: str,
-    ) -> RunManifest | None:
+    ) -> RunManifest:
         """Hash-chain this sort into a verifiable :class:`RunManifest`.
 
         Inputs (what was sorted) → decision (substrate/mode/workers/
         boundaries) → chunks (the content log of the exchange traffic
         under this sort's prefix) → outputs (the sorted runs, re-hashed
-        from the bytes actually at rest).  ``None`` when content
-        addressing is disabled (``REPRO_CAS=off``).
+        from the bytes actually at rest).
         """
-        if not cas_enabled():
-            return None
         store = self.executor.cloud.store
         inputs = {
             "bucket": bucket,
@@ -496,71 +491,6 @@ class ShuffleSort:
                 total_records=total_records,
                 duration_s=self.sim.now - started_at,
             )
-
-
-def sample_and_map(
-    executor,
-    codec: RecordCodec,
-    cost: ShuffleCostModel,
-    bucket: str,
-    key: str,
-    real_size: int,
-    workers: int,
-    samplers: int,
-    out_bucket: str,
-    out_prefix: str,
-    write_combining: bool,
-) -> t.Generator:
-    """The sample and map waves of a plain object-storage shuffle.
-
-    What :class:`~repro.shuffle.groupby.ShuffleGroupBy` and
-    :class:`~repro.shuffle.orderby.ShuffleOrderBy` run before their own
-    reduce wave: pool a key sample, pick weighted range boundaries, and
-    partition ``bucket/key`` into ``workers`` mapper outputs.  Returns
-    ``(map_tasks, map_results)``.
-    """
-    sampler_count = max(1, min(samplers, workers))
-    window = _sample_window_bytes(real_size, sampler_count, cost.sample_bytes)
-    sample_tasks = [
-        {
-            "bucket": bucket,
-            "key": key,
-            "start": start,
-            "end": end,
-            "object_size": real_size,
-            "sample_bytes": window,
-            "sample_keys": cost.sample_keys,
-            "codec": codec,
-            "sampler_id": index,
-        }
-        for index, (start, end) in enumerate(_split(real_size, sampler_count))
-    ]
-    sample_futures = yield executor.map(shuffle_sampler, sample_tasks)
-    sample_results = yield executor.get_result(sample_futures)
-    pooled_keys = [k for result in sample_results for k in result["keys"]]
-    if not pooled_keys:
-        raise ShuffleError(f"sampling found no records in {bucket}/{key}")
-    boundaries = choose_weighted_boundaries(pooled_keys, workers)
-    map_tasks = [
-        {
-            "bucket": bucket,
-            "key": key,
-            "start": start,
-            "end": end,
-            "object_size": real_size,
-            "peek_bytes": cost.peek_bytes,
-            "boundaries": boundaries,
-            "codec": codec,
-            "out_bucket": out_bucket,
-            "out_key": paths.shuffle_map_output_key(out_prefix, mapper_id),
-            "partition_throughput": cost.partition_throughput,
-            "write_combining": write_combining,
-        }
-        for mapper_id, (start, end) in enumerate(_split(real_size, workers))
-    ]
-    map_futures = yield executor.map(shuffle_mapper, map_tasks)
-    map_results = yield executor.get_result(map_futures)
-    return map_tasks, map_results
 
 
 def _jsonable(value: t.Any) -> t.Any:

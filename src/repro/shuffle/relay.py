@@ -40,7 +40,6 @@ from repro.shuffle.records import RecordCodec
 from repro.shuffle.relayplanner import SHARD_IMBALANCE_HEADROOM
 from repro.shuffle.stages import kv_shuffle_mapper, kv_shuffle_reducer
 from repro.shuffle.streaming import StreamConfig
-from repro.storage import paths
 
 
 #: Shuffle-layout key token shared by the staged keys

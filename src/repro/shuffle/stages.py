@@ -90,7 +90,7 @@ def shuffle_sampler(ctx, task: dict) -> t.Generator:
 # shared worker bodies
 #
 # Every worker entry point (here and in cachestages / relay / streaming
-# / online / groupby) keeps its own module path and name — the executor
+# / online) keeps its own module path and name — the executor
 # pickles functions by reference and charges the pickled bytes, and the
 # function name seeds the activation's RNG streams — so the substrates
 # share these *bodies* behind thin named entry points.
@@ -148,7 +148,7 @@ def write_run(ctx, task: dict, outcome, extra: dict | None = None) -> t.Generato
 def sort_and_write_run(ctx, task: dict, buffer: bytes) -> t.Generator:
     """The staged reducers' tail: charge the sort, sort, write."""
     yield ctx.compute_bytes(len(buffer), task["sort_throughput"])
-    outcome = kernels.sort_buffer(task["codec"], buffer, task.get("record_limit"))
+    outcome = kernels.sort_buffer(task["codec"], buffer)
     return (yield from write_run(ctx, task, outcome))
 
 
@@ -302,9 +302,7 @@ def shuffle_reducer(ctx, task: dict) -> t.Generator:
     """Fetch, sort and write one output partition.
 
     Task fields: ``out_bucket, segments`` (see :func:`fetch_segments`),
-    ``output_key, codec, sort_throughput, fetch_parallelism``, and an
-    optional ``record_limit`` keeping only the first N sorted records
-    (top-k queries truncate their final partition this way).
+    ``output_key, codec, sort_throughput, fetch_parallelism``.
     """
     buffer = yield from fetch_segments(ctx, task)
     return (yield from sort_and_write_run(ctx, task, buffer))

@@ -30,19 +30,9 @@ def call_status_key(executor_id: str, job_id: str, call_id: int) -> str:
     return f"{job_prefix(executor_id, job_id)}/{call_id:05d}/status.json"
 
 
-def shuffle_partition_key(prefix: str, mapper_id: int, reducer_id: int) -> str:
-    """Key of one map-output partition in a shuffle (no write-combining)."""
-    return f"{prefix}/shuffle/m{mapper_id:05d}/p{reducer_id:05d}.bin"
-
-
 def shuffle_map_output_key(prefix: str, mapper_id: int) -> str:
     """Key of one mapper's combined (write-combined) partition object."""
     return f"{prefix}/shuffle/m{mapper_id:05d}/combined.bin"
-
-
-def shuffle_sample_key(prefix: str, mapper_id: int) -> str:
-    """Key of one mapper's key sample used for range partitioning."""
-    return f"{prefix}/samples/m{mapper_id:05d}.pickle"
 
 
 def shuffle_output_key(prefix: str, reducer_id: int) -> str:

@@ -22,7 +22,6 @@ Schema::
 from __future__ import annotations
 
 import json
-import typing as t
 
 from repro.errors import ConfigError
 from repro.workflows.dag import StageSpec, WorkflowDag
@@ -105,8 +104,3 @@ def dump_spec(dag: WorkflowDag) -> str:
         },
         indent=2,
     )
-
-
-def spec_roundtrip(document: str | bytes | dict) -> t.Any:
-    """Parse then re-dump (normalization helper used in tests)."""
-    return json.loads(dump_spec(parse_spec(document)))

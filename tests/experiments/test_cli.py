@@ -42,11 +42,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cache-supported" in out
 
-    def test_sweep_multicloud_runs(self, capsys):
-        assert main(["--scale", "16384", "sweep-multicloud"]) == 0
-        out = capsys.readouterr().out
-        assert "aws-us-east" in out
-
     def test_usage_block_documents_every_subcommand(self):
         """The usage block is generated from the table plus the other
         commands, so nothing registered can go undocumented (``sweep-io``

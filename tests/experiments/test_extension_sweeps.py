@@ -11,7 +11,6 @@ from repro.executor import FunctionExecutor
 from repro.experiments import (
     sweep_exchange,
     sweep_fault_rate,
-    sweep_multicloud,
     sweep_skew,
     sweep_speculation,
     sweep_tuner,
@@ -147,19 +146,6 @@ class TestSweepTuner:
         assert row["static_regret"] >= 1.0
         assert row["tuned_regret"] > 0
         assert row["probe_s"] > 0
-
-
-class TestSweepMulticloud:
-    def test_conclusion_holds_on_both_providers(self):
-        rows = sweep_multicloud(TINY)
-        assert [row["provider"] for row in rows] == [
-            "ibm-us-east", "aws-us-east",
-        ]
-        for row in rows:
-            assert row["speedup"] > 1.0, row["provider"]
-            assert row["serverless_cost_usd"] > 0
-        assert rows[0]["vm_type"] == "bx2-8x32"
-        assert rows[1]["vm_type"] == "m5.2xlarge"
 
 
 class TestSweepSkew:

@@ -69,7 +69,6 @@ SWEEPS: dict[str, t.Callable[[], list[dict]]] = {
     "sweep_tuner": lambda: sweeps.sweep_tuner(
         CONFIG, worker_candidates=(4, 8, 16, 32)
     ),
-    "sweep_multicloud": lambda: sweeps.sweep_multicloud(CONFIG),
     "sweep_service": lambda: sweeps.sweep_service(CONFIG),
 }
 

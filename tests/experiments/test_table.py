@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import itertools
 import pathlib
+import re
 
 import pytest
 
@@ -36,6 +37,13 @@ def test_rows_are_distinct_and_their_overrides_are_config_fields():
         assert set(row.overrides) <= fields, row.name
 
 
+def test_every_experiment_has_its_own_label():
+    """No two titles share an ``S<n>`` label: the label is how README,
+    ROADMAP and the result files refer to an experiment."""
+    labels = [re.match(r"S\d+[a-z]?:", row.title).group() for row in EXPERIMENTS.values()]
+    assert len(set(labels)) == len(labels), labels
+
+
 def test_readme_indexes_every_experiment():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     index = readme.split("## Experiments", 1)[1].split("\n## ", 1)[0]
@@ -52,7 +60,10 @@ def test_results_lint_fails_on_an_orphaned_row(monkeypatch, tmp_path):
     spec.loader.exec_module(check_results)
     assert check_results.orphaned() == []
     monkeypatch.setattr(check_results, "RESULTS_DIR", tmp_path)
-    assert len(check_results.orphaned()) == len(EXPERIMENTS)
+    (tmp_path / "s99_stray.txt").write_text("S99: no producer\n", encoding="utf-8")
+    problems = check_results.orphaned()
+    assert len(problems) == len(EXPERIMENTS) + 1
+    assert problems[-1].startswith("s99_stray.txt: ")
     assert check_results.main() == 1
 
 

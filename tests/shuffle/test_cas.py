@@ -1,16 +1,16 @@
 """Content-addressed exchange: CAS core, dedup, manifests, lineage.
 
 The invariant under test throughout: content addressing only ever
-changes *timing and billing* — never artifact bytes.  Dedup'd runs stay
-byte-identical to legacy runs, lineage hits return the exact prior
-manifest, and the hash-chained :class:`RunManifest` re-derives offline
-and fails loudly on any tampered section or mutated stored artifact.
+changes *timing and billing* — never artifact bytes.  A dedup'd warm
+rerun stays byte-identical to its cold run, lineage hits return the
+exact prior manifest, and the hash-chained :class:`RunManifest`
+re-derives offline and fails loudly on any tampered section or mutated
+stored artifact.
 """
 
 import pytest
 
 from repro.cas import (
-    cas_enabled,
     content_hash,
     output_digest,
     sha256_hex,
@@ -102,15 +102,6 @@ class TestStableSerialize:
         with pytest.raises(TypeError):
             content_hash({"x": {1, 2}})
 
-    def test_cas_enabled_gate(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CAS", raising=False)
-        assert cas_enabled()
-        for value in ("0", "false", "no", "off", " OFF "):
-            monkeypatch.setenv("REPRO_CAS", value)
-            assert not cas_enabled()
-        monkeypatch.setenv("REPRO_CAS", "1")
-        assert cas_enabled()
-
 
 class TestCosDedup:
     @pytest.fixture
@@ -180,18 +171,6 @@ class TestCosDedup:
 
         self.run(cloud, scenario())
         assert cloud.store.stats.dedup_ops == 0
-
-    def test_env_off_disables_dedup(self, cloud, monkeypatch):
-        monkeypatch.setenv("REPRO_CAS", "off")
-        payload = b"q" * 512
-
-        def scenario():
-            yield cloud.store.put("data", "k1", payload, dedup=True)
-            yield cloud.store.put("data", "k2", payload, dedup=True)
-
-        self.run(cloud, scenario())
-        assert cloud.store.stats.dedup_ops == 0
-        assert cloud.store.cas_entries("k") == []
 
     def test_cas_entries_prefix_filtering(self, cloud):
         """Prefix-sharing keys (``out/`` vs ``outlier/``) must separate
@@ -283,20 +262,6 @@ class TestCacheDedupEviction:
         # The evicted referents are tombstoned, not silently absent.
         assert cluster.nodes[0].was_evicted("seed")
 
-    def test_dedup_respects_env_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CAS", "0")
-        cloud, cluster = self._tiny_cluster()
-        client = cluster.client()
-        value = b"v" * 100
-
-        def scenario():
-            yield client.mset([("a", value), ("b", value)])
-            return (yield client.mget(["a", "b"]))
-
-        assert cloud.sim.run_process(scenario()) == [value, value]
-        assert cluster.stats_totals()["dedup_hits"] == 0
-        assert cluster.cas_entries("") == []
-
 
 def run_cold_warm(substrate, payload, *, seed=7):
     """The same sort twice on one cloud (distinct output prefixes).
@@ -339,18 +304,11 @@ def run_cold_warm(substrate, payload, *, seed=7):
 
 class TestSortDedupParity:
     @pytest.mark.parametrize("substrate", SUBSTRATES)
-    def test_warm_rerun_dedups_at_byte_parity(self, substrate, monkeypatch):
-        payload = make_dup_payload(pairs=200)
-        cold_on, warm_on, warm_dedup = run_cold_warm(substrate, payload)
+    def test_warm_rerun_dedups_at_byte_parity(self, substrate):
+        cold, warm, warm_dedup = run_cold_warm(substrate, make_dup_payload(pairs=200))
         assert warm_dedup > 0
-        assert cold_on == warm_on
-
-        monkeypatch.setenv("REPRO_CAS", "off")
-        cold_off, warm_off, off_dedup = run_cold_warm(substrate, payload)
-        assert off_dedup == 0
-        # The gate changes billing/wire accounting, never bytes.
-        assert cold_on == cold_off
-        assert warm_on == warm_off
+        # Dedup changes billing/wire accounting, never bytes.
+        assert cold == warm
 
     def test_dedup_counter_published(self):
         from repro.obs.metrics import reset_registry, registry
@@ -453,13 +411,6 @@ class TestRunManifest:
         assert main(["replay-verify", "--manifest", str(bad)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_env_off_skips_manifest(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CAS", "no")
-        _runs, operator, _cloud, _result = run_sort(
-            "objectstore", make_dup_payload(pairs=100)
-        )
-        assert operator.run_manifest is None
-
 
 class TestLineageCache:
     @staticmethod
@@ -549,18 +500,6 @@ class TestLineageCache:
         cloud.sim.run_process(wipe())
         rerun = self._run_auto(cloud, config, params, "degrade-rerun")
         assert rerun.artifacts["sort"]["lineage"] == "miss"
-
-    def test_env_off_skips_lineage(self, monkeypatch):
-        from repro.core import ExperimentConfig
-
-        monkeypatch.setenv("REPRO_CAS", "false")
-        config = ExperimentConfig(logical_scale=4096.0)
-        cloud = self._fresh(config)
-        params = {"workers": 4, "memory_mb": 2048}
-        first = self._run_auto(cloud, config, params, "off-a")
-        second = self._run_auto(cloud, config, params, "off-b")
-        assert "lineage" not in first.artifacts["sort"]
-        assert "lineage" not in second.artifacts["sort"]
 
     def test_fingerprint_is_stable_data(self):
         fingerprint = LineageCache.fingerprint(

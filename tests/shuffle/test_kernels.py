@@ -20,13 +20,9 @@ from repro.methcomp.pipeline import BedKeySpec, bed_record_codec
 from repro.shuffle import (
     DecimalFieldKeySpec,
     FixedWidthCodec,
-    GroupKeyCodec,
     LineRecordCodec,
     PrefixKeySpec,
-    ReversedKey,
-    ReversedKeySpec,
     SkewSpec,
-    grouped_records,
     partition_buffer,
     record_view,
     skewed_fixed_payload,
@@ -34,7 +30,6 @@ from repro.shuffle import (
     window_keys,
 )
 from repro.shuffle import kernels
-from repro.shuffle.orderby import _DescendingCodec
 from repro.shuffle.sampler import partition_index
 
 
@@ -90,9 +85,9 @@ def assert_partition_parity(codec, payload, boundaries):
     return vec
 
 
-def assert_sort_parity(codec, payload, record_limit=None):
-    vec = sort_buffer(codec, payload, record_limit)
-    ref = sort_buffer(codec, payload, record_limit, force_scalar=True)
+def assert_sort_parity(codec, payload):
+    vec = sort_buffer(codec, payload)
+    ref = sort_buffer(codec, payload, force_scalar=True)
     assert vec.output == ref.output
     assert vec.records == ref.records
     return vec
@@ -116,8 +111,7 @@ class TestFixedWidthParity:
     @given(st.data())
     def test_merge_byte_identical(self, data):
         codec, payload = fixed_codec_and_buffer(data.draw)
-        limit = data.draw(st.one_of(st.none(), st.integers(0, 50)))
-        assert_sort_parity(codec, payload, limit)
+        assert_sort_parity(codec, payload)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -192,8 +186,7 @@ class TestLineRecordParity:
     def test_merge_byte_identical(self, data):
         codec = decimal_line_codec()
         payload = line_buffer(data.draw)
-        limit = data.draw(st.one_of(st.none(), st.integers(0, 40)))
-        assert_sort_parity(codec, payload, limit)
+        assert_sort_parity(codec, payload)
 
     def test_opaque_key_fn_falls_back_to_scalar(self):
         codec = LineRecordCodec(key_fn=len)  # no key_spec: not vectorizable
@@ -307,8 +300,7 @@ class TestVariableLengthGather:
     def test_sort_and_partition_parity_on_ragged_lines(self, data):
         codec = length_keyed_codec()
         payload = ragged_line_buffer(data.draw)
-        limit = data.draw(st.one_of(st.none(), st.integers(0, 40)))
-        assert_sort_parity(codec, payload, limit)
+        assert_sort_parity(codec, payload)
         keys = [codec.key(r) for r in codec.split(payload)]
         vec = assert_partition_parity(codec, payload, boundaries_from(keys, data.draw))
         if payload:
@@ -445,28 +437,6 @@ class TestBedParity:
 
 
 # ----------------------------------------------------------------------
-# descending (ReversedKeySpec)
-# ----------------------------------------------------------------------
-class TestDescendingParity:
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_descending_partition_and_merge(self, data):
-        inner, payload = fixed_codec_and_buffer(data.draw)
-        codec = _DescendingCodec(inner)
-        keys = [codec.key(r) for r in codec.split(payload)]
-        boundaries = sorted(data.draw(st.lists(st.sampled_from(keys), max_size=6))) if keys else []
-        assert_partition_parity(codec, payload, boundaries)
-        assert_sort_parity(codec, payload, data.draw(st.one_of(st.none(), st.integers(0, 30))))
-
-    def test_reversed_spec_inverts_order(self):
-        spec = ReversedKeySpec(PrefixKeySpec(8))
-        small, big = ReversedKey(1), ReversedKey(2)
-        assert big < small  # ReversedKey semantics
-        assert spec.to_u64(big) < spec.to_u64(small)
-        assert spec.from_u64(spec.to_u64(big)) == big
-
-
-# ----------------------------------------------------------------------
 # sampling-window alignment (torn records, global_start)
 # ----------------------------------------------------------------------
 class TestWindowAlignment:
@@ -544,25 +514,8 @@ class TestExtractSplitEdges:
 
 
 # ----------------------------------------------------------------------
-# grouping, counts, env gating
+# counts, env gating
 # ----------------------------------------------------------------------
-class TestGroupedRecords:
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_groups_match_scalar_dict_grouping(self, data):
-        base, payload = fixed_codec_and_buffer(data.draw)
-        codec = GroupKeyCodec(base, base.key, key_spec=base.vector_spec())
-        vec_groups, vec_count, vec_kernel = grouped_records(codec, payload)
-        ref_groups, ref_count, ref_kernel = grouped_records(
-            codec, payload, force_scalar=True
-        )
-        assert ref_kernel == "scalar"
-        assert vec_groups == ref_groups
-        assert vec_count == ref_count
-        if payload and base.key_bytes <= 8:
-            assert vec_kernel == "vectorized"
-
-
 class TestPartitionCounts:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -579,7 +532,7 @@ class TestPartitionCounts:
 
     def test_non_integer_keys_opt_out(self):
         assert kernels.partition_counts([(1, 2)], [(0, 0)]) is None
-        assert kernels.partition_counts([ReversedKey(3)], [ReversedKey(5)]) is None
+        assert kernels.partition_counts([1, 2], [(0, 0)]) is None
         assert kernels.partition_counts([1, 2], [2**64]) is None  # overflow
 
 

@@ -1,5 +1,6 @@
 """Unit and property tests for sampling and boundary selection."""
 
+import functools
 import random
 
 import pytest
@@ -149,10 +150,22 @@ class TestPartitionIndexBisect:
             assert boundaries[index - 1] == boundary
 
     def test_works_with_reverse_ordered_keys(self):
-        from repro.shuffle import ReversedKey
+        """Any comparable key works, including one that orders its
+        values backwards."""
 
-        boundaries = [ReversedKey(30), ReversedKey(20), ReversedKey(10)]
-        assert partition_index(ReversedKey(40), boundaries) == 0
-        assert partition_index(ReversedKey(30), boundaries) == 1
-        assert partition_index(ReversedKey(25), boundaries) == 1
-        assert partition_index(ReversedKey(5), boundaries) == 3
+        @functools.total_ordering
+        class Reversed:
+            def __init__(self, value):
+                self.value = value
+
+            def __lt__(self, other):
+                return other.value < self.value
+
+            def __eq__(self, other):
+                return self.value == other.value
+
+        boundaries = [Reversed(30), Reversed(20), Reversed(10)]
+        assert partition_index(Reversed(40), boundaries) == 0
+        assert partition_index(Reversed(30), boundaries) == 1
+        assert partition_index(Reversed(25), boundaries) == 1
+        assert partition_index(Reversed(5), boundaries) == 3

@@ -1,4 +1,4 @@
-"""Property-based tests of shuffle planners and ordering invariants."""
+"""Property-based tests of the shuffle planners."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.cloud.profiles import ibm_us_east
 from repro.shuffle import (
-    ReversedKey,
     ShuffleCostModel,
     exchange_terms,
     plan_shuffle,
@@ -95,20 +94,3 @@ class TestPlannerProperties:
         if nodes > 1:
             assert (nodes - 1) * usable_per_node < size * headroom
 
-
-class TestReversedKeyProperties:
-    @given(values=st.lists(st.integers()))
-    @settings(max_examples=100, deadline=None)
-    def test_sorting_by_reversed_key_reverses_order(self, values):
-        assert sorted(values, key=ReversedKey) == sorted(values, reverse=True)
-
-    @given(values=st.lists(st.text()))
-    @settings(max_examples=60, deadline=None)
-    def test_works_for_any_comparable_type(self, values):
-        assert sorted(values, key=ReversedKey) == sorted(values, reverse=True)
-
-    @given(a=st.integers(), b=st.integers())
-    @settings(max_examples=100, deadline=None)
-    def test_trichotomy(self, a, b):
-        ra, rb = ReversedKey(a), ReversedKey(b)
-        assert (ra < rb) + (rb < ra) + (ra == rb) == 1

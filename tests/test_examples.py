@@ -46,11 +46,6 @@ class TestExamples:
         assert "verified" in out
         assert "cost breakdown" in out
 
-    def test_groupby_stats(self):
-        out = run_example("groupby_stats.py")
-        assert "chromosomes with" in out
-        assert "chr1\t" in out
-
     def test_worker_sweep(self):
         out = run_example("worker_sweep.py", "16384")
         assert "measured optimum" in out
@@ -71,11 +66,6 @@ class TestExamples:
         assert "static calibration picks" in out
         assert "online tuner picks" in out
         assert "MB/s" in out
-
-    def test_topk_query(self):
-        out = run_example("topk_query.py", "20000")
-        assert "top 15 sites by read coverage" in out
-        assert "partitions pruned" in out
 
     def test_pipeline_timeline(self):
         out = run_example("pipeline_timeline.py", "8192")

@@ -96,6 +96,29 @@ class TestProfiles:
             with pytest.raises(ConfigError):
                 profile.validate()
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda p: setattr(p.faas, "account_concurrency", 0),
+            lambda p: setattr(p.memstore, "ops_per_node", 0.0),
+            lambda p: setattr(p.memstore, "usable_memory_fraction", 0.0),
+            lambda p: setattr(p.memstore, "eviction_policy", "volatile-lru"),
+            lambda p: setattr(p.memstore, "catalog", {}),
+        ],
+        ids=[
+            "zero-concurrency",
+            "zero-cache-ops",
+            "zero-cache-memory",
+            "unknown-eviction",
+            "empty-cache-catalog",
+        ],
+    )
+    def test_bad_faas_and_cache_knobs_rejected(self, mutate):
+        profile = ibm_us_east()
+        mutate(profile)
+        with pytest.raises(ConfigError):
+            profile.validate()
+
     def test_relay_usable_bytes_is_the_shared_capacity_formula(self):
         profile = ibm_us_east()
         instance = profile.vm.catalog["bx2-8x32"]

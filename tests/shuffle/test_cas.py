@@ -8,6 +8,8 @@ re-derives offline and fails loudly on any tampered section or mutated
 stored artifact.
 """
 
+import hashlib
+
 import pytest
 
 from repro.cas import (
@@ -27,6 +29,7 @@ from repro.shuffle import (
     RelayExchange,
     ShardedRelayExchange,
     ShuffleSort,
+    SortedRun,
 )
 from repro.shuffle.content import (
     LineageCache,
@@ -101,6 +104,76 @@ class TestStableSerialize:
             stable_serialize(object())
         with pytest.raises(TypeError):
             content_hash({"x": {1, 2}})
+
+
+class TestCanonicalEncoding:
+    """The exact bytes of the canonical encoding: every manifest section
+    and lineage fingerprint hashes them, so a change here moves every
+    recorded content address."""
+
+    @pytest.mark.parametrize(
+        "value, encoded",
+        [
+            (None, b"n;"),
+            (True, b"b1;"),
+            (False, b"b0;"),
+            (0, b"i1:0"),
+            (-12, b"i3:-12"),
+            (1.5, b"f3:1.5"),
+            ("", b"s0:"),
+            ("é", b"s2:\xc3\xa9"),
+            (b"ab", b"y2:ab"),
+            (bytearray(b"ab"), b"y2:ab"),
+            ([], b"l0:;"),
+            ((1, "a"), b"l2:i1:1s1:a;"),
+            ({}, b"d0:;"),
+            ({"b": 1, "a": None}, b"d2:s1:an;s1:bi1:1;"),
+        ],
+    )
+    def test_known_encoding(self, value, encoded):
+        assert stable_serialize(value) == encoded
+
+    def test_content_hash_is_sha256_of_the_encoding(self):
+        assert sha256_hex(b"abc") == (
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        )
+        value = {"runs": [b"\x00\x01", 3], "mode": "staged"}
+        assert content_hash(value) == sha256_hex(stable_serialize(value))
+
+
+class TestOutputDigest:
+    class _Result:
+        def __init__(self, runs):
+            self.runs = runs
+
+    @staticmethod
+    def _stored_runs(cloud, payloads):
+        def scenario():
+            for index, payload in enumerate(payloads):
+                yield cloud.store.put("bucket", f"r{index}", payload)
+
+        cloud.store.ensure_bucket("bucket")
+        cloud.sim.run_process(scenario())
+        return [
+            SortedRun("bucket", f"r{index}", 0, len(payload))
+            for index, payload in enumerate(payloads)
+        ]
+
+    def test_digest_hashes_the_runs_in_partition_order(self):
+        cloud = Cloud.fresh(seed=1, profile=ibm_us_east(deterministic=True))
+        runs = self._stored_runs(cloud, [b"first run ", b"second run"])
+        full = output_digest(cloud, self._Result(runs), full=True)
+        assert full == hashlib.sha256(b"first run second run").hexdigest()
+        assert output_digest(cloud, self._Result(runs)) == full[:16]
+        assert output_digest(cloud, self._Result(runs[::-1]), full=True) != full
+
+    def test_digest_reads_are_free(self):
+        cloud = Cloud.fresh(seed=1, profile=ibm_us_east(deterministic=True))
+        runs = self._stored_runs(cloud, [b"abc", b"def"])
+        requests, usd = cloud.store.stats.total_requests, cloud.meter.total_usd
+        output_digest(cloud, self._Result(runs))
+        assert cloud.store.stats.total_requests == requests
+        assert cloud.meter.total_usd == usd
 
 
 class TestCosDedup:

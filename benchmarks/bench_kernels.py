@@ -53,7 +53,6 @@ from repro.methcomp.pipeline import bed_record_codec
 from repro.shuffle.kernels import (
     KERNEL_SCALAR,
     KERNEL_VECTORIZED,
-    kernels_enabled,
     partition_buffer,
     sort_buffer,
     window_keys,
@@ -61,12 +60,6 @@ from repro.shuffle.kernels import (
 from repro.shuffle.records import FixedWidthCodec
 from repro.shuffle.sampler import choose_weighted_boundaries, reservoir_sample
 from repro.shuffle.skew import SkewSpec, skewed_fixed_payload
-
-if not kernels_enabled():  # numpy absent or REPRO_KERNELS=scalar
-    pytest.skip(
-        "vectorized kernels unavailable; S14 compares them against scalar",
-        allow_module_level=True,
-    )
 
 FIXED_RECORDS = 150_000
 BED_BYTES = 3_000_000

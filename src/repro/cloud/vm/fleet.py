@@ -212,10 +212,6 @@ class RelayFleet:
             merged.extend(shard.cas_entries(prefix))
         return sorted(merged)
 
-    def reset_peak(self) -> None:
-        for shard in self.shards:
-            shard.reset_peak()
-
     # Epoch-scoped peaks: a fleet epoch is one token per shard; the
     # fleet-level peak is the hottest shard's epoch peak (imbalance
     # shows up there, same as :attr:`peak_fill_fraction`).

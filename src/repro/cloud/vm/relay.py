@@ -788,15 +788,6 @@ class PartitionRelay:
     def peak_fill_fraction(self) -> float:
         return self.peak_used_logical / self.capacity_bytes
 
-    def reset_peak(self) -> None:
-        """Restart peak tracking from the current fill (per-run peaks).
-
-        Relay-global — a single-job convenience.  Concurrent jobs on a
-        shared relay must use the epoch API below instead, or one job's
-        reset clobbers another's high watermark.
-        """
-        self.peak_used_logical = self.used_logical
-
     # ------------------------------------------------------------------
     # epoch-scoped peak tracking (concurrent jobs on a shared relay)
     # ------------------------------------------------------------------

@@ -30,9 +30,9 @@ so what it returns is six ``int64`` arrays (``strands`` ``bool``) that
 the encoder takes as they are.  There are two tiers and no switch: a
 buffer that is anything but canonical — a line without exactly ten
 tabs, an unknown chromosome, a numeric field with a sign, a space, an
-underscore, no digit or more than 18 of them, any failed check, or
-numpy missing — goes line by line through :func:`parse_line`, which
-accepts it (as lists) or raises the first bad line's own
+underscore, no digit or more than 18 of them, or any failed check —
+goes line by line through :func:`parse_line`, which accepts it (as
+lists) or raises the first bad line's own
 :class:`~repro.errors.CodecError`.  The decoder hands lists.  Code that
 needs Python values rather than whatever the columns are held in
 (:func:`records_of`, :func:`serialize_columns`,
@@ -46,6 +46,8 @@ import dataclasses
 import itertools
 import operator
 import typing as t
+
+import numpy as np
 
 from repro.errors import CodecError
 from repro.shuffle import kernels
@@ -229,12 +231,11 @@ def records_of(columns: BedColumns) -> list[MethylationRecord]:
 
 
 #: Lookup tables of the array parser and the vectorized sort key, built
-#: on first use (numpy stays optional at import).
+#: on first use.
 _BED_TABLES: dict[str, t.Any] = {}
 
 
 def _bed_tables():
-    np = kernels.np
     codes = {
         int.from_bytes(name.encode("ascii"), "big"): rank
         for name, rank in CHROM_RANK.items()
@@ -267,7 +268,6 @@ def chromosome_ranks(heads, widths):
     a name of ``widths[i]`` bytes, ``1 <= widths[i] <= 8``.  ``None`` if
     any name is unknown.
     """
-    np = kernels.np
     tables = _BED_TABLES or _bed_tables()
     # The name is the top ``width`` bytes of the row's first big-endian
     # word.  A leading NUL would vanish into the word's value and read
@@ -291,12 +291,9 @@ def _parse_arrays(buffer: bytes) -> BedColumns | None:
 
     That is: if any line fails one of its checks, or spells a number
     other than in at most 18 digits (``int`` also reads ``+7``, `` 7``
-    and ``1_0``), or numpy is missing.  Leading zeros are digits:
+    and ``1_0``).  Leading zeros are digits:
     ``thickStart`` "007" repeats start "7" here as it does there.
     """
-    np = kernels.np
-    if np is None:
-        return None
     colors = (_BED_TABLES or _bed_tables())["colors"]
     data = np.frombuffer(buffer, dtype=np.uint8)
     # Lines end at the newlines, and at the buffer's end if it has no

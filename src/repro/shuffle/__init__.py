@@ -41,7 +41,6 @@ from repro.shuffle.kernels import (
     PrefixKeySpec,
     SortOutcome,
     kernel_report_extras,
-    kernels_enabled,
     partition_buffer,
     record_view,
     sort_buffer,
@@ -161,7 +160,6 @@ __all__ = [
     "PrefixKeySpec",
     "SortOutcome",
     "kernel_report_extras",
-    "kernels_enabled",
     "partition_buffer",
     "record_view",
     "sort_buffer",

@@ -18,10 +18,9 @@ numpy, keeping the scalar path as a byte-identical fallback:
   copies rows off a sliding-window view of the buffer, one block per
   record length (the gathered buffer *is* the write-combined object —
   partitions are ``memoryview`` slices of it, joined exactly once);
-* **sampling** — window decode in bulk
-  (:func:`window_keys`) and vectorized partition-mass counting
-  (:func:`partition_counts`) behind
-  :func:`~repro.shuffle.sampler.estimate_partition_weights`;
+  :class:`ChunkedPartition` decodes a split once and partitions it
+  chunk by chunk for the streaming mapper;
+* **sampling** — window decode in bulk (:func:`window_keys`);
 * **merging** — the reducer's sort is a stable ``np.argsort`` over the
   concatenated key array plus the same row-window gather in key order
   (:func:`sort_buffer`).
@@ -43,45 +42,32 @@ This rests on two invariants:
 Anything the kernels cannot prove vectorizable — an opaque ``key_fn``,
 a boundary value outside the encoding's domain, a malformed decimal
 field — falls back to the scalar path *silently and per call*, so
-custom codecs keep working unchanged.  Set ``REPRO_KERNELS=scalar`` to
-force the scalar path everywhere (the parity suites and the S14 bench
-use this to compare the two paths).
+custom codecs keep working unchanged.  The choice depends on the input
+alone (codec, buffer, boundaries), never on the environment; the
+parity suites and the S14 bench reach the scalar path through
+``force_scalar=True``.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
-import os
 import time
 import typing as t
 
-from repro.errors import ShuffleError
+import numpy as np
 
-try:  # numpy is a hard dependency of the fast path only: without it
-    import numpy as np  # every kernel degrades to the scalar codecs.
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    np = None  # type: ignore[assignment]
+from repro.errors import ShuffleError
 
 #: Kernel labels surfaced in stage results and ``ExchangeReport`` extras.
 KERNEL_SCALAR = "scalar"
 KERNEL_VECTORIZED = "vectorized"
-
-#: Environment switch: ``REPRO_KERNELS=scalar`` disables the fast path.
-KERNEL_MODE_ENV = "REPRO_KERNELS"
 
 _U64_MAX = 2**64 - 1
 
 #: Most distinct record lengths a variable-length gather copies one row
 #: block per length; a buffer with more falls back to per-byte indices.
 MAX_LENGTH_CLASSES = 64
-
-
-def kernels_enabled() -> bool:
-    """Whether the vectorized path may be used at all."""
-    if np is None:
-        return False
-    return os.environ.get(KERNEL_MODE_ENV, "auto") != "scalar"
 
 
 class KernelFallback(Exception):
@@ -246,9 +232,7 @@ def row_windows(data, offsets, width: int):
 
 
 #: ``_POW10[k] == 10**k`` below every width the decimal parser accepts.
-_POW10 = (
-    None if np is None else 10 ** np.arange(DecimalFieldKeySpec.MAX_DIGITS, dtype=np.uint64)
-)
+_POW10 = 10 ** np.arange(DecimalFieldKeySpec.MAX_DIGITS, dtype=np.uint64)
 
 
 def decimal_field_values(data, field_starts, field_ends):
@@ -374,14 +358,6 @@ class RecordView:
             encoded.append(value)
         return np.asarray(encoded, dtype=np.uint64)
 
-    def can_partition(self, boundaries: t.Sequence[t.Any]) -> bool:
-        """Whether every boundary maps into the key encoding."""
-        try:
-            self._bounds_u64(boundaries)
-        except KernelFallback:
-            return False
-        return True
-
     def _gather(self, order, lo: int = 0) -> bytes:
         """Bytes of the records ``order`` (indices relative to ``lo``)."""
         if len(order) == 0:
@@ -417,10 +393,6 @@ class RecordView:
                 self.data, sel_starts[rows], length
             )
         return out.tobytes()
-
-    def span_bytes(self, lo: int, hi: int) -> int:
-        """Total bytes of records ``[lo, hi)``."""
-        return int(self.ends[hi - 1] - self.starts[lo]) if hi > lo else 0
 
     @staticmethod
     def _stable_key_order(keys):
@@ -500,27 +472,6 @@ class RecordView:
             kernel=KERNEL_VECTORIZED,
         )
 
-    def chunk_spans(self, chunk_bytes: int) -> list[tuple[int, int]]:
-        """Greedy record spans of ~``chunk_bytes`` each.
-
-        Replicates the scalar accumulate-until-threshold loop exactly
-        (a chunk closes on the first record that reaches the
-        threshold), via one ``searchsorted`` per chunk.
-        """
-        if self.count == 0:
-            return []
-        cumulative = np.cumsum(self.lengths)
-        spans: list[tuple[int, int]] = []
-        lo = 0
-        base = 0
-        while lo < self.count:
-            cut = int(np.searchsorted(cumulative, base + chunk_bytes, side="left"))
-            cut = min(cut, self.count - 1)
-            spans.append((lo, cut + 1))
-            base = int(cumulative[cut])
-            lo = cut + 1
-        return spans
-
     def key_objects(self) -> list:
         """Scalar key values, identical to ``[codec.key(r) for r in
         codec.split(buffer)]``."""
@@ -534,14 +485,12 @@ class RecordView:
 def record_view(codec, buffer) -> RecordView | None:
     """Decode ``buffer`` through ``codec``'s vector hooks, or ``None``.
 
-    ``None`` means "use the scalar path": numpy missing, kernels
-    disabled, the codec has no vector layout/spec, or the keys escaped
-    the spec's domain.  Layout errors that the scalar ``split`` would
-    raise (misaligned fixed-width buffer, missing trailing newline)
-    propagate as the same :class:`~repro.errors.ShuffleError`.
+    ``None`` means "use the scalar path": the codec has no vector
+    layout/spec, or the keys escaped the spec's domain.  Layout errors
+    that the scalar ``split`` would raise (misaligned fixed-width
+    buffer, missing trailing newline) propagate as the same
+    :class:`~repro.errors.ShuffleError`.
     """
-    if not kernels_enabled():
-        return None
     spec = codec.vector_spec()
     if spec is None:
         return None
@@ -559,47 +508,114 @@ def record_view(codec, buffer) -> RecordView | None:
 # ----------------------------------------------------------------------
 # stage-facing entry points (vectorized with scalar fallback)
 # ----------------------------------------------------------------------
+def chunk_spans(lengths, chunk_bytes: int) -> list[tuple[int, int]]:
+    """Greedy record spans of ~``chunk_bytes`` each over record ``lengths``.
+
+    The scalar accumulate-until-threshold loop (a chunk closes on the
+    first record that reaches the threshold), via one ``searchsorted``
+    per chunk.
+    """
+    count = len(lengths)
+    cumulative = np.cumsum(lengths)
+    spans: list[tuple[int, int]] = []
+    lo = base = 0
+    while lo < count:
+        cut = min(int(np.searchsorted(cumulative, base + chunk_bytes)), count - 1)
+        spans.append((lo, cut + 1))
+        base = int(cumulative[cut])
+        lo = cut + 1
+    return spans
+
+
+class ChunkedPartition:
+    """``buffer`` decoded once, then range-partitioned chunk by chunk.
+
+    The one place that picks the record path for partitioning, from the
+    input alone: the vectorized kernel when ``codec`` decodes ``buffer``
+    into a :func:`record_view` and every boundary lies in that view's
+    key encoding, else the scalar split/``bisect``/join loop.  The path
+    is picked once for the whole buffer and named by ``kernel``.
+
+    Chunks are :func:`chunk_spans` of ~``chunk_bytes`` real bytes, or
+    one chunk of every record when ``chunk_bytes`` is ``None``.
+    ``len()`` is the chunk count, known before anything is partitioned;
+    iterating partitions one chunk per step, so a caller holds one
+    chunk's segments at a time.  ``elapsed_s`` is the real seconds the
+    decode and the cut took; each outcome carries its own.
+    """
+
+    def __init__(
+        self, codec, buffer, boundaries, chunk_bytes=None, *, force_scalar=False
+    ):
+        started = time.perf_counter()
+        self.codec = codec
+        self.boundaries = boundaries
+        view = None if force_scalar else record_view(codec, buffer)
+        if view is not None:
+            try:
+                view._bounds_u64(boundaries)
+            except KernelFallback:
+                view = None
+        self._view = view
+        if view is None:
+            self._records = codec.split(buffer)
+            self.records = len(self._records)
+            self.kernel = KERNEL_SCALAR
+        else:
+            self.records = view.count
+            self.kernel = KERNEL_VECTORIZED
+        if chunk_bytes is None:
+            self.spans = [(0, self.records)]
+        else:
+            lengths = view.lengths if view is not None else [
+                len(record) for record in self._records
+            ]
+            self.spans = chunk_spans(lengths, chunk_bytes)
+        self.elapsed_s = time.perf_counter() - started
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+    def __iter__(self) -> t.Iterator[PartitionOutcome]:
+        for lo, hi in self.spans:
+            started = time.perf_counter()
+            outcome = self._partition(lo, hi)
+            outcome.elapsed_s = time.perf_counter() - started
+            yield outcome
+
+    def _partition(self, lo: int, hi: int) -> PartitionOutcome:
+        if self._view is not None:
+            return self._view.partition(self.boundaries, lo, hi)
+        codec = self.codec
+        partitions: list[list[bytes]] = [[] for _ in range(len(self.boundaries) + 1)]
+        for record in self._records[lo:hi]:
+            partitions[
+                bisect.bisect_right(self.boundaries, codec.key(record))
+            ].append(record)
+        segments = [codec.join(bucket) for bucket in partitions]
+        cuts = np.cumsum([0, *map(len, segments)]).tolist()
+        return PartitionOutcome(
+            combined=b"".join(segments),
+            offsets=list(zip(cuts, cuts[1:])),
+            partition_records=[len(bucket) for bucket in partitions],
+            records=hi - lo,
+            kernel=KERNEL_SCALAR,
+        )
+
+
 def partition_buffer(
     codec, buffer, boundaries: t.Sequence[t.Any], *, force_scalar: bool = False
 ) -> PartitionOutcome:
     """Partition every record of ``buffer`` by range boundaries.
 
-    The single partitioning entry point of every mapper stage: tries
-    the vectorized kernel, falls back to the scalar
-    split/partition_index/join loop, and reports which path ran
-    (``outcome.kernel``) plus the real interpreter seconds it took
+    The partitioning entry point of every unchunked mapper stage: the
+    single chunk of a :class:`ChunkedPartition`, reporting which path
+    ran (``outcome.kernel``) plus the real interpreter seconds it took
     (``outcome.elapsed_s`` — wall time, not simulated time)."""
-    started = time.perf_counter()
-    if not force_scalar:
-        view = record_view(codec, buffer)
-        if view is not None:
-            try:
-                outcome = view.partition(boundaries)
-            except KernelFallback:
-                pass
-            else:
-                outcome.elapsed_s = time.perf_counter() - started
-                return outcome
-    records = codec.split(buffer)
-    partitions: list[list[bytes]] = [[] for _ in range(len(boundaries) + 1)]
-    for record in records:
-        partitions[
-            bisect.bisect_right(boundaries, codec.key(record))
-        ].append(record)
-    segments = [codec.join(bucket) for bucket in partitions]
-    offsets: list[tuple[int, int]] = []
-    cursor = 0
-    for segment in segments:
-        offsets.append((cursor, cursor + len(segment)))
-        cursor += len(segment)
-    return PartitionOutcome(
-        combined=b"".join(segments),
-        offsets=offsets,
-        partition_records=[len(bucket) for bucket in partitions],
-        records=len(records),
-        kernel=KERNEL_SCALAR,
-        elapsed_s=time.perf_counter() - started,
-    )
+    chunks = ChunkedPartition(codec, buffer, boundaries, force_scalar=force_scalar)
+    (outcome,) = chunks
+    outcome.elapsed_s += chunks.elapsed_s
+    return outcome
 
 
 def sort_buffer(codec, buffer, *, force_scalar: bool = False) -> SortOutcome:
@@ -643,31 +659,18 @@ def window_keys(
     return [codec.key(record) for record in records], len(records), KERNEL_SCALAR
 
 
-def partition_counts(keys: t.Sequence[t.Any], boundaries: t.Sequence[t.Any]):
-    """Vectorized per-partition sample counts, or ``None`` to fall back.
-
-    Only plain non-negative ``int`` keys/boundaries (the fixed-width
-    and decimal-line key domains) take the numpy path; anything else —
-    tuples, negative or >64-bit values — returns ``None`` and the
-    caller counts with ``bisect``."""
-    if not kernels_enabled():
-        return None
-    if not all(type(key) is int for key in keys):
-        return None
-    if not all(type(boundary) is int for boundary in boundaries):
-        return None
-    try:
-        key_array = np.asarray(keys, dtype=np.uint64)
-        bound_array = np.asarray(boundaries, dtype=np.uint64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    ids = np.searchsorted(bound_array, key_array, side="right")
-    return np.bincount(ids, minlength=len(boundaries) + 1).tolist()
-
-
 # ----------------------------------------------------------------------
 # per-phase profiling counters → ExchangeReport extras
 # ----------------------------------------------------------------------
+def kernel_label(labels: t.Iterable[str]) -> str | None:
+    """One label for the paths some calls ran: the path they share,
+    ``"mixed"`` when they differ, ``None`` when there were none."""
+    kinds = set(labels)
+    if not kinds:
+        return None
+    return kinds.pop() if len(kinds) == 1 else "mixed"
+
+
 def _phase_stats(results: t.Iterable[dict]) -> tuple[str, float] | None:
     """Fold worker kernel telemetry into ``(kernel_label, records_per_sec)``."""
     kinds: set[str] = set()
@@ -680,9 +683,9 @@ def _phase_stats(results: t.Iterable[dict]) -> tuple[str, float] | None:
         kinds.add(kernel)
         records += result.get("kernel_records", 0)
         seconds += result.get("kernel_s", 0.0)
-    if not kinds:
+    label = kernel_label(kinds)
+    if label is None:
         return None
-    label = kinds.pop() if len(kinds) == 1 else "mixed"
     return label, (records / seconds if seconds > 0 else 0.0)
 
 
@@ -702,11 +705,11 @@ def kernel_report_extras(
         extras["map_kernel"], extras["map_records_per_sec"] = map_stats
     if reduce_stats is not None:
         extras["reduce_kernel"], extras["reduce_records_per_sec"] = reduce_stats
-    kinds = {
+    label = kernel_label(
         stats[0] for stats in (map_stats, reduce_stats) if stats is not None
-    }
-    if kinds:
-        extras["kernel"] = kinds.pop() if len(kinds) == 1 else "mixed"
+    )
+    if label is not None:
+        extras["kernel"] = label
         total_records = sum(
             result.get("kernel_records", 0)
             for results in (map_results, reduce_results)

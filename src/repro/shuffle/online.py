@@ -183,9 +183,6 @@ def online_wave_mapper(ctx, task: dict) -> t.Generator:
             {"mapper": unit["mapper_id"], "chunk": unit["chunk"],
              "bytes": cell_bytes}
         )
-    kernel = "mixed" if len(kernel_kinds) > 1 else next(
-        iter(kernel_kinds), kernels.KERNEL_SCALAR
-    )
     return {
         "records": records_total,
         "units": len(task["units"]),
@@ -196,7 +193,7 @@ def online_wave_mapper(ctx, task: dict) -> t.Generator:
         "partition_bytes": partition_bytes,
         "cells": cells,
         "started_at": started_at,
-        "kernel": kernel,
+        "kernel": kernels.kernel_label(kernel_kinds) or kernels.KERNEL_SCALAR,
         "kernel_records": records_total,
         "kernel_s": kernel_s,
     }

@@ -43,10 +43,6 @@ class RecordCodec:
     # layout and an order-preserving uint64 key encoding.  The defaults
     # opt out, so custom codecs run the scalar path unchanged.
 
-    def supports_vectorized(self) -> bool:
-        """Whether this codec advertises the vectorized kernel layer."""
-        return self.vector_spec() is not None
-
     def vector_layout(self, buffer: bytes):
         """``(starts, ends)`` int64 offset arrays of every record in
         ``buffer``, or ``None`` to use the scalar path.  Must validate
@@ -63,14 +59,6 @@ class RecordCodec:
         """``window`` trimmed to its complete records — the buffer whose
         split equals :meth:`sample_window` — or ``None`` to opt out."""
         return None
-
-    def as_arrays(self, buffer: bytes):
-        """``(keys ndarray, (starts, ends) offsets)`` of ``buffer``, or
-        ``None`` when the codec (or environment) is not vectorizable."""
-        view = kernels.record_view(self, buffer)
-        if view is None:
-            return None
-        return view.keys, (view.starts, view.ends)
 
     def extract_split(
         self,
@@ -176,11 +164,7 @@ class LineRecordCodec(RecordCodec):
         return [line + b"\n" for line in lines]
 
     def vector_layout(self, buffer: bytes):
-        if kernels.np is None:
-            return None
-        if not buffer:
-            return kernels.line_layout(kernels.np.frombuffer(buffer, "u1"))
-        if not buffer.endswith(b"\n"):
+        if buffer and not buffer.endswith(b"\n"):
             raise ShuffleError(
                 "line-record buffer does not end with a newline; "
                 "was the split record-aligned?"
@@ -270,8 +254,6 @@ class FixedWidthCodec(RecordCodec):
         return self.split(usable)
 
     def vector_layout(self, buffer: bytes):
-        if kernels.np is None:
-            return None
         return kernels.fixed_layout(len(buffer), self.record_size)
 
     def vector_spec(self) -> kernels.KeySpec | None:

@@ -397,8 +397,8 @@ class RelayExchange(ExchangeBackend):
         # the caller); report per-sort deltas, not lifetime totals.
         self._stats_baseline = self.relay.stats.as_dict()
         # Epoch-scoped peak: each sort measures its own high watermark
-        # without resetting anyone else's (relay-global reset_peak would
-        # clobber concurrent jobs sharing this relay/fleet).
+        # without touching anyone else's, so concurrent jobs can share
+        # this relay/fleet.
         if self._peak_token is not None:
             self.relay.end_peak_epoch(self._peak_token)
         self._peak_token = self.relay.begin_peak_epoch()

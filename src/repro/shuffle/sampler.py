@@ -35,7 +35,6 @@ import itertools
 import typing as t
 
 from repro.errors import ShuffleError
-from repro.shuffle import kernels
 
 
 def reservoir_sample(items: t.Iterable[t.Any], capacity: int, rng) -> list[t.Any]:
@@ -152,11 +151,9 @@ def estimate_partition_weights(
     """
     if not sampled_keys:
         raise ShuffleError("cannot estimate partition weights from an empty sample")
-    counts = kernels.partition_counts(sampled_keys, boundaries)
-    if counts is None:  # non-integer keys: count with the scalar search
-        counts = [0] * (len(boundaries) + 1)
-        for key in sampled_keys:
-            counts[partition_index(key, boundaries)] += 1
+    counts = [0] * (len(boundaries) + 1)
+    for key in sampled_keys:
+        counts[partition_index(key, boundaries)] += 1
     total = len(sampled_keys)
     return [count / total for count in counts]
 

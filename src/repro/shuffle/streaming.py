@@ -55,13 +55,10 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import time
 import typing as t
 
 from repro.errors import ShuffleError
 from repro.shuffle import kernels
-from repro.shuffle.sampler import partition_index
-from repro.shuffle.records import RecordCodec
 from repro.shuffle.stages import read_split, write_run
 from repro.sim import SimEvent
 from repro.storage.serializer import deserialize, serialize
@@ -363,85 +360,38 @@ def streaming_shuffle_mapper(ctx, task: dict) -> t.Generator:
     staged mapper's partition segment byte for byte.
     """
     started_at = ctx.sim.now
-    codec: RecordCodec = task["codec"]
     owned = yield from read_split(ctx, task, task["start"], task["end"])
     stream = task["stream"]
     chunk_real = max(1, int(stream["chunk_bytes"] / ctx.logical_scale))
-    boundaries = task["boundaries"]
-    parts = len(boundaries) + 1
     port = _make_port(ctx, stream)
     mapper_id = task["mapper_id"]
-    partition_records = [0] * parts
+    partition_records = [0] * (len(task["boundaries"]) + 1)
     published_bytes = 0
-    kernel_s = time.perf_counter()
 
-    # Cut the split into chunks, then partition chunk by chunk.  The
-    # vectorized path decodes the split once and partitions each chunk
-    # span through the same RecordView — identical chunk cuts and
-    # per-chunk segments to the scalar greedy loop.  ``partition_chunk``
-    # returns (segments, records per partition, chunk bytes).
-    view = kernels.record_view(codec, owned)
-    if view is not None and not view.can_partition(boundaries):
-        view = None
-    if view is not None:
-        kernel = kernels.KERNEL_VECTORIZED
-        chunks: list = view.chunk_spans(chunk_real)
-        total_records = view.count
-
-        def partition_chunk(span: tuple[int, int]) -> tuple:
-            outcome = view.partition(boundaries, *span)
-            return (
-                outcome.segments(), outcome.partition_records, view.span_bytes(*span)
-            )
-    else:
-        kernel = kernels.KERNEL_SCALAR
-        records = codec.split(owned)
-        chunks = []
-        current: list[bytes] = []
-        current_bytes = 0
-        for record in records:
-            current.append(record)
-            current_bytes += len(record)
-            if current_bytes >= chunk_real:
-                chunks.append(current)
-                current, current_bytes = [], 0
-        if current:
-            chunks.append(current)
-        total_records = len(records)
-
-        def partition_chunk(chunk_records: list[bytes]) -> tuple:
-            partitions: list[list[bytes]] = [[] for _ in range(parts)]
-            for record in chunk_records:
-                partitions[
-                    partition_index(codec.key(record), boundaries)
-                ].append(record)
-            return (
-                [codec.join(bucket_records) for bucket_records in partitions],
-                [len(bucket_records) for bucket_records in partitions],
-                sum(len(record) for record in chunk_records),
-            )
-
-    kernel_s = time.perf_counter() - kernel_s
+    # Decode the split once, cut it into chunks, then partition and
+    # publish chunk by chunk: one chunk's segments are held at a time.
+    chunks = kernels.ChunkedPartition(
+        task["codec"], owned, task["boundaries"], chunk_real
+    )
+    kernel_s = chunks.elapsed_s
     yield from port.announce(mapper_id, len(chunks))
-    for chunk_index, chunk in enumerate(chunks):
-        chunk_started = time.perf_counter()
-        segments, counts, chunk_bytes = partition_chunk(chunk)
-        kernel_s += time.perf_counter() - chunk_started
-        yield ctx.compute_bytes(chunk_bytes, task["partition_throughput"])
-        for reducer_id, count in enumerate(counts):
+    for chunk_index, outcome in enumerate(chunks):
+        kernel_s += outcome.elapsed_s
+        yield ctx.compute_bytes(len(outcome.combined), task["partition_throughput"])
+        for reducer_id, count in enumerate(outcome.partition_records):
             partition_records[reducer_id] += count
-        published_bytes += sum(len(segment) for segment in segments)
-        yield from port.publish(mapper_id, chunk_index, segments)
+        published_bytes += len(outcome.combined)
+        yield from port.publish(mapper_id, chunk_index, outcome.segments())
 
     yield from port.finish(mapper_id, len(chunks))
     return {
-        "records": total_records,
+        "records": chunks.records,
         "bytes": published_bytes,
         "chunks": len(chunks),
         "partition_records": partition_records,
         "started_at": started_at,
-        "kernel": kernel,
-        "kernel_records": total_records,
+        "kernel": chunks.kernel,
+        "kernel_records": chunks.records,
         "kernel_s": kernel_s,
     }
 

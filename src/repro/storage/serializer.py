@@ -1,10 +1,9 @@
 """Serialization of call payloads and results.
 
 Lithops ships function arguments and results through object storage as
-pickled blobs; we do the same (with :mod:`cloudpickle` when available,
-falling back to the standard library for plain data).  Payload size is
-what the performance model charges, so serialization stays on the real
-byte path.
+pickled blobs; we do the same with :mod:`cloudpickle`, which also ships
+lambdas and closures by value.  Payload size is what the performance
+model charges, so serialization stays on the real byte path.
 """
 
 from __future__ import annotations
@@ -13,22 +12,14 @@ import io
 import pickle
 import typing as t
 
-try:  # cloudpickle serializes lambdas/closures, like Lithops uses
-    import cloudpickle as _cloudpickle
-except ImportError:  # pragma: no cover - cloudpickle is expected offline
-    _cloudpickle = None
+import cloudpickle
 
 from repro.errors import ExecutorError
 
 
 def serialize(obj: object) -> bytes:
-    """Pickle ``obj`` to bytes, preferring cloudpickle for functions."""
-    if _cloudpickle is not None:
-        return _cloudpickle.dumps(obj)
-    try:
-        return pickle.dumps(obj)
-    except Exception as exc:  # pragma: no cover - depends on payload
-        raise ExecutorError(f"cannot serialize object of type {type(obj)}") from exc
+    """Pickle ``obj`` to bytes with cloudpickle."""
+    return cloudpickle.dumps(obj)
 
 
 def deserialize(data: bytes) -> object:

@@ -514,78 +514,97 @@ class TestExtractSplitEdges:
 
 
 # ----------------------------------------------------------------------
-# counts, env gating
+# chunked partitioning (the streaming mapper's grain)
 # ----------------------------------------------------------------------
-class TestPartitionCounts:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200),
-        st.lists(st.integers(0, 2**64 - 1), max_size=8),
-    )
-    def test_counts_match_bisect(self, keys, raw_boundaries):
-        boundaries = sorted(raw_boundaries)
-        counts = kernels.partition_counts(keys, boundaries)
-        reference = [0] * (len(boundaries) + 1)
-        for key in keys:
-            reference[partition_index(key, boundaries)] += 1
-        assert counts == reference
-
-    def test_non_integer_keys_opt_out(self):
-        assert kernels.partition_counts([(1, 2)], [(0, 0)]) is None
-        assert kernels.partition_counts([1, 2], [(0, 0)]) is None
-        assert kernels.partition_counts([1, 2], [2**64]) is None  # overflow
+def greedy_chunks(records, chunk_bytes):
+    """The streaming mapper's scalar chunker: a chunk closes on the
+    first record that brings it to ``chunk_bytes``."""
+    chunks, current, size = [], [], 0
+    for record in records:
+        current.append(record)
+        size += len(record)
+        if size >= chunk_bytes:
+            chunks.append(current)
+            current, size = [], 0
+    if current:
+        chunks.append(current)
+    return chunks
 
 
-class TestEnvironmentGate:
-    def test_scalar_mode_disables_kernels(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "scalar")
-        codec = FixedWidthCodec(8)
-        payload = bytes(range(8)) * 4
-        assert not kernels.kernels_enabled()
-        assert record_view(codec, payload) is None
-        assert partition_buffer(codec, payload, []).kernel == "scalar"
-        assert kernels.partition_counts([1, 2], [1]) is None
-
-    def test_auto_mode_enables_kernels(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        assert kernels.kernels_enabled()
+def streaming_label(codec, payload, boundaries):
+    """The ``kernel`` label the streaming mapper reported while it chose
+    its own path: vectorized iff the split decodes and every boundary
+    encodes."""
+    if record_view(codec, payload) is None:
+        return "scalar"
+    spec = codec.vector_spec()
+    encodable = all(spec.to_u64(boundary) is not None for boundary in boundaries)
+    return "vectorized" if encodable else "scalar"
 
 
-# ----------------------------------------------------------------------
-# chunk spans (streaming/online chunking grain)
-# ----------------------------------------------------------------------
-class TestChunkSpans:
+def chunk_case(codec, payload, draw):
+    """Boundaries from the payload's keys — plus, half the time, one the
+    key encoding cannot hold (the fallback) — and a chunk size."""
+    keys = [codec.key(r) for r in codec.split(payload)]
+    boundaries = boundaries_from(keys, draw)
+    if draw(st.booleans()):
+        boundaries = sorted([*boundaries, draw(st.sampled_from([-1, 2**64]))])
+    return boundaries, draw(st.integers(1, len(payload) + 8))
+
+
+def assert_chunk_parity(codec, payload, boundaries, chunk_bytes):
+    chunks = kernels.ChunkedPartition(codec, payload, boundaries, chunk_bytes)
+    expected = greedy_chunks(codec.split(payload), chunk_bytes)
+    assert len(chunks) == len(expected)  # known before any chunk is partitioned
+    assert chunks.records == sum(len(chunk) for chunk in expected)
+    assert chunks.kernel == streaming_label(codec, payload, boundaries)
+    outcomes = list(chunks)
+    assert len(outcomes) == len(expected)
+    for outcome, records in zip(outcomes, expected):
+        ref = partition_buffer(codec, codec.join(records), boundaries, force_scalar=True)
+        assert outcome.kernel == chunks.kernel
+        assert outcome.combined == ref.combined
+        assert outcome.offsets == ref.offsets
+        assert outcome.partition_records == ref.partition_records
+        assert outcome.records == ref.records
+    return chunks
+
+
+class TestChunkedPartition:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_spans_match_greedy_scalar_chunking(self, data):
+    def test_fixed_width_chunks_match_greedy_scalar_chunking(self, data):
+        codec, payload = fixed_codec_and_buffer(data.draw)
+        boundaries, chunk_bytes = chunk_case(codec, payload, data.draw)
+        assert_chunk_parity(codec, payload, boundaries, chunk_bytes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_line_chunks_match_greedy_scalar_chunking(self, data):
         codec = decimal_line_codec()
         payload = line_buffer(data.draw)
-        if not payload:
-            return
-        chunk_bytes = data.draw(st.integers(1, len(payload) + 8))
-        view = record_view(codec, payload)
-        assert view is not None
-        spans = view.chunk_spans(chunk_bytes)
-        records = codec.split(payload)
-        chunks, current, size = [], 0, 0
-        for index, record in enumerate(records):
-            size += len(record)
-            if size >= chunk_bytes:
-                chunks.append((current, index + 1))
-                current, size = index + 1, 0
-        if current < len(records):
-            chunks.append((current, len(records)))
-        assert spans == chunks
-        # Partitioning span by span reproduces the whole-buffer segments.
-        keys = [codec.key(r) for r in records]
-        boundaries = boundaries_from(keys, data.draw)
-        whole = partition_buffer(codec, payload, boundaries, force_scalar=True)
-        by_span = [b""] * (len(boundaries) + 1)
-        for span_lo, span_hi in spans:
-            outcome = view.partition(boundaries, span_lo, span_hi)
+        boundaries, chunk_bytes = chunk_case(codec, payload, data.draw)
+        assert_chunk_parity(codec, payload, boundaries, chunk_bytes)
+
+    @pytest.mark.parametrize("boundary, kernel", [(5, "vectorized"), (2**64, "scalar")])
+    def test_both_paths_are_exercised(self, boundary, kernel):
+        codec = decimal_line_codec()
+        payload = b"".join(b"%d\tx\n" % value for value in range(12))
+        chunks = assert_chunk_parity(codec, payload, [boundary], 9)
+        assert chunks.kernel == kernel
+        assert len(chunks) == 5  # 3 + 3 + 3 + 2 + 1 records
+
+    def test_chunk_segments_concatenate_to_the_whole_partition(self):
+        codec = FixedWidthCodec(16, key_bytes=8)
+        payload = skewed_fixed_payload(500, SkewSpec(distribution="zipf"), seed=3)
+        keys = [codec.key(r) for r in codec.split(payload)]
+        boundaries = sorted(random.Random(1).sample(keys, 7))
+        whole = partition_buffer(codec, payload, boundaries)
+        by_chunk = [b""] * (len(boundaries) + 1)
+        for outcome in kernels.ChunkedPartition(codec, payload, boundaries, 1000):
             for reducer_id, segment in enumerate(outcome.segments()):
-                by_span[reducer_id] += segment
-        assert by_span == whole.segments()
+                by_chunk[reducer_id] += segment
+        assert by_chunk == whole.segments()
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,7 @@ from repro.cloud.objectstore.errors import (
 )
 from repro.cloud.profiles import GB, ObjectStoreProfile
 from repro.obs.metrics import registry
-from repro.sim import FairShareLink, LazyName, SimEvent, Simulator, TokenBucket
+from repro.sim import FairShareLink, LazyName, SimEvent, Simulator, TokenBucket, request
 
 
 class OpStats:
@@ -229,13 +229,15 @@ class ObjectStore:
         return self._spawn(self._delete_op(bucket, key), ("delete:{}", key))
 
     def _spawn(self, generator: t.Generator, label: LazyName) -> SimEvent:
-        # One process per request: the name stays a recipe (see
-        # ``repro.sim.events``) and is only rendered if somebody reads it.
-        return self.sim.process(generator, ("{}.{}", self.name, label)).completion
+        # One process per request, started at issue with no kick-off (see
+        # ``repro.sim.events``); the name stays a recipe and is only
+        # rendered if somebody reads it.
+        return request(self.sim, generator, ("{}.{}", self.name, label))
 
     # ------------------------------------------------------------------
     # operation bodies (a BoundStorage view runs them inside its own
-    # request process, so every request stays one process)
+    # request process, or inside its caller's, so every request is at
+    # most one process)
     # ------------------------------------------------------------------
     def _admit(self) -> SimEvent:
         """The rate limiter's event for one request, or fail fast with SlowDown."""

@@ -20,7 +20,7 @@ import typing as t
 from repro.cloud.objectstore.service import ObjectStore
 from repro.cloud.retry import RetryPolicy, retry_loop
 from repro.obs.trace import NOOP_SPAN
-from repro.sim import LazyName, SimEvent
+from repro.sim import LazyName, SimEvent, request
 
 
 class BoundStorage:
@@ -50,15 +50,16 @@ class BoundStorage:
         self.span = NOOP_SPAN
 
     # -- requests --------------------------------------------------------
-    # A request is the store's op body run in exactly one process: the
-    # verbs spawn it, and the retry loop runs each attempt inline with
-    # ``yield from`` (see "Simulator hot path" in repro.sim.events).  The
-    # ``*_request`` forms are the same generator for a caller that already
-    # runs in a process of its own (``Storage``'s retry loop).
-    def _spawn(self, request: t.Generator, label: LazyName) -> SimEvent:
+    # A request is the store's op body run in at most one process: the
+    # verbs start it at issue (``repro.sim.request``), and the retry loop
+    # runs each attempt inline with ``yield from`` (see "Simulator hot
+    # path" in repro.sim.events).  The ``*_request`` forms are the same
+    # generator for a caller that runs it in a process it already has
+    # (``Storage``'s retry loop, or ``repro.sim.inline``).
+    def _spawn(self, body: t.Generator, label: LazyName) -> SimEvent:
         if self.retry is None:
-            return self._store._spawn(request, label)
-        return self._store.sim.process(request, ("{}.{}", self.name, label)).completion
+            return self._store._spawn(body, label)
+        return request(self._store.sim, body, ("{}.{}", self.name, label))
 
     def _call(self, label: LazyName, body: t.Callable, *args) -> SimEvent:
         return self._spawn(self._request(label, body, *args), label)

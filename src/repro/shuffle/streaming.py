@@ -60,7 +60,7 @@ import typing as t
 from repro.errors import ShuffleError
 from repro.shuffle import kernels
 from repro.shuffle.stages import read_split, write_run
-from repro.sim import SimEvent
+from repro.sim import SimEvent, inline
 from repro.storage.serializer import deserialize, serialize
 
 
@@ -112,10 +112,16 @@ def stream_segment_key(
 
 
 def poll_object(ctx, bucket: str, key: str, interval: float) -> t.Generator:
-    """GET ``bucket/key``, polling with gentle backoff until it exists."""
+    """GET ``bucket/key``, polling with gentle backoff until it exists.
+
+    Each GET runs inline in the caller's process (see "Simulator hot
+    path" in :mod:`repro.sim.events`): the poller is its one waiter.
+    """
     delay = interval
     while True:
-        raw = yield ctx.storage.get(bucket, key, missing_ok=True)
+        raw = yield from inline(
+            ctx.sim, ctx.storage.get_request(bucket, key, missing_ok=True)
+        )
         if raw is not None:
             return raw
         yield ctx.sleep(delay)
@@ -180,30 +186,45 @@ class _ObjectStorePort:
         if end <= start:
             return b""
         return (
-            yield self.ctx.storage.get_range(
-                self.bucket,
-                stream_chunk_object_key(self.prefix, mapper_id, chunk),
-                start,
-                end,
+            yield from inline(
+                self.ctx.sim,
+                self.ctx.storage.get_range_request(
+                    self.bucket,
+                    stream_chunk_object_key(self.prefix, mapper_id, chunk),
+                    start,
+                    end,
+                ),
             )
         )
 
     def next_chunk(
         self, mapper_id: int, reducer_id: int, chunk: int
     ) -> t.Generator:
-        """The reducer's segment of chunk ``chunk``, or ``None`` at EOS."""
+        """The reducer's segment of chunk ``chunk``, or ``None`` at EOS.
+
+        Every GET runs inline in the fetcher's process (see
+        :func:`poll_object`).
+        """
+        sim, storage = self.ctx.sim, self.ctx.storage
         delay = self.poll_interval
         while True:
-            raw = yield self.ctx.storage.get(
-                self.bucket,
-                stream_manifest_key(self.prefix, mapper_id, chunk),
-                missing_ok=True,
+            raw = yield from inline(
+                sim,
+                storage.get_request(
+                    self.bucket,
+                    stream_manifest_key(self.prefix, mapper_id, chunk),
+                    missing_ok=True,
+                ),
             )
             if raw is not None:
                 return (yield from self._segment(raw, mapper_id, reducer_id, chunk))
             if mapper_id not in self._eos:
-                raw = yield self.ctx.storage.get(
-                    self.bucket, stream_eos_key(self.prefix, mapper_id), missing_ok=True
+                raw = yield from inline(
+                    sim,
+                    storage.get_request(
+                        self.bucket, stream_eos_key(self.prefix, mapper_id),
+                        missing_ok=True,
+                    ),
                 )
                 if raw is not None:
                     self._eos[mapper_id] = deserialize(raw)

@@ -9,7 +9,7 @@ Public surface::
     from repro.sim import Simulator, FOREVER
     from repro.sim import SimEvent, Timeout, AllOf, AnyOf
     from repro.sim import LazyName, render_name
-    from repro.sim import Process
+    from repro.sim import Process, request, inline
     from repro.sim import Resource, TokenBucket, Store
     from repro.sim import FairShareLink
 """
@@ -18,7 +18,7 @@ from repro.sim.events import AllOf, AnyOf, LazyName, SimEvent, Timeout, render_n
 from repro.sim.kernel import FOREVER, Simulator
 from repro.sim.links import FairShareLink
 from repro.sim.notify import KeyedWatch
-from repro.sim.process import Process
+from repro.sim.process import Process, inline, request
 from repro.sim.resources import Resource, Store, TokenBucket
 from repro.sim.rng import RngRegistry, derive_seed
 
@@ -38,5 +38,7 @@ __all__ = [
     "Timeout",
     "TokenBucket",
     "derive_seed",
+    "inline",
     "render_name",
+    "request",
 ]

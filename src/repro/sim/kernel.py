@@ -24,7 +24,15 @@ import typing as t
 
 from repro.errors import DeadlockError, SimulationError
 from repro.obs.trace import Tracer, trace_enabled_from_env
-from repro.sim.events import _PENDING, AllOf, AnyOf, LazyName, SimEvent, Timeout
+from repro.sim.events import (
+    _NO_WAITERS,
+    _PENDING,
+    AllOf,
+    AnyOf,
+    LazyName,
+    SimEvent,
+    Timeout,
+)
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 
@@ -77,8 +85,15 @@ class Simulator:
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
         """Create an event that triggers ``delay`` seconds from now."""
+        # ``_schedule`` spelled out: the one heap push per request timer.
+        if not delay >= 0:
+            raise SimulationError(
+                f"cannot schedule {delay!r} seconds from now: a delay must be "
+                "a non-negative number"
+            )
         event = Timeout(self, delay, value)
-        self._schedule(delay, event)
+        self._seq += 1
+        heapq.heappush(self._heap, (self._now + delay, self._seq, event))
         return event
 
     def all_of(self, events: t.Sequence[SimEvent]) -> AllOf:
@@ -92,10 +107,11 @@ class Simulator:
     def _schedule(self, delay: float, event: SimEvent) -> None:
         """Arrange for ``event`` to succeed ``delay`` seconds from now.
 
-        Everything that reaches the heap comes through here, so this is
-        the one place a delay is validated.  ``not delay >= 0`` rather
-        than ``delay < 0``: a NaN compares false both ways and would
-        otherwise be pushed and silently break the heap's ordering.
+        Everything that reaches the heap comes through here or through
+        :meth:`timeout`, its inlined copy; both validate the delay the
+        same way.  ``not delay >= 0`` rather than ``delay < 0``: a NaN
+        compares false both ways and would otherwise be pushed and
+        silently break the heap's ordering.
         """
         if not delay >= 0:
             raise SimulationError(
@@ -138,9 +154,16 @@ class Simulator:
         if time < self._now:  # pragma: no cover - defensive
             raise SimulationError("event heap went backwards in time")
         self._now = time
-        # Skip an entry somebody triggered by hand before it came due.
+        # Skip an entry somebody triggered by hand before it came due;
+        # otherwise ``event.succeed`` spelled out (the event is pending).
         if event._value is _PENDING and event._exc is None:
-            event.succeed(event._scheduled_value)
+            event._value = event._scheduled_value
+            callbacks, event._callbacks = event._callbacks, None
+            if type(callbacks) is list:
+                for callback in callbacks:
+                    callback(event)
+            elif callbacks is not _NO_WAITERS:
+                callbacks(event)
         return True
 
     def run(self, until: float | SimEvent = FOREVER) -> object:
@@ -149,13 +172,20 @@ class Simulator:
         ``until`` may be:
 
         * ``FOREVER`` (default) — run until the event heap drains;
-        * a ``float`` — run until virtual time reaches that instant;
+        * a ``float`` — run until virtual time reaches that instant, which
+          may not lie before :attr:`now` (nor be NaN);
         * a :class:`SimEvent` — run until that event triggers, returning
           its value (or raising its exception).
         """
         if isinstance(until, SimEvent):
             return self._run_until_event(until)
         deadline = float(until)
+        # ``not >=`` so that NaN is refused too: the clock never runs
+        # backwards, and never leaves the numbers.
+        if not deadline >= self._now:
+            raise SimulationError(
+                f"cannot run until {until!r}: the clock is already at {self._now!r}"
+            )
         heap, step = self._heap, self.step
         while heap:
             if heap[0][0] > deadline:

@@ -22,6 +22,12 @@ Example
 Processes compose: ``yield other_process.completion`` waits for another
 process; ``yield from subroutine(...)`` inlines a sub-generator with no
 kernel involvement.
+
+``sim.process`` starts a body at a heap kick-off.  A storage request
+needs none (see "Simulator hot path" in :mod:`repro.sim.events`):
+:func:`request` runs the body's first step at issue and hands the rest
+to a process built by :meth:`Process.adopt`, and :func:`inline` runs
+the body in the caller's own process.
 """
 
 from __future__ import annotations
@@ -49,6 +55,35 @@ class Process:
     __slots__ = ("sim", "_name", "generator", "completion", "_waiting_on", "_resume")
 
     def __init__(self, sim: "Simulator", generator: t.Generator, name: LazyName = ""):
+        self._attach(sim, generator, name)
+        # Start the process at the current instant, but via the event heap
+        # so that creation order == start order and the creator finishes
+        # its own current step first.  The kickoff event succeeds with
+        # ``None``, which primes the generator (first ``send(None)``).
+        kickoff = SimEvent(sim, ("{}.start", self._name))
+        kickoff._callbacks = self._resume  # its one waiter
+        self._waiting_on: SimEvent | None = kickoff
+        sim._schedule(0.0, kickoff)
+
+    @classmethod
+    def adopt(
+        cls, sim: "Simulator", generator: t.Generator, event: object, name: LazyName = ""
+    ) -> "Process":
+        """A process that takes over ``generator``, already parked at ``event``.
+
+        ``event`` is what the generator's last step yielded; the process
+        resumes the generator when it triggers (at once if it already
+        has).  There is no kick-off: the generator's earlier steps ran
+        in whoever drove it so far (see :func:`request` and
+        :func:`inline`).
+        """
+        process = cls.__new__(cls)
+        process._attach(sim, generator, name)
+        process._waiting_on = None
+        process._wait_on(event)
+        return process
+
+    def _attach(self, sim: "Simulator", generator: t.Generator, name: LazyName) -> None:
         if not hasattr(generator, "send"):
             raise SimulationError(
                 f"Process requires a generator, got {type(generator).__name__}; "
@@ -63,14 +98,6 @@ class Process:
         # process is not kept alive by a cycle through it.
         self._resume: t.Callable[[SimEvent], None] | None = self._on_event
         sim._active_processes += 1
-        # Start the process at the current instant, but via the event heap
-        # so that creation order == start order and the creator finishes
-        # its own current step first.  The kickoff event succeeds with
-        # ``None``, which primes the generator (first ``send(None)``).
-        kickoff = SimEvent(sim, ("{}.start", name))
-        kickoff._callbacks = self._resume  # its one waiter
-        self._waiting_on: SimEvent | None = kickoff
-        sim._schedule(0.0, kickoff)
 
     # ------------------------------------------------------------------
     # state
@@ -201,3 +228,70 @@ class Process:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else "finished"
         return f"<Process {self.name!r} {state}>"
+
+
+# ----------------------------------------------------------------------
+# requests: a body started at issue, with no kick-off
+# ----------------------------------------------------------------------
+def request(sim: "Simulator", body: t.Generator, name: LazyName = "") -> SimEvent:
+    """Run ``body``'s first step now and adopt it; the event is its outcome.
+
+    For a storage request whose caller waits on the event: the body's
+    first step (admission, the latency draw) runs at issue instead of
+    at a kick-off one heap hop later, and the rest runs in a process of
+    its own (:meth:`Process.adopt`).  A body that finishes or fails in
+    its first step hands back an event that has already triggered.
+    """
+    try:
+        target = body.send(None)
+    except StopIteration as stop:
+        return SimEvent(sim, ("{}.completion", name)).succeed(stop.value)
+    except BaseException as exc:  # noqa: BLE001 - request bodies may raise anything
+        # This frame holds ``body``; keep it out of the traceback, as
+        # ``Process._on_event`` keeps its own out.
+        exc.__traceback__ = exc.__traceback__.tb_next
+        return SimEvent(sim, ("{}.completion", name)).fail(exc)
+    return Process.adopt(sim, body, target, name).completion
+
+
+def inline(sim: "Simulator", body: t.Generator) -> t.Generator:
+    """Run ``body`` inside the calling process: ``yield from inline(sim, body)``.
+
+    The body's events are the caller's, with no process, kick-off or
+    completion event of its own.  Unlike ``yield from body``, an
+    :class:`Interrupted` thrown at the caller's wait never reaches the
+    body: the body is adopted by a process of its own at the event it
+    was parked on (:meth:`Process.adopt`) and the interrupt re-raised
+    in the caller, so an abandoned request still finishes, bills and
+    counts, as one in a process of its own would have.
+    """
+    try:
+        target = body.send(None)
+        while True:
+            # An event that has already succeeded (a rate token granted
+            # on the spot) resumes the body at once, as the caller's
+            # process would, without the round trip through it.
+            while (
+                isinstance(target, SimEvent)
+                and target._callbacks is None
+                and target._exc is None
+            ):
+                target = body.send(target._value)
+            try:
+                value = yield target
+            except BaseException as exc:
+                waited = target.completion if isinstance(target, Process) else target
+                if waited._exc is not exc:
+                    # Thrown at the caller, not delivered by the event: an
+                    # interrupt (the body carries on alone) or a close.
+                    if isinstance(exc, Interrupted):
+                        Process.adopt(sim, body, target)
+                    raise
+                # Let go of the failed event first: if the body re-raises,
+                # this frame is in the traceback and must not hold it.
+                target = waited = None
+                target = body.throw(exc)
+                continue
+            target = body.send(value)
+    except StopIteration as stop:
+        return stop.value

@@ -1,10 +1,9 @@
 """Lithops-like storage client with retry/backoff.
 
 :class:`Storage` wraps a (possibly bandwidth-bounded) object store with
-the conveniences analytics code wants: pickled objects, text helpers,
-and automatic backoff-and-retry on :class:`SlowDown` throttling errors —
-the behaviour real COS clients implement and the paper's shuffle relies
-on when the function count is mis-sized.
+automatic backoff-and-retry on :class:`SlowDown` throttling errors — the
+behaviour real COS clients implement and the paper's shuffle relies on
+when the function count is mis-sized.
 
 All methods return :class:`~repro.sim.events.SimEvent`s; callers are
 simulation processes.
@@ -16,8 +15,7 @@ import typing as t
 
 from repro.cloud.retry import RETRYABLE_ERRORS, RetryPolicy, retry_loop
 from repro.cloud.storageview import BoundStorage
-from repro.sim import SimEvent, Simulator
-from repro.storage.serializer import deserialize, serialize
+from repro.sim import SimEvent, Simulator, request
 
 __all__ = ["RETRYABLE_ERRORS", "RetryPolicy", "Storage"]
 
@@ -49,12 +47,14 @@ class Storage:
         """Run ``make_request`` with backoff-and-retry on SlowDown, in one process.
 
         Each attempt is the backend's request run inline by
-        :func:`~repro.cloud.retry.retry_loop`.
+        :func:`~repro.cloud.retry.retry_loop`; the loop starts at issue,
+        with no kick-off (:func:`~repro.sim.request`).
         """
-        return self.sim.process(
+        return request(
+            self.sim,
             retry_loop(self, self.sim, label, make_request),
-            name=f"{self.name}.{label}",
-        ).completion
+            ("{}.{}", self.name, label),
+        )
 
     # ------------------------------------------------------------------
     # byte-level API
@@ -92,35 +92,3 @@ class Storage:
         return self._with_retry(
             lambda: self.backend.delete_request(bucket, key), f"delete:{key}"
         )
-
-    # ------------------------------------------------------------------
-    # pickled-object API
-    # ------------------------------------------------------------------
-    def put_pickle(self, bucket: str, key: str, obj: object) -> SimEvent:
-        """Serialize ``obj`` and store it; event → object metadata."""
-        return self.put_object(bucket, key, serialize(obj))
-
-    def get_pickle(self, bucket: str, key: str) -> SimEvent:
-        """Fetch and deserialize an object; event → the Python value."""
-        return self.sim.process(
-            self._get_pickle(bucket, key), name=f"{self.name}.get_pickle:{key}"
-        ).completion
-
-    def _get_pickle(self, bucket: str, key: str) -> t.Generator:
-        data = yield self.get_object(bucket, key)
-        return deserialize(data)
-
-    # ------------------------------------------------------------------
-    # text helpers
-    # ------------------------------------------------------------------
-    def put_text(self, bucket: str, key: str, text: str) -> SimEvent:
-        return self.put_object(bucket, key, text.encode("utf-8"))
-
-    def get_text(self, bucket: str, key: str) -> SimEvent:
-        return self.sim.process(
-            self._get_text(bucket, key), name=f"{self.name}.get_text:{key}"
-        ).completion
-
-    def _get_text(self, bucket: str, key: str) -> t.Generator:
-        data = yield self.get_object(bucket, key)
-        return data.decode("utf-8")

@@ -11,7 +11,7 @@ from repro.cloud.profiles import ibm_us_east
 from repro.cloud.retry import RetryPolicy
 from repro.cloud.storageview import BoundStorage
 from repro.errors import StorageError
-from repro.sim import render_name
+from repro.sim import Process, inline, render_name
 
 
 @pytest.fixture
@@ -84,23 +84,31 @@ class TestBoundStorage:
 
 @contextlib.contextmanager
 def counted_processes(sim):
-    """Processes ``sim`` creates, and kick-offs it schedules, inside the block."""
+    """Processes ``sim`` builds — started or adopted — and kick-offs it
+    schedules, inside the block."""
     counts = {"processes": 0, "kickoffs": 0}
     process, schedule = sim.process, sim._schedule
+    adopt = Process.__dict__["adopt"]
 
     def counting_process(*args, **kwargs):
         counts["processes"] += 1
         return process(*args, **kwargs)
+
+    def counting_adopt(cls, owner, *args, **kwargs):
+        counts["processes"] += owner is sim
+        return adopt.__func__(cls, owner, *args, **kwargs)
 
     def counting_schedule(delay, event):
         counts["kickoffs"] += render_name(event._name).endswith(".start")
         schedule(delay, event)
 
     sim.process, sim._schedule = counting_process, counting_schedule
+    Process.adopt = classmethod(counting_adopt)
     try:
         yield counts
     finally:
         del sim.process, sim._schedule
+        Process.adopt = adopt
 
 
 def throttle(store, times):
@@ -117,41 +125,67 @@ def throttle(store, times):
 
 
 class TestOneProcessPerRequest:
-    """A view's request is the store's op body in exactly one process:
-    the retry loop runs every attempt inline."""
+    """A view's request is the store's op body in at most one process,
+    started at issue: no kick-off, and the retry loop runs every attempt
+    inline.  Run with ``inline`` in the caller's process, it is no
+    process at all."""
 
     VERBS = {
         "get": lambda view: view.get("b", "k"),
         "get_range": lambda view: view.get_range("b", "k", 1, 3),
         "put": lambda view: view.put("b", "k2", b"data"),
     }
+    REQUESTS = {
+        "get": lambda view: view.get_request("b", "k"),
+        "get_range": lambda view: view.get_range_request("b", "k", 1, 3),
+        "put": lambda view: view.put_request("b", "k2", b"data"),
+    }
 
-    def request(self, cloud, view, verb, slowdowns=0):
+    def request(self, cloud, view, verb, slowdowns=0, inlined=False):
         def scenario():
             yield cloud.store.put("b", "k", b"0123")
             throttle(cloud.store, slowdowns)
             with counted_processes(cloud.sim) as counts:
-                value = yield self.VERBS[verb](view)
+                if inlined:
+                    value = yield from inline(cloud.sim, self.REQUESTS[verb](view))
+                else:
+                    value = yield self.VERBS[verb](view)
             return value, counts
 
         return cloud.sim.run_process(scenario())
 
     @pytest.mark.parametrize("verb", VERBS)
-    def test_a_retrying_view_spawns_one_process(self, cloud, verb):
+    def test_a_retrying_view_adopts_one_process_without_a_kickoff(self, cloud, verb):
         view = BoundStorage(cloud.store, None, retry=RetryPolicy(), name="fn")
         _value, counts = self.request(cloud, view, verb)
-        assert counts == {"processes": 1, "kickoffs": 1}
+        assert counts == {"processes": 1, "kickoffs": 0}
 
     @pytest.mark.parametrize("verb", VERBS)
-    def test_a_view_without_a_policy_spawns_the_body_once(self, cloud, verb):
+    def test_a_view_without_a_policy_adopts_the_body_once(self, cloud, verb):
         _value, counts = self.request(cloud, BoundStorage(cloud.store, None), verb)
-        assert counts == {"processes": 1, "kickoffs": 1}
+        assert counts == {"processes": 1, "kickoffs": 0}
+
+    @pytest.mark.parametrize("verb", VERBS)
+    @pytest.mark.parametrize("retry", [None, RetryPolicy()], ids=["bare", "retrying"])
+    def test_an_inline_request_is_no_process(self, cloud, verb, retry):
+        view = BoundStorage(cloud.store, None, retry=retry, name="fn")
+        value, counts = self.request(cloud, view, verb, inlined=True)
+        assert counts == {"processes": 0, "kickoffs": 0}
+        if verb == "get":
+            assert value == b"0123"
 
     def test_two_slowdowns_then_success_is_still_one_process(self, cloud):
         view = BoundStorage(cloud.store, None, retry=RetryPolicy(), name="fn")
         value, counts = self.request(cloud, view, "get", slowdowns=2)
         assert value == b"0123"
-        assert counts["processes"] == 1
+        assert counts == {"processes": 1, "kickoffs": 0}
+        assert view.retries == 2
+
+    def test_two_slowdowns_then_success_inline_is_no_process(self, cloud):
+        view = BoundStorage(cloud.store, None, retry=RetryPolicy(), name="fn")
+        value, counts = self.request(cloud, view, "get", slowdowns=2, inlined=True)
+        assert value == b"0123"
+        assert counts == {"processes": 0, "kickoffs": 0}
         assert view.retries == 2
 
     def test_an_exhausted_request_raises_the_same_storage_error(self, cloud):
@@ -196,16 +230,37 @@ class TestOneProcessPerRequest:
             except StorageError as exc:  # exhausted, NoSuchKey, NoSuchBucket
                 failures.append(type(exc).__name__)
 
-        gc.collect()
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for bucket in ("b", "nope") * 15:
-                cloud.sim.process(worker(bucket))
-            cloud.sim.run()
-            assert sorted(set(failures)) == ["NoSuchBucket", "NoSuchKey", "StorageError"]
-            failures.clear()
-            assert gc.collect() == 0
-        finally:
-            if was_enabled:
-                gc.enable()
+        assert_collector_free(cloud, worker, failures)
+
+    def test_failed_inline_requests_leave_nothing_for_the_collector(self, cloud):
+        view = BoundStorage(
+            cloud.store, None, retry=RetryPolicy(max_attempts=2), name="fn"
+        )
+        throttle(cloud.store, 20)
+        failures = []
+
+        def worker(bucket):
+            try:
+                yield from inline(cloud.sim, view.get_request(bucket, "missing"))
+            except StorageError as exc:  # exhausted, NoSuchKey, NoSuchBucket
+                failures.append(type(exc).__name__)
+
+        assert_collector_free(cloud, worker, failures)
+
+
+def assert_collector_free(cloud, worker, failures):
+    """Fail 30 requests through ``worker`` with the collector off: each
+    failure is freed by reference count, none left for ``gc.collect``."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for bucket in ("b", "nope") * 15:
+            cloud.sim.process(worker(bucket))
+        cloud.sim.run()
+        assert sorted(set(failures)) == ["NoSuchBucket", "NoSuchKey", "StorageError"]
+        failures.clear()
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -100,6 +100,24 @@ class TestRunSemantics:
         assert timeout.triggered
         assert sim.now == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("until", [5.0, float("nan"), -1.0])
+    def test_run_until_before_now_or_nan_is_refused(self, sim, until):
+        """The clock never runs backwards, nor to NaN."""
+        timeout = sim.timeout(20.0)
+        sim.run(until=10.0)
+        with pytest.raises(SimulationError, match="clock is already at 10.0"):
+            sim.run(until=until)
+        assert sim.now == 10.0
+        sim.run()  # nothing was lost
+        assert timeout.triggered
+        assert sim.now == 20.0
+
+    def test_run_until_now_is_a_no_op(self, sim):
+        sim.timeout(3.0)
+        sim.run(until=2.0)
+        sim.run(until=2.0)
+        assert sim.now == 2.0
+
     def test_failed_process_does_not_deadlock_others(self, sim):
         def failing():
             yield sim.timeout(1.0)

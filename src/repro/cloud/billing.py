@@ -3,15 +3,25 @@
 Every billable action (a storage request, a function GB-second, a VM
 second, stored bytes over time) is recorded as a :class:`CostLine` on the
 region's :class:`CostMeter`.  The paper's Table 1 "Cost ($)" column is
-the sum over a pipeline run; the workflow tracker additionally groups
-lines by pipeline stage, reproducing the paper's per-stage cost
-breakdown UI.
+the sum over a pipeline run.
+
+A line's tags name its owner: the ``owner`` of the simulated process
+that charged it (:mod:`repro.sim.process`), with the call site's keyword
+tags over it.  A process inherits its owner from the one that started
+it, so a workflow's tenant and a stage's name travel with every request,
+activation and instance its work starts, however many workflows share
+the region.  The workflow tracker sums a stage's lines by those tags,
+reproducing the paper's per-stage cost breakdown UI.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
+import typing as t
+
+if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.kernel import Simulator
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -44,18 +54,16 @@ class CostLine:
 
 
 class CostMeter:
-    """Append-only ledger of :class:`CostLine` entries."""
+    """Append-only ledger of :class:`CostLine` entries.
 
-    def __init__(self) -> None:
+    ``sim`` is the simulator whose processes charge this meter: a line
+    takes the owner of the process that charged it (``()`` outside any
+    process, or on a meter without a simulator).
+    """
+
+    def __init__(self, sim: Simulator | None = None) -> None:
+        self.sim = sim
         self.lines: list[CostLine] = []
-        self._context_tags: dict[str, str] = {}
-        #: Per-key stack of shadowed values, so nested ``push_tag`` of the
-        #: same key restores the outer value on ``pop_tag`` instead of
-        #: dropping it (``None`` marks "key was unset before the push").
-        self._tag_stack: dict[str, list[str | None]] = {}
-        #: ``_context_tags`` as a line's sorted tag tuple, rebuilt only
-        #: when ``push_tag`` / ``pop_tag`` change them.
-        self._line_tags: tuple[tuple[str, str], ...] = ()
 
     # ------------------------------------------------------------------
     # recording
@@ -69,46 +77,14 @@ class CostMeter:
         usd: float,
         **tags: str,
     ) -> None:
-        """Record one billable line, merged with any ambient context tags."""
-        line_tags = self._line_tags
+        """Record one billable line: the charging process's owner, ``tags`` over it."""
+        process = self.sim.active_process if self.sim is not None else None
+        line_tags = () if process is None else process.owner
         if tags:
-            merged = dict(self._context_tags)
+            merged = dict(line_tags)
             merged.update(tags)
             line_tags = tuple(sorted(merged.items()))
         self.lines.append(CostLine(time, service, item, quantity, usd, line_tags))
-
-    def push_tag(self, key: str, value: str) -> None:
-        """Attach ``key=value`` to every subsequent charge (until popped).
-
-        Used by the workflow engine to attribute costs to pipeline stages
-        without threading a stage label through every storage call.
-
-        Pushes nest: pushing a key that is already set shadows the outer
-        value, and the matching :meth:`pop_tag` *restores* it, so an
-        engine-level ``stage`` tag under a service-level ``tenant`` tag
-        never silently drops the outer attribution.
-        """
-        self._tag_stack.setdefault(key, []).append(self._context_tags.get(key))
-        self._context_tags[key] = value
-        self._line_tags = tuple(sorted(self._context_tags.items()))
-
-    def pop_tag(self, key: str) -> None:
-        """Undo the most recent :meth:`push_tag` of ``key``.
-
-        Restores the value the key had before that push (removing the key
-        if it was unset).  Popping a key that was never pushed is a no-op.
-        """
-        stack = self._tag_stack.get(key)
-        previous = None
-        if stack:
-            previous = stack.pop()
-            if not stack:
-                del self._tag_stack[key]
-        if previous is None:
-            self._context_tags.pop(key, None)
-        else:
-            self._context_tags[key] = previous
-        self._line_tags = tuple(sorted(self._context_tags.items()))
 
     # ------------------------------------------------------------------
     # aggregation
@@ -161,7 +137,7 @@ class CostMeter:
 
     def since(self, marker: int) -> "CostMeter":
         """A new meter containing only lines recorded after ``marker``."""
-        view = CostMeter()
+        view = CostMeter(self.sim)
         view.lines = self.lines[marker:]
         return view
 

@@ -25,7 +25,7 @@ class Cloud:
         self.sim = sim
         self.profile = profile if profile is not None else ibm_us_east()
         self.profile.validate()
-        self.meter = CostMeter()
+        self.meter = CostMeter(sim)
         self.store = ObjectStore(
             sim,
             self.profile.objectstore,

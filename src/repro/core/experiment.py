@@ -100,12 +100,12 @@ def run_pipeline(
     engine = WorkflowEngine(cloud, dag)
     engine.workload = config.workload  # used by the stage implementations
 
-    cost_marker = cloud.meter.snapshot()
+    marker = cloud.meter.snapshot()
     started = cloud.sim.now
     result = t.cast(WorkflowResult, cloud.sim.run(until=engine.run()))
     latency = cloud.sim.now - started
     cloud.finalize()
-    cost = cloud.meter.since(cost_marker).total_usd
+    cost = cloud.meter.since(marker).total_usd
 
     reports = result.tracker.reports
     return PipelineRun(

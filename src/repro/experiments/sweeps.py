@@ -1341,11 +1341,7 @@ def sweep_service(config: ExperimentConfig | None = None) -> list[dict]:
         result = yield operator.sort(
             BUCKET, job["key"], out_prefix=job["job"], workers=SERVICE_WORKERS
         )
-        cloud.meter.push_tag("fleet", f"perjob-{job['job']}")
-        try:
-            substrate.release(fleet)
-        finally:
-            cloud.meter.pop_tag("fleet")
+        substrate.release(fleet)
         outcomes[job["job"]] = {
             "wait_s": boot_done - job["arrival_s"],
             "latency_s": cloud.sim.now - job["arrival_s"],
@@ -1371,11 +1367,8 @@ def sweep_service(config: ExperimentConfig | None = None) -> list[dict]:
     perjob_faas = sum(
         line.usd for line in cloud.meter.filtered(service="faas")
     )
-    perjob_fleet = sum(
-        line.usd
-        for line in cloud.meter.filtered(service="vm")
-        if dict(line.tags).get("fleet", "").startswith("perjob-")
-    )
+    # This cloud runs the per-job fleets and nothing else on a VM.
+    perjob_fleet = sum(line.usd for line in cloud.meter.filtered(service="vm"))
     rows.append(blank_row(
         strategy="per-job",
         kind="total",

@@ -34,8 +34,9 @@ tenants against **one shared, autoscaling relay fleet**:
   to terminate, so right-sizing is directly visible in dollars;
 * **cost attribution** — every job's function invocations carry
   ``tenant``/``job`` billing tags
-  (:class:`~repro.executor.FunctionExecutor` ``billing_tags``), fleet
-  generations tag their instance-second lines at terminate, and
+  (:class:`~repro.executor.FunctionExecutor` ``billing_tags``), a
+  fleet generation's dollars are the instance lines of its shard VMs
+  (each carries its ``vm`` tag), and
   :meth:`ExchangeService.tenant_costs` apportions each generation's
   dollars over the tenants' byte-second usage of it — the sum over
   tenants equals the fleet total to the cent.
@@ -131,10 +132,6 @@ class _Generation:
     terminated_at: float | None = None
     #: Per-tenant byte-seconds of fleet occupancy, for cost apportioning.
     tenant_byte_s: dict[str, float] = dataclasses.field(default_factory=dict)
-
-    @property
-    def tag(self) -> str:
-        return f"svc-gen-{self.gen_id}"
 
 
 class ExchangeService:
@@ -398,30 +395,31 @@ class ExchangeService:
         return len(self._queue)
 
     @property
-    def running_count(self) -> int:
-        return len(self._running)
-
-    @property
     def current_shards(self) -> int:
         return self._current.shards if self._current is not None else 0
 
     def fleet_cost_usd(self) -> float:
-        """Total dollars of every generation's tagged instance lines."""
+        """Total dollars of every generation's instance lines."""
         total = 0.0
         for generation in self._generations:
-            total += sum(
-                line.usd
-                for line in self.cloud.meter.filtered(
-                    service="vm", fleet=generation.tag
-                )
-            )
+            total += self._generation_usd(generation)
         return total
+
+    def _generation_usd(self, generation: _Generation) -> float:
+        """Dollars of the ``vm`` lines of ``generation``'s shard VMs."""
+        vm_ids = {shard.vm.vm_id for shard in generation.fleet.shards}
+        return sum(
+            line.usd
+            for line in self.cloud.meter.filtered(service="vm")
+            if dict(line.tags).get("vm") in vm_ids
+        )
 
     def tenant_costs(self) -> dict[str, dict[str, float]]:
         """Per-tenant dollars: tagged function lines + fleet share.
 
-        The function (and per-invocation storage) side is exact — every
-        activation's gb-seconds carry the tenant's billing tag.  Each
+        The function side is exact — every activation's gb-seconds carry
+        the tenant's billing tag.  The storage requests its workers make
+        carry no tenant tag and are in neither side.  Each
         fleet generation's instance dollars are apportioned over the
         tenants' byte-seconds of occupancy on that generation; a
         generation nobody used (pure idle capacity) is split evenly so
@@ -435,15 +433,10 @@ class ExchangeService:
         for tenant in tenants:
             out[tenant]["faas_usd"] = sum(
                 line.usd
-                for line in self.cloud.meter.filtered(tenant=tenant)
+                for line in self.cloud.meter.filtered(service="faas", tenant=tenant)
             )
         for generation in self._generations:
-            gen_usd = sum(
-                line.usd
-                for line in self.cloud.meter.filtered(
-                    service="vm", fleet=generation.tag
-                )
-            )
+            gen_usd = self._generation_usd(generation)
             if gen_usd == 0.0:
                 continue
             weights = generation.tenant_byte_s
@@ -644,13 +637,7 @@ class ExchangeService:
         if generation.terminated_at is not None:
             return
         generation.terminated_at = self.sim.now
-        # Tag the terminate-time instance lines with the generation, so
-        # fleet dollars are attributable straight off the meter.
-        self.cloud.meter.push_tag("fleet", generation.tag)
-        try:
-            generation.fleet.terminate()
-        finally:
-            self.cloud.meter.pop_tag("fleet")
+        generation.fleet.terminate()
 
     def _retire_if_drained(self, generation: _Generation) -> None:
         if (

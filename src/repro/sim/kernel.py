@@ -62,6 +62,9 @@ class Simulator:
         self._heap: list[tuple[float, int, SimEvent]] = []
         self._seq = 0
         self._active_processes = 0
+        #: The process whose generator is running right now (``None``
+        #: between steps); its ``owner`` tags the cost lines it charges.
+        self.active_process: Process | None = None
         self.rng = RngRegistry(seed)
         if spans is None:
             spans = trace_enabled_from_env()

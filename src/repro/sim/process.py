@@ -28,6 +28,12 @@ needs none (see "Simulator hot path" in :mod:`repro.sim.events`):
 :func:`request` runs the body's first step at issue and hands the rest
 to a process built by :meth:`Process.adopt`, and :func:`inline` runs
 the body in the caller's own process.
+
+Every process has an ``owner``, the sorted tag tuple its cost lines
+carry (:class:`~repro.cloud.billing.CostMeter`).  It starts as the
+owner of the process running when it was made — by ``sim.process``,
+:func:`request` or :func:`inline`'s adopt — and a process may change
+its own between yields.
 """
 
 from __future__ import annotations
@@ -50,9 +56,11 @@ class Process:
         A :class:`SimEvent` that triggers when the generator returns
         (succeeding with its return value) or raises (failing with the
         exception).  Waiting on a process means waiting on this event.
+    owner:
+        Tag tuple of the cost lines this process charges (see above).
     """
 
-    __slots__ = ("sim", "_name", "generator", "completion", "_waiting_on", "_resume")
+    __slots__ = ("sim", "_name", "generator", "completion", "owner", "_waiting_on", "_resume")
 
     def __init__(self, sim: "Simulator", generator: t.Generator, name: LazyName = ""):
         self._attach(sim, generator, name)
@@ -93,6 +101,8 @@ class Process:
         name = self._name = name or getattr(generator, "__name__", "process")
         self.generator = generator
         self.completion = SimEvent(sim, ("{}.completion", name))
+        active = sim.active_process
+        self.owner: tuple[tuple[str, str], ...] = () if active is None else active.owner
         # The one callback this process ever registers: cached so a wait
         # allocates no bound method, dropped at the end so a finished
         # process is not kept alive by a cycle through it.
@@ -133,38 +143,46 @@ class Process:
     def _on_event(self, event: SimEvent) -> None:
         """Resume the generator with the outcome of ``event``."""
         generator = self.generator
-        while True:
-            self._waiting_on = None
-            try:
-                # Only ever called with a triggered event.
-                if event._exc is None:
-                    target = generator.send(event._value)
-                else:
-                    target = generator.throw(event._exc)
-            except StopIteration as stop:
-                self._finish_ok(stop.value)
-                return
-            except BaseException as exc:  # noqa: BLE001 - process bodies may raise anything
-                # Drop this frame from the traceback: it holds ``self``,
-                # whose completion is about to hold ``exc`` — a cycle per
-                # failure ("Simulator hot path" in repro.sim.events).
-                exc.__traceback__ = exc.__traceback__.tb_next
-                self._finish_fail(exc)
-                return
-            if not isinstance(target, SimEvent):
-                self._wait_on(target)  # a Process, or a kernel-usage error
-                return
-            callbacks = target._callbacks
-            if callbacks is not None:
-                self._waiting_on = target
-                if callbacks is _NO_WAITERS:
-                    target._callbacks = self._resume
-                else:
-                    target.add_callback(self._resume)
-                return
-            # Already triggered: resume at once, which keeps waiting
-            # race-free regardless of trigger ordering.
-            event = target
+        # Active while the generator runs, restored on every exit: a
+        # ``succeed`` in this step resumes waiters synchronously, and
+        # each of them sets and restores its own.
+        sim = self.sim
+        outer, sim.active_process = sim.active_process, self
+        try:
+            while True:
+                self._waiting_on = None
+                try:
+                    # Only ever called with a triggered event.
+                    if event._exc is None:
+                        target = generator.send(event._value)
+                    else:
+                        target = generator.throw(event._exc)
+                except StopIteration as stop:
+                    self._finish_ok(stop.value)
+                    return
+                except BaseException as exc:  # noqa: BLE001 - process bodies may raise anything
+                    # Drop this frame from the traceback: it holds ``self``,
+                    # whose completion is about to hold ``exc`` — a cycle per
+                    # failure ("Simulator hot path" in repro.sim.events).
+                    exc.__traceback__ = exc.__traceback__.tb_next
+                    self._finish_fail(exc)
+                    return
+                if not isinstance(target, SimEvent):
+                    self._wait_on(target)  # a Process, or a kernel-usage error
+                    return
+                callbacks = target._callbacks
+                if callbacks is not None:
+                    self._waiting_on = target
+                    if callbacks is _NO_WAITERS:
+                        target._callbacks = self._resume
+                    else:
+                        target.add_callback(self._resume)
+                    return
+                # Already triggered: resume at once, which keeps waiting
+                # race-free regardless of trigger ordering.
+                event = target
+        finally:
+            sim.active_process = outer
 
     def _wait_on(self, target: object) -> None:
         if isinstance(target, Process):
@@ -214,6 +232,8 @@ class Process:
         waited = self._waiting_on
         self._waiting_on = None
         waited.remove_callback(self._resume)
+        sim = self.sim
+        outer, sim.active_process = sim.active_process, self
         try:
             target = self.generator.throw(Interrupted(cause))
         except StopIteration as stop:
@@ -223,6 +243,8 @@ class Process:
             exc.__traceback__ = exc.__traceback__.tb_next  # as in _on_event
             self._finish_fail(exc)
             return
+        finally:
+            sim.active_process = outer
         self._wait_on(target)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

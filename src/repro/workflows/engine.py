@@ -8,8 +8,14 @@ METHCOMP pipelines need in :mod:`repro.core.stages`.
 
 Stages execute in deterministic topological order, one at a time — the
 Lithops model, where parallelism lives *inside* a stage (its map jobs),
-not across stages.  This also makes the per-stage cost breakdown exact:
-every charge recorded while a stage runs belongs to that stage.
+not across stages.
+
+A run's dollars are attributed by owner, not by time window: the
+engine's process owns the run's ``meter_tags`` over the owner it
+inherited, plus ``stage=<name>`` while a stage runs, and every process
+a stage starts inherits that owner (:mod:`repro.sim.process`).  A
+stage's cost is therefore exact even for lines billed after it ended,
+and even when other workflows share the region at the same time.
 """
 
 from __future__ import annotations
@@ -98,13 +104,11 @@ class WorkflowEngine:
     ):
         self.cloud = cloud
         self.dag = dag
-        #: Ambient attribution tags stamped on every cost line of the
-        #: whole run (tenant, experiment id, ...).  Pushed around the
-        #: workflow body, so a key reused by a stage — or by a nested
-        #: engine on the same region — shadows the outer value for its
-        #: duration and restores it afterwards.
+        #: Attribution tags stamped on every cost line of the whole run
+        #: (tenant, experiment id, ...), over the owner the run's
+        #: process inherits; a key a stage sets (``stage``) wins.
         self.meter_tags = dict(meter_tags or {})
-        self.tracker = JobTracker(dag.name, meter=cloud.meter)
+        self.tracker = JobTracker(dag.name, cloud.meter, self.meter_tags)
         for stage in dag.topological_order():
             stage_kind(stage.kind)  # fail fast on unknown kinds
             self.tracker.stage_registered(stage.name, stage.kind)
@@ -122,16 +126,10 @@ class WorkflowEngine:
 
     # ------------------------------------------------------------------
     def _run(self) -> t.Generator:
-        for key, value in self.meter_tags.items():
-            self.cloud.meter.push_tag(key, value)
-        try:
-            return (yield from self._run_body())
-        finally:
-            for key in reversed(list(self.meter_tags)):
-                self.cloud.meter.pop_tag(key)
-
-    def _run_body(self) -> t.Generator:
         sim = self.cloud.sim
+        process = sim.active_process
+        run_owner = tuple(sorted({**dict(process.owner), **self.meter_tags}.items()))
+        process.owner = run_owner
         started_at = sim.now
         self.cloud.store.ensure_bucket(self.dag.bucket)
         artifacts: dict[str, t.Any] = {}
@@ -144,8 +142,7 @@ class WorkflowEngine:
                 impl = stage_kind(spec.kind)
                 context = StageContext(self, spec)
                 inputs = {name: artifacts[name] for name in spec.after}
-                cost_marker = self.cloud.meter.snapshot()
-                self.cloud.meter.push_tag("stage", spec.name)
+                process.owner = tuple(sorted({**dict(run_owner), "stage": spec.name}.items()))
                 self.tracker.stage_started(spec.name, sim.now)
                 stage_span = sim.tracer.span(
                     f"stage:{spec.name}", category="stage",
@@ -156,15 +153,13 @@ class WorkflowEngine:
                         artifact = yield from impl(context, inputs)
                 except Exception as exc:
                     self.tracker.stage_failed(spec.name, sim.now, exc)
-                    self.cloud.meter.pop_tag("stage")
                     raise
-                self.cloud.meter.pop_tag("stage")
-                stage_cost = self.cloud.meter.since(cost_marker).total_usd
+                finally:
+                    process.owner = run_owner
                 detail = artifact if isinstance(artifact, dict) else {}
                 self.tracker.stage_finished(
                     spec.name,
                     sim.now,
-                    stage_cost,
                     detail={k: v for k, v in detail.items() if isinstance(v, (int, float, str))},
                 )
                 artifacts[spec.name] = artifact

@@ -6,14 +6,13 @@ each stage".  This is the headless equivalent: the engine feeds the
 tracker stage events; the tracker renders progress tables and exposes
 the same numbers programmatically.
 
-Dollars come from the :class:`~repro.cloud.billing.CostMeter` when the
-engine hands one over: the engine tags every line it records with
-``stage=<name>``, so :meth:`JobTracker.cost_breakdown` reads
-``meter.total_by_tag("stage")`` instead of trusting the snapshot-delta
-captured at stage exit.  The two disagree exactly when a substrate
-bills after the stage popped its tag (a relay fleet terminating on a
-later stage's clock): the tag travels with the line, the snapshot
-window does not.
+Dollars come from the :class:`~repro.cloud.billing.CostMeter`: a
+stage's cost is the in-order sum of the lines tagged ``stage=<name>``
+plus the run's own tags (``tenant``, ...).  The engine's process owns
+those tags for the span of the stage, and every process the stage
+starts inherits them, so a line billed after the stage has ended (a
+relay fleet terminated later) still reaches it, and a workflow running
+beside others on the same region is charged only its own lines.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ class StageReport:
     status: str = "pending"  # pending | running | done | failed
     started_at: float | None = None
     finished_at: float | None = None
-    cost_usd: float = 0.0
     detail: dict[str, t.Any] = dataclasses.field(default_factory=dict)
 
     @property
@@ -57,11 +55,12 @@ class StageReport:
 class JobTracker:
     """Collects stage progress and renders it for humans."""
 
-    def __init__(self, workflow_name: str, meter=None):
+    def __init__(self, workflow_name: str, meter, tags: dict[str, str] | None = None):
         self.workflow_name = workflow_name
-        #: Optional :class:`~repro.cloud.billing.CostMeter` whose
-        #: ``stage``-tagged lines are the authoritative dollars.
+        #: :class:`~repro.cloud.billing.CostMeter` whose lines tagged
+        #: ``stage=<name>`` and :attr:`tags` are a stage's dollars.
         self.meter = meter
+        self.tags = dict(tags or {})
         self.reports: dict[str, StageReport] = {}
         self._order: list[str] = []
         self.log: list[str] = []
@@ -83,18 +82,16 @@ class JobTracker:
         self,
         name: str,
         time: float,
-        cost_usd: float,
         detail: dict[str, t.Any] | None = None,
     ) -> None:
         report = self.reports[name]
         report.status = "done"
         report.finished_at = time
-        report.cost_usd = cost_usd
         if detail:
             report.detail.update(detail)
         self.log.append(
             f"[{time:10.2f}s] {name}: done "
-            f"({report.duration_s:.2f}s, ${cost_usd:.6f})"
+            f"({report.duration_s:.2f}s, ${self.stage_cost_usd(name):.6f})"
         )
 
     def stage_failed(self, name: str, time: float, error: BaseException) -> None:
@@ -114,18 +111,14 @@ class JobTracker:
     def done(self) -> bool:
         return all(report.status == "done" for report in self.reports.values())
 
-    def cost_breakdown(self) -> dict[str, float]:
-        """Stage name → dollars, in execution order.
+    def stage_cost_usd(self, name: str) -> float:
+        """Dollars of the meter's lines that stage ``name`` of this run owns."""
+        lines = self.meter.filtered(**{**self.tags, "stage": name})
+        return sum((line.usd for line in lines), 0.0)
 
-        Tag-attributed off the meter when one is attached (charges
-        landing after stage exit — terminate-time instance lines —
-        still reach their stage); the stage-exit snapshot deltas
-        otherwise.
-        """
-        if self.meter is not None:
-            by_tag = self.meter.total_by_tag("stage")
-            return {name: by_tag.get(name, 0.0) for name in self._order}
-        return {name: self.reports[name].cost_usd for name in self._order}
+    def cost_breakdown(self) -> dict[str, float]:
+        """Stage name → dollars, in execution order."""
+        return {name: self.stage_cost_usd(name) for name in self._order}
 
     def render(self) -> str:
         """Progress table: one row per stage, drift on sort stages."""

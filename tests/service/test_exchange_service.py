@@ -394,10 +394,15 @@ class TestCostAttribution:
             assert costs[tenant]["faas_usd"] == pytest.approx(tagged)
 
     def test_fleet_lines_are_generation_tagged(self):
+        """A generation's dollars are the ``vm`` lines of its shard VMs,
+        with ``shutdown`` called at top level, outside any process: the
+        lines it bills have no owner, and a VM outside the fleet on the
+        same region is not in them."""
         cloud = fresh_cloud()
         cloud.store.ensure_bucket("data")
         payload = make_payload(200, 5)
         svc = make_service(cloud)
+        bystander = cloud.vms.provision_ready(svc.instance_type)
 
         def driver():
             yield cloud.store.put("data", "in.bin", payload)
@@ -407,8 +412,47 @@ class TestCostAttribution:
 
         cloud.sim.run_process(driver())
         svc.shutdown()
-        tagged = cloud.meter.filtered(service="vm", fleet="svc-gen-0")
-        assert tagged, "generation 0's instance lines must carry its tag"
+        bystander.terminate()
+        [generation] = svc._generations
+        shard_vms = {shard.vm.vm_id for shard in generation.fleet.shards}
+        assert bystander.vm_id not in shard_vms
+        fleet_lines = [
+            line for line in cloud.meter.filtered(service="vm")
+            if dict(line.tags)["vm"] in shard_vms
+        ]
+        assert fleet_lines, "generation 0's instance lines must carry its VMs' ids"
+        assert all(set(dict(line.tags)) <= {"vm", "type"} for line in fleet_lines)
         assert svc.fleet_cost_usd() == pytest.approx(
-            sum(line.usd for line in tagged)
+            sum(line.usd for line in fleet_lines)
         )
+        assert svc.fleet_cost_usd() < sum(
+            line.usd for line in cloud.meter.filtered(service="vm")
+        )
+
+    def test_fleet_cost_ignores_the_owner_of_the_shutdown(self):
+        """Shut down from inside a tenant-owned process, the same fleet
+        bills the same dollars as from top level."""
+        payload = make_payload(200, 5)
+        fleet_usd = []
+        for owned in (False, True):
+            cloud = fresh_cloud()
+            cloud.store.ensure_bucket("data")
+            svc = make_service(cloud)
+
+            def driver():
+                if owned:
+                    cloud.sim.active_process.owner = (("tenant", "ops"),)
+                yield cloud.store.put("data", "in.bin", payload)
+                svc.start()
+                svc.submit("t", "data", "in.bin", len(payload))
+                yield svc.drain()
+                if owned:
+                    svc.shutdown()
+
+            cloud.sim.run_process(driver())
+            if not owned:
+                svc.shutdown()
+            fleet_usd.append(svc.fleet_cost_usd())
+        assert cloud.meter.filtered(service="vm", tenant="ops")
+        assert fleet_usd[0] > 0.0
+        assert fleet_usd[1] == fleet_usd[0]

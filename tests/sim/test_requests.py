@@ -3,13 +3,15 @@
 ``sim.process`` starts a body one heap hop later.  A storage request
 does not need that hop: ``request`` runs the body's first step at issue
 and adopts the rest, ``inline`` runs the body in the caller's process
-and adopts it only when the caller is interrupted.
+and adopts it only when the caller is interrupted.  Every process
+inherits the ``owner`` (the cost lines' tags) of the one that made it.
 """
 
 import traceback
 
 import pytest
 
+from repro.cloud.billing import CostMeter
 from repro.errors import Interrupted, SimulationError
 from repro.sim import Process, Simulator, inline, request
 
@@ -198,3 +200,107 @@ class TestInline:
         generator.send(None)
         generator.close()
         assert sim.active_process_count == 0
+
+
+class TestOwner:
+    """A process's ``owner`` tags the cost lines it charges and is
+    inherited by whatever it starts."""
+
+    A = (("tenant", "a"),)
+    B = (("tenant", "b"),)
+
+    @pytest.fixture
+    def meter(self, sim):
+        return CostMeter(sim)
+
+    @staticmethod
+    def charging(sim, meter, log, delay=1.0):
+        meter.charge(sim.now, "objectstore", "first", 1.0, 0.0)
+        yield sim.timeout(delay)
+        meter.charge(sim.now, "objectstore", "last", 1.0, 0.0)
+        log.append(sim.active_process.owner)
+
+    @staticmethod
+    def owned(sim, owner, work):
+        sim.active_process.owner = owner
+        yield from work()
+
+    def owners(self, meter):
+        return [(line.item, line.tags) for line in meter.lines]
+
+    def test_a_charge_outside_any_process_is_unowned(self, sim, meter):
+        meter.charge(sim.now, "vm", "instance_second", 1.0, 0.0)
+        sim.run_process(self.owned(sim, self.A, lambda: body(sim, [])))
+        meter.charge(sim.now, "vm", "instance_second", 1.0, 0.0)
+        assert [line.tags for line in meter.lines] == [(), ()]
+        assert sim.active_process is None
+
+    def test_a_process_inherits_its_creators_owner(self, sim, meter):
+        children = []
+
+        def spawn():
+            children.append(sim.process(self.charging(sim, meter, [])))
+            yield children[0].completion
+
+        top = sim.process(body(sim, []))
+        assert top.owner == ()
+        sim.run_process(self.owned(sim, self.A, spawn))
+        assert children[0].owner == self.A
+        assert self.owners(meter) == [("first", self.A), ("last", self.A)]
+
+    def test_a_request_is_owned_by_its_caller(self, sim, meter):
+        log = []
+
+        def issue():
+            yield request(sim, self.charging(sim, meter, log), "req")
+
+        sim.run_process(self.owned(sim, self.A, issue))
+        assert self.owners(meter) == [("first", self.A), ("last", self.A)]
+        assert log == [self.A]
+
+    def test_an_inline_body_is_owned_by_its_caller(self, sim, meter):
+        def caller():
+            yield from inline(sim, self.charging(sim, meter, []))
+
+        sim.run_process(self.owned(sim, self.A, caller))
+        assert self.owners(meter) == [("first", self.A), ("last", self.A)]
+
+    def test_an_adopted_inline_body_keeps_its_callers_owner(self, sim, meter):
+        """The body adopted on an interrupt is owned by the interrupted
+        caller, not by the process that interrupted it."""
+        log = []
+
+        def caller():
+            try:
+                yield from inline(sim, self.charging(sim, meter, log, delay=4.0))
+            except Interrupted:
+                pass
+
+        victim = sim.process(self.owned(sim, self.A, caller))
+
+        def interrupter():
+            yield sim.timeout(1.0)
+            victim.interrupt("stop")
+
+        sim.process(self.owned(sim, self.B, interrupter))
+        sim.run()
+        assert self.owners(meter) == [("first", self.A), ("last", self.A)]
+        assert log == [self.A]
+
+    def test_a_nested_synchronous_resume_restores_the_outer_owner(self, sim, meter):
+        gate = sim.event("gate")
+
+        def waiter():
+            yield gate
+            meter.charge(sim.now, "faas", "waiter", 1.0, 0.0)
+
+        def opener():
+            yield sim.timeout(1.0)
+            gate.succeed()  # resumes the waiter inside this step
+            meter.charge(sim.now, "faas", "opener", 1.0, 0.0)
+
+        sim.process(self.owned(sim, self.B, waiter))
+        sim.process(self.owned(sim, self.A, opener))
+        sim.run()
+        assert self.owners(meter) == [("waiter", self.B), ("opener", self.A)]
+        assert sim.active_process is None

@@ -1,8 +1,11 @@
 """Tests for the workflow engine, tracker and renderer."""
 
+import math
+
 import pytest
 
 from repro.cloud import Cloud
+from repro.cloud.billing import CostMeter
 from repro.cloud.profiles import ibm_us_east
 from repro.errors import WorkflowError
 from repro.workflows import (
@@ -30,6 +33,21 @@ def _paid_stage(context, inputs):
     return {"cost": "recorded"}
 
 
+def _late_paid_stage(context, inputs):
+    """Charges $0.5 in the stage and $0.25 from a process it spawned,
+    five seconds after the stage has ended."""
+
+    def late():
+        yield context.sim.timeout(5.0)
+        context.cloud.meter.charge(
+            context.sim.now, "vm", "instance_second", 1.0, 0.25
+        )
+
+    context.sim.process(late())
+    yield from _paid_stage(context, inputs)
+    return {"cost": "recorded"}
+
+
 def _failing_stage(context, inputs):
     yield context.sim.timeout(0.5)
     raise RuntimeError("stage exploded")
@@ -43,6 +61,7 @@ def _param_stage(context, inputs):
 for kind, impl in (
     ("test_noop", _noop_stage),
     ("test_paid", _paid_stage),
+    ("test_late_paid", _late_paid_stage),
     ("test_failing", _failing_stage),
     ("test_param", _param_stage),
 ):
@@ -181,7 +200,7 @@ class TestTracker:
             "metered",
             [
                 StageSpec("free", "test_noop"),
-                StageSpec("paid", "test_paid", after=("free",)),
+                StageSpec("paid", "test_late_paid", after=("free",)),
             ],
         )
         engine = WorkflowEngine(cloud, dag)
@@ -193,25 +212,24 @@ class TestTracker:
             "free": by_tag.get("free", 0.0),
             "paid": by_tag.get("paid", 0.0),
         }
-        # A charge recorded after the stage exited but still carrying
-        # the stage tag (terminate-time billing) reaches its stage.
-        cloud.meter.push_tag("stage", "paid")
-        cloud.meter.charge(cloud.sim.now, "vm", "instance_hour", 1.0, 0.25)
-        cloud.meter.pop_tag("stage")
+        assert tracker.cost_breakdown()["paid"] == pytest.approx(0.5)
+        # A charge made after the stage exited, by a process the stage
+        # started (terminate-time billing), still reaches its stage.
+        cloud.sim.run()
         assert engine.tracker.cost_breakdown()["paid"] == pytest.approx(0.75)
         assert engine.tracker.total_cost_usd == pytest.approx(0.75)
 
     def test_render_shows_prediction_drift_for_sort_stages(self):
         from repro.workflows.tracker import JobTracker
 
-        tracker = JobTracker("drifty")
+        tracker = JobTracker("drifty", CostMeter())
         tracker.stage_registered("ingest", "test_noop")
         tracker.stage_registered("sort", "test_noop")
         tracker.stage_started("ingest", 0.0)
-        tracker.stage_finished("ingest", 1.0, 0.0)
+        tracker.stage_finished("ingest", 1.0)
         tracker.stage_started("sort", 1.0)
         tracker.stage_finished(
-            "sort", 14.0, 0.1,
+            "sort", 14.0,
             detail={"predicted_s": 10.0, "actual_s": 13.0},
         )
         assert tracker.reports["sort"].drift == pytest.approx(1.3)
@@ -223,6 +241,53 @@ class TestTracker:
         )
         assert "1.30x" in sort_row
         assert ingest_row.rstrip().endswith("-")
+
+
+class TestConcurrentWorkflows:
+    def test_each_tenant_is_charged_only_its_own_lines(self):
+        """Two ``purely-serverless`` runs share one region at the same
+        time: every line of the run belongs to exactly one tenant, and
+        each tracker prices its own tenant's lines only."""
+        from repro.core.calibration import ExperimentConfig
+        from repro.core.experiment import stage_input
+        from repro.core.pipelines import PURE_SERVERLESS, pipeline_for
+        from repro.sim import Simulator
+
+        config = ExperimentConfig(logical_scale=4096.0, parallelism=4)
+        cloud = Cloud(Simulator(seed=config.seed), config.make_profile())
+        engines = {}
+        for tenant in ("t0", "t1"):
+            bucket = f"pipeline-{tenant}"
+            stage_input(cloud, config, bucket, "input/methylome.bed")
+            dag = pipeline_for(
+                PURE_SERVERLESS, config,
+                input_key="input/methylome.bed", bucket=bucket,
+            )
+            engine = WorkflowEngine(cloud, dag, meter_tags={"tenant": tenant})
+            engine.workload = config.workload
+            engines[tenant] = engine
+        marker = cloud.meter.snapshot()
+        runs = [engine.run() for engine in engines.values()]
+        cloud.sim.run(until=cloud.sim.all_of(runs))
+        # Before ``finalize``: the region's stored-bytes line is nobody's.
+        window = cloud.meter.since(marker)
+
+        owned = {
+            tenant: [line.usd for line in window.filtered(tenant=tenant)]
+            for tenant in engines
+        }
+        assert len(owned["t0"]) + len(owned["t1"]) == len(window.lines)
+        assert math.fsum(owned["t0"] + owned["t1"]) == math.fsum(
+            line.usd for line in window.lines
+        )
+        for tenant, engine in engines.items():
+            tracker_usd = engine.tracker.total_cost_usd
+            assert tracker_usd == pytest.approx(sum(owned[tenant]), rel=1e-12)
+            # Either run alone costs about half the bill, not all of it.
+            assert 0.4 < tracker_usd / window.total_usd < 0.6
+        assert engines["t0"].tracker.total_cost_usd + engines[
+            "t1"
+        ].tracker.total_cost_usd == pytest.approx(window.total_usd, rel=1e-12)
 
 
 class TestRenderer:

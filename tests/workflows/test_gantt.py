@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cloud import Cloud
+from repro.cloud.billing import CostMeter
 from repro.cloud.profiles import ibm_us_east
 from repro.executor import FunctionExecutor
 from repro.sim import Simulator
@@ -155,11 +156,11 @@ class TestSpanExtraction:
         assert spans_from_tracer(cloud.sim.tracer) == []
 
     def test_tracker_spans(self):
-        tracker = JobTracker("wf")
+        tracker = JobTracker("wf", CostMeter())
         tracker.stage_registered("a", "kind")
         tracker.stage_registered("b", "kind")
         tracker.stage_started("a", 0.0)
-        tracker.stage_finished("a", 5.0, 0.01)
+        tracker.stage_finished("a", 5.0)
         tracker.stage_started("b", 5.0)
         # stage b never finishes: it must not produce a span
         spans = spans_from_tracker(tracker)

@@ -5,7 +5,8 @@ four substrates and both execution modes — an invariant the parity
 matrices assert on every PR.  This module turns that invariant into a
 primitive the rest of the stack can *spend*: a stable content hash for
 raw chunk bytes and for structured metadata, which the dedup, lineage
-and replay features hang off.
+and replay features hang off, plus the one :class:`ContentIndex` every
+stateful store keeps of the content it holds.
 
 It deliberately has **zero** intra-repo imports so the storage, cache
 and relay services can all use it without cycles.  The object store's
@@ -21,6 +22,7 @@ call from inside client ops without perturbing timelines.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import typing as t
 
@@ -28,6 +30,75 @@ import typing as t
 def sha256_hex(data: bytes) -> str:
     """Content address of raw bytes (64 hex chars)."""
     return hashlib.sha256(data).hexdigest()
+
+
+@dataclasses.dataclass(slots=True)
+class Resident:
+    """One stored value: real payload plus its logical size.
+
+    ``sha`` is the value's content address when the write was
+    dedup-eligible (``None`` otherwise); it keys the store's
+    :class:`ContentIndex`.
+    """
+
+    data: bytes
+    logical: float
+    sha: str | None = None
+
+
+class ContentIndex:
+    """Which content a store holds, and which content it has committed.
+
+    The refcounts map a sha256 to the number of resident values holding
+    those bytes: a store calls :meth:`add` when a value becomes resident
+    and :meth:`drop` when it leaves (replacement, eviction, deletion,
+    consume), so residency mirrors the store's entries exactly and a
+    drained store has no refcount left.  The log is the append-only
+    ``(key, sha256, logical)`` record of dedup-eligible commits that run
+    manifests are built from; :meth:`clear` (the store's memory is gone)
+    keeps it.
+    """
+
+    __slots__ = ("_refs", "_log")
+
+    def __init__(self) -> None:
+        self._refs: dict[str, int] = {}
+        self._log: list[tuple[str, str, float]] = []
+
+    def add(self, sha: str | None) -> None:
+        """A value with address ``sha`` became resident."""
+        if sha is not None:
+            self._refs[sha] = self._refs.get(sha, 0) + 1
+
+    def drop(self, sha: str | None) -> None:
+        """A value with address ``sha`` stopped being resident."""
+        if sha is None:
+            return
+        remaining = self._refs[sha] - 1
+        if remaining > 0:
+            self._refs[sha] = remaining
+        else:
+            del self._refs[sha]
+
+    def resident(self, sha: str) -> bool:
+        """Whether any resident value holds bytes with this address."""
+        return sha in self._refs
+
+    def refcounts(self) -> dict[str, int]:
+        """A copy of the refcounts (empty once the store is drained)."""
+        return dict(self._refs)
+
+    def clear(self) -> None:
+        """Forget every resident value; the log stays."""
+        self._refs.clear()
+
+    def record(self, key: str, sha: str, logical: float) -> None:
+        """Log one dedup-eligible commit of ``key``."""
+        self._log.append((key, sha, logical))
+
+    def entries(self, prefix: str) -> list[tuple[str, str, float]]:
+        """Logged commits whose key starts with ``prefix``, in commit order."""
+        return [entry for entry in self._log if entry[0].startswith(prefix)]
 
 
 def stable_serialize(obj: t.Any) -> bytes:

@@ -15,8 +15,8 @@ full-scale ones.
 from __future__ import annotations
 
 import collections
-import dataclasses
 
+from repro.cas import ContentIndex, Resident
 from repro.cloud.memstore.errors import CacheOutOfMemory
 from repro.cloud.profiles import (
     ALLKEYS_LRU,
@@ -26,19 +26,6 @@ from repro.cloud.profiles import (
     MemStoreProfile,
 )
 from repro.sim import FairShareLink, KeyedWatch, SimEvent, Simulator, TokenBucket
-
-
-@dataclasses.dataclass(slots=True)
-class _Entry:
-    """One stored value: real payload plus its logical size.
-
-    ``sha`` is the value's content address when the write was
-    dedup-eligible; it keys the node's refcounted content index.
-    """
-
-    data: bytes
-    logical: float
-    sha: str | None = None
 
 
 class CacheNodeStats:
@@ -88,7 +75,7 @@ class CacheNode:
         )
         self.used_logical = 0.0
         #: Insertion/access-ordered entries; the front is least recent.
-        self._entries: collections.OrderedDict[str, _Entry] = collections.OrderedDict()
+        self._entries: collections.OrderedDict[str, Resident] = collections.OrderedDict()
         self.ops = TokenBucket(
             sim,
             rate=profile.ops_per_node,
@@ -110,25 +97,11 @@ class CacheNode:
         #: bytes each in a run-scoped simulation) — correctness over
         #: memory here.
         self._evicted_keys: set[str] = set()
-        #: Refcounted content index: sha256 → number of resident
-        #: entries holding those bytes.  Identical values are counted,
-        #: not re-stored on the wire; eviction and deletion decrement,
-        #: so residency here always mirrors ``_entries`` exactly.
-        self._content: collections.Counter[str] = collections.Counter()
+        #: Content held and committed: identical values are counted,
+        #: not re-sent on the wire; eviction and deletion decrement, so
+        #: residency here always mirrors ``_entries`` exactly.
+        self.content = ContentIndex()
         self.stats = CacheNodeStats()
-
-    def _content_drop(self, entry: _Entry) -> None:
-        if entry.sha is None:
-            return
-        remaining = self._content[entry.sha] - 1
-        if remaining > 0:
-            self._content[entry.sha] = remaining
-        else:
-            del self._content[entry.sha]
-
-    def content_resident(self, sha: str) -> bool:
-        """Whether any resident entry holds bytes with this address."""
-        return self._content.get(sha, 0) > 0
 
     # ------------------------------------------------------------------
     # bookkeeping (synchronous; the service layer pays latency/bandwidth)
@@ -145,7 +118,7 @@ class CacheNode:
         previous = self._entries.pop(key, None)
         if previous is not None:
             self.used_logical -= previous.logical
-            self._content_drop(previous)
+            self.content.drop(previous.sha)
 
         evicted = 0
         while self.used_logical + logical > self.capacity_bytes:
@@ -155,8 +128,7 @@ class CacheNode:
                 if previous is not None:
                     self._entries[key] = previous
                     self.used_logical += previous.logical
-                    if previous.sha is not None:
-                        self._content[previous.sha] += 1
+                    self.content.add(previous.sha)
                 self.stats.oom_errors += 1
                 raise CacheOutOfMemory(
                     self.node_id, self.used_logical + logical, self.capacity_bytes
@@ -166,11 +138,12 @@ class CacheNode:
             self.used_logical -= victim.logical
             evicted += 1
             self._evicted_keys.add(victim_key)
-            self._content_drop(victim)
+            self.content.drop(victim.sha)
 
-        self._entries[key] = _Entry(bytes(data), logical, sha)
+        self._entries[key] = Resident(bytes(data), logical, sha)
+        self.content.add(sha)
         if sha is not None:
-            self._content[sha] += 1
+            self.content.record(key, sha, logical)
         self._evicted_keys.discard(key)
         self.used_logical += logical
         self.stats.sets += 1
@@ -203,7 +176,7 @@ class CacheNode:
         """Fail every parked watcher (the cluster is going away)."""
         self._watchers.fail_all(lambda _key: exc)
 
-    def fetch(self, key: str) -> _Entry | None:
+    def fetch(self, key: str) -> Resident | None:
         """Look up ``key``, refreshing its LRU position.  None on miss."""
         entry = self._entries.get(key)
         if entry is None:
@@ -221,7 +194,7 @@ class CacheNode:
         if entry is None:
             return False
         self.used_logical -= entry.logical
-        self._content_drop(entry)
+        self.content.drop(entry.sha)
         return True
 
     def contains(self, key: str) -> bool:

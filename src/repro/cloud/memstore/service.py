@@ -45,7 +45,7 @@ from repro.cloud.memstore.errors import (
 from repro.cloud.memstore.node import CacheNode
 from repro.cloud.profiles import CacheNodeType, MemStoreProfile
 from repro.errors import SimulationError
-from repro.obs.metrics import registry
+from repro.obs.metrics import publish_dedup_bytes
 from repro.obs.trace import NOOP_SPAN
 from repro.sim import SimEvent, Simulator
 
@@ -180,9 +180,6 @@ class MemStoreCluster:
             )
             for index in range(nodes)
         ]
-        #: Append-only ``(key, sha256, logical)`` log of dedup-eligible
-        #: pipelined writes, for run-manifest construction.
-        self.cas_log: list[tuple[str, str, float]] = []
 
     # ------------------------------------------------------------------
     def ensure_running(self) -> None:
@@ -250,8 +247,9 @@ class MemStoreCluster:
         return totals
 
     def cas_entries(self, prefix: str) -> list[tuple[str, str, float]]:
-        """Dedup-eligible writes whose key starts with ``prefix``."""
-        return [entry for entry in self.cas_log if entry[0].startswith(prefix)]
+        """Dedup-eligible writes whose key starts with ``prefix``, node
+        by node (run manifests sort their chunks)."""
+        return [entry for node in self.nodes for entry in node.content.entries(prefix)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -527,7 +525,7 @@ class CacheClient:
             # Content dedup: values already resident on this shard ride
             # as references — only novel bytes cross the wire.
             deduped = [
-                sha is not None and node.content_resident(sha) for sha in shas
+                sha is not None and node.content.resident(sha) for sha in shas
             ]
             wire_logical = sum(
                 logical for logical, skip in zip(logicals, deduped) if not skip
@@ -538,7 +536,7 @@ class CacheClient:
                 members, logicals, shas, deduped
             ):
                 _item_key, data = items[position]
-                if was_dedup and not node.content_resident(sha):
+                if was_dedup and not node.content.resident(sha):
                     # The referent was LRU-evicted (tombstoned in
                     # ``_evicted_keys``) after the residency check —
                     # transparently re-send the bytes instead of
@@ -551,12 +549,7 @@ class CacheClient:
                 if was_dedup:
                     node.stats.dedup_hits += 1
                     node.stats.dedup_bytes += logical
-                    registry().counter(
-                        "repro_dedup_bytes_total",
-                        "Wire bytes saved by content-addressed dedup",
-                    ).inc(logical, substrate="cache")
-                if sha is not None:
-                    self.cluster.cas_log.append((key, sha, logical))
+                    publish_dedup_bytes("cache", logical)
 
         writers = [
             self.sim.process(

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import typing as t
 
-from repro.cas import sha256_hex
+from repro.cas import ContentIndex, sha256_hex
 from repro.cloud.billing import CostMeter
 from repro.cloud.objectstore.blobs import (
     MultipartUpload,
@@ -46,7 +46,7 @@ from repro.cloud.objectstore.errors import (
     SlowDown,
 )
 from repro.cloud.profiles import GB, ObjectStoreProfile
-from repro.obs.metrics import registry
+from repro.obs.metrics import publish_dedup_bytes
 from repro.sim import FairShareLink, LazyName, SimEvent, Simulator, TokenBucket, request
 
 
@@ -123,12 +123,12 @@ class ObjectStore:
         self._upload_ids = itertools.count(1)
         self.stats = OpStats()
         # Content addressing: (bucket, sha256) → last key that stored
-        # those bytes, plus an append-only log of dedup-eligible PUTs
-        # for run-manifest construction.  Hits are validated by byte
-        # equality, so stale or colliding index entries can never
-        # silently alias different content.
+        # those bytes.  Hits are validated by byte equality, so stale or
+        # colliding index entries can never silently alias different
+        # content.  ``content`` is used only for its log of
+        # dedup-eligible PUTs, for run-manifest construction.
         self._cas_index: dict[tuple[str, str], str] = {}
-        self.cas_log: list[tuple[str, str, float]] = []
+        self.content = ContentIndex()
         # Storage-volume billing: integral of logical bytes over time.
         self._stored_logical = 0.0
         self._volume_updated_at = sim.now
@@ -326,17 +326,14 @@ class ObjectStore:
         if hit:
             self.stats.dedup_ops += 1
             self.stats.dedup_bytes += logical
-            registry().counter(
-                "repro_dedup_bytes_total",
-                "Wire bytes saved by content-addressed dedup",
-            ).inc(logical, substrate="objectstore")
+            publish_dedup_bytes("objectstore", logical)
             self._charge_request("class_b_request", self.profile.class_b_price_usd)
         else:
             self.stats.bytes_in += logical
             self._charge_request("class_a_request", self.profile.class_a_price_usd)
         if sha is not None:
             self._cas_index[(bucket, sha)] = key
-            self.cas_log.append((key, sha, logical))
+            self.content.record(key, sha, logical)
         return meta
 
     def _get_op(
@@ -529,12 +526,6 @@ class ObjectStore:
     # ------------------------------------------------------------------
     # introspection helpers (control-plane, free, instantaneous)
     # ------------------------------------------------------------------
-    def object_count(self, bucket: str) -> int:
-        return len(self._bucket(bucket))
-
-    def stored_logical_bytes(self) -> float:
-        return self._stored_logical
-
     def peek(self, bucket: str, key: str) -> bytes:
         """Read payload without simulation cost (tests/debugging only)."""
         stored = self._bucket(bucket).get(key)
@@ -548,4 +539,4 @@ class ObjectStore:
         ``(key, sha256, logical)`` in commit order; run-manifest
         builders filter by their sort's output prefix.
         """
-        return [entry for entry in self.cas_log if entry[0].startswith(prefix)]
+        return self.content.entries(prefix)

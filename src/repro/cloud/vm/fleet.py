@@ -15,11 +15,12 @@ Design:
   via a stable hash (:meth:`RelayFleet.shard_for_key`, CRC-32 of the
   key bytes mod N); the same key always lands on the same shard, across
   mappers, reducers, retries and speculative attempts, so the exchange
-  rendezvous works without any directory service.  A caller may install
-  a *router* (:meth:`RelayFleet.set_router`) that overrides the hash
-  for the keys it recognizes — the skew-aware exchange routes by
-  planned partition bytes this way, falling back to CRC for keys the
-  router does not claim;
+  rendezvous works without any directory service.  An exchange may
+  install a *router* over its own key namespace
+  (:meth:`RelayFleet.set_router`): it overrides the hash for the keys
+  under ``namespace/`` that it claims, and CRC routes every other key.
+  The skew-aware exchange routes by planned partition bytes this way,
+  and concurrent sorts on one fleet each route only their own keys;
 * **batched fan-out** — a fleet client splits each MPUSH/MPULL batch by
   shard and issues the per-shard sub-batches *in parallel*, one request
   latency each; the caller's NIC budget is divided across the
@@ -63,11 +64,8 @@ class RelayFleet:
         self.relay_id = (
             f"fleet-{self.shards[0].vm.vm_id}x{len(self.shards)}"
         )
-        #: Optional key → shard-index override (``None`` falls through
-        #: to CRC); install via :meth:`set_router`.
-        self.router: t.Callable[[str], int | None] | None = None
-        #: Namespaced routers: key-prefix → router, so concurrent sorts
-        #: on a shared fleet each route their own key namespace without
+        #: Namespaced routers: key namespace → router, so concurrent
+        #: sorts on a shared fleet each route their own keys without
         #: clobbering each other's rebalanced routing.
         self._routers: dict[str, t.Callable[[str], int | None]] = {}
         service.relays[self.relay_id] = self
@@ -76,11 +74,9 @@ class RelayFleet:
     # routing
     # ------------------------------------------------------------------
     def set_router(
-        self,
-        router: t.Callable[[str], int | None] | None,
-        namespace: str | None = None,
+        self, router: t.Callable[[str], int | None] | None, namespace: str
     ) -> None:
-        """Install (or clear, with ``None``) a load-aware routing override.
+        """Install (or clear, with ``None``) the router of one namespace.
 
         The router maps a key to a shard index, or ``None`` to fall back
         to the CRC hash.  It MUST be a pure function of the key: the
@@ -88,26 +84,18 @@ class RelayFleet:
         attempts all resolving a key to the same shard.  Install it
         before any traffic of the exchange it routes (the skew-aware
         sort does so right after boundary selection, before the map
-        wave).
-
-        ``namespace`` scopes the router to one exchange's key prefix:
-        only keys starting with it consult this router, so any number of
-        concurrent sorts can each install their own rebalanced routing
-        on a shared fleet.  Without a namespace the router is the single
-        fleet-global override (the legacy single-job discipline — only
-        replace it between sorts).
+        wave).  Only keys under ``namespace + "/"`` consult it, so any
+        number of concurrent sorts can each install their own routing
+        on a shared fleet.
         """
-        if namespace is not None:
-            if router is None:
-                self._routers.pop(namespace, None)
-            else:
-                self._routers[namespace] = router
+        if router is None:
+            self._routers.pop(namespace, None)
         else:
-            self.router = router
+            self._routers[namespace] = router
         self.event(
             "relay.fleet_rebalance" if router is not None
             else "relay.fleet_rebalance_clear",
-            fleet=self.relay_id, namespace=namespace or "(global)",
+            fleet=self.relay_id, namespace=namespace,
         )
 
     def shard_index_for_key(self, key: str) -> int:
@@ -115,23 +103,20 @@ class RelayFleet:
 
         Deliberately *not* Python's randomized ``hash``: routing must be
         identical across runs, retries and speculative attempts or the
-        rendezvous breaks.  Namespaced routers take precedence (longest
-        matching prefix wins), then the global router, then CRC.
+        rendezvous breaks.  The router of the longest namespace the key
+        lies under decides; a key under none, or one its router does
+        not claim, is routed by CRC.
         """
         if self._routers:
             best: t.Callable[[str], int | None] | None = None
             best_length = -1
             for namespace, router in self._routers.items():
-                if len(namespace) > best_length and key.startswith(namespace):
+                if len(namespace) > best_length and key.startswith(namespace + "/"):
                     best, best_length = router, len(namespace)
             if best is not None:
                 index = best(key)
                 if index is not None:
                     return index % len(self.shards)
-        if self.router is not None:
-            index = self.router(key)
-            if index is not None:
-                return index % len(self.shards)
         return zlib.crc32(key.encode("utf-8")) % len(self.shards)
 
     def shard_for_key(self, key: str) -> PartitionRelay:
@@ -189,10 +174,6 @@ class RelayFleet:
         return sum(shard.active_flows for shard in self.shards)
 
     @property
-    def aggregate_nic_bandwidth(self) -> float:
-        return sum(shard.vm.instance_type.nic_bandwidth for shard in self.shards)
-
-    @property
     def stats(self) -> RelayStats:
         """Fleet-wide counters (sums of the shard counters)."""
         total = RelayStats()
@@ -202,15 +183,9 @@ class RelayFleet:
         return total
 
     def cas_entries(self, prefix: str) -> list[tuple[str, str, float]]:
-        """Dedup-eligible committed pushes across all shards.
-
-        Sorted by key so the fleet's view is deterministic regardless of
-        shard enumeration order.
-        """
-        merged: list[tuple[str, str, float]] = []
-        for shard in self.shards:
-            merged.extend(shard.cas_entries(prefix))
-        return sorted(merged)
+        """Dedup-eligible committed pushes whose key starts with
+        ``prefix``, shard by shard (run manifests sort their chunks)."""
+        return [entry for shard in self.shards for entry in shard.cas_entries(prefix)]
 
     # Epoch-scoped peaks: a fleet epoch is one token per shard; the
     # fleet-level peak is the hottest shard's epoch peak (imbalance

@@ -53,10 +53,9 @@ speculation safe on the relay substrate.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import typing as t
 
-from repro.cas import sha256_hex
+from repro.cas import ContentIndex, Resident, sha256_hex
 from repro.cloud.vm.errors import (
     RelayAttemptFenced,
     RelayCapacityExceeded,
@@ -65,22 +64,9 @@ from repro.cloud.vm.errors import (
 )
 from repro.cloud.vm.instance import VirtualMachine, VmService
 from repro.errors import SimulationError
-from repro.obs.metrics import registry as metrics_registry
+from repro.obs.metrics import publish_dedup_bytes, registry as metrics_registry
 from repro.obs.trace import NOOP_SPAN
 from repro.sim import FairShareLink, KeyedWatch, SimEvent, TokenBucket
-
-
-@dataclasses.dataclass(slots=True)
-class _Entry:
-    """One resident partition: real payload plus its logical size.
-
-    ``sha`` is the partition's content address when the push was
-    dedup-eligible; it keys the relay's refcounted content index.
-    """
-
-    data: bytes
-    logical: float
-    sha: str | None = None
 
 
 #: Lifecycle of a push reservation.  ``waiting`` → queued for memory;
@@ -184,7 +170,7 @@ class PartitionRelay:
         self.capacity_bytes = profile.relay_usable_bytes(vm.instance_type)
         self.used_logical = 0.0
         self.peak_used_logical = 0.0
-        self._entries: dict[str, _Entry] = {}
+        self._entries: dict[str, Resident] = {}
         #: FIFO of pushes waiting for memory admission.
         self._waiters: collections.deque[_PushReservation] = collections.deque()
         #: Every live (waiting/reserved) push reservation.
@@ -209,15 +195,11 @@ class PartitionRelay:
         self._attempt_scopes: dict[str, str] = {}
         self._scope_attempts: dict[str, set[str]] = {}
         self._fenced_scopes: set[str] = set()
-        #: Refcounted content index: sha256 → resident entries holding
-        #: those bytes.  Only affects *wire* accounting (an MPUSH of
-        #: resident content transfers a reference, not the payload);
-        #: reservation and memory byte math stay exact, so the chaos
-        #: suites' residual/accounting invariants are untouched.
-        self._content: collections.Counter[str] = collections.Counter()
-        #: Append-only ``(key, sha256, logical)`` log of dedup-eligible
-        #: committed pushes, for run-manifest construction.
-        self.cas_log: list[tuple[str, str, float]] = []
+        #: Content held and committed.  Only affects *wire* accounting
+        #: (an MPUSH of resident content transfers a reference, not the
+        #: payload); reservation and memory byte math stay exact, so the
+        #: chaos suites' residual/accounting invariants are untouched.
+        self.content = ContentIndex()
         #: Open peak-tracking epochs: token → max ``used_logical`` seen
         #: since the epoch began (concurrent jobs each get their own).
         self._peak_epochs: dict[int, float] = {}
@@ -310,7 +292,7 @@ class PartitionRelay:
             lambda _key: VmNotRunning(self.vm.vm_id, self.vm.state)
         )
         self._entries.clear()
-        self._content.clear()
+        self.content.clear()
         self._waiters.clear()
         self._pending_swaps.clear()
         self._attempt_consume_leases.clear()
@@ -449,9 +431,6 @@ class PartitionRelay:
         )
         return reclaimed
 
-    def scope_of(self, attempt_id: str | None) -> str | None:
-        return self._attempt_scopes.get(attempt_id) if attempt_id else None
-
     def scope_fenced(self, scope: str) -> bool:
         """Whether ``scope`` has been persistently fenced on this relay."""
         return scope in self._fenced_scopes
@@ -542,22 +521,9 @@ class PartitionRelay:
             self._waiters.append(reservation)
         return reservation
 
-    def _content_drop(self, entry: _Entry) -> None:
-        if entry.sha is None:
-            return
-        remaining = self._content[entry.sha] - 1
-        if remaining > 0:
-            self._content[entry.sha] = remaining
-        else:
-            del self._content[entry.sha]
-
-    def content_resident(self, sha: str) -> bool:
-        """Whether any resident entry holds bytes with this address."""
-        return self._content.get(sha, 0) > 0
-
     def cas_entries(self, prefix: str) -> list[tuple[str, str, float]]:
         """Dedup-eligible committed pushes whose key starts with ``prefix``."""
-        return [entry for entry in self.cas_log if entry[0].startswith(prefix)]
+        return self.content.entries(prefix)
 
     def _commit_push(
         self,
@@ -591,12 +557,12 @@ class PartitionRelay:
             previous = self._entries.pop(key, None)
             if previous is not None:
                 actual_old += previous.logical
-                self._content_drop(previous)
+                self.content.drop(previous.sha)
         for key, (data, logical, sha) in resident.items():
-            self._entries[key] = _Entry(bytes(data), logical, sha)
+            self._entries[key] = Resident(bytes(data), logical, sha)
+            self.content.add(sha)
             if sha is not None:
-                self._content[sha] += 1
-                self.cas_log.append((key, sha, logical))
+                self.content.record(key, sha, logical)
         reservation.state = _COMMITTED
         resident_total = sum(logical for _data, logical, _sha in resident.values())
         delta = reservation.extra + reservation.absorbed + actual_old - resident_total
@@ -714,7 +680,7 @@ class PartitionRelay:
             return 0.0
         return logical
 
-    def _lookup(self, key: str) -> _Entry:
+    def _lookup(self, key: str) -> Resident:
         """Resolve ``key`` or raise, counting the miss.  No pull stats:
         those are recorded only once the transfer actually happened."""
         entry = self._entries.get(key)
@@ -730,7 +696,7 @@ class PartitionRelay:
     def _consume_entry(self, key: str) -> None:
         removed = self._entries.pop(key, None)
         if removed is not None:
-            self._content_drop(removed)
+            self.content.drop(removed.sha)
             release = self._entry_removed(key, removed.logical)
             if release > 0:
                 self._release(release)
@@ -757,7 +723,7 @@ class PartitionRelay:
         self.stats.deletes += 1
         if entry is None:
             return False
-        self._content_drop(entry)
+        self.content.drop(entry.sha)
         release = self._entry_removed(key, entry.logical)
         if release > 0:
             self._release(release)
@@ -1052,7 +1018,7 @@ class RelayClient:
             referenced = [
                 index
                 for index, sha in enumerate(shas)
-                if sha is not None and self.relay.content_resident(sha)
+                if sha is not None and self.relay.content.resident(sha)
             ]
             skipped = sum(logicals[index] for index in referenced)
             total = sum(logicals)
@@ -1069,7 +1035,7 @@ class RelayClient:
                 missing = 0.0
                 hits = 0
                 for index in referenced:
-                    if self.relay.content_resident(t.cast(str, shas[index])):
+                    if self.relay.content.resident(t.cast(str, shas[index])):
                         saved += logicals[index]
                         hits += 1
                     else:
@@ -1083,10 +1049,7 @@ class RelayClient:
                 if hits:
                     self.relay.stats.dedup_hits += hits
                     self.relay.stats.dedup_bytes += saved
-                    metrics_registry().counter(
-                        "repro_dedup_bytes_total",
-                        "Wire bytes saved by content-addressed dedup",
-                    ).inc(saved, substrate="relay")
+                    publish_dedup_bytes("relay", saved)
             self.relay._commit_push(reservation, items, logicals, shas)
             reservation = None
             return None
@@ -1098,29 +1061,7 @@ class RelayClient:
             raise
 
     def _pull_op(self, key: str, consume: bool) -> t.Generator:
-        self.relay.ensure_running()
-        self.relay._check_fence(self.attempt_id)
-        transfer: SimEvent | None = None
-        try:
-            yield from self._consume_ops(1.0)
-            yield self.sim.timeout(self._latency())
-            # Fence re-check: the attempt may have been cancelled while
-            # this request was parked upstream; a consuming pull from a
-            # zombie must not destroy the winner's partition.
-            self.relay._check_fence(self.attempt_id)
-            entry = self.relay._lookup(key)
-            if entry.logical > 0:
-                transfer = self._transfer(entry.logical)
-                yield transfer
-                transfer = None
-            self.relay._record_pulls(1, entry.logical)
-            if consume:
-                self.relay._consume_or_lease(key, self.attempt_id)
-            return entry.data
-        except BaseException:
-            if transfer is not None:
-                self.relay.link.abort(transfer)
-            raise
+        return (yield from self._mpull_op([key], consume))[0]
 
     def _pull_wait_op(self, key: str) -> t.Generator:
         self.relay.ensure_running()
@@ -1164,12 +1105,7 @@ class RelayClient:
             raise
 
     def _delete_op(self, key: str) -> t.Generator:
-        self.relay.ensure_running()
-        self.relay._check_fence(self.attempt_id)
-        yield from self._consume_ops(1.0)
-        yield self.sim.timeout(self._latency())
-        self.relay._check_fence(self.attempt_id)  # zombies must not delete
-        return self.relay._remove(key)
+        return (yield from self._mdelete_op([key])) == 1
 
     def _mpull_op(self, keys: list[str], consume: bool) -> t.Generator:
         self.relay.ensure_running()
@@ -1180,7 +1116,10 @@ class RelayClient:
         try:
             yield from self._consume_ops(float(len(keys)))
             yield self.sim.timeout(self._latency())
-            self.relay._check_fence(self.attempt_id)  # see _pull_op
+            # Fence re-check: the attempt may have been cancelled while
+            # this request was parked upstream; a consuming pull from a
+            # zombie must not destroy the winner's partition.
+            self.relay._check_fence(self.attempt_id)
             # Non-destructive lookups first: a missing key mid-batch must
             # fail the whole MPULL without having consumed (or counted as
             # served, or leaked the reservation of) the keys before it.

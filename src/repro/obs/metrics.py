@@ -238,6 +238,14 @@ def reset_registry() -> MetricsRegistry:
 # publication helpers
 # ----------------------------------------------------------------------
 
+def publish_dedup_bytes(substrate: str, logical: float) -> None:
+    """Count ``logical`` wire bytes a store's content dedup saved."""
+    _REGISTRY.counter(
+        "repro_dedup_bytes_total",
+        "Wire bytes saved by content-addressed dedup",
+    ).inc(logical, substrate=substrate)
+
+
 def publish_exchange_report(report: t.Any) -> None:
     """Publish an ``ExchangeReport``'s fields as ``repro_exchange_*``.
 

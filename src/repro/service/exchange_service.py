@@ -571,18 +571,6 @@ class ExchangeService:
             job.output_digest = digest.hexdigest()[:16]
             state = "done"
         finally:
-            # A failed/cancelled sort never reached extra_report: retire
-            # its namespaced router and close its peak epoch so a
-            # long-lived fleet's per-job state stays bounded.
-            backend = operator.backend
-            if backend.rebalance_assignments is not None:
-                generation.fleet.set_router(None, namespace=job.out_prefix)
-            if backend._peak_token is not None:
-                try:
-                    generation.fleet.end_peak_epoch(backend._peak_token)
-                except Exception:
-                    pass
-                backend._peak_token = None
             busy_s = self.sim.now - (job.started_at or self.sim.now)
             generation.tenant_byte_s[job.tenant] = (
                 generation.tenant_byte_s.get(job.tenant, 0.0)

@@ -174,9 +174,11 @@ class ExchangeBackend(abc.ABC):
 
     The operator calls ``begin_sort`` → ``validate`` → ``plan`` →
     ``mapper_task``\\* → ``on_map_done`` → ``reducer_task``\\* →
-    ``report`` over each sort; a backend may serve several sequential
-    sorts (a reused operator), so per-sort bookkeeping (stat baselines,
-    peaks) belongs in ``validate``.  ``cost`` is the workload's
+    ``report`` → ``end_sort`` over each sort (``end_sort`` however the
+    sort ended); a backend may serve several sequential sorts (a reused
+    operator), so per-sort bookkeeping (stat baselines, peaks) opens in
+    ``validate`` and what the sort holds on a shared substrate is
+    released in ``end_sort``.  ``cost`` is the workload's
     :class:`~repro.shuffle.planner.ShuffleCostModel`, the same type on
     every substrate.
 
@@ -246,6 +248,12 @@ class ExchangeBackend(abc.ABC):
     def validate(self, logical_size: float) -> None:
         """Raise :class:`~repro.errors.ShuffleError` when the shuffle
         cannot fit this substrate; no-op by default."""
+
+    def end_sort(self) -> None:
+        """Release what the sort holds on a shared substrate (the relay's
+        peak epoch, the fleet's router) once it finished, failed or was
+        cancelled — also when the substrate was torn down under it, so
+        this must not raise; no-op by default."""
 
     # -- planning ------------------------------------------------------
     @property

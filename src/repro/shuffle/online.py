@@ -410,7 +410,8 @@ class OnlineShuffleSort(ShuffleSort):
         fleet sized only for the remaining bytes.  The stint's
         ``route_id`` names the instance in the reducers' port cache.
         ``base_router_table`` (fleets of two or more shards only)
-        pre-installs load-aware routing.
+        pre-installs load-aware routing under ``out_prefix``, the
+        namespace every stream key lives in (``out_prefix/stream/``).
         """
         row = SUBSTRATES[estimate.substrate]
         provisioned = row.provision(
@@ -440,7 +441,7 @@ class OnlineShuffleSort(ShuffleSort):
         )
         if base_router_table is not None:
             stint.router = PartitionLoadRouter(base_router_table)
-            provisioned.set_router(stint.router)
+            provisioned.set_router(stint.router, namespace=out_prefix)
         return stint
 
     def _load_routed(self, estimate: SubstrateEstimate) -> bool:
@@ -840,7 +841,9 @@ class OnlineShuffleSort(ShuffleSort):
                             stint.router = stint.router.with_chunk_epoch(
                                 wave, table
                             )
-                            stint.provisioned.set_router(stint.router)
+                            stint.provisioned.set_router(
+                                stint.router, namespace=out_prefix
+                            )
                             last_reroute_table = table
                             self.chunk_reroutes += 1
                             self.timeline.append(

@@ -71,10 +71,6 @@ class ShuffleResult:
     total_records: int
     duration_s: float
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(run.size_bytes for run in self.runs)
-
 
 class ShuffleSort:
     """Sort a storage object with W functions over one exchange substrate.
@@ -137,17 +133,26 @@ class ShuffleSort:
     ) -> SimEvent:
         """Sort ``bucket/key``; event → :class:`ShuffleResult`."""
         return self.sim.process(
-            self._sort(
-                bucket,
-                key,
-                out_bucket if out_bucket is not None else bucket,
-                out_prefix if out_prefix is not None else self._labels()[1],
-                workers,
-                samplers,
-                max_workers,
+            self._ended(
+                self._sort(
+                    bucket,
+                    key,
+                    out_bucket if out_bucket is not None else bucket,
+                    out_prefix if out_prefix is not None else self._labels()[1],
+                    workers,
+                    samplers,
+                    max_workers,
+                )
             ),
             name=f"{self._labels()[0]}.sort:{key}",
         ).completion
+
+    def _ended(self, body: t.Generator) -> t.Generator:
+        """Run one sort body, then end the backend's sort however it exits."""
+        try:
+            return (yield from body)
+        finally:
+            self.backend.end_sort()
 
     def _labels(self) -> tuple[str, str]:
         """(prefix of this operator's simulation process and job names,

@@ -335,8 +335,8 @@ class RelayExchange(ExchangeBackend):
         #: :meth:`~repro.cloud.vm.relay.PartitionRelay.cancel_scope`.
         self.tenant: str | None = None
         #: Open peak-tracking epoch of the current sort (``None`` between
-        #: sorts); epoch-scoped so concurrent jobs on a shared relay
-        #: never reset each other's high watermark.
+        #: sorts, closed by :meth:`end_sort`); epoch-scoped so concurrent
+        #: jobs on a shared relay never reset each other's high watermark.
         self._peak_token = None
 
     @property
@@ -345,17 +345,6 @@ class RelayExchange(ExchangeBackend):
 
     def validate(self, logical_size: float) -> None:
         self.relay.ensure_running()
-        if isinstance(self.relay, RelayFleet):
-            # Any relay exchange over a fleet starts from hash routing:
-            # a rebalance map a *previous* sort installed (possibly for
-            # a different worker grid and load profile) must never leak
-            # into this one.  ShardedRelayExchange re-installs its own
-            # map in on_boundaries, after sampling.  With a resolved
-            # namespace only *this sort's* routing is cleared — other
-            # exchanges running concurrently on a shared fleet keep
-            # theirs; without one (legacy single-job callers) the global
-            # router is cleared as before.
-            self.relay.set_router(None, namespace=self.out_prefix)
         if logical_size > self.relay.capacity_bytes:
             raise ShuffleError(
                 f"shuffle data ({logical_size:.0f} logical bytes) exceeds "
@@ -399,9 +388,14 @@ class RelayExchange(ExchangeBackend):
         # Epoch-scoped peak: each sort measures its own high watermark
         # without touching anyone else's, so concurrent jobs can share
         # this relay/fleet.
-        if self._peak_token is not None:
-            self.relay.end_peak_epoch(self._peak_token)
         self._peak_token = self.relay.begin_peak_epoch()
+
+    def end_sort(self) -> None:
+        token, self._peak_token = self._peak_token, None
+        # A relay torn down under the sort took its epochs with it; the
+        # sort's own error is the one to surface.
+        if token is not None and self.relay.state == "running":
+            self.relay.end_peak_epoch(token)
 
     def _shard_skew_budget(self) -> float:
         """Max-over-mean factor each shard must budget at admission.
@@ -467,8 +461,7 @@ class RelayExchange(ExchangeBackend):
         baseline = self._stats_baseline
         totals = self.relay.stats.as_dict()
         if self._peak_token is not None:
-            peak_fill = self.relay.end_peak_epoch(self._peak_token)
-            self._peak_token = None
+            peak_fill = self.relay.peak_fill_since(self._peak_token)
         else:
             peak_fill = self.relay.peak_fill_fraction
 
@@ -545,9 +538,9 @@ class ShardedRelayExchange(RelayExchange):
         return super()._shard_skew_budget()
 
     def validate(self, logical_size: float) -> None:
-        # Per-sort routing state: the base validate already cleared the
-        # fleet's router; no traffic flows before on_boundaries
-        # installs this sort's map, so the window is safe.
+        # Per-sort routing state: the previous sort's router was retired
+        # by end_sort, so keys route by CRC until on_boundaries installs
+        # this sort's map, before any traffic.
         super().validate(logical_size)
         self.rebalance_assignments = None
         self._post_map_shard_bytes = ()
@@ -564,8 +557,7 @@ class ShardedRelayExchange(RelayExchange):
             predicted_partition_bytes, workers, self.fleet.shard_count
         )
         # Namespaced under this sort's key prefix, so concurrent sorts
-        # on a shared fleet each keep their own rebalanced routing;
-        # legacy single-job callers (no begin_sort) install globally.
+        # on a shared fleet each keep their own rebalanced routing.
         self.fleet.set_router(
             PartitionLoadRouter(self.rebalance_assignments),
             namespace=self.out_prefix,
@@ -590,9 +582,11 @@ class ShardedRelayExchange(RelayExchange):
             max(self._post_map_shard_bytes) / total if total > 0 else 0.0
         )
         out["shard_bytes"] = self._post_map_shard_bytes
-        if self.out_prefix is not None and self.rebalance_assignments is not None:
-            # The sort is over: retire its namespaced router so a
-            # long-running shared fleet's router table stays bounded.
-            # (Global routers are left for validate's legacy clear.)
-            self.fleet.set_router(None, namespace=self.out_prefix)
         return out
+
+    def end_sort(self) -> None:
+        # Retire this sort's router, however the sort ended, so a
+        # long-running shared fleet's router table stays bounded.
+        if self.rebalance_assignments is not None:
+            self.fleet.set_router(None, namespace=self.out_prefix)
+        super().end_sort()

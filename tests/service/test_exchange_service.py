@@ -20,6 +20,7 @@ import pytest
 
 from repro.cloud import Cloud
 from repro.cloud.profiles import ibm_us_east
+from repro.cloud.vm import UnknownRelay
 from repro.cloud.vm.fleet import fleet_ready
 from repro.executor import FunctionExecutor
 from repro.service import ExchangeService, ServiceSaturated
@@ -456,3 +457,32 @@ class TestCostAttribution:
         assert cloud.meter.filtered(service="vm", tenant="ops")
         assert fleet_usd[0] > 0.0
         assert fleet_usd[1] == fleet_usd[0]
+
+
+class TestShutdown:
+    def test_shutdown_under_a_running_job_fails_it_with_the_substrate_error(self):
+        """Shutting down tears the fleet away under a running job: the
+        job fails with the substrate's own error, not with one raised
+        while the sort released its state on the dead fleet."""
+        cloud = fresh_cloud()
+        cloud.store.ensure_bucket("data")
+        payload = make_payload(RECORDS, 3)
+        svc = make_service(cloud)
+
+        def driver():
+            yield cloud.store.put("data", "in.bin", payload)
+            svc.start()
+            job = svc.submit("t", "data", "in.bin", len(payload), workers=WORKERS)
+            while job.state != "running":
+                yield cloud.sim.timeout(0.05)
+            yield cloud.sim.timeout(0.5)
+            svc.shutdown()
+            yield job.done
+            return job
+
+        job = cloud.sim.run_process(driver())
+        assert job.state == "failed"
+        assert isinstance(job.error, UnknownRelay)
+        [generation] = svc._generations
+        assert generation.fleet._routers == {}
+        assert all(shard._peak_epochs == {} for shard in generation.fleet.shards)

@@ -8,18 +8,21 @@ re-derives offline and fails loudly on any tampered section or mutated
 stored artifact.
 """
 
+import collections
 import hashlib
 
 import pytest
 
 from repro.cas import (
+    ContentIndex,
     content_hash,
     output_digest,
     sha256_hex,
     stable_serialize,
 )
 from repro.cloud import Cloud, MB
-from repro.cloud.profiles import ALLKEYS_LRU, ibm_us_east
+from repro.cloud.memstore import CacheOutOfMemory
+from repro.cloud.profiles import ALLKEYS_LRU, NOEVICTION, ibm_us_east
 from repro.cloud.vm.fleet import fleet_ready
 from repro.cloud.vm.relay import relay_ready
 from repro.executor import FunctionExecutor
@@ -45,6 +48,15 @@ pytestmark = pytest.mark.cas
 
 RECORD_A = (1).to_bytes(8, "big") + bytes(8)
 RECORD_B = (2).to_bytes(8, "big") + bytes(8)
+
+
+def assert_residency_mirrors_entries(store):
+    """A store's refcounts are exactly the content addresses of its
+    resident entries, counted: none missing, none dangling."""
+    resident = collections.Counter(
+        entry.sha for entry in store._entries.values() if entry.sha is not None
+    )
+    assert store.content.refcounts() == dict(resident)
 
 
 def make_dup_payload(pairs=100):
@@ -176,6 +188,43 @@ class TestOutputDigest:
         assert cloud.meter.total_usd == usd
 
 
+class TestContentIndex:
+    def test_refcounts_count_duplicate_values(self):
+        index = ContentIndex()
+        for sha in ("a", "a", "b", None):
+            index.add(sha)
+        assert index.refcounts() == {"a": 2, "b": 1}
+        index.drop("a")
+        assert index.resident("a")
+        assert index.refcounts() == {"a": 1, "b": 1}
+
+    def test_a_drop_to_zero_is_no_longer_resident(self):
+        index = ContentIndex()
+        index.add("a")
+        index.drop("a")
+        index.drop(None)  # a value without an address was never counted
+        assert not index.resident("a")
+        assert index.refcounts() == {}
+
+    def test_clear_keeps_the_log(self):
+        index = ContentIndex()
+        index.add("a")
+        index.record("out/k", "a", 3.0)
+        index.clear()
+        assert not index.resident("a")
+        assert index.entries("") == [("out/k", "a", 3.0)]
+
+    def test_entries_filter_by_prefix_in_commit_order(self):
+        index = ContentIndex()
+        index.record("out/b", "1", 1.0)
+        index.record("outlier/c", "2", 2.0)
+        index.record("out/a", "3", 3.0)
+        assert index.entries("out/") == [("out/b", "1", 1.0), ("out/a", "3", 3.0)]
+        assert [key for key, _sha, _logical in index.entries("out")] == [
+            "out/b", "outlier/c", "out/a",
+        ]
+
+
 class TestCosDedup:
     @pytest.fixture
     def cloud(self):
@@ -275,7 +324,7 @@ class TestCacheDedupEviction:
     """
 
     @staticmethod
-    def _tiny_cluster():
+    def _tiny_cluster(eviction_policy=ALLKEYS_LRU):
         profile = ibm_us_east(deterministic=True)
         profile.memstore.usable_memory_fraction = 1.0
         profile.memstore.catalog = {
@@ -286,7 +335,7 @@ class TestCacheDedupEviction:
                 hourly_usd=0.1,
             )
         }
-        profile.memstore.eviction_policy = ALLKEYS_LRU
+        profile.memstore.eviction_policy = eviction_policy
         cloud = Cloud.fresh(seed=5, profile=profile)
         return cloud, cloud.cache.provision_ready("tiny")
 
@@ -306,6 +355,8 @@ class TestCacheDedupEviction:
         totals = cluster.stats_totals()
         assert totals["dedup_hits"] == 2
         assert totals["dedup_bytes"] == pytest.approx(400.0)
+        for node in cluster.nodes:
+            assert_residency_mirrors_entries(node)
 
     def test_evicted_referent_mid_batch_restores_and_keeps_bytes(self):
         """The race itself: the batch marks a value dedup'd while its
@@ -334,6 +385,63 @@ class TestCacheDedupEviction:
         assert totals["evictions"] >= 2
         # The evicted referents are tombstoned, not silently absent.
         assert cluster.nodes[0].was_evicted("seed")
+        for node in cluster.nodes:
+            assert_residency_mirrors_entries(node)
+
+    def test_noeviction_refusal_restores_the_previous_value(self):
+        cloud, cluster = self._tiny_cluster(NOEVICTION)
+        client = cluster.client()
+        old, new = b"o" * 300, b"n" * 500
+
+        def scenario():
+            yield client.mset([("k", old), ("other", b"p" * 600)])
+            with pytest.raises(CacheOutOfMemory):
+                yield client.mset([("k", new)])
+            return (yield client.mget(["k"]))
+
+        assert cloud.sim.run_process(scenario()) == [old]
+        [node] = cluster.nodes
+        assert node.content.resident(sha256_hex(old))
+        assert not node.content.resident(sha256_hex(new))
+        assert_residency_mirrors_entries(node)
+
+
+class TestRelayResidency:
+    """The relay's refcounts follow its entries through every way one
+    leaves: a replacing commit, a committed consume lease, a delete, and
+    terminate."""
+
+    def test_refcounts_mirror_entries_through_commit_consume_delete(self):
+        cloud = Cloud.fresh(seed=5, profile=ibm_us_east(deterministic=True))
+        relay = relay_ready(cloud.vms, "bx2-2x8")
+        driver = relay.client()
+        worker = relay.client(attempt_id="act-1")
+        same, other = b"s" * 64, b"t" * 64
+
+        def scenario():
+            yield driver.mpush([("a", same), ("b", same), ("c", other)])
+            assert relay.content.refcounts() == {
+                sha256_hex(same): 2, sha256_hex(other): 1,
+            }
+            assert_residency_mirrors_entries(relay)
+            yield driver.mpush([("b", other)])  # replaces b's value
+            assert_residency_mirrors_entries(relay)
+            yield worker.pull("a", consume=True)
+            assert_residency_mirrors_entries(relay)  # leased, still resident
+            relay.commit_attempt("act-1")
+            assert_residency_mirrors_entries(relay)
+            assert not relay.content.resident(sha256_hex(same))
+            yield driver.delete("c")
+            assert_residency_mirrors_entries(relay)
+            assert relay.content.refcounts() == {sha256_hex(other): 1}
+
+        cloud.sim.run_process(scenario())
+        relay.terminate()
+        assert relay.content.refcounts() == {}
+        # The content log outlives the relay's memory.
+        assert [key for key, _sha, _logical in relay.cas_entries("")] == [
+            "a", "b", "c", "b",
+        ]
 
 
 def run_cold_warm(substrate, payload, *, seed=7):

@@ -14,6 +14,7 @@ import pytest
 
 from repro.cloud import Cloud
 from repro.cloud.profiles import ibm_us_east
+from repro.cloud.vm import RelayAttemptFenced
 from repro.cloud.vm.fleet import fleet_ready
 from repro.executor import FunctionExecutor
 from repro.shuffle import (
@@ -142,3 +143,37 @@ def test_concurrent_sorts_report_their_own_peaks():
     )
     assert peak_a <= lifetime + 1e-12
     assert peak_b <= lifetime + 1e-12
+
+
+def test_a_sort_failing_mid_wave_releases_its_fleet_state():
+    """Cancel a rebalanced sort's scope while its map wave is pushing:
+    the sort fails, and on its way out it retires its router and closes
+    its peak epochs on every shard, with no cleanup by the caller."""
+    cloud = Cloud.fresh(seed=9, profile=ibm_us_east(deterministic=True))
+    cloud.store.ensure_bucket("data")
+    fleet = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
+    operator = ShuffleSort(
+        FunctionExecutor(cloud), codec(), backend=ShardedRelayExchange(fleet)
+    )
+    operator.backend.tenant = "job-x"
+
+    def driver():
+        yield cloud.store.put("data", "a.bin", payload_for(101))
+        sort = operator.sort("data", "a.bin", out_prefix="job-x", workers=WORKERS)
+        while fleet.used_logical == 0:
+            yield cloud.sim.timeout(0.01)
+        assert set(fleet._routers) == {"job-x"}
+        assert all(shard._peak_epochs for shard in fleet.shards)
+        fleet.cancel_scope("job-x")
+        try:
+            yield sort
+        except RelayAttemptFenced:
+            return "failed"
+        return "done"
+
+    assert cloud.sim.run_process(driver()) == "failed"
+    assert operator.backend.rebalance_assignments is not None
+    assert fleet._routers == {}
+    assert all(shard._peak_epochs == {} for shard in fleet.shards)
+    assert fleet.residual_reservation_bytes() == 0.0
+    fleet.check_memory_accounting()

@@ -20,7 +20,7 @@ WALLCLOCK_GUARDED := bench-kernels bench-sim bench-codec
 #: may change (bench_wallclock.json is untracked).
 HOST_TIMING_RESULTS := s14_kernels.txt s15_obs.txt bench_wallclock.json
 
-.PHONY: test test-faults test-skew test-service test-obs test-cas collect bench $(BENCH_TARGETS) bench-ledger ledger-selfcheck parity verify
+.PHONY: test test-faults test-skew test-service test-obs test-cas collect bench $(BENCH_TARGETS) bench-ledger ledger-selfcheck parity verify size
 
 # Tier-1 suite (must stay green): everything under tests/, once, with
 # the chaos suite under the pinned seed matrix.  The `test-*` targets
@@ -132,6 +132,14 @@ parity:
 	! grep DRIFT benchmarks/ledger/out/parity.log
 	$(MAKE) bench
 	git diff --stat --exit-code -- benchmarks/results $(addprefix ':!benchmarks/results/',$(HOST_TIMING_RESULTS))
+
+# Source size: the src/repro file and line counts, and the subtotal of
+# the exchange layer (shuffle/ + core/stages.py + core/pipelines.py)
+# that ROADMAP item 9 gates on.
+EXCHANGE_SOURCES = $(shell find src/repro/shuffle -name '*.py') src/repro/core/stages.py src/repro/core/pipelines.py
+size:
+	@echo "src/repro: $$(find src/repro -name '*.py' | wc -l) files, $$(find src/repro -name '*.py' -exec cat {} + | wc -l) lines"
+	@echo "shuffle/ + core/stages.py + core/pipelines.py: $$(cat $(EXCHANGE_SOURCES) | wc -l) lines"
 
 # CI gate: collection + result lint, the ledger self-check, tier-1.
 verify: collect ledger-selfcheck test

@@ -29,7 +29,6 @@ import time
 import pytest
 
 from repro.cloud import Cloud
-from repro.cloud.retry import RetryPolicy
 from repro.cloud.storageview import BoundStorage
 from repro.sim import FairShareLink, Resource, Simulator, TokenBucket, inline
 
@@ -197,9 +196,7 @@ def test_storage_request_throughput(benchmark):
         def worker(index):
             nonlocal fetched
             # A worker-side view: bounded by a NIC, retrying like the SDK.
-            view = BoundStorage(
-                cloud.store, 1e8, retry=RetryPolicy(), name=f"worker-{index}"
-            )
+            view = BoundStorage(cloud.store, 1e8, name=f"worker-{index}")
             for _ in range(requests_each):
                 start = index * chunk
                 data = yield view.get_range("bench", "runs/0", start, start + chunk)
@@ -231,9 +228,7 @@ def test_storage_poll_miss_throughput(benchmark):
 
         def worker(index):
             nonlocal missed
-            view = BoundStorage(
-                cloud.store, 1e8, retry=RetryPolicy(), name=f"worker-{index}"
-            )
+            view = BoundStorage(cloud.store, 1e8, name=f"worker-{index}")
             for _ in range(polls_each):
                 # The manifest poll of the streaming exchange: no request
                 # process, the GET runs in the poller's own.

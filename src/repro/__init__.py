@@ -5,7 +5,7 @@ A simulation-backed reimplementation of the paper's full stack:
 * :mod:`repro.sim` — deterministic discrete-event simulation kernel;
 * :mod:`repro.cloud` — object storage, FaaS platform, VM service,
   in-memory cache service, billing, the calibrated IBM profile;
-* :mod:`repro.storage` — Lithops-like storage client API;
+* :mod:`repro.storage` — object-store key layout and the payload codec;
 * :mod:`repro.executor` — Lithops-like ``FunctionExecutor`` (+ VM mode,
   crash retries, speculative execution);
 * :mod:`repro.shuffle` — Primula-like shuffle/sort through object

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.cloud.retry import RetryPolicy
 from repro.cloud.storageview import BoundStorage
 from repro.obs.trace import NOOP_SPAN
 from repro.sim import SimEvent, Simulator
@@ -67,12 +66,12 @@ class FunctionContext:
         #: singleton when tracing is off, so clients can record events
         #: unconditionally.
         self.span = NOOP_SPAN
-        #: Storage client bounded by the function instance's NIC; retries
-        #: transient 5xx-style failures like the real worker SDK does.
+        #: Object-store client bounded by the function instance's NIC;
+        #: retries transient 5xx-style failures like the real worker SDK
+        #: does.
         self.storage = BoundStorage(
             platform.store,
             platform.profile.instance_bandwidth,
-            retry=RetryPolicy(),
             name=f"{function_name}.{activation_id}.storage",
         )
         #: Fraction of a full vCPU this memory size buys.

@@ -1,10 +1,9 @@
 """Simulated object storage service (IBM COS-like)."""
 
-from repro.cloud.objectstore.blobs import MultipartUpload, ObjectMetadata, StoredObject
+from repro.cloud.objectstore.blobs import ObjectMetadata, StoredObject
 from repro.cloud.objectstore.errors import (
     BucketAlreadyExists,
     InvalidRange,
-    MultipartError,
     NoSuchBucket,
     NoSuchKey,
     SlowDown,
@@ -14,8 +13,6 @@ from repro.cloud.objectstore.service import ObjectStore, OpStats
 __all__ = [
     "BucketAlreadyExists",
     "InvalidRange",
-    "MultipartError",
-    "MultipartUpload",
     "NoSuchBucket",
     "NoSuchKey",
     "ObjectMetadata",

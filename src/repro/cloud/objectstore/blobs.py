@@ -57,15 +57,3 @@ class StoredObject:
 def compute_etag(data: bytes) -> str:
     """Deterministic content hash used as the object ETag."""
     return hashlib.md5(data).hexdigest()  # noqa: S324 - identity, not security
-
-
-@dataclasses.dataclass(slots=True)
-class MultipartUpload:
-    """In-progress multipart upload state."""
-
-    bucket: str
-    key: str
-    upload_id: str
-    parts: dict[int, bytes] = dataclasses.field(default_factory=dict)
-    part_logical: dict[int, float] = dataclasses.field(default_factory=dict)
-    completed: bool = False

@@ -33,8 +33,8 @@ class BucketAlreadyExists(StorageError):
 class SlowDown(StorageError):
     """The request rate exceeds the service limit (HTTP 503 SlowDown).
 
-    Clients are expected to back off and retry; the storage client in
-    :mod:`repro.storage.api` does so automatically.
+    Clients are expected to back off and retry; every
+    :class:`~repro.cloud.storageview.BoundStorage` does so automatically.
     """
 
     def __init__(self, estimated_wait_s: float):
@@ -48,9 +48,10 @@ class InternalError(StorageError):
     """A transient service-side failure (HTTP 500 InternalError).
 
     Real object stores return these under load or during internal
-    failovers; clients are expected to retry, and the storage client in
-    :mod:`repro.storage.api` does so automatically.  Raised by the
-    simulated store's failure injection (``ObjectStore.fault_probability``).
+    failovers; clients are expected to retry, and every
+    :class:`~repro.cloud.storageview.BoundStorage` does so automatically.
+    Raised by the simulated store's failure injection
+    (``ObjectStore.fault_probability``).
     """
 
     def __init__(self, operation: str):
@@ -69,6 +70,3 @@ class InvalidRange(StorageError):
         self.end = end
         self.size = size
 
-
-class MultipartError(StorageError):
-    """A multipart upload was used incorrectly."""

@@ -26,21 +26,15 @@ data through real code.
 
 from __future__ import annotations
 
-import itertools
 import typing as t
 
 from repro.cas import ContentIndex, sha256_hex
 from repro.cloud.billing import CostMeter
-from repro.cloud.objectstore.blobs import (
-    MultipartUpload,
-    ObjectMetadata,
-    StoredObject,
-)
+from repro.cloud.objectstore.blobs import ObjectMetadata, StoredObject
 from repro.cloud.objectstore.errors import (
     BucketAlreadyExists,
     InternalError,
     InvalidRange,
-    MultipartError,
     NoSuchBucket,
     NoSuchKey,
     SlowDown,
@@ -119,8 +113,6 @@ class ObjectStore:
         #: :class:`InternalError` after admission (failure injection for
         #: client-retry tests); 0 by default.
         self.fault_probability = 0.0
-        self._uploads: dict[str, MultipartUpload] = {}
-        self._upload_ids = itertools.count(1)
         self.stats = OpStats()
         # Content addressing: (bucket, sha256) → last key that stored
         # those bytes.  Hits are validated by byte equality, so stale or
@@ -129,7 +121,7 @@ class ObjectStore:
         # dedup-eligible PUTs, for run-manifest construction.
         self._cas_index: dict[tuple[str, str], str] = {}
         self.content = ContentIndex()
-        # Storage-volume billing: integral of logical bytes over time.
+        # Stored-volume billing: integral of logical bytes over time.
         self._stored_logical = 0.0
         self._volume_updated_at = sim.now
         self._volume_gb_hours = 0.0
@@ -403,99 +395,6 @@ class ObjectStore:
         self.stats.deletes += 1
         self._charge_request("class_a_request", self.profile.class_a_price_usd)
         return None
-
-    # ------------------------------------------------------------------
-    # multipart upload
-    # ------------------------------------------------------------------
-    def create_multipart_upload(self, bucket: str, key: str) -> SimEvent:
-        """Begin a multipart upload; event → ``upload_id`` string."""
-        return self._spawn(self._create_multipart_op(bucket, key), ("mpu:{}", key))
-
-    def upload_part(
-        self,
-        upload_id: str,
-        part_number: int,
-        data: bytes,
-        logical_size: float | None = None,
-        connection_bandwidth: float | None = None,
-    ) -> SimEvent:
-        """Upload one part; parts may be sent concurrently; event → ``None``."""
-        return self._spawn(
-            self._upload_part_op(
-                upload_id, part_number, data, logical_size, connection_bandwidth
-            ),
-            ("part:{}:{}", upload_id, part_number),
-        )
-
-    def complete_multipart_upload(self, upload_id: str) -> SimEvent:
-        """Concatenate parts in part-number order; event → metadata."""
-        return self._spawn(self._complete_multipart_op(upload_id), ("mpuc:{}", upload_id))
-
-    def _create_multipart_op(self, bucket: str, key: str) -> t.Generator:
-        self._bucket(bucket)  # existence check
-        yield self._admit()
-        self._inject_fault()
-        yield self.sim.timeout(self.profile.write_latency.sample(self._rng_write))
-        upload_id = f"mpu-{next(self._upload_ids)}"
-        self._uploads[upload_id] = MultipartUpload(bucket, key, upload_id)
-        self._charge_request("class_a_request", self.profile.class_a_price_usd)
-        return upload_id
-
-    def _upload_part_op(
-        self,
-        upload_id: str,
-        part_number: int,
-        data: bytes,
-        logical_size: float | None,
-        connection_bandwidth: float | None,
-    ) -> t.Generator:
-        upload = self._uploads.get(upload_id)
-        if upload is None or upload.completed:
-            raise MultipartError(f"unknown or completed upload: {upload_id!r}")
-        if part_number < 1:
-            raise MultipartError(f"part numbers start at 1, got {part_number}")
-        yield self._admit()
-        self._inject_fault()
-        yield self.sim.timeout(self.profile.write_latency.sample(self._rng_write))
-        logical = self._logical(len(data), logical_size)
-        if logical > 0:
-            yield self._aggregate.transfer(logical, self._flow_cap(connection_bandwidth))
-        upload.parts[part_number] = bytes(data)
-        upload.part_logical[part_number] = logical
-        self.stats.puts += 1
-        self.stats.bytes_in += logical
-        self._charge_request("class_a_request", self.profile.class_a_price_usd)
-        return None
-
-    def _complete_multipart_op(self, upload_id: str) -> t.Generator:
-        upload = self._uploads.get(upload_id)
-        if upload is None or upload.completed:
-            raise MultipartError(f"unknown or completed upload: {upload_id!r}")
-        if not upload.parts:
-            raise MultipartError(f"upload {upload_id!r} has no parts")
-        yield self._admit()
-        self._inject_fault()
-        yield self.sim.timeout(self.profile.write_latency.sample(self._rng_write))
-        data = b"".join(upload.parts[number] for number in sorted(upload.parts))
-        logical = sum(upload.part_logical.values())
-        meta = ObjectMetadata(
-            bucket=upload.bucket,
-            key=upload.key,
-            size=len(data),
-            logical_size=logical,
-            created_at=self.sim.now,
-            payload=data,
-        )
-        objects = self._bucket(upload.bucket)
-        self._accrue_volume()
-        previous = objects.get(upload.key)
-        if previous is not None:
-            self._stored_logical -= previous.meta.logical_size
-        objects[upload.key] = StoredObject(data, meta)
-        self._stored_logical += logical
-        upload.completed = True
-        self._charge_request("class_a_request", self.profile.class_a_price_usd)
-        return meta
 
     # ------------------------------------------------------------------
     # billing

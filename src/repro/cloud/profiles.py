@@ -75,7 +75,7 @@ class ObjectStoreProfile:
     class_a_price_usd: float = 0.005 / 1000.0
     #: Class B request price (GET/HEAD), per request.
     class_b_price_usd: float = 0.0004 / 1000.0
-    #: Storage price per GB-hour (from $0.0223/GB-month).
+    #: Price per stored GB-hour (from $0.0223/GB-month).
     storage_gb_hour_usd: float = 0.0223 / (30 * 24)
 
 

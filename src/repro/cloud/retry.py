@@ -1,10 +1,10 @@
 """Retry policy and retry loop for transient object-storage failures.
 
-Lives in the cloud layer (below :mod:`repro.storage`) so that both the
-driver-side :class:`~repro.storage.api.Storage` client and the
-worker-side :class:`~repro.cloud.storageview.BoundStorage` can share it
-without an import cycle.  Real COS/S3 SDKs retry 503 SlowDown and 500
-InternalError with exponential backoff and full jitter; so do we.
+Every object-store request goes through
+:class:`~repro.cloud.storageview.BoundStorage`, whose verbs run
+:func:`retry_loop` under the one :data:`RETRY_POLICY`.  Real COS/S3 SDKs
+retry 503 SlowDown and 500 InternalError with exponential backoff and
+full jitter; so do we.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ class RetryPolicy:
         return rng.uniform(0.0, ceiling)
 
 
+#: The policy every object-store client retries under.
+RETRY_POLICY = RetryPolicy()
+
+
 def retry_loop(
     client: t.Any,
     sim: Simulator,
@@ -49,12 +53,13 @@ def retry_loop(
     Each attempt is a fresh ``body(*args)`` run with ``yield from``, so a
     retried request stays one process (see "Simulator hot path" in
     :mod:`repro.sim.events`).  ``client`` is the retrying client: the
-    loop reads its ``retry`` policy, draws each backoff from its own
-    ``backoff_rng`` (the ``"<name>.backoff"`` stream) and counts each
-    retry in its ``retries``.  When the last attempt fails too, the error
-    is wrapped in a :class:`~repro.errors.StorageError` naming ``label``.
+    loop backs off under :data:`RETRY_POLICY`, draws each backoff from
+    the client's own ``backoff_rng`` (the ``"<name>.backoff"`` stream)
+    and counts each retry in its ``retries``.  When the last attempt
+    fails too, the error is wrapped in a
+    :class:`~repro.errors.StorageError` naming ``label``.
     """
-    policy = client.retry
+    policy = RETRY_POLICY
     attempt = 1
     while True:
         try:

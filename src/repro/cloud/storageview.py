@@ -1,16 +1,15 @@
-"""Bandwidth-bounded views over the object store.
+"""Bandwidth-bounded, retrying views over the object store.
 
 Compute nodes (function instances, VMs) do not talk to object storage at
 the store's full per-connection speed: their own NIC caps the rate.  A
 :class:`BoundStorage` wraps an :class:`~repro.cloud.objectstore.ObjectStore`
 and threads the caller's bandwidth bound through every data-plane call.
 
-Worker-side views additionally carry a :class:`~repro.cloud.retry.RetryPolicy`:
-real Lithops workers use an SDK that retries 503/500 responses inside
-the function, so transient storage failures cost backoff time — not the
-whole activation.  Views without a policy surface errors directly (the
-driver-side :class:`~repro.storage.api.Storage` client layers its own
-retries on top).
+It is the one object-store client: every function, every VM and the
+executor's driver (unbounded, ``connection_bandwidth=None``) use it.
+Like the SDK real Lithops workers and drivers use, it retries 503/500
+responses under :data:`~repro.cloud.retry.RETRY_POLICY`, so transient
+storage failures cost backoff time, not the whole activation.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import typing as t
 
 from repro.cloud.objectstore.service import ObjectStore
-from repro.cloud.retry import RetryPolicy, retry_loop
+from repro.cloud.retry import retry_loop
 from repro.obs.trace import NOOP_SPAN
 from repro.sim import LazyName, SimEvent, request
 
@@ -35,14 +34,12 @@ class BoundStorage:
         self,
         store: ObjectStore,
         connection_bandwidth: float | None,
-        retry: RetryPolicy | None = None,
         name: str = "bound",
     ):
         self._store = store
         self.connection_bandwidth = connection_bandwidth
-        self.retry = retry
         self.name = name
-        self.backoff_rng = store.sim.rng.stream(f"{name}.backoff") if retry else None
+        self.backoff_rng = store.sim.rng.stream(f"{name}.backoff")
         #: Transient-error retries performed (visible to tests/reports).
         self.retries = 0
         #: The owning attempt's trace span (the FaaS context binds it);
@@ -55,18 +52,11 @@ class BoundStorage:
     # runs each attempt inline with ``yield from`` (see "Simulator hot
     # path" in repro.sim.events).  The ``*_request`` forms are the same
     # generator for a caller that runs it in a process it already has
-    # (``Storage``'s retry loop, or ``repro.sim.inline``).
+    # (``repro.sim.inline``).
     def _spawn(self, body: t.Generator, label: LazyName) -> SimEvent:
-        if self.retry is None:
-            return self._store._spawn(body, label)
         return request(self._store.sim, body, ("{}.{}", self.name, label))
 
-    def _call(self, label: LazyName, body: t.Callable, *args) -> SimEvent:
-        return self._spawn(self._request(label, body, *args), label)
-
     def _request(self, label: LazyName, body: t.Callable, *args) -> t.Generator:
-        if self.retry is None:
-            return body(*args)
         return retry_loop(self, self._store.sim, label, body, *args)
 
     # -- data plane ----------------------------------------------------
@@ -147,41 +137,18 @@ class BoundStorage:
     def delete_request(self, bucket: str, key: str) -> t.Generator:
         return self._request(("delete:{}", key), self._store._delete_op, bucket, key)
 
-    def create_multipart_upload(self, bucket: str, key: str) -> SimEvent:
-        return self._call(
-            ("mpu:{}", key), self._store._create_multipart_op, bucket, key
-        )
-
-    def upload_part(
-        self,
-        upload_id: str,
-        part_number: int,
-        data: bytes,
-        logical_size: float | None = None,
-    ) -> SimEvent:
-        return self._call(
-            ("part:{}:{}", upload_id, part_number), self._store._upload_part_op,
-            upload_id, part_number, data, logical_size, self.connection_bandwidth,
-        )
-
-    def complete_multipart_upload(self, upload_id: str) -> SimEvent:
-        return self._call(
-            ("mpuc:{}", upload_id), self._store._complete_multipart_op, upload_id
-        )
-
     # -- derived views -------------------------------------------------
     def bounded(self, connection_bandwidth: float) -> "BoundStorage":
         """A stricter view, e.g. for splitting a NIC across parallel streams.
 
         The effective bound is the minimum of this view's bound and the
         requested one, so a derived view can never exceed its parent.
-        The retry policy carries over.
+        It shares the parent's name, so its backoffs draw from the same
+        stream.
         """
         if self.connection_bandwidth is not None:
             connection_bandwidth = min(connection_bandwidth, self.connection_bandwidth)
-        view = BoundStorage(
-            self._store, connection_bandwidth, retry=self.retry, name=self.name
-        )
+        view = BoundStorage(self._store, connection_bandwidth, name=self.name)
         view.span = self.span
         return view
 

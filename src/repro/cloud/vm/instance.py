@@ -27,7 +27,6 @@ import weakref
 from repro.cloud.billing import CostMeter
 from repro.cloud.objectstore.service import ObjectStore
 from repro.cloud.profiles import InstanceType, VmProfile
-from repro.cloud.retry import RetryPolicy
 from repro.cloud.storageview import BoundStorage
 from repro.cloud.vm.errors import (
     UnknownInstanceType,
@@ -47,13 +46,13 @@ class VmContext:
     def __init__(self, vm: "VirtualMachine"):
         self.vm = vm
         self.sim: Simulator = vm.sim
-        #: Storage client whose connections are individually capped by the
-        #: store and collectively capped by the VM NIC (see ``io_slot``);
-        #: retries transient 5xx-style failures like a real SDK.
+        #: Object-store client whose connections are individually capped
+        #: by the store and collectively capped by the VM NIC (see
+        #: ``io_slot``); retries transient 5xx-style failures like a real
+        #: SDK.
         self.storage = BoundStorage(
             vm.store,
             vm.store.profile.per_connection_bandwidth,
-            retry=RetryPolicy(),
             name=f"{vm.vm_id}.storage",
         )
         self.logical_scale = vm.logical_scale
@@ -88,46 +87,28 @@ class VmContext:
         """Semaphore capping concurrent storage connections (NIC model)."""
         return self.vm.io_slots
 
-    def parallel_get(self, pairs: list[tuple[str, str]]) -> SimEvent:
-        """Fetch many objects concurrently, respecting the NIC cap.
-
-        ``pairs`` is a list of ``(bucket, key)``.  The event succeeds with
-        the list of payloads in input order.
-        """
-        return self.sim.process(
-            self._parallel_io(
-                [("get", bucket, key, None) for bucket, key in pairs]
-            ),
-            name=f"{self.vm.vm_id}.parallel_get",
-        ).completion
-
     def parallel_put(self, triples: list[tuple[str, str, bytes]]) -> SimEvent:
         """Store many objects concurrently, respecting the NIC cap."""
         return self.sim.process(
-            self._parallel_io(
-                [("put", bucket, key, data) for bucket, key, data in triples]
-            ),
-            name=f"{self.vm.vm_id}.parallel_put",
+            self._parallel_io(triples), name=f"{self.vm.vm_id}.parallel_put"
         ).completion
 
-    def _parallel_io(self, ops: list[tuple]) -> t.Generator:
+    def _parallel_io(self, triples: list[tuple[str, str, bytes]]) -> t.Generator:
         self.vm.ensure_running()
-        results: list[object] = [None] * len(ops)
+        results: list[object] = [None] * len(triples)
 
-        def one(index: int, op: tuple) -> t.Generator:
+        def one(index: int, bucket: str, key: str, data: bytes) -> t.Generator:
             yield self.vm.io_slots.acquire()
             try:
-                kind, bucket, key, data = op
-                if kind == "get":
-                    results[index] = yield self.storage.get(bucket, key)
-                else:
-                    results[index] = yield self.storage.put(bucket, key, data)
+                results[index] = yield self.storage.put(bucket, key, data)
             finally:
                 self.vm.io_slots.release()
 
         processes = [
-            self.sim.process(one(index, op), name=f"{self.vm.vm_id}.io{index}")
-            for index, op in enumerate(ops)
+            self.sim.process(
+                one(index, *triple), name=f"{self.vm.vm_id}.io{index}"
+            )
+            for index, triple in enumerate(triples)
         ]
         yield self.sim.all_of([process.completion for process in processes])
         return results

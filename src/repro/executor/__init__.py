@@ -9,19 +9,11 @@ from repro.executor.executor import (
 from repro.executor.futures import CallState, CallStats, ResponseFuture
 from repro.executor.job import JobRecord
 from repro.executor.speculation import AttemptHandle, JobSpeculator, SpeculationPolicy
-from repro.executor.partitioner import (
-    ByteRange,
-    align_start_to_record,
-    chunk_ranges,
-    extend_end_to_record,
-    split_range,
-)
 
 __all__ = [
     "ALL_COMPLETED",
     "ANY_COMPLETED",
     "AttemptHandle",
-    "ByteRange",
     "CallState",
     "CallStats",
     "CpuModel",
@@ -30,8 +22,4 @@ __all__ = [
     "JobSpeculator",
     "SpeculationPolicy",
     "ResponseFuture",
-    "align_start_to_record",
-    "chunk_ranges",
-    "extend_end_to_record",
-    "split_range",
 ]

@@ -38,7 +38,6 @@ from repro.executor.job import JobRecord
 from repro.executor.speculation import AttemptHandle, JobSpeculator, SpeculationPolicy
 from repro.sim import SimEvent
 from repro.storage import paths
-from repro.storage.api import Storage
 from repro.storage.serializer import deserialize, serialize
 
 #: ``cpu_model(data) -> cpu_seconds`` for plain callables.
@@ -116,11 +115,10 @@ class FunctionExecutor:
             timeout_s=timeout_s,
             billing_tags=billing_tags,
         )
-        # Driver-side storage client (full per-connection speed).
-        self.storage = Storage(
-            self.sim,
-            BoundStorage(cloud.store, None),
-            name=f"{self.executor_id}.driver",
+        # Driver-side storage client: the workers' retrying client, at
+        # the store's full per-connection speed.
+        self.storage = BoundStorage(
+            cloud.store, None, name=f"{self.executor_id}.driver"
         )
 
     # ------------------------------------------------------------------
@@ -253,7 +251,7 @@ class FunctionExecutor:
                 if future.output_ref is None:
                     raise ExecutorError("future has no output reference")
                 bucket, key = future.output_ref
-                payload = yield self.storage.get_object(bucket, key)
+                payload = yield self.storage.get(bucket, key)
                 future._store_result(deserialize(payload))
                 future.stats.output_bytes = len(payload)
             results.append(future.result)
@@ -290,7 +288,7 @@ class FunctionExecutor:
         # function+modules once, not per call).
         func_key = f"{paths.job_prefix(self.executor_id, job_id)}/function.pickle"
         func_blob = serialize((func, cpu_model))
-        yield self.storage.put_object(self.bucket, func_key, func_blob)
+        yield self.storage.put(self.bucket, func_key, func_blob)
 
         futures = []
         for call_id, data in enumerate(iterdata):
@@ -298,7 +296,7 @@ class FunctionExecutor:
             output_key = paths.call_output_key(self.executor_id, job_id, call_id)
             status_key = paths.call_status_key(self.executor_id, job_id, call_id)
             input_blob = serialize(data)
-            yield self.storage.put_object(self.bucket, input_key, input_blob)
+            yield self.storage.put(self.bucket, input_key, input_blob)
             payload = {
                 "bucket": self.bucket,
                 "func_key": func_key,

@@ -30,6 +30,7 @@ from repro.executor.speculation import SpeculationPolicy
 from repro.methcomp.codec import compression_ratio, gzip_ratio
 from repro.methcomp.datagen import MethylomeGenerator
 from repro.methcomp.pipeline import bed_record_codec
+from repro.obs.metrics import nearest_rank
 from repro.obs.slo import SloGate
 from repro.shuffle.operator import ShuffleSort
 from repro.shuffle.planner import exchange_terms, plan_shuffle, predict_shuffle_time
@@ -1143,11 +1144,7 @@ SERVICE_ARRIVALS: tuple[tuple[float, str, float], ...] = (
 
 
 def _p95(values: t.Sequence[float]) -> float:
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    rank = max(0, int(-(-0.95 * len(ordered) // 1)) - 1)
-    return ordered[rank]
+    return nearest_rank(values, 0.95) if values else 0.0
 
 
 #: Every S13 job sorts at this worker count; the service may grow its

@@ -20,6 +20,7 @@ simulation cannot perturb it.
 
 from __future__ import annotations
 
+import math
 import re
 import typing as t
 
@@ -34,6 +35,17 @@ def sanitize_name(name: str) -> str:
     if name and name[0].isdigit():
         name = "_" + name
     return name
+
+
+def nearest_rank(values: t.Iterable[float], q: float) -> float:
+    """The nearest-rank q-quantile of non-empty ``values``.
+
+    The smallest sample with at least ``q`` of the samples at or below
+    it: ``sorted(values)[ceil(q * n) - 1]``, the first sample at q = 0.
+    Every percentile the repo reports or gates on uses this one rule.
+    """
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
 def _label_key(labels: dict[str, str] | None) -> LabelKey:
@@ -136,13 +148,11 @@ class Histogram:
         return sum(self._obs.get(_label_key(labels), ()))
 
     def quantile(self, q: float, **labels) -> float | None:
-        """Exact q-quantile (nearest-rank) over this label set's samples."""
+        """Exact q-quantile (:func:`nearest_rank`) over this label set's samples."""
         obs = self._obs.get(_label_key(labels))
         if not obs:
             return None
-        ordered = sorted(obs)
-        rank = min(len(ordered) - 1, max(0, int(round(q * (len(ordered) - 1)))))
-        return ordered[rank]
+        return nearest_rank(obs, q)
 
     def samples(self) -> list[tuple[LabelKey, list[float]]]:
         return sorted((key, list(obs)) for key, obs in self._obs.items())

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.obs.metrics import Histogram, MetricsRegistry, registry as _default_registry
+from repro.obs.metrics import (
+    Histogram,
+    MetricsRegistry,
+    nearest_rank,
+    registry as _default_registry,
+)
 
 
 class SloViolation(AssertionError):
@@ -94,13 +99,11 @@ class SloGate:
             values = list(samples)
         if not values:
             return self.check(name, True, "no samples (vacuous)")
-        ordered = sorted(values)
-        rank = min(len(ordered) - 1, max(0, int(round(0.95 * (len(ordered) - 1)))))
-        p95 = ordered[rank]
+        p95 = nearest_rank(values, 0.95)
         return self.check(
             name,
             p95 <= threshold_s,
-            f"p95={p95:.4f} threshold={threshold_s:.4f} n={len(ordered)}",
+            f"p95={p95:.4f} threshold={threshold_s:.4f} n={len(values)}",
         )
 
     def equal(self, name: str, *values: t.Any) -> bool:

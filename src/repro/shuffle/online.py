@@ -610,14 +610,14 @@ class OnlineShuffleSort(ShuffleSort):
         grid_payload = serialize(
             {"mappers": reducers, "reducers": reducers, "chunks": chunk_counts}
         )
-        yield self.executor.storage.put_object(
+        yield self.executor.storage.put(
             out_bucket, online_grid_key(ctl_prefix), grid_payload,
             logical_size=len(grid_payload),
         )
 
         def publish_route(wave: int) -> SimEvent:
             payload = serialize(stint.descriptor)
-            return self.executor.storage.put_object(
+            return self.executor.storage.put(
                 out_bucket, online_route_key(ctl_prefix, wave), payload,
                 logical_size=len(payload),
             )

@@ -173,7 +173,7 @@ class ShuffleSort:
                 "speculative execution; disable the executor's speculation "
                 "policy for this sort"
             )
-        meta = yield self.executor.storage.head_object(bucket, key)
+        meta = yield self.executor.storage.head(bucket, key)
         if meta.size == 0:
             raise ShuffleError(f"cannot shuffle empty object {bucket}/{key}")
         self.backend.validate(meta.logical_size)

@@ -27,13 +27,13 @@ storage.
 
 from __future__ import annotations
 
+import heapq
 import re
 import typing as t
 
 from repro.cloud.vm.fleet import RelayFleet
 from repro.cloud.vm.relay import PartitionRelay
 from repro.errors import ShuffleError
-from repro.executor.partitioner import assign_balanced
 from repro.shuffle.exchange import ExchangeBackend
 from repro.shuffle.planner import ShuffleCostModel
 from repro.shuffle.records import RecordCodec
@@ -170,6 +170,32 @@ class PartitionLoadRouter:
         return shard
 
 
+def assign_balanced(weights: t.Sequence[float], bins: int) -> list[int]:
+    """Assign weighted items to ``bins`` minimizing the heaviest bin (LPT).
+
+    Classic longest-processing-time greedy: items are placed heaviest
+    first onto the currently lightest bin.  Ties break by bin index and
+    then by item index, so the assignment is a pure function of the
+    inputs — callers that must route identically across processes,
+    retries and speculative attempts (the relay fleet's rebalance map)
+    can rely on it.  Returns one bin index per item, in input order.
+    """
+    if bins < 1:
+        raise ShuffleError(f"bins must be >= 1, got {bins}")
+    for weight in weights:
+        if weight < 0:
+            raise ShuffleError(f"weights must be >= 0, got {weight}")
+    assignment = [0] * len(weights)
+    loads = [(0.0, index) for index in range(bins)]
+    heapq.heapify(loads)
+    order = sorted(range(len(weights)), key=lambda item: (-weights[item], item))
+    for item in order:
+        load, bin_index = heapq.heappop(loads)
+        assignment[item] = bin_index
+        heapq.heappush(loads, (load + weights[item], bin_index))
+    return assignment
+
+
 def build_rebalance_assignments(
     predicted_partition_bytes: t.Sequence[float], workers: int, shards: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -180,7 +206,7 @@ def build_rebalance_assignments(
     workers`` — a hot partition's segments are individually heavy but
     *divisible across mappers*, which is exactly the freedom the
     balanced assignment exploits: the W² weighted segments are placed
-    with :func:`~repro.executor.partitioner.assign_balanced`, spreading
+    with :func:`assign_balanced`, spreading
     the hot partition's traffic over every shard NIC instead of letting
     the hash land it wherever.
     """

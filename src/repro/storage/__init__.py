@@ -1,20 +1,15 @@
-"""Lithops-like storage client API over the simulated object store."""
+"""Object-store key layout and the payload codec executors ship through it.
 
-from repro.storage.api import RetryPolicy, Storage
-from repro.storage.serializer import (
-    chunk_bytes,
-    concat_chunks,
-    deserialize,
-    serialize,
-    serialized_size,
-)
+* :mod:`repro.storage.paths` — deterministic key names for job
+  payloads, call outputs and shuffle artifacts;
+* :func:`serialize` / :func:`deserialize` — the cloudpickle codec of
+  call payloads and results.
 
-__all__ = [
-    "RetryPolicy",
-    "Storage",
-    "chunk_bytes",
-    "concat_chunks",
-    "deserialize",
-    "serialize",
-    "serialized_size",
-]
+Requests themselves go through
+:class:`~repro.cloud.storageview.BoundStorage`, the one object-store
+client of functions, VMs and the executor's driver.
+"""
+
+from repro.storage.serializer import deserialize, serialize
+
+__all__ = ["deserialize", "serialize"]

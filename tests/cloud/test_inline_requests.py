@@ -16,7 +16,6 @@ import pytest
 
 from repro.cloud import MB, Cloud
 from repro.cloud.profiles import ibm_us_east
-from repro.cloud.retry import RetryPolicy
 from repro.cloud.storageview import BoundStorage
 from repro.errors import Interrupted
 from repro.sim import derive_seed, inline
@@ -51,7 +50,7 @@ def killed_get(path: str, phase: str | None) -> tuple[dict, list]:
     """
     cloud = make_cloud()
     sim, store = cloud.sim, cloud.store
-    view = BoundStorage(store, None, retry=RetryPolicy(), name="fn")
+    view = BoundStorage(store, None, name="fn")
     seen = []
 
     def caller():
@@ -131,7 +130,7 @@ def test_same_instant_requests_draw_latencies_in_issue_order(order):
     cloud = Cloud.fresh(seed=23, profile=profile)
     sim, store = cloud.sim, cloud.store
     store.ensure_bucket("b")
-    view = BoundStorage(store, None, retry=RetryPolicy(), name="fn")
+    view = BoundStorage(store, None, name="fn")
     done = {}
 
     def inline_get(tag):

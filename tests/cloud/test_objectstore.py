@@ -11,14 +11,12 @@ from repro.cloud import Cloud, MB
 from repro.cloud.objectstore import (
     BucketAlreadyExists,
     InvalidRange,
-    MultipartError,
     NoSuchBucket,
     NoSuchKey,
     SlowDown,
 )
 from repro.cloud.objectstore.errors import InternalError
 from repro.cloud.profiles import ibm_us_east
-from repro.cloud.retry import RetryPolicy
 from repro.cloud.storageview import BoundStorage
 from repro.executor import FunctionExecutor
 from repro.shuffle import FixedWidthCodec, ShuffleSort
@@ -193,60 +191,19 @@ class TestListHeadDelete:
         assert run(cloud, scenario()) == "ok"
 
 
-class TestMultipart:
-    def test_parts_concatenate_in_number_order(self, cloud):
-        def scenario():
-            upload_id = yield cloud.store.create_multipart_upload("bucket", "big")
-            yield cloud.store.upload_part(upload_id, 2, b"world")
-            yield cloud.store.upload_part(upload_id, 1, b"hello ")
-            yield cloud.store.complete_multipart_upload(upload_id)
-            return (yield cloud.store.get("bucket", "big"))
-
-        assert run(cloud, scenario()) == b"hello world"
-
-    def test_unknown_upload_rejected(self, cloud):
-        def scenario():
-            yield cloud.store.upload_part("mpu-999", 1, b"x")
-
-        with pytest.raises(MultipartError):
-            run(cloud, scenario())
-
-    def test_complete_twice_rejected(self, cloud):
-        def scenario():
-            upload_id = yield cloud.store.create_multipart_upload("bucket", "k")
-            yield cloud.store.upload_part(upload_id, 1, b"x")
-            yield cloud.store.complete_multipart_upload(upload_id)
-            yield cloud.store.complete_multipart_upload(upload_id)
-
-        with pytest.raises(MultipartError):
-            run(cloud, scenario())
-
-    def test_empty_complete_rejected(self, cloud):
-        def scenario():
-            upload_id = yield cloud.store.create_multipart_upload("bucket", "k")
-            yield cloud.store.complete_multipart_upload(upload_id)
-
-        with pytest.raises(MultipartError):
-            run(cloud, scenario())
-
-
 class TestEtag:
     """``ObjectMetadata.etag`` is the md5 of the stored bytes, hashed on
     first read and not before."""
 
-    def test_put_dedup_hit_and_multipart_report_the_md5(self, cloud):
+    def test_put_and_dedup_hit_report_the_md5(self, cloud):
         data = bytes(range(256)) * 40
 
         def scenario():
             plain = yield cloud.store.put("bucket", "plain", data)
             first = yield cloud.store.put("bucket", "cas-1", data, dedup=True)
             hit = yield cloud.store.put("bucket", "cas-2", data, dedup=True)
-            upload_id = yield cloud.store.create_multipart_upload("bucket", "parts")
-            yield cloud.store.upload_part(upload_id, 2, data[1000:])
-            yield cloud.store.upload_part(upload_id, 1, data[:1000])
-            multipart = yield cloud.store.complete_multipart_upload(upload_id)
-            head = yield cloud.store.head("bucket", "parts")
-            return plain, first, hit, multipart, head
+            head = yield cloud.store.head("bucket", "cas-2")
+            return plain, first, hit, head
 
         metas = run(cloud, scenario())
         assert cloud.store.stats.dedup_ops == 1
@@ -362,7 +319,7 @@ class TestMissingOk:
         assert run(cloud, scenario()) == (None, b"data", b"")
 
     def test_without_the_keyword_a_miss_still_raises(self, cloud):
-        view = BoundStorage(cloud.store, None, retry=RetryPolicy(), name="fn")
+        view = BoundStorage(cloud.store, None, name="fn")
 
         def scenario(storage):
             yield storage.get("bucket", "missing")
@@ -373,7 +330,7 @@ class TestMissingOk:
 
     def test_costs_what_the_nosuchkey_path_costs(self):
         def poll(cloud, missing_ok):
-            view = BoundStorage(cloud.store, None, retry=RetryPolicy(), name="fn")
+            view = BoundStorage(cloud.store, None, name="fn")
             outcomes = []
             for _ in range(3):
                 try:
@@ -474,7 +431,7 @@ class TestMissingOk:
 
     def test_a_retried_internal_error_before_a_miss_still_retries(self, cloud):
         cloud.store.fault_probability = 0.3
-        view = BoundStorage(cloud.store, None, retry=RetryPolicy(), name="fn")
+        view = BoundStorage(cloud.store, None, name="fn")
 
         def scenario():
             outcomes = []

@@ -1,4 +1,4 @@
-"""Tests for bandwidth-bounded storage views."""
+"""Tests for the bandwidth-bounded, retrying storage views."""
 
 import contextlib
 import gc
@@ -8,10 +8,10 @@ import pytest
 from repro.cloud import Cloud, MB
 from repro.cloud.objectstore import NoSuchBucket, NoSuchKey, SlowDown
 from repro.cloud.profiles import ibm_us_east
-from repro.cloud.retry import RetryPolicy
+from repro.cloud.retry import RETRY_POLICY, RetryPolicy
 from repro.cloud.storageview import BoundStorage
 from repro.errors import StorageError
-from repro.sim import Process, inline, render_name
+from repro.sim import Process, Simulator, inline, render_name
 
 
 @pytest.fixture
@@ -69,17 +69,56 @@ class TestBoundStorage:
         view = BoundStorage(cloud.store, None)
         assert view.raw is cloud.store
 
-    def test_multipart_through_view(self, cloud):
-        view = BoundStorage(cloud.store, 10 * MB)
+    def test_list_and_delete_through_view(self, cloud):
+        view = BoundStorage(cloud.store, None)
 
         def scenario():
-            upload_id = yield view.create_multipart_upload("b", "big")
-            yield view.upload_part(upload_id, 1, b"part1-")
-            yield view.upload_part(upload_id, 2, b"part2")
-            yield view.complete_multipart_upload(upload_id)
-            return (yield view.get("b", "big"))
+            yield view.put("b", "a/1", b"x")
+            yield view.put("b", "a/2", b"x")
+            yield view.delete("b", "a/1")
+            return (yield view.list_keys("b", "a/"))
 
-        assert cloud.sim.run_process(scenario()) == b"part1-part2"
+        assert cloud.sim.run_process(scenario()) == ["a/2"]
+
+
+class TestThrottledStore:
+    def test_slowdowns_are_retried_transparently(self):
+        profile = ibm_us_east(deterministic=True)
+        profile.objectstore.ops_per_second = 50.0
+        profile.objectstore.ops_burst = 5.0
+        profile.objectstore.slowdown_after_s = 0.2
+        cloud = Cloud.fresh(seed=17, profile=profile)
+        cloud.store.ensure_bucket("b")
+        view = BoundStorage(cloud.store, None, name="fn")
+        outcomes = []
+
+        def worker(index):
+            yield view.put("b", f"k{index}", b"x")
+            outcomes.append(index)
+
+        for index in range(120):
+            cloud.sim.process(worker(index))
+        cloud.sim.run()
+        assert len(outcomes) == 120  # every request eventually lands
+        assert cloud.store.stats.slowdowns > 0  # the store refused some
+        assert view.retries == cloud.store.stats.slowdowns
+
+
+class TestRetryPolicy:
+    class CeilingRng:
+        """Deterministic stand-in: every jittered draw is its ceiling."""
+
+        def uniform(self, low, high):
+            return high
+
+    def test_backoff_delays_grow(self):
+        policy = RetryPolicy(base_delay_s=1.0, max_delay_s=60.0, multiplier=2.0)
+        delays = [policy.delay(attempt, self.CeilingRng()) for attempt in (1, 2, 3, 4)]
+        assert delays == [1.0, 2.0, 4.0, 8.0]
+
+    def test_backoff_caps_at_max_delay(self):
+        policy = RetryPolicy(base_delay_s=1.0, max_delay_s=5.0, multiplier=10.0)
+        assert policy.delay(5, self.CeilingRng()) == 5.0
 
 
 @contextlib.contextmanager
@@ -155,44 +194,43 @@ class TestOneProcessPerRequest:
         return cloud.sim.run_process(scenario())
 
     @pytest.mark.parametrize("verb", VERBS)
-    def test_a_retrying_view_adopts_one_process_without_a_kickoff(self, cloud, verb):
-        view = BoundStorage(cloud.store, None, retry=RetryPolicy(), name="fn")
+    def test_a_view_adopts_one_process_without_a_kickoff(self, cloud, verb):
+        view = BoundStorage(cloud.store, None, name="fn")
         _value, counts = self.request(cloud, view, verb)
         assert counts == {"processes": 1, "kickoffs": 0}
 
     @pytest.mark.parametrize("verb", VERBS)
-    def test_a_view_without_a_policy_adopts_the_body_once(self, cloud, verb):
-        _value, counts = self.request(cloud, BoundStorage(cloud.store, None), verb)
-        assert counts == {"processes": 1, "kickoffs": 0}
-
-    @pytest.mark.parametrize("verb", VERBS)
-    @pytest.mark.parametrize("retry", [None, RetryPolicy()], ids=["bare", "retrying"])
-    def test_an_inline_request_is_no_process(self, cloud, verb, retry):
-        view = BoundStorage(cloud.store, None, retry=retry, name="fn")
+    def test_an_inline_request_is_no_process(self, cloud, verb):
+        view = BoundStorage(cloud.store, None, name="fn")
         value, counts = self.request(cloud, view, verb, inlined=True)
         assert counts == {"processes": 0, "kickoffs": 0}
         if verb == "get":
             assert value == b"0123"
 
     def test_two_slowdowns_then_success_is_still_one_process(self, cloud):
-        view = BoundStorage(cloud.store, None, retry=RetryPolicy(), name="fn")
+        view = BoundStorage(cloud.store, None, name="fn")
         value, counts = self.request(cloud, view, "get", slowdowns=2)
         assert value == b"0123"
         assert counts == {"processes": 1, "kickoffs": 0}
         assert view.retries == 2
 
     def test_two_slowdowns_then_success_inline_is_no_process(self, cloud):
-        view = BoundStorage(cloud.store, None, retry=RetryPolicy(), name="fn")
+        view = BoundStorage(cloud.store, None, name="fn")
         value, counts = self.request(cloud, view, "get", slowdowns=2, inlined=True)
         assert value == b"0123"
         assert counts == {"processes": 0, "kickoffs": 0}
         assert view.retries == 2
 
-    def test_an_exhausted_request_raises_the_same_storage_error(self, cloud):
-        view = BoundStorage(
-            cloud.store, None, retry=RetryPolicy(max_attempts=3), name="fn"
-        )
-        throttle(cloud.store, 3)
+    def test_the_last_attempt_can_still_succeed(self, cloud):
+        view = BoundStorage(cloud.store, None, name="fn")
+        slowdowns = RETRY_POLICY.max_attempts - 1
+        value, _counts = self.request(cloud, view, "get", slowdowns=slowdowns)
+        assert value == b"0123"
+        assert view.retries == slowdowns
+
+    def test_an_exhausted_request_surfaces_the_slowdown(self, cloud):
+        view = BoundStorage(cloud.store, None, name="fn")
+        throttle(cloud.store, RETRY_POLICY.max_attempts)
 
         def scenario():
             yield view.get("b", "k")
@@ -200,13 +238,39 @@ class TestOneProcessPerRequest:
         with pytest.raises(StorageError) as error:
             cloud.sim.run_process(scenario())
         assert str(error.value) == (
-            "get:k: still failing after 3 attempts "
+            "get:k: still failing after 6 attempts "
             "(request rate exceeded; estimated backlog 1.0s)"
         )
-        assert view.retries == 2
+        assert view.retries == RETRY_POLICY.max_attempts - 1
+
+    def test_backoff_draws_come_from_the_named_rng_stream(self, cloud):
+        """An exhausted request's elapsed time replays exactly from a
+        fresh ``<name>.backoff`` stream with the same root seed: the
+        retry loop draws from no other randomness source."""
+        view = BoundStorage(cloud.store, None, name="myclient")
+        throttle(cloud.store, RETRY_POLICY.max_attempts)
+
+        def scenario():
+            start = cloud.sim.now
+            with pytest.raises(StorageError):
+                yield view.get("b", "k")
+            return cloud.sim.now - start
+
+        elapsed = cloud.sim.run_process(scenario())
+
+        def backoffs(name):
+            stream = Simulator(seed=47).rng.stream(f"{name}.backoff")
+            return sum(
+                RETRY_POLICY.delay(attempt, stream)
+                for attempt in range(1, RETRY_POLICY.max_attempts)
+            )
+
+        assert elapsed == pytest.approx(backoffs("myclient"))
+        # A different client name seeds a different stream.
+        assert backoffs("otherclient") != pytest.approx(elapsed)
 
     def test_not_found_errors_surface_unchanged(self, cloud):
-        view = BoundStorage(cloud.store, None, retry=RetryPolicy(), name="fn")
+        view = BoundStorage(cloud.store, None, name="fn")
 
         def scenario(bucket):
             yield view.get_range(bucket, "missing", 0, 1)
@@ -218,10 +282,8 @@ class TestOneProcessPerRequest:
         assert view.retries == 0
 
     def test_failed_requests_leave_nothing_for_the_collector(self, cloud):
-        view = BoundStorage(
-            cloud.store, None, retry=RetryPolicy(max_attempts=2), name="fn"
-        )
-        throttle(cloud.store, 20)
+        view = BoundStorage(cloud.store, None, name="fn")
+        throttle_some_to_exhaustion(cloud.store)
         failures = []
 
         def worker(bucket):
@@ -233,10 +295,8 @@ class TestOneProcessPerRequest:
         assert_collector_free(cloud, worker, failures)
 
     def test_failed_inline_requests_leave_nothing_for_the_collector(self, cloud):
-        view = BoundStorage(
-            cloud.store, None, retry=RetryPolicy(max_attempts=2), name="fn"
-        )
-        throttle(cloud.store, 20)
+        view = BoundStorage(cloud.store, None, name="fn")
+        throttle_some_to_exhaustion(cloud.store)
         failures = []
 
         def worker(bucket):
@@ -246,6 +306,13 @@ class TestOneProcessPerRequest:
                 failures.append(type(exc).__name__)
 
         assert_collector_free(cloud, worker, failures)
+
+
+def throttle_some_to_exhaustion(store):
+    """Refuse all but 10 of the admissions ``assert_collector_free``'s 15
+    requests to an existing bucket can make: at least 5 of them exhaust
+    their attempts, and at least 2 get through to a ``NoSuchKey``."""
+    throttle(store, 15 * RETRY_POLICY.max_attempts - 10)
 
 
 def assert_collector_free(cloud, worker, failures):

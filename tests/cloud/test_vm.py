@@ -91,25 +91,26 @@ class TestTasks:
 
         assert cloud.sim.run_process(scenario()) == b"vm-data"
 
-    def test_parallel_get_preserves_order(self, cloud):
+    def test_parallel_put_stores_every_object_in_order(self, cloud):
         def scenario():
             vm = yield cloud.vms.provision("bx2-8x32")
-            for index in range(6):
-                yield cloud.store.put("bucket", f"k{index}", bytes([index]))
 
             def task(ctx):
                 return (
-                    yield ctx.parallel_get(
-                        [("bucket", f"k{index}") for index in range(6)]
+                    yield ctx.parallel_put(
+                        [("bucket", f"k{index}", bytes([index])) for index in range(6)]
                     )
                 )
 
-            result = yield vm.run(task)
+            metas = yield vm.run(task)
             vm.terminate()
-            return result
+            return metas
 
-        payloads = cloud.sim.run_process(scenario())
-        assert payloads == [bytes([index]) for index in range(6)]
+        metas = cloud.sim.run_process(scenario())
+        assert [meta.key for meta in metas] == [f"k{index}" for index in range(6)]
+        assert [cloud.store.peek("bucket", f"k{index}") for index in range(6)] == [
+            bytes([index]) for index in range(6)
+        ]
 
     def test_io_slots_cap_concurrent_connections(self, cloud):
         vm_type = cloud.vms.instance_type("bx2-2x8")

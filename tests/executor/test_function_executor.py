@@ -6,6 +6,7 @@ from repro.cloud import Cloud
 from repro.cloud.profiles import ibm_us_east
 from repro.errors import ExecutorError
 from repro.executor import ALL_COMPLETED, ANY_COMPLETED, CallState, FunctionExecutor
+from tests.cloud.test_storageview import throttle
 
 
 @pytest.fixture
@@ -235,6 +236,19 @@ class TestStorageTraffic:
         assert stats.puts >= 31
         # ≥ 10 function GETs + 10 input GETs + 10 result GETs
         assert stats.gets >= 30
+
+    def test_the_driver_client_retries_a_throttled_upload(self, cloud, executor):
+        """The driver uploads through the workers' retrying client: a
+        store refusing its first admissions (the function and input
+        PUTs, before any call runs) costs backoff, not the map."""
+
+        def driver():
+            throttle(cloud.store, 3)
+            futures = yield executor.map(square, [1, 2, 3])
+            return (yield executor.get_result(futures))
+
+        assert cloud.sim.run_process(driver()) == [1, 4, 9]
+        assert executor.storage.retries == 3
 
     def test_billing_attributes_faas_cost(self, cloud, executor):
         def driver():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs.metrics import (
     MetricsRegistry,
+    nearest_rank,
     publish_exchange_report,
     registry,
     reset_registry,
@@ -60,6 +61,17 @@ class TestHistogram:
         assert histogram.quantile(1.0) == 99.0
         assert histogram.quantile(0.0) == 1.0
         assert histogram.count() == 99
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_p95_is_the_nearest_rank_sample(self, n):
+        """At n = 12 and 13, ceil(0.95 n) is n: the p95 is the largest
+        sample (a rounded ``q * (n - 1)`` index would take an earlier one)."""
+        reg = MetricsRegistry()
+        histogram = reg.histogram("h_seconds", "help")
+        for value in range(n, 0, -1):
+            histogram.observe(float(value))
+        assert nearest_rank(range(1, n + 1), 0.95) == n
+        assert histogram.quantile(0.95) == float(n)
 
     def test_labelled_observations_are_separate(self):
         reg = MetricsRegistry()

@@ -47,6 +47,13 @@ class TestP95:
         gate.p95("waits", [0.1] * 99 + [50.0], threshold_s=1.0)
         assert gate.passed  # p95 of the sample set is 0.1
 
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_p95_is_the_nearest_rank_sample(self, n):
+        gate = SloGate()
+        assert gate.p95("at-the-max", list(range(1, n + 1)), threshold_s=float(n))
+        assert not gate.p95("below-the-max", list(range(1, n + 1)), threshold_s=n - 0.5)
+        assert f"p95={n:.4f}" in gate.failures[0].detail
+
     def test_registry_histogram_by_name(self):
         reg = MetricsRegistry()
         hist = reg.histogram("repro_wait_seconds", "waits")

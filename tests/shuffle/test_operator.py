@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cloud import Cloud, MB
 from repro.cloud.profiles import ibm_us_east
@@ -14,6 +16,7 @@ from repro.shuffle import (
     ShuffleCostModel,
     ShuffleSort,
 )
+from repro.shuffle.operator import _split
 
 
 @pytest.fixture
@@ -46,6 +49,27 @@ def sort_and_collect(cloud, executor, codec, payload, **kwargs):
     result = cloud.sim.run_process(driver())
     merged = b"".join(cloud.store.peek("data", run.key) for run in result.runs)
     return result, merged
+
+
+class TestInputSplit:
+    """The byte ranges the sort's mappers read its input in."""
+
+    def test_uneven_split_spreads_remainder(self):
+        assert _split(10, 3) == [(0, 4), (4, 7), (7, 10)]
+
+    @given(size=st.integers(0, 10_000), parts=st.integers(1, 64))
+    def test_property_covers_exactly_once(self, size, parts):
+        ranges = _split(size, parts)
+        assert len(ranges) == parts
+        assert ranges[0][0] == 0
+        assert ranges[-1][1] == size
+        for left, right in zip(ranges, ranges[1:]):
+            assert left[1] == right[0]
+
+    @given(size=st.integers(0, 10_000), parts=st.integers(1, 64))
+    def test_property_sizes_differ_by_at_most_one(self, size, parts):
+        sizes = [end - start for start, end in _split(size, parts)]
+        assert max(sizes) - min(sizes) <= 1
 
 
 class TestFixedWidthSort:

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ExecutorError, ShuffleError
-from repro.executor.partitioner import assign_balanced
+from repro.errors import ShuffleError
+from repro.shuffle.relay import assign_balanced
 from repro.shuffle.stages import _sample_windows
 from repro.shuffle import (
     SkewSpec,
@@ -373,7 +373,7 @@ class TestAssignBalanced:
         assert max(loads, default=0.0) <= ideal * 4 / 3 + biggest + 1e-9
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ExecutorError):
+        with pytest.raises(ShuffleError):
             assign_balanced([1.0], 0)
-        with pytest.raises(ExecutorError):
+        with pytest.raises(ShuffleError):
             assign_balanced([-1.0], 2)

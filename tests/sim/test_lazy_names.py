@@ -11,7 +11,6 @@ import math
 import pytest
 
 from repro.cloud import Cloud
-from repro.cloud.retry import RetryPolicy
 from repro.cloud.storageview import BoundStorage
 from repro.errors import DeadlockError, SimulationError
 from repro.sim import (
@@ -97,7 +96,7 @@ class TestEventNames:
         assert cloud.store.get_range("b", "runs/0", 0, 4).name == (
             "cos.get_range:runs/0.completion"
         )
-        view = BoundStorage(cloud.store, math.inf, retry=RetryPolicy(), name="fn-7")
+        view = BoundStorage(cloud.store, math.inf, name="fn-7")
         assert view.get_range("b", "runs/0", 0, 4).name == (
             "fn-7.get_range:runs/0.completion"
         )

@@ -250,6 +250,19 @@ class TestStorageTraffic:
         assert cloud.sim.run_process(driver()) == [1, 4, 9]
         assert executor.storage.retries == 3
 
+    def test_the_driver_client_retries_a_throttled_result_read(self, cloud, executor):
+        """Results come back through the same client: a store refusing
+        the driver's result GETs costs backoff, not the results."""
+
+        def driver():
+            futures = yield executor.map(square, [1, 2, 3])
+            yield executor.wait(futures)
+            throttle(cloud.store, 2)
+            return (yield executor.get_result(futures))
+
+        assert cloud.sim.run_process(driver()) == [1, 4, 9]
+        assert executor.storage.retries == 2
+
     def test_billing_attributes_faas_cost(self, cloud, executor):
         def driver():
             futures = yield executor.map(square, [1, 2], cpu_model=lambda x: 1.0)

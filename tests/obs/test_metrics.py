@@ -1,6 +1,8 @@
 """Metrics registry unit tests (``repro.obs.metrics``)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -19,6 +21,42 @@ class TestSanitize:
         assert sanitize_name("repro_relay_bytes_total") == "repro_relay_bytes_total"
         assert sanitize_name("map records/sec") == "map_records_sec"
         assert sanitize_name("9lives") == "_9lives"
+
+
+class TestNearestRank:
+    def test_q0_is_the_smallest_sample(self):
+        assert nearest_rank([3.0, 1.0, 2.0], 0.0) == 1.0
+
+    def test_q1_is_the_largest_sample(self):
+        assert nearest_rank([3.0, 1.0, 2.0], 1.0) == 3.0
+
+    def test_a_single_sample_is_every_quantile(self):
+        assert {nearest_rank([4.0], q) for q in (0.0, 0.01, 0.5, 0.95, 1.0)} == {4.0}
+
+    def test_the_median_of_an_even_count_is_the_lower_middle(self):
+        assert nearest_rank([4.0, 1.0, 3.0, 2.0], 0.5) == 2.0
+
+    def test_input_order_and_container_do_not_matter(self):
+        values = [5.0, 1.0, 4.0, 2.0, 3.0]
+        expected = nearest_rank(sorted(values), 0.8)
+        assert expected == 4.0
+        assert nearest_rank(values, 0.8) == expected
+        assert nearest_rank(tuple(reversed(values)), 0.8) == expected
+        assert nearest_rank((value for value in values), 0.8) == expected
+
+    @given(
+        values=st.lists(st.integers(-1000, 1000), min_size=1, max_size=200),
+        percent=st.integers(1, 100),
+    )
+    def test_property_smallest_sample_with_q_at_or_below(self, values, percent):
+        """The result is a sample; at least ``q·n`` samples lie at or
+        below it and fewer than ``q·n`` strictly below (integer
+        arithmetic: ``100·count`` against ``percent·n``)."""
+        result = nearest_rank(values, percent / 100)
+        n = len(values)
+        assert result in values
+        assert 100 * sum(value <= result for value in values) >= percent * n
+        assert 100 * sum(value < result for value in values) < percent * n
 
 
 class TestCounter:

@@ -1,7 +1,10 @@
 """SLO gate tests (``repro.obs.slo``)."""
 
+import random
+
 import pytest
 
+from repro.experiments.sweeps import _p95
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloGate, SloViolation
 
@@ -53,6 +56,28 @@ class TestP95:
         assert gate.p95("at-the-max", list(range(1, n + 1)), threshold_s=float(n))
         assert not gate.p95("below-the-max", list(range(1, n + 1)), threshold_s=n - 0.5)
         assert f"p95={n:.4f}" in gate.failures[0].detail
+
+    @pytest.mark.parametrize("n", [1, 5, 12, 19, 20, 31, 39, 52, 59, 100])
+    def test_every_reader_takes_the_same_sample(self, n):
+        """The gate, a registry histogram and the sweeps' per-job p95
+        all report sample ``ceil(0.95·n)`` (1-based) of a shuffled
+        ``1..n``, the rank worked out here in integers."""
+        values = [float(value) for value in range(1, n + 1)]
+        random.Random(n).shuffle(values)
+        expected = float(-(-95 * n // 100))
+        reg = MetricsRegistry()
+        hist = reg.histogram("repro_wait_seconds", "waits")
+        for value in values:
+            hist.observe(value)
+        assert hist.quantile(0.95) == expected
+        assert _p95(values) == expected
+        gate = SloGate(reg=reg)
+        assert gate.p95("list-at", values, threshold_s=expected)
+        assert gate.p95("histogram-at", "repro_wait_seconds", threshold_s=expected)
+        assert not gate.p95("list-below", values, threshold_s=expected - 0.5)
+        assert not gate.p95(
+            "histogram-below", "repro_wait_seconds", threshold_s=expected - 0.5
+        )
 
     def test_registry_histogram_by_name(self):
         reg = MetricsRegistry()

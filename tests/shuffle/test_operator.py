@@ -54,8 +54,14 @@ def sort_and_collect(cloud, executor, codec, payload, **kwargs):
 class TestInputSplit:
     """The byte ranges the sort's mappers read its input in."""
 
+    def test_even_split(self):
+        assert _split(100, 4) == [(0, 25), (25, 50), (50, 75), (75, 100)]
+
     def test_uneven_split_spreads_remainder(self):
         assert _split(10, 3) == [(0, 4), (4, 7), (7, 10)]
+
+    def test_more_parts_than_bytes_leaves_trailing_ranges_empty(self):
+        assert _split(2, 4) == [(0, 1), (1, 2), (2, 2), (2, 2)]
 
     @given(size=st.integers(0, 10_000), parts=st.integers(1, 64))
     def test_property_covers_exactly_once(self, size, parts):

@@ -141,5 +141,8 @@ size:
 	@echo "src/repro: $$(find src/repro -name '*.py' | wc -l) files, $$(find src/repro -name '*.py' -exec cat {} + | wc -l) lines"
 	@echo "shuffle/ + core/stages.py + core/pipelines.py: $$(cat $(EXCHANGE_SOURCES) | wc -l) lines"
 
-# CI gate: collection + result lint, the ledger self-check, tier-1.
+# CI gate: collection + result lint, the ledger self-check, tier-1;
+# then the source size, so every verify log prints the counts ROADMAP
+# gates on.
 verify: collect ledger-selfcheck test
+	@$(MAKE) --no-print-directory size

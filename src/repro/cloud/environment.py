@@ -44,7 +44,6 @@ class Cloud:
             self.store,
             self.meter,
             logical_scale=self.profile.logical_scale,
-            memstore=self.cache,
         )
         self.faas = FaasPlatform(
             sim,

@@ -291,18 +291,11 @@ class CacheClient:
             span.event("cache.set", cluster=self.cluster.cluster_id, key=key)
         return self._spawn(self._set_op(key, data, logical_size), f"set:{key}")
 
-    def get(self, key: str) -> SimEvent:
-        """Fetch ``key``; event → ``bytes``.  Fails with CacheKeyMissing."""
-        span = self._span()
-        if span.recording:
-            span.event("cache.get", cluster=self.cluster.cluster_id, key=key)
-        return self._spawn(self._get_op(key), f"get:{key}")
-
     def get_wait(self, key: str) -> SimEvent:
         """Fetch ``key``, *waiting* until it is stored; event → ``bytes``.
 
         The memstore-notification read of the streaming shuffle: where
-        :meth:`get` fails an absent key with :class:`CacheKeyMissing`,
+        :meth:`mget` fails an absent key with :class:`CacheKeyMissing`,
         this parks the reader on the owning node's set notification and
         transfers the value once a writer publishes it.
         """
@@ -316,10 +309,6 @@ class CacheClient:
     def delete(self, key: str) -> SimEvent:
         """Remove ``key``; event → whether it existed."""
         return self._spawn(self._delete_op(key), f"delete:{key}")
-
-    def exists(self, key: str) -> SimEvent:
-        """Membership check; event → ``bool``."""
-        return self._spawn(self._exists_op(key), f"exists:{key}")
 
     # ------------------------------------------------------------------
     # batched (pipelined) operations
@@ -414,20 +403,6 @@ class CacheClient:
         node.store(key, data, logical)
         return None
 
-    def _get_op(self, key: str) -> t.Generator:
-        self.cluster.ensure_running()
-        node = self.cluster.node_for(key)
-        yield node.ops.consume(1.0)
-        yield self.sim.timeout(
-            self._profile.read_latency.sample(self._service._rng_read)
-        )
-        entry = node.fetch(key)
-        if entry is None:
-            raise CacheKeyMissing(key)
-        if entry.logical > 0:
-            yield node.link.transfer(entry.logical, self._flow_cap())
-        return entry.data
-
     def _get_wait_op(self, key: str) -> t.Generator:
         self.cluster.ensure_running()
         node = self.cluster.node_for(key)
@@ -471,15 +446,6 @@ class CacheClient:
             self._profile.write_latency.sample(self._service._rng_write)
         )
         return node.remove(key)
-
-    def _exists_op(self, key: str) -> t.Generator:
-        self.cluster.ensure_running()
-        node = self.cluster.node_for(key)
-        yield node.ops.consume(1.0)
-        yield self.sim.timeout(
-            self._profile.read_latency.sample(self._service._rng_read)
-        )
-        return node.contains(key)
 
     def _group_by_node(
         self, keys: t.Sequence[str]

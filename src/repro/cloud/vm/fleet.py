@@ -323,15 +323,9 @@ class RelayFleetClient:
             key, data, logical_size
         )
 
-    def pull(self, key: str, consume: bool = False) -> SimEvent:
-        return self._shard_client(self.fleet.shard_for_key(key)).pull(key, consume)
-
     def pull_wait(self, key: str) -> SimEvent:
         """Rendezvous read: wait on the owning shard until ``key`` commits."""
         return self._shard_client(self.fleet.shard_for_key(key)).pull_wait(key)
-
-    def delete(self, key: str) -> SimEvent:
-        return self._shard_client(self.fleet.shard_for_key(key)).delete(key)
 
     # ------------------------------------------------------------------
     # batched operations: group by shard, fan out, reassemble
@@ -345,9 +339,6 @@ class RelayFleetClient:
 
     def mpull(self, keys: t.Sequence[str], consume: bool = False) -> SimEvent:
         return self._spawn(self._mpull_op(list(keys), consume), "mpull")
-
-    def mdelete(self, keys: t.Sequence[str]) -> SimEvent:
-        return self._spawn(self._mdelete_op(list(keys)), "mdelete")
 
     # ------------------------------------------------------------------
     def _spawn(self, generator: t.Generator, label: str) -> SimEvent:
@@ -456,19 +447,6 @@ class RelayFleetClient:
             for position, data in zip(positions, payloads):
                 out[position] = data
         return t.cast("list[bytes]", out)
-
-    def _mdelete_op(self, keys: list[str]) -> t.Generator:
-        if not keys:
-            return 0
-        groups = self._group(keys)
-        events = [
-            self._shard_client(self.fleet.shards[shard_index]).mdelete(
-                [keys[position] for position in positions]
-            )
-            for shard_index, positions in groups
-        ]
-        counts = yield self.sim.all_of(events)
-        return sum(counts)
 
 
 # ----------------------------------------------------------------------

@@ -116,28 +116,6 @@ class VmContext:
     def sleep(self, seconds: float) -> SimEvent:
         return self.sim.timeout(seconds)
 
-    def kv(self, cluster_id: str):
-        """Cache client for ``cluster_id`` (VM NIC modeled by node links).
-
-        Raises :class:`~repro.errors.VmError` when the region has no
-        cache service attached.
-        """
-        if self.vm.service.memstore is None:
-            from repro.errors import VmError
-
-            raise VmError("this region has no memstore service attached")
-        cluster = self.vm.service.memstore.cluster(cluster_id)
-        return cluster.client(
-            connection_bandwidth=self.vm.instance_type.nic_bandwidth
-        )
-
-    def relay(self, relay_id: str):
-        """Partition-relay client for ``relay_id`` (NIC-capped)."""
-        relay = self.vm.service.relay(relay_id)
-        return relay.client(
-            connection_bandwidth=self.vm.instance_type.nic_bandwidth
-        )
-
 
 class VirtualMachine:
     """One provisioned instance."""
@@ -216,7 +194,6 @@ class VmService:
         meter: CostMeter,
         logical_scale: float = 1.0,
         name: str = "vm",
-        memstore=None,
     ):
         self.sim = sim
         self.profile = profile
@@ -224,9 +201,6 @@ class VmService:
         self.meter = meter
         self.logical_scale = logical_scale
         self.name = name
-        #: Optional cache service for VM-side key-value exchange
-        #: (set by :class:`~repro.cloud.environment.Cloud`).
-        self.memstore = memstore
         self._ids = itertools.count(1)
         self._rng = sim.rng.stream(f"{name}.boot")
         self.instances: list[VirtualMachine] = []

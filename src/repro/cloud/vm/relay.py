@@ -130,7 +130,6 @@ class RelayStats:
     def __init__(self) -> None:
         self.pushes = 0
         self.pulls = 0
-        self.deletes = 0
         self.misses = 0
         self.backpressure_waits = 0
         #: PULLs that arrived before their key and parked on the commit
@@ -718,17 +717,6 @@ class PartitionRelay:
             leases.add(key)
             self.stats.consume_leases += 1
 
-    def _remove(self, key: str) -> bool:
-        entry = self._entries.pop(key, None)
-        self.stats.deletes += 1
-        if entry is None:
-            return False
-        self.content.drop(entry.sha)
-        release = self._entry_removed(key, entry.logical)
-        if release > 0:
-            self._release(release)
-        return True
-
     # ------------------------------------------------------------------
     # aggregate views
     # ------------------------------------------------------------------
@@ -838,19 +826,10 @@ class RelayClient:
             self._store_op([(key, data)], sizes, batched=False), f"push:{key}"
         )
 
-    def pull(self, key: str, consume: bool = False) -> SimEvent:
-        """Fetch ``key``; event → ``bytes``.  ``consume`` frees its memory."""
-        span = self._span()
-        if span.recording:
-            span.event(
-                "relay.pull", relay=self.relay.relay_id, key=key, consume=consume
-            )
-        return self._spawn(self._pull_op(key, consume), f"pull:{key}")
-
     def pull_wait(self, key: str) -> SimEvent:
         """Fetch ``key``, *waiting* until it is published; event → ``bytes``.
 
-        The relay's natural rendezvous semantics: where :meth:`pull`
+        The relay's natural rendezvous semantics: where :meth:`mpull`
         fails an absent key with
         :class:`~repro.cloud.vm.errors.RelayKeyMissing`, this parks the
         reader on the key's commit notification — the primitive the
@@ -862,10 +841,6 @@ class RelayClient:
         if span.recording:
             span.event("relay.pull_wait", relay=self.relay.relay_id, key=key)
         return self._spawn(self._pull_wait_op(key), f"pull_wait:{key}")
-
-    def delete(self, key: str) -> SimEvent:
-        """Remove ``key``; event → whether it existed."""
-        return self._spawn(self._delete_op(key), f"delete:{key}")
 
     # ------------------------------------------------------------------
     # batched (pipelined) operations
@@ -900,10 +875,6 @@ class RelayClient:
                 relay=self.relay.relay_id, keys=len(keys), consume=consume,
             )
         return self._spawn(self._mpull_op(list(keys), consume), "mpull")
-
-    def mdelete(self, keys: t.Sequence[str]) -> SimEvent:
-        """Remove many keys over one connection; event → count removed."""
-        return self._spawn(self._mdelete_op(list(keys)), "mdelete")
 
     def _span(self):
         """The owning attempt's span (noop for driver-side clients).
@@ -1060,9 +1031,6 @@ class RelayClient:
                 self.relay._abort_push(reservation)
             raise
 
-    def _pull_op(self, key: str, consume: bool) -> t.Generator:
-        return (yield from self._mpull_op([key], consume))[0]
-
     def _pull_wait_op(self, key: str) -> t.Generator:
         self.relay.ensure_running()
         self.relay._check_fence(self.attempt_id)
@@ -1104,9 +1072,6 @@ class RelayClient:
                 self.relay.link.abort(transfer)
             raise
 
-    def _delete_op(self, key: str) -> t.Generator:
-        return (yield from self._mdelete_op([key])) == 1
-
     def _mpull_op(self, keys: list[str], consume: bool) -> t.Generator:
         self.relay.ensure_running()
         self.relay._check_fence(self.attempt_id)
@@ -1140,16 +1105,6 @@ class RelayClient:
             if transfer is not None:
                 self.relay.link.abort(transfer)
             raise
-
-    def _mdelete_op(self, keys: list[str]) -> t.Generator:
-        self.relay.ensure_running()
-        self.relay._check_fence(self.attempt_id)
-        if not keys:
-            return 0
-        yield from self._consume_ops(float(len(keys)))
-        yield self.sim.timeout(self._latency())
-        self.relay._check_fence(self.attempt_id)  # zombies must not delete
-        return sum(1 for key in keys if self.relay._remove(key))
 
 
 # ----------------------------------------------------------------------

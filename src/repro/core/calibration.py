@@ -92,20 +92,16 @@ class ExperimentConfig:
     #: Cache cluster for the cache-supported variant (supplementary
     #: experiment S8; the paper names ElastiCache as the alternative).
     cache_node_type: str = "cache.r5.large"
-    #: Node count; ``0`` sizes the cluster to fit the shuffle data.
-    cache_nodes: int = 0
-    #: ``"warm"`` uses a pre-provisioned cluster (billing still covers
-    #: the run); ``"cold"`` pays cluster creation on the clock.
-    cache_provisioning: str = "warm"
+    #: How a provisioned exchange substrate comes up: ``"warm"`` uses a
+    #: pre-provisioned cluster / relay VM (billing still covers the
+    #: run); ``"cold"`` pays cluster creation / VM boot on the clock
+    #: (Table 1's provisioning penalty).
+    provisioning: str = "warm"
     #: Relay VM flavour for the relay-supported variant (supplementary
     #: experiment S8's third substrate); ``None`` reuses the hybrid
     #: pipeline's VM flavour — the same machine Table 1 provisions,
     #: repurposed as an in-memory rendezvous.
     relay_instance_type: str | None = None
-    #: ``"warm"`` uses a pre-provisioned relay VM (billing still covers
-    #: the run); ``"cold"`` pays VM boot on the clock (Table 1's
-    #: provisioning penalty).
-    relay_provisioning: str = "warm"
     #: Shard count of the sharded-relay fleet (experiment S8b); each
     #: shard is one ``resolved_relay_instance_type`` VM.
     relay_shards: int = 2
@@ -148,6 +144,17 @@ class ExperimentConfig:
         if self.relay_instance_type is not None:
             return self.relay_instance_type
         return self.resolved_vm_instance_type
+
+    def exchange_resource(self, substrate: str) -> tuple[str | None, int]:
+        """``(flavour, count)`` of the resource this config provisions
+        for a substrate's sort: the cache node type with the cluster
+        sized to fit (count 0), one relay, or ``relay_shards`` of them
+        (``(None, 0)``: pay-as-you-go, nothing to size)."""
+        return {
+            "cache": (self.cache_node_type, 0),
+            "relay": (self.resolved_relay_instance_type, 1),
+            "sharded-relay": (self.resolved_relay_instance_type, self.relay_shards),
+        }.get(substrate, (None, 0))
 
     def make_profile(self) -> CloudProfile:
         """The calibrated cloud profile for this experiment.

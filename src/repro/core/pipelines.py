@@ -36,6 +36,7 @@ from __future__ import annotations
 import typing as t
 
 from repro.core.calibration import ExperimentConfig
+from repro.shuffle.substrates import SUBSTRATES
 from repro.workflows.dag import StageSpec, WorkflowDag
 
 #: Names shared by all incarnations so reports line up.
@@ -62,31 +63,21 @@ def _function_sort_params(config: ExperimentConfig) -> dict:
     }
 
 
-#: Provisioned exchange substrate → the sizing and provisioning params
-#: ``ExperimentConfig`` supplies for its sort stage.
-_SUBSTRATE_PARAMS: dict[str, t.Callable[[ExperimentConfig], dict]] = {
-    "cache": lambda config: {
-        "node_type": config.cache_node_type,
-        "nodes": config.cache_nodes,
-        "provisioning": config.cache_provisioning,
-    },
-    "relay": lambda config: {
-        "instance_type": config.resolved_relay_instance_type,
-        "provisioning": config.relay_provisioning,
-    },
-    "sharded-relay": lambda config: {
-        "instance_type": config.resolved_relay_instance_type,
-        "shards": config.relay_shards,
-        "provisioning": config.relay_provisioning,
-    },
-}
-
-
 def _substrate_params(config: ExperimentConfig, substrate: str) -> dict:
-    """Substrate-specific sort params: none for pay-as-you-go object
-    storage (and an unknown name is the sort stage's error to raise)."""
-    params = _SUBSTRATE_PARAMS.get(substrate)
-    return params(config) if params is not None else {}
+    """The sort params sizing and provisioning ``substrate``'s resource,
+    named by its backend class: none for pay-as-you-go object storage
+    (and an unknown name is the sort stage's error to raise)."""
+    backend_class = SUBSTRATES.get(substrate)
+    if backend_class is None or not backend_class.provisioned:
+        return {}
+    flavour, count = config.exchange_resource(substrate)
+    params = {}
+    if backend_class.flavour_param:
+        params[backend_class.flavour_param[0]] = flavour
+    if backend_class.count_param:
+        params[backend_class.count_param[0]] = count
+    params["provisioning"] = config.provisioning
+    return params
 
 
 def _staged(kind: str, substrate: str) -> tuple[str, t.Callable]:

@@ -12,8 +12,8 @@ Table 1 experiment) compose:
 ``relay_sort``         an in-memory cache cluster (**C**), a relay on a
 ``sharded_relay_sort`` provisioned VM (**D**) or a sharded relay fleet
                        (**E**): four names for one body,
-                       :func:`_exchange_sort`, over one row each of the
-                       substrate table (experiments S8/S8b)
+                       :func:`_exchange_sort`, over one backend class
+                       each of ``SUBSTRATES`` (experiments S8/S8b)
 ``streaming_sort``     the same body in the *streaming* execution mode
                        on the substrate its ``substrate`` param names:
                        the reduce wave launches concurrently with the
@@ -23,8 +23,7 @@ Table 1 experiment) compose:
                        DAG-execution time with
                        ``choose_exchange_substrate`` and runs the same
                        body on the winner, recording the decision in
-                       the stage report; with ``online=True`` the
-                       decision keeps being re-made *between chunks*
+                       the stage report
 ``online_sort``        mid-stream adaptive sort: runs
                        ``OnlineShuffleSort``, which re-fits calibration
                        from observed chunk rates after every wave and
@@ -155,10 +154,10 @@ def dataset_ref(context: StageContext, inputs: dict) -> t.Generator:
 
 
 # ----------------------------------------------------------------------
-# sort stages: one body over the substrate table
+# sort stages: one body over the substrate classes
 # ----------------------------------------------------------------------
 #: ``(artifact key, report field)`` pairs a streaming sort's artifact
-#: carries after the uniform ones (a staged one: the row's extras).
+#: carries after the uniform ones (a staged one: its class's extras).
 _STREAM_ARTIFACT = tuple(
     (name, name)
     for name in (
@@ -212,10 +211,11 @@ def _exchange_sort(
 
     The single body behind ``shuffle_sort`` / ``cache_sort`` /
     ``relay_sort`` / ``sharded_relay_sort`` (``mode="staged"`` on their
-    row of :data:`~repro.shuffle.substrates.SUBSTRATES`) and
-    ``streaming_sort`` (``mode="streaming"`` on the row its
-    ``substrate`` param names): provision the row's resource, build its
-    backend, run :class:`~repro.shuffle.operator.ShuffleSort`, release.
+    backend class of :data:`~repro.shuffle.substrates.SUBSTRATES`) and
+    ``streaming_sort`` (``mode="streaming"`` on the class its
+    ``substrate`` param names): provision the class's resource, build
+    its backend, run :class:`~repro.shuffle.operator.ShuffleSort`,
+    release.
     A provisioned substrate lives exactly as long as the stage; its
     node/instance-seconds are billed into the stage's cost either way.
 
@@ -223,11 +223,11 @@ def _exchange_sort(
     substrate's planner choose), ``memory_mb``, ``samplers``,
     ``max_workers``.  Provisioned substrates: ``provisioning``
     (``"warm"`` pre-provisioned, or ``"cold"`` — creation/boot on the
-    clock) and the row's sizing params — cache ``node_type`` (default
+    clock) and the class's sizing params — cache ``node_type`` (default
     cache.r5.large) and ``nodes`` (0 = size the cluster to fit); relay
     ``instance_type`` (omit to auto-size the smallest flavour that holds
     the data); sharded relay ``instance_type`` and ``shards`` (default
-    2; 0 auto-sizes the fleet).  Staged only: the row's reducer-side
+    2; 0 auto-sizes the fleet).  Staged only: the class's reducer-side
     deletion flag — cache ``cleanup``, relays ``consume`` (default
     False; the resource is terminated at stage end either way).
     Streaming only: ``chunk_mb`` (logical chunk grain, default 32),
@@ -239,7 +239,7 @@ def _exchange_sort(
     configuration its decision priced without touching the stage's own.
 
     The artifact carries the run list and the uniform report fields,
-    then the row's ``artifact_extras`` (staged) or the streaming
+    then the class's ``artifact_extras`` (staged) or the streaming
     observables (measured map/reduce ``overlap_s``, the reducer
     buffers' high watermark, summed backpressure waits, chunk count).
     """
@@ -249,7 +249,7 @@ def _exchange_sort(
             f"stage {context.spec.name!r}: unknown substrate {substrate!r}; "
             f"expected one of {sorted(SUBSTRATES)}"
         )
-    row = SUBSTRATES[substrate]
+    backend_class = SUBSTRATES[substrate]
     overrides = overrides or {}
 
     def param(name: str, default: t.Any = None) -> t.Any:
@@ -260,8 +260,9 @@ def _exchange_sort(
     stream = None
     if mode == "streaming":
         stream = _stream_config(param, "chunk_mb", "buffer_mb")
-    elif row.stage_flag is not None:
-        setattr(cost, row.stage_flag, bool(param(row.stage_flag, False)))
+    elif backend_class.stage_flag is not None:
+        flag = backend_class.stage_flag
+        setattr(cost, flag, bool(param(flag, False)))
     provisioning = param("provisioning", "warm")
     if provisioning not in ("warm", "cold"):
         raise WorkflowError(
@@ -269,11 +270,12 @@ def _exchange_sort(
             f"'cold', got {provisioning!r}"
         )
     cold = provisioning == "cold"
-    provisioned = row.provision(
+    flavour_param, count_param = backend_class.flavour_param, backend_class.count_param
+    provisioned = backend_class.provision(
         context.cloud,
         upstream["logical_bytes"],
-        param(*row.flavour_param) if row.flavour_param else None,
-        int(param(*row.count_param)) if row.count_param else 0,
+        param(*flavour_param) if flavour_param else None,
+        int(param(*count_param)) if count_param else 0,
         cold=cold,
     )
     if cold and provisioned is not None:
@@ -281,7 +283,7 @@ def _exchange_sort(
     operator = ShuffleSort(
         executor,
         bed_record_codec(),
-        backend=row.make_backend(provisioned, cost, stream),
+        backend=backend_class.make_backend(provisioned, cost, stream),
     )
     try:
         result = yield operator.sort(
@@ -294,7 +296,7 @@ def _exchange_sort(
             max_workers=int(param("max_workers", 256)),
         )
     finally:
-        row.release(provisioned)
+        backend_class.release(provisioned)
     report = operator.report
     artifact = _sort_fields(result)
     artifact["substrate"] = report.substrate
@@ -302,7 +304,8 @@ def _exchange_sort(
         artifact["mode"] = report.mode
     artifact["predicted_s"] = report.predicted_s
     artifact["actual_s"] = report.actual_s
-    for key, field in row.artifact_extras if stream is None else _STREAM_ARTIFACT:
+    extras = backend_class.artifact_extras if stream is None else _STREAM_ARTIFACT
+    for key, field in extras:
         artifact[key] = getattr(report, field)
     return artifact
 
@@ -422,8 +425,6 @@ def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
     ``memory_mb``/``samplers``/``max_workers`` passed through to the
     sort.
     """
-    if bool(context.param("online", False)):
-        return (yield from online_sort(context, inputs))
     upstream = _single_input(inputs, context.spec.name)
     lineage_key, cached = yield from _lineage_lookup(context, upstream)
     if cached is not None:
@@ -439,15 +440,15 @@ def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
     )
     chosen = decision.chosen
     # Execute exactly the configuration the estimate priced.
-    row = SUBSTRATES[chosen.substrate]
+    backend_class = SUBSTRATES[chosen.substrate]
     overrides = {"workers": chosen.workers}
     if chosen.mode == "streaming":
         overrides["chunk_mb"] = stream_chunk_mb
         overrides["buffer_mb"] = float(context.param("stream_buffer_mb", 256.0))
-    if row.flavour_param:
-        overrides[row.flavour_param[0]] = chosen.instance_type
-    if row.count_param:
-        overrides[row.count_param[0]] = chosen.shards
+    if backend_class.flavour_param:
+        overrides[backend_class.flavour_param[0]] = chosen.instance_type
+    if backend_class.count_param:
+        overrides[backend_class.count_param[0]] = chosen.shards
     artifact = yield from _exchange_sort(
         context, inputs, chosen.substrate, chosen.mode, overrides
     )

@@ -33,12 +33,12 @@ from repro.methcomp.pipeline import bed_record_codec
 from repro.obs.metrics import nearest_rank
 from repro.obs.slo import SloGate
 from repro.shuffle.operator import ShuffleSort
-from repro.shuffle.planner import exchange_terms, plan_shuffle, predict_shuffle_time
+from repro.shuffle.planner import plan_shuffle, predict_shuffle_time
 from repro.shuffle.adaptive import EXCHANGE_SUBSTRATES
 from repro.errors import ShuffleError
 from repro.shuffle.relayplanner import required_relay_fleet
 from repro.shuffle.streaming import StreamConfig
-from repro.shuffle.substrates import SUBSTRATES
+from repro.shuffle.substrates import SUBSTRATES, exchange_terms
 from repro.sim import Simulator
 
 #: Where every sweep stages its dataset.
@@ -100,28 +100,23 @@ def exchange_operator(
 ) -> tuple[ShuffleSort, t.Any]:
     """A shuffle operator over one substrate, and the provisioned
     resource under it (``None`` on object storage; the caller releases
-    it through the substrate's row).
+    it through the substrate's backend class).
 
-    The substrate comes off the :data:`~repro.shuffle.substrates.SUBSTRATES`
-    table by name, provisioned warm at the size ``config`` asks for, in
+    The substrate's class comes off :data:`~repro.shuffle.substrates.SUBSTRATES`
+    by name, provisioned warm at the size ``config`` asks for
+    (:meth:`~repro.core.calibration.ExperimentConfig.exchange_resource`), in
     either execution mode (``stream``); ``cost`` defaults to the
     workload's cost model.  :func:`sort_run` is this plus the region
     around it and the single sort on it; S16 (``bench_cas``) takes the
     operator alone to sort twice on one region.
     """
     _check_strategies([strategy])
-    row = SUBSTRATES[strategy]
-    # (flavour, count) per substrate; the cache cluster is sized to fit.
-    flavour, count = {
-        "cache": (config.cache_node_type, 0),
-        "relay": (config.resolved_relay_instance_type, 1),
-        "sharded-relay": (config.resolved_relay_instance_type, config.relay_shards),
-    }.get(strategy, (None, 0))
-    provisioned = row.provision(
-        executor.cloud, config.logical_bytes, flavour, count
+    backend_class = SUBSTRATES[strategy]
+    provisioned = backend_class.provision(
+        executor.cloud, config.logical_bytes, *config.exchange_resource(strategy)
     )
     cost = cost if cost is not None else config.workload.shuffle_cost_model()
-    backend = row.make_backend(provisioned, cost, stream)
+    backend = backend_class.make_backend(provisioned, cost, stream)
     return ShuffleSort(executor, bed_record_codec(), backend=backend), provisioned
 
 
@@ -146,7 +141,7 @@ def sort_run(
     substrate released; and what the run left behind.
     ``before(cloud)`` runs inside the driver process ahead of the sort
     (fault injection, a mid-run profile shift).  An operator that is
-    not a table row (the online selector) is passed as a factory
+    not in ``SUBSTRATES`` (the online selector) is passed as a factory
     ``strategy(executor, cost)`` in place of the name, and provisions
     for itself.
     """
@@ -1305,7 +1300,7 @@ def sweep_service(config: ExperimentConfig | None = None) -> list[dict]:
 
     # -- provision-per-job baseline ------------------------------------
     # Jobs overlap on one region and boot their fleets on the clock, so
-    # they take the substrate row directly, not a sort_run each.
+    # they take the substrate's class directly, not a sort_run each.
     substrate = SUBSTRATES["sharded-relay"]
     cloud = _fresh_cloud(base)
     stage_all(cloud)

@@ -41,7 +41,7 @@ tenants against **one shared, autoscaling relay fleet**:
   dollars over the tenants' byte-second usage of it — the sum over
   tenants equals the fleet total to the cent.
 
-Jobs run in consume mode by default: reducers' pulls take crash-safe
+Jobs run in consume mode: reducers' pulls take crash-safe
 read-leases (reinstated if the attempt dies, applied at activation
 commit), so the shared fleet's memory self-reclaims between jobs
 without sacrificing retry correctness.
@@ -51,9 +51,9 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import hashlib
 import typing as t
 
+from repro.cas import output_digest
 from repro.cloud.environment import Cloud
 from repro.cloud.vm.fleet import RelayFleet, fleet_ready
 from repro.errors import ReproError, ShuffleError
@@ -66,6 +66,10 @@ from repro.shuffle.planner import ShuffleCostModel
 from repro.shuffle.relay import ShardedRelayExchange
 from repro.shuffle.relayplanner import SHARD_IMBALANCE_HEADROOM, required_relay_fleet
 from repro.sim import SimEvent, TokenBucket
+
+
+#: Bucket every job's executor stages its function payloads in.
+STAGING_BUCKET = "svc-staging"
 
 
 class ServiceSaturated(ReproError):
@@ -144,12 +148,7 @@ class ExchangeService:
     codec:
         Record format of every submitted job's input object.
     instance_type:
-        Relay VM flavour; ``None`` picks the catalog's cheapest flavour
-        able to hold ``expected_job_bytes`` (the flavour stays pinned —
-        shard count is the scaling axis).
-    expected_job_bytes:
-        Sizing hint used only to resolve ``instance_type`` when that is
-        ``None``.
+        Relay VM flavour (pinned — shard count is the scaling axis).
     min_shards, max_shards:
         Fleet size bounds; the service starts at ``min_shards``.
     queue_limit:
@@ -159,16 +158,17 @@ class ExchangeService:
         Per-tenant token-bucket refill rate (jobs/second) and burst
         capacity: a tenant submitting faster than the refill rate
         queues behind its own bucket while others skip ahead.
-    consume:
-        Run jobs in consume mode (crash-safe read-leases) so the shared
-        fleet's memory self-reclaims; on by default.
+    memory_mb:
+        Function memory of every job's workers.
     cost:
-        Base cost model copied per job (``consume`` is overridden from
-        the flag above); also carries ``expected_skew``/``rebalance``.
-    partition_skew:
-        Max-over-mean partition bytes the autoscaler sizes for.
-    scale_down_margin:
-        Hysteresis of :func:`~repro.shuffle.adaptive.plan_fleet_scale`.
+        Base cost model copied per job with ``consume`` on (crash-safe
+        read-leases, so the shared fleet's memory self-reclaims); also
+        carries ``expected_skew``/``rebalance``.
+
+    The autoscaler sizes for balanced partitions (skew 1.0) with
+    :func:`~repro.shuffle.adaptive.plan_fleet_scale`'s default
+    hysteresis, and every job samples and plans with the
+    :meth:`~repro.shuffle.operator.ShuffleSort.sort` defaults.
     """
 
     def __init__(
@@ -176,21 +176,14 @@ class ExchangeService:
         cloud: Cloud,
         codec: RecordCodec,
         *,
-        instance_type: str | None = None,
-        expected_job_bytes: float = 256e6,
+        instance_type: str,
         min_shards: int = 1,
         max_shards: int = 8,
         queue_limit: int = 32,
         tenant_rate_per_s: float = 0.05,
         tenant_burst: float = 2.0,
         memory_mb: int = 2048,
-        staging_bucket: str = "svc-staging",
-        consume: bool = True,
         cost: ShuffleCostModel | None = None,
-        partition_skew: float = 1.0,
-        scale_down_margin: float = 0.5,
-        samplers: int = 8,
-        max_workers: int = 256,
     ):
         if queue_limit < 1:
             raise ShuffleError(f"queue_limit must be >= 1, got {queue_limit}")
@@ -201,28 +194,14 @@ class ExchangeService:
         self.cloud = cloud
         self.sim = cloud.sim
         self.codec = codec
-        self.expected_job_bytes = expected_job_bytes
+        self.instance_type = instance_type
         self.min_shards = min_shards
         self.max_shards = max_shards
         self.queue_limit = queue_limit
         self.tenant_rate_per_s = tenant_rate_per_s
         self.tenant_burst = tenant_burst
         self.memory_mb = memory_mb
-        self.staging_bucket = staging_bucket
-        self.consume = consume
         self.cost = cost if cost is not None else ShuffleCostModel()
-        self.partition_skew = partition_skew
-        self.scale_down_margin = scale_down_margin
-        self.samplers = samplers
-        self.max_workers = max_workers
-        if instance_type is None:
-            instance_type, _shards = required_relay_fleet(
-                max(1.0, expected_job_bytes),
-                cloud.profile,
-                max_shards=max_shards,
-                partition_skew=partition_skew,
-            )
-        self.instance_type = instance_type
 
         self._queue: collections.deque[JobHandle] = collections.deque()
         self._running: dict[str, JobHandle] = {}
@@ -315,7 +294,6 @@ class ExchangeService:
             self.cloud.profile,
             instance_type_name=self.instance_type,
             max_shards=self.max_shards,
-            partition_skew=self.partition_skew,
         )
         self._job_seq += 1
         job = JobHandle(
@@ -473,9 +451,7 @@ class ExchangeService:
     def _admission_budget(self) -> float:
         """Aggregate logical bytes the current generation safely admits."""
         assert self._current is not None
-        capacity = self._current.fleet.capacity_bytes
-        margin = SHARD_IMBALANCE_HEADROOM * max(1.0, self.partition_skew)
-        return capacity / margin
+        return self._current.fleet.capacity_bytes / SHARD_IMBALANCE_HEADROOM
 
     def _inflight_bytes(self) -> float:
         current = self._current
@@ -538,10 +514,10 @@ class ExchangeService:
         executor = FunctionExecutor(
             self.cloud,
             runtime_memory_mb=self.memory_mb,
-            bucket=self.staging_bucket,
+            bucket=STAGING_BUCKET,
             billing_tags={"tenant": job.tenant, "job": job.job_id},
         )
-        cost = dataclasses.replace(self.cost, consume=self.consume)
+        cost = dataclasses.replace(self.cost, consume=True)
         operator = ShuffleSort(
             executor, self.codec, backend=ShardedRelayExchange(generation.fleet, cost)
         )
@@ -553,8 +529,6 @@ class ExchangeService:
                 out_bucket=job.out_bucket,
                 out_prefix=job.out_prefix,
                 workers=job.workers,
-                samplers=self.samplers,
-                max_workers=self.max_workers,
             )
         except Exception as exc:
             job.error = exc
@@ -565,10 +539,7 @@ class ExchangeService:
             )
         else:
             job.result = result
-            digest = hashlib.sha256()
-            for run in result.runs:
-                digest.update(self.cloud.store.peek(run.bucket, run.key))
-            job.output_digest = digest.hexdigest()[:16]
+            job.output_digest = output_digest(self.cloud, result)
             state = "done"
         finally:
             busy_s = self.sim.now - (job.started_at or self.sim.now)
@@ -650,8 +621,6 @@ class ExchangeService:
             self.instance_type,
             min_shards=self.min_shards,
             max_shards=self.max_shards,
-            partition_skew=self.partition_skew,
-            scale_down_margin=self.scale_down_margin,
         )
         if decision is None or decision.shards == self._current.shards:
             return

@@ -6,13 +6,15 @@ ship, one backend class each — object storage
 (:class:`ObjectStoreExchange`, the paper's serverless default), an
 in-memory cache cluster (:class:`CacheExchange`), a VM-hosted partition
 relay (:class:`RelayExchange`) and a sharded multi-relay fleet
-(:class:`ShardedRelayExchange`) — tabulated by name in
-:data:`SUBSTRATES`.  The execution mode is a field: build any backend
-with ``stream=StreamConfig(...)`` and the reduce wave overlaps the map
-wave.  One analytic cost model (:func:`predict_shuffle_time`,
-:func:`plan_shuffle`) prices all of them through one
-:class:`ExchangeTerms` row per substrate (:data:`EXCHANGE_TERMS`);
-:func:`choose_exchange_substrate` enumerates that table to pick
+(:class:`ShardedRelayExchange`) — mapped by name in :data:`SUBSTRATES`.
+Each class is the whole definition of its substrate: worker stages,
+provisioning lifecycle, and its rows of the cost model.  The execution
+mode is a field: build any backend with ``stream=StreamConfig(...)``
+and the reduce wave overlaps the map wave.  One analytic cost model
+(:func:`predict_shuffle_time`, :func:`plan_shuffle`) prices all of them
+through each class's :class:`ExchangeTerms` builder
+(:func:`exchange_terms` resolves one by name);
+:func:`choose_exchange_substrate` walks :data:`SUBSTRATES` to pick
 substrate — and mode — analytically, and :class:`OnlineShuffleSort`
 keeps re-picking mid-stream.
 """
@@ -55,13 +57,10 @@ from repro.shuffle.exchange import (
 from repro.shuffle.online import OnlineShuffleSort
 from repro.shuffle.operator import ShuffleResult, ShuffleSort, SortedRun
 from repro.shuffle.planner import (
-    EXCHANGE_TERMS,
     ExchangeTerms,
     PlanPoint,
     ShuffleCostModel,
     ShufflePlan,
-    TermRow,
-    exchange_terms,
     plan_shuffle,
     predict_shuffle_time,
     predict_streaming_shuffle_time,
@@ -108,20 +107,17 @@ from repro.shuffle.stages import (
     shuffle_reducer,
     shuffle_sampler,
 )
-from repro.shuffle.substrates import SUBSTRATES, Substrate
+from repro.shuffle.substrates import SUBSTRATES, exchange_terms
 
 __all__ = [
     "CacheExchange",
     "EXCHANGE_MODES",
     "EXCHANGE_SUBSTRATES",
-    "EXCHANGE_TERMS",
     "ExchangeTerms",
-    "TermRow",
     "exchange_terms",
     "KEY_DISTRIBUTIONS",
     "SUBSTRATES",
     "SkewSpec",
-    "Substrate",
     "StreamConfig",
     "ExchangeBackend",
     "ExchangeReport",

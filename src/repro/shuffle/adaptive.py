@@ -33,11 +33,11 @@ every static decision under a mid-run rate shift.
 
 What this module owns is the *decisions* made on top of the one cost
 model: the probe and the two profile refits, the substrate selector —
-which enumerates :data:`~repro.shuffle.planner.EXCHANGE_TERMS` and
-knows no substrate by name — and the fleet autoscaling policy.  The
-timing model and its per-substrate term rows live in
-:mod:`repro.shuffle.planner`; capacity sizing in
-:mod:`repro.shuffle.cacheplanner` and :mod:`repro.shuffle.relayplanner`.
+which walks :data:`~repro.shuffle.substrates.SUBSTRATES` and knows no
+substrate by name — and the fleet autoscaling policy.  The timing model
+and its per-substrate term builders live in :mod:`repro.shuffle.planner`;
+capacity sizing in :mod:`repro.shuffle.cacheplanner` and
+:mod:`repro.shuffle.relayplanner`; each backend class names its own.
 """
 
 from __future__ import annotations
@@ -50,21 +50,20 @@ import typing as t
 from repro.cloud.profiles import CloudProfile, LatencyModel
 from repro.errors import ShuffleError
 from repro.shuffle.planner import (
-    EXCHANGE_TERMS,
     ShuffleCostModel,
     ShufflePlan,
     best_point,
-    exchange_terms,
     plan_shuffle,
     streaming_curve,
-    term_row,
 )
 from repro.shuffle.relayplanner import (
+    MAX_RELAY_SHARDS,
     SHARD_IMBALANCE_HEADROOM,
     fleet_shards_for,
     relay_usable_bytes,
     resolve_relay_instance,
 )
+from repro.shuffle.substrates import SUBSTRATES, substrate_class
 from repro.sim import SimEvent
 
 
@@ -261,10 +260,9 @@ def fit_profile(profile: CloudProfile, report: ProbeReport) -> CloudProfile:
 # ----------------------------------------------------------------------
 # adaptive exchange-substrate selection
 # ----------------------------------------------------------------------
-#: Substrate names in tie-breaking order (simplest infrastructure
-#: first: pay-as-you-go storage, then scale-out cache, then one relay
-#: VM, then a relay fleet).
-EXCHANGE_SUBSTRATES = ("objectstore", "cache", "relay", "sharded-relay")
+#: Substrate names in tie-breaking order (the order of
+#: :data:`~repro.shuffle.substrates.SUBSTRATES`).
+EXCHANGE_SUBSTRATES = tuple(SUBSTRATES)
 
 #: Execution modes in tie-breaking order (the staged barrier is the
 #: simpler machine; streaming must *win* to be chosen).
@@ -374,7 +372,7 @@ def fit_stream_profiles(
     observed per-chunk, per-connection seconds are split into the
     expected transfer time at the calibrated bandwidth and a residual;
     the residual is attributed to the substrate's readiness-protocol
-    latency knobs (the row's ``readiness`` — the same two round trips
+    latency knobs (the terms' ``readiness`` — the same two round trips
     its ``chunk_overhead_s`` charges), **never revising a
     knob below its calibrated prior** — the refit reacts to observed
     degradation monotonically and deterministically, so the decision
@@ -384,11 +382,12 @@ def fit_stream_profiles(
     for sample in samples:
         if sample.chunks < 1 or sample.logical_bytes <= 0:
             continue
-        row = term_row(sample.substrate)
+        backend_class = substrate_class(sample.substrate)
         # A flavour the catalog does not know bounds nothing: the
         # function's own NIC is then the connection.
-        flavour = row.catalog(fitted).get(sample.instance_type) if row.catalog else None
-        terms = row.terms(fitted, ShuffleCostModel(), flavour, 1)
+        catalog = backend_class.catalog(fitted)
+        flavour = catalog.get(sample.instance_type) if catalog is not None else None
+        terms = backend_class.terms(fitted, ShuffleCostModel(), flavour, 1)
         transfer = sample.chunk_logical_bytes / terms.conn_bw
         # Two round trips per chunk, one on each readiness knob.
         residual = max(0.0, sample.per_chunk_s - transfer) / 2.0
@@ -469,12 +468,11 @@ def choose_exchange_substrate(
     profile: CloudProfile,
     workers: int | None = None,
     *,
-    report: ProbeReport | None = None,
     cache_node_type: str = "cache.r5.large",
     relay_instance_type: str | None = None,
     time_value_usd_per_hour: float = 1.0,
     max_workers: int = 256,
-    max_relay_shards: int = 8,
+    max_relay_shards: int = MAX_RELAY_SHARDS,
     substrates: t.Sequence[str] | None = None,
     modes: t.Sequence[str] = ("staged",),
     stream_chunk_bytes: float = 32 * (1 << 20),
@@ -484,11 +482,12 @@ def choose_exchange_substrate(
 ) -> SubstrateDecision:
     """Pick the exchange substrate for one shuffle, analytically.
 
-    Prices every candidate substrate's row of the cost model
-    (:data:`~repro.shuffle.planner.EXCHANGE_TERMS`) — on the *probed*
-    profile when an :class:`OnlineTuner` ``report`` is given, mirroring
-    Primula's plan-on-what-you-measured loop — and minimizes a single
-    monetized score::
+    Prices every candidate substrate of
+    :data:`~repro.shuffle.substrates.SUBSTRATES` — each class's
+    ``configurations`` and ``terms`` — on ``profile`` (pass
+    :func:`fit_profile` of an :class:`OnlineTuner` report to plan on
+    what was measured, Primula's loop) and minimizes a single monetized
+    score::
 
         score = predicted_s * time_value_usd_per_hour / 3600
               + provisioned_infrastructure_usd
@@ -497,13 +496,13 @@ def choose_exchange_substrate(
     (they genuinely differ: the cache and relays tolerate far more
     functions than object storage); a pinned count compares them all at
     that count, the shape of benchmark S8.  ``substrates`` restricts
-    the candidates (default: all of :data:`EXCHANGE_SUBSTRATES`).
+    the candidates (default: all of :data:`SUBSTRATES`).
 
     ``modes`` makes the *execution mode* a decision variable alongside
     the substrate: with ``("staged", "streaming")`` every substrate is
     additionally priced in the pipelined streaming mode
     (:func:`~repro.shuffle.planner.predict_streaming_shuffle_time` over
-    ``stream_chunk_bytes``-sized chunks, charged the row's per-chunk
+    ``stream_chunk_bytes``-sized chunks, charged the substrate's per-chunk
     readiness overhead), and the winner may be e.g.
     "relay, streaming".  With ``workers=None`` each mode picks its own
     optimal worker count from the same curve.  Exact ties break staged
@@ -529,8 +528,8 @@ def choose_exchange_substrate(
     infeasible this raises :class:`~repro.errors.ShuffleError`.
 
     Exact score ties break toward the earlier entry of
-    :data:`EXCHANGE_SUBSTRATES` — the simpler infrastructure wins when
-    the money says they are equal.
+    :data:`SUBSTRATES` — the simpler infrastructure wins when the money
+    says they are equal.
 
     ``time_value_usd_per_hour=0`` degenerates to pure cost minimization
     (object storage always wins); large values buy latency with
@@ -566,12 +565,12 @@ def choose_exchange_substrate(
         raise ShuffleError(
             f"partition_skew must be >= 1 (max/mean), got {partition_skew}"
         )
-    wanted = tuple(substrates) if substrates is not None else EXCHANGE_SUBSTRATES
+    wanted = tuple(substrates) if substrates is not None else tuple(SUBSTRATES)
     for name in wanted:
-        if name not in EXCHANGE_SUBSTRATES:
+        if name not in SUBSTRATES:
             raise ShuffleError(
                 f"unknown exchange substrate {name!r}; expected a subset "
-                f"of {EXCHANGE_SUBSTRATES}"
+                f"of {tuple(SUBSTRATES)}"
             )
     if not wanted:
         raise ShuffleError("empty candidate substrate set")
@@ -584,8 +583,6 @@ def choose_exchange_substrate(
             )
     if not wanted_modes:
         raise ShuffleError("empty candidate mode set")
-    if report is not None:
-        profile = fit_profile(profile, report)
     time_value_per_s = time_value_usd_per_hour / 3600.0
 
     cost = cost if cost is not None else ShuffleCostModel()
@@ -594,14 +591,13 @@ def choose_exchange_substrate(
     # substrate -> configurations (or why none) -> staged curve each ->
     # per mode, the best-scoring configuration's best point.  Only the
     # sharded fleet has more than one configuration (its shard counts);
-    # walking both tables in order keeps the estimates in the canonical
+    # walking SUBSTRATES in order keeps the estimates in the canonical
     # tie-breaking order.
     estimates: list[SubstrateEstimate] = []
-    for substrate in EXCHANGE_SUBSTRATES:
+    for substrate, backend_class in SUBSTRATES.items():
         if substrate not in wanted:
             continue
-        row = EXCHANGE_TERMS[substrate]
-        configurations = row.configurations(
+        configurations = backend_class.configurations(
             logical_bytes, profile, cost, partition_skew,
             cache_node_type=cache_node_type,
             relay_instance_type=relay_instance_type,
@@ -618,7 +614,7 @@ def choose_exchange_substrate(
             continue
         priced = []
         for flavour, count in configurations:
-            terms = exchange_terms(substrate, profile, cost, flavour, count)
+            terms = backend_class.resolve_terms(profile, cost, flavour, count)
             staged = plan_shuffle(
                 logical_bytes, profile, cost, max_workers=max_workers,
                 candidates=candidates, skew=partition_skew, terms=terms,

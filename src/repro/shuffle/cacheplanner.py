@@ -5,9 +5,10 @@ waves, so its memory is a hard feasibility constraint — unlike object
 storage, which is effectively unbounded (a qualitative difference the
 comparison reports).  This module sizes the cluster
 (:func:`required_cache_nodes`) and names the configuration the
-substrate selector prices (:func:`cache_configurations`).  What the
-exchange *costs in time* on a cluster is the ``"cache"`` row of
-:data:`repro.shuffle.planner.EXCHANGE_TERMS`.
+substrate selector prices (:func:`cache_configurations`, which
+:class:`~repro.shuffle.exchange.CacheExchange` carries as its
+``configurations``).  What the exchange *costs in time* on a cluster is
+:func:`repro.shuffle.planner.cache_terms`.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ the generic :class:`~repro.shuffle.operator.ShuffleSort` drives one
 * **feasibility** (:meth:`ExchangeBackend.validate`) — provisioned
   substrates have finite memory; object storage does not;
 * **planning** (:meth:`ExchangeBackend.plan`) — the one analytic cost
-  model picks the worker count over each substrate's own
-  :class:`~repro.shuffle.planner.ExchangeTerms` row;
+  model picks the worker count over the
+  :class:`~repro.shuffle.planner.ExchangeTerms` its class's ``terms``
+  builds;
 * **worker stages and task payloads** — how a mapper publishes its
   partitions and how a reducer collects its range;
 * **reporting** (:meth:`ExchangeBackend.report`) — every backend emits
@@ -39,8 +40,11 @@ is a *field*, not a class: construct any backend with
 ``stream=StreamConfig(...)`` and the same substrate runs pipelined —
 the reduce wave overlaps the map wave behind the substrate's
 per-partition readiness protocol (:mod:`repro.shuffle.streaming`).
-:mod:`repro.shuffle.substrates` tabulates the four for callers that
-provision by name.
+Each class is the whole definition of its substrate — its lifecycle
+(``provision`` → ``make_backend`` → ``release``) and its rows of the
+cost model (``terms``, ``configurations``) are class attributes and
+classmethods — and :data:`repro.shuffle.substrates.SUBSTRATES` maps
+the four by name.
 """
 
 from __future__ import annotations
@@ -53,15 +57,19 @@ from repro.cloud.memstore.service import MemStoreCluster
 from repro.cloud.profiles import CloudProfile
 from repro.errors import ShuffleError
 from repro.obs.metrics import publish_exchange_report
+from repro.shuffle.cacheplanner import cache_configurations
 from repro.shuffle.cachestages import cache_shuffle_mapper, cache_shuffle_reducer
 from repro.shuffle.planner import (
+    ExchangeTerms,
     ShuffleCostModel,
     ShufflePlan,
     best_point,
-    exchange_terms,
+    cache_terms,
+    objectstore_terms,
     plan_shuffle,
     streaming_curve,
 )
+from repro.shuffle.relayplanner import MAX_RELAY_SHARDS
 from repro.shuffle.records import RecordCodec
 from repro.shuffle.stages import cos_segments, shuffle_mapper, shuffle_reducer
 from repro.shuffle.streaming import (
@@ -209,6 +217,40 @@ class ExchangeBackend(abc.ABC):
     #: losing attempts out of stateful substrates.
     supports_speculation: t.ClassVar[bool] = True
 
+    # -- the substrate as a driver provisions it -----------------------
+    #: Whether the substrate rides provisioned infrastructure (what
+    #: :meth:`provision` brings up; the backend's first argument).
+    provisioned: t.ClassVar[bool] = False
+    #: Boolean cost-model field a staged sort stage exposes as a stage
+    #: param of the same name (reducer-side deletion), if any.
+    stage_flag: t.ClassVar[str | None] = None
+    #: Stage param naming the flavour, and its default.
+    flavour_param: t.ClassVar[tuple[str, t.Any] | None] = None
+    #: Stage param naming the count, and its default (none: one).
+    count_param: t.ClassVar[tuple[str, int] | None] = None
+    #: Fleets terminate unconditionally: per-shard termination is
+    #: idempotent, and a partially-down fleet must still stop the
+    #: surviving shards' clocks.  Single resources only while running.
+    terminate_if_down: t.ClassVar[bool] = False
+    #: ``(artifact key, report field)`` pairs a staged sort stage adds.
+    artifact_extras: t.ClassVar[tuple[tuple[str, str], ...]] = ()
+
+    # -- the substrate in the cost model -------------------------------
+    #: ``(profile, cost, flavour, count) -> ExchangeTerms``, a builder
+    #: of :mod:`repro.shuffle.planner`; ``flavour`` is the catalog
+    #: entry, or ``None`` (its NIC then does not bind; no price).
+    terms: t.ClassVar[t.Callable[..., ExchangeTerms]]
+    #: ``(logical_bytes, profile, cost, partition_skew, **sizing)`` →
+    #: the candidate ``(flavour name, count)`` configurations the
+    #: selector prices, smallest first, or a string saying why none
+    #: holds the data.  ``sizing`` are ``choose_exchange_substrate``'s
+    #: flavour pins (``cache_node_type``, ``relay_instance_type``) and
+    #: fleet limit (``max_relay_shards``).
+    configurations: t.ClassVar[t.Callable[..., list[tuple[str, int]] | str]]
+    #: What error messages call a flavour and a count of this substrate.
+    flavour_kind: t.ClassVar[str] = ""
+    count_kind: t.ClassVar[str] = "count"
+
     cost: ShuffleCostModel
     stream: StreamConfig | None = None
     #: Output namespace and record format of the sort in progress,
@@ -221,6 +263,111 @@ class ExchangeBackend(abc.ABC):
     def mode(self) -> str:
         """``"staged"`` or ``"streaming"``."""
         return "staged" if self.stream is None else "streaming"
+
+    @staticmethod
+    def catalog(profile: CloudProfile) -> dict | None:
+        """The profile catalog the substrate's flavours are named in
+        (``None``: pay-as-you-go, nothing provisioned)."""
+        return None
+
+    @classmethod
+    def resolve_terms(
+        cls,
+        profile: CloudProfile,
+        cost: ShuffleCostModel | None = None,
+        flavour: str | None = None,
+        count: int = 1,
+    ) -> ExchangeTerms:
+        """This substrate's :class:`~repro.shuffle.planner.ExchangeTerms`
+        on ``profile`` at ``flavour`` (a name in :meth:`catalog`) ×
+        ``count`` (nodes / shards: N instances aggregate N NICs and N
+        request loops; each worker stays bounded by its own connection).
+        """
+        if count < 1:
+            raise ShuffleError(f"{cls.count_kind} must be >= 1, got {count}")
+        entry = None
+        catalog = cls.catalog(profile) if flavour else None
+        if catalog is not None:
+            if flavour not in catalog:
+                raise ShuffleError(
+                    f"unknown {cls.flavour_kind} {flavour!r}; available: {sorted(catalog)}"
+                )
+            entry = catalog[flavour]
+        return cls.terms(profile, cost if cost is not None else ShuffleCostModel(), entry, count)
+
+    # -- lifecycle of the provisioned resource -------------------------
+    @classmethod
+    def size_to_fit(
+        cls, logical_bytes: float, profile: CloudProfile, flavour: t.Any = None, count: int = 0
+    ) -> tuple[t.Any, int]:
+        """The ``(flavour, count)`` :meth:`provision` brings up: pins as
+        given; a falsy flavour or a count below 1 sized to the first
+        (smallest) of :attr:`configurations` at partition skew 1.0 and
+        the default fleet limit (a pinned count keeps at least that
+        many); one without a count param.  Infeasible: ShuffleError.
+        """
+        if cls.count_param is None:
+            count = 1
+        if flavour and count >= 1:
+            return flavour, count
+        sized = cls.configurations(
+            logical_bytes, profile, ShuffleCostModel(), 1.0,
+            cache_node_type=flavour,
+            relay_instance_type=flavour or None,
+            max_relay_shards=MAX_RELAY_SHARDS,
+        )
+        if isinstance(sized, str):
+            raise ShuffleError(sized)
+        auto_flavour, auto_count = sized[0]
+        return flavour or auto_flavour, max(count, auto_count)
+
+    @staticmethod
+    def bring_up(cloud, flavour: t.Any, count: int, cold: bool) -> t.Any:
+        """The running resource, off the clock — or, when ``cold``, an
+        event yielding it once booted (provisioned substrates only)."""
+        raise NotImplementedError
+
+    @classmethod
+    def provision(
+        cls,
+        cloud,
+        logical_bytes: float,
+        flavour: t.Any = None,
+        count: int = 0,
+        cold: bool = False,
+    ) -> t.Any:
+        """Size (where asked to) and bring up this substrate's resource.
+
+        Returns ``None`` for pay-as-you-go object storage, the running
+        resource when warm, and — when ``cold`` — an event the caller
+        yields for it, paying creation/boot on the simulated clock.
+        Billing starts now either way; pair with :meth:`release`.
+        """
+        if not cls.provisioned:
+            return None
+        flavour, count = cls.size_to_fit(logical_bytes, cloud.profile, flavour, count)
+        return cls.bring_up(cloud, flavour, count, cold)
+
+    @classmethod
+    def release(cls, provisioned: t.Any) -> None:
+        """Stop a provisioned resource's billing clocks (idempotent)."""
+        if provisioned is None:
+            return
+        if cls.terminate_if_down or provisioned.state == "running":
+            provisioned.terminate()
+
+    @classmethod
+    def make_backend(
+        cls,
+        provisioned: t.Any,
+        cost: ShuffleCostModel,
+        stream: StreamConfig | None = None,
+    ) -> "ExchangeBackend":
+        """A backend over ``provisioned`` (``None`` for object
+        storage); ``stream`` selects the streaming mode."""
+        if not cls.provisioned:
+            return cls(cost=cost, stream=stream)
+        return cls(provisioned, cost=cost, stream=stream)
 
     def bind_executor(self, executor: t.Any) -> None:
         """Hook at operator construction, giving the backend a handle on
@@ -259,7 +406,7 @@ class ExchangeBackend(abc.ABC):
     @property
     def configuration(self) -> tuple[str | None, int]:
         """``(flavour name, count)`` of the provisioned resource behind
-        this backend — what resolves its row of the cost model."""
+        this backend — what resolves its terms in the cost model."""
         return None, 1
 
     def plan(
@@ -267,17 +414,17 @@ class ExchangeBackend(abc.ABC):
     ) -> ShufflePlan:
         """Pick the worker count for the mode this backend runs in.
 
-        The one analytic model over this backend's own
-        :class:`~repro.shuffle.planner.ExchangeTerms` row.  Streaming
+        The one analytic model over this class's
+        :class:`~repro.shuffle.planner.ExchangeTerms`.  Streaming
         transforms the staged curve point by point through
         :func:`~repro.shuffle.planner.predict_streaming_shuffle_time`
-        (this configuration's chunk grain, the row's per-chunk
+        (this configuration's chunk grain, the terms' per-chunk
         readiness overhead) and picks the minimizing worker count from
         the transformed curve — so an auto-planned streaming sort sizes
         its wave for the mode it actually runs, and the report's
         ``predicted_s`` is comparable to its streaming ``actual_s``.
         """
-        terms = exchange_terms(self.name, profile, self.cost, *self.configuration)
+        terms = self.resolve_terms(profile, self.cost, *self.configuration)
         staged = plan_shuffle(
             logical_size, profile, self.cost, max_workers=max_workers, terms=terms
         )
@@ -430,6 +577,12 @@ class ObjectStoreExchange(ExchangeBackend):
     }
     staged_stages = (shuffle_mapper, shuffle_reducer)
     stream_kind = "objectstore"
+    terms = staticmethod(objectstore_terms)
+
+    @staticmethod
+    def configurations(*_args, **_sizing) -> list[tuple[str, int]]:
+        """Nothing to size: the one pay-as-you-go configuration."""
+        return [("", 1)]
 
     def __init__(
         self, cost: ShuffleCostModel | None = None, stream: StreamConfig | None = None
@@ -508,6 +661,29 @@ class CacheExchange(ExchangeBackend):
     }
     staged_stages = (cache_shuffle_mapper, cache_shuffle_reducer)
     stream_kind = "cache"
+    provisioned = True
+    stage_flag = "cleanup"
+    flavour_param = ("node_type", "cache.r5.large")
+    count_param = ("nodes", 0)
+    artifact_extras = (
+        ("cache_nodes", "nodes"),
+        ("cache_node_type", "node_type"),
+        ("cache_peak_fill", "peak_fill_fraction"),
+    )
+    terms = staticmethod(cache_terms)
+    configurations = staticmethod(cache_configurations)
+    flavour_kind = "cache node type"
+    count_kind = "nodes"
+
+    @staticmethod
+    def catalog(profile: CloudProfile) -> dict:
+        return profile.memstore.catalog
+
+    @staticmethod
+    def bring_up(cloud, node_type: str, nodes: int, cold: bool) -> t.Any:
+        if cold:
+            return cloud.cache.provision(node_type, nodes)
+        return cloud.cache.provision_ready(node_type, nodes)
 
     def __init__(
         self,

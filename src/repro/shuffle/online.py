@@ -76,10 +76,17 @@ from repro.shuffle.streaming import (
     poll_object,
     subscribe_and_sort,
 )
-from repro.shuffle.substrates import SUBSTRATES, Substrate
+from repro.shuffle.substrates import SUBSTRATES
 from repro.sim import SimEvent
 from repro.storage import paths
 from repro.storage.serializer import deserialize, serialize
+
+
+#: Hot-partition sensitivity: the fraction by which the hottest shard's
+#: share of a wave's observed bytes (projected through the routing that
+#: will govern the next chunks) must exceed its fair share before the
+#: online sort re-routes at chunk grain.
+REROUTE_THRESHOLD = 0.2
 
 
 # ----------------------------------------------------------------------
@@ -247,9 +254,9 @@ def online_stream_reducer(ctx, task: dict) -> t.Generator:
 class _Stint:
     """One provisioned substrate serving a contiguous run of waves."""
 
-    row: Substrate
     #: The substrate's streaming backend over ``provisioned`` — the
-    #: stint's source of routing fields, billing rate and content log.
+    #: stint's source of routing fields, billing rate and content log;
+    #: its class releases ``provisioned``.
     backend: ExchangeBackend
     descriptor: dict
     provisioned: t.Any = None
@@ -285,7 +292,7 @@ class _Stint:
         self.peak_fill = extras["peak_fill_fraction"]
         self.dedup_bytes = extras["dedup_bytes"]
         self.cas_entries = self.backend.cas_entries(self.descriptor["prefix"])
-        self.row.release(self.provisioned)
+        self.backend.release(self.provisioned)
         self.provisioned = None
 
 
@@ -311,11 +318,10 @@ class OnlineShuffleSort(ShuffleSort):
         one when its score undercuts the running configuration's
         *refit* score by this fraction — re-provisioning has a cost the
         analytic score does not see, so marginal wins stay put.
-    reroute_threshold:
-        Hot-partition sensitivity: a chunk-grain reroute fires when the
-        hottest shard's share of a wave's observed bytes exceeds its
-        fair share by this fraction (projected through the routing that
-        will govern the next chunks).
+
+    A chunk-grain hot-partition reroute fires when the hottest shard's
+    share of a wave's observed bytes exceeds its fair share by
+    :data:`REROUTE_THRESHOLD`.
 
     After :meth:`sort` completes, :attr:`timeline` holds the
     :class:`~repro.shuffle.adaptive.DecisionTimeline` and
@@ -337,7 +343,6 @@ class OnlineShuffleSort(ShuffleSort):
         max_relay_shards: int = 8,
         partition_skew: float = 1.0,
         switch_margin: float = 0.05,
-        reroute_threshold: float = 0.2,
     ):
         super().__init__(executor, codec, backend=ObjectStoreExchange(cost))
         if getattr(executor, "speculation", None) is not None:
@@ -349,10 +354,6 @@ class OnlineShuffleSort(ShuffleSort):
         if switch_margin < 0:
             raise ShuffleError(
                 f"switch_margin must be >= 0, got {switch_margin}"
-            )
-        if reroute_threshold < 0:
-            raise ShuffleError(
-                f"reroute_threshold must be >= 0, got {reroute_threshold}"
             )
         self.stream = stream if stream is not None else StreamConfig()
         #: What every (re-)selection passes ``choose_exchange_substrate``.
@@ -367,7 +368,6 @@ class OnlineShuffleSort(ShuffleSort):
             "cost": self.cost,
         }
         self.switch_margin = switch_margin
-        self.reroute_threshold = reroute_threshold
         #: Decision history of the last sort.
         self.timeline = DecisionTimeline()
         #: Chunk-grain hot-partition reroutes of the last sort.
@@ -413,17 +413,16 @@ class OnlineShuffleSort(ShuffleSort):
         pre-installs load-aware routing under ``out_prefix``, the
         namespace every stream key lives in (``out_prefix/stream/``).
         """
-        row = SUBSTRATES[estimate.substrate]
-        provisioned = row.provision(
+        backend_class = SUBSTRATES[estimate.substrate]
+        provisioned = backend_class.provision(
             self.executor.cloud,
             0.0,  # the estimate carries explicit sizes; nothing to auto-size
             estimate.instance_type,
             max(1, estimate.shards),
         )
-        backend = row.make_backend(provisioned, self.cost, self.stream)
+        backend = backend_class.make_backend(provisioned, self.cost, self.stream)
         backend.begin_sort(out_bucket, out_prefix, self.codec)
         stint = _Stint(
-            row=row,
             backend=backend,
             descriptor={
                 "prefix": f"{out_prefix}/stream",
@@ -832,7 +831,7 @@ class OnlineShuffleSort(ShuffleSort):
                     )
                     if (
                         shard_count >= 2
-                        and imbalance > 1.0 + self.reroute_threshold
+                        and imbalance > 1.0 + REROUTE_THRESHOLD
                     ):
                         table = build_chunk_rebalance_assignments(
                             wave_cells, shard_count

@@ -19,9 +19,12 @@ where the all-to-all happens — and so does this module: the input
 split read, both CPU passes, the sorted-run write and the driver are
 the same arithmetic whatever carries the exchange, and the exchange
 itself (``map write``, ``reduce fetch``) is the same two formulas over
-an :class:`ExchangeTerms` row.  :data:`EXCHANGE_TERMS` holds one row
-builder per substrate; :func:`exchange_terms` resolves one for a
-configuration (flavour × count) on a profile.
+an :class:`ExchangeTerms` row.  This module holds the three row
+builders (:func:`objectstore_terms`, :func:`cache_terms`,
+:func:`relay_terms`); each backend class of
+:data:`repro.shuffle.substrates.SUBSTRATES` names its builder as
+``terms``, and :func:`repro.shuffle.substrates.exchange_terms` resolves
+one for a configuration (flavour × count) on a profile.
 
 The model's terms (per phase, seconds; ``b`` = a function's connection
 to object storage, ``A`` = its aggregate pipe, and ``c``, ``G``,
@@ -54,8 +57,6 @@ import typing as t
 
 from repro.cloud.profiles import CloudProfile
 from repro.errors import ShuffleError
-from repro.shuffle.cacheplanner import cache_configurations
-from repro.shuffle.relayplanner import fleet_configurations, relay_configurations
 
 
 @dataclasses.dataclass(slots=True)
@@ -115,8 +116,8 @@ class ShuffleCostModel:
 class ExchangeTerms:
     """Where the all-to-all happens, as the numbers the model reads.
 
-    One resolved row of :data:`EXCHANGE_TERMS`: a substrate at one
-    configuration (flavour × count) on one profile.
+    One substrate at one configuration (flavour × count) on one
+    profile, as its backend class's ``terms`` builds it.
     """
 
     #: Bytes/s one worker's connection to the substrate sustains.
@@ -154,7 +155,7 @@ class ExchangeTerms:
         return sum(getattr(section, knob).mean for section, knob in self.readiness)
 
 
-def _objectstore_terms(profile, cost, _flavour, _count) -> ExchangeTerms:
+def objectstore_terms(profile, cost, _flavour, _count) -> ExchangeTerms:
     """Pay-as-you-go: one combined PUT per mapper, K-way batched
     range-GETs per reducer under the account's ops/s ceiling, one
     manifest PUT + one discovery GET per streamed chunk."""
@@ -173,7 +174,7 @@ def _objectstore_terms(profile, cost, _flavour, _count) -> ExchangeTerms:
     )
 
 
-def _cache_terms(profile, _cost, node_type, nodes) -> ExchangeTerms:
+def cache_terms(profile, _cost, node_type, nodes) -> ExchangeTerms:
     """Sub-millisecond *batched* requests — a mapper's MSET and a
     reducer's MGET pay one latency per node touched, not per key — a
     per-node ops/s ceiling ~30x the object-storage account's, and the
@@ -199,7 +200,7 @@ def _cache_terms(profile, _cost, node_type, nodes) -> ExchangeTerms:
     )
 
 
-def _relay_terms(profile, _cost, instance_type, shards) -> ExchangeTerms:
+def relay_terms(profile, _cost, instance_type, shards) -> ExchangeTerms:
     """One in-VPC round trip per batch whatever the shard count (a
     mapper's MPUSH and a reducer's MPULL fan their per-shard sub-batches
     out in parallel), ``shards`` independent request loops, and the
@@ -228,92 +229,6 @@ def _relay_terms(profile, _cost, instance_type, shards) -> ExchangeTerms:
         readiness=((vm, "relay_request_latency"), (vm, "relay_request_latency")),
         infra_usd=infra_usd,
     )
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class TermRow:
-    """One substrate of the cost model: how its :class:`ExchangeTerms`
-    are built and which configurations of it can hold a dataset."""
-
-    #: ``(profile, cost, flavour, count) -> ExchangeTerms``.  ``flavour``
-    #: is the catalog entry, or ``None`` when there is none to name (its
-    #: NIC then does not bind, and the row cannot be priced).
-    terms: t.Callable[[CloudProfile, ShuffleCostModel, t.Any, int], ExchangeTerms]
-    #: ``(logical_bytes, profile, cost, partition_skew, **sizing)`` → the
-    #: candidate ``(flavour name, count)`` configurations the selector
-    #: prices, or a string saying why none holds the data.  ``sizing``
-    #: are ``choose_exchange_substrate``'s flavour pins and fleet limit.
-    configurations: t.Callable[..., list[tuple[str, int]] | str]
-    #: Profile → the catalog the substrate's flavours are named in
-    #: (``None``: pay-as-you-go, nothing provisioned).
-    catalog: t.Callable[[CloudProfile], dict] | None = None
-    #: What error messages call a flavour and a count of this substrate.
-    flavour_kind: str = ""
-    count_kind: str = "count"
-
-
-_RELAY_ROW = dict(
-    terms=_relay_terms,
-    catalog=lambda profile: profile.vm.catalog,
-    flavour_kind="relay instance type",
-    count_kind="shards",
-)
-
-#: Substrate name → its row of the cost model.  A single relay is the
-#: fleet row at one shard; the two differ only in what the selector may
-#: configure.
-EXCHANGE_TERMS: dict[str, TermRow] = {
-    "objectstore": TermRow(
-        terms=_objectstore_terms,
-        configurations=lambda *_args, **_sizing: [("", 1)],
-    ),
-    "cache": TermRow(
-        terms=_cache_terms,
-        configurations=cache_configurations,
-        catalog=lambda profile: profile.memstore.catalog,
-        flavour_kind="cache node type",
-        count_kind="nodes",
-    ),
-    "relay": TermRow(configurations=relay_configurations, **_RELAY_ROW),
-    "sharded-relay": TermRow(configurations=fleet_configurations, **_RELAY_ROW),
-}
-
-
-def term_row(substrate: str) -> TermRow:
-    """The substrate's row of :data:`EXCHANGE_TERMS`."""
-    try:
-        return EXCHANGE_TERMS[substrate]
-    except KeyError:
-        raise ShuffleError(f"unknown exchange substrate {substrate!r}") from None
-
-
-def exchange_terms(
-    substrate: str,
-    profile: CloudProfile,
-    cost: ShuffleCostModel | None = None,
-    flavour: str | None = None,
-    count: int = 1,
-) -> ExchangeTerms:
-    """Resolve one substrate configuration's :class:`ExchangeTerms`.
-
-    ``flavour`` names a cache node type / relay instance type of the
-    profile's catalog and ``count`` is the node / shard count: a
-    :class:`~repro.cloud.vm.fleet.RelayFleet` of N identical instances
-    aggregates N NICs and N request loops while each worker stays
-    bounded by its own connection.
-    """
-    row = term_row(substrate)
-    if count < 1:
-        raise ShuffleError(f"{row.count_kind} must be >= 1, got {count}")
-    entry = None
-    if flavour and row.catalog is not None:
-        catalog = row.catalog(profile)
-        if flavour not in catalog:
-            raise ShuffleError(
-                f"unknown {row.flavour_kind} {flavour!r}; available: {sorted(catalog)}"
-            )
-        entry = catalog[flavour]
-    return row.terms(profile, cost if cost is not None else ShuffleCostModel(), entry, count)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -371,7 +286,7 @@ def predict_shuffle_time(
     if skew < 1.0:
         raise ShuffleError(f"skew must be >= 1 (max/mean), got {skew}")
     if terms is None:
-        terms = exchange_terms("objectstore", profile, cost)
+        terms = objectstore_terms(profile, cost, None, 1)
     size = float(logical_bytes)
     store = profile.objectstore
     faas = profile.faas
@@ -539,7 +454,7 @@ def plan_shuffle(
     if not pool:
         raise ShuffleError("empty candidate worker set")
     if terms is None:
-        terms = exchange_terms("objectstore", profile, cost)
+        terms = objectstore_terms(profile, cost, None, 1)
     curve = tuple(
         predict_shuffle_time(logical_bytes, workers, profile, cost, skew, terms)
         for workers in sorted(set(pool))

@@ -31,13 +31,18 @@ import heapq
 import re
 import typing as t
 
-from repro.cloud.vm.fleet import RelayFleet
-from repro.cloud.vm.relay import PartitionRelay
+from repro.cloud.profiles import CloudProfile
+from repro.cloud.vm.fleet import RelayFleet, fleet_ready, provision_fleet
+from repro.cloud.vm.relay import PartitionRelay, provision_relay, relay_ready
 from repro.errors import ShuffleError
 from repro.shuffle.exchange import ExchangeBackend
-from repro.shuffle.planner import ShuffleCostModel
+from repro.shuffle.planner import ShuffleCostModel, relay_terms
 from repro.shuffle.records import RecordCodec
-from repro.shuffle.relayplanner import SHARD_IMBALANCE_HEADROOM
+from repro.shuffle.relayplanner import (
+    SHARD_IMBALANCE_HEADROOM,
+    fleet_configurations,
+    relay_configurations,
+)
 from repro.shuffle.stages import kv_shuffle_mapper, kv_shuffle_reducer
 from repro.shuffle.streaming import StreamConfig
 
@@ -231,10 +236,14 @@ def build_rebalance_assignments(
     )
 
 
+#: Fraction of a fair shard share above which an observed cell is
+#: spread across the fleet instead of pinned
+#: (:func:`build_chunk_rebalance_assignments`).
+SPREAD_FRACTION = 0.5
+
+
 def build_chunk_rebalance_assignments(
-    observed_cell_bytes: t.Sequence[t.Sequence[float]],
-    shards: int,
-    spread_fraction: float = 0.5,
+    observed_cell_bytes: t.Sequence[t.Sequence[float]], shards: int
 ) -> tuple[tuple[int, ...], ...]:
     """LPT shard placement of (mapper, reducer) cells from *observed* bytes.
 
@@ -243,7 +252,7 @@ def build_chunk_rebalance_assignments(
     mappers, it places the cell-byte matrix actually observed so far
     (``observed_cell_bytes[mapper][reducer]`` = logical bytes that
     mapper published for that reducer).  A cell heavier than
-    ``spread_fraction`` of a fair shard share gets
+    :data:`SPREAD_FRACTION` of a fair shard share gets
     :data:`PartitionLoadRouter.SPREAD` — pinning it anywhere would
     recreate the hot shard, so its future chunks round-robin across the
     fleet — and the remaining cells are LPT-balanced around it.  Meant
@@ -263,7 +272,7 @@ def build_chunk_rebalance_assignments(
     fair_share = total / shards
     spread = [
         [
-            shards > 1 and total > 0 and cell > spread_fraction * fair_share
+            shards > 1 and total > 0 and cell > SPREAD_FRACTION * fair_share
             for cell in row
         ]
         for row in rows
@@ -345,6 +354,26 @@ class RelayExchange(ExchangeBackend):
     }
     staged_stages = (relay_shuffle_mapper, relay_shuffle_reducer)
     stream_kind = "relay"
+    provisioned = True
+    stage_flag = "consume"
+    flavour_param = ("instance_type", None)
+    artifact_extras = (
+        ("relay_instance_type", "instance_type"),
+        ("relay_peak_fill", "peak_fill_fraction"),
+        ("relay_backpressure_waits", "backpressure_waits"),
+    )
+    terms = staticmethod(relay_terms)
+    configurations = staticmethod(relay_configurations)
+    flavour_kind = "relay instance type"
+    count_kind = "shards"
+
+    @staticmethod
+    def catalog(profile: CloudProfile) -> dict:
+        return profile.vm.catalog
+
+    @staticmethod
+    def bring_up(cloud, instance_type: str, _count: int, cold: bool) -> t.Any:
+        return (provision_relay if cold else relay_ready)(cloud.vms, instance_type)
 
     def __init__(
         self,
@@ -536,6 +565,18 @@ class ShardedRelayExchange(RelayExchange):
         "staged": ("fleetshuffle", "fleet-shuffle"),
         "streaming": ("streamfleetshuffle", "streaming-fleet-shuffle"),
     }
+    count_param = ("shards", 2)
+    terminate_if_down = True
+    artifact_extras = (
+        ("relay_instance_type", "instance_type"),
+        ("relay_shards", "shards"),
+        *RelayExchange.artifact_extras[1:],
+    )
+    configurations = staticmethod(fleet_configurations)
+
+    @staticmethod
+    def bring_up(cloud, instance_type: str, shards: int, cold: bool) -> t.Any:
+        return (provision_fleet if cold else fleet_ready)(cloud.vms, instance_type, shards)
 
     def __init__(
         self,

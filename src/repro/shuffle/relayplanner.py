@@ -9,9 +9,11 @@ shard count when no single flavour does, budgeting the *hot shard*
 (:func:`hot_shard_bytes`) and the :data:`SHARD_IMBALANCE_HEADROOM` the
 runtime admission check shares.  :func:`relay_configurations` and
 :func:`fleet_configurations` name the configurations the substrate
-selector prices.  What the exchange *costs in time* on a relay or a
-fleet is the ``"relay"`` / ``"sharded-relay"`` row of
-:data:`repro.shuffle.planner.EXCHANGE_TERMS`.
+selector prices, and
+:class:`~repro.shuffle.relay.RelayExchange` /
+:class:`~repro.shuffle.relay.ShardedRelayExchange` carry them as their
+``configurations``.  What the exchange *costs in time* on a relay or a
+fleet is :func:`repro.shuffle.planner.relay_terms`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ from repro.errors import ShuffleError
 #: (``RelayExchange.validate``) both budget this margin — they must
 #: agree, or a planner-sized fleet would be rejected at execution time.
 SHARD_IMBALANCE_HEADROOM = 1.3
+
+#: Default fleet limit: the most shards a sized fleet or the selector's
+#: priced fleets may have.
+MAX_RELAY_SHARDS = 8
 
 
 def resolve_relay_instance(profile: CloudProfile, type_name: str) -> InstanceType:
@@ -122,7 +128,7 @@ def required_relay_fleet(
     logical_bytes: float,
     profile: CloudProfile,
     instance_type_name: str | None = None,
-    max_shards: int = 8,
+    max_shards: int = MAX_RELAY_SHARDS,
     headroom: float = SHARD_IMBALANCE_HEADROOM,
     partition_skew: float = 1.0,
 ) -> tuple[str, int]:

@@ -77,7 +77,7 @@ class TestSingleKeyOps:
 
         def scenario():
             yield client.set("key", b"payload")
-            return (yield client.get("key"))
+            return (yield client.mget(["key"]))[0]
 
         assert run(cloud, scenario()) == b"payload"
 
@@ -86,7 +86,7 @@ class TestSingleKeyOps:
         client = cluster.client()
 
         def scenario():
-            yield client.get("nope")
+            yield client.mget(["nope"])
 
         with pytest.raises(CacheKeyMissing):
             run(cloud, scenario())
@@ -98,7 +98,7 @@ class TestSingleKeyOps:
         def scenario():
             yield client.set("key", b"one")
             yield client.set("key", b"two-longer")
-            return (yield client.get("key"))
+            return (yield client.mget(["key"]))[0]
 
         assert run(cloud, scenario()) == b"two-longer"
         assert cluster.key_count == 1
@@ -112,16 +112,6 @@ class TestSingleKeyOps:
             first = yield client.delete("key")
             second = yield client.delete("key")
             return first, second
-
-        assert run(cloud, scenario()) == (True, False)
-
-    def test_exists(self, cloud):
-        cluster = cloud.cache.provision_ready("cache.r5.large")
-        client = cluster.client()
-
-        def scenario():
-            yield client.set("key", b"v")
-            return (yield client.exists("key")), (yield client.exists("other"))
 
         assert run(cloud, scenario()) == (True, False)
 
@@ -300,7 +290,7 @@ class TestMemoryPressure:
                 yield client.set("a", b"y" * 600 + b"z" * 600)
             except CacheOutOfMemory:
                 pass
-            return (yield client.get("a"))
+            return (yield client.mget(["a"]))[0]
 
         assert cloud.sim.run_process(scenario()) == b"x" * 600
 
@@ -312,14 +302,12 @@ class TestMemoryPressure:
             yield client.set("old", b"x" * 400)
             yield client.set("mid", b"y" * 400)
             # Touch "old" so "mid" becomes the LRU victim.
-            yield client.get("old")
+            yield client.mget(["old"])
             yield client.set("new", b"z" * 400)
-            old = yield client.exists("old")
-            mid = yield client.exists("mid")
-            new = yield client.exists("new")
-            return old, mid, new
 
-        assert cloud.sim.run_process(scenario()) == (True, False, True)
+        cloud.sim.run_process(scenario())
+        resident = [cluster.node_for(key).contains(key) for key in ("old", "mid", "new")]
+        assert resident == [True, False, True]
         assert cluster.stats_totals()["evictions"] == 1
 
     def test_eviction_frees_accounting(self):
@@ -374,7 +362,7 @@ class TestBillingAndLifecycle:
         cluster.terminate()
 
         def scenario():
-            yield client.get("k")
+            yield client.mget(["k"])
 
         with pytest.raises(ClusterNotRunning):
             run(cloud, scenario())
@@ -410,7 +398,7 @@ class TestContextIntegration:
         def handler(ctx, payload):
             client = ctx.kv(payload["cluster_id"])
             yield client.set("from-function", b"hello")
-            return (yield client.get("from-function"))
+            return (yield client.mget(["from-function"]))[0]
 
         cloud.faas.register("kv-fn", handler)
 
@@ -440,20 +428,3 @@ class TestContextIntegration:
             == cloud.profile.faas.instance_bandwidth
         )
 
-    def test_vm_context_kv_access(self, cloud):
-        cluster = cloud.cache.provision_ready("cache.r5.large")
-        cluster_id = cluster.cluster_id
-
-        def scenario():
-            vm = yield cloud.vms.provision("bx2-2x8")
-
-            def task(vm_ctx):
-                client = vm_ctx.kv(cluster_id)
-                yield client.set("from-vm", b"vm-data")
-                return (yield client.get("from-vm"))
-
-            result = yield vm.run(task)
-            vm.terminate()
-            return result
-
-        assert run(cloud, scenario()) == b"vm-data"

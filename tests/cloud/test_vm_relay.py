@@ -35,7 +35,7 @@ class TestBasicOps:
 
         def scenario():
             yield client.push("k", b"partition-bytes")
-            return (yield client.pull("k"))
+            return (yield client.mpull(["k"]))[0]
 
         assert cloud.sim.run_process(scenario()) == b"partition-bytes"
         assert relay.stats.pushes == 1
@@ -55,7 +55,7 @@ class TestBasicOps:
         client = relay.client()
 
         def scenario():
-            yield client.pull("ghost")
+            yield client.mpull(["ghost"])
 
         with pytest.raises(RelayKeyMissing):
             cloud.sim.run_process(scenario())
@@ -69,7 +69,7 @@ class TestBasicOps:
         def scenario():
             yield client.push("k", b"v1", logical_size=chunk)
             yield client.push("k", b"v2", logical_size=chunk)
-            return (yield client.pull("k"))
+            return (yield client.mpull(["k"]))[0]
 
         assert cloud.sim.run_process(scenario()) == b"v2"
         assert relay.used_logical == pytest.approx(chunk)
@@ -116,22 +116,10 @@ class TestBasicOps:
                 yield client.mpull(["k1", "ghost"], consume=True)
             except RelayKeyMissing:
                 pass
-            return (yield client.pull("k1"))
+            return (yield client.mpull(["k1"]))[0]
 
         assert cloud.sim.run_process(scenario()) == b"alive"
         assert relay.used_logical == 500.0  # still resident, not leaked
-
-    def test_mdelete_removes_batch_and_frees_memory(self, cloud, relay):
-        client = relay.client()
-
-        def scenario():
-            yield client.mpush([("a", b"x"), ("b", b"y")],
-                               logical_sizes=[100.0, 200.0])
-            return (yield client.mdelete(["a", "b", "ghost"]))
-
-        assert cloud.sim.run_process(scenario()) == 2
-        assert relay.key_count == 0
-        assert relay.used_logical == 0.0
 
     def test_consuming_pull_frees_memory(self, cloud, relay):
         client = relay.client()
@@ -139,7 +127,7 @@ class TestBasicOps:
         def scenario():
             yield client.push("k", b"x" * 64, logical_size=1000.0)
             before = relay.used_logical
-            yield client.pull("k", consume=True)
+            yield client.mpull(["k"], consume=True)
             return before, relay.used_logical
 
         before, after = cloud.sim.run_process(scenario())
@@ -204,7 +192,7 @@ class TestCapacityAndBackpressure:
                                    logical_sizes=[relay.capacity_bytes * 2])
             except RelayCapacityExceeded:
                 pass
-            return (yield client.pull("k"))
+            return (yield client.mpull(["k"]))[0]
 
         assert cloud.sim.run_process(scenario()) == b"old"
         assert relay.used_logical == 100.0
@@ -224,7 +212,7 @@ class TestCapacityAndBackpressure:
 
         def consumer():
             yield cloud.sim.timeout(50.0)  # relay is full by now
-            yield client.pull("a", consume=True)
+            yield client.mpull(["a"], consume=True)
             events.append(("consumed-a", cloud.sim.now))
 
         cloud.sim.process(pusher())
@@ -254,7 +242,7 @@ class TestCapacityAndBackpressure:
                 # the next queued push can be admitted.
                 while f"p{step}" not in completions:
                     yield cloud.sim.timeout(1.0)
-                yield client.pull(f"p{step}", consume=True)
+                yield client.mpull([f"p{step}"], consume=True)
 
         cloud.sim.process(pusher("p0", 0.0))
         cloud.sim.process(pusher("p1", 1.0))
@@ -270,7 +258,7 @@ class TestCapacityAndBackpressure:
 
         def scenario():
             yield client.push("a", b"x", logical_size=half)
-            yield client.pull("a", consume=True)
+            yield client.mpull(["a"], consume=True)
             yield client.push("b", b"x", logical_size=half / 2)
 
         cloud.sim.run_process(scenario())
@@ -295,7 +283,7 @@ class TestNicContention:
         started = cloud.sim.now
 
         def puller(index):
-            yield client.pull(f"k{index}")
+            yield client.mpull([f"k{index}"])
             finished[index] = cloud.sim.now - started
 
         for index in range(streams):
@@ -331,7 +319,7 @@ class TestNicContention:
             done["push"] = cloud.sim.now - started
 
         def puller():
-            yield client.pull("seed")
+            yield client.mpull(["seed"])
             done["pull"] = cloud.sim.now - started
 
         cloud.sim.process(pusher())
@@ -348,7 +336,7 @@ class TestNicContention:
         def scenario():
             yield capped.push("k", b"x", logical_size=self.LOGICAL)
             before = cloud.sim.now
-            yield capped.pull("k")
+            yield capped.mpull(["k"])
             return cloud.sim.now - before
 
         duration = cloud.sim.run_process(scenario())

@@ -98,8 +98,8 @@ class TestCancelAndReclaim:
     ):
         """cancel_attempt reclaims only *uncommitted* custody: data a
         dead attempt finished publishing stays valid (the exchange is
-        idempotent by content); an explicit delete then frees the space
-        and wakes queued pushes."""
+        idempotent by content); a consuming driver pull then frees the
+        space and wakes queued pushes."""
         dead = relay.client(attempt_id="dead")
         live = relay.client()
         chunk = relay.capacity_bytes * 0.6
@@ -118,7 +118,7 @@ class TestCancelAndReclaim:
             yield cloud.sim.timeout(50.0)
             relay.cancel_attempt("dead")
             assert relay.key_count == 1  # committed entry untouched
-            yield live.delete("a")
+            yield live.mpull(["a"], consume=True)
 
         cloud.sim.process(live_pusher())
         cloud.sim.process(canceller())
@@ -163,10 +163,9 @@ class TestFencing:
         ops = [
             lambda: client.push("k", b"x"),
             lambda: client.mpush([("k", b"x")]),
-            lambda: client.pull("k"),
             lambda: client.mpull(["k"]),
-            lambda: client.delete("k"),
-            lambda: client.mdelete(["k"]),
+            lambda: client.mpull(["k"], consume=True),
+            lambda: client.pull_wait("k"),
         ]
         for op in ops:
             def scenario(op=op):
@@ -182,7 +181,7 @@ class TestFencing:
 
         def scenario():
             yield client.push("k", b"payload")
-            return (yield client.pull("k"))
+            return (yield client.mpull(["k"]))[0]
 
         assert cloud.sim.run_process(scenario()) == b"payload"
 
@@ -212,7 +211,7 @@ class TestFencing:
 
         def zombie_consume():
             try:
-                yield zombie.pull("k", consume=True)
+                yield zombie.mpull(["k"], consume=True)
                 outcome.append("consumed")
             except RelayAttemptFenced:
                 outcome.append("pull fenced")
@@ -226,7 +225,7 @@ class TestFencing:
         assert sorted(outcome) == ["pull fenced", "push fenced"]
 
         def check():
-            return (yield winner.pull("k"))
+            return (yield winner.mpull(["k"]))[0]
 
         assert cloud.sim.run_process(check()) == b"winner-bytes"
         assert relay.used_logical == pytest.approx(500.0)
@@ -245,7 +244,7 @@ class TestFencing:
                 yield loser.mpush([("m0.r0", b"loser-bytes")])
             except RelayAttemptFenced:
                 pass
-            return (yield winner.pull("m0.r0"))
+            return (yield winner.mpull(["m0.r0"]))[0]
 
         assert cloud.sim.run_process(scenario()) == b"winner-bytes"
 
@@ -268,7 +267,7 @@ class TestAtomicSwap:
 
         def poller():
             for _ in range(40):
-                data = yield client.pull("k")  # must never raise
+                (data,) = yield client.mpull(["k"])  # must never raise
                 observed.append(data)
                 yield cloud.sim.timeout(1.0)
 
@@ -325,7 +324,7 @@ class TestAtomicSwap:
         cloud.sim.run()
 
         def check():
-            return (yield winner.pull("k"))
+            return (yield winner.mpull(["k"]))[0]
 
         assert cloud.sim.run_process(check()) == b"old"
         assert relay.used_logical == pytest.approx(chunk)
@@ -341,11 +340,11 @@ class TestAtomicSwap:
             yield client.push("a", b"old", logical_size=1000.0)
             replacement = client.push("a", b"new", logical_size=2e9)
             yield cloud.sim.timeout(0.5)  # replacement is mid-transfer
-            data = yield client.pull("a", consume=True)
+            (data,) = yield client.mpull(["a"], consume=True)
             assert data == b"old"
             relay.check_memory_accounting()
             yield replacement
-            return (yield client.pull("a"))
+            return (yield client.mpull(["a"]))[0]
 
         assert cloud.sim.run_process(scenario()) == b"new"
         assert relay.used_logical == pytest.approx(2e9)
@@ -361,7 +360,7 @@ class TestAtomicSwap:
                                    logical_sizes=[relay.capacity_bytes * 2])
             except Exception:
                 pass
-            return (yield client.pull("k"))
+            return (yield client.mpull(["k"]))[0]
 
         assert cloud.sim.run_process(scenario()) == b"old"
         assert relay.used_logical == 100.0
@@ -391,7 +390,7 @@ class TestInterruptCleanup:
         cloud.sim.run_process(seed())
 
         def puller():
-            yield client.pull("k")
+            yield client.mpull(["k"])
 
         cloud.sim.process(puller())
 

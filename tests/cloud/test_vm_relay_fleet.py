@@ -96,13 +96,13 @@ class TestFanOut:
 
         def scenario():
             yield client.push("solo", b"x" * 32)
-            data = yield client.pull("solo")
-            removed = yield client.delete("solo")
-            return data, removed
+            resident = [shard.key_count for shard in fleet.shards]
+            (data,) = yield client.mpull(["solo"], consume=True)
+            return data, resident
 
-        data, removed = cloud.sim.run_process(scenario())
+        data, resident = cloud.sim.run_process(scenario())
         assert data == b"x" * 32
-        assert removed is True
+        assert sorted(resident) == [0] * (len(resident) - 1) + [1]
         assert fleet.key_count == 0
 
     def test_mpull_missing_key_fails_whole_batch(self, cloud, fleet):
@@ -115,26 +115,14 @@ class TestFanOut:
         with pytest.raises(RelayKeyMissing):
             cloud.sim.run_process(scenario())
 
-    def test_mdelete_counts_across_shards(self, cloud, fleet):
-        client = fleet.client()
-        items = [(f"d{i}", b"z" * 8) for i in range(9)]
-
-        def scenario():
-            yield client.mpush(items)
-            return (yield client.mdelete([k for k, _d in items] + ["ghost"]))
-
-        assert cloud.sim.run_process(scenario()) == len(items)
-
     def test_empty_batches_are_cheap_noops(self, cloud, fleet):
         client = fleet.client()
 
         def scenario():
             yield client.mpush([])
-            pulled = yield client.mpull([])
-            removed = yield client.mdelete([])
-            return pulled, removed
+            return (yield client.mpull([]))
 
-        assert cloud.sim.run_process(scenario()) == ([], 0)
+        assert cloud.sim.run_process(scenario()) == []
 
 
 class TestAggregation:

@@ -41,7 +41,7 @@ class TestConsumeLeases:
 
         def scenario():
             yield client.push("k", b"v", logical_size=100.0)
-            yield client.pull("k", consume=True)
+            yield client.mpull(["k"], consume=True)
             return relay.key_count
 
         assert cloud.sim.run_process(scenario()) == 0
@@ -52,11 +52,11 @@ class TestConsumeLeases:
 
         def scenario():
             yield client.push("k", b"v", logical_size=100.0)
-            data = yield client.pull("k", consume=True)
+            (data,) = yield client.mpull(["k"], consume=True)
             assert data == b"v"
             # Leased, not removed: still resident and re-pullable.
             assert relay.key_count == 1
-            assert (yield client.pull("k")) == b"v"
+            assert (yield client.mpull(["k"]))[0] == b"v"
             removed = relay.commit_attempt("att-1")
             assert removed == 1
             assert relay.key_count == 0
@@ -72,12 +72,12 @@ class TestConsumeLeases:
 
         def scenario():
             yield filler.push("k", b"v", logical_size=100.0)
-            yield victim.pull("k", consume=True)
+            yield victim.mpull(["k"], consume=True)
             assert relay.key_count == 1
             relay.cancel_attempt("att-2")
             # The lease died with the attempt; the entry survives.
             assert relay.key_count == 1
-            assert (yield filler.pull("k")) == b"v"
+            assert (yield filler.mpull(["k"]))[0] == b"v"
 
         cloud.sim.run_process(scenario())
         assert relay.stats.lease_reinstatements == 1
@@ -96,8 +96,8 @@ class TestConsumeLeases:
 
         def scenario():
             yield client.push("k", b"v", logical_size=50.0)
-            yield client.pull("k", consume=True)
-            yield client.pull("k", consume=True)
+            yield client.mpull(["k"], consume=True)
+            yield client.mpull(["k"], consume=True)
             assert relay.stats.consume_leases == 1
             assert relay.commit_attempt("att-3") == 1
 
@@ -117,7 +117,7 @@ class TestScopeFencing:
             # Alice's attempt is fenced; Bob's bytes are untouched.
             assert relay.is_fenced("a-1")
             assert not relay.is_fenced("b-1")
-            assert (yield bob.pull("bob-k")) == b"b"
+            assert (yield bob.mpull(["bob-k"]))[0] == b"b"
 
         cloud.sim.run_process(scenario())
         assert relay.scope_fenced("alice/job-1")
@@ -141,10 +141,10 @@ class TestScopeFencing:
 
         def scenario():
             yield filler.push("k", b"v", logical_size=100.0)
-            yield worker.pull("k", consume=True)
+            yield worker.mpull(["k"], consume=True)
             relay.cancel_scope("alice/job-1")
             assert relay.key_count == 1
-            assert (yield filler.pull("k")) == b"v"
+            assert (yield filler.mpull(["k"]))[0] == b"v"
 
         cloud.sim.run_process(scenario())
         assert relay.stats.lease_reinstatements == 1
@@ -177,8 +177,8 @@ class TestPeakEpochs:
             first = relay.begin_peak_epoch()
             yield client.push("b", b"x", logical_size=cap * 0.25)
             second = relay.begin_peak_epoch()
-            yield client.pull("a", consume=True)  # driver: immediate
-            yield client.pull("b", consume=True)
+            yield client.mpull(["a"], consume=True)  # driver: immediate
+            yield client.mpull(["b"], consume=True)
             # Both epochs saw the 0.75 peak fill (fractions of capacity);
             # the later low-water traffic never lowers either.
             assert relay.peak_fill_since(first) == pytest.approx(0.75)
@@ -195,7 +195,7 @@ class TestPeakEpochs:
         def scenario():
             yield client.push("a", b"x", logical_size=1000.0)
             token = relay.begin_peak_epoch()
-            yield client.pull("a", consume=True)
+            yield client.mpull(["a"], consume=True)
             relay.end_peak_epoch(token)
             # The relay-global peak still remembers the early high.
             assert relay.peak_used_logical == pytest.approx(1000.0)

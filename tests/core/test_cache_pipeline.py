@@ -76,7 +76,7 @@ class TestCachePipeline:
         )
 
     def test_cold_provisioning_pays_cluster_creation(self):
-        cold = dataclasses.replace(SMALL, cache_provisioning="cold")
+        cold = dataclasses.replace(SMALL, provisioning="cold")
         run_cold = run_pipeline(cold, CACHE_SUPPORTED)
         run_warm = run_pipeline(SMALL, CACHE_SUPPORTED)
         provision = run_warm.cloud.profile.memstore.provision.mean
@@ -85,7 +85,7 @@ class TestCachePipeline:
     def test_invalid_provisioning_mode_rejected(self):
         from repro.errors import WorkflowError
 
-        bad = dataclasses.replace(SMALL, cache_provisioning="lukewarm")
+        bad = dataclasses.replace(SMALL, provisioning="lukewarm")
         with pytest.raises(WorkflowError, match="provisioning"):
             run_pipeline(bad, CACHE_SUPPORTED)
 

@@ -29,6 +29,7 @@ from repro.cloud.vm.fleet import fleet_ready
 from repro.cloud.vm.relay import relay_ready
 from repro.executor import FunctionExecutor, SpeculationPolicy
 from repro.shuffle import (
+    SUBSTRATES,
     CacheExchange,
     FixedWidthCodec,
     ObjectStoreExchange,
@@ -47,8 +48,6 @@ SEED = 13
 STREAM = StreamConfig(
     chunk_bytes=4096.0, buffer_bytes=8192.0, poll_interval_s=0.05
 )
-
-SUBSTRATES = ("objectstore", "cache", "relay", "sharded-relay")
 
 #: Exchange-op event prefixes each substrate's attempts must carry.
 EXPECTED_EVENTS = {
@@ -129,7 +128,7 @@ def run_sort(
 
 
 @pytest.mark.parametrize("mode", ("staged", "streaming"))
-@pytest.mark.parametrize("substrate", SUBSTRATES)
+@pytest.mark.parametrize("substrate", list(SUBSTRATES))
 class TestSpanTreePerSubstrate:
     def test_attempts_parent_under_waves_with_exchange_events(
         self, substrate, mode
@@ -167,7 +166,7 @@ class TestSpanTreePerSubstrate:
         assert cloud.sim.tracer.open_span_count == 0
 
 
-@pytest.mark.parametrize("substrate", SUBSTRATES)
+@pytest.mark.parametrize("substrate", list(SUBSTRATES))
 class TestChaosLifecycle:
     def test_crashed_attempts_end_exactly_once(self, substrate):
         payload = make_payload()
@@ -277,7 +276,7 @@ class TestRelayBackpressureEvent:
 
         def freer():
             yield cloud.sim.timeout(5.0)  # pusher is queued by now
-            yield filler.delete("resident")
+            yield filler.mpull(["resident"], consume=True)
 
         cloud.sim.process(pusher())
         cloud.sim.process(freer())

@@ -9,20 +9,21 @@ from repro.cloud import Cloud, MB
 from repro.cloud.profiles import GB, LatencyModel, ibm_us_east
 from repro.errors import ShuffleError
 from repro.executor import FunctionExecutor
-from repro.shuffle import adaptive, planner
 from repro.shuffle.adaptive import (
     OnlineTuner,
     ProbeReport,
     choose_exchange_substrate,
+    fit_profile,
     plan_fleet_scale,
 )
+from repro.shuffle.exchange import ExchangeBackend
 from repro.shuffle.planner import (
     ExchangeTerms,
     ShuffleCostModel,
-    TermRow,
     plan_shuffle,
     predict_shuffle_time,
 )
+from repro.shuffle.substrates import SUBSTRATES
 from repro.shuffle.relayplanner import relay_usable_bytes, resolve_relay_instance
 from repro.sim import Simulator
 
@@ -292,7 +293,7 @@ class TestSubstrateSelector:
         )
         plain = choose_exchange_substrate(self.SIZE, self.PROFILE, workers=64)
         probed = choose_exchange_substrate(
-            self.SIZE, self.PROFILE, workers=64, report=report
+            self.SIZE, fit_profile(self.PROFILE, report), workers=64
         )
         cos_plain = [e for e in plain.estimates if e.substrate == "objectstore"][0]
         cos_probed = [e for e in probed.estimates if e.substrate == "objectstore"][0]
@@ -403,9 +404,10 @@ class TestSubstrateSelector:
 
 
 class TestFifthSubstrate:
-    """The table is the extension point: a fifth substrate is one term
-    row plus its name in the tie-breaking order — the selector prices,
-    orders and can choose it without knowing it exists."""
+    """``SUBSTRATES`` is the extension point: a fifth substrate is one
+    backend class carrying its ``terms`` and ``configurations``,
+    registered once — the selector prices, orders and can choose it
+    without knowing it exists."""
 
     PROFILE = ibm_us_east(deterministic=True)
     SIZE = 3.5 * GB
@@ -429,16 +431,16 @@ class TestFifthSubstrate:
 
     @pytest.fixture
     def burst_buffer(self, monkeypatch):
-        row = TermRow(
-            terms=self.burst_buffer_terms,
-            configurations=lambda *_args, **_sizing: [("bb.small", 1)],
-        )
-        monkeypatch.setitem(planner.EXCHANGE_TERMS, "burst-buffer", row)
-        monkeypatch.setattr(
-            adaptive, "EXCHANGE_SUBSTRATES",
-            adaptive.EXCHANGE_SUBSTRATES + ("burst-buffer",),
-        )
-        return row
+        class BurstBufferExchange(ExchangeBackend):
+            name = "burst-buffer"
+            terms = staticmethod(self.burst_buffer_terms)
+
+            @staticmethod
+            def configurations(*_args, **_sizing):
+                return [("bb.small", 1)]
+
+        monkeypatch.setitem(SUBSTRATES, "burst-buffer", BurstBufferExchange)
+        return BurstBufferExchange
 
     def test_priced_in_canonical_order_in_both_modes(self, burst_buffer):
         decision = choose_exchange_substrate(
@@ -477,12 +479,9 @@ class TestFifthSubstrate:
         assert alone.chosen.workers > 1  # planned its own count
 
     def test_reports_its_own_infeasibility(self, monkeypatch, burst_buffer):
-        monkeypatch.setitem(
-            planner.EXCHANGE_TERMS, "burst-buffer",
-            TermRow(
-                terms=self.burst_buffer_terms,
-                configurations=lambda *_args, **_sizing: "the buffer is 1 GB",
-            ),
+        monkeypatch.setattr(
+            burst_buffer, "configurations",
+            staticmethod(lambda *_args, **_sizing: "the buffer is 1 GB"),
         )
         decision = choose_exchange_substrate(self.SIZE, self.PROFILE, workers=8)
         last = decision.estimates[-1]

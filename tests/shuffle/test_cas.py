@@ -408,8 +408,8 @@ class TestCacheDedupEviction:
 
 class TestRelayResidency:
     """The relay's refcounts follow its entries through every way one
-    leaves: a replacing commit, a committed consume lease, a delete, and
-    terminate."""
+    leaves: a replacing commit, a committed consume lease, a driver's
+    consuming pull, and terminate."""
 
     def test_refcounts_mirror_entries_through_commit_consume_delete(self):
         cloud = Cloud.fresh(seed=5, profile=ibm_us_east(deterministic=True))
@@ -426,12 +426,12 @@ class TestRelayResidency:
             assert_residency_mirrors_entries(relay)
             yield driver.mpush([("b", other)])  # replaces b's value
             assert_residency_mirrors_entries(relay)
-            yield worker.pull("a", consume=True)
+            yield worker.mpull(["a"], consume=True)
             assert_residency_mirrors_entries(relay)  # leased, still resident
             relay.commit_attempt("act-1")
             assert_residency_mirrors_entries(relay)
             assert not relay.content.resident(sha256_hex(same))
-            yield driver.delete("c")
+            yield driver.mpull(["c"], consume=True)
             assert_residency_mirrors_entries(relay)
             assert relay.content.refcounts() == {sha256_hex(other): 1}
 

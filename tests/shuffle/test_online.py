@@ -187,8 +187,6 @@ class TestTimelineDeterminism:
         executor = FunctionExecutor(cloud)
         with pytest.raises(ShuffleError, match="switch_margin"):
             OnlineShuffleSort(executor, CODEC, switch_margin=-0.1)
-        with pytest.raises(ShuffleError, match="reroute_threshold"):
-            OnlineShuffleSort(executor, CODEC, reroute_threshold=-0.5)
 
 
 class TestMidStreamSwitch:

@@ -46,17 +46,18 @@ from repro.shuffle.adaptive import (
     ProbeReport,
     StreamRateSample,
     choose_exchange_substrate,
+    fit_profile,
     fit_stream_profiles,
 )
 from repro.shuffle.planner import (
     PlanPoint,
     ShuffleCostModel,
-    exchange_terms,
     plan_shuffle,
     predict_shuffle_time,
     predict_streaming_shuffle_time,
     streaming_chunk_count,
 )
+from repro.shuffle.substrates import exchange_terms
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("planner_golden.json")
 PROFILE = ibm_us_east(deterministic=True)
@@ -98,6 +99,12 @@ def selector_costs(workload: WorkloadParams | None, rebalance: bool = True) -> d
     cost = ShuffleCostModel() if workload is None else workload.shuffle_cost_model()
     cost.rebalance = rebalance
     return {"cost": cost}
+
+
+def probed(profile, report: ProbeReport | None):
+    """The profile a selector call prices on: refit from the probe
+    ``report`` when there is one."""
+    return profile if report is None else fit_profile(profile, report)
 
 
 # ----------------------------------------------------------------------
@@ -162,11 +169,14 @@ def render_decision(decision) -> dict:
     }
 
 
-def select(size: float, profile=PROFILE, workload=None, rebalance=True, **kwargs) -> dict:
+def select(
+    size: float, profile=PROFILE, workload=None, rebalance=True, report=None, **kwargs
+) -> dict:
     """One selector call rendered, or the message it raises."""
     try:
         decision = choose_exchange_substrate(
-            size, profile, **selector_costs(workload, rebalance), **kwargs
+            size, probed(profile, report), **selector_costs(workload, rebalance),
+            **kwargs,
         )
     except ShuffleError as exc:
         return {"raises": str(exc)}

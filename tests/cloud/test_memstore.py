@@ -240,6 +240,56 @@ class TestSharding:
         first = cluster.node_for("some-key")
         assert all(cluster.node_for("some-key") is first for _ in range(10))
 
+    def test_multi_node_fan_out_is_pinned(self):
+        """Oracle of the cache's batch fan-out over three nodes.
+
+        Node groups are issued in first-appearance order (each draws its
+        request latency in that order, from one jittered stream) and
+        split the caller's NIC equally, capped per connection.  Node 0
+        carries the most bytes, node 1 more keys than the ops burst, so
+        the MSET time pins the order and the split, the MGET time and
+        node 1's bucket pin the chunked token waits.
+        """
+        profile = ibm_us_east()
+        profile.memstore.ops_per_node = 10.0
+        profile.memstore.ops_burst = 4.0
+        cloud = Cloud.fresh(seed=5, profile=profile)
+        cluster = cloud.cache.provision_ready("cache.r5.large", nodes=3)
+        client = cluster.client(connection_bandwidth=profile.faas.instance_bandwidth)
+        sizes = {  # key -> logical MB; node 2, 0, 1 in first appearance
+            "k3": 0.5, "k0": 2.5, "k1": 0.2, "k4": 0.5, "k2": 2.5,
+            "k5": 0.2, "k7": 0.2, "k9": 0.5, "k18": 0.2, "k20": 0.2,
+        }
+        assert [cluster.nodes.index(cluster.node_for(key)) for key in sizes] == [
+            2, 0, 1, 2, 0, 1, 1, 2, 1, 1,
+        ]
+        items = [(key, key.encode() * 8) for key in sizes]
+        reads = ["k1", "k0", "k3", "k2", "k4", "k5", "k7", "k9", "k18", "k20"]
+        times = []
+
+        def scenario():
+            yield client.mset(items, logical_sizes=[mb * MB for mb in sizes.values()])
+            times.append(cloud.sim.now)
+            values = yield client.mget(reads)
+            times.append(cloud.sim.now)
+            return values
+
+        assert run(cloud, scenario()) == [dict(items)[key] for key in reads]
+        assert [repr(time) for time in times] == [
+            "0.17706990629785632", "0.6361438687915989",
+        ]
+        assert [
+            (node.stats.bytes_in, node.stats.bytes_out, node.stats.sets, node.stats.gets)
+            for node in cluster.nodes
+        ] == [
+            (2.5 * 2 * MB, 2.5 * 2 * MB, 2, 2),
+            (1.0 * MB, 1.0 * MB, 5, 5),
+            (1.5 * MB, 1.5 * MB, 3, 3),
+        ]
+        assert [repr(node.ops.tokens) for node in cluster.nodes] == [
+            "4.0", "0.361438687915989", "4.0",
+        ]
+
 
 class TestMemoryPressure:
     def _small_cluster(self, policy):

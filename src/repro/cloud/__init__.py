@@ -8,13 +8,11 @@ performance/pricing models over the deterministic simulation kernel in
 from repro.cloud.billing import CostLine, CostMeter
 from repro.cloud.environment import Cloud
 from repro.cloud.profiles import (
-    ALLKEYS_LRU,
     BX2_CATALOG,
     CACHE_R5_CATALOG,
     GB,
     KB,
     MB,
-    NOEVICTION,
     CacheNodeType,
     CloudProfile,
     FaasProfile,
@@ -29,7 +27,6 @@ from repro.cloud.retry import RETRYABLE_ERRORS, RetryPolicy
 from repro.cloud.storageview import BoundStorage
 
 __all__ = [
-    "ALLKEYS_LRU",
     "BX2_CATALOG",
     "BoundStorage",
     "CACHE_R5_CATALOG",
@@ -45,7 +42,6 @@ __all__ = [
     "LatencyModel",
     "MB",
     "MemStoreProfile",
-    "NOEVICTION",
     "ObjectStoreProfile",
     "RETRYABLE_ERRORS",
     "RetryPolicy",

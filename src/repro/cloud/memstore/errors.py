@@ -21,7 +21,7 @@ class UnknownCacheNodeType(MemStoreError):
 
 
 class CacheKeyMissing(MemStoreError):
-    """GET on a key the cluster does not hold (possibly evicted)."""
+    """GET on a key the cluster does not hold."""
 
     def __init__(self, key: str):
         super().__init__(f"cache key not found: {key!r}")
@@ -29,7 +29,7 @@ class CacheKeyMissing(MemStoreError):
 
 
 class CacheOutOfMemory(MemStoreError):
-    """A write did not fit and the eviction policy forbids making room."""
+    """A write did not fit: a full cache node refuses it (``noeviction``)."""
 
     def __init__(self, node_id: str, needed: float, capacity: float):
         super().__init__(

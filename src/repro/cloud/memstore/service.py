@@ -12,8 +12,8 @@ two:
 * **high per-node ops/s** — a per-node token bucket at ~90 k requests/s
   (vs a few thousand for the whole object-storage account);
 * **bounded memory** — every value is charged against its shard node's
-  capacity; a full node either refuses writes (``noeviction``) or drops
-  least-recently-used keys (``allkeys-lru``);
+  capacity; a full node refuses the write (``noeviction``), where the
+  VM relay on the same store core makes it wait;
 * **node-hour billing** — cost accrues per node from provision to
   terminate, whether or not requests flow (the "always-on" cost the
   paper credits object storage for avoiding).  That billed lifetime is
@@ -24,19 +24,20 @@ two:
 Keys shard across nodes by CRC32 (stable across runs and processes, so
 simulations stay deterministic).  Batched MSET/MGET pay one request
 latency per node touched — the pipelining that makes caches attractive
-for W² all-to-all traffic.
+for W² all-to-all traffic.  The node, the client machinery and the
+sharding are the in-memory store core of
+:mod:`repro.cloud.memstore.core`, shared with the VM relay and fleet.
 """
 
 from __future__ import annotations
 
 import itertools
 import typing as t
-import zlib
 
 from repro.cas import sha256_hex
 from repro.cloud.billing import CostMeter
+from repro.cloud.memstore.core import Groups, ShardGroup, StoreClient
 from repro.cloud.memstore.errors import (
-    CacheKeyMissing,
     ClusterAlreadyTerminated,
     ClusterNotRunning,
     UnknownCacheNodeType,
@@ -46,7 +47,6 @@ from repro.cloud.memstore.node import CacheNode
 from repro.cloud.profiles import CacheNodeType, MemStoreProfile
 from repro.errors import SimulationError
 from repro.obs.metrics import publish_dedup_bytes
-from repro.obs.trace import NOOP_SPAN
 from repro.sim import SimEvent, Simulator
 
 
@@ -148,8 +148,15 @@ class MemStoreService:
             )
 
 
-class MemStoreCluster:
-    """One provisioned cache cluster: N shard nodes behind one keyspace."""
+
+
+class MemStoreCluster(ShardGroup):
+    """One provisioned cache cluster: N shard nodes behind one keyspace.
+
+    Its batch fan-out issues the node groups in the order the batch
+    first touches them and splits the caller's NIC equally across them,
+    each stream capped at the per-connection bandwidth.
+    """
 
     def __init__(
         self,
@@ -158,8 +165,14 @@ class MemStoreCluster:
         node_type: CacheNodeType,
         nodes: int,
     ):
+        super().__init__(
+            service.sim,
+            [
+                CacheNode(service.sim, f"{cluster_id}.n{index}", node_type, service.profile)
+                for index in range(nodes)
+            ],
+        )
         self.service = service
-        self.sim = service.sim
         self.cluster_id = cluster_id
         self.node_type = node_type
         self.state = "provisioning"
@@ -171,15 +184,10 @@ class MemStoreCluster:
             cluster_id, category="cache", track=cluster_id, cluster=cluster_id,
             type=node_type.name, nodes=nodes,
         )
-        self.nodes = [
-            CacheNode(
-                self.sim,
-                f"{cluster_id}.n{index}",
-                node_type,
-                service.profile,
-            )
-            for index in range(nodes)
-        ]
+
+    @property
+    def nodes(self) -> list[CacheNode]:
+        return t.cast("list[CacheNode]", self.shards)
 
     # ------------------------------------------------------------------
     def ensure_running(self) -> None:
@@ -194,8 +202,7 @@ class MemStoreCluster:
 
     def node_for(self, key: str) -> CacheNode:
         """The shard node owning ``key`` (stable CRC32 placement)."""
-        index = zlib.crc32(key.encode("utf-8")) % len(self.nodes)
-        return self.nodes[index]
+        return self.nodes[self.shard_index_for_key(key)]
 
     def client(
         self, connection_bandwidth: float | None = None, owner=None
@@ -218,38 +225,26 @@ class MemStoreCluster:
         # Rendezvous readers still parked on unset keys would wait
         # forever on a dead cluster; fail them like a dropped connection.
         for node in self.nodes:
-            node.fail_watchers(ClusterNotRunning(self.cluster_id, "terminated"))
+            node.fail_watchers(lambda: ClusterNotRunning(self.cluster_id, "terminated"))
         self.service._bill_cluster(self)
         self.span.end()
 
     # ------------------------------------------------------------------
-    # aggregate views
+    # fan-out rule
     # ------------------------------------------------------------------
-    @property
-    def capacity_bytes(self) -> float:
-        """Total usable logical capacity across all nodes."""
-        return sum(node.capacity_bytes for node in self.nodes)
+    def flow_cap(self, bandwidth: float | None, streams: int = 1) -> float:
+        """One stream's rate cap: the per-connection bandwidth, or an
+        equal share of the caller's NIC (``bandwidth``) if that is less."""
+        cap = self.service.profile.per_connection_bandwidth
+        if bandwidth is not None:
+            cap = min(cap, bandwidth / max(1, streams))
+        return cap
 
-    @property
-    def used_logical(self) -> float:
-        return sum(node.used_logical for node in self.nodes)
+    def _batch_order(self, by_shard: dict[int, list[int]]) -> Groups:
+        return list(by_shard.items())
 
-    @property
-    def key_count(self) -> int:
-        return sum(node.key_count for node in self.nodes)
-
-    def stats_totals(self) -> dict[str, float]:
-        """Summed per-node counters."""
-        totals: dict[str, float] = {}
-        for node in self.nodes:
-            for field, value in node.stats.as_dict().items():
-                totals[field] = totals.get(field, 0.0) + value
-        return totals
-
-    def cas_entries(self, prefix: str) -> list[tuple[str, str, float]]:
-        """Dedup-eligible writes whose key starts with ``prefix``, node
-        by node (run manifests sort their chunks)."""
-        return [entry for node in self.nodes for entry in node.content.entries(prefix)]
+    def _nic_shares(self, bandwidth: float | None, groups: Groups, _weigh) -> list:
+        return [self.flow_cap(bandwidth, len(groups))] * len(groups)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -258,7 +253,7 @@ class MemStoreCluster:
         )
 
 
-class CacheClient:
+class CacheClient(StoreClient):
     """Request interface to one cluster; all methods return SimEvents.
 
     ``connection_bandwidth`` caps this client's aggregate transfer rate
@@ -272,24 +267,23 @@ class CacheClient:
         connection_bandwidth: float | None,
         owner=None,
     ):
+        super().__init__(
+            cluster.sim, cluster.cluster_id, connection_bandwidth, owner,
+            cluster.service.logical_scale,
+        )
         self.cluster = cluster
-        self.sim = cluster.sim
-        self.connection_bandwidth = connection_bandwidth
-        #: Owning activation context (tracks request processes), if any.
-        self.owner = owner
         self._service = cluster.service
         self._profile = cluster.service.profile
-        self._scale = cluster.service.logical_scale
 
     # ------------------------------------------------------------------
     # single-key operations
     # ------------------------------------------------------------------
     def set(self, key: str, data: bytes, logical_size: float | None = None) -> SimEvent:
         """Store ``key``; event → ``None``.  Fails with CacheOutOfMemory."""
-        span = self._span()
-        if span.recording:
-            span.event("cache.set", cluster=self.cluster.cluster_id, key=key)
-        return self._spawn(self._set_op(key, data, logical_size), f"set:{key}")
+        return self._spawn(
+            self._set_op(key, data, logical_size), f"set:{key}",
+            "cache.set", cluster=self.cluster.cluster_id, key=key,
+        )
 
     def get_wait(self, key: str) -> SimEvent:
         """Fetch ``key``, *waiting* until it is stored; event → ``bytes``.
@@ -299,12 +293,10 @@ class CacheClient:
         this parks the reader on the owning node's set notification and
         transfers the value once a writer publishes it.
         """
-        span = self._span()
-        if span.recording:
-            span.event(
-                "cache.get_wait", cluster=self.cluster.cluster_id, key=key
-            )
-        return self._spawn(self._get_wait_op(key), f"get_wait:{key}")
+        return self._spawn(
+            self._get_wait_op(key), f"get_wait:{key}",
+            "cache.get_wait", cluster=self.cluster.cluster_id, key=key,
+        )
 
     def delete(self, key: str) -> SimEvent:
         """Remove ``key``; event → whether it existed."""
@@ -324,138 +316,55 @@ class CacheClient:
         (plus one rate-limit token per key) — the reason a cache absorbs
         W² all-to-all writes that would drown object storage in PUTs.
         """
-        span = self._span()
-        if span.recording:
-            span.event(
-                "cache.mset", cluster=self.cluster.cluster_id, keys=len(items)
-            )
-        return self._spawn(self._mset_op(list(items), logical_sizes), "mset")
+        return self._spawn(
+            self._mset_op(list(items), logical_sizes), "mset",
+            "cache.mset", cluster=self.cluster.cluster_id, keys=len(items),
+        )
 
     def mget(self, keys: t.Sequence[str]) -> SimEvent:
         """Fetch many keys, pipelined per shard node; event → payload list.
 
         Payloads come back in input-key order.  Fails with
-        :class:`CacheKeyMissing` naming the first absent key.
+        :class:`CacheKeyMissing` naming the first absent key, before any
+        byte of the batch is sent or counted as served.
         """
-        span = self._span()
-        if span.recording:
-            span.event(
-                "cache.mget", cluster=self.cluster.cluster_id, keys=len(keys)
-            )
-        return self._spawn(self._mget_op(list(keys)), "mget")
-
-    def _span(self):
-        """The owning attempt's span (noop for driver-side clients).
-
-        ``owner`` only promises ``track()``; spanless owners (bare
-        process trackers) fall back to the no-op span.
-        """
-        span = getattr(self.owner, "span", None)
-        if span is not None:
-            return span
-        return NOOP_SPAN
-
-    def _spawn(self, generator: t.Generator, label: str) -> SimEvent:
-        process = self.sim.process(
-            generator, name=f"{self.cluster.cluster_id}.{label}"
+        return self._spawn(
+            self._mget_op(list(keys)), "mget",
+            "cache.mget", cluster=self.cluster.cluster_id, keys=len(keys),
         )
-        if self.owner is not None:
-            self.owner.track(process)
-        return process.completion
 
     # ------------------------------------------------------------------
     # operation bodies
     # ------------------------------------------------------------------
-    def _logical(self, data: bytes, logical_size: float | None) -> float:
-        if logical_size is not None:
-            return logical_size
-        return len(data) * self._scale
+    def _read_latency(self) -> float:
+        return self._profile.read_latency.sample(self._service._rng_read)
 
-    @staticmethod
-    def _consume_ops(node, amount: float) -> t.Generator:
-        """Take ``amount`` rate-limit tokens, in bucket-sized chunks.
+    def _write_latency(self) -> float:
+        return self._profile.write_latency.sample(self._service._rng_write)
 
-        A pipelined batch may exceed the bucket's burst capacity; the
-        requests then drain at the sustained rate instead of failing.
-        """
-        remaining = amount
-        while remaining > 0:
-            take = min(remaining, node.ops.capacity)
-            yield node.ops.consume(take)
-            remaining -= take
-
-    def _flow_cap(self, streams: int = 1) -> float:
-        cap = self._profile.per_connection_bandwidth
-        if self.connection_bandwidth is not None:
-            cap = min(cap, self.connection_bandwidth / max(1, streams))
-        return cap
+    def _flow_cap(self) -> float:
+        return self.cluster.flow_cap(self.connection_bandwidth)
 
     def _set_op(self, key: str, data: bytes, logical_size: float | None) -> t.Generator:
         self.cluster.ensure_running()
         node = self.cluster.node_for(key)
-        yield node.ops.consume(1.0)
-        yield self.sim.timeout(
-            self._profile.write_latency.sample(self._service._rng_write)
-        )
+        yield from self._consume_ops(node, 1.0)
+        yield self.sim.timeout(self._write_latency())
         logical = self._logical(data, logical_size)
-        if logical > 0:
-            yield node.link.transfer(logical, self._flow_cap())
+        yield from self._transfer(node, logical, self._flow_cap())
         node.store(key, data, logical)
         return None
 
     def _get_wait_op(self, key: str) -> t.Generator:
         self.cluster.ensure_running()
-        node = self.cluster.node_for(key)
-        yield node.ops.consume(1.0)
-        yield self.sim.timeout(
-            self._profile.read_latency.sample(self._service._rng_read)
-        )
-        waited = False
-        while True:
-            # contains() is stats-free: a rendezvous read that arrives
-            # early is a counted *wait*, not a phantom cache miss per
-            # park/wake re-check.
-            if node.contains(key):
-                entry = node.fetch(key)
-                if entry is not None:
-                    break
-            if node.was_evicted(key):
-                # The value existed and was LRU-evicted: it is gone for
-                # good (committed stream chunks are never re-published).
-                # Parking would hang the reader forever; fail like the
-                # staged path's plain GET does.
-                raise CacheKeyMissing(key)
-            if not waited:
-                waited = True
-                node.stats.rendezvous_waits += 1
-            watcher = node.watch(key)
-            try:
-                yield watcher
-            except BaseException:
-                node.unwatch(key, watcher)
-                raise
-        if entry.logical > 0:
-            yield node.link.transfer(entry.logical, self._flow_cap())
-        return entry.data
+        return (yield from self._rendezvous_read(self.cluster.node_for(key), key))
 
     def _delete_op(self, key: str) -> t.Generator:
         self.cluster.ensure_running()
         node = self.cluster.node_for(key)
-        yield node.ops.consume(1.0)
-        yield self.sim.timeout(
-            self._profile.write_latency.sample(self._service._rng_write)
-        )
+        yield from self._consume_ops(node, 1.0)
+        yield self.sim.timeout(self._write_latency())
         return node.remove(key)
-
-    def _group_by_node(
-        self, keys: t.Sequence[str]
-    ) -> dict[int, list[tuple[int, str]]]:
-        """Map node index → list of ``(position, key)`` preserving order."""
-        groups: dict[int, list[tuple[int, str]]] = {}
-        for position, key in enumerate(keys):
-            node_index = zlib.crc32(key.encode("utf-8")) % len(self.cluster.nodes)
-            groups.setdefault(node_index, []).append((position, key))
-        return groups
 
     def _mset_op(
         self,
@@ -469,102 +378,69 @@ class CacheClient:
             raise SimulationError(
                 "mset: logical_sizes length does not match items"
             )
-        groups = self._group_by_node([key for key, _data in items])
-        streams = len(groups)
 
-        def write_group(node_index: int, members: list[tuple[int, str]]) -> t.Generator:
-            node = self.cluster.nodes[node_index]
-            yield from self._consume_ops(node, float(len(members)))
-            yield self.sim.timeout(
-                self._profile.write_latency.sample(self._service._rng_write)
-            )
-            logicals: list[float] = []
-            shas: list[str | None] = []
-            for position, _key in members:
-                _item_key, data = items[position]
-                logicals.append(
-                    logical_sizes[position]
-                    if logical_sizes is not None
-                    else self._logical(data, None)
-                )
-                shas.append(sha256_hex(data) if data else None)
-            # Content dedup: values already resident on this shard ride
-            # as references — only novel bytes cross the wire.
-            deduped = [
-                sha is not None and node.content.resident(sha) for sha in shas
+        def issue(index: int, positions: list[int], cap: float) -> SimEvent:
+            batch = [
+                (*items[position], None if logical_sizes is None else logical_sizes[position])
+                for position in positions
             ]
-            wire_logical = sum(
-                logical for logical, skip in zip(logicals, deduped) if not skip
+            return self._spawn(
+                self._write_node(self.cluster.nodes[index], batch, cap), f"mset.n{index}"
             )
-            if wire_logical > 0:
-                yield node.link.transfer(wire_logical, self._flow_cap(streams))
-            for (position, key), logical, sha, was_dedup in zip(
-                members, logicals, shas, deduped
-            ):
-                _item_key, data = items[position]
-                if was_dedup and not node.content.resident(sha):
-                    # The referent was LRU-evicted (tombstoned in
-                    # ``_evicted_keys``) after the residency check —
-                    # transparently re-send the bytes instead of
-                    # surfacing a missing-content failure.
-                    node.stats.dedup_restores += 1
-                    if logical > 0:
-                        yield node.link.transfer(logical, self._flow_cap(streams))
-                    was_dedup = False
-                node.store(key, data, logical, sha)
-                if was_dedup:
-                    node.stats.dedup_hits += 1
-                    node.stats.dedup_bytes += logical
-                    publish_dedup_bytes("cache", logical)
 
-        writers = [
-            self.sim.process(
-                write_group(node_index, members),
-                name=f"{self.cluster.cluster_id}.mset.n{node_index}",
-            )
-            for node_index, members in groups.items()
-        ]
-        if self.owner is not None:
-            for process in writers:
-                self.owner.track(process)
-        yield self.sim.all_of([process.completion for process in writers])
+        yield from self.cluster._fan_out(
+            self.connection_bandwidth, [key for key, _data in items], issue
+        )
         return None
+
+    def _write_node(
+        self, node: CacheNode, batch: list[tuple[str, bytes, float | None]], cap: float
+    ) -> t.Generator:
+        """One node's share of an MSET: ``(key, data, logical size)``s."""
+        yield from self._consume_ops(node, float(len(batch)))
+        yield self.sim.timeout(self._write_latency())
+        logicals = [self._logical(data, size) for _key, data, size in batch]
+        shas = [sha256_hex(data) if data else None for _key, data, _size in batch]
+        # Content dedup: values already resident on this shard ride as
+        # references — only novel bytes cross the wire.
+        deduped = [sha is not None and node.content.resident(sha) for sha in shas]
+        yield from self._transfer(
+            node,
+            sum(logical for logical, skip in zip(logicals, deduped) if not skip),
+            cap,
+        )
+        for (key, data, _size), logical, sha, was_dedup in zip(
+            batch, logicals, shas, deduped
+        ):
+            if was_dedup and not node.content.resident(sha):
+                # The referent left after the residency check (replaced
+                # earlier in this batch, or deleted meanwhile):
+                # transparently re-send the bytes instead of surfacing a
+                # missing-content failure.
+                node.stats.dedup_restores += 1
+                yield from self._transfer(node, logical, cap)
+                was_dedup = False
+            node.store(key, data, logical, sha)
+            if was_dedup:
+                node.stats.dedup_hits += 1
+                node.stats.dedup_bytes += logical
+                publish_dedup_bytes("cache", logical)
 
     def _mget_op(self, keys: list[str]) -> t.Generator:
         self.cluster.ensure_running()
         if not keys:
             return []
-        groups = self._group_by_node(keys)
-        streams = len(groups)
-        results: list[bytes | None] = [None] * len(keys)
 
-        def read_group(node_index: int, members: list[tuple[int, str]]) -> t.Generator:
-            node = self.cluster.nodes[node_index]
-            yield from self._consume_ops(node, float(len(members)))
-            yield self.sim.timeout(
-                self._profile.read_latency.sample(self._service._rng_read)
+        def issue(index: int, positions: list[int], cap: float) -> SimEvent:
+            return self._spawn(
+                self._read_node(self.cluster.nodes[index], [keys[p] for p in positions], cap),
+                f"mget.n{index}",
             )
-            entries = []
-            for _position, key in members:
-                entry = node.fetch(key)
-                if entry is None:
-                    raise CacheKeyMissing(key)
-                entries.append(entry)
-            total_logical = sum(entry.logical for entry in entries)
-            if total_logical > 0:
-                yield node.link.transfer(total_logical, self._flow_cap(streams))
-            for (position, _key), entry in zip(members, entries):
-                results[position] = entry.data
 
-        readers = [
-            self.sim.process(
-                read_group(node_index, members),
-                name=f"{self.cluster.cluster_id}.mget.n{node_index}",
-            )
-            for node_index, members in groups.items()
-        ]
-        if self.owner is not None:
-            for process in readers:
-                self.owner.track(process)
-        yield self.sim.all_of([process.completion for process in readers])
-        return t.cast(list, results)
+        return (
+            yield from self.cluster._fan_out(self.connection_bandwidth, keys, issue)
+        )
+
+    def _read_node(self, node: CacheNode, keys: list[str], cap: float) -> t.Generator:
+        entries = yield from self._read_batch(node, keys, cap)
+        return [entry.data for entry in entries]

@@ -229,13 +229,6 @@ CACHE_R5_CATALOG: dict[str, CacheNodeType] = {
     )
 }
 
-#: Redis refuses writes when full ("noeviction") — the safe default for
-#: shuffle data, where silently dropping a partition corrupts the sort.
-NOEVICTION = "noeviction"
-#: Evict the least-recently-used key to make room (Redis "allkeys-lru").
-ALLKEYS_LRU = "allkeys-lru"
-
-
 @dataclasses.dataclass(slots=True)
 class MemStoreProfile:
     """Model parameters for the in-memory key-value store (cache) service.
@@ -243,6 +236,8 @@ class MemStoreProfile:
     Calibrated to AWS ElastiCache for Redis: sub-millisecond request
     latency, ~100 k ops/s per node, node-hour pricing — the opposite
     trade-off from object storage on every axis the paper discusses.
+    A full node refuses writes (Redis ``noeviction``): silently dropping
+    a shuffle partition would corrupt the sort.
     """
 
     #: Request latency for reads (GET and the per-batch cost of MGET).
@@ -270,9 +265,6 @@ class MemStoreProfile:
     )
     #: Minimum billed node runtime (seconds).
     minimum_billed_s: float = 60.0
-    #: What happens when a node is full: ``noeviction`` (writes fail) or
-    #: ``allkeys-lru`` (least-recently-used keys are dropped).
-    eviction_policy: str = NOEVICTION
     #: Available node catalog.
     catalog: dict[str, CacheNodeType] = dataclasses.field(
         default_factory=lambda: dict(CACHE_R5_CATALOG)
@@ -321,11 +313,6 @@ class CloudProfile:
             raise ConfigError("memstore.ops_per_node must be positive")
         if not 0 < self.memstore.usable_memory_fraction <= 1:
             raise ConfigError("memstore.usable_memory_fraction must be in (0, 1]")
-        if self.memstore.eviction_policy not in (NOEVICTION, ALLKEYS_LRU):
-            raise ConfigError(
-                f"unknown eviction policy {self.memstore.eviction_policy!r}; "
-                f"expected {NOEVICTION!r} or {ALLKEYS_LRU!r}"
-            )
         if not self.memstore.catalog:
             raise ConfigError("memstore.catalog must not be empty")
 

@@ -1,73 +1,58 @@
 """Sharded multi-relay fleet: N partition relays behind one façade.
 
 The single :class:`~repro.cloud.vm.relay.PartitionRelay` is scale-up:
-one VM, one NIC.  That ceiling is exactly where the paper's comparison
-gets interesting — at high worker counts the aggregate demand of W
+one VM, one NIC.  At high worker counts the aggregate demand of W
 function NICs exceeds one instance's line rate and the relay's flat
-right flank bends up.  A :class:`RelayFleet` lifts the ceiling the way
-the cache cluster does, but with plain VMs: N relay shards, each its
-own instance (memory, NIC, token bucket), behind a façade that looks
-exactly like one relay to the rest of the stack.
+right flank bends up.  A :class:`RelayFleet` lifts that ceiling the way
+the cache cluster does, with plain VMs: N relay shards, each its own
+instance, behind a façade that looks exactly like one relay to the rest
+of the stack.  It is the store core's shard group
+(:class:`~repro.cloud.memstore.core.ShardGroup`, shared with the cache
+cluster: CRC-32 placement, aggregate views, the batch fan-out) plus:
 
-Design:
+* **namespace routers** — an exchange may install a router over its own
+  key namespace (:meth:`RelayFleet.set_router`) that overrides the hash
+  for the keys it claims; the skew-aware exchange routes by planned
+  partition bytes this way, and concurrent sorts on one fleet each
+  route only their own keys;
+* **its fan-out rule** — sub-batches go out in sorted shard order, each
+  capped at a byte-proportional share of the caller's NIC;
+* **fleet-wide cancellation and fencing** — ``cancel_attempt`` and its
+  kin forward to every shard, so the attempt-scoped guarantees
+  (reclaim, fencing, atomic swap, zero residual reservations) hold
+  wherever a dead attempt's reservations live.
 
-* **deterministic key routing** — every partition key maps to one shard
-  via a stable hash (:meth:`RelayFleet.shard_for_key`, CRC-32 of the
-  key bytes mod N); the same key always lands on the same shard, across
-  mappers, reducers, retries and speculative attempts, so the exchange
-  rendezvous works without any directory service.  An exchange may
-  install a *router* over its own key namespace
-  (:meth:`RelayFleet.set_router`): it overrides the hash for the keys
-  under ``namespace/`` that it claims, and CRC routes every other key.
-  The skew-aware exchange routes by planned partition bytes this way,
-  and concurrent sorts on one fleet each route only their own keys;
-* **batched fan-out** — a fleet client splits each MPUSH/MPULL batch by
-  shard and issues the per-shard sub-batches *in parallel*, one request
-  latency each; the caller's NIC budget is divided across the
-  concurrent sub-flows so a worker never exceeds its own line rate
-  while the fleet side aggregates N instance NICs;
-* **fleet-wide cancellation and fencing** — ``cancel_attempt`` forwards
-  to every shard, so the attempt-scoped chaos guarantees (reclaim,
-  fencing, atomic swap, zero residual reservations) hold unchanged: a
-  dead attempt's reservations are reclaimed on whichever shards they
-  live, and the fence rejects its stragglers fleet-wide;
-* **aggregate accounting** — capacity, fill, stats, residual
-  reservations and the memory-accounting check all aggregate across
-  shards; billing is simply the sum of the shard VMs' lifetimes.
-
-The fleet registers under its own relay id, so worker payloads carry
-one id and :meth:`~repro.cloud.faas.context.FunctionContext.relay`
-resolves to the fleet transparently — the relay worker stages are
-shared verbatim between the single-relay and sharded substrates.
+Billing is the sum of the shard VMs' lifetimes.  The fleet registers
+under its own relay id, so worker payloads carry one id and
+:meth:`~repro.cloud.faas.context.FunctionContext.relay` resolves to the
+fleet transparently — the relay worker stages are shared verbatim
+between the single-relay and sharded substrates.
 """
 
 from __future__ import annotations
 
 import typing as t
-import zlib
 
+from repro.cloud.memstore.core import Groups, ShardGroup, StoreClient
 from repro.cloud.vm.instance import VmService
 from repro.cloud.vm.relay import PartitionRelay, RelayStats
 from repro.errors import SimulationError
 from repro.sim import SimEvent
 
 
-class RelayFleet:
+class RelayFleet(ShardGroup):
     """N partition-relay shards presented as one relay-compatible façade."""
+
+    shards: tuple[PartitionRelay, ...]
 
     def __init__(self, service: VmService, shards: t.Sequence[PartitionRelay]):
         if not shards:
             raise SimulationError("a relay fleet needs at least one shard")
+        super().__init__(service.sim, tuple(shards))
         self.service = service
-        self.sim = service.sim
-        self.shards: tuple[PartitionRelay, ...] = tuple(shards)
         self.relay_id = (
             f"fleet-{self.shards[0].vm.vm_id}x{len(self.shards)}"
         )
-        #: Namespaced routers: key namespace → router, so concurrent
-        #: sorts on a shared fleet each route their own keys without
-        #: clobbering each other's rebalanced routing.
-        self._routers: dict[str, t.Callable[[str], int | None]] = {}
         service.relays[self.relay_id] = self
 
     # ------------------------------------------------------------------
@@ -98,27 +83,6 @@ class RelayFleet:
             fleet=self.relay_id, namespace=namespace,
         )
 
-    def shard_index_for_key(self, key: str) -> int:
-        """Stable shard index of ``key`` (router override, else CRC-32 mod N).
-
-        Deliberately *not* Python's randomized ``hash``: routing must be
-        identical across runs, retries and speculative attempts or the
-        rendezvous breaks.  The router of the longest namespace the key
-        lies under decides; a key under none, or one its router does
-        not claim, is routed by CRC.
-        """
-        if self._routers:
-            best: t.Callable[[str], int | None] | None = None
-            best_length = -1
-            for namespace, router in self._routers.items():
-                if len(namespace) > best_length and key.startswith(namespace + "/"):
-                    best, best_length = router, len(namespace)
-            if best is not None:
-                index = best(key)
-                if index is not None:
-                    return index % len(self.shards)
-        return zlib.crc32(key.encode("utf-8")) % len(self.shards)
-
     def shard_for_key(self, key: str) -> PartitionRelay:
         return self.shards[self.shard_index_for_key(key)]
 
@@ -145,24 +109,8 @@ class RelayFleet:
         return self.shards[0].vm.instance_type.name
 
     @property
-    def capacity_bytes(self) -> float:
-        return sum(shard.capacity_bytes for shard in self.shards)
-
-    @property
-    def used_logical(self) -> float:
-        return sum(shard.used_logical for shard in self.shards)
-
-    @property
     def entry_bytes(self) -> float:
         return sum(shard.entry_bytes for shard in self.shards)
-
-    @property
-    def key_count(self) -> int:
-        return sum(shard.key_count for shard in self.shards)
-
-    @property
-    def fill_fraction(self) -> float:
-        return self.used_logical / self.capacity_bytes
 
     @property
     def peak_fill_fraction(self) -> float:
@@ -177,15 +125,8 @@ class RelayFleet:
     def stats(self) -> RelayStats:
         """Fleet-wide counters (sums of the shard counters)."""
         total = RelayStats()
-        for shard in self.shards:
-            for field, value in shard.stats.as_dict().items():
-                setattr(total, field, getattr(total, field) + value)
+        vars(total).update(self.stats_totals())
         return total
-
-    def cas_entries(self, prefix: str) -> list[tuple[str, str, float]]:
-        """Dedup-eligible committed pushes whose key starts with
-        ``prefix``, shard by shard (run manifests sort their chunks)."""
-        return [entry for shard in self.shards for entry in shard.cas_entries(prefix)]
 
     # Epoch-scoped peaks: a fleet epoch is one token per shard; the
     # fleet-level peak is the hottest shard's epoch peak (imbalance
@@ -270,6 +211,36 @@ class RelayFleet:
         """
         return RelayFleetClient(self, connection_bandwidth, attempt_id, owner, scope)
 
+    # ------------------------------------------------------------------
+    # fan-out rule
+    # ------------------------------------------------------------------
+    def _batch_order(self, by_shard: dict[int, list[int]]) -> Groups:
+        return sorted(by_shard.items())
+
+    def _nic_shares(
+        self,
+        bandwidth: float | None,
+        groups: Groups,
+        weigh: t.Callable[[int, list[int]], float],
+    ) -> list[float | None]:
+        """Byte-proportional shares of the caller's NIC for a fan-out.
+
+        Shares sum to ``bandwidth``, so the caller never exceeds its
+        line rate, and a caller-bound fan-out finishes in exactly the
+        single-flow time however unevenly the hash routed the batch.  A
+        zero-weight group moves no bytes (its transfer is skipped
+        entirely), so its share is irrelevant — it gets the full cap to
+        avoid a meaningless zero-rate flow.
+        """
+        weights = [weigh(index, positions) for index, positions in groups]
+        if bandwidth is None:
+            return [None] * len(weights)
+        total = sum(weights)
+        return [
+            bandwidth * (weight / total) if total > 0 and weight > 0 else bandwidth
+            for weight in weights
+        ]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<RelayFleet {self.relay_id} {self.instance_type_name} "
@@ -278,26 +249,16 @@ class RelayFleet:
         )
 
 
-class RelayFleetClient:
+class RelayFleetClient(StoreClient):
     """Routes single-key ops and fans batches out across the shards.
 
-    Mirrors :class:`~repro.cloud.vm.relay.RelayClient`: every method
-    returns a SimEvent and the batched forms pay one request latency per
-    shard touched — *in parallel*, so a fleet batch costs one round trip
-    of wall clock just like a single-relay batch.  ``connection_bandwidth``
-    is the caller's NIC: when a batch spans K shards the concurrent
-    sub-flows are capped at shares *proportional to their bytes*, so
-    the shares always sum to the caller's line rate (it can never
-    exceed its NIC) and, when the caller is the bottleneck, the fan-out
-    finishes in exactly the single-flow time regardless of how evenly
-    the hash split the batch — while the fleet side spreads the load
-    over K instance NICs.
-
-    Attempt binding is inherited by every per-shard sub-client, and the
-    fan-out coordinator itself registers with ``owner``, so a killed
-    activation interrupts the coordinator *and* its per-shard transfers,
-    each of which reclaims its own shard-local reservation — the same
-    cleanup discipline as the single relay, N times over.
+    Mirrors :class:`~repro.cloud.vm.relay.RelayClient`.  A batch pays one
+    request latency per shard touched, *in parallel*, and its sub-flows'
+    shares of the caller's NIC sum to the line rate: a caller-bound
+    fan-out finishes in the single-flow time however unevenly the hash
+    split it.  Every per-shard sub-client inherits the attempt binding
+    and the owner, so a killed activation interrupts the coordinator and
+    each per-shard op, which reclaims its own shard-local reservation.
     """
 
     def __init__(
@@ -308,11 +269,12 @@ class RelayFleetClient:
         owner=None,
         scope: str | None = None,
     ):
+        super().__init__(
+            fleet.sim, fleet.relay_id, connection_bandwidth, owner,
+            fleet.service.logical_scale,
+        )
         self.fleet = fleet
-        self.sim = fleet.sim
-        self.connection_bandwidth = connection_bandwidth
         self.attempt_id = attempt_id
-        self.owner = owner
         self.scope = scope
 
     # ------------------------------------------------------------------
@@ -341,46 +303,9 @@ class RelayFleetClient:
         return self._spawn(self._mpull_op(list(keys), consume), "mpull")
 
     # ------------------------------------------------------------------
-    def _spawn(self, generator: t.Generator, label: str) -> SimEvent:
-        process = self.sim.process(
-            generator, name=f"{self.fleet.relay_id}.{label}"
-        )
-        if self.owner is not None:
-            self.owner.track(process)
-        return process.completion
-
     def _shard_client(self, shard: PartitionRelay, cap: float | None = None):
         bandwidth = cap if cap is not None else self.connection_bandwidth
         return shard.client(bandwidth, self.attempt_id, self.owner, self.scope)
-
-    def _group(self, keys: t.Sequence[str]) -> list[tuple[int, list[int]]]:
-        """``[(shard_index, [positions...]), ...]`` in shard order."""
-        groups: dict[int, list[int]] = {}
-        for position, key in enumerate(keys):
-            groups.setdefault(self.fleet.shard_index_for_key(key), []).append(
-                position
-            )
-        return sorted(groups.items())
-
-    def _proportional_caps(self, weights: t.Sequence[float]) -> list[float | None]:
-        """Byte-proportional shares of the caller's NIC for a fan-out.
-
-        Shares sum to ``connection_bandwidth``, so the caller never
-        exceeds its line rate, and a caller-bound fan-out finishes in
-        exactly the single-flow time however unevenly the hash routed
-        the batch.  A zero-weight group moves no bytes (its transfer is
-        skipped entirely), so its share is irrelevant — it gets the
-        full cap to avoid a meaningless zero-rate flow.
-        """
-        if self.connection_bandwidth is None:
-            return [None] * len(weights)
-        total = sum(weights)
-        return [
-            self.connection_bandwidth * (weight / total)
-            if total > 0 and weight > 0
-            else self.connection_bandwidth
-            for weight in weights
-        ]
 
     def _mpush_op(
         self,
@@ -389,64 +314,50 @@ class RelayFleetClient:
     ) -> t.Generator:
         if not items:
             return None
-        groups = self._group([key for key, _data in items])
-        scale = self.fleet.service.logical_scale
 
-        def item_logical(position: int) -> float:
-            if logical_sizes is not None:
-                return float(logical_sizes[position])
-            return len(items[position][1]) * scale
+        def size(position: int) -> float | None:
+            return None if logical_sizes is None else logical_sizes[position]
 
-        caps = self._proportional_caps(
-            [
-                sum(item_logical(position) for position in positions)
-                for _shard_index, positions in groups
-            ]
+        def weigh(_index: int, positions: list[int]) -> float:
+            return sum(
+                float(self._logical(items[position][1], size(position)))
+                for position in positions
+            )
+
+        def issue(index: int, positions: list[int], cap: float | None) -> SimEvent:
+            return self._shard_client(self.fleet.shards[index], cap).mpush(
+                [items[position] for position in positions],
+                None if logical_sizes is None else [size(p) for p in positions],
+            )
+
+        yield from self.fleet._fan_out(
+            self.connection_bandwidth, [key for key, _data in items], issue, weigh
         )
-        events = []
-        for (shard_index, positions), cap in zip(groups, caps):
-            sub_items = [items[position] for position in positions]
-            sub_sizes = (
-                [logical_sizes[position] for position in positions]
-                if logical_sizes is not None
-                else None
-            )
-            events.append(
-                self._shard_client(self.fleet.shards[shard_index], cap).mpush(
-                    sub_items, sub_sizes
-                )
-            )
-        yield self.sim.all_of(events)
         return None
 
     def _mpull_op(self, keys: list[str], consume: bool) -> t.Generator:
         if not keys:
             return []
-        groups = self._group(keys)
-        # Sizes live server-side; weight the NIC shares by resident
-        # entry bytes, falling back to key counts for absent keys (the
-        # shard will fail those with RelayKeyMissing anyway).
-        weights = []
-        for shard_index, positions in groups:
-            shard = self.fleet.shards[shard_index]
+
+        def weigh(index: int, positions: list[int]) -> float:
+            # Sizes live server-side; weight by resident entry bytes,
+            # falling back to key counts for absent keys (the shard
+            # fails those with RelayKeyMissing anyway).
+            shard = self.fleet.shards[index]
             weight = 0.0
             for position in positions:
                 logical = shard.logical_size_of(keys[position])
                 weight += logical if logical is not None else 1.0
-            weights.append(weight)
-        caps = self._proportional_caps(weights)
-        events = [
-            self._shard_client(self.fleet.shards[shard_index], cap).mpull(
+            return weight
+
+        def issue(index: int, positions: list[int], cap: float | None) -> SimEvent:
+            return self._shard_client(self.fleet.shards[index], cap).mpull(
                 [keys[position] for position in positions], consume
             )
-            for (shard_index, positions), cap in zip(groups, caps)
-        ]
-        payload_lists = yield self.sim.all_of(events)
-        out: list[bytes | None] = [None] * len(keys)
-        for (_shard_index, positions), payloads in zip(groups, payload_lists):
-            for position, data in zip(positions, payloads):
-                out[position] = data
-        return t.cast("list[bytes]", out)
+
+        return (
+            yield from self.fleet._fan_out(self.connection_bandwidth, keys, issue, weigh)
+        )
 
 
 # ----------------------------------------------------------------------

@@ -2,60 +2,43 @@
 
 The third data-exchange substrate of the comparison: a plain virtual
 server instance running a small in-memory rendezvous server.  Mappers
-PUSH their partitions to it over the network, reducers PULL their range
-— intermediate data never touches object storage and never pays the
-cache service's per-node pricing; what it pays instead is exactly what
-the paper's hybrid pipeline pays (Table 1): **provisioning latency**
-before the relay accepts traffic and **per-second VM billing** from
+PUSH their partitions to it, reducers PULL their range — intermediate
+data never touches object storage and never pays the cache service's
+per-node pricing; it pays what the paper's hybrid pipeline pays (Table
+1): **provisioning latency** before the relay accepts traffic and
+**per-second VM billing** (instance seconds + boot volume) from
 provision to terminate.
 
-Modeling choices:
+The relay is the in-memory store core it shares with the cache node
+(:mod:`repro.cloud.memstore.core`: entries, content index, watchers,
+one in-VPC round trip per request batch, an ops bucket and the instance
+NIC, which every flow shares max-min fairly) with the relay's rule for
+a full node: a PUSH that does not fit *waits* until readers consume
+space (the TCP flow control of a real relay) where the cache refuses
+it; only a partition that can never fit raises
+:class:`~repro.cloud.vm.errors.RelayCapacityExceeded`.
 
-* **single fat node** — the relay is scale-up, not scale-out: one VM,
-  one NIC.  All concurrent PUSH/PULL flows share the instance NIC via
-  max-min fair sharing, so the relay's bandwidth ceiling is the
-  instance's line rate (pick a bigger flavour to raise it);
-* **near-LAN request latency** — one in-VPC TCP round trip per request
-  batch (``VmProfile.relay_request_latency``), far below object-storage
-  first-byte latency;
-* **bounded memory with backpressure** — partitions live in instance
-  memory.  A PUSH that does not fit *waits* until readers consume space
-  (the TCP-flow-control behaviour of a real relay), instead of failing
-  like the cache's ``noeviction`` mode; only a partition that can never
-  fit raises :class:`~repro.cloud.vm.errors.RelayCapacityExceeded`;
-* **per-second billing** — the relay's cost *is* its VM's cost
-  (instance seconds + boot volume), billed on terminate.
-
-Workers resolve relays by id through their contexts
-(:meth:`~repro.cloud.faas.context.FunctionContext.relay`), mirroring the
-cache's ``ctx.kv`` accessor.
-
-Fault handling — attempt-scoped transfers:
-
-Every request carries the issuing activation's *attempt id* and every
-in-flight PUSH holds an attempt-tagged :class:`_PushReservation`.  When
-the FaaS platform kills an activation (crash, timeout, lost speculative
-race) it calls :meth:`PartitionRelay.cancel_attempt`, which aborts the
-attempt's transfers mid-flow, releases every reserved-but-uncommitted
-byte immediately, and *fences* the attempt id so a straggling request
-from the zombie is rejected with
-:class:`~repro.cloud.vm.errors.RelayAttemptFenced`.  A replacing PUSH
-is an **atomic swap**: the old value stays resident and pullable for
-the whole transfer and is exchanged for the new one in a single step at
-commit — a concurrent reducer can never observe the key absent, and a
-cancelled replacement leaves the old value exactly as it was.  Memory
-admission credits the bytes of the entries being replaced, so a retried
-mapper re-pushing its batch never demands old+new bytes at once and
-cannot deadlock a full relay.  This is what makes crash-retry and
-speculation safe on the relay substrate.
+Fault handling is attempt-scoped.  Every in-flight PUSH holds an
+attempt-tagged :class:`_PushReservation`; when the FaaS platform kills
+an activation it calls :meth:`PartitionRelay.cancel_attempt`, which
+aborts the attempt's transfers, releases its reserved bytes and
+*fences* the attempt id against stragglers
+(:class:`~repro.cloud.vm.errors.RelayAttemptFenced`).  A replacing PUSH
+is an **atomic swap**: the old value stays pullable for the whole
+transfer and is exchanged at commit, and admission credits its bytes,
+so a retried mapper re-pushing its batch never demands old+new bytes at
+once.  Consuming reads are leases, finalized when the attempt commits.
+This is what makes crash-retry and speculation safe on the relay.
 """
 
 from __future__ import annotations
 
 import collections
+import dataclasses
 import typing as t
 
-from repro.cas import ContentIndex, Resident, sha256_hex
+from repro.cas import sha256_hex
+from repro.cloud.memstore.core import MemoryStore, StoreClient, StoreStats
 from repro.cloud.vm.errors import (
     RelayAttemptFenced,
     RelayCapacityExceeded,
@@ -65,8 +48,7 @@ from repro.cloud.vm.errors import (
 from repro.cloud.vm.instance import VirtualMachine, VmService
 from repro.errors import SimulationError
 from repro.obs.metrics import publish_dedup_bytes, registry as metrics_registry
-from repro.obs.trace import NOOP_SPAN
-from repro.sim import FairShareLink, KeyedWatch, SimEvent, TokenBucket
+from repro.sim import SimEvent
 
 
 #: Lifecycle of a push reservation.  ``waiting`` → queued for memory;
@@ -76,6 +58,7 @@ from repro.sim import FairShareLink, KeyedWatch, SimEvent, TokenBucket
 _WAITING, _RESERVED, _COMMITTED, _ABORTED = "waiting", "reserved", "committed", "aborted"
 
 
+@dataclasses.dataclass(eq=False, slots=True)
 class _PushReservation:
     """One in-flight (M)PUSH: attempt-tagged memory custody until commit.
 
@@ -87,33 +70,13 @@ class _PushReservation:
     needs it anyway) instead of being released and re-granted.
     """
 
-    __slots__ = (
-        "keys",
-        "resident_total",
-        "extra",
-        "absorbed",
-        "attempt",
-        "state",
-        "admission_event",
-        "transfer_event",
-    )
-
-    def __init__(
-        self,
-        keys: list[str],
-        resident_total: float,
-        extra: float,
-        attempt: str | None,
-        admission_event: SimEvent,
-    ):
-        self.keys = keys
-        self.resident_total = resident_total
-        self.extra = extra
-        self.absorbed = 0.0
-        self.attempt = attempt
-        self.state = _WAITING
-        self.admission_event = admission_event
-        self.transfer_event: SimEvent | None = None
+    keys: list[str]
+    extra: float
+    attempt: str | None
+    admission_event: SimEvent
+    absorbed: float = 0.0
+    state: str = _WAITING
+    transfer_event: SimEvent | None = None
 
     @property
     def held_bytes(self) -> float:
@@ -124,17 +87,14 @@ class _PushReservation:
         return held
 
 
-class RelayStats:
+class RelayStats(StoreStats):
     """Per-relay counters exposed for planners, reports and tests."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.pushes = 0
         self.pulls = 0
-        self.misses = 0
         self.backpressure_waits = 0
-        #: PULLs that arrived before their key and parked on the commit
-        #: notification (the streaming shuffle's rendezvous reads).
-        self.rendezvous_waits = 0
         self.cancelled_transfers = 0
         self.fenced_requests = 0
         #: Consuming reads granted as leases (entry retained until commit).
@@ -143,33 +103,31 @@ class RelayStats:
         self.lease_commits = 0
         #: Leased entries reinstated because the attempt died/fenced.
         self.lease_reinstatements = 0
-        self.bytes_in = 0.0  # logical bytes pushed (stored)
-        self.bytes_out = 0.0  # logical bytes served to pullers
         self.reclaimed_bytes = 0.0  # logical bytes reclaimed from dead attempts
-        #: MPUSH items that rode as content-key references because the
-        #: rendezvous already held byte-identical data.
-        self.dedup_hits = 0
-        self.dedup_bytes = 0.0  # logical wire bytes those references skipped
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(vars(self))
 
 
-class PartitionRelay:
-    """One relay server: bounded in-memory store + NIC + request models."""
+class PartitionRelay(MemoryStore):
+    """One relay server: the store core, making a push wait when full."""
+
+    key_missing = RelayKeyMissing
+    reads_counter = "pulls"
 
     def __init__(self, service: VmService, vm: VirtualMachine):
-        self.service = service
-        self.sim = service.sim
-        self.vm = vm
-        self.relay_id = f"relay-{vm.vm_id}"
-        vm.span.set(relay=self.relay_id)
+        relay_id = f"relay-{vm.vm_id}"
         profile = service.profile
-        #: Logical bytes of partitions the relay may hold at once.
-        self.capacity_bytes = profile.relay_usable_bytes(vm.instance_type)
-        self.used_logical = 0.0
+        super().__init__(
+            service.sim,
+            relay_id,
+            capacity_bytes=profile.relay_usable_bytes(vm.instance_type),
+            ops_per_second=profile.relay_ops_per_second,
+            ops_burst=profile.relay_ops_burst,
+            nic_bandwidth=vm.instance_type.nic_bandwidth,
+        )
+        self.service = service
+        self.vm = vm
+        self.relay_id = relay_id
+        vm.span.set(relay=self.relay_id)
         self.peak_used_logical = 0.0
-        self._entries: dict[str, Resident] = {}
         #: FIFO of pushes waiting for memory admission.
         self._waiters: collections.deque[_PushReservation] = collections.deque()
         #: Every live (waiting/reserved) push reservation.
@@ -178,8 +136,6 @@ class PartitionRelay:
         self._attempt_reservations: dict[str, set[_PushReservation]] = {}
         #: The latest in-flight replacing push per key (atomic swap).
         self._pending_swaps: dict[str, _PushReservation] = {}
-        #: Rendezvous watchers: pullers parked until a key commits.
-        self._key_watchers = KeyedWatch(self.sim, name=f"{self.relay_id}.watch")
         #: Attempt ids whose requests are rejected (cancelled attempts).
         self._fenced: set[str] = set()
         #: Consume leases: attempt id → keys it read destructively.  The
@@ -194,25 +150,10 @@ class PartitionRelay:
         self._attempt_scopes: dict[str, str] = {}
         self._scope_attempts: dict[str, set[str]] = {}
         self._fenced_scopes: set[str] = set()
-        #: Content held and committed.  Only affects *wire* accounting
-        #: (an MPUSH of resident content transfers a reference, not the
-        #: payload); reservation and memory byte math stay exact, so the
-        #: chaos suites' residual/accounting invariants are untouched.
-        self.content = ContentIndex()
         #: Open peak-tracking epochs: token → max ``used_logical`` seen
         #: since the epoch began (concurrent jobs each get their own).
         self._peak_epochs: dict[int, float] = {}
         self._peak_epoch_seq = 0
-        self.ops = TokenBucket(
-            self.sim,
-            rate=profile.relay_ops_per_second,
-            capacity=profile.relay_ops_burst,
-            name=f"{self.relay_id}.ops",
-        )
-        #: The instance NIC; every PUSH and PULL flow contends here.
-        self.link = FairShareLink(
-            self.sim, capacity=vm.instance_type.nic_bandwidth, name=f"{self.relay_id}.nic"
-        )
         self.stats = RelayStats()
         self._rng = self.sim.rng.stream(f"{self.relay_id}.request")
         service.relays[self.relay_id] = self
@@ -287,9 +228,7 @@ class PartitionRelay:
         # infrastructure-level error every other operation on a dead
         # relay raises (not a data-level "key missing": the key may well
         # have been about to arrive).
-        self._key_watchers.fail_all(
-            lambda _key: VmNotRunning(self.vm.vm_id, self.vm.state)
-        )
+        self.fail_watchers(lambda: VmNotRunning(self.vm.vm_id, self.vm.state))
         self._entries.clear()
         self.content.clear()
         self._waiters.clear()
@@ -313,23 +252,20 @@ class PartitionRelay:
         """
         reg = metrics_registry()
         kind = self.vm.instance_type.name
-        reg.counter(
-            "repro_relay_bytes_in_total", "Logical bytes pushed to relays"
-        ).inc(self.stats.bytes_in, type=kind)
-        reg.counter(
-            "repro_relay_bytes_out_total", "Logical bytes served by relays"
-        ).inc(self.stats.bytes_out, type=kind)
-        reg.counter(
-            "repro_relay_backpressure_waits_total",
-            "Pushes parked on relay admission",
-        ).inc(self.stats.backpressure_waits, type=kind)
-        reg.counter(
-            "repro_relay_rendezvous_waits_total",
-            "Pulls parked on unpublished keys",
-        ).inc(self.stats.rendezvous_waits, type=kind)
-        reg.counter(
-            "repro_relay_lease_commits_total", "Consume leases finalized"
-        ).inc(self.stats.lease_commits, type=kind)
+        stats = self.stats
+        for name, help_text, value in (
+            ("repro_relay_bytes_in_total", "Logical bytes pushed to relays",
+             stats.bytes_in),
+            ("repro_relay_bytes_out_total", "Logical bytes served by relays",
+             stats.bytes_out),
+            ("repro_relay_backpressure_waits_total",
+             "Pushes parked on relay admission", stats.backpressure_waits),
+            ("repro_relay_rendezvous_waits_total",
+             "Pulls parked on unpublished keys", stats.rendezvous_waits),
+            ("repro_relay_lease_commits_total", "Consume leases finalized",
+             stats.lease_commits),
+        ):
+            reg.counter(name, help_text).inc(value, type=kind)
         reg.gauge(
             "repro_relay_peak_fill_fraction", "Highest memory fill observed"
         ).max(self.peak_fill_fraction, type=kind)
@@ -500,7 +436,7 @@ class PartitionRelay:
         )
         extra = max(0.0, resident_total - credit)
         event = SimEvent(self.sim, name=f"{self.relay_id}.admit({extra:g}B)")
-        reservation = _PushReservation(keys, resident_total, extra, attempt, event)
+        reservation = _PushReservation(keys, extra, attempt, event)
         self._reservations.add(reservation)
         if attempt is not None:
             self._attempt_reservations.setdefault(attempt, set()).add(reservation)
@@ -519,10 +455,6 @@ class PartitionRelay:
             )
             self._waiters.append(reservation)
         return reservation
-
-    def cas_entries(self, prefix: str) -> list[tuple[str, str, float]]:
-        """Dedup-eligible committed pushes whose key starts with ``prefix``."""
-        return self.content.entries(prefix)
 
     def _commit_push(
         self,
@@ -553,15 +485,11 @@ class PartitionRelay:
             resident[key] = (data, logical, sha)  # duplicate keys: last wins
         actual_old = 0.0
         for key in resident:
-            previous = self._entries.pop(key, None)
+            previous = self._drop(key)
             if previous is not None:
                 actual_old += previous.logical
-                self.content.drop(previous.sha)
         for key, (data, logical, sha) in resident.items():
-            self._entries[key] = Resident(bytes(data), logical, sha)
-            self.content.add(sha)
-            if sha is not None:
-                self.content.record(key, sha, logical)
+            self._put(key, data, logical, sha)
         reservation.state = _COMMITTED
         resident_total = sum(logical for _data, logical, _sha in resident.values())
         delta = reservation.extra + reservation.absorbed + actual_old - resident_total
@@ -573,20 +501,7 @@ class PartitionRelay:
         elif delta < 0:
             self._reserve(-delta)
         for key in resident:
-            self._notify_key(key)
-
-    # ------------------------------------------------------------------
-    # rendezvous (blocking pulls for the streaming exchange)
-    # ------------------------------------------------------------------
-    def _watch_key(self, key: str) -> SimEvent:
-        """An event that succeeds the next time ``key`` commits."""
-        return self._key_watchers.watch(key)
-
-    def _unwatch_key(self, key: str, event: SimEvent) -> None:
-        self._key_watchers.unwatch(key, event)
-
-    def _notify_key(self, key: str) -> None:
-        self._key_watchers.notify(key)
+            self._watchers.notify(key)
 
     def _abort_push(self, reservation: _PushReservation) -> float:
         """Reclaim an uncommitted push; returns the bytes released.
@@ -666,39 +581,19 @@ class PartitionRelay:
     # ------------------------------------------------------------------
     # bookkeeping (synchronous; the client pays latency/bandwidth)
     # ------------------------------------------------------------------
-    def _entry_removed(self, key: str, logical: float) -> float:
-        """Bytes to release for a consumed/deleted entry.
-
-        If a replacing push is in flight for ``key``, the bytes are
-        absorbed into its reservation instead (the incoming payload
-        needs them anyway) — released only if that push later aborts.
-        """
+    def _consume_entry(self, key: str) -> None:
+        """Remove a consumed entry and release its bytes — unless a
+        replacing push is in flight for ``key``: its reservation absorbs
+        them (the incoming payload needs them anyway), released only if
+        that push later aborts."""
+        removed = self._drop(key)
+        if removed is None:
+            return
         swap = self._pending_swaps.get(key)
         if swap is not None and swap.state in (_WAITING, _RESERVED):
-            swap.absorbed += logical
-            return 0.0
-        return logical
-
-    def _lookup(self, key: str) -> Resident:
-        """Resolve ``key`` or raise, counting the miss.  No pull stats:
-        those are recorded only once the transfer actually happened."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            raise RelayKeyMissing(key)
-        return entry
-
-    def _record_pulls(self, count: int, logical: float) -> None:
-        self.stats.pulls += count
-        self.stats.bytes_out += logical
-
-    def _consume_entry(self, key: str) -> None:
-        removed = self._entries.pop(key, None)
-        if removed is not None:
-            self.content.drop(removed.sha)
-            release = self._entry_removed(key, removed.logical)
-            if release > 0:
-                self._release(release)
+            swap.absorbed += removed.logical
+        elif removed.logical > 0:
+            self._release(removed.logical)
 
     def _consume_or_lease(self, key: str, attempt_id: str | None) -> None:
         """Destructive-read entry point for the pull paths.
@@ -718,33 +613,13 @@ class PartitionRelay:
             self.stats.consume_leases += 1
 
     # ------------------------------------------------------------------
-    # aggregate views
+    # peak tracking, lifetime and epoch-scoped (concurrent jobs on a
+    # shared relay)
     # ------------------------------------------------------------------
-    @property
-    def key_count(self) -> int:
-        return len(self._entries)
-
-    def logical_size_of(self, key: str) -> float | None:
-        """Logical bytes of the resident entry under ``key`` (or None).
-
-        A cheap metadata peek for planners and the fleet client's
-        bandwidth weighting; does not count as a pull or a miss.
-        """
-        entry = self._entries.get(key)
-        return entry.logical if entry is not None else None
-
-    @property
-    def fill_fraction(self) -> float:
-        """Reserved capacity as a fraction of usable memory (0..1)."""
-        return self.used_logical / self.capacity_bytes
-
     @property
     def peak_fill_fraction(self) -> float:
         return self.peak_used_logical / self.capacity_bytes
 
-    # ------------------------------------------------------------------
-    # epoch-scoped peak tracking (concurrent jobs on a shared relay)
-    # ------------------------------------------------------------------
     def begin_peak_epoch(self) -> int:
         """Open a peak-tracking epoch; returns an opaque token.
 
@@ -780,7 +655,7 @@ class PartitionRelay:
         )
 
 
-class RelayClient:
+class RelayClient(StoreClient):
     """Request interface to one relay; all methods return SimEvents.
 
     ``connection_bandwidth`` caps this client's transfer rate (the
@@ -791,11 +666,8 @@ class RelayClient:
 
     A worker-side client is bound to its activation: requests are tagged
     with ``attempt_id`` (reservations become reclaimable, fenced
-    attempts are rejected) and request processes register with ``owner``
-    so the platform's kill interrupts them mid-flight.  Every operation
-    body cleans up after an interrupt — queued tokens are withdrawn,
-    in-flight flows aborted, reservations released — so a killed attempt
-    leaves the relay exactly as if its request had never arrived.
+    attempts are rejected), and an interrupted push also releases its
+    reservation.
     """
 
     def __init__(
@@ -805,25 +677,23 @@ class RelayClient:
         attempt_id: str | None = None,
         owner=None,
     ):
+        super().__init__(
+            relay.sim, relay.relay_id, connection_bandwidth, owner,
+            relay.service.logical_scale,
+        )
         self.relay = relay
-        self.sim = relay.sim
-        self.connection_bandwidth = connection_bandwidth
         self.attempt_id = attempt_id
-        self.owner = owner
         self._profile = relay.service.profile
-        self._scale = relay.service.logical_scale
 
     # ------------------------------------------------------------------
     # single-key operations
     # ------------------------------------------------------------------
     def push(self, key: str, data: bytes, logical_size: float | None = None) -> SimEvent:
         """Store ``key``; event → ``None``.  Waits under backpressure."""
-        span = self._span()
-        if span.recording:
-            span.event("relay.push", relay=self.relay.relay_id, key=key)
         sizes = None if logical_size is None else [logical_size]
         return self._spawn(
-            self._store_op([(key, data)], sizes, batched=False), f"push:{key}"
+            self._store_op([(key, data)], sizes, batched=False), f"push:{key}",
+            "relay.push", relay=self.relay.relay_id, key=key,
         )
 
     def pull_wait(self, key: str) -> SimEvent:
@@ -837,10 +707,10 @@ class RelayClient:
         mappers are still producing.  Never consumes (a rendezvous read
         must stay idempotent under crash-retry and speculation).
         """
-        span = self._span()
-        if span.recording:
-            span.event("relay.pull_wait", relay=self.relay.relay_id, key=key)
-        return self._spawn(self._pull_wait_op(key), f"pull_wait:{key}")
+        return self._spawn(
+            self._pull_wait_op(key), f"pull_wait:{key}",
+            "relay.pull_wait", relay=self.relay.relay_id, key=key,
+        )
 
     # ------------------------------------------------------------------
     # batched (pipelined) operations
@@ -851,13 +721,9 @@ class RelayClient:
         logical_sizes: t.Sequence[float] | None = None,
     ) -> SimEvent:
         """Store many keys over one connection; event → ``None``."""
-        span = self._span()
-        if span.recording:
-            span.event(
-                "relay.mpush", relay=self.relay.relay_id, keys=len(items)
-            )
         return self._spawn(
-            self._store_op(list(items), logical_sizes, batched=True), "mpush"
+            self._store_op(list(items), logical_sizes, batched=True), "mpush",
+            "relay.mpush", relay=self.relay.relay_id, keys=len(items),
         )
 
     def mpull(self, keys: t.Sequence[str], consume: bool = False) -> SimEvent:
@@ -868,67 +734,26 @@ class RelayClient:
         absent key — before anything is consumed, so a failed batch
         neither loses data nor leaks reserved memory.
         """
-        span = self._span()
-        if span.recording:
-            span.event(
-                "relay.mpull",
-                relay=self.relay.relay_id, keys=len(keys), consume=consume,
-            )
-        return self._spawn(self._mpull_op(list(keys), consume), "mpull")
-
-    def _span(self):
-        """The owning attempt's span (noop for driver-side clients).
-
-        ``owner`` only promises ``track()``; spanless owners (bare
-        process trackers) fall back to the no-op span.
-        """
-        span = getattr(self.owner, "span", None)
-        if span is not None:
-            return span
-        return NOOP_SPAN
-
-    def _spawn(self, generator: t.Generator, label: str) -> SimEvent:
-        process = self.sim.process(
-            generator, name=f"{self.relay.relay_id}.{label}"
+        return self._spawn(
+            self._mpull_op(list(keys), consume), "mpull",
+            "relay.mpull", relay=self.relay.relay_id, keys=len(keys), consume=consume,
         )
-        if self.owner is not None:
-            self.owner.track(process)
-        return process.completion
 
     # ------------------------------------------------------------------
     # operation bodies
     # ------------------------------------------------------------------
-    def _logical(self, data: bytes, logical_size: float | None) -> float:
-        if logical_size is not None:
-            return logical_size
-        return len(data) * self._scale
-
-    def _latency(self) -> float:
+    def _read_latency(self) -> float:
+        """One in-VPC round trip; a push pays the same as a pull."""
         return self._profile.relay_request_latency.sample(self.relay._rng)
 
-    def _consume_ops(self, amount: float) -> t.Generator:
-        """Take ``amount`` rate-limit tokens, in bucket-sized chunks.
+    def _check_fence(self) -> None:
+        self.relay._check_fence(self.attempt_id)
 
-        Withdraws the pending request from the bucket if the op is
-        interrupted mid-wait, so a dead attempt neither burns tokens nor
-        stalls the FIFO behind a ghost.
-        """
-        remaining = amount
-        while remaining > 0:
-            take = min(remaining, self.relay.ops.capacity)
-            pending = self.relay.ops.consume(take)
-            try:
-                yield pending
-            except BaseException:
-                self.relay.ops.cancel(pending)
-                raise
-            remaining -= take
-
-    def _flow_cap(self) -> float | None:
-        return self.connection_bandwidth
-
-    def _transfer(self, logical: float) -> SimEvent:
-        return self.relay.link.transfer(logical, self._flow_cap())
+    def _parked(self, store: MemoryStore, key: str) -> None:
+        self.sim.tracer.attempt_event(
+            self.attempt_id, "relay.rendezvous_wait",
+            relay=self.relay.relay_id, key=key,
+        )
 
     def _store_op(
         self,
@@ -949,8 +774,9 @@ class RelayClient:
         cancelled (M)PUSH is side-effect-free: previous values survive
         untouched.
         """
-        self.relay.ensure_running()
-        self.relay._check_fence(self.attempt_id)
+        relay = self.relay
+        relay.ensure_running()
+        self._check_fence()
         if not items:
             return None
         if logical_sizes is not None and len(logical_sizes) != len(items):
@@ -959,10 +785,9 @@ class RelayClient:
                 "does not match items"
             )
         reservation: _PushReservation | None = None
-        transfer: SimEvent | None = None
         try:
-            yield from self._consume_ops(float(len(items)))
-            yield self.sim.timeout(self._latency())
+            yield from self._consume_ops(relay, float(len(items)))
+            yield self.sim.timeout(self._read_latency())
             logicals = [
                 logical_sizes[index]
                 if logical_sizes is not None
@@ -972,11 +797,11 @@ class RelayClient:
             resident_total = sum(
                 {key: logical for (key, _d), logical in zip(items, logicals)}.values()
             )
-            if resident_total > self.relay.capacity_bytes:
+            if resident_total > relay.capacity_bytes:
                 raise RelayCapacityExceeded(
-                    self.relay.relay_id, resident_total, self.relay.capacity_bytes
+                    relay.relay_id, resident_total, relay.capacity_bytes
                 )
-            reservation = self.relay._begin_push(
+            reservation = relay._begin_push(
                 [key for key, _data in items], resident_total, self.attempt_id
             )
             yield reservation.admission_event
@@ -989,16 +814,12 @@ class RelayClient:
             referenced = [
                 index
                 for index, sha in enumerate(shas)
-                if sha is not None and self.relay.content.resident(sha)
+                if sha is not None and relay.content.resident(sha)
             ]
             skipped = sum(logicals[index] for index in referenced)
             total = sum(logicals)
-            if total - skipped > 0:
-                transfer = self._transfer(total - skipped)
-                reservation.transfer_event = transfer
-                yield transfer
-                reservation.transfer_event = None
-                transfer = None
+            cap = self._flow_cap()
+            yield from self._transfer(relay, total - skipped, cap, reservation)
             if referenced:
                 # Referents may have been consumed while the rest of the
                 # batch drained — re-send those payloads transparently.
@@ -1006,105 +827,39 @@ class RelayClient:
                 missing = 0.0
                 hits = 0
                 for index in referenced:
-                    if self.relay.content.resident(t.cast(str, shas[index])):
+                    if relay.content.resident(t.cast(str, shas[index])):
                         saved += logicals[index]
                         hits += 1
                     else:
                         missing += logicals[index]
-                if missing > 0:
-                    transfer = self._transfer(missing)
-                    reservation.transfer_event = transfer
-                    yield transfer
-                    reservation.transfer_event = None
-                    transfer = None
+                yield from self._transfer(relay, missing, cap, reservation)
                 if hits:
-                    self.relay.stats.dedup_hits += hits
-                    self.relay.stats.dedup_bytes += saved
+                    relay.stats.dedup_hits += hits
+                    relay.stats.dedup_bytes += saved
                     publish_dedup_bytes("relay", saved)
-            self.relay._commit_push(reservation, items, logicals, shas)
+            relay._commit_push(reservation, items, logicals, shas)
             reservation = None
             return None
         except BaseException:
-            if transfer is not None:
-                self.relay.link.abort(transfer)
             if reservation is not None:
-                self.relay._abort_push(reservation)
+                relay._abort_push(reservation)
             raise
 
     def _pull_wait_op(self, key: str) -> t.Generator:
         self.relay.ensure_running()
-        self.relay._check_fence(self.attempt_id)
-        transfer: SimEvent | None = None
-        try:
-            yield from self._consume_ops(1.0)
-            yield self.sim.timeout(self._latency())
-            self.relay._check_fence(self.attempt_id)
-            waited = False
-            while True:
-                entry = self.relay._entries.get(key)
-                if entry is not None:
-                    break
-                if not waited:
-                    waited = True
-                    self.relay.stats.rendezvous_waits += 1
-                    self.sim.tracer.attempt_event(
-                        self.attempt_id, "relay.rendezvous_wait",
-                        relay=self.relay.relay_id, key=key,
-                    )
-                watcher = self.relay._watch_key(key)
-                try:
-                    yield watcher
-                except BaseException:
-                    self.relay._unwatch_key(key, watcher)
-                    raise
-                # The attempt may have been fenced while parked; a zombie
-                # must not read (and bill transfer time for) the winner's
-                # data.
-                self.relay._check_fence(self.attempt_id)
-            if entry.logical > 0:
-                transfer = self._transfer(entry.logical)
-                yield transfer
-                transfer = None
-            self.relay._record_pulls(1, entry.logical)
-            return entry.data
-        except BaseException:
-            if transfer is not None:
-                self.relay.link.abort(transfer)
-            raise
+        self._check_fence()
+        return (yield from self._rendezvous_read(self.relay, key))
 
     def _mpull_op(self, keys: list[str], consume: bool) -> t.Generator:
         self.relay.ensure_running()
-        self.relay._check_fence(self.attempt_id)
+        self._check_fence()
         if not keys:
             return []
-        transfer: SimEvent | None = None
-        try:
-            yield from self._consume_ops(float(len(keys)))
-            yield self.sim.timeout(self._latency())
-            # Fence re-check: the attempt may have been cancelled while
-            # this request was parked upstream; a consuming pull from a
-            # zombie must not destroy the winner's partition.
-            self.relay._check_fence(self.attempt_id)
-            # Non-destructive lookups first: a missing key mid-batch must
-            # fail the whole MPULL without having consumed (or counted as
-            # served, or leaked the reservation of) the keys before it.
-            entries = [self.relay._lookup(key) for key in keys]
-            total = sum(entry.logical for entry in entries)
-            if total > 0:
-                transfer = self._transfer(total)
-                yield transfer
-                transfer = None
-            # bytes_out counts logical bytes *served* (duplicate keys in the
-            # batch transfer — and count — once per occurrence).
-            self.relay._record_pulls(len(keys), total)
-            if consume:
-                for key in keys:  # duplicates in the batch lease/pop once
-                    self.relay._consume_or_lease(key, self.attempt_id)
-            return [entry.data for entry in entries]
-        except BaseException:
-            if transfer is not None:
-                self.relay.link.abort(transfer)
-            raise
+        entries = yield from self._read_batch(self.relay, keys, self._flow_cap())
+        if consume:
+            for key in keys:  # duplicates in the batch lease/pop once
+                self.relay._consume_or_lease(key, self.attempt_id)
+        return [entry.data for entry in entries]
 
 
 # ----------------------------------------------------------------------

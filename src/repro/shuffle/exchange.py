@@ -762,7 +762,6 @@ class CacheExchange(ExchangeBackend):
             "peak_fill_fraction": self._peak_fill,
             "cache_sets": int(since("sets")),
             "cache_gets": int(since("gets")),
-            "evictions": int(since("evictions")),
             "dedup_hits": int(since("dedup_hits")),
             "dedup_restores": int(since("dedup_restores")),
             "dedup_bytes": since("dedup_bytes"),

@@ -11,7 +11,7 @@ from repro.cloud.memstore import (
     UnknownCacheNodeType,
     UnknownCluster,
 )
-from repro.cloud.profiles import ALLKEYS_LRU, ibm_us_east
+from repro.cloud.profiles import ibm_us_east
 
 
 @pytest.fixture
@@ -175,6 +175,22 @@ class TestBatchedOps:
         with pytest.raises(CacheKeyMissing, match="ghost"):
             run(cloud, scenario())
 
+    def test_failed_mget_counts_nothing_as_served(self, cloud):
+        """Every key is looked up before the transfer: a batch that fails
+        on its second key neither sends nor counts the first."""
+        cluster = cloud.cache.provision_ready("cache.r5.large")
+        [node] = cluster.nodes
+        client = cluster.client()
+
+        def scenario():
+            yield client.set("present", b"p", logical_size=100.0)
+            yield client.mget(["present", "missing"])
+
+        with pytest.raises(CacheKeyMissing, match="missing"):
+            run(cloud, scenario())
+        assert (node.stats.gets, node.stats.bytes_out, node.stats.misses) == (0, 0.0, 1)
+        assert node.link.bytes_delivered == pytest.approx(100.0)  # the set only
+
     def test_batch_pays_one_latency_per_node_not_per_key(self, cloud):
         cluster = cloud.cache.provision_ready("cache.r5.large", nodes=1)
         client = cluster.client()
@@ -292,7 +308,7 @@ class TestSharding:
 
 
 class TestMemoryPressure:
-    def _small_cluster(self, policy):
+    def _small_cluster(self):
         profile = ibm_us_east(deterministic=True)
         # Shrink a node to ~1 KB usable so tests fill it instantly.
         profile.memstore.usable_memory_fraction = 1.0
@@ -304,12 +320,11 @@ class TestMemoryPressure:
                 hourly_usd=0.1,
             )
         }
-        profile.memstore.eviction_policy = policy
         cloud = Cloud.fresh(seed=5, profile=profile)
         return cloud, cloud.cache.provision_ready("tiny")
 
     def test_noeviction_fails_when_full(self):
-        cloud, cluster = self._small_cluster("noeviction")
+        cloud, cluster = self._small_cluster()
         client = cluster.client()
 
         def scenario():
@@ -321,7 +336,7 @@ class TestMemoryPressure:
         assert cluster.stats_totals()["oom_errors"] == 1
 
     def test_value_larger_than_node_always_fails(self):
-        cloud, cluster = self._small_cluster(ALLKEYS_LRU)
+        cloud, cluster = self._small_cluster()
         client = cluster.client()
 
         def scenario():
@@ -331,7 +346,7 @@ class TestMemoryPressure:
             cloud.sim.run_process(scenario())
 
     def test_refused_write_keeps_previous_value(self):
-        cloud, cluster = self._small_cluster("noeviction")
+        cloud, cluster = self._small_cluster()
         client = cluster.client()
 
         def scenario():
@@ -343,35 +358,6 @@ class TestMemoryPressure:
             return (yield client.mget(["a"]))[0]
 
         assert cloud.sim.run_process(scenario()) == b"x" * 600
-
-    def test_lru_evicts_oldest_first(self):
-        cloud, cluster = self._small_cluster(ALLKEYS_LRU)
-        client = cluster.client()
-
-        def scenario():
-            yield client.set("old", b"x" * 400)
-            yield client.set("mid", b"y" * 400)
-            # Touch "old" so "mid" becomes the LRU victim.
-            yield client.mget(["old"])
-            yield client.set("new", b"z" * 400)
-
-        cloud.sim.run_process(scenario())
-        resident = [cluster.node_for(key).contains(key) for key in ("old", "mid", "new")]
-        assert resident == [True, False, True]
-        assert cluster.stats_totals()["evictions"] == 1
-
-    def test_eviction_frees_accounting(self):
-        cloud, cluster = self._small_cluster(ALLKEYS_LRU)
-        client = cluster.client()
-
-        def scenario():
-            for index in range(10):
-                yield client.set(f"k{index}", b"x" * 300)
-
-        cloud.sim.run_process(scenario())
-        node = cluster.nodes[0]
-        assert node.used_logical <= node.capacity_bytes
-        assert node.used_logical == pytest.approx(node.key_count * 300)
 
 
 class TestBillingAndLifecycle:

@@ -1,10 +1,10 @@
 """Property-based tests of cache-node and cache-cluster invariants.
 
-The capacity accounting and LRU mechanics of :class:`CacheNode` are load
-bearing for the cache-shuffle experiments: a leak in ``used_logical``
-would silently change when clusters refuse writes or evict, and with it
-every S8 result.  These properties pin the bookkeeping down across
-randomized operation sequences.
+The capacity accounting of :class:`CacheNode` is load bearing for the
+cache-shuffle experiments: a leak in ``used_logical`` would silently
+change when clusters refuse writes, and with it every S8 result.  These
+properties pin the bookkeeping down across randomized operation
+sequences.
 """
 
 import pytest
@@ -14,23 +14,15 @@ from hypothesis import strategies as st
 from repro.cloud import Cloud
 from repro.cloud.memstore.errors import CacheOutOfMemory
 from repro.cloud.memstore.node import CacheNode
-from repro.cloud.profiles import (
-    ALLKEYS_LRU,
-    NOEVICTION,
-    CacheNodeType,
-    MemStoreProfile,
-    ibm_us_east,
-)
+from repro.cloud.profiles import CacheNodeType, MemStoreProfile, ibm_us_east
 from repro.sim import Simulator
 
-#: ~4 KB usable so small value sequences exercise eviction paths.
+#: ~4 KB usable so small value sequences exercise the full-node refusal.
 TINY = CacheNodeType("tiny", 4096 / (1 << 30), 1e8, 0.1)
 
 
-def make_node(policy: str) -> CacheNode:
-    profile = MemStoreProfile(
-        usable_memory_fraction=1.0, eviction_policy=policy
-    )
+def make_node() -> CacheNode:
+    profile = MemStoreProfile(usable_memory_fraction=1.0)
     return CacheNode(Simulator(seed=1), "n0", TINY, profile)
 
 
@@ -52,22 +44,16 @@ def apply_ops(node: CacheNode, ops) -> dict[str, bytes]:
         key = f"k{key_index}"
         if kind == "store":
             data = bytes(size)
+            room = node.capacity_bytes - node.used_logical + len(mirror.get(key, b""))
             try:
-                evicted = node.store(key, data, float(size))
+                node.store(key, data, float(size))
             except CacheOutOfMemory:
-                assert node.profile.eviction_policy == NOEVICTION or (
-                    size > node.capacity_bytes
-                )
+                assert size > room
                 continue
+            assert size <= room
             mirror[key] = data
-            if evicted:
-                # Re-derive the survivor set from the node itself; LRU
-                # order is the node's business, membership is ours.
-                mirror = {
-                    k: v for k, v in mirror.items() if node.contains(k)
-                }
         elif kind == "fetch":
-            entry = node.fetch(key)
+            entry = node._entries.get(key)
             if key in mirror:
                 assert entry is not None and entry.data == mirror[key]
             else:
@@ -82,35 +68,18 @@ def apply_ops(node: CacheNode, ops) -> dict[str, bytes]:
 class TestNodeInvariants:
     @given(ops=OPS)
     @settings(max_examples=80, deadline=None)
-    def test_lru_accounting_matches_contents(self, ops):
-        node = make_node(ALLKEYS_LRU)
+    def test_noeviction_never_drops_keys_silently(self, ops):
+        node = make_node()
         mirror = apply_ops(node, ops)
+        # Everything the mirror believes is stored must be readable, and
+        # only a write that did not fit was refused.
+        for key, value in mirror.items():
+            entry = node._entries.get(key)
+            assert entry is not None and entry.data == value
         assert node.key_count == len(mirror)
         assert node.used_logical == pytest.approx(
             sum(len(value) for value in mirror.values())
         )
-        assert node.used_logical <= node.capacity_bytes
-
-    @given(ops=OPS)
-    @settings(max_examples=80, deadline=None)
-    def test_noeviction_never_drops_keys_silently(self, ops):
-        node = make_node(NOEVICTION)
-        mirror = apply_ops(node, ops)
-        # Everything the mirror believes is stored must be readable.
-        for key, value in mirror.items():
-            entry = node.fetch(key)
-            assert entry is not None and entry.data == value
-        assert node.stats.evictions == 0
-
-    @given(
-        sizes=st.lists(st.integers(1, 1500), min_size=1, max_size=40),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_lru_store_of_fitting_values_never_fails(self, sizes):
-        node = make_node(ALLKEYS_LRU)
-        for index, size in enumerate(sizes):
-            node.store(f"k{index}", bytes(size), float(size))
-        assert node.used_logical <= node.capacity_bytes
 
 
 class TestClusterInvariants:

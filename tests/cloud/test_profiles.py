@@ -102,14 +102,12 @@ class TestProfiles:
             lambda p: setattr(p.faas, "account_concurrency", 0),
             lambda p: setattr(p.memstore, "ops_per_node", 0.0),
             lambda p: setattr(p.memstore, "usable_memory_fraction", 0.0),
-            lambda p: setattr(p.memstore, "eviction_policy", "volatile-lru"),
             lambda p: setattr(p.memstore, "catalog", {}),
         ],
         ids=[
             "zero-concurrency",
             "zero-cache-ops",
             "zero-cache-memory",
-            "unknown-eviction",
             "empty-cache-catalog",
         ],
     )

@@ -11,7 +11,7 @@ infrastructure is terminated underneath a parked reader.
 import pytest
 
 from repro.cloud import Cloud
-from repro.cloud.memstore.errors import CacheKeyMissing, ClusterNotRunning
+from repro.cloud.memstore.errors import ClusterNotRunning
 from repro.cloud.profiles import ibm_us_east
 from repro.cloud.vm.errors import RelayAttemptFenced, VmNotRunning
 from repro.cloud.vm.fleet import fleet_ready
@@ -171,57 +171,3 @@ class TestCacheGetWait:
         cloud.sim.process(killer(), name="killer")
         with pytest.raises(ClusterNotRunning):
             cloud.sim.run(until=process.completion)
-
-    def test_lru_evicted_key_fails_the_read_instead_of_hanging(self):
-        """A rendezvous read arriving after its key was LRU-evicted must
-        get the staged path's CacheKeyMissing, not park forever —
-        committed stream chunks are never re-published."""
-        from repro.cloud.profiles import ALLKEYS_LRU
-
-        cloud = fresh_cloud()
-        cloud.cache.profile.eviction_policy = ALLKEYS_LRU
-        cluster = cloud.cache.provision_ready("cache.r5.large", nodes=1)
-        node = cluster.nodes[0]
-        client = cluster.client()
-        filler = bytes(64)
-
-        def driver():
-            # Two oversized logical values: the second set evicts the first.
-            yield client.set(
-                "victim", filler, logical_size=node.capacity_bytes * 0.7
-            )
-            yield client.set(
-                "hog", filler, logical_size=node.capacity_bytes * 0.7
-            )
-            assert node.stats.evictions == 1
-            assert node.was_evicted("victim")
-            return (yield client.get_wait("victim"))
-
-        process = cloud.sim.process(driver(), name="driver")
-        with pytest.raises(CacheKeyMissing):
-            cloud.sim.run(until=process.completion)
-
-    def test_restored_key_clears_the_eviction_tombstone(self):
-        from repro.cloud.profiles import ALLKEYS_LRU
-
-        cloud = fresh_cloud()
-        cloud.cache.profile.eviction_policy = ALLKEYS_LRU
-        cluster = cloud.cache.provision_ready("cache.r5.large", nodes=1)
-        node = cluster.nodes[0]
-        client = cluster.client()
-        filler = bytes(64)
-
-        def driver():
-            yield client.set(
-                "victim", filler, logical_size=node.capacity_bytes * 0.7
-            )
-            yield client.set(
-                "hog", filler, logical_size=node.capacity_bytes * 0.7
-            )
-            # A speculative duplicate re-publishes the identical chunk:
-            # the tombstone clears and reads succeed again.
-            yield client.set("victim", filler, logical_size=8.0)
-            return (yield client.get_wait("victim"))
-
-        assert cloud.sim.run_process(driver()) == filler
-        assert not node.was_evicted("victim")

@@ -367,19 +367,24 @@ class TestAtomicSwap:
         relay.check_memory_accounting()
 
 
+class Owner:
+    """A bare process tracker standing in for an activation context."""
+
+    def __init__(self):
+        self.processes = []
+
+    def track(self, process):
+        self.processes.append(process)
+        return process
+
+
 class TestInterruptCleanup:
+    """A killed op leaves the store as if it had never been issued: the
+    relay and the cache share one token wait and one transfer step."""
+
     def test_interrupted_pull_aborts_its_flow(self, cloud, relay):
         """Killing the tracked op process (what the activation's cancel
         scope does) must stop the pull's NIC flow immediately."""
-
-        class Owner:
-            def __init__(self):
-                self.processes = []
-
-            def track(self, process):
-                self.processes.append(process)
-                return process
-
         owner = Owner()
         client = relay.client(owner=owner)
         checked = []
@@ -408,43 +413,69 @@ class TestInterruptCleanup:
         assert relay.used_logical == pytest.approx(4e9)  # entry untouched
         relay.check_memory_accounting()
 
-    def test_interrupted_token_wait_does_not_burn_tokens(self, cloud, relay):
-        """A cancelled request queued on the ops bucket withdraws its
-        token demand so later requests are not stalled behind a ghost."""
-
-        class Owner:
-            def __init__(self):
-                self.processes = []
-
-            def track(self, process):
-                self.processes.append(process)
-                return process
-
+    @pytest.mark.parametrize("verb", ["mget", "get_wait"])
+    def test_interrupted_cache_read_aborts_its_flow(self, cloud, verb):
+        cluster = cloud.cache.provision_ready("cache.r5.large")
+        [node] = cluster.nodes
         owner = Owner()
-        client = relay.client(owner=owner)
-        burst = int(relay.ops.capacity)
-        keys = [(f"k{i}", b"") for i in range(burst)]
-
-        def hog():
-            # Exhaust the whole burst so the next batch must queue.
-            yield client.mpush(keys, logical_sizes=[0.0] * len(keys))
-
-        cloud.sim.run_process(hog())
-
-        def victim():
-            yield client.mpush(keys, logical_sizes=[0.0] * len(keys))
-
-        cloud.sim.process(victim())
+        client = cluster.client(owner=owner)
+        cloud.sim.run_process(iter_of(client.set("k", b"x", logical_size=4e9)))
+        read = client.mget(["k"]) if verb == "mget" else client.get_wait("k")
         observed = []
 
         def canceller():
-            yield cloud.sim.timeout(0.001)  # victim is queued on tokens
-            observed.append(relay.ops.pending_demand)
+            yield cloud.sim.timeout(5.0)  # ~13 s read: mid-transfer
+            observed.append(node.link.active_flows)
             owner.processes[-1].interrupt(cause="killed")
-            observed.append(relay.ops.pending_demand)
+            observed.append(node.link.active_flows)
+
+        cloud.sim.process(canceller())
+        cloud.sim.run()
+        assert observed == [1, 0]
+        assert not read.ok
+        assert (node.stats.gets, node.key_count) == (0, 1)
+
+    @pytest.mark.parametrize("target", ["relay", "cache-mset", "cache-set"])
+    def test_interrupted_token_wait_does_not_burn_tokens(self, cloud, target):
+        """A cancelled request queued on the ops bucket withdraws its
+        token demand so later requests are not stalled behind a ghost."""
+        owner = Owner()
+        if target == "relay":
+            store = relay_ready(cloud.vms, "bx2-2x8")
+            client = store.client(owner=owner)
+            batch = client.mpush
+        else:
+            # A slow bucket, so that even a single SET queues behind the
+            # burst the first batch took.
+            cloud.cache.profile.ops_per_node = cloud.cache.profile.ops_burst = 10.0
+            cluster = cloud.cache.provision_ready("cache.r5.large")
+            [store] = cluster.nodes
+            client = cluster.client(owner=owner)
+            batch = client.mset
+        burst = int(store.ops.capacity)
+        keys = [(f"k{i}", b"") for i in range(burst)]
+        # Exhaust the whole burst so the next request must queue.
+        cloud.sim.run_process(iter_of(batch(keys, logical_sizes=[0.0] * burst)))
+        if target == "cache-set":
+            client.set("k0", b"")
+        else:
+            batch(keys, logical_sizes=[0.0] * burst)
+        observed = []
+
+        def canceller():
+            yield cloud.sim.timeout(0.001)  # the victim is queued on tokens
+            observed.append(store.ops.pending_demand)
+            owner.processes[-1].interrupt(cause="killed")
+            observed.append(store.ops.pending_demand)
 
         cloud.sim.process(canceller())
         cloud.sim.run()
         assert observed[0] > 0.0  # it really was waiting for tokens
         assert observed[1] == 0.0  # the demand was withdrawn, not burned
-        relay.check_memory_accounting()
+        if target == "relay":
+            store.check_memory_accounting()
+
+
+def iter_of(event):
+    """A driver process body that waits for one event."""
+    return (yield event)

@@ -22,7 +22,7 @@ from repro.cas import (
 )
 from repro.cloud import Cloud, MB
 from repro.cloud.memstore import CacheOutOfMemory
-from repro.cloud.profiles import ALLKEYS_LRU, NOEVICTION, ibm_us_east
+from repro.cloud.profiles import ibm_us_east
 from repro.cloud.vm.fleet import fleet_ready
 from repro.cloud.vm.relay import relay_ready
 from repro.executor import FunctionExecutor
@@ -314,17 +314,17 @@ class TestCosDedup:
         }
 
 
-class TestCacheDedupEviction:
-    """Satellite: dedup refcounts vs LRU eviction.
+class TestCacheDedupRestore:
+    """Dedup refcounts vs a referent that leaves mid-batch.
 
-    An evicting node tombstones content keys; a dedup'd write whose
-    referent vanished between the residency check and the store must
-    transparently re-send the bytes instead of raising, and the final
-    values must be byte-correct.
+    A dedup'd write whose referent left between the residency check and
+    the store (replaced earlier in the same batch, or deleted meanwhile)
+    must transparently re-send the bytes instead of raising, and the
+    final values must be byte-correct.
     """
 
     @staticmethod
-    def _tiny_cluster(eviction_policy=ALLKEYS_LRU):
+    def _tiny_cluster():
         profile = ibm_us_east(deterministic=True)
         profile.memstore.usable_memory_fraction = 1.0
         profile.memstore.catalog = {
@@ -335,7 +335,6 @@ class TestCacheDedupEviction:
                 hourly_usd=0.1,
             )
         }
-        profile.memstore.eviction_policy = eviction_policy
         cloud = Cloud.fresh(seed=5, profile=profile)
         return cloud, cloud.cache.provision_ready("tiny")
 
@@ -358,38 +357,31 @@ class TestCacheDedupEviction:
         for node in cluster.nodes:
             assert_residency_mirrors_entries(node)
 
-    def test_evicted_referent_mid_batch_restores_and_keeps_bytes(self):
-        """The race itself: the batch marks a value dedup'd while its
-        referent is resident, fillers in the same batch evict it, and
-        the store-time recheck re-sends the bytes."""
+    def test_replaced_referent_mid_batch_restores_and_keeps_bytes(self):
+        """The race itself: the batch marks "a" dedup'd while its
+        referent "seed" holds the bytes, the same batch replaces "seed"
+        first, and the store-time recheck re-sends "a"'s bytes."""
         cloud, cluster = self._tiny_cluster()
+        [node] = cluster.nodes
         client = cluster.client()
-        dup = b"x" * 300
-        filler_one = b"f" * 500
-        filler_two = b"g" * 500
+        dup, other = b"x" * 300, b"o" * 200
 
         def scenario():
             yield client.mset([("seed", dup)])
-            # One batch on the single node: "a" and "b" pass the
-            # residency check, then the fillers evict both referents
-            # before "b" stores.
-            yield client.mset(
-                [("a", dup), ("f1", filler_one), ("f2", filler_two), ("b", dup)]
-            )
-            return (yield client.mget(["b"]))
+            yield client.mset([("seed", other), ("a", dup)])
+            return (yield client.mget(["seed", "a"]))
 
-        assert cloud.sim.run_process(scenario()) == [dup]
+        assert cloud.sim.run_process(scenario()) == [other, dup]
         totals = cluster.stats_totals()
-        assert totals["dedup_hits"] == 1  # "a" rode as a reference
-        assert totals["dedup_restores"] == 1  # "b" was re-sent
-        assert totals["evictions"] >= 2
-        # The evicted referents are tombstoned, not silently absent.
-        assert cluster.nodes[0].was_evicted("seed")
-        for node in cluster.nodes:
-            assert_residency_mirrors_entries(node)
+        assert totals["dedup_restores"] == 1  # "a" was re-sent
+        assert totals["dedup_hits"] == 0
+        # Every byte of both batches crossed the wire ("a"'s once, as
+        # the restore), then the MGET read both values back.
+        assert node.link.bytes_delivered == pytest.approx(300 + 200 + 300 + (200 + 300))
+        assert_residency_mirrors_entries(node)
 
     def test_noeviction_refusal_restores_the_previous_value(self):
-        cloud, cluster = self._tiny_cluster(NOEVICTION)
+        cloud, cluster = self._tiny_cluster()
         client = cluster.client()
         old, new = b"o" * 300, b"n" * 500
 

@@ -58,9 +58,9 @@ test-obs:
 
 # Content-addressing suite alone: the CAS hash core + stable
 # serialization, per-substrate dedup at byte parity (including the
-# dedup-vs-LRU-eviction restore race), hash-chained run manifests with
-# tamper detection, the warm-run lineage cache, and the shared
-# output_digest helper the sweeps report.
+# restore of a dedup'd write whose referent left mid-batch),
+# hash-chained run manifests with tamper detection, the warm-run
+# lineage cache, and the shared output_digest helper the sweeps report.
 test-cas:
 	$(PYTEST) -x -q -m cas
 
@@ -133,13 +133,17 @@ parity:
 	$(MAKE) bench
 	git diff --stat --exit-code -- benchmarks/results $(addprefix ':!benchmarks/results/',$(HOST_TIMING_RESULTS))
 
-# Source size: the src/repro file and line counts, and the subtotal of
-# the exchange layer (shuffle/ + core/stages.py + core/pipelines.py)
-# that ROADMAP item 9 gates on.
+# Source size: the src/repro file and line counts, the subtotal of the
+# exchange layer (shuffle/ + core/stages.py + core/pipelines.py) that
+# ROADMAP item 9 gates on, and the subtotal of the in-memory stores
+# (cloud/memstore/ + cloud/vm/relay.py + cloud/vm/fleet.py) that item 14
+# gates on.
 EXCHANGE_SOURCES = $(shell find src/repro/shuffle -name '*.py') src/repro/core/stages.py src/repro/core/pipelines.py
+MEMSTORE_SOURCES = $(shell find src/repro/cloud/memstore -name '*.py') src/repro/cloud/vm/relay.py src/repro/cloud/vm/fleet.py
 size:
 	@echo "src/repro: $$(find src/repro -name '*.py' | wc -l) files, $$(find src/repro -name '*.py' -exec cat {} + | wc -l) lines"
 	@echo "shuffle/ + core/stages.py + core/pipelines.py: $$(cat $(EXCHANGE_SOURCES) | wc -l) lines"
+	@echo "cloud/memstore/ + cloud/vm/relay.py + cloud/vm/fleet.py: $$(cat $(MEMSTORE_SOURCES) | wc -l) lines"
 
 # CI gate: collection + result lint, the ledger self-check, tier-1;
 # then the source size, so every verify log prints the counts ROADMAP

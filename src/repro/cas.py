@@ -51,7 +51,7 @@ class ContentIndex:
 
     The refcounts map a sha256 to the number of resident values holding
     those bytes: a store calls :meth:`add` when a value becomes resident
-    and :meth:`drop` when it leaves (replacement, eviction, deletion,
+    and :meth:`drop` when it leaves (replacement, deletion,
     consume), so residency mirrors the store's entries exactly and a
     drained store has no refcount left.  The log is the append-only
     ``(key, sha256, logical)`` record of dedup-eligible commits that run

@@ -27,6 +27,7 @@ import typing as t
 import zlib
 
 from repro.cas import ContentIndex, Resident
+from repro.errors import SimulationError
 from repro.obs.trace import NOOP_SPAN
 from repro.sim import FairShareLink, KeyedWatch, SimEvent, Simulator, TokenBucket
 
@@ -199,9 +200,7 @@ class StoreClient:
         process trackers) fall back to the no-op span.
         """
         span = getattr(self.owner, "span", None)
-        if span is not None:
-            return span
-        return NOOP_SPAN
+        return span if span is not None else NOOP_SPAN
 
     def _spawn(
         self, generator: t.Generator, label: str, event: str | None = None, **attrs
@@ -220,6 +219,19 @@ class StoreClient:
         if logical_size is not None:
             return logical_size
         return len(data) * self._scale
+
+    def _logicals(
+        self,
+        verb: str,
+        items: t.Sequence[tuple[str, bytes]],
+        logical_sizes: t.Sequence[float] | None,
+    ) -> list[float]:
+        """The logical size of each of a write's ``items``."""
+        if logical_sizes is None:
+            return [self._logical(data, None) for _key, data in items]
+        if len(logical_sizes) != len(items):
+            raise SimulationError(f"{verb}: logical_sizes length does not match items")
+        return list(logical_sizes)
 
     # ------------------------------------------------------------------
     # hooks: what differs between the cache and the relay
@@ -286,7 +298,7 @@ class StoreClient:
     def _read_batch(
         self, store: MemoryStore, keys: list[str], cap: float | None
     ) -> t.Generator:
-        """One pipelined read of ``keys`` from ``store``; returns entries.
+        """One pipelined read of ``keys`` from ``store``; → their bytes.
 
         Every key is looked up before anything moves: a missing key fails
         the batch without any of it counted as served.
@@ -301,7 +313,7 @@ class StoreClient:
         total = sum(entry.logical for entry in entries)
         yield from self._transfer(store, total, cap)
         store._record_reads(len(keys), total)
-        return entries
+        return [entry.data for entry in entries]
 
     def _rendezvous_read(self, store: MemoryStore, key: str) -> t.Generator:
         """Read ``key``, *waiting* on ``store`` until it lands; → bytes.
@@ -430,7 +442,7 @@ class ShardGroup:
         groups = self._batch_order(by_shard)
         caps = self._nic_shares(bandwidth, groups, weigh)
         results = yield self.sim.all_of(
-            [issue(index, positions, cap) for (index, positions), cap in zip(groups, caps)]
+            [issue(index, group, cap) for (index, group), cap in zip(groups, caps)]
         )
         out: list[t.Any] = [None] * len(keys)
         for (_index, positions), values in zip(groups, results):

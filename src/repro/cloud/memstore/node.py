@@ -58,7 +58,9 @@ class CacheNode(MemoryStore):
         self.profile = profile
         self.stats = CacheNodeStats()
 
-    def store(self, key: str, data: bytes, logical: float, sha: str | None = None) -> None:
+    def store(
+        self, key: str, data: bytes, logical: float, sha: str | None = None
+    ) -> None:
         """Insert or replace ``key`` and wake its parked readers.
 
         Raises :class:`CacheOutOfMemory` when the value does not fit

@@ -148,8 +148,6 @@ class MemStoreService:
             )
 
 
-
-
 class MemStoreCluster(ShardGroup):
     """One provisioned cache cluster: N shard nodes behind one keyspace.
 
@@ -168,7 +166,9 @@ class MemStoreCluster(ShardGroup):
         super().__init__(
             service.sim,
             [
-                CacheNode(service.sim, f"{cluster_id}.n{index}", node_type, service.profile)
+                CacheNode(
+                    service.sim, f"{cluster_id}.n{index}", node_type, service.profile
+                )
                 for index in range(nodes)
             ],
         )
@@ -288,10 +288,8 @@ class CacheClient(StoreClient):
     def get_wait(self, key: str) -> SimEvent:
         """Fetch ``key``, *waiting* until it is stored; event → ``bytes``.
 
-        The memstore-notification read of the streaming shuffle: where
-        :meth:`mget` fails an absent key with :class:`CacheKeyMissing`,
-        this parks the reader on the owning node's set notification and
-        transfers the value once a writer publishes it.
+        The streaming shuffle's rendezvous read, where :meth:`mget`
+        fails an absent key with :class:`CacheKeyMissing`.
         """
         return self._spawn(
             self._get_wait_op(key), f"get_wait:{key}",
@@ -345,11 +343,16 @@ class CacheClient(StoreClient):
     def _flow_cap(self) -> float:
         return self.cluster.flow_cap(self.connection_bandwidth)
 
-    def _set_op(self, key: str, data: bytes, logical_size: float | None) -> t.Generator:
+    def _write_request(self, key: str) -> t.Generator:
+        """One token and one write latency at ``key``'s node; → the node."""
         self.cluster.ensure_running()
         node = self.cluster.node_for(key)
         yield from self._consume_ops(node, 1.0)
         yield self.sim.timeout(self._write_latency())
+        return node
+
+    def _set_op(self, key: str, data: bytes, logical_size: float | None) -> t.Generator:
+        node = yield from self._write_request(key)
         logical = self._logical(data, logical_size)
         yield from self._transfer(node, logical, self._flow_cap())
         node.store(key, data, logical)
@@ -360,10 +363,7 @@ class CacheClient(StoreClient):
         return (yield from self._rendezvous_read(self.cluster.node_for(key), key))
 
     def _delete_op(self, key: str) -> t.Generator:
-        self.cluster.ensure_running()
-        node = self.cluster.node_for(key)
-        yield from self._consume_ops(node, 1.0)
-        yield self.sim.timeout(self._write_latency())
+        node = yield from self._write_request(key)
         return node.remove(key)
 
     def _mset_op(
@@ -374,16 +374,10 @@ class CacheClient(StoreClient):
         self.cluster.ensure_running()
         if not items:
             return None
-        if logical_sizes is not None and len(logical_sizes) != len(items):
-            raise SimulationError(
-                "mset: logical_sizes length does not match items"
-            )
+        logicals = self._logicals("mset", items, logical_sizes)
 
         def issue(index: int, positions: list[int], cap: float) -> SimEvent:
-            batch = [
-                (*items[position], None if logical_sizes is None else logical_sizes[position])
-                for position in positions
-            ]
+            batch = [(*items[position], logicals[position]) for position in positions]
             return self._spawn(
                 self._write_node(self.cluster.nodes[index], batch, cap), f"mset.n{index}"
             )
@@ -394,24 +388,21 @@ class CacheClient(StoreClient):
         return None
 
     def _write_node(
-        self, node: CacheNode, batch: list[tuple[str, bytes, float | None]], cap: float
+        self, node: CacheNode, batch: list[tuple[str, bytes, float]], cap: float
     ) -> t.Generator:
-        """One node's share of an MSET: ``(key, data, logical size)``s."""
+        """One node's share of an MSET: ``(key, data, logical)``s."""
         yield from self._consume_ops(node, float(len(batch)))
         yield self.sim.timeout(self._write_latency())
-        logicals = [self._logical(data, size) for _key, data, size in batch]
-        shas = [sha256_hex(data) if data else None for _key, data, _size in batch]
+        shas = [sha256_hex(data) if data else None for _key, data, _logical in batch]
         # Content dedup: values already resident on this shard ride as
         # references — only novel bytes cross the wire.
         deduped = [sha is not None and node.content.resident(sha) for sha in shas]
         yield from self._transfer(
             node,
-            sum(logical for logical, skip in zip(logicals, deduped) if not skip),
+            sum(logical for (_k, _d, logical), skip in zip(batch, deduped) if not skip),
             cap,
         )
-        for (key, data, _size), logical, sha, was_dedup in zip(
-            batch, logicals, shas, deduped
-        ):
+        for (key, data, logical), sha, was_dedup in zip(batch, shas, deduped):
             if was_dedup and not node.content.resident(sha):
                 # The referent left after the residency check (replaced
                 # earlier in this batch, or deleted meanwhile):
@@ -432,15 +423,12 @@ class CacheClient(StoreClient):
             return []
 
         def issue(index: int, positions: list[int], cap: float) -> SimEvent:
+            node_keys = [keys[position] for position in positions]
             return self._spawn(
-                self._read_node(self.cluster.nodes[index], [keys[p] for p in positions], cap),
+                self._read_batch(self.cluster.nodes[index], node_keys, cap),
                 f"mget.n{index}",
             )
 
         return (
             yield from self.cluster._fan_out(self.connection_bandwidth, keys, issue)
         )
-
-    def _read_node(self, node: CacheNode, keys: list[str], cap: float) -> t.Generator:
-        entries = yield from self._read_batch(node, keys, cap)
-        return [entry.data for entry in entries]

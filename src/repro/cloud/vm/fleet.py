@@ -135,16 +135,10 @@ class RelayFleet(ShardGroup):
         return tuple(shard.begin_peak_epoch() for shard in self.shards)
 
     def peak_fill_since(self, token: tuple[int, ...]) -> float:
-        return max(
-            shard.peak_fill_since(shard_token)
-            for shard, shard_token in zip(self.shards, token)
-        )
+        return max(shard.peak_fill_since(tok) for shard, tok in zip(self.shards, token))
 
     def end_peak_epoch(self, token: tuple[int, ...]) -> float:
-        return max(
-            shard.end_peak_epoch(shard_token)
-            for shard, shard_token in zip(self.shards, token)
-        )
+        return max(shard.end_peak_epoch(tok) for shard, tok in zip(self.shards, token))
 
     def ensure_running(self) -> None:
         for shard in self.shards:
@@ -186,9 +180,7 @@ class RelayFleet(ShardGroup):
         return any(shard.scope_fenced(scope) for shard in self.shards)
 
     def residual_reservation_bytes(self, attempt_id: str | None = None) -> float:
-        return sum(
-            shard.residual_reservation_bytes(attempt_id) for shard in self.shards
-        )
+        return sum(shard.residual_reservation_bytes(attempt_id) for shard in self.shards)
 
     def check_memory_accounting(self) -> None:
         for shard in self.shards:
@@ -314,20 +306,15 @@ class RelayFleetClient(StoreClient):
     ) -> t.Generator:
         if not items:
             return None
-
-        def size(position: int) -> float | None:
-            return None if logical_sizes is None else logical_sizes[position]
+        logicals = self._logicals("mpush", items, logical_sizes)
 
         def weigh(_index: int, positions: list[int]) -> float:
-            return sum(
-                float(self._logical(items[position][1], size(position)))
-                for position in positions
-            )
+            return sum(float(logicals[position]) for position in positions)
 
         def issue(index: int, positions: list[int], cap: float | None) -> SimEvent:
             return self._shard_client(self.fleet.shards[index], cap).mpush(
                 [items[position] for position in positions],
-                None if logical_sizes is None else [size(p) for p in positions],
+                [logicals[position] for position in positions],
             )
 
         yield from self.fleet._fan_out(
@@ -343,12 +330,8 @@ class RelayFleetClient(StoreClient):
             # Sizes live server-side; weight by resident entry bytes,
             # falling back to key counts for absent keys (the shard
             # fails those with RelayKeyMissing anyway).
-            shard = self.fleet.shards[index]
-            weight = 0.0
-            for position in positions:
-                logical = shard.logical_size_of(keys[position])
-                weight += logical if logical is not None else 1.0
-            return weight
+            sizes = [self.fleet.shards[index].logical_size_of(keys[p]) for p in positions]
+            return sum(size if size is not None else 1.0 for size in sizes)
 
         def issue(index: int, positions: list[int], cap: float | None) -> SimEvent:
             return self._shard_client(self.fleet.shards[index], cap).mpull(

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
 import typing as t
 
 from repro.cas import sha256_hex
@@ -81,10 +82,7 @@ class _PushReservation:
     @property
     def held_bytes(self) -> float:
         """Bytes of relay memory this reservation currently holds."""
-        held = self.absorbed
-        if self.state == _RESERVED:
-            held += self.extra
-        return held
+        return self.absorbed + (self.extra if self.state == _RESERVED else 0.0)
 
 
 class RelayStats(StoreStats):
@@ -147,13 +145,12 @@ class PartitionRelay(MemoryStore):
         #: Tenant/job scopes: every attempt may carry one scope label, so
         #: a service can cancel *exactly* one tenant's attempts
         #: (:meth:`cancel_scope`) without touching anyone else's.
-        self._attempt_scopes: dict[str, str] = {}
         self._scope_attempts: dict[str, set[str]] = {}
         self._fenced_scopes: set[str] = set()
         #: Open peak-tracking epochs: token → max ``used_logical`` seen
         #: since the epoch began (concurrent jobs each get their own).
         self._peak_epochs: dict[int, float] = {}
-        self._peak_epoch_seq = 0
+        self._peak_epoch_tokens = itertools.count(1)
         self.stats = RelayStats()
         self._rng = self.sim.rng.stream(f"{self.relay_id}.request")
         service.relays[self.relay_id] = self
@@ -194,10 +191,8 @@ class PartitionRelay(MemoryStore):
         """A request client, optionally capped by the caller's NIC.
 
         ``attempt_id`` tags every reservation the client takes so
-        :meth:`cancel_attempt` can reclaim them; ``owner`` (a
-        :class:`~repro.cloud.faas.context.FunctionContext`) additionally
-        tracks the client's request processes so a killed activation's
-        transfers are interrupted instead of draining as orphans.
+        :meth:`cancel_attempt` can reclaim them; ``owner`` tracks its
+        request processes (:class:`~repro.cloud.memstore.core.StoreClient`).
         Driver-side clients pass neither and are never fenced.
 
         ``scope`` labels the attempt with a tenant/job scope: a later
@@ -206,7 +201,10 @@ class PartitionRelay(MemoryStore):
         fences the attempt immediately (a zombie activation of a
         cancelled job must not start fresh traffic).
         """
-        self._bind_scope(attempt_id, scope)
+        if attempt_id is not None and scope is not None:
+            self._scope_attempts.setdefault(scope, set()).add(attempt_id)
+            if scope in self._fenced_scopes:
+                self._fenced.add(attempt_id)
         return RelayClient(self, connection_bandwidth, attempt_id, owner)
 
     def terminate(self) -> None:
@@ -339,14 +337,6 @@ class PartitionRelay(MemoryStore):
     # ------------------------------------------------------------------
     # scope-level (tenant/job) cancellation
     # ------------------------------------------------------------------
-    def _bind_scope(self, attempt_id: str | None, scope: str | None) -> None:
-        if attempt_id is None or scope is None:
-            return
-        self._attempt_scopes[attempt_id] = scope
-        self._scope_attempts.setdefault(scope, set()).add(attempt_id)
-        if scope in self._fenced_scopes:
-            self._fenced.add(attempt_id)
-
     def cancel_scope(self, scope: str, fence: bool = True) -> float:
         """Reclaim and fence every attempt bound under ``scope``.
 
@@ -461,7 +451,7 @@ class PartitionRelay(MemoryStore):
         reservation: _PushReservation,
         items: t.Sequence[tuple[str, bytes]],
         logicals: t.Sequence[float],
-        shas: t.Sequence[str | None] | None = None,
+        shas: t.Sequence[str | None],
     ) -> None:
         """Atomically swap the pushed entries in and settle the books.
 
@@ -478,8 +468,6 @@ class PartitionRelay(MemoryStore):
             # without a process interrupt): the memory is already
             # reclaimed, the data must not land.
             raise RelayAttemptFenced(self.relay_id, reservation.attempt or "?")
-        if shas is None:
-            shas = [None] * len(items)
         resident: dict[str, tuple[bytes, float, str | None]] = {}
         for (key, data), logical, sha in zip(items, logicals, shas):
             resident[key] = (data, logical, sha)  # duplicate keys: last wins
@@ -627,8 +615,7 @@ class PartitionRelay(MemoryStore):
         moment, so any number of concurrent jobs can measure their own
         peaks without resetting each other.
         """
-        self._peak_epoch_seq += 1
-        token = self._peak_epoch_seq
+        token = next(self._peak_epoch_tokens)
         self._peak_epochs[token] = self.used_logical
         return token
 
@@ -699,13 +686,11 @@ class RelayClient(StoreClient):
     def pull_wait(self, key: str) -> SimEvent:
         """Fetch ``key``, *waiting* until it is published; event → ``bytes``.
 
-        The relay's natural rendezvous semantics: where :meth:`mpull`
+        The streaming shuffle's rendezvous read, where :meth:`mpull`
         fails an absent key with
-        :class:`~repro.cloud.vm.errors.RelayKeyMissing`, this parks the
-        reader on the key's commit notification — the primitive the
-        streaming shuffle's reducers use to consume partitions while
-        mappers are still producing.  Never consumes (a rendezvous read
-        must stay idempotent under crash-retry and speculation).
+        :class:`~repro.cloud.vm.errors.RelayKeyMissing`.  Never consumes
+        (a rendezvous read must stay idempotent under crash-retry and
+        speculation).
         """
         return self._spawn(
             self._pull_wait_op(key), f"pull_wait:{key}",
@@ -779,21 +764,11 @@ class RelayClient(StoreClient):
         self._check_fence()
         if not items:
             return None
-        if logical_sizes is not None and len(logical_sizes) != len(items):
-            raise SimulationError(
-                f"{'mpush' if batched else 'push'}: logical_sizes length "
-                "does not match items"
-            )
+        logicals = self._logicals("mpush" if batched else "push", items, logical_sizes)
         reservation: _PushReservation | None = None
         try:
             yield from self._consume_ops(relay, float(len(items)))
             yield self.sim.timeout(self._read_latency())
-            logicals = [
-                logical_sizes[index]
-                if logical_sizes is not None
-                else self._logical(data, None)
-                for index, (_key, data) in enumerate(items)
-            ]
             resident_total = sum(
                 {key: logical for (key, _d), logical in zip(items, logicals)}.values()
             )
@@ -855,11 +830,11 @@ class RelayClient(StoreClient):
         self._check_fence()
         if not keys:
             return []
-        entries = yield from self._read_batch(self.relay, keys, self._flow_cap())
+        payloads = yield from self._read_batch(self.relay, keys, self._flow_cap())
         if consume:
             for key in keys:  # duplicates in the batch lease/pop once
                 self.relay._consume_or_lease(key, self.attempt_id)
-        return [entry.data for entry in entries]
+        return payloads
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Keyed park-until-signalled registry for rendezvous reads.
 
-The streaming exchange needs the same mechanism on two services: a
-reader that arrives before its key parks on a notification and resumes
-when a writer publishes it (relay commit, cache set) — or fails loudly
-when the key can never arrive (server terminated, value evicted).
-:class:`KeyedWatch` is that mechanism, once, so the relay and the cache
-node share one tested implementation instead of hand-rolling SimEvent
-list management each.
+The streaming exchange needs this mechanism on both in-memory
+substrates: a reader that arrives before its key parks on a
+notification and resumes when a writer publishes it (relay commit,
+cache set) — or fails loudly when the key can never arrive (the server
+was terminated).  :class:`KeyedWatch` is that mechanism, held once by
+the store core under the relay and the cache node
+(:class:`~repro.cloud.memstore.core.MemoryStore`).
 
 Waiters clean up after themselves on interrupt by calling
 :meth:`unwatch`; a fired or failed watcher is removed from the registry

@@ -1,10 +1,9 @@
-"""Benchmark S5: METHCOMP codec vs gzip (the "~10x better" claim).
+"""Benchmark: METHCOMP codec and gzip throughput on the synthetic methylome.
 
-The paper motivates METHCOMP with "about 10x better compression ratio
-than gzip" on methylation data.  This bench measures our codec's ratio
-against gzip on the synthetic methylome — and, since the codec does
-*real* work, its wall-clock throughput is a genuine benchmark (not a
-simulation artifact).
+The codec does *real* work, so its wall-clock throughput is a genuine
+benchmark (not a simulation artifact).  Its compression ratio against
+gzip (the paper's "about 10x better" claim) is experiment S5, checked
+as a claim of the ``sweep-codec`` row by ``bench_experiments.py``.
 
 ``check_wallclock.py`` holds this module's wall-clock against the
 committed baseline (``make bench-codec``), so the time has to follow the
@@ -36,15 +35,6 @@ def partitions():
         serialize_records(records[start : start + step])
         for start in range(0, len(records), step)
     ]
-
-
-def test_codec_ratio_table(regenerate):
-    for row in regenerate("sweep-codec"):
-        # Several-fold better than gzip at every size (paper: ~10x on
-        # real ENCODE data; synthetic data has a higher entropy floor —
-        # see EXPERIMENTS.md).
-        assert row["methcomp_vs_gzip"] > 4.0
-        assert row["methcomp_ratio"] > 15.0
 
 
 def test_codec_encode_throughput(benchmark, corpus):

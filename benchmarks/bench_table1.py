@@ -1,4 +1,4 @@
-"""Benchmark: regenerate the paper's Table 1.
+"""Benchmark: regenerate the paper's Table 1, and its four-way extension.
 
 Paper values (3.5 GB input, parallelism 8):
 
@@ -13,7 +13,7 @@ simulator's own cost of regenerating the table.
 
 import pytest
 
-from repro.core import ExperimentConfig, run_table1
+from repro.core import ExperimentConfig, run_exchange_comparison, run_table1
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +51,28 @@ def test_table1_stage_breakdowns(benchmark, table1_result, record_result):
     vm_sort = table1_result.vm.stage_durations["sort"]
     boot = table1_result.vm.cloud.profile.vm.boot.mean
     assert vm_sort > boot * 0.8
+
+
+def test_exchange_pipeline_comparison(benchmark, record_result, bench_scale):
+    """S8's end-to-end table: the Table 1 pipeline with its sort's
+    exchange on each substrate (``s8_exchange_pipelines.txt``)."""
+    result = benchmark.pedantic(
+        lambda: run_exchange_comparison(ExperimentConfig(logical_scale=bench_scale)),
+        rounds=1,
+        iterations=1,
+    )
+    record_result("s8_exchange_pipelines", result.to_table())
+
+    # Every variant sorted and encoded the same records.
+    records = {
+        run.variant: run.workflow.artifacts["encode"]["records"]
+        for run in result.runs()
+    }
+    assert len(set(records.values())) == 1
+    # All serverless-compute variants beat the VM pipeline end to end.
+    assert result.serverless.latency_s < result.vm.latency_s
+    assert result.cache.latency_s < result.vm.latency_s
+    assert result.relay.latency_s < result.vm.latency_s
+    # The provisioned substrates make their sorts costlier than COS.
+    assert result.cache.stage_costs["sort"] > result.serverless.stage_costs["sort"]
+    assert result.relay.stage_costs["sort"] > result.serverless.stage_costs["sort"]

@@ -18,6 +18,11 @@ of ``repro.experiments.EXPERIMENTS`` names a result stem that has a
 file here, and every ``*.txt`` here has a stem that an ``EXPERIMENTS``
 row or a ``benchmarks/bench_*.py`` names, so neither a renamed artifact
 nor a deleted producer can leave a table behind silently.
+
+And one the table must keep: every ``EXPERIMENTS`` row makes claims
+(``repro.experiments.claims``), since a table nobody checks shows
+nothing — ``bench_experiments.py`` checks them against each
+regenerated table.
 """
 
 from __future__ import annotations
@@ -69,10 +74,21 @@ def orphaned() -> list[str]:
     ]
 
 
+def unclaimed() -> list[str]:
+    """``EXPERIMENTS`` rows that make no claim about their table."""
+    from repro.experiments import EXPERIMENTS
+
+    return [
+        f"{experiment.name}: its table row makes no claims"
+        for experiment in EXPERIMENTS.values()
+        if not experiment.claims
+    ]
+
+
 def main() -> int:
     problems = [
         problem for path in sorted(RESULTS_DIR.glob("*.txt")) for problem in lint(path)
-    ] + orphaned()
+    ] + orphaned() + unclaimed()
     for problem in problems:
         print(f"results lint: {problem}")
     if not problems:

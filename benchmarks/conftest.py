@@ -83,34 +83,23 @@ def record_result():
     return _record
 
 
-@pytest.fixture(scope="session")
-def _regenerated() -> dict[str, list[dict]]:
-    """Rows of the experiments this session has regenerated, by name."""
-    return {}
-
-
 @pytest.fixture
-def regenerate(request, record_result, bench_scale, _regenerated):
+def regenerate(request, record_result, bench_scale):
     """``regenerate(name)`` — the rows of one ``EXPERIMENTS`` row.
 
-    The first call for a name runs the experiment at ``bench_scale``
-    under ``benchmark.pedantic`` (one round) and records its table under
-    the row's result stem; later calls — the other tests of the module
-    asserting on the same rows — get those rows back without a re-run.
+    Runs the experiment at ``bench_scale`` under ``benchmark.pedantic``
+    (one round), records its table under the row's result stem and
+    returns the rows.
     """
 
     def _regenerate(name: str) -> list[dict]:
-        if name not in _regenerated:
-            experiment = EXPERIMENTS[name]
-            config = ExperimentConfig(logical_scale=bench_scale)
-            rows = request.getfixturevalue("benchmark").pedantic(
-                lambda: run_experiment(experiment, config), rounds=1, iterations=1
-            )
-            record_result(
-                experiment.result, render_experiment(experiment, rows, result=True)
-            )
-            _regenerated[name] = rows
-        return _regenerated[name]
+        experiment = EXPERIMENTS[name]
+        config = ExperimentConfig(logical_scale=bench_scale)
+        rows = request.getfixturevalue("benchmark").pedantic(
+            lambda: run_experiment(experiment, config), rounds=1, iterations=1
+        )
+        record_result(experiment.result, render_experiment(experiment, rows, result=True))
+        return rows
 
     return _regenerate
 

@@ -107,7 +107,7 @@ def exchange_operator(
     (:meth:`~repro.core.calibration.ExperimentConfig.exchange_resource`), in
     either execution mode (``stream``); ``cost`` defaults to the
     workload's cost model.  :func:`sort_run` is this plus the region
-    around it and the single sort on it; S16 (``bench_cas``) takes the
+    around it and the single sort on it; the S16 dedup bench takes the
     operator alone to sort twice on one region.
     """
     _check_strategies([strategy])
@@ -259,7 +259,7 @@ def sweep_storage_ops(
     PUTs + W² GETs), which is the configuration the paper's warning
     about "a few thousand operations/s" applies to.  With Primula's
     write-combining the same shuffle is nearly insensitive to the
-    ceiling — that contrast is benchmark S7 (``bench_io_ablation``).
+    ceiling — that contrast is experiment S7 (:func:`sweep_io_ablation`).
     """
     base = config if config is not None else ExperimentConfig()
     rows = []
@@ -1171,7 +1171,7 @@ def sweep_service(config: ExperimentConfig | None = None) -> list[dict]:
     strategy's p95 latency, its dollar totals and the service's scale
     event counts; ``kind="tenant"`` rows expose the service's
     per-tenant attribution (functions exactly, fleet by byte-seconds)
-    whose sum the bench asserts equals the fleet total.
+    whose sum a claim of the row holds to the fleet total.
     """
     from repro.service import ExchangeService
 

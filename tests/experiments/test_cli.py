@@ -1,4 +1,8 @@
-"""Tests for the repro-experiments CLI."""
+"""Tests for the repro-experiments CLI.
+
+A table row's dispatch reads its rows from the session's cell cache
+(``conftest.py``), so each (row, scale, seed) is simulated once.
+"""
 
 import pathlib
 
@@ -17,9 +21,13 @@ class TestCli:
         assert "Purely serverless" in out
 
     def test_sweep_codec_runs(self, capsys):
-        assert main(["--seed", "3", "sweep-codec"]) == 0
+        assert main(["--scale", "16384", "sweep-codec"]) == 0
         out = capsys.readouterr().out
         assert "methcomp_ratio" in out
+
+    def test_seed_flag_parsed(self):
+        args = cli.build_parser().parse_args(["--seed", "3", "sweep-codec"])
+        assert (args.seed, args.command) == (3, "sweep-codec")
 
     def test_requires_command(self, capsys):
         with pytest.raises(SystemExit):

@@ -52,12 +52,26 @@ def test_readme_indexes_every_experiment():
         assert f"`{experiment.result}.txt`" in index, experiment.name
 
 
-def test_results_lint_fails_on_an_orphaned_row(monkeypatch, tmp_path):
+def load_check_results():
     spec = importlib.util.spec_from_file_location(
         "check_results", ROOT / "benchmarks" / "check_results.py"
     )
     check_results = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(check_results)
+    return check_results
+
+
+def test_results_lint_fails_on_a_row_without_claims(monkeypatch):
+    check_results = load_check_results()
+    assert check_results.unclaimed() == []
+    codec = EXPERIMENTS["sweep-codec"]
+    monkeypatch.setitem(EXPERIMENTS, codec.name, dataclasses.replace(codec, claims=()))
+    assert check_results.unclaimed() == ["sweep-codec: its table row makes no claims"]
+    assert check_results.main() == 1
+
+
+def test_results_lint_fails_on_an_orphaned_row(monkeypatch, tmp_path):
+    check_results = load_check_results()
     assert check_results.orphaned() == []
     monkeypatch.setattr(check_results, "RESULTS_DIR", tmp_path)
     (tmp_path / "s99_stray.txt").write_text("S99: no producer\n", encoding="utf-8")

@@ -67,7 +67,7 @@ test-cas:
 # Collection-regression smoke: fails fast when test modules collide, an
 # import breaks or a marker is misspelt, without running anything; then
 # lints the committed result tables (line width, no private columns,
-# a file for every EXPERIMENTS row).
+# a file and claims for every EXPERIMENTS row).
 collect:
 	$(PYTEST) --collect-only --strict-markers -q tests benchmarks > /dev/null && echo "collection OK"
 	PYTHONPATH=$(PYTHONPATH) python benchmarks/check_results.py
@@ -78,26 +78,18 @@ bench:
 
 # One bench file only, regenerating just its results — one static
 # pattern rule over benchmarks/bench_*.py.  The ones with a story:
-#   bench-exchange   S8/S8b (results/s8_*.txt, s8b_*.txt): the four-way
-#                    substrate sweep, the shard-count sweep, the
-#                    pipeline comparison.
-#   bench-streaming  S10: staged vs streaming on three substrates —
-#                    byte parity, strict win, backpressure.
-#   bench-skew       S11 (s11_skew.txt): CRC vs load-aware fleet routing
-#                    on a Zipf workload — byte parity, hot shard, strict
-#                    win, planner tracking.
-#   bench-online     S12: mid-stream re-selection vs all eight static
-#                    decisions under a recovering storage brownout.
-#   bench-service    S13: one shared autoscaled ExchangeService vs
-#                    provision-per-job on an open-loop arrival schedule.
+#   bench-experiments every EXPERIMENTS row (S1-S13, results/s1_* to
+#                    s13_*): regenerates its table at scale 1024 and
+#                    checks the claims the row makes about it.
+#   bench-table1     Table 1, its per-stage breakdowns and the S8
+#                    four-way pipeline comparison (s8_exchange_pipelines.txt).
 #   bench-kernels    S14: scalar vs vectorized record kernels at byte
 #                    parity, per-shape speedup floors (+ wall-clock guard).
 #   bench-sim        events/s, process switches, resource churn, link
 #                    re-rating and the two wide-sort cases (+ guard:
 #                    holds the event-core speed-up).
-#   bench-codec      S5 (s5_codec_ratio.txt, byte-identical), encode /
-#                    decode / gzip throughput and the encode stage's
-#                    shape (+ guard: holds the columnar-parse and
+#   bench-codec      encode / decode / gzip throughput and the encode
+#                    stage's shape (+ guard: holds the columnar-parse and
 #                    word-at-a-time-coder speed-up).
 #   bench-obs        S15: tracing-on vs tracing-off wall-clock on the
 #                    auto_sort pipeline, gated at <=5% overhead with

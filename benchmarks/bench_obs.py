@@ -4,9 +4,11 @@ The tracing plane claims *zero-cost-off* structurally (a disabled
 tracer hands out one shared no-op span and records nothing) — the
 tier-1 parity suites pin that byte-for-byte.  This bench quantifies
 the *on* cost instead: the same S8-style ``auto_sort`` pipeline runs
-with span tracing enabled and disabled, min-of-``ROUNDS`` wall-clock each, and the traced run must
-stay within ``OVERHEAD_GATE`` of the plain one while producing the
-identical simulated outcome.
+with span tracing enabled and disabled, ``ROUNDS`` times each in
+alternation (traced, plain, traced, ...) so a busy stretch of the host
+lands on both sides, and the traced minimum wall-clock must stay within
+``OVERHEAD_GATE`` of the plain minimum while producing the identical
+simulated outcome.
 
 The second test regenerates the CI observability artifacts: a
 Perfetto-loadable Chrome trace (``results/s8_trace.json``) and a
@@ -46,19 +48,22 @@ def _run_once(observed):
     return run, cloud, elapsed
 
 
-def _best_of(observed):
-    best_run = best_cloud = None
-    best_s = float("inf")
+def _best_of_alternating():
+    """``ROUNDS`` traced and ``ROUNDS`` plain runs, taking turns; each
+    side's fastest ``(run, cloud, wall_s)``, traced first."""
+    best = {}
     for _ in range(ROUNDS):
-        run, cloud, elapsed = _run_once(observed)
-        if elapsed < best_s:
-            best_run, best_cloud, best_s = run, cloud, elapsed
-    return best_run, best_cloud, best_s
+        for observed in (True, False):
+            run, cloud, elapsed = _run_once(observed)
+            if observed not in best or elapsed < best[observed][2]:
+                best[observed] = (run, cloud, elapsed)
+    return best[True], best[False]
 
 
 def test_tracing_overhead_is_bounded(record_result):
-    traced_run, traced_cloud, traced_s = _best_of(True)
-    plain_run, _plain_cloud, plain_s = _best_of(False)
+    traced, plain = _best_of_alternating()
+    traced_run, traced_cloud, traced_s = traced
+    plain_run, _plain_cloud, plain_s = plain
     overhead = traced_s / plain_s
 
     tracer = traced_cloud.sim.tracer

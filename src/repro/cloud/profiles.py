@@ -4,7 +4,8 @@ A :class:`CloudProfile` bundles every tunable constant of the simulated
 region: object-storage latency/throughput/pricing, FaaS startup and
 billing, VM catalog behaviour.  The defaults (:func:`ibm_us_east`) are
 calibrated to public IBM Cloud characteristics circa 2021 — the setting
-of the paper — and validated against its Table 1 (see EXPERIMENTS.md).
+of the paper — and validated against its Table 1 (see README's
+experiment index and ``benchmarks/results/table1.txt``).
 
 Everything is a plain frozen-ish dataclass; experiments tweak profiles
 with :func:`dataclasses.replace`.

@@ -24,9 +24,7 @@ from repro.core.pipelines import (
     INGEST_STAGE,
     PURE_SERVERLESS,
     RELAY_SUPPORTED,
-    SHARDED_RELAY_SUPPORTED,
     SORT_STAGE,
-    STREAMING_SUPPORTED,
     VERIFY_STAGE,
     VM_SUPPORTED,
     pipeline_for,
@@ -43,9 +41,7 @@ __all__ = [
     "PURE_SERVERLESS",
     "PipelineRun",
     "RELAY_SUPPORTED",
-    "SHARDED_RELAY_SUPPORTED",
     "SORT_STAGE",
-    "STREAMING_SUPPORTED",
     "Table1Result",
     "VERIFY_STAGE",
     "VM_SUPPORTED",

@@ -14,8 +14,8 @@ purely serverless  83.32       0.008
 VM-supported      142.77       0.010
 ================  ===========  ========
 
-EXPERIMENTS.md records the measured values for every release of the
-calibration.
+README's experiment index and ``benchmarks/results/table1.txt`` record
+the measured values of the current calibration.
 """
 
 from __future__ import annotations
@@ -25,6 +25,13 @@ import typing as t
 
 from repro.cloud.profiles import GB, CloudProfile, ibm_us_east
 from repro.shuffle.planner import ShuffleCostModel
+
+#: The hybrid variant's VM, the paper's bx2-8x32 (8 vCPUs, 32 GB); the
+#: relay substrates reuse it unless ``relay_instance_type`` is set.
+VM_INSTANCE_TYPE = "bx2-8x32"
+#: Cache cluster node type of the cache-supported variant (supplementary
+#: experiment S8; the paper names ElastiCache as the alternative).
+CACHE_NODE_TYPE = "cache.r5.large"
 
 
 @dataclasses.dataclass(slots=True)
@@ -66,9 +73,6 @@ class ExperimentConfig:
     parallelism: int = 8
     #: Function memory (the paper allocates 2 GB).
     function_memory_mb: int = 2048
-    #: VM flavour for the hybrid variant; ``None`` picks the paper's
-    #: bx2-8x32 (8 vCPUs, 32 GB).
-    vm_instance_type: str | None = None
     #: Real bytes = logical / scale; request counts are scale-invariant.
     logical_scale: float = 256.0
     #: Key distribution of the staged dataset: ``"uniform"`` (the
@@ -86,17 +90,6 @@ class ExperimentConfig:
     seed: int = 2021
     #: Zero latency jitter (tests); experiments keep jitter on.
     deterministic: bool = False
-    #: Let the Primula planner pick the shuffle worker count instead of
-    #: pinning ``parallelism`` (the paper pins 8 for Table 1).
-    auto_workers: bool = False
-    #: Cache cluster for the cache-supported variant (supplementary
-    #: experiment S8; the paper names ElastiCache as the alternative).
-    cache_node_type: str = "cache.r5.large"
-    #: How a provisioned exchange substrate comes up: ``"warm"`` uses a
-    #: pre-provisioned cluster / relay VM (billing still covers the
-    #: run); ``"cold"`` pays cluster creation / VM boot on the clock
-    #: (Table 1's provisioning penalty).
-    provisioning: str = "warm"
     #: Relay VM flavour for the relay-supported variant (supplementary
     #: experiment S8's third substrate); ``None`` reuses the hybrid
     #: pipeline's VM flavour — the same machine Table 1 provisions,
@@ -105,19 +98,6 @@ class ExperimentConfig:
     #: Shard count of the sharded-relay fleet (experiment S8b); each
     #: shard is one ``resolved_relay_instance_type`` VM.
     relay_shards: int = 2
-    #: Dollars one pipeline-hour of latency is worth to the adaptive
-    #: substrate selector (the ``auto_sort`` stage's trade-off knob).
-    time_value_usd_per_hour: float = 1.0
-    #: Exchange substrate of the streaming-supported pipeline
-    #: (experiment S10); the relay's rendezvous pulls are the natural
-    #: fit, but any of the four substrates streams.
-    stream_substrate: str = "relay"
-    #: Logical MB per mapper chunk of the streaming sort (the
-    #: pipelining grain: smaller overlaps more, pays more requests).
-    stream_chunk_mb: float = 32.0
-    #: Reducer-side buffer bound (logical MB) on fetched-but-unsorted
-    #: chunks; ``0`` disables backpressure.
-    stream_buffer_mb: float = 256.0
     workload: WorkloadParams = dataclasses.field(default_factory=WorkloadParams)
     #: Optional hook mutating the profile after calibration (sweeps use
     #: this to perturb a single knob, e.g. the cold-start time).
@@ -132,18 +112,11 @@ class ExperimentConfig:
         return int(self.logical_bytes / self.logical_scale)
 
     @property
-    def resolved_vm_instance_type(self) -> str:
-        """The configured VM flavour, or the paper's bx2-8x32."""
-        if self.vm_instance_type is not None:
-            return self.vm_instance_type
-        return "bx2-8x32"
-
-    @property
     def resolved_relay_instance_type(self) -> str:
         """The configured relay flavour, or the hybrid pipeline's VM."""
         if self.relay_instance_type is not None:
             return self.relay_instance_type
-        return self.resolved_vm_instance_type
+        return VM_INSTANCE_TYPE
 
     def exchange_resource(self, substrate: str) -> tuple[str | None, int]:
         """``(flavour, count)`` of the resource this config provisions
@@ -151,7 +124,7 @@ class ExperimentConfig:
         sized to fit (count 0), one relay, or ``relay_shards`` of them
         (``(None, 0)``: pay-as-you-go, nothing to size)."""
         return {
-            "cache": (self.cache_node_type, 0),
+            "cache": (CACHE_NODE_TYPE, 0),
             "relay": (self.resolved_relay_instance_type, 1),
             "sharded-relay": (self.resolved_relay_instance_type, self.relay_shards),
         }.get(substrate, (None, 0))

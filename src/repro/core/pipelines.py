@@ -1,4 +1,4 @@
-"""The METHCOMP pipeline incarnations (paper Figure 1, plus two).
+"""The METHCOMP pipeline incarnations (paper Figure 1, plus three).
 
 * **Configuration B — purely serverless**: sort via the Primula shuffle
   through object storage, encode with cloud functions.
@@ -11,14 +11,6 @@
   sort with cloud functions exchanging partitions through an in-memory
   relay hosted on a provisioned VM — the VM-driven exchange of the
   title, with functions doing the compute.
-* **Configuration E — sharded-relay-supported** (supplementary,
-  experiment S8b): the relay exchange sharded over N VMs, lifting the
-  single instance's NIC ceiling.
-* **Streaming — pipelined waves** (experiment S10): the sort's reduce
-  wave launches concurrently with its map wave on any substrate
-  (``ExperimentConfig.stream_substrate``); reducers consume partitions
-  while mappers are still producing, behind bounded backpressure
-  buffers.
 * **Auto — adaptive substrate**: the sort stage picks its exchange
   substrate at execution time via ``choose_exchange_substrate`` and
   records the decision in the stage report.
@@ -35,7 +27,11 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.core.calibration import ExperimentConfig
+from repro.core.calibration import (
+    CACHE_NODE_TYPE,
+    VM_INSTANCE_TYPE,
+    ExperimentConfig,
+)
 from repro.shuffle.substrates import SUBSTRATES
 from repro.workflows.dag import StageSpec, WorkflowDag
 
@@ -49,15 +45,13 @@ PURE_SERVERLESS = "purely-serverless"
 VM_SUPPORTED = "vm-supported"
 CACHE_SUPPORTED = "cache-supported"
 RELAY_SUPPORTED = "relay-supported"
-SHARDED_RELAY_SUPPORTED = "sharded-relay-supported"
-STREAMING_SUPPORTED = "streaming-supported"
 AUTO_SUPPORTED = "auto-supported"
 
 
 def _function_sort_params(config: ExperimentConfig) -> dict:
     """Sort params every function-driven incarnation shares."""
     return {
-        "workers": None if config.auto_workers else config.parallelism,
+        "workers": config.parallelism,
         "memory_mb": config.function_memory_mb,
         "max_workers": 256,
     }
@@ -65,10 +59,9 @@ def _function_sort_params(config: ExperimentConfig) -> dict:
 
 def _substrate_params(config: ExperimentConfig, substrate: str) -> dict:
     """The sort params sizing and provisioning ``substrate``'s resource,
-    named by its backend class: none for pay-as-you-go object storage
-    (and an unknown name is the sort stage's error to raise)."""
-    backend_class = SUBSTRATES.get(substrate)
-    if backend_class is None or not backend_class.provisioned:
+    named by its backend class: none for pay-as-you-go object storage."""
+    backend_class = SUBSTRATES[substrate]
+    if not backend_class.provisioned:
         return {}
     flavour, count = config.exchange_resource(substrate)
     params = {}
@@ -76,7 +69,7 @@ def _substrate_params(config: ExperimentConfig, substrate: str) -> dict:
         params[backend_class.flavour_param[0]] = flavour
     if backend_class.count_param:
         params[backend_class.count_param[0]] = count
-    params["provisioning"] = config.provisioning
+    params["provisioning"] = "warm"
     return params
 
 
@@ -94,31 +87,18 @@ _VARIANTS: dict[str, tuple[str, t.Callable[[ExperimentConfig], dict]]] = {
     VM_SUPPORTED: (
         "vm_sort",
         lambda config: {
-            "instance_type": config.resolved_vm_instance_type,
+            "instance_type": VM_INSTANCE_TYPE,
             "partitions": config.parallelism,
         },
     ),
     CACHE_SUPPORTED: _staged("cache_sort", "cache"),
     RELAY_SUPPORTED: _staged("relay_sort", "relay"),
-    SHARDED_RELAY_SUPPORTED: _staged("sharded_relay_sort", "sharded-relay"),
-    # The sort runs on ``config.stream_substrate`` with the reduce wave
-    # overlapping the map wave.
-    STREAMING_SUPPORTED: (
-        "streaming_sort",
-        lambda config: {
-            "substrate": config.stream_substrate,
-            **_function_sort_params(config),
-            "chunk_mb": config.stream_chunk_mb,
-            "buffer_mb": config.stream_buffer_mb,
-            **_substrate_params(config, config.stream_substrate),
-        },
-    ),
     AUTO_SUPPORTED: (
         "auto_sort",
         lambda config: {
             **_function_sort_params(config),
-            "time_value_usd_per_hour": config.time_value_usd_per_hour,
-            "cache_node_type": config.cache_node_type,
+            "time_value_usd_per_hour": 1.0,
+            "cache_node_type": CACHE_NODE_TYPE,
         },
     ),
 }

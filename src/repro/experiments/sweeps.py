@@ -335,8 +335,7 @@ def sweep_exchange(
 
     The sweep gates itself before returning
     (:class:`~repro.obs.slo.SloGate`): per worker count, every
-    substrate's output digest must match (byte parity), and any planner
-    prediction must land within a 2x envelope of the measured sort.
+    substrate's output digest must match (byte parity).
     """
     base = config if config is not None else ExperimentConfig()
     _check_strategies(strategies)
@@ -346,9 +345,6 @@ def sweep_exchange(
         group = []
         for strategy in strategies:
             run = sort_run(base, strategy, workers)
-            gate.prediction_envelope(
-                f"{strategy}@{workers}w", run.report.predicted_s, run.duration_s
-            )
             group.append(
                 {
                     "workers": workers,
@@ -1146,9 +1142,6 @@ def _p95(values: t.Sequence[float]) -> float:
 #: fleet to this many shards, and so may a per-job fleet.
 SERVICE_WORKERS = 8
 SERVICE_MAX_SHARDS = 4
-#: Per-tenant admission token bucket: refill rate and depth.
-TENANT_RATE_PER_S = 0.05
-TENANT_BURST = 2.0
 
 
 def sweep_service(config: ExperimentConfig | None = None) -> list[dict]:
@@ -1231,10 +1224,7 @@ def sweep_service(config: ExperimentConfig | None = None) -> list[dict]:
         cloud,
         bed_record_codec(),
         instance_type=instance_type,
-        min_shards=1,
         max_shards=SERVICE_MAX_SHARDS,
-        tenant_rate_per_s=TENANT_RATE_PER_S,
-        tenant_burst=TENANT_BURST,
         memory_mb=base.function_memory_mb,
         cost=base.workload.shuffle_cost_model(),
     )

@@ -70,6 +70,14 @@ from repro.sim import SimEvent, TokenBucket
 
 #: Bucket every job's executor stages its function payloads in.
 STAGING_BUCKET = "svc-staging"
+#: Admission bound: :meth:`ExchangeService.submit` raises
+#: :class:`ServiceSaturated` when this many jobs are queued.
+QUEUE_LIMIT = 32
+#: Per-tenant admission token bucket: refill rate (jobs/second) and
+#: burst depth.  A tenant submitting faster than the refill rate queues
+#: behind its own bucket while others skip ahead.
+TENANT_RATE_PER_S = 0.05
+TENANT_BURST = 2.0
 
 
 class ServiceSaturated(ReproError):
@@ -149,25 +157,20 @@ class ExchangeService:
         Record format of every submitted job's input object.
     instance_type:
         Relay VM flavour (pinned — shard count is the scaling axis).
-    min_shards, max_shards:
-        Fleet size bounds; the service starts at ``min_shards``.
-    queue_limit:
-        Admission bound — :meth:`submit` raises
-        :class:`ServiceSaturated` when this many jobs are queued.
-    tenant_rate_per_s, tenant_burst:
-        Per-tenant token-bucket refill rate (jobs/second) and burst
-        capacity: a tenant submitting faster than the refill rate
-        queues behind its own bucket while others skip ahead.
+    max_shards:
+        Fleet size bound; the service starts at one shard.
     memory_mb:
         Function memory of every job's workers.
     cost:
         Base cost model copied per job with ``consume`` on (crash-safe
         read-leases, so the shared fleet's memory self-reclaims); also
-        carries ``expected_skew``/``rebalance``.
+        carries ``rebalance``.
 
-    The autoscaler sizes for balanced partitions (skew 1.0) with
-    :func:`~repro.shuffle.adaptive.plan_fleet_scale`'s default
-    hysteresis, and every job samples and plans with the
+    Admission queues at most :data:`QUEUE_LIMIT` jobs and meters each
+    tenant through a :data:`TENANT_RATE_PER_S` / :data:`TENANT_BURST`
+    token bucket.  The autoscaler sizes for balanced partitions with
+    :func:`~repro.shuffle.adaptive.plan_fleet_scale`'s hysteresis, and
+    every job samples and plans with the
     :meth:`~repro.shuffle.operator.ShuffleSort.sort` defaults.
     """
 
@@ -177,29 +180,15 @@ class ExchangeService:
         codec: RecordCodec,
         *,
         instance_type: str,
-        min_shards: int = 1,
         max_shards: int = 8,
-        queue_limit: int = 32,
-        tenant_rate_per_s: float = 0.05,
-        tenant_burst: float = 2.0,
         memory_mb: int = 2048,
         cost: ShuffleCostModel | None = None,
     ):
-        if queue_limit < 1:
-            raise ShuffleError(f"queue_limit must be >= 1, got {queue_limit}")
-        if tenant_rate_per_s <= 0:
-            raise ShuffleError(
-                f"tenant_rate_per_s must be positive, got {tenant_rate_per_s}"
-            )
         self.cloud = cloud
         self.sim = cloud.sim
         self.codec = codec
         self.instance_type = instance_type
-        self.min_shards = min_shards
         self.max_shards = max_shards
-        self.queue_limit = queue_limit
-        self.tenant_rate_per_s = tenant_rate_per_s
-        self.tenant_burst = tenant_burst
         self.memory_mb = memory_mb
         self.cost = cost if cost is not None else ShuffleCostModel()
 
@@ -226,7 +215,7 @@ class ExchangeService:
         if self._started:
             raise ShuffleError("ExchangeService already started")
         self._started = True
-        self._provision_generation(self.min_shards)
+        self._provision_generation(1)
         self.sim.process(self._dispatch_loop(), name="svc.dispatch")
 
     def shutdown(self) -> None:
@@ -283,9 +272,9 @@ class ExchangeService:
             raise ShuffleError(
                 f"logical_bytes must be positive, got {logical_bytes}"
             )
-        if len(self._queue) >= self.queue_limit:
+        if len(self._queue) >= QUEUE_LIMIT:
             raise ServiceSaturated(
-                f"admission queue is full ({self.queue_limit} jobs); "
+                f"admission queue is full ({QUEUE_LIMIT} jobs); "
                 f"tenant {tenant!r} must resubmit later"
             )
         # Fail fast on jobs no feasible fleet holds (raises ShuffleError).
@@ -441,8 +430,8 @@ class ExchangeService:
         if bucket is None:
             bucket = TokenBucket(
                 self.sim,
-                rate=self.tenant_rate_per_s,
-                capacity=self.tenant_burst,
+                rate=TENANT_RATE_PER_S,
+                capacity=TENANT_BURST,
                 name=f"svc.tenant.{tenant}",
             )
             self._buckets[tenant] = bucket
@@ -619,7 +608,6 @@ class ExchangeService:
             self.cloud.profile,
             self._current.shards,
             self.instance_type,
-            min_shards=self.min_shards,
             max_shards=self.max_shards,
         )
         if decision is None or decision.shards == self._current.shards:

@@ -58,7 +58,6 @@ from repro.shuffle.planner import (
 )
 from repro.shuffle.relayplanner import (
     MAX_RELAY_SHARDS,
-    SHARD_IMBALANCE_HEADROOM,
     fleet_shards_for,
     relay_usable_bytes,
     resolve_relay_instance,
@@ -137,23 +136,24 @@ def probe_worker(ctx, task: dict) -> t.Generator:
     }
 
 
-class OnlineTuner:
-    """Probe the substrate, fit the profile, plan the shuffle."""
+#: Latency samples per direction one probe takes (small PUTs, then GETs).
+PROBE_REQUESTS = 6
+#: Real bytes of each latency-probe object.
+PROBE_SMALL_BYTES = 1024
+#: Logical MB of the bandwidth-probe object.
+PROBE_LARGE_MB = 16.0
 
-    def __init__(
-        self,
-        executor,
-        requests: int = 6,
-        small_bytes: int = 1024,
-        large_mb: float = 16.0,
-    ):
-        if requests < 2:
-            raise ShuffleError(f"probe needs >= 2 requests, got {requests}")
+
+class OnlineTuner:
+    """Probe the substrate, fit the profile, plan the shuffle.
+
+    One probe is :data:`PROBE_REQUESTS` small PUT/GET pairs of
+    :data:`PROBE_SMALL_BYTES` each and one :data:`PROBE_LARGE_MB` PUT/GET.
+    """
+
+    def __init__(self, executor):
         self.executor = executor
         self.sim = executor.sim
-        self.requests = requests
-        self.small_bytes = small_bytes
-        self.large_mb = large_mb
 
     # ------------------------------------------------------------------
     def probe(self, bucket: str, prefix: str = "primula-probe") -> SimEvent:
@@ -167,12 +167,12 @@ class OnlineTuner:
         scale = self.executor.cloud.logical_scale
         # The probe's large object is a *logical* size: the measurement
         # must exercise the same logical transfer a real probe would.
-        large_real = max(1, int(self.large_mb * (1 << 20) / scale))
+        large_real = max(1, int(PROBE_LARGE_MB * (1 << 20) / scale))
         task = {
             "bucket": bucket,
             "prefix": prefix,
-            "requests": self.requests,
-            "small_bytes": self.small_bytes,
+            "requests": PROBE_REQUESTS,
+            "small_bytes": PROBE_SMALL_BYTES,
             "large_bytes": large_real,
         }
         future = yield self.executor.call_async(probe_worker, task)
@@ -189,7 +189,7 @@ class OnlineTuner:
             connection_bandwidth_bps=bandwidth,
             startup_s=raw["started_at"] - started,
             duration_s=self.sim.now - started,
-            requests=2 * self.requests + 2,
+            requests=2 * PROBE_REQUESTS + 2,
         )
 
     # ------------------------------------------------------------------
@@ -694,17 +694,18 @@ class FleetScaleDecision:
     reason: str
 
 
+#: Scale-down hysteresis of :func:`plan_fleet_scale`: a fleet only
+#: shrinks when demand inflated by this fraction still fits fewer shards.
+SCALE_DOWN_MARGIN = 0.5
+
+
 def plan_fleet_scale(
     demand_bytes: float,
     profile: CloudProfile,
     current_shards: int,
     instance_type_name: str,
     *,
-    min_shards: int = 1,
     max_shards: int = 8,
-    headroom: float = SHARD_IMBALANCE_HEADROOM,
-    partition_skew: float = 1.0,
-    scale_down_margin: float = 0.5,
 ) -> FleetScaleDecision | None:
     """Decide whether a shared relay fleet should change shard count.
 
@@ -712,13 +713,13 @@ def plan_fleet_scale(
     bytes of every running *and queued* job (the service's queue depth
     expressed in the unit the sizing model understands).  The target is
     the shard count :func:`~repro.shuffle.relayplanner.fleet_shards_for`
-    sizes for that demand with the given ``partition_skew``, clamped to
-    ``[min_shards, max_shards]``.
+    sizes for that demand on balanced partitions, clamped to
+    ``[1, max_shards]``.
 
     Scaling **up** happens as soon as the target exceeds the current
     count — an undersized fleet backpressures every tenant.  Scaling
     **down** is hysteretic: the fleet only shrinks when demand inflated
-    by ``scale_down_margin`` *still* fits the smaller count, so a
+    by :data:`SCALE_DOWN_MARGIN` *still* fits the smaller count, so a
     sawtooth arrival pattern near a sizing boundary does not thrash the
     fleet through provision/terminate cycles (each of which strands a
     generation's minimum billed seconds).
@@ -727,15 +728,8 @@ def plan_fleet_scale(
     """
     if current_shards < 1:
         raise ShuffleError(f"current_shards must be >= 1, got {current_shards}")
-    if not 1 <= min_shards <= max_shards:
-        raise ShuffleError(
-            f"need 1 <= min_shards <= max_shards, got "
-            f"{min_shards}..{max_shards}"
-        )
-    if scale_down_margin < 0.0:
-        raise ShuffleError(
-            f"scale_down_margin must be >= 0, got {scale_down_margin}"
-        )
+    if max_shards < 1:
+        raise ShuffleError(f"max_shards must be >= 1, got {max_shards}")
 
     usable = relay_usable_bytes(
         profile, resolve_relay_instance(profile, instance_type_name)
@@ -743,11 +737,11 @@ def plan_fleet_scale(
 
     def shards_for(load: float) -> int:
         if load <= 0:
-            return min_shards
+            return 1
         # Clamped, not refused: a backlog beyond the largest fleet
         # targets max_shards and the queue absorbs the rest.
-        shards = fleet_shards_for(load, usable, headroom, partition_skew)
-        return max(min_shards, min(max_shards, shards))
+        shards = fleet_shards_for(load, usable, 1.0)
+        return max(1, min(max_shards, shards))
 
     target = shards_for(demand_bytes)
     if target > current_shards:
@@ -762,14 +756,14 @@ def plan_fleet_scale(
         )
     if target < current_shards:
         # Hysteresis: only shrink if padded demand still fits the target.
-        padded = shards_for(demand_bytes * (1.0 + scale_down_margin))
+        padded = shards_for(demand_bytes * (1.0 + SCALE_DOWN_MARGIN))
         if padded < current_shards:
             return FleetScaleDecision(
                 instance_type=instance_type_name,
                 shards=padded,
                 direction="down",
                 reason=(
-                    f"demand {demand_bytes:.0f}B (+{scale_down_margin:.0%} "
+                    f"demand {demand_bytes:.0f}B (+{SCALE_DOWN_MARGIN:.0%} "
                     f"margin) fits {padded} shards (have {current_shards})"
                 ),
             )

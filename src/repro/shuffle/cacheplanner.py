@@ -16,19 +16,22 @@ from __future__ import annotations
 from repro.cloud.profiles import CloudProfile
 from repro.errors import ShuffleError
 
+#: Slack multiplier between the shuffle data and the cluster memory that
+#: must hold it: hash slot routing never splits perfectly.
+CACHE_HEADROOM = 1.3
+
 
 def required_cache_nodes(
     logical_bytes: float,
     profile: CloudProfile,
     node_type_name: str,
-    headroom: float = 1.3,
     partition_skew: float = 1.0,
 ) -> int:
     """Smallest node count whose usable memory holds the shuffle data.
 
-    ``headroom`` leaves slack for sharding imbalance; the whole dataset
-    sits in the cache between the map and reduce waves, so capacity is a
-    hard feasibility constraint (unlike object storage, which is
+    :data:`CACHE_HEADROOM` leaves slack for sharding imbalance; the
+    whole dataset sits in the cache between the map and reduce waves, so
+    capacity is a hard feasibility constraint (unlike object storage, which is
     effectively unbounded — a qualitative difference the comparison
     reports).
 
@@ -40,8 +43,6 @@ def required_cache_nodes(
     """
     if logical_bytes <= 0:
         raise ShuffleError(f"logical_bytes must be positive, got {logical_bytes}")
-    if headroom < 1.0:
-        raise ShuffleError(f"headroom must be >= 1, got {headroom}")
     if partition_skew < 1.0:
         raise ShuffleError(
             f"partition_skew must be >= 1 (max/mean), got {partition_skew}"
@@ -58,9 +59,9 @@ def required_cache_nodes(
         * (1 << 30)
         * profile.memstore.usable_memory_fraction
     )
-    if per_node >= logical_bytes * headroom:
+    if per_node >= logical_bytes * CACHE_HEADROOM:
         return 1
-    needed = logical_bytes * headroom * partition_skew
+    needed = logical_bytes * CACHE_HEADROOM * partition_skew
     return max(1, -(-int(needed) // int(per_node)))
 
 

@@ -59,7 +59,7 @@ from repro.shuffle.adaptive import (
     fit_stream_profiles,
 )
 from repro.shuffle.exchange import ExchangeBackend, ExchangeReport, ObjectStoreExchange
-from repro.shuffle.operator import ShuffleResult, ShuffleSort, _split
+from repro.shuffle.operator import PEEK_BYTES, ShuffleResult, ShuffleSort, _split
 from repro.shuffle.planner import ShuffleCostModel
 from repro.shuffle.records import RecordCodec
 from repro.shuffle.relay import (
@@ -573,9 +573,7 @@ class OnlineShuffleSort(ShuffleSort):
         # The full-split peek window would dwarf a scaled-down chunk
         # (and every chunk re-reads it): cap it near the chunk size,
         # but never below a record-safe floor.
-        peek_bytes = min(
-            self.cost.peek_bytes, max(4096, chunk_real // 8)
-        )
+        peek_bytes = min(PEEK_BYTES, max(4096, chunk_real // 8))
         mapper_ranges = _split(real_size, reducers)
         chunk_counts: list[int] = []
         units_by_wave: dict[int, list[dict]] = {}

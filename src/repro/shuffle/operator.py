@@ -49,6 +49,19 @@ from repro.shuffle.sampler import (
 from repro.shuffle.stages import shuffle_sampler
 from repro.sim import SimEvent
 
+#: Peek window appended to splits for record alignment (bytes).
+PEEK_BYTES = 64 * 1024
+#: Bytes each sampler reads for boundary estimation.
+SAMPLE_BYTES = 256 * 1024
+#: Number of key samples kept per sampler.
+SAMPLE_KEYS = 512
+#: Sampling windows per sampler, spread across its split.  A single
+#: head-of-split window is biased on locally-sorted inputs
+#: (``sorted-runs``): the head of each split over-represents low keys,
+#: skewing :func:`~repro.shuffle.sampler.choose_weighted_boundaries`.
+#: Strided windows restore uniform coverage at the same byte budget.
+SAMPLE_STRIDES = 4
+
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class SortedRun:
@@ -218,7 +231,7 @@ class ShuffleSort:
         """
         sampler_count = max(1, min(samplers, workers))
         sample_splits = _split(real_size, sampler_count)
-        window = _sample_window_bytes(real_size, sampler_count, self.cost.sample_bytes)
+        window = _sample_window_bytes(real_size, sampler_count)
         sample_tasks = [
             {
                 "bucket": bucket,
@@ -227,8 +240,8 @@ class ShuffleSort:
                 "end": end,
                 "object_size": real_size,
                 "sample_bytes": window,
-                "sample_keys": self.cost.sample_keys,
-                "sample_strides": self.cost.sample_strides,
+                "sample_keys": SAMPLE_KEYS,
+                "sample_strides": SAMPLE_STRIDES,
                 "codec": self.codec,
                 "sampler_id": index,
             }
@@ -265,7 +278,7 @@ class ShuffleSort:
                     "start": start,
                     "end": end,
                     "object_size": real_size,
-                    "peek_bytes": self.cost.peek_bytes,
+                    "peek_bytes": PEEK_BYTES,
                     "boundaries": boundaries,
                     "codec": self.codec,
                     "partition_throughput": self.cost.partition_throughput,
@@ -522,10 +535,10 @@ def _split(size: int, parts: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _sample_window_bytes(real_size: int, samplers: int, configured: int) -> int:
+def _sample_window_bytes(real_size: int, samplers: int) -> int:
     """Per-sampler read window, bounded by a fraction of the object.
 
-    Primula reads a fixed window (``configured``, default 256 KiB) per
+    Primula reads a fixed window (:data:`SAMPLE_BYTES`, 256 KiB) per
     sampler.  On scaled-down experiment data the same absolute window
     would cover — and be charged as — a disproportionate slice of the
     (logical) object, so the window is additionally capped at ~5% of the
@@ -533,4 +546,4 @@ def _sample_window_bytes(real_size: int, samplers: int, configured: int) -> int:
     configured window and this reduces to Primula's behaviour.
     """
     proportional_cap = max(4096, real_size // (samplers * 20))
-    return max(1024, min(configured, proportional_cap))
+    return max(1024, min(SAMPLE_BYTES, proportional_cap))

@@ -75,21 +75,6 @@ class ShuffleCostModel:
     #: partition (W² PUTs).  Disable to measure the naive all-to-all the
     #: paper warns about.  Object storage only.
     write_combining: bool = True
-    #: Peek window appended to splits for record alignment (bytes).
-    peek_bytes: int = 64 * 1024
-    #: Bytes each sampler reads for boundary estimation.
-    sample_bytes: int = 256 * 1024
-    #: Number of key samples kept per sampler.
-    sample_keys: int = 512
-    #: Sampling windows per sampler, spread across its split.  A single
-    #: head-of-split window is biased on locally-sorted inputs
-    #: (``sorted-runs``): the head of each split over-represents low
-    #: keys, skewing :func:`~repro.shuffle.sampler.choose_weighted_boundaries`.
-    #: Strided windows restore uniform coverage at the same byte budget.
-    sample_strides: int = 4
-    #: Expected max-over-mean partition bytes (straggler-reducer term;
-    #: 1.0 = balanced key distribution).
-    expected_skew: float = 1.0
     #: Cache only: delete partitions from the cache after the reduce
     #: reads them.
     cleanup: bool = False
@@ -271,8 +256,8 @@ def predict_shuffle_time(
     every substrate — a cache or relay only holds the all-to-all
     traffic.
 
-    ``skew`` is the expected max-over-mean partition bytes (default:
-    ``cost.expected_skew``).  Input splits stay byte-even under any key
+    ``skew`` is the expected max-over-mean partition bytes (default
+    1.0: balanced keys).  Input splits stay byte-even under any key
     distribution, so the map side is unaffected; the reduce side is
     paced by the straggler owning the hottest partition, whose fetch
     transfer, sort CPU and output write scale by ``skew``.  The
@@ -282,7 +267,7 @@ def predict_shuffle_time(
     """
     if workers < 1:
         raise ShuffleError(f"workers must be >= 1, got {workers}")
-    skew = cost.expected_skew if skew is None else skew
+    skew = 1.0 if skew is None else skew
     if skew < 1.0:
         raise ShuffleError(f"skew must be >= 1 (max/mean), got {skew}")
     if terms is None:

@@ -412,29 +412,22 @@ class RelayExchange(ExchangeBackend):
             # never perfectly even, so a fleet that only *just* fits in
             # total can still overflow (and backpressure-deadlock) its
             # hottest shard.  Fail fast instead, budgeting the same
-            # imbalance margin required_relay_fleet sizes with — and,
-            # when load-aware rebalancing is off, the workload's
-            # expected partition skew on top (hash routing parks a hot
-            # partition entirely on one shard).  This is a heuristic,
-            # not a guarantee: realized imbalance is unbounded for very
-            # small key grids (W=2 puts ~4 keys on the hash ring),
-            # where a hot shard can exceed the margin — a wider margin
-            # or more workers is the operator's lever.
+            # imbalance margin required_relay_fleet sizes with.  This is
+            # a heuristic, not a guarantee: realized imbalance is
+            # unbounded for very small key grids (W=2 puts ~4 keys on
+            # the hash ring), where a hot shard can exceed the margin —
+            # more workers or larger shards are the operator's lever.
             per_shard = logical_size / self.shards
-            expected_hot = min(
-                float(logical_size), per_shard * self._shard_skew_budget()
-            )
             shard_capacity = min(
                 shard.capacity_bytes for shard in self.relay.shards
             )
-            if expected_hot * SHARD_IMBALANCE_HEADROOM > shard_capacity:
+            if per_shard * SHARD_IMBALANCE_HEADROOM > shard_capacity:
                 raise ShuffleError(
                     f"shuffle data ({logical_size:.0f} logical bytes over "
-                    f"{self.shards} shards, per-shard skew budget "
-                    f"{self._shard_skew_budget():.2f}) leaves no imbalance "
+                    f"{self.shards} shards) leaves no imbalance "
                     f"headroom: each shard holds {shard_capacity:.0f} bytes "
                     f"but may receive up to "
-                    f"~{expected_hot * SHARD_IMBALANCE_HEADROOM:.0f}"
+                    f"~{per_shard * SHARD_IMBALANCE_HEADROOM:.0f}"
                     "; provision larger instances or more shards"
                 )
         # The relay may be reused across sorts (its lifecycle belongs to
@@ -451,17 +444,6 @@ class RelayExchange(ExchangeBackend):
         # sort's own error is the one to surface.
         if token is not None and self.relay.state == "running":
             self.relay.end_peak_epoch(token)
-
-    def _shard_skew_budget(self) -> float:
-        """Max-over-mean factor each shard must budget at admission.
-
-        Without load-aware rebalancing, hash routing can park a hot
-        partition entirely on one shard, so admission budgets the
-        workload's expected partition skew — the runtime twin of
-        :func:`~repro.shuffle.relayplanner.required_relay_fleet`'s
-        skew-aware sizing.
-        """
-        return max(1.0, self.cost.expected_skew)
 
     @property
     def configuration(self) -> tuple[str, int]:
@@ -595,14 +577,6 @@ class ShardedRelayExchange(RelayExchange):
         #: (``None`` while routing falls back to the CRC hash).
         self.rebalance_assignments: tuple[tuple[int, ...], ...] | None = None
         self._post_map_shard_bytes: tuple[float, ...] = ()
-
-    def _shard_skew_budget(self) -> float:
-        # Load-aware rebalancing spreads the hot partition's segments
-        # across shards, so a rebalanced fleet only budgets the hash
-        # imbalance margin; without it the base (skewed) budget applies.
-        if self.cost.rebalance and self.shards >= 2:
-            return 1.0
-        return super()._shard_skew_budget()
 
     def validate(self, logical_size: float) -> None:
         # Per-sort routing state: the previous sort's router was retired

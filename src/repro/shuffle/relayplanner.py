@@ -55,24 +55,18 @@ def relay_usable_bytes(profile: CloudProfile, instance_type: InstanceType) -> fl
     return profile.vm.relay_usable_bytes(instance_type)
 
 
-def required_relay_instance(
-    logical_bytes: float,
-    profile: CloudProfile,
-    headroom: float = SHARD_IMBALANCE_HEADROOM,
-) -> str:
+def required_relay_instance(logical_bytes: float, profile: CloudProfile) -> str:
     """Smallest catalog instance whose usable memory holds the shuffle data.
 
-    ``headroom`` leaves slack for partition imbalance.  The relay is
-    scale-up: when even the fattest flavour cannot hold the dataset the
-    substrate is infeasible and this raises — the qualitative limit the
-    comparison reports (the cache scales out, object storage is
-    unbounded).
+    :data:`SHARD_IMBALANCE_HEADROOM` leaves slack for partition
+    imbalance.  The relay is scale-up: when even the fattest flavour
+    cannot hold the dataset the substrate is infeasible and this raises
+    — the qualitative limit the comparison reports (the cache scales
+    out, object storage is unbounded).
     """
     if logical_bytes <= 0:
         raise ShuffleError(f"logical_bytes must be positive, got {logical_bytes}")
-    if headroom < 1.0:
-        raise ShuffleError(f"headroom must be >= 1, got {headroom}")
-    needed = logical_bytes * headroom
+    needed = logical_bytes * SHARD_IMBALANCE_HEADROOM
     fitting = [
         instance
         for instance in profile.vm.catalog.values()
@@ -84,8 +78,9 @@ def required_relay_instance(
         )
         raise ShuffleError(
             f"no instance type holds {logical_bytes:.0f} logical bytes "
-            f"(x{headroom:.2f} headroom); largest is {largest.name} with "
-            f"{largest.memory_gb} GB — the relay substrate is scale-up only"
+            f"(x{SHARD_IMBALANCE_HEADROOM:.2f} headroom); largest is "
+            f"{largest.name} with {largest.memory_gb} GB — the relay "
+            "substrate is scale-up only"
         )
     best = min(fitting, key=lambda instance: (instance.memory_gb, instance.name))
     return best.name
@@ -107,18 +102,19 @@ def hot_shard_bytes(
 
 
 def fleet_shards_for(
-    logical_bytes: float, usable: float, headroom: float, partition_skew: float
+    logical_bytes: float, usable: float, partition_skew: float
 ) -> int:
     """Smallest shard count whose hottest shard fits in ``usable``.
 
     Feasibility is ``headroom * hot_shard_bytes(logical, n, skew) <=
-    usable``, which is monotone in ``n``: one shard suffices whenever the
-    whole dataset fits, otherwise the hot-shard term dictates
-    ``ceil(headroom * logical * skew / usable)`` — the skew-aware
-    generalisation of the old mean-based ``ceil(headroom * logical /
-    usable)`` that under-provisioned Zipf workloads when rebalancing is
-    off.
+    usable`` (``headroom`` = :data:`SHARD_IMBALANCE_HEADROOM`), which is
+    monotone in ``n``: one shard suffices whenever the whole dataset
+    fits, otherwise the hot-shard term dictates ``ceil(headroom *
+    logical * skew / usable)`` — the skew-aware generalisation of the
+    old mean-based ``ceil(headroom * logical / usable)`` that
+    under-provisioned Zipf workloads when rebalancing is off.
     """
+    headroom = SHARD_IMBALANCE_HEADROOM
     if usable >= headroom * logical_bytes:
         return 1
     return max(1, math.ceil(headroom * logical_bytes * partition_skew / usable))
@@ -129,7 +125,6 @@ def required_relay_fleet(
     profile: CloudProfile,
     instance_type_name: str | None = None,
     max_shards: int = MAX_RELAY_SHARDS,
-    headroom: float = SHARD_IMBALANCE_HEADROOM,
     partition_skew: float = 1.0,
 ) -> tuple[str, int]:
     """Cheapest ``(instance_type, shards)`` whose fleet holds the data.
@@ -151,8 +146,6 @@ def required_relay_fleet(
     """
     if logical_bytes <= 0:
         raise ShuffleError(f"logical_bytes must be positive, got {logical_bytes}")
-    if headroom < 1.0:
-        raise ShuffleError(f"headroom must be >= 1, got {headroom}")
     if max_shards < 1:
         raise ShuffleError(f"max_shards must be >= 1, got {max_shards}")
     if partition_skew < 1.0:
@@ -162,10 +155,11 @@ def required_relay_fleet(
     if instance_type_name is not None:
         instance = resolve_relay_instance(profile, instance_type_name)
         usable = relay_usable_bytes(profile, instance)
-        shards = fleet_shards_for(logical_bytes, usable, headroom, partition_skew)
+        shards = fleet_shards_for(logical_bytes, usable, partition_skew)
         if shards > max_shards:
             raise ShuffleError(
-                f"{logical_bytes:.0f} logical bytes (x{headroom:.2f} headroom, "
+                f"{logical_bytes:.0f} logical bytes "
+                f"(x{SHARD_IMBALANCE_HEADROOM:.2f} headroom, "
                 f"partition skew {partition_skew:.2f}) need {shards} shards of "
                 f"{instance.name}, beyond the max_shards={max_shards} fleet limit"
             )
@@ -173,7 +167,7 @@ def required_relay_fleet(
     options: list[tuple[float, int, str]] = []
     for instance in profile.vm.catalog.values():
         usable = relay_usable_bytes(profile, instance)
-        shards = fleet_shards_for(logical_bytes, usable, headroom, partition_skew)
+        shards = fleet_shards_for(logical_bytes, usable, partition_skew)
         if shards <= max_shards:
             options.append((shards * instance.hourly_usd, shards, instance.name))
     if not options:
@@ -182,8 +176,8 @@ def required_relay_fleet(
         )
         raise ShuffleError(
             f"no fleet of <= {max_shards} instances holds {logical_bytes:.0f} "
-            f"logical bytes (x{headroom:.2f} headroom); largest flavour is "
-            f"{largest.name} with {largest.memory_gb} GB"
+            f"logical bytes (x{SHARD_IMBALANCE_HEADROOM:.2f} headroom); "
+            f"largest flavour is {largest.name} with {largest.memory_gb} GB"
         )
     _cost, shards, name = min(options)
     return name, shards

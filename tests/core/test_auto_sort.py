@@ -11,17 +11,18 @@ import pytest
 from repro.cloud.environment import Cloud
 from repro.core import (
     AUTO_SUPPORTED,
-    SHARDED_RELAY_SUPPORTED,
     ExperimentConfig,
     pipeline_for,
     run_pipeline,
     stage_input,
 )
+from repro.core.calibration import VM_INSTANCE_TYPE
 from repro.shuffle.adaptive import EXCHANGE_SUBSTRATES
 from repro.sim import Simulator
 from repro.workflows import WorkflowEngine
 from repro.workflows.dag import StageSpec, WorkflowDag
 from repro.workflows.gantt import spans_from_tracker
+from tests.core.sort_pipeline import execute, sort_pipeline
 
 
 @pytest.fixture
@@ -54,14 +55,6 @@ class TestBuilders:
         assert dag.stage("sort").kind == "auto_sort"
         assert dag.name == AUTO_SUPPORTED
         assert pipeline_for(AUTO_SUPPORTED, config).name == AUTO_SUPPORTED
-
-    def test_sharded_pipeline_shape(self, config):
-        dag = pipeline_for(SHARDED_RELAY_SUPPORTED, config)
-        assert dag.stage("sort").kind == "sharded_relay_sort"
-        assert dag.stage("sort").params["shards"] == config.relay_shards
-        assert pipeline_for(SHARDED_RELAY_SUPPORTED, config).name == (
-            SHARDED_RELAY_SUPPORTED
-        )
 
 
 class TestAutoSortStage:
@@ -142,7 +135,12 @@ class TestAutoPipelineEndToEnd:
         )
 
     def test_sharded_relay_pipeline_runs(self, config):
-        run = run_pipeline(config, SHARDED_RELAY_SUPPORTED)
-        sort_artifact = run.workflow.artifacts["sort"]
+        dag = sort_pipeline(
+            config, "sharded_relay_sort",
+            instance_type=VM_INSTANCE_TYPE, shards=config.relay_shards,
+            provisioning="warm",
+        )
+        _cloud, result = execute(config, dag)
+        sort_artifact = result.artifacts["sort"]
         assert sort_artifact["relay_shards"] == config.relay_shards
-        assert run.workflow.artifacts["encode"]["ratio"] > 5.0
+        assert result.artifacts["encode"]["ratio"] > 5.0

@@ -1,7 +1,5 @@
 """Integration tests: the cache-supported pipeline variant (experiment S8)."""
 
-import dataclasses
-
 import pytest
 
 from repro.core import (
@@ -11,11 +9,21 @@ from repro.core import (
     ExperimentConfig,
     pipeline_for,
     run_exchange_comparison,
-    run_pipeline,
 )
+from repro.core.calibration import CACHE_NODE_TYPE
+from repro.errors import WorkflowError
+from tests.core.sort_pipeline import execute
 
 #: Scaled-down config: ~1.7 MB real data modelling 3.5 GB.
 SMALL = ExperimentConfig(logical_scale=2048.0)
+
+
+def run_cache_pipeline(provisioning):
+    """The cache-supported variant with its cluster brought up
+    ``provisioning`` (the variant itself always asks for ``"warm"``)."""
+    dag = pipeline_for(CACHE_SUPPORTED, SMALL)
+    dag.stage(SORT_STAGE).params["provisioning"] = provisioning
+    return execute(SMALL, dag)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +54,7 @@ class TestCachePipeline:
     def test_cache_sort_reports_cluster_metadata(self, comparison):
         sort = comparison.cache.workflow.artifacts[SORT_STAGE]
         assert sort["cache_nodes"] >= 1
-        assert sort["cache_node_type"] == SMALL.cache_node_type
+        assert sort["cache_node_type"] == CACHE_NODE_TYPE
         assert 0 < sort["cache_peak_fill"] <= 1
 
     def test_cluster_terminated_after_stage(self, comparison):
@@ -76,18 +84,14 @@ class TestCachePipeline:
         )
 
     def test_cold_provisioning_pays_cluster_creation(self):
-        cold = dataclasses.replace(SMALL, provisioning="cold")
-        run_cold = run_pipeline(cold, CACHE_SUPPORTED)
-        run_warm = run_pipeline(SMALL, CACHE_SUPPORTED)
-        provision = run_warm.cloud.profile.memstore.provision.mean
-        assert run_cold.latency_s > run_warm.latency_s + 0.5 * provision
+        _cloud, cold = run_cache_pipeline("cold")
+        cloud, warm = run_cache_pipeline("warm")
+        provision = cloud.profile.memstore.provision.mean
+        assert cold.makespan_s > warm.makespan_s + 0.5 * provision
 
     def test_invalid_provisioning_mode_rejected(self):
-        from repro.errors import WorkflowError
-
-        bad = dataclasses.replace(SMALL, provisioning="lukewarm")
         with pytest.raises(WorkflowError, match="provisioning"):
-            run_pipeline(bad, CACHE_SUPPORTED)
+            run_cache_pipeline("lukewarm")
 
     def test_table_renders_all_variants(self, comparison):
         table = comparison.to_table()

@@ -7,6 +7,7 @@ import pytest
 from repro.cloud import Cloud
 from repro.cloud.profiles import GB, LatencyModel, ibm_us_east
 from repro.core import ExperimentConfig, WorkloadParams
+from repro.core.calibration import CACHE_NODE_TYPE, VM_INSTANCE_TYPE
 
 
 def latency_models(profile):
@@ -21,29 +22,28 @@ def latency_models(profile):
 
 
 class TestInstanceTypes:
-    def test_default_vm_is_the_papers_bx2_8x32(self):
-        config = ExperimentConfig()
-        assert config.resolved_vm_instance_type == "bx2-8x32"
-        assert "bx2-8x32" in config.make_profile().vm.catalog
+    def test_vm_is_the_papers_bx2_8x32(self):
+        assert VM_INSTANCE_TYPE == "bx2-8x32"
+        assert VM_INSTANCE_TYPE in ExperimentConfig().make_profile().vm.catalog
 
-    def test_explicit_vm_type_wins(self):
-        config = ExperimentConfig(vm_instance_type="bx2-16x64")
-        assert config.resolved_vm_instance_type == "bx2-16x64"
-
-    def test_relay_defaults_to_the_resolved_vm_type(self):
-        assert ExperimentConfig().resolved_relay_instance_type == "bx2-8x32"
-        config = ExperimentConfig(vm_instance_type="bx2-4x16")
-        assert config.resolved_relay_instance_type == "bx2-4x16"
+    def test_relay_defaults_to_the_hybrid_vm_type(self):
+        assert ExperimentConfig().resolved_relay_instance_type == VM_INSTANCE_TYPE
 
     def test_explicit_relay_type_wins(self):
-        config = ExperimentConfig(
-            vm_instance_type="bx2-4x16", relay_instance_type="bx2-32x128"
-        )
+        config = ExperimentConfig(relay_instance_type="bx2-32x128")
         assert config.resolved_relay_instance_type == "bx2-32x128"
 
-    def test_default_cache_node_is_in_the_cache_catalog(self):
-        config = ExperimentConfig()
-        assert config.cache_node_type in config.make_profile().memstore.catalog
+    def test_cache_node_is_in_the_cache_catalog(self):
+        catalog = ExperimentConfig().make_profile().memstore.catalog
+        assert CACHE_NODE_TYPE == "cache.r5.large"
+        assert CACHE_NODE_TYPE in catalog
+
+    def test_exchange_resource_names_each_substrate(self):
+        config = ExperimentConfig(relay_shards=3)
+        assert config.exchange_resource("objectstore") == (None, 0)
+        assert config.exchange_resource("cache") == (CACHE_NODE_TYPE, 0)
+        assert config.exchange_resource("relay") == (VM_INSTANCE_TYPE, 1)
+        assert config.exchange_resource("sharded-relay") == (VM_INSTANCE_TYPE, 3)
 
 
 class TestMakeProfile:

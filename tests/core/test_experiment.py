@@ -18,6 +18,7 @@ from repro.core import (
     run_pipeline,
     run_table1,
 )
+from tests.core.sort_pipeline import execute, sort_pipeline
 
 #: Scaled-down config: ~1.7 MB real data modelling 3.5 GB.
 SMALL = ExperimentConfig(logical_scale=2048.0)
@@ -144,9 +145,10 @@ class TestDeterminism:
 
 class TestAutoWorkers:
     def test_planner_driven_sort_completes(self):
-        config = dataclasses.replace(
-            SMALL, logical_scale=4096.0, auto_workers=True
+        config = dataclasses.replace(SMALL, logical_scale=4096.0)
+        _cloud, result = execute(
+            config, sort_pipeline(config, "shuffle_sort", workers=None)
         )
-        run = run_pipeline(config, PURE_SERVERLESS)
-        assert run.sort_workers >= 1
-        assert run.workflow.artifacts[SORT_STAGE]["planned_workers"] is not None
+        sort = result.artifacts[SORT_STAGE]
+        assert sort["workers"] >= 1
+        assert sort["planned_workers"] == sort["workers"]

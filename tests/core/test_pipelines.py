@@ -6,7 +6,10 @@ import pytest
 
 from repro.cloud.environment import Cloud
 from repro.core import (
+    AUTO_SUPPORTED,
+    CACHE_SUPPORTED,
     PURE_SERVERLESS,
+    RELAY_SUPPORTED,
     VM_SUPPORTED,
     ExperimentConfig,
     pipeline_for,
@@ -41,18 +44,46 @@ class TestBuilders:
         dag = pipeline_for(PURE_SERVERLESS, config)
         assert dag.stage("sort").params["workers"] == config.parallelism
 
-    def test_auto_workers_unpins_count(self, config):
-        import dataclasses
-
-        auto = dataclasses.replace(config, auto_workers=True)
-        dag = pipeline_for(PURE_SERVERLESS, auto)
-        assert dag.stage("sort").params["workers"] is None
-
     def test_pipeline_for_dispatch(self, config):
         assert pipeline_for("purely-serverless", config).name == "purely-serverless"
         assert pipeline_for("vm-supported", config).name == "vm-supported"
         with pytest.raises(ValueError):
             pipeline_for("quantum", config)
+        # The sharded fleet and the streaming mode are stage kinds, not
+        # variants.
+        for gone in ("sharded-relay-supported", "streaming-supported"):
+            with pytest.raises(ValueError, match="unknown variant"):
+                pipeline_for(gone, config)
+
+
+#: Variant → its sort stage's params, in order, at the ``config``
+#: fixture.  Stage params feed lineage fingerprints and artifacts, so a
+#: variant's dict must not move by a key, a value or an order.
+FUNCTION_SORT = [("workers", 8), ("memory_mb", 2048), ("max_workers", 256)]
+SORT_PARAMS = {
+    PURE_SERVERLESS: FUNCTION_SORT,
+    VM_SUPPORTED: [("instance_type", "bx2-8x32"), ("partitions", 8)],
+    CACHE_SUPPORTED: [
+        *FUNCTION_SORT, ("node_type", "cache.r5.large"), ("nodes", 0),
+        ("provisioning", "warm"),
+    ],
+    RELAY_SUPPORTED: [
+        *FUNCTION_SORT, ("instance_type", "bx2-8x32"), ("provisioning", "warm"),
+    ],
+    AUTO_SUPPORTED: [
+        *FUNCTION_SORT, ("time_value_usd_per_hour", 1.0),
+        ("cache_node_type", "cache.r5.large"),
+    ],
+}
+
+
+@pytest.mark.parametrize("variant", SORT_PARAMS)
+def test_variant_sort_params_are_pinned(config, variant):
+    params = pipeline_for(variant, config).stage("sort").params
+    assert list(params.items()) == SORT_PARAMS[variant]
+    assert [type(value) for _key, value in params.items()] == [
+        type(value) for _key, value in SORT_PARAMS[variant]
+    ]
 
 
 class TestDeclarativeRoundtrip:

@@ -1,59 +1,49 @@
-"""The streaming_sort stage kind and the streaming-supported pipeline.
+"""The streaming_sort stage kind, run as a pipeline.
 
-Engine-level coverage of the streaming subsystem: the pipeline runs end
-to end on every substrate param, its artifact carries the streaming
-observables, the Gantt shows the wave overlap, auto_sort dispatches to
-streaming_sort when the priced decision says streaming, and the sorted
-output feeds the encode stage exactly like every staged incarnation.
+Engine-level coverage of the streaming subsystem: the stage runs end to
+end on every substrate param, its artifact carries the streaming
+observables, auto_sort dispatches to streaming_sort when the priced
+decision says streaming, and the sorted output feeds the encode stage
+exactly like every staged incarnation.  Its wave bars on the Gantt are
+held by ``tests/workflows/test_gantt.py``.
 """
 
 import pytest
 
-from repro.cloud import Cloud
-from repro.core import (
-    PURE_SERVERLESS,
-    STREAMING_SUPPORTED,
-    ExperimentConfig,
-    run_pipeline,
-)
-from repro.core.experiment import stage_input
+from repro.core import PURE_SERVERLESS, ExperimentConfig, run_pipeline
+from repro.core.calibration import CACHE_NODE_TYPE, VM_INSTANCE_TYPE
 from repro.core.pipelines import AUTO_SUPPORTED, pipeline_for
 from repro.errors import WorkflowError
-from repro.sim import Simulator
-from repro.workflows.dag import StageSpec, WorkflowDag
-from repro.workflows.engine import WorkflowEngine
-from repro.workflows.gantt import spans_from_tracer, workflow_gantt
+from tests.core.sort_pipeline import execute, sort_pipeline
 
 CONFIG = ExperimentConfig(size_gb=0.5, logical_scale=8192.0)
 
 
-def run_streaming(config=None, substrate=None, spans=False, **sort_params):
-    config = config if config is not None else CONFIG
-    cloud = Cloud(Simulator(seed=config.seed, spans=spans), config.make_profile())
-    stage_input(cloud, config, "pipeline", "input/methylome.bed")
-    dag = pipeline_for(STREAMING_SUPPORTED, config)
-    for stage in dag.topological_order():
-        if stage.kind == "streaming_sort":
-            if substrate is not None:
-                stage.params["substrate"] = substrate
-                if substrate in ("objectstore", "cache"):
-                    stage.params.pop("instance_type", None)
-                    stage.params.pop("shards", None)
-                if substrate == "cache":
-                    stage.params.update(
-                        node_type=config.cache_node_type, nodes=0,
-                        provisioning="warm",
-                    )
-            stage.params.update(sort_params)
-    engine = WorkflowEngine(cloud, dag)
-    engine.workload = config.workload
-    return cloud, engine.execute()
+def streaming_pipeline(config, substrate="relay", **sort_params):
+    """ingest → streaming_sort on ``substrate`` (warm) → encode."""
+    if substrate == "cache":
+        resource = {"node_type": CACHE_NODE_TYPE, "nodes": 0}
+    elif substrate == "objectstore":
+        resource = {}
+    else:
+        resource = {"instance_type": VM_INSTANCE_TYPE}
+    params = {
+        "substrate": substrate, "chunk_mb": 32.0, "buffer_mb": 256.0,
+        **resource, "provisioning": "warm",
+    }
+    return sort_pipeline(config, "streaming_sort", **{**params, **sort_params})
+
+
+def run_streaming(substrate="relay", spans=False, **sort_params):
+    return execute(
+        CONFIG, streaming_pipeline(CONFIG, substrate, **sort_params), spans=spans
+    )
 
 
 class TestStreamingPipeline:
     def test_default_relay_pipeline_end_to_end(self):
-        run = run_pipeline(CONFIG, STREAMING_SUPPORTED)
-        sort = run.workflow.artifacts["sort"]
+        _cloud, result = run_streaming()
+        sort = result.artifacts["sort"]
         assert sort["substrate"] == "relay"
         assert sort["mode"] == "streaming"
         assert sort["overlap_s"] > 0.0
@@ -61,7 +51,7 @@ class TestStreamingPipeline:
         # The encode stage consumed the streamed runs like any other's.
         staged = run_pipeline(CONFIG, PURE_SERVERLESS)
         assert (
-            run.workflow.artifacts["encode"]["records"]
+            result.artifacts["encode"]["records"]
             == staged.workflow.artifacts["encode"]["records"]
         )
 
@@ -89,73 +79,13 @@ class TestStreamingPipeline:
             run_streaming(provisioning="lukewarm")
 
 
-class TestWaveOverlapInGantt:
-    def test_streaming_run_draws_overlapping_wave_spans(self):
-        cloud, result = run_streaming(spans=True)
-        waves = [
-            span for span in spans_from_tracer(cloud.sim.tracer)
-            if span.kind == "wave"
-        ]
-        assert len(waves) == 2
-        map_wave = next(span for span in waves if span.label.startswith("map"))
-        reduce_wave = next(
-            span for span in waves if span.label.startswith("reduce")
-        )
-        # The reduce wave started before the map wave ended: the overlap
-        # is visible directly on the chart.
-        assert reduce_wave.start < map_wave.end
-        chart = workflow_gantt(result.tracker, cloud.sim.tracer)
-        assert "+ wave" in chart
-        # The stage bar names substrate *and* mode.
-        assert "[sort→relay streaming]" in chart
-
-    def test_staged_run_draws_disjoint_wave_spans(self):
-        config = CONFIG
-        cloud = Cloud(
-            Simulator(seed=config.seed, spans=True), config.make_profile()
-        )
-        stage_input(cloud, config, "pipeline", "input/methylome.bed")
-        engine = WorkflowEngine(
-            cloud,
-            WorkflowDag(
-                "staged-waves",
-                [
-                    StageSpec("ingest", "dataset_ref",
-                              params={"key": "input/methylome.bed"}),
-                    StageSpec("sort", "shuffle_sort", after=("ingest",),
-                              params={"workers": 4}),
-                ],
-                bucket="pipeline",
-            ),
-        )
-        engine.workload = config.workload
-        engine.execute()
-        waves = [
-            span for span in spans_from_tracer(cloud.sim.tracer)
-            if span.kind == "wave"
-        ]
-        assert len(waves) == 2
-        map_wave = next(span for span in waves if span.label.startswith("map"))
-        reduce_wave = next(
-            span for span in waves if span.label.startswith("reduce")
-        )
-        assert reduce_wave.start >= map_wave.end  # the barrier is real
-
-
 class TestAutoSortStreamingDispatch:
     def test_auto_sort_executes_streaming_when_priced_to_win(self):
-        config = ExperimentConfig(
-            size_gb=0.5, logical_scale=8192.0, time_value_usd_per_hour=30.0
+        dag = pipeline_for(AUTO_SUPPORTED, CONFIG)
+        dag.stage("sort").params.update(
+            time_value_usd_per_hour=30.0, modes=("staged", "streaming")
         )
-        cloud = Cloud(Simulator(seed=config.seed), config.make_profile())
-        stage_input(cloud, config, "pipeline", "input/methylome.bed")
-        dag = pipeline_for(AUTO_SUPPORTED, config)
-        for stage in dag.topological_order():
-            if stage.kind == "auto_sort":
-                stage.params["modes"] = ("staged", "streaming")
-        engine = WorkflowEngine(cloud, dag)
-        engine.workload = config.workload
-        result = engine.execute()
+        _cloud, result = execute(CONFIG, dag)
         sort = result.artifacts["sort"]
         assert sort["substrate_mode"] == "streaming"
         # The dispatched stage really ran in streaming mode (not just
@@ -165,10 +95,5 @@ class TestAutoSortStreamingDispatch:
         assert "[streaming]" in sort["substrate_decision"]
 
     def test_auto_sort_defaults_stay_staged(self):
-        config = ExperimentConfig(size_gb=0.5, logical_scale=8192.0)
-        cloud = Cloud(Simulator(seed=config.seed), config.make_profile())
-        stage_input(cloud, config, "pipeline", "input/methylome.bed")
-        engine = WorkflowEngine(cloud, pipeline_for(AUTO_SUPPORTED, config))
-        engine.workload = config.workload
-        result = engine.execute()
+        _cloud, result = execute(CONFIG, pipeline_for(AUTO_SUPPORTED, CONFIG))
         assert result.artifacts["sort"]["substrate_mode"] == "staged"

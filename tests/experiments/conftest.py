@@ -3,7 +3,8 @@
 A cell is an ``EXPERIMENTS`` row at one (scale, seed).  ``experiment_cell``
 simulates each cell once and hands it to every test that asks; the CLI's
 dispatch of a row reads from the same cache, so the dispatch test, the
-claims test and the sweep smoke tests share one run per cell.  The guard
+claims test, the sweep smoke tests and the sweep goldens share one run
+per cell (each cell records its event schedule as it runs).  The guard
 counts every run of an ``EXPERIMENTS`` row in this package, cached or
 not, and fails the test that simulates a cell a second time.
 """
@@ -20,6 +21,7 @@ import pytest
 from repro.core import ExperimentConfig
 from repro.experiments import EXPERIMENTS, cli, run_experiment
 from repro.obs.metrics import registry, reset_registry
+from tests.shuffle.test_sim_golden import recorded_schedule
 
 #: The scale the CLI's tier-1 tests run at, and the CLI's default seed.
 SCALE, SEED = 16384.0, 2021
@@ -39,6 +41,9 @@ class Cell:
     rows: list[dict]
     #: Metric name → the metric as the cell's run left it, from empty.
     metrics: dict[str, t.Any]
+    #: ``sim_events`` and ``sim_schedule`` of the run
+    #: (``recorded_schedule``).
+    schedule: dict[str, t.Any]
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -68,11 +73,12 @@ def experiment_cell(simulations) -> t.Callable[..., Cell]:
     def cell(name: str, scale: float = SCALE, seed: int = SEED) -> Cell:
         if (name, scale, seed) not in cells:
             reset_registry()
-            rows = run_experiment(
-                EXPERIMENTS[name], ExperimentConfig(logical_scale=scale, seed=seed)
-            )
+            with recorded_schedule() as schedule:
+                rows = run_experiment(
+                    EXPERIMENTS[name], ExperimentConfig(logical_scale=scale, seed=seed)
+                )
             metrics = {metric.name: metric for metric in registry().metrics()}
-            cells[name, scale, seed] = Cell(rows, metrics)
+            cells[name, scale, seed] = Cell(rows, metrics, schedule)
         return cells[name, scale, seed]
 
     return cell

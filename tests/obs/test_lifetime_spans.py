@@ -155,7 +155,7 @@ class TestEventsOnLifetimeSpans:
         )
         svc = ExchangeService(
             cloud, FixedWidthCodec(record_size=16, key_bytes=8),
-            instance_type=VM_TYPE, min_shards=1, max_shards=4, tenant_burst=3.0,
+            instance_type=VM_TYPE, max_shards=4,
         )
         svc.start()
         for _ in range(3):

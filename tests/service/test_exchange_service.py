@@ -24,6 +24,7 @@ from repro.cloud.vm import UnknownRelay
 from repro.cloud.vm.fleet import fleet_ready
 from repro.executor import FunctionExecutor
 from repro.service import ExchangeService, ServiceSaturated
+from repro.service.exchange_service import QUEUE_LIMIT, TENANT_RATE_PER_S
 from repro.shuffle import (
     FixedWidthCodec,
     ShardedRelayExchange,
@@ -55,16 +56,8 @@ def fresh_cloud(seed=5):
     return Cloud.fresh(seed=seed, profile=ibm_us_east(deterministic=True))
 
 
-def make_service(cloud, **kwargs):
-    defaults = dict(
-        instance_type=INSTANCE,
-        min_shards=1,
-        max_shards=4,
-        tenant_rate_per_s=0.05,
-        tenant_burst=2.0,
-    )
-    defaults.update(kwargs)
-    return ExchangeService(cloud, codec(), **defaults)
+def make_service(cloud):
+    return ExchangeService(cloud, codec(), instance_type=INSTANCE, max_shards=4)
 
 
 def solo_digest(payload, cloud_seed, workers=WORKERS):
@@ -97,9 +90,7 @@ class TestFairness:
         cloud = fresh_cloud()
         cloud.store.ensure_bucket("data")
         payload = make_payload(RECORDS, 1)
-        svc = make_service(
-            cloud, tenant_rate_per_s=0.01, tenant_burst=1.0, queue_limit=32
-        )
+        svc = make_service(cloud)
 
         def driver():
             yield cloud.store.put("data", "in.bin", payload)
@@ -119,13 +110,14 @@ class TestFairness:
         svc.shutdown()
         assert quiet.state == "done"
         # The quiet tenant had a token: its wait is dispatch latency,
-        # not the noisy tenant's 100-second refill backlog.
+        # not the noisy tenant's 20-second-per-job refill backlog.
         assert quiet.queue_wait_s < 10.0
         # The noisy tenant is throttled, not starved: each job beyond
         # the burst waits roughly its position over the refill rate.
         for index, job in enumerate(noisy):
             assert job.state == "done"
-            assert job.queue_wait_s <= (index + 1) / 0.01 + 10.0
+            assert job.queue_wait_s <= (index + 1) / TENANT_RATE_PER_S + 10.0
+        assert noisy[-1].queue_wait_s > 2 / TENANT_RATE_PER_S - 10.0
 
     def test_no_unbounded_wait_under_saturation(self):
         """Every admitted job's wait stays under the fair-share bound
@@ -134,10 +126,8 @@ class TestFairness:
         cloud = fresh_cloud()
         cloud.store.ensure_bucket("data")
         payload = make_payload(RECORDS, 2)
-        rate = 0.02
-        svc = make_service(
-            cloud, tenant_rate_per_s=rate, tenant_burst=1.0, queue_limit=32
-        )
+        rate = TENANT_RATE_PER_S
+        svc = make_service(cloud)
 
         def driver():
             yield cloud.store.put("data", "in.bin", payload)
@@ -171,19 +161,21 @@ class TestFairness:
         cloud = fresh_cloud()
         cloud.store.ensure_bucket("data")
         payload = make_payload(200, 3)
-        svc = make_service(cloud, queue_limit=3)
+        svc = make_service(cloud)
 
         def driver():
             yield cloud.store.put("data", "in.bin", payload)
             svc.start()
-            for _ in range(3):
+            for _ in range(QUEUE_LIMIT):
                 svc.submit("t", "data", "in.bin", len(payload))
             with pytest.raises(ServiceSaturated):
                 svc.submit("t", "data", "in.bin", len(payload))
-            yield svc.drain()
 
         cloud.sim.run_process(driver())
         svc.shutdown()
+        # Nothing was dispatched before the shutdown cancelled the queue.
+        assert len(svc.jobs) == QUEUE_LIMIT
+        assert {job.state for job in svc.jobs} == {"cancelled"}
 
 
 class TestTenantFencing:
@@ -195,7 +187,7 @@ class TestTenantFencing:
         cloud.store.ensure_bucket("data")
         payload_a = make_payload(RECORDS, 11)
         payload_b = make_payload(RECORDS, 22)
-        svc = make_service(cloud, tenant_burst=2.0)
+        svc = make_service(cloud)
 
         def driver():
             yield cloud.store.put("data", "a.bin", payload_a)
@@ -233,12 +225,15 @@ class TestTenantFencing:
         cloud = fresh_cloud()
         cloud.store.ensure_bucket("data")
         payload = make_payload(200, 4)
-        svc = make_service(cloud, tenant_rate_per_s=0.001, tenant_burst=1.0)
+        svc = make_service(cloud)
 
         def driver():
             yield cloud.store.put("data", "in.bin", payload)
             svc.start()
+            # The first two spend the tenant's burst; the third waits
+            # for a refill when the cancel lands.
             first = svc.submit("t", "data", "in.bin", len(payload))
+            svc.submit("t", "data", "in.bin", len(payload))
             queued = svc.submit("t", "data", "in.bin", len(payload))
             yield cloud.sim.timeout(0.1)
             svc.cancel_tenant("t")
@@ -266,16 +261,17 @@ class TestAutoscaling:
             profile, resolve_relay_instance(profile, INSTANCE)
         )
         payloads = {seed: make_payload(RECORDS, seed) for seed in (31, 32, 33)}
-        svc = make_service(cloud, tenant_burst=3.0, tenant_rate_per_s=0.5)
+        svc = make_service(cloud)
         declared = usable * 0.8  # 3 concurrent jobs need > 1 shard
 
         def driver():
             for seed, payload in payloads.items():
                 yield cloud.store.put("data", f"{seed}.bin", payload)
             svc.start()
+            # One tenant each, so no job waits on a token refill.
             jobs = [
                 svc.submit(
-                    "t", "data", f"{seed}.bin", declared, workers=WORKERS
+                    f"t{seed}", "data", f"{seed}.bin", declared, workers=WORKERS
                 )
                 for seed in payloads
             ]
@@ -287,7 +283,7 @@ class TestAutoscaling:
         directions = [event["direction"] for event in svc.scale_events]
         assert "up" in directions, svc.scale_events
         assert "down" in directions, svc.scale_events
-        assert svc.current_shards == svc.min_shards
+        assert svc.current_shards == 1
         for seed, job in zip(payloads, jobs):
             assert job.state == "done", job.error
             assert job.output_digest == solo_digest(payloads[seed], seed)
@@ -303,14 +299,16 @@ class TestAutoscaling:
             cloud.profile, resolve_relay_instance(cloud.profile, INSTANCE)
         )
         payload = make_payload(RECORDS, 41)
-        svc = make_service(cloud, tenant_burst=5.0, tenant_rate_per_s=0.5)
+        svc = make_service(cloud)
 
         def driver():
             yield cloud.store.put("data", "in.bin", payload)
             svc.start()
             jobs = [
-                svc.submit("t", "data", "in.bin", usable * 0.7, workers=WORKERS)
-                for _ in range(5)
+                svc.submit(
+                    f"t{index}", "data", "in.bin", usable * 0.7, workers=WORKERS
+                )
+                for index in range(5)
             ]
             yield svc.drain()
             return jobs
@@ -331,7 +329,7 @@ class TestAutoscaling:
             profile, resolve_relay_instance(profile, INSTANCE)
         )
         payload = make_payload(RECORDS, 7)
-        svc = make_service(cloud, tenant_burst=2.0, tenant_rate_per_s=0.5)
+        svc = make_service(cloud)
 
         def driver():
             yield cloud.store.put("data", "in.bin", payload)

@@ -10,6 +10,8 @@ from repro.cloud.profiles import GB, LatencyModel, ibm_us_east
 from repro.errors import ShuffleError
 from repro.executor import FunctionExecutor
 from repro.shuffle.adaptive import (
+    PROBE_REQUESTS,
+    SCALE_DOWN_MARGIN,
     OnlineTuner,
     ProbeReport,
     choose_exchange_substrate,
@@ -39,9 +41,9 @@ def make_cloud(mutate=None, logical_scale=1024.0):
     return cloud
 
 
-def run_probe(cloud, **tuner_kwargs):
+def run_probe(cloud):
     executor = FunctionExecutor(cloud, bucket="bucket")
-    tuner = OnlineTuner(executor, **tuner_kwargs)
+    tuner = OnlineTuner(executor)
 
     def driver():
         return (yield tuner.probe("bucket"))
@@ -87,8 +89,8 @@ class TestProbe:
 
     def test_probe_counts_its_requests(self):
         cloud = make_cloud()
-        _tuner, report = run_probe(cloud, requests=4)
-        assert report.requests == 2 * 4 + 2
+        _tuner, report = run_probe(cloud)
+        assert report.requests == 2 * PROBE_REQUESTS + 2
 
     def test_probe_cleans_up_its_objects(self):
         cloud = make_cloud()
@@ -110,12 +112,6 @@ class TestProbe:
         text = report.describe()
         assert "25.0 ms" in text
         assert "44.0 MB/s" in text
-
-    def test_too_few_requests_rejected(self):
-        cloud = make_cloud()
-        executor = FunctionExecutor(cloud, bucket="bucket")
-        with pytest.raises(ShuffleError):
-            OnlineTuner(executor, requests=1)
 
 
 class TestFittingAndPlanning:
@@ -517,3 +513,26 @@ class TestFleetScale:
     def test_unknown_flavour_rejected(self):
         with pytest.raises(ShuffleError, match="unknown relay instance type"):
             plan_fleet_scale(1.0, self.PROFILE, 1, "bx2-1x1")
+
+    def test_idle_fleet_shrinks_to_one_shard(self):
+        decision = plan_fleet_scale(0.0, self.PROFILE, 3, self.INSTANCE)
+        assert (decision.shards, decision.direction) == (1, "down")
+        assert plan_fleet_scale(0.0, self.PROFILE, 1, self.INSTANCE) is None
+
+    def test_scale_down_waits_for_the_margin(self):
+        """Demand that fits two shards, but not once inflated by the
+        hysteresis margin, keeps a three-shard fleet as it is."""
+        demand = 1.2 * self.USABLE
+        padded = demand * (1.0 + SCALE_DOWN_MARGIN)
+        assert 1.3 * padded > 2 * self.USABLE  # padded needs three shards
+        assert plan_fleet_scale(demand, self.PROFILE, 3, self.INSTANCE) is None
+        decision = plan_fleet_scale(0.9 * self.USABLE, self.PROFILE, 3, self.INSTANCE)
+        assert (decision.shards, decision.direction) == (2, "down")
+        assert "+50% margin" in decision.reason
+
+    @pytest.mark.parametrize("current, max_shards", [(0, 4), (1, 0)])
+    def test_shard_bounds_rejected(self, current, max_shards):
+        with pytest.raises(ShuffleError, match="must be >= 1"):
+            plan_fleet_scale(
+                1.0, self.PROFILE, current, self.INSTANCE, max_shards=max_shards
+            )

@@ -264,8 +264,6 @@ class TestCachePlanner:
         with pytest.raises(ShuffleError):
             required_cache_nodes(0, profile, "cache.r5.large")
         with pytest.raises(ShuffleError):
-            required_cache_nodes(1e9, profile, "cache.r5.large", headroom=0.5)
-        with pytest.raises(ShuffleError):
             required_cache_nodes(1e9, profile, "cache.r9.mega")
 
 

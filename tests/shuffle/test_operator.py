@@ -16,7 +16,13 @@ from repro.shuffle import (
     ShuffleCostModel,
     ShuffleSort,
 )
-from repro.shuffle.operator import _split
+from repro.shuffle.operator import (
+    PEEK_BYTES,
+    SAMPLE_KEYS,
+    SAMPLE_STRIDES,
+    _sample_window_bytes,
+    _split,
+)
 
 
 @pytest.fixture
@@ -49,6 +55,39 @@ def sort_and_collect(cloud, executor, codec, payload, **kwargs):
     result = cloud.sim.run_process(driver())
     merged = b"".join(cloud.store.peek("data", run.key) for run in result.runs)
     return result, merged
+
+
+class TestWorkerTasks:
+    """The task dicts the sampler and map waves ship: pickled and
+    billed, so their keys and values are part of the model."""
+
+    def test_sampler_and_mapper_tasks_carry_the_constants(self, cloud, executor):
+        shipped = {}
+        original = executor.map
+
+        def recording_map(func, tasks, **kwargs):
+            shipped.setdefault(func.__name__, list(tasks))
+            return original(func, tasks, **kwargs)
+
+        executor.map = recording_map
+        payload = make_fixed_payload(4000)
+        sort_and_collect(
+            cloud, executor, FixedWidthCodec(record_size=16, key_bytes=8),
+            payload, workers=4,
+        )
+        sampler = shipped["shuffle_sampler"][0]
+        assert list(sampler) == [
+            "bucket", "key", "start", "end", "object_size", "sample_bytes",
+            "sample_keys", "sample_strides", "codec", "sampler_id",
+        ]
+        samplers = len(shipped["shuffle_sampler"])
+        assert sampler["sample_bytes"] == _sample_window_bytes(len(payload), samplers)
+        assert (sampler["sample_keys"], sampler["sample_strides"]) == (
+            SAMPLE_KEYS, SAMPLE_STRIDES,
+        ) == (512, 4)
+        mappers = shipped["shuffle_mapper"]
+        assert len(mappers) == 4
+        assert {task["peek_bytes"] for task in mappers} == {PEEK_BYTES} == {65536}
 
 
 class TestInputSplit:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.profiles import ibm_us_east
+from repro.shuffle.cacheplanner import CACHE_HEADROOM
 from repro.shuffle import (
     ShuffleCostModel,
     exchange_terms,
@@ -78,12 +79,10 @@ class TestPlannerProperties:
             point.total_s for point in plan_cache.curve
         )
 
-    @given(size=st.floats(1e6, 1e12), headroom=st.floats(1.0, 3.0))
+    @given(size=st.floats(1e6, 1e12))
     @settings(max_examples=60, deadline=None)
-    def test_required_nodes_actually_fit_the_data(self, size, headroom):
-        nodes = required_cache_nodes(
-            size, PROFILE, "cache.r5.large", headroom=headroom
-        )
+    def test_required_nodes_actually_fit_the_data(self, size):
+        nodes = required_cache_nodes(size, PROFILE, "cache.r5.large")
         usable_per_node = (
             NODE_TYPE.memory_gb * (1 << 30)
             * PROFILE.memstore.usable_memory_fraction
@@ -92,5 +91,5 @@ class TestPlannerProperties:
         assert nodes * usable_per_node >= size
         # Minimality: one fewer node would not fit (with headroom).
         if nodes > 1:
-            assert (nodes - 1) * usable_per_node < size * headroom
+            assert (nodes - 1) * usable_per_node < size * CACHE_HEADROOM
 

@@ -89,13 +89,12 @@ class TestStragglerTerm:
         for term in ("reduce_fetch", "sort_cpu", "reduce_write"):
             assert hot[term] > flat[term], term
 
-    def test_cost_model_default_skew_is_used(self):
-        cost = ShuffleCostModel(expected_skew=4.0)
+    def test_default_skew_is_balanced(self):
+        cost = ShuffleCostModel()
         implicit = predict_shuffle_time(SIZE, 32, PROFILE, cost)
-        explicit = predict_shuffle_time(
-            SIZE, 32, PROFILE, ShuffleCostModel(), skew=4.0
-        )
-        assert implicit.total_s == pytest.approx(explicit.total_s)
+        explicit = predict_shuffle_time(SIZE, 32, PROFILE, cost, skew=1.0)
+        assert implicit.breakdown == explicit.breakdown
+        assert implicit.total_s == explicit.total_s
 
     def test_invalid_skew_rejected(self):
         with pytest.raises(ShuffleError, match="skew"):

@@ -5,6 +5,7 @@ import pytest
 from repro.cloud import Cloud
 from repro.cloud.billing import CostMeter
 from repro.cloud.profiles import ibm_us_east
+from repro.core import ExperimentConfig
 from repro.executor import FunctionExecutor
 from repro.sim import Simulator
 from repro.workflows.gantt import (
@@ -15,6 +16,7 @@ from repro.workflows.gantt import (
     workflow_gantt,
 )
 from repro.workflows.tracker import JobTracker
+from tests.core.sort_pipeline import execute, sort_pipeline
 
 
 def traced_cloud(seed=4):
@@ -217,6 +219,86 @@ class TestRendering:
             line for line in text.splitlines() if "instant" in line
         )
         assert "=" in instant_row
+
+
+#: A traced sort stage small enough to run in a second.
+SMALL = ExperimentConfig(size_gb=0.5, logical_scale=8192.0)
+
+
+class TestPipelineBars:
+    """What a traced sort stage draws: its waves, and the instances it
+    provisioned."""
+
+    @staticmethod
+    def waves(cloud):
+        waves = [
+            span for span in spans_from_tracer(cloud.sim.tracer)
+            if span.kind == "wave"
+        ]
+        assert len(waves) == 2
+        map_wave = next(span for span in waves if span.label.startswith("map"))
+        reduce_wave = next(
+            span for span in waves if span.label.startswith("reduce")
+        )
+        return map_wave, reduce_wave
+
+    def test_streaming_sort_draws_overlapping_wave_bars(self):
+        cloud, result = execute(
+            SMALL,
+            sort_pipeline(
+                SMALL, "streaming_sort", substrate="relay",
+                instance_type="bx2-8x32", provisioning="warm",
+            ),
+            spans=True,
+        )
+        map_wave, reduce_wave = self.waves(cloud)
+        # The reduce wave started before the map wave ended: the overlap
+        # is visible directly on the chart.
+        assert reduce_wave.start < map_wave.end
+        chart = workflow_gantt(result.tracker, cloud.sim.tracer)
+        assert "+ wave" in chart
+        # The stage bar names substrate *and* mode.
+        assert "[sort→relay streaming]" in chart
+
+    def test_staged_sort_draws_disjoint_wave_bars(self):
+        cloud, _result = execute(
+            SMALL, sort_pipeline(SMALL, "shuffle_sort", workers=4), spans=True
+        )
+        map_wave, reduce_wave = self.waves(cloud)
+        assert reduce_wave.start >= map_wave.end  # the barrier is real
+
+    def test_warm_fleet_draws_one_bar_per_shard(self):
+        """A warm sharded-relay sort bills each shard VM from the stage's
+        provision call to its release, so each is one bar over exactly
+        that window — and no other VM is drawn."""
+        cloud, result = execute(
+            SMALL,
+            sort_pipeline(
+                SMALL, "sharded_relay_sort", instance_type="bx2-8x32",
+                shards=3, provisioning="warm",
+            ),
+            spans=True,
+        )
+        vm_bars = [
+            span for span in spans_from_tracer(cloud.sim.tracer)
+            if span.kind == "vm"
+        ]
+        assert len(cloud.vms.instances) == 3
+        assert vm_bars == sorted(
+            (
+                GanttSpan(
+                    f"{vm.vm_id} (bx2-8x32)", vm.provisioned_at,
+                    vm.terminated_at, "vm",
+                )
+                for vm in cloud.vms.instances
+            ),
+            key=lambda span: (span.start, span.end, span.label),
+        )
+        sort = result.tracker.reports["sort"]
+        for bar in vm_bars:
+            assert sort.started_at <= bar.start < bar.end <= sort.finished_at
+        chart = workflow_gantt(result.tracker, cloud.sim.tracer)
+        assert sum(" (bx2-8x32)" in line for line in chart.splitlines()) == 3
 
 
 class TestWorkflowGantt:

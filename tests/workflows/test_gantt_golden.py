@@ -1,6 +1,6 @@
 """Golden Gantt charts: every pipeline incarnation's bars, pinned.
 
-For each of the seven pipeline variants at logical scale 2048 and the
+For each of the five pipeline variants at logical scale 2048 and the
 default seed, ``gantt_golden.json`` holds the rendered
 :func:`~repro.workflows.gantt.workflow_gantt` text and the traced
 :class:`~repro.workflows.gantt.GanttSpan` list (function, VM, cache and
@@ -28,8 +28,6 @@ from repro.core import (
     CACHE_SUPPORTED,
     PURE_SERVERLESS,
     RELAY_SUPPORTED,
-    SHARDED_RELAY_SUPPORTED,
-    STREAMING_SUPPORTED,
     VM_SUPPORTED,
     ExperimentConfig,
     run_pipeline,
@@ -42,11 +40,9 @@ CONFIG = ExperimentConfig(logical_scale=2048.0)
 VARIANTS = (
     PURE_SERVERLESS,
     VM_SUPPORTED,
-    STREAMING_SUPPORTED,
     AUTO_SUPPORTED,
     CACHE_SUPPORTED,
     RELAY_SUPPORTED,
-    SHARDED_RELAY_SUPPORTED,
 )
 
 

@@ -8,13 +8,8 @@ the substrate distinction the figure exists to show (this happened to
 
 import repro.core.stages  # noqa: F401 - registers the built-in kinds
 from repro.core import ExperimentConfig
-from repro.core.pipelines import (
-    AUTO_SUPPORTED,
-    RELAY_SUPPORTED,
-    SHARDED_RELAY_SUPPORTED,
-    STREAMING_SUPPORTED,
-    pipeline_for,
-)
+from repro.core.pipelines import AUTO_SUPPORTED, RELAY_SUPPORTED, pipeline_for
+from tests.core.sort_pipeline import sort_pipeline
 from repro.workflows.engine import registered_kinds
 from repro.workflows.render import render_dag, substrate_label
 
@@ -48,7 +43,7 @@ class TestSubstrateLabels:
 
     def test_new_sort_kinds_render_their_substrates(self):
         config = ExperimentConfig()
-        sharded_art = render_dag(pipeline_for(SHARDED_RELAY_SUPPORTED, config))
+        sharded_art = render_dag(sort_pipeline(config, "sharded_relay_sort"))
         assert "VM relay fleet" in sharded_art
         auto_art = render_dag(pipeline_for(AUTO_SUPPORTED, config))
         assert "adaptive exchange substrate" in auto_art
@@ -58,7 +53,9 @@ class TestSubstrateLabels:
             substrate_label("streaming_sort")
             == "cloud functions + streaming exchange (pipelined waves)"
         )
-        art = render_dag(pipeline_for(STREAMING_SUPPORTED, ExperimentConfig()))
+        art = render_dag(
+            sort_pipeline(ExperimentConfig(), "streaming_sort", substrate="relay")
+        )
         assert "streaming exchange" in art
         # The substrate the stream rides is visible in the stage params.
         assert "substrate=relay" in art

@@ -53,6 +53,34 @@ NEXT_DRAW = {
            0.9783668096770559),
 }
 
+#: Draw-order cases off the default path, pinned before the draws were
+#: spelled out inline: case → (sha256 of the payload, sha256 of
+#: ``repr(rng.getstate())`` afterwards, which holds ``gauss_next``).
+#: Each generates ``generate_bed(20_000)`` at seed 2021, except
+#: ``shuffled-records``, the serialized ``shuffled_records(5_000)``.
+DRAW_ORDER_SHA256 = {
+    "island_start_prob=0.5": (
+        "3f5b66b95585774d529f815ca596427c00d89c829b908870b9cca1803bac744d",
+        "1340bb66007866ff21dc2429fc7e0deae13654e13726c39ac8e79aaba8ee29f7",
+    ),
+    "domain_persistence=0.5": (
+        "5497cfe1c6b2d9cc13bd2a41bb02bcd6e482054209086d3d06fcd7eb2db2e271",
+        "952cbd5be68fbf0c3442a4edf40dc61b0146e6ea8d4f4d7dd0aa33ca3c798da1",
+    ),
+    "pair_fraction=0.0": (
+        "255288e281280ad74f5edfbad06bf790679ec4a73dffc0ea4faba59db1f53db2",
+        "e84811159ec42bc61b0622496551dd601ab7b5776e27eeb1b5810ce4bcdae10e",
+    ),
+    "after-one-gauss": (
+        "1d1734025b1f63f7e918e9490d8e5e778476676560a5aa550ff304f43e1cd9f6",
+        "8e422023c3044d7c227d1162aa2caa763a35332463a9f0f7310ee15ee139d260",
+    ),
+    "shuffled-records": (
+        "d92b06f4299305a93a55b08c4eca042f62f8af0abac05e349c8b3eaff457a090",
+        "60b1d1a943f7391f427988518aa1da15a70039f92342b1ed62be764899f2d232",
+    ),
+}
+
 
 @pytest.fixture(autouse=True)
 def cold_cache():
@@ -144,6 +172,37 @@ class TestMemo:
         shuffled = MethylomeGenerator(seed=seed).shuffled_records(4_000)
         assert serialize_records(shuffled) == MethylomeGenerator(seed=seed).generate_bed(4_000)
         assert sorted(shuffled, key=MethylationRecord.sort_key) == records
+
+
+
+class TestDrawOrder:
+    """Profiles and rng states the ledger's payloads never reach."""
+
+    @staticmethod
+    def generator(case: str) -> MethylomeGenerator:
+        if case == "after-one-gauss":
+            generator = MethylomeGenerator(seed=2021)
+            generator._rng.gauss()  # leaves a second value in ``gauss_next``
+            return generator
+        if case == "shuffled-records":
+            return MethylomeGenerator(seed=2021)
+        field, value = case.split("=")
+        return MethylomeGenerator(
+            seed=2021, profile=MethylomeProfile(**{field: float(value)})
+        )
+
+    @pytest.mark.parametrize("case", sorted(DRAW_ORDER_SHA256))
+    def test_payload_and_rng_state(self, case):
+        generator = self.generator(case)
+        if case == "shuffled-records":
+            payload = serialize_records(generator.shuffled_records(5_000))
+        else:
+            payload = generator.generate_bed(20_000)
+        state = repr(generator._rng.getstate()).encode()
+        assert (
+            hashlib.sha256(payload).hexdigest(),
+            hashlib.sha256(state).hexdigest(),
+        ) == DRAW_ORDER_SHA256[case]
 
 
 class TestValidation:

@@ -120,15 +120,23 @@ class CostMeter:
         return dict(totals)
 
     def filtered(self, service: str | None = None, **tags: str) -> list[CostLine]:
-        """Lines matching a service and/or exact tag values."""
+        """Lines matching a service and/or exact tag values.
+
+        A line's tags never repeat a key (an owner is built from a dict,
+        and :meth:`charge` merges through one), so a line has ``key`` set
+        to ``value`` exactly when ``(key, value)`` is one of its tags.
+        """
+        wanted = tuple(tags.items())
         result = []
         for line in self.lines:
             if service is not None and line.service != service:
                 continue
-            line_tags = dict(line.tags)
-            if any(line_tags.get(key) != value for key, value in tags.items()):
-                continue
-            result.append(line)
+            line_tags = line.tags
+            for tag in wanted:
+                if tag not in line_tags:
+                    break
+            else:
+                result.append(line)
         return result
 
     def snapshot(self) -> int:

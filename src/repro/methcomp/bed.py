@@ -370,13 +370,20 @@ def parse_columns(buffer: bytes) -> BedColumns:
 
 
 def column_lines(columns: BedColumns) -> list[str]:
-    """The canonical newline-terminated line of each record, in order."""
-    return [
-        f"{CHROMOSOMES[chrom]}\t{start}\t{end}\t.\t{min(1000, coverage)}\t"
-        f"{'-' if minus else '+'}\t{start}\t{end}\t"
-        f"{COLOR_METHYLATED if pct >= 50 else COLOR_UNMETHYLATED}\t{coverage}\t{pct}\n"
-        for chrom, start, end, minus, coverage, pct in zip(*columns.lists())
-    ]
+    """The canonical newline-terminated line of each record, in order.
+
+    The interval is formatted once: the thick columns repeat it.
+    """
+    lines: list[str] = []
+    append = lines.append
+    for chrom, start, end, minus, coverage, pct in zip(*columns.lists()):
+        span = f"{start}\t{end}\t"
+        append(
+            f"{CHROMOSOMES[chrom]}\t{span}.\t{coverage if coverage < 1000 else 1000}\t"
+            f"{'-' if minus else '+'}\t{span}"
+            f"{COLOR_METHYLATED if pct >= 50 else COLOR_UNMETHYLATED}\t{coverage}\t{pct}\n"
+        )
+    return lines
 
 
 def serialize_columns(columns: BedColumns) -> bytes:

@@ -18,17 +18,24 @@ a sort.
 
 **The draw order is the payload.**  A payload is a pure function of
 ``(seed, count)`` only because each generator makes the same
-``random.Random`` calls in the same order every time: per chromosome
+``random.Random`` draws in the same order every time: per chromosome
 ``randrange``, ``random``, ``betavariate``; per site the island draws,
 the domain draw (and at a switch ``random`` then ``betavariate``), the
 methylation ``gauss``, the coverage ``gauss``, the pairing ``random``
 and for a pair two more ``gauss`` — ``gauss`` keeps its second value for
 the next call, so even a skipped one shifts everything after it — and
-last one ``shuffle`` of a list as long as the record count.  Every
-staged input, its sha256 in a run manifest, and so every simulated byte
+last one ``shuffle`` of a list as long as the record count.  The per-site
+draws and the shuffle are spelled out here rather than called: the
+``expovariate`` and ``gauss`` arithmetic of CPython 3.11's ``random.py``
+over a bound ``random()``, with ``gauss_next`` carried in a local and
+written back, and :func:`_shuffle`, the same swaps as
+``random.Random.shuffle`` (held to it by ``TestShuffle``).  Every staged
+input, its sha256 in a run manifest, and so every simulated byte
 downstream hangs off that sequence (pinned in
-``tests/methcomp/test_payload_memo.py``): an edit here may change how a
-draw is *stored*, never which draw is made or when.
+``tests/methcomp/test_payload_memo.py``, off the default profile and
+with the rng state afterwards too): an edit here may change how a draw
+is *stored*, never which draw is made or when, and a Python whose
+``random.py`` computes these differently fails those pins.
 
 No object is built per record: the generators fill six column lists,
 the lines are formatted from those in one pass, and what
@@ -42,6 +49,7 @@ import dataclasses
 import functools
 import random
 import typing as t
+from math import cos as _cos, log as _log, pi as _pi, sin as _sin, sqrt as _sqrt
 
 from repro.methcomp.bed import (
     CHROMOSOMES,
@@ -106,12 +114,29 @@ class MethylomeProfile:
     pair_meth_jitter: float = 2.0
 
 
+#: ``random.py``'s ``TWOPI``, the Box-Muller angle scale of ``gauss``.
+_TWOPI = 2.0 * _pi
+
 #: Average serialized 11-column bedMethyl line length (bytes).
 APPROX_LINE_BYTES = 62
 
 
-def _clamp_pct(value: float) -> int:
-    return min(100, max(0, round(value)))
+def _shuffle(rng: random.Random, x: list) -> None:
+    """``rng.shuffle(x)``: the same swaps from the same ``getrandbits`` draws.
+
+    CPython's Fisher-Yates with ``_randbelow_with_getrandbits`` inlined:
+    for ``i`` from the end down to 1, ``x[i]`` swaps with ``x[j]``, where
+    ``j`` is the first ``getrandbits(k)`` draw below ``i + 1`` and ``k``
+    is the bit length of ``i + 1``.
+    """
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, len(x))):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 def estimate_record_count(target_bytes: int) -> int:
@@ -159,9 +184,20 @@ class MethylomeGenerator:
 
     # ------------------------------------------------------------------
     def columns(self, count: int) -> BedColumns:
-        """Generate ``count`` records in genomic order, as columns."""
+        """Generate ``count`` records in genomic order, as columns.
+
+        The per-site draws are ``random.Random``'s own arithmetic spelled
+        out (see the module docstring): ``expovariate(rate)`` is
+        ``-log(1.0 - random()) / rate`` and ``gauss(mu, sigma)`` is
+        ``mu + z * sigma`` with ``z`` the pending ``gauss_next`` or the
+        first of a fresh Box-Muller pair, whose second value becomes the
+        pending one.  ``randrange`` and ``betavariate`` stay calls: they
+        are drawn once per chromosome or domain switch and leave
+        ``gauss_next`` alone, so the local copy of it stays valid.
+        """
         profile = self.profile
         rng = self._rng
+        random_ = rng.random
         weights = [_CHROM_WEIGHTS[chrom] for chrom in CHROMOSOMES]
         total_weight = sum(weights)
         allocations = [
@@ -171,69 +207,112 @@ class MethylomeGenerator:
         drift = count - sum(allocations)
         allocations[0] += drift
 
+        # ``expovariate`` divides by its rate, so the rates are divided by too.
+        island_gap_rate = 1.0 / profile.island_gap
+        island_length_rate = 1.0 / profile.island_length
+        mean_gap_rate = 1.0 / profile.mean_gap
+        island_start_prob = profile.island_start_prob
+        domain_persistence = profile.domain_persistence
+        methylated_fraction = profile.methylated_fraction
+        meth_jitter = profile.domain_meth_jitter
+        coverage_mean = profile.coverage_mean
+        coverage_persistence = profile.coverage_persistence
+        coverage_innovation = profile.coverage_innovation
+        pair_fraction = profile.pair_fraction
+        pair_coverage_jitter = profile.pair_coverage_jitter
+        pair_meth_jitter = profile.pair_meth_jitter
+        gauss_next = rng.gauss_next
+
         chroms: list[int] = []
         starts: list[int] = []
         strands: list[bool] = []
         coverages: list[int] = []
         pcts: list[int] = []
+        add_start = starts.append
+        add_strand = strands.append
+        add_coverage = coverages.append
+        add_pct = pcts.append
         for rank, allocation in enumerate(allocations):
             position = rng.randrange(10_000, 50_000)
             island_remaining = 0
             emitted = 0
-            coverage_level = profile.coverage_mean
-            domain_methylated = rng.random() < profile.methylated_fraction
+            coverage_level = coverage_mean
+            domain_methylated = random_() < methylated_fraction
             domain_level = self._domain_level(rng, domain_methylated)
             while emitted < allocation:
                 if island_remaining > 0:
                     island_remaining -= 1
-                    gap = 2 + int(rng.expovariate(1.0 / profile.island_gap))
+                    gap = 2 + int(-_log(1.0 - random_()) / island_gap_rate)
                 else:
-                    if rng.random() < profile.island_start_prob:
+                    if random_() < island_start_prob:
                         island_remaining = 1 + int(
-                            rng.expovariate(1.0 / profile.island_length)
+                            -_log(1.0 - random_()) / island_length_rate
                         )
-                    gap = 2 + int(rng.expovariate(1.0 / profile.mean_gap))
+                    gap = 2 + int(-_log(1.0 - random_()) / mean_gap_rate)
                 position += gap
 
                 # Methylation domains: persist, occasionally switch mode.
-                if rng.random() > profile.domain_persistence:
-                    domain_methylated = rng.random() < profile.methylated_fraction
+                if random_() > domain_persistence:
+                    domain_methylated = random_() < methylated_fraction
                     domain_level = self._domain_level(rng, domain_methylated)
-                pct = _clamp_pct(
-                    domain_level + rng.gauss(0.0, profile.domain_meth_jitter)
-                )
+                z = gauss_next
+                gauss_next = None
+                if z is None:
+                    x2pi = random_() * _TWOPI
+                    g2rad = _sqrt(-2.0 * _log(1.0 - random_()))
+                    z = _cos(x2pi) * g2rad
+                    gauss_next = _sin(x2pi) * g2rad
+                pct = round(domain_level + (0.0 + z * meth_jitter))
+                pct = 0 if pct < 0 else 100 if pct > 100 else pct
 
                 # Locally smooth coverage (AR(1) around the mean depth).
+                z = gauss_next
+                gauss_next = None
+                if z is None:
+                    x2pi = random_() * _TWOPI
+                    g2rad = _sqrt(-2.0 * _log(1.0 - random_()))
+                    z = _cos(x2pi) * g2rad
+                    gauss_next = _sin(x2pi) * g2rad
                 coverage_level = (
-                    profile.coverage_mean
-                    + profile.coverage_persistence
-                    * (coverage_level - profile.coverage_mean)
-                    + rng.gauss(0.0, profile.coverage_innovation)
+                    coverage_mean
+                    + coverage_persistence * (coverage_level - coverage_mean)
+                    + (0.0 + z * coverage_innovation)
                 )
-                coverage = max(1, round(coverage_level))
+                coverage = round(coverage_level)
+                if coverage < 1:
+                    coverage = 1
 
-                starts.append(position)
-                strands.append(False)
-                coverages.append(coverage)
-                pcts.append(pct)
+                add_start(position)
+                add_strand(False)
+                add_coverage(coverage)
+                add_pct(pct)
                 emitted += 1
-                if emitted < allocation and rng.random() < profile.pair_fraction:
+                if emitted < allocation and random_() < pair_fraction:
                     # Complementary-strand observation of the same CpG,
                     # one base over.
-                    starts.append(position + 1)
-                    strands.append(True)
-                    coverages.append(
-                        max(
-                            1,
-                            coverage
-                            + round(rng.gauss(0.0, profile.pair_coverage_jitter)),
-                        )
-                    )
-                    pcts.append(
-                        _clamp_pct(pct + rng.gauss(0.0, profile.pair_meth_jitter))
-                    )
+                    z = gauss_next
+                    gauss_next = None
+                    if z is None:
+                        x2pi = random_() * _TWOPI
+                        g2rad = _sqrt(-2.0 * _log(1.0 - random_()))
+                        z = _cos(x2pi) * g2rad
+                        gauss_next = _sin(x2pi) * g2rad
+                    pair_coverage = coverage + round(0.0 + z * pair_coverage_jitter)
+                    z = gauss_next
+                    gauss_next = None
+                    if z is None:
+                        x2pi = random_() * _TWOPI
+                        g2rad = _sqrt(-2.0 * _log(1.0 - random_()))
+                        z = _cos(x2pi) * g2rad
+                        gauss_next = _sin(x2pi) * g2rad
+                    pair_pct = round(pct + (0.0 + z * pair_meth_jitter))
+                    add_start(position + 1)
+                    add_strand(True)
+                    add_coverage(pair_coverage if pair_coverage > 1 else 1)
+                    add_pct(0 if pair_pct < 0 else 100 if pair_pct > 100 else pair_pct)
                     emitted += 1
             chroms.extend([rank] * allocation)
+        rng.gauss_next = gauss_next
         # A CpG dinucleotide: every interval is two bases wide.
         ends = [start + 2 for start in starts]
         return BedColumns(chroms, starts, ends, strands, coverages, pcts)
@@ -253,7 +332,7 @@ class MethylomeGenerator:
     def shuffled_records(self, count: int) -> list[MethylationRecord]:
         """Generate ``count`` records in scrambled (pipeline-input) order."""
         records = self.records(count)
-        self._rng.shuffle(records)
+        _shuffle(self._rng, records)
         return records
 
     @_validated
@@ -263,7 +342,7 @@ class MethylomeGenerator:
         if not sorted_output:
             # The permutation depends on the list's length alone, so the
             # lines land where the records they spell used to.
-            self._rng.shuffle(lines)
+            _shuffle(self._rng, lines)
         return "".join(lines).encode("ascii")
 
     def generate_bed_bytes(
@@ -322,20 +401,41 @@ def generate_skewed_bed_bytes(
     # bed_sort_key order and the skew survives the mapping.
     per_chrom = max(1, spec.key_space // len(CHROMOSOMES))
     chroms, starts, coverages, pcts = [], [], [], []
+    # ``gauss`` spelled out as in MethylomeGenerator.columns: the two
+    # draws per record are the two values of one Box-Muller pair.
+    random_ = rng.random
+    gauss_next = rng.gauss_next
     for key in keys:
         chrom_rank = min(len(CHROMOSOMES) - 1, key // per_chrom)
         offset = key - chrom_rank * per_chrom
         chroms.append(chrom_rank)
         starts.append(10_000 + (offset * 200_000_000) // per_chrom)
-        coverages.append(max(1, round(rng.gauss(18.0, 4.0))))
-        pcts.append(_clamp_pct(rng.gauss(72.0, 20.0)))
+        z = gauss_next
+        gauss_next = None
+        if z is None:
+            x2pi = random_() * _TWOPI
+            g2rad = _sqrt(-2.0 * _log(1.0 - random_()))
+            z = _cos(x2pi) * g2rad
+            gauss_next = _sin(x2pi) * g2rad
+        coverage = round(18.0 + z * 4.0)
+        coverages.append(coverage if coverage > 1 else 1)
+        z = gauss_next
+        gauss_next = None
+        if z is None:
+            x2pi = random_() * _TWOPI
+            g2rad = _sqrt(-2.0 * _log(1.0 - random_()))
+            z = _cos(x2pi) * g2rad
+            gauss_next = _sin(x2pi) * g2rad
+        pct = round(72.0 + z * 20.0)
+        pcts.append(0 if pct < 0 else 100 if pct > 100 else pct)
+    rng.gauss_next = gauss_next
     lines = column_lines(
         BedColumns(
             chroms, starts, [start + 2 for start in starts], [False] * len(keys), coverages, pcts
         )
     )
     if distribution not in ("sorted-runs", "late-hot"):
-        rng.shuffle(lines)
+        _shuffle(rng, lines)
     return "".join(lines).encode("ascii")
 
 

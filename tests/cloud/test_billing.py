@@ -51,6 +51,45 @@ class TestCostMeter:
             "explicit": pytest.approx(0.1), "owner": pytest.approx(0.2),
         }
 
+    def test_filtered_matches_owner_keyword_and_mixed_tags(self):
+        """Owner tags, keyword tags and a mix filter as a per-line dict
+        lookup would: the same lines, in charge order."""
+        sim = Simulator()
+        meter = CostMeter(sim)
+        owners = [(), (("stage", "sort"),), (("stage", "sort"), ("tenant", "a")),
+                  (("stage", "encode"), ("tenant", "b"))]
+        keywords = [{}, {"function": "sort"}, {"tenant": "b"},
+                    {"stage": "encode", "function": "merge"}]
+
+        def charging():
+            for owner in owners:
+                sim.active_process.owner = owner
+                for index, tags in enumerate(keywords):
+                    service = "faas" if index % 2 else "objectstore"
+                    meter.charge(sim.now, service, "item", 1.0, 0.01 * index, **tags)
+            yield sim.timeout(0.0)
+
+        sim.run_process(charging())
+        assert len(meter.lines) == 16
+        for line in meter.lines:
+            keys = [key for key, _ in line.tags]
+            assert len(keys) == len(set(keys)), line.tags
+
+        queries = [{}, {"stage": "sort"}, {"tenant": "b"}, {"function": "sort"},
+                   {"stage": "sort", "tenant": "a"}, {"stage": "encode", "function": "merge"},
+                   {"stage": "sort", "function": "sort"}, {"tenant": "nobody"}]
+        for service in (None, "faas"):
+            for query in queries:
+                expected = [
+                    line for line in meter.lines
+                    if (service is None or line.service == service)
+                    and all(dict(line.tags).get(key) == value for key, value in query.items())
+                ]
+                actual = meter.filtered(service, **query)
+                assert len(actual) == len(expected), (service, query)
+                assert all(a is e for a, e in zip(actual, expected)), (service, query)
+        assert meter.filtered(tenant="b") and not meter.filtered(tenant="nobody")
+
     def test_snapshot_and_since(self):
         meter = CostMeter()
         meter.charge(0.0, "faas", "gb_second", 1.0, 0.10)

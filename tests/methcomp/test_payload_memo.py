@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.methcomp.bed import MethylationRecord, is_sorted, parse_buffer, seria
 from repro.methcomp.datagen import (
     MethylomeGenerator,
     MethylomeProfile,
+    _shuffle,
     generate_skewed_bed_bytes,
     methylome_payload,
 )
@@ -203,6 +205,28 @@ class TestDrawOrder:
             hashlib.sha256(payload).hexdigest(),
             hashlib.sha256(state).hexdigest(),
         ) == DRAW_ORDER_SHA256[case]
+
+
+
+#: 0-3, then every power of two up to 70,000 and its two neighbours: the
+#: lengths at which the draw's bit length changes.
+SHUFFLE_LENGTHS = sorted(
+    {0, 1, 2, 3} | {(1 << k) + d for k in range(1, 17) for d in (-1, 0, 1)}
+)
+
+
+class TestShuffle:
+    """``_shuffle`` is ``random.Random.shuffle``, swap for swap and draw for draw."""
+
+    @pytest.mark.parametrize("seed", (0, 2021, 7331))
+    def test_same_list_and_rng_state_as_cpython(self, seed):
+        for length in SHUFFLE_LENGTHS:
+            expected, actual = list(range(length)), list(range(length))
+            reference, rng = random.Random(seed), random.Random(seed)
+            reference.shuffle(expected)
+            _shuffle(rng, actual)
+            assert actual == expected, length
+            assert rng.getstate() == reference.getstate(), length
 
 
 class TestValidation:

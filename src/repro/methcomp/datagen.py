@@ -191,9 +191,11 @@ class MethylomeGenerator:
         ``-log(1.0 - random()) / rate`` and ``gauss(mu, sigma)`` is
         ``mu + z * sigma`` with ``z`` the pending ``gauss_next`` or the
         first of a fresh Box-Muller pair, whose second value becomes the
-        pending one.  ``randrange`` and ``betavariate`` stay calls: they
-        are drawn once per chromosome or domain switch and leave
-        ``gauss_next`` alone, so the local copy of it stays valid.
+        pending one (``0.0 + z * sigma`` keeps the ``mu +`` of a zero-mean
+        draw, so each float is the one ``gauss`` returned).  ``randrange``
+        and ``betavariate`` stay calls: they are drawn once per chromosome
+        or domain switch and leave ``gauss_next`` alone, so the local copy
+        of it stays valid.
         """
         profile = self.profile
         rng = self._rng
@@ -401,8 +403,7 @@ def generate_skewed_bed_bytes(
     # bed_sort_key order and the skew survives the mapping.
     per_chrom = max(1, spec.key_space // len(CHROMOSOMES))
     chroms, starts, coverages, pcts = [], [], [], []
-    # ``gauss`` spelled out as in MethylomeGenerator.columns: the two
-    # draws per record are the two values of one Box-Muller pair.
+    # ``gauss`` spelled out as in MethylomeGenerator.columns.
     random_ = rng.random
     gauss_next = rng.gauss_next
     for key in keys:

@@ -51,13 +51,7 @@ def _run_once(observed):
 
 def _best_of_alternating():
     """``ROUNDS`` traced and ``ROUNDS`` plain runs, taking turns; each
-    side's fastest ``(run, cloud, cpu_s)``, traced first.
-
-    One untimed plain run goes first: the process's first pipeline also
-    generates the input payload and pays first-use imports, a second of
-    work that would otherwise land on the traced side's first round.
-    """
-    _run_once(False)
+    side's fastest ``(run, cloud, cpu_s)``, traced first."""
     best = {}
     for _ in range(ROUNDS):
         for observed in (True, False):

@@ -24,12 +24,13 @@ the domain draw (and at a switch ``random`` then ``betavariate``), the
 methylation ``gauss``, the coverage ``gauss``, the pairing ``random``
 and for a pair two more ``gauss`` — ``gauss`` keeps its second value for
 the next call, so even a skipped one shifts everything after it — and
-last one ``shuffle`` of a list as long as the record count.  The per-site
-draws and the shuffle are spelled out here rather than called: the
-``expovariate`` and ``gauss`` arithmetic of CPython 3.11's ``random.py``
-over a bound ``random()``, with ``gauss_next`` carried in a local and
-written back, and :func:`_shuffle`, the same swaps as
-``random.Random.shuffle`` (held to it by ``TestShuffle``).  Every staged
+last one ``shuffle`` of a list as long as the record count.
+:meth:`MethylomeGenerator.columns` spells its per-site draws out rather
+than calling them: the ``expovariate`` and ``gauss`` arithmetic of
+CPython 3.11's ``random.py`` over a bound ``random()``, with
+``gauss_next`` carried in a local and written back.  Every shuffle is
+:func:`_shuffle`, the same swaps as ``random.Random.shuffle`` (held to
+it by ``TestShuffle``).  Every staged
 input, its sha256 in a run manifest, and so every simulated byte
 downstream hangs off that sequence (pinned in
 ``tests/methcomp/test_payload_memo.py``, off the default profile and
@@ -195,7 +196,8 @@ class MethylomeGenerator:
         draw, so each float is the one ``gauss`` returned).  ``randrange``
         and ``betavariate`` stay calls: they are drawn once per chromosome
         or domain switch and leave ``gauss_next`` alone, so the local copy
-        of it stays valid.
+        of it stays valid.  The four ``gauss`` copies are the hot path:
+        calling a bound ``rng.gauss`` instead makes this 1.4-1.6x slower.
         """
         profile = self.profile
         rng = self._rng
@@ -403,33 +405,13 @@ def generate_skewed_bed_bytes(
     # bed_sort_key order and the skew survives the mapping.
     per_chrom = max(1, spec.key_space // len(CHROMOSOMES))
     chroms, starts, coverages, pcts = [], [], [], []
-    # ``gauss`` spelled out as in MethylomeGenerator.columns.
-    random_ = rng.random
-    gauss_next = rng.gauss_next
     for key in keys:
         chrom_rank = min(len(CHROMOSOMES) - 1, key // per_chrom)
         offset = key - chrom_rank * per_chrom
         chroms.append(chrom_rank)
         starts.append(10_000 + (offset * 200_000_000) // per_chrom)
-        z = gauss_next
-        gauss_next = None
-        if z is None:
-            x2pi = random_() * _TWOPI
-            g2rad = _sqrt(-2.0 * _log(1.0 - random_()))
-            z = _cos(x2pi) * g2rad
-            gauss_next = _sin(x2pi) * g2rad
-        coverage = round(18.0 + z * 4.0)
-        coverages.append(coverage if coverage > 1 else 1)
-        z = gauss_next
-        gauss_next = None
-        if z is None:
-            x2pi = random_() * _TWOPI
-            g2rad = _sqrt(-2.0 * _log(1.0 - random_()))
-            z = _cos(x2pi) * g2rad
-            gauss_next = _sin(x2pi) * g2rad
-        pct = round(72.0 + z * 20.0)
-        pcts.append(0 if pct < 0 else 100 if pct > 100 else pct)
-    rng.gauss_next = gauss_next
+        coverages.append(max(1, round(rng.gauss(18.0, 4.0))))
+        pcts.append(min(100, max(0, round(rng.gauss(72.0, 20.0)))))
     lines = column_lines(
         BedColumns(
             chroms, starts, [start + 2 for start in starts], [False] * len(keys), coverages, pcts

@@ -91,9 +91,10 @@ bench:
 #   bench-codec      encode / decode / gzip throughput and the encode
 #                    stage's shape (+ guard: holds the columnar-parse and
 #                    word-at-a-time-coder speed-up).
-#   bench-obs        S15: tracing-on vs tracing-off wall-clock on the
-#                    auto_sort pipeline, gated at <=5% overhead with
-#                    identical simulated outcomes, plus the CI artifacts
+#   bench-obs        S15: tracing-on vs tracing-off CPU time on the
+#                    auto_sort pipeline over 15 alternating pairs, gated
+#                    at a median pair ratio <= 1.05 with identical
+#                    simulated outcomes, plus the CI artifacts
 #                    (results/s8_trace.json, results/s8_metrics.txt).
 #   bench-cas        S16 (s16_cas.txt, s16_lineage.txt and the
 #                    s16_run_manifest.json replay artifact): dedup at

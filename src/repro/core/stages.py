@@ -4,9 +4,9 @@ These are the building blocks the declarative workflows (and the
 Table 1 experiment) compose:
 
 ==================  ====================================================
-``methylome_dataset``  generate a synthetic ENCFF988BSW-like bedMethyl
-                       payload and upload it to object storage
-``dataset_ref``        point at an existing object (pre-staged input)
+``dataset_ref``        point at the input object, staged in the
+                       workflow bucket before the DAG runs
+                       (:func:`repro.core.experiment.stage_input`)
 ``shuffle_sort``       sort with serverless functions exchanging through
 ``cache_sort``         object storage (Primula — configuration **B**),
 ``relay_sort``         an in-memory cache cluster (**C**), a relay on a
@@ -18,17 +18,11 @@ Table 1 experiment) compose:
                        on the substrate its ``substrate`` param names:
                        the reduce wave launches concurrently with the
                        map wave (experiment S10)
-``auto_sort``          adaptive sort: picks substrate (and, with
-                       ``modes=("staged", "streaming")``, the mode) at
+``auto_sort``          adaptive sort: picks the substrate at
                        DAG-execution time with
                        ``choose_exchange_substrate`` and runs the same
-                       body on the winner, recording the decision in
-                       the stage report
-``online_sort``        mid-stream adaptive sort: runs
-                       ``OnlineShuffleSort``, which re-fits calibration
-                       from observed chunk rates after every wave and
-                       may switch substrate/mode/workers mid-run,
-                       recording a decision timeline (experiment S12)
+                       staged body on the winner, recording the decision
+                       in the stage report
 ``vm_sort``            sort inside a provisioned VM — configuration **A**
 ``methcomp_encode``    embarrassingly parallel METHCOMP compression of
                        the sorted runs with cloud functions
@@ -37,7 +31,10 @@ Table 1 experiment) compose:
 
 Every sort kind produces the same artifact shape (a list of sorted runs
 in partition order), so the encode stage is substrate-agnostic —
-exactly the property the paper's comparison relies on.
+exactly the property the paper's comparison relies on.  A stage reads
+only the params some pipeline variant, sweep or workload sets; the
+values it does not take as params are constants (below, and
+:data:`~repro.shuffle.operator.SAMPLERS`).
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ import typing as t
 from repro.core.calibration import WorkloadParams
 from repro.errors import WorkflowError
 from repro.executor.executor import FunctionExecutor
-from repro.methcomp.datagen import methylome_payload
 from repro.methcomp.pipeline import bed_record_codec, decode_worker, encode_worker
 from repro.shuffle import kernels
 from repro.shuffle.adaptive import choose_exchange_substrate
@@ -57,16 +53,26 @@ from repro.shuffle.content import (
     lineage_cache_for,
     lineage_outputs_present,
 )
-from repro.shuffle.online import OnlineShuffleSort
 from repro.shuffle.operator import ShuffleResult, ShuffleSort
 from repro.shuffle.streaming import StreamConfig
 from repro.shuffle.substrates import SUBSTRATES
 from repro.storage import paths
-from repro.workflows.engine import StageContext, register_stage_kind
+from repro.workflows.engine import StageContext, register_stage_kind, registered_kinds
 
 #: Engine-level cache of function executors, one per memory size, so
 #: consecutive stages share warm containers (Lithops runtime reuse).
 _EXECUTOR_CACHE_ATTR = "_repro_executor_cache"
+
+#: ``streaming_sort``'s chunk grain and reducer buffer bound (logical
+#: bytes) and its manifest poll cadence.  Floats on purpose: every
+#: mapper and reducer task carries them pickled in its stream
+#: descriptor, and the store bills the pickled bytes.
+STREAM_CHUNK_BYTES = 32.0 * (1 << 20)
+STREAM_BUFFER_BYTES = 256.0 * (1 << 20)
+STREAM_POLL_INTERVAL_S = 0.2
+#: ``vm_sort``'s range-GET granularity, a *logical* size: scaled-down
+#: runs still spread the download over the same number of connections.
+VM_DOWNLOAD_CHUNK_BYTES = 32 * (1 << 20)
 
 
 def _workload(context: StageContext) -> WorkloadParams:
@@ -99,57 +105,21 @@ def _single_input(inputs: dict[str, t.Any], stage: str) -> t.Any:
 
 
 # ----------------------------------------------------------------------
-# dataset stages
+# dataset stage
 # ----------------------------------------------------------------------
-def methylome_dataset(context: StageContext, inputs: dict) -> t.Generator:
-    """Generate and upload the synthetic methylome.
+def dataset_ref(context: StageContext, inputs: dict) -> t.Generator:
+    """Reference an existing object in the workflow bucket (pre-staged
+    input data).
 
-    Params: ``size_gb`` (logical; real bytes are divided by the cloud's
-    ``logical_scale``), ``seed``, ``key``, ``sorted`` (default False —
-    raw pipeline input is unsorted, that is why the sort stage exists),
-    ``distribution`` (``"uniform"`` default, or a skewed key law from
-    :data:`repro.shuffle.skew.KEY_DISTRIBUTIONS`: ``"zipf"``,
-    ``"heavy-dup"``, ``"sorted-runs"``, ``"late-hot"``) with its
-    ``zipf_s`` / ``distinct_keys`` knobs.
+    Params: ``key``.
     """
-    size_gb = float(context.param("size_gb", required=True))
-    seed = int(context.param("seed", 0))
-    key = context.param("key", "input/methylome.bed")
-    scale = context.cloud.logical_scale
-    real_bytes = max(1, int(size_gb * (1 << 30) / scale))
-    payload = methylome_payload(
-        real_bytes,
-        seed,
-        context.param("distribution", "uniform"),
-        float(context.param("zipf_s", 1.2)),
-        int(context.param("distinct_keys", 64)),
-        bool(context.param("sorted", False)),
-    )
-    meta = yield context.cloud.store.put(context.bucket, key, payload)
+    key = context.param("key", required=True)
+    meta = yield context.cloud.store.head(context.bucket, key)
     return {
         "bucket": context.bucket,
         "key": key,
         "real_bytes": meta.size,
         "logical_bytes": meta.logical_size,
-        "records": payload.count(b"\n"),
-    }
-
-
-def dataset_ref(context: StageContext, inputs: dict) -> t.Generator:
-    """Reference an existing object (pre-staged input data).
-
-    Params: ``key``, optional ``bucket`` (defaults to the workflow
-    bucket), optional ``records`` (for downstream verification).
-    """
-    bucket = context.param("bucket", context.bucket)
-    key = context.param("key", required=True)
-    meta = yield context.cloud.store.head(bucket, key)
-    return {
-        "bucket": bucket,
-        "key": key,
-        "real_bytes": meta.size,
-        "logical_bytes": meta.logical_size,
-        "records": context.param("records"),
     }
 
 
@@ -167,18 +137,6 @@ _STREAM_ARTIFACT = tuple(
         "stream_chunks",
     )
 )
-
-
-def _stream_config(
-    param: t.Callable[..., t.Any], chunk_key: str, buffer_key: str
-) -> StreamConfig:
-    """The streaming knobs of a stage (logical MB; buffer 0 = unbounded)."""
-    buffer_mb = float(param(buffer_key, 256.0))
-    return StreamConfig(
-        chunk_bytes=float(param(chunk_key, 32.0)) * (1 << 20),
-        buffer_bytes=buffer_mb * (1 << 20) if buffer_mb > 0 else None,
-        poll_interval_s=float(param("poll_interval", 0.2)),
-    )
 
 
 def _sort_fields(result: ShuffleResult) -> dict:
@@ -220,20 +178,19 @@ def _exchange_sort(
     node/instance-seconds are billed into the stage's cost either way.
 
     Params, all kinds: ``workers`` (pin the count; omit to let the
-    substrate's planner choose), ``memory_mb``, ``samplers``,
-    ``max_workers``.  Provisioned substrates: ``provisioning``
-    (``"warm"`` pre-provisioned, or ``"cold"`` — creation/boot on the
-    clock) and the class's sizing params — cache ``node_type`` (default
+    substrate's planner choose), ``memory_mb``, ``max_workers``.
+    Provisioned substrates: ``provisioning`` (``"warm"``
+    pre-provisioned, or ``"cold"`` — creation/boot on the clock) and
+    the class's sizing params — cache ``node_type`` (default
     cache.r5.large) and ``nodes`` (0 = size the cluster to fit); relay
     ``instance_type`` (omit to auto-size the smallest flavour that holds
     the data); sharded relay ``instance_type`` and ``shards`` (default
     2; 0 auto-sizes the fleet).  Staged only: the class's reducer-side
     deletion flag — cache ``cleanup``, relays ``consume`` (default
     False; the resource is terminated at stage end either way).
-    Streaming only: ``chunk_mb`` (logical chunk grain, default 32),
-    ``buffer_mb`` (reducer buffer bound, default 256; 0 disables
-    backpressure), ``poll_interval`` (COS manifest polls, default
-    0.2 s).
+    Streaming runs at :data:`STREAM_CHUNK_BYTES` chunks, a
+    :data:`STREAM_BUFFER_BYTES` reducer buffer and
+    :data:`STREAM_POLL_INTERVAL_S` manifest polls.
 
     ``overrides`` shadow stage params — ``auto_sort`` injects the
     configuration its decision priced without touching the stage's own.
@@ -259,7 +216,9 @@ def _exchange_sort(
     cost = _workload(context).shuffle_cost_model()
     stream = None
     if mode == "streaming":
-        stream = _stream_config(param, "chunk_mb", "buffer_mb")
+        stream = StreamConfig(
+            STREAM_CHUNK_BYTES, STREAM_BUFFER_BYTES, STREAM_POLL_INTERVAL_S
+        )
     elif backend_class.stage_flag is not None:
         flag = backend_class.stage_flag
         setattr(cost, flag, bool(param(flag, False)))
@@ -292,7 +251,6 @@ def _exchange_sort(
             out_bucket=context.bucket,
             out_prefix=f"{context.spec.name}",
             workers=param("workers"),
-            samplers=int(param("samplers", 8)),
             max_workers=int(param("max_workers", 256)),
         )
     finally:
@@ -319,7 +277,7 @@ def streaming_sort(context: StageContext, inputs: dict) -> t.Generator:
 
 
 # ----------------------------------------------------------------------
-# warm-run lineage cache (adaptive sorts)
+# warm-run lineage cache (auto_sort)
 # ----------------------------------------------------------------------
 def _plan_value(value: t.Any) -> t.Any:
     """Coerce a stage param into the canonical hash encoding's domain."""
@@ -374,77 +332,45 @@ def _lineage_store(context: StageContext, fingerprint: str, artifact: dict) -> N
     lineage_cache_for(context.cloud.store).put(fingerprint, artifact)
 
 
-def _selector_params(context: StageContext, default_modes: tuple) -> dict:
-    """The substrate-selection knobs ``auto_sort`` and ``online_sort``
-    share, as the keyword arguments ``choose_exchange_substrate`` and
-    ``OnlineShuffleSort`` both take.  Prices with the same calibrated
-    workload constants the sort will execute with — a decision made for
-    a faster imaginary workload could pick the wrong substrate outright.
-    """
-    substrates = context.param("substrates")
-    modes = context.param("modes")
-    return {
-        "cache_node_type": context.param("cache_node_type", "cache.r5.large"),
-        "relay_instance_type": context.param("instance_type") or None,
-        "time_value_usd_per_hour": float(
-            context.param("time_value_usd_per_hour", 1.0)
-        ),
-        "max_relay_shards": int(context.param("max_relay_shards", 8)),
-        "substrates": tuple(substrates) if substrates is not None else None,
-        "modes": tuple(modes) if modes is not None else default_modes,
-        "partition_skew": float(context.param("partition_skew", 1.0)),
-        "cost": _workload(context).shuffle_cost_model(),
-    }
-
-
 def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
     """Adaptive sort: choose the exchange substrate at execution time.
 
     Calls :func:`~repro.shuffle.adaptive.choose_exchange_substrate` on
-    the upstream dataset's logical size, then runs :func:`_exchange_sort`
-    on the chosen substrate and mode with the decision's configuration
-    (worker count, flavour, node/shard count) injected, so the stage
-    executes exactly what was priced.  The decision — every substrate's priced
+    the upstream dataset's logical size, pricing every substrate's
+    staged sort with the calibrated workload constants the sort will
+    execute with (a decision made for a faster imaginary workload could
+    pick the wrong substrate outright).  Then runs :func:`_exchange_sort`
+    on the chosen substrate with the decision's configuration (worker
+    count, flavour, node/shard count) injected, so the stage executes
+    exactly what was priced.  The decision — every substrate's priced
     estimate and the winner — is recorded in the stage artifact (and
     thereby the tracker report and Gantt label).
 
     Params: ``time_value_usd_per_hour`` (default 1.0 — the knob that
     trades latency against provisioned infrastructure), ``workers``
     (pin the count across all substrates; omit to let each plan its
-    own), ``substrates`` (restrict the candidates), ``modes``
-    (``("staged",)`` by default; add ``"streaming"`` to price the
-    pipelined execution mode as a second decision variable),
-    ``stream_chunk_mb``/``stream_buffer_mb`` (the streaming grain and
-    reducer buffer bound, used both for pricing and execution),
-    ``max_relay_shards`` (default 8), ``cache_node_type``,
-    ``instance_type`` (pin the relay flavour), ``partition_skew``
-    (expected max-over-mean partition bytes, default 1.0 — prices the
-    straggler reducer in every candidate model, so a skewed workload
-    may pick a different substrate/mode/configuration than a uniform
-    one of the same size), plus the usual
-    ``memory_mb``/``samplers``/``max_workers`` passed through to the
-    sort.
+    own), ``cache_node_type`` (default cache.r5.large), plus
+    ``memory_mb`` and ``max_workers`` passed through to the sort.
     """
     upstream = _single_input(inputs, context.spec.name)
     lineage_key, cached = yield from _lineage_lookup(context, upstream)
     if cached is not None:
         return cached
-    stream_chunk_mb = float(context.param("stream_chunk_mb", 32.0))
     decision = choose_exchange_substrate(
         upstream["logical_bytes"],
         context.cloud.profile,
         workers=context.param("workers"),
+        cache_node_type=context.param("cache_node_type", "cache.r5.large"),
+        time_value_usd_per_hour=float(
+            context.param("time_value_usd_per_hour", 1.0)
+        ),
         max_workers=int(context.param("max_workers", 256)),
-        stream_chunk_bytes=stream_chunk_mb * (1 << 20),
-        **_selector_params(context, ("staged",)),
+        cost=_workload(context).shuffle_cost_model(),
     )
     chosen = decision.chosen
     # Execute exactly the configuration the estimate priced.
     backend_class = SUBSTRATES[chosen.substrate]
     overrides = {"workers": chosen.workers}
-    if chosen.mode == "streaming":
-        overrides["chunk_mb"] = stream_chunk_mb
-        overrides["buffer_mb"] = float(context.param("stream_buffer_mb", 256.0))
     if backend_class.flavour_param:
         overrides[backend_class.flavour_param[0]] = chosen.instance_type
     if backend_class.count_param:
@@ -460,80 +386,7 @@ def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
         substrate_provisioned_usd=chosen.provisioned_usd,
         substrate_score_usd=chosen.score_usd,
         substrate_decision=decision.describe(),
-        # One-point "timeline" so static and online artifacts share a
-        # shape (the online stage appends a point per re-selection).
-        substrate_timeline=[decision.describe()],
-        substrate_switches=0,
     )
-    _lineage_store(context, lineage_key, artifact)
-    return artifact
-
-
-def online_sort(context: StageContext, inputs: dict) -> t.Generator:
-    """Mid-stream adaptive sort: re-select the substrate *between chunks*.
-
-    Runs :class:`~repro.shuffle.online.OnlineShuffleSort`: the exchange
-    substrate, execution mode and worker count are re-chosen after
-    every streaming wave from calibration refit on the waves' own
-    observed chunk publish rates, and the relay fleet's routing is
-    refined at chunk grain when a hot partition emerges mid-stream.
-
-    Params mirror ``auto_sort`` (``time_value_usd_per_hour``,
-    ``workers``, ``substrates``, ``modes`` — default
-    ``("staged", "streaming")`` here, the online loop's natural set —
-    ``stream_chunk_mb``/``stream_buffer_mb``, ``max_relay_shards``,
-    ``cache_node_type``, ``instance_type``, ``partition_skew``,
-    ``memory_mb``/``samplers``/``max_workers``) plus ``switch_margin``
-    (hysteresis fraction a candidate must undercut the running
-    configuration's refit score by; default 0.05).
-
-    The artifact records the whole decision timeline:
-    ``substrate_decision`` (the rendered timeline),
-    ``substrate_timeline`` (one entry per decision point),
-    ``substrate_switches`` and ``chunk_reroutes``.
-    """
-    upstream = _single_input(inputs, context.spec.name)
-    lineage_key, cached = yield from _lineage_lookup(context, upstream)
-    if cached is not None:
-        return cached
-    operator = OnlineShuffleSort(
-        _function_executor(context, int(context.param("memory_mb", 2048))),
-        bed_record_codec(),
-        stream=_stream_config(context.param, "stream_chunk_mb", "stream_buffer_mb"),
-        switch_margin=float(context.param("switch_margin", 0.05)),
-        **_selector_params(context, ("staged", "streaming")),
-    )
-    result = yield operator.sort(
-        upstream["bucket"],
-        upstream["key"],
-        out_bucket=context.bucket,
-        out_prefix=f"{context.spec.name}",
-        workers=context.param("workers"),
-        samplers=int(context.param("samplers", 8)),
-        max_workers=int(context.param("max_workers", 256)),
-    )
-    report = operator.report
-    timeline = operator.timeline
-    final = timeline.final.decision.chosen
-    artifact = {
-        **_sort_fields(result),
-        "substrate": final.substrate,
-        "substrate_mode": "online",
-        "substrate_workers": final.workers,
-        "predicted_s": report.predicted_s,
-        "actual_s": report.actual_s,
-        "substrate_predicted_s": final.predicted_s,
-        "substrate_provisioned_usd": report.provisioned_usd,
-        "substrate_score_usd": final.score_usd,
-        "substrate_decision": timeline.describe(),
-        "substrate_timeline": [point.describe() for point in timeline],
-        "substrate_switches": timeline.switches,
-        "chunk_reroutes": operator.chunk_reroutes,
-        "overlap_s": report.overlap_s,
-        "buffer_high_watermark_bytes": report.buffer_high_watermark_bytes,
-        "buffer_backpressure_waits": report.buffer_backpressure_waits,
-        "stream_chunks": report.stream_chunks,
-    }
     _lineage_store(context, lineage_key, artifact)
     return artifact
 
@@ -542,7 +395,8 @@ def vm_sort(context: StageContext, inputs: dict) -> t.Generator:
     """Configuration A: sort inside a large-memory VM.
 
     Params: ``instance_type`` (default bx2-8x32), ``partitions`` (output
-    runs; default 8), ``download_chunk_mb`` (range-GET granularity).
+    runs; default 8).  The download goes in
+    :data:`VM_DOWNLOAD_CHUNK_BYTES` range GETs.
 
     The VM downloads the whole object with parallel ranged GETs, parses
     and sorts it in memory using all vCPUs, range-partitions the result
@@ -553,10 +407,7 @@ def vm_sort(context: StageContext, inputs: dict) -> t.Generator:
     upstream = _single_input(inputs, context.spec.name)
     instance_type = context.param("instance_type", "bx2-8x32")
     partitions = int(context.param("partitions", 8))
-    # The chunk granularity is a *logical* size: scaled-down runs must
-    # still spread the download over the same number of connections.
-    chunk_logical = int(context.param("download_chunk_mb", 32)) * (1 << 20)
-    chunk_real = max(1, int(chunk_logical / context.cloud.logical_scale))
+    chunk_real = max(1, int(VM_DOWNLOAD_CHUNK_BYTES / context.cloud.logical_scale))
     workload = _workload(context)
     bucket = context.bucket
     stage_name = context.spec.name
@@ -711,29 +562,29 @@ def methcomp_verify(context: StageContext, inputs: dict) -> t.Generator:
     return {"verified": True, "records": restored}
 
 
+def _staged(substrate: str) -> t.Callable:
+    return functools.partial(_exchange_sort, substrate=substrate, mode="staged")
+
+
+#: The built-in stage kinds: the workflow vocabulary of this module.
+BUILTIN_STAGE_KINDS: dict[str, t.Callable] = {
+    "dataset_ref": dataset_ref,
+    "shuffle_sort": _staged("objectstore"),
+    "cache_sort": _staged("cache"),
+    "relay_sort": _staged("relay"),
+    "sharded_relay_sort": _staged("sharded-relay"),
+    "streaming_sort": streaming_sort,
+    "auto_sort": auto_sort,
+    "vm_sort": vm_sort,
+    "methcomp_encode": methcomp_encode,
+    "methcomp_verify": methcomp_verify,
+}
+
+
 def register_builtin_stage_kinds() -> None:
-    """Idempotently register the METHCOMP stage kinds."""
-    from repro.workflows.engine import registered_kinds
-
-    def staged(substrate: str) -> t.Callable:
-        return functools.partial(_exchange_sort, substrate=substrate, mode="staged")
-
-    builtin = {
-        "methylome_dataset": methylome_dataset,
-        "dataset_ref": dataset_ref,
-        "shuffle_sort": staged("objectstore"),
-        "cache_sort": staged("cache"),
-        "relay_sort": staged("relay"),
-        "sharded_relay_sort": staged("sharded-relay"),
-        "streaming_sort": streaming_sort,
-        "auto_sort": auto_sort,
-        "online_sort": online_sort,
-        "vm_sort": vm_sort,
-        "methcomp_encode": methcomp_encode,
-        "methcomp_verify": methcomp_verify,
-    }
+    """Idempotently register :data:`BUILTIN_STAGE_KINDS`."""
     existing = set(registered_kinds())
-    for kind, impl in builtin.items():
+    for kind, impl in BUILTIN_STAGE_KINDS.items():
         if kind not in existing:
             register_stage_kind(kind, impl)
 

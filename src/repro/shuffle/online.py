@@ -37,9 +37,10 @@ partitioned in — then applies the same stable sort, so the sorted runs
 are byte-identical to every static substrate's at the same boundaries.
 
 The whole decision history lands in a
-:class:`~repro.shuffle.adaptive.DecisionTimeline` (the ``auto_sort``
-stage records it as ``substrate_decision``); benchmark S12 measures
-the payoff against every static decision under a mid-run rate shift.
+:class:`~repro.shuffle.adaptive.DecisionTimeline`
+(:attr:`OnlineShuffleSort.timeline`); benchmark S12 runs the operator
+and measures the payoff against every static decision under a mid-run
+rate shift.
 """
 
 from __future__ import annotations
@@ -309,10 +310,12 @@ class OnlineShuffleSort(ShuffleSort):
     cost:
         The workload constants, passed to every (re-)selection and to
         the worker stages of whichever substrate a stint runs on.
-    time_value_usd_per_hour, substrates, modes, cache_node_type,
-    relay_instance_type, max_relay_shards, partition_skew:
+    time_value_usd_per_hour, substrates, modes:
         Forwarded to :func:`~repro.shuffle.adaptive.choose_exchange_substrate`
-        at every decision point.
+        at every decision point; the rest of its keywords keep their
+        defaults (cache.r5.large nodes, auto-sized relays, fleets of up
+        to :data:`~repro.shuffle.relayplanner.MAX_RELAY_SHARDS` shards,
+        uniform partition skew).
     switch_margin:
         Hysteresis: a candidate configuration only displaces the running
         one when its score undercuts the running configuration's
@@ -338,10 +341,6 @@ class OnlineShuffleSort(ShuffleSort):
         time_value_usd_per_hour: float = 1.0,
         substrates: t.Sequence[str] | None = None,
         modes: t.Sequence[str] = ("staged", "streaming"),
-        cache_node_type: str = "cache.r5.large",
-        relay_instance_type: str | None = None,
-        max_relay_shards: int = 8,
-        partition_skew: float = 1.0,
         switch_margin: float = 0.05,
     ):
         super().__init__(executor, codec, backend=ObjectStoreExchange(cost))
@@ -358,13 +357,9 @@ class OnlineShuffleSort(ShuffleSort):
         self.stream = stream if stream is not None else StreamConfig()
         #: What every (re-)selection passes ``choose_exchange_substrate``.
         self._selector = {
-            "cache_node_type": cache_node_type,
-            "relay_instance_type": relay_instance_type,
             "time_value_usd_per_hour": time_value_usd_per_hour,
-            "max_relay_shards": max_relay_shards,
             "substrates": tuple(substrates) if substrates is not None else None,
             "modes": tuple(modes),
-            "partition_skew": partition_skew,
             "cost": self.cost,
         }
         self.switch_margin = switch_margin
@@ -480,7 +475,6 @@ class OnlineShuffleSort(ShuffleSort):
         out_bucket: str,
         out_prefix: str,
         pinned_workers: int | None,
-        samplers: int,
         max_workers: int,
     ) -> t.Generator:
         """Span-owning shell around :meth:`_sort_online`.
@@ -501,7 +495,7 @@ class OnlineShuffleSort(ShuffleSort):
             try:
                 result = yield from self._sort_online(
                     bucket, key, out_bucket, out_prefix, pinned_workers,
-                    samplers, max_workers, sort_span,
+                    max_workers, sort_span,
                 )
             except BaseException:
                 if sort_span.recording:
@@ -534,7 +528,6 @@ class OnlineShuffleSort(ShuffleSort):
         out_bucket: str,
         out_prefix: str,
         pinned_workers: int | None,
-        samplers: int,
         max_workers: int,
         sort_span,
     ) -> t.Generator:
@@ -564,7 +557,7 @@ class OnlineShuffleSort(ShuffleSort):
         )
 
         boundaries = yield from self._sample(
-            bucket, key, real_size, total_logical, reducers, samplers,
+            bucket, key, real_size, total_logical, reducers,
             span=sort_span,
         )
 

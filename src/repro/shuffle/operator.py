@@ -51,6 +51,8 @@ from repro.sim import SimEvent
 
 #: Peek window appended to splits for record alignment (bytes).
 PEEK_BYTES = 64 * 1024
+#: Samplers of the sampling wave (fewer when the sort has fewer workers).
+SAMPLERS = 8
 #: Bytes each sampler reads for boundary estimation.
 SAMPLE_BYTES = 256 * 1024
 #: Number of key samples kept per sampler.
@@ -141,7 +143,6 @@ class ShuffleSort:
         out_bucket: str | None = None,
         out_prefix: str | None = None,
         workers: int | None = None,
-        samplers: int = 8,
         max_workers: int = 256,
     ) -> SimEvent:
         """Sort ``bucket/key``; event → :class:`ShuffleResult`."""
@@ -153,7 +154,6 @@ class ShuffleSort:
                     out_bucket if out_bucket is not None else bucket,
                     out_prefix if out_prefix is not None else self._labels()[1],
                     workers,
-                    samplers,
                     max_workers,
                 )
             ),
@@ -214,7 +214,6 @@ class ShuffleSort:
         real_size: int,
         logical_size: float,
         workers: int,
-        samplers: int,
         span=None,
     ) -> t.Generator:
         """Run the sampler wave, pick boundaries, estimate partition load.
@@ -229,7 +228,7 @@ class ShuffleSort:
         before any exchange traffic — the fleet rebalances its shard
         routing on it.
         """
-        sampler_count = max(1, min(samplers, workers))
+        sampler_count = max(1, min(SAMPLERS, workers))
         sample_splits = _split(real_size, sampler_count)
         window = _sample_window_bytes(real_size, sampler_count)
         sample_tasks = [
@@ -390,7 +389,6 @@ class ShuffleSort:
         out_bucket: str,
         out_prefix: str,
         pinned_workers: int | None,
-        samplers: int,
         max_workers: int,
     ) -> t.Generator:
         started_at = self.sim.now
@@ -408,7 +406,7 @@ class ShuffleSort:
                 meta.logical_size, pinned_workers, max_workers
             )
             boundaries = yield from self._sample(
-                bucket, key, real_size, meta.logical_size, workers, samplers,
+                bucket, key, real_size, meta.logical_size, workers,
                 span=sort_span,
             )
             job = f"{self._labels()[0]}:{out_prefix}@{started_at:.3f}"

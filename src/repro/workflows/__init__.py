@@ -18,7 +18,6 @@ from repro.workflows.gantt import (
     workflow_gantt,
 )
 from repro.workflows.render import (
-    register_substrate_label,
     render_dag,
     render_side_by_side,
     substrate_label,
@@ -40,7 +39,6 @@ __all__ = [
     "load_spec_file",
     "parse_spec",
     "register_stage_kind",
-    "register_substrate_label",
     "registered_kinds",
     "render_dag",
     "render_gantt",

@@ -16,7 +16,6 @@ from repro.workflows.dag import WorkflowDag
 #: falling back to the generic "cloud" label hides exactly the
 #: substrate distinction Figure 1 exists to show.
 _SUBSTRATE_LABELS = {
-    "methylome_dataset": "object storage",
     "dataset_ref": "object storage",
     "shuffle_sort": "cloud functions",
     "vm_sort": "virtual machine",
@@ -25,20 +24,14 @@ _SUBSTRATE_LABELS = {
     "sharded_relay_sort": "cloud functions + VM relay fleet",
     "streaming_sort": "cloud functions + streaming exchange (pipelined waves)",
     "auto_sort": "cloud functions + adaptive exchange substrate",
-    "online_sort": "cloud functions + online re-selecting exchange",
     "methcomp_encode": "cloud functions",
     "methcomp_verify": "cloud functions",
 }
 
 
 def substrate_label(kind: str) -> str:
-    """Substrate annotation for a stage kind (extensible)."""
+    """Substrate annotation for a stage kind ("cloud" for an unknown one)."""
     return _SUBSTRATE_LABELS.get(kind, "cloud")
-
-
-def register_substrate_label(kind: str, label: str) -> None:
-    """Register the substrate annotation for a custom stage kind."""
-    _SUBSTRATE_LABELS[kind] = label
 
 
 def _box(lines: list[str]) -> list[str]:

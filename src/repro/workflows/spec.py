@@ -10,8 +10,8 @@ Schema::
       "name": "methcomp-pure-serverless",
       "bucket": "pipeline",
       "stages": [
-        {"name": "ingest", "kind": "methylome_dataset",
-         "params": {"size_gb": 3.5, "seed": 7}},
+        {"name": "ingest", "kind": "dataset_ref",
+         "params": {"key": "input/methylome.bed"}},
         {"name": "sort", "kind": "shuffle_sort", "after": ["ingest"],
          "params": {"workers": 8}},
         {"name": "encode", "kind": "methcomp_encode", "after": ["sort"]}

@@ -90,20 +90,26 @@ class TestAutoSortStage:
         )
         assert result.artifacts["sort"]["substrate"] == "objectstore"
 
-    def test_substrate_restriction_forces_dispatch(self, config):
-        """Restricting the candidates steers the dispatch — and proves
-        every provisioned sort stage is reachable from auto_sort."""
-        for substrate in ("cache", "relay", "sharded-relay"):
-            result = run_auto_dag(
-                config,
-                {"workers": 3, "memory_mb": 2048,
-                 "substrates": [substrate]},
-            )
-            artifact = result.artifacts["sort"]
-            assert artifact["substrate"] == substrate
-            assert artifact["records"] > 0
-            if substrate == "sharded-relay":
-                assert artifact["relay_shards"] >= 1
+    @pytest.mark.parametrize(
+        "workers, substrate", [(3, "relay"), (16, "cache"), (64, "sharded-relay")]
+    )
+    def test_time_value_steers_dispatch_onto_provisioned_substrates(
+        self, config, workers, substrate
+    ):
+        """A high enough time value buys provisioned hardware, and the
+        stage runs the priced configuration on it — every provisioned
+        sort body is reachable from auto_sort."""
+        result = run_auto_dag(
+            config,
+            {"workers": workers, "memory_mb": 2048,
+             "time_value_usd_per_hour": 500.0},
+        )
+        artifact = result.artifacts["sort"]
+        assert artifact["substrate"] == substrate
+        assert artifact["workers"] == workers
+        assert artifact["records"] > 0
+        if substrate == "sharded-relay":
+            assert artifact["relay_shards"] >= 1
 
     def test_executes_the_priced_worker_count(self, config):
         """Unpinned workers: the stage must execute with the count the
@@ -123,6 +129,7 @@ class TestAutoPipelineEndToEnd:
         assert run.workflow.artifacts["encode"]["ratio"] > 5.0
         sort_artifact = run.workflow.artifacts["sort"]
         assert sort_artifact["substrate"] in EXCHANGE_SUBSTRATES
+        assert sort_artifact["substrate_mode"] == "staged"
 
     def test_auto_matches_dedicated_pipeline_artifacts(self, config):
         """The adaptive pipeline must produce the same records as the

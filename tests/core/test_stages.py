@@ -5,12 +5,14 @@ import pytest
 from repro.cloud.environment import Cloud
 from repro.core import ExperimentConfig
 from repro.core.experiment import stage_input
+from repro.core.stages import BUILTIN_STAGE_KINDS
 from repro.errors import WorkflowError
 from repro.executor import FunctionExecutor
 from repro.methcomp.pipeline import bed_record_codec
 from repro.shuffle import SUBSTRATES, ShuffleSort, StreamConfig
 from repro.sim import Simulator
-from repro.workflows import StageSpec, WorkflowDag, WorkflowEngine, registered_kinds
+from repro.workflows import StageSpec, WorkflowDag, WorkflowEngine
+from repro.workflows.engine import stage_kind
 
 
 CONFIG = ExperimentConfig(size_gb=0.25, logical_scale=4096.0)
@@ -28,9 +30,7 @@ def run_dag(cloud, stages):
 
 class TestRegistry:
     def test_builtin_kinds_registered(self):
-        kinds = registered_kinds()
-        for kind in (
-            "methylome_dataset",
+        assert set(BUILTIN_STAGE_KINDS) == {
             "dataset_ref",
             "shuffle_sort",
             "cache_sort",
@@ -38,12 +38,12 @@ class TestRegistry:
             "sharded_relay_sort",
             "streaming_sort",
             "auto_sort",
-            "online_sort",
             "vm_sort",
             "methcomp_encode",
             "methcomp_verify",
-        ):
-            assert kind in kinds
+        }
+        for kind, impl in BUILTIN_STAGE_KINDS.items():
+            assert stage_kind(kind) is impl
 
     def test_reregistration_is_idempotent(self):
         from repro.core import register_builtin_stage_kinds
@@ -52,39 +52,7 @@ class TestRegistry:
         register_builtin_stage_kinds()  # must not raise
 
 
-class TestDatasetStages:
-    def test_methylome_dataset_generates_and_uploads(self):
-        cloud = fresh_cloud()
-        result = run_dag(
-            cloud,
-            [
-                StageSpec(
-                    "gen",
-                    "methylome_dataset",
-                    params={"size_gb": 0.05, "seed": 2, "key": "gen.bed"},
-                )
-            ],
-        )
-        artifact = result.artifacts["gen"]
-        assert artifact["records"] > 0
-        assert cloud.store.peek("pipeline", "gen.bed")
-
-    def test_dataset_size_scales_with_param(self):
-        cloud = fresh_cloud()
-        result = run_dag(
-            cloud,
-            [
-                StageSpec("small", "methylome_dataset",
-                          params={"size_gb": 0.02, "key": "s.bed"}),
-                StageSpec("large", "methylome_dataset",
-                          params={"size_gb": 0.08, "key": "l.bed"}),
-            ],
-        )
-        assert (
-            result.artifacts["large"]["real_bytes"]
-            > 2 * result.artifacts["small"]["real_bytes"]
-        )
-
+class TestDatasetStage:
     def test_dataset_ref_requires_key(self):
         cloud = fresh_cloud()
         with pytest.raises(WorkflowError, match="requires parameter"):
@@ -228,6 +196,43 @@ class TestSubstrateTable:
         )
         assert all(vm.state == "terminated" for vm in cloud.vms.instances)
         assert not cloud.vms.relays
+
+
+class TestStreamingStage:
+    def test_stream_descriptor_carries_float_constants(self, monkeypatch):
+        """Every streaming mapper and reducer task carries the stream
+        descriptor pickled, and the store bills the pickled bytes: its
+        chunk grain, buffer bound and poll cadence stay these floats."""
+        descriptors = []
+        original = FunctionExecutor.map
+
+        def recording_map(self, func, iterdata, **kwargs):
+            tasks = list(iterdata)
+            descriptors.extend(task["stream"] for task in tasks if "stream" in task)
+            return original(self, func, tasks, **kwargs)
+
+        monkeypatch.setattr(FunctionExecutor, "map", recording_map)
+        cloud = fresh_cloud()
+        stage_input(cloud, CONFIG, "pipeline", "input/methylome.bed")
+        run_dag(
+            cloud,
+            [
+                StageSpec("in", "dataset_ref", params={"key": "input/methylome.bed"}),
+                StageSpec(
+                    "sort", "streaming_sort", after=("in",),
+                    params={"substrate": "objectstore", "workers": 4},
+                ),
+            ],
+        )
+        assert len(descriptors) == 8  # four mappers, four reducers
+        for descriptor in descriptors:
+            values = [
+                descriptor["chunk_bytes"],
+                descriptor["buffer_bytes"],
+                descriptor["poll_interval"],
+            ]
+            assert values == [33554432.0, 268435456.0, 0.2]
+            assert [type(value) for value in values] == [float, float, float]
 
 
 class TestSortStages:

@@ -2,9 +2,8 @@
 
 Engine-level coverage of the streaming subsystem: the stage runs end to
 end on every substrate param, its artifact carries the streaming
-observables, auto_sort dispatches to streaming_sort when the priced
-decision says streaming, and the sorted output feeds the encode stage
-exactly like every staged incarnation.  Its wave bars on the Gantt are
+observables, and the sorted output feeds the encode stage exactly like
+every staged incarnation.  Its wave bars on the Gantt are
 held by ``tests/workflows/test_gantt.py``.
 """
 
@@ -12,7 +11,6 @@ import pytest
 
 from repro.core import PURE_SERVERLESS, ExperimentConfig, run_pipeline
 from repro.core.calibration import CACHE_NODE_TYPE, VM_INSTANCE_TYPE
-from repro.core.pipelines import AUTO_SUPPORTED, pipeline_for
 from repro.errors import WorkflowError
 from tests.core.sort_pipeline import execute, sort_pipeline
 
@@ -27,10 +25,7 @@ def streaming_pipeline(config, substrate="relay", **sort_params):
         resource = {}
     else:
         resource = {"instance_type": VM_INSTANCE_TYPE}
-    params = {
-        "substrate": substrate, "chunk_mb": 32.0, "buffer_mb": 256.0,
-        **resource, "provisioning": "warm",
-    }
+    params = {"substrate": substrate, **resource, "provisioning": "warm"}
     return sort_pipeline(config, "streaming_sort", **{**params, **sort_params})
 
 
@@ -64,12 +59,6 @@ class TestStreamingPipeline:
         assert sort["overlap_s"] > 0.0
         assert sort["records"] == result.artifacts["encode"]["records"]
 
-    def test_bounded_buffer_surfaces_backpressure_in_artifact(self):
-        _cloud, result = run_streaming(chunk_mb=2.0, buffer_mb=0.25)
-        sort = result.artifacts["sort"]
-        assert sort["buffer_backpressure_waits"] > 0
-        assert sort["buffer_high_watermark_bytes"] > 0.0
-
     def test_unknown_substrate_rejected(self):
         with pytest.raises(WorkflowError, match="unknown substrate"):
             run_streaming(substrate="carrier-pigeon")
@@ -78,22 +67,3 @@ class TestStreamingPipeline:
         with pytest.raises(WorkflowError, match="provisioning"):
             run_streaming(provisioning="lukewarm")
 
-
-class TestAutoSortStreamingDispatch:
-    def test_auto_sort_executes_streaming_when_priced_to_win(self):
-        dag = pipeline_for(AUTO_SUPPORTED, CONFIG)
-        dag.stage("sort").params.update(
-            time_value_usd_per_hour=30.0, modes=("staged", "streaming")
-        )
-        _cloud, result = execute(CONFIG, dag)
-        sort = result.artifacts["sort"]
-        assert sort["substrate_mode"] == "streaming"
-        # The dispatched stage really ran in streaming mode (not just
-        # the decision record): the artifact has the streaming fields.
-        assert sort["mode"] == "streaming"
-        assert sort["overlap_s"] > 0.0
-        assert "[streaming]" in sort["substrate_decision"]
-
-    def test_auto_sort_defaults_stay_staged(self):
-        _cloud, result = execute(CONFIG, pipeline_for(AUTO_SUPPORTED, CONFIG))
-        assert result.artifacts["sort"]["substrate_mode"] == "staged"

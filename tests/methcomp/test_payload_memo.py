@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.cloud.environment import Cloud
 from repro.core import ExperimentConfig
 from repro.core.experiment import dataset_payload
 from repro.errors import CodecError
@@ -18,8 +17,6 @@ from repro.methcomp.datagen import (
     generate_skewed_bed_bytes,
     methylome_payload,
 )
-from repro.sim import Simulator
-from repro.workflows import StageSpec, WorkflowDag, WorkflowEngine
 
 #: (real_bytes, seed, distribution, zipf_s, distinct_keys, sorted_output)
 BASE = (20_000, 3, "zipf", 1.2, 64, False)
@@ -267,45 +264,7 @@ class TestValidation:
 
 
 class TestCallers:
-    """``dataset_payload`` and the ``methylome_dataset`` stage share the one function."""
-
-    def stage_payload(self, config: ExperimentConfig, **params) -> bytes:
-        cloud = Cloud(Simulator(seed=1), config.make_profile())
-        dag = WorkflowDag(
-            "t",
-            [
-                StageSpec(
-                    "gen",
-                    "methylome_dataset",
-                    params={"size_gb": config.size_gb, "seed": config.seed,
-                            "key": "gen.bed", **params},
-                )
-            ],
-            bucket="pipeline",
-        )
-        WorkflowEngine(cloud, dag).execute()
-        return cloud.store.peek("pipeline", "gen.bed")
-
-    def test_stage_then_experiment_generate_once(self):
-        config = ExperimentConfig(size_gb=0.05, logical_scale=4096.0, seed=11)
-        staged = self.stage_payload(config)
-        assert methylome_payload.cache_info().misses == 1
-        assert dataset_payload(config) == staged
-        info = methylome_payload.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-
-    def test_skewed_stage_and_experiment_agree(self):
-        config = dataclasses.replace(
-            ExperimentConfig(size_gb=0.05, logical_scale=4096.0, seed=11),
-            key_distribution="zipf",
-            zipf_s=1.3,
-            skew_distinct_keys=16,
-        )
-        staged = self.stage_payload(
-            config, distribution="zipf", zipf_s=1.3, distinct_keys=16
-        )
-        assert dataset_payload(config) == staged
-        assert methylome_payload.cache_info().misses == 1
+    """Every pipeline input is ``dataset_payload``'s one memoized object."""
 
     def test_repeated_pipeline_inputs_are_one_object(self):
         config = ExperimentConfig(size_gb=0.05, logical_scale=4096.0, seed=12)

@@ -19,8 +19,6 @@ with ``Cloud.finalize``: it terminates that substrate and so ends its
 lifetime span, which ``validate()`` would otherwise report as open.
 """
 
-import random
-
 import pytest
 
 from repro.cloud import Cloud
@@ -38,6 +36,7 @@ from repro.shuffle import (
     ShuffleSort,
     StreamConfig,
 )
+from tests.payloads import fixed_payload
 
 pytestmark = pytest.mark.obs
 
@@ -56,14 +55,6 @@ EXPECTED_EVENTS = {
     "relay": ("relay.",),
     "sharded-relay": ("relay.",),
 }
-
-
-def make_payload(count=RECORDS, seed=SEED, record_size=16):
-    rng = random.Random(seed)
-    return b"".join(
-        rng.getrandbits(64).to_bytes(8, "big") + bytes(record_size - 8)
-        for _ in range(count)
-    )
 
 
 def make_operator(cloud, substrate, mode, executor):
@@ -133,7 +124,7 @@ class TestSpanTreePerSubstrate:
     def test_attempts_parent_under_waves_with_exchange_events(
         self, substrate, mode
     ):
-        payload = make_payload()
+        payload = fixed_payload(RECORDS, SEED)
         _runs, cloud = run_sort(substrate, mode, payload, spans=True)
         tracer = cloud.sim.tracer
         assert tracer.validate() == []
@@ -160,7 +151,7 @@ class TestSpanTreePerSubstrate:
             )
 
     def test_tracing_off_records_nothing(self, substrate, mode):
-        payload = make_payload()
+        payload = fixed_payload(RECORDS, SEED)
         _runs, cloud = run_sort(substrate, mode, payload, spans=False)
         assert cloud.sim.tracer.spans == []
         assert cloud.sim.tracer.open_span_count == 0
@@ -169,7 +160,7 @@ class TestSpanTreePerSubstrate:
 @pytest.mark.parametrize("substrate", list(SUBSTRATES))
 class TestChaosLifecycle:
     def test_crashed_attempts_end_exactly_once(self, substrate):
-        payload = make_payload()
+        payload = fixed_payload(RECORDS, SEED)
         _runs, cloud = run_sort(
             substrate, "streaming", payload, spans=True, crash_rate=0.25
         )
@@ -186,7 +177,7 @@ class TestChaosLifecycle:
         assert tracer.open_span_count == 0
 
     def test_chaos_parity_traced_vs_untraced(self, substrate):
-        payload = make_payload()
+        payload = fixed_payload(RECORDS, SEED)
         traced, _cloud = run_sort(
             substrate, "streaming", payload, spans=True, crash_rate=0.25
         )
@@ -206,7 +197,7 @@ class TestSpeculationLifecycle:
         return profile
 
     def run(self, spans):
-        payload = make_payload()
+        payload = fixed_payload(RECORDS, SEED)
         cloud = Cloud.fresh(seed=SEED, profile=self.heavy_tailed(), spans=spans)
         cloud.store.ensure_bucket("data")
         executor = FunctionExecutor(cloud, retries=6, speculation=self.POLICY)

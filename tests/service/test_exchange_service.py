@@ -14,8 +14,6 @@ The shared-substrate guarantees the service makes:
   tags) and sum to the fleet total on the instance side.
 """
 
-import random
-
 import pytest
 
 from repro.cloud import Cloud
@@ -32,20 +30,13 @@ from repro.shuffle import (
     ShuffleSort,
 )
 from repro.shuffle.relayplanner import relay_usable_bytes, resolve_relay_instance
+from tests.payloads import fixed_payload
 
 pytestmark = pytest.mark.service
 
 RECORDS = 2000
 WORKERS = 4
 INSTANCE = "bx2-2x8"
-
-
-def make_payload(count, seed, record_size=16):
-    rng = random.Random(seed)
-    return b"".join(
-        rng.getrandbits(64).to_bytes(8, "big") + bytes(record_size - 8)
-        for _ in range(count)
-    )
 
 
 def codec():
@@ -89,7 +80,7 @@ class TestFairness:
         dispatch on its own token, not behind the noise."""
         cloud = fresh_cloud()
         cloud.store.ensure_bucket("data")
-        payload = make_payload(RECORDS, 1)
+        payload = fixed_payload(RECORDS, 1)
         svc = make_service(cloud)
 
         def driver():
@@ -125,7 +116,7 @@ class TestFairness:
         saturating the service at once."""
         cloud = fresh_cloud()
         cloud.store.ensure_bucket("data")
-        payload = make_payload(RECORDS, 2)
+        payload = fixed_payload(RECORDS, 2)
         rate = TENANT_RATE_PER_S
         svc = make_service(cloud)
 
@@ -160,7 +151,7 @@ class TestFairness:
     def test_full_queue_rejects_at_submit(self):
         cloud = fresh_cloud()
         cloud.store.ensure_bucket("data")
-        payload = make_payload(200, 3)
+        payload = fixed_payload(200, 3)
         svc = make_service(cloud)
 
         def driver():
@@ -185,8 +176,8 @@ class TestTenantFencing:
         byte-identical to a solo run, and nothing leaks."""
         cloud = fresh_cloud(seed=11)
         cloud.store.ensure_bucket("data")
-        payload_a = make_payload(RECORDS, 11)
-        payload_b = make_payload(RECORDS, 22)
+        payload_a = fixed_payload(RECORDS, 11)
+        payload_b = fixed_payload(RECORDS, 22)
         svc = make_service(cloud)
 
         def driver():
@@ -224,7 +215,7 @@ class TestTenantFencing:
     def test_cancelled_queued_jobs_never_bill(self):
         cloud = fresh_cloud()
         cloud.store.ensure_bucket("data")
-        payload = make_payload(200, 4)
+        payload = fixed_payload(200, 4)
         svc = make_service(cloud)
 
         def driver():
@@ -260,7 +251,7 @@ class TestAutoscaling:
         usable = relay_usable_bytes(
             profile, resolve_relay_instance(profile, INSTANCE)
         )
-        payloads = {seed: make_payload(RECORDS, seed) for seed in (31, 32, 33)}
+        payloads = {seed: fixed_payload(RECORDS, seed) for seed in (31, 32, 33)}
         svc = make_service(cloud)
         declared = usable * 0.8  # 3 concurrent jobs need > 1 shard
 
@@ -298,7 +289,7 @@ class TestAutoscaling:
         usable = relay_usable_bytes(
             cloud.profile, resolve_relay_instance(cloud.profile, INSTANCE)
         )
-        payload = make_payload(RECORDS, 41)
+        payload = fixed_payload(RECORDS, 41)
         svc = make_service(cloud)
 
         def driver():
@@ -328,7 +319,7 @@ class TestAutoscaling:
         usable = relay_usable_bytes(
             profile, resolve_relay_instance(profile, INSTANCE)
         )
-        payload = make_payload(RECORDS, 7)
+        payload = fixed_payload(RECORDS, 7)
         svc = make_service(cloud)
 
         def driver():
@@ -356,8 +347,8 @@ class TestCostAttribution:
     def test_tenant_totals_sum_to_fleet_and_faas_totals(self):
         cloud = fresh_cloud(seed=23)
         cloud.store.ensure_bucket("data")
-        payload_a = make_payload(RECORDS, 41)
-        payload_b = make_payload(RECORDS, 42)
+        payload_a = fixed_payload(RECORDS, 41)
+        payload_b = fixed_payload(RECORDS, 42)
         svc = make_service(cloud)
 
         def driver():
@@ -399,7 +390,7 @@ class TestCostAttribution:
         same region is not in them."""
         cloud = fresh_cloud()
         cloud.store.ensure_bucket("data")
-        payload = make_payload(200, 5)
+        payload = fixed_payload(200, 5)
         svc = make_service(cloud)
         bystander = cloud.vms.provision_ready(svc.instance_type)
 
@@ -431,7 +422,7 @@ class TestCostAttribution:
     def test_fleet_cost_ignores_the_owner_of_the_shutdown(self):
         """Shut down from inside a tenant-owned process, the same fleet
         bills the same dollars as from top level."""
-        payload = make_payload(200, 5)
+        payload = fixed_payload(200, 5)
         fleet_usd = []
         for owned in (False, True):
             cloud = fresh_cloud()
@@ -464,7 +455,7 @@ class TestShutdown:
         while the sort released its state on the dead fleet."""
         cloud = fresh_cloud()
         cloud.store.ensure_bucket("data")
-        payload = make_payload(RECORDS, 3)
+        payload = fixed_payload(RECORDS, 3)
         svc = make_service(cloud)
 
         def driver():

@@ -1,7 +1,5 @@
 """Tests for the cache-mediated shuffle: operator, planner, workers."""
 
-import random
-
 import pytest
 
 from repro.cloud import Cloud
@@ -18,6 +16,7 @@ from repro.shuffle import (
     predict_shuffle_time,
     required_cache_nodes,
 )
+from tests.payloads import fixed_payload
 
 
 @pytest.fixture
@@ -37,14 +36,6 @@ def cluster(cloud):
     return cloud.cache.provision_ready("cache.r5.large", nodes=2)
 
 
-def make_fixed_payload(count, seed=7, record_size=16):
-    rng = random.Random(seed)
-    return b"".join(
-        rng.getrandbits(64).to_bytes(8, "big") + bytes(record_size - 8)
-        for _ in range(count)
-    )
-
-
 def sort_and_collect(cloud, executor, cluster, codec, payload, **kwargs):
     op = ShuffleSort(executor, codec, backend=CacheExchange(cluster))
 
@@ -60,7 +51,7 @@ def sort_and_collect(cloud, executor, cluster, codec, payload, **kwargs):
 class TestCacheSort:
     def test_output_globally_sorted(self, cloud, executor, cluster):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(5000)
+        payload = fixed_payload(5000)
         _op, result, merged = sort_and_collect(
             cloud, executor, cluster, codec, payload, workers=4
         )
@@ -70,7 +61,7 @@ class TestCacheSort:
 
     def test_no_bytes_lost(self, cloud, executor, cluster):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(3000)
+        payload = fixed_payload(3000)
         _op, _result, merged = sort_and_collect(
             cloud, executor, cluster, codec, payload, workers=3
         )
@@ -79,7 +70,7 @@ class TestCacheSort:
 
     def test_single_worker_degenerate_case(self, cloud, executor, cluster):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(400)
+        payload = fixed_payload(400)
         _op, result, merged = sort_and_collect(
             cloud, executor, cluster, codec, payload, workers=1
         )
@@ -89,7 +80,7 @@ class TestCacheSort:
 
     def test_report_counts_cache_traffic(self, cloud, executor, cluster):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(2000)
+        payload = fixed_payload(2000)
         op, result, _merged = sort_and_collect(
             cloud, executor, cluster, codec, payload, workers=4
         )
@@ -101,7 +92,7 @@ class TestCacheSort:
 
     def test_intermediates_stay_in_cache_not_cos(self, cloud, executor, cluster):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(2000)
+        payload = fixed_payload(2000)
         sort_and_collect(cloud, executor, cluster, codec, payload, workers=4)
         # No combined/partition shuffle objects must exist in COS — only
         # the executor's job state, the input and the sorted runs.
@@ -114,7 +105,7 @@ class TestCacheSort:
 
     def test_cleanup_deletes_partitions(self, cloud, executor, cluster):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(1000)
+        payload = fixed_payload(1000)
         cost = ShuffleCostModel(cleanup=True)
         op = ShuffleSort(executor, codec, backend=CacheExchange(cluster, cost))
 
@@ -127,7 +118,7 @@ class TestCacheSort:
 
     def test_without_cleanup_partitions_remain(self, cloud, executor, cluster):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(1000)
+        payload = fixed_payload(1000)
         sort_and_collect(cloud, executor, cluster, codec, payload, workers=3)
         assert cluster.key_count == 9
 
@@ -150,7 +141,7 @@ class TestCacheSort:
         cluster = cloud.cache.provision_ready("cache.r5.large", nodes=1)
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
         op = ShuffleSort(executor, codec, backend=CacheExchange(cluster))
-        payload = make_fixed_payload(2000)  # 32 KB real = 32 TB logical
+        payload = fixed_payload(2000)  # 32 KB real = 32 TB logical
 
         def driver():
             yield cloud.store.put("data", "input.bin", payload)
@@ -163,7 +154,7 @@ class TestCacheSort:
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
         cluster.terminate()
         op = ShuffleSort(executor, codec, backend=CacheExchange(cluster))
-        payload = make_fixed_payload(100)
+        payload = fixed_payload(100)
 
         def driver():
             yield cloud.store.put("data", "input.bin", payload)
@@ -178,7 +169,7 @@ class TestCacheSort:
         """A caller-owned cluster may serve several sorts; each report
         must cover only its own sort, not cluster-lifetime totals."""
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(1000)
+        payload = fixed_payload(1000)
         op = ShuffleSort(executor, codec, backend=CacheExchange(cluster))
 
         def run_once(key, prefix):
@@ -197,7 +188,7 @@ class TestCacheSort:
 
     def test_planner_used_when_workers_not_pinned(self, cloud, executor, cluster):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(2000)
+        payload = fixed_payload(2000)
         _op, result, merged = sort_and_collect(
             cloud, executor, cluster, codec, payload, max_workers=16
         )

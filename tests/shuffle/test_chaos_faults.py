@@ -18,7 +18,6 @@ is what ``make test-faults`` uses.
 """
 
 import os
-import random
 
 import pytest
 
@@ -39,6 +38,7 @@ from repro.shuffle import (
     StreamConfig,
     skewed_fixed_payload,
 )
+from tests.payloads import fixed_payload
 
 pytestmark = pytest.mark.chaos
 
@@ -68,14 +68,6 @@ CRASH_RATES = (0.15, 0.3)
 
 RECORDS = 3000
 WORKERS = 4
-
-
-def make_payload(count, seed, record_size=16):
-    rng = random.Random(seed)
-    return b"".join(
-        rng.getrandbits(64).to_bytes(8, "big") + bytes(record_size - 8)
-        for _ in range(count)
-    )
 
 
 def run_chaos_sort(substrate, payload, seed, crash_rate, retries=6):
@@ -150,7 +142,7 @@ def baselines():
     """Crash-free object-storage artifacts, one per seed."""
     artifacts = {}
     for seed in CHAOS_SEEDS:
-        payload = make_payload(RECORDS, seed)
+        payload = fixed_payload(RECORDS, seed)
         runs, _cloud, _relay = run_chaos_sort("objectstore", payload, seed, 0.0)
         artifacts[seed] = runs
     return artifacts
@@ -163,7 +155,7 @@ class TestChaosParity:
     def test_crashes_preserve_byte_parity_and_leak_nothing(
         self, baselines, substrate, seed, crash_rate
     ):
-        payload = make_payload(RECORDS, seed)
+        payload = fixed_payload(RECORDS, seed)
         runs, cloud, relay = run_chaos_sort(substrate, payload, seed, crash_rate)
 
         # The chaos must actually bite for the run to prove anything;
@@ -263,7 +255,7 @@ class TestStreamingFleetChaos:
         mid-stream, and the artifact still matches the staged baseline
         with zero residual reservations on every shard."""
         seed = CHAOS_SEEDS[0]
-        payload = make_payload(RECORDS, seed)
+        payload = fixed_payload(RECORDS, seed)
         runs, cloud, fleet = run_chaos_sort(
             "streaming-sharded-relay", payload, seed, 0.3
         )
@@ -279,7 +271,7 @@ class TestStreamingFleetChaos:
 class TestChaosAccounting:
     def test_every_crash_is_retried_and_billed_once(self):
         seed = CHAOS_SEEDS[0]
-        payload = make_payload(RECORDS, seed)
+        payload = fixed_payload(RECORDS, seed)
         _runs, cloud, relay = run_chaos_sort("relay", payload, seed, 0.3)
         assert cloud.faas.stats.crashes > 0
         # No activation is ever billed twice, crashed ones included.
@@ -299,7 +291,7 @@ class TestChaosAccounting:
         """Even when the job *fails* (crash rate beyond the retry
         budget), dead attempts must not leak relay memory."""
         seed = CHAOS_SEEDS[0]
-        payload = make_payload(600, seed)
+        payload = fixed_payload(600, seed)
         with pytest.raises(Exception):
             run_chaos_sort("relay", payload, seed, 0.95, retries=1)
         # The relay object is gone with the region here; re-run with a
@@ -327,7 +319,7 @@ class TestChaosAccounting:
         """Same invariant, shard by shard: a failed job must leave zero
         residual reservations on every member of the fleet."""
         seed = CHAOS_SEEDS[0]
-        payload = make_payload(600, seed)
+        payload = fixed_payload(600, seed)
         cloud = Cloud.fresh(seed=seed, profile=ibm_us_east(deterministic=True))
         cloud.store.ensure_bucket("data")
         cloud.faas.crash_probability = 0.95

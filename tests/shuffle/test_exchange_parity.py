@@ -28,16 +28,9 @@ from repro.shuffle import (
     ShardedRelayExchange,
     ShuffleSort,
 )
+from tests.payloads import fixed_payload
 
 SUBSTRATES = ("objectstore", "cache", "relay", "sharded-relay")
-
-
-def make_fixed_payload(count, seed, record_size=16):
-    rng = random.Random(seed)
-    return b"".join(
-        rng.getrandbits(64).to_bytes(8, "big") + bytes(record_size - 8)
-        for _ in range(count)
-    )
 
 
 def make_line_payload(count, seed):
@@ -96,7 +89,7 @@ class TestExchangeParity:
     @settings(max_examples=8, deadline=None)
     def test_fixed_width_runs_byte_identical(self, seed, workers, count):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(count, seed)
+        payload = fixed_payload(count, seed)
         per_substrate = {
             substrate: run_substrate(substrate, codec, payload, workers, seed)
             for substrate in SUBSTRATES
@@ -135,7 +128,7 @@ class TestExchangeParity:
         cloud.faas.crash_latest_s = 2.0
         relay = relay_ready(cloud.vms, "bx2-8x32")
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(4000, seed=7)
+        payload = fixed_payload(4000, seed=7)
         operator = ShuffleSort(
             FunctionExecutor(cloud, retries=4), codec, backend=RelayExchange(relay)
         )
@@ -162,7 +155,7 @@ class TestExchangeParity:
 
         def run_once(key, prefix):
             def driver():
-                yield cloud.store.put("data", key, make_fixed_payload(1000, 5))
+                yield cloud.store.put("data", key, fixed_payload(1000, 5))
                 return (yield operator.sort("data", key, out_prefix=prefix,
                                             workers=3))
 
@@ -180,7 +173,7 @@ class TestExchangeParity:
         """The comparison's contract in one example: different timing
         and billing, identical artifact."""
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(3000, seed=11)
+        payload = fixed_payload(3000, seed=11)
         runs = {}
         durations = {}
         for substrate in SUBSTRATES:

@@ -1,20 +1,12 @@
 """Tests for the naive (non-write-combined) shuffle mode."""
 
-import random
-
 import pytest
 
 from repro.cloud import Cloud
 from repro.cloud.profiles import ibm_us_east
 from repro.executor import FunctionExecutor
 from repro.shuffle import FixedWidthCodec, ShuffleCostModel, ShuffleSort
-
-
-def make_payload(count, seed=3):
-    rng = random.Random(seed)
-    return b"".join(
-        rng.getrandbits(64).to_bytes(8, "big") + bytes(8) for _ in range(count)
-    )
+from tests.payloads import fixed_payload
 
 
 def run_sort(write_combining, workers=4, count=3000):
@@ -24,7 +16,7 @@ def run_sort(write_combining, workers=4, count=3000):
     cost = ShuffleCostModel(write_combining=write_combining)
     codec = FixedWidthCodec(record_size=16, key_bytes=8)
     operator = ShuffleSort(executor, codec, cost=cost)
-    payload = make_payload(count)
+    payload = fixed_payload(count, 3)
 
     def driver():
         yield cloud.store.put("data", "input.bin", payload)

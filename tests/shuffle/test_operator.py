@@ -23,6 +23,7 @@ from repro.shuffle.operator import (
     _sample_window_bytes,
     _split,
 )
+from tests.payloads import fixed_payload
 
 
 @pytest.fixture
@@ -35,14 +36,6 @@ def cloud():
 @pytest.fixture
 def executor(cloud):
     return FunctionExecutor(cloud)
-
-
-def make_fixed_payload(count, seed=7, record_size=16):
-    rng = random.Random(seed)
-    return b"".join(
-        rng.getrandbits(64).to_bytes(8, "big") + bytes(record_size - 8)
-        for _ in range(count)
-    )
 
 
 def sort_and_collect(cloud, executor, codec, payload, **kwargs):
@@ -70,7 +63,7 @@ class TestWorkerTasks:
             return original(func, tasks, **kwargs)
 
         executor.map = recording_map
-        payload = make_fixed_payload(4000)
+        payload = fixed_payload(4000)
         sort_and_collect(
             cloud, executor, FixedWidthCodec(record_size=16, key_bytes=8),
             payload, workers=4,
@@ -120,7 +113,7 @@ class TestInputSplit:
 class TestFixedWidthSort:
     def test_output_globally_sorted(self, cloud, executor):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(5000)
+        payload = fixed_payload(5000)
         result, merged = sort_and_collect(cloud, executor, codec, payload, workers=4)
         keys = [codec.key(record) for record in codec.split(merged)]
         assert keys == sorted(keys)
@@ -128,14 +121,14 @@ class TestFixedWidthSort:
 
     def test_no_bytes_lost(self, cloud, executor):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(3000)
+        payload = fixed_payload(3000)
         result, merged = sort_and_collect(cloud, executor, codec, payload, workers=3)
         assert len(merged) == len(payload)
         assert sorted(codec.split(merged)) == sorted(codec.split(payload))
 
     def test_single_worker_degenerate_case(self, cloud, executor):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(500)
+        payload = fixed_payload(500)
         result, merged = sort_and_collect(cloud, executor, codec, payload, workers=1)
         assert result.workers == 1
         keys = [codec.key(record) for record in codec.split(merged)]
@@ -189,7 +182,7 @@ class TestLineSort:
 class TestPlannerIntegration:
     def test_auto_worker_selection_used(self, cloud, executor):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(2000)
+        payload = fixed_payload(2000)
         result, merged = sort_and_collect(
             cloud, executor, codec, payload, max_workers=16
         )
@@ -201,7 +194,7 @@ class TestPlannerIntegration:
 
     def test_pinned_workers_bypass_planner(self, cloud, executor):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(1000)
+        payload = fixed_payload(1000)
         result, _merged = sort_and_collect(cloud, executor, codec, payload, workers=6)
         assert result.planned is None
         assert result.workers == 6
@@ -221,7 +214,7 @@ class TestPlannerIntegration:
 class TestWriteCombiningTraffic:
     def test_map_phase_writes_one_object_per_mapper(self, cloud, executor):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(2000)
+        payload = fixed_payload(2000)
         workers = 4
         before = cloud.store.stats.puts
         sort_and_collect(cloud, executor, codec, payload, workers=workers)
@@ -236,7 +229,7 @@ class TestWriteCombiningTraffic:
 
     def test_reducers_use_range_reads(self, cloud, executor):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = make_fixed_payload(2000)
+        payload = fixed_payload(2000)
         sort_and_collect(cloud, executor, codec, payload, workers=4)
         # 4 reducers x 4 mappers = 16 range GETs at least must have happened.
         assert cloud.store.stats.gets >= 16
@@ -254,7 +247,7 @@ class TestDeterminism:
             cloud.store.ensure_bucket("data")
             executor = FunctionExecutor(cloud)
             codec = FixedWidthCodec(record_size=16, key_bytes=8)
-            payload = make_fixed_payload(1500)
+            payload = fixed_payload(1500)
             op = ShuffleSort(executor, codec)
 
             def driver():
@@ -274,7 +267,7 @@ class TestDeterminism:
             cloud.store.ensure_bucket("data")
             executor = FunctionExecutor(cloud)
             codec = FixedWidthCodec(record_size=16, key_bytes=8)
-            payload = make_fixed_payload(800)
+            payload = fixed_payload(800)
             op = ShuffleSort(executor, codec)
 
             def driver():

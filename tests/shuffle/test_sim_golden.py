@@ -4,7 +4,7 @@ The other suites check byte parity between substrates and tolerances on
 simulated time; none pins *bit-equal* simulated time, dollars and
 request counts.  This one does, at one small scale and seed, for every
 exchange substrate in both execution modes through its stage kind, the
-adaptive sorts, the in-VM sort and both Table 1 pipelines — public
+adaptive sort, the in-VM sort and both Table 1 pipelines — public
 surfaces only (stage kinds via ``parse_spec``, ``run_pipeline``).
 
 It is the seconds-fast oracle for refactors of the exchange layer and
@@ -74,11 +74,6 @@ SORT_CELLS: dict[str, tuple[str, dict]] = {
         {"workers": 8, "provisioning": "cold", "shards": 0, "consume": True},
     ),
     "auto": ("auto_sort", {"workers": 8}),
-    # Pinned: with the count left to the planner this picks a wide
-    # object-store streaming sort, which livelocked in TokenBucket at
-    # the commit these goldens were generated from.
-    "auto-modes": ("auto_sort", {"workers": 8, "modes": ["staged", "streaming"]}),
-    "online": ("online_sort", {"workers": 8}),
     "vm": ("vm_sort", {"partitions": 8}),
 }
 

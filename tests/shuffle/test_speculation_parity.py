@@ -11,7 +11,6 @@ up to the kill.
 """
 
 import hashlib
-import random
 
 import pytest
 
@@ -31,6 +30,7 @@ from repro.shuffle import (
     StreamConfig,
     skewed_fixed_payload,
 )
+from tests.payloads import fixed_payload
 
 pytestmark = pytest.mark.chaos
 
@@ -47,14 +47,6 @@ WORKERS = 4
 
 #: Aggressive trigger so backups actually fire at this small scale.
 POLICY = SpeculationPolicy(quantile=0.5, latency_multiplier=1.05)
-
-
-def make_payload(count, seed, record_size=16):
-    rng = random.Random(seed)
-    return b"".join(
-        rng.getrandbits(64).to_bytes(8, "big") + bytes(record_size - 8)
-        for _ in range(count)
-    )
 
 
 def heavy_tailed_profile():
@@ -115,7 +107,7 @@ def run_speculative_sort(substrate, payload, crash_rate=0.0):
 
 @pytest.fixture(scope="module")
 def speculative_runs():
-    payload = make_payload(RECORDS, SEED)
+    payload = fixed_payload(RECORDS, SEED)
     return {
         substrate: run_speculative_sort(substrate, payload)
         for substrate in SUBSTRATES
@@ -170,7 +162,7 @@ class TestSpeculationParity:
     def test_speculation_composes_with_crash_injection_on_relay(self):
         """The acceptance scenario: crashes + retries + speculation on
         the relay produce byte-identical output to object storage."""
-        payload = make_payload(RECORDS, SEED)
+        payload = fixed_payload(RECORDS, SEED)
         base_digest, _ex, _cloud, _r = run_speculative_sort("objectstore", payload)
         digest, _ex2, cloud, relay = run_speculative_sort(
             "relay", payload, crash_rate=0.2
@@ -246,7 +238,7 @@ class TestLoserCancellation:
         )
 
         def driver():
-            yield cloud.store.put("data", "in.bin", make_payload(200, SEED))
+            yield cloud.store.put("data", "in.bin", fixed_payload(200, SEED))
             return (yield operator.sort("data", "in.bin", workers=2))
 
         with pytest.raises(ShuffleError, match="speculat"):
@@ -255,7 +247,7 @@ class TestLoserCancellation:
     def test_speculator_counts_cancelled_losers(self):
         """Executor-level view: a straggling call's backup wins, the
         primary is cancelled, and the job's duplicate cost is bounded."""
-        payload = make_payload(600, SEED)
+        payload = fixed_payload(600, SEED)
         _digest, executor, cloud, _relay = run_speculative_sort(
             "objectstore", payload
         )

@@ -10,7 +10,6 @@ price the mode as a decision variable.
 
 import contextlib
 import gc
-import random
 import weakref
 
 import pytest
@@ -36,19 +35,12 @@ from repro.shuffle import (
     streaming_chunk_count,
 )
 from repro.shuffle.planner import ShuffleCostModel
+from tests.payloads import fixed_payload
 
 SEED = 13
 RECORDS = 3000
 WORKERS = 4
 SUBSTRATES = ("objectstore", "cache", "relay", "sharded-relay")
-
-
-def make_payload(count, seed, record_size=16):
-    rng = random.Random(seed)
-    return b"".join(
-        rng.getrandbits(64).to_bytes(8, "big") + bytes(record_size - 8)
-        for _ in range(count)
-    )
 
 
 def run_sort(substrate, payload, streaming, buffer_bytes=None, chunk_bytes=4096.0):
@@ -118,7 +110,7 @@ def collector_off():
 
 @pytest.fixture(scope="module")
 def staged_baseline():
-    payload = make_payload(RECORDS, SEED)
+    payload = fixed_payload(RECORDS, SEED)
     runs, result, operator, _relay = run_sort("objectstore", payload, streaming=False)
     return payload, runs, result
 
@@ -163,7 +155,7 @@ class TestPollMissesAreNotGarbage:
                 )
             ),
         )
-        payload = make_payload(RECORDS, SEED)
+        payload = fixed_payload(RECORDS, SEED)
 
         def driver():
             yield cloud.store.put("data", "input.bin", payload)
@@ -201,7 +193,7 @@ def test_a_finalized_region_is_freed_without_the_collector(substrate, streaming)
     (The simulator itself stays cyclic — pending timers point back at
     it — but holds no payload.)
     """
-    payload = make_payload(RECORDS, SEED)
+    payload = fixed_payload(RECORDS, SEED)
     with collector_off():
         _runs, result, operator, relay = run_sort(substrate, payload, streaming)
         cloud = operator.executor.cloud
@@ -247,7 +239,7 @@ class TestStreamingParity:
     def test_staged_report_shows_no_overlap(self, staged_baseline):
         _payload, _runs, result = staged_baseline
         # Re-run to grab the operator (module fixture only kept results).
-        payload = make_payload(RECORDS, SEED)
+        payload = fixed_payload(RECORDS, SEED)
         _r, _res, operator, _relay = run_sort("relay", payload, streaming=False)
         report = operator.report
         assert report.mode == "staged"

@@ -28,9 +28,9 @@ class TestSubstrateLabels:
 
     def test_every_builtin_kind_has_a_specific_label(self):
         builtin = (
-            "methylome_dataset", "dataset_ref", "shuffle_sort", "cache_sort",
-            "relay_sort", "sharded_relay_sort", "streaming_sort", "auto_sort",
-            "vm_sort", "methcomp_encode", "methcomp_verify",
+            "dataset_ref", "shuffle_sort", "cache_sort", "relay_sort",
+            "sharded_relay_sort", "streaming_sort", "auto_sort", "vm_sort",
+            "methcomp_encode", "methcomp_verify",
         )
         for kind in builtin:
             assert kind in registered_kinds()

@@ -1,5 +1,7 @@
 """Unit tests for the METHCOMP stage-kind implementations."""
 
+import dataclasses
+
 import pytest
 
 from repro.cloud.environment import Cloud
@@ -52,7 +54,38 @@ class TestRegistry:
         register_builtin_stage_kinds()  # must not raise
 
 
-class TestDatasetStage:
+def staged_dataset(cloud, config, key):
+    """Generate ``config``'s methylome dataset, upload it under ``key``
+    and reference it from a ``dataset_ref`` stage: the way every
+    pipeline, sweep and ledger workload brings its input in."""
+    stage_input(cloud, config, "pipeline", key)
+    return run_dag(cloud, [StageSpec("ref", "dataset_ref", params={"key": key})])
+
+
+class TestDatasetStages:
+    def test_methylome_dataset_generates_and_uploads(self):
+        cloud = fresh_cloud()
+        config = dataclasses.replace(CONFIG, size_gb=0.05, seed=2)
+        artifact = staged_dataset(cloud, config, "gen.bed").artifacts["ref"]
+        payload = cloud.store.peek("pipeline", "gen.bed")
+        assert payload.count(b"\n") > 0
+        assert artifact["real_bytes"] == len(payload)
+
+    def test_dataset_size_scales_with_param(self):
+        sizes = {}
+        for size_gb in (0.02, 0.08):
+            config = dataclasses.replace(CONFIG, size_gb=size_gb)
+            result = staged_dataset(fresh_cloud(), config, "in.bed")
+            sizes[size_gb] = result.artifacts["ref"]["real_bytes"]
+        assert sizes[0.08] > 2 * sizes[0.02]
+
+    def test_dataset_ref_references_the_workflow_bucket(self):
+        result = staged_dataset(fresh_cloud(), CONFIG, "input/methylome.bed")
+        artifact = result.artifacts["ref"]
+        assert list(artifact) == ["bucket", "key", "real_bytes", "logical_bytes"]
+        assert artifact["bucket"] == "pipeline"
+        assert artifact["key"] == "input/methylome.bed"
+
     def test_dataset_ref_requires_key(self):
         cloud = fresh_cloud()
         with pytest.raises(WorkflowError, match="requires parameter"):

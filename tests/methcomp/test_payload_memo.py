@@ -6,8 +6,9 @@ import random
 
 import pytest
 
+from repro.cloud.environment import Cloud
 from repro.core import ExperimentConfig
-from repro.core.experiment import dataset_payload
+from repro.core.experiment import dataset_payload, stage_input
 from repro.errors import CodecError
 from repro.methcomp.bed import MethylationRecord, is_sorted, parse_buffer, serialize_records
 from repro.methcomp.datagen import (
@@ -17,6 +18,7 @@ from repro.methcomp.datagen import (
     generate_skewed_bed_bytes,
     methylome_payload,
 )
+from repro.sim import Simulator
 
 #: (real_bytes, seed, distribution, zipf_s, distinct_keys, sorted_output)
 BASE = (20_000, 3, "zipf", 1.2, 64, False)
@@ -265,6 +267,33 @@ class TestValidation:
 
 class TestCallers:
     """Every pipeline input is ``dataset_payload``'s one memoized object."""
+
+    def stage_payload(self, config: ExperimentConfig) -> bytes:
+        """Stage ``config``'s input the way every pipeline does; the bytes stored."""
+        cloud = Cloud(Simulator(seed=1), config.make_profile())
+        stage_input(cloud, config, "pipeline", "gen.bed")
+        return cloud.store.peek("pipeline", "gen.bed")
+
+    def test_stage_then_experiment_generate_once(self):
+        config = ExperimentConfig(size_gb=0.05, logical_scale=4096.0, seed=11)
+        staged = self.stage_payload(config)
+        assert methylome_payload.cache_info().misses == 1
+        assert dataset_payload(config) == staged
+        info = methylome_payload.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_skewed_stage_and_experiment_agree(self):
+        config = dataclasses.replace(
+            ExperimentConfig(size_gb=0.05, logical_scale=4096.0, seed=11),
+            key_distribution="zipf",
+            zipf_s=1.3,
+            skew_distinct_keys=16,
+        )
+        staged = self.stage_payload(config)
+        assert dataset_payload(config) == staged
+        assert methylome_payload.cache_info().misses == 1
+        uniform = dataclasses.replace(config, key_distribution="uniform")
+        assert dataset_payload(uniform) != staged
 
     def test_repeated_pipeline_inputs_are_one_object(self):
         config = ExperimentConfig(size_gb=0.05, logical_scale=4096.0, seed=12)

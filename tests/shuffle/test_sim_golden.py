@@ -4,8 +4,9 @@ The other suites check byte parity between substrates and tolerances on
 simulated time; none pins *bit-equal* simulated time, dollars and
 request counts.  This one does, at one small scale and seed, for every
 exchange substrate in both execution modes through its stage kind, the
-adaptive sort, the in-VM sort and both Table 1 pipelines — public
-surfaces only (stage kinds via ``parse_spec``, ``run_pipeline``).
+adaptive sort, the in-VM sort, the online sort benchmark S12 runs and
+both Table 1 pipelines — public surfaces only (stage kinds via
+``parse_spec``, ``OnlineShuffleSort``, ``run_pipeline``).
 
 It is the seconds-fast oracle for refactors of the exchange layer and
 the standing guard on the *wire format*: the executor pickles every
@@ -41,6 +42,14 @@ import pytest
 from repro.cloud import Cloud
 from repro.core import PURE_SERVERLESS, VM_SUPPORTED, ExperimentConfig, run_pipeline
 from repro.core.experiment import stage_input
+from repro.core.stages import (
+    STREAM_BUFFER_BYTES,
+    STREAM_CHUNK_BYTES,
+    STREAM_POLL_INTERVAL_S,
+)
+from repro.executor import FunctionExecutor
+from repro.methcomp.pipeline import bed_record_codec
+from repro.shuffle import OnlineShuffleSort, StreamConfig
 from repro.sim import Simulator
 from repro.workflows import WorkflowEngine, parse_spec
 
@@ -76,6 +85,10 @@ SORT_CELLS: dict[str, tuple[str, dict]] = {
     "auto": ("auto_sort", {"workers": 8}),
     "vm": ("vm_sort", {"partitions": 8}),
 }
+
+#: The online selector has no stage kind: its cell drives the operator
+#: directly, as benchmark S12 does, at the streaming stage's constants.
+ONLINE_CELL = "online"
 
 PIPELINE_CELLS = {"table1-serverless": PURE_SERVERLESS, "table1-vm": VM_SUPPORTED}
 
@@ -152,6 +165,36 @@ def run_sort_cell(kind: str, params: dict, config: ExperimentConfig = CONFIG) ->
     )
 
 
+def run_online_cell(config: ExperimentConfig = CONFIG) -> dict:
+    cloud = Cloud(Simulator(seed=config.seed), config.make_profile())
+    stage_input(cloud, config, BUCKET, INPUT_KEY)
+    executor = FunctionExecutor(cloud, runtime_memory_mb=2048, bucket=BUCKET)
+    operator = OnlineShuffleSort(
+        executor,
+        bed_record_codec(),
+        stream=StreamConfig(
+            STREAM_CHUNK_BYTES, STREAM_BUFFER_BYTES, STREAM_POLL_INTERVAL_S
+        ),
+        cost=config.workload.shuffle_cost_model(),
+    )
+
+    def driver() -> t.Generator:
+        return (
+            yield operator.sort(
+                BUCKET, INPUT_KEY, out_bucket=BUCKET, out_prefix="sort",
+                workers=8, max_workers=256,
+            )
+        )
+
+    marker = cloud.meter.snapshot()
+    result = cloud.sim.run_process(driver())
+    cloud.finalize()
+    runs = [{"bucket": run.bucket, "key": run.key} for run in result.runs]
+    return _observe(
+        cloud, runs, result.duration_s, cloud.meter.since(marker).total_usd
+    )
+
+
 def run_pipeline_cell(variant: str) -> dict:
     run = run_pipeline(CONFIG, variant)
     return _observe(
@@ -163,12 +206,14 @@ def run_cell(name: str) -> dict:
     with recorded_schedule() as schedule:
         if name in PIPELINE_CELLS:
             observed = run_pipeline_cell(PIPELINE_CELLS[name])
+        elif name == ONLINE_CELL:
+            observed = run_online_cell()
         else:
             observed = run_sort_cell(*SORT_CELLS[name])
     return {**observed, **schedule}
 
 
-ALL_CELLS = (*SORT_CELLS, *PIPELINE_CELLS)
+ALL_CELLS = (*SORT_CELLS, ONLINE_CELL, *PIPELINE_CELLS)
 
 #: The fields ``recorded_schedule`` adds; every other field is an outcome.
 SCHEDULE_FIELDS = ("sim_events", "sim_schedule")

@@ -20,7 +20,7 @@ WALLCLOCK_GUARDED := bench-kernels bench-sim bench-codec
 #: may change (bench_wallclock.json is untracked).
 HOST_TIMING_RESULTS := s14_kernels.txt s15_obs.txt bench_wallclock.json
 
-.PHONY: test test-faults test-skew test-service test-obs test-cas collect bench $(BENCH_TARGETS) bench-ledger ledger-selfcheck parity verify size
+.PHONY: test test-faults test-skew test-service test-obs test-cas collect bench $(BENCH_TARGETS) bench-ledger ledger-selfcheck parity verify size reach
 
 # Tier-1 suite (must stay green): everything under tests/, once, with
 # the chaos suite under the pinned seed matrix.  The `test-*` targets
@@ -38,7 +38,7 @@ test-faults:
 
 # Skew suite alone: weighted-boundary/sampling properties, the Zipf
 # cross-substrate parity matrix, load-aware fleet routing, and the
-# skew-priced planners/selector.
+# skew-priced predictor (predict_shuffle_time's straggler term).
 test-skew:
 	$(PYTEST) -x -q -m skew
 
@@ -108,6 +108,14 @@ $(BENCH_TARGETS): bench-%:
 # per-layer host-time attribution; writes benchmarks/ledger/out/.
 bench-ledger:
 	python3 benchmarks/ledger/run.py
+
+# Reach probe: every src/repro function that no entry point calls, with
+# its line count.  Each EXPERIMENTS row at scales 16384 and 1024, both
+# CLIs, the examples, the ledger workloads and the bench modules run in
+# a process of their own under sys.setprofile (several minutes; not
+# part of verify).
+reach:
+	python3 benchmarks/reach.py
 
 # The ledger's static self-check: the layer map is total, every rule
 # still matches a file, every call counter resolves (0.2 s).

@@ -64,7 +64,7 @@ def test_cold_payload(benchmark):
 
     def generate():
         methylome_payload.cache_clear()
-        return methylome_payload(3_670_016, 2021, "uniform", 1.2, 64, False)
+        return methylome_payload(3_670_016, 2021, "uniform", 1.2, 64)
 
     payload = benchmark.pedantic(generate, rounds=3, iterations=1, warmup_rounds=1)
     methylome_payload.cache_clear()

@@ -108,17 +108,6 @@ class CostMeter:
             totals[(line.service, line.item)] += line.usd
         return dict(totals)
 
-    def total_by_tag(self, key: str) -> dict[str, float]:
-        """Dollar totals grouped by the value of tag ``key``.
-
-        Lines without the tag are grouped under ``"(untagged)"``.
-        """
-        totals: dict[str, float] = collections.defaultdict(float)
-        for line in self.lines:
-            tag_value = dict(line.tags).get(key, "(untagged)")
-            totals[tag_value] += line.usd
-        return dict(totals)
-
     def filtered(self, service: str | None = None, **tags: str) -> list[CostLine]:
         """Lines matching a service and/or exact tag values.
 

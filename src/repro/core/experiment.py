@@ -66,7 +66,6 @@ def dataset_payload(config: ExperimentConfig) -> bytes:
         config.key_distribution,
         config.zipf_s,
         config.skew_distinct_keys,
-        False,
     )
 
 

@@ -429,24 +429,21 @@ def methylome_payload(
     distribution: str,
     zipf_s: float,
     distinct_keys: int,
-    sorted_output: bool,
     /,
 ) -> bytes:
     """The pipeline's input payload under a key law, generated once per argument set.
 
     ``distribution="uniform"`` is the chromosome-weighted methylome of
-    :class:`MethylomeGenerator` (``sorted_output`` keeps it in genomic
-    order); any other law goes to :func:`generate_skewed_bed_bytes` with
-    its ``zipf_s`` / ``distinct_keys`` knobs.  Experiments stage the same
-    input again for every configuration and sweep row they compare, and
-    a payload is a pure function of these six values, so the few most
+    :class:`MethylomeGenerator`, in shuffled order; any other law goes to
+    :func:`generate_skewed_bed_bytes` with its ``zipf_s`` /
+    ``distinct_keys`` knobs.  Experiments stage the same input again for
+    every configuration and sweep row they compare, and a payload is a
+    pure function of these five values, so the few most
     recent ones are kept: the bytes are immutable, and the bound keeps a
     long sweep over sizes from holding every payload it ever made.
     """
     if distribution == "uniform":
-        return MethylomeGenerator(seed=seed).generate_bed_bytes(
-            real_bytes, sorted_output=sorted_output
-        )
+        return MethylomeGenerator(seed=seed).generate_bed_bytes(real_bytes)
     return generate_skewed_bed_bytes(
         real_bytes,
         seed=seed,

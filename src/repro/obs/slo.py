@@ -1,4 +1,4 @@
-"""Declarative SLO checks evaluated from reports and the metrics registry.
+"""Declarative SLO checks evaluated from reports.
 
 Sweeps and benches used to re-implement the paper's acceptance rules
 inline — the 2x prediction envelope here, a residual-reservation assert
@@ -11,14 +11,6 @@ objective at once.
 from __future__ import annotations
 
 import typing as t
-
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    nearest_rank,
-    registry as _default_registry,
-)
-
 
 class SloViolation(AssertionError):
     """One or more SLO checks failed; message lists all of them."""
@@ -39,15 +31,12 @@ class SloGate:
       planner's prediction (the paper's 2x envelope);
     * :meth:`zero` — exactly-zero invariants (residual relay
       reservations, leaked leases);
-    * :meth:`p95` — tail-latency bounds over a sample list or a
-      registry histogram;
     * :meth:`equal` — byte-parity digest matches across substrates or
       tracing on/off.
     """
 
-    def __init__(self, name: str = "slo", reg: MetricsRegistry | None = None):
+    def __init__(self, name: str = "slo"):
         self.name = name
-        self.registry = reg if reg is not None else _default_registry()
         self.checks: list[SloCheck] = []
 
     # -- generic -------------------------------------------------------
@@ -77,34 +66,6 @@ class SloGate:
 
     def zero(self, name: str, value: float) -> bool:
         return self.check(name, value == 0, f"expected 0, got {value}")
-
-    def p95(
-        self,
-        name: str,
-        samples: "t.Sequence[float] | str",
-        threshold_s: float,
-        **labels,
-    ) -> bool:
-        """p95 of ``samples`` (a list, or a registry histogram name) ≤ bound."""
-        if isinstance(samples, str):
-            metric = self.registry.get(samples)
-            if not isinstance(metric, Histogram):
-                return self.check(
-                    name, False, f"histogram {samples!r} not in registry"
-                )
-            values = (
-                metric.observations(**labels) if labels else metric.all_observations()
-            )
-        else:
-            values = list(samples)
-        if not values:
-            return self.check(name, True, "no samples (vacuous)")
-        p95 = nearest_rank(values, 0.95)
-        return self.check(
-            name,
-            p95 <= threshold_s,
-            f"p95={p95:.4f} threshold={threshold_s:.4f} n={len(values)}",
-        )
 
     def equal(self, name: str, *values: t.Any) -> bool:
         distinct = {repr(v) for v in values}

@@ -25,7 +25,7 @@ tenants against **one shared, autoscaling relay fleet**:
   tenant's cancel storm can never reclaim another tenant's
   reservations;
 * **autoscaling** — the fleet is resized from observed demand (queued
-  plus running logical bytes, skew-aware) by
+  plus running logical bytes) by
   :func:`~repro.shuffle.adaptive.plan_fleet_scale`.  Scaling rotates
   **generations**: a new warm fleet serves subsequently dispatched
   jobs while the old one drains its running jobs and terminates —

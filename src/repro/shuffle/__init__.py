@@ -36,7 +36,6 @@ from repro.shuffle.adaptive import (
 from repro.shuffle.cacheplanner import required_cache_nodes
 from repro.shuffle.cachestages import cache_shuffle_mapper, cache_shuffle_reducer
 from repro.shuffle.kernels import (
-    DecimalFieldKeySpec,
     KernelFallback,
     KeySpec,
     PartitionOutcome,
@@ -147,7 +146,6 @@ __all__ = [
     "cache_shuffle_mapper",
     "cache_shuffle_reducer",
     "required_cache_nodes",
-    "DecimalFieldKeySpec",
     "FixedWidthCodec",
     "KernelFallback",
     "KeySpec",

@@ -57,7 +57,6 @@ from repro.shuffle.planner import (
     streaming_curve,
 )
 from repro.shuffle.relayplanner import (
-    MAX_RELAY_SHARDS,
     fleet_shards_for,
     relay_usable_bytes,
     resolve_relay_instance,
@@ -294,9 +293,6 @@ class SubstrateDecision:
 
     chosen: SubstrateEstimate
     estimates: tuple[SubstrateEstimate, ...]
-    #: Max-over-mean partition bytes the estimates were priced with
-    #: (1.0 = balanced; the straggler term of every candidate model).
-    partition_skew: float = 1.0
 
     @property
     def substrate(self) -> str:
@@ -304,8 +300,6 @@ class SubstrateDecision:
 
     def describe(self) -> str:
         lines = []
-        if self.partition_skew > 1.0:
-            lines.append(f"priced at partition skew {self.partition_skew:.2f}x")
         for estimate in self.estimates:
             marker = "->" if estimate is self.chosen else "  "
             if not estimate.feasible:
@@ -469,15 +463,12 @@ def choose_exchange_substrate(
     workers: int | None = None,
     *,
     cache_node_type: str = "cache.r5.large",
-    relay_instance_type: str | None = None,
     time_value_usd_per_hour: float = 1.0,
     max_workers: int = 256,
-    max_relay_shards: int = MAX_RELAY_SHARDS,
     substrates: t.Sequence[str] | None = None,
     modes: t.Sequence[str] = ("staged",),
     stream_chunk_bytes: float = 32 * (1 << 20),
     stream_chunked_input: bool = False,
-    partition_skew: float = 1.0,
     cost: ShuffleCostModel | None = None,
 ) -> SubstrateDecision:
     """Pick the exchange substrate for one shuffle, analytically.
@@ -512,16 +503,16 @@ def choose_exchange_substrate(
     pipeline instead of serialising before it.
 
     The provisioned term is what object storage never pays: cache
-    node-seconds (for a cluster sized by
+    node-seconds (for a cluster of ``cache_node_type`` nodes sized by
     :func:`~repro.shuffle.cacheplanner.required_cache_nodes`), relay
     VM-seconds + boot volume (instance sized by
-    :func:`~repro.shuffle.relayplanner.required_relay_instance` unless
-    pinned), or — for the sharded relay — N of those: the selector
-    prices every shard count up to ``max_relay_shards`` and keeps the
-    best-scoring fleet, which is how aggregate NIC bandwidth is traded
-    against N× provisioned cost.  Each is billed over the predicted
-    duration with the provider's minimum billed window — the always-on
-    economics the paper credits object storage for avoiding.
+    :func:`~repro.shuffle.relayplanner.required_relay_instance`), or —
+    for the sharded relay — N of those: the selector prices every shard
+    count up to :data:`~repro.shuffle.relayplanner.MAX_RELAY_SHARDS` and
+    keeps the best-scoring fleet, which is how aggregate NIC bandwidth
+    is traded against N× provisioned cost.  Each is billed over the
+    predicted duration with the provider's minimum billed window — the
+    always-on economics the paper credits object storage for avoiding.
     Substrates assume warm (pre-provisioned) infrastructure, as the
     experiments do.  A substrate whose capacity cannot hold the shuffle
     is reported infeasible and never chosen; if *every* candidate is
@@ -535,15 +526,6 @@ def choose_exchange_substrate(
     (object storage always wins); large values buy latency with
     provisioned hardware.
 
-    ``partition_skew`` is the expected max-over-mean partition bytes of
-    the workload (1.0 = uniform keys).  Every candidate model prices
-    its straggler reducer with it, and because the substrates expose
-    different shares of their runtime to that reducer — the hot
-    reducer's fetch crosses a function NIC on object storage but an
-    in-VPC relay NIC on the relay family — a skewed workload can pick a
-    *different* substrate, mode, worker count or shard count than the
-    uniform workload of the same total bytes.
-
     ``cost`` supplies the workload-side constants every candidate is
     priced with (default: the library-default cost model).  Callers
     that will *execute* the chosen sort with calibrated workload
@@ -556,14 +538,6 @@ def choose_exchange_substrate(
     if time_value_usd_per_hour < 0:
         raise ShuffleError(
             f"time_value_usd_per_hour must be >= 0, got {time_value_usd_per_hour}"
-        )
-    if max_relay_shards < 1:
-        raise ShuffleError(
-            f"max_relay_shards must be >= 1, got {max_relay_shards}"
-        )
-    if partition_skew < 1.0:
-        raise ShuffleError(
-            f"partition_skew must be >= 1 (max/mean), got {partition_skew}"
         )
     wanted = tuple(substrates) if substrates is not None else tuple(SUBSTRATES)
     for name in wanted:
@@ -598,10 +572,7 @@ def choose_exchange_substrate(
         if substrate not in wanted:
             continue
         configurations = backend_class.configurations(
-            logical_bytes, profile, cost, partition_skew,
-            cache_node_type=cache_node_type,
-            relay_instance_type=relay_instance_type,
-            max_relay_shards=max_relay_shards,
+            logical_bytes, profile, cache_node_type=cache_node_type
         )
         if isinstance(configurations, str):
             estimates.append(
@@ -617,7 +588,7 @@ def choose_exchange_substrate(
             terms = backend_class.resolve_terms(profile, cost, flavour, count)
             staged = plan_shuffle(
                 logical_bytes, profile, cost, max_workers=max_workers,
-                candidates=candidates, skew=partition_skew, terms=terms,
+                candidates=candidates, terms=terms,
             ).curve
             priced.append((flavour, count, terms, staged))
         for mode in EXCHANGE_MODES:
@@ -663,9 +634,7 @@ def choose_exchange_substrate(
     # min() keeps the first of equals: exact score ties break toward the
     # earlier substrate, then the earlier mode.
     chosen = min(feasible, key=lambda estimate: estimate.score_usd)
-    return SubstrateDecision(
-        chosen=chosen, estimates=tuple(estimates), partition_skew=partition_skew
-    )
+    return SubstrateDecision(chosen=chosen, estimates=tuple(estimates))
 
 
 # ----------------------------------------------------------------------
@@ -713,7 +682,7 @@ def plan_fleet_scale(
     bytes of every running *and queued* job (the service's queue depth
     expressed in the unit the sizing model understands).  The target is
     the shard count :func:`~repro.shuffle.relayplanner.fleet_shards_for`
-    sizes for that demand on balanced partitions, clamped to
+    sizes for that demand, clamped to
     ``[1, max_shards]``.
 
     Scaling **up** happens as soon as the target exceeds the current
@@ -740,7 +709,7 @@ def plan_fleet_scale(
             return 1
         # Clamped, not refused: a backlog beyond the largest fleet
         # targets max_shards and the queue absorbs the rest.
-        shards = fleet_shards_for(load, usable, 1.0)
+        shards = fleet_shards_for(load, usable)
         return max(1, min(max_shards, shards))
 
     target = shards_for(demand_bytes)

@@ -25,7 +25,6 @@ def required_cache_nodes(
     logical_bytes: float,
     profile: CloudProfile,
     node_type_name: str,
-    partition_skew: float = 1.0,
 ) -> int:
     """Smallest node count whose usable memory holds the shuffle data.
 
@@ -34,19 +33,9 @@ def required_cache_nodes(
     capacity is a hard feasibility constraint (unlike object storage, which is
     effectively unbounded — a qualitative difference the comparison
     reports).
-
-    ``partition_skew`` (max-over-mean partition bytes) sizes the cluster
-    so the *hottest node's* expected share — ``min(logical, skew *
-    logical / nodes)`` under hash slot routing — fits in one node's
-    usable memory, mirroring the relay planner's
-    :func:`~repro.shuffle.relayplanner.required_relay_fleet`.
     """
     if logical_bytes <= 0:
         raise ShuffleError(f"logical_bytes must be positive, got {logical_bytes}")
-    if partition_skew < 1.0:
-        raise ShuffleError(
-            f"partition_skew must be >= 1 (max/mean), got {partition_skew}"
-        )
     try:
         node_type = profile.memstore.catalog[node_type_name]
     except KeyError:
@@ -61,22 +50,18 @@ def required_cache_nodes(
     )
     if per_node >= logical_bytes * CACHE_HEADROOM:
         return 1
-    needed = logical_bytes * CACHE_HEADROOM * partition_skew
+    needed = logical_bytes * CACHE_HEADROOM
     return max(1, -(-int(needed) // int(per_node)))
 
 
 def cache_configurations(
     logical_bytes: float,
     profile: CloudProfile,
-    _cost,
-    partition_skew: float,
     *,
-    cache_node_type: str,
-    **_sizing,
+    cache_node_type: str | None = None,
+    relay_instance_type: str | None = None,
 ) -> list[tuple[str, int]]:
     """The one cluster the selector prices: the pinned node type, as
     many nodes as hold the data (a cache scales out, so it always can)."""
-    nodes = required_cache_nodes(
-        logical_bytes, profile, cache_node_type, partition_skew=partition_skew
-    )
+    nodes = required_cache_nodes(logical_bytes, profile, cache_node_type)
     return [(cache_node_type, nodes)]

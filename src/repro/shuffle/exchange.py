@@ -29,9 +29,8 @@ the platform kills an attempt — crash, timeout, or a lost speculative
 race — the substrate reclaims that attempt's in-flight state and fences
 the attempt out.  Object storage is idempotent by content (a retried
 mapper overwrites the same keys); the cache and relay rely on the
-attempt-scoped cancellation above.  All three therefore support
-executor retries *and* speculative backup tasks
-(:attr:`ExchangeBackend.supports_speculation`).
+attempt-scoped cancellation above.  Every substrate therefore supports
+executor retries *and* speculative backup tasks.
 
 Backends: :class:`ObjectStoreExchange` and :class:`CacheExchange`
 (here), :class:`~repro.shuffle.relay.RelayExchange` and
@@ -69,7 +68,6 @@ from repro.shuffle.planner import (
     plan_shuffle,
     streaming_curve,
 )
-from repro.shuffle.relayplanner import MAX_RELAY_SHARDS
 from repro.shuffle.records import RecordCodec
 from repro.shuffle.stages import cos_segments, shuffle_mapper, shuffle_reducer
 from repro.shuffle.streaming import (
@@ -124,7 +122,7 @@ class ExchangeReport:
     #: (1.0 is perfectly balanced).  Uniform across substrates — the
     #: same dataset and boundaries must report the same skew whichever
     #: substrate carried the exchange — so sweeps can contrast the
-    #: skew-aware planner's straggler term with what actually happened.
+    #: predictor's straggler term with what actually happened.
     partition_skew: float = 1.0
     #: Substrate-specific metadata (fill fractions, request counters...).
     extra: dict[str, t.Any] = dataclasses.field(default_factory=dict)
@@ -212,10 +210,6 @@ class ExchangeBackend(abc.ABC):
     staged_stages: t.ClassVar[tuple[t.Callable, t.Callable]]
     #: Worker-side stream port kind (see :mod:`repro.shuffle.streaming`).
     stream_kind: t.ClassVar[str]
-    #: Whether speculative backup tasks are safe on this substrate.
-    #: True for all built-ins since attempt-scoped cancellation fences
-    #: losing attempts out of stateful substrates.
-    supports_speculation: t.ClassVar[bool] = True
 
     # -- the substrate as a driver provisions it -----------------------
     #: Whether the substrate rides provisioned infrastructure (what
@@ -240,12 +234,11 @@ class ExchangeBackend(abc.ABC):
     #: of :mod:`repro.shuffle.planner`; ``flavour`` is the catalog
     #: entry, or ``None`` (its NIC then does not bind; no price).
     terms: t.ClassVar[t.Callable[..., ExchangeTerms]]
-    #: ``(logical_bytes, profile, cost, partition_skew, **sizing)`` →
-    #: the candidate ``(flavour name, count)`` configurations the
-    #: selector prices, smallest first, or a string saying why none
-    #: holds the data.  ``sizing`` are ``choose_exchange_substrate``'s
-    #: flavour pins (``cache_node_type``, ``relay_instance_type``) and
-    #: fleet limit (``max_relay_shards``).
+    #: ``(logical_bytes, profile, *, cache_node_type=None,
+    #: relay_instance_type=None)`` → the candidate ``(flavour name,
+    #: count)`` configurations the selector prices, smallest first, or a
+    #: string saying why none holds the data.  The two keywords are the
+    #: flavour pins; each class reads its own and sizes the rest.
     configurations: t.ClassVar[t.Callable[..., list[tuple[str, int]] | str]]
     #: What error messages call a flavour and a count of this substrate.
     flavour_kind: t.ClassVar[str] = ""
@@ -301,25 +294,24 @@ class ExchangeBackend(abc.ABC):
         cls, logical_bytes: float, profile: CloudProfile, flavour: t.Any = None, count: int = 0
     ) -> tuple[t.Any, int]:
         """The ``(flavour, count)`` :meth:`provision` brings up: pins as
-        given; a falsy flavour or a count below 1 sized to the first
-        (smallest) of :attr:`configurations` at partition skew 1.0 and
-        the default fleet limit (a pinned count keeps at least that
-        many); one without a count param.  Infeasible: ShuffleError.
+        given; a count below 1 sized to the first (smallest) of
+        :attr:`configurations` for the flavour, a falsy flavour taken as
+        the :attr:`flavour_param` default (a pinned count keeps at least
+        the sized count); one without a count param.  Infeasible:
+        ShuffleError.
         """
         if cls.count_param is None:
             count = 1
         if flavour and count >= 1:
             return flavour, count
+        flavour = flavour or cls.flavour_param[1]
         sized = cls.configurations(
-            logical_bytes, profile, ShuffleCostModel(), 1.0,
-            cache_node_type=flavour,
-            relay_instance_type=flavour or None,
-            max_relay_shards=MAX_RELAY_SHARDS,
+            logical_bytes, profile, cache_node_type=flavour, relay_instance_type=flavour
         )
         if isinstance(sized, str):
             raise ShuffleError(sized)
-        auto_flavour, auto_count = sized[0]
-        return flavour or auto_flavour, max(count, auto_count)
+        sized_flavour, sized_count = sized[0]
+        return sized_flavour, max(count, sized_count)
 
     @staticmethod
     def bring_up(cloud, flavour: t.Any, count: int, cold: bool) -> t.Any:
@@ -580,7 +572,13 @@ class ObjectStoreExchange(ExchangeBackend):
     terms = staticmethod(objectstore_terms)
 
     @staticmethod
-    def configurations(*_args, **_sizing) -> list[tuple[str, int]]:
+    def configurations(
+        logical_bytes: float,
+        profile: CloudProfile,
+        *,
+        cache_node_type: str | None = None,
+        relay_instance_type: str | None = None,
+    ) -> list[tuple[str, int]]:
         """Nothing to size: the one pay-as-you-go configuration."""
         return [("", 1)]
 

@@ -150,67 +150,9 @@ class PrefixKeySpec(KeySpec):
         return value
 
 
-class DecimalFieldKeySpec(KeySpec):
-    """ASCII-decimal field of a delimited line (``LineRecordCodec``).
-
-    Matches a ``key_fn`` of the form ``int(line.split(sep)[field])`` for
-    newline-terminated records.  Lines whose field is missing, empty,
-    non-digit, or longer than 18 digits make ``decode`` return ``None``
-    (scalar fallback) — the kernel never guesses.
-    """
-
-    identity = True
-    #: Widest decimal field decoded vectorized; 18 digits < 2**63 so the
-    #: digit matmul can never overflow uint64.
-    MAX_DIGITS = 18
-
-    def __init__(self, field: int = 0, sep: bytes = b"\t"):
-        if field < 0:
-            raise ShuffleError(f"field must be >= 0, got {field}")
-        if len(sep) != 1:
-            raise ShuffleError(f"sep must be a single byte, got {sep!r}")
-        self.field = field
-        self.sep = sep
-
-    def decode(self, data, starts, ends):
-        spans = field_spans(data, starts, ends, self.sep, self.field)
-        if spans is None:
-            return None
-        return decimal_field_values(data, *spans)
-
-    def to_u64(self, key) -> int | None:
-        if type(key) is not int or not 0 <= key <= _U64_MAX:
-            return None
-        return key
-
-    def from_u64(self, value: int) -> int:
-        return value
-
-
 # ----------------------------------------------------------------------
 # shared vector helpers (used by KeySpecs here and in methcomp)
 # ----------------------------------------------------------------------
-def field_spans(data, starts, ends, sep: bytes, field: int):
-    """Per-record ``[field_start, field_end)`` of a delimited field.
-
-    ``ends`` includes the record's trailing newline; the field never
-    does.  Returns ``None`` when any record has too few separators.
-    """
-    seps = np.flatnonzero(data == sep[0])
-    # Sentinel past the buffer end so "no further separator" indexes
-    # safely and loses every min() below.
-    padded = np.concatenate([seps, [len(data)]])
-    field_starts = starts
-    for _ in range(field):
-        nxt = padded[np.searchsorted(seps, field_starts)]
-        field_starts = nxt + 1
-    next_sep = padded[np.searchsorted(seps, field_starts)]
-    field_ends = np.minimum(next_sep, ends - 1)  # strip trailing newline
-    if bool((field_starts > ends - 1).any()):
-        return None  # a record ran out of separators before the field
-    return field_starts, field_ends
-
-
 def _cells(data, width: int):
     """The sliding windows of ``data``, each one ``width``-byte void cell.
 
@@ -238,8 +180,11 @@ def row_windows(data, offsets, width: int):
     return _cells(data, width)[offsets].view(np.uint8).reshape(len(offsets), width)
 
 
+#: Widest decimal field :func:`decimal_field_values` parses; 18 digits
+#: < 2**63, so the digit matmul can never overflow uint64.
+MAX_DECIMAL_DIGITS = 18
 #: ``_POW10[k] == 10**k`` below every width the decimal parser accepts.
-_POW10 = 10 ** np.arange(DecimalFieldKeySpec.MAX_DIGITS, dtype=np.uint64)
+_POW10 = 10 ** np.arange(MAX_DECIMAL_DIGITS, dtype=np.uint64)
 
 
 def decimal_field_values(data, field_starts, field_ends):
@@ -248,7 +193,7 @@ def decimal_field_values(data, field_starts, field_ends):
     if values.size == 0:
         return values
     widths = field_ends - field_starts
-    if int(widths.min()) <= 0 or int(widths.max()) > DecimalFieldKeySpec.MAX_DIGITS:
+    if int(widths.min()) <= 0 or int(widths.max()) > MAX_DECIMAL_DIGITS:
         return None  # an empty field, or one too wide to stay exact in uint64
     # One exact-width digit matrix per field width: no padding to mask.
     for width in np.flatnonzero(np.bincount(widths)).tolist():

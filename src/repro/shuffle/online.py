@@ -312,10 +312,8 @@ class OnlineShuffleSort(ShuffleSort):
         the worker stages of whichever substrate a stint runs on.
     time_value_usd_per_hour, substrates, modes:
         Forwarded to :func:`~repro.shuffle.adaptive.choose_exchange_substrate`
-        at every decision point; the rest of its keywords keep their
-        defaults (cache.r5.large nodes, auto-sized relays, fleets of up
-        to :data:`~repro.shuffle.relayplanner.MAX_RELAY_SHARDS` shards,
-        uniform partition skew).
+        at every decision point; its ``cache_node_type`` keeps the
+        default (cache.r5.large nodes).
     switch_margin:
         Hysteresis: a candidate configuration only displaces the running
         one when its score undercuts the running configuration's

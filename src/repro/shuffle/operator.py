@@ -176,16 +176,7 @@ class ShuffleSort:
     # phases (OnlineShuffleSort reuses these around its own wave loop)
     # ------------------------------------------------------------------
     def _preflight(self, bucket: str, key: str) -> t.Generator:
-        """HEAD the input, check speculation support and substrate fit."""
-        if (
-            getattr(self.executor, "speculation", None) is not None
-            and not self.backend.supports_speculation
-        ):
-            raise ShuffleError(
-                f"substrate {self.backend.name!r} does not support "
-                "speculative execution; disable the executor's speculation "
-                "policy for this sort"
-            )
+        """HEAD the input and check the substrate fit."""
         meta = yield self.executor.storage.head(bucket, key)
         if meta.size == 0:
             raise ShuffleError(f"cannot shuffle empty object {bucket}/{key}")

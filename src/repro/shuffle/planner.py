@@ -421,16 +421,14 @@ def plan_shuffle(
     cost: ShuffleCostModel | None = None,
     max_workers: int = 256,
     candidates: t.Sequence[int] | None = None,
-    skew: float | None = None,
     terms: ExchangeTerms | None = None,
 ) -> ShufflePlan:
     """Pick the worker count minimizing predicted shuffle time.
 
     ``candidates`` defaults to every integer in ``[1, max_workers]``;
     pass an explicit sequence (e.g. powers of two) to restrict the
-    search the way Primula's on-the-fly heuristic does.  ``skew``
-    prices the straggler reducer and ``terms`` names the substrate
-    configuration (see :func:`predict_shuffle_time`).
+    search the way Primula's on-the-fly heuristic does.  ``terms``
+    names the substrate configuration (see :func:`predict_shuffle_time`).
     """
     if logical_bytes <= 0:
         raise ShuffleError(f"logical_bytes must be positive, got {logical_bytes}")
@@ -441,7 +439,7 @@ def plan_shuffle(
     if terms is None:
         terms = objectstore_terms(profile, cost, None, 1)
     curve = tuple(
-        predict_shuffle_time(logical_bytes, workers, profile, cost, skew, terms)
+        predict_shuffle_time(logical_bytes, workers, profile, cost, terms=terms)
         for workers in sorted(set(pool))
     )
     best = best_point(curve)

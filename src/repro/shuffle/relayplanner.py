@@ -5,11 +5,10 @@ capacity is the fleet's total memory: a hard feasibility constraint.
 :func:`required_relay_instance` picks the smallest single flavour that
 fits — the single relay is scale-up only, and past the fattest flavour
 it is infeasible; :func:`required_relay_fleet` additionally sizes a
-shard count when no single flavour does, budgeting the *hot shard*
-(:func:`hot_shard_bytes`) and the :data:`SHARD_IMBALANCE_HEADROOM` the
-runtime admission check shares.  :func:`relay_configurations` and
-:func:`fleet_configurations` name the configurations the substrate
-selector prices, and
+shard count when no single flavour does, budgeting the
+:data:`SHARD_IMBALANCE_HEADROOM` the runtime admission check shares.
+:func:`relay_configurations` and :func:`fleet_configurations` name the
+configurations the substrate selector prices, and
 :class:`~repro.shuffle.relay.RelayExchange` /
 :class:`~repro.shuffle.relay.ShardedRelayExchange` carry them as their
 ``configurations``.  What the exchange *costs in time* on a relay or a
@@ -86,38 +85,17 @@ def required_relay_instance(logical_bytes: float, profile: CloudProfile) -> str:
     return best.name
 
 
-def hot_shard_bytes(
-    logical_bytes: float, shards: int, partition_skew: float = 1.0
-) -> float:
-    """Expected logical bytes on the *hottest* shard of a fleet.
+def fleet_shards_for(logical_bytes: float, usable: float) -> int:
+    """Smallest shard count whose mean shard fits in ``usable``.
 
-    Hash routing only realises the mean ``logical / shards`` on balanced
-    keys: a partition skew of ``s`` (max-over-mean partition bytes)
-    concentrates up to ``s * logical / shards`` on the shard that owns
-    the hot partition, capped at the whole dataset (one shard can never
-    receive more than everything).  ``partition_skew=1.0`` reduces to
-    the mean — the pre-skew-aware sizing.
-    """
-    return min(float(logical_bytes), partition_skew * logical_bytes / shards)
-
-
-def fleet_shards_for(
-    logical_bytes: float, usable: float, partition_skew: float
-) -> int:
-    """Smallest shard count whose hottest shard fits in ``usable``.
-
-    Feasibility is ``headroom * hot_shard_bytes(logical, n, skew) <=
-    usable`` (``headroom`` = :data:`SHARD_IMBALANCE_HEADROOM`), which is
-    monotone in ``n``: one shard suffices whenever the whole dataset
-    fits, otherwise the hot-shard term dictates ``ceil(headroom *
-    logical * skew / usable)`` — the skew-aware generalisation of the
-    old mean-based ``ceil(headroom * logical / usable)`` that
-    under-provisioned Zipf workloads when rebalancing is off.
+    One shard suffices whenever the whole dataset fits with
+    :data:`SHARD_IMBALANCE_HEADROOM`; otherwise ``ceil(headroom *
+    logical / usable)``.
     """
     headroom = SHARD_IMBALANCE_HEADROOM
     if usable >= headroom * logical_bytes:
         return 1
-    return max(1, math.ceil(headroom * logical_bytes * partition_skew / usable))
+    return max(1, math.ceil(headroom * logical_bytes / usable))
 
 
 def required_relay_fleet(
@@ -125,7 +103,6 @@ def required_relay_fleet(
     profile: CloudProfile,
     instance_type_name: str | None = None,
     max_shards: int = MAX_RELAY_SHARDS,
-    partition_skew: float = 1.0,
 ) -> tuple[str, int]:
     """Cheapest ``(instance_type, shards)`` whose fleet holds the data.
 
@@ -136,38 +113,26 @@ def required_relay_fleet(
     the fattest single flavour feasible on the relay substrate at all —
     when even ``max_shards`` of the fattest flavour cannot hold the data
     this raises, mirroring :func:`required_relay_instance`.
-
-    ``partition_skew`` (max-over-mean partition bytes) sizes the fleet
-    so the *hot shard's* expected bytes — not the mean — fit in
-    :func:`relay_usable_bytes`: CRC routing parks a hot partition
-    entirely on one shard, so a Zipf workload needs roughly ``skew``
-    times the balanced shard count unless load-aware rebalancing spreads
-    it (in which case callers should keep the default of 1.0).
     """
     if logical_bytes <= 0:
         raise ShuffleError(f"logical_bytes must be positive, got {logical_bytes}")
     if max_shards < 1:
         raise ShuffleError(f"max_shards must be >= 1, got {max_shards}")
-    if partition_skew < 1.0:
-        raise ShuffleError(
-            f"partition_skew must be >= 1 (max/mean), got {partition_skew}"
-        )
     if instance_type_name is not None:
         instance = resolve_relay_instance(profile, instance_type_name)
         usable = relay_usable_bytes(profile, instance)
-        shards = fleet_shards_for(logical_bytes, usable, partition_skew)
+        shards = fleet_shards_for(logical_bytes, usable)
         if shards > max_shards:
             raise ShuffleError(
                 f"{logical_bytes:.0f} logical bytes "
-                f"(x{SHARD_IMBALANCE_HEADROOM:.2f} headroom, "
-                f"partition skew {partition_skew:.2f}) need {shards} shards of "
+                f"(x{SHARD_IMBALANCE_HEADROOM:.2f} headroom) need {shards} shards of "
                 f"{instance.name}, beyond the max_shards={max_shards} fleet limit"
             )
         return instance.name, shards
     options: list[tuple[float, int, str]] = []
     for instance in profile.vm.catalog.values():
         usable = relay_usable_bytes(profile, instance)
-        shards = fleet_shards_for(logical_bytes, usable, partition_skew)
+        shards = fleet_shards_for(logical_bytes, usable)
         if shards <= max_shards:
             options.append((shards * instance.hourly_usd, shards, instance.name))
     if not options:
@@ -186,11 +151,9 @@ def required_relay_fleet(
 def relay_configurations(
     logical_bytes: float,
     profile: CloudProfile,
-    _cost,
-    _partition_skew: float,
     *,
-    relay_instance_type: str | None,
-    **_sizing,
+    cache_node_type: str | None = None,
+    relay_instance_type: str | None = None,
 ) -> list[tuple[str, int]] | str:
     """The one relay the selector prices: the pinned flavour, or the
     smallest that holds the data — or why none does."""
@@ -218,34 +181,24 @@ def relay_configurations(
 def fleet_configurations(
     logical_bytes: float,
     profile: CloudProfile,
-    cost,
-    partition_skew: float,
     *,
-    relay_instance_type: str | None,
-    max_relay_shards: int,
-    **_sizing,
+    cache_node_type: str | None = None,
+    relay_instance_type: str | None = None,
 ) -> list[tuple[str, int]] | str:
     """Every shard count from the smallest fleet that holds the data up
-    to ``max_relay_shards`` — the selector keeps the best-scoring one,
-    which is how aggregate NIC bandwidth is traded against N×
+    to :data:`MAX_RELAY_SHARDS` — the selector keeps the best-scoring
+    one, which is how aggregate NIC bandwidth is traded against N×
     provisioned cost — or why no fleet holds it."""
     if relay_instance_type is not None:
         # Typoed pins are caller errors here too, not infeasibility.
         resolve_relay_instance(profile, relay_instance_type)
     try:
-        # Feasibility sizing prices the *hot shard* of the skewed
-        # workload; the default load-aware rebalancing of
-        # ``ShardedRelayExchange`` spreads it back out, so this is
-        # the safe (CRC-routed) lower bound on the fleet.
         instance_type, min_shards = required_relay_fleet(
-            logical_bytes, profile,
-            instance_type_name=relay_instance_type,
-            max_shards=max_relay_shards,
-            partition_skew=1.0 if cost.rebalance else partition_skew,
+            logical_bytes, profile, instance_type_name=relay_instance_type
         )
     except ShuffleError as exc:
         return str(exc)
     return [
         (instance_type, shards)
-        for shards in range(min_shards, max_relay_shards + 1)
+        for shards in range(min_shards, MAX_RELAY_SHARDS + 1)
     ]

@@ -10,7 +10,7 @@ Public surface::
     from repro.sim import SimEvent, Timeout, AllOf, AnyOf
     from repro.sim import LazyName, render_name
     from repro.sim import Process, request, inline
-    from repro.sim import Resource, TokenBucket, Store
+    from repro.sim import Resource, TokenBucket
     from repro.sim import FairShareLink
 """
 
@@ -19,7 +19,7 @@ from repro.sim.kernel import FOREVER, Simulator
 from repro.sim.links import FairShareLink
 from repro.sim.notify import KeyedWatch
 from repro.sim.process import Process, inline, request
-from repro.sim.resources import Resource, Store, TokenBucket
+from repro.sim.resources import Resource, TokenBucket
 from repro.sim.rng import RngRegistry, derive_seed
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "RngRegistry",
     "SimEvent",
     "Simulator",
-    "Store",
     "Timeout",
     "TokenBucket",
     "derive_seed",

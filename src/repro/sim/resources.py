@@ -1,15 +1,13 @@
 """Contended resources for simulation processes.
 
-Three primitives cover everything the cloud substrate needs:
+Two primitives cover everything the cloud substrate needs:
 
 * :class:`Resource` — a counting semaphore with a FIFO wait queue
   (function-container slots, VM vCPUs, connection pools).
 * :class:`TokenBucket` — a rate limiter with burst capacity (object
   storage requests/s, API rate limits).
-* :class:`Store` — an unbounded FIFO message queue (task queues,
-  mailbox-style coordination between processes).
 
-All of them hand out :class:`~repro.sim.events.SimEvent` objects that
+Both hand out :class:`~repro.sim.events.SimEvent` objects that
 processes wait on by yielding.
 """
 
@@ -198,32 +196,3 @@ class TokenBucket:
     def _on_wake(self, _event: SimEvent) -> None:
         self._wake_pending = False
         self._pump()
-
-
-class Store:
-    """Unbounded FIFO queue connecting producer and consumer processes."""
-
-    def __init__(self, sim: "Simulator", name: str = "store"):
-        self.sim = sim
-        self.name = name
-        self._items: collections.deque[object] = collections.deque()
-        self._getters: collections.deque[SimEvent] = collections.deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: object) -> None:
-        """Deposit ``item``; wakes the longest-waiting getter, if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> SimEvent:
-        """Request one item; the event succeeds with the item when available."""
-        event = SimEvent(self.sim, ("{}.get", self.name))
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event

@@ -22,7 +22,7 @@ from repro.workflows.render import (
     render_side_by_side,
     substrate_label,
 )
-from repro.workflows.spec import dump_spec, load_spec_file, parse_spec
+from repro.workflows.spec import dump_spec, parse_spec
 from repro.workflows.tracker import JobTracker, StageReport
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "WorkflowEngine",
     "WorkflowResult",
     "dump_spec",
-    "load_spec_file",
     "parse_spec",
     "register_stage_kind",
     "registered_kinds",

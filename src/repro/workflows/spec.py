@@ -80,12 +80,6 @@ def parse_spec(document: str | bytes | dict) -> WorkflowDag:
     return WorkflowDag(name=name, stages=stages, bucket=bucket)
 
 
-def load_spec_file(path: str) -> WorkflowDag:
-    """Parse a workflow spec from a JSON file on disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_spec(handle.read())
-
-
 def dump_spec(dag: WorkflowDag) -> str:
     """Serialize a DAG back to canonical JSON (round-trippable)."""
     return json.dumps(

@@ -47,9 +47,6 @@ class TestCostMeter:
         explicit, plain = meter.lines
         assert explicit.tags == (("stage", "explicit"), ("tenant", "t"))
         assert plain.tags is owner
-        assert meter.total_by_tag("stage") == {
-            "explicit": pytest.approx(0.1), "owner": pytest.approx(0.2),
-        }
 
     def test_filtered_matches_owner_keyword_and_mixed_tags(self):
         """Owner tags, keyword tags and a mix filter as a per-line dict

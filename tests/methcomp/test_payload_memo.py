@@ -15,13 +15,14 @@ from repro.methcomp.datagen import (
     MethylomeGenerator,
     MethylomeProfile,
     _shuffle,
+    estimate_record_count,
     generate_skewed_bed_bytes,
     methylome_payload,
 )
 from repro.sim import Simulator
 
-#: (real_bytes, seed, distribution, zipf_s, distinct_keys, sorted_output)
-BASE = (20_000, 3, "zipf", 1.2, 64, False)
+#: (real_bytes, seed, distribution, zipf_s, distinct_keys)
+BASE = (20_000, 3, "zipf", 1.2, 64)
 
 #: sha256 of ``dataset_payload(ExperimentConfig(logical_scale=1024, seed=...))``
 #: (``real_bytes=3670016``, the ledger's ``table1`` input) at commit ace419a,
@@ -36,9 +37,11 @@ PARENT_SHA256 = {
 #: ``MethylationRecord`` per line and serialized the list afterwards.
 #: The ledger's ``dataplane`` input (``logical_scale=256``, seed 2021):
 DATAPLANE_SHA256 = "4338dbdaf640eb605613efc26ef988c0f83dc1db2079c46a9fbd79ffd86523ec"
-#: ``methylome_payload(3_670_016, 2021, "uniform", 1.2, 64, True)``:
+#: ``MethylomeGenerator(seed=2021).generate_bed(n, sorted_output=True)``
+#: for the ``n`` records of a 3,670,016-byte payload (the methcomp CLI's
+#: ``generate --sorted``):
 SORTED_SHA256 = "566c1f1525c2b475524b082f776bd0857e9f3781977bd910c1eb30952dabdbd9"
-#: ``methylome_payload(400_000, 2021, law, 1.2, 64, False)``:
+#: ``methylome_payload(400_000, 2021, law, 1.2, 64)``:
 SKEWED_SHA256 = {
     "zipf": "cb005ff4f060ebe557d49788a0a311fe07929a766f26386c3bf606edb4deab2e",
     "heavy-dup": "72b79b725a830da7dda778032d226ec3f18c9dcf616bc487282feb24173e2ba4",
@@ -99,8 +102,8 @@ class TestMemo:
 
     @pytest.mark.parametrize(
         "field,value",
-        [(0, 20_062), (1, 4), (2, "heavy-dup"), (3, 1.5), (4, 8), (5, True)],
-        ids=["real_bytes", "seed", "distribution", "zipf_s", "distinct_keys", "sorted"],
+        [(0, 20_062), (1, 4), (2, "heavy-dup"), (3, 1.5), (4, 8)],
+        ids=["real_bytes", "seed", "distribution", "zipf_s", "distinct_keys"],
     )
     def test_every_key_field_is_part_of_the_key(self, field, value):
         first = methylome_payload(*BASE)
@@ -114,21 +117,18 @@ class TestMemo:
     def test_the_cache_is_bounded(self):
         bound = methylome_payload.cache_info().maxsize
         assert bound is not None and bound <= 16
-        first = methylome_payload(2_000, 0, "uniform", 1.2, 64, False)
+        first = methylome_payload(2_000, 0, "uniform", 1.2, 64)
         for seed in range(1, bound + 1):
-            methylome_payload(2_000, seed, "uniform", 1.2, 64, False)
+            methylome_payload(2_000, seed, "uniform", 1.2, 64)
         assert methylome_payload.cache_info().currsize == bound
-        again = methylome_payload(2_000, 0, "uniform", 1.2, 64, False)
+        again = methylome_payload(2_000, 0, "uniform", 1.2, 64)
         assert again == first and again is not first  # evicted, generated afresh
 
     def test_it_is_the_generators_output(self):
-        assert methylome_payload(9_000, 5, "uniform", 1.2, 64, False) == (
+        assert methylome_payload(9_000, 5, "uniform", 1.2, 64) == (
             MethylomeGenerator(seed=5).generate_bed_bytes(9_000)
         )
-        assert methylome_payload(9_000, 5, "uniform", 1.2, 64, True) == (
-            MethylomeGenerator(seed=5).generate_bed_bytes(9_000, sorted_output=True)
-        )
-        assert methylome_payload(9_000, 5, "late-hot", 1.4, 32, False) == (
+        assert methylome_payload(9_000, 5, "late-hot", 1.4, 32) == (
             generate_skewed_bed_bytes(
                 9_000, seed=5, distribution="late-hot", zipf_s=1.4, distinct_keys=32
             )
@@ -147,12 +147,14 @@ class TestMemo:
         assert hashlib.sha256(dataset_payload(config)).hexdigest() == DATAPLANE_SHA256
 
     def test_sorted_payload(self):
-        payload = methylome_payload(3_670_016, 2021, "uniform", 1.2, 64, True)
+        payload = MethylomeGenerator(seed=2021).generate_bed(
+            estimate_record_count(3_670_016), sorted_output=True
+        )
         assert hashlib.sha256(payload).hexdigest() == SORTED_SHA256
 
     @pytest.mark.parametrize("law", sorted(SKEWED_SHA256))
     def test_skewed_payloads(self, law):
-        payload = methylome_payload(400_000, 2021, law, 1.2, 64, False)
+        payload = methylome_payload(400_000, 2021, law, 1.2, 64)
         assert hashlib.sha256(payload).hexdigest() == SKEWED_SHA256[law]
 
     @pytest.mark.parametrize("sorted_output", sorted(NEXT_DRAW))

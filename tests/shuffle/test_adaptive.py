@@ -1,9 +1,10 @@
 """Tests for the online (probe-based) shuffle tuner and the adaptive
 exchange-substrate selector."""
 
-import pytest
-
+import inspect
 import types
+
+import pytest
 
 from repro.cloud import Cloud, MB
 from repro.cloud.profiles import GB, LatencyModel, ibm_us_east
@@ -241,9 +242,7 @@ class TestSubstrateSelector:
         estimate strictly faster (at strictly higher provisioned
         cost)."""
         decision = choose_exchange_substrate(
-            self.SIZE, self.PROFILE, workers=256,
-            relay_instance_type="bx2-8x32",
-            time_value_usd_per_hour=50.0,
+            self.SIZE, self.PROFILE, workers=256, time_value_usd_per_hour=50.0
         )
         by_name = {e.substrate: e for e in decision.estimates}
         assert by_name["sharded-relay"].shards > 1
@@ -260,24 +259,10 @@ class TestSubstrateSelector:
         not buy extra shards: the fleet search is monetized, not
         time-greedy."""
         decision = choose_exchange_substrate(
-            self.SIZE, self.PROFILE, workers=256,
-            relay_instance_type="bx2-8x32",
-            time_value_usd_per_hour=0.01,
+            self.SIZE, self.PROFILE, workers=256, time_value_usd_per_hour=0.01
         )
         by_name = {e.substrate: e for e in decision.estimates}
         assert by_name["sharded-relay"].shards == 1
-
-    def test_pinned_relay_instance_is_used(self):
-        pinned = choose_exchange_substrate(
-            self.SIZE, self.PROFILE, workers=64,
-            relay_instance_type="bx2-48x192",
-        )
-        auto = choose_exchange_substrate(self.SIZE, self.PROFILE, workers=64)
-        relay_pinned = [e for e in pinned.estimates if e.substrate == "relay"][0]
-        relay_auto = [e for e in auto.estimates if e.substrate == "relay"][0]
-        # The fat flavour's NIC makes the relay faster but costlier.
-        assert relay_pinned.predicted_s < relay_auto.predicted_s
-        assert relay_pinned.provisioned_usd > relay_auto.provisioned_usd
 
     def test_probe_report_shifts_objectstore_estimate(self):
         """A probed region with inflated COS latency must worsen the
@@ -315,10 +300,6 @@ class TestSubstrateSelector:
             )
         with pytest.raises(ShuffleError, match="empty candidate substrate"):
             choose_exchange_substrate(self.SIZE, self.PROFILE, substrates=())
-        with pytest.raises(ShuffleError, match="max_relay_shards"):
-            choose_exchange_substrate(
-                self.SIZE, self.PROFILE, max_relay_shards=0
-            )
 
     def test_substrate_filter_restricts_candidates(self):
         decision = choose_exchange_substrate(
@@ -344,15 +325,16 @@ class TestSubstrateSelector:
             )
 
     def test_equal_scores_break_toward_simpler_substrate(self):
-        """A one-shard fleet prices identically to the single relay;
-        the tie must go to the earlier (simpler) substrate, never
-        nondeterministically."""
+        """A one-shard fleet prices identically to the single relay
+        (cheap latency keeps the fleet at one shard); the tie must go to
+        the earlier (simpler) substrate, never nondeterministically."""
         decision = choose_exchange_substrate(
             self.SIZE, self.PROFILE, workers=16,
             substrates=("relay", "sharded-relay"),
-            max_relay_shards=1,
+            time_value_usd_per_hour=0.01,
         )
         by_name = {e.substrate: e for e in decision.estimates}
+        assert by_name["sharded-relay"].shards == 1
         assert (
             by_name["relay"].score_usd == by_name["sharded-relay"].score_usd
         )
@@ -375,28 +357,37 @@ class TestSubstrateSelector:
                 baseline = feasibility
             assert feasibility == baseline
 
-    def test_pinned_undersized_relay_instance_marked_infeasible(self):
-        """Pinning a real flavour that cannot hold the data must mark
-        the relay infeasible (never chosen), matching what
-        RelayExchange.validate would reject at run time."""
-        decision = choose_exchange_substrate(
-            1000 * GB, self.PROFILE, workers=64,
-            relay_instance_type="bx2-2x8",
-            time_value_usd_per_hour=1000.0,
-        )
-        by_name = {e.substrate: e for e in decision.estimates}
-        assert not by_name["relay"].feasible
-        assert "bx2-2x8" in by_name["relay"].detail
-        assert decision.substrate in ("objectstore", "cache")
+    def test_selector_keywords_are_pinned(self):
+        """The selector's keyword options, pinned: each one is a
+        configuration the planner golden and every later selector change
+        must carry, so adding one is a deliberate change here."""
+        signature = inspect.signature(choose_exchange_substrate)
+        assert [
+            name for name, parameter in signature.parameters.items()
+            if parameter.default is not inspect.Parameter.empty
+        ] == [
+            "workers", "cache_node_type", "time_value_usd_per_hour",
+            "max_workers", "substrates", "modes", "stream_chunk_bytes",
+            "stream_chunked_input", "cost",
+        ]
 
-    def test_typoed_pinned_relay_instance_raises(self):
-        """An explicitly pinned flavour that does not exist is a caller
-        error, not relay infeasibility."""
-        with pytest.raises(ShuffleError, match="unknown relay instance type"):
-            choose_exchange_substrate(
-                self.SIZE, self.PROFILE, workers=8,
-                relay_instance_type="bx2_48x192",  # typo: _ for -
-            )
+    def test_every_substrate_shares_one_configurations_signature(self):
+        """``configurations`` is one protocol: the data size, the
+        profile and the two flavour pins, the same on every class."""
+        positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+        keyword = inspect.Parameter.KEYWORD_ONLY
+        expected = [
+            ("logical_bytes", positional, inspect.Parameter.empty),
+            ("profile", positional, inspect.Parameter.empty),
+            ("cache_node_type", keyword, None),
+            ("relay_instance_type", keyword, None),
+        ]
+        for name, backend_class in SUBSTRATES.items():
+            parameters = inspect.signature(backend_class.configurations).parameters
+            assert [
+                (parameter.name, parameter.kind, parameter.default)
+                for parameter in parameters.values()
+            ] == expected, name
 
 
 class TestFifthSubstrate:

@@ -18,7 +18,6 @@ from repro.errors import ShuffleError
 from repro.methcomp.datagen import generate_skewed_bed_bytes
 from repro.methcomp.pipeline import BedKeySpec, bed_record_codec
 from repro.shuffle import (
-    DecimalFieldKeySpec,
     FixedWidthCodec,
     LineRecordCodec,
     PrefixKeySpec,
@@ -58,10 +57,31 @@ def line_buffer(draw):
     return payload
 
 
+class LeadingDecimalKeySpec(kernels.KeySpec):
+    """Key = the line's first tab-separated field as an unsigned ASCII
+    decimal (``int(line.split(b"\\t")[0])``), decoded by the same
+    :func:`~repro.shuffle.kernels.decimal_field_values` the BED key uses;
+    a malformed or over-wide field makes ``decode`` return ``None``."""
+
+    identity = True
+
+    def decode(self, data, starts, ends):
+        np = kernels.np
+        tabs = np.flatnonzero(data == ord("\t"))
+        next_tab = np.append(tabs, len(data))[np.searchsorted(tabs, starts)]
+        return kernels.decimal_field_values(data, starts, np.minimum(next_tab, ends - 1))
+
+    def to_u64(self, key):
+        return key if type(key) is int and 0 <= key < 2**64 else None
+
+    def from_u64(self, value):
+        return value
+
+
 def decimal_line_codec() -> LineRecordCodec:
     return LineRecordCodec(
         key_fn=lambda line: int(line.split(b"\t")[0]),
-        key_spec=DecimalFieldKeySpec(field=0),
+        key_spec=LeadingDecimalKeySpec(),
     )
 
 
@@ -196,10 +216,7 @@ class TestLineRecordParity:
         assert outcome.kernel == "scalar"
 
     def test_non_decimal_field_falls_back(self):
-        codec = LineRecordCodec(
-            key_fn=lambda line: int(line.split(b"\t")[0]),
-            key_spec=DecimalFieldKeySpec(field=0),
-        )
+        codec = decimal_line_codec()
         assert record_view(codec, b"-3\tx\n") is None  # sign byte: scalar path
         assert record_view(codec, b"12345678901234567890\t\n") is None  # >18 digits
 

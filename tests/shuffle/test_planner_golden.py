@@ -17,8 +17,9 @@ predictors were collapsed into one (the JSON is that commit's):
   substrate's planner picks;
 * ``select`` — ``choose_exchange_substrate``'s full ``estimates`` tuple
   (every field) and ``describe()`` over pinned/unpinned workers × modes ×
-  time value × skew × candidate subsets, infeasible pins, the raised
-  no-feasible-substrate message, a probe refit and a mid-stream refit;
+  time value × candidate subsets, data no single flavour holds, the
+  raised no-feasible-substrate message, a probe refit and a mid-stream
+  refit;
 * ``refit`` — ``fit_stream_profiles`` on one sample per substrate and
   the per-chunk readiness overhead.
 
@@ -83,10 +84,10 @@ def staged_point(
     return predict_shuffle_time(size, workers, PROFILE, cost, skew=skew, terms=terms)
 
 
-def staged_plan(substrate: str, size: float, flavour: str, count: int, skew: float):
+def staged_plan(substrate: str, size: float, flavour: str, count: int):
     """The worker count one substrate configuration's planner picks."""
     terms = exchange_terms(substrate, PROFILE, None, flavour, count)
-    return plan_shuffle(size, PROFILE, skew=skew, terms=terms)
+    return plan_shuffle(size, PROFILE, terms=terms)
 
 
 def chunk_overhead_s(substrate: str) -> float:
@@ -94,10 +95,9 @@ def chunk_overhead_s(substrate: str) -> float:
     return exchange_terms(substrate, PROFILE).chunk_overhead_s
 
 
-def selector_costs(workload: WorkloadParams | None, rebalance: bool = True) -> dict:
+def selector_costs(workload: WorkloadParams | None) -> dict:
     """The cost keyword argument of ``choose_exchange_substrate``."""
     cost = ShuffleCostModel() if workload is None else workload.shuffle_cost_model()
-    cost.rebalance = rebalance
     return {"cost": cost}
 
 
@@ -163,20 +163,16 @@ def render_decision(decision) -> dict:
             decision.chosen.instance_type,
             repr(decision.chosen.score_usd),
         ],
-        "partition_skew": repr(decision.partition_skew),
         "estimates": [render_estimate(e) for e in decision.estimates],
         "describe": decision.describe(),
     }
 
 
-def select(
-    size: float, profile=PROFILE, workload=None, rebalance=True, report=None, **kwargs
-) -> dict:
+def select(size: float, profile=PROFILE, workload=None, report=None, **kwargs) -> dict:
     """One selector call rendered, or the message it raises."""
     try:
         decision = choose_exchange_substrate(
-            size, probed(profile, report), **selector_costs(workload, rebalance),
-            **kwargs,
+            size, probed(profile, report), **selector_costs(workload), **kwargs
         )
     except ShuffleError as exc:
         return {"raises": str(exc)}
@@ -250,9 +246,9 @@ def plan_cells() -> dict:
         ("sharded-relay", "bx2-2x8", 8),
         ("sharded-relay", "bx2-16x64", 2),
     ):
-        for size_gb, skew in itertools.product((0.5, 3.5, 40.0), (1.0, 2.9)):
-            plan = staged_plan(substrate, size_gb * GB, flavour, count, skew)
-            cells[f"{substrate}|{flavour}|{count}|{size_gb}GB|skew{skew}"] = [
+        for size_gb in (0.5, 3.5, 40.0):
+            plan = staged_plan(substrate, size_gb * GB, flavour, count)
+            cells[f"{substrate}|{flavour}|{count}|{size_gb}GB|skew1.0"] = [
                 plan.workers,
                 repr(plan.predicted_s),
                 len(plan.curve),
@@ -276,25 +272,25 @@ def selector_cells() -> dict:
     def add(name: str, size_gb: float, **kwargs) -> None:
         cells[name] = select(size_gb * GB, **kwargs)
 
-    # Pinned worker counts: the whole cross product.
-    for size_gb, workers, modes, value, skew, subset in itertools.product(
+    # Pinned worker counts: the whole cross product.  (Cell names keep
+    # the "skew1.0" of the JSON's generation.)
+    for size_gb, workers, modes, value, subset in itertools.product(
         (0.5, 3.5, 40.0), (8, 64), (("staged",), BOTH_MODES), (0.0, 1.0, 50.0),
-        (1.0, 2.9), SUBSETS,
+        SUBSETS,
     ):
         add(
             f"pinned|{size_gb}GB|W{workers}|{'+'.join(modes)}|tv{value}"
-            f"|skew{skew}|{subset}",
+            f"|skew1.0|{subset}",
             size_gb, workers=workers, modes=modes,
-            time_value_usd_per_hour=value, partition_skew=skew, substrates=subset,
+            time_value_usd_per_hour=value, substrates=subset,
         )
     # Unpinned: each substrate plans its own count from a 1..256 curve.
-    for size_gb, modes, value, skew in itertools.product(
-        (3.5, 40.0), (("staged",), BOTH_MODES), (0.0, 1.0, 50.0), (1.0, 2.9)
+    for size_gb, modes, value in itertools.product(
+        (3.5, 40.0), (("staged",), BOTH_MODES), (0.0, 1.0, 50.0)
     ):
         add(
-            f"planned|{size_gb}GB|{'+'.join(modes)}|tv{value}|skew{skew}",
+            f"planned|{size_gb}GB|{'+'.join(modes)}|tv{value}|skew1.0",
             size_gb, modes=modes, time_value_usd_per_hour=value,
-            partition_skew=skew,
         )
     for size_gb, subset in itertools.product((3.5, 40.0), SUBSETS[1:]):
         add(
@@ -307,23 +303,12 @@ def selector_cells() -> dict:
         stream_chunked_input=True, time_value_usd_per_hour=20.0)
     add("pinned|chunk8MB", 3.5, workers=16, modes=BOTH_MODES,
         stream_chunk_bytes=8.0 * MB, time_value_usd_per_hour=20.0)
-    add("pinned|max_relay_shards3", 40.0, workers=128, max_relay_shards=3,
-        time_value_usd_per_hour=50.0)
     add("pinned|cache.r5.4xlarge", 40.0, workers=64,
         cache_node_type="cache.r5.4xlarge", time_value_usd_per_hour=50.0)
     add("pinned|calibrated-workload", 3.5, workers=32, modes=BOTH_MODES,
         workload=WORKLOAD, time_value_usd_per_hour=10.0)
     add("planned|calibrated-workload", 3.5, modes=BOTH_MODES, workload=WORKLOAD)
-    add("pinned|no-rebalance|skew2.9", 40.0, workers=64, rebalance=False,
-        partition_skew=2.9, time_value_usd_per_hour=50.0)
-    # A pinned flavour that holds the data, one too small for a single
-    # relay (the fleet shards it), and one too small for any fleet.
-    add("pinned|instance bx2-16x64", 3.5, workers=64,
-        relay_instance_type="bx2-16x64", time_value_usd_per_hour=50.0)
-    add("pinned|instance bx2-2x8 too small", 14.0, workers=64,
-        relay_instance_type="bx2-2x8", time_value_usd_per_hour=50.0)
-    add("pinned|instance bx2-2x8 no fleet", 400.0, workers=64,
-        relay_instance_type="bx2-2x8")
+    # Data no single relay flavour holds (the fleet shards it).
     add("pinned|no single flavour", 400.0, workers=64)
     # No substrate holds it: the raised message.
     add("raises|no fleet holds 10 TB", 10_000.0, workers=64,
@@ -415,8 +400,8 @@ def compute() -> dict:
             name: cell
             for name, cell in decisions.items()
             if name.startswith(("planned|3.5GB|staged+streaming|tv1.0|skew",
-                                "pinned|instance", "pinned|no single",
-                                "raises|", "probe|", "midstream|"))
+                                "pinned|no single", "raises|", "probe|",
+                                "midstream|"))
         },
         "refit": refit_cells(),
     }

@@ -1,11 +1,18 @@
 """Tests for the relay rows' shard dimension and fleet sizing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud.profiles import GB, ibm_us_east
 from repro.errors import ShuffleError
 from repro.shuffle import ShuffleCostModel, exchange_terms, predict_shuffle_time
-from repro.shuffle.relayplanner import required_relay_fleet
+from repro.shuffle.relayplanner import (
+    SHARD_IMBALANCE_HEADROOM,
+    relay_usable_bytes,
+    required_relay_fleet,
+    resolve_relay_instance,
+)
 
 PROFILE = ibm_us_east(deterministic=True)
 SIZE = 3.5 * GB
@@ -67,3 +74,30 @@ class TestRequiredRelayFleet:
             )
         with pytest.raises(ShuffleError, match="no fleet"):
             required_relay_fleet(100_000 * GB, PROFILE, max_shards=8)
+
+    @given(mult=st.floats(0.1, 6.0))
+    @settings(max_examples=60, deadline=None)
+    def test_pinned_fleet_shards_always_fit(self, mult):
+        """A fleet the planner accepts never exceeds per-shard usable
+        relay bytes on its mean shard (headroom included)."""
+        usable = relay_usable_bytes(PROFILE, resolve_relay_instance(PROFILE, "bx2-8x32"))
+        logical = mult * usable
+        try:
+            _, shards = required_relay_fleet(
+                logical, PROFILE, "bx2-8x32", max_shards=64
+            )
+        except ShuffleError:
+            return  # declared infeasible, not silently under-sized
+        assert SHARD_IMBALANCE_HEADROOM * logical / shards <= usable * (1 + 1e-9)
+
+    @given(logical_gb=st.floats(0.5, 400.0))
+    @settings(max_examples=60, deadline=None)
+    def test_catalog_search_shards_always_fit(self, logical_gb):
+        """Same invariant over the whole-catalog search path."""
+        logical = logical_gb * GB
+        try:
+            name, shards = required_relay_fleet(logical, PROFILE, max_shards=8)
+        except ShuffleError:
+            return
+        usable = relay_usable_bytes(PROFILE, resolve_relay_instance(PROFILE, name))
+        assert SHARD_IMBALANCE_HEADROOM * logical / shards <= usable * (1 + 1e-9)

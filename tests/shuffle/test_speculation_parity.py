@@ -220,30 +220,6 @@ class TestLoserCancellation:
         # needed tearing down and the counters legitimately stay zero).
         assert relay.residual_reservation_bytes() == 0.0
 
-    def test_operator_rejects_unsupported_speculation(self):
-        """A backend may declare itself speculation-unsafe; the operator
-        then refuses a speculative executor instead of corrupting."""
-        from repro.errors import ShuffleError
-        from repro.shuffle import ObjectStoreExchange
-
-        class NoSpecExchange(ObjectStoreExchange):
-            supports_speculation = False
-
-        cloud = Cloud.fresh(seed=SEED, profile=ibm_us_east(deterministic=True))
-        cloud.store.ensure_bucket("data")
-        executor = FunctionExecutor(cloud, speculation=POLICY)
-        operator = ShuffleSort(
-            executor, FixedWidthCodec(record_size=16, key_bytes=8),
-            backend=NoSpecExchange(),
-        )
-
-        def driver():
-            yield cloud.store.put("data", "in.bin", fixed_payload(200, SEED))
-            return (yield operator.sort("data", "in.bin", workers=2))
-
-        with pytest.raises(ShuffleError, match="speculat"):
-            cloud.sim.run_process(driver())
-
     def test_speculator_counts_cancelled_losers(self):
         """Executor-level view: a straggling call's backup wins, the
         primary is cancelled, and the job's duplicate cost is bounded."""

@@ -3,8 +3,7 @@
 Every backend class of :data:`~repro.shuffle.SUBSTRATES` is the one
 definition of its substrate, so there is one capacity sizer per
 substrate: an unpinned dimension is the first (smallest) configuration
-the selector would price at partition skew 1.0 and the default fleet
-limit, and a pinned one passes through untouched.
+the selector would price, and a pinned one passes through untouched.
 """
 
 from __future__ import annotations
@@ -46,10 +45,7 @@ def fresh_cloud() -> Cloud:
 def first_configuration(backend_class, logical_bytes: float, flavour):
     """What the selector would price first for this substrate."""
     return backend_class.configurations(
-        logical_bytes, PROFILE, ShuffleCostModel(), 1.0,
-        cache_node_type=flavour,
-        relay_instance_type=flavour,
-        max_relay_shards=8,
+        logical_bytes, PROFILE, cache_node_type=flavour, relay_instance_type=flavour
     )
 
 
@@ -113,3 +109,45 @@ def test_fleet_keeps_at_least_the_sized_shards_under_a_pinned_count(size_gb, cou
     auto_flavour, min_shards = first_configuration(fleet, logical, None)[0]
     got = provisioned_configuration(fleet, fresh_cloud(), logical, None, count)
     assert got == (auto_flavour, max(count, min_shards))
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, backend_class in SUBSTRATES.items() if backend_class.provisioned]
+)
+def test_provision_without_a_flavour_brings_up_the_default(name):
+    """Neither flavour nor count: the class's ``flavour_param`` default
+    (sized itself where that is ``None``) at the first configuration's
+    count, running."""
+    backend_class = SUBSTRATES[name]
+    cloud = fresh_cloud()
+    logical = 3.5 * GB
+    resource = backend_class.provision(cloud, logical)
+    try:
+        assert resource.state == "running"
+        got = backend_class.make_backend(resource, ShuffleCostModel()).configuration
+    finally:
+        backend_class.release(resource)
+    default = backend_class.flavour_param[1]
+    assert got == first_configuration(backend_class, logical, default)[0]
+
+
+@pytest.mark.parametrize("name", ["relay", "sharded-relay"])
+def test_a_pinned_relay_flavour_is_priced_or_refused(name):
+    """A pinned flavour that holds the data is the one priced; one too
+    small for a single relay is infeasible, a reason rather than a
+    configuration; a typo is the caller's error and raises."""
+    backend_class = SUBSTRATES[name]
+    assert backend_class.configurations(
+        3.5 * GB, PROFILE, relay_instance_type="bx2-48x192"
+    )[0] == ("bx2-48x192", 1)
+    too_small = backend_class.configurations(
+        14.0 * GB, PROFILE, relay_instance_type="bx2-2x8"
+    )
+    if name == "relay":
+        assert isinstance(too_small, str) and "bx2-2x8" in too_small
+    else:
+        assert too_small[0][0] == "bx2-2x8" and too_small[0][1] > 1
+    with pytest.raises(ShuffleError, match="unknown relay instance type"):
+        backend_class.configurations(
+            3.5 * GB, PROFILE, relay_instance_type="bx2_48x192"
+        )

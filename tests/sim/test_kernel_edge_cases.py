@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, Interrupted, SimulationError
-from repro.sim import Simulator, Store
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -149,37 +149,3 @@ class TestRunSemantics:
 
         waiter_process = sim.process(waiter())
         assert sim.run(until=waiter_process.completion) == "saw boom"
-
-
-class TestStoreEdgeCases:
-    def test_put_before_any_getter_buffers(self, sim):
-        store = Store(sim)
-        store.put("x")
-        store.put("y")
-
-        def consumer():
-            first = yield store.get()
-            second = yield store.get()
-            return (first, second)
-
-        assert sim.run_process(consumer()) == ("x", "y")
-
-    def test_interleaved_producer_consumer(self, sim):
-        store = Store(sim)
-        received = []
-
-        def producer():
-            for index in range(5):
-                yield sim.timeout(1.0)
-                store.put(index)
-
-        def consumer():
-            for _ in range(5):
-                item = yield store.get()
-                received.append((item, sim.now))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert [item for item, _time in received] == [0, 1, 2, 3, 4]
-        assert received[-1][1] == pytest.approx(5.0)

@@ -19,7 +19,6 @@ from repro.sim import (
     Resource,
     SimEvent,
     Simulator,
-    Store,
     TokenBucket,
     render_name,
 )
@@ -81,7 +80,6 @@ class TestEventNames:
             "cos.ops.consume(2.5)"
         )
         assert Resource(sim, 1, name="slots").acquire().name == "slots.acquire"
-        assert Store(sim, name="queue").get().name == "queue.get"
         assert KeyedWatch(sim, name="manifest").watch("part-3").name == "manifest:part-3"
 
     def test_process_events(self, sim):

@@ -1,11 +1,11 @@
-"""Unit tests for Resource, TokenBucket and Store."""
+"""Unit tests for Resource and TokenBucket."""
 
 import collections
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Resource, Simulator, Store, TokenBucket
+from repro.sim import Resource, Simulator, TokenBucket
 
 
 @pytest.fixture
@@ -220,70 +220,3 @@ class TestTokenBucket:
         duration = served[-1] - served[0]
         measured_rate = (len(served) - 1) / duration
         assert measured_rate == pytest.approx(100.0, rel=0.01)
-
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("item")
-        event = store.get()
-        assert event.triggered
-        assert event.value == "item"
-
-    def test_get_waits_for_put(self, sim):
-        store = Store(sim)
-        received = []
-
-        def consumer():
-            item = yield store.get()
-            received.append((item, sim.now))
-
-        def producer():
-            yield sim.timeout(2.0)
-            store.put("late-item")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert received == [("late-item", 2.0)]
-
-    def test_fifo_ordering(self, sim):
-        store = Store(sim)
-        for index in range(5):
-            store.put(index)
-        received = []
-
-        def consumer():
-            for _ in range(5):
-                item = yield store.get()
-                received.append(item)
-
-        sim.process(consumer())
-        sim.run()
-        assert received == [0, 1, 2, 3, 4]
-
-    def test_multiple_getters_served_in_order(self, sim):
-        store = Store(sim)
-        received = []
-
-        def consumer(tag):
-            item = yield store.get()
-            received.append((tag, item))
-
-        sim.process(consumer("first"))
-        sim.process(consumer("second"))
-
-        def producer():
-            yield sim.timeout(1.0)
-            store.put("x")
-            store.put("y")
-
-        sim.process(producer())
-        sim.run()
-        assert received == [("first", "x"), ("second", "y")]
-
-    def test_len_reports_buffered_items(self, sim):
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2

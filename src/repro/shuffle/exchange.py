@@ -304,7 +304,8 @@ class ExchangeBackend(abc.ABC):
             count = 1
         if flavour and count >= 1:
             return flavour, count
-        flavour = flavour or cls.flavour_param[1]
+        if not flavour and cls.flavour_param:
+            flavour = cls.flavour_param[1]
         sized = cls.configurations(
             logical_bytes, profile, cache_node_type=flavour, relay_instance_type=flavour
         )

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from repro.cloud.profiles import GB, ibm_us_east
 from repro.errors import ShuffleError
-from repro.shuffle import ShuffleCostModel, exchange_terms, predict_shuffle_time
+from repro.shuffle import SUBSTRATES, ShuffleCostModel, exchange_terms, predict_shuffle_time
 from repro.shuffle.relayplanner import (
+    MAX_RELAY_SHARDS,
     SHARD_IMBALANCE_HEADROOM,
     relay_usable_bytes,
     required_relay_fleet,
@@ -75,6 +76,10 @@ class TestRequiredRelayFleet:
         with pytest.raises(ShuffleError, match="no fleet"):
             required_relay_fleet(100_000 * GB, PROFILE, max_shards=8)
 
+    def test_max_shards_below_one_rejected(self):
+        with pytest.raises(ShuffleError, match="max_shards must be >= 1"):
+            required_relay_fleet(SIZE, PROFILE, max_shards=0)
+
     @given(mult=st.floats(0.1, 6.0))
     @settings(max_examples=60, deadline=None)
     def test_pinned_fleet_shards_always_fit(self, mult):
@@ -101,3 +106,36 @@ class TestRequiredRelayFleet:
             return
         usable = relay_usable_bytes(PROFILE, resolve_relay_instance(PROFILE, name))
         assert SHARD_IMBALANCE_HEADROOM * logical / shards <= usable * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("name", ["relay", "sharded-relay"])
+def test_pinned_fat_relay_is_priced_faster_and_costlier(name):
+    """A pinned fat flavour is the configuration priced, and its NIC
+    makes the relay row faster than the auto-sized one's but dearer."""
+    cost = ShuffleCostModel()
+    backend_class = SUBSTRATES[name]
+
+    def priced(relay_instance_type):
+        flavour, count = backend_class.configurations(
+            SIZE, PROFILE, relay_instance_type=relay_instance_type
+        )[0]
+        terms = exchange_terms(name, PROFILE, cost, flavour, count)
+        point = predict_shuffle_time(SIZE, 64, PROFILE, cost, terms=terms)
+        return flavour, point.total_s, count * PROFILE.vm.catalog[flavour].hourly_usd
+
+    pinned_flavour, pinned_s, pinned_usd = priced("bx2-48x192")
+    auto_flavour, auto_s, auto_usd = priced(None)
+    assert pinned_flavour == "bx2-48x192" != auto_flavour
+    assert pinned_s < auto_s
+    assert pinned_usd > auto_usd
+
+
+@pytest.mark.parametrize("size_gb", (1.0, 40.0, 200.0))
+def test_fleet_configurations_run_from_the_sized_fleet_to_the_limit(size_gb):
+    """The fleet rows the selector prices: the sized fleet's flavour at
+    every shard count from its own up to :data:`MAX_RELAY_SHARDS`."""
+    logical = size_gb * GB
+    flavour, min_shards = required_relay_fleet(logical, PROFILE)
+    assert SUBSTRATES["sharded-relay"].configurations(logical, PROFILE) == [
+        (flavour, shards) for shards in range(min_shards, MAX_RELAY_SHARDS + 1)
+    ]

@@ -12,6 +12,7 @@ import pytest
 from repro.cloud.profiles import GB, ibm_us_east
 from repro.errors import ShuffleError
 from repro.shuffle import (
+    SUBSTRATES,
     ShuffleCostModel,
     exchange_terms,
     predict_shuffle_time,
@@ -93,3 +94,41 @@ class TestStragglerTerm:
             predict_all(32, 6.0)["relay"], chunks=8
         )
         assert hot.total_s > flat.total_s
+
+
+def default_row(name, cost):
+    """The row of the first configuration ``name`` sizes for ``SIZE``
+    with nothing pinned: what the selector prices first."""
+    flavour, count = SUBSTRATES[name].size_to_fit(SIZE, PROFILE)
+    return exchange_terms(name, PROFILE, cost, flavour or None, count)
+
+
+class TestEverySubstrateRow:
+    """The straggler term on every :data:`~repro.shuffle.SUBSTRATES`
+    row, the sharded fleet's included."""
+
+    @pytest.mark.parametrize("name", list(SUBSTRATES))
+    def test_every_substrate_row_is_priced_at_the_skew(self, name):
+        cost = ShuffleCostModel()
+        terms = default_row(name, cost)
+        flat = predict_shuffle_time(SIZE, 32, PROFILE, cost, terms=terms)
+        hot = predict_shuffle_time(SIZE, 32, PROFILE, cost, skew=4.0, terms=terms)
+        assert hot.total_s > flat.total_s
+
+    @pytest.mark.parametrize("name", list(SUBSTRATES))
+    def test_skew_moves_the_worker_optimum_right(self, name):
+        """Skew inflates only per-worker reduce terms, so the U-curve's
+        minimum moves to more workers: they shrink the straggler's
+        base."""
+        cost = ShuffleCostModel()
+        terms = default_row(name, cost)
+
+        def best_workers(skew):
+            return min(
+                range(1, 257),
+                key=lambda workers: predict_shuffle_time(
+                    SIZE, workers, PROFILE, cost, skew=skew, terms=terms
+                ).total_s,
+            )
+
+        assert best_workers(6.0) > best_workers(1.0)

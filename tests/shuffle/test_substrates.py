@@ -151,3 +151,15 @@ def test_a_pinned_relay_flavour_is_priced_or_refused(name):
         backend_class.configurations(
             3.5 * GB, PROFILE, relay_instance_type="bx2_48x192"
         )
+
+
+@pytest.mark.parametrize("name", list(SUBSTRATES))
+def test_size_to_fit_without_a_flavour_is_the_default_first_configuration(name):
+    """Sizing with nothing pinned takes the ``flavour_param`` default
+    where the class has one, and no flavour where it has none (object
+    storage), then the first configuration at that flavour."""
+    backend_class = SUBSTRATES[name]
+    logical = 3.5 * GB
+    default = backend_class.flavour_param[1] if backend_class.flavour_param else None
+    expected = first_configuration(backend_class, logical, default)[0]
+    assert backend_class.size_to_fit(logical, PROFILE) == expected

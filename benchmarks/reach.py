@@ -1,6 +1,6 @@
 """Reach probe: the ``src/repro`` functions no entry point calls.
 
-    python3 benchmarks/reach.py [-j JOBS] [--only TEXT]
+    python3 benchmarks/reach.py
 
 Runs every entry point of the program, one process each, under
 ``sys.setprofile``, and records the code objects each one calls:
@@ -20,14 +20,11 @@ Then prints every function defined under ``src/repro`` that none of
 them called, with its line count, and the totals (nested functions are
 listed on their own but counted once in the line total).  A failing
 entry point is reported on stderr and still counted.  Standard library
-only; not a test and not part of ``make verify``.  ``--only`` keeps the
-entry points whose name contains ``TEXT`` (a partial probe lists what
-those alone leave uncalled).
+only; not a test and not part of ``make verify``.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import concurrent.futures
 import json
@@ -51,6 +48,9 @@ LEDGER_DIR = BENCH_DIR / "ledger"
 SCALES = ("16384", "1024")
 #: Seconds one entry point may take before it is killed.
 TIMEOUT_S = 1800
+#: Entry points run at once (each is one simulation process; a few keep
+#: memory small).
+JOBS = min(4, os.cpu_count() or 1)
 
 
 # ----------------------------------------------------------------------
@@ -223,18 +223,13 @@ def run_child(name: str, args: list[str], work: pathlib.Path, bench_copy: pathli
     return name, status, stderr, called, time.monotonic() - started
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("-j", "--jobs", type=int, default=2, help="entry points at once")
-    parser.add_argument("--only", default="", help="keep entry points whose name contains this")
-    parser.add_argument("--child", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
-    options = parser.parse_args()
-    if options.child:
-        out, bench_copy, kind, *args = options.child
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--child"]:
+        out, bench_copy, kind, *args = argv[1:]
         sys.dont_write_bytecode = True
         return child(out, bench_copy, kind, args)
 
-    points = [point for point in entry_points() if options.only in point[0]]
+    points = entry_points()
     started = time.monotonic()
     called: set[tuple[str, int, str]] = set()
     failed = []
@@ -246,10 +241,9 @@ def main() -> int:
             ignore=shutil.ignore_patterns("ledger", "__pycache__", "reach.py"),
         )
         # replay-verify reads what bench_cas wrote: run it after the rest.
-        stages = [points[:-1], points[-1:]] if points[-1][0] == "cli replay-verify" else [points]
         index = 0
-        for stage in stages:
-            with concurrent.futures.ThreadPoolExecutor(max(1, options.jobs)) as pool:
+        for stage in (points[:-1], points[-1:]):
+            with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
                 futures = []
                 for name, args in stage:
                     futures.append(pool.submit(run_child, name, args, work, bench_copy, index))
@@ -284,4 +278,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -571,8 +571,10 @@ def choose_exchange_substrate(
     for substrate, backend_class in SUBSTRATES.items():
         if substrate not in wanted:
             continue
+        # The cache's node type is the one flavour the selector pins.
         configurations = backend_class.configurations(
-            logical_bytes, profile, cache_node_type=cache_node_type
+            logical_bytes, profile,
+            flavour=cache_node_type if substrate == "cache" else None,
         )
         if isinstance(configurations, str):
             estimates.append(

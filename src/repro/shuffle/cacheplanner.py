@@ -58,10 +58,9 @@ def cache_configurations(
     logical_bytes: float,
     profile: CloudProfile,
     *,
-    cache_node_type: str | None = None,
-    relay_instance_type: str | None = None,
+    flavour: str = "cache.r5.large",
 ) -> list[tuple[str, int]]:
-    """The one cluster the selector prices: the pinned node type, as
-    many nodes as hold the data (a cache scales out, so it always can)."""
-    nodes = required_cache_nodes(logical_bytes, profile, cache_node_type)
-    return [(cache_node_type, nodes)]
+    """The one cluster the selector prices: ``flavour`` nodes, as many
+    as hold the data (a cache scales out, so it always can)."""
+    nodes = required_cache_nodes(logical_bytes, profile, flavour)
+    return [(flavour, nodes)]

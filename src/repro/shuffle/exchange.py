@@ -234,11 +234,10 @@ class ExchangeBackend(abc.ABC):
     #: of :mod:`repro.shuffle.planner`; ``flavour`` is the catalog
     #: entry, or ``None`` (its NIC then does not bind; no price).
     terms: t.ClassVar[t.Callable[..., ExchangeTerms]]
-    #: ``(logical_bytes, profile, *, cache_node_type=None,
-    #: relay_instance_type=None)`` → the candidate ``(flavour name,
-    #: count)`` configurations the selector prices, smallest first, or a
-    #: string saying why none holds the data.  The two keywords are the
-    #: flavour pins; each class reads its own and sizes the rest.
+    #: ``(logical_bytes, profile, *, flavour=<flavour_param default>)``
+    #: → the candidate ``(flavour name, count)`` configurations the
+    #: selector prices at that flavour (``None``: the class sizes it),
+    #: smallest first, or a string saying why none holds the data.
     configurations: t.ClassVar[t.Callable[..., list[tuple[str, int]] | str]]
     #: What error messages call a flavour and a count of this substrate.
     flavour_kind: t.ClassVar[str] = ""
@@ -306,9 +305,7 @@ class ExchangeBackend(abc.ABC):
             return flavour, count
         if not flavour and cls.flavour_param:
             flavour = cls.flavour_param[1]
-        sized = cls.configurations(
-            logical_bytes, profile, cache_node_type=flavour, relay_instance_type=flavour
-        )
+        sized = cls.configurations(logical_bytes, profile, flavour=flavour)
         if isinstance(sized, str):
             raise ShuffleError(sized)
         sized_flavour, sized_count = sized[0]
@@ -577,8 +574,7 @@ class ObjectStoreExchange(ExchangeBackend):
         logical_bytes: float,
         profile: CloudProfile,
         *,
-        cache_node_type: str | None = None,
-        relay_instance_type: str | None = None,
+        flavour: str | None = None,
     ) -> list[tuple[str, int]]:
         """Nothing to size: the one pay-as-you-go configuration."""
         return [("", 1)]

@@ -152,19 +152,18 @@ def relay_configurations(
     logical_bytes: float,
     profile: CloudProfile,
     *,
-    cache_node_type: str | None = None,
-    relay_instance_type: str | None = None,
+    flavour: str | None = None,
 ) -> list[tuple[str, int]] | str:
     """The one relay the selector prices: the pinned flavour, or the
     smallest that holds the data — or why none does."""
-    if relay_instance_type is None:
+    if flavour is None:
         try:
             return [(required_relay_instance(logical_bytes, profile), 1)]
         except ShuffleError as exc:
             return str(exc)
     # An explicitly pinned flavour that does not exist is a caller
     # configuration error, not infeasibility — surface it.
-    instance_type = resolve_relay_instance(profile, relay_instance_type)
+    instance_type = resolve_relay_instance(profile, flavour)
     usable = relay_usable_bytes(profile, instance_type)
     if logical_bytes > usable:
         # A real flavour that cannot hold the shuffle is genuine
@@ -182,19 +181,18 @@ def fleet_configurations(
     logical_bytes: float,
     profile: CloudProfile,
     *,
-    cache_node_type: str | None = None,
-    relay_instance_type: str | None = None,
+    flavour: str | None = None,
 ) -> list[tuple[str, int]] | str:
     """Every shard count from the smallest fleet that holds the data up
     to :data:`MAX_RELAY_SHARDS` — the selector keeps the best-scoring
     one, which is how aggregate NIC bandwidth is traded against N×
     provisioned cost — or why no fleet holds it."""
-    if relay_instance_type is not None:
+    if flavour is not None:
         # Typoed pins are caller errors here too, not infeasibility.
-        resolve_relay_instance(profile, relay_instance_type)
+        resolve_relay_instance(profile, flavour)
     try:
         instance_type, min_shards = required_relay_fleet(
-            logical_bytes, profile, instance_type_name=relay_instance_type
+            logical_bytes, profile, instance_type_name=flavour
         )
     except ShuffleError as exc:
         return str(exc)

@@ -373,21 +373,25 @@ class TestSubstrateSelector:
 
     def test_every_substrate_shares_one_configurations_signature(self):
         """``configurations`` is one protocol: the data size, the
-        profile and the two flavour pins, the same on every class."""
+        profile and one flavour, the same on every class; the flavour's
+        default is the class's ``flavour_param`` default (``None``: the
+        class sizes it), so a bare call is always valid."""
         positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
         keyword = inspect.Parameter.KEYWORD_ONLY
-        expected = [
-            ("logical_bytes", positional, inspect.Parameter.empty),
-            ("profile", positional, inspect.Parameter.empty),
-            ("cache_node_type", keyword, None),
-            ("relay_instance_type", keyword, None),
-        ]
         for name, backend_class in SUBSTRATES.items():
+            default = backend_class.flavour_param[1] if backend_class.flavour_param else None
             parameters = inspect.signature(backend_class.configurations).parameters
             assert [
                 (parameter.name, parameter.kind, parameter.default)
                 for parameter in parameters.values()
-            ] == expected, name
+            ] == [
+                ("logical_bytes", positional, inspect.Parameter.empty),
+                ("profile", positional, inspect.Parameter.empty),
+                ("flavour", keyword, default),
+            ], name
+            assert not isinstance(
+                backend_class.configurations(self.SIZE, self.PROFILE), str
+            ), name
 
 
 class TestFifthSubstrate:

@@ -272,8 +272,7 @@ def selector_cells() -> dict:
     def add(name: str, size_gb: float, **kwargs) -> None:
         cells[name] = select(size_gb * GB, **kwargs)
 
-    # Pinned worker counts: the whole cross product.  (Cell names keep
-    # the "skew1.0" of the JSON's generation.)
+    # Pinned worker counts: the whole cross product.
     for size_gb, workers, modes, value, subset in itertools.product(
         (0.5, 3.5, 40.0), (8, 64), (("staged",), BOTH_MODES), (0.0, 1.0, 50.0),
         SUBSETS,

@@ -115,10 +115,8 @@ def test_pinned_fat_relay_is_priced_faster_and_costlier(name):
     cost = ShuffleCostModel()
     backend_class = SUBSTRATES[name]
 
-    def priced(relay_instance_type):
-        flavour, count = backend_class.configurations(
-            SIZE, PROFILE, relay_instance_type=relay_instance_type
-        )[0]
+    def priced(pinned):
+        flavour, count = backend_class.configurations(SIZE, PROFILE, flavour=pinned)[0]
         terms = exchange_terms(name, PROFILE, cost, flavour, count)
         point = predict_shuffle_time(SIZE, 64, PROFILE, cost, terms=terms)
         return flavour, point.total_s, count * PROFILE.vm.catalog[flavour].hourly_usd

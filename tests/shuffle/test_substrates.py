@@ -44,9 +44,7 @@ def fresh_cloud() -> Cloud:
 
 def first_configuration(backend_class, logical_bytes: float, flavour):
     """What the selector would price first for this substrate."""
-    return backend_class.configurations(
-        logical_bytes, PROFILE, cache_node_type=flavour, relay_instance_type=flavour
-    )
+    return backend_class.configurations(logical_bytes, PROFILE, flavour=flavour)
 
 
 def provisioned_configuration(backend_class, cloud, logical_bytes, flavour, count):
@@ -138,19 +136,15 @@ def test_a_pinned_relay_flavour_is_priced_or_refused(name):
     configuration; a typo is the caller's error and raises."""
     backend_class = SUBSTRATES[name]
     assert backend_class.configurations(
-        3.5 * GB, PROFILE, relay_instance_type="bx2-48x192"
+        3.5 * GB, PROFILE, flavour="bx2-48x192"
     )[0] == ("bx2-48x192", 1)
-    too_small = backend_class.configurations(
-        14.0 * GB, PROFILE, relay_instance_type="bx2-2x8"
-    )
+    too_small = backend_class.configurations(14.0 * GB, PROFILE, flavour="bx2-2x8")
     if name == "relay":
         assert isinstance(too_small, str) and "bx2-2x8" in too_small
     else:
         assert too_small[0][0] == "bx2-2x8" and too_small[0][1] > 1
     with pytest.raises(ShuffleError, match="unknown relay instance type"):
-        backend_class.configurations(
-            3.5 * GB, PROFILE, relay_instance_type="bx2_48x192"
-        )
+        backend_class.configurations(3.5 * GB, PROFILE, flavour="bx2_48x192")
 
 
 @pytest.mark.parametrize("name", list(SUBSTRATES))

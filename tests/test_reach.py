@@ -87,22 +87,6 @@ def test_nested_functions_carry_their_parent_qualname(functions):
     ] == [(nested[0].co_firstlineno, "param")]
 
 
-def test_the_deleted_pieces_are_defined_nowhere(functions):
-    """The skew-priced sizing chain and the test-only pieces the reach
-    probe found are gone from the package."""
-    qualnames = {qualname for *_rest, qualname in functions}
-    for gone in (
-        "hot_shard_bytes", "SloGate.p95", "CostMeter.total_by_tag",
-        "load_spec_file", "field_spans",
-    ):
-        assert gone not in qualnames
-    assert not any(
-        qualname.startswith(("DecimalFieldKeySpec.", "Store."))
-        for qualname in qualnames
-    )
-    assert "FunctionExecutor.map_reduce" in qualnames
-
-
 def run_child(reach, monkeypatch, tmp_path, entry_point):
     monkeypatch.setattr(reach, "run_entry_point", entry_point)
     out = tmp_path / "called.json"

@@ -19,8 +19,10 @@ Runs every entry point of the program, one process each, under
 Then prints every function defined under ``src/repro`` that none of
 them called, with its line count, and the totals (nested functions are
 listed on their own but counted once in the line total).  A failing
-entry point is reported on stderr and still counted.  Standard library
-only; not a test and not part of ``make verify``.
+entry point is reported on stderr, still counted, and named on a
+``failed:`` line; any failure makes the probe exit 1, so CI can gate on
+every entry point still running.  Standard library only; not a test and
+not part of ``make verify`` (CI runs it as a step of its own).
 """
 
 from __future__ import annotations
@@ -274,7 +276,7 @@ def main(argv: list[str]) -> int:
     )
     for name in failed:
         print(f"failed: {name}")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

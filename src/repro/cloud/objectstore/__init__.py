@@ -2,7 +2,6 @@
 
 from repro.cloud.objectstore.blobs import ObjectMetadata, StoredObject
 from repro.cloud.objectstore.errors import (
-    BucketAlreadyExists,
     InvalidRange,
     NoSuchBucket,
     NoSuchKey,
@@ -11,7 +10,6 @@ from repro.cloud.objectstore.errors import (
 from repro.cloud.objectstore.service import ObjectStore, OpStats
 
 __all__ = [
-    "BucketAlreadyExists",
     "InvalidRange",
     "NoSuchBucket",
     "NoSuchKey",

@@ -22,14 +22,6 @@ class NoSuchKey(StorageError):
         self.key = key
 
 
-class BucketAlreadyExists(StorageError):
-    """A bucket with this name already exists."""
-
-    def __init__(self, bucket: str):
-        super().__init__(f"bucket already exists: {bucket!r}")
-        self.bucket = bucket
-
-
 class SlowDown(StorageError):
     """The request rate exceeds the service limit (HTTP 503 SlowDown).
 

@@ -16,8 +16,13 @@ on:
    per-connection rate, so few large readers cannot saturate the
    aggregate pipe.
 
-All operations return :class:`~repro.sim.events.SimEvent`s; callers are
-simulation processes that ``yield`` them.
+Requests return :class:`~repro.sim.events.SimEvent`s; callers are
+simulation processes that ``yield`` them.  The store itself offers only
+``put`` and ``head``, for staging inputs and control-plane lookups:
+every request a function, a VM or a driver makes — GETs, range GETs,
+DELETEs included — goes through the one client,
+:class:`~repro.cloud.storageview.BoundStorage`, which runs the same
+operation bodies under its bandwidth bound and retry policy.
 
 Real payload bytes are stored verbatim; ``logical_scale`` only affects
 *timing and volume billing*, so scaled-down experiments still move real
@@ -32,7 +37,6 @@ from repro.cas import ContentIndex, sha256_hex
 from repro.cloud.billing import CostMeter
 from repro.cloud.objectstore.blobs import ObjectMetadata, StoredObject
 from repro.cloud.objectstore.errors import (
-    BucketAlreadyExists,
     InternalError,
     InvalidRange,
     NoSuchBucket,
@@ -51,7 +55,6 @@ class OpStats:
         self.puts = 0
         self.gets = 0
         self.heads = 0
-        self.lists = 0
         self.deletes = 0
         self.slowdowns = 0
         self.internal_errors = 0
@@ -62,22 +65,7 @@ class OpStats:
 
     @property
     def total_requests(self) -> int:
-        return self.puts + self.gets + self.heads + self.lists + self.deletes
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "puts": self.puts,
-            "gets": self.gets,
-            "heads": self.heads,
-            "lists": self.lists,
-            "deletes": self.deletes,
-            "slowdowns": self.slowdowns,
-            "internal_errors": self.internal_errors,
-            "bytes_in": self.bytes_in,
-            "bytes_out": self.bytes_out,
-            "dedup_ops": self.dedup_ops,
-            "dedup_bytes": self.dedup_bytes,
-        }
+        return self.puts + self.gets + self.heads + self.deletes
 
 
 class ObjectStore:
@@ -129,18 +117,9 @@ class ObjectStore:
     # ------------------------------------------------------------------
     # buckets
     # ------------------------------------------------------------------
-    def create_bucket(self, bucket: str) -> None:
-        """Create a bucket (control-plane action: instantaneous, free)."""
-        if bucket in self._buckets:
-            raise BucketAlreadyExists(bucket)
-        self._buckets[bucket] = {}
-
     def ensure_bucket(self, bucket: str) -> None:
         """Create ``bucket`` if it does not already exist."""
         self._buckets.setdefault(bucket, {})
-
-    def bucket_exists(self, bucket: str) -> bool:
-        return bucket in self._buckets
 
     def _bucket(self, bucket: str) -> dict[str, StoredObject]:
         try:
@@ -149,7 +128,9 @@ class ObjectStore:
             raise NoSuchBucket(bucket) from None
 
     # ------------------------------------------------------------------
-    # data-plane operations (each returns a completion SimEvent)
+    # the store's own requests: input staging and control-plane lookups
+    # (no retry, no bandwidth bound of a caller).  Every worker and
+    # driver request goes through a BoundStorage view instead.
     # ------------------------------------------------------------------
     def put(
         self,
@@ -175,50 +156,9 @@ class ObjectStore:
             ("put:{}", key),
         )
 
-    def get(
-        self,
-        bucket: str,
-        key: str,
-        connection_bandwidth: float | None = None,
-        missing_ok: bool = False,
-    ) -> SimEvent:
-        """Fetch a whole object; event → ``bytes``.
-
-        With ``missing_ok`` an absent key is a value, not a failure: the
-        event succeeds with ``None`` after the same rate token and
-        first-byte latency a :class:`NoSuchKey` costs (pollers expect
-        the miss; see "Simulator hot path" in :mod:`repro.sim.events`).
-        """
-        return self._spawn(
-            self._get_op(bucket, key, None, connection_bandwidth, missing_ok),
-            ("get:{}", key),
-        )
-
-    def get_range(
-        self,
-        bucket: str,
-        key: str,
-        start: int,
-        end: int,
-        connection_bandwidth: float | None = None,
-    ) -> SimEvent:
-        """Fetch bytes ``[start, end)`` of an object; event → ``bytes``."""
-        return self._spawn(
-            self._get_op(bucket, key, (start, end), connection_bandwidth),
-            ("get_range:{}", key),
-        )
-
     def head(self, bucket: str, key: str) -> SimEvent:
         """Metadata lookup; event → :class:`ObjectMetadata`."""
         return self._spawn(self._head_op(bucket, key), ("head:{}", key))
-
-    def list_keys(self, bucket: str, prefix: str = "") -> SimEvent:
-        """List keys with ``prefix``; event → ``list[str]`` (sorted)."""
-        return self._spawn(self._list_op(bucket, prefix), ("list:{}", prefix))
-
-    def delete(self, bucket: str, key: str) -> SimEvent:
-        """Delete an object (idempotent); event → ``None``."""
-        return self._spawn(self._delete_op(bucket, key), ("delete:{}", key))
 
     def _spawn(self, generator: t.Generator, label: LazyName) -> SimEvent:
         # One process per request, started at issue with no kick-off (see
@@ -373,15 +313,6 @@ class ObjectStore:
         self.stats.heads += 1
         self._charge_request("class_b_request", self.profile.class_b_price_usd)
         return stored.meta
-
-    def _list_op(self, bucket: str, prefix: str) -> t.Generator:
-        objects = self._bucket(bucket)
-        yield self._admit()
-        self._inject_fault()
-        yield self.sim.timeout(self.profile.read_latency.sample(self._rng_read))
-        self.stats.lists += 1
-        self._charge_request("class_a_request", self.profile.class_a_price_usd)
-        return sorted(key for key in objects if key.startswith(prefix))
 
     def _delete_op(self, bucket: str, key: str) -> t.Generator:
         objects = self._bucket(bucket)

@@ -1,10 +1,11 @@
 """Retry policy and retry loop for transient object-storage failures.
 
-Every object-store request goes through
+Every request a function, a VM or a driver makes goes through
 :class:`~repro.cloud.storageview.BoundStorage`, whose verbs run
-:func:`retry_loop` under the one :data:`RETRY_POLICY`.  Real COS/S3 SDKs
-retry 503 SlowDown and 500 InternalError with exponential backoff and
-full jitter; so do we.
+:func:`retry_loop` under the one :data:`RETRY_POLICY`; only the store's
+own ``put`` / ``head`` (input staging, control-plane lookups) run
+unretried.  Real COS/S3 SDKs retry 503 SlowDown and 500 InternalError
+with exponential backoff and full jitter; so do we.
 """
 
 from __future__ import annotations

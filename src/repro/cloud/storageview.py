@@ -3,13 +3,17 @@
 Compute nodes (function instances, VMs) do not talk to object storage at
 the store's full per-connection speed: their own NIC caps the rate.  A
 :class:`BoundStorage` wraps an :class:`~repro.cloud.objectstore.ObjectStore`
-and threads the caller's bandwidth bound through every data-plane call.
+and threads the caller's bandwidth bound through every request.
 
-It is the one object-store client: every function, every VM and the
-executor's driver (unbounded, ``connection_bandwidth=None``) use it.
-Like the SDK real Lithops workers and drivers use, it retries 503/500
-responses under :data:`~repro.cloud.retry.RETRY_POLICY`, so transient
-storage failures cost backoff time, not the whole activation.
+It is the one object-store client and the one request path: every
+function, every VM and the executor's driver (unbounded,
+``connection_bandwidth=None``) use it, and it alone issues GETs, range
+GETs and DELETEs — the store's own ``put`` / ``head`` only stage inputs
+and answer control-plane lookups.  There is no LIST: every reader knows
+the keys it wants (:mod:`repro.storage.paths`).  Like the SDK real
+Lithops workers and drivers use, it retries 503/500 responses under
+:data:`~repro.cloud.retry.RETRY_POLICY`, so transient storage failures
+cost backoff time, not the whole activation.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from repro.sim import LazyName, SimEvent, request
 class BoundStorage:
     """Object-store facade with a fixed per-connection bandwidth bound.
 
-    All data-plane methods mirror :class:`ObjectStore` and return
-    :class:`~repro.sim.events.SimEvent`s for processes to yield; the
-    ``*_request`` methods return the same request as a generator.
+    Every verb returns a :class:`~repro.sim.events.SimEvent` for
+    processes to yield; the ``*_request`` methods return the same
+    request as a generator.
     """
 
     def __init__(
@@ -91,7 +95,14 @@ class BoundStorage:
         )
 
     def get(self, bucket: str, key: str, missing_ok: bool = False) -> SimEvent:
-        """Whole-object GET; ``missing_ok`` as on :meth:`ObjectStore.get`."""
+        """Whole-object GET; event → ``bytes``.
+
+        With ``missing_ok`` an absent key is a value, not a failure: the
+        event succeeds with ``None`` after the same rate token and
+        first-byte latency a :class:`~repro.cloud.objectstore.NoSuchKey`
+        costs (pollers expect the miss; see "Simulator hot path" in
+        :mod:`repro.sim.events`).
+        """
         return self._spawn(self.get_request(bucket, key, missing_ok), ("get:{}", key))
 
     def get_request(self, bucket: str, key: str, missing_ok: bool = False) -> t.Generator:
@@ -125,12 +136,6 @@ class BoundStorage:
     def head_request(self, bucket: str, key: str) -> t.Generator:
         return self._request(("head:{}", key), self._store._head_op, bucket, key)
 
-    def list_keys(self, bucket: str, prefix: str = "") -> SimEvent:
-        return self._spawn(self.list_keys_request(bucket, prefix), ("list:{}", prefix))
-
-    def list_keys_request(self, bucket: str, prefix: str = "") -> t.Generator:
-        return self._request(("list:{}", prefix), self._store._list_op, bucket, prefix)
-
     def delete(self, bucket: str, key: str) -> SimEvent:
         return self._spawn(self.delete_request(bucket, key), ("delete:{}", key))
 
@@ -151,9 +156,3 @@ class BoundStorage:
         view = BoundStorage(self._store, connection_bandwidth, name=self.name)
         view.span = self.span
         return view
-
-    # -- passthrough ---------------------------------------------------
-    @property
-    def raw(self) -> ObjectStore:
-        """The underlying store (control-plane helpers, stats)."""
-        return self._store

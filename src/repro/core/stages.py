@@ -154,7 +154,6 @@ def _sort_fields(result: ShuffleResult) -> dict:
         "workers": result.workers,
         "records": result.total_records,
         "duration_s": result.duration_s,
-        "planned_workers": result.planned.workers if result.planned else None,
     }
 
 
@@ -177,8 +176,8 @@ def _exchange_sort(
     A provisioned substrate lives exactly as long as the stage; its
     node/instance-seconds are billed into the stage's cost either way.
 
-    Params, all kinds: ``workers`` (pin the count; omit to let the
-    substrate's planner choose), ``memory_mb``, ``max_workers``.
+    Params, all kinds: ``workers`` (required: the sort runs at the
+    count it is given) and ``memory_mb``.
     Provisioned substrates: ``provisioning`` (``"warm"``
     pre-provisioned, or ``"cold"`` — creation/boot on the clock) and
     the class's sizing params — cache ``node_type`` (default
@@ -212,6 +211,11 @@ def _exchange_sort(
     def param(name: str, default: t.Any = None) -> t.Any:
         return overrides.get(name, context.param(name, default))
 
+    workers = param("workers")
+    if workers is None:
+        raise WorkflowError(
+            f"stage {context.spec.name!r} requires parameter 'workers'"
+        )
     executor = _function_executor(context, int(param("memory_mb", 2048)))
     cost = _workload(context).shuffle_cost_model()
     stream = None
@@ -250,8 +254,7 @@ def _exchange_sort(
             upstream["key"],
             out_bucket=context.bucket,
             out_prefix=f"{context.spec.name}",
-            workers=param("workers"),
-            max_workers=int(param("max_workers", 256)),
+            workers=workers,
         )
     finally:
         backend_class.release(provisioned)
@@ -349,8 +352,9 @@ def auto_sort(context: StageContext, inputs: dict) -> t.Generator:
     Params: ``time_value_usd_per_hour`` (default 1.0 — the knob that
     trades latency against provisioned infrastructure), ``workers``
     (pin the count across all substrates; omit to let each plan its
-    own), ``cache_node_type`` (default cache.r5.large), plus
-    ``memory_mb`` and ``max_workers`` passed through to the sort.
+    own), ``max_workers`` (the largest count a substrate may plan),
+    ``cache_node_type`` (default cache.r5.large), plus ``memory_mb``
+    passed through to the sort, which runs at the decision's count.
     """
     upstream = _single_input(inputs, context.spec.name)
     lineage_key, cached = yield from _lineage_lookup(context, upstream)

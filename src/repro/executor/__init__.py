@@ -1,8 +1,6 @@
 """Lithops-like function executors over the simulated cloud."""
 
 from repro.executor.executor import (
-    ALL_COMPLETED,
-    ANY_COMPLETED,
     CpuModel,
     FunctionExecutor,
 )
@@ -11,8 +9,6 @@ from repro.executor.job import JobRecord
 from repro.executor.speculation import AttemptHandle, JobSpeculator, SpeculationPolicy
 
 __all__ = [
-    "ALL_COMPLETED",
-    "ANY_COMPLETED",
     "AttemptHandle",
     "CallState",
     "CallStats",

@@ -6,7 +6,7 @@ Mirrors the Lithops programming model on the simulated cloud:
 * ``call_async(func, data)`` — a single call;
 * ``map_reduce(map_func, iterdata, reduce_func)`` — map then a reduce
   call over the map results;
-* ``wait`` / ``get_result`` — synchronization and result fetching.
+* ``get_result`` — wait for every call, then fetch the results.
 
 Data passing is faithful to Lithops-over-COS: the function is pickled
 and uploaded once per job, each call's input payload is uploaded as its
@@ -42,10 +42,6 @@ from repro.storage.serializer import deserialize, serialize
 
 #: ``cpu_model(data) -> cpu_seconds`` for plain callables.
 CpuModel = t.Callable[[t.Any], float]
-
-#: Return-when modes for :meth:`FunctionExecutor.wait`.
-ALL_COMPLETED = "ALL_COMPLETED"
-ANY_COMPLETED = "ANY_COMPLETED"
 
 
 def next_executor_id(cloud: Cloud, prefix: str) -> str:
@@ -188,25 +184,10 @@ class FunctionExecutor:
         ).completion
 
     # ------------------------------------------------------------------
-    # synchronization API
+    # waiting and results
     # ------------------------------------------------------------------
-    def wait(
-        self,
-        futures: t.Sequence[ResponseFuture],
-        return_when: str = ALL_COMPLETED,
-    ) -> SimEvent:
-        """Event that triggers per ``return_when`` over ``futures``.
-
-        Failures do not fail the wait: the returned event succeeds with
-        ``(done, not_done)`` lists, mirroring ``concurrent.futures.wait``.
-        """
-        if return_when not in (ALL_COMPLETED, ANY_COMPLETED):
-            raise ExecutorError(f"unknown return_when: {return_when!r}")
-        return self.sim.process(
-            self._wait(list(futures), return_when), name=f"{self.executor_id}.wait"
-        ).completion
-
-    def _wait(self, futures: list[ResponseFuture], return_when: str) -> t.Generator:
+    def _wait(self, futures: list[ResponseFuture]) -> t.Generator:
+        """Wait until every future finished, failed ones included."""
         if futures:
             # Wrap each done_event so failures count as completion rather
             # than failing the aggregate wait.
@@ -220,13 +201,7 @@ class FunctionExecutor:
                 self.sim.process(absorb(future), name="wait.absorb").completion
                 for future in futures
             ]
-            if return_when == ALL_COMPLETED:
-                yield self.sim.all_of(absorbed)
-            else:
-                yield self.sim.any_of(absorbed)
-        done = [future for future in futures if future.done]
-        not_done = [future for future in futures if not future.done]
-        return done, not_done
+            yield self.sim.all_of(absorbed)
 
     def get_result(self, futures: t.Sequence[ResponseFuture] | ResponseFuture) -> SimEvent:
         """Wait for futures and fetch their results from storage.
@@ -241,7 +216,7 @@ class FunctionExecutor:
         ).completion
 
     def _get_result(self, futures: list[ResponseFuture], single: bool) -> t.Generator:
-        yield from self._wait(futures, ALL_COMPLETED)
+        yield from self._wait(futures)
         for future in futures:
             if future.error is not None:
                 raise future.error
@@ -392,7 +367,7 @@ class FunctionExecutor:
         map_futures = yield from self._submit_job(
             map_func, iterdata, map_cpu_model, single=False
         )
-        yield from self._wait(map_futures, ALL_COMPLETED)
+        yield from self._wait(map_futures)
         for future in map_futures:
             if future.error is not None:
                 raise future.error

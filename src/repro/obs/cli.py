@@ -81,11 +81,10 @@ def export_metrics(
     gate = SloGate("pipeline")
     sort = run.workflow.tracker.reports.get("sort")
     if sort is not None:
-        # A pinned-worker sort skips the planner (predicted_s=None);
-        # the substrate decision's estimate is still a prediction.
-        predicted = sort.detail.get("predicted_s") or sort.detail.get(
-            "substrate_predicted_s"
-        )
+        # A sort runs at the worker count it is given and predicts
+        # nothing itself (predicted_s=None); the prediction is the
+        # substrate decision's estimate.
+        predicted = sort.detail.get("substrate_predicted_s")
         gate.prediction_envelope(
             "sort-prediction",
             predicted,

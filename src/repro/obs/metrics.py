@@ -71,9 +71,6 @@ class Counter:
         key = _label_key(labels)
         self._series[key] = self._series.get(key, 0.0) + amount
 
-    def value(self, **labels) -> float:
-        return self._series.get(_label_key(labels), 0.0)
-
     def samples(self) -> list[tuple[LabelKey, float]]:
         return sorted(self._series.items())
 
@@ -92,10 +89,6 @@ class Gauge:
     def set(self, value: float, **labels) -> None:
         self._series[_label_key(labels)] = float(value)
 
-    def add(self, amount: float, **labels) -> None:
-        key = _label_key(labels)
-        self._series[key] = self._series.get(key, 0.0) + amount
-
     def max(self, value: float, **labels) -> None:
         """Keep the high watermark of ``value`` for this label set."""
         key = _label_key(labels)
@@ -103,19 +96,17 @@ class Gauge:
         if current is None or value > current:
             self._series[key] = float(value)
 
-    def value(self, **labels) -> float | None:
-        return self._series.get(_label_key(labels))
-
     def samples(self) -> list[tuple[LabelKey, float]]:
         return sorted(self._series.items())
 
 
 class Histogram:
-    """Bucketed distribution with exact quantiles.
+    """Bucketed distribution that keeps every observation.
 
-    Simulation runs are small enough to keep every observation, so
-    :meth:`quantile` is exact (sorted copy on demand) while the
-    Prometheus exposition uses the configured cumulative buckets.
+    Simulation runs are small enough to keep them all, so
+    :meth:`samples` hands readers exact values (quantiles by
+    :func:`nearest_rank`) while the Prometheus exposition uses the
+    configured cumulative buckets.
     """
 
     kind = "histogram"
@@ -131,28 +122,6 @@ class Histogram:
 
     def observe(self, value: float, **labels) -> None:
         self._obs.setdefault(_label_key(labels), []).append(float(value))
-
-    def observations(self, **labels) -> list[float]:
-        return list(self._obs.get(_label_key(labels), ()))
-
-    def all_observations(self) -> list[float]:
-        merged: list[float] = []
-        for obs in self._obs.values():
-            merged.extend(obs)
-        return merged
-
-    def count(self, **labels) -> int:
-        return len(self._obs.get(_label_key(labels), ()))
-
-    def total(self, **labels) -> float:
-        return sum(self._obs.get(_label_key(labels), ()))
-
-    def quantile(self, q: float, **labels) -> float | None:
-        """Exact q-quantile (:func:`nearest_rank`) over this label set's samples."""
-        obs = self._obs.get(_label_key(labels))
-        if not obs:
-            return None
-        return nearest_rank(obs, q)
 
     def samples(self) -> list[tuple[LabelKey, list[float]]]:
         return sorted((key, list(obs)) for key, obs in self._obs.items())
@@ -213,18 +182,6 @@ class MetricsRegistry:
 
     def metrics(self) -> list[Metric]:
         return [self._metrics[name] for name in self.names()]
-
-    def snapshot(self) -> dict[str, dict[str, t.Any]]:
-        """Plain-data view of every series (for SLO checks and tests)."""
-        out: dict[str, dict[str, t.Any]] = {}
-        for name in self.names():
-            metric = self._metrics[name]
-            series: dict[str, t.Any] = {}
-            for key, value in metric.samples():
-                label_text = ",".join(f"{k}={v}" for k, v in key)
-                series[label_text] = value
-            out[name] = {"kind": metric.kind, "series": series}
-        return out
 
     def clear(self) -> None:
         self._metrics.clear()

@@ -93,7 +93,7 @@ class JobHandle:
     bucket: str
     key: str
     logical_bytes: float
-    workers: int | None
+    workers: int
     out_bucket: str
     #: ``queued`` → ``running`` → ``done`` | ``failed`` | ``cancelled``.
     state: str
@@ -170,8 +170,8 @@ class ExchangeService:
     tenant through a :data:`TENANT_RATE_PER_S` / :data:`TENANT_BURST`
     token bucket.  The autoscaler sizes for balanced partitions with
     :func:`~repro.shuffle.adaptive.plan_fleet_scale`'s hysteresis, and
-    every job samples and plans with the
-    :meth:`~repro.shuffle.operator.ShuffleSort.sort` defaults.
+    every job runs :meth:`~repro.shuffle.operator.ShuffleSort.sort` at
+    the worker count it was submitted with.
     """
 
     def __init__(
@@ -254,7 +254,7 @@ class ExchangeService:
         bucket: str,
         key: str,
         logical_bytes: float,
-        workers: int | None = None,
+        workers: int,
         out_bucket: str | None = None,
     ) -> JobHandle:
         """Admit one sort job; returns its handle immediately.
@@ -262,9 +262,11 @@ class ExchangeService:
         ``logical_bytes`` is the tenant's declared exchange size (the
         resource request every cluster scheduler asks for); the sort's
         own preflight still validates the real object against the
-        fleet.  Raises :class:`ServiceSaturated` when the queue is
-        full, and :class:`~repro.errors.ShuffleError` when no fleet
-        within ``max_shards`` could ever hold the job.
+        fleet; the sort runs with ``workers`` mappers and reducers.
+        Raises :class:`ServiceSaturated` when the queue is full, and
+        :class:`~repro.errors.ShuffleError` for a job that could never
+        run: no positive size, fewer than one worker, or no fleet within
+        ``max_shards`` that could hold it.
         """
         if not self._started or self._stopped:
             raise ShuffleError("ExchangeService is not running")
@@ -272,6 +274,8 @@ class ExchangeService:
             raise ShuffleError(
                 f"logical_bytes must be positive, got {logical_bytes}"
             )
+        if workers < 1:
+            raise ShuffleError(f"workers must be >= 1, got {workers}")
         if len(self._queue) >= QUEUE_LIMIT:
             raise ServiceSaturated(
                 f"admission queue is full ({QUEUE_LIMIT} jobs); "

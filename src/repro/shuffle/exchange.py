@@ -9,10 +9,11 @@ the generic :class:`~repro.shuffle.operator.ShuffleSort` drives one
 
 * **feasibility** (:meth:`ExchangeBackend.validate`) — provisioned
   substrates have finite memory; object storage does not;
-* **planning** (:meth:`ExchangeBackend.plan`) — the one analytic cost
-  model picks the worker count over the
-  :class:`~repro.shuffle.planner.ExchangeTerms` its class's ``terms``
-  builds;
+* **pricing** (:meth:`ExchangeBackend.resolve_terms`) — the class's
+  rows of the one analytic cost model, the
+  :class:`~repro.shuffle.planner.ExchangeTerms` over which
+  :func:`~repro.shuffle.adaptive.choose_exchange_substrate` picks the
+  substrate, mode and worker count a sort then runs at;
 * **worker stages and task payloads** — how a mapper publishes its
   partitions and how a reducer collects its range;
 * **reporting** (:meth:`ExchangeBackend.report`) — every backend emits
@@ -61,12 +62,8 @@ from repro.shuffle.cachestages import cache_shuffle_mapper, cache_shuffle_reduce
 from repro.shuffle.planner import (
     ExchangeTerms,
     ShuffleCostModel,
-    ShufflePlan,
-    best_point,
     cache_terms,
     objectstore_terms,
-    plan_shuffle,
-    streaming_curve,
 )
 from repro.shuffle.records import RecordCodec
 from repro.shuffle.stages import cos_segments, shuffle_mapper, shuffle_reducer
@@ -100,8 +97,9 @@ class ExchangeReport:
 
     substrate: str
     workers: int
-    #: Planner-predicted sort time; ``None`` when the caller pinned the
-    #: worker count (no plan was computed).
+    #: Selector-predicted sort time; ``None`` when the sort's caller
+    #: passed no prediction (a :class:`ShuffleSort` runs at the worker
+    #: count it is given; the online sort reports its first decision's).
     predicted_s: float | None
     #: Measured wall-clock of the sort.
     actual_s: float
@@ -178,7 +176,7 @@ class ExchangeReport:
 class ExchangeBackend(abc.ABC):
     """One intermediate-data substrate, as seen by the shuffle operator.
 
-    The operator calls ``begin_sort`` → ``validate`` → ``plan`` →
+    The operator calls ``begin_sort`` → ``validate`` →
     ``mapper_task``\\* → ``on_map_done`` → ``reducer_task``\\* →
     ``report`` → ``end_sort`` over each sort (``end_sort`` however the
     sort ended); a backend may serve several sequential sorts (a reused
@@ -191,11 +189,10 @@ class ExchangeBackend(abc.ABC):
     **Execution mode.**  ``stream`` is ``None`` for a *staged* sort (map
     barrier before the reduce wave) or a
     :class:`~repro.shuffle.streaming.StreamConfig` for a *streaming*
-    one (pipelined waves).  Planning, validation, feasibility, billing
+    one (pipelined waves).  Pricing, validation, feasibility, billing
     and the uniform report are the same object either way; a stream
-    config only swaps the worker stages and task payloads, and plans
-    with the pipelined completion-time model.  A subclass supplies the
-    staged half (``staged_stages``, ``_staged_mapper_task``,
+    config only swaps the worker stages and task payloads.  A subclass
+    supplies the staged half (``staged_stages``, ``_staged_mapper_task``,
     ``_staged_reducer_task``), its stream routing (``stream_kind``,
     ``stream_route``) and, when provisioned, its ``configuration``.
     """
@@ -392,39 +389,12 @@ class ExchangeBackend(abc.ABC):
         cancelled — also when the substrate was torn down under it, so
         this must not raise; no-op by default."""
 
-    # -- planning ------------------------------------------------------
+    # -- pricing -------------------------------------------------------
     @property
     def configuration(self) -> tuple[str | None, int]:
         """``(flavour name, count)`` of the provisioned resource behind
         this backend — what resolves its terms in the cost model."""
         return None, 1
-
-    def plan(
-        self, logical_size: float, profile: CloudProfile, max_workers: int
-    ) -> ShufflePlan:
-        """Pick the worker count for the mode this backend runs in.
-
-        The one analytic model over this class's
-        :class:`~repro.shuffle.planner.ExchangeTerms`.  Streaming
-        transforms the staged curve point by point through
-        :func:`~repro.shuffle.planner.predict_streaming_shuffle_time`
-        (this configuration's chunk grain, the terms' per-chunk
-        readiness overhead) and picks the minimizing worker count from
-        the transformed curve — so an auto-planned streaming sort sizes
-        its wave for the mode it actually runs, and the report's
-        ``predicted_s`` is comparable to its streaming ``actual_s``.
-        """
-        terms = self.resolve_terms(profile, self.cost, *self.configuration)
-        staged = plan_shuffle(
-            logical_size, profile, self.cost, max_workers=max_workers, terms=terms
-        )
-        if self.stream is None:
-            return staged
-        curve = streaming_curve(
-            staged.curve, logical_size, self.stream.chunk_bytes, terms
-        )
-        best = best_point(curve)
-        return ShufflePlan(workers=best.workers, predicted_s=best.total_s, curve=curve)
 
     # -- worker stages and task payloads -------------------------------
     def mapper_stage(self) -> t.Callable:
@@ -518,7 +488,7 @@ class ExchangeBackend(abc.ABC):
     def report(
         self,
         workers: int,
-        plan: ShufflePlan | None,
+        predicted_s: float | None,
         duration_s: float,
         overlap_s: float = 0.0,
         buffer_high_watermark_bytes: float = 0.0,
@@ -539,7 +509,7 @@ class ExchangeBackend(abc.ABC):
         return ExchangeReport(
             substrate=self.name,
             workers=workers,
-            predicted_s=plan.predicted_s if plan is not None else None,
+            predicted_s=predicted_s,
             actual_s=duration_s,
             provisioned_usd=self.provisioned_rate_usd_per_s() * billed_s,
             overlap_s=overlap_s,

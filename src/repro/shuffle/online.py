@@ -11,9 +11,9 @@ and between waves the driver:
    (:func:`~repro.shuffle.adaptive.fit_stream_profiles` — the telemetry
    the pipeline produced anyway, no dedicated probe);
 2. re-runs :func:`~repro.shuffle.adaptive.choose_exchange_substrate` on
-   the **remaining** bytes, and — behind a hysteresis margin — switches
-   the worker count, shard count, mode, or (at the chunk boundary) the
-   exchange substrate itself for every future wave;
+   the **remaining** bytes at the sort's worker count, and — behind a
+   hysteresis margin — switches the shard count, mode, or (at the chunk
+   boundary) the exchange substrate itself for every future wave;
 3. when the running substrate is the rebalancing relay fleet, re-routes
    future chunks of hot (mapper, reducer) cells at chunk grain
    (:func:`~repro.shuffle.relay.build_chunk_rebalance_assignments`
@@ -374,14 +374,12 @@ class OnlineShuffleSort(ShuffleSort):
         self,
         logical_bytes: float,
         profile,
-        workers: int | None,
-        max_workers: int = 256,
+        workers: int,
     ) -> SubstrateDecision:
         return choose_exchange_substrate(
             max(1.0, logical_bytes),
             profile,
             workers,
-            max_workers=max_workers,
             stream_chunk_bytes=self.stream.chunk_bytes,
             stream_chunked_input=True,
             **self._selector,
@@ -472,8 +470,7 @@ class OnlineShuffleSort(ShuffleSort):
         key: str,
         out_bucket: str,
         out_prefix: str,
-        pinned_workers: int | None,
-        max_workers: int,
+        workers: int,
     ) -> t.Generator:
         """Span-owning shell around :meth:`_sort_online`.
 
@@ -492,8 +489,7 @@ class OnlineShuffleSort(ShuffleSort):
         with sort_span:
             try:
                 result = yield from self._sort_online(
-                    bucket, key, out_bucket, out_prefix, pinned_workers,
-                    max_workers, sort_span,
+                    bucket, key, out_bucket, out_prefix, workers, sort_span,
                 )
             except BaseException:
                 if sort_span.recording:
@@ -525,13 +521,12 @@ class OnlineShuffleSort(ShuffleSort):
         key: str,
         out_bucket: str,
         out_prefix: str,
-        pinned_workers: int | None,
-        max_workers: int,
+        reducers: int,
         sort_span,
     ) -> t.Generator:
         started_at = self.sim.now
         profile = self.executor.cloud.profile
-        meta = yield from self._preflight(bucket, key)
+        meta = yield from self._preflight(bucket, key, reducers)
         real_size = meta.size
         total_logical = meta.logical_size
         scale = total_logical / real_size if real_size else 1.0
@@ -539,14 +534,9 @@ class OnlineShuffleSort(ShuffleSort):
         self.chunk_reroutes = 0
         cos_dedup_baseline = self.executor.cloud.store.stats.dedup_bytes
 
-        # --- initial selection (fixes the grid's reducer count R) -----
-        decision = self._decide(
-            total_logical, profile, pinned_workers, max_workers
-        )
+        # --- initial selection (substrate and mode at R = reducers) ----
+        decision = self._decide(total_logical, profile, reducers)
         current = decision.chosen
-        reducers = pinned_workers if pinned_workers is not None else current.workers
-        if reducers < 1:
-            raise ShuffleError(f"workers must be >= 1, got {reducers}")
         self.timeline.append(
             DecisionPoint(
                 wave=0, at_s=self.sim.now - started_at, trigger="initial",
@@ -734,9 +724,7 @@ class OnlineShuffleSort(ShuffleSort):
                 # Refit from observed rates; re-select on what is left.
                 remaining = max(1.0, total_logical - totals["published_logical"])
                 fitted = fit_stream_profiles(profile, samples.values())
-                decision = self._decide(
-                    remaining, fitted, pinned_workers, max_workers
-                )
+                decision = self._decide(remaining, fitted, reducers)
                 candidate = decision.chosen
                 keep = next(
                     (
@@ -923,7 +911,6 @@ class OnlineShuffleSort(ShuffleSort):
         return ShuffleResult(
             runs=runs,
             workers=reducers,
-            planned=None,
             boundaries=tuple(boundaries),
             total_records=total_records,
             duration_s=self.sim.now - started_at,

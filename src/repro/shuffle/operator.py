@@ -24,9 +24,10 @@ is submitted before the map results are awaited, and reducers consume
 partitions through the substrate's readiness protocol while mappers are
 still producing.  Everything else is one code path.
 
-The worker count is chosen by the substrate's analytic planner unless
-pinned by the caller — this is Primula's "optimal number of functions
-on the fly".
+A sort runs at the worker count it is given.  Choosing that count —
+Primula's "optimal number of functions on the fly" — is the selector's
+job (:func:`~repro.shuffle.adaptive.choose_exchange_substrate`, which
+the ``auto_sort`` stage runs before its sort).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.errors import ShuffleError
 from repro.shuffle import kernels
 from repro.shuffle.content import RunManifest, build_run_manifest
 from repro.shuffle.exchange import ExchangeBackend, ObjectStoreExchange
-from repro.shuffle.planner import ShuffleCostModel, ShufflePlan
+from repro.shuffle.planner import ShuffleCostModel
 from repro.shuffle.records import RecordCodec
 from repro.shuffle.sampler import (
     choose_weighted_boundaries,
@@ -81,7 +82,6 @@ class ShuffleResult:
 
     runs: tuple[SortedRun, ...]
     workers: int
-    planned: ShufflePlan | None
     boundaries: tuple[t.Any, ...]
     total_records: int
     duration_s: float
@@ -142,10 +142,11 @@ class ShuffleSort:
         key: str,
         out_bucket: str | None = None,
         out_prefix: str | None = None,
-        workers: int | None = None,
-        max_workers: int = 256,
+        *,
+        workers: int,
     ) -> SimEvent:
-        """Sort ``bucket/key``; event → :class:`ShuffleResult`."""
+        """Sort ``bucket/key`` with ``workers`` mappers and as many
+        reducers; event → :class:`ShuffleResult`."""
         return self.sim.process(
             self._ended(
                 self._sort(
@@ -154,7 +155,6 @@ class ShuffleSort:
                     out_bucket if out_bucket is not None else bucket,
                     out_prefix if out_prefix is not None else self._labels()[1],
                     workers,
-                    max_workers,
                 )
             ),
             name=f"{self._labels()[0]}.sort:{key}",
@@ -175,28 +175,15 @@ class ShuffleSort:
     # ------------------------------------------------------------------
     # phases (OnlineShuffleSort reuses these around its own wave loop)
     # ------------------------------------------------------------------
-    def _preflight(self, bucket: str, key: str) -> t.Generator:
-        """HEAD the input and check the substrate fit."""
+    def _preflight(self, bucket: str, key: str, workers: int) -> t.Generator:
+        """HEAD the input; check the substrate fit and the worker count."""
         meta = yield self.executor.storage.head(bucket, key)
         if meta.size == 0:
             raise ShuffleError(f"cannot shuffle empty object {bucket}/{key}")
         self.backend.validate(meta.logical_size)
-        return meta
-
-    def _plan_workers(
-        self, logical_size: float, pinned_workers: int | None, max_workers: int
-    ) -> tuple[ShufflePlan | None, int]:
-        plan: ShufflePlan | None = None
-        if pinned_workers is not None:
-            workers = pinned_workers
-        else:
-            plan = self.backend.plan(
-                logical_size, self.executor.cloud.profile, max_workers
-            )
-            workers = plan.workers
         if workers < 1:
             raise ShuffleError(f"workers must be >= 1, got {workers}")
-        return plan, workers
+        return meta
 
     def _sample(
         self,
@@ -379,8 +366,7 @@ class ShuffleSort:
         key: str,
         out_bucket: str,
         out_prefix: str,
-        pinned_workers: int | None,
-        max_workers: int,
+        workers: int,
     ) -> t.Generator:
         started_at = self.sim.now
         sort_span = self.sim.tracer.span(
@@ -391,11 +377,8 @@ class ShuffleSort:
         )
         with sort_span:
             self.backend.begin_sort(out_bucket, out_prefix, self.codec)
-            meta = yield from self._preflight(bucket, key)
+            meta = yield from self._preflight(bucket, key, workers)
             real_size = meta.size
-            plan, workers = self._plan_workers(
-                meta.logical_size, pinned_workers, max_workers
-            )
             boundaries = yield from self._sample(
                 bucket, key, real_size, meta.logical_size, workers,
                 span=sort_span,
@@ -483,7 +466,7 @@ class ShuffleSort:
             extra.update(kernels.kernel_report_extras(map_results, reduce_results))
             self.report = self.backend.report(
                 workers,
-                plan,
+                None,
                 self.sim.now - started_at,
                 overlap_s=overlap_s,
                 buffer_high_watermark_bytes=buffer_high_watermark,
@@ -493,7 +476,6 @@ class ShuffleSort:
             return ShuffleResult(
                 runs=runs,
                 workers=workers,
-                planned=plan,
                 boundaries=tuple(boundaries),
                 total_records=total_records,
                 duration_s=self.sim.now - started_at,

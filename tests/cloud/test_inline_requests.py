@@ -73,7 +73,7 @@ def killed_get(path: str, phase: str | None) -> tuple[dict, list]:
     def driver():
         yield store.put("b", "k", b"x" * SIZE)
         # Spend the burst, so the GET below queues for its token.
-        misses = [store.get("b", f"miss{i}", missing_ok=True) for i in range(2)]
+        misses = [view.get("b", f"miss{i}", missing_ok=True) for i in range(2)]
         victim = sim.process(caller())
         if phase is not None:
             sim.process(killer(victim, PHASES[phase]))
@@ -84,7 +84,7 @@ def killed_get(path: str, phase: str | None) -> tuple[dict, list]:
     bucket, link = store._ops, store._aggregate
     state = {
         "now": sim.now,
-        "stats": store.stats.as_dict(),
+        "stats": dict(vars(store.stats)),
         "bill": [
             (line.time, line.service, line.item, line.quantity, line.usd)
             for line in cloud.meter.lines

@@ -11,6 +11,7 @@ import pytest
 from repro.cloud import Cloud
 from repro.cloud.objectstore.errors import InternalError
 from repro.cloud.profiles import ibm_us_east
+from repro.cloud.storageview import BoundStorage
 from repro.errors import StorageError
 from repro.executor import FunctionExecutor
 from repro.shuffle import FixedWidthCodec, ShuffleSort
@@ -36,7 +37,7 @@ class TestRawStoreFaults:
         cloud.store.fault_probability = 1.0
 
         def scenario():
-            return (yield cloud.store.get("bucket", "obj"))
+            return (yield cloud.store.head("bucket", "obj"))
 
         with pytest.raises(InternalError):
             cloud.sim.run_process(scenario())
@@ -44,21 +45,24 @@ class TestRawStoreFaults:
     def test_faults_are_counted(self, cloud):
         seed_object(cloud)
         cloud.store.fault_probability = 1.0
+        client = BoundStorage(cloud.store, None)
 
         def scenario():
-            yield cloud.store.get("bucket", "obj")
+            yield client.get("bucket", "obj")
 
-        with pytest.raises(InternalError):
+        with pytest.raises(StorageError):
             cloud.sim.run_process(scenario())
-        assert cloud.store.stats.internal_errors == 1
-        assert "internal_errors" in cloud.store.stats.as_dict()
+        # Every attempt the client made was a fault the store counted.
+        assert cloud.store.stats.internal_errors == client.retries + 1
+        assert cloud.store.stats.gets == 0
 
     def test_zero_probability_never_fails(self, cloud):
         seed_object(cloud)
+        client = BoundStorage(cloud.store, None)
 
         def scenario():
             for _round in range(50):
-                yield cloud.store.get("bucket", "obj")
+                yield client.get("bucket", "obj")
 
         cloud.sim.run_process(scenario())
         assert cloud.store.stats.internal_errors == 0

@@ -18,7 +18,6 @@ from repro.core import (
     run_pipeline,
     run_table1,
 )
-from tests.core.sort_pipeline import execute, sort_pipeline
 
 #: Scaled-down config: ~1.7 MB real data modelling 3.5 GB.
 SMALL = ExperimentConfig(logical_scale=2048.0)
@@ -141,14 +140,3 @@ class TestDeterminism:
         run_a = run_pipeline(config_a, PURE_SERVERLESS)
         run_b = run_pipeline(config_b, PURE_SERVERLESS)
         assert run_a.latency_s != run_b.latency_s
-
-
-class TestAutoWorkers:
-    def test_planner_driven_sort_completes(self):
-        config = dataclasses.replace(SMALL, logical_scale=4096.0)
-        _cloud, result = execute(
-            config, sort_pipeline(config, "shuffle_sort", workers=None)
-        )
-        sort = result.artifacts[SORT_STAGE]
-        assert sort["workers"] >= 1
-        assert sort["planned_workers"] == sort["workers"]

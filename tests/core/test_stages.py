@@ -112,7 +112,7 @@ STAGED_KINDS = {
     "sharded-relay": "sharded_relay_sort",
 }
 
-SORT_FIELDS = ["runs", "workers", "records", "duration_s", "planned_workers"]
+SORT_FIELDS = ["runs", "workers", "records", "duration_s"]
 
 #: Stage kind → artifact keys, in order (the order is part of the
 #: contract: artifacts are rendered and hashed as ordered mappings).
@@ -279,6 +279,21 @@ class TestSortStages:
         ]
         with pytest.raises(WorkflowError, match="exactly one upstream"):
             run_dag(cloud, stages)
+
+    @pytest.mark.parametrize("kind", [*STAGED_KINDS.values(), "streaming_sort"])
+    @pytest.mark.parametrize("params", [{}, {"workers": None}])
+    def test_a_sort_without_workers_names_its_stage(self, kind, params):
+        """A function-driven sort runs at the count it is given: without
+        one the stage fails naming itself, before it provisions anything."""
+        cloud = fresh_cloud()
+        stage_input(cloud, CONFIG, "pipeline", "input/methylome.bed")
+        stages = [
+            StageSpec("in", "dataset_ref", params={"key": "input/methylome.bed"}),
+            StageSpec("unsized", kind, after=("in",), params={"memory_mb": 2048, **params}),
+        ]
+        with pytest.raises(WorkflowError, match="'unsized' requires parameter 'workers'"):
+            run_dag(cloud, stages)
+        assert not cloud.vms.instances and not cloud.cache.clusters
 
     def test_vm_sort_produces_requested_partitions(self):
         cloud = fresh_cloud()

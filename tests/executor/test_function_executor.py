@@ -5,7 +5,7 @@ import pytest
 from repro.cloud import Cloud
 from repro.cloud.profiles import ibm_us_east
 from repro.errors import ExecutorError
-from repro.executor import ALL_COMPLETED, ANY_COMPLETED, CallState, FunctionExecutor
+from repro.executor import CallState, FunctionExecutor
 from tests.cloud.test_storageview import throttle
 
 
@@ -41,7 +41,7 @@ class TestMap:
     def test_map_futures_carry_job_metadata(self, cloud, executor):
         def driver():
             futures = yield executor.map(square, [1, 2])
-            yield executor.wait(futures)
+            yield executor.get_result(futures)
             return futures
 
         futures = cloud.sim.run_process(driver())
@@ -56,7 +56,7 @@ class TestMap:
 
         def driver():
             futures = yield executor.map(slow, list(range(8)))
-            yield executor.wait(futures)
+            yield executor.get_result(futures)
             return cloud.sim.now
 
         finished_at = cloud.sim.run_process(driver())
@@ -65,7 +65,7 @@ class TestMap:
     def test_cpu_model_charges_time(self, cloud, executor):
         def driver(cpu_model):
             futures = yield executor.map(square, [1], cpu_model=cpu_model)
-            yield executor.wait(futures)
+            yield executor.get_result(futures)
             return cloud.sim.now
 
         fast = cloud.sim.run_process(driver(None))
@@ -74,7 +74,7 @@ class TestMap:
 
         def driver2():
             futures = yield executor2.map(square, [1], cpu_model=lambda x: 30.0)
-            yield executor2.wait(futures)
+            yield executor2.get_result(futures)
             return cloud2.sim.now
 
         slow = cloud2.sim.run_process(driver2())
@@ -84,7 +84,7 @@ class TestMap:
         def driver():
             futures_a = yield executor.map(square, [1])
             futures_b = yield executor.map(square, [2])
-            yield executor.wait(futures_a + futures_b)
+            yield executor.get_result(futures_a + futures_b)
 
         cloud.sim.run_process(driver())
         assert len({job.job_id for job in executor.jobs}) == 2
@@ -126,21 +126,30 @@ class TestErrors:
         with pytest.raises(ValueError, match="cannot process 1"):
             cloud.sim.run_process(driver())
 
-    def test_wait_absorbs_failures(self, cloud, executor):
-        def flaky(x):
+    def test_get_result_waits_for_every_call_before_raising(self, cloud, executor):
+        """A failed call counts as finished, not as the end of the wait:
+        the first error surfaces once every call has finished."""
+        def flaky(ctx, x):
+            yield ctx.sleep(40.0 if x % 2 else 1.0)
             if x % 2 == 0:
                 raise RuntimeError("even numbers fail")
             return x
 
+        raised = {}
+
         def driver():
             futures = yield executor.map(flaky, [1, 2, 3, 4])
-            done, not_done = yield executor.wait(futures)
-            return len(done), len(not_done), [f.error is not None for f in futures]
+            try:
+                yield executor.get_result(futures)
+            except RuntimeError as exc:
+                raised["error"], raised["at"] = exc, cloud.sim.now
+            return futures
 
-        done_count, not_done_count, errors = cloud.sim.run_process(driver())
-        assert done_count == 4
-        assert not_done_count == 0
-        assert errors == [False, True, False, True]
+        futures = cloud.sim.run_process(driver())
+        assert str(raised["error"]) == "even numbers fail"
+        assert raised["at"] >= 40.0
+        assert all(future.done for future in futures)
+        assert [f.error is not None for f in futures] == [False, True, False, True]
 
     def test_error_state_recorded_on_future(self, cloud, executor):
         def bad(x):
@@ -148,46 +157,29 @@ class TestErrors:
 
         def driver():
             futures = yield executor.map(bad, [1])
-            yield executor.wait(futures)
+            with pytest.raises(RuntimeError, match="boom"):
+                yield executor.get_result(futures)
             return futures[0]
 
         future = cloud.sim.run_process(driver())
         assert future.state is CallState.ERROR
         assert isinstance(future.error, RuntimeError)
 
-    def test_unknown_return_when_rejected(self, cloud, executor):
-        with pytest.raises(ExecutorError):
-            executor.wait([], return_when="SOME_COMPLETED")
 
-
-class TestWaitModes:
-    def test_any_completed_returns_early(self, cloud, executor):
-        def variable(ctx, delay):
-            yield ctx.sleep(delay)
-            return delay
-
-        def driver():
-            futures = yield executor.map(variable, [60.0, 1.0, 60.0])
-            done, not_done = yield executor.wait(futures, return_when=ANY_COMPLETED)
-            return cloud.sim.now, len(done), len(not_done)
-
-        now, done_count, not_done_count = cloud.sim.run_process(driver())
-        assert done_count == 1
-        assert not_done_count == 2
-        assert now < 30.0
-
-    def test_all_completed_waits_for_stragglers(self, cloud, executor):
+class TestGetResult:
+    def test_get_result_waits_for_stragglers(self, cloud, executor):
         def variable(ctx, delay):
             yield ctx.sleep(delay)
             return delay
 
         def driver():
             futures = yield executor.map(variable, [1.0, 30.0])
-            done, _ = yield executor.wait(futures, return_when=ALL_COMPLETED)
-            return cloud.sim.now, len(done)
+            results = yield executor.get_result(futures)
+            return cloud.sim.now, results, futures
 
-        now, done_count = cloud.sim.run_process(driver())
-        assert done_count == 2
+        now, results, futures = cloud.sim.run_process(driver())
+        assert results == [1.0, 30.0]
+        assert all(future.done for future in futures)
         assert now >= 30.0
 
 
@@ -256,7 +248,7 @@ class TestStorageTraffic:
 
         def driver():
             futures = yield executor.map(square, [1, 2, 3])
-            yield executor.wait(futures)
+            yield cloud.sim.all_of([future.done_event for future in futures])
             throttle(cloud.store, 2)
             return (yield executor.get_result(futures))
 

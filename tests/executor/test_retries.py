@@ -81,8 +81,8 @@ class TestCrashRetries:
 
         def driver():
             futures = yield executor.map(steady, [1])
-            done, _ = yield executor.wait(futures)
-            return done
+            with pytest.raises(FunctionCrashed):
+                yield executor.get_result(futures)
 
         cloud.sim.run_process(driver())
         # Every attempt (3 total) billed some GB-seconds.

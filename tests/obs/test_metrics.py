@@ -16,6 +16,12 @@ from repro.obs.metrics import (
 pytestmark = pytest.mark.obs
 
 
+def sample(metric, **labels):
+    """One label set's series as the exporter reads it, through
+    ``samples()`` (``None`` when the label set has none)."""
+    return dict(metric.samples()).get(tuple(sorted(labels.items())))
+
+
 class TestSanitize:
     def test_passthrough_and_replacement(self):
         assert sanitize_name("repro_relay_bytes_total") == "repro_relay_bytes_total"
@@ -66,9 +72,9 @@ class TestCounter:
         counter.inc(2.0, tenant="a")
         counter.inc(3.0, tenant="a")
         counter.inc(1.0, tenant="b")
-        assert counter.value(tenant="a") == 5.0
-        assert counter.value(tenant="b") == 1.0
-        assert counter.value(tenant="missing") == 0.0
+        assert sample(counter, tenant="a") == 5.0
+        assert sample(counter, tenant="b") == 1.0
+        assert sample(counter, tenant="missing") is None
 
     def test_negative_increment_rejected(self):
         reg = MetricsRegistry()
@@ -77,16 +83,18 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_add_max(self):
+    def test_set_and_max(self):
         reg = MetricsRegistry()
         gauge = reg.gauge("g", "help")
         gauge.set(4.0)
-        gauge.add(1.0)
-        assert gauge.value() == 5.0
+        gauge.set(5.0)
+        assert sample(gauge) == 5.0
         gauge.max(3.0)  # lower than current: keeps 5
-        assert gauge.value() == 5.0
+        assert sample(gauge) == 5.0
         gauge.max(9.0)
-        assert gauge.value() == 9.0
+        assert sample(gauge) == 9.0
+        gauge.max(2.0, tenant="a")  # a fresh label set takes any value
+        assert sample(gauge, tenant="a") == 2.0
 
 
 class TestHistogram:
@@ -95,10 +103,11 @@ class TestHistogram:
         histogram = reg.histogram("h_seconds", "help")
         for value in range(1, 100):
             histogram.observe(float(value))
-        assert histogram.quantile(0.5) == 50.0
-        assert histogram.quantile(1.0) == 99.0
-        assert histogram.quantile(0.0) == 1.0
-        assert histogram.count() == 99
+        observed = sample(histogram)
+        assert nearest_rank(observed, 0.5) == 50.0
+        assert nearest_rank(observed, 1.0) == 99.0
+        assert nearest_rank(observed, 0.0) == 1.0
+        assert len(observed) == 99
 
     @pytest.mark.parametrize("n", [12, 13])
     def test_p95_is_the_nearest_rank_sample(self, n):
@@ -109,15 +118,17 @@ class TestHistogram:
         for value in range(n, 0, -1):
             histogram.observe(float(value))
         assert nearest_rank(range(1, n + 1), 0.95) == n
-        assert histogram.quantile(0.95) == float(n)
+        assert nearest_rank(sample(histogram), 0.95) == float(n)
 
     def test_labelled_observations_are_separate(self):
         reg = MetricsRegistry()
         histogram = reg.histogram("h_seconds", "help")
         histogram.observe(1.0, tenant="a")
         histogram.observe(9.0, tenant="b")
-        assert histogram.observations(tenant="a") == [1.0]
-        assert histogram.all_observations() == [1.0, 9.0]
+        assert histogram.samples() == [
+            ((("tenant", "a"),), [1.0]),
+            ((("tenant", "b"),), [9.0]),
+        ]
 
 
 class TestRegistry:
@@ -155,12 +166,10 @@ class TestPublishExchangeReport:
         )
         reg = registry()
         labels = {"substrate": "relay", "mode": "staged"}
-        assert reg.get("repro_exchange_sorts_total").value(**labels) == 1.0
-        assert reg.get("repro_exchange_actual_seconds").value(**labels) == 12.0
-        assert reg.get("repro_exchange_predicted_seconds").value(**labels) == 10.0
-        assert (
-            reg.get("repro_exchange_relay_peak_fill").value(**labels) == 0.7
-        )
+        assert sample(reg.get("repro_exchange_sorts_total"), **labels) == 1.0
+        assert sample(reg.get("repro_exchange_actual_seconds"), **labels) == 12.0
+        assert sample(reg.get("repro_exchange_predicted_seconds"), **labels) == 10.0
+        assert sample(reg.get("repro_exchange_relay_peak_fill"), **labels) == 0.7
 
     def test_non_numeric_extras_are_skipped(self):
         from repro.shuffle.exchange import ExchangeReport

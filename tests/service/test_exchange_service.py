@@ -14,15 +14,18 @@ The shared-substrate guarantees the service makes:
   tags) and sum to the fleet total on the instance side.
 """
 
+import inspect
+
 import pytest
 
 from repro.cloud import Cloud
 from repro.cloud.profiles import ibm_us_east
 from repro.cloud.vm import UnknownRelay
 from repro.cloud.vm.fleet import fleet_ready
+from repro.errors import ShuffleError
 from repro.executor import FunctionExecutor
 from repro.service import ExchangeService, ServiceSaturated
-from repro.service.exchange_service import QUEUE_LIMIT, TENANT_RATE_PER_S
+from repro.service.exchange_service import QUEUE_LIMIT, TENANT_RATE_PER_S, JobHandle
 from repro.shuffle import (
     FixedWidthCodec,
     ShardedRelayExchange,
@@ -158,15 +161,39 @@ class TestFairness:
             yield cloud.store.put("data", "in.bin", payload)
             svc.start()
             for _ in range(QUEUE_LIMIT):
-                svc.submit("t", "data", "in.bin", len(payload))
+                svc.submit("t", "data", "in.bin", len(payload), workers=WORKERS)
             with pytest.raises(ServiceSaturated):
-                svc.submit("t", "data", "in.bin", len(payload))
+                svc.submit("t", "data", "in.bin", len(payload), workers=WORKERS)
 
         cloud.sim.run_process(driver())
         svc.shutdown()
         # Nothing was dispatched before the shutdown cancelled the queue.
         assert len(svc.jobs) == QUEUE_LIMIT
         assert {job.state for job in svc.jobs} == {"cancelled"}
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_a_job_without_workers_is_refused_at_submit(self, workers):
+        """A job that could never run is refused before it is queued or
+        scales the fleet, as a non-positive size is."""
+        cloud = fresh_cloud()
+        svc = make_service(cloud)
+        svc.start()
+        with pytest.raises(ShuffleError, match="workers must be >= 1"):
+            svc.submit("t", "data", "in.bin", 1000.0, workers=workers)
+        assert svc.jobs == [] and svc.scale_events == []
+        assert len(svc._generations) == 1
+        svc.shutdown()
+
+    def test_submit_takes_a_required_worker_count(self):
+        """Every job runs at the worker count it was submitted with;
+        there is no default for the sort to plan around."""
+        parameters = inspect.signature(ExchangeService.submit).parameters
+        assert list(parameters) == [
+            "self", "tenant", "bucket", "key", "logical_bytes", "workers",
+            "out_bucket",
+        ]
+        assert parameters["workers"].default is inspect.Parameter.empty
+        assert JobHandle.__annotations__["workers"] == "int"
 
 
 class TestTenantFencing:
@@ -223,9 +250,9 @@ class TestTenantFencing:
             svc.start()
             # The first two spend the tenant's burst; the third waits
             # for a refill when the cancel lands.
-            first = svc.submit("t", "data", "in.bin", len(payload))
-            svc.submit("t", "data", "in.bin", len(payload))
-            queued = svc.submit("t", "data", "in.bin", len(payload))
+            first = svc.submit("t", "data", "in.bin", len(payload), workers=1)
+            svc.submit("t", "data", "in.bin", len(payload), workers=1)
+            queued = svc.submit("t", "data", "in.bin", len(payload), workers=1)
             yield cloud.sim.timeout(0.1)
             svc.cancel_tenant("t")
             yield svc.drain()
@@ -397,7 +424,7 @@ class TestCostAttribution:
         def driver():
             yield cloud.store.put("data", "in.bin", payload)
             svc.start()
-            svc.submit("t", "data", "in.bin", len(payload))
+            svc.submit("t", "data", "in.bin", len(payload), workers=1)
             yield svc.drain()
 
         cloud.sim.run_process(driver())
@@ -434,7 +461,7 @@ class TestCostAttribution:
                     cloud.sim.active_process.owner = (("tenant", "ops"),)
                 yield cloud.store.put("data", "in.bin", payload)
                 svc.start()
-                svc.submit("t", "data", "in.bin", len(payload))
+                svc.submit("t", "data", "in.bin", len(payload), workers=1)
                 yield svc.drain()
                 if owned:
                     svc.shutdown()

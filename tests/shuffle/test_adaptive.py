@@ -29,6 +29,7 @@ from repro.shuffle.planner import (
 from repro.shuffle.substrates import SUBSTRATES
 from repro.shuffle.relayplanner import relay_usable_bytes, resolve_relay_instance
 from repro.sim import Simulator
+from tests.stored import stored_keys
 
 CANDIDATES = (4, 8, 16, 32, 64, 128)
 
@@ -96,10 +97,7 @@ class TestProbe:
     def test_probe_cleans_up_its_objects(self):
         cloud = make_cloud()
         run_probe(cloud)
-        def listing():
-            return (yield cloud.store.list_keys("bucket", "primula-probe"))
-
-        assert cloud.sim.run_process(listing()) == []
+        assert stored_keys(cloud.store, "bucket", "primula-probe") == []
 
     def test_probe_reports_startup(self):
         cloud = make_cloud()

@@ -17,6 +17,7 @@ from repro.shuffle import (
     required_cache_nodes,
 )
 from tests.payloads import fixed_payload
+from tests.stored import stored_keys
 
 
 @pytest.fixture
@@ -96,10 +97,7 @@ class TestCacheSort:
         sort_and_collect(cloud, executor, cluster, codec, payload, workers=4)
         # No combined/partition shuffle objects must exist in COS — only
         # the executor's job state, the input and the sorted runs.
-        def listing():
-            return (yield cloud.store.list_keys("data", ""))
-
-        keys = cloud.sim.run_process(listing())
+        keys = stored_keys(cloud.store, "data")
         assert not [key for key in keys if "/shuffle/" in key]
         assert [key for key in keys if "/sorted/" in key]
 
@@ -185,17 +183,6 @@ class TestCacheSort:
         assert first.cache_sets == 9  # 3 mappers x 3 partitions, per sort
         assert second.cache_sets == 9
         assert second.cache_gets == 9
-
-    def test_planner_used_when_workers_not_pinned(self, cloud, executor, cluster):
-        codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = fixed_payload(2000)
-        _op, result, merged = sort_and_collect(
-            cloud, executor, cluster, codec, payload, max_workers=16
-        )
-        assert result.planned is not None
-        assert result.workers == result.planned.workers
-        keys = [codec.key(record) for record in codec.split(merged)]
-        assert keys == sorted(keys)
 
 
 def predict_cache(size, workers, nodes):

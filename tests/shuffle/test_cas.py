@@ -23,6 +23,7 @@ from repro.cas import (
 from repro.cloud import Cloud, MB
 from repro.cloud.memstore import CacheOutOfMemory
 from repro.cloud.profiles import ibm_us_east
+from repro.cloud.storageview import BoundStorage
 from repro.cloud.vm.fleet import fleet_ready
 from repro.cloud.vm.relay import relay_ready
 from repro.executor import FunctionExecutor
@@ -668,7 +669,7 @@ class TestLineageCache:
         victim = cold.artifacts["sort"]["runs"][0]
 
         def wipe():
-            yield cloud.store.delete(victim["bucket"], victim["key"])
+            yield BoundStorage(cloud.store, None).delete(victim["bucket"], victim["key"])
 
         cloud.sim.run_process(wipe())
         rerun = self._run_auto(cloud, config, params, "degrade-rerun")

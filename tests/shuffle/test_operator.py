@@ -1,5 +1,6 @@
 """Integration tests: the full shuffle/sort on the simulated cloud."""
 
+import inspect
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from repro.shuffle.operator import (
     _split,
 )
 from tests.payloads import fixed_payload
+from tests.stored import stored_keys
 
 
 @pytest.fixture
@@ -179,25 +181,27 @@ class TestLineSort:
         assert merged.split(b"\n")[:-1] == sorted(lines)
 
 
-class TestPlannerIntegration:
-    def test_auto_worker_selection_used(self, cloud, executor):
-        codec = FixedWidthCodec(record_size=16, key_bytes=8)
-        payload = fixed_payload(2000)
-        result, merged = sort_and_collect(
-            cloud, executor, codec, payload, max_workers=16
-        )
-        assert result.planned is not None
-        assert result.workers == result.planned.workers
-        assert 1 <= result.workers <= 16
-        keys = [codec.key(record) for record in codec.split(merged)]
-        assert keys == sorted(keys)
+class TestSortArguments:
+    def test_sort_keywords_are_pinned(self):
+        """A sort runs at the worker count it is given: ``workers`` is
+        required and there is no planner option beside it."""
+        parameters = inspect.signature(ShuffleSort.sort).parameters
+        assert list(parameters) == [
+            "self", "bucket", "key", "out_bucket", "out_prefix", "workers",
+        ]
+        assert parameters["workers"].default is inspect.Parameter.empty
 
-    def test_pinned_workers_bypass_planner(self, cloud, executor):
+    def test_the_sort_runs_at_the_given_worker_count(self, cloud, executor):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
         payload = fixed_payload(1000)
         result, _merged = sort_and_collect(cloud, executor, codec, payload, workers=6)
-        assert result.planned is None
         assert result.workers == 6
+        assert len(result.runs) == 6
+
+    def test_zero_workers_rejected(self, cloud, executor):
+        codec = FixedWidthCodec(record_size=16, key_bytes=8)
+        with pytest.raises(ShuffleError, match="workers must be >= 1"):
+            sort_and_collect(cloud, executor, codec, fixed_payload(100), workers=0)
 
     def test_empty_object_rejected(self, cloud, executor):
         codec = FixedWidthCodec(record_size=16, key_bytes=8)
@@ -218,12 +222,7 @@ class TestWriteCombiningTraffic:
         workers = 4
         before = cloud.store.stats.puts
         sort_and_collect(cloud, executor, codec, payload, workers=workers)
-        shuffle_objects = [
-            key
-            for key in cloud.sim.run_process(
-                iter_keys(cloud, "data", "shuffle-out/shuffle/")
-            )
-        ]
+        shuffle_objects = stored_keys(cloud.store, "data", "shuffle-out/shuffle/")
         # Write-combining: W combined map outputs, not W*W partitions.
         assert len(shuffle_objects) == workers
 
@@ -233,11 +232,6 @@ class TestWriteCombiningTraffic:
         sort_and_collect(cloud, executor, codec, payload, workers=4)
         # 4 reducers x 4 mappers = 16 range GETs at least must have happened.
         assert cloud.store.stats.gets >= 16
-
-
-def iter_keys(cloud, bucket, prefix):
-    keys = yield cloud.store.list_keys(bucket, prefix)
-    return keys
 
 
 class TestDeterminism:

@@ -34,7 +34,12 @@ from repro.shuffle import (
     predict_streaming_shuffle_time,
     streaming_chunk_count,
 )
-from repro.shuffle.planner import ShuffleCostModel
+from repro.shuffle.planner import (
+    ShuffleCostModel,
+    best_point,
+    plan_shuffle,
+    streaming_curve,
+)
 from tests.payloads import fixed_payload
 
 SEED = 13
@@ -362,19 +367,6 @@ class TestExchangeReportFields:
         backend = ObjectStoreExchange(stream=StreamConfig())
         assert backend.report(4, None, 1.0).mode == "streaming"
 
-    def test_streaming_backend_plans_with_the_streaming_model(self):
-        """An auto-planned streaming sort must size its wave for the
-        mode it runs: the plan comes from the transformed (pipelined)
-        curve, so predicted_s is comparable to the streaming actual_s."""
-        profile = ibm_us_east()
-        size = 3.5 * (1 << 30)
-        staged_plan = ObjectStoreExchange().plan(size, profile, 64)
-        streaming_plan = ObjectStoreExchange(stream=StreamConfig()).plan(
-            size, profile, 64
-        )
-        assert streaming_plan.predicted_s < staged_plan.predicted_s
-        chosen = streaming_plan.point(streaming_plan.workers)
-        assert "pipelined_exchange" in chosen.breakdown
 
 
 class TestStreamingPlanner:
@@ -449,6 +441,25 @@ class TestStreamingAsDecisionVariable:
         )
         assert decision.chosen.mode == "streaming"
         assert "[streaming]" in decision.describe()
+
+    def test_an_unpinned_streaming_estimate_sizes_its_wave_for_streaming(self):
+        """Unpinned, the streaming estimate's count is the best point of
+        the transformed (pipelined) curve, not the staged optimum
+        re-priced: a sort run at the estimate's count is sized for the
+        mode it runs, and predicted_s is comparable to its actual_s."""
+        decision = choose_exchange_substrate(
+            self.SIZE, self.PROFILE, max_workers=64,
+            substrates=("objectstore",), modes=("staged", "streaming"),
+        )
+        staged, streaming = decision.estimates
+        assert streaming.predicted_s < staged.predicted_s
+        cost = ShuffleCostModel()
+        terms = ObjectStoreExchange.resolve_terms(self.PROFILE, cost)
+        plan = plan_shuffle(self.SIZE, self.PROFILE, cost, max_workers=64, terms=terms)
+        assert (staged.workers, staged.predicted_s) == (plan.workers, plan.predicted_s)
+        best = best_point(streaming_curve(plan.curve, self.SIZE, 32 * (1 << 20), terms))
+        assert (streaming.workers, streaming.predicted_s) == (best.workers, best.total_s)
+        assert "pipelined_exchange" in best.breakdown
 
     def test_streaming_only_mode_is_allowed(self):
         decision = choose_exchange_substrate(

@@ -70,7 +70,7 @@ def start_chain(sim, how, seen):
     them may name the failed process or event in a local — that would be
     a cycle of the test's making (frame → process → completion →
     exception → traceback → frame).  They yield without naming, the way
-    request-path code yields ``store.get(...)``, and the handles the
+    request-path code yields ``storage.get(...)``, and the handles the
     trigger needs travel in a dict it empties before anything fails.
     """
     handles = {"gate": sim.event("gate")}

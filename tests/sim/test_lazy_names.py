@@ -90,9 +90,9 @@ class TestEventNames:
     def test_storage_request_processes(self):
         cloud = Cloud(Simulator(seed=1))
         cloud.store.ensure_bucket("b")
-        assert cloud.store.get("b", "k").name == "cos.get:k.completion"
-        assert cloud.store.get_range("b", "runs/0", 0, 4).name == (
-            "cos.get_range:runs/0.completion"
+        assert cloud.store.head("b", "k").name == "cos.head:k.completion"
+        assert cloud.store.put("b", "runs/0", b"x").name == (
+            "cos.put:runs/0.completion"
         )
         view = BoundStorage(cloud.store, math.inf, name="fn-7")
         assert view.get_range("b", "runs/0", 0, 4).name == (

@@ -48,14 +48,16 @@ class TestSimulatorDeterminism:
 
         def run_once():
             from repro.cloud import Cloud
+            from repro.cloud.storageview import BoundStorage
 
             cloud = Cloud.fresh(seed=123)
             cloud.store.ensure_bucket("b")
+            client = BoundStorage(cloud.store, None)
             times = []
 
             def worker(index):
                 yield cloud.store.put("b", f"k{index}", bytes(100 * index))
-                yield cloud.store.get("b", f"k{index}")
+                yield client.get("b", f"k{index}")
                 times.append(cloud.sim.now)
 
             for index in range(10):

@@ -6,6 +6,7 @@ from repro.cloud import Cloud
 from repro.cloud.profiles import ibm_us_east
 from repro.executor import FunctionExecutor
 from repro.storage import paths
+from tests.stored import stored_keys
 
 
 def double(x):
@@ -77,11 +78,12 @@ class TestExecutorUsesTheLayout:
             futures = yield executor.map(double, [1, 2, 3])
             yield executor.get_result(futures)
             job_id = futures[0].job_id
-            prefix = paths.job_prefix(executor.executor_id, job_id)
-            keys = yield cloud.store.list_keys(executor.bucket, prefix)
-            return job_id, keys
+            return job_id
 
-        job_id, keys = cloud.sim.run_process(driver())
+        job_id = cloud.sim.run_process(driver())
+        keys = stored_keys(
+            cloud.store, executor.bucket, paths.job_prefix(executor.executor_id, job_id)
+        )
         expected = {
             f"{paths.job_prefix(executor.executor_id, job_id)}/function.pickle"
         }

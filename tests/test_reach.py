@@ -148,3 +148,24 @@ def test_entry_points_cover_every_program_surface(reach):
     assert "methcomp cli" in names
     # replay-verify reads the manifest bench_cas writes, so it runs last.
     assert names[-1] == "cli replay-verify"
+
+
+@pytest.mark.parametrize(
+    "statuses, exit_status",
+    [((0, 0), 0), ((0, 2), 1), (("timeout", 0), 1)],
+)
+def test_the_probe_exits_1_when_an_entry_point_failed(
+    reach, monkeypatch, capsys, statuses, exit_status
+):
+    """``make reach`` gates CI: a failed or timed-out entry point is
+    listed and makes the probe's exit status 1; none, and it is 0."""
+    status_of = dict(zip(("first", "last"), statuses))
+    monkeypatch.setattr(reach, "entry_points", lambda: [("first", []), ("last", [])])
+
+    def run_child(name, args, work, bench_copy, index):
+        return name, status_of[name], "" if status_of[name] == 0 else "boom", [], 0.0
+
+    monkeypatch.setattr(reach, "run_child", run_child)
+    assert reach.main([]) == exit_status
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("failed:")]
+    assert failed == [f"failed: {name}" for name, status in status_of.items() if status != 0]

@@ -113,7 +113,8 @@ bench-ledger:
 # its line count.  Each EXPERIMENTS row at scales 16384 and 1024, both
 # CLIs, the examples, the ledger workloads and the bench modules run in
 # a process of their own under sys.setprofile (several minutes; not
-# part of verify).
+# part of verify).  Exits 1 when an entry point fails or the uncalled
+# functions differ from benchmarks/reach_expected.txt.
 reach:
 	python3 benchmarks/reach.py
 

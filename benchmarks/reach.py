@@ -20,9 +20,18 @@ Then prints every function defined under ``src/repro`` that none of
 them called, with its line count, and the totals (nested functions are
 listed on their own but counted once in the line total).  A failing
 entry point is reported on stderr, still counted, and named on a
-``failed:`` line; any failure makes the probe exit 1, so CI can gate on
-every entry point still running.  Standard library only; not a test and
-not part of ``make verify`` (CI runs it as a step of its own).
+``failed:`` line.
+
+The listing is a ratchet: ``benchmarks/reach_expected.txt`` names every
+uncalled function, keyed ``path::qualname``, with one reason from
+:data:`REASONS` or ``pending item N``.  After everything else the probe
+prints one mismatch line per function that is uncalled but unlisted,
+listed but called, listed but defined nowhere, or listed with an
+unknown reason.  A failed entry point or any mismatch makes it exit 1,
+so CI gates on every entry point still running and on the listing
+staying exact; a deletion's evidence is the diff of that file.
+Standard library only; not a test and not part of ``make verify`` (CI
+runs it as a step of its own).
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ import concurrent.futures
 import json
 import os
 import pathlib
+import re
 import runpy
 import shutil
 import subprocess
@@ -46,6 +56,16 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 BENCH_DIR = ROOT / "benchmarks"
 LEDGER_DIR = BENCH_DIR / "ledger"
+#: The committed listing of the functions no entry point calls.
+EXPECTED = BENCH_DIR / "reach_expected.txt"
+#: Why a function may stay uncalled: a base-class default or protocol
+#: stub (``abstract hook``); an exception ``__init__`` no entry point
+#: raises (``error constructor``); cancel, fence, retry, interrupt or
+#: malformed-input handling (``fault path``); a reference or accessor
+#: tests compare against (``test oracle``); a debugging ``__repr__``.
+REASONS = ("abstract hook", "error constructor", "fault path", "test oracle", "repr")
+#: Or a ROADMAP item that will give it a caller or delete it.
+PENDING = re.compile(r"pending item \d+( \([a-z]\))?")
 #: Scales every EXPERIMENTS row runs at: the CLI tests' and the bench's.
 SCALES = ("16384", "1024")
 #: Seconds one entry point may take before it is killed.
@@ -202,6 +222,37 @@ def defined_functions() -> list[tuple[str, int, int, str, str]]:
     return found
 
 
+def function_key(path: str, qualname: str) -> str:
+    """``repro/<module>.py::<qualname>``: the listing's key, which an
+    edit that only moves a function's lines leaves alone."""
+    return f"{pathlib.Path(path).relative_to(SRC).as_posix()}::{qualname}"
+
+
+# ----------------------------------------------------------------------
+# the ratchet
+# ----------------------------------------------------------------------
+def ratchet(listing: str, uncalled: set[str], defined: set[str]) -> list[str]:
+    """The mismatches between a listing (``key  reason`` lines; ``#``
+    comments and blank lines skipped) and one run: none when it names
+    exactly the uncalled functions, each with a known reason."""
+    listed: dict[str, str] = {}
+    mismatches = []
+    for line in listing.splitlines():
+        key, _, reason = line.strip().partition(" ")
+        if not key or key.startswith("#"):
+            continue
+        reason = reason.strip()
+        if key in listed:
+            mismatches.append(f"listed twice: {key}")
+        listed[key] = reason
+        if reason not in REASONS and not PENDING.fullmatch(reason):
+            mismatches.append(f"unknown reason: {key} ({reason or 'none given'})")
+    mismatches += [f"uncalled but not listed: {key}" for key in sorted(uncalled - listed.keys())]
+    mismatches += [f"listed but called: {key}" for key in sorted(listed.keys() & (defined - uncalled))]
+    mismatches += [f"listed but not defined: {key}" for key in sorted(listed.keys() - defined)]
+    return mismatches
+
+
 # ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
@@ -276,7 +327,16 @@ def main(argv: list[str]) -> int:
     )
     for name in failed:
         print(f"failed: {name}")
-    return 1 if failed else 0
+    mismatches = ratchet(
+        EXPECTED.read_text(),
+        {function_key(function[0], function[4]) for function in uncalled},
+        {function_key(function[0], function[4]) for function in functions},
+    )
+    for mismatch in mismatches:
+        print(f"ratchet: {mismatch}")
+    if mismatches:
+        print(f"{len(mismatches)} ratchet mismatches against {EXPECTED.name}")
+    return 1 if failed or mismatches else 0
 
 
 if __name__ == "__main__":

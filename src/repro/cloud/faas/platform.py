@@ -65,10 +65,11 @@ class FunctionDef:
 class ActivationHandle:
     """One launched activation: its completion event plus a cancel lever.
 
-    ``completion`` is exactly what :meth:`FaasPlatform.invoke` returns;
-    ``cancel`` asks the platform to kill the activation (the losing side
-    of a speculative race, a torn-down job).  Cancelling is idempotent
-    and returns whether the activation was still live enough to kill.
+    ``completion`` triggers with the handler's result or fails with its
+    error (see :meth:`FaasPlatform.launch`); ``cancel`` asks the platform
+    to kill the activation (the losing side of a speculative race, a
+    torn-down job).  Cancelling is idempotent and returns whether the
+    activation was still live enough to kill.
     """
 
     activation_id: str
@@ -108,9 +109,6 @@ class FaasStats:
         self.cancellations = 0
         self.errors = 0
         self.billed_gb_seconds = 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(vars(self))
 
 
 class FaasPlatform:
@@ -193,9 +191,6 @@ class FaasPlatform:
         self._warm_pools[name] = collections.deque()
         return definition
 
-    def is_registered(self, name: str) -> bool:
-        return name in self._functions
-
     def function(self, name: str) -> FunctionDef:
         try:
             return self._functions[name]
@@ -205,15 +200,6 @@ class FaasPlatform:
     # ------------------------------------------------------------------
     # invocation
     # ------------------------------------------------------------------
-    def invoke(self, name: str, payload: object = None) -> SimEvent:
-        """Asynchronously invoke ``name``; the event carries the result.
-
-        The event fails with the handler's exception, with
-        :class:`FunctionTimeout`, with :class:`FunctionCrashed`, or with
-        :class:`FunctionCancelled`.
-        """
-        return self.launch(name, payload).completion
-
     def launch(
         self,
         name: str,
@@ -224,10 +210,13 @@ class FaasPlatform:
     ) -> ActivationHandle:
         """Invoke ``name`` and return a cancellable activation handle.
 
-        Same semantics as :meth:`invoke`, plus the activation id (the
-        *attempt id* every stateful service sees) and a ``cancel``
-        lever.  Executors use this to fence out and reclaim the losing
-        attempts of speculative races.
+        The handle's ``completion`` event carries the handler's result,
+        or fails with the handler's exception, with
+        :class:`FunctionTimeout`, with :class:`FunctionCrashed`, or with
+        :class:`FunctionCancelled`.  The handle also carries the
+        activation id (the *attempt id* every stateful service sees) and
+        a ``cancel`` lever.  Executors use this to fence out and reclaim
+        the losing attempts of speculative races.
 
         ``parent_span``/``span_track`` thread the caller's trace context
         so the attempt's span (see :mod:`repro.obs.trace`) parents under
@@ -432,11 +421,6 @@ class FaasPlatform:
 
     def _release_container(self, name: str) -> None:
         self._warm_pools[name].append(self.sim.now + self.profile.keep_alive_s)
-
-    def warm_container_count(self, name: str) -> int:
-        """Live warm containers for ``name`` (expired ones excluded)."""
-        now = self.sim.now
-        return sum(1 for expiry in self._warm_pools[name] if expiry >= now)
 
     # ------------------------------------------------------------------
     # billing

@@ -139,10 +139,6 @@ class MemoryStore:
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
-    def contains(self, key: str) -> bool:
-        """Membership check without touching stats."""
-        return key in self._entries
-
     @property
     def key_count(self) -> int:
         return len(self._entries)

@@ -77,11 +77,6 @@ class VmContext:
         finally:
             self.vm.cpu.release()
 
-    def compute_bytes(self, real_bytes: float, throughput_bps: float) -> SimEvent:
-        """Charge one-core CPU for ``real_bytes`` of real data (scaled)."""
-        cpu_seconds = (real_bytes * self.logical_scale) / throughput_bps
-        return self.compute(cpu_seconds)
-
     # -- network -------------------------------------------------------
     def io_slot(self) -> Resource:
         """Semaphore capping concurrent storage connections (NIC model)."""
@@ -112,9 +107,6 @@ class VmContext:
         ]
         yield self.sim.all_of([process.completion for process in processes])
         return results
-
-    def sleep(self, seconds: float) -> SimEvent:
-        return self.sim.timeout(seconds)
 
 
 class VirtualMachine:

@@ -43,10 +43,6 @@ class PipelineRun:
     cloud: Cloud
 
     @property
-    def sort_workers(self) -> int:
-        return self.workflow.artifacts["sort"]["workers"]
-
-    @property
     def compression_ratio(self) -> float:
         return self.workflow.artifacts["encode"]["ratio"]
 

@@ -35,10 +35,6 @@ class CallStats:
     output_bytes: int = 0
     worker: str = ""
 
-    @property
-    def wall_time(self) -> float:
-        return max(0.0, self.finished_at - self.submitted_at)
-
 
 class ResponseFuture:
     """Handle to one asynchronous call (FaaS activation or VM task)."""

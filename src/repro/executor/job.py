@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import typing as t
 
 from repro.executor.futures import ResponseFuture
 
@@ -18,21 +17,3 @@ class JobRecord:
     submitted_at: float
     futures: list[ResponseFuture] = dataclasses.field(default_factory=list)
     finished_at: float | None = None
-
-    @property
-    def done(self) -> bool:
-        return all(future.done for future in self.futures)
-
-    @property
-    def failed_calls(self) -> list[ResponseFuture]:
-        return [future for future in self.futures if future.error is not None]
-
-    def summary(self) -> dict[str, t.Any]:
-        return {
-            "job_id": self.job_id,
-            "function": self.function_name,
-            "calls": self.call_count,
-            "failed": len(self.failed_calls),
-            "submitted_at": self.submitted_at,
-            "finished_at": self.finished_at,
-        }

@@ -29,11 +29,3 @@ def render_figure1(config: ExperimentConfig | None = None) -> str:
         "(all intermediate data flows through object storage)\n"
     )
     return header + render_side_by_side(hybrid, serverless)
-
-
-def main() -> None:  # pragma: no cover - CLI shim
-    print(render_figure1())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

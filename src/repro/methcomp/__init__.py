@@ -7,13 +7,10 @@ from repro.methcomp.bed import (
     MethylationRecord,
     bed_sort_key,
     columns_of,
-    is_sorted,
-    parse_buffer,
     parse_columns,
     parse_line,
     records_of,
     serialize_columns,
-    serialize_record,
     serialize_records,
 )
 from repro.methcomp.datagen import (
@@ -38,12 +35,9 @@ __all__ = [
     "decode_worker",
     "encode_worker",
     "estimate_record_count",
-    "is_sorted",
-    "parse_buffer",
     "parse_columns",
     "parse_line",
     "records_of",
     "serialize_columns",
-    "serialize_record",
     "serialize_records",
 ]

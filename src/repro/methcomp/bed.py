@@ -391,23 +391,6 @@ def serialize_columns(columns: BedColumns) -> bytes:
     return "".join(column_lines(columns)).encode("ascii")
 
 
-def serialize_record(record: MethylationRecord) -> bytes:
-    """Canonical 11-column bedMethyl line (without trailing newline)."""
-    return serialize_columns(columns_of([record]))[:-1]
-
-
-def parse_buffer(buffer: bytes) -> list[MethylationRecord]:
-    """Parse a newline-terminated buffer of bedMethyl lines."""
-    return records_of(parse_columns(buffer))
-
-
 def serialize_records(records: list[MethylationRecord]) -> bytes:
     """Serialize records as newline-terminated bedMethyl lines."""
     return serialize_columns(columns_of(records))
-
-
-def is_sorted(records: list[MethylationRecord]) -> bool:
-    """Whether records are in genomic order."""
-    return all(
-        a.sort_key() <= b.sort_key() for a, b in zip(records, records[1:])
-    )

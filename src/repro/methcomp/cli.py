@@ -34,6 +34,17 @@ def _write(path: str, data: bytes) -> None:
         handle.write(data)
 
 
+def _record_count(text: str) -> int:
+    """``--records``: a non-negative integer."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {count}")
+    return count
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.methcomp",
@@ -55,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
 
     generate_parser = sub.add_parser("generate", help="synthesize a methylome")
     generate_parser.add_argument("output")
-    generate_parser.add_argument("--records", type=int, default=100_000)
+    generate_parser.add_argument("--records", type=_record_count, default=100_000)
     generate_parser.add_argument("--seed", type=int, default=0)
     generate_parser.add_argument(
         "--sorted", action="store_true", help="emit in genomic order"
@@ -90,6 +101,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"generated {args.records:,} records ({len(payload):,} B)")
     elif args.command == "ratio":
         raw = _read(args.input)
+        if not raw:
+            print(f"error: {args.input} is empty; no ratio to report", file=sys.stderr)
+            return 1
         ours = compression_ratio(raw)
         gz = gzip_ratio(raw)
         print(f"methcomp: {ours:.1f}x  gzip: {gz:.1f}x  advantage: {ours / gz:.1f}x")

@@ -14,28 +14,22 @@ from repro.methcomp.codec.bitio import (
     zigzag_decode,
     zigzag_encode,
 )
-from repro.methcomp.codec.gzipref import gzip_compress, gzip_decompress, gzip_ratio
+from repro.methcomp.codec.gzipref import gzip_compress, gzip_ratio
 from repro.methcomp.codec.methcodec import (
     DECODE_THROUGHPUT_BPS,
     DEFAULT_BLOCK_RECORDS,
     ENCODE_THROUGHPUT_BPS,
     compress,
     compress_columns,
-    compress_records,
     compression_ratio,
-    decode_block,
     decode_columns,
     decompress,
     decompress_columns,
-    decompress_records,
-    encode_block,
     encode_columns,
 )
 from repro.methcomp.codec.rice import (
     RiceContext,
     rice_decode,
-    rice_decode_block,
-    rice_encode_block,
     rice_encode_stream,
 )
 
@@ -51,23 +45,16 @@ __all__ = [
     "arithmetic_encode",
     "compress",
     "compress_columns",
-    "compress_records",
     "compression_ratio",
-    "decode_block",
     "decode_columns",
     "decompress",
     "decompress_columns",
-    "decompress_records",
-    "encode_block",
     "encode_columns",
     "gzip_compress",
-    "gzip_decompress",
     "gzip_ratio",
     "pack_words",
     "read_varint",
     "rice_decode",
-    "rice_decode_block",
-    "rice_encode_block",
     "rice_encode_stream",
     "write_varint",
     "zigzag_decode",

@@ -82,7 +82,17 @@ class FrequencyTable:
 
 
 def arithmetic_encode(symbols: list[int], table: FrequencyTable) -> bytes:
-    """Encode ``symbols`` under the static ``table``."""
+    """Encode ``symbols`` under the static ``table``.
+
+    A symbol outside the table's alphabet raises :class:`CodecError`
+    naming the first such symbol.  Each distinct symbol is checked once,
+    here, not in the per-symbol loop (a negative one would index
+    ``cumulative`` from its end and encode as another symbol).
+    """
+    alphabet = len(table.counts)
+    if not all(0 <= symbol < alphabet for symbol in set(symbols)):
+        stray = next(symbol for symbol in symbols if not 0 <= symbol < alphabet)
+        raise CodecError(f"symbol {stray} outside the alphabet 0..{alphabet - 1}")
     writer = BitWriter()
     total = table.total
     low, high = 0, _FULL

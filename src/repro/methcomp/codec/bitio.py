@@ -62,22 +62,11 @@ class BitWriter:
             self._acc &= (1 << spare) - 1
             self._nbits = spare
 
-    def write_bit(self, bit: int) -> None:
-        self.write_bits(bit, 1)
-
-    def write_unary(self, quotient: int) -> None:
-        """``quotient`` one-bits followed by a terminating zero."""
-        self.write_bits(((1 << quotient) - 1) << 1, quotient + 1)
-
     def getvalue(self) -> bytes:
         """The bytes written so far, zero-padded to a byte boundary."""
         pad = -self._nbits & 7
         tail = (self._acc << pad).to_bytes((self._nbits + pad) >> 3, "big")
         return bytes(self._out) + tail
-
-    @property
-    def bit_length(self) -> int:
-        return len(self._out) * 8 + self._nbits
 
 
 def pack_words(words: np.ndarray, widths: np.ndarray) -> bytes:
@@ -137,9 +126,6 @@ class BitReader:
         value = self._window >> self._nbits
         self._window &= (1 << self._nbits) - 1
         return value
-
-    def read_bit(self) -> int:
-        return self.read_bits(1)
 
     def read_unary(self, limit: int = 1 << 20) -> int:
         """Count one-bits until the terminating zero."""

@@ -15,11 +15,6 @@ def gzip_compress(buffer: bytes, level: int = 6) -> bytes:
     return zlib.compress(buffer, level)
 
 
-def gzip_decompress(data: bytes) -> bytes:
-    """Inverse of :func:`gzip_compress`."""
-    return zlib.decompress(data)
-
-
 def gzip_ratio(buffer: bytes, level: int = 6) -> float:
     """Raw-to-compressed size ratio under gzip."""
     return len(buffer) / len(gzip_compress(buffer, level))

@@ -39,9 +39,10 @@ deltas and their contexts, masks and differences are array expressions,
 and each Rice stream is one
 :func:`~repro.methcomp.codec.rice.rice_encode_stream` call; only the
 arithmetic coder walks symbol by symbol.  The decoder walks value by
-value, as it must.  ``encode_block`` / ``compress_records`` and their
-inverses are the same functions for callers that hold
-:class:`MethylationRecord` lists.
+value, as it must.  A caller that holds
+:class:`~repro.methcomp.bed.MethylationRecord` lists converts them with
+:func:`~repro.methcomp.bed.columns_of` and
+:func:`~repro.methcomp.bed.records_of`.
 """
 
 from __future__ import annotations
@@ -53,15 +54,7 @@ import typing as t
 import numpy as np
 
 from repro.errors import CodecError
-from repro.methcomp.bed import (
-    CHROMOSOMES,
-    BedColumns,
-    MethylationRecord,
-    columns_of,
-    parse_columns,
-    records_of,
-    serialize_columns,
-)
+from repro.methcomp.bed import CHROMOSOMES, BedColumns, parse_columns, serialize_columns
 from repro.methcomp.codec.arith import (
     FrequencyTable,
     arithmetic_decode,
@@ -408,30 +401,7 @@ def decompress_columns(data: bytes) -> BedColumns:
     return columns
 
 
-# -- the same, record by record and on text ------------------------------------
-def encode_block(records: list[MethylationRecord]) -> bytes:
-    """Encode one block of genomic-sorted records."""
-    return encode_columns(columns_of(records))
-
-
-def decode_block(data: bytes) -> list[MethylationRecord]:
-    """Decode one block (exact inverse of :func:`encode_block`)."""
-    return records_of(decode_columns(data))
-
-
-def compress_records(
-    records: list[MethylationRecord],
-    block_records: int = DEFAULT_BLOCK_RECORDS,
-) -> bytes:
-    """Compress sorted records into a multi-block container."""
-    return compress_columns(columns_of(records), block_records)
-
-
-def decompress_records(data: bytes) -> list[MethylationRecord]:
-    """Inverse of :func:`compress_records`."""
-    return records_of(decompress_columns(data))
-
-
+# -- on text ----------------------------------------------------------------
 def compress(buffer: bytes, block_records: int = DEFAULT_BLOCK_RECORDS) -> bytes:
     """Compress a sorted bedMethyl text buffer."""
     return compress_columns(parse_columns(buffer), block_records)

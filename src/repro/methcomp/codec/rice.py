@@ -197,15 +197,3 @@ def rice_decode(reader: BitReader, context: RiceContext) -> int:
         value = reader.read_bits(_ESCAPE_BITS)
     context.update(value)
     return value
-
-
-def rice_encode_block(values: list[int], initial_mean: float = 4.0) -> bytes:
-    """Encode a list of integers with one adaptive context."""
-    return rice_encode_stream(values, None, (initial_mean,))
-
-
-def rice_decode_block(data: bytes, count: int, initial_mean: float = 4.0) -> list[int]:
-    """Decode ``count`` integers encoded by :func:`rice_encode_block`."""
-    reader = BitReader(data)
-    context = RiceContext(initial_mean)
-    return [rice_decode(reader, context) for _ in range(count)]

@@ -332,13 +332,6 @@ class MethylomeGenerator:
         )
         return 100.0 * rng.betavariate(alpha, beta)
 
-    # ------------------------------------------------------------------
-    def shuffled_records(self, count: int) -> list[MethylationRecord]:
-        """Generate ``count`` records in scrambled (pipeline-input) order."""
-        records = self.records(count)
-        _shuffle(self._rng, records)
-        return records
-
     @_validated
     def generate_bed(self, count: int, sorted_output: bool = False) -> bytes:
         """Serialized bedMethyl payload of ``count`` records."""

@@ -373,8 +373,3 @@ class Tracer:
                     f"trace {trace_id} has {len(trace_roots)} roots: {trace_roots}"
                 )
         return problems
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self._attempts.clear()
-        self._open = 0

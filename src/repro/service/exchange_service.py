@@ -362,10 +362,6 @@ class ExchangeService:
     # introspection
     # ------------------------------------------------------------------
     @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
-    @property
     def current_shards(self) -> int:
         return self._current.shards if self._current is not None else 0
 

@@ -30,9 +30,10 @@ from repro.cas import content_hash, sha256_hex
 
 MANIFEST_VERSION = 1
 
-# Chain section order is load-bearing: h0 covers inputs, each later
-# link covers its section plus the previous link.
-_SECTIONS = ("inputs", "decision", "chunks", "outputs")
+#: Every section a manifest carries, with its JSON type.  ``chain`` is
+#: derived from the other four in this order (:func:`derive_chain`: h0
+#: covers inputs, each later link its section plus the previous link).
+_SECTION_TYPES = {"inputs": dict, "decision": dict, "chunks": list, "outputs": list, "chain": dict}
 
 
 def derive_chain(
@@ -84,21 +85,6 @@ class RunManifest:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunManifest":
-        return cls(
-            inputs=dict(payload["inputs"]),
-            decision=dict(payload["decision"]),
-            chunks=[dict(entry) for entry in payload["chunks"]],
-            outputs=[dict(entry) for entry in payload["outputs"]],
-            chain=dict(payload["chain"]),
-            version=int(payload.get("version", MANIFEST_VERSION)),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        return cls.from_dict(json.loads(text))
-
 
 def build_run_manifest(
     *,
@@ -140,9 +126,12 @@ def verify_manifest(
     if isinstance(manifest, RunManifest):
         manifest = manifest.to_dict()
     problems: list[str] = []
-    for section in _SECTIONS + ("chain",):
+    for section, kind in _SECTION_TYPES.items():
         if section not in manifest:
             problems.append(f"missing section: {section}")
+        elif not isinstance(manifest[section], kind):
+            json_type = "object" if kind is dict else "array"
+            problems.append(f"section {section} is not a JSON {json_type}")
     if problems:
         return problems
     derived = derive_chain(
@@ -178,9 +167,17 @@ def _peek(store: t.Any, bucket: str, key: str) -> bytes | None:
 
 
 def verify_manifest_file(path: str) -> list[str]:
-    """Offline replay-verify of a manifest JSON file (the CLI path)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    """Offline replay-verify of a manifest JSON file (the CLI path); a
+    file that cannot be read or is not a JSON object is a problem too."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except OSError as exc:
+        return [f"cannot read manifest: {exc.strerror or exc}"]
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        return [f"not a JSON manifest: {exc}"]
+    if not isinstance(payload, dict):
+        return ["not a manifest: the top level is not a JSON object"]
     return verify_manifest(payload)
 
 

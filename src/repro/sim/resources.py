@@ -49,11 +49,6 @@ class Resource:
         """Units currently free."""
         return self.capacity - self.in_use
 
-    @property
-    def queue_length(self) -> int:
-        """Number of acquirers currently waiting."""
-        return len(self._waiters)
-
     def acquire(self) -> SimEvent:
         """Request one unit; the returned event triggers when granted."""
         event = SimEvent(self.sim, ("{}.acquire", self.name))

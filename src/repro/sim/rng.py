@@ -38,9 +38,5 @@ class RngRegistry:
             self._streams[name] = stream
         return stream
 
-    def fork(self, name: str) -> "RngRegistry":
-        """A child registry whose streams are independent of this one's."""
-        return RngRegistry(derive_seed(self.root_seed, f"fork:{name}"))
-
     def __contains__(self, name: str) -> bool:
         return name in self._streams

@@ -22,7 +22,7 @@ from repro.workflows.render import (
     render_side_by_side,
     substrate_label,
 )
-from repro.workflows.spec import dump_spec, parse_spec
+from repro.workflows.spec import parse_spec
 from repro.workflows.tracker import JobTracker, StageReport
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "WorkflowDag",
     "WorkflowEngine",
     "WorkflowResult",
-    "dump_spec",
     "parse_spec",
     "register_stage_kind",
     "registered_kinds",

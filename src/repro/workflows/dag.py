@@ -87,12 +87,5 @@ class WorkflowDag:
         """Stages in a deterministic dependency-respecting order."""
         return list(self._order)
 
-    def roots(self) -> list[StageSpec]:
-        return [stage for stage in self.stages if not stage.after]
-
-    def leaves(self) -> list[StageSpec]:
-        referenced = {dep for stage in self.stages for dep in stage.after}
-        return [stage for stage in self.stages if stage.name not in referenced]
-
     def __len__(self) -> int:
         return len(self.stages)

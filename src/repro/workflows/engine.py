@@ -86,12 +86,6 @@ class WorkflowResult:
     artifacts: dict[str, t.Any]
     tracker: JobTracker
 
-    def stage_duration(self, name: str) -> float:
-        duration = self.tracker.reports[name].duration_s
-        if duration is None:
-            raise WorkflowError(f"stage {name!r} did not finish")
-        return duration
-
 
 class WorkflowEngine:
     """Executes one DAG on one simulated cloud region."""

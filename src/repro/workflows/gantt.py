@@ -40,10 +40,6 @@ class GanttSpan:
     end: float
     kind: str  # "stage" | "function" | "function-cold" | "vm" | "cache" | "wave"
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 #: Bar glyph per span kind (cold activations render distinctly).
 _GLYPHS = {

@@ -79,22 +79,3 @@ def parse_spec(document: str | bytes | dict) -> WorkflowDag:
         )
     return WorkflowDag(name=name, stages=stages, bucket=bucket)
 
-
-def dump_spec(dag: WorkflowDag) -> str:
-    """Serialize a DAG back to canonical JSON (round-trippable)."""
-    return json.dumps(
-        {
-            "name": dag.name,
-            "bucket": dag.bucket,
-            "stages": [
-                {
-                    "name": stage.name,
-                    "kind": stage.kind,
-                    "after": list(stage.after),
-                    "params": stage.params,
-                }
-                for stage in dag.stages
-            ],
-        },
-        indent=2,
-    )

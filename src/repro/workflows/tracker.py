@@ -107,10 +107,6 @@ class JobTracker:
     def total_cost_usd(self) -> float:
         return sum(self.cost_breakdown().values())
 
-    @property
-    def done(self) -> bool:
-        return all(report.status == "done" for report in self.reports.values())
-
     def stage_cost_usd(self, name: str) -> float:
         """Dollars of the meter's lines that stage ``name`` of this run owns."""
         lines = self.meter.filtered(**{**self.tags, "stage": name})

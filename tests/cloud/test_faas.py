@@ -30,7 +30,6 @@ class TestRegistration:
         cloud.faas.register("echo", echo_handler, memory_mb=1024)
         definition = cloud.faas.function("echo")
         assert definition.memory_mb == 1024
-        assert cloud.faas.is_registered("echo")
 
     def test_duplicate_registration_rejected(self, cloud):
         cloud.faas.register("echo", echo_handler)
@@ -39,7 +38,7 @@ class TestRegistration:
 
     def test_unknown_function_rejected(self, cloud):
         with pytest.raises(FunctionNotFound):
-            cloud.faas.invoke("ghost")
+            cloud.faas.launch("ghost")
 
     def test_bad_memory_rejected(self, cloud):
         with pytest.raises(InvalidFunctionConfig):
@@ -49,7 +48,7 @@ class TestRegistration:
 class TestInvocation:
     def test_result_passes_through(self, cloud):
         cloud.faas.register("echo", echo_handler)
-        event = cloud.faas.invoke("echo", {"answer": 42})
+        event = cloud.faas.launch("echo", {"answer": 42}).completion
         assert cloud.sim.run(until=event) == {"answer": 42}
 
     def test_handler_exception_fails_event(self, cloud):
@@ -58,7 +57,7 @@ class TestInvocation:
             raise ValueError("application bug")
 
         cloud.faas.register("bad", bad_handler)
-        event = cloud.faas.invoke("bad")
+        event = cloud.faas.launch("bad").completion
         with pytest.raises(ValueError, match="application bug"):
             cloud.sim.run(until=event)
 
@@ -68,7 +67,7 @@ class TestInvocation:
             return "written"
 
         cloud.faas.register("writer", writer)
-        event = cloud.faas.invoke("writer", {"key": "out", "data": b"hello"})
+        event = cloud.faas.launch("writer", {"key": "out", "data": b"hello"}).completion
         assert cloud.sim.run(until=event) == "written"
         assert cloud.store.peek("bucket", "out") == b"hello"
 
@@ -78,7 +77,7 @@ class TestInvocation:
             return payload
 
         cloud.faas.register("slow", slow)
-        events = [cloud.faas.invoke("slow", index) for index in range(8)]
+        events = [cloud.faas.launch("slow", index).completion for index in range(8)]
         gathered = cloud.sim.all_of(events)
         results = cloud.sim.run(until=gathered)
         assert results == list(range(8))
@@ -91,8 +90,8 @@ class TestColdWarmStarts:
         cloud.faas.register("echo", echo_handler)
 
         def scenario():
-            yield cloud.faas.invoke("echo", 1)
-            yield cloud.faas.invoke("echo", 2)
+            yield cloud.faas.launch("echo", 1).completion
+            yield cloud.faas.launch("echo", 2).completion
 
         cloud.sim.run_process(scenario())
         assert cloud.faas.stats.cold_starts == 1
@@ -100,7 +99,7 @@ class TestColdWarmStarts:
 
     def test_parallel_burst_pays_all_cold_starts(self, cloud):
         cloud.faas.register("echo", echo_handler)
-        events = [cloud.faas.invoke("echo", index) for index in range(16)]
+        events = [cloud.faas.launch("echo", index).completion for index in range(16)]
         cloud.sim.run(until=cloud.sim.all_of(events))
         assert cloud.faas.stats.cold_starts == 16
 
@@ -108,9 +107,9 @@ class TestColdWarmStarts:
         cloud.faas.register("echo", echo_handler)
 
         def scenario():
-            yield cloud.faas.invoke("echo", 1)
+            yield cloud.faas.launch("echo", 1).completion
             yield cloud.sim.timeout(cloud.profile.faas.keep_alive_s + 1.0)
-            yield cloud.faas.invoke("echo", 2)
+            yield cloud.faas.launch("echo", 2).completion
 
         cloud.sim.run_process(scenario())
         assert cloud.faas.stats.cold_starts == 2
@@ -122,17 +121,20 @@ class TestColdWarmStarts:
         def scenario():
             for index in range(2):
                 start = cloud.sim.now
-                yield cloud.faas.invoke("echo", index)
+                yield cloud.faas.launch("echo", index).completion
                 durations.append(cloud.sim.now - start)
 
         cloud.sim.run_process(scenario())
         assert durations[1] < durations[0]
 
     def test_warm_container_count(self, cloud):
+        """A burst of 4 leaves 4 warm containers: a second burst of 5
+        starts 4 warm and 1 cold."""
         cloud.faas.register("echo", echo_handler)
-        events = [cloud.faas.invoke("echo", index) for index in range(4)]
-        cloud.sim.run(until=cloud.sim.all_of(events))
-        assert cloud.faas.warm_container_count("echo") == 4
+        for burst in (4, 5):
+            events = [cloud.faas.launch("echo", index).completion for index in range(burst)]
+            cloud.sim.run(until=cloud.sim.all_of(events))
+        assert (cloud.faas.stats.cold_starts, cloud.faas.stats.warm_starts) == (5, 4)
 
 
 class TestCpuShare:
@@ -148,7 +150,7 @@ class TestCpuShare:
         def scenario():
             for name in ("full", "half"):
                 start = cloud.sim.now
-                yield cloud.faas.invoke(name)
+                yield cloud.faas.launch(name).completion
                 durations[name] = cloud.sim.now - start
 
         cloud.sim.run_process(scenario())
@@ -161,7 +163,7 @@ class TestCpuShare:
             return ctx.cpu_share
 
         cloud.faas.register("big", probe, memory_mb=4096)
-        event = cloud.faas.invoke("big")
+        event = cloud.faas.launch("big").completion
         assert cloud.sim.run(until=event) == 1.0
 
 
@@ -171,7 +173,7 @@ class TestTimeoutsAndCrashes:
             yield ctx.sleep(1e9)
 
         cloud.faas.register("endless", endless, timeout_s=5.0)
-        event = cloud.faas.invoke("endless")
+        event = cloud.faas.launch("endless").completion
         with pytest.raises(FunctionTimeout):
             cloud.sim.run(until=event)
         assert cloud.faas.stats.timeouts == 1
@@ -183,14 +185,14 @@ class TestTimeoutsAndCrashes:
 
         cloud.faas.register("steady", steady, timeout_s=300.0)
         cloud.faas.crash_probability = 1.0
-        event = cloud.faas.invoke("steady")
+        event = cloud.faas.launch("steady").completion
         with pytest.raises(FunctionCrashed):
             cloud.sim.run(until=event)
         assert cloud.faas.stats.crashes == 1
 
     def test_no_crashes_by_default(self, cloud):
         cloud.faas.register("echo", echo_handler)
-        events = [cloud.faas.invoke("echo", index) for index in range(20)]
+        events = [cloud.faas.launch("echo", index).completion for index in range(20)]
         cloud.sim.run(until=cloud.sim.all_of(events))
         assert cloud.faas.stats.crashes == 0
 
@@ -205,7 +207,7 @@ class TestConcurrencyLimit:
             yield ctx.sleep(10.0)
 
         cloud.faas.register("slow", slow)
-        events = [cloud.faas.invoke("slow") for _ in range(4)]
+        events = [cloud.faas.launch("slow").completion for _ in range(4)]
         cloud.sim.run(until=cloud.sim.all_of(events))
         # 4 invocations, 2 at a time, 10 s each → at least 2 rounds.
         assert cloud.sim.now >= 20.0
@@ -217,7 +219,7 @@ class TestBilling:
             yield ctx.sleep(0.234)
 
         cloud.faas.register("precise", precise, memory_mb=2048)
-        cloud.sim.run(until=cloud.faas.invoke("precise"))
+        cloud.sim.run(until=cloud.faas.launch("precise").completion)
         # 0.234 s rounds to 0.3 s at 2 GB → 0.6 GB-s.
         assert cloud.faas.stats.billed_gb_seconds == pytest.approx(0.6)
 
@@ -229,8 +231,8 @@ class TestBilling:
         cloud.faas.register("large", fixed, memory_mb=4096)
 
         def scenario():
-            yield cloud.faas.invoke("small")
-            yield cloud.faas.invoke("large")
+            yield cloud.faas.launch("small").completion
+            yield cloud.faas.launch("large").completion
 
         cloud.sim.run_process(scenario())
         small = sum(
@@ -249,7 +251,7 @@ class TestBilling:
             raise RuntimeError("boom")
 
         cloud.faas.register("bad", bad)
-        event = cloud.faas.invoke("bad")
+        event = cloud.faas.launch("bad").completion
         with pytest.raises(RuntimeError):
             cloud.sim.run(until=event)
         assert cloud.faas.stats.billed_gb_seconds > 0
@@ -276,7 +278,7 @@ class TestInstanceBandwidth:
 
         def scenario():
             yield cloud.store.put("bucket", "k", b"x" * (100 * MB))
-            return (yield cloud.faas.invoke("reader"))
+            return (yield cloud.faas.launch("reader").completion)
 
         elapsed = cloud.sim.run_process(scenario())
         assert elapsed == pytest.approx(10.0, rel=0.02)  # 100 MB at 10 MB/s

@@ -107,7 +107,7 @@ class TestCancelApi:
         cloud.faas.register("fn", instant_handler)
 
         def driver():
-            return (yield cloud.faas.invoke("fn"))
+            return (yield cloud.faas.launch("fn").completion)
 
         assert cloud.sim.run_process(driver()) is None
 
@@ -177,7 +177,7 @@ class TestCancellationScope:
 
         def driver():
             try:
-                yield cloud.faas.invoke("fn")
+                yield cloud.faas.launch("fn").completion
             except FunctionCrashed:
                 return "crashed"
 
@@ -195,7 +195,7 @@ class TestCancellationScope:
 
         def driver():
             try:
-                yield cloud.faas.invoke("fn")
+                yield cloud.faas.launch("fn").completion
             except FunctionTimeout:
                 return "timed out"
 
@@ -214,7 +214,7 @@ class TestCancellationScope:
 
         def driver():
             try:
-                yield cloud.faas.invoke("fn")
+                yield cloud.faas.launch("fn").completion
             except ValueError:
                 return "raised"
 
@@ -232,7 +232,7 @@ class TestCancellationScope:
         cloud.faas.register("fn", handler)
 
         def driver():
-            return (yield cloud.faas.invoke("fn"))
+            return (yield cloud.faas.launch("fn").completion)
 
         assert cloud.sim.run_process(driver()) == "ok"
         assert fired == []
@@ -287,9 +287,9 @@ class TestBillingAudit:
         cloud.faas.register("slow", slow_handler, timeout_s=3.0)
 
         def driver():
-            yield cloud.faas.invoke("ok")
+            yield cloud.faas.launch("ok").completion
             try:
-                yield cloud.faas.invoke("slow")
+                yield cloud.faas.launch("slow").completion
             except FunctionTimeout:
                 pass
 

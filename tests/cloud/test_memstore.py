@@ -440,7 +440,7 @@ class TestContextIntegration:
 
         def scenario():
             return (
-                yield cloud.faas.invoke("kv-fn", {"cluster_id": cluster_id})
+                yield cloud.faas.launch("kv-fn", {"cluster_id": cluster_id}).completion
             )
 
         assert run(cloud, scenario()) == b"hello"
@@ -456,7 +456,7 @@ class TestContextIntegration:
         cloud.faas.register("kv-fn", handler)
 
         def scenario():
-            yield cloud.faas.invoke("kv-fn", cluster.cluster_id)
+            yield cloud.faas.launch("kv-fn", cluster.cluster_id).completion
 
         run(cloud, scenario())
         assert (

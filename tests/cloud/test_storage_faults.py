@@ -82,7 +82,7 @@ class TestWorkerSideRetries:
         def scenario():
             results = []
             for _round in range(10):
-                results.append((yield cloud.faas.invoke("reader")))
+                results.append((yield cloud.faas.launch("reader").completion))
             return results
 
         assert cloud.sim.run_process(scenario()) == [1000] * 10
@@ -98,7 +98,7 @@ class TestWorkerSideRetries:
         cloud.faas.register("reader", handler)
 
         def scenario():
-            return (yield cloud.faas.invoke("reader"))
+            return (yield cloud.faas.launch("reader").completion)
 
         with pytest.raises(StorageError, match="still failing"):
             cloud.sim.run_process(scenario())
@@ -113,7 +113,7 @@ class TestWorkerSideRetries:
 
         def run_once():
             def scenario():
-                yield cloud.faas.invoke("reader")
+                yield cloud.faas.launch("reader").completion
 
             before = cloud.sim.now
             cloud.sim.run_process(scenario())

@@ -38,7 +38,7 @@ class TestProvisioning:
         vm = cloud.vms.instances[0]
 
         def task(ctx):
-            yield ctx.sleep(0.0)
+            yield ctx.compute(0.0)
 
         with pytest.raises(VmNotRunning):
             vm.run(task)

@@ -90,7 +90,7 @@ class TestPipelineInternals:
             assert sort_records == encode_records > 0
 
     def test_requested_parallelism_respected(self, table1):
-        assert table1.serverless.sort_workers == SMALL.parallelism
+        assert table1.serverless.workflow.artifacts[SORT_STAGE]["workers"] == SMALL.parallelism
         assert len(table1.vm.workflow.artifacts[SORT_STAGE]["runs"]) == SMALL.parallelism
 
     def test_sorted_runs_are_globally_ordered(self, table1):

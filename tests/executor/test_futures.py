@@ -65,12 +65,3 @@ class TestResult:
         future._store_result(None)
         assert future.result_ready
         assert future.result is None
-
-
-class TestCallStats:
-    def test_wall_time_is_finish_minus_submit(self):
-        stats = CallStats(submitted_at=2.0, finished_at=5.5)
-        assert stats.wall_time == pytest.approx(3.5)
-
-    def test_wall_time_of_an_unfinished_call_is_zero(self):
-        assert CallStats(submitted_at=2.0).wall_time == 0.0

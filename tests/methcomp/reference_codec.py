@@ -5,8 +5,9 @@ at commit ace419a, verbatim, in one file: one ``write_bit`` call per
 output bit, one ``divmod`` per input bit, one ``MethylationRecord`` per
 line.  Only the imports between the four modules are gone, and the
 buffer helpers of ``repro.methcomp.bed`` that the rewrite replaces
-(``parse_buffer``, ``serialize_records``: the per-line loops) are copied
-in so this file keeps meaning what it meant.
+(``parse_buffer``, ``serialize_records`` and ``serialize_record``: the
+per-line loops and the per-record format string) are copied in so this
+file keeps meaning what it meant.
 
 ``test_codec_oracle.py`` holds the live codec to this one byte for byte.
 Do not "fix" or speed up anything here.
@@ -17,17 +18,21 @@ from __future__ import annotations
 import typing as t
 
 from repro.errors import CodecError
-from repro.methcomp.bed import (
-    CHROMOSOMES,
-    MethylationRecord,
-    parse_line,
-    serialize_record,
-)
+from repro.methcomp.bed import CHROMOSOMES, MethylationRecord, parse_line
 
 
 # ======================================================================
 # bed.py: the per-line buffer loops
 # ======================================================================
+def serialize_record(record: MethylationRecord) -> bytes:
+    """Canonical 11-column bedMethyl line (without trailing newline)."""
+    return (
+        f"{record.chrom}\t{record.start}\t{record.end}\t.\t{record.score}\t"
+        f"{record.strand}\t{record.start}\t{record.end}\t{record.color}\t"
+        f"{record.coverage}\t{record.pct_meth}"
+    ).encode("ascii")
+
+
 def parse_buffer(buffer: bytes) -> list[MethylationRecord]:
     """Parse a newline-terminated buffer of bedMethyl lines."""
     if not buffer:

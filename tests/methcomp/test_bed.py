@@ -12,15 +12,17 @@ from repro.methcomp import (
     MethylationRecord,
     bed_sort_key,
     columns_of,
-    is_sorted,
-    parse_buffer,
     parse_columns,
     parse_line,
     records_of,
     serialize_columns,
-    serialize_record,
     serialize_records,
 )
+
+
+def line_of(record: MethylationRecord) -> bytes:
+    """The record's canonical 11-column line, without its newline."""
+    return serialize_records([record])[:-1]
 
 
 def record_strategy():
@@ -76,16 +78,16 @@ class TestRecordValidation:
 class TestSerialization:
     def test_line_has_eleven_columns(self):
         record = MethylationRecord("chr2", 1234, 1236, "-", 30, 75)
-        line = serialize_record(record)
+        line = line_of(record)
         assert line.count(b"\t") == 10
 
     def test_parse_inverts_serialize(self):
         record = MethylationRecord("chrX", 999, 1001, "-", 42, 3)
-        assert parse_line(serialize_record(record)) == record
+        assert parse_line(line_of(record)) == record
 
     def test_parse_accepts_trailing_newline(self):
         record = MethylationRecord("chr1", 5, 7, "+", 1, 0)
-        assert parse_line(serialize_record(record) + b"\n") == record
+        assert parse_line(line_of(record) + b"\n") == record
 
     def test_wrong_column_count_rejected(self):
         with pytest.raises(CodecError):
@@ -93,14 +95,14 @@ class TestSerialization:
 
     def test_tampered_thick_columns_rejected(self):
         record = MethylationRecord("chr1", 5, 7, "+", 1, 0)
-        fields = serialize_record(record).split(b"\t")
+        fields = line_of(record).split(b"\t")
         fields[6] = b"999"
         with pytest.raises(CodecError):
             parse_line(b"\t".join(fields))
 
     def test_tampered_color_rejected(self):
         record = MethylationRecord("chr1", 5, 7, "+", 1, 80)
-        fields = serialize_record(record).split(b"\t")
+        fields = line_of(record).split(b"\t")
         fields[8] = b"255,0,0"
         with pytest.raises(CodecError):
             parse_line(b"\t".join(fields))
@@ -124,11 +126,11 @@ class TestSerialization:
             MethylationRecord("chr1", 10, 12, "+", 5, 90),
             MethylationRecord("chr1", 11, 13, "-", 6, 88),
         ]
-        assert parse_buffer(serialize_records(records)) == records
+        assert records_of(parse_columns(serialize_records(records))) == records
 
     @given(record=record_strategy())
     def test_property_line_roundtrip(self, record):
-        assert parse_line(serialize_record(record)) == record
+        assert parse_line(line_of(record)) == record
 
 
 class TestColumns:
@@ -147,7 +149,7 @@ class TestColumns:
         assert records_of(columns) == self.RECORDS
 
     def test_parse_and_serialize_match_the_per_line_functions(self):
-        buffer = b"".join(serialize_record(record) + b"\n" for record in self.RECORDS)
+        buffer = b"".join(line_of(record) + b"\n" for record in self.RECORDS)
         assert serialize_columns(columns_of(self.RECORDS)) == buffer
         assert parse_columns(buffer).lists() == columns_of(self.RECORDS)
         assert records_of(parse_columns(buffer)) == [
@@ -209,7 +211,7 @@ class TestColumns:
 
     @given(records=st.lists(record_strategy(), max_size=40))
     def test_property_column_roundtrip(self, records):
-        buffer = b"".join(serialize_record(record) + b"\n" for record in records)
+        buffer = b"".join(line_of(record) + b"\n" for record in records)
         columns = parse_columns(buffer)
         assert columns.lists() == columns_of(records)
         assert serialize_columns(columns) == buffer
@@ -223,7 +225,7 @@ class TestSortKey:
 
     def test_line_key_matches_record_key(self):
         record = MethylationRecord("chr7", 424242, 424244, "-", 9, 55)
-        assert bed_sort_key(serialize_record(record)) == record.sort_key()
+        assert bed_sort_key(line_of(record)) == record.sort_key()
 
     def test_unknown_chrom_in_line_rejected(self):
         with pytest.raises(CodecError):
@@ -252,21 +254,12 @@ class TestSortKey:
         line = b"chr3\t" + field + b"\t14\t.\t1\t+\t12\t14\t255,0,0\t1\t0"
         assert bed_sort_key(line) == parse_line(line).sort_key() == (2, 12)
 
-    def test_is_sorted(self):
-        sorted_records = [
-            MethylationRecord("chr1", 1, 3, "+", 1, 0),
-            MethylationRecord("chr1", 5, 7, "+", 1, 0),
-            MethylationRecord("chr2", 0, 2, "+", 1, 0),
-        ]
-        assert is_sorted(sorted_records)
-        assert not is_sorted(list(reversed(sorted_records)))
-
     @given(records=st.lists(record_strategy(), min_size=2, max_size=50))
     def test_property_sorting_by_line_key_equals_record_sort(self, records):
-        lines = [serialize_record(record) for record in records]
+        lines = [line_of(record) for record in records]
         by_line = sorted(lines, key=bed_sort_key)
         by_record = [
-            serialize_record(record)
+            line_of(record)
             for record in sorted(records, key=lambda r: r.sort_key())
         ]
         # Same multiset and same key sequence (ties may permute freely).

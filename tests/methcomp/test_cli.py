@@ -57,3 +57,27 @@ class TestCli:
         lines = [l for l in path.read_bytes().split(b"\n") if l]
         keys = [bed_sort_key(line) for line in lines]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("records", ["-5", "-1", "many"])
+    def test_generate_refuses_a_bad_record_count(self, tmp_path, capsys, records):
+        """``--records -5`` used to write an empty file and report "-5 records"."""
+        path = tmp_path / "out.bed"
+        with pytest.raises(SystemExit) as exit_:
+            main(["generate", str(path), "--records", records])
+        assert exit_.value.code == 2
+        assert "argument --records" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_generate_zero_records_is_an_empty_file(self, tmp_path):
+        path = tmp_path / "empty.bed"
+        assert main(["generate", str(path), "--records", "0"]) == 0
+        assert path.read_bytes() == b""
+
+    def test_ratio_of_an_empty_file_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        """It used to die with a ``ZeroDivisionError``."""
+        path = tmp_path / "empty.bed"
+        path.write_bytes(b"")
+        assert main(["ratio", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path} is empty; no ratio to report\n"

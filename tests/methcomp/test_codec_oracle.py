@@ -2,8 +2,8 @@
 
 The compressed bytes are part of the model: the object store charges
 them, so one moved bit moves simulated seconds and dollars.  Everything
-here is therefore byte-for-byte — ``compress``, ``encode_block``,
-``rice_encode_block`` and ``rice_encode_stream`` output, what decodes
+here is therefore byte-for-byte — ``compress``, ``encode_columns``
+and ``rice_encode_stream`` output, what decodes
 back, and for bad input the ``CodecError`` and its message — between
 ``repro.methcomp.codec`` and the bit-at-a-time, value-at-a-time,
 record-at-a-time code it replaced.
@@ -26,6 +26,8 @@ from repro.methcomp import (
     CHROMOSOMES,
     MethylationRecord,
     MethylomeGenerator,
+    columns_of,
+    records_of,
     serialize_records,
 )
 from repro.methcomp.codec import (
@@ -34,18 +36,17 @@ from repro.methcomp.codec import (
     arithmetic_decode,
     arithmetic_encode,
     compress,
-    compress_records,
-    decode_block,
+    compress_columns,
+    decode_columns,
     decompress,
-    decompress_records,
-    encode_block,
-    rice_decode_block,
-    rice_encode_block,
+    decompress_columns,
+    encode_columns,
     rice_encode_stream,
 )
 from repro.methcomp.codec.rice import _parameters
 
 from . import reference_codec as ref
+from .test_entropy_coders import rice_decode_values, rice_encode_values
 
 SEEDS = (2021, 7, 3, 5)
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=120)
@@ -68,14 +69,14 @@ def same_bytes(buffer: bytes, block_records: int = DEFAULT_BLOCK_RECORDS) -> byt
     data = compress(buffer, block_records)
     assert data == ref.compress(buffer, block_records)
     assert decompress(data) == ref.decompress(data) == buffer
-    assert decompress_records(data) == ref.decompress_records(data)
+    assert records_of(decompress_columns(data)) == ref.decompress_records(data)
     return data
 
 
 def same_block(records: list[MethylationRecord]) -> bytes:
-    block = encode_block(records)
+    block = encode_columns(columns_of(records))
     assert block == ref.encode_block(records)
-    assert decode_block(block) == ref.decode_block(block) == records
+    assert records_of(decode_columns(block)) == ref.decode_block(block) == records
     return block
 
 
@@ -115,7 +116,7 @@ class TestGeneratedMethylomes:
 
     def test_records_api_matches_buffer_api(self):
         records = MethylomeGenerator(seed=7).records(2500)
-        data = compress_records(records, 1000)
+        data = compress_columns(columns_of(records), 1000)
         assert data == ref.compress_records(records, 1000)
         assert data == compress(serialize_records(records), 1000)
 
@@ -126,7 +127,7 @@ class TestGeneratedMethylomes:
 class TestBlockEdges:
     def test_empty_buffer(self):
         assert same_bytes(b"") == ref.compress_records([])
-        assert encode_block([]) == ref.encode_block([])
+        assert encode_columns(columns_of([])) == ref.encode_block([])
 
     def test_single_record(self):
         same_block([site("chr1", 100)])
@@ -193,16 +194,16 @@ class TestRiceEscape:
     @pytest.mark.parametrize("values", ESCAPE_VALUES)
     @pytest.mark.parametrize("initial_mean", (1.0, 4.0, 64.0))
     def test_escaped_values(self, values, initial_mean):
-        data = rice_encode_block(values, initial_mean)
+        data = rice_encode_values(values, initial_mean)
         assert data == ref.rice_encode_block(values, initial_mean)
-        assert rice_decode_block(data, len(values), initial_mean) == values
+        assert rice_decode_values(data, len(values), initial_mean) == values
         assert ref.rice_decode_block(data, len(values), initial_mean) == values
 
     @pytest.mark.parametrize("values", ([1 << 40], [3, (1 << 40) + 5], [-1], [4, -7]))
     def test_out_of_range_values(self, values):
         expected = outcome(ref.rice_encode_block, values)
         assert expected[0] == "CodecError"
-        assert outcome(rice_encode_block, values) == expected
+        assert outcome(rice_encode_values, values) == expected
 
     def test_start_delta_just_under_the_escape_width(self):
         same_block([site("chr1", 0), site("chr1", (1 << 40) - 1), site("chr1", 1 << 40)])
@@ -211,7 +212,7 @@ class TestRiceEscape:
         records = [site("chr1", 7), site("chr1", 7 + (1 << 40))]
         expected = outcome(ref.encode_block, records)
         assert expected[0] == "CodecError"
-        assert outcome(encode_block, records) == expected
+        assert outcome(encode_columns, columns_of(records)) == expected
 
     def test_coverage_jump_through_the_escape(self):
         big = (1 << 39) - 20  # zig-zag doubles the difference
@@ -219,7 +220,7 @@ class TestRiceEscape:
         records = [site("chr1", 1, coverage=(1 << 39) + 16), site("chr1", 9, coverage=0)]
         expected = outcome(ref.encode_block, records)
         assert expected[0] == "CodecError"
-        assert outcome(encode_block, records) == expected
+        assert outcome(encode_columns, columns_of(records)) == expected
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +267,7 @@ class TestStreamCoder:
         rng = random.Random(length)
         for shape in ("zeros", "small", "geometric", "mixed", "wide"):
             values = drawn_values(rng, length, shape)
-            data = rice_encode_block(values, initial_mean)
+            data = rice_encode_values(values, initial_mean)
             assert data == ref.rice_encode_block(values, initial_mean), shape
             assert ref.rice_decode_block(data, length, initial_mean) == values
             assert rice_encode_stream(np.array(values), None, (initial_mean,)) == data
@@ -296,7 +297,7 @@ class TestStreamCoder:
         assert data == ref_stream(values, mask, (6.0, 4.0))
 
     def test_empty_streams(self):
-        assert rice_encode_block([]) == ref.rice_encode_block([]) == b""
+        assert rice_encode_values([]) == ref.rice_encode_block([]) == b""
         assert rice_encode_stream(np.array([], dtype=np.int64), None, (4.0,)) == b""
         nobody = np.array([], dtype=np.int64)
         assert rice_encode_stream(nobody, nobody, (64.0, 8.0, 64.0)) == b""
@@ -313,9 +314,9 @@ class TestStreamCoder:
         ],
     )
     def test_escapes_next_to_each_other_and_at_the_ends(self, values, initial_mean):
-        data = rice_encode_block(values, initial_mean)
+        data = rice_encode_values(values, initial_mean)
         assert data == ref.rice_encode_block(values, initial_mean)
-        assert rice_decode_block(data, len(values), initial_mean) == values
+        assert rice_decode_values(data, len(values), initial_mean) == values
 
     @pytest.mark.parametrize(
         "values",
@@ -337,7 +338,7 @@ class TestStreamCoder:
         assert expected[0] == "CodecError" and str(next(
             value for value in values if not 0 <= value <= WIDEST
         )) in expected[1]
-        assert outcome(rice_encode_block, values) == expected
+        assert outcome(rice_encode_values, values) == expected
         contexts = np.arange(len(values)) % 3
         assert outcome(rice_encode_stream, values, contexts, (64.0, 8.0, 64.0)) == expected
         if all(-(1 << 63) <= value < 1 << 63 for value in values):
@@ -355,7 +356,7 @@ class TestStreamCoder:
         """``accumulated`` is a Python int on both sides, so neither wraps."""
         rng = random.Random(3)
         values = drawn_values(rng, 9000, "small")  # 68 halvings: 2^62 comes all the way down
-        assert rice_encode_block(values, initial_mean) == ref.rice_encode_block(values, initial_mean)
+        assert rice_encode_values(values, initial_mean) == ref.rice_encode_block(values, initial_mean)
 
     def test_a_column_whose_running_sum_leaves_int64(self):
         """2^23 + 304 values of 2^40 - 1 sum past 2^63; a segment's never pass 2^48.
@@ -395,7 +396,7 @@ class TestStreamCoder:
     def test_a_long_wide_column_byte_for_byte(self):
         rng = random.Random(19)
         values = drawn_values(rng, 20_000, "wide") + drawn_values(rng, 4000, "geometric")
-        data = rice_encode_block(values, 64.0)
+        data = rice_encode_values(values, 64.0)
         assert data == ref.rice_encode_block(values, 64.0)
 
 
@@ -513,9 +514,9 @@ class TestProperties:
     )
     def test_rice_block_is_byte_identical(self, values, initial_mean):
         expected = outcome(ref.rice_encode_block, values, initial_mean)
-        assert outcome(rice_encode_block, values, initial_mean) == expected
+        assert outcome(rice_encode_values, values, initial_mean) == expected
         if expected[0] == "ok":
-            assert rice_decode_block(expected[1], len(values), initial_mean) == values
+            assert rice_decode_values(expected[1], len(values), initial_mean) == values
 
     @seed(3)
     @FIXED
@@ -602,7 +603,7 @@ class TestIdenticalErrors:
     def test_unsorted_input(self, records):
         expected = outcome(ref.encode_block, records)
         assert expected[0] == "CodecError"
-        assert outcome(encode_block, records) == expected
+        assert outcome(encode_columns, columns_of(records)) == expected
         buffer = serialize_records(records)
         assert outcome(compress, buffer) == outcome(ref.compress, buffer) == expected
 

@@ -8,41 +8,54 @@ from hypothesis import strategies as st
 
 from repro.errors import CodecError
 from repro.methcomp.codec import (
+    BitReader,
     FrequencyTable,
+    RiceContext,
     arithmetic_decode,
     arithmetic_encode,
-    rice_decode_block,
-    rice_encode_block,
+    rice_decode,
+    rice_encode_stream,
 )
-from repro.methcomp.codec.rice import RiceContext
+
+
+def rice_encode_values(values: list[int], initial_mean: float = 4.0) -> bytes:
+    """``values`` as one Rice stream under a single adaptive context."""
+    return rice_encode_stream(values, None, (initial_mean,))
+
+
+def rice_decode_values(data: bytes, count: int, initial_mean: float = 4.0) -> list[int]:
+    """``count`` values decoded from one adaptive context, value by value."""
+    reader = BitReader(data)
+    context = RiceContext(initial_mean)
+    return [rice_decode(reader, context) for _ in range(count)]
 
 
 class TestRice:
     def test_roundtrip_small_values(self):
         values = [0, 1, 2, 3, 0, 0, 5, 1]
-        data = rice_encode_block(values)
-        assert rice_decode_block(data, len(values)) == values
+        data = rice_encode_values(values)
+        assert rice_decode_values(data, len(values)) == values
 
     def test_roundtrip_geometric_values(self):
         rng = random.Random(3)
         values = [int(rng.expovariate(1 / 50)) for _ in range(2000)]
-        data = rice_encode_block(values)
-        assert rice_decode_block(data, len(values)) == values
+        data = rice_encode_values(values)
+        assert rice_decode_values(data, len(values)) == values
 
     def test_escape_handles_outliers(self):
         values = [1, 2, 10**9, 3]
-        data = rice_encode_block(values)
-        assert rice_decode_block(data, len(values)) == values
+        data = rice_encode_values(values)
+        assert rice_decode_values(data, len(values)) == values
 
     def test_negative_rejected(self):
         with pytest.raises(CodecError):
-            rice_encode_block([-1])
+            rice_encode_values([-1])
 
     def test_adaptation_beats_fixed_worst_case(self):
         """After adaptation, large values are not coded at tiny k."""
         rng = random.Random(5)
         values = [int(rng.expovariate(1 / 500)) for _ in range(2000)]
-        encoded = rice_encode_block(values, initial_mean=1.0)
+        encoded = rice_encode_values(values, initial_mean=1.0)
         # With k stuck at 0 the unary parts alone would be sum(values) bits.
         assert len(encoded) * 8 < sum(values) / 4
 
@@ -56,7 +69,7 @@ class TestRice:
         rng = random.Random(7)
         mean = 20.0
         values = [int(rng.expovariate(1 / mean)) for _ in range(5000)]
-        encoded = rice_encode_block(values)
+        encoded = rice_encode_values(values)
         bits_per_value = len(encoded) * 8 / len(values)
         # Geometric entropy at mean 20 ≈ 5.7 bits; Rice ≈ entropy + ~0.5.
         assert bits_per_value < 8.0
@@ -64,8 +77,8 @@ class TestRice:
     @given(st.lists(st.integers(0, 10_000), max_size=300))
     @settings(max_examples=50)
     def test_property_roundtrip(self, values):
-        data = rice_encode_block(values)
-        assert rice_decode_block(data, len(values)) == values
+        data = rice_encode_values(values)
+        assert rice_decode_values(data, len(values)) == values
 
 
 class TestFrequencyTable:
@@ -115,6 +128,19 @@ class TestFrequencyTable:
 
 
 class TestArithmetic:
+    def test_a_negative_symbol_is_refused_not_encoded_as_another(self):
+        """``[0, -2]`` under a two-symbol table used to encode, and decode as ``[0, 1]``."""
+        with pytest.raises(CodecError, match="symbol -2 outside the alphabet 0..1"):
+            arithmetic_encode([0, -2], FrequencyTable([3, 1]))
+
+    @pytest.mark.parametrize(
+        "symbols,stray", [([0, 2], 2), ([1, 0, 7, -1], 7), ([-5, 9], -5)]
+    )
+    def test_a_symbol_past_the_alphabet_is_a_codec_error(self, symbols, stray):
+        """It used to escape as an ``IndexError``; the first offender is named."""
+        with pytest.raises(CodecError, match=f"symbol {stray} outside the alphabet 0..1"):
+            arithmetic_encode(symbols, FrequencyTable([3, 1]))
+
     def test_roundtrip_simple(self):
         symbols = [0, 1, 2, 1, 0, 2, 2, 1]
         table = FrequencyTable.from_symbols(symbols, 3)

@@ -4,8 +4,8 @@ The oracle is ``columns_of(map(parse_line, lines))`` over the non-blank
 lines of a buffer: whatever bulk tier ``parse_columns`` has, it returns
 those columns, or raises the ``CodecError`` — type and message — that
 ``parse_line`` raises for the *first* bad line.  Everything downstream
-is byte-for-byte too: ``compress`` of a buffer equals ``compress_records``
-of the walk's records.
+is byte-for-byte too: ``compress`` of a buffer equals ``compress_columns``
+of the walk's columns.
 
 The hypothesis tests are derandomized and explicitly seeded (as in
 ``test_codec_oracle.py``): the same examples run on every machine, and
@@ -27,10 +27,9 @@ from repro.methcomp import (
     columns_of,
     parse_columns,
     parse_line,
-    serialize_record,
     serialize_records,
 )
-from repro.methcomp.codec import compress, compress_records
+from repro.methcomp.codec import compress, compress_columns
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -56,10 +55,9 @@ def same_outcome(buffer: bytes):
     expected = outcome(walk, buffer)
     assert outcome(parse_columns, buffer) == expected
     if expected[0] == "ok":
-        records = list(map(parse_line, filter(None, buffer.split(b"\n"))))
         for block_records in (1 << 17, 3):
             try:
-                compressed = compress_records(records, block_records)
+                compressed = compress_columns(walk(buffer), block_records)
             except CodecError as exc:  # unsorted, or a value beyond 64 bits
                 with pytest.raises(CodecError) as raised:
                     compress(buffer, block_records)
@@ -70,9 +68,9 @@ def same_outcome(buffer: bytes):
 
 
 def site(chrom="chr1", start=100, strand="+", coverage=18, pct=72, width=2) -> bytes:
-    return serialize_record(
-        MethylationRecord(chrom, start, start + width, strand, coverage, pct)
-    )
+    return serialize_records(
+        [MethylationRecord(chrom, start, start + width, strand, coverage, pct)]
+    )[:-1]
 
 
 def edit(line: bytes, column: int, value: bytes) -> bytes:
@@ -108,7 +106,7 @@ class TestGeneratedPartitions:
             part = records[begin : begin + step]
             buffer = serialize_records(part)
             assert parse_columns(buffer).lists() == columns_of(part)
-            assert compress(buffer) == compress_records(part)
+            assert compress(buffer) == compress_columns(columns_of(part))
 
     @pytest.mark.parametrize("seed_", (7, 47))
     def test_shuffled_payload(self, seed_):

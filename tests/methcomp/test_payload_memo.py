@@ -10,7 +10,7 @@ from repro.cloud.environment import Cloud
 from repro.core import ExperimentConfig
 from repro.core.experiment import dataset_payload, stage_input
 from repro.errors import CodecError
-from repro.methcomp.bed import MethylationRecord, is_sorted, parse_buffer, serialize_records
+from repro.methcomp.bed import MethylationRecord, parse_columns, records_of
 from repro.methcomp.datagen import (
     MethylomeGenerator,
     MethylomeProfile,
@@ -61,7 +61,7 @@ NEXT_DRAW = {
 #: spelled out inline: case → (sha256 of the payload, sha256 of
 #: ``repr(rng.getstate())`` afterwards, which holds ``gauss_next``).
 #: Each generates ``generate_bed(20_000)`` at seed 2021, except
-#: ``shuffled-records``, the serialized ``shuffled_records(5_000)``.
+#: ``shuffled-records``, ``generate_bed(5_000)`` on the default profile.
 DRAW_ORDER_SHA256 = {
     "island_start_prob=0.5": (
         "3f5b66b95585774d529f815ca596427c00d89c829b908870b9cca1803bac744d",
@@ -170,10 +170,10 @@ class TestMemo:
     def test_records_are_the_parse_of_the_sorted_payload(self, seed):
         records = MethylomeGenerator(seed=seed).records(4_000)
         payload = MethylomeGenerator(seed=seed).generate_bed(4_000, sorted_output=True)
-        assert parse_buffer(payload) == records
-        assert is_sorted(records)
-        shuffled = MethylomeGenerator(seed=seed).shuffled_records(4_000)
-        assert serialize_records(shuffled) == MethylomeGenerator(seed=seed).generate_bed(4_000)
+        assert records_of(parse_columns(payload)) == records
+        keys = [record.sort_key() for record in records]
+        assert keys == sorted(keys)
+        shuffled = records_of(parse_columns(MethylomeGenerator(seed=seed).generate_bed(4_000)))
         assert sorted(shuffled, key=MethylationRecord.sort_key) == records
 
 
@@ -197,10 +197,7 @@ class TestDrawOrder:
     @pytest.mark.parametrize("case", sorted(DRAW_ORDER_SHA256))
     def test_payload_and_rng_state(self, case):
         generator = self.generator(case)
-        if case == "shuffled-records":
-            payload = serialize_records(generator.shuffled_records(5_000))
-        else:
-            payload = generator.generate_bed(20_000)
+        payload = generator.generate_bed(5_000 if case == "shuffled-records" else 20_000)
         state = repr(generator._rng.getstate()).encode()
         assert (
             hashlib.sha256(payload).hexdigest(),

@@ -10,6 +10,7 @@ stored artifact.
 
 import collections
 import hashlib
+import json
 
 import pytest
 
@@ -37,7 +38,6 @@ from repro.shuffle import (
 )
 from repro.shuffle.content import (
     LineageCache,
-    RunManifest,
     build_run_manifest,
     derive_chain,
     lineage_cache_for,
@@ -567,8 +567,7 @@ class TestRunManifest:
             "objectstore", make_dup_payload(pairs=100)
         )
         manifest = operator.run_manifest
-        restored = RunManifest.from_json(manifest.to_json())
-        assert verify_manifest(restored) == []
+        assert verify_manifest(json.loads(manifest.to_json())) == []
 
         path = tmp_path / "manifest.json"
         path.write_text(manifest.to_json(), encoding="utf-8")
@@ -579,11 +578,41 @@ class TestRunManifest:
         tampered = manifest.to_dict()
         tampered["decision"]["substrate"] = "tampered"
         bad = tmp_path / "tampered.json"
-        import json
-
         bad.write_text(json.dumps(tampered), encoding="utf-8")
         assert main(["replay-verify", "--manifest", str(bad)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "cannot read manifest"),
+            ("{not json", "not a JSON manifest"),
+            (b"\xff\xfe", "not a JSON manifest"),
+            ("[1, 2]", "not a manifest"),
+            ('{"inputs": 1, "decision": {}, "chunks": [], "outputs": [], "chain": {}}',
+             "section inputs is not a JSON object"),
+            ('{"inputs": {}, "decision": {}, "chunks": [], "outputs": [], "chain": []}',
+             "section chain is not a JSON object"),
+            ('{"inputs": {}, "decision": {}, "chunks": 1, "outputs": [], "chain": {}}',
+             "section chunks is not a JSON array"),
+        ],
+        ids=["missing", "not-json", "not-utf8", "not-an-object", "inputs-not-an-object",
+             "chain-not-an-object", "chunks-not-an-array"],
+    )
+    def test_cli_fails_an_unreadable_manifest_without_a_traceback(
+        self, tmp_path, capsys, content, reason
+    ):
+        from repro.experiments.cli import main
+
+        path = tmp_path / "manifest.json"
+        if isinstance(content, str):
+            path.write_text(content, encoding="utf-8")
+        elif content is not None:
+            path.write_bytes(content)
+        assert main(["replay-verify", "--manifest", str(path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"FAIL: {path}"
+        assert out[1].strip().startswith(reason)
 
 
 class TestLineageCache:

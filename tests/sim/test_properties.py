@@ -173,4 +173,4 @@ class TestResourceInvariant:
             sim.process(worker())
         sim.run()
         assert live["max"] <= capacity
-        assert resource.in_use == 0 or resource.queue_length == 0
+        assert resource.in_use == 0

@@ -47,10 +47,9 @@ class TestResource:
 
     def test_queue_length_visible(self, sim):
         resource = Resource(sim, capacity=1)
-        resource.acquire()
-        resource.acquire()
-        resource.acquire()
-        assert resource.queue_length == 2
+        acquires = [resource.acquire() for _ in range(3)]
+        assert [event.triggered for event in acquires] == [True, False, False]
+        assert (resource.in_use, resource.available) == (1, 0)
 
     def test_parallelism_respects_capacity(self, sim):
         resource = Resource(sim, capacity=3)

@@ -1,10 +1,13 @@
-"""``benchmarks/reach.py``: its function inventory and its profiled child.
+"""``benchmarks/reach.py``: its function inventory, its profiled child
+and its ratchet.
 
 The probe's full run takes minutes (``make reach``); these tests hold
-the two halves it joins: the functions it finds under ``src/repro``
-must carry the key a called code object reports, and a child must
-record the ``src/repro`` code its entry point called, even when the
-entry point fails.
+the parts it joins without running an entry point: the functions it
+finds under ``src/repro`` must carry the key a called code object
+reports, a child must record the ``src/repro`` code its entry point
+called, even when the entry point fails, and the ratchet must fail on
+each kind of mismatch between a run and a fixture listing, naming the
+function, and pass on a listing that matches.
 """
 
 import importlib.util
@@ -150,22 +153,123 @@ def test_entry_points_cover_every_program_surface(reach):
     assert names[-1] == "cli replay-verify"
 
 
+def fixture_functions(reach) -> list[tuple[str, int, int, str, str]]:
+    """Four functions of a made-up module: ``called`` is the one an
+    entry point calls."""
+    path = str(reach.PACKAGE / "fixture.py")
+    return [
+        (path, 1, 2, "called", "called"),
+        (path, 4, 5, "run", "Hook.run"),
+        (path, 8, 9, "__init__", "Refused.__init__"),
+        (path, 11, 12, "__repr__", "Node.__repr__"),
+    ]
+
+
+#: A listing that matches one run of the fixture's entry points.
+MATCHING = """\
+# the fixture's uncalled functions
+repro/fixture.py::Hook.run  abstract hook
+repro/fixture.py::Refused.__init__  error constructor
+
+repro/fixture.py::Node.__repr__  pending item 1 (a)
+"""
+
+
+def probe(reach, monkeypatch, tmp_path, capsys, listing, statuses=(0, 0)):
+    """``reach.main`` over the fixture module with ``listing`` committed:
+    two entry points, the first calling ``called``; no child runs."""
+    status_of = dict(zip(("first", "last"), statuses))
+    functions = fixture_functions(reach)
+    expected = tmp_path / "reach_expected.txt"
+    expected.write_text(listing)
+    monkeypatch.setattr(reach, "EXPECTED", expected)
+    monkeypatch.setattr(reach, "defined_functions", lambda: functions)
+    monkeypatch.setattr(reach, "entry_points", lambda: [("first", []), ("last", [])])
+
+    def run_child(name, args, work, bench_copy, index):
+        seen = [[functions[0][0], 1, "called"]] if name == "first" else []
+        return name, status_of[name], "" if status_of[name] == 0 else "boom", seen, 0.0
+
+    monkeypatch.setattr(reach, "run_child", run_child)
+    status = reach.main([])
+    return status, capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize(
     "statuses, exit_status",
     [((0, 0), 0), ((0, 2), 1), (("timeout", 0), 1)],
 )
 def test_the_probe_exits_1_when_an_entry_point_failed(
-    reach, monkeypatch, capsys, statuses, exit_status
+    reach, monkeypatch, tmp_path, capsys, statuses, exit_status
 ):
     """``make reach`` gates CI: a failed or timed-out entry point is
     listed and makes the probe's exit status 1; none, and it is 0."""
-    status_of = dict(zip(("first", "last"), statuses))
-    monkeypatch.setattr(reach, "entry_points", lambda: [("first", []), ("last", [])])
+    status, out = probe(reach, monkeypatch, tmp_path, capsys, MATCHING, statuses)
+    assert status == exit_status
+    failed = [line for line in out if line.startswith("failed:")]
+    names = [name for name, code in zip(("first", "last"), statuses) if code != 0]
+    assert failed == [f"failed: {name}" for name in names]
+    assert not any(line.startswith("ratchet:") for line in out)
 
-    def run_child(name, args, work, bench_copy, index):
-        return name, status_of[name], "" if status_of[name] == 0 else "boom", [], 0.0
 
-    monkeypatch.setattr(reach, "run_child", run_child)
-    assert reach.main([]) == exit_status
-    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("failed:")]
-    assert failed == [f"failed: {name}" for name, status in status_of.items() if status != 0]
+def test_a_matching_listing_passes(reach, monkeypatch, tmp_path, capsys):
+    status, out = probe(reach, monkeypatch, tmp_path, capsys, MATCHING)
+    assert status == 0
+    assert out[-1].startswith("3 of 4 src/repro functions called by no entry point (6 lines)")
+
+
+@pytest.mark.parametrize(
+    "listing, mismatch",
+    [
+        (
+            MATCHING.replace("repro/fixture.py::Hook.run  abstract hook\n", ""),
+            "uncalled but not listed: repro/fixture.py::Hook.run",
+        ),
+        (
+            MATCHING + "repro/fixture.py::called  test oracle\n",
+            "listed but called: repro/fixture.py::called",
+        ),
+        (
+            MATCHING + "repro/fixture.py::Hook.gone  fault path\n",
+            "listed but not defined: repro/fixture.py::Hook.gone",
+        ),
+        (
+            MATCHING.replace("Hook.run  abstract hook", "Hook.run  nobody calls it"),
+            "unknown reason: repro/fixture.py::Hook.run (nobody calls it)",
+        ),
+        (
+            MATCHING.replace("Hook.run  abstract hook", "Hook.run"),
+            "unknown reason: repro/fixture.py::Hook.run (none given)",
+        ),
+        (
+            MATCHING.replace("pending item 1 (a)", "pending item"),
+            "unknown reason: repro/fixture.py::Node.__repr__ (pending item)",
+        ),
+        (
+            MATCHING + "repro/fixture.py::Hook.run  fault path\n",
+            "listed twice: repro/fixture.py::Hook.run",
+        ),
+    ],
+    ids=["unlisted", "called", "undefined", "unknown-reason", "no-reason",
+         "pending-without-item", "twice"],
+)
+def test_each_mismatch_fails_and_names_the_function(
+    reach, monkeypatch, tmp_path, capsys, listing, mismatch
+):
+    """The mismatch lines come last, so a CI log's tail shows them."""
+    status, out = probe(reach, monkeypatch, tmp_path, capsys, listing)
+    assert status == 1
+    assert out[-2:] == [f"ratchet: {mismatch}", "1 ratchet mismatches against reach_expected.txt"]
+
+
+def test_the_committed_listing_names_defined_functions_with_known_reasons(reach, functions):
+    """Static half of the ratchet, without running an entry point: every
+    key of ``reach_expected.txt`` is a function under ``src/repro``,
+    listed once, with a reason from the fixed set."""
+    listing = reach.EXPECTED.read_text()
+    listed = {
+        line.split()[0] for line in listing.splitlines()
+        if line.strip() and not line.startswith("#")
+    }
+    defined = {reach.function_key(path, qualname) for path, *_rest, qualname in functions}
+    assert reach.ratchet(listing, listed, defined) == []

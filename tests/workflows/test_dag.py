@@ -82,19 +82,6 @@ class TestTopology:
         second = [s.name for s in WorkflowDag("d", stages).topological_order()]
         assert first == second
 
-    def test_roots_and_leaves(self):
-        dag = WorkflowDag(
-            "rl",
-            [
-                spec("src"),
-                spec("mid", after=["src"]),
-                spec("out1", after=["mid"]),
-                spec("out2", after=["mid"]),
-            ],
-        )
-        assert [s.name for s in dag.roots()] == ["src"]
-        assert sorted(s.name for s in dag.leaves()) == ["out1", "out2"]
-
     def test_stage_lookup(self):
         dag = WorkflowDag("lk", [spec("a")])
         assert dag.stage("a").name == "a"

@@ -169,8 +169,8 @@ class TestEngine:
             ],
         )
         result = WorkflowEngine(cloud, dag).execute()
-        assert result.stage_duration("a") == pytest.approx(1.0)
-        assert result.stage_duration("b") == pytest.approx(2.0)
+        assert result.tracker.reports["a"].duration_s == pytest.approx(1.0)
+        assert result.tracker.reports["b"].duration_s == pytest.approx(2.0)
 
 
 class TestTracker:
@@ -199,9 +199,10 @@ class TestTracker:
     def test_tracker_done_flag(self, cloud):
         dag = WorkflowDag("done", [StageSpec("a", "test_noop")])
         engine = WorkflowEngine(cloud, dag)
-        assert not engine.tracker.done
+        reports = engine.tracker.reports
+        assert [report.status for report in reports.values()] == ["pending"]
         engine.execute()
-        assert engine.tracker.done
+        assert [report.status for report in reports.values()] == ["done"]
 
     def test_breakdown_reads_stage_tags_off_the_meter(self, cloud):
         dag = WorkflowDag(

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.workflows import dump_spec, parse_spec
+from repro.workflows import parse_spec
 
 VALID = {
     "name": "demo",
@@ -84,16 +84,3 @@ class TestParsing:
         document = dict(VALID)
         del document["bucket"]
         assert parse_spec(document).bucket == "pipeline"
-
-
-class TestRoundtrip:
-    def test_dump_then_parse_is_stable(self):
-        dag = parse_spec(VALID)
-        dumped = dump_spec(dag)
-        dag2 = parse_spec(dumped)
-        assert dump_spec(dag2) == dumped
-
-    def test_dump_preserves_params(self):
-        dag = parse_spec(VALID)
-        payload = json.loads(dump_spec(dag))
-        assert payload["stages"][1]["params"] == {"workers": 8}

@@ -11,9 +11,17 @@ stateful store keeps of the content it holds.
 It deliberately has **zero** intra-repo imports so the storage, cache
 and relay services can all use it without cycles.  The object store's
 existing ``compute_etag`` (md5, the S3-compatible ETag) stays the
-*transport* checksum on :class:`~repro.cloud.objectstore.service.ObjectMetadata`;
+*transport* checksum on :class:`~repro.cloud.objectstore.blobs.ObjectMetadata`;
 the CAS layer adds sha256 as the *content address* — the two coexist
 exactly as they do on real object stores.
+
+Each stored byte is hashed once per digest.  A dedup write takes the
+sha256 that its index and log keep; the object store also keeps it on
+the stored object (``ObjectStore.content_address``), where run
+manifests and the lineage check read it instead of hashing the bytes
+again.  The md5 ETag is memoized process-wide on the immutable payload
+(``compute_etag``), which pays because experiments stage one dataset
+``bytes`` object into a fresh region for every cell they compare.
 
 Determinism contract: everything here is pure interpreter-side hashing
 of real bytes.  No simulation events, no RNG, no clock reads — safe to
@@ -97,8 +105,19 @@ class ContentIndex:
         self._log.append((key, sha, logical))
 
     def entries(self, prefix: str) -> list[tuple[str, str, float]]:
-        """Logged commits whose key starts with ``prefix``, in commit order."""
-        return [entry for entry in self._log if entry[0].startswith(prefix)]
+        """Logged commits of ``prefix`` or of keys under it, in commit order.
+
+        The prefix matches whole path segments: ``runs/a`` holds
+        ``runs/a/m00000.r00001`` but not ``runs/ab/...``, so one sort's
+        manifest never takes in a sibling sort's chunks.  A prefix that
+        already ends in ``/`` matches the keys below it, and ``""`` every
+        key.
+        """
+        below = prefix if not prefix or prefix.endswith("/") else prefix + "/"
+        return [
+            entry for entry in self._log
+            if entry[0] == prefix or entry[0].startswith(below)
+        ]
 
 
 def stable_serialize(obj: t.Any) -> bytes:

@@ -158,7 +158,7 @@ class MemoryStore:
         return entry.logical if entry is not None else None
 
     def cas_entries(self, prefix: str) -> list[tuple[str, str, float]]:
-        """Dedup-eligible writes whose key starts with ``prefix``."""
+        """Dedup-eligible writes of ``prefix`` or of keys under it."""
         return self.content.entries(prefix)
 
 
@@ -410,8 +410,8 @@ class ShardGroup:
         return totals
 
     def cas_entries(self, prefix: str) -> list[tuple[str, str, float]]:
-        """Dedup-eligible writes whose key starts with ``prefix``, shard
-        by shard (run manifests sort their chunks)."""
+        """Dedup-eligible writes of ``prefix`` or of keys under it,
+        shard by shard (run manifests sort their chunks)."""
         return [entry for shard in self.shards for entry in shard.cas_entries(prefix)]
 
     # ------------------------------------------------------------------

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+
+from repro.cas import sha256_hex
 
 
 class _Payload:
@@ -21,8 +24,9 @@ class ObjectMetadata(_Payload):
     runs scaled-down data (see ``CloudProfile.logical_scale``).
 
     ``etag`` is hashed from ``payload`` (the immutable stored bytes) on
-    first read — few ETags ever are — and is a field like any other:
-    equality, hashing, ``repr`` and pickling read it.
+    first read — few ETags ever are — through :func:`compute_etag`'s
+    process-wide memo, and is a field like any other: equality, hashing,
+    ``repr`` and pickling read it.
     """
 
     bucket: str
@@ -48,12 +52,35 @@ class ObjectMetadata(_Payload):
 
 @dataclasses.dataclass(slots=True)
 class StoredObject:
-    """Payload plus metadata, as held by the store."""
+    """Payload plus metadata, as held by the store.
+
+    ``sha`` is the payload's sha256 content address: the digest a dedup
+    PUT already took, or ``None`` until :meth:`address` first hashes a
+    non-dedup payload (or an empty one, which no PUT hashes).  The bytes
+    never change under it, so the store sha256-hashes each stored byte
+    at most once.
+    """
 
     data: bytes
     meta: ObjectMetadata
+    sha: str | None = None
+
+    def address(self) -> str:
+        """The payload's sha256, hashed on first read only."""
+        if self.sha is None:
+            self.sha = sha256_hex(self.data)
+        return self.sha
 
 
+@functools.lru_cache(maxsize=8)
 def compute_etag(data: bytes) -> str:
-    """Deterministic content hash used as the object ETag."""
+    """Deterministic content hash used as the object ETag.
+
+    Memoized on the immutable bytes, process-wide: an experiment stages
+    the same dataset payload into a fresh region for every cell and
+    sweep row (``methylome_payload`` hands out one ``bytes`` object per
+    argument set), and each region's first ETag read would otherwise
+    md5 it again.  The bound is that payload memo's, so this memo keeps
+    no more payloads alive than it does.
+    """
     return hashlib.md5(data).hexdigest()  # noqa: S324 - identity, not security

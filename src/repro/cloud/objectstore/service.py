@@ -252,7 +252,7 @@ class ObjectStore:
         previous = objects.get(key)
         if previous is not None:
             self._stored_logical -= previous.meta.logical_size
-        objects[key] = StoredObject(data, meta)
+        objects[key] = StoredObject(data, meta, sha)
         self._stored_logical += logical
         self.stats.puts += 1
         if hit:
@@ -356,17 +356,30 @@ class ObjectStore:
     # ------------------------------------------------------------------
     # introspection helpers (control-plane, free, instantaneous)
     # ------------------------------------------------------------------
-    def peek(self, bucket: str, key: str) -> bytes:
-        """Read payload without simulation cost (tests/debugging only)."""
+    def _stored(self, bucket: str, key: str) -> StoredObject:
         stored = self._bucket(bucket).get(key)
         if stored is None:
             raise NoSuchKey(bucket, key)
-        return stored.data
+        return stored
+
+    def peek(self, bucket: str, key: str) -> bytes:
+        """Read payload without simulation cost (tests/debugging only)."""
+        return self._stored(bucket, key).data
+
+    def content_address(self, bucket: str, key: str) -> str:
+        """sha256 of the bytes at rest under ``bucket/key``, free.
+
+        The digest the object's dedup PUT took, or hashed once on first
+        read for any other PUT; run manifests and the lineage check read
+        it instead of re-hashing the payload.
+        """
+        return self._stored(bucket, key).address()
 
     def cas_entries(self, prefix: str) -> list[tuple[str, str, float]]:
-        """Dedup-eligible PUTs whose key starts with ``prefix``.
+        """Dedup-eligible PUTs of ``prefix`` or of keys under it.
 
         ``(key, sha256, logical)`` in commit order; run-manifest
-        builders filter by their sort's output prefix.
+        builders filter by their sort's output prefix, which matches
+        whole path segments (:meth:`ContentIndex.entries`).
         """
         return self.content.entries(prefix)

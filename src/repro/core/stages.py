@@ -48,11 +48,7 @@ from repro.executor.executor import FunctionExecutor
 from repro.methcomp.pipeline import bed_record_codec, decode_worker, encode_worker
 from repro.shuffle import kernels
 from repro.shuffle.adaptive import choose_exchange_substrate
-from repro.shuffle.content import (
-    LineageCache,
-    lineage_cache_for,
-    lineage_outputs_present,
-)
+from repro.shuffle.content import LineageCache, lineage_cache_for
 from repro.shuffle.operator import ShuffleResult, ShuffleSort
 from repro.shuffle.streaming import StreamConfig
 from repro.shuffle.substrates import SUBSTRATES
@@ -319,7 +315,7 @@ def _lineage_lookup(context: StageContext, upstream: dict) -> t.Generator:
     )
     cache = lineage_cache_for(store)
     entry = cache.get(fingerprint)
-    if entry is not None and lineage_outputs_present(store, entry.artifact):
+    if entry is not None and entry.outputs_intact(store):
         entry.hits += 1
         artifact = dict(entry.artifact)
         artifact["lineage"] = "hit"
@@ -329,10 +325,15 @@ def _lineage_lookup(context: StageContext, upstream: dict) -> t.Generator:
 
 
 def _lineage_store(context: StageContext, fingerprint: str, artifact: dict) -> None:
-    """Record a cold sort's artifact under its lineage fingerprint."""
+    """Record a cold sort's artifact under its lineage fingerprint, with
+    the content address of each output run as it lies in the store."""
+    store = context.cloud.store
     artifact["lineage"] = "miss"
     artifact["lineage_key"] = fingerprint[:16]
-    lineage_cache_for(context.cloud.store).put(fingerprint, artifact)
+    addresses = [
+        store.content_address(run["bucket"], run["key"]) for run in artifact["runs"]
+    ]
+    lineage_cache_for(store).put(fingerprint, artifact, addresses)
 
 
 def auto_sort(context: StageContext, inputs: dict) -> t.Generator:

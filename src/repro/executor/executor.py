@@ -303,11 +303,6 @@ class FunctionExecutor:
             )
             futures.append(future)
             record.futures.append(future)
-
-        def mark_finished(_event: SimEvent) -> None:
-            record.finished_at = self.sim.now
-
-        self.sim.all_of([f.done_event for f in futures]).add_callback(mark_finished)
         return futures[0] if single else futures
 
     def _invoke_with_retries(

@@ -16,4 +16,3 @@ class JobRecord:
     call_count: int
     submitted_at: float
     futures: list[ResponseFuture] = dataclasses.field(default_factory=list)
-    finished_at: float | None = None

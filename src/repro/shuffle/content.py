@@ -27,6 +27,7 @@ import json
 import typing as t
 
 from repro.cas import content_hash, sha256_hex
+from repro.cloud.objectstore.errors import NoSuchBucket, NoSuchKey
 
 MANIFEST_VERSION = 1
 
@@ -149,7 +150,7 @@ def verify_manifest(
     if store is not None:
         bucket = manifest["inputs"].get("bucket")
         for entry in manifest["outputs"]:
-            data = _peek(store, entry.get("bucket", bucket), entry["key"])
+            data = _at_rest(store.peek, entry.get("bucket", bucket), entry["key"])
             if data is None:
                 problems.append(f"output missing from store: {entry['key']}")
             elif sha256_hex(data) != entry["sha256"]:
@@ -157,12 +158,12 @@ def verify_manifest(
     return problems
 
 
-def _peek(store: t.Any, bucket: str, key: str) -> bytes | None:
-    # peek raises NoSuchKey/NoSuchBucket on absence; absence is a
-    # verification verdict here, not an error.
+def _at_rest(read: t.Callable[[str, str], t.Any], bucket: str, key: str) -> t.Any:
+    # ``store.peek`` / ``store.content_address`` raise on absence; absence
+    # is a verdict here, not an error.
     try:
-        return store.peek(bucket, key)
-    except Exception:
+        return read(bucket, key)
+    except (NoSuchBucket, NoSuchKey):
         return None
 
 
@@ -187,9 +188,29 @@ def verify_manifest_file(path: str) -> list[str]:
 
 @dataclasses.dataclass
 class LineageEntry:
+    """A cold sort's artifact, and the sha256 content address each of its
+    output runs had when it was recorded (in partition order)."""
+
     key: str
     artifact: dict
+    addresses: tuple[str, ...]
     hits: int = 0
+
+    def outputs_intact(self, store: t.Any) -> bool:
+        """Whether every output still holds the bytes it was recorded with.
+
+        Reads each run's address at rest off the store, free and without
+        hashing (the digest its PUT took): if any output was deleted or
+        overwritten with different bytes, the hit degrades to a miss
+        instead of returning a stale manifest.
+        """
+        runs = self.artifact.get("runs") or []
+        if not runs:
+            return False
+        return all(
+            _at_rest(store.content_address, run["bucket"], run["key"]) == address
+            for run, address in zip(runs, self.addresses, strict=True)
+        )
 
 
 class LineageCache:
@@ -205,8 +226,10 @@ class LineageCache:
     def get(self, key: str) -> LineageEntry | None:
         return self._entries.get(key)
 
-    def put(self, key: str, artifact: dict) -> None:
-        self._entries[key] = LineageEntry(key=key, artifact=dict(artifact))
+    def put(self, key: str, artifact: dict, addresses: t.Sequence[str]) -> None:
+        self._entries[key] = LineageEntry(
+            key=key, artifact=dict(artifact), addresses=tuple(addresses)
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -225,18 +248,3 @@ def lineage_cache_for(store: t.Any) -> LineageCache:
         store._repro_lineage_cache = cache
     return cache
 
-
-def lineage_outputs_present(store: t.Any, artifact: dict) -> bool:
-    """Cheap residency check before honouring a lineage hit.
-
-    ``peek`` is interpreter-side and free; if any prior output was
-    deleted or overwritten with different bytes the hit degrades to a
-    miss instead of returning a stale manifest.
-    """
-    runs = artifact.get("runs") or []
-    if not runs:
-        return False
-    for run in runs:
-        if _peek(store, run["bucket"], run["key"]) is None:
-            return False
-    return True

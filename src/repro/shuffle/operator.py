@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
-from repro.cas import sha256_hex
 from repro.errors import ShuffleError
 from repro.shuffle import kernels
 from repro.shuffle.content import RunManifest, build_run_manifest
@@ -330,8 +329,9 @@ class ShuffleSort:
 
         Inputs (what was sorted) → decision (substrate/mode/workers/
         boundaries) → chunks (the content log of the exchange traffic
-        under this sort's prefix) → outputs (the sorted runs, re-hashed
-        from the bytes actually at rest).
+        under this sort's prefix) → outputs (the sorted runs, addressed
+        by the sha256 of the bytes actually at rest — the digest their
+        dedup PUT took, read back rather than hashed again).
         """
         store = self.executor.cloud.store
         inputs = {
@@ -350,7 +350,7 @@ class ShuffleSort:
             {
                 "bucket": run.bucket,
                 "key": run.key,
-                "sha256": sha256_hex(store.peek(run.bucket, run.key)),
+                "sha256": store.content_address(run.bucket, run.key),
                 "logical": float(run.size_bytes),
             }
             for run in runs

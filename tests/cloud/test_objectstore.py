@@ -14,6 +14,7 @@ from repro.cloud.objectstore import (
     NoSuchKey,
     SlowDown,
 )
+from repro.cloud.objectstore.blobs import compute_etag
 from repro.cloud.objectstore.errors import InternalError
 from repro.cloud.profiles import ibm_us_east
 from repro.cloud.retry import RETRY_POLICY
@@ -262,7 +263,9 @@ class TestEtag:
 
     def test_shuffle_sort_hashes_only_the_etags_it_reads(self, cloud, monkeypatch):
         """The regression guard for the laziness: a W=8 sort PUTs ~80
-        objects and reads one ETag — its input's, for the run manifest."""
+        objects and reads one ETag — its input's, for the run manifest.
+        The ETag memo is emptied first, so the input is hashed here."""
+        compute_etag.cache_clear()
         hashed = []
         real_md5 = hashlib.md5
 

@@ -88,7 +88,8 @@ def test_object_storage_has_one_request_path():
         return sorted(name for name in vars(cls) if not name.startswith("_"))
 
     assert public(ObjectStore) == [
-        "cas_entries", "ensure_bucket", "finalize_billing", "head", "peek", "put",
+        "cas_entries", "content_address", "ensure_bucket", "finalize_billing",
+        "head", "peek", "put",
     ]
     assert public(BoundStorage) == [
         "bounded", "delete", "delete_request", "get", "get_range",

@@ -23,6 +23,7 @@ from repro.cas import (
 )
 from repro.cloud import Cloud, MB
 from repro.cloud.memstore import CacheOutOfMemory
+from repro.cloud.objectstore.blobs import compute_etag
 from repro.cloud.profiles import ibm_us_east
 from repro.cloud.storageview import BoundStorage
 from repro.cloud.vm.fleet import fleet_ready
@@ -31,10 +32,12 @@ from repro.executor import FunctionExecutor
 from repro.shuffle import (
     CacheExchange,
     FixedWidthCodec,
+    ObjectStoreExchange,
     RelayExchange,
     ShardedRelayExchange,
     ShuffleSort,
     SortedRun,
+    StreamConfig,
 )
 from repro.shuffle.content import (
     LineageCache,
@@ -66,23 +69,30 @@ def make_dup_payload(pairs=100):
     return (RECORD_A + RECORD_B) * pairs
 
 
-def run_sort(substrate, payload, *, workers=2, seed=7):
-    """One staged sort on a fresh region; returns (runs_bytes, operator, cloud)."""
+def sort_region(substrate, *, seed=7, stream=None):
+    """A fresh region with a ``data`` bucket and a sort over ``substrate``
+    (staged, or streaming under ``stream``); returns (cloud, operator)."""
     cloud = Cloud.fresh(seed=seed, profile=ibm_us_east(deterministic=True))
     cloud.store.ensure_bucket("data")
     executor = FunctionExecutor(cloud)
     codec = FixedWidthCodec(record_size=16, key_bytes=8)
     if substrate == "objectstore":
-        operator = ShuffleSort(executor, codec)
+        backend = ObjectStoreExchange(stream=stream)
     elif substrate == "cache":
         cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-        operator = ShuffleSort(executor, codec, backend=CacheExchange(cluster))
+        backend = CacheExchange(cluster, stream=stream)
     elif substrate == "sharded-relay":
         fleet = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-        operator = ShuffleSort(executor, codec, backend=ShardedRelayExchange(fleet))
+        backend = ShardedRelayExchange(fleet, stream=stream)
     else:
         relay = relay_ready(cloud.vms, "bx2-8x32")
-        operator = ShuffleSort(executor, codec, backend=RelayExchange(relay))
+        backend = RelayExchange(relay, stream=stream)
+    return cloud, ShuffleSort(executor, codec, backend=backend)
+
+
+def run_sort(substrate, payload, *, workers=2, seed=7, stream=None):
+    """One sort on a fresh region; returns (runs_bytes, operator, cloud, result)."""
+    cloud, operator = sort_region(substrate, seed=seed, stream=stream)
 
     def driver():
         yield cloud.store.put("data", "input.bin", payload)
@@ -221,8 +231,14 @@ class TestContentIndex:
         index.record("outlier/c", "2", 2.0)
         index.record("out/a", "3", 3.0)
         assert index.entries("out/") == [("out/b", "1", 1.0), ("out/a", "3", 3.0)]
+        # A prefix matches whole path segments, slash-terminated or not.
+        assert index.entries("out") == index.entries("out/")
+        assert [key for key, _sha, _logical in index.entries("outlier")] == [
+            "outlier/c",
+        ]
+        index.record("out", "4", 4.0)
         assert [key for key, _sha, _logical in index.entries("out")] == [
-            "out/b", "outlier/c", "out/a",
+            "out/b", "out/a", "out",
         ]
 
 
@@ -296,8 +312,8 @@ class TestCosDedup:
         assert cloud.store.stats.dedup_ops == 0
 
     def test_cas_entries_prefix_filtering(self, cloud):
-        """Prefix-sharing keys (``out/`` vs ``outlier/``) must separate
-        under the slash-terminated prefixes the operators use."""
+        """Prefix-sharing keys (``out/`` vs ``outlier/``) separate with or
+        without the trailing slash: a prefix matches whole segments."""
 
         def scenario():
             yield cloud.store.put("data", "out/a", b"1" * 64, dedup=True)
@@ -309,10 +325,9 @@ class TestCosDedup:
         shas = dict(
             (key, sha) for key, sha, _logical in cloud.store.cas_entries("out")
         )
-        assert shas == {
-            "out/a": sha256_hex(b"1" * 64),
-            "outlier/b": sha256_hex(b"2" * 64),
-        }
+        assert shas == {"out/a": sha256_hex(b"1" * 64)}
+        keys = [key for key, _sha, _logical in cloud.store.cas_entries("outlier")]
+        assert keys == ["outlier/b"]
 
 
 class TestCacheDedupRestore:
@@ -444,21 +459,7 @@ def run_cold_warm(substrate, payload, *, seed=7):
     a per-sort delta, so the reused operator's second report covers the
     warm run alone.
     """
-    cloud = Cloud.fresh(seed=seed, profile=ibm_us_east(deterministic=True))
-    cloud.store.ensure_bucket("data")
-    executor = FunctionExecutor(cloud)
-    codec = FixedWidthCodec(record_size=16, key_bytes=8)
-    if substrate == "objectstore":
-        operator = ShuffleSort(executor, codec)
-    elif substrate == "cache":
-        cluster = cloud.cache.provision_ready("cache.r5.large", nodes=2)
-        operator = ShuffleSort(executor, codec, backend=CacheExchange(cluster))
-    elif substrate == "sharded-relay":
-        fleet = fleet_ready(cloud.vms, "bx2-8x32", shards=2)
-        operator = ShuffleSort(executor, codec, backend=ShardedRelayExchange(fleet))
-    else:
-        relay = relay_ready(cloud.vms, "bx2-8x32")
-        operator = ShuffleSort(executor, codec, backend=RelayExchange(relay))
+    cloud, operator = sort_region(substrate, seed=seed)
 
     def driver():
         yield cloud.store.put("data", "input.bin", payload)
@@ -498,6 +499,35 @@ class TestSortDedupParity:
             if ("substrate", "objectstore") in key
         )
         assert total > 0
+
+
+class TestPrefixIsolation:
+    @pytest.mark.parametrize("substrate", SUBSTRATES)
+    def test_a_manifest_takes_in_no_sibling_prefix(self, substrate):
+        """A sort under ``runs/a`` after one under ``runs/ab`` in the same
+        store logs exactly the chunks it logs alone."""
+        payload = make_dup_payload(pairs=100)
+
+        def manifests(prefixes):
+            cloud, operator = sort_region(substrate)
+            made = []
+
+            def driver():
+                yield cloud.store.put("data", "input.bin", payload)
+                for prefix in prefixes:
+                    yield operator.sort(
+                        "data", "input.bin", workers=2, out_prefix=prefix
+                    )
+                    made.append(operator.run_manifest)
+
+            cloud.sim.run_process(driver())
+            return made
+
+        (alone,) = manifests(["runs/a"])
+        _sibling, after = manifests(["runs/ab", "runs/a"])
+        assert alone.chunks
+        assert all(entry["key"].startswith("runs/a/") for entry in after.chunks)
+        assert after.chunks == alone.chunks
 
 
 class TestRunManifest:
@@ -615,6 +645,111 @@ class TestRunManifest:
         assert out[1].strip().startswith(reason)
 
 
+STREAM = StreamConfig(chunk_bytes=4096.0, buffer_bytes=8192.0, poll_interval_s=0.05)
+
+
+def counting(monkeypatch, name):
+    """Patch ``hashlib.<name>`` to record the bytes of every call."""
+    hashed = []
+    real = getattr(hashlib, name)
+
+    def count(data=b"", **kwargs):
+        hashed.append(bytes(data))
+        return real(data, **kwargs)
+
+    monkeypatch.setattr(hashlib, name, count)
+    return hashed
+
+
+class TestHashOnce:
+    """Each stored byte is sha256-hashed once, and a payload staged into
+    many regions is md5-hashed once per process."""
+
+    def test_a_sort_hashes_each_output_run_once(self, monkeypatch):
+        """The dedup PUT's digest is the manifest's output address."""
+        hashed = counting(monkeypatch, "sha256")
+        # Distinct keys in scrambled order: no exchange object holds a
+        # run's bytes.
+        payload = b"".join(
+            (index * 2654435761 % 2**32).to_bytes(8, "big") + bytes(8)
+            for index in range(4000)
+        )
+        runs, operator, _cloud, result = run_sort(
+            "objectstore", payload, workers=8
+        )
+        assert len(result.runs) == 8
+        assert operator.run_manifest is not None
+        for data in runs:
+            assert hashed.count(data) == 1
+
+    @pytest.mark.parametrize("stream", [None, STREAM], ids=["staged", "streaming"])
+    @pytest.mark.parametrize("substrate", SUBSTRATES)
+    def test_manifest_outputs_address_the_bytes_at_rest(self, substrate, stream):
+        runs, operator, cloud, result = run_sort(
+            substrate, make_dup_payload(pairs=150), stream=stream
+        )
+        outputs = operator.run_manifest.outputs
+        assert [entry["key"] for entry in outputs] == [run.key for run in result.runs]
+        for entry, data in zip(outputs, runs, strict=True):
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+        assert verify_manifest(operator.run_manifest, store=cloud.store) == []
+
+    def test_a_plain_put_is_hashed_on_first_address_read_only(self, monkeypatch):
+        cloud = Cloud.fresh(seed=3, profile=ibm_us_east(deterministic=True))
+        cloud.store.ensure_bucket("data")
+
+        def stage():
+            yield cloud.store.put("data", "k", b"plain bytes")
+
+        cloud.sim.run_process(stage())
+        hashed = counting(monkeypatch, "sha256")
+        first = cloud.store.content_address("data", "k")
+        assert first == cloud.store.content_address("data", "k")
+        assert first == sha256_hex(b"plain bytes")
+        assert hashed == [b"plain bytes", b"plain bytes"]  # the store once, the check once
+
+    @staticmethod
+    def staged_etags(payloads, regions=2):
+        """Stage every payload into ``regions`` fresh regions and read
+        each object's ETag; returns the ETags, region by region."""
+        etags = []
+        for seed in range(regions):
+            cloud = Cloud.fresh(seed=seed, profile=ibm_us_east(deterministic=True))
+            cloud.store.ensure_bucket("data")
+
+            def stage():
+                for index, payload in enumerate(payloads):
+                    meta = yield cloud.store.put("data", f"input{index}", payload)
+                    etags.append(meta.etag)
+
+            cloud.sim.run_process(stage())
+        return etags
+
+    def test_one_payload_in_two_regions_is_md5_hashed_once(self, monkeypatch):
+        compute_etag.cache_clear()
+        hashed = counting(monkeypatch, "md5")
+        payload = make_dup_payload(pairs=64)
+        etags = self.staged_etags([payload])
+        assert etags == [hashlib.new("md5", payload).hexdigest()] * 2
+        assert hashed == [payload]
+
+    def test_distinct_payloads_are_md5_hashed_once_each(self, monkeypatch):
+        compute_etag.cache_clear()
+        hashed = counting(monkeypatch, "md5")
+        payloads = [make_dup_payload(pairs=64), make_dup_payload(pairs=65)]
+        etags = self.staged_etags(payloads)
+        assert etags[:2] == etags[2:] and etags[0] != etags[1]
+        assert hashed == payloads
+
+    def test_the_etag_memo_is_bounded(self):
+        compute_etag.cache_clear()
+        bound = compute_etag.cache_info().maxsize
+        assert isinstance(bound, int) and bound > 0
+        for index in range(bound + 3):
+            compute_etag(index.to_bytes(4, "big"))
+        assert compute_etag.cache_info().currsize == bound
+
+
 class TestLineageCache:
     @staticmethod
     def _run_auto(cloud, config, sort_params, name):
@@ -703,6 +838,30 @@ class TestLineageCache:
         cloud.sim.run_process(wipe())
         rerun = self._run_auto(cloud, config, params, "degrade-rerun")
         assert rerun.artifacts["sort"]["lineage"] == "miss"
+
+    def test_overwritten_output_degrades_to_miss(self):
+        from repro.core import ExperimentConfig
+
+        config = ExperimentConfig(logical_scale=4096.0)
+        cloud = self._fresh(config)
+        params = {"workers": 4, "memory_mb": 2048}
+        cold = self._run_auto(cloud, config, params, "overwrite-cold")
+        victim = cold.artifacts["sort"]["runs"][0]
+        sorted_run = cloud.store.peek(victim["bucket"], victim["key"])
+        stale = b"not the sorted run\n"
+
+        def overwrite():
+            yield BoundStorage(cloud.store, None).put(
+                victim["bucket"], victim["key"], stale
+            )
+
+        cloud.sim.run_process(overwrite())
+        rerun = self._run_auto(cloud, config, params, "overwrite-rerun")
+        assert rerun.artifacts["sort"]["lineage"] == "miss"
+        # The miss sorted again: the run at rest is the sorted one.
+        assert cloud.store.peek(victim["bucket"], victim["key"]) == sorted_run
+        warm = self._run_auto(cloud, config, params, "overwrite-warm")
+        assert warm.artifacts["sort"]["lineage"] == "hit"
 
     def test_fingerprint_is_stable_data(self):
         fingerprint = LineageCache.fingerprint(
